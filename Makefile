@@ -23,7 +23,7 @@ BENCH_PROFILE = -exp exp-throughput,exp-adaptive,exp-continuous,exp-mixed,exp-nn
 	-standing 64 -update-batches 40 -batch-size 32 -readers 2 \
 	-shard-counts 1,2,4,8 -shard-clients 2
 
-.PHONY: all build test race bench bench-sharded bench-regression cluster-smoke soak fuzz-smoke lint apicheck apiupdate
+.PHONY: all build test race bench bench-sharded bench-regression bench-e2e-smoke cluster-smoke soak fuzz-smoke lint apicheck apiupdate
 
 all: build test race
 
@@ -66,6 +66,14 @@ bench-sharded: build
 bench-regression: build
 	$(GO) run ./cmd/ildq-bench $(BENCH_PROFILE) -json BENCH_CI.json \
 		-baseline BENCH_PR10.json -regress 0.20
+
+# The end-to-end benchmark (benchmark/, see BENCHMARK.json) is a
+# module of its own, so `go build ./... && go test ./...` never
+# compiles it. This vets it and runs its unit tests plus the short
+# in-process smoke run of every workload, so a change to an internal
+# API it imports cannot break it unnoticed. Part of the CI test job.
+bench-e2e-smoke:
+	cd benchmark && $(GO) vet . && $(GO) test .
 
 # Multi-process sharded smoke: boot ildq-router over real ildq-serve
 # shard processes, replay a mixed workload through both the fleet and

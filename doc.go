@@ -69,9 +69,10 @@
 //     evaluations (Snapshot.Close releases it);
 //   - continuous monitoring: Monitor serves standing Requests over
 //     the update stream. Register(req) returns a Subscription
-//     streaming delta results; ApplyUpdates re-evaluates only the
-//     standing requests whose guard region (Request.GuardRegion) the
-//     batch's dirty rectangles touch;
+//     streaming delta results; ApplyUpdates wakes only the standing
+//     requests whose guard region (Request.GuardRegion) a change of
+//     their own table touches, and for range requests re-qualifies
+//     only the objects that moved;
 //   - the imprecise nearest-neighbor extension as a first-class
 //     request kind;
 //   - synthetic dataset generation matching the paper's experimental

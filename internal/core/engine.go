@@ -317,7 +317,7 @@ func (o EvalOptions) evalContext(ctx context.Context) (context.Context, context.
 
 // evaluatePoints validates, applies defaults and deadline, and
 // dispatches a point-database evaluation against this state.
-func (st *engineState) evaluatePoints(ctx context.Context, q Query, opts EvalOptions) (Result, error) {
+func (st *engineState) evaluatePoints(ctx context.Context, q Query, opts EvalOptions, only []uncertain.ID) (Result, error) {
 	if err := q.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -326,7 +326,7 @@ func (st *engineState) evaluatePoints(ctx context.Context, q Query, opts EvalOpt
 	defer cancel()
 	switch opts.Method {
 	case MethodEnhanced:
-		return st.evaluatePointsEnhanced(ctx, q, opts)
+		return st.evaluatePointsEnhanced(ctx, q, opts, only)
 	case MethodBasic:
 		return st.evaluatePointsBasic(ctx, q, opts)
 	default:
@@ -334,7 +334,14 @@ func (st *engineState) evaluatePoints(ctx context.Context, q Query, opts EvalOpt
 	}
 }
 
-func (st *engineState) evaluatePointsEnhanced(ctx context.Context, q Query, opts EvalOptions) (Result, error) {
+// evaluatePointsEnhanced is the single enhanced point-range path. A
+// nil only draws the candidates from an index scan of the search
+// region; a non-nil only (Snapshot.EvaluateOnly) takes exactly those
+// ids from the table and admits the ones the scan would have reached.
+// Either way every candidate runs the same body, on the sample stream
+// keyed by its id, so the restricted answer is the full answer's
+// restriction bit for bit.
+func (st *engineState) evaluatePointsEnhanced(ctx context.Context, q Query, opts EvalOptions, only []uncertain.ID) (Result, error) {
 	start := time.Now()
 	var res Result
 
@@ -359,24 +366,16 @@ func (st *engineState) evaluatePointsEnhanced(ctx context.Context, q Query, opts
 	if q.Threshold > 0 && opts.Object.Adaptive == AdaptiveAuto {
 		stopQP = q.Threshold
 	}
-	// The points path interleaves filter and refinement inside one
-	// index scan, so it records a single "scan" span rather than the
-	// filter/refine/merge decomposition of the uncertain and NN paths.
-	spS := obs.TraceFrom(ctx).StartSpan("scan")
-	na, err := st.pointIdx.SearchCounted(plan.searchReg, nil, func(en rtree.Entry) bool {
+	consider := func(p uncertain.PointObject) bool {
 		if canceled(ctx) != nil {
 			return false
 		}
-		// SamplesUsed only grows, so the post-search budget check
-		// re-detects this early stop.
+		// SamplesUsed only grows, so the budget check after the
+		// candidate loop re-detects this early stop.
 		if opts.MaxSamples > 0 && res.Cost.SamplesUsed > opts.MaxSamples {
 			return false
 		}
 		res.Cost.Candidates++
-		p, ok := st.points.Get(uncertain.ID(en.Ref))
-		if !ok {
-			return true // index/table torn only by construction bugs
-		}
 		res.Cost.Refined++
 		var prob float64
 		if opts.PointMCSamples > 0 {
@@ -398,9 +397,35 @@ func (st *engineState) evaluatePointsEnhanced(ctx context.Context, q Query, opts
 			res.Cost.BelowThreshold++
 		}
 		return true
-	})
-	if err != nil {
-		return Result{}, err
+	}
+
+	// The points path interleaves filter and refinement inside one
+	// index scan, so it records a single "scan" span rather than the
+	// filter/refine/merge decomposition of the uncertain and NN paths.
+	spS := obs.TraceFrom(ctx).StartSpan("scan")
+	var na int64
+	if only != nil {
+		for _, id := range only {
+			p, ok := st.points.Get(id)
+			if !ok || !plan.searchReg.Intersects(geom.RectAt(p.Loc)) {
+				continue
+			}
+			if !consider(p) {
+				break
+			}
+		}
+	} else {
+		var err error
+		na, err = st.pointIdx.SearchCounted(plan.searchReg, nil, func(en rtree.Entry) bool {
+			p, ok := st.points.Get(uncertain.ID(en.Ref))
+			if !ok {
+				return true // index/table torn only by construction bugs
+			}
+			return consider(p)
+		})
+		if err != nil {
+			return Result{}, err
+		}
 	}
 	if err := canceled(ctx); err != nil {
 		return Result{}, err
@@ -481,7 +506,7 @@ func (st *engineState) evaluatePointsBasic(ctx context.Context, q Query, opts Ev
 
 // evaluateUncertain validates, applies defaults and deadline, and
 // dispatches an uncertain-database evaluation against this state.
-func (st *engineState) evaluateUncertain(ctx context.Context, q Query, opts EvalOptions, workers int) (Result, error) {
+func (st *engineState) evaluateUncertain(ctx context.Context, q Query, opts EvalOptions, workers int, only []uncertain.ID) (Result, error) {
 	if err := q.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -490,7 +515,7 @@ func (st *engineState) evaluateUncertain(ctx context.Context, q Query, opts Eval
 	defer cancel()
 	switch opts.Method {
 	case MethodEnhanced:
-		return st.evaluateUncertainEnhanced(ctx, q, opts, workers)
+		return st.evaluateUncertainEnhanced(ctx, q, opts, workers, only)
 	case MethodBasic:
 		return st.evaluateUncertainBasic(ctx, q, opts)
 	default:
@@ -504,7 +529,14 @@ func (st *engineState) evaluateUncertain(ctx context.Context, q Query, opts Eval
 // CPU time goes — runs over the prepared query plan, optionally split
 // across a worker pool (see refineSurvivors). ctx must already carry
 // any opts.Timeout bound.
-func (st *engineState) evaluateUncertainEnhanced(ctx context.Context, q Query, opts EvalOptions, workers int) (Result, error) {
+//
+// A nil only draws the candidates from the index probe; a non-nil only
+// (Snapshot.EvaluateOnly) takes exactly those ids from the table and
+// admits the ones the probe would have visited (admitsObject). Pruning,
+// refinement — each survivor on the sample stream keyed by its id —
+// and merge are the same code either way, so the restricted answer is
+// the full answer's restriction bit for bit.
+func (st *engineState) evaluateUncertainEnhanced(ctx context.Context, q Query, opts EvalOptions, workers int, only []uncertain.ID) (Result, error) {
 	start := time.Now()
 	var res Result
 	tr := obs.TraceFrom(ctx)
@@ -521,15 +553,11 @@ func (st *engineState) evaluateUncertainEnhanced(ctx context.Context, q Query, o
 	// for.
 	spF := tr.StartSpan("filter")
 	var survivors []*uncertain.Object
-	visit := func(id uncertain.ID) bool {
+	consider := func(obj *uncertain.Object) bool {
 		if canceled(ctx) != nil {
 			return false
 		}
 		res.Cost.Candidates++
-		obj, ok := st.objects.Get(id)
-		if !ok {
-			return true
-		}
 		switch PruneUncertain(q, obj, plan.expanded, plan.searchReg, opts.Strategies) {
 		case PrunedEmptyOverlap:
 			// Zero probability; simply not a match.
@@ -544,12 +572,31 @@ func (st *engineState) evaluateUncertainEnhanced(ctx context.Context, q Query, o
 		}
 		return true
 	}
+	visit := func(id uncertain.ID) bool {
+		obj, ok := st.objects.Get(id)
+		if !ok {
+			return true
+		}
+		return consider(obj)
+	}
 
+	indexPruning := q.Threshold > 0 && !opts.DisableIndexPruning
 	var na int64
 	var err error
-	if q.Threshold > 0 && !opts.DisableIndexPruning {
+	switch {
+	case only != nil:
+		for _, id := range only {
+			obj, ok := st.objects.Get(id)
+			if !ok || !st.admitsObject(plan, obj, indexPruning) {
+				continue
+			}
+			if !consider(obj) {
+				break
+			}
+		}
+	case indexPruning:
 		na, err = st.uncIdx.ThresholdSearchCounted(plan.searchReg, plan.expanded, q.Threshold, visit)
-	} else {
+	default:
 		na, err = st.uncIdx.RangeSearchCounted(plan.searchReg, visit)
 	}
 	if err != nil {
@@ -594,6 +641,16 @@ func (st *engineState) evaluateUncertainEnhanced(ctx context.Context, q Query, o
 	spM.End()
 	res.Cost.Duration = time.Since(start)
 	return res, nil
+}
+
+// admitsObject reports whether the enhanced path's index probe —
+// threshold search when indexPruning, plain range search otherwise —
+// would visit obj.
+func (st *engineState) admitsObject(plan queryPlan, obj *uncertain.Object, indexPruning bool) bool {
+	if indexPruning {
+		return st.uncIdx.ThresholdAdmits(obj, plan.searchReg, plan.expanded, plan.q.Threshold)
+	}
+	return plan.searchReg.Intersects(obj.Region())
 }
 
 func (st *engineState) evaluateUncertainBasic(ctx context.Context, q Query, opts EvalOptions) (Result, error) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -58,6 +59,23 @@ func TestApplyUpdatesReport(t *testing.T) {
 	}
 	if rep.Touches(geom.RectCentered(geom.Pt(5000, 5000), 1, 1)) {
 		t.Fatal("dirty set touches an untouched region")
+	}
+	// One typed record per applied update, in batch order: the failed
+	// update and the absent delete leave none.
+	at := func(x, y float64) geom.Rect { return geom.RectAt(geom.Pt(x, y)) }
+	box := func(x, y float64) geom.Rect { return geom.RectCentered(geom.Pt(x, y), 10, 10) }
+	want := []Change{
+		{Table: TablePoints, ID: 900, New: at(100, 100), HasNew: true},
+		{Table: TablePoints, ID: 900, Old: at(100, 100), HasOld: true, New: at(200, 200), HasNew: true},
+		{Table: TableObjects, ID: 901, New: box(300, 300), HasNew: true},
+		{Table: TableObjects, ID: 901, Old: box(300, 300), HasOld: true, New: box(320, 300), HasNew: true},
+		{Table: TableObjects, ID: 901, Old: box(320, 300), HasOld: true},
+	}
+	if !reflect.DeepEqual(rep.Changes, want) {
+		t.Fatalf("Changes = %+v\nwant %+v", rep.Changes, want)
+	}
+	if got := rep.Dirty(); len(got) != 7 {
+		t.Fatalf("Dirty() has %d rectangles, want 7", len(got))
 	}
 	if p, ok := e.Point(900); !ok || p.Loc != geom.Pt(200, 200) {
 		t.Fatalf("point 900 = %+v, %t", p, ok)

@@ -58,6 +58,15 @@ func (k Kind) String() string {
 	}
 }
 
+// Table returns the object table a request of this kind reads — the
+// only table whose updates can change its answer.
+func (k Kind) Table() Table {
+	if k == KindUncertain {
+		return TableObjects
+	}
+	return TablePoints
+}
+
 // Request validation errors, wrapped by *RequestError.
 var (
 	// ErrBadKind reports a Kind outside the defined set.
@@ -211,6 +220,21 @@ func (r Request) Validate() error {
 	return nil
 }
 
+// Decomposable reports whether the request's answer is a per-object
+// function of its table: every object's membership and probability
+// depend on that object and the issuer alone, so the answer can be
+// maintained object by object (Snapshot.EvaluateOnly). Enhanced-method
+// range requests are; NN requests (win probabilities are coupled
+// across candidates) and MethodBasic (all candidates share one sample
+// stream) are not.
+func (r Request) Decomposable() bool {
+	return r.Kind != KindNN && r.Options.Method == MethodEnhanced
+}
+
+// ErrNotDecomposable is returned by Snapshot.EvaluateOnly for a
+// request that is not Decomposable.
+var ErrNotDecomposable = errors.New("core: request cannot be evaluated per object")
+
 // GuardRegion returns the request's standing-query guard region: the
 // spatial region outside which an update provably cannot change the
 // request's answer. For range kinds it is the index probe region (see
@@ -273,9 +297,16 @@ type Response struct {
 // evaluateRequest validates and dispatches one request against this
 // state. A non-zero Seed replaces the sampling source so the request
 // is self-deterministic regardless of which worker or process runs it.
-func (st *engineState) evaluateRequest(ctx context.Context, req Request) (Response, error) {
+//
+// A non-nil only restricts a Decomposable request to those ids (see
+// Snapshot.EvaluateOnly); such partial evaluations stay out of the
+// per-kind evaluation metrics, which describe whole answers.
+func (st *engineState) evaluateRequest(ctx context.Context, req Request, only []uncertain.ID) (Response, error) {
 	if err := req.Validate(); err != nil {
 		return Response{}, err
+	}
+	if only != nil && !req.Decomposable() {
+		return Response{}, ErrNotDecomposable
 	}
 	opts := req.Options
 	if req.Seed != 0 {
@@ -286,13 +317,15 @@ func (st *engineState) evaluateRequest(ctx context.Context, req Request) (Respon
 	var err error
 	switch req.Kind {
 	case KindPoints:
-		resp.Result, err = st.evaluatePoints(ctx, req.query(), opts)
+		resp.Result, err = st.evaluatePoints(ctx, req.query(), opts, only)
 	case KindUncertain:
-		resp.Result, err = st.evaluateUncertain(ctx, req.query(), opts, req.Workers)
+		resp.Result, err = st.evaluateUncertain(ctx, req.query(), opts, req.Workers, only)
 	case KindNN:
 		resp.Result, err = st.evaluateNN(ctx, req, opts)
 	}
-	st.met.observe(req.Kind, resp, err)
+	if only == nil {
+		st.met.observe(req.Kind, resp, err)
+	}
 	if err != nil {
 		return Response{}, err
 	}
@@ -318,7 +351,36 @@ func (s *Snapshot) Evaluate(ctx context.Context, req Request) (Response, error) 
 		return Response{}, err
 	}
 	defer s.e.releaseState(st)
-	return st.evaluateRequest(ctx, req)
+	return st.evaluateRequest(ctx, req, nil)
+}
+
+// EvaluateOnly evaluates a Decomposable request restricted to the given
+// object ids (distinct; of the request's table): the response lists
+// exactly those of them that qualify, each with the probability — bit
+// for bit — that Evaluate reports for it on this snapshot. It runs the
+// per-candidate body of the full path (search-region and index-bound
+// admission, p-bound pruning, refinement on the sample stream keyed
+// by the object id) over the ids alone, without probing the index, so
+// its cost scales with len(ids), not with the answer; Cost counts only
+// that work and NodeAccesses is 0. An id absent from the snapshot
+// simply does not qualify. Options.MaxSamples bounds the samples this
+// call draws. This is the primitive the continuous-query monitor
+// maintains standing range queries with: after an update batch only
+// the moved objects can have changed, so only they are re-qualified.
+// A request that is not Decomposable returns ErrNotDecomposable.
+func (s *Snapshot) EvaluateOnly(ctx context.Context, req Request, ids []uncertain.ID) (Response, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	st, err := s.acquireUse()
+	if err != nil {
+		return Response{}, err
+	}
+	defer s.e.releaseState(st)
+	if ids == nil {
+		ids = []uncertain.ID{} // nil means "unrestricted" below; no ids means an empty answer
+	}
+	return st.evaluateRequest(ctx, req, ids)
 }
 
 // Evaluate runs one request against the engine's current state: it
@@ -333,7 +395,7 @@ func (e *Engine) Evaluate(ctx context.Context, req Request) (Response, error) {
 	st := e.acquireState()
 	sp.End()
 	defer e.releaseState(st)
-	return st.evaluateRequest(ctx, req)
+	return st.evaluateRequest(ctx, req, nil)
 }
 
 // AllOptions tunes one EvaluateAll fan-out.
@@ -408,7 +470,7 @@ func (st *engineState) evaluateAll(ctx context.Context, reqs []Request, opts All
 		if req.Seed == 0 {
 			req.Seed = deriveSeed(opts.Seed, i)
 		}
-		resp, err := st.evaluateRequest(ctx, req)
+		resp, err := st.evaluateRequest(ctx, req, nil)
 		deliver(i, resp, err)
 	}
 	if opts.Workers <= 1 {

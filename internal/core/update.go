@@ -86,6 +86,37 @@ func (e UpdateError) Error() string {
 	return fmt.Sprintf("update %d: %v", e.Index, e.Err)
 }
 
+// Table names one of the engine's two object tables.
+type Table uint8
+
+const (
+	// TableObjects is the uncertain-object table (and its PTI).
+	TableObjects Table = iota
+	// TablePoints is the point-object table (and its R-tree).
+	TablePoints
+)
+
+// Change records what one applied update did to one object: which
+// table it lives in, its id, and its bounding rectangle before and
+// after. An insert has no Old, a delete no New. A query is a function
+// of one table only (Kind.Table), and an object's qualification
+// probability depends on that object alone, so a change can affect a
+// range query's answer only through its own id and only when the
+// query's guard region intersects Old or New — the two facts the
+// continuous-query monitor's per-object maintenance rests on.
+type Change struct {
+	Table          Table
+	ID             uncertain.ID
+	Old, New       geom.Rect
+	HasOld, HasNew bool
+}
+
+// Touches reports whether the object's old or new rectangle
+// intersects r.
+func (c Change) Touches(r geom.Rect) bool {
+	return c.HasOld && c.Old.Intersects(r) || c.HasNew && c.New.Intersects(r)
+}
+
 // UpdateReport summarizes one ApplyUpdates batch.
 type UpdateReport struct {
 	// Applied counts updates committed successfully.
@@ -96,19 +127,35 @@ type UpdateReport struct {
 	// Errors lists the updates that failed; the rest of the batch is
 	// still applied.
 	Errors []UpdateError
-	// Dirty is the set of regions the batch touched: the old and new
-	// bounding rectangles of every applied update. A query whose guard
-	// region intersects none of them is provably unaffected by the
-	// batch — the filter the continuous-query monitor applies.
-	Dirty []geom.Rect
+	// Changes lists the applied updates in batch order, one record
+	// each (an id updated twice appears twice). Failed updates and
+	// deletes of absent ids leave no record.
+	Changes []Change
 	// Version is the engine version after the batch committed.
 	Version uint64
 }
 
+// Dirty returns the set of regions the batch touched: the old and new
+// bounding rectangles of every applied update.
+func (rep *UpdateReport) Dirty() []geom.Rect {
+	out := make([]geom.Rect, 0, 2*len(rep.Changes))
+	for _, c := range rep.Changes {
+		if c.HasOld {
+			out = append(out, c.Old)
+		}
+		if c.HasNew {
+			out = append(out, c.New)
+		}
+	}
+	return out
+}
+
 // Touches reports whether any dirty region of the batch intersects r.
+// A query whose guard region intersects none of them is provably
+// unaffected by the batch.
 func (rep *UpdateReport) Touches(r geom.Rect) bool {
-	for _, d := range rep.Dirty {
-		if d.Intersects(r) {
+	for _, c := range rep.Changes {
+		if c.Touches(r) {
 			return true
 		}
 	}
@@ -474,25 +521,20 @@ func (e *Engine) mutate(fn func(tx *stateTxn) (advance bool, err error)) error {
 	}
 }
 
-// apply dispatches one update onto the txn.
+// apply dispatches one update onto the txn, recording its Change.
 func (tx *stateTxn) apply(u Update, rep *UpdateReport) error {
+	var c Change
 	switch u.Op {
 	case OpUpsertPoint:
+		c = Change{Table: TablePoints, ID: u.Point.ID, New: geom.RectAt(u.Point.Loc), HasNew: true}
 		if p, ok := tx.getPoint(u.Point.ID); ok {
-			old := p.Loc
+			c.Old, c.HasOld = geom.RectAt(p.Loc), true
 			if err := tx.movePoint(u.Point.ID, u.Point.Loc); err != nil {
 				return err
 			}
-			rep.Applied++
-			rep.Dirty = append(rep.Dirty, geom.RectAt(old), geom.RectAt(u.Point.Loc))
-			return nil
-		}
-		if err := tx.insertPoint(u.Point); err != nil {
+		} else if err := tx.insertPoint(u.Point); err != nil {
 			return err
 		}
-		rep.Applied++
-		rep.Dirty = append(rep.Dirty, geom.RectAt(u.Point.Loc))
-		return nil
 	case OpDeletePoint:
 		p, ok := tx.getPoint(u.ID)
 		if !ok {
@@ -502,23 +544,18 @@ func (tx *stateTxn) apply(u Update, rep *UpdateReport) error {
 		if _, err := tx.deletePoint(u.ID); err != nil {
 			return err
 		}
-		rep.Applied++
-		rep.Dirty = append(rep.Dirty, geom.RectAt(p.Loc))
-		return nil
+		c = Change{Table: TablePoints, ID: u.ID, Old: geom.RectAt(p.Loc), HasOld: true}
 	case OpUpsertObject:
 		if u.Object == nil {
 			return fmt.Errorf("core: %v with nil object", u.Op)
 		}
-		old, existed := tx.getObject(u.Object.ID)
+		c = Change{Table: TableObjects, ID: u.Object.ID, New: u.Object.Region(), HasNew: true}
+		if old, existed := tx.getObject(u.Object.ID); existed {
+			c.Old, c.HasOld = old.Region(), true
+		}
 		if err := tx.replaceObject(u.Object); err != nil {
 			return err
 		}
-		rep.Applied++
-		if existed {
-			rep.Dirty = append(rep.Dirty, old.Region())
-		}
-		rep.Dirty = append(rep.Dirty, u.Object.Region())
-		return nil
 	case OpDeleteObject:
 		old, ok := tx.getObject(u.ID)
 		if !ok {
@@ -528,12 +565,13 @@ func (tx *stateTxn) apply(u Update, rep *UpdateReport) error {
 		if _, err := tx.deleteObject(u.ID); err != nil {
 			return err
 		}
-		rep.Applied++
-		rep.Dirty = append(rep.Dirty, old.Region())
-		return nil
+		c = Change{Table: TableObjects, ID: u.ID, Old: old.Region(), HasOld: true}
 	default:
 		return fmt.Errorf("core: unknown update op %v", u.Op)
 	}
+	rep.Applied++
+	rep.Changes = append(rep.Changes, c)
+	return nil
 }
 
 // InsertPoint adds a point object. Its ID must be new among point

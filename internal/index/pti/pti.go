@@ -236,6 +236,28 @@ func (ix *Index) ThresholdSearchCounted(search, expanded geom.Rect, qp float64, 
 	})
 }
 
+// ThresholdAdmits reports whether ThresholdSearch(search, expanded, qp)
+// over an index holding o would visit o — the search's leaf-level
+// tests applied to the object directly. It decides the same set
+// without descending the tree because both tests are monotone along
+// the path from the root: a node's rectangle and bound envelope
+// contain those of every entry below it, so an interior entry that
+// fails a test implies o's own entry fails it too.
+func (ix *Index) ThresholdAdmits(o *uncertain.Object, search, expanded geom.Rect, qp float64) bool {
+	region := o.Region()
+	if !search.Intersects(region) {
+		return false
+	}
+	pi := ix.probIndex(qp)
+	if pi < 0 {
+		return true
+	}
+	// The row exists: Insert rejects an object whose catalog lacks an
+	// index probability value.
+	b, _ := o.Catalog.MaxLE(ix.probs[pi])
+	return !prunedByBounds(region, []float64{b.Left, b.Right, b.Bottom, b.Top}, expanded)
+}
+
 // prunedByBounds reports whether the overlap of region (an entry MBR)
 // with the expanded query lies entirely beyond one of the four bound
 // lines [left, right, bottom, top], in which case the probability mass

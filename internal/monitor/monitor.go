@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"cmp"
 	"context"
 	"slices"
 	"sync"
@@ -13,20 +14,27 @@ import (
 
 // Config tunes a Monitor.
 type Config struct {
-	// Workers is the fan-out of each incremental re-evaluation pass
-	// (the worker count handed to EvaluateAll; default 1).
+	// Workers is the fan-out of a batch's full re-evaluations (the
+	// worker count handed to EvaluateAll; default 1). Per-object
+	// re-qualification is a handful of candidates per subscription and
+	// runs on the ingesting goroutine.
 	Workers int
 	// Options are the default evaluation options, applied to standing
 	// requests registered with a zero Options field; a request
-	// carrying its own Options keeps them. Rng (and Object.Rng) and
-	// Request.Seed are ignored either way: the monitor derives a
-	// deterministic sampling seed per re-evaluation pass from Seed, so
-	// a fixed engine, registration order, and update trace replay the
-	// same delta streams. Timeout and MaxSamples act per re-evaluated
-	// request, surfacing as Delta.Err without disturbing the cached
-	// set.
+	// carrying its own Options keeps them. Rng (and Object.Rng) are
+	// ignored either way: sampling is driven by the subscription's
+	// seed alone. Timeout and MaxSamples act per re-evaluation — full
+	// or per-object, bounding the work that evaluation does —
+	// surfacing as Delta.Err without disturbing the cached set.
 	Options core.EvalOptions
-	// Seed drives the derived sampling sources (default 1).
+	// Seed derives the sampling seed of every subscription registered
+	// without one (default 1): mixSeed(Seed, subscription id). A
+	// subscription's seed is fixed for its lifetime — every evaluation
+	// of it, at registration and after any batch, draws each
+	// candidate's samples from the stream that seed and the object id
+	// determine — so a fixed engine, registration order, and update
+	// trace replay the same delta streams, and an object that did not
+	// move keeps its probability bit for bit.
 	Seed int64
 	// MaxPending bounds each subscription's queued deltas. When a
 	// slow consumer lets the queue reach the bound, the queue is
@@ -60,9 +68,15 @@ type Stats struct {
 	Batches        int64
 	UpdatesApplied int64
 	// Reevaluated and Skipped partition standing-query × batch pairs:
-	// Skipped counts re-evaluations the guard-region filter avoided.
+	// Skipped counts the pairs the guard-region filter proved
+	// unaffected, Reevaluated those it woke. FullReevals counts the
+	// woken pairs answered by a complete evaluation (NN, MethodBasic,
+	// stale subscriptions); the rest were maintained per object, and
+	// Requalified counts the objects that took.
 	Reevaluated int64
 	Skipped     int64
+	FullReevals int64
+	Requalified int64
 	// Deltas counts deltas queued across all subscriptions, Coalesced
 	// the queue compositions forced by slow consumers, EvalErrors the
 	// re-evaluations that failed (deadline, sample budget).
@@ -80,10 +94,14 @@ type BatchOutcome struct {
 	// produced.
 	Seq uint64
 	// Reevaluated and Skipped count standing queries whose guard
-	// region the batch touched (re-evaluated) versus not (cached set
-	// kept).
+	// region a change of their own table touched (answer brought up to
+	// date) versus not (cached set kept). FullReevals of the
+	// Reevaluated ran a complete evaluation; the others re-qualified
+	// only the touching objects, Requalified in total.
 	Reevaluated int
 	Skipped     int
+	FullReevals int
+	Requalified int
 	// Entered, Left, and Changed aggregate the delta sizes across the
 	// re-evaluated queries.
 	Entered, Left, Changed int
@@ -102,11 +120,20 @@ type Monitor struct {
 	ingestMu sync.Mutex
 	seq      uint64
 
-	mu     sync.RWMutex
-	subs   map[int64]*Subscription
-	nextID int64
+	mu   sync.RWMutex
+	subs map[int64]*Subscription
+	// ordered lists the live subscriptions by ascending id. It is
+	// replaced, never modified, on Register and Unregister, so a batch
+	// walks the slice it loaded without copying or sorting.
+	ordered []*Subscription
+	nextID  int64
+
+	// changes and ids are per-batch scratch, reused under ingestMu.
+	changes []core.Change
+	ids     []uncertain.ID
 
 	batches, updates, reeval, skipped atomic.Int64
+	fullReevals, requalified          atomic.Int64
 	deltas, coalesced, evalErrors     atomic.Int64
 
 	// met holds the per-batch histograms (see metrics.go); always live.
@@ -129,10 +156,10 @@ func New(eng *core.Engine, cfg Config) *Monitor {
 // Engine returns the engine the monitor serves.
 func (m *Monitor) Engine() *core.Engine { return m.eng }
 
-// splitmix64 is the SplitMix64 finalizer. The monitor only mixes seeds
-// for the parent source handed to each evaluation pass; the engine
-// derives its own per-query and per-candidate streams from that parent
-// (see core's deriveSeed), so the two mixers never need to agree.
+// splitmix64 is the SplitMix64 finalizer. The monitor only mixes the
+// seed a subscription hands to its evaluations; the engine derives its
+// per-candidate streams from that (see core's deriveSeed), so the two
+// mixers never need to agree.
 func splitmix64(x uint64) uint64 {
 	x += 0x9E3779B97F4A7C15
 	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
@@ -150,13 +177,11 @@ func mixSeed(vals ...int64) int64 {
 }
 
 // normalize prepares a request for standing evaluation: the sampling
-// controls the monitor owns (Request.Seed, Options.Rng) are cleared
-// first — every pass re-derives them from the monitor seed and the
-// pass key — and Options that are then zero pick up the monitor's
-// defaults, so a request carrying only an (ignored) Rng still gets
-// the configured deadline and sample budget.
+// sources are cleared — the subscription's seed drives sampling — and
+// Options that are then zero pick up the monitor's defaults, so a
+// request carrying only an (ignored) Rng still gets the configured
+// deadline and sample budget.
 func (m *Monitor) normalize(req core.Request) core.Request {
-	req.Seed = 0
 	req.Options.Rng = nil
 	req.Options.Object.Rng = nil
 	if req.Options == (core.EvalOptions{}) {
@@ -188,13 +213,17 @@ func (m *Monitor) Register(req core.Request) (*Subscription, error) {
 	id := m.nextID
 	m.mu.Unlock()
 
+	// The seed is the subscription's from here on: a per-object
+	// re-qualification must land on the probability a from-scratch
+	// evaluation of the same request computes.
+	if req.Seed == 0 {
+		req.Seed = mixSeed(m.cfg.Seed, id)
+	}
 	// The initial evaluation runs against a pinned snapshot so the
 	// registration answer reflects exactly one engine version even if
 	// direct (non-monitor) updates commit concurrently.
-	eval := req
-	eval.Seed = mixSeed(m.cfg.Seed, id, int64(m.seq))
 	snap := m.eng.Snapshot()
-	resp, err := snap.Evaluate(context.Background(), eval)
+	resp, err := snap.Evaluate(context.Background(), req)
 	snap.Close()
 	if err != nil {
 		return nil, err
@@ -226,6 +255,9 @@ func (m *Monitor) Register(req core.Request) (*Subscription, error) {
 
 	m.mu.Lock()
 	m.subs[id] = sub
+	// Ids only grow, so appending keeps the order; the clone leaves the
+	// slice a concurrent batch may be walking untouched.
+	m.ordered = append(slices.Clone(m.ordered), sub)
 	m.mu.Unlock()
 	return sub, nil
 }
@@ -236,7 +268,11 @@ func (m *Monitor) Register(req core.Request) (*Subscription, error) {
 func (m *Monitor) Unregister(id int64) bool {
 	m.mu.Lock()
 	sub, ok := m.subs[id]
-	delete(m.subs, id)
+	if ok {
+		delete(m.subs, id)
+		i, _ := slices.BinarySearchFunc(m.ordered, id, func(s *Subscription, id int64) int { return cmp.Compare(s.id, id) })
+		m.ordered = slices.Delete(slices.Clone(m.ordered), i, i+1)
+	}
 	m.mu.Unlock()
 	if ok {
 		sub.close()
@@ -244,22 +280,18 @@ func (m *Monitor) Unregister(id int64) bool {
 	return ok
 }
 
-// snapshotSubs returns the live subscriptions ordered by id — the
-// deterministic batch order re-evaluation seeds key on.
-func (m *Monitor) snapshotSubs() []*Subscription {
+// liveSubs returns the live subscriptions ordered by id — the
+// deterministic order batches are delivered in. The slice is shared
+// and immutable.
+func (m *Monitor) liveSubs() []*Subscription {
 	m.mu.RLock()
-	out := make([]*Subscription, 0, len(m.subs))
-	for _, s := range m.subs {
-		out = append(out, s)
-	}
-	m.mu.RUnlock()
-	slices.SortFunc(out, func(a, b *Subscription) int { return int(a.id - b.id) })
-	return out
+	defer m.mu.RUnlock()
+	return m.ordered
 }
 
 // Subscriptions returns the live subscriptions ordered by id (for
 // metrics and introspection).
-func (m *Monitor) Subscriptions() []*Subscription { return m.snapshotSubs() }
+func (m *Monitor) Subscriptions() []*Subscription { return slices.Clone(m.liveSubs()) }
 
 // Subscription returns the live subscription with the given id.
 func (m *Monitor) Subscription(id int64) (*Subscription, bool) {
@@ -271,29 +303,44 @@ func (m *Monitor) Subscription(id int64) (*Subscription, bool) {
 
 // ApplyUpdates ingests one update batch: it applies the batch to the
 // engine (atomically with respect to queries — see
-// core.Engine.ApplyUpdates), then incrementally re-evaluates exactly
-// the standing queries whose guard region the batch's dirty
-// rectangles touch, streaming each one's delta to its subscription.
-// Untouched queries keep their cached qualifying set at zero cost
-// (BatchOutcome.Skipped counts them).
+// core.Engine.ApplyUpdates), then brings every standing query the
+// batch can have affected up to date, streaming each one's delta to
+// its subscription. Three outcomes per subscription, cheapest first:
 //
-// Re-evaluation runs through the engine's one fan-out form,
-// Snapshot.EvaluateAll: Config.Workers wide, per-request deadline and
-// sample budget from each standing request's options, deltas
-// delivered through the serialized callback — and against the
-// post-batch snapshot, pinned atomically with the commit
-// (core.Engine.ApplyUpdatesSnapshot). Every delta of sequence
-// Seq therefore reflects exactly the engine version its report
-// records: updates committing concurrently — further monitor batches
-// queued behind ingestMu, or direct engine mutations bypassing the
-// monitor — cannot leak into the pass, which is what keeps delta
-// replay bit-exact against Engine.Version. The snapshot also means
-// the pass never blocks those concurrent writers, however long the
-// re-evaluations run.
+//   - Skipped: no applied change of the subscription's own table
+//     (core.Kind.Table) has an old or new rectangle intersecting its
+//     guard region. The cached set stays valid at zero cost.
+//   - Re-qualified per object: a Decomposable request (enhanced range
+//     kinds) whose guard some changes touch. Only those objects can
+//     have changed — an object's qualification probability depends on
+//     that object and the issuer alone — so exactly they are
+//     re-qualified against the post-batch snapshot
+//     (core.Snapshot.EvaluateOnly) and the cached set is patched: gone
+//     or no longer qualifying → Left, newly qualifying → Entered, a
+//     different probability → Updated. An id the batch updated more
+//     than once is re-qualified once, in its final state.
+//   - Fully re-evaluated: what is not decomposable — NN, MethodBasic —
+//     when touched, and any stale subscription (its last evaluation
+//     failed, so the cache no longer reflects a known state)
+//     unconditionally. These go through the engine's one fan-out form,
+//     Snapshot.EvaluateAll, Config.Workers wide.
 //
-// ctx cancels the re-evaluation pass (not the already-committed
-// engine batch); the error is returned after every in-flight query
-// settles.
+// Every evaluation of a subscription uses the subscription's own seed
+// (Subscription.Request().Seed), which is what makes a patched set
+// equal a from-scratch evaluation bit for bit. All of it runs against
+// the post-batch snapshot, pinned atomically with the commit
+// (core.Engine.ApplyUpdatesSnapshot). Every delta of sequence Seq
+// therefore reflects exactly the engine version its report records:
+// updates committing concurrently — further monitor batches queued
+// behind ingestMu, or direct engine mutations bypassing the monitor —
+// cannot leak into the pass, which is what keeps delta replay
+// bit-exact against Engine.Version. The snapshot also means the pass
+// never blocks those concurrent writers, however long it runs.
+//
+// ctx cancels the pass (not the already-committed engine batch); every
+// woken subscription still receives a delta — an error delta if its
+// evaluation did not finish — and the error is returned after every
+// in-flight query settles.
 func (m *Monitor) ApplyUpdates(ctx context.Context, batch []core.Update) (BatchOutcome, error) {
 	m.ingestMu.Lock()
 	defer m.ingestMu.Unlock()
@@ -309,48 +356,72 @@ func (m *Monitor) ApplyUpdates(ctx context.Context, batch []core.Update) (BatchO
 	m.batches.Add(1)
 	m.updates.Add(int64(rep.Applied))
 
-	var affected []*Subscription
-	for _, sub := range m.snapshotSubs() {
-		// A stale subscription (its last re-evaluation failed) is
-		// re-evaluated unconditionally — guard filtering only proves
-		// the result unchanged relative to a state the cache no
-		// longer reflects.
-		if sub.isStale() || (rep.Applied > 0 && rep.Touches(sub.Guard())) {
-			affected = append(affected, sub)
-		} else {
-			sub.noteSkipped()
-			out.Skipped++
-		}
+	// Sorted by (table, id), a subscription's scan meets the records of
+	// one id back to back and keeps the first.
+	m.changes = append(m.changes[:0], rep.Changes...)
+	slices.SortFunc(m.changes, func(a, b core.Change) int {
+		return cmp.Or(cmp.Compare(a.Table, b.Table), cmp.Compare(a.ID, b.ID))
+	})
+
+	seq, version := m.seq, snap.Version()
+	count := func(d Delta) {
+		out.Entered += len(d.Entered)
+		out.Left += len(d.Left)
+		out.Changed += len(d.Updated)
+		m.deltas.Add(1)
 	}
-	out.Reevaluated = len(affected)
-	m.reeval.Add(int64(out.Reevaluated))
-	m.skipped.Add(int64(out.Skipped))
-	if len(affected) == 0 {
-		return out, nil
+	fail := func(sub *Subscription, err error, cost core.Cost) {
+		sub.applyError(seq, version, err, cost)
+		m.evalErrors.Add(1)
+		m.deltas.Add(1)
 	}
 
-	reqs := make([]core.Request, len(affected))
-	for i, sub := range affected {
+	var passErr error
+	var full []*Subscription
+	subs := m.liveSubs()
+	for _, sub := range subs {
+		ids, needFull := sub.touched(m.changes, m.ids[:0])
+		m.ids = ids
+		switch {
+		case needFull:
+			full = append(full, sub)
+		case len(ids) == 0:
+			sub.noteSkipped()
+			out.Skipped++
+		default:
+			out.Requalified += len(ids)
+			resp, err := snap.EvaluateOnly(ctx, sub.req, ids)
+			if err != nil {
+				fail(sub, err, resp.Cost)
+				if ctx.Err() != nil {
+					passErr = ctx.Err()
+				}
+			} else if d, ok := sub.applyPartial(seq, version, ids, resp.Result); ok {
+				count(d)
+			}
+		}
+	}
+	out.FullReevals = len(full)
+	out.Reevaluated = len(subs) - out.Skipped
+	m.reeval.Add(int64(out.Reevaluated))
+	m.skipped.Add(int64(out.Skipped))
+	m.fullReevals.Add(int64(out.FullReevals))
+	m.requalified.Add(int64(out.Requalified))
+	if len(full) == 0 {
+		return out, passErr
+	}
+
+	reqs := make([]core.Request, len(full))
+	for i, sub := range full {
 		reqs[i] = sub.req
 	}
-	seq := m.seq
-	version := snap.Version()
-	delivered := make([]bool, len(affected))
-	all := core.AllOptions{Workers: m.cfg.Workers, Seed: mixSeed(m.cfg.Seed, int64(m.seq))}
-	err := snap.EvaluateAll(ctx, reqs, all, func(i int, resp core.Response, rerr error) {
+	delivered := make([]bool, len(full))
+	err := snap.EvaluateAll(ctx, reqs, core.AllOptions{Workers: m.cfg.Workers}, func(i int, resp core.Response, rerr error) {
 		delivered[i] = true
-		sub := affected[i]
 		if rerr != nil {
-			sub.applyError(seq, version, rerr, resp.Cost)
-			m.evalErrors.Add(1)
-			m.deltas.Add(1)
-			return
-		}
-		if d, ok := sub.applyResult(seq, version, resp.Result); ok {
-			out.Entered += len(d.Entered)
-			out.Left += len(d.Left)
-			out.Changed += len(d.Updated)
-			m.deltas.Add(1)
+			fail(full[i], rerr, resp.Cost)
+		} else if d, ok := full[i].applyResult(seq, version, resp.Result); ok {
+			count(d)
 		}
 	})
 	if err != nil {
@@ -358,15 +429,14 @@ func (m *Monitor) ApplyUpdates(ctx context.Context, batch []core.Update) (BatchO
 		// must not leave any touched subscription silently stale.
 		// Queries the stream never dispatched get an error delta so
 		// their consumers see the staleness signal.
-		for i, sub := range affected {
+		for i, sub := range full {
 			if !delivered[i] {
-				sub.applyError(seq, version, err, core.Cost{})
-				m.evalErrors.Add(1)
-				m.deltas.Add(1)
+				fail(sub, err, core.Cost{})
 			}
 		}
+		passErr = err
 	}
-	return out, err
+	return out, passErr
 }
 
 // Stats returns the monitor's counters.
@@ -380,6 +450,8 @@ func (m *Monitor) Stats() Stats {
 		UpdatesApplied: m.updates.Load(),
 		Reevaluated:    m.reeval.Load(),
 		Skipped:        m.skipped.Load(),
+		FullReevals:    m.fullReevals.Load(),
+		Requalified:    m.requalified.Load(),
 		Deltas:         m.deltas.Load(),
 		Coalesced:      m.coalesced.Load(),
 		EvalErrors:     m.evalErrors.Load(),

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -55,14 +56,11 @@ func monitorIssuer(t testing.TB, c geom.Point, u float64) *uncertain.Object {
 	return iss
 }
 
-// moveObject returns an upsert re-reporting object id at a new center.
+// moveObject returns an upsert re-reporting object id, uniform pdf, at
+// a new center.
 func moveObject(t testing.TB, id uncertain.ID, c geom.Point, u float64) core.Update {
 	t.Helper()
-	o, err := uncertain.NewObject(id, pdf.MustUniform(geom.RectCentered(c, u, u)), uncertain.PaperCatalogProbs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return core.Update{Op: core.OpUpsertObject, Object: o}
+	return upsertObject(t, id, 0, c, u)
 }
 
 // applyDelta replays one delta onto a qualifying-set map (the rule
@@ -130,101 +128,220 @@ func sameSet(a, b map[uncertain.ID]float64) bool {
 	return true
 }
 
+// testPDF builds a pdf over the square of half extent u centered at c:
+// uniform for variant 0, otherwise a disc, grid or mixture — the
+// non-separable shapes whose refinement is Monte-Carlo.
+func testPDF(t testing.TB, variant int, c geom.Point, u float64) pdf.PDF {
+	t.Helper()
+	region := geom.RectCentered(c, u, u)
+	var p pdf.PDF
+	var err error
+	switch variant % 4 {
+	case 0:
+		p = pdf.MustUniform(region)
+	case 1:
+		p, err = pdf.NewDisc(c, u, 12)
+	case 2:
+		p, err = pdf.NewGrid(region, 2, 2, []float64{1, 2, 3, 4})
+	default:
+		left := geom.Rect{Lo: region.Lo, Hi: geom.Pt(c.X, region.Hi.Y)}
+		p, err = pdf.NewMixture([]pdf.PDF{pdf.MustUniform(left), pdf.MustUniform(region)}, []float64{1, 2})
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// upsertObject returns an upsert (re-)reporting object id with the
+// given pdf variant at a new center.
+func upsertObject(t testing.TB, id uncertain.ID, variant int, c geom.Point, u float64) core.Update {
+	t.Helper()
+	o, err := uncertain.NewObject(id, testPDF(t, variant, c, u), uncertain.PaperCatalogProbs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return core.Update{Op: core.OpUpsertObject, Object: o}
+}
+
 // TestMonitorDeltaReplayMatchesFullEvaluation is the subsystem's
 // correctness property: for every standing query, replaying its delta
 // stream over a randomized update trace reconstructs — bit-exactly —
-// the qualifying set a from-scratch evaluation produces after every
-// batch. Because skipped (guard-filtered) queries emit no delta, the
-// comparison also proves guard filtering admits no false negatives:
-// a stale cached set that disagreed with the fresh evaluation would
-// fail the check. The trace is localized so the filter demonstrably
-// fires (Skipped > 0).
+// the qualifying set a from-scratch evaluation of
+// Subscription.Request() produces after every batch. Range queries are
+// maintained per object, so this is the proof that patching the cached
+// set with the re-qualified movers equals re-evaluating the whole
+// query — for closed-form refinement, for non-separable pdfs refined by
+// Monte-Carlo with adaptive early stop, and for Monte-Carlo forced over
+// uniform pdfs — and, because skipped queries emit no delta, that
+// guard filtering admits no false negatives. The trace is localized so
+// the filter demonstrably fires, and salted with the awkward batch
+// shapes: an id updated several times, delete-then-reinsert, and moves
+// that cross a guard boundary in either direction.
 func TestMonitorDeltaReplayMatchesFullEvaluation(t *testing.T) {
-	const extent = 4000.0
-	eng := monitorWorld(t, 600, 800, extent, 50)
-	m := New(eng, Config{Workers: 2, MaxPending: -1})
-
-	// Standing queries in three well-separated neighborhoods, mixed
-	// targets and thresholds.
-	type standing struct {
-		sub    *Subscription
-		replay map[uncertain.ID]float64
+	const (
+		extent   = 4000.0
+		nPoints  = 600
+		nObjects = 800
+	)
+	cases := []struct {
+		name     string
+		variants int // pdf shapes in rotation: 1 = uniform only
+		opts     core.EvalOptions
+	}{
+		{name: "closed-form", variants: 1},
+		{name: "non-separable", variants: 4,
+			opts: core.EvalOptions{Object: core.ObjectEvalConfig{MCSamples: 300}}},
+		{name: "forced-monte-carlo", variants: 1,
+			opts: core.EvalOptions{PointMCSamples: 300, Object: core.ObjectEvalConfig{ForceMonteCarlo: true, MCSamples: 300}}},
 	}
-	var regs []*standing
-	centers := []geom.Point{geom.Pt(600, 600), geom.Pt(2000, 2000), geom.Pt(3400, 3400), geom.Pt(600, 3400)}
-	for i, c := range centers {
-		q := core.Query{Issuer: monitorIssuer(t, c, 60), W: 220, H: 220}
-		if i%2 == 1 {
-			q.Threshold = 0.35
-		}
-		target := core.KindUncertain
-		if i == 2 {
-			target = core.KindPoints
-		}
-		sub, err := m.Register(reqOf(q, target))
-		if err != nil {
-			t.Fatal(err)
-		}
-		regs = append(regs, &standing{sub: sub, replay: map[uncertain.ID]float64{}})
-	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := monitorWorld(t, nPoints, nObjects, extent, 50)
+			m := New(eng, Config{Workers: 2, MaxPending: -1, Options: tc.opts})
 
-	rng := rand.New(rand.NewSource(51))
-	for batchNo := 0; batchNo < 60; batchNo++ {
-		// Each batch churns one neighborhood: moves, point hops,
-		// deletes, inserts — localized so distant guards are skipped.
-		hub := centers[rng.Intn(len(centers))]
-		var ups []core.Update
-		for j := 0; j < 6; j++ {
-			jitter := func() geom.Point {
-				return geom.Pt(hub.X+(rng.Float64()-0.5)*900, hub.Y+(rng.Float64()-0.5)*900)
+			// Standing queries in four well-separated neighborhoods,
+			// mixed targets and thresholds.
+			type standing struct {
+				sub    *Subscription
+				replay map[uncertain.ID]float64
 			}
-			switch rng.Intn(4) {
-			case 0:
-				ups = append(ups, moveObject(t, uncertain.ID(rng.Intn(800)), jitter(), 5+rng.Float64()*15))
-			case 1:
-				ups = append(ups, core.Update{Op: core.OpUpsertPoint,
-					Point: uncertain.PointObject{ID: uncertain.ID(rng.Intn(600)), Loc: jitter()}})
-			case 2:
-				ups = append(ups, core.Update{Op: core.OpDeleteObject, ID: uncertain.ID(rng.Intn(800))})
-			default:
-				ups = append(ups, core.Update{Op: core.OpUpsertObject,
-					Object: moveObject(t, uncertain.ID(800+rng.Intn(50)), jitter(), 10).Object})
-			}
-		}
-		out, err := m.ApplyUpdates(context.Background(), ups)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(out.Report.Errors) > 0 {
-			t.Fatalf("batch %d: %v", batchNo, out.Report.Errors)
-		}
-
-		for i, reg := range regs {
-			for _, d := range drain(t, reg.sub) {
-				if d.Err != nil {
-					t.Fatalf("batch %d sub %d: delta error %v", batchNo, i, d.Err)
+			var regs []*standing
+			centers := []geom.Point{geom.Pt(600, 600), geom.Pt(2000, 2000), geom.Pt(3400, 3400), geom.Pt(600, 3400)}
+			thresholds := []float64{0, 0.35, 0.35, 0.9}
+			for i, c := range centers {
+				q := core.Query{Issuer: monitorIssuer(t, c, 60), W: 220, H: 220, Threshold: thresholds[i]}
+				target := core.KindUncertain
+				if i == 2 {
+					target = core.KindPoints
 				}
-				applyDelta(reg.replay, d)
+				sub, err := m.Register(reqOf(q, target))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sub.Request().Decomposable() || sub.Request().Seed == 0 {
+					t.Fatalf("sub %d: request %+v is not a seeded decomposable one", i, sub.Request())
+				}
+				reg := &standing{sub: sub, replay: map[uncertain.ID]float64{}}
+				for _, d := range drain(t, sub) {
+					applyDelta(reg.replay, d) // the registration snapshot
+				}
+				regs = append(regs, reg)
 			}
-			fresh := freshSet(t, eng, reg.sub.Request())
-			if !sameSet(reg.replay, fresh) {
-				t.Fatalf("batch %d sub %d: replayed set (%d) != fresh evaluation (%d)",
-					batchNo, i, len(reg.replay), len(fresh))
-			}
-			if !sameSet(reg.replay, matchesAsSet(reg.sub.Snapshot())) {
-				t.Fatalf("batch %d sub %d: snapshot disagrees with replay", batchNo, i)
-			}
-		}
-	}
 
-	st := m.Stats()
-	if st.Skipped == 0 {
-		t.Fatal("guard filtering never skipped a re-evaluation; the trace is not exercising the filter")
+			rng := rand.New(rand.NewSource(51))
+			for batchNo := 0; batchNo < 60; batchNo++ {
+				// Each batch churns one neighborhood: moves, point hops,
+				// deletes, inserts — localized so distant guards are
+				// skipped.
+				hub := centers[rng.Intn(len(centers))]
+				guard := regs[0].sub.Guard()
+				reach := (guard.Hi.X - guard.Lo.X) / 2
+				jitter := func() geom.Point {
+					return geom.Pt(hub.X+(rng.Float64()-0.5)*900, hub.Y+(rng.Float64()-0.5)*900)
+				}
+				object := func(id uncertain.ID, c geom.Point) core.Update {
+					return upsertObject(t, id, rng.Intn(tc.variants), c, 5+rng.Float64()*15)
+				}
+				var ups []core.Update
+				for j := 0; j < 6; j++ {
+					switch rng.Intn(4) {
+					case 0:
+						ups = append(ups, object(uncertain.ID(rng.Intn(nObjects)), jitter()))
+					case 1:
+						ups = append(ups, core.Update{Op: core.OpUpsertPoint,
+							Point: uncertain.PointObject{ID: uncertain.ID(rng.Intn(nPoints)), Loc: jitter()}})
+					case 2:
+						ups = append(ups, core.Update{Op: core.OpDeleteObject, ID: uncertain.ID(rng.Intn(nObjects))})
+					default:
+						ups = append(ups, object(uncertain.ID(nObjects+rng.Intn(50)), jitter()))
+					}
+				}
+				switch batchNo % 4 {
+				case 0:
+					// One id three times: into the range, out of it, and
+					// back to its edge. Only the last state may show.
+					id := uncertain.ID(rng.Intn(nObjects))
+					ups = append(ups, object(id, hub),
+						object(id, geom.Pt(hub.X+3*reach, hub.Y)),
+						object(id, geom.Pt(hub.X+reach-10, hub.Y)))
+				case 1:
+					// Delete-then-reinsert, and reinsert-then-delete, of
+					// objects sitting inside the range.
+					a, b := uncertain.ID(nObjects+100), uncertain.ID(nObjects+101)
+					ups = append(ups, object(a, hub), object(b, hub),
+						core.Update{Op: core.OpDeleteObject, ID: a}, object(a, jitter()),
+						core.Update{Op: core.OpDeletePoint, ID: uncertain.ID(rng.Intn(nPoints))},
+						core.Update{Op: core.OpDeleteObject, ID: b})
+				case 2:
+					// Straight across the guard boundary: one object and
+					// one point from well outside to the center, another
+					// pair the other way.
+					in, out := uncertain.ID(nObjects+110), uncertain.ID(nObjects+111)
+					far := geom.Pt(hub.X+3*reach, hub.Y+3*reach)
+					if batchNo%8 == 2 {
+						in, out = out, in
+					}
+					ups = append(ups, object(in, hub), object(out, far),
+						core.Update{Op: core.OpUpsertPoint, Point: uncertain.PointObject{ID: nPoints + uncertain.ID(in), Loc: hub}},
+						core.Update{Op: core.OpUpsertPoint, Point: uncertain.PointObject{ID: nPoints + uncertain.ID(out), Loc: far}})
+				}
+				out, err := m.ApplyUpdates(context.Background(), ups)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(out.Report.Errors) > 0 {
+					t.Fatalf("batch %d: %v", batchNo, out.Report.Errors)
+				}
+
+				for i, reg := range regs {
+					for _, d := range drain(t, reg.sub) {
+						if d.Err != nil {
+							t.Fatalf("batch %d sub %d: delta error %v", batchNo, i, d.Err)
+						}
+						if d.Seq != out.Seq || d.Version != out.Report.Version {
+							t.Fatalf("batch %d sub %d: delta tagged seq %d version %d, batch was seq %d version %d",
+								batchNo, i, d.Seq, d.Version, out.Seq, out.Report.Version)
+						}
+						if d.Cost.NodeAccesses != 0 {
+							t.Fatalf("batch %d sub %d: per-object maintenance probed the index (%d node accesses)",
+								batchNo, i, d.Cost.NodeAccesses)
+						}
+						applyDelta(reg.replay, d)
+					}
+					fresh := freshSet(t, eng, reg.sub.Request())
+					if !sameSet(reg.replay, fresh) {
+						t.Fatalf("batch %d sub %d: replayed set (%d) != fresh evaluation (%d)",
+							batchNo, i, len(reg.replay), len(fresh))
+					}
+					if !sameSet(reg.replay, matchesAsSet(reg.sub.Snapshot())) {
+						t.Fatalf("batch %d sub %d: snapshot disagrees with replay", batchNo, i)
+					}
+				}
+			}
+
+			st := m.Stats()
+			if st.Skipped == 0 {
+				t.Fatal("guard filtering never skipped a re-evaluation; the trace is not exercising the filter")
+			}
+			if st.Reevaluated == 0 || st.Requalified == 0 {
+				t.Fatalf("nothing was re-qualified: %+v", st)
+			}
+			if st.FullReevals != 0 {
+				t.Fatalf("%d full re-evaluations of healthy range queries", st.FullReevals)
+			}
+			if tc.name != "closed-form" {
+				var samples int64
+				for _, reg := range regs {
+					samples += reg.sub.Stats().Samples
+				}
+				if samples == 0 {
+					t.Fatal("no Monte-Carlo samples drawn; the case is not exercising sampled refinement")
+				}
+			}
+			t.Logf("stats: %+v", st)
+		})
 	}
-	if st.Reevaluated == 0 {
-		t.Fatal("no re-evaluations ran")
-	}
-	t.Logf("stats: %+v", st)
 }
 
 // TestMonitorStandingNN: a Subscription is just a standing Request,
@@ -711,5 +828,340 @@ func TestMonitorConcurrentStress(t *testing.T) {
 		if fresh := freshSet(t, eng, sub.Request()); !sameSet(replay, fresh) {
 			t.Fatalf("sub %d: post-stress replay != fresh evaluation", i)
 		}
+	}
+}
+
+// TestMonitorKindAwareWakeup: a query reads one table, so a change of
+// the other table inside its guard provably cannot move its answer and
+// must count as Skipped — point hops under an uncertain-object query,
+// object re-reports under a point query or an NN query — however close
+// to the issuer they land.
+func TestMonitorKindAwareWakeup(t *testing.T) {
+	eng := monitorWorld(t, 300, 300, 1000, 63)
+	m := New(eng, Config{})
+	center := geom.Pt(500, 500)
+	iss := monitorIssuer(t, center, 50)
+
+	overObjects, err := m.Register(core.RequestUncertain(iss, 200, 200, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	overPoints, err := m.Register(core.RequestPoints(iss, 200, 200, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nn, err := m.Register(core.RequestNN(iss, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	subs := []*Subscription{overObjects, overPoints, nn}
+	for _, sub := range subs {
+		drain(t, sub)
+	}
+
+	pointHops := []core.Update{
+		{Op: core.OpUpsertPoint, Point: uncertain.PointObject{ID: 7, Loc: center}},
+		{Op: core.OpUpsertPoint, Point: uncertain.PointObject{ID: 9000, Loc: geom.Pt(510, 490)}},
+		{Op: core.OpDeletePoint, ID: 7},
+	}
+	objectMoves := []core.Update{
+		moveObject(t, 7, center, 10),
+		moveObject(t, 9000, geom.Pt(510, 490), 10),
+		{Op: core.OpDeleteObject, ID: 7},
+	}
+	steps := []struct {
+		name    string
+		batch   []core.Update
+		skipped []*Subscription
+		woken   []*Subscription
+	}{
+		{"point hops", pointHops, []*Subscription{overObjects}, []*Subscription{overPoints, nn}},
+		{"object moves", objectMoves, []*Subscription{overPoints, nn}, []*Subscription{overObjects}},
+	}
+	for _, step := range steps {
+		before := m.Stats().Skipped
+		out, err := m.ApplyUpdates(context.Background(), step.batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Report.Applied != len(step.batch) {
+			t.Fatalf("%s: applied %d of %d", step.name, out.Report.Applied, len(step.batch))
+		}
+		if out.Skipped != len(step.skipped) || out.Reevaluated != len(step.woken) {
+			t.Fatalf("%s: outcome %+v, want %d skipped and %d re-evaluated",
+				step.name, out, len(step.skipped), len(step.woken))
+		}
+		if got := m.Stats().Skipped - before; got != int64(len(step.skipped)) {
+			t.Fatalf("%s: Stats.Skipped rose by %d, want %d", step.name, got, len(step.skipped))
+		}
+		for _, sub := range step.skipped {
+			if ds := drain(t, sub); len(ds) != 0 {
+				t.Fatalf("%s: skipped %v query %d received %d deltas", step.name, sub.Request().Kind, sub.ID(), len(ds))
+			}
+		}
+		for _, sub := range step.woken {
+			if ds := drain(t, sub); len(ds) != 1 || ds[0].Empty() {
+				t.Fatalf("%s: woken %v query %d received %+v", step.name, sub.Request().Kind, sub.ID(), ds)
+			}
+		}
+	}
+}
+
+// TestMonitorFailedUpdatesWakeNothing: an update the engine rejected
+// changed nothing, whatever it was aimed at; a batch of only failures
+// and absent deletes skips every standing query.
+func TestMonitorFailedUpdatesWakeNothing(t *testing.T) {
+	eng := monitorWorld(t, 50, 50, 1000, 64)
+	m := New(eng, Config{})
+	sub, err := m.Register(core.RequestUncertain(monitorIssuer(t, geom.Pt(500, 500), 50), 400, 400, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	drain(t, sub)
+	out, err := m.ApplyUpdates(context.Background(), []core.Update{
+		{Op: core.OpUpsertObject},           // nil object
+		{Op: core.UpdateOp(99)},             // unknown op
+		{Op: core.OpDeleteObject, ID: 4242}, // absent
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Report.Errors) != 2 || out.Report.Missing != 1 || out.Report.Applied != 0 {
+		t.Fatalf("report %+v", out.Report)
+	}
+	if out.Skipped != 1 || out.Reevaluated != 0 || out.Requalified != 0 {
+		t.Fatalf("outcome %+v, want the one query skipped", out)
+	}
+	if ds := drain(t, sub); len(ds) != 0 {
+		t.Fatalf("%d deltas from a batch that applied nothing", len(ds))
+	}
+}
+
+// TestMonitorUnmovedMonteCarloMatchNeverUpdated: the sampling seed
+// belongs to the subscription, not to the pass, so an object that did
+// not move keeps its Monte-Carlo probability bit for bit and never
+// shows up in a delta — through per-object maintenance and through the
+// full fallback alike. Only ids the batches touched may appear.
+func TestMonitorUnmovedMonteCarloMatchNeverUpdated(t *testing.T) {
+	eng := monitorWorld(t, 0, 500, 1000, 65)
+	m := New(eng, Config{Options: core.EvalOptions{
+		Object: core.ObjectEvalConfig{ForceMonteCarlo: true, MCSamples: 200}}})
+	center := geom.Pt(500, 500)
+	sub, err := m.Register(core.RequestUncertain(monitorIssuer(t, center, 50), 250, 250, 0.2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reg := drain(t, sub); len(reg) != 1 || len(reg[0].Entered) < 10 || reg[0].Cost.SamplesUsed == 0 {
+		t.Fatalf("registration delta %+v: want a sampled answer of some size", reg)
+	}
+
+	rng := rand.New(rand.NewSource(66))
+	moved := map[uncertain.ID]bool{}
+	check := func(batchNo int) {
+		t.Helper()
+		for _, d := range drain(t, sub) {
+			if d.Err != nil {
+				continue
+			}
+			for _, ms := range [][]core.Match{d.Entered, d.Updated} {
+				for _, match := range ms {
+					if !moved[match.ID] {
+						t.Fatalf("batch %d: unmoved object %d reported with p=%v", batchNo, match.ID, match.P)
+					}
+				}
+			}
+			for _, id := range d.Left {
+				if !moved[id] {
+					t.Fatalf("batch %d: unmoved object %d left", batchNo, id)
+				}
+			}
+			clear(moved)
+		}
+	}
+	for batchNo := 0; batchNo < 30; batchNo++ {
+		var ups []core.Update
+		for j := 0; j < 4; j++ {
+			id := uncertain.ID(rng.Intn(500))
+			moved[id] = true
+			c := geom.Pt(center.X+(rng.Float64()-0.5)*700, center.Y+(rng.Float64()-0.5)*700)
+			ups = append(ups, moveObject(t, id, c, 5+rng.Float64()*15))
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		if batchNo%10 == 4 {
+			// A cancelled pass leaves the query stale; the next batch
+			// recomputes it in full, with the same seed.
+			cancel()
+		}
+		_, err := m.ApplyUpdates(ctx, ups)
+		cancel()
+		if err != nil && !errors.Is(err, context.Canceled) {
+			t.Fatal(err)
+		}
+		check(batchNo)
+	}
+	if st := m.Stats(); st.FullReevals == 0 || st.Requalified == 0 {
+		t.Fatalf("both maintenance paths must have run: %+v", st)
+	}
+	if !sameSet(matchesAsSet(sub.Snapshot()), freshSet(t, eng, sub.Request())) {
+		t.Fatal("cached set != fresh evaluation at the end of the trace")
+	}
+}
+
+// TestMonitorBudgetErrorRecoversThroughFullPath: a per-object
+// re-qualification that trips the request's sample budget surfaces as
+// an error delta and leaves the cached set alone; the query is then
+// stale, so the next batch recomputes it in full — and, once that
+// fits, replay is exact again.
+func TestMonitorBudgetErrorRecoversThroughFullPath(t *testing.T) {
+	// Nothing near the center but what the test puts there.
+	objects := make([]*uncertain.Object, 12)
+	for i := range objects {
+		objects[i] = moveObject(t, uncertain.ID(i), geom.Pt(5000+float64(i)*100, 5000), 10).Object
+	}
+	eng, err := core.NewEngine(nil, objects, core.EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	center := geom.Pt(500, 500)
+	move := func(c geom.Point, ids ...uncertain.ID) []core.Update {
+		var ups []core.Update
+		for _, id := range ids {
+			ups = append(ups, moveObject(t, id, c, 10))
+		}
+		return ups
+	}
+	eng.ApplyUpdates(move(center, 0, 1))
+
+	// 200 samples per refined object, no early stop at threshold 0:
+	// the answer of two fits the budget of 900, five more at once do
+	// not.
+	m := New(eng, Config{Options: core.EvalOptions{MaxSamples: 900,
+		Object: core.ObjectEvalConfig{ForceMonteCarlo: true, MCSamples: 200}}})
+	sub, err := m.Register(core.RequestUncertain(monitorIssuer(t, center, 50), 200, 200, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay := map[uncertain.ID]float64{}
+	for _, d := range drain(t, sub) {
+		applyDelta(replay, d)
+	}
+	if len(replay) != 2 {
+		t.Fatalf("registration answer has %d objects, want 2", len(replay))
+	}
+
+	out, err := m.ApplyUpdates(context.Background(), move(center, 2, 3, 4, 5, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := drain(t, sub)
+	if len(ds) != 1 || !errors.Is(ds[0].Err, core.ErrSampleBudget) || out.Requalified != 5 || out.FullReevals != 0 {
+		t.Fatalf("over-budget batch: deltas %+v outcome %+v", ds, out)
+	}
+	applyDelta(replay, ds[0])
+	if len(replay) != 2 || !sameSet(replay, matchesAsSet(sub.Snapshot())) {
+		t.Fatalf("error delta disturbed the set: %v", replay)
+	}
+	if _, err := eng.Evaluate(context.Background(), sub.Request()); !errors.Is(err, core.ErrSampleBudget) {
+		t.Fatalf("from-scratch evaluation of the over-budget state: %v", err)
+	}
+
+	// The recovering batch does not touch the guard at all: only
+	// staleness forces the evaluation. It still exceeds the budget
+	// (seven objects), so the query stays stale...
+	out, err = m.ApplyUpdates(context.Background(), move(geom.Pt(9000, 9000), 11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds = drain(t, sub)
+	if len(ds) != 1 || !errors.Is(ds[0].Err, core.ErrSampleBudget) || out.FullReevals != 1 || out.Requalified != 0 {
+		t.Fatalf("stale batch: deltas %+v outcome %+v", ds, out)
+	}
+	// ...until enough objects leave for the full evaluation to fit.
+	out, err = m.ApplyUpdates(context.Background(), move(geom.Pt(9000, 9000), 3, 4, 5, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.FullReevals != 1 || out.Requalified != 0 {
+		t.Fatalf("recovering batch: outcome %+v", out)
+	}
+	for _, d := range drain(t, sub) {
+		if d.Err != nil {
+			t.Fatalf("recovering batch: %v", d.Err)
+		}
+		applyDelta(replay, d)
+	}
+	if len(replay) != 3 || !sameSet(replay, freshSet(t, eng, sub.Request())) {
+		t.Fatalf("replay after recovery %v != fresh evaluation", replay)
+	}
+	// Healthy again: the next touching batch is maintained per object.
+	out, err = m.ApplyUpdates(context.Background(), move(center, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.FullReevals != 0 || out.Requalified != 1 {
+		t.Fatalf("post-recovery batch: outcome %+v", out)
+	}
+	for _, d := range drain(t, sub) {
+		applyDelta(replay, d)
+	}
+	if !sameSet(replay, freshSet(t, eng, sub.Request())) {
+		t.Fatal("replay after post-recovery batch != fresh evaluation")
+	}
+	if st := m.Stats(); st.EvalErrors != 2 {
+		t.Fatalf("EvalErrors = %d, want 2", st.EvalErrors)
+	}
+}
+
+// TestMonitorSubscriptionSeedAndOrder: a registered seed is kept, a
+// missing one is derived from the monitor seed and the subscription id
+// (so it differs per subscription and is stable across runs), and the
+// registry stays id-ordered through registration churn.
+func TestMonitorSubscriptionSeedAndOrder(t *testing.T) {
+	eng := monitorWorld(t, 50, 50, 1000, 67)
+	iss := monitorIssuer(t, geom.Pt(500, 500), 50)
+	register := func(m *Monitor, seed int64) *Subscription {
+		req := core.RequestUncertain(iss, 100, 100, 0)
+		req.Seed = seed
+		sub, err := m.Register(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sub
+	}
+	m := New(eng, Config{Seed: 5})
+	var subs []*Subscription
+	for i := 0; i < 6; i++ {
+		subs = append(subs, register(m, 0))
+	}
+	kept := register(m, 77)
+	if got := kept.Request().Seed; got != 77 {
+		t.Fatalf("registered seed 77 became %d", got)
+	}
+	seen := map[int64]bool{}
+	for _, sub := range subs {
+		seed := sub.Request().Seed
+		if seed == 0 || seen[seed] {
+			t.Fatalf("derived seed %d of subscription %d is zero or repeated", seed, sub.ID())
+		}
+		seen[seed] = true
+	}
+	if again := register(New(eng, Config{Seed: 5}), 0); again.Request().Seed != subs[0].Request().Seed {
+		t.Fatal("derived seed differs between two monitors with the same seed and id")
+	}
+
+	subs[4].Close()
+	subs[0].Close()
+	subs = append(subs, register(m, 0))
+	var want []int64
+	for _, id := range []int{1, 2, 3, 5} {
+		want = append(want, subs[id].ID())
+	}
+	want = append(want, kept.ID(), subs[6].ID())
+	var got []int64
+	for _, sub := range m.Subscriptions() {
+		got = append(got, sub.ID())
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("registry order %v, want %v", got, want)
 	}
 }

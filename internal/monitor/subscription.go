@@ -3,6 +3,7 @@ package monitor
 import (
 	"context"
 	"errors"
+	"math"
 	"slices"
 	"sync"
 	"time"
@@ -49,12 +50,20 @@ type Delta struct {
 	// behind this delta failed (per-query deadline, sample budget,
 	// cancelled ingestion pass), so the replayed answer may lag the
 	// engine until the next batch — which re-evaluates a stale query
-	// unconditionally. A fresh error delta carries no changes; a
+	// unconditionally and in full. A fresh error delta carries no
+	// changes; a
 	// coalesced one may still carry the changes of earlier successful
 	// re-evaluations merged into it, which is why the replay rule
 	// applies changes regardless of Err.
 	Err error
-	// Cost aggregates the evaluation cost behind this delta.
+	// Cost aggregates the evaluation cost behind this delta: what the
+	// monitor actually spent, not what a from-scratch evaluation would.
+	// A delta produced by per-object maintenance counts only the
+	// objects it re-qualified — Candidates are the touching objects the
+	// search region admitted, Refined and SamplesUsed the refinement
+	// they took — and its NodeAccesses is 0, since no index is probed.
+	// A full re-evaluation (registration, NN, MethodBasic, recovery
+	// from an error) carries that evaluation's whole cost.
 	Cost core.Cost
 	// Coalesced counts the re-evaluations merged into this delta: 1
 	// normally, more when a slow consumer forced composition (see
@@ -166,9 +175,9 @@ func sortMatches(ms []core.Match) { core.SortMatches(ms) }
 
 // SubStats are one subscription's lifetime counters.
 type SubStats struct {
-	// Reevals counts evaluations run for this query (registration
-	// included); Skipped counts update batches its guard region
-	// filtered out.
+	// Reevals counts evaluations run for this query — full or
+	// per-object, registration included; Skipped counts update batches
+	// its guard region filtered out.
 	Reevals int64
 	Skipped int64
 	// Deltas counts deltas queued; Coalesced counts compositions
@@ -205,8 +214,8 @@ type Subscription struct {
 	current map[uncertain.ID]float64
 	closed  bool
 	// stale marks a failed re-evaluation (the cached set may disagree
-	// with the engine); the monitor force-re-evaluates stale
-	// subscriptions on the next batch regardless of guard filtering.
+	// with the engine); the monitor re-evaluates stale subscriptions in
+	// full on the next batch regardless of guard filtering.
 	stale bool
 	stats SubStats
 
@@ -217,9 +226,12 @@ type Subscription struct {
 // ID returns the subscription's registry id.
 func (s *Subscription) ID() int64 { return s.id }
 
-// Request returns the standing request (as normalized at
-// registration: monitor-owned sampling fields cleared, default
-// options applied).
+// Request returns the standing request as every evaluation of the
+// subscription runs it: sampling sources cleared, default options
+// applied, and Seed set — the registered one, or the monitor-derived
+// one when the request carried none. Evaluating it from scratch on the
+// engine version of the last delta reproduces the replayed set bit
+// for bit.
 func (s *Subscription) Request() core.Request { return s.req }
 
 // Guard returns the guard region update batches are filtered against.
@@ -312,6 +324,71 @@ func (s *Subscription) Next(ctx context.Context) (Delta, error) {
 // remain drainable via Next until ErrClosed.
 func (s *Subscription) Close() { s.m.Unregister(s.id) }
 
+// touched classifies one batch against the subscription. changes are
+// the batch's records sorted by (table, id). It returns needFull when
+// the answer must be recomputed from scratch — the subscription is
+// stale, or a change touches the guard of a request that is not
+// decomposable — and otherwise the distinct ids, ascending and
+// appended to buf, of the changes of the request's own table that
+// touch its guard; none means the batch provably left the answer
+// alone.
+func (s *Subscription) touched(changes []core.Change, buf []uncertain.ID) (ids []uncertain.ID, needFull bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.stale {
+		return buf, true
+	}
+	table := s.req.Kind.Table()
+	for _, c := range changes {
+		if c.Table != table || !c.Touches(s.guard) {
+			continue
+		}
+		if !s.req.Decomposable() {
+			return buf, true
+		}
+		if n := len(buf); n == 0 || buf[n-1] != c.ID {
+			buf = append(buf, c.ID)
+		}
+	}
+	return buf, false
+}
+
+// applyPartial patches the cached qualifying set with a per-object
+// re-qualification — ids (ascending) are the objects re-qualified, res
+// lists those of them that qualify now — queues the delta, and returns
+// it. A closed subscription ignores the result.
+func (s *Subscription) applyPartial(seq, version uint64, ids []uncertain.ID, res core.Result) (Delta, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return Delta{}, false
+	}
+	d := Delta{Seq: seq, Version: version, Cost: res.Cost, Coalesced: 1}
+	qualifies := make([]bool, len(ids))
+	for _, m := range res.Matches {
+		i, _ := slices.BinarySearch(ids, m.ID)
+		qualifies[i] = true
+		old, ok := s.current[m.ID]
+		switch {
+		case !ok:
+			d.Entered = append(d.Entered, m)
+		case math.Float64bits(old) != math.Float64bits(m.P):
+			d.Updated = append(d.Updated, m)
+		}
+		s.current[m.ID] = m.P
+	}
+	for i, id := range ids {
+		if _, ok := s.current[id]; ok && !qualifies[i] {
+			d.Left = append(d.Left, id)
+			delete(s.current, id)
+		}
+	}
+	s.stats.Reevals++
+	s.noteCostLocked(res.Cost)
+	s.queueLocked(d)
+	return d, true
+}
+
 // applyResult diffs a re-evaluation against the cached qualifying
 // set, commits the new set, queues the delta, and returns it. A
 // closed subscription ignores the result.
@@ -329,7 +406,7 @@ func (s *Subscription) applyResult(seq, version uint64, res core.Result) (Delta,
 		switch {
 		case !ok:
 			d.Entered = append(d.Entered, m)
-		case old != m.P:
+		case math.Float64bits(old) != math.Float64bits(m.P):
 			d.Updated = append(d.Updated, m)
 		}
 	}
@@ -346,13 +423,6 @@ func (s *Subscription) applyResult(seq, version uint64, res core.Result) (Delta,
 	s.noteCostLocked(res.Cost)
 	s.queueLocked(d)
 	return d, true
-}
-
-// isStale reports whether the last re-evaluation failed.
-func (s *Subscription) isStale() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stale
 }
 
 // applyError queues an error delta (the cached set is untouched).

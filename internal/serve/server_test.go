@@ -460,6 +460,9 @@ func TestServeMetricsExposition(t *testing.T) {
 		`ildq_pool_writeback_queue_depth{store="uncertain"} 0`,
 		`ildq_eval_node_accesses_total{kind="nn"}`,
 		"ildq_monitor_batch_seconds_count 1",
+		"ildq_monitor_batch_requalified_objects_count 1",
+		"ildq_monitor_requalified_objects_total 0",
+		"ildq_monitor_full_reevals_total 0",
 		"ildq_cow_publishes_total 1",
 		"ildq_slow_queries_total 0",
 	} {

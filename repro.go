@@ -302,7 +302,7 @@ type (
 	// UpdateOp selects what an Update does.
 	UpdateOp = core.UpdateOp
 	// UpdateReport summarizes one ingested batch (applied counts,
-	// dirty regions, engine version).
+	// per-object change records, engine version).
 	UpdateReport = core.UpdateReport
 	// UpdateError records one failed update of a batch.
 	UpdateError = core.UpdateError
@@ -346,8 +346,9 @@ func GuardRegion(q Query, opts EvalOptions) (Rect, error) {
 // Continuous-query monitoring re-exports (package internal/monitor).
 type (
 	// Monitor serves standing queries over an engine under a stream
-	// of updates, re-evaluating only the queries each batch can have
-	// affected (guard-region filtering).
+	// of updates, waking only the queries each batch can have
+	// affected (guard-region filtering) and, for range queries,
+	// re-qualifying only the objects the batch moved.
 	Monitor = monitor.Monitor
 	// MonitorConfig tunes a Monitor (re-evaluation workers, eval
 	// options, delta-queue bound).

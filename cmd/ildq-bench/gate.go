@@ -47,13 +47,7 @@ import (
 //     checkpoints finish in tens to hundreds of milliseconds where
 //     page-cache state alone swings the timing severalfold; a real
 //     regression — serializing under the write lock, an extra full
-//     copy — costs seconds);
-//   - sharded-fleet aggregate QPS and updates/sec per fleet size
-//     (exp-sharded — the horizontal-scaling curve; both gate at the
-//     1.5× contended-throughput band), plus the 4-shard speedups over
-//     1 shard with an absolute floor of 3× — the scaling claim itself,
-//     a same-run ratio that survives machine-speed changes shifting
-//     the absolute rates.
+//     copy — costs seconds).
 //
 // Lower-is-better metrics fail above baseline×(1+tol); higher-is-better
 // below baseline×(1−tol). Metrics absent from either side are skipped
@@ -324,54 +318,6 @@ func runGate(rep report, baselinePath string, tol float64) ([]gateViolation, err
 						metric:   "durability " + m.name,
 						baseline: m.base, current: m.current,
 					})
-				}
-			}
-		}
-	}
-
-	// Sharded fleet scaling (exp-sharded): aggregate throughput per
-	// fleet size gates like the other contended-throughput metrics (at
-	// 1.5× the tolerance — many goroutines splitting one box). The
-	// 4-shard speedup ratios additionally gate against an absolute 3×
-	// floor: they are ratios of two same-run measurements, so they
-	// cancel machine speed, and losing the scaling (a shared lock, a
-	// broadcast fan-out) collapses them toward 1× regardless of host.
-	for _, bs := range base.Sharded {
-		for _, cs := range rep.Sharded {
-			if cs.Name != bs.Name {
-				continue
-			}
-			for _, bp := range bs.Points {
-				for _, cp := range cs.Points {
-					if cp.Shards != bp.Shards {
-						continue
-					}
-					if cp.QPS < bp.QPS*(1-1.5*tol) {
-						out = append(out, gateViolation{
-							metric:   fmt.Sprintf("sharded qps (shards=%d)", bp.Shards),
-							baseline: bp.QPS, current: cp.QPS,
-						})
-					}
-					if cp.UpdatesPerSec < bp.UpdatesPerSec*(1-1.5*tol) {
-						out = append(out, gateViolation{
-							metric:   fmt.Sprintf("sharded updates/sec (shards=%d)", bp.Shards),
-							baseline: bp.UpdatesPerSec, current: cp.UpdatesPerSec,
-						})
-					}
-					if bp.Shards == 4 {
-						if cp.QPSSpeedup < 3 {
-							out = append(out, gateViolation{
-								metric:   "sharded 4-shard qps speedup (floor 3x)",
-								baseline: bp.QPSSpeedup, current: cp.QPSSpeedup,
-							})
-						}
-						if cp.UpdatesSpeedup < 3 {
-							out = append(out, gateViolation{
-								metric:   "sharded 4-shard updates speedup (floor 3x)",
-								baseline: bp.UpdatesSpeedup, current: cp.UpdatesSpeedup,
-							})
-						}
-					}
 				}
 			}
 		}

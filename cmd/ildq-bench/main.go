@@ -46,7 +46,6 @@ type report struct {
 	NN         []bench.NNReport         `json:"nn,omitempty"`
 	Obs        []bench.ObsReport        `json:"obs,omitempty"`
 	Durability []bench.DurabilityReport `json:"durability,omitempty"`
-	Sharded    []bench.ShardedReport    `json:"sharded,omitempty"`
 }
 
 func main() {
@@ -68,8 +67,6 @@ func main() {
 		updBatches   = flag.Int("update-batches", 40, "update batches for exp-continuous and exp-mixed")
 		updBatchSize = flag.Int("batch-size", 32, "updates per batch for exp-continuous and exp-mixed")
 		readers      = flag.Int("readers", 2, "reader goroutines for exp-mixed")
-		shardCounts  = flag.String("shard-counts", "1,2,4,8", "comma-separated fleet sizes for exp-sharded")
-		shardClients = flag.Int("shard-clients", 2, "concurrent clients per shard for exp-sharded")
 		jsonPath     = flag.String("json", "", "also write results to this file as JSON")
 		baseline     = flag.String("baseline", "", "gate this run against a baseline -json report; exit 3 on regression")
 		regressTol   = flag.Float64("regress", 0.20, "fractional regression tolerance for -baseline")
@@ -257,24 +254,6 @@ func main() {
 		rep.Durability = append(rep.Durability, durRep)
 	}
 
-	// The horizontal-scaling experiment builds its own tile-partitioned
-	// fleets of io-bound engines; like exp-durability it never touches
-	// the shared environments and runs after the in-memory experiments.
-	if want["exp-sharded"] {
-		counts, err := parseWorkers(*shardCounts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ildq-bench: -shard-counts: %v\n", err)
-			os.Exit(2)
-		}
-		shRep, err := bench.Sharded(cfg, counts, 0, *updBatches, *updBatchSize, *shardClients)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ildq-bench: sharded: %v\n", err)
-			os.Exit(1)
-		}
-		shRep.Render(os.Stdout)
-		rep.Sharded = append(rep.Sharded, shRep)
-	}
-
 	runners := []struct {
 		id  string
 		run func() (bench.Figure, error)
@@ -287,7 +266,6 @@ func main() {
 		{"fig13", func() (bench.Figure, error) { return bench.Fig13(getGauss(), *mcSamples) }},
 		{"ablation-strategies", func() (bench.Figure, error) { return bench.AblationStrategies(getUni()) }},
 		{"ablation-catalog", func() (bench.Figure, error) { return bench.AblationCatalogSize(cfg) }},
-		{"ablation-index", func() (bench.Figure, error) { return bench.AblationGridVsRTree(getUni()) }},
 		{"exp-io", func() (bench.Figure, error) { return bench.IOExperiment(cfg, nil) }},
 	}
 	for _, r := range runners {

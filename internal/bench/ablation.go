@@ -5,8 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/geom"
-	"repro/internal/index/grid"
 	"repro/internal/uncertain"
 )
 
@@ -93,70 +91,5 @@ func AblationCatalogSize(cfg Config) (Figure, error) {
 		}
 		fig.Series = append(fig.Series, series)
 	}
-	return fig, nil
-}
-
-// AblationGridVsRTree compares the grid file against the R-tree as the
-// IPQ candidate filter (the paper's §4.3 notes either index works with
-// the expanded query). Both paths compute exact probabilities with the
-// duality formula; only the filter differs.
-func AblationGridVsRTree(env *Env) (Figure, error) {
-	p := DefaultParams()
-	fig := Figure{ID: "ablation-index", Title: "IPQ filter index: grid file vs R-tree", XLabel: "u"}
-
-	// Build a grid file over the same points.
-	gf := grid.New(0)
-	pointLoc := make(map[grid.Ref]geom.Point, env.Engine.NumPoints())
-	for i := 0; i < env.Engine.NumPoints(); i++ {
-		po, _ := env.Engine.Point(uncertain.ID(i))
-		if err := gf.Insert(geom.RectAt(po.Loc), grid.Ref(po.ID)); err != nil {
-			return Figure{}, err
-		}
-		pointLoc[grid.Ref(po.ID)] = po.Loc
-	}
-
-	rtSeries := Series{Name: "R-tree"}
-	gfSeries := Series{Name: "Grid file"}
-	for _, u := range []float64{100, 300, 500, 1000} {
-		issuers, err := env.Issuers(env.cfg.Queries, u)
-		if err != nil {
-			return Figure{}, err
-		}
-		s, err := env.runPoint(overPoints, issuers, p.W, p.W, 0, core.EvalOptions{}, u)
-		if err != nil {
-			return Figure{}, err
-		}
-		rtSeries.Samples = append(rtSeries.Samples, s)
-
-		// Grid-file path, measured with the same issuers.
-		var agg Sample
-		agg.X = u
-		for _, iss := range issuers {
-			q := core.Query{Issuer: iss, W: p.W, H: p.W}
-			gf.ResetAccesses()
-			start := nowMS()
-			var cand, match int
-			gf.Search(q.Expanded(), func(e grid.Entry) bool {
-				cand++
-				if prob := core.PointQualification(iss.PDF, pointLoc[e.Ref], q.W, q.H); prob > 0 {
-					match++
-				}
-				return true
-			})
-			agg.TimeMS += nowMS() - start
-			agg.NodeIO += float64(gf.Accesses())
-			agg.Candidates += float64(cand)
-			agg.Refined += float64(cand)
-			agg.Matches += float64(match)
-		}
-		n := float64(len(issuers))
-		agg.TimeMS /= n
-		agg.NodeIO /= n
-		agg.Candidates /= n
-		agg.Refined /= n
-		agg.Matches /= n
-		gfSeries.Samples = append(gfSeries.Samples, agg)
-	}
-	fig.Series = []Series{rtSeries, gfSeries}
 	return fig, nil
 }

@@ -55,7 +55,7 @@ func TestDefaults(t *testing.T) {
 	if len(QpSweep()) != 11 || QpSweep()[10] != 1 {
 		t.Fatalf("QpSweep = %v", QpSweep())
 	}
-	if len(AllFigureIDs()) != 19 {
+	if len(AllFigureIDs()) != 17 {
 		t.Fatalf("AllFigureIDs = %v", AllFigureIDs())
 	}
 }
@@ -225,24 +225,6 @@ func TestAblationCatalogSize(t *testing.T) {
 	}
 	if fine > coarse {
 		t.Fatalf("10-value catalog refined more (%v) than 2-value (%v)", fine, coarse)
-	}
-}
-
-func TestAblationGridVsRTree(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Queries = 4
-	env := smallEnv(t, cfg)
-	fig, err := AblationGridVsRTree(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkFigure(t, fig, 2, 4)
-	// Both indexes must agree on result counts (they filter the same
-	// exact refinement).
-	for i := range fig.Series[0].Samples {
-		if fig.Series[0].Samples[i].Matches != fig.Series[1].Samples[i].Matches {
-			t.Fatalf("u=%g: index filters disagree on matches", fig.Series[0].Samples[i].X)
-		}
 	}
 }
 

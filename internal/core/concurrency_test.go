@@ -287,27 +287,3 @@ func TestLatencyStoreOverlap(t *testing.T) {
 		t.Logf("note: 4-worker batch (%v) not faster than serial (%v); pool may have been warm", parDur, serialDur)
 	}
 }
-
-// TestDeriveSeedNoCollisions checks the splitmix-style worker seed
-// derivation: for one parent, every child index must get a distinct
-// seed (the additive scheme it replaced collided whenever two parent
-// draws differed by less than the worker count).
-func TestDeriveSeedNoCollisions(t *testing.T) {
-	parents := []int64{0, 1, -1, 42, 1 << 40}
-	seen := make(map[int64][2]int, 4096)
-	for pi, p := range parents {
-		for c := 0; c < 512; c++ {
-			s := deriveSeed(p, c)
-			if prev, dup := seen[s]; dup {
-				t.Fatalf("seed collision: parent[%d] child %d vs parent[%d] child %d",
-					pi, c, prev[0], prev[1])
-			}
-			seen[s] = [2]int{pi, c}
-		}
-	}
-	// Adjacent parents must not produce overlapping child streams the
-	// way parent+child addition does.
-	if deriveSeed(10, 1) == deriveSeed(11, 0) {
-		t.Fatal("adjacent parents alias child seeds")
-	}
-}

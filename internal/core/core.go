@@ -18,9 +18,27 @@
 //     candidates via three strategies, at both object and PTI-node
 //     level.
 //
-// The "basic" evaluators of §3.3 (direct numerical integration of
-// Equations 2 and 4) are implemented as well; they are the baseline of
-// the paper's Figure 8.
+// The "basic" method of §3.3 (direct numerical integration of
+// Equations 2 and 4) is implemented as well; it is the baseline of the
+// paper's Figure 8.
+//
+// Every kind and method is that one shape — filter, prune, refine,
+// accept against Qp — with a different candidate source and a different
+// per-candidate estimator, and the code has one kernel per idea:
+//
+//   - sampling: every Monte-Carlo refiner is a call to the one
+//     block-adaptive driver, mcbound.Adaptive, with its own draw; the
+//     stopping rule and the seed derivation keying every stream live
+//     beside it.
+//   - range evaluation: evaluateUncertainEnhanced is the filter → prune
+//     → refineSurvivors → merge pipeline over the PTI; scanQualifyAccept
+//     is the interleaved pass, parameterised by probe region, candidate
+//     source and a qualifier chosen up front — the enhanced point path
+//     and both MethodBasic paths.
+//   - nearest neighbor: collectNN + refineNNCandidates, which a
+//     single-engine evaluation, Snapshot.NNCandidates and
+//     EvaluateNNCandidates are compositions of — so a fleet router's NN
+//     answer and a single engine's come out of the same lines.
 package core
 
 import (

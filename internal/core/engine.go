@@ -12,6 +12,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/index/pti"
 	"repro/internal/index/rtree"
+	"repro/internal/mcbound"
 	"repro/internal/obs"
 	"repro/internal/uncertain"
 )
@@ -315,175 +316,94 @@ func (o EvalOptions) evalContext(ctx context.Context) (context.Context, context.
 	return ctx, func() {}
 }
 
-// evaluatePoints validates, applies defaults and deadline, and
-// dispatches a point-database evaluation against this state.
-func (st *engineState) evaluatePoints(ctx context.Context, q Query, opts EvalOptions, only []uncertain.ID) (Result, error) {
-	if err := q.Validate(); err != nil {
-		return Result{}, err
+// stopThreshold is the threshold the sampling refiners may terminate
+// early against: the query's own, or 0 (never stop early) when the
+// query is unconstrained or Object.Adaptive turns early termination
+// off.
+func stopThreshold(q Query, opts EvalOptions) float64 {
+	if opts.Object.Adaptive == AdaptiveAuto {
+		return q.Threshold
 	}
-	opts = opts.withDefaults()
-	ctx, cancel := opts.evalContext(ctx)
-	defer cancel()
-	switch opts.Method {
-	case MethodEnhanced:
-		return st.evaluatePointsEnhanced(ctx, q, opts, only)
-	case MethodBasic:
-		return st.evaluatePointsBasic(ctx, q, opts)
-	default:
-		return Result{}, fmt.Errorf("%w: %v", ErrUnknownMethod, opts.Method)
+	return 0
+}
+
+// candidateScan surfaces one evaluation's candidates — id and table
+// row — to visit, in an order that is a function of the state alone,
+// until visit returns false; it reports the index nodes it read.
+type candidateScan[T any] func(visit func(uncertain.ID, T) bool) (nodeAccesses int64, err error)
+
+// probePoints scans the point index over region.
+func (st *engineState) probePoints(region geom.Rect) candidateScan[uncertain.PointObject] {
+	return func(visit func(uncertain.ID, uncertain.PointObject) bool) (int64, error) {
+		return st.pointIdx.SearchCounted(region, nil, func(en rtree.Entry) bool {
+			p, ok := st.points.Get(uncertain.ID(en.Ref))
+			return !ok || visit(p.ID, p) // index/table torn only by construction bugs
+		})
 	}
 }
 
-// evaluatePointsEnhanced is the single enhanced point-range path. A
-// nil only draws the candidates from an index scan of the search
-// region; a non-nil only (Snapshot.EvaluateOnly) takes exactly those
-// ids from the table and admits the ones the scan would have reached.
-// Either way every candidate runs the same body, on the sample stream
-// keyed by its id, so the restricted answer is the full answer's
-// restriction bit for bit.
-func (st *engineState) evaluatePointsEnhanced(ctx context.Context, q Query, opts EvalOptions, only []uncertain.ID) (Result, error) {
-	start := time.Now()
-	var res Result
-
-	plan := newQueryPlan(q, opts, false)
-	if plan.searchReg.Empty() {
-		res.Cost.Duration = time.Since(start)
-		return res, nil
-	}
-
-	// Monte-Carlo point refinement draws each candidate's stream from
-	// a source derived from one parent draw and the candidate's object
-	// id — as in refineSurvivors — so adaptive early termination on
-	// one candidate cannot shift the samples any other candidate sees,
-	// and the full-budget and adaptive runs of one stream agree on
-	// every threshold decision (the certainty bound is exact).
-	var parent int64
-	if opts.PointMCSamples > 0 {
-		parent = opts.Rng.Int63()
-	}
-	// Early termination applies only against a real threshold.
-	stopQP := 0.0
-	if q.Threshold > 0 && opts.Object.Adaptive == AdaptiveAuto {
-		stopQP = q.Threshold
-	}
-	consider := func(p uncertain.PointObject) bool {
-		if canceled(ctx) != nil {
-			return false
-		}
-		// SamplesUsed only grows, so the budget check after the
-		// candidate loop re-detects this early stop.
-		if opts.MaxSamples > 0 && res.Cost.SamplesUsed > opts.MaxSamples {
-			return false
-		}
-		res.Cost.Candidates++
-		res.Cost.Refined++
-		var prob float64
-		if opts.PointMCSamples > 0 {
-			rng := newSeededRand(deriveSeed(parent, int(p.ID)))
-			var n int
-			var early bool
-			prob, n, early = pointQualificationMCThreshold(q.Issuer.PDF, p.Loc, q.W, q.H,
-				stopQP, opts.PointMCSamples, opts.Object.MCBlock, opts.Object.MCDelta, rng)
-			res.Cost.SamplesUsed += int64(n)
-			if early {
-				res.Cost.EarlyStopped++
-			}
-		} else {
-			prob = PointQualification(q.Issuer.PDF, p.Loc, q.W, q.H)
-		}
-		if accept(prob, q.Threshold) {
-			res.Matches = append(res.Matches, Match{ID: p.ID, P: prob})
-		} else {
-			res.Cost.BelowThreshold++
-		}
-		return true
-	}
-
-	// The points path interleaves filter and refinement inside one
-	// index scan, so it records a single "scan" span rather than the
-	// filter/refine/merge decomposition of the uncertain and NN paths.
-	spS := obs.TraceFrom(ctx).StartSpan("scan")
-	var na int64
-	if only != nil {
-		for _, id := range only {
+// listPoints takes exactly the given ids from the point table and
+// admits the ones a probe of region would have reached — the
+// Snapshot.EvaluateOnly candidate source. It reads no index node.
+func (st *engineState) listPoints(region geom.Rect, ids []uncertain.ID) candidateScan[uncertain.PointObject] {
+	return func(visit func(uncertain.ID, uncertain.PointObject) bool) (int64, error) {
+		for _, id := range ids {
 			p, ok := st.points.Get(id)
-			if !ok || !plan.searchReg.Intersects(geom.RectAt(p.Loc)) {
-				continue
-			}
-			if !consider(p) {
+			if ok && region.Intersects(geom.RectAt(p.Loc)) && !visit(id, p) {
 				break
 			}
 		}
-	} else {
-		var err error
-		na, err = st.pointIdx.SearchCounted(plan.searchReg, nil, func(en rtree.Entry) bool {
-			p, ok := st.points.Get(uncertain.ID(en.Ref))
-			if !ok {
-				return true // index/table torn only by construction bugs
-			}
-			return consider(p)
-		})
-		if err != nil {
-			return Result{}, err
-		}
+		return 0, nil
 	}
-	if err := canceled(ctx); err != nil {
-		return Result{}, err
-	}
-	if opts.MaxSamples > 0 && res.Cost.SamplesUsed > opts.MaxSamples {
-		return Result{}, ErrSampleBudget
-	}
-	res.Cost.NodeAccesses = na
-	spS.AddNodes(na)
-	spS.AddSamples(res.Cost.SamplesUsed)
-	spS.SetItems(res.Cost.Candidates)
-	spS.End()
-	sortMatches(res.Matches)
-	res.Cost.Duration = time.Since(start)
-	return res, nil
 }
 
-func (st *engineState) evaluatePointsBasic(ctx context.Context, q Query, opts EvalOptions) (Result, error) {
+// probeObjects scans the uncertain-object index over region.
+func (st *engineState) probeObjects(region geom.Rect) candidateScan[*uncertain.Object] {
+	return func(visit func(uncertain.ID, *uncertain.Object) bool) (int64, error) {
+		return st.uncIdx.RangeSearchCounted(region, func(id uncertain.ID) bool {
+			obj, ok := st.objects.Get(id)
+			return !ok || visit(id, obj)
+		})
+	}
+}
+
+// overBudget reports whether used samples exceed a MaxSamples budget
+// (0 = unlimited).
+func overBudget(used, budget int64) bool { return budget > 0 && used > budget }
+
+// scanQualifyAccept is the interleaved range evaluator: one pass over
+// the candidate source, each candidate qualified and tested against the
+// threshold as it is surfaced. qualify returns a candidate's
+// probability, the Monte-Carlo samples it drew (0 for a closed form)
+// and whether a bound stopped its sampling early. The enhanced point
+// path and both MethodBasic paths (the paper's Figure 8 reference) are
+// this function with a different source and qualifier; every candidate
+// runs the same body whichever source surfaced it, so a restricted
+// answer is the full answer's restriction bit for bit. ctx must already
+// carry any Timeout bound.
+//
+// Filter and refinement interleave inside the one scan, so it records a
+// single "scan" span rather than the filter/refine/merge decomposition
+// of the uncertain-enhanced and NN paths.
+func scanQualifyAccept[T any](ctx context.Context, threshold float64, maxSamples int64, scan candidateScan[T], qualify func(T) (float64, int, bool)) (Result, error) {
 	start := time.Now()
 	var res Result
-
-	// The basic method still needs a candidate set; without the
-	// paper's observations the best available filter is the plain
-	// Minkowski range (its absence would mean scanning the whole
-	// database, making the baseline look arbitrarily bad).
-	//
-	// Its issuer-sampling loop supports the same adaptive early
-	// termination as the Monte-Carlo refiners: for a threshold query
-	// (unless Object.Adaptive turns it off) sampling stops once a
-	// certainty or confidence bound decides the candidate against the
-	// threshold, with the actual draws recorded in SamplesUsed and the
-	// saves in EarlyStopped.
-	stopQP := 0.0
-	if q.Threshold > 0 && opts.Object.Adaptive == AdaptiveAuto {
-		stopQP = q.Threshold
-	}
-	searchReg := q.Expanded()
-	na, err := st.pointIdx.SearchCounted(searchReg, nil, func(en rtree.Entry) bool {
-		if canceled(ctx) != nil {
-			return false
-		}
-		if opts.MaxSamples > 0 && res.Cost.SamplesUsed > opts.MaxSamples {
+	sp := obs.TraceFrom(ctx).StartSpan("scan")
+	na, err := scan(func(id uncertain.ID, c T) bool {
+		// SamplesUsed only grows, so the budget check after the scan
+		// re-detects this early stop.
+		if canceled(ctx) != nil || overBudget(res.Cost.SamplesUsed, maxSamples) {
 			return false
 		}
 		res.Cost.Candidates++
-		p, ok := st.points.Get(uncertain.ID(en.Ref))
-		if !ok {
-			return true
-		}
 		res.Cost.Refined++
-		prob, n, early := pointQualificationMCThreshold(q.Issuer.PDF, p.Loc, q.W, q.H,
-			stopQP, opts.BasicSamples, opts.Object.MCBlock, opts.Object.MCDelta, opts.Rng)
+		prob, n, early := qualify(c)
 		res.Cost.SamplesUsed += int64(n)
 		if early {
 			res.Cost.EarlyStopped++
 		}
-		if accept(prob, q.Threshold) {
-			res.Matches = append(res.Matches, Match{ID: p.ID, P: prob})
+		if accept(prob, threshold) {
+			res.Matches = append(res.Matches, Match{ID: id, P: prob})
 		} else {
 			res.Cost.BelowThreshold++
 		}
@@ -495,17 +415,88 @@ func (st *engineState) evaluatePointsBasic(ctx context.Context, q Query, opts Ev
 	if err := canceled(ctx); err != nil {
 		return Result{}, err
 	}
-	if opts.MaxSamples > 0 && res.Cost.SamplesUsed > opts.MaxSamples {
+	if overBudget(res.Cost.SamplesUsed, maxSamples) {
 		return Result{}, ErrSampleBudget
 	}
 	res.Cost.NodeAccesses = na
-	sortMatches(res.Matches)
+	sp.AddNodes(na)
+	sp.AddSamples(res.Cost.SamplesUsed)
+	sp.SetItems(res.Cost.Candidates)
+	sp.End()
+	SortMatches(res.Matches)
 	res.Cost.Duration = time.Since(start)
 	return res, nil
 }
 
+// evaluatePoints validates, applies defaults and deadline, and runs a
+// point-database evaluation against this state: the method picks the
+// probe region and the per-candidate qualifier, scanQualifyAccept does
+// the rest. A nil only draws the candidates from the index; a non-nil
+// only (Snapshot.EvaluateOnly, enhanced method) takes exactly those
+// ids.
+func (st *engineState) evaluatePoints(ctx context.Context, q Query, opts EvalOptions, only []uncertain.ID) (Result, error) {
+	if err := q.Validate(); err != nil {
+		return Result{}, err
+	}
+	opts = opts.withDefaults()
+	ctx, cancel := opts.evalContext(ctx)
+	defer cancel()
+
+	iss, mc := q.Issuer.PDF, opts.Object
+	stopQP := stopThreshold(q, opts)
+	var region geom.Rect
+	var qualify func(uncertain.PointObject) (float64, int, bool)
+	switch opts.Method {
+	case MethodEnhanced:
+		// Filter with the Minkowski or Qp-expanded query; refine by the
+		// duality closed form, or — PointMCSamples > 0, the §6.2 regime —
+		// by sampling. Each candidate's stream comes from a source
+		// derived from one parent draw and the candidate's object id, as
+		// in refineSurvivors, so early termination on one candidate
+		// cannot shift the samples any other candidate sees, and the
+		// full-budget and adaptive runs of one stream agree on every
+		// threshold decision (the certainty bound is exact).
+		region = newQueryPlan(q, opts, false).searchReg
+		if region.Empty() {
+			return Result{}, nil
+		}
+		if opts.PointMCSamples > 0 {
+			parent := opts.Rng.Int63()
+			qualify = func(p uncertain.PointObject) (float64, int, bool) {
+				rng := newSeededRand(mcbound.DeriveSeed(parent, int(p.ID)))
+				return pointQualificationMCThreshold(iss, p.Loc, q.W, q.H, stopQP, opts.PointMCSamples, mc.MCBlock, mc.MCDelta, rng)
+			}
+		} else {
+			qualify = func(p uncertain.PointObject) (float64, int, bool) {
+				return PointQualification(iss, p.Loc, q.W, q.H), 0, false
+			}
+		}
+	case MethodBasic:
+		// The basic method still needs a candidate set; without the
+		// paper's observations the best available filter is the plain
+		// Minkowski range (its absence would mean scanning the whole
+		// database, making the baseline look arbitrarily bad). All
+		// candidates share the one opts.Rng stream, in scan order.
+		region = q.Expanded()
+		qualify = func(p uncertain.PointObject) (float64, int, bool) {
+			return pointQualificationMCThreshold(iss, p.Loc, q.W, q.H, stopQP, opts.BasicSamples, mc.MCBlock, mc.MCDelta, opts.Rng)
+		}
+	default:
+		return Result{}, fmt.Errorf("%w: %v", ErrUnknownMethod, opts.Method)
+	}
+	scan := st.probePoints(region)
+	if only != nil {
+		scan = st.listPoints(region, only)
+	}
+	return scanQualifyAccept(ctx, q.Threshold, opts.MaxSamples, scan, qualify)
+}
+
 // evaluateUncertain validates, applies defaults and deadline, and
-// dispatches an uncertain-database evaluation against this state.
+// dispatches an uncertain-database evaluation against this state: the
+// enhanced filter → prune → refine → merge pipeline, or — MethodBasic —
+// the interleaved scan over the plain Minkowski range with the §3.3
+// issuer-sampling estimator as the qualifier (all candidates sharing
+// the one opts.Rng stream, in scan order).
 func (st *engineState) evaluateUncertain(ctx context.Context, q Query, opts EvalOptions, workers int, only []uncertain.ID) (Result, error) {
 	if err := q.Validate(); err != nil {
 		return Result{}, err
@@ -517,7 +508,12 @@ func (st *engineState) evaluateUncertain(ctx context.Context, q Query, opts Eval
 	case MethodEnhanced:
 		return st.evaluateUncertainEnhanced(ctx, q, opts, workers, only)
 	case MethodBasic:
-		return st.evaluateUncertainBasic(ctx, q, opts)
+		iss, mc := q.Issuer.PDF, opts.Object
+		stopQP := stopThreshold(q, opts)
+		return scanQualifyAccept(ctx, q.Threshold, opts.MaxSamples, st.probeObjects(q.Expanded()),
+			func(obj *uncertain.Object) (float64, int, bool) {
+				return objectQualificationBasicThreshold(iss, obj.PDF, q.W, q.H, stopQP, opts.BasicSamples, mc.MCBlock, mc.MCDelta, opts.Rng)
+			})
 	default:
 		return Result{}, fmt.Errorf("%w: %v", ErrUnknownMethod, opts.Method)
 	}
@@ -636,7 +632,7 @@ func (st *engineState) evaluateUncertainEnhanced(ctx context.Context, q Query, o
 			res.Cost.BelowThreshold++
 		}
 	}
-	sortMatches(res.Matches)
+	SortMatches(res.Matches)
 	spM.SetItems(len(res.Matches))
 	spM.End()
 	res.Cost.Duration = time.Since(start)
@@ -651,59 +647,6 @@ func (st *engineState) admitsObject(plan queryPlan, obj *uncertain.Object, index
 		return st.uncIdx.ThresholdAdmits(obj, plan.searchReg, plan.expanded, plan.q.Threshold)
 	}
 	return plan.searchReg.Intersects(obj.Region())
-}
-
-func (st *engineState) evaluateUncertainBasic(ctx context.Context, q Query, opts EvalOptions) (Result, error) {
-	start := time.Now()
-	var res Result
-
-	// The basic issuer-sampling loop early-terminates against a real
-	// threshold like every other refinement path; see
-	// ObjectQualificationBasicThreshold.
-	stopQP := 0.0
-	if q.Threshold > 0 && opts.Object.Adaptive == AdaptiveAuto {
-		stopQP = q.Threshold
-	}
-	expanded := q.Expanded()
-	na, err := st.uncIdx.RangeSearchCounted(expanded, func(id uncertain.ID) bool {
-		if canceled(ctx) != nil {
-			return false
-		}
-		if opts.MaxSamples > 0 && res.Cost.SamplesUsed > opts.MaxSamples {
-			return false
-		}
-		res.Cost.Candidates++
-		obj, ok := st.objects.Get(id)
-		if !ok {
-			return true
-		}
-		res.Cost.Refined++
-		prob, n, early := objectQualificationBasicThreshold(q.Issuer.PDF, obj.PDF, q.W, q.H,
-			stopQP, opts.BasicSamples, opts.Object.MCBlock, opts.Object.MCDelta, opts.Rng)
-		res.Cost.SamplesUsed += int64(n)
-		if early {
-			res.Cost.EarlyStopped++
-		}
-		if accept(prob, q.Threshold) {
-			res.Matches = append(res.Matches, Match{ID: id, P: prob})
-		} else {
-			res.Cost.BelowThreshold++
-		}
-		return true
-	})
-	if err != nil {
-		return Result{}, err
-	}
-	if err := canceled(ctx); err != nil {
-		return Result{}, err
-	}
-	if opts.MaxSamples > 0 && res.Cost.SamplesUsed > opts.MaxSamples {
-		return Result{}, ErrSampleBudget
-	}
-	res.Cost.NodeAccesses = na
-	sortMatches(res.Matches)
-	res.Cost.Duration = time.Since(start)
-	return res, nil
 }
 
 // accept applies the result predicate: non-zero probability for
@@ -725,8 +668,6 @@ func accept(p, threshold float64) bool {
 func SortMatches(ms []Match) {
 	slices.SortFunc(ms, cmpMatch)
 }
-
-func sortMatches(ms []Match) { SortMatches(ms) }
 
 func cmpMatch(a, b Match) int {
 	switch {

@@ -10,6 +10,8 @@ package core
 import (
 	"context"
 	"fmt"
+
+	"repro/internal/mcbound"
 )
 
 // requestFor adapts a legacy (Query, EvalOptions) pair to a Request —
@@ -200,7 +202,7 @@ func batchRequests(queries []BatchQuery, opts EvalOptions) []Request {
 			H:         bq.Query.H,
 			Threshold: bq.Query.Threshold,
 			Options:   opts,
-			Seed:      deriveSeed(parent, i),
+			Seed:      mcbound.DeriveSeed(parent, i),
 		}
 	}
 	return reqs

@@ -1,22 +1,17 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"errors"
-	"math"
-	"slices"
 	"time"
 
-	"repro/internal/geom"
-	"repro/internal/index/rtree"
-	"repro/internal/nn"
 	"repro/internal/uncertain"
 )
 
-// This file exposes the two halves of a KindNN evaluation as separate
-// steps so a fleet router can run the candidate-pruning stage on every
-// shard and the refinement stage once, centrally:
+// This file exposes the two stages of a KindNN evaluation (collectNN
+// and refineNNCandidates, nnquery.go) as separate steps so a fleet
+// router can run the candidate-pruning stage on every shard and the
+// refinement stage once, centrally:
 //
 //	per shard:  set, _ := snap.NNCandidates(ctx, req, opts)   // local tau + candidates
 //	router:     tau  = min over shards of set.Tau             // global pruning radius
@@ -88,57 +83,8 @@ func (s *Snapshot) NNCandidates(ctx context.Context, req Request, o NNCandidateO
 	}
 	defer s.e.releaseState(st)
 
-	set := NNCandidateSet{Version: st.version}
-	if st.points.Len() == 0 {
-		set.Tau = math.Inf(1)
-		return set, nil
-	}
-	u0 := req.Issuer.Region()
-	tau, na, err := nnTau(st.pointIdx, u0)
-	if err != nil {
-		return NNCandidateSet{}, err
-	}
-	set.Tau = tau
-	set.NodeAccesses = na
-	if err := canceled(ctx); err != nil {
-		return NNCandidateSet{}, err
-	}
-
-	eff := tau
-	if o.TauBound > 0 && o.TauBound < eff {
-		eff = o.TauBound
-	}
-	na, err = st.pointIdx.SearchCounted(u0.Expand(eff, eff), nil, func(en rtree.Entry) bool {
-		if canceled(ctx) != nil {
-			return false
-		}
-		if set.Truncated {
-			return false
-		}
-		p, ok := st.points.Get(uncertain.ID(en.Ref))
-		if !ok {
-			return true
-		}
-		if u0.MinDist(p.Loc) <= eff {
-			if o.Limit > 0 && len(set.Candidates) >= o.Limit {
-				set.Truncated = true
-				return false
-			}
-			set.Candidates = append(set.Candidates, NNCandidate{ID: p.ID, Loc: [2]float64{p.Loc.X, p.Loc.Y}})
-		}
-		return true
-	})
-	if err != nil {
-		return NNCandidateSet{}, err
-	}
-	if err := canceled(ctx); err != nil {
-		return NNCandidateSet{}, err
-	}
-	set.NodeAccesses += na
-	slices.SortFunc(set.Candidates, func(a, b NNCandidate) int {
-		return cmp.Compare(a.ID, b.ID)
-	})
-	return set, nil
+	set, _, err := st.collectNN(ctx, req.Issuer.Region(), o)
+	return set, err
 }
 
 // EvaluateNNCandidates runs the refinement stage of a KindNN request
@@ -147,8 +93,9 @@ func (s *Snapshot) NNCandidates(ctx context.Context, req Request, o NNCandidateO
 // candidate slice is the merged union of the shards' NNCandidates
 // results filtered to MinDist <= tau; duplicates by ID are rejected.
 // Seed handling, sample budgeting, threshold acceptance, ordering, and
-// top-K truncation mirror a single-engine evaluation exactly, so the
-// matches (values and order) are bit-identical to one.
+// top-K truncation are a single-engine evaluation's own (the shared
+// refinement stage), so the matches (values and order) are
+// bit-identical to one.
 func EvaluateNNCandidates(ctx context.Context, req Request, candidates []NNCandidate, tau float64) (Result, error) {
 	start := time.Now()
 	if ctx == nil {
@@ -160,58 +107,16 @@ func EvaluateNNCandidates(ctx context.Context, req Request, candidates []NNCandi
 	if req.Kind != KindNN {
 		return Result{}, badRequest("kind", errors.New("EvaluateNNCandidates requires a nn request"))
 	}
-	opts := req.Options
-	if req.Seed != 0 {
-		opts.Rng = newSeededRand(req.Seed)
-		opts.Object.Rng = opts.Rng
-	}
-	opts = opts.withDefaults()
+	opts := req.seededOptions().withDefaults()
 	ctx, cancel := opts.evalContext(ctx)
 	defer cancel()
 
-	samples := req.NNSamples
-	if samples <= 0 {
-		samples = nn.DefaultSamples
-	}
-
-	cands := make([]uncertain.PointObject, 0, len(candidates))
-	for _, c := range candidates {
-		cands = append(cands, uncertain.PointObject{ID: c.ID, Loc: geom.Pt(c.Loc[0], c.Loc[1])})
-	}
-	// Refinement tie-breaking depends on slice order: sort by id, as
-	// the single-engine path does, and refuse duplicate ids (a merge
-	// bug upstream) rather than silently double-counting a point.
-	slices.SortFunc(cands, func(a, b uncertain.PointObject) int {
-		return cmp.Compare(a.ID, b.ID)
-	})
-	for i := 1; i < len(cands); i++ {
-		if cands[i].ID == cands[i-1].ID {
-			return Result{}, badRequest("candidates", errors.New("duplicate candidate id"))
-		}
-	}
-
-	var res Result
-	res.Tau = tau
-	res.Cost.Candidates = len(cands)
-	res.Cost.Refined = len(cands)
-	if opts.MaxSamples > 0 && len(cands) > 0 && int64(samples) > opts.MaxSamples/int64(len(cands)) {
-		return Result{}, ErrSampleBudget
-	}
-	probs, stats, err := refineNN(ctx, cands, req, opts, samples)
+	res, err := refineNNCandidates(ctx, req, opts, candidates)
 	if err != nil {
 		return Result{}, err
 	}
-	res.Cost.SamplesUsed = stats.Samples
-	res.Cost.EarlyStopped = stats.EarlyStopped
-	for i, p := range probs {
-		if accept(p, req.Threshold) {
-			res.Matches = append(res.Matches, Match{ID: cands[i].ID, P: p})
-		} else {
-			res.Cost.BelowThreshold++
-		}
-	}
-	sortMatches(res.Matches)
-	res.Matches = res.TopK(req.K)
+	res.Tau = tau
+	res.Cost.Candidates = len(candidates)
 	res.Cost.Duration = time.Since(start)
 	return res, nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -16,15 +17,16 @@ import (
 )
 
 // This file evaluates KindNN requests — the paper's §7 imprecise
-// nearest-neighbor extension — as a first-class engine query: the
-// candidate set comes from branch-and-bound over the pinned
-// snapshot's point R-tree (node accesses recorded in Cost, like every
-// other kind) instead of a linear scan over a caller-supplied slice,
-// and refinement runs package nn's shared-sample-stream tally kernel
-// — O(candidates × samples) total work, estimates summing to exactly
-// 1, with adaptive early termination against Threshold — so results
-// are bit-identical at every worker count and stable under concurrent
-// ingestion (the snapshot is immutable).
+// nearest-neighbor extension — as a first-class engine query, in two
+// stages. collectNN takes the candidate set from branch-and-bound over
+// the pinned snapshot's point R-tree (node accesses recorded in Cost,
+// like every other kind); refineNNCandidates runs package nn's
+// shared-sample-stream tally kernel — O(candidates × samples) total
+// work, estimates summing to exactly 1, adaptive early termination
+// against Threshold — so results are bit-identical at every worker
+// count and stable under concurrent ingestion. evaluateNN composes the
+// two on one state; nncandidates.go exposes each on its own so a fleet
+// router can run the first on every shard and the second once.
 
 // nnTau computes tau, the smallest maximum distance any indexed point
 // has to u0, by best-first branch-and-bound: interior entries are
@@ -57,96 +59,125 @@ func nnTau(idx *rtree.Tree, u0 geom.Rect) (float64, int64, error) {
 	return tau, na, err
 }
 
-// evaluateNN answers one KindNN request against this state. req must
-// already be validated; opts is req.Options with any Seed applied.
-func (st *engineState) evaluateNN(ctx context.Context, req Request, opts EvalOptions) (Result, error) {
-	start := time.Now()
-	opts = opts.withDefaults()
-	ctx, cancel := opts.evalContext(ctx)
-	defer cancel()
+// collectNN is the NN candidate-pruning stage, shared by the
+// single-engine evaluation and the per-shard half of the router's
+// protocol: tau bounds the distance within which the nearest neighbor
+// must lie; the candidates are exactly the points whose MinDist to U0
+// does not exceed min(tau, o.TauBound), found by a range probe of the
+// expanded region (its bounding box, with an exact MinDist filter per
+// entry) and returned sorted by id. visited counts the entries the
+// probe surfaced before that filter — a single-engine evaluation's
+// Cost.Candidates. The filter span covers both the tau branch-and-bound
+// and the probe. An empty point database yields tau = +Inf and no
+// candidates — not an error.
+func (st *engineState) collectNN(ctx context.Context, u0 geom.Rect, o NNCandidateOptions) (set NNCandidateSet, visited int, err error) {
+	set = NNCandidateSet{Tau: math.Inf(1), Version: st.version}
+	if st.points.Len() == 0 {
+		return set, 0, nil
+	}
+	sp := obs.TraceFrom(ctx).StartSpan("filter")
+	set.Tau, set.NodeAccesses, err = nnTau(st.pointIdx, u0)
+	if err == nil {
+		err = canceled(ctx)
+	}
+	if err != nil {
+		return NNCandidateSet{}, 0, err
+	}
 
+	// A router that has already merged a tighter global tau caps the
+	// collection radius with it.
+	radius := set.Tau
+	if o.TauBound > 0 && o.TauBound < radius {
+		radius = o.TauBound
+	}
+	na, err := st.pointIdx.SearchCounted(u0.Expand(radius, radius), nil, func(en rtree.Entry) bool {
+		if canceled(ctx) != nil {
+			return false
+		}
+		visited++
+		p, ok := st.points.Get(uncertain.ID(en.Ref))
+		if !ok || u0.MinDist(p.Loc) > radius {
+			return true
+		}
+		if o.Limit > 0 && len(set.Candidates) >= o.Limit {
+			set.Truncated = true
+			return false
+		}
+		set.Candidates = append(set.Candidates, NNCandidate{ID: p.ID, Loc: [2]float64{p.Loc.X, p.Loc.Y}})
+		return true
+	})
+	if err == nil {
+		err = canceled(ctx)
+	}
+	if err != nil {
+		return NNCandidateSet{}, 0, err
+	}
+	set.NodeAccesses += na
+	slices.SortFunc(set.Candidates, func(a, b NNCandidate) int { return cmp.Compare(a.ID, b.ID) })
+	sp.AddNodes(set.NodeAccesses)
+	sp.SetItems(len(set.Candidates))
+	if sp.Active() {
+		sp.SetNote(fmt.Sprintf("tau=%.4g candidates=%d", set.Tau, visited))
+	}
+	sp.End()
+	return set, visited, nil
+}
+
+// refineNNCandidates is the NN refinement stage, shared by the
+// single-engine evaluation and the router-side completion of a
+// cross-shard one: id order, budget check, the shared-stream tally
+// kernel (nn.Refine), threshold acceptance, canonical order, top-K.
+// opts is req.Options with any Seed applied and defaults filled; ctx
+// already carries its Timeout bound and is polled once per sample
+// block, so deadlines and cancellation bite mid-stream. For threshold
+// requests the kernel retires candidates the bounds have decided — the
+// range refiners' rule — unless the caller forced AdaptiveOff. The
+// Result carries the matches and the refinement's share of Cost; the
+// caller adds the collection stage's.
+func refineNNCandidates(ctx context.Context, req Request, opts EvalOptions, candidates []NNCandidate) (Result, error) {
+	cands := make([]uncertain.PointObject, len(candidates))
+	for i, c := range candidates {
+		cands[i] = uncertain.PointObject{ID: c.ID, Loc: geom.Pt(c.Loc[0], c.Loc[1])}
+	}
+	// Refinement tie-breaking depends on slice order, so the order must
+	// be a pure function of the candidate set: sort by id, and refuse
+	// duplicate ids (a merge bug upstream) rather than silently
+	// double-counting a point.
+	slices.SortFunc(cands, func(a, b uncertain.PointObject) int { return cmp.Compare(a.ID, b.ID) })
+	for i := 1; i < len(cands); i++ {
+		if cands[i].ID == cands[i-1].ID {
+			return Result{}, badRequest("candidates", errors.New("duplicate candidate id"))
+		}
+	}
+	var res Result
+	res.Cost.Refined = len(cands)
+	if len(cands) == 0 {
+		return res, nil
+	}
 	samples := req.NNSamples
 	if samples <= 0 {
 		samples = nn.DefaultSamples
 	}
-
-	var res Result
-	tr := obs.TraceFrom(ctx)
-	// An empty point database has an empty answer — not an error —
-	// so standing NN requests drain to empty via Left deltas when the
-	// last point is deleted, exactly like the range kinds. (The
-	// legacy slice-based nn.Evaluate keeps its ErrNoObjects contract.)
-	if st.points.Len() == 0 {
-		res.Tau = math.Inf(1)
-		res.Cost.Duration = time.Since(start)
-		return res, nil
-	}
-	u0 := req.Issuer.Region()
-
-	// Stage 1: candidate pruning through the index. tau bounds the
-	// distance within which the nearest neighbor must lie; the
-	// candidates are exactly the points whose MinDist to U0 does not
-	// exceed it, found by a range probe of the tau-expanded region
-	// (its bounding box, with an exact MinDist filter per entry). The
-	// filter span covers both the tau branch-and-bound and the probe.
-	spF := tr.StartSpan("filter")
-	tau, na, err := nnTau(st.pointIdx, u0)
-	if err != nil {
-		return Result{}, err
-	}
-	res.Tau = tau
-	res.Cost.NodeAccesses = na
-	if err := canceled(ctx); err != nil {
-		return Result{}, err
-	}
-
-	var cands []uncertain.PointObject
-	na, err = st.pointIdx.SearchCounted(u0.Expand(tau, tau), nil, func(en rtree.Entry) bool {
-		if canceled(ctx) != nil {
-			return false
-		}
-		res.Cost.Candidates++
-		p, ok := st.points.Get(uncertain.ID(en.Ref))
-		if !ok {
-			return true
-		}
-		if u0.MinDist(p.Loc) <= tau {
-			cands = append(cands, p)
-		}
-		return true
-	})
-	if err != nil {
-		return Result{}, err
-	}
-	if err := canceled(ctx); err != nil {
-		return Result{}, err
-	}
-	res.Cost.NodeAccesses += na
-	// Sort by id so tie-breaking inside the refinement kernel (slice
-	// order) is a pure function of the candidate set.
-	slices.SortFunc(cands, func(a, b uncertain.PointObject) int {
-		return cmp.Compare(a.ID, b.ID)
-	})
-	res.Cost.Refined = len(cands)
-	spF.AddNodes(res.Cost.NodeAccesses)
-	spF.SetItems(len(cands))
-	if spF.Active() {
-		spF.SetNote(fmt.Sprintf("tau=%.4g candidates=%d", tau, res.Cost.Candidates))
-	}
-	spF.End()
-
 	// The shared stream draws `samples` positions but scans every
 	// candidate per sample, so the worst-case refinement work is
 	// samples × candidates distance evaluations — that product is what
 	// the budget bounds (adaptive retirement can only shrink it). The
 	// division form is overflow-safe: samples × len(cands) > MaxSamples
 	// iff samples > MaxSamples / len(cands) for positive operands.
-	if opts.MaxSamples > 0 && len(cands) > 0 && int64(samples) > opts.MaxSamples/int64(len(cands)) {
+	if opts.MaxSamples > 0 && int64(samples) > opts.MaxSamples/int64(len(cands)) {
 		return Result{}, ErrSampleBudget
 	}
 
+	tr := obs.TraceFrom(ctx)
 	spR := tr.StartSpan("refine")
-	probs, stats, err := refineNN(ctx, cands, req, opts, samples)
+	probs, stats, err := nn.Refine(cands, req.Issuer.PDF, opts.Rng.Int63(), nn.RefineConfig{
+		Samples:   samples,
+		Threshold: req.Threshold,
+		Adaptive:  opts.Object.Adaptive == AdaptiveAuto,
+		Delta:     opts.Object.MCDelta,
+		Workers:   req.Workers,
+		Cancel:    func() error { return canceled(ctx) },
+	})
 	if err != nil {
 		return Result{}, err
 	}
@@ -171,35 +202,36 @@ func (st *engineState) evaluateNN(ctx context.Context, req Request, opts EvalOpt
 			res.Cost.BelowThreshold++
 		}
 	}
-	sortMatches(res.Matches)
+	SortMatches(res.Matches)
 	res.Matches = res.TopK(req.K)
 	spM.SetItems(len(res.Matches))
 	spM.End()
-	res.Cost.Duration = time.Since(start)
 	return res, nil
 }
 
-// refineNN computes the per-candidate nearest-neighbor probabilities
-// through the shared-stream tally kernel (nn.Refine), serially or
-// across req.Workers goroutines. Sample positions are keyed by
-// (parent seed, block index) and merged as integer tallies, so the
-// worker count and scheduling cannot change any estimate; ctx is
-// polled once per sample block, so deadlines and cancellation bite
-// mid-stream. For threshold requests the kernel retires candidates
-// the certainty/Hoeffding/Bernstein bounds have decided — the same
-// adaptive machinery as the range refiners — unless the caller forced
-// AdaptiveOff (the estimates themselves then carry full-budget
-// accuracy, as elsewhere).
-func refineNN(ctx context.Context, cands []uncertain.PointObject, req Request, opts EvalOptions, samples int) ([]float64, nn.RefineStats, error) {
-	if len(cands) == 0 {
-		return nil, nn.RefineStats{}, nil
+// evaluateNN answers one KindNN request against this state: collect,
+// then refine. req must already be validated; opts is req.Options with
+// any Seed applied. An empty point database has an empty answer — not
+// an error — so standing NN requests drain to empty via Left deltas
+// when the last point is deleted, exactly like the range kinds. (The
+// legacy slice-based nn.Evaluate keeps its ErrNoObjects contract.)
+func (st *engineState) evaluateNN(ctx context.Context, req Request, opts EvalOptions) (Result, error) {
+	start := time.Now()
+	opts = opts.withDefaults()
+	ctx, cancel := opts.evalContext(ctx)
+	defer cancel()
+
+	set, visited, err := st.collectNN(ctx, req.Issuer.Region(), NNCandidateOptions{})
+	if err != nil {
+		return Result{}, err
 	}
-	return nn.Refine(cands, req.Issuer.PDF, opts.Rng.Int63(), nn.RefineConfig{
-		Samples:   samples,
-		Threshold: req.Threshold,
-		Adaptive:  opts.Object.Adaptive == AdaptiveAuto,
-		Delta:     opts.Object.MCDelta,
-		Workers:   req.Workers,
-		Cancel:    func() error { return canceled(ctx) },
-	})
+	res, err := refineNNCandidates(ctx, req, opts, set.Candidates)
+	if err != nil {
+		return Result{}, err
+	}
+	res.Tau = set.Tau
+	res.Cost.Candidates = visited
+	res.Cost.NodeAccesses = set.NodeAccesses
+	res.Cost.Duration = time.Since(start)
+	return res, nil
 }

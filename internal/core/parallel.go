@@ -5,29 +5,10 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/mcbound"
 	"repro/internal/pdf"
 	"repro/internal/uncertain"
 )
-
-// splitmix64 is the SplitMix64 finalizer: a bijective avalanche mix
-// whose outputs for consecutive inputs are statistically independent.
-// It is the standard recommendation for deriving child PRNG seeds from
-// a parent seed plus an index.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
-// deriveSeed maps one parent draw and a child index to a child seed.
-// Unlike the additive parent+index scheme it replaces, two children of
-// the same parent can never receive the same seed, and children of
-// parents that happen to differ by a small offset do not collide
-// either.
-func deriveSeed(parent int64, child int) int64 {
-	return int64(splitmix64(uint64(parent) + splitmix64(uint64(child))))
-}
 
 // refineStats aggregates what refinement spent: total Monte-Carlo
 // samples drawn and how many candidates a confidence bound settled
@@ -43,7 +24,7 @@ type refineStats struct {
 // on the caller's goroutine; workers > 1 splits the survivors across
 // a worker pool. Candidates refined by Monte-Carlo each draw from
 // their own deterministic source derived (splitmix-style, see
-// deriveSeed) from a single parent draw of opts.Rng and the
+// mcbound.DeriveSeed) from a single parent draw of opts.Rng and the
 // candidate's object id — serial and parallel alike.
 //
 // Reproducibility contract: for a fixed engine, query, and options
@@ -83,21 +64,15 @@ func refineSurvivors(ctx context.Context, plan queryPlan, survivors []*uncertain
 	// paths consume opts.Rng identically.
 	parent := opts.Rng.Int63()
 	mcAll := opts.Object.ForceMonteCarlo || !plan.qualifier.separable
-	// Early termination applies only against a real threshold.
-	stopQP := 0.0
-	if plan.q.Threshold > 0 && opts.Object.Adaptive == AdaptiveAuto {
-		stopQP = plan.q.Threshold
-	}
 
 	budget := opts.MaxSamples
-	overBudget := func(total int64) bool { return budget > 0 && total > budget }
 
 	refineOne := func(i int, cfg ObjectEvalConfig, sc *evalScratch) (int, bool) {
 		obj := survivors[i]
 		if mcAll || !isSeparable(obj.PDF) {
-			cfg.Rng = newSeededRand(deriveSeed(parent, int(obj.ID)))
+			cfg.Rng = newSeededRand(mcbound.DeriveSeed(parent, int(obj.ID)))
 		}
-		p, n, early := plan.qualifier.qualifyThreshold(obj.PDF, stopQP, cfg, sc)
+		p, n, early := plan.qualifier.qualifyThreshold(obj.PDF, plan.q.Threshold, cfg, sc)
 		probs[i] = p
 		return n, early
 	}
@@ -109,7 +84,7 @@ func refineSurvivors(ctx context.Context, plan queryPlan, survivors []*uncertain
 			if err := canceled(ctx); err != nil {
 				return probs, st, err
 			}
-			if overBudget(st.samples) {
+			if overBudget(st.samples, budget) {
 				return probs, st, ErrSampleBudget
 			}
 			n, early := refineOne(i, opts.Object, sc)
@@ -118,7 +93,7 @@ func refineSurvivors(ctx context.Context, plan queryPlan, survivors []*uncertain
 				st.earlyStopped++
 			}
 		}
-		if overBudget(st.samples) {
+		if overBudget(st.samples, budget) {
 			return probs, st, ErrSampleBudget
 		}
 		return probs, st, nil
@@ -141,7 +116,7 @@ func refineSurvivors(ctx context.Context, plan queryPlan, survivors []*uncertain
 				if i >= len(survivors) || canceled(ctx) != nil {
 					break
 				}
-				if overBudget(samples.Load()) {
+				if overBudget(samples.Load(), budget) {
 					break
 				}
 				n, early := refineOne(i, opts.Object, sc)
@@ -158,7 +133,7 @@ func refineSurvivors(ctx context.Context, plan queryPlan, survivors []*uncertain
 	if err := canceled(ctx); err != nil {
 		return probs, st, err
 	}
-	if overBudget(st.samples) {
+	if overBudget(st.samples, budget) {
 		return probs, st, ErrSampleBudget
 	}
 	return probs, st, nil

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/integrate"
+	"repro/internal/mcbound"
 	"repro/internal/pdf"
 )
 
@@ -199,10 +200,23 @@ func (oq *ObjectQualifier) qualifyThreshold(obj pdf.PDF, qp float64, cfg ObjectE
 			return clampProb(fx * fy), 0, false
 		}
 	}
-	if qp > 0 && cfg.Adaptive == AdaptiveAuto {
-		return objectQualificationMCThreshold(oq.issuer, obj, oq.w, oq.h, qp, cfg)
+	// The sampling path: draw locations from the object's pdf and
+	// average the exact duality kernel there. The estimate is on the
+	// same side of qp as the full-budget estimate would be (certainty
+	// bound) or as the true probability with confidence 1−MCDelta per
+	// check (Hoeffding / Bernstein), so early termination never changes
+	// a threshold query's qualifying set — only the samples spent on
+	// clear-cut candidates.
+	if cfg.Adaptive != AdaptiveAuto {
+		qp = 0
 	}
-	return objectQualificationMC(oq.issuer, obj, oq.w, oq.h, cfg), cfg.MCSamples, false
+	kern := DualityKernel(oq.issuer, oq.w, oq.h)
+	return mcbound.Adaptive(cfg.MCSamples, cfg.MCBlock, qp, cfg.MCDelta, func(n int, t mcbound.Tally) mcbound.Tally {
+		for ; n > 0; n-- {
+			t.Add(kern(obj.Sample(cfg.Rng)))
+		}
+		return t
+	})
 }
 
 // queryPlan is the per-query execution state the engine prepares once

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/geom"
+	"repro/internal/mcbound"
 	"repro/internal/obs"
 	"repro/internal/uncertain"
 )
@@ -294,9 +295,20 @@ type Response struct {
 	Version uint64
 }
 
+// seededOptions returns the request's options with a non-zero Seed
+// replacing the sampling source, so the request is self-deterministic
+// regardless of which worker or process runs it.
+func (r Request) seededOptions() EvalOptions {
+	opts := r.Options
+	if r.Seed != 0 {
+		opts.Rng = newSeededRand(r.Seed)
+		opts.Object.Rng = opts.Rng
+	}
+	return opts
+}
+
 // evaluateRequest validates and dispatches one request against this
-// state. A non-zero Seed replaces the sampling source so the request
-// is self-deterministic regardless of which worker or process runs it.
+// state, under its seededOptions.
 //
 // A non-nil only restricts a Decomposable request to those ids (see
 // Snapshot.EvaluateOnly); such partial evaluations stay out of the
@@ -308,11 +320,7 @@ func (st *engineState) evaluateRequest(ctx context.Context, req Request, only []
 	if only != nil && !req.Decomposable() {
 		return Response{}, ErrNotDecomposable
 	}
-	opts := req.Options
-	if req.Seed != 0 {
-		opts.Rng = newSeededRand(req.Seed)
-		opts.Object.Rng = opts.Rng
-	}
+	opts := req.seededOptions()
 	resp := Response{Kind: req.Kind, Version: st.version}
 	var err error
 	switch req.Kind {
@@ -405,7 +413,7 @@ type AllOptions struct {
 	// applies inside each evaluation.
 	Workers int
 	// Seed derives the sampling seed for requests whose own Seed is
-	// zero: request i receives deriveSeed(Seed, i), so every request
+	// zero: request i receives mcbound.DeriveSeed(Seed, i), so every request
 	// has an independent deterministic stream no matter which worker
 	// serves it. Requests with a non-zero Seed keep it. Options.Rng is
 	// never consulted inside a fan-out (a shared source across
@@ -468,7 +476,7 @@ func (st *engineState) evaluateAll(ctx context.Context, reqs []Request, opts All
 	eval := func(i int) {
 		req := reqs[i]
 		if req.Seed == 0 {
-			req.Seed = deriveSeed(opts.Seed, i)
+			req.Seed = mcbound.DeriveSeed(opts.Seed, i)
 		}
 		resp, err := st.evaluateRequest(ctx, req, nil)
 		deliver(i, resp, err)

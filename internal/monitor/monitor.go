@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/mcbound"
 	"repro/internal/uncertain"
 )
 
@@ -156,22 +157,14 @@ func New(eng *core.Engine, cfg Config) *Monitor {
 // Engine returns the engine the monitor serves.
 func (m *Monitor) Engine() *core.Engine { return m.eng }
 
-// splitmix64 is the SplitMix64 finalizer. The monitor only mixes the
-// seed a subscription hands to its evaluations; the engine derives its
-// per-candidate streams from that (see core's deriveSeed), so the two
-// mixers never need to agree.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
-// mixSeed folds the given values into one derived seed.
+// mixSeed folds the given values into one derived seed. The monitor
+// only mixes the seed a subscription hands to its evaluations; the
+// engine derives its per-candidate streams from that
+// (mcbound.DeriveSeed).
 func mixSeed(vals ...int64) int64 {
 	h := uint64(0x9E3779B97F4A7C15)
 	for _, v := range vals {
-		h = splitmix64(h ^ splitmix64(uint64(v)))
+		h = mcbound.SplitMix64(h ^ mcbound.SplitMix64(uint64(v)))
 	}
 	return int64(h)
 }

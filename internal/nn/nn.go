@@ -111,22 +111,6 @@ const DefaultBlock = 128
 // worker count — so retirement decisions are scheduling-independent.
 const DefaultRoundBlocks = 16
 
-// splitmix64 is the SplitMix64 finalizer (the same child-seed mixer
-// the core engine uses; the two need not agree, but sharing the
-// construction keeps the determinism story uniform).
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
-// deriveSeed maps one parent seed and a child index (here: a sample
-// block number) to a collision-free child seed.
-func deriveSeed(parent int64, child int) int64 {
-	return int64(splitmix64(uint64(parent) + splitmix64(uint64(child))))
-}
-
 // Prune applies the MinDist/MaxDist bound: tau is the smallest
 // maximum distance any object has to u0 (some object is always within
 // tau of every position in u0), and any object whose minimum distance
@@ -355,7 +339,7 @@ type kernel struct {
 // nearest-candidate wins into tal (len(cands)-sized; either the merged
 // wins vector in serial mode or a worker-private vector).
 func (k *kernel) scanBlock(b int, tal []int64) {
-	rng := rand.New(rand.NewSource(deriveSeed(k.parent, b)))
+	rng := rand.New(rand.NewSource(mcbound.DeriveSeed(k.parent, b)))
 	lo := b * k.block
 	hi := lo + k.block
 	if hi > k.samples {

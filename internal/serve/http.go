@@ -1,0 +1,100 @@
+package serve
+
+import (
+	"encoding/json"
+	"errors"
+	"fmt"
+	"log/slog"
+	"net/http"
+
+	"repro/internal/core"
+)
+
+// This file is the one HTTP helper set of the wire format: body
+// decoding, JSON and error replies, and the server-sent-event frame.
+// ildq-serve and the fleet router (internal/shard) both answer through
+// it, so a status code, an error shape or a frame layout cannot differ
+// between a standalone server and a fleet.
+
+// DecodeBody decodes a JSON body, rejecting unknown fields — a typo
+// in a request must fail loudly, not be silently ignored.
+func DecodeBody(r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 16<<20))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
+}
+
+// WriteJSON encodes v as the response body. An encode/write failure
+// here means the client is gone (or the value is unencodable — a bug
+// caught by tests), so it is logged at debug rather than surfaced.
+func WriteJSON(log *slog.Logger, w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	if err := json.NewEncoder(w).Encode(v); err != nil {
+		log.Debug("response write failed", "err", err)
+	}
+}
+
+// WriteError reports an error as JSON. Request-validation failures
+// carry the offending Request field so clients can see exactly what
+// to fix ({"error": ..., "field": ...}).
+func WriteError(log *slog.Logger, w http.ResponseWriter, status int, err error) {
+	body := map[string]string{"error": err.Error()}
+	var reqErr *core.RequestError
+	if errors.As(err, &reqErr) {
+		body["field"] = reqErr.Field
+	}
+	WriteJSON(log, w, status, body)
+}
+
+// WriteRequestError maps an evaluation error to a status: malformed
+// requests (typed *core.RequestError) and budget refusals (the
+// request asked for more Monte-Carlo work than the server allows) are
+// the client's fault (400), anything else the server's (500).
+func WriteRequestError(log *slog.Logger, w http.ResponseWriter, err error) {
+	var reqErr *core.RequestError
+	switch {
+	case errors.As(err, &reqErr):
+		WriteError(log, w, http.StatusBadRequest, err)
+	case errors.Is(err, core.ErrSampleBudget):
+		WriteError(log, w, http.StatusBadRequest,
+			fmt.Errorf("%w (shrink the issuer region or nn_samples, or raise the server's -max-samples)", err))
+	default:
+		WriteError(log, w, http.StatusInternalServerError, err)
+	}
+}
+
+// StartSSE opens a server-sent-event response: the stream headers and
+// an immediate flush, so the client sees the stream open before the
+// first frame exists.
+func StartSSE(w http.ResponseWriter) {
+	w.Header().Set("Content-Type", "text/event-stream")
+	w.Header().Set("Cache-Control", "no-cache")
+	w.WriteHeader(http.StatusOK)
+	if f, ok := w.(http.Flusher); ok {
+		f.Flush()
+	}
+}
+
+// WriteSSE writes one server-sent-event frame — "event: <event>" when
+// event is non-empty, then v as one "data:" line of JSON and the blank
+// line that ends the frame — and flushes it to the client.
+func WriteSSE(w http.ResponseWriter, event string, v any) error {
+	data, err := json.Marshal(v)
+	if err != nil {
+		return err
+	}
+	var frame []byte
+	if event != "" {
+		frame = append(append(frame, "event: "...), event...)
+		frame = append(frame, '\n')
+	}
+	frame = append(append(append(frame, "data: "...), data...), "\n\n"...)
+	if _, err := w.Write(frame); err != nil {
+		return err
+	}
+	if f, ok := w.(http.Flusher); ok {
+		f.Flush()
+	}
+	return nil
+}

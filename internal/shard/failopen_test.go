@@ -112,7 +112,8 @@ func TestRouterFailOpen(t *testing.T) {
 // TestRouterServerStream drives the router's HTTP front end to end:
 // register a standing query over the fleet, ingest updates through the
 // router, and check the multiplexed SSE stream carries shard-tagged
-// frames with per-shard engine versions.
+// frames with per-shard engine versions — and that its error replies
+// match a standalone server's.
 func TestRouterServerStream(t *testing.T) {
 	rt := fleet(t, 2)
 	ts := httptest.NewServer(NewServer(rt))
@@ -198,6 +199,28 @@ func TestRouterServerStream(t *testing.T) {
 		if v == 0 {
 			t.Errorf("shard %s frame carried version 0 — version vector missing", shard)
 		}
+	}
+
+	// A budget refusal at the router is the same 400, with the same
+	// hint, as a standalone server's (one HTTP helper set).
+	rt.maxSamples = 1
+	if _, err := http.Post(ts.URL+"/v1/updates", "application/json", strings.NewReader(`{"updates": [
+		{"op": "upsert_point", "id": 1, "x": 4800, "y": 5000},
+		{"op": "upsert_point", "id": 2, "x": 5200, "y": 5000}]}`)); err != nil {
+		t.Fatal(err)
+	}
+	over, err := http.Post(ts.URL+"/v1/evaluate", "application/json", strings.NewReader(`{
+		"kind": "nn", "k": 1, "issuer": {"region": [4000, 4000, 6000, 6000]}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var overBody map[string]string
+	if err := json.NewDecoder(over.Body).Decode(&overBody); err != nil {
+		t.Fatal(err)
+	}
+	over.Body.Close()
+	if over.StatusCode != http.StatusBadRequest || !strings.Contains(overBody["error"], "shrink the issuer region or nn_samples") {
+		t.Fatalf("over-budget nn through router: HTTP %d %q, want 400 with the budget hint", over.StatusCode, overBody["error"])
 	}
 }
 

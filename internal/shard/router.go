@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -183,40 +184,46 @@ func (r *Router) Evaluate(ctx context.Context, rj serve.RequestJSON) (serve.Eval
 		return err
 	})
 
-	out := serve.EvaluateResponse{Kind: req.Kind.String(), Matches: []serve.MatchJSON{}}
-	seen := make(map[int64]struct{})
-	var merged []core.Match
+	out := serve.EvaluateResponse{Kind: req.Kind.String()}
+	var merge matchMerge
 	for i, resp := range resps {
 		if errs[i] != nil {
 			continue
 		}
 		out.Version = max(out.Version, resp.Version)
 		addCost(&out.Cost, resp.Cost)
-		for _, m := range resp.Matches {
-			if _, dup := seen[m.ID]; dup {
-				continue // replica copy: bit-identical probability
-			}
-			seen[m.ID] = struct{}{}
-			merged = append(merged, core.Match{ID: uncertain.ID(m.ID), P: m.P})
-		}
+		merge.add(resp.Matches)
 	}
 	out.MissingShards = r.missing(targets, errs, "evaluate")
 	out.Partial = out.MissingShards != nil
-	if !out.Partial && allFailed(errs) && len(targets) > 0 {
-		out.Partial = true
-	}
-	core.SortMatches(merged)
-	out.Matches = serve.ToMatchesJSON(merged)
+	out.Matches = merge.sorted()
 	return out, nil
 }
 
-func allFailed(errs []error) bool {
-	for _, err := range errs {
-		if err == nil {
-			return false
+// matchMerge unions the shards' range answers: a straddling object is
+// answered by every replica, with bit-identical probabilities, so the
+// first copy stands for all of them.
+type matchMerge struct {
+	seen   map[int64]struct{}
+	merged []core.Match
+}
+
+func (m *matchMerge) add(ms []serve.MatchJSON) {
+	if m.seen == nil {
+		m.seen = make(map[int64]struct{})
+	}
+	for _, mj := range ms {
+		if _, dup := m.seen[mj.ID]; !dup {
+			m.seen[mj.ID] = struct{}{}
+			m.merged = append(m.merged, core.Match{ID: uncertain.ID(mj.ID), P: mj.P})
 		}
 	}
-	return len(errs) > 0
+}
+
+// sorted returns the union in the engine's canonical result order.
+func (m *matchMerge) sorted() []serve.MatchJSON {
+	core.SortMatches(m.merged)
+	return serve.ToMatchesJSON(m.merged)
 }
 
 func addCost(dst *serve.CostJSON, c serve.CostJSON) {
@@ -340,6 +347,15 @@ func firstErr(errs []error) error {
 // per-shard version vector; counts are physical (a replicated upsert
 // counts once per replica).
 func (r *Router) ApplyUpdates(ctx context.Context, body serve.UpdatesRequest) (serve.UpdatesResponse, error) {
+	// Validate the whole batch before routing any of it: a rejected
+	// batch reaches no shard, so it must not have moved the ownership
+	// cache either.
+	for i, u := range body.Updates {
+		if _, err := u.ToUpdate(); err != nil {
+			return serve.UpdatesResponse{}, &core.RequestError{Field: "updates", Err: fmt.Errorf("update %d: %w", i, err)}
+		}
+	}
+
 	r.ingestMu.Lock()
 	defer r.ingestMu.Unlock()
 
@@ -347,11 +363,7 @@ func (r *Router) ApplyUpdates(ctx context.Context, body serve.UpdatesRequest) (s
 	route := func(s int, u serve.UpdateJSON) { batches[s] = append(batches[s], u) }
 
 	r.mu.Lock()
-	for i, u := range body.Updates {
-		if _, err := u.ToUpdate(); err != nil {
-			r.mu.Unlock()
-			return serve.UpdatesResponse{}, &core.RequestError{Field: "updates", Err: fmt.Errorf("update %d: %w", i, err)}
-		}
+	for _, u := range body.Updates {
 		switch u.Op {
 		case "upsert_point":
 			home := r.tiles.ShardOf(geom.Pt(u.X, u.Y))
@@ -370,15 +382,11 @@ func (r *Router) ApplyUpdates(ctx context.Context, body serve.UpdatesRequest) (s
 				}
 			}
 		case "upsert_object":
-			region, err := serve.ToRect(u.Region)
-			if err != nil {
-				r.mu.Unlock()
-				return serve.UpdatesResponse{}, &core.RequestError{Field: "updates", Err: fmt.Errorf("update %d: %w", i, err)}
-			}
+			region, _ := serve.ToRect(u.Region) // validated by ToUpdate above
 			replicas := r.tiles.ShardsOverlapping(region)
 			prev := r.owners[u.ID]
 			for _, s := range prev.replicas {
-				if !containsInt(replicas, s) {
+				if !slices.Contains(replicas, s) {
 					route(s, serve.UpdateJSON{Op: "delete_object", ID: u.ID})
 				}
 			}
@@ -441,15 +449,6 @@ func (r *Router) ApplyUpdates(ctx context.Context, body serve.UpdatesRequest) (s
 	return out, nil
 }
 
-func containsInt(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
 // Register fans a standing range query to the shards its guard region
 // intersects and returns the merged registration snapshot under a
 // router-assigned id. Standing NN queries are rejected: their guard is
@@ -478,33 +477,25 @@ func (r *Router) Register(ctx context.Context, rj serve.RequestJSON) (serve.Regi
 		return err
 	})
 	sub := &routerSub{id: r.subID.Add(1), kind: req.Kind.String()}
-	seen := make(map[int64]struct{})
-	var merged []core.Match
+	var merge matchMerge
 	for i, resp := range resps {
 		if errs[i] != nil {
 			continue
 		}
 		sub.members = append(sub.members, subMember{shard: targets[i], subID: resp.ID})
-		for _, m := range resp.Snapshot {
-			if _, dup := seen[m.ID]; dup {
-				continue
-			}
-			seen[m.ID] = struct{}{}
-			merged = append(merged, core.Match{ID: uncertain.ID(m.ID), P: m.P})
-		}
+		merge.add(resp.Snapshot)
 	}
 	miss := r.missing(targets, errs, "register")
 	if len(sub.members) == 0 {
 		return serve.RegisterResponse{}, miss, fmt.Errorf("shard: register: no shard accepted (first: %w)", firstErr(errs))
 	}
-	core.SortMatches(merged)
 	r.mu.Lock()
 	r.subs[sub.id] = sub
 	r.mu.Unlock()
 	return serve.RegisterResponse{
 		ID:       sub.id,
 		Kind:     sub.kind,
-		Snapshot: serve.ToMatchesJSON(merged),
+		Snapshot: merge.sorted(),
 	}, miss, nil
 }
 

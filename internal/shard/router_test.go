@@ -1,10 +1,12 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"net/http/httptest"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -191,7 +193,7 @@ func TestRouterStraddlerReplication(t *testing.T) {
 	rt.mu.Lock()
 	rec := rt.owners[7]
 	rt.mu.Unlock()
-	if len(rec.replicas) != 2 || !containsInt(rec.replicas, rec.owner) {
+	if len(rec.replicas) != 2 || !slices.Contains(rec.replicas, rec.owner) {
 		t.Fatalf("owner record %+v: want 2 replicas including the owner", rec)
 	}
 
@@ -242,5 +244,79 @@ func TestRouterStraddlerReplication(t *testing.T) {
 	rt.mu.Unlock()
 	if still {
 		t.Fatal("ownership cache kept a deleted object")
+	}
+}
+
+// TestRouterRejectedBatchLeavesCacheAlone: a batch the router rejects
+// reaches no shard, so it must not move the ownership cache either.
+// Here the rejected batch claims to move a point and an object across a
+// shard boundary before its malformed last update; if the cache
+// believed it, the next real move would delete from the shard that
+// never saw the object and leave the true old copy behind — stale range
+// and NN answers. After a following valid batch the fleet must still
+// equal the single engine bit for bit.
+func TestRouterRejectedBatchLeavesCacheAlone(t *testing.T) {
+	rt := fleet(t, 4)
+	_, ref := reference(t)
+	ctx := t.Context()
+
+	apply := func(b serve.UpdatesRequest) {
+		t.Helper()
+		if _, err := rt.ApplyUpdates(ctx, b); err != nil {
+			t.Fatalf("router updates: %v", err)
+		}
+		if _, err := ref.Updates(ctx, b); err != nil {
+			t.Fatalf("reference updates: %v", err)
+		}
+	}
+	// Shard 0 owns x<5000, y<5000 on the 4x2 grid with 4 shards; the
+	// far points keep NN candidate sets non-trivial.
+	apply(serve.UpdatesRequest{Updates: []serve.UpdateJSON{
+		{Op: "upsert_point", ID: 1, X: 1000, Y: 1000},
+		{Op: "upsert_point", ID: 2, X: 1400, Y: 1300},
+		{Op: "upsert_point", ID: 3, X: 8200, Y: 6100},
+		{Op: "upsert_object", ID: 1, Region: []float64{900, 900, 1100, 1100}},
+	}})
+
+	bad := serve.UpdatesRequest{Updates: []serve.UpdateJSON{
+		{Op: "upsert_point", ID: 1, X: 8000, Y: 6000},
+		{Op: "upsert_object", ID: 1, Region: []float64{7900, 5900, 8100, 6100}},
+		{Op: "upsert_object", ID: 9, Region: []float64{1, 2}}, // malformed
+	}}
+	var reqErr *core.RequestError
+	if _, err := rt.ApplyUpdates(ctx, bad); !errors.As(err, &reqErr) {
+		t.Fatalf("malformed batch: err = %v, want a *core.RequestError", err)
+	}
+
+	// Move both again, for real, into a third shard.
+	apply(serve.UpdatesRequest{Updates: []serve.UpdateJSON{
+		{Op: "upsert_point", ID: 1, X: 6000, Y: 1000},
+		{Op: "upsert_object", ID: 1, Region: []float64{5900, 900, 6100, 1100}},
+	}})
+
+	for _, c := range [][2]float64{{1000, 1000}, {6000, 1000}, {8000, 6000}} {
+		iss := serve.IssuerJSON{Region: []float64{c[0] - 200, c[1] - 200, c[0] + 200, c[1] + 200}}
+		for _, q := range []serve.RequestJSON{
+			{Kind: "points", Issuer: iss, W: 600, H: 600, Seed: 5},
+			{Kind: "uncertain", Issuer: iss, W: 600, H: 600, Seed: 6},
+			{Kind: "nn", Issuer: iss, K: 3, NNSamples: 256, Seed: 7},
+		} {
+			got, err := rt.Evaluate(ctx, q)
+			if err != nil {
+				t.Fatalf("router %s at %v: %v", q.Kind, c, err)
+			}
+			want, err := ref.Evaluate(ctx, q)
+			if err != nil {
+				t.Fatalf("reference %s at %v: %v", q.Kind, c, err)
+			}
+			if len(got.Matches) != len(want.Matches) {
+				t.Fatalf("%s at %v: router %v, single engine %v", q.Kind, c, got.Matches, want.Matches)
+			}
+			for i, w := range want.Matches {
+				if g := got.Matches[i]; g.ID != w.ID || math.Float64bits(g.P) != math.Float64bits(w.P) {
+					t.Fatalf("%s at %v: match %d: router {%d %v}, single engine {%d %v}", q.Kind, c, i, g.ID, g.P, w.ID, w.P)
+				}
+			}
+		}
 	}
 }

@@ -42,7 +42,7 @@ soak:
 # while still exercising realistic candidate sets.
 bench: build
 	$(GO) run ./cmd/ildq-bench $(BENCH_PROFILE) -json BENCH_PR10.json
-	$(GO) test ./internal/bench -run xxx -bench 'BenchmarkRefine|BenchmarkThroughput' -benchtime 1s
+	$(GO) test ./internal/bench ./internal/nn -run xxx -bench 'BenchmarkRefine|BenchmarkThroughput' -benchtime 1s
 
 # Re-run the recorded profile and gate against the checked-in
 # baseline. The fresh numbers land in BENCH_CI.json (uploaded as a CI
@@ -67,12 +67,14 @@ cluster-smoke: build
 	$(GO) run ./examples/cluster -shards 2 -rounds 3
 
 # Short fuzzing smoke: the R-tree op-stream and node-codec targets,
-# plus the WAL frame codec.
+# the WAL frame codec, and the NN candidate grid against the linear
+# scan it replaced.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzRTree -fuzztime=30s ./internal/index/rtree
 	$(GO) test -fuzz=FuzzNodeRoundTrip -fuzztime=15s ./internal/index/rtree
 	$(GO) test -fuzz=FuzzDecodeNode -fuzztime=15s ./internal/index/rtree
 	$(GO) test -fuzz=FuzzWALRecord -fuzztime=15s ./internal/wal
+	$(GO) test -fuzz=FuzzRefineGrid -fuzztime=15s ./internal/nn
 
 # API-surface gate: the public facade (package repro) is a reviewed
 # artifact. apicheck regenerates the surface with `go doc -all` and

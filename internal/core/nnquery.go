@@ -21,10 +21,12 @@ import (
 // stages. collectNN takes the candidate set from branch-and-bound over
 // the pinned snapshot's point R-tree (node accesses recorded in Cost,
 // like every other kind); refineNNCandidates runs package nn's
-// shared-sample-stream tally kernel — O(candidates × samples) total
-// work, estimates summing to exactly 1, adaptive early termination
-// against Threshold — so results are bit-identical at every worker
-// count and stable under concurrent ingestion. evaluateNN composes the
+// shared-sample-stream tally kernel — a candidate grid resolves each
+// sample's nearest candidate, so the work is O(candidates + samples)
+// expected and the product only in the clustered worst case; estimates
+// sum to exactly 1, with adaptive early termination against Threshold
+// — so results are bit-identical at every worker count and stable
+// under concurrent ingestion. evaluateNN composes the
 // two on one state; nncandidates.go exposes each on its own so a fleet
 // router can run the first on every shard and the second once.
 
@@ -140,10 +142,15 @@ func refineNNCandidates(ctx context.Context, req Request, opts EvalOptions, cand
 		cands[i] = uncertain.PointObject{ID: c.ID, Loc: geom.Pt(c.Loc[0], c.Loc[1])}
 	}
 	// Refinement tie-breaking depends on slice order, so the order must
-	// be a pure function of the candidate set: sort by id, and refuse
-	// duplicate ids (a merge bug upstream) rather than silently
-	// double-counting a point.
-	slices.SortFunc(cands, func(a, b uncertain.PointObject) int { return cmp.Compare(a.ID, b.ID) })
+	// be a pure function of the candidate set: id order. collectNN and
+	// the router's merge hand it over that way and skip the sort; an
+	// EvaluateNNCandidates caller that concatenated per-shard lists does
+	// not. Duplicate ids (a merge bug upstream) are refused rather than
+	// silently double-counting a point.
+	byID := func(a, b uncertain.PointObject) int { return cmp.Compare(a.ID, b.ID) }
+	if !slices.IsSortedFunc(cands, byID) {
+		slices.SortFunc(cands, byID)
+	}
 	for i := 1; i < len(cands); i++ {
 		if cands[i].ID == cands[i-1].ID {
 			return Result{}, badRequest("candidates", errors.New("duplicate candidate id"))
@@ -158,12 +165,14 @@ func refineNNCandidates(ctx context.Context, req Request, opts EvalOptions, cand
 	if samples <= 0 {
 		samples = nn.DefaultSamples
 	}
-	// The shared stream draws `samples` positions but scans every
-	// candidate per sample, so the worst-case refinement work is
-	// samples × candidates distance evaluations — that product is what
-	// the budget bounds (adaptive retirement can only shrink it). The
-	// division form is overflow-safe: samples × len(cands) > MaxSamples
-	// iff samples > MaxSamples / len(cands) for positive operands.
+	// The shared stream draws `samples` positions and resolves each
+	// through the candidate grid — a few distance evaluations when the
+	// candidates spread over the grid, but every candidate when they
+	// crowd one cell. The worst-case refinement work is therefore still
+	// samples × candidates distance evaluations, and that product is
+	// what the budget bounds. The division form is overflow-safe:
+	// samples × len(cands) > MaxSamples iff samples > MaxSamples /
+	// len(cands) for positive operands.
 	if opts.MaxSamples > 0 && int64(samples) > opts.MaxSamples/int64(len(cands)) {
 		return Result{}, ErrSampleBudget
 	}
@@ -189,8 +198,8 @@ func refineNNCandidates(ctx context.Context, req Request, opts EvalOptions, cand
 		if stats.Converged {
 			reason = "converged"
 		}
-		spR.SetNote(fmt.Sprintf("%s rounds=%d early_stopped=%d",
-			reason, stats.Rounds, stats.EarlyStopped))
+		spR.SetNote(fmt.Sprintf("%s rounds=%d early_stopped=%d grid=%d",
+			reason, stats.Rounds, stats.EarlyStopped, stats.GridCells))
 	}
 	spR.End()
 

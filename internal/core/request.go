@@ -212,6 +212,11 @@ func (r Request) Validate() error {
 		if r.NNSamples < 0 {
 			return badRequest("nn_samples", fmt.Errorf("%w: %d", ErrBadNNSamples, r.NNSamples))
 		}
+		// A NaN or overflowing region makes the issuer pdf draw
+		// non-finite positions, which no point is nearest to.
+		if u0 := r.Issuer.Region(); math.IsNaN(u0.Width()+u0.Height()) || math.IsInf(u0.Width()+u0.Height(), 0) {
+			return badRequest("issuer", fmt.Errorf("%w: region %v is not finite", geom.ErrInvalidRect, u0))
+		}
 	default:
 		return badRequest("kind", fmt.Errorf("%w: %d", ErrBadKind, int(r.Kind)))
 	}

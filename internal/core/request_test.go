@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/geom"
+	"repro/internal/pdf"
 	"repro/internal/uncertain"
 )
 
@@ -19,6 +20,8 @@ import (
 // offending field and wrapping the documented sentinel.
 func TestRequestValidationTable(t *testing.T) {
 	iss := testIssuer(t, geom.Pt(500, 500), 25)
+	huge := uncertain.Object{PDF: pdf.MustUniform(geom.Rect{Lo: geom.Pt(-1.7e308, 0), Hi: geom.Pt(1.7e308, 1)})}
+	nan := uncertain.Object{PDF: pdf.MustUniform(geom.Rect{Lo: geom.Pt(math.NaN(), 0), Hi: geom.Pt(1, 1)})}
 	cases := []struct {
 		name     string
 		req      Request
@@ -42,6 +45,8 @@ func TestRequestValidationTable(t *testing.T) {
 		{"nn k zero", Request{Kind: KindNN, Issuer: iss}, "k", ErrBadNNK},
 		{"nn k negative", Request{Kind: KindNN, Issuer: iss, K: -2}, "k", ErrBadNNK},
 		{"nn negative samples", Request{Kind: KindNN, Issuer: iss, K: 3, NNSamples: -1}, "nn_samples", ErrBadNNSamples},
+		{"nn overflowing issuer region", Request{Kind: KindNN, Issuer: &huge, K: 1}, "issuer", geom.ErrInvalidRect},
+		{"nn NaN issuer region", Request{Kind: KindNN, Issuer: &nan, K: 1}, "issuer", geom.ErrInvalidRect},
 	}
 	e := testWorld(t, 20, 20, 3)
 	for _, tc := range cases {

@@ -14,8 +14,10 @@
 //     qualification probability exactly zero.
 //  2. Monte-Carlo refinement: sample issuer positions from f0 and
 //     tally, for each sampled position, which candidate is nearest.
-//     The estimate is unbiased, and only candidates are scanned per
-//     sample.
+//     The estimate is unbiased, and a sample looks only at the few
+//     candidates around it: a uniform bucket grid over the candidates
+//     (built once per Refine call) resolves the nearest one by a ring
+//     search outward from the sample's cell.
 //
 // # Determinism contract (shared sample stream)
 //
@@ -28,9 +30,12 @@
 // nearest candidate in a single pass and tallied as one integer win;
 // a candidate's probability is wins/samples. Consequences:
 //
-//   - Total refinement work is O(candidates × samples) — one distance
-//     scan per sample — not O(candidates² × samples) as with
-//     per-candidate streams.
+//   - Total refinement work is O(candidates + samples) expected — one
+//     grid build plus one ring search per sample. The product
+//     candidates × samples is the worst case only (every candidate in
+//     one cell, or an issuer far outside the candidates' bounding
+//     box, where the ring search degenerates to the linear scan), not
+//     O(candidates² × samples) as with per-candidate streams.
 //   - Exactly one candidate wins each sample, so exhaustive estimates
 //     sum to exactly 1 (up to float addition of the final divisions).
 //   - Parallelism partitions the sample axis into whole blocks; each
@@ -45,12 +50,12 @@
 //     so the retirement schedule, and with it every tally, is also
 //     bit-identical at every worker count.
 //
-// Retired ("decided") candidates stop accumulating wins but remain in
-// the per-sample scan as distance-only blockers: an active candidate
-// is tallied only for samples it would win against the FULL candidate
-// set, so surviving estimates stay exactly the tallies an exhaustive
-// run would produce — retirement never biases a survivor. Once every
-// candidate is decided the stream stops entirely.
+// Retired ("decided") candidates stop accumulating wins but stay in the
+// grid: a sample is tallied only when its nearest candidate over the
+// FULL candidate set is still active, so surviving estimates stay
+// exactly the tallies an exhaustive run would produce — retirement
+// never biases a survivor. Once every candidate is decided the stream
+// stops entirely.
 //
 // The engine integrates this package as a first-class query kind
 // (core.KindNN): candidates come from a branch-and-bound search over
@@ -209,6 +214,9 @@ type RefineStats struct {
 	// Undecided candidates carry exhaustive tallies over all Samples
 	// draws.
 	Decided []bool
+	// GridCells is the number of cells in the candidate grid the
+	// nearest-candidate lookups ran against.
+	GridCells int
 }
 
 // Refine estimates, for each candidate, the probability that it is the
@@ -238,13 +246,17 @@ func Refine(cands []uncertain.PointObject, issuer pdf.PDF, parent int64, cfg Ref
 		xs:      make([]float64, n),
 		ys:      make([]float64, n),
 		wins:    make([]int64, n),
-		active:  make([]int, n),
+		retired: stats.Decided,
 	}
+	// active lists the undecided candidate indexes.
+	active := make([]int, n)
 	for i, c := range cands {
 		k.xs[i] = c.Loc.X
 		k.ys[i] = c.Loc.Y
-		k.active[i] = i
+		active[i] = i
 	}
+	k.grid = newGrid(k.xs, k.ys)
+	stats.GridCells = k.grid.nx * k.grid.ny
 
 	nBlocks := (cfg.Samples + cfg.Block - 1) / cfg.Block
 	adaptive := cfg.Adaptive && cfg.Threshold > 0
@@ -254,7 +266,7 @@ func Refine(cands []uncertain.PointObject, issuer pdf.PDF, parent int64, cfg Ref
 	}
 
 	drawn := 0
-	for b0 := 0; b0 < nBlocks && len(k.active) > 0; b0 += roundBlocks {
+	for b0 := 0; b0 < nBlocks && len(active) > 0; b0 += roundBlocks {
 		b1 := b0 + roundBlocks
 		if b1 > nBlocks {
 			b1 = nBlocks
@@ -278,66 +290,222 @@ func Refine(cands []uncertain.PointObject, issuer pdf.PDF, parent int64, cfg Ref
 		}
 		// Fixed-round decision pass: retire candidates a bound has
 		// decided. Retirees keep their running mean as the estimate and
-		// move to the blocker list so survivors' tallies stay exact.
-		for ai := 0; ai < len(k.active); {
-			i := k.active[ai]
+		// stay in the grid, so survivors' tallies stay exact.
+		kept := active[:0]
+		for _, i := range active {
 			w := float64(k.wins[i])
 			p, done := mcbound.Decided(w, w, drawn, cfg.Samples, cfg.Threshold, cfg.Delta)
 			if !done {
-				ai++
+				kept = append(kept, i)
 				continue
 			}
 			probs[i] = p
-			stats.Decided[i] = true
+			k.retired[i] = true
 			stats.EarlyStopped++
-			k.active = append(k.active[:ai], k.active[ai+1:]...)
-			k.blockers = append(k.blockers, i)
 		}
-		// Most-winning blockers first: the scan breaks on the first
-		// blocker beating the active best, so a dominant retiree keeps
-		// the expected blocker work near one comparison.
-		sort.Slice(k.blockers, func(a, b int) bool {
-			ba, bb := k.blockers[a], k.blockers[b]
-			if k.wins[ba] != k.wins[bb] {
-				return k.wins[ba] > k.wins[bb]
-			}
-			return ba < bb
-		})
+		active = kept
 	}
-	if len(k.active) == 0 {
+	if len(active) == 0 {
 		stats.Converged = true
 	}
-	for _, i := range k.active {
+	for _, i := range active {
 		probs[i] = float64(k.wins[i]) / float64(drawn)
 	}
 	return probs, stats, nil
 }
 
 // kernel is the shared-stream tally state for one Refine call.
-// Candidate coordinates live in parallel slices so the per-sample scan
-// walks flat float64 arrays.
+// Candidate coordinates live in parallel slices so the per-sample
+// search walks flat float64 arrays.
 type kernel struct {
 	issuer  pdf.PDF
 	parent  int64
 	block   int
 	samples int
 	xs, ys  []float64
+	grid    *grid
 	// wins[i] counts samples candidate i was nearest to; only merged
 	// round tallies land here (worker-private vectors during a round).
 	wins []int64
-	// active lists undecided candidate indexes in ascending order (the
-	// tie-break order: lowest index wins equal distances, matching a
-	// full scan with keep-first semantics).
-	active []int
-	// blockers lists retired candidate indexes, sorted by descending
-	// win count. They no longer accumulate wins but still veto samples
-	// they would win, keeping active tallies unbiased.
-	blockers []int
+	// retired[i] marks a candidate a bound has decided (the slice is
+	// RefineStats.Decided). It no longer accumulates wins, and a sample
+	// it is nearest to is tallied for nobody. Written only between
+	// rounds.
+	retired []bool
+}
+
+// grid is a uniform bucket grid over the candidates' bounding box, in
+// CSR layout: cell c (row-major, nx columns) holds the candidate
+// indexes cellItems[cellStart[c]:cellStart[c+1]], ascending. Side
+// lengths follow from the box and the count (about two candidates per
+// cell); a one-cell grid is the linear scan.
+type grid struct {
+	nx, ny     int
+	minX, minY float64
+	invW, invH float64 // cells per unit length; 0 on a zero-extent axis
+	cellStart  []int32
+	cellItems  []int32
+	// loX[c] is the smallest x of any candidate in a column >= c, hiX[c]
+	// the largest x of any candidate in a column < c (+Inf / -Inf when
+	// there is none; both have nx+1 entries). The ring search bounds
+	// the unvisited candidates by these, not by cell edges, so the
+	// bound holds in floating point exactly and space outside the
+	// candidates' box is infinitely far. loY / hiY likewise for rows.
+	loX, hiX, loY, hiY []float64
+}
+
+// cellOf maps a coordinate to its clamped column (or row). It is
+// monotone in v, for candidates and samples alike: a candidate in a
+// higher column than a sample's lies strictly to its right.
+func cellOf(v, lo, inv float64, n int) int {
+	f := (v - lo) * inv
+	if !(f >= 1) {
+		return 0
+	}
+	if f >= float64(n) {
+		return n - 1
+	}
+	return int(f)
+}
+
+func newGrid(xs, ys []float64) *grid {
+	n := len(xs)
+	minX, maxX, minY, maxY := xs[0], xs[0], ys[0], ys[0]
+	for i := 1; i < n; i++ {
+		minX, maxX = min(minX, xs[i]), max(maxX, xs[i])
+		minY, maxY = min(minY, ys[i]), max(maxY, ys[i])
+	}
+	g := &grid{nx: 1, ny: 1, minX: minX, minY: minY}
+	cells := max(n/2, 1)
+	w, h := maxX-minX, maxY-minY
+	switch {
+	case w > 0 && h > 0:
+		// Square-ish cells: nx/ny follows the box's aspect ratio.
+		g.nx = max(int(min(math.Sqrt(float64(cells)*w/h), float64(cells))), 1)
+		g.ny = max(cells/g.nx, 1)
+	case w > 0:
+		g.nx = cells
+	case h > 0:
+		g.ny = cells
+	}
+	if w > 0 {
+		g.invW = float64(g.nx) / w
+	}
+	if h > 0 {
+		g.invH = float64(g.ny) / h
+	}
+
+	g.loX, g.hiX = bounds(g.nx)
+	g.loY, g.hiY = bounds(g.ny)
+	g.cellStart = make([]int32, g.nx*g.ny+1)
+	cell := make([]int32, n)
+	for i := range xs {
+		cx := cellOf(xs[i], minX, g.invW, g.nx)
+		cy := cellOf(ys[i], minY, g.invH, g.ny)
+		g.loX[cx], g.hiX[cx+1] = min(g.loX[cx], xs[i]), max(g.hiX[cx+1], xs[i])
+		g.loY[cy], g.hiY[cy+1] = min(g.loY[cy], ys[i]), max(g.hiY[cy+1], ys[i])
+		cell[i] = int32(cy*g.nx + cx)
+		g.cellStart[cell[i]+1]++
+	}
+	for c := g.nx - 1; c >= 0; c-- {
+		g.loX[c] = min(g.loX[c], g.loX[c+1])
+	}
+	for c := g.ny - 1; c >= 0; c-- {
+		g.loY[c] = min(g.loY[c], g.loY[c+1])
+	}
+	for c := 1; c <= g.nx; c++ {
+		g.hiX[c] = max(g.hiX[c], g.hiX[c-1])
+	}
+	for c := 1; c <= g.ny; c++ {
+		g.hiY[c] = max(g.hiY[c], g.hiY[c-1])
+	}
+	for c := 1; c < len(g.cellStart); c++ {
+		g.cellStart[c] += g.cellStart[c-1]
+	}
+	// Counting sort by cell; filling in index order keeps each cell's
+	// items ascending.
+	g.cellItems = make([]int32, n)
+	next := append([]int32(nil), g.cellStart[:len(g.cellStart)-1]...)
+	for i, c := range cell {
+		g.cellItems[next[c]] = int32(i)
+		next[c]++
+	}
+	return g
+}
+
+// bounds returns the lo (all +Inf) and hi (all -Inf) arrays for an
+// axis of n cells.
+func bounds(n int) (lo, hi []float64) {
+	lo, hi = make([]float64, n+1), make([]float64, n+1)
+	for i := range lo {
+		lo[i], hi[i] = math.Inf(1), math.Inf(-1)
+	}
+	return lo, hi
+}
+
+// nearest returns the index of the candidate nearest to (px, py) —
+// the lexicographic minimum of (squared distance, index) over all
+// candidates, as a linear keep-first scan would find — or -1 when no
+// candidate is at a finite distance. It searches rings of cells outward
+// from the sample's (clamped) cell and stops once the best squared
+// distance is strictly below the squared distance to every candidate
+// not yet visited.
+func (k *kernel) nearest(px, py float64) int {
+	g := k.grid
+	sx := cellOf(px, g.minX, g.invW, g.nx)
+	sy := cellOf(py, g.minY, g.invH, g.ny)
+	best, bd := -1, math.Inf(1)
+	for r := 0; ; r++ {
+		x0, x1 := max(sx-r, 0), min(sx+r, g.nx-1)
+		y0, y1 := max(sy-r, 0), min(sy+r, g.ny-1)
+		for cy := y0; cy <= y1; cy++ {
+			row := cy * g.nx
+			if cy == sy-r || cy == sy+r {
+				best, bd = k.scanCells(row+x0, row+x1, px, py, best, bd)
+				continue
+			}
+			if sx-r >= 0 {
+				best, bd = k.scanCells(row+sx-r, row+sx-r, px, py, best, bd)
+			}
+			if sx+r < g.nx {
+				best, bd = k.scanCells(row+sx+r, row+sx+r, px, py, best, bd)
+			}
+		}
+		// Once the ring covers the grid nothing is left to visit. This
+		// exit does not depend on arithmetic, so a non-finite sample
+		// (every distance +Inf or NaN: best stays -1) ends here too.
+		if x0 == 0 && y0 == 0 && x1 == g.nx-1 && y1 == g.ny-1 {
+			return best
+		}
+		// Every unvisited candidate sits in a column right of x1 or left
+		// of x0, or a row above y1 or below y0, so it is at least gap
+		// away along that axis. A NaN gap fails the test and the search
+		// goes on, which is always correct.
+		gap := min(g.loX[x1+1]-px, px-g.hiX[x0], g.loY[y1+1]-py, py-g.hiY[y0])
+		if bd < gap*gap {
+			return best
+		}
+	}
+}
+
+// scanCells folds the candidates of cells c0..c1 (adjacent in one row,
+// so one run of cellItems) into the running (best, bd) minimum.
+func (k *kernel) scanCells(c0, c1 int, px, py float64, best int, bd float64) (int, float64) {
+	for _, it := range k.grid.cellItems[k.grid.cellStart[c0]:k.grid.cellStart[c1+1]] {
+		i := int(it)
+		dx := px - k.xs[i]
+		dy := py - k.ys[i]
+		if d := dx*dx + dy*dy; d < bd || (d == bd && i < best) {
+			best, bd = i, d
+		}
+	}
+	return best, bd
 }
 
 // scanBlock draws block b's samples from (parent, b) and tallies
 // nearest-candidate wins into tal (len(cands)-sized; either the merged
-// wins vector in serial mode or a worker-private vector).
+// wins vector in serial mode or a worker-private vector). A sample
+// whose nearest candidate has retired is tallied for nobody.
 func (k *kernel) scanBlock(b int, tal []int64) {
 	rng := rand.New(rand.NewSource(mcbound.DeriveSeed(k.parent, b)))
 	lo := b * k.block
@@ -347,34 +515,7 @@ func (k *kernel) scanBlock(b int, tal []int64) {
 	}
 	for s := lo; s < hi; s++ {
 		pos := k.issuer.Sample(rng)
-		// Nearest active candidate; ascending index order plus strict <
-		// keeps the first (lowest-index) on ties — identical to a full
-		// scan over all candidates.
-		best := -1
-		bd := math.Inf(1)
-		for _, i := range k.active {
-			dx := pos.X - k.xs[i]
-			dy := pos.Y - k.ys[i]
-			if d := dx*dx + dy*dy; d < bd {
-				bd = d
-				best = i
-			}
-		}
-		if best < 0 {
-			continue
-		}
-		// A retired candidate that would win this sample (strictly
-		// nearer, or equally near with a lower index) blocks the tally.
-		blocked := false
-		for _, j := range k.blockers {
-			dx := pos.X - k.xs[j]
-			dy := pos.Y - k.ys[j]
-			if d := dx*dx + dy*dy; d < bd || (d == bd && j < best) {
-				blocked = true
-				break
-			}
-		}
-		if !blocked {
+		if best := k.nearest(pos.X, pos.Y); best >= 0 && !k.retired[best] {
 			tal[best]++
 		}
 	}

@@ -7,7 +7,9 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/geom"
+	"repro/internal/mcbound"
 	"repro/internal/pdf"
 	"repro/internal/uncertain"
 )
@@ -425,5 +427,334 @@ func TestRefineParallelAdaptiveRace(t *testing.T) {
 		if serial[i] != par[i] {
 			t.Fatalf("candidate %d: parallel %v != serial %v", i, par[i], serial[i])
 		}
+	}
+}
+
+// bruteWins is the reference for the grid kernel: the linear
+// all-candidates scan Refine used before it had a grid — nearest
+// active candidate by a keep-first pass, vetoed when a retired
+// candidate is nearer (or as near with a lower index) — under the same
+// block seeds, round boundaries and decision rule, serially. It
+// returns what Refine returns (less GridCells).
+func bruteWins(cands []uncertain.PointObject, issuer pdf.PDF, parent int64, cfg RefineConfig) ([]float64, RefineStats) {
+	cfg = cfg.withDefaults()
+	n := len(cands)
+	probs := make([]float64, n)
+	wins := make([]int64, n)
+	stats := RefineStats{Decided: make([]bool, n)}
+	if n == 0 {
+		return probs, stats
+	}
+	active := make([]int, n)
+	for i := range active {
+		active[i] = i
+	}
+	var blockers []int
+	nBlocks := (cfg.Samples + cfg.Block - 1) / cfg.Block
+	adaptive := cfg.Adaptive && cfg.Threshold > 0
+	roundBlocks := nBlocks
+	if adaptive {
+		roundBlocks = cfg.RoundBlocks
+	}
+	drawn := 0
+	for b0 := 0; b0 < nBlocks && len(active) > 0; b0 += roundBlocks {
+		b1 := min(b0+roundBlocks, nBlocks)
+		for b := b0; b < b1; b++ {
+			rng := rand.New(rand.NewSource(mcbound.DeriveSeed(parent, b)))
+			for s := b * cfg.Block; s < min((b+1)*cfg.Block, cfg.Samples); s++ {
+				pos := issuer.Sample(rng)
+				best, bd := -1, math.Inf(1)
+				for _, i := range active {
+					dx, dy := pos.X-cands[i].Loc.X, pos.Y-cands[i].Loc.Y
+					if d := dx*dx + dy*dy; d < bd {
+						best, bd = i, d
+					}
+				}
+				if best < 0 {
+					continue
+				}
+				blocked := false
+				for _, j := range blockers {
+					dx, dy := pos.X-cands[j].Loc.X, pos.Y-cands[j].Loc.Y
+					if d := dx*dx + dy*dy; d < bd || (d == bd && j < best) {
+						blocked = true
+						break
+					}
+				}
+				if !blocked {
+					wins[best]++
+				}
+			}
+		}
+		stats.Rounds++
+		drawn = min(b1*cfg.Block, cfg.Samples)
+		stats.Samples = int64(drawn)
+		if !adaptive || drawn >= cfg.Samples || drawn < 2 {
+			continue
+		}
+		kept := active[:0]
+		for _, i := range active {
+			w := float64(wins[i])
+			p, done := mcbound.Decided(w, w, drawn, cfg.Samples, cfg.Threshold, cfg.Delta)
+			if !done {
+				kept = append(kept, i)
+				continue
+			}
+			probs[i] = p
+			stats.Decided[i] = true
+			stats.EarlyStopped++
+			blockers = append(blockers, i)
+		}
+		active = kept
+	}
+	stats.Converged = len(active) == 0
+	for _, i := range active {
+		probs[i] = float64(wins[i]) / float64(drawn)
+	}
+	return probs, stats
+}
+
+// requireBrute fails unless Refine and bruteWins agree on every
+// probability bit (a live candidate's is wins/drawn, a retired one's
+// Decided(wins, …), so equal bits are equal tallies), Decided flag and
+// counter.
+func requireBrute(t testing.TB, name string, cands []uncertain.PointObject, issuer pdf.PDF, parent int64, cfg RefineConfig) RefineStats {
+	t.Helper()
+	probs, stats, err := Refine(cands, issuer, parent, cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	wantP, want := bruteWins(cands, issuer, parent, cfg)
+	for i := range cands {
+		if math.Float64bits(probs[i]) != math.Float64bits(wantP[i]) || stats.Decided[i] != want.Decided[i] {
+			t.Fatalf("%s workers=%d: candidate %d at %v: grid p=%v decided=%v, brute p=%v decided=%v",
+				name, cfg.Workers, i, cands[i].Loc, probs[i], stats.Decided[i], wantP[i], want.Decided[i])
+		}
+	}
+	if stats.Samples != want.Samples || stats.EarlyStopped != want.EarlyStopped ||
+		stats.Converged != want.Converged || stats.Rounds != want.Rounds {
+		t.Fatalf("%s workers=%d: grid stats %+v, brute %+v", name, cfg.Workers, stats, want)
+	}
+	return stats
+}
+
+// snapPDF rounds another pdf's samples to multiples of step, so that
+// samples tie exactly between lattice candidates and land exactly on
+// grid-cell boundaries.
+type snapPDF struct {
+	pdf.PDF
+	step float64
+}
+
+func (s snapPDF) Sample(rng *rand.Rand) geom.Point {
+	p := s.PDF.Sample(rng)
+	return geom.Pt(math.Round(p.X/s.step)*s.step, math.Round(p.Y/s.step)*s.step)
+}
+
+// wildPDF replaces about a third of another pdf's samples with
+// non-finite positions — what a uniform pdf over an overflowing or NaN
+// region draws. No candidate is at a finite distance from one, so it
+// is tallied for nobody.
+type wildPDF struct{ pdf.PDF }
+
+func (w wildPDF) Sample(rng *rand.Rand) geom.Point {
+	p := w.PDF.Sample(rng)
+	switch rng.Intn(9) {
+	case 0:
+		p.X = math.Inf(1)
+	case 1:
+		p.Y = math.Inf(-1)
+	case 2:
+		p.X, p.Y = math.NaN(), math.Inf(1)
+	}
+	return p
+}
+
+func pointsOf(coords ...[2]float64) []uncertain.PointObject {
+	out := make([]uncertain.PointObject, len(coords))
+	for i, c := range coords {
+		out[i] = uncertain.PointObject{ID: uncertain.ID(i), Loc: geom.Pt(c[0], c[1])}
+	}
+	return out
+}
+
+// TestRefineGridMatchesBruteScan holds the candidate grid to the
+// linear scan it replaced, tally for tally, over random layouts and the
+// layouts a grid gets wrong first: exact distance ties, degenerate
+// boxes, lopsided cells, and samples outside or on the edge of the
+// grid — exhaustive and with enough adaptive rounds that retired
+// candidates veto samples, at several worker counts.
+func TestRefineGridMatchesBruteScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(20070415))
+	random := func(n int, lo, hi float64) []uncertain.PointObject {
+		cs := make([][2]float64, n)
+		for i := range cs {
+			cs[i] = [2]float64{lo + rng.Float64()*(hi-lo), lo + rng.Float64()*(hi-lo)}
+		}
+		return pointsOf(cs...)
+	}
+	// Integer coordinates on [0,16]² with repeats: 128 candidates make
+	// an 8×8 grid of 2-wide cells, so half-integer samples tie between
+	// candidates and sit on cell boundaries.
+	lattice := make([][2]float64, 128)
+	for i := range lattice {
+		lattice[i] = [2]float64{float64(rng.Intn(17)), float64(rng.Intn(17))}
+	}
+	lattice[0], lattice[127] = [2]float64{0, 0}, [2]float64{16, 16}
+	// Fifty candidates within 1e-3 of the origin and one far outlier:
+	// the box is huge, so the cluster shares one cell.
+	lopsided := make([][2]float64, 51)
+	for i := range lopsided[:50] {
+		lopsided[i] = [2]float64{rng.Float64() * 1e-3, rng.Float64() * 1e-3}
+	}
+	lopsided[50] = [2]float64{1e4, 1e4}
+	line := func(n int, vertical bool) []uncertain.PointObject {
+		cs := make([][2]float64, n)
+		for i := range cs {
+			cs[i] = [2]float64{rng.Float64() * 100, 7}
+			if vertical {
+				cs[i] = [2]float64{7, rng.Float64() * 100}
+			}
+		}
+		return pointsOf(cs...)
+	}
+	gauss, err := pdf.NewTruncGaussian(geom.RectCentered(geom.Pt(50, 50), 60, 60), 15, 25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	weights := make([]float64, 12)
+	for i := range weights {
+		weights[i] = rng.Float64()
+	}
+	gridPDF, err := pdf.NewGrid(geom.RectCentered(geom.Pt(50, 50), 40, 30), 4, 3, weights)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uniform := func(cx, cy, half float64) pdf.PDF {
+		return pdf.MustUniform(geom.RectCentered(geom.Pt(cx, cy), half, half))
+	}
+
+	cases := []struct {
+		name   string
+		cands  []uncertain.PointObject
+		issuer pdf.PDF
+	}{
+		{"random/uniform", random(300, 0, 100), uniform(50, 50, 20)},
+		{"random/gaussian", random(300, 0, 100), gauss},
+		{"random/grid-pdf", random(300, 0, 100), gridPDF},
+		{"few/uniform", random(6, 0, 100), uniform(50, 50, 40)},
+		{"lattice/snapped", pointsOf(lattice...), snapPDF{uniform(8, 8, 10), 0.5}},
+		{"coincident", pointsOf([2]float64{3, 3}, [2]float64{3, 3}, [2]float64{3, 3}, [2]float64{9, 3}, [2]float64{9, 3}), snapPDF{uniform(6, 3, 5), 1}},
+		{"all-coincident", pointsOf([2]float64{5, 5}, [2]float64{5, 5}, [2]float64{5, 5}, [2]float64{5, 5}), uniform(0, 0, 10)},
+		{"lopsided", pointsOf(lopsided...), uniform(0, 0, 2e-3)},
+		{"lopsided/wide", pointsOf(lopsided...), uniform(5e3, 5e3, 6e3)},
+		{"collinear/horizontal", line(40, false), uniform(50, 7, 30)},
+		{"collinear/vertical", line(40, true), uniform(7, 50, 30)},
+		{"single", pointsOf([2]float64{1, 2}), uniform(0, 0, 5)},
+		{"issuer-much-larger", random(200, 0, 10), uniform(5, 5, 1000)},
+		{"issuer-disjoint", random(200, 0, 10), uniform(550, -300, 50)},
+		{"issuer-disjoint/snapped", pointsOf(lattice...), snapPDF{uniform(40, 8, 12), 0.5}},
+		{"non-finite-samples", random(300, 0, 100), wildPDF{uniform(50, 50, 20)}},
+		{"non-finite-samples/single", pointsOf([2]float64{1, 2}), wildPDF{uniform(0, 0, 5)}},
+		{"overflowing-support", random(50, 0, 100), pdf.MustUniform(geom.Rect{Lo: geom.Pt(-1.7e308, -1.7e308), Hi: geom.Pt(1.7e308, 1.7e308)})},
+	}
+	for _, tc := range cases {
+		for _, workers := range []int{1, 2, 4} {
+			requireBrute(t, tc.name+"/exhaustive", tc.cands, tc.issuer, 7, RefineConfig{Samples: 1500, Workers: workers})
+			// Four 2 048-sample rounds: candidates retire after the first
+			// and veto samples in the later ones.
+			stats := requireBrute(t, tc.name+"/adaptive", tc.cands, tc.issuer, 11, RefineConfig{
+				Samples: 4 * DefaultRoundBlocks * DefaultBlock, Threshold: 0.1, Adaptive: true, Workers: workers,
+			})
+			if len(tc.cands) > 1 && stats.EarlyStopped == 0 {
+				t.Fatalf("%s: no candidate retired, the retired-nearest veto went unexercised", tc.name)
+			}
+		}
+	}
+}
+
+// FuzzRefineGrid: fuzzed candidate coordinates and seed, grid tallies
+// equal the brute scan's.
+func FuzzRefineGrid(f *testing.F) {
+	f.Add([]byte{0, 0, 255, 255, 7, 9, 7, 9, 128, 128}, int64(1), uint8(0))
+	f.Add([]byte{1, 1, 1, 1, 1, 1}, int64(2), uint8(1))
+	f.Add([]byte{0, 5, 50, 5, 100, 5, 150, 5, 200, 5, 250, 5}, int64(3), uint8(1))
+	f.Add([]byte{0, 0, 255, 255, 7, 9, 7, 9, 128, 128}, int64(4), uint8(2))
+	f.Fuzz(func(t *testing.T, coords []byte, seed int64, mode uint8) {
+		if len(coords) < 2 || len(coords) > 512 {
+			return
+		}
+		// Byte pairs on a coarse lattice collide and tie often; the seed
+		// perturbs every other candidate off it.
+		jitter := rand.New(rand.NewSource(seed))
+		cs := make([][2]float64, len(coords)/2)
+		for i := range cs {
+			cs[i] = [2]float64{float64(coords[2*i]), float64(coords[2*i+1])}
+			if i%2 == 1 {
+				cs[i][0] += jitter.Float64()
+				cs[i][1] += jitter.Float64()
+			}
+		}
+		var issuer pdf.PDF = pdf.MustUniform(geom.RectCentered(
+			geom.Pt(jitter.Float64()*300-20, jitter.Float64()*300-20), 1+jitter.Float64()*200, 1+jitter.Float64()*200))
+		switch mode % 3 {
+		case 1:
+			issuer = snapPDF{issuer, 0.5}
+		case 2:
+			issuer = wildPDF{issuer}
+		}
+		requireBrute(t, "fuzz", pointsOf(cs...), issuer, seed, RefineConfig{Samples: 600})
+		requireBrute(t, "fuzz/adaptive", pointsOf(cs...), issuer, seed, RefineConfig{
+			Samples: 3 * 4 * 64, Block: 64, RoundBlocks: 4, Threshold: 0.2, Adaptive: true, Workers: 2,
+		})
+	})
+}
+
+// denseFixture is the end-to-end benchmark's NN shape (benchmark/,
+// nn_ro): the candidates the MinDist/MaxDist bound keeps around a
+// 500×500 issuer centred on a point of the clustered California
+// stand-in — the first such issuer, walking the points in order, that
+// keeps about the 1 300 candidates nn_ro averages.
+func denseFixture(tb testing.TB) ([]uncertain.PointObject, pdf.PDF) {
+	tb.Helper()
+	pts := dataset.GeneratePoints(dataset.CaliforniaConfig())
+	objs := make([]uncertain.PointObject, len(pts))
+	for i, p := range pts {
+		objs[i] = uncertain.PointObject{ID: uncertain.ID(i), Loc: p}
+	}
+	for _, c := range pts {
+		u0 := geom.RectCentered(c, 250, 250)
+		if cands := Prune(objs, u0); len(cands) >= 1250 && len(cands) <= 1350 {
+			return cands, pdf.MustUniform(u0)
+		}
+	}
+	tb.Fatal("no issuer with ~1300 candidates")
+	return nil, nil
+}
+
+var sinkProbs []float64
+
+// BenchmarkRefineDense times Refine at the nn_ro shape: the default
+// 1 000-sample stream (one round, no retirement), and a 16 384-sample
+// threshold run in which candidates retire between rounds.
+func BenchmarkRefineDense(b *testing.B) {
+	cands, issuer := denseFixture(b)
+	for _, bc := range []struct {
+		name string
+		cfg  RefineConfig
+	}{
+		{"samples=1000", RefineConfig{Samples: 1000, Threshold: 0.1, Adaptive: true}},
+		{"samples=16384", RefineConfig{Samples: 16384, Threshold: 0.1, Adaptive: true}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				probs, _, err := Refine(cands, issuer, int64(i), bc.cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sinkProbs = probs
+			}
+		})
 	}
 }

@@ -141,13 +141,14 @@ const maxRequestNNSamples = 1 << 20
 
 // DefaultNNBudget bounds an NN request's refinement work when neither
 // the client nor the operator set a budget. The shared-stream kernel
-// draws nn_samples positions and scans the candidate set once per
-// draw, so worst-case work is samples × candidates distance checks —
-// linear in the candidate count, and adaptive early termination under
-// a threshold only shrinks it. The budget bounds that product; a
-// wide-issuer request over a large point database that would still
-// exceed it gets a structured 400 up front (core.ErrSampleBudget),
-// not a slow death. Operators override with -max-samples.
+// draws nn_samples positions and looks each one's nearest candidate up
+// in a grid over the candidates: O(candidates + samples) expected, but
+// samples × candidates distance checks in the worst case (candidates
+// crowded into one grid cell, which the request does not reveal up
+// front). The budget therefore keeps bounding that product; a
+// wide-issuer request over a large point database that would exceed it
+// gets a structured 400 up front (core.ErrSampleBudget), not a slow
+// death. Operators override with -max-samples.
 const DefaultNNBudget = 1 << 24
 
 // DefaultPerQueryLimit caps the per-standing-query series emitted on

@@ -141,11 +141,16 @@ func (c *Client) doOnce(ctx context.Context, method, path string, body []byte, o
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return &statusError{code: resp.StatusCode, body: string(bytes.TrimSpace(msg))}
 	}
-	if out == nil {
-		_, err := io.Copy(io.Discard, resp.Body)
-		return err
+	if out != nil {
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			return err
+		}
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	// Read to EOF even after a full decode: the decoder stops at the end
+	// of the JSON value, and a chunked reply's terminal chunk left
+	// unread makes net/http drop the keep-alive connection on Close.
+	_, err = io.Copy(io.Discard, resp.Body)
+	return err
 }
 
 // Evaluate runs a one-shot request on the shard.

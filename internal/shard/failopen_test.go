@@ -26,8 +26,11 @@ func downFleet(t *testing.T) *Router {
 	return rt
 }
 
-// TestRouterFailOpen: a dead shard degrades responses to Partial:true
-// with the missing shard listed, instead of failing the request.
+// TestRouterFailOpen: a dead shard degrades the responses it was asked
+// to contribute to — Partial:true with the missing shard listed —
+// instead of failing the request. For NN that is narrower than it used
+// to be: the router no longer asks the whole fleet, so a dead shard
+// beyond the tau ball's reach leaves the answer complete.
 func TestRouterFailOpen(t *testing.T) {
 	rt := downFleet(t)
 	ctx := t.Context()
@@ -55,7 +58,10 @@ func TestRouterFailOpen(t *testing.T) {
 		t.Fatalf("live shard's answer should survive fail-open: %v", got.Matches)
 	}
 
-	// NN fan-out is fleet-wide; it degrades the same way.
+	// NN asks only the shards the tau ball can reach. The point is 141
+	// away from this issuer's far corner and the dead shard's tiles
+	// start 3900 away: the dead shard is not asked, and the answer is
+	// complete, not partial.
 	nn, err := rt.Evaluate(ctx, serve.RequestJSON{
 		Kind:   "nn",
 		Issuer: serve.IssuerJSON{Region: []float64{900, 900, 1100, 1100}},
@@ -64,8 +70,29 @@ func TestRouterFailOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !nn.Partial || len(nn.Matches) != 1 {
-		t.Fatalf("nn fail-open: partial=%v matches=%v", nn.Partial, nn.Matches)
+	if nn.Partial || nn.MissingShards != nil {
+		t.Fatalf("nn out of the dead shard's reach: partial=%v missing=%v, want a complete answer", nn.Partial, nn.MissingShards)
+	}
+	if len(nn.Matches) != 1 || nn.Matches[0].ID != 1 || nn.Matches[0].P != 1 {
+		t.Fatalf("nn out of the dead shard's reach: matches=%v, want point 1 with probability 1", nn.Matches)
+	}
+
+	// From just below the y=5000 border the same point is ~3900 away,
+	// so the tau ball crosses into the dead shard's tiles: a nearer
+	// point could be hiding there, and the answer says so.
+	nn, err = rt.Evaluate(ctx, serve.RequestJSON{
+		Kind:   "nn",
+		Issuer: serve.IssuerJSON{Region: []float64{900, 4700, 1100, 4900}},
+		K:      1, NNSamples: 64, Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !nn.Partial || !slices.Contains(nn.MissingShards, "1") {
+		t.Fatalf("nn within tau of the dead shard: partial=%v missing=%v, want shard 1 missing", nn.Partial, nn.MissingShards)
+	}
+	if len(nn.Matches) != 1 || nn.Matches[0].ID != 1 {
+		t.Fatalf("nn within tau of the dead shard: the live shard's answer should survive: %v", nn.Matches)
 	}
 
 	// An update batch touching the dead shard reports it missing but

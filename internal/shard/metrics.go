@@ -19,7 +19,11 @@ type routerMetrics struct {
 	partial  *obs.Counter    // fail-open responses (Partial:true)
 	merge    *obs.HistogramVec
 	fanout   *obs.Histogram
+	nnRounds *obs.Histogram // candidate-collection rounds per NN request
+	nnAsked  *obs.Histogram // distinct shards asked per NN request
 }
+
+var fanoutBuckets = []float64{1, 2, 3, 4, 6, 8, 12, 16, 24, 32}
 
 func newRouterMetrics() *routerMetrics {
 	reg := obs.NewRegistry()
@@ -39,8 +43,14 @@ func newRouterMetrics() *routerMetrics {
 			"Scatter-gather wall time per request, fan-out to merged response.",
 			obs.LatencyBuckets(), "op"),
 		fanout: reg.Histogram("ildq_router_fanout_shards",
-			"Shards contacted per routed request.",
-			[]float64{1, 2, 3, 4, 6, 8, 12, 16, 24, 32}),
+			"Shards contacted per scatter (an NN request scatters once per round).",
+			fanoutBuckets),
+		nnRounds: reg.Histogram("ildq_router_nn_rounds",
+			"Candidate-collection rounds per NN request: 1 when the home shards cover the tau ball, else 2.",
+			[]float64{1, 2}),
+		nnAsked: reg.Histogram("ildq_router_nn_shards_asked",
+			"Distinct shards asked for candidates per NN request, over both rounds.",
+			fanoutBuckets),
 	}
 	return m
 }

@@ -22,8 +22,8 @@ import (
 // wire format. Query merges are bit-exact against a single engine
 // holding the union of the data (see docs/sharding.md): range kinds
 // are a set union with replica dedup (replicas compute bit-identical
-// probabilities), NN runs the cross-shard tau-merge protocol with the
-// final refinement at the router.
+// probabilities), NN runs the two-round cross-shard tau-merge protocol
+// with the final refinement at the router.
 //
 // The router is the fleet's ingest path: it routes each update by the
 // ownership rule and remembers every object's replica set, so moves
@@ -235,96 +235,165 @@ func addCost(dst *serve.CostJSON, c serve.CostJSON) {
 	dst.DurationMS = max(dst.DurationMS, c.DurationMS)
 }
 
-// evaluateNN runs the cross-shard tau-merge: collect each shard's
-// candidate tally and local pruning distance, tighten the global tau
-// to the minimum, re-issue to shards whose (truncated) tally may be
-// incomplete, then refine the merged candidate set at the router.
+// nnGather is the outcome of the NN candidate collection across the
+// fleet: what a single engine's collectNN would have produced, plus
+// who was asked.
+type nnGather struct {
+	tau          float64
+	cands        []core.NNCandidate // id-sorted
+	nodeAccesses int64
+	version      uint64
+	rounds       int
+	asked        []int   // shards contacted, in the order asked
+	errs         []error // per asked shard; nil entries answered
+}
+
+// gatherNN runs the cross-shard tau-merge in two rounds, asking only
+// the shards the tau ball can reach. Round 1 asks the home shards —
+// those whose tiles overlap the issuer region u0 — for their
+// candidates under their local tau, and takes tau1 = the smallest.
+// Round 2 asks the shards whose tiles overlap u0 expanded by tau1 and
+// that were not asked yet, with tau1 as the collection bound. (When no
+// home shard answered or none holds a point, tau1 is +Inf and round 2
+// asks everyone else, unbounded.) The global tau is the minimum over
+// all responders; a truncated tally is re-collected under it, and
+// the union is filtered to MinDist <= tau.
+//
 // Because every point lives on exactly one shard, min-of-local-taus
-// equals the single-engine tau and the filtered union equals the
-// single-engine candidate set; refinement is a pure function of the
-// request seed and the ID-sorted candidates, so the qualifying tallies
-// are Float64bits-identical to a single engine's.
+// over the whole fleet equals the single-engine tau and the filtered
+// union equals the single-engine candidate set. Skipping a shard keeps
+// both: a shard not asked owns only tiles outside the tau1-expanded
+// box (tileCoord clamps out-of-world points and out-of-world box edges
+// into the same edge tiles), so every point it holds has MaxDist >=
+// MinDist > tau1 >= tau — it can neither be a candidate nor lower the
+// minimum. The box is expanded by the float after tau1 so that the
+// strict inequality survives rounding: a point beyond the rounded edge
+// Hi+e lies beyond the real one, its computed axis gap is therefore at
+// least e, and Hypot never returns less than its larger argument.
+func (r *Router) gatherNN(ctx context.Context, rj serve.RequestJSON, u0 geom.Rect) (nnGather, error) {
+	// Indexed by shard number, whichever round asked.
+	resps := make([]serve.NNCandidatesResponse, len(r.shards))
+	var g nnGather
+	ask := func(targets []int, creq serve.NNCandidatesRequest) {
+		errs := r.scatter(targets, func(s int) error {
+			resp, err := r.shards[s].NNCandidates(ctx, creq)
+			resps[s] = resp
+			return err
+		})
+		g.asked = append(g.asked, targets...)
+		g.errs = append(g.errs, errs...)
+		g.rounds++
+	}
+	// tauOf is the smallest local tau among the shards that answered.
+	tauOf := func() float64 {
+		tau := math.Inf(1)
+		for i, s := range g.asked {
+			if g.errs[i] == nil {
+				tau = math.Min(tau, resps[s].TauValue())
+			}
+		}
+		return tau
+	}
+
+	creq := serve.NNCandidatesRequest{Request: rj}
+	ask(r.tiles.ShardsOverlapping(u0), creq)
+	var reach []int
+	if tau1 := tauOf(); math.IsInf(tau1, 1) {
+		reach = r.tiles.AllShards()
+	} else {
+		e := math.Nextafter(tau1, math.Inf(1))
+		reach = r.tiles.ShardsOverlapping(u0.Expand(e, e))
+		creq.TauBound = tau1
+	}
+	if rest := slices.DeleteFunc(reach, func(s int) bool { return slices.Contains(g.asked, s) }); len(rest) > 0 {
+		ask(rest, creq)
+	}
+	if !slices.ContainsFunc(g.errs, func(err error) bool { return err == nil }) {
+		return g, fmt.Errorf("shard: nn fan-out: no shard responded (first: %w)", firstErr(g.errs))
+	}
+	g.tau = tauOf()
+
+	// A truncated tally may have dropped candidates inside the final
+	// tau ball; re-collect under the tightened bound.
+	creq.TauBound = g.tau
+	for i, s := range g.asked {
+		if g.errs[i] != nil || !resps[s].Truncated {
+			continue
+		}
+		r.m.requests.With(r.shards[s].ID).Inc()
+		resp, err := r.shards[s].NNCandidates(ctx, creq)
+		if err == nil && resp.Truncated {
+			err = fmt.Errorf("shard: shard %s candidate tally still truncated at tau=%g", r.shards[s].ID, g.tau)
+		}
+		resps[s], g.errs[i] = resp, err
+	}
+
+	// Merge the shards' id-sorted lists, dropping what a looser local
+	// tau let through. Equal ids meet at the heads — only a point caught
+	// mid-move between two shards produces them — and one copy is kept.
+	var lists [][]serve.NNCandidateJSON
+	for i, s := range g.asked {
+		if g.errs[i] != nil {
+			continue
+		}
+		g.version = max(g.version, resps[s].Version)
+		g.nodeAccesses += resps[s].NodeAccesses
+		kept := slices.DeleteFunc(resps[s].Candidates, func(c serve.NNCandidateJSON) bool {
+			return u0.MinDist(geom.Pt(c.X, c.Y)) > g.tau
+		})
+		if len(kept) > 0 {
+			lists = append(lists, kept)
+		}
+	}
+	for len(lists) > 0 {
+		lo := 0
+		for l := 1; l < len(lists); l++ {
+			if lists[l][0].ID < lists[lo][0].ID {
+				lo = l
+			}
+		}
+		c := lists[lo][0]
+		if n := len(g.cands); n == 0 || g.cands[n-1].ID != uncertain.ID(c.ID) {
+			g.cands = append(g.cands, core.NNCandidate{ID: uncertain.ID(c.ID), Loc: [2]float64{c.X, c.Y}})
+		}
+		if lists[lo] = lists[lo][1:]; len(lists[lo]) == 0 {
+			lists = slices.Delete(lists, lo, lo+1)
+		}
+	}
+	return g, nil
+}
+
+// evaluateNN answers a one-shot NN request: gather the fleet's
+// candidate set, then refine it at the router. Refinement is a pure
+// function of the request seed and the id-sorted candidates, so the
+// qualifying tallies are Float64bits-identical to a single engine's.
+// A shard the tau ball cannot reach is not asked, and so cannot make
+// the answer partial.
 func (r *Router) evaluateNN(ctx context.Context, rj serve.RequestJSON, req core.Request) (serve.EvaluateResponse, error) {
-	targets := r.tiles.AllShards()
 	sw := r.m.mergeTimer("nn")
 	defer sw()
 
-	resps := make([]serve.NNCandidatesResponse, len(targets))
-	creq := serve.NNCandidatesRequest{Request: rj}
-	errs := r.scatter(targets, func(s int) error {
-		resp, err := r.shards[s].NNCandidates(ctx, creq)
-		resps[s] = resp
-		return err
-	})
-
-	tau := math.Inf(1)
-	anyOK := false
-	for i := range resps {
-		if errs[i] != nil {
-			continue
-		}
-		anyOK = true
-		tau = math.Min(tau, resps[i].TauValue())
-	}
-	if !anyOK {
-		return serve.EvaluateResponse{}, fmt.Errorf("shard: nn fan-out: no shard responded (first: %w)", firstErr(errs))
-	}
-
-	// Second round: a truncated tally may have dropped candidates
-	// inside the final tau ball; re-collect under the tightened bound.
-	bounded := creq
-	bounded.TauBound = tau
-	for i := range resps {
-		if errs[i] != nil || !resps[i].Truncated {
-			continue
-		}
-		r.m.requests.With(r.shards[targets[i]].ID).Inc()
-		resp, err := r.shards[targets[i]].NNCandidates(ctx, bounded)
-		if err == nil && resp.Truncated {
-			err = fmt.Errorf("shard: shard %s candidate tally still truncated at tau=%g", r.shards[targets[i]].ID, tau)
-		}
-		resps[i], errs[i] = resp, err
-	}
-
-	u0 := req.Issuer.Region()
-	seen := make(map[int64]struct{})
-	var (
-		cands        []core.NNCandidate
-		nodeAccesses int64
-		version      uint64
-	)
-	for i, resp := range resps {
-		if errs[i] != nil {
-			continue
-		}
-		version = max(version, resp.Version)
-		nodeAccesses += resp.NodeAccesses
-		for _, c := range resp.Candidates {
-			if u0.MinDist(geom.Pt(c.X, c.Y)) > tau {
-				continue // collected under a looser local tau
-			}
-			if _, dup := seen[c.ID]; dup {
-				continue
-			}
-			seen[c.ID] = struct{}{}
-			cands = append(cands, core.NNCandidate{ID: uncertain.ID(c.ID), Loc: [2]float64{c.X, c.Y}})
-		}
+	g, err := r.gatherNN(ctx, rj, req.Issuer.Region())
+	r.m.nnRounds.Observe(float64(g.rounds))
+	r.m.nnAsked.Observe(float64(len(g.asked)))
+	if err != nil {
+		return serve.EvaluateResponse{}, err
 	}
 	if req.Options.MaxSamples == 0 {
 		req.Options.MaxSamples = r.maxSamples
 	}
-	res, err := core.EvaluateNNCandidates(ctx, req, cands, tau)
+	res, err := core.EvaluateNNCandidates(ctx, req, g.cands, g.tau)
 	if err != nil {
 		return serve.EvaluateResponse{}, err
 	}
 	out := serve.EvaluateResponse{
 		Kind:    req.Kind.String(),
-		Version: version,
+		Version: g.version,
 		Matches: serve.ToMatchesJSON(res.Matches),
 		Cost:    serve.ToCostJSON(res.Cost),
 	}
-	out.Cost.NodeAccesses += nodeAccesses
-	out.MissingShards = r.missing(targets, errs, "nn")
+	out.Cost.NodeAccesses += g.nodeAccesses
+	out.MissingShards = r.missing(g.asked, g.errs, "nn")
 	out.Partial = out.MissingShards != nil
 	return out, nil
 }

@@ -15,15 +15,23 @@ import (
 	"repro/internal/serve"
 )
 
-// fleet boots n in-process shard servers plus a router over them.
+// fleet boots n in-process shard servers plus a router over them, on
+// the uniform 4x2 tile map.
 func fleet(t *testing.T, n int) *Router {
 	t.Helper()
 	m, err := Uniform(geom.Rect{Lo: geom.Pt(0, 0), Hi: geom.Pt(10000, 10000)}, 4, 2, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	clients := make([]*Client, n)
-	for i := range n {
+	return fleetOn(t, m)
+}
+
+// fleetOn boots one in-process shard server per shard of m plus a
+// router over them.
+func fleetOn(t *testing.T, m *TileMap) *Router {
+	t.Helper()
+	clients := make([]*Client, m.NumShards())
+	for i := range clients {
 		eng, err := core.NewEngine(nil, nil, core.EngineOptions{})
 		if err != nil {
 			t.Fatal(err)
@@ -55,12 +63,31 @@ func reference(t *testing.T) (*serve.Server, *Client) {
 	return srv, &Client{ID: "ref", BaseURL: ts.URL}
 }
 
+// requireSameMatches fails unless the router's answer equals the single
+// engine's: same ids in the same order, probabilities Float64bits-equal.
+func requireSameMatches(t *testing.T, what string, got, want serve.EvaluateResponse) {
+	t.Helper()
+	if len(got.Matches) != len(want.Matches) {
+		t.Fatalf("%s: router %d matches, single engine %d\nrouter: %v\nsingle: %v",
+			what, len(got.Matches), len(want.Matches), got.Matches, want.Matches)
+	}
+	for i, w := range want.Matches {
+		if g := got.Matches[i]; g.ID != w.ID || math.Float64bits(g.P) != math.Float64bits(w.P) {
+			t.Fatalf("%s: match %d differs: router {%d %v} single {%d %v}", what, i, g.ID, g.P, w.ID, w.P)
+		}
+	}
+}
+
 // TestRouterBitExact is the sharding correctness property: a random
 // trace of updates — straddling objects included — interleaved with
 // queries of every kind produces Float64bits-identical qualifying sets
 // through router+N shards and through a single engine, for N ∈ {1, 2,
-// 4}.
+// 4}. The NN arm repeats it on random tile maps, where the router asks
+// only the shards the tau ball can reach (nnFanOutBitExact).
 func TestRouterBitExact(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		t.Run(fmt.Sprintf("nn/random-tiles/seed=%d", seed), func(t *testing.T) { nnFanOutBitExact(t, seed) })
+	}
 	for _, n := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
 			rt := fleet(t, n)
@@ -137,17 +164,7 @@ func TestRouterBitExact(t *testing.T) {
 				if err != nil {
 					t.Fatalf("round %d: reference %s: %v", round, q.Kind, err)
 				}
-				if len(got.Matches) != len(want.Matches) {
-					t.Fatalf("round %d: %s: router %d matches, single engine %d\nrouter: %v\nsingle: %v",
-						round, q.Kind, len(got.Matches), len(want.Matches), got.Matches, want.Matches)
-				}
-				for i := range want.Matches {
-					g, w := got.Matches[i], want.Matches[i]
-					if g.ID != w.ID || math.Float64bits(g.P) != math.Float64bits(w.P) {
-						t.Fatalf("round %d: %s: match %d differs: router {%d %v} single {%d %v}",
-							round, q.Kind, i, g.ID, g.P, w.ID, w.P)
-					}
-				}
+				requireSameMatches(t, fmt.Sprintf("round %d: %s", round, q.Kind), got, want)
 			}
 
 			for round := range 4 {
@@ -163,6 +180,151 @@ func TestRouterBitExact(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// nnFanOutBitExact holds the two-round NN fan-out to the single engine
+// on a random weighted tile map over 2–4 shards, one of them left
+// without points: issuers centred on tile borders, in tile interiors,
+// at random, and inside the empty shard (tau1 = +Inf, so round 2 asks
+// everyone else unbounded). The gathered tau and candidate set must
+// equal the reference engine's own collection stage, and the answer
+// its evaluation, Float64bits for Float64bits; an issuer whose tau
+// ball stays inside one shard must cost one shard request.
+func nnFanOutBitExact(t *testing.T, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	world := geom.Rect{Lo: geom.Pt(0, 0), Hi: geom.Pt(10000, 10000)}
+	tx, ty, shards := 4+rng.Intn(3), 3+rng.Intn(3), 2+rng.Intn(3)
+	weights := make([]float64, tx*ty)
+	for i := range weights {
+		weights[i] = rng.Float64()
+	}
+	m, err := FromWeights(world, tx, ty, shards, weights, ContiguousPartitioner{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := fleetOn(t, m)
+	srv, ref := reference(t)
+	ctx := t.Context()
+
+	empty := rng.Intn(shards)
+	var ups []serve.UpdateJSON
+	var pts []geom.Point
+	for id := int64(0); len(pts) < 160; id++ {
+		// A few points outside the world: they live in the clamped edge
+		// tiles.
+		p := geom.Pt(rng.Float64()*11000-500, rng.Float64()*11000-500)
+		if m.ShardOf(p) == empty {
+			continue
+		}
+		pts = append(pts, p)
+		ups = append(ups, serve.UpdateJSON{Op: "upsert_point", ID: id, X: p.X, Y: p.Y})
+	}
+	if _, err := rt.ApplyUpdates(ctx, serve.UpdatesRequest{Updates: ups}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ref.Updates(ctx, serve.UpdatesRequest{Updates: ups}); err != nil {
+		t.Fatal(err)
+	}
+
+	requests := func() (n int64) {
+		for _, c := range rt.shards {
+			n += rt.m.requests.With(c.ID).Value()
+		}
+		return n
+	}
+	// compare runs one issuer through both sides and returns how many
+	// shard requests the router spent on the evaluation.
+	compare := func(name string, c geom.Point, hw, hh float64) int64 {
+		t.Helper()
+		u0 := geom.RectCentered(c, hw, hh)
+		q := serve.RequestJSON{Kind: "nn", K: 1 + rng.Intn(4), NNSamples: 512, Seed: rng.Int63() | 1,
+			Issuer: serve.IssuerJSON{Region: []float64{u0.Lo.X, u0.Lo.Y, u0.Hi.X, u0.Hi.Y}}}
+		if rng.Intn(2) == 0 {
+			q.Threshold = 0.1
+		}
+		req, err := q.ToRequest()
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		g, err := rt.gatherNN(ctx, q, u0)
+		if err != nil {
+			t.Fatalf("%s: gather: %v", name, err)
+		}
+		snap := srv.Engine().Snapshot()
+		want, err := snap.NNCandidates(ctx, req, core.NNCandidateOptions{})
+		snap.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(g.tau) != math.Float64bits(want.Tau) {
+			t.Fatalf("%s: fleet tau %v, single engine %v", name, g.tau, want.Tau)
+		}
+		if !slices.Equal(g.cands, want.Candidates) {
+			t.Fatalf("%s: fleet gathered %d candidates, single engine %d", name, len(g.cands), len(want.Candidates))
+		}
+
+		before := requests()
+		got, err := rt.Evaluate(ctx, q)
+		if err != nil {
+			t.Fatalf("%s: router: %v", name, err)
+		}
+		spent := requests() - before
+		wantResp, err := ref.Evaluate(ctx, q)
+		if err != nil {
+			t.Fatalf("%s: reference: %v", name, err)
+		}
+		if got.Partial {
+			t.Fatalf("%s: unexpected partial response (missing %v)", name, got.MissingShards)
+		}
+		if got.Cost.Refined != wantResp.Cost.Refined || got.Cost.SamplesUsed != wantResp.Cost.SamplesUsed {
+			t.Fatalf("%s: router refined=%d samples=%d, single engine refined=%d samples=%d", name,
+				got.Cost.Refined, got.Cost.SamplesUsed, wantResp.Cost.Refined, wantResp.Cost.SamplesUsed)
+		}
+		requireSameMatches(t, name, got, wantResp)
+		return spent
+	}
+
+	tw, th := world.Width()/float64(tx), world.Height()/float64(ty)
+	for i := 0; i < 12; i++ {
+		cx, cy := rng.Intn(tx), rng.Intn(ty)
+		border := geom.Pt(float64(cx)*tw, float64(cy)*th)
+		compare("border", border, 20+rng.Float64()*300, 20+rng.Float64()*300)
+		interior := geom.Pt((float64(cx)+0.5)*tw, (float64(cy)+0.5)*th)
+		compare("interior", interior, 20+rng.Float64()*300, 20+rng.Float64()*300)
+		compare("random", geom.Pt(rng.Float64()*10000, rng.Float64()*10000), 20+rng.Float64()*600, 20+rng.Float64()*600)
+	}
+
+	// Inside the empty shard: its local tau is +Inf.
+	for tile, s := range m.assign {
+		if s != empty {
+			continue
+		}
+		c := geom.Pt((float64(tile%tx)+0.5)*tw, (float64(tile/tx)+0.5)*th)
+		if spent := compare("empty-shard", c, tw/8, th/8); spent != int64(shards) {
+			t.Fatalf("issuer in the empty shard: %d shard requests, want all %d shards", spent, shards)
+		}
+	}
+
+	// A tight issuer on a point deep inside one shard's territory: the
+	// tau ball (radius < 3) reaches no other shard.
+	oneShard := 0
+	for _, p := range pts {
+		if len(m.ShardsOverlapping(geom.RectCentered(p, 5, 5))) != 1 {
+			continue
+		}
+		oneShard++
+		if spent := compare("one-shard", p, 1, 1); spent != 1 {
+			t.Fatalf("issuer at %v reaches one shard but cost %d shard requests", p, spent)
+		}
+	}
+	if oneShard == 0 {
+		t.Fatal("no single-shard issuer exercised")
+	}
+	if rt.m.nnRounds.Count() == 0 || rt.m.nnAsked.Count() != rt.m.nnRounds.Count() {
+		t.Fatalf("nn fan-out histograms: rounds observed %d times, shards asked %d times",
+			rt.m.nnRounds.Count(), rt.m.nnAsked.Count())
 	}
 }
 
@@ -309,14 +471,7 @@ func TestRouterRejectedBatchLeavesCacheAlone(t *testing.T) {
 			if err != nil {
 				t.Fatalf("reference %s at %v: %v", q.Kind, c, err)
 			}
-			if len(got.Matches) != len(want.Matches) {
-				t.Fatalf("%s at %v: router %v, single engine %v", q.Kind, c, got.Matches, want.Matches)
-			}
-			for i, w := range want.Matches {
-				if g := got.Matches[i]; g.ID != w.ID || math.Float64bits(g.P) != math.Float64bits(w.P) {
-					t.Fatalf("%s at %v: match %d: router {%d %v}, single engine {%d %v}", q.Kind, c, i, g.ID, g.P, w.ID, w.P)
-				}
-			}
+			requireSameMatches(t, fmt.Sprintf("%s at %v", q.Kind, c), got, want)
 		}
 	}
 }

@@ -169,16 +169,19 @@ func (m *TileMap) Grid() (tx, ty int) { return m.tx, m.ty }
 func (m *TileMap) World() geom.Rect { return m.world }
 
 // tileCoord maps a coordinate to a clamped tile column/row: positions
-// outside the world fall into the nearest edge tile.
+// outside the world fall into the nearest edge tile. The clamp is done
+// in floating point, where an infinite coordinate (a box edge that
+// overflowed) still compares the right way; converting it first would
+// not.
 func tileCoord(v, lo, extent float64, n int) int {
-	i := int((v - lo) / extent * float64(n))
-	if i < 0 {
+	f := (v - lo) / extent * float64(n)
+	if !(f >= 1) {
 		return 0
 	}
-	if i >= n {
+	if f >= float64(n) {
 		return n - 1
 	}
-	return i
+	return int(f)
 }
 
 // TileOf returns the row-major tile index holding p (clamped).

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -60,6 +61,22 @@ func TestTileMapOwnershipInvariants(t *testing.T) {
 		if !slices.Contains(m.ShardsOverlapping(geom.RectAt(p)), m.ShardOf(p)) {
 			t.Fatalf("point %v home %d not in its rect cover", p, m.ShardOf(p))
 		}
+	}
+}
+
+// A box whose edges overflowed to ±Inf (a far-away region expanded by
+// a huge tau) still covers every shard.
+func TestShardsOverlappingInfiniteBox(t *testing.T) {
+	m, err := Uniform(world(), 4, 4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inf := math.Inf(1)
+	if got := m.ShardsOverlapping(geom.Rect{Lo: geom.Pt(-inf, -inf), Hi: geom.Pt(inf, inf)}); !slices.Equal(got, m.AllShards()) {
+		t.Fatalf("infinite box covers %v, want %v", got, m.AllShards())
+	}
+	if got, want := m.ShardOf(geom.Pt(inf, inf)), m.ShardOf(geom.Pt(1e9, 1e9)); got != want {
+		t.Fatalf("point at +Inf on shard %d, far point on %d", got, want)
 	}
 }
 

@@ -42,7 +42,7 @@ soak:
 # while still exercising realistic candidate sets.
 bench: build
 	$(GO) run ./cmd/ildq-bench $(BENCH_PROFILE) -json BENCH_PR10.json
-	$(GO) test ./internal/bench ./internal/nn -run xxx -bench 'BenchmarkRefine|BenchmarkThroughput' -benchtime 1s
+	$(GO) test ./internal/bench ./internal/nn ./internal/wire -run xxx -bench 'BenchmarkRefine|BenchmarkThroughput|BenchmarkNNCandidateFrame' -benchtime 1s -benchmem
 
 # Re-run the recorded profile and gate against the checked-in
 # baseline. The fresh numbers land in BENCH_CI.json (uploaded as a CI
@@ -67,14 +67,16 @@ cluster-smoke: build
 	$(GO) run ./examples/cluster -shards 2 -rounds 3
 
 # Short fuzzing smoke: the R-tree op-stream and node-codec targets,
-# the WAL frame codec, and the NN candidate grid against the linear
-# scan it replaced.
+# the WAL frame codec, the NN candidate grid against the linear scan
+# it replaced, and the NN candidate frame decoder (the router's
+# untrusted input from its shards).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzRTree -fuzztime=30s ./internal/index/rtree
 	$(GO) test -fuzz=FuzzNodeRoundTrip -fuzztime=15s ./internal/index/rtree
 	$(GO) test -fuzz=FuzzDecodeNode -fuzztime=15s ./internal/index/rtree
 	$(GO) test -fuzz=FuzzWALRecord -fuzztime=15s ./internal/wal
 	$(GO) test -fuzz=FuzzRefineGrid -fuzztime=15s ./internal/nn
+	$(GO) test -fuzz=FuzzDecodeNNCandidateSet -fuzztime=15s ./internal/wire
 
 # API-surface gate: the public facade (package repro) is a reviewed
 # artifact. apicheck regenerates the surface with `go doc -all` and

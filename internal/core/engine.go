@@ -666,10 +666,12 @@ func accept(p, threshold float64) bool {
 // closure and interface allocations of sort.Slice in the hot result
 // path.
 func SortMatches(ms []Match) {
-	slices.SortFunc(ms, cmpMatch)
+	slices.SortFunc(ms, CompareMatches)
 }
 
-func cmpMatch(a, b Match) int {
+// CompareMatches is the canonical result order as a comparator, for a
+// layer that merges already-sorted lists instead of re-sorting them.
+func CompareMatches(a, b Match) int {
 	switch {
 	case a.P > b.P:
 		return -1

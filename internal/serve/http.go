@@ -16,10 +16,14 @@ import (
 // it, so a status code, an error shape or a frame layout cannot differ
 // between a standalone server and a fleet.
 
+// MaxBodyBytes caps every JSON body a fleet process reads off a
+// socket: requests at the servers, shard replies at the router.
+const MaxBodyBytes = 16 << 20
+
 // DecodeBody decodes a JSON body, rejecting unknown fields — a typo
 // in a request must fail loudly, not be silently ignored.
 func DecodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 16<<20))
+	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, MaxBodyBytes))
 	dec.DisallowUnknownFields()
 	return dec.Decode(v)
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/monitor"
 	"repro/internal/uncertain"
+	"repro/internal/wire"
 )
 
 // TestServeHealthzShardIdentity: a server launched as a fleet member
@@ -58,11 +60,42 @@ func TestServeHealthzShardIdentity(t *testing.T) {
 	}
 }
 
+// postNNCandidates posts one /v1/nn/candidates body and decodes the
+// frame that answers it, holding the reply to the endpoint's contract:
+// the frame media type and an announced length (no chunking).
+func postNNCandidates(t *testing.T, base, body string) core.NNCandidateSet {
+	t.Helper()
+	resp, err := http.Post(base+"/v1/nn/candidates", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("HTTP %d: %s", resp.StatusCode, raw)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != wire.NNFrameType {
+		t.Fatalf("Content-Type = %q, want %q", ct, wire.NNFrameType)
+	}
+	if resp.ContentLength != int64(len(raw)) {
+		t.Fatalf("Content-Length = %d for a %d-byte frame", resp.ContentLength, len(raw))
+	}
+	set, err := wire.DecodeNNCandidateSet(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return set
+}
+
 // TestServeNNCandidatesEndpoint exercises the shard half of the fleet
 // NN protocol over HTTP: candidates come back ID-sorted with the local
-// tau, feeding them to core.EvaluateNNCandidates reproduces the local
-// /v1/evaluate result bit-for-bit, tau_bound narrows the sweep, and an
-// empty shard reports tau = +Inf by omission.
+// tau in a binary frame, feeding them to core.EvaluateNNCandidates
+// reproduces the local /v1/evaluate result bit-for-bit, tau_bound
+// narrows the sweep, limit truncates it, an empty shard reports tau =
+// +Inf as itself, and an error reply stays JSON.
 func TestServeNNCandidatesEndpoint(t *testing.T) {
 	pts := make([]uncertain.PointObject, 0, 64)
 	for i := range 64 {
@@ -79,42 +112,25 @@ func TestServeNNCandidatesEndpoint(t *testing.T) {
 	t.Cleanup(hts.Close)
 	ts := hts.URL
 
-	reqBody := `{"request": {"kind": "nn", "k": 3,
+	const nnReq = `"request": {"kind": "nn", "k": 3,
 		"issuer": {"region": [4800, 4800, 5200, 5200]},
-		"nn_samples": 256, "seed": 41}}`
-	resp, err := http.Post(ts+"/v1/nn/candidates", "application/json", strings.NewReader(reqBody))
-	if err != nil {
-		t.Fatal(err)
+		"nn_samples": 256, "seed": 41}`
+	set := postNNCandidates(t, ts, `{`+nnReq+`}`)
+	if len(set.Candidates) == 0 || math.IsInf(set.Tau, 1) || set.Truncated {
+		t.Fatalf("expected a full candidate list and a finite tau, got %+v", set)
 	}
-	var set NNCandidatesResponse
-	if err := json.NewDecoder(resp.Body).Decode(&set); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("HTTP %d: %+v", resp.StatusCode, set)
-	}
-	if len(set.Candidates) == 0 || set.Tau == nil || math.IsInf(set.TauValue(), 1) {
-		t.Fatalf("expected candidates and a finite tau, got %+v", set)
-	}
-	for i := 1; i < len(set.Candidates); i++ {
-		if set.Candidates[i-1].ID >= set.Candidates[i].ID {
-			t.Fatalf("candidates not strictly ID-sorted at %d", i)
-		}
+	if set.Version != eng.Version() {
+		t.Errorf("frame version %d, engine at %d", set.Version, eng.Version())
 	}
 
 	// Re-evaluating the wire candidates must reproduce /v1/evaluate.
-	wire := RequestJSON{Kind: "nn", K: 3, NNSamples: 256, Seed: 41,
+	wireReq := RequestJSON{Kind: "nn", K: 3, NNSamples: 256, Seed: 41,
 		Issuer: IssuerJSON{Region: []float64{4800, 4800, 5200, 5200}}}
-	req, err := wire.ToRequest()
+	req, err := wireReq.ToRequest()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cands := make([]core.NNCandidate, len(set.Candidates))
-	for i, c := range set.Candidates {
-		cands[i] = core.NNCandidate{ID: uncertain.ID(c.ID), Loc: [2]float64{c.X, c.Y}}
-	}
-	res, err := core.EvaluateNNCandidates(t.Context(), req, cands, set.TauValue())
+	res, err := core.EvaluateNNCandidates(t.Context(), req, set.Candidates, set.Tau)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,49 +151,44 @@ func TestServeNNCandidatesEndpoint(t *testing.T) {
 		}
 	}
 
-	// tau_bound below the local tau prunes the candidate sweep.
-	bound := set.TauValue() * 0.5
-	resp, err = http.Post(ts+"/v1/nn/candidates", "application/json", strings.NewReader(fmt.Sprintf(
-		`{"request": {"kind": "nn", "k": 3, "issuer": {"region": [4800, 4800, 5200, 5200]},
-		  "nn_samples": 256, "seed": 41}, "tau_bound": %g}`, bound)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var bounded NNCandidatesResponse
-	if err := json.NewDecoder(resp.Body).Decode(&bounded); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	// tau_bound below the local tau prunes the candidate sweep (the
+	// router's bounded re-issue) without changing the reported tau.
+	bounded := postNNCandidates(t, ts, fmt.Sprintf(`{`+nnReq+`, "tau_bound": %g}`, set.Tau*0.5))
 	if len(bounded.Candidates) > len(set.Candidates) {
 		t.Errorf("tau_bound grew the candidate set: %d > %d", len(bounded.Candidates), len(set.Candidates))
 	}
-	if bounded.TauValue() != set.TauValue() {
-		t.Errorf("tau_bound changed the reported tau: %v vs %v", bounded.TauValue(), set.TauValue())
+	if bounded.Tau != set.Tau {
+		t.Errorf("tau_bound changed the reported tau: %v vs %v", bounded.Tau, set.Tau)
 	}
 
-	// An empty shard reports no candidates and omits tau (+Inf).
-	empty := testServer(t)
-	resp, err = http.Post(empty.URL+"/v1/nn/candidates", "application/json", strings.NewReader(reqBody))
-	if err != nil {
-		t.Fatal(err)
+	// A limit below the tally marks the frame truncated.
+	if len(set.Candidates) < 2 {
+		t.Fatalf("need at least 2 candidates to truncate, have %d", len(set.Candidates))
 	}
-	var none NNCandidatesResponse
-	if err := json.NewDecoder(resp.Body).Decode(&none); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if len(none.Candidates) != 0 || none.Tau != nil || !math.IsInf(none.TauValue(), 1) {
-		t.Errorf("empty shard: want no candidates and tau omitted, got %+v", none)
+	cut := postNNCandidates(t, ts, `{`+nnReq+`, "limit": 1}`)
+	if !cut.Truncated || len(cut.Candidates) != 1 || cut.Tau != set.Tau {
+		t.Errorf("limit 1: want one candidate, truncated, tau %v; got %+v", set.Tau, cut)
 	}
 
-	// Malformed bodies get structured 400s.
-	resp, err = http.Post(ts+"/v1/nn/candidates", "application/json",
+	// An empty shard reports no candidates and tau = +Inf.
+	none := postNNCandidates(t, testServer(t).URL, `{`+nnReq+`}`)
+	if len(none.Candidates) != 0 || !math.IsInf(none.Tau, 1) {
+		t.Errorf("empty shard: want no candidates and tau +Inf, got %+v", none)
+	}
+
+	// Malformed bodies get structured 400s, in JSON like every error.
+	resp, err := http.Post(ts+"/v1/nn/candidates", "application/json",
 		strings.NewReader(`{"request": {"kind": "points", "issuer": {"region": [0,0,1,1]}, "w": 1, "h": 1, "threshold": 0.5}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("non-NN request: HTTP %d, want 400", resp.StatusCode)
+	defer resp.Body.Close()
+	var bad map[string]string
+	if err := json.NewDecoder(resp.Body).Decode(&bad); err != nil {
+		t.Fatalf("400 body is not JSON: %v", err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || resp.Header.Get("Content-Type") != "application/json" || bad["field"] != "kind" {
+		t.Errorf("non-NN request: HTTP %d %s %v, want a JSON 400 naming field kind",
+			resp.StatusCode, resp.Header.Get("Content-Type"), bad)
 	}
 }

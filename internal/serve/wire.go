@@ -1,11 +1,12 @@
 package serve
 
 import (
-	"math"
 	"net/http"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/monitor"
+	"repro/internal/wire"
 )
 
 // Typed response bodies. The handlers encode these (instead of ad-hoc
@@ -13,7 +14,9 @@ import (
 // responses with the exact same types the server encodes, which is
 // what keeps probabilities bit-exact across the scatter-gather hop:
 // encoding/json renders float64 at round-trip precision in both
-// directions.
+// directions. The one success body that is not JSON is the reply of
+// /v1/nn/candidates, a binary frame (internal/wire) that carries each
+// float64 as its bits.
 
 // EvaluateResponse is the body of POST /v1/evaluate.
 type EvaluateResponse struct {
@@ -85,37 +88,17 @@ type NNCandidatesRequest struct {
 	Limit int `json:"limit,omitempty"`
 }
 
-// NNCandidateJSON is one candidate point.
-type NNCandidateJSON struct {
-	ID int64   `json:"id"`
-	X  float64 `json:"x"`
-	Y  float64 `json:"y"`
-}
-
-// NNCandidatesResponse is the body of POST /v1/nn/candidates. Tau is
-// omitted (nil) when the shard holds no points — its local tau is +Inf,
-// which JSON cannot carry.
-type NNCandidatesResponse struct {
-	Version      uint64            `json:"version"`
-	Tau          *float64          `json:"tau,omitempty"`
-	Truncated    bool              `json:"truncated,omitempty"`
-	NodeAccesses int64             `json:"node_accesses"`
-	Candidates   []NNCandidateJSON `json:"candidates"`
-}
-
-// TauValue returns the response's local tau (+Inf when absent).
-func (r NNCandidatesResponse) TauValue() float64 {
-	if r.Tau == nil {
-		return math.Inf(1)
-	}
-	return *r.Tau
-}
-
-// maxNNCandidateLimit bounds the candidate list one shard ships per
-// NN collection when the client asks for no limit of its own.
-const maxNNCandidateLimit = 1 << 16
+// MaxNNCandidateLimit bounds the candidate list one shard ships per NN
+// collection, whatever limit the request asks for; the router sizes
+// its reply cap from it.
+const MaxNNCandidateLimit = 1 << 16
 
 // POST /v1/nn/candidates — NN candidate collection for a fleet router.
+// The endpoint is fleet-internal (shard.Client.NNCandidates is its one
+// caller): the request and every error reply are JSON like the rest of
+// the wire format, the success reply is the wire.NNFrameType frame,
+// appended straight from the snapshot's candidate set and sent with a
+// Content-Length.
 func (s *Server) handleNNCandidates(w http.ResponseWriter, r *http.Request) {
 	var body NNCandidatesRequest
 	if err := DecodeBody(r, &body); err != nil {
@@ -131,8 +114,8 @@ func (s *Server) handleNNCandidates(w http.ResponseWriter, r *http.Request) {
 		req.Options = s.defaults
 	}
 	limit := body.Limit
-	if limit <= 0 || limit > maxNNCandidateLimit {
-		limit = maxNNCandidateLimit
+	if limit <= 0 || limit > MaxNNCandidateLimit {
+		limit = MaxNNCandidateLimit
 	}
 	snap := s.mon.Engine().Snapshot()
 	defer snap.Close()
@@ -144,20 +127,12 @@ func (s *Server) handleNNCandidates(w http.ResponseWriter, r *http.Request) {
 		WriteRequestError(s.log, w, err)
 		return
 	}
-	resp := NNCandidatesResponse{
-		Version:      set.Version,
-		Truncated:    set.Truncated,
-		NodeAccesses: set.NodeAccesses,
-		Candidates:   make([]NNCandidateJSON, len(set.Candidates)),
+	frame := wire.AppendNNCandidateSet(make([]byte, 0, wire.MaxNNCandidateSetSize(len(set.Candidates))), set)
+	w.Header().Set("Content-Type", wire.NNFrameType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
+	if _, err := w.Write(frame); err != nil {
+		s.log.Debug("response write failed", "err", err)
 	}
-	if !math.IsInf(set.Tau, 1) {
-		tau := set.Tau
-		resp.Tau = &tau
-	}
-	for i, c := range set.Candidates {
-		resp.Candidates[i] = NNCandidateJSON{ID: int64(c.ID), X: c.Loc[0], Y: c.Loc[1]}
-	}
-	WriteJSON(s.log, w, http.StatusOK, resp)
 }
 
 // Engine exposes the served engine (cluster harnesses and tests).

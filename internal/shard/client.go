@@ -8,14 +8,19 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/serve"
+	"repro/internal/wire"
 )
 
 // RetryPolicy bounds the router's per-request retries against one
 // shard. A request is retried on transport errors and 5xx responses;
-// 4xx responses are the caller's bug and surface immediately.
+// 4xx responses are the caller's bug and surface immediately, and so
+// does a reply that is too large or not in the expected encoding —
+// the same request would draw the same reply.
 type RetryPolicy struct {
 	// Attempts is the total number of tries (first attempt included).
 	// Zero means DefaultRetry.Attempts.
@@ -59,6 +64,9 @@ type Client struct {
 
 	// OnRetry, when set, observes each retry (metrics hook).
 	OnRetry func()
+	// OnReply, when set, observes the size of each 2xx reply body read
+	// for one of the router's fan-out ops (metrics hook).
+	OnReply func(op string, bytes int)
 }
 
 func (c *Client) httpClient() *http.Client {
@@ -78,9 +86,33 @@ func (e *statusError) Error() string {
 	return fmt.Sprintf("HTTP %d: %s", e.code, e.body)
 }
 
-// do runs one JSON request with the client's retry policy. out may be
-// nil to discard the response body.
-func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
+// ErrReplyTooLarge reports a shard reply that ran past the size cap of
+// its endpoint; the router stops reading at the cap.
+var ErrReplyTooLarge = errors.New("reply exceeds the size cap")
+
+// ErrReplyFormat reports a 2xx shard reply that is not in the encoding
+// this router speaks for the endpoint: the wrong Content-Type, or a
+// frame the decoder refuses (the error then also wraps wire.ErrFrame).
+var ErrReplyFormat = errors.New("reply is not in the expected encoding (router and shard binaries differ)")
+
+// reply says how one endpoint's 2xx body is read: through a hard cap,
+// whole, and only then decoded — a shard is trusted neither to stop
+// sending nor to send what it announced.
+type reply struct {
+	op     string // OnReply label; "" is not observed
+	media  string // required Content-Type
+	limit  int64
+	decode func(body []byte) error // nil discards the body
+}
+
+func jsonReply(op string, out any) reply {
+	return reply{op: op, media: "application/json", limit: serve.MaxBodyBytes,
+		decode: func(body []byte) error { return json.Unmarshal(body, out) }}
+}
+
+// do runs one request (in, when not nil, as its JSON body) with the
+// client's retry policy.
+func (c *Client) do(ctx context.Context, method, path string, in any, rp reply) error {
 	var body []byte
 	if in != nil {
 		var err error
@@ -103,14 +135,15 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 			}
 			backoff = min(backoff*2, pol.MaxBackoff)
 		}
-		err := c.doOnce(ctx, method, path, body, out)
+		err := c.doOnce(ctx, method, path, body, rp)
 		if err == nil {
 			return nil
 		}
 		lastErr = err
 		var se *statusError
-		if errors.As(err, &se) && se.code < 500 {
-			// Client errors will not heal with retries.
+		if errors.As(err, &se) && se.code < 500 || errors.Is(err, ErrReplyTooLarge) || errors.Is(err, ErrReplyFormat) {
+			// Neither a client error nor a deterministic reply will heal
+			// with retries.
 			break
 		}
 		if ctx.Err() != nil {
@@ -120,7 +153,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	return fmt.Errorf("shard %s: %s: %w", c.ID, path, lastErr)
 }
 
-func (c *Client) doOnce(ctx context.Context, method, path string, body []byte, out any) error {
+func (c *Client) doOnce(ctx context.Context, method, path string, body []byte, rp reply) error {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -141,56 +174,82 @@ func (c *Client) doOnce(ctx context.Context, method, path string, body []byte, o
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return &statusError{code: resp.StatusCode, body: string(bytes.TrimSpace(msg))}
 	}
-	if out != nil {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			return err
+	if rp.decode != nil {
+		got, _, _ := strings.Cut(resp.Header.Get("Content-Type"), ";")
+		if strings.TrimSpace(got) != rp.media {
+			return fmt.Errorf("%w: Content-Type %q, want %q", ErrReplyFormat, got, rp.media)
 		}
 	}
-	// Read to EOF even after a full decode: the decoder stops at the end
-	// of the JSON value, and a chunked reply's terminal chunk left
-	// unread makes net/http drop the keep-alive connection on Close.
-	_, err = io.Copy(io.Discard, resp.Body)
-	return err
+	// Reading to EOF is also what keeps the connection: a chunked
+	// reply's terminal chunk left unread makes net/http drop the
+	// keep-alive connection on Close.
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, rp.limit+1))
+	if err != nil {
+		return err
+	}
+	if c.OnReply != nil && rp.op != "" {
+		c.OnReply(rp.op, len(raw))
+	}
+	if int64(len(raw)) > rp.limit {
+		return fmt.Errorf("%w of %d bytes", ErrReplyTooLarge, rp.limit)
+	}
+	if rp.decode == nil {
+		return nil
+	}
+	return rp.decode(raw)
 }
 
 // Evaluate runs a one-shot request on the shard.
 func (c *Client) Evaluate(ctx context.Context, req serve.RequestJSON) (serve.EvaluateResponse, error) {
 	var out serve.EvaluateResponse
-	err := c.do(ctx, http.MethodPost, "/v1/evaluate", req, &out)
+	err := c.do(ctx, http.MethodPost, "/v1/evaluate", req, jsonReply("evaluate", &out))
 	return out, err
 }
 
+// maxNNFrame is the largest candidate frame a shard can legitimately
+// send: serve caps the list at MaxNNCandidateLimit whatever was asked.
+var maxNNFrame = int64(wire.MaxNNCandidateSetSize(serve.MaxNNCandidateLimit))
+
 // NNCandidates collects the shard's NN candidate set (the shard half
-// of the fleet tau-merge protocol).
-func (c *Client) NNCandidates(ctx context.Context, req serve.NNCandidatesRequest) (serve.NNCandidatesResponse, error) {
-	var out serve.NNCandidatesResponse
-	err := c.do(ctx, http.MethodPost, "/v1/nn/candidates", req, &out)
+// of the fleet tau-merge protocol). The reply is the one binary frame
+// on the hop, decoded straight into the refinement kernel's input.
+func (c *Client) NNCandidates(ctx context.Context, req serve.NNCandidatesRequest) (core.NNCandidateSet, error) {
+	var out core.NNCandidateSet
+	err := c.do(ctx, http.MethodPost, "/v1/nn/candidates", req, reply{
+		op: "nn", media: wire.NNFrameType, limit: maxNNFrame,
+		decode: func(body []byte) (err error) {
+			if out, err = wire.DecodeNNCandidateSet(body); err != nil {
+				return fmt.Errorf("%w: %w", ErrReplyFormat, err)
+			}
+			return nil
+		},
+	})
 	return out, err
 }
 
 // Updates applies one update batch on the shard.
 func (c *Client) Updates(ctx context.Context, req serve.UpdatesRequest) (serve.UpdatesResponse, error) {
 	var out serve.UpdatesResponse
-	err := c.do(ctx, http.MethodPost, "/v1/updates", req, &out)
+	err := c.do(ctx, http.MethodPost, "/v1/updates", req, jsonReply("updates", &out))
 	return out, err
 }
 
 // Register registers a standing query on the shard.
 func (c *Client) Register(ctx context.Context, req serve.RequestJSON) (serve.RegisterResponse, error) {
 	var out serve.RegisterResponse
-	err := c.do(ctx, http.MethodPost, "/v1/queries", req, &out)
+	err := c.do(ctx, http.MethodPost, "/v1/queries", req, jsonReply("register", &out))
 	return out, err
 }
 
 // Deregister removes a standing query from the shard.
 func (c *Client) Deregister(ctx context.Context, id int64) error {
-	return c.do(ctx, http.MethodDelete, fmt.Sprintf("/v1/queries/%d", id), nil, nil)
+	return c.do(ctx, http.MethodDelete, fmt.Sprintf("/v1/queries/%d", id), nil, reply{limit: serve.MaxBodyBytes})
 }
 
 // Healthz fetches the shard's health report.
 func (c *Client) Healthz(ctx context.Context) (serve.HealthzResponse, error) {
 	var out serve.HealthzResponse
-	err := c.do(ctx, http.MethodGet, "/healthz", nil, &out)
+	err := c.do(ctx, http.MethodGet, "/healthz", nil, jsonReply("", &out))
 	return out, err
 }
 

@@ -21,9 +21,15 @@ type routerMetrics struct {
 	fanout   *obs.Histogram
 	nnRounds *obs.Histogram // candidate-collection rounds per NN request
 	nnAsked  *obs.Histogram // distinct shards asked per NN request
+	// replyBytes is the size of each shard reply body the router read,
+	// per op — the production twin of the benchmark's serve.resp_bytes.
+	replyBytes *obs.HistogramVec
 }
 
 var fanoutBuckets = []float64{1, 2, 3, 4, 6, 8, 12, 16, 24, 32}
+
+// replyByteBuckets run 256 B … 16 MB (serve.MaxBodyBytes) in powers of 4.
+var replyByteBuckets = []float64{1 << 8, 1 << 10, 1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 20, 1 << 22, 1 << 24}
 
 func newRouterMetrics() *routerMetrics {
 	reg := obs.NewRegistry()
@@ -51,6 +57,9 @@ func newRouterMetrics() *routerMetrics {
 		nnAsked: reg.Histogram("ildq_router_nn_shards_asked",
 			"Distinct shards asked for candidates per NN request, over both rounds.",
 			fanoutBuckets),
+		replyBytes: reg.HistogramVec("ildq_router_shard_reply_bytes",
+			"Bytes of each 2xx shard reply body the router read, by op (evaluate, nn, updates, register).",
+			replyByteBuckets, "op"),
 	}
 	return m
 }

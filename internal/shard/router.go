@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -113,6 +114,7 @@ func NewRouter(tiles *TileMap, clients []*Client, cfg Config) (*Router, error) {
 		}
 		retries := r.m.retries.With(id)
 		c.OnRetry = func() { retries.Inc() }
+		c.OnReply = func(op string, bytes int) { r.m.replyBytes.With(op).Observe(float64(bytes)) }
 	}
 	return r, nil
 }
@@ -185,45 +187,61 @@ func (r *Router) Evaluate(ctx context.Context, rj serve.RequestJSON) (serve.Eval
 	})
 
 	out := serve.EvaluateResponse{Kind: req.Kind.String()}
-	var merge matchMerge
+	lists := make([][]serve.MatchJSON, 0, len(resps))
 	for i, resp := range resps {
 		if errs[i] != nil {
 			continue
 		}
 		out.Version = max(out.Version, resp.Version)
 		addCost(&out.Cost, resp.Cost)
-		merge.add(resp.Matches)
+		lists = append(lists, resp.Matches)
 	}
 	out.MissingShards = r.missing(targets, errs, "evaluate")
 	out.Partial = out.MissingShards != nil
-	out.Matches = merge.sorted()
+	out.Matches = mergeMatches(lists)
 	return out, nil
 }
 
-// matchMerge unions the shards' range answers: a straddling object is
-// answered by every replica, with bit-identical probabilities, so the
-// first copy stands for all of them.
-type matchMerge struct {
-	seen   map[int64]struct{}
-	merged []core.Match
-}
-
-func (m *matchMerge) add(ms []serve.MatchJSON) {
-	if m.seen == nil {
-		m.seen = make(map[int64]struct{})
+// mergeSorted merges lists that each arrive sorted under compare into one
+// sorted list, keeping one copy of elements that compare equal and
+// dropping those keep (when not nil) rejects. A lone list that needs
+// no filtering is passed through as it is.
+func mergeSorted[T any](lists [][]T, compare func(a, b T) int, keep func(T) bool) []T {
+	lists = slices.DeleteFunc(lists, func(l []T) bool { return len(l) == 0 })
+	if len(lists) == 1 && keep == nil {
+		return lists[0]
 	}
-	for _, mj := range ms {
-		if _, dup := m.seen[mj.ID]; !dup {
-			m.seen[mj.ID] = struct{}{}
-			m.merged = append(m.merged, core.Match{ID: uncertain.ID(mj.ID), P: mj.P})
+	n := 0
+	for _, l := range lists {
+		n += len(l)
+	}
+	out := make([]T, 0, n)
+	for len(lists) > 0 {
+		lo := 0
+		for l := 1; l < len(lists); l++ {
+			if compare(lists[l][0], lists[lo][0]) < 0 {
+				lo = l
+			}
+		}
+		c := lists[lo][0]
+		if (len(out) == 0 || compare(out[len(out)-1], c) != 0) && (keep == nil || keep(c)) {
+			out = append(out, c)
+		}
+		if lists[lo] = lists[lo][1:]; len(lists[lo]) == 0 {
+			lists = slices.Delete(lists, lo, lo+1)
 		}
 	}
+	return out
 }
 
-// sorted returns the union in the engine's canonical result order.
-func (m *matchMerge) sorted() []serve.MatchJSON {
-	core.SortMatches(m.merged)
-	return serve.ToMatchesJSON(m.merged)
+// mergeMatches unions the shards' range answers. Every shard's list
+// arrives in the engine's canonical order, and a straddling object is
+// answered by every replica with a bit-identical probability, so the
+// copies meet at the heads of the merge and one stands for all.
+func mergeMatches(lists [][]serve.MatchJSON) []serve.MatchJSON {
+	return mergeSorted(lists, func(a, b serve.MatchJSON) int {
+		return core.CompareMatches(core.Match{ID: uncertain.ID(a.ID), P: a.P}, core.Match{ID: uncertain.ID(b.ID), P: b.P})
+	}, nil)
 }
 
 func addCost(dst *serve.CostJSON, c serve.CostJSON) {
@@ -272,7 +290,7 @@ type nnGather struct {
 // least e, and Hypot never returns less than its larger argument.
 func (r *Router) gatherNN(ctx context.Context, rj serve.RequestJSON, u0 geom.Rect) (nnGather, error) {
 	// Indexed by shard number, whichever round asked.
-	resps := make([]serve.NNCandidatesResponse, len(r.shards))
+	resps := make([]core.NNCandidateSet, len(r.shards))
 	var g nnGather
 	ask := func(targets []int, creq serve.NNCandidatesRequest) {
 		errs := r.scatter(targets, func(s int) error {
@@ -289,7 +307,7 @@ func (r *Router) gatherNN(ctx context.Context, rj serve.RequestJSON, u0 geom.Rec
 		tau := math.Inf(1)
 		for i, s := range g.asked {
 			if g.errs[i] == nil {
-				tau = math.Min(tau, resps[s].TauValue())
+				tau = math.Min(tau, resps[s].Tau)
 			}
 		}
 		return tau
@@ -331,35 +349,18 @@ func (r *Router) gatherNN(ctx context.Context, rj serve.RequestJSON, u0 geom.Rec
 	// Merge the shards' id-sorted lists, dropping what a looser local
 	// tau let through. Equal ids meet at the heads — only a point caught
 	// mid-move between two shards produces them — and one copy is kept.
-	var lists [][]serve.NNCandidateJSON
+	lists := make([][]core.NNCandidate, 0, len(g.asked))
 	for i, s := range g.asked {
 		if g.errs[i] != nil {
 			continue
 		}
 		g.version = max(g.version, resps[s].Version)
 		g.nodeAccesses += resps[s].NodeAccesses
-		kept := slices.DeleteFunc(resps[s].Candidates, func(c serve.NNCandidateJSON) bool {
-			return u0.MinDist(geom.Pt(c.X, c.Y)) > g.tau
-		})
-		if len(kept) > 0 {
-			lists = append(lists, kept)
-		}
+		lists = append(lists, resps[s].Candidates)
 	}
-	for len(lists) > 0 {
-		lo := 0
-		for l := 1; l < len(lists); l++ {
-			if lists[l][0].ID < lists[lo][0].ID {
-				lo = l
-			}
-		}
-		c := lists[lo][0]
-		if n := len(g.cands); n == 0 || g.cands[n-1].ID != uncertain.ID(c.ID) {
-			g.cands = append(g.cands, core.NNCandidate{ID: uncertain.ID(c.ID), Loc: [2]float64{c.X, c.Y}})
-		}
-		if lists[lo] = lists[lo][1:]; len(lists[lo]) == 0 {
-			lists = slices.Delete(lists, lo, lo+1)
-		}
-	}
+	g.cands = mergeSorted(lists,
+		func(a, b core.NNCandidate) int { return cmp.Compare(a.ID, b.ID) },
+		func(c core.NNCandidate) bool { return u0.MinDist(geom.Pt(c.Loc[0], c.Loc[1])) <= g.tau })
 	return g, nil
 }
 
@@ -546,13 +547,13 @@ func (r *Router) Register(ctx context.Context, rj serve.RequestJSON) (serve.Regi
 		return err
 	})
 	sub := &routerSub{id: r.subID.Add(1), kind: req.Kind.String()}
-	var merge matchMerge
+	lists := make([][]serve.MatchJSON, 0, len(resps))
 	for i, resp := range resps {
 		if errs[i] != nil {
 			continue
 		}
 		sub.members = append(sub.members, subMember{shard: targets[i], subID: resp.ID})
-		merge.add(resp.Snapshot)
+		lists = append(lists, resp.Snapshot)
 	}
 	miss := r.missing(targets, errs, "register")
 	if len(sub.members) == 0 {
@@ -564,7 +565,7 @@ func (r *Router) Register(ctx context.Context, rj serve.RequestJSON) (serve.Regi
 	return serve.RegisterResponse{
 		ID:       sub.id,
 		Kind:     sub.kind,
-		Snapshot: merge.sorted(),
+		Snapshot: mergeMatches(lists),
 	}, miss, nil
 }
 

@@ -1,18 +1,22 @@
 package shard
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"net/http/httptest"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/monitor"
+	"repro/internal/obs"
 	"repro/internal/serve"
+	"repro/internal/wire"
 )
 
 // fleet boots n in-process shard servers plus a router over them, on
@@ -473,5 +477,77 @@ func TestRouterRejectedBatchLeavesCacheAlone(t *testing.T) {
 			}
 			requireSameMatches(t, fmt.Sprintf("%s at %v", q.Kind, c), got, want)
 		}
+	}
+}
+
+// TestRouterReplyBytesMetric: every fan-out op's shard reply sizes land
+// in ildq_router_shard_reply_bytes under its op label — for NN, the
+// frame's bytes exactly — and the router's exposition stays lint-clean.
+func TestRouterReplyBytesMetric(t *testing.T) {
+	rt := fleet(t, 2)
+	ctx := t.Context()
+	if _, err := rt.ApplyUpdates(ctx, serve.UpdatesRequest{Updates: []serve.UpdateJSON{
+		{Op: "upsert_point", ID: 1, X: 1000, Y: 1000},
+		{Op: "upsert_point", ID: 2, X: 1010, Y: 1000},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	nn := serve.RequestJSON{Kind: "nn", K: 1, NNSamples: 64, Seed: 5,
+		Issuer: serve.IssuerJSON{Region: []float64{900, 900, 1100, 1100}}}
+	if _, err := rt.Evaluate(ctx, nn); err != nil {
+		t.Fatal(err)
+	}
+	rng := serve.RequestJSON{Kind: "points", W: 500, H: 500, Threshold: 0.01,
+		Issuer: serve.IssuerJSON{Region: []float64{900, 900, 1100, 1100}}}
+	if _, err := rt.Evaluate(ctx, rng); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := rt.Register(ctx, rng); err != nil {
+		t.Fatal(err)
+	}
+
+	set, err := rt.shards[0].NNCandidates(ctx, serve.NNCandidatesRequest{Request: nn})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := float64(len(wire.AppendNNCandidateSet(nil, set)))
+	if h := rt.m.replyBytes.With("nn"); h.Count() != 2 || h.Sum() != 2*frame {
+		t.Errorf("op=nn: %d replies, %v bytes; want 2 replies of the %v-byte frame", h.Count(), h.Sum(), frame)
+	}
+	for _, op := range []string{"evaluate", "updates", "register"} {
+		if h := rt.m.replyBytes.With(op); h.Count() != 1 || h.Sum() <= 0 {
+			t.Errorf("op=%s: %d replies, %v bytes; want one non-empty reply", op, h.Count(), h.Sum())
+		}
+	}
+	var text bytes.Buffer
+	if err := rt.m.reg.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	if errs := obs.Lint(text.Bytes()); len(errs) != 0 {
+		t.Errorf("router exposition fails lint: %v", errs)
+	}
+	if !strings.Contains(text.String(), `ildq_router_shard_reply_bytes_count{op="nn"} 2`) {
+		t.Errorf("exposition lacks the nn reply-bytes series:\n%s", text.String())
+	}
+}
+
+// TestMergeMatches pins the merge's edge behaviour the bit-exactness
+// trace only reaches by luck: replica copies across three lists
+// collapse to one, order is the engine's (P descending, then id), a
+// lone list is passed through without a copy, and no list at all is an
+// empty answer rather than a JSON null.
+func TestMergeMatches(t *testing.T) {
+	a := []serve.MatchJSON{{ID: 4, P: 0.9}, {ID: 2, P: 0.5}, {ID: 9, P: 0.5}}
+	b := []serve.MatchJSON{{ID: 7, P: 1}, {ID: 2, P: 0.5}, {ID: 3, P: 0.1}}
+	c := []serve.MatchJSON{{ID: 2, P: 0.5}}
+	want := []serve.MatchJSON{{ID: 7, P: 1}, {ID: 4, P: 0.9}, {ID: 2, P: 0.5}, {ID: 9, P: 0.5}, {ID: 3, P: 0.1}}
+	if got := mergeMatches([][]serve.MatchJSON{a, nil, b, c}); !slices.Equal(got, want) {
+		t.Errorf("merged %v, want %v", got, want)
+	}
+	if got := mergeMatches([][]serve.MatchJSON{nil, a, {}}); &got[0] != &a[0] || len(got) != len(a) {
+		t.Errorf("a lone list was copied or cut: %v", got)
+	}
+	if got := mergeMatches(nil); got == nil || len(got) != 0 {
+		t.Errorf("no lists merged to %#v, want an empty non-nil list", got)
 	}
 }

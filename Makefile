@@ -1,20 +1,11 @@
-# Developer / CI entry points. `make bench` records the serving
-# trajectory to BENCH_PR10.json; BENCH_PR1..9.json stay checked in as
-# the previous revisions' baselines. `make bench-regression` replays the
-# same profile and fails (exit 3) when a gated metric regresses against
-# the checked-in BENCH_PR10.json — the CI perf gate. Which metrics are
-# gated, and with what tolerance, is written down once: the comment
-# block at the top of cmd/ildq-bench/gate.go.
+# Developer / CI entry points. Timing is measured by the end-to-end
+# benchmark (benchmark/, BENCHMARK.json); `make bench` only prints the
+# go test micro-benchmarks of the refinement and frame-codec kernels.
 # `make apicheck` gates the public API surface against api/repro.txt.
 
 GO ?= go
 
-BENCH_PROFILE = -exp exp-throughput,exp-adaptive,exp-continuous,exp-mixed,exp-nn,exp-obs,exp-durability \
-	-points 8000 -rects 10000 -queries 64 -workers 1,2,4 \
-	-threshold 0.1,0.5,0.9 -adaptive-samples 2048 -nn-samples 2000 \
-	-standing 64 -update-batches 40 -batch-size 32 -readers 2
-
-.PHONY: all build test race bench bench-regression bench-e2e-smoke cluster-smoke soak fuzz-smoke lint apicheck apiupdate
+.PHONY: all build test race bench bench-e2e-smoke cluster-smoke soak fuzz-smoke lint apicheck apiupdate
 
 all: build test race
 
@@ -38,24 +29,14 @@ soak:
 	$(GO) test -race -run Snapshot -count=3 ./internal/core/
 	$(GO) test -run 'TestCrashRecoveryProperty|TestCheckpointFaultInjection' -count=3 ./internal/core/
 
-# Modest dataset sizes so the bench target finishes in about a minute
-# while still exercising realistic candidate sets.
 bench: build
-	$(GO) run ./cmd/ildq-bench $(BENCH_PROFILE) -json BENCH_PR10.json
-	$(GO) test ./internal/bench ./internal/nn ./internal/wire -run xxx -bench 'BenchmarkRefine|BenchmarkThroughput|BenchmarkNNCandidateFrame' -benchtime 1s -benchmem
-
-# Re-run the recorded profile and gate against the checked-in
-# baseline. The fresh numbers land in BENCH_CI.json (uploaded as a CI
-# artifact, where multi-core runners also record worker scaling).
-bench-regression: build
-	$(GO) run ./cmd/ildq-bench $(BENCH_PROFILE) -json BENCH_CI.json \
-		-baseline BENCH_PR10.json -regress 0.20
+	$(GO) test ./internal/bench ./internal/nn ./internal/wire -run xxx -bench 'BenchmarkRefine|BenchmarkNNCandidateFrame' -benchtime 1s -benchmem
 
 # The end-to-end benchmark (benchmark/, see BENCHMARK.json) is a
 # module of its own, so `go build ./... && go test ./...` never
-# compiles it. This vets it and runs its unit tests plus the short
-# in-process smoke run of every workload, so a change to an internal
-# API it imports cannot break it unnoticed. Part of the CI test job.
+# compiles it; tier-1 only vets it (TestBenchmarkModuleVets). This also
+# runs its unit tests plus the short in-process smoke run of every
+# workload. Part of the CI test job.
 bench-e2e-smoke:
 	cd benchmark && $(GO) vet . && $(GO) test .
 

@@ -1,9 +1,8 @@
-// Benchmarks regenerating the paper's evaluation (one per figure; see
-// DESIGN.md §3 for the experiment index and EXPERIMENTS.md for the
-// recorded outcomes). Figures sweep a parameter; each benchmark pins
-// the paper's highlighted operating point and measures a single query
-// evaluation, so relative times across benchmarks carry the figure's
-// message (e.g. Fig8Basic vs Fig8Enhanced).
+// Benchmarks regenerating the paper's evaluation (one per figure of §6
+// of the paper named in PAPER.md). Figures sweep a parameter; each
+// benchmark pins the paper's highlighted operating point and measures a
+// single query evaluation, so relative times across benchmarks carry
+// the figure's message (e.g. Fig8Basic vs Fig8Enhanced).
 //
 // The full sweep data is produced by cmd/ildq-bench.
 package repro_test
@@ -212,7 +211,7 @@ func BenchmarkFig13GaussianPExpanded(b *testing.B) {
 	})
 }
 
-// --- Ablations (DESIGN.md §4) ---
+// --- Ablations ---
 
 // Object-level pruning strategies on vs off (index pruning fixed on).
 func BenchmarkAblationStrategiesAll(b *testing.B) {

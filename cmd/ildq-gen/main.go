@@ -7,8 +7,8 @@
 //	ildq-gen -kind rects  -out longbeach.ilq             # 53K rectangles
 //	ildq-gen -kind points -n 5000 -seed 7 -out small.ilq
 //
-// The defaults reproduce the paper's dataset shapes (see DESIGN.md's
-// substitution notes).
+// The defaults reproduce the paper's dataset shapes (synthetic
+// stand-ins; see package internal/dataset for the substitution).
 package main
 
 import (

@@ -90,6 +90,6 @@
 // apicheck` fails when it drifts, so surface growth is a reviewed
 // decision.
 //
-// See examples/ for runnable programs and DESIGN.md for the map from
-// the paper's sections to packages.
+// See examples/ for runnable programs and README.md's repository map
+// for what each package holds.
 package repro

@@ -4,54 +4,27 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/dataset"
 	"repro/internal/uncertain"
 )
+
+// ablationQps is the threshold sweep of the two ablations.
+var ablationQps = []float64{0.2, 0.4, 0.6, 0.8}
 
 // AblationStrategies measures C-IUQ cost with each §5.2 pruning
 // strategy disabled in turn (and everything disabled), versus the full
 // stack, across the Qp sweep. It quantifies each strategy's individual
-// contribution — the design-choice ablation DESIGN.md lists.
+// contribution to the gap Figure 12 shows.
 func AblationStrategies(env *Env) (Figure, error) {
-	p := DefaultParams()
 	fig := Figure{ID: "ablation-strategies", Title: "C-IUQ pruning strategy ablation", XLabel: "Qp"}
-	variants := []struct {
-		name string
-		opts core.EvalOptions
-	}{
-		{"all strategies", core.EvalOptions{}},
-		{"no strategy 1", core.EvalOptions{Strategies: core.StrategySet{DisableStrategy1: true}}},
-		{"no strategy 2", core.EvalOptions{Strategies: core.StrategySet{DisableStrategy2: true}}},
-		{"no strategy 3", core.EvalOptions{Strategies: core.StrategySet{DisableStrategy3: true}}},
-		{"no index pruning", core.EvalOptions{DisableIndexPruning: true}},
-		{"object strategies only", core.EvalOptions{DisableIndexPruning: true, DisablePExpansion: true}},
-		{"nothing", core.EvalOptions{
-			DisablePExpansion:   true,
-			DisableIndexPruning: true,
-			Strategies:          core.StrategySet{DisableStrategy1: true, DisableStrategy2: true, DisableStrategy3: true},
-		}},
-	}
-	series := make([]Series, len(variants))
-	for i, v := range variants {
-		series[i].Name = v.name
-	}
-	// One issuer set per sweep point, shared across variants, so the
-	// series are comparable point by point.
-	for _, qp := range []float64{0.2, 0.4, 0.6, 0.8} {
-		issuers, err := env.Issuers(env.cfg.Queries, p.U)
-		if err != nil {
-			return Figure{}, err
-		}
-		for i, v := range variants {
-			s, err := env.runPoint(overUncertain, issuers, p.W, p.W, qp, v.opts, qp)
-			if err != nil {
-				return Figure{}, err
-			}
-			series[i].Samples = append(series[i].Samples, s)
-		}
-	}
-	fig.Series = series
-	return fig, nil
+	err := env.sweep(&fig, env.IssuerStream(fig.ID), core.KindUncertain, ablationQps, overQp,
+		fixed("all strategies", core.EvalOptions{}),
+		fixed("no strategy 1", core.EvalOptions{Strategies: core.StrategySet{DisableStrategy1: true}}),
+		fixed("no strategy 2", core.EvalOptions{Strategies: core.StrategySet{DisableStrategy2: true}}),
+		fixed("no strategy 3", core.EvalOptions{Strategies: core.StrategySet{DisableStrategy3: true}}),
+		fixed("no index pruning", core.EvalOptions{DisableIndexPruning: true}),
+		fixed("object strategies only", core.EvalOptions{DisableIndexPruning: true, DisablePExpansion: true}),
+		fixed("nothing", noThresholdMachinery))
+	return fig, err
 }
 
 // AblationCatalogSize measures C-IUQ refinement cost as a function of
@@ -62,13 +35,9 @@ func AblationStrategies(env *Env) (Figure, error) {
 func AblationCatalogSize(cfg Config) (Figure, error) {
 	cfg = cfg.withDefaults()
 	fig := Figure{ID: "ablation-catalog", Title: "C-IUQ vs U-catalog size", XLabel: "Qp"}
-	p := DefaultParams()
 	for _, n := range []int{2, 5, 10} {
 		probs := uncertain.DefaultCatalogProbs(n)[:n] // 0 .. (n-1)/n
-		rcfg := dataset.LongBeachConfig()
-		rcfg.N = cfg.Rects
-		rcfg.Seed = cfg.Seed + 1
-		objs, err := dataset.BuildUncertainObjects(dataset.GenerateRects(rcfg), cfg.Kind, probs)
+		objs, err := uncertainObjects(cfg, probs)
 		if err != nil {
 			return Figure{}, err
 		}
@@ -76,20 +45,13 @@ func AblationCatalogSize(cfg Config) (Figure, error) {
 		if err != nil {
 			return Figure{}, err
 		}
-		env := &Env{cfg: cfg, Engine: engine, rng: newRng(cfg.Seed + 2)}
-		series := Series{Name: fmt.Sprintf("%d catalog values", n)}
-		for _, qp := range []float64{0.2, 0.4, 0.6, 0.8} {
-			issuers, err := env.Issuers(cfg.Queries, p.U)
-			if err != nil {
-				return Figure{}, err
-			}
-			s, err := env.runPoint(overUncertain, issuers, p.W, p.W, qp, core.EvalOptions{}, qp)
-			if err != nil {
-				return Figure{}, err
-			}
-			series.Samples = append(series.Samples, s)
+		// Every catalog size restarts the stream: same issuers per series.
+		env := &Env{cfg: cfg, Engine: engine}
+		err = env.sweep(&fig, env.IssuerStream(fig.ID), core.KindUncertain, ablationQps, overQp,
+			fixed(fmt.Sprintf("%d catalog values", n), core.EvalOptions{}))
+		if err != nil {
+			return Figure{}, err
 		}
-		fig.Series = append(fig.Series, series)
 	}
 	return fig, nil
 }

@@ -1,19 +1,27 @@
-// Package bench is the experiment harness: it rebuilds every figure of
-// the paper's evaluation (§6, Figures 8–13) plus the ablation studies
-// DESIGN.md calls out, over the synthetic California / Long Beach
-// datasets.
+// Package bench is the figure harness: it redraws the evaluation of
+// the paper named in PAPER.md (its §6, Figures 8–13) plus the
+// pruning-strategy, U-catalog, buffer-pool and sample-count studies
+// that go with it, over the synthetic California / Long Beach datasets.
+// Experiments is the table of everything it can run; the ildq-bench
+// command is a loop over that table.
 //
-// Each experiment returns a Figure — named series of (x, metrics)
-// points — that the ildq-bench command renders as aligned text tables.
+// Each experiment yields a Figure — named series of (x, metrics)
+// points — or a SensitivityResult, rendered as aligned text tables.
 // Metrics include wall-clock response time (the paper's T), index node
 // accesses (hardware-independent I/O cost), candidate counts, and
 // refinement counts, so the paper's trends can be verified on any
 // machine.
+//
+// The serving system is not timed here but by the benchmark/ module
+// (BENCHMARK.json); sample counts, qualifying-set equality and
+// allocation counts are go test assertions in the packages that own
+// them.
 package bench
 
 import (
 	"context"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"math/rand"
 	"time"
@@ -21,6 +29,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/geom"
+	"repro/internal/mcbound"
 	"repro/internal/pdf"
 	"repro/internal/uncertain"
 )
@@ -96,31 +105,27 @@ type Figure struct {
 func (f Figure) Render(w io.Writer, showIO bool) {
 	fmt.Fprintf(w, "== %s: %s ==\n", f.ID, f.Title)
 	for _, s := range f.Series {
-		fmt.Fprintf(w, "-- %s --\n", s.Name)
+		fmt.Fprintf(w, "-- %s --\n%12s %12s", s.Name, f.XLabel, "time(ms)")
 		if showIO {
-			fmt.Fprintf(w, "%12s %12s %12s %12s %12s %12s\n",
-				f.XLabel, "time(ms)", "nodeIO", "candidates", "refined", "matches")
-		} else {
-			fmt.Fprintf(w, "%12s %12s\n", f.XLabel, "time(ms)")
+			fmt.Fprintf(w, " %12s %12s %12s %12s", "nodeIO", "candidates", "refined", "matches")
 		}
+		fmt.Fprintln(w)
 		for _, p := range s.Samples {
+			fmt.Fprintf(w, "%12.3g %12.4f", p.X, p.TimeMS)
 			if showIO {
-				fmt.Fprintf(w, "%12.3g %12.4f %12.1f %12.1f %12.1f %12.1f\n",
-					p.X, p.TimeMS, p.NodeIO, p.Candidates, p.Refined, p.Matches)
-			} else {
-				fmt.Fprintf(w, "%12.3g %12.4f\n", p.X, p.TimeMS)
+				fmt.Fprintf(w, " %12.1f %12.1f %12.1f %12.1f", p.NodeIO, p.Candidates, p.Refined, p.Matches)
 			}
+			fmt.Fprintln(w)
 		}
 	}
 	fmt.Fprintln(w)
 }
 
 // Env is a prepared experiment environment: datasets indexed once,
-// reused across sweep points.
+// reused across sweep points and across the experiments of one run.
 type Env struct {
 	cfg    Config
 	Engine *core.Engine
-	rng    *rand.Rand
 }
 
 // NewEnv generates datasets per cfg and bulk-loads the engine.
@@ -132,10 +137,7 @@ func NewEnv(cfg Config) (*Env, error) {
 	pcfg.Seed = cfg.Seed
 	points := dataset.BuildPointObjects(dataset.GeneratePoints(pcfg))
 
-	rcfg := dataset.LongBeachConfig()
-	rcfg.N = cfg.Rects
-	rcfg.Seed = cfg.Seed + 1
-	objs, err := dataset.BuildUncertainObjects(dataset.GenerateRects(rcfg), cfg.Kind, uncertain.PaperCatalogProbs())
+	objs, err := uncertainObjects(cfg, uncertain.PaperCatalogProbs())
 	if err != nil {
 		return nil, err
 	}
@@ -144,20 +146,39 @@ func NewEnv(cfg Config) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Env{
-		cfg:    cfg,
-		Engine: engine,
-		rng:    rand.New(rand.NewSource(cfg.Seed + 2)),
-	}, nil
+	return &Env{cfg: cfg, Engine: engine}, nil
 }
 
-// Issuers draws n query issuers with half extent u, centers uniform in
-// the data space (§6.1), built with the paper's U-catalog. u = 0
-// produces a precise issuer (degenerate region, uniform point mass).
-func (e *Env) Issuers(n int, u float64) ([]*uncertain.Object, error) {
+// uncertainObjects generates the Long Beach stand-in at cfg's size and
+// pdf kind, with U-catalogs at the given probabilities.
+func uncertainObjects(cfg Config, probs []float64) ([]*uncertain.Object, error) {
+	rcfg := dataset.LongBeachConfig()
+	rcfg.N = cfg.Rects
+	rcfg.Seed = cfg.Seed + 1
+	return dataset.BuildUncertainObjects(dataset.GenerateRects(rcfg), cfg.Kind, probs)
+}
+
+// newRng returns a deterministic source for the given seed.
+func newRng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+
+// IssuerStream returns the issuer-placement stream of the experiment
+// with the given id. It depends on (Config.Seed, id) alone, so at a
+// fixed seed an experiment queries the same issuers whichever other
+// experiments ran before it on this Env.
+func (e *Env) IssuerStream(id string) *rand.Rand {
+	h := fnv.New32a()
+	h.Write([]byte(id))
+	return newRng(mcbound.DeriveSeed(e.cfg.Seed, int(h.Sum32())))
+}
+
+// Issuers draws n query issuers with half extent u from rng (an
+// IssuerStream), centers uniform in the data space (§6.1), built with
+// the paper's U-catalog. u = 0 produces a precise issuer (degenerate
+// region, uniform point mass).
+func (e *Env) Issuers(rng *rand.Rand, n int, u float64) ([]*uncertain.Object, error) {
 	out := make([]*uncertain.Object, n)
 	for i := range out {
-		c := geom.Pt(e.rng.Float64()*dataset.Extent, e.rng.Float64()*dataset.Extent)
+		c := geom.Pt(rng.Float64()*dataset.Extent, rng.Float64()*dataset.Extent)
 		region := geom.RectCentered(c, u, u)
 		var p pdf.PDF
 		var err error
@@ -177,30 +198,13 @@ func (e *Env) Issuers(n int, u float64) ([]*uncertain.Object, error) {
 	return out, nil
 }
 
-// queryKind selects which evaluator a run uses.
-type queryKind int
-
-const (
-	overPoints queryKind = iota
-	overUncertain
-)
-
-// coreKind maps the experiment's database selector to the request
-// kind.
-func (k queryKind) coreKind() core.Kind {
-	if k == overPoints {
-		return core.KindPoints
-	}
-	return core.KindUncertain
-}
-
 // runPoint executes one workload (one sweep x-value) and averages the
 // metrics.
-func (e *Env) runPoint(kind queryKind, issuers []*uncertain.Object, w, h, qp float64, opts core.EvalOptions, x float64) (Sample, error) {
+func (e *Env) runPoint(kind core.Kind, issuers []*uncertain.Object, w, h, qp float64, opts core.EvalOptions, x float64) (Sample, error) {
 	var agg Sample
 	agg.X = x
 	for _, iss := range issuers {
-		req := core.Request{Kind: kind.coreKind(), Issuer: iss, W: w, H: h, Threshold: qp, Options: opts}
+		req := core.Request{Kind: kind, Issuer: iss, W: w, H: h, Threshold: qp, Options: opts}
 		start := time.Now()
 		resp, err := e.Engine.Evaluate(context.Background(), req)
 		elapsed := time.Since(start)
@@ -221,4 +225,56 @@ func (e *Env) runPoint(kind queryKind, issuers []*uncertain.Object, w, h, qp flo
 	agg.Refined /= n
 	agg.Matches /= n
 	return agg, nil
+}
+
+// variant is one series of a sweep: a name and the options it
+// evaluates with. opts is a function because options that carry an Rng
+// must be fresh at every sweep point.
+type variant struct {
+	name string
+	opts func() core.EvalOptions
+}
+
+// fixed is a variant whose options hold no per-point state.
+func fixed(name string, opts core.EvalOptions) variant {
+	return variant{name, func() core.EvalOptions { return opts }}
+}
+
+// sweep appends one series per variant to fig. At every x it draws one
+// issuer set from rng — shared by the variants, so the series are
+// comparable point by point — and runs each variant at the (u, w, Qp)
+// that at(x) gives.
+func (e *Env) sweep(fig *Figure, rng *rand.Rand, kind core.Kind, xs []float64, at func(x float64) Params, variants ...variant) error {
+	series := make([]Series, len(variants))
+	for i, v := range variants {
+		series[i].Name = v.name
+	}
+	for _, x := range xs {
+		p := at(x)
+		issuers, err := e.Issuers(rng, e.cfg.Queries, p.U)
+		if err != nil {
+			return err
+		}
+		for i, v := range variants {
+			s, err := e.runPoint(kind, issuers, p.W, p.W, p.Qp, v.opts(), x)
+			if err != nil {
+				return err
+			}
+			series[i].Samples = append(series[i].Samples, s)
+		}
+	}
+	fig.Series = append(fig.Series, series...)
+	return nil
+}
+
+// overU sweeps the issuer size at range size w, Qp = 0; overQp sweeps
+// the threshold at the Table 2 sizes.
+func overU(w float64) func(float64) Params {
+	return func(u float64) Params { return Params{U: u, W: w} }
+}
+
+func overQp(qp float64) Params {
+	p := DefaultParams()
+	p.Qp = qp
+	return p
 }

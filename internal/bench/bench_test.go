@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/dataset"
 )
@@ -55,8 +54,60 @@ func TestDefaults(t *testing.T) {
 	if len(QpSweep()) != 11 || QpSweep()[10] != 1 {
 		t.Fatalf("QpSweep = %v", QpSweep())
 	}
-	if len(AllFigureIDs()) != 17 {
-		t.Fatalf("AllFigureIDs = %v", AllFigureIDs())
+	if len(IDs()) != 10 {
+		t.Fatalf("IDs = %v", IDs())
+	}
+}
+
+// Select returns rows in table order whatever the order asked for, and
+// names every known id when it rejects one.
+func TestSelect(t *testing.T) {
+	all, err := Select("all")
+	if err != nil || len(all) != len(Experiments) {
+		t.Fatalf("Select(all) = %d experiments, err %v", len(all), err)
+	}
+	got, err := Select("fig10, fig9,fig10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[0].ID != "fig9" || got[1].ID != "fig10" {
+		t.Fatalf("Select(fig10, fig9,fig10) = %v", got)
+	}
+	_, err = Select("fig9,nosuch")
+	if err == nil {
+		t.Fatal("Select accepted an unknown id")
+	}
+	for _, id := range IDs() {
+		if !strings.Contains(err.Error(), id) {
+			t.Fatalf("error %q does not list %s", err, id)
+		}
+	}
+}
+
+// At a fixed seed a figure's hardware-independent columns depend on the
+// figure alone, not on which experiments ran before it on the same Env.
+func TestFigureIndependentOfSelection(t *testing.T) {
+	cfg := Config{Points: 500, Rects: 1500, Queries: 3, Seed: 4}
+	alone, err := Fig10(smallEnv(t, cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := smallEnv(t, cfg)
+	if _, err := Fig9(env); err != nil {
+		t.Fatal(err)
+	}
+	after, err := Fig10(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range alone.Series {
+		for j, a := range s.Samples {
+			b := after.Series[i].Samples[j]
+			a.TimeMS, b.TimeMS = 0, 0
+			if a != b {
+				t.Fatalf("%s u=%g: alone %+v, after fig9 %+v", s.Name, a.X, a, b)
+			}
+		}
 	}
 }
 
@@ -225,119 +276,6 @@ func TestAblationCatalogSize(t *testing.T) {
 	}
 	if fine > coarse {
 		t.Fatalf("10-value catalog refined more (%v) than 2-value (%v)", fine, coarse)
-	}
-}
-
-func TestThroughput(t *testing.T) {
-	cfg := smallConfig()
-	env := smallEnv(t, cfg)
-	rep, err := Throughput(env, 8, []int{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Points) != 2 {
-		t.Fatalf("points = %d, want 2", len(rep.Points))
-	}
-	for _, p := range rep.Points {
-		if p.QPS <= 0 || p.Queries != 8 || p.Seconds <= 0 {
-			t.Fatalf("bad throughput point %+v", p)
-		}
-	}
-	var buf bytes.Buffer
-	rep.Render(&buf)
-	if !strings.Contains(buf.String(), "qps") {
-		t.Fatalf("render missing qps column:\n%s", buf.String())
-	}
-}
-
-func TestThroughputIO(t *testing.T) {
-	cfg := smallConfig()
-	rep, err := ThroughputIO(cfg, 6, []int{1, 4}, 32, 50*time.Microsecond, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Points) != 2 {
-		t.Fatalf("points = %d, want 2", len(rep.Points))
-	}
-	for _, p := range rep.Points {
-		if p.QPS <= 0 || p.Seconds <= 0 {
-			t.Fatalf("bad throughput point %+v", p)
-		}
-	}
-	// Wall-clock scaling is reported, not asserted: on a loaded CI host
-	// a 6-query run can lose to scheduling noise without any defect.
-	if rep.Points[1].QPS < rep.Points[0].QPS {
-		t.Logf("note: io-bound throughput fell with workers: %+v", rep.Points)
-	}
-}
-
-func TestAdaptiveRefinementExperiment(t *testing.T) {
-	env := smallEnv(t, Config{Points: 300, Rects: 1500, Queries: 4, Seed: 6})
-	rep, err := AdaptiveRefinement(env, 4, []float64{0.1, 0.5}, 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.MCSamples != 512 || len(rep.Points) != 2 {
-		t.Fatalf("report shape: %+v", rep)
-	}
-	for _, p := range rep.Points {
-		if !p.QualifyingEqual {
-			t.Fatalf("qp=%g: early termination changed the qualifying set", p.Threshold)
-		}
-		if p.Refined == 0 {
-			t.Fatalf("qp=%g: workload refined nothing", p.Threshold)
-		}
-		if p.AdaptiveSamples >= p.FullSamples {
-			t.Fatalf("qp=%g: no sampling saved (%d adaptive vs %d full)",
-				p.Threshold, p.AdaptiveSamples, p.FullSamples)
-		}
-	}
-	var buf bytes.Buffer
-	rep.Render(&buf)
-	if !strings.Contains(buf.String(), "adaptive refinement") {
-		t.Fatalf("render:\n%s", buf.String())
-	}
-}
-
-func TestNNRefinementExperiment(t *testing.T) {
-	env := smallEnv(t, Config{Points: 2000, Rects: 200, Queries: 4, Seed: 9})
-	rep, err := NNRefinement(env, 4, []float64{0.9}, 256, 4096, []int{20, 80})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Scale) != 2 || len(rep.Thresholds) != 1 {
-		t.Fatalf("report shape: %+v", rep)
-	}
-	for _, p := range rep.Scale {
-		if p.SharedSamples != 256 {
-			t.Fatalf("%d candidates: drew %d shared samples, want 256", p.Candidates, p.SharedSamples)
-		}
-		if p.QuadMS <= 0 {
-			t.Fatalf("%d candidates: quadratic baseline skipped below the cap", p.Candidates)
-		}
-	}
-	// 80 candidates cost the quadratic baseline 80× the shared kernel's
-	// distance evaluations; even on a noisy host it must lose clearly.
-	if s := rep.Scale[1].Speedup; s <= 2 {
-		t.Fatalf("shared kernel speedup at 80 candidates = %.2fx, want > 2x", s)
-	}
-	thr := rep.Thresholds[0]
-	if !thr.QualifyingEqual {
-		t.Fatalf("qp=%g: adaptive termination changed the qualifying set", thr.Threshold)
-	}
-	if thr.EarlyStopped == 0 {
-		t.Fatalf("qp=%g: no candidate retired early: %+v", thr.Threshold, thr)
-	}
-	if thr.AdaptiveSamples >= thr.FullSamples {
-		t.Fatalf("qp=%g: no sampling saved (%d adaptive vs %d full)",
-			thr.Threshold, thr.AdaptiveSamples, thr.FullSamples)
-	}
-	var buf bytes.Buffer
-	rep.Render(&buf)
-	for _, want := range []string{"nn refinement", "speedup", "sets="} {
-		if !strings.Contains(buf.String(), want) {
-			t.Fatalf("render missing %q:\n%s", want, buf.String())
-		}
 	}
 }
 

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/core"
 )
@@ -27,6 +26,14 @@ func QpSweep() []float64 {
 	return out
 }
 
+// noThresholdMachinery is the paper's baseline: plain Minkowski-sum
+// filtering, no index-level bound pruning, none of the §5.2 strategies.
+var noThresholdMachinery = core.EvalOptions{
+	DisablePExpansion:   true,
+	DisableIndexPruning: true,
+	Strategies:          core.StrategySet{DisableStrategy1: true, DisableStrategy2: true, DisableStrategy3: true},
+}
+
 // Fig8 reproduces Figure 8: the basic IUQ evaluator (Equation 4 by
 // issuer sampling) against the enhanced evaluator (Lemma 4), response
 // time versus issuer uncertainty size u at the default range size.
@@ -38,67 +45,34 @@ func Fig8(env *Env, basicSamples int) (Figure, error) {
 	if basicSamples <= 0 {
 		basicSamples = 400
 	}
-	p := DefaultParams()
-	fig := Figure{
-		ID:     "fig8",
-		Title:  "Basic vs Enhanced (IUQ), w=500",
-		XLabel: "u",
-	}
-	enhanced := Series{Name: "Enhanced Method"}
-	basic := Series{Name: fmt.Sprintf("Basic Method (%d samples)", basicSamples)}
-	for _, u := range USweep() {
-		issuers, err := env.Issuers(env.cfg.Queries, u)
-		if err != nil {
-			return Figure{}, err
-		}
-		s, err := env.runPoint(overUncertain, issuers, p.W, p.W, 0, core.EvalOptions{}, u)
-		if err != nil {
-			return Figure{}, err
-		}
-		enhanced.Samples = append(enhanced.Samples, s)
-
-		s, err = env.runPoint(overUncertain, issuers, p.W, p.W, 0, core.EvalOptions{
-			Method:       core.MethodBasic,
-			BasicSamples: basicSamples,
-			Rng:          rand.New(rand.NewSource(env.cfg.Seed + 100)),
-		}, u)
-		if err != nil {
-			return Figure{}, err
-		}
-		basic.Samples = append(basic.Samples, s)
-	}
-	fig.Series = []Series{enhanced, basic}
-	return fig, nil
+	fig := Figure{ID: "fig8", Title: "Basic vs Enhanced (IUQ), w=500", XLabel: "u"}
+	err := env.sweep(&fig, env.IssuerStream(fig.ID), core.KindUncertain, USweep(), overU(DefaultParams().W),
+		fixed("Enhanced Method", core.EvalOptions{}),
+		variant{fmt.Sprintf("Basic Method (%d samples)", basicSamples), func() core.EvalOptions {
+			return core.EvalOptions{Method: core.MethodBasic, BasicSamples: basicSamples, Rng: newRng(env.cfg.Seed + 100)}
+		}})
+	return fig, err
 }
 
 // Fig9 reproduces Figure 9: IPQ response time versus u for range sizes
 // w in {500, 1000, 1500}.
 func Fig9(env *Env) (Figure, error) {
-	return sweepURanges(env, overPoints, "fig9", "T vs u (IPQ)")
+	return sweepURanges(env, core.KindPoints, "fig9", "T vs u (IPQ)")
 }
 
 // Fig10 reproduces Figure 10: IUQ response time versus u for the same
 // range sizes.
 func Fig10(env *Env) (Figure, error) {
-	return sweepURanges(env, overUncertain, "fig10", "T vs u (IUQ)")
+	return sweepURanges(env, core.KindUncertain, "fig10", "T vs u (IUQ)")
 }
 
-func sweepURanges(env *Env, kind queryKind, id, title string) (Figure, error) {
+func sweepURanges(env *Env, kind core.Kind, id, title string) (Figure, error) {
 	fig := Figure{ID: id, Title: title, XLabel: "u"}
+	rng := env.IssuerStream(id)
 	for _, w := range []float64{500, 1000, 1500} {
-		series := Series{Name: fmt.Sprintf("Range Size=%g", w)}
-		for _, u := range USweep() {
-			issuers, err := env.Issuers(env.cfg.Queries, u)
-			if err != nil {
-				return Figure{}, err
-			}
-			s, err := env.runPoint(kind, issuers, w, w, 0, core.EvalOptions{}, u)
-			if err != nil {
-				return Figure{}, err
-			}
-			series.Samples = append(series.Samples, s)
+		if err := env.sweep(&fig, rng, kind, USweep(), overU(w), fixed(fmt.Sprintf("Range Size=%g", w), core.EvalOptions{})); err != nil {
+			return Figure{}, err
 		}
-		fig.Series = append(fig.Series, series)
 	}
 	return fig, nil
 }
@@ -114,37 +88,11 @@ func Fig11(env *Env) (Figure, error) {
 // PTI+p-expanded-query (index-level bound pruning plus the §5.2
 // strategies).
 func Fig12(env *Env) (Figure, error) {
-	p := DefaultParams()
 	fig := Figure{ID: "fig12", Title: "T vs Qp (C-IUQ)", XLabel: "Qp"}
-	pexp := Series{Name: "p-Expanded-Query (PTI)"}
-	mink := Series{Name: "Minkowski Sum (R-tree)"}
-	for _, qp := range QpSweep() {
-		issuers, err := env.Issuers(env.cfg.Queries, p.U)
-		if err != nil {
-			return Figure{}, err
-		}
-		s, err := env.runPoint(overUncertain, issuers, p.W, p.W, qp, core.EvalOptions{}, qp)
-		if err != nil {
-			return Figure{}, err
-		}
-		pexp.Samples = append(pexp.Samples, s)
-
-		s, err = env.runPoint(overUncertain, issuers, p.W, p.W, qp, core.EvalOptions{
-			DisablePExpansion:   true,
-			DisableIndexPruning: true,
-			Strategies: core.StrategySet{
-				DisableStrategy1: true,
-				DisableStrategy2: true,
-				DisableStrategy3: true,
-			},
-		}, qp)
-		if err != nil {
-			return Figure{}, err
-		}
-		mink.Samples = append(mink.Samples, s)
-	}
-	fig.Series = []Series{pexp, mink}
-	return fig, nil
+	err := env.sweep(&fig, env.IssuerStream(fig.ID), core.KindUncertain, QpSweep(), overQp,
+		fixed("p-Expanded-Query (PTI)", core.EvalOptions{}),
+		fixed("Minkowski Sum (R-tree)", noThresholdMachinery))
+	return fig, err
 }
 
 // Fig13 reproduces Figure 13: C-IPQ under Gaussian pdfs, where
@@ -160,34 +108,13 @@ func Fig13(env *Env, mcSamples int) (Figure, error) {
 }
 
 func sweepQpPoints(env *Env, id, title string, mcSamples int) (Figure, error) {
-	p := DefaultParams()
 	fig := Figure{ID: id, Title: title, XLabel: "Qp"}
-	pexp := Series{Name: "p-Expanded-Query"}
-	mink := Series{Name: "Minkowski Sum"}
-	for _, qp := range QpSweep() {
-		issuers, err := env.Issuers(env.cfg.Queries, p.U)
-		if err != nil {
-			return Figure{}, err
-		}
-		s, err := env.runPoint(overPoints, issuers, p.W, p.W, qp, core.EvalOptions{
-			PointMCSamples: mcSamples,
-			Rng:            rand.New(rand.NewSource(env.cfg.Seed + 200)),
-		}, qp)
-		if err != nil {
-			return Figure{}, err
-		}
-		pexp.Samples = append(pexp.Samples, s)
-
-		s, err = env.runPoint(overPoints, issuers, p.W, p.W, qp, core.EvalOptions{
-			DisablePExpansion: true,
-			PointMCSamples:    mcSamples,
-			Rng:               rand.New(rand.NewSource(env.cfg.Seed + 201)),
-		}, qp)
-		if err != nil {
-			return Figure{}, err
-		}
-		mink.Samples = append(mink.Samples, s)
-	}
-	fig.Series = []Series{pexp, mink}
-	return fig, nil
+	err := env.sweep(&fig, env.IssuerStream(id), core.KindPoints, QpSweep(), overQp,
+		variant{"p-Expanded-Query", func() core.EvalOptions {
+			return core.EvalOptions{PointMCSamples: mcSamples, Rng: newRng(env.cfg.Seed + 200)}
+		}},
+		variant{"Minkowski Sum", func() core.EvalOptions {
+			return core.EvalOptions{DisablePExpansion: true, PointMCSamples: mcSamples, Rng: newRng(env.cfg.Seed + 201)}
+		}})
+	return fig, err
 }

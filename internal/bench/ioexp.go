@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/dataset"
 	"repro/internal/index/rtree"
 	"repro/internal/storage"
 	"repro/internal/uncertain"
@@ -31,10 +30,7 @@ func IOExperiment(cfg Config, poolPages []int) (Figure, error) {
 		XLabel: "Qp",
 	}
 
-	rcfg := dataset.LongBeachConfig()
-	rcfg.N = cfg.Rects
-	rcfg.Seed = cfg.Seed + 1
-	objs, err := dataset.BuildUncertainObjects(dataset.GenerateRects(rcfg), cfg.Kind, uncertain.PaperCatalogProbs())
+	objs, err := uncertainObjects(cfg, uncertain.PaperCatalogProbs())
 	if err != nil {
 		return Figure{}, err
 	}
@@ -46,11 +42,13 @@ func IOExperiment(cfg Config, poolPages []int) (Figure, error) {
 		if err != nil {
 			return Figure{}, err
 		}
-		env := &Env{cfg: cfg, Engine: engine, rng: newRng(cfg.Seed + 2)}
+		// Every pool size restarts the stream: same issuers per series.
+		env := &Env{cfg: cfg, Engine: engine}
+		rng := env.IssuerStream(fig.ID)
 		series := Series{Name: fmt.Sprintf("pool=%d pages (physical reads)", pages)}
 		p := DefaultParams()
 		for _, qp := range []float64{0, 0.6} {
-			issuers, err := env.Issuers(cfg.Queries, p.U)
+			issuers, err := env.Issuers(rng, cfg.Queries, p.U)
 			if err != nil {
 				return Figure{}, err
 			}
@@ -60,7 +58,7 @@ func IOExperiment(cfg Config, poolPages []int) (Figure, error) {
 				return Figure{}, err
 			}
 			before := pool.Stats()
-			s, err := env.runPoint(overUncertain, issuers, p.W, p.W, qp, core.EvalOptions{}, qp)
+			s, err := env.runPoint(core.KindUncertain, issuers, p.W, p.W, qp, core.EvalOptions{}, qp)
 			if err != nil {
 				return Figure{}, err
 			}

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -10,19 +9,19 @@ import (
 	"repro/internal/core"
 )
 
-// throughputWorld lazily builds one mid-size environment shared by the
-// serving benchmarks (large enough for realistic candidate sets, small
-// enough to build in seconds).
-type throughputWorld struct {
+// refineWorld lazily builds one mid-size environment shared by the
+// refinement benchmarks (large enough for realistic candidate sets,
+// small enough to build in seconds).
+type refineWorld struct {
 	once    sync.Once
 	env     *Env
 	issuers []*core.Query
 	err     error
 }
 
-var tpWorld throughputWorld
+var rfWorld refineWorld
 
-func (w *throughputWorld) init(b *testing.B) (*Env, []core.Query) {
+func (w *refineWorld) init(b *testing.B) (*Env, []core.Query) {
 	b.Helper()
 	w.once.Do(func() {
 		env, err := NewEnv(Config{Points: 8000, Rects: 10000, Queries: 64, Seed: 7})
@@ -31,7 +30,7 @@ func (w *throughputWorld) init(b *testing.B) (*Env, []core.Query) {
 			return
 		}
 		w.env = env
-		iss, err := env.Issuers(64, 250)
+		iss, err := env.Issuers(env.IssuerStream("refine"), 64, 250)
 		if err != nil {
 			w.err = err
 			return
@@ -55,7 +54,7 @@ func (w *throughputWorld) init(b *testing.B) (*Env, []core.Query) {
 // single query — index probe, pruning, and closed-form refinement —
 // the hot path the prepared query plan is meant to speed up.
 func BenchmarkRefineCIUQ(b *testing.B) {
-	env, queries := tpWorld.init(b)
+	env, queries := rfWorld.init(b)
 	rng := rand.New(rand.NewSource(11))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -74,7 +73,7 @@ func BenchmarkRefineCIUQ(b *testing.B) {
 // refined (no threshold pruning), maximizing pressure on the
 // per-candidate qualification arithmetic.
 func BenchmarkRefineIUQ(b *testing.B) {
-	env, queries := tpWorld.init(b)
+	env, queries := rfWorld.init(b)
 	rng := rand.New(rand.NewSource(11))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -87,38 +86,5 @@ func BenchmarkRefineIUQ(b *testing.B) {
 			b.Fatal(err)
 		}
 		_ = resp.Result
-	}
-}
-
-// BenchmarkThroughput measures batch query serving (queries per second)
-// at increasing worker counts over the uncertain-object database.
-func BenchmarkThroughput(b *testing.B) {
-	env, queries := tpWorld.init(b)
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for n := 0; n < b.N; n++ {
-				rng := rand.New(rand.NewSource(13))
-				reqs := make([]core.Request, len(queries))
-				for i, q := range queries {
-					reqs[i] = core.Request{Kind: core.KindUncertain, Issuer: q.Issuer, W: q.W, H: q.H, Threshold: q.Threshold,
-						Options: core.EvalOptions{Rng: rng}, Seed: rng.Int63()}
-				}
-				var reqErr error
-				err := env.Engine.EvaluateAll(context.Background(), reqs, core.AllOptions{Workers: workers},
-					func(_ int, _ core.Response, err error) {
-						if err != nil && reqErr == nil {
-							reqErr = err
-						}
-					})
-				if err == nil {
-					err = reqErr
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(len(queries))*float64(b.N)/b.Elapsed().Seconds(), "qps")
-		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"time"
 
 	"repro/internal/core"
@@ -44,52 +45,46 @@ func (r SensitivityResult) Render(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
-// SensitivityIPQ measures point-object refinement error versus sample
-// count under a Gaussian issuer, over trials random configurations at
-// the paper's default geometry.
-func SensitivityIPQ(cfg Config, sampleCounts []int, trials int) (SensitivityResult, error) {
-	cfg = cfg.withDefaults()
-	if len(sampleCounts) == 0 {
-		sampleCounts = []int{25, 50, 100, 200, 400, 800}
-	}
-	if trials <= 0 {
-		trials = 200
-	}
-	rng := newRng(cfg.Seed + 300)
-	p := DefaultParams()
+// sensitivityScenario is one random configuration: its exact
+// probability and a Monte-Carlo estimator of it at n samples.
+type sensitivityScenario struct {
+	exact    float64
+	estimate func(n int) float64
+}
 
-	type scenario struct {
-		issuer pdf.PDF
-		s      geom.Point
-		exact  float64
-	}
-	scenarios := make([]scenario, 0, trials)
+// sensitivity draws trials scenarios with informative (non-zero) exact
+// probabilities — a Gaussian issuer at the paper's default geometry and
+// a target somewhere inside its Minkowski sum, turned into a scenario by
+// gen — then measures every sample count's error over all of them.
+func sensitivity(kind string, rng *rand.Rand, sampleCounts []int, trials int,
+	gen func(iss pdf.PDF, target geom.Point) (sensitivityScenario, error)) (SensitivityResult, error) {
+	p := DefaultParams()
+	scenarios := make([]sensitivityScenario, 0, trials)
 	for len(scenarios) < trials {
 		c := geom.Pt(rng.Float64()*dataset.Extent, rng.Float64()*dataset.Extent)
 		iss, err := pdf.NewTruncGaussian(geom.RectCentered(c, p.U, p.U), 0, 0)
 		if err != nil {
 			return SensitivityResult{}, err
 		}
-		// A point somewhere inside the Minkowski sum, so probabilities
-		// are informative rather than mostly zero.
-		s := geom.Pt(
+		target := geom.Pt(
 			c.X+(rng.Float64()*2-1)*(p.U+p.W),
 			c.Y+(rng.Float64()*2-1)*(p.U+p.W),
 		)
-		exact := core.PointQualification(iss, s, p.W, p.W)
-		if exact == 0 {
-			continue
+		sc, err := gen(iss, target)
+		if err != nil {
+			return SensitivityResult{}, err
 		}
-		scenarios = append(scenarios, scenario{issuer: iss, s: s, exact: exact})
+		if sc.exact != 0 {
+			scenarios = append(scenarios, sc)
+		}
 	}
 
-	res := SensitivityResult{Kind: "C-IPQ"}
+	res := SensitivityResult{Kind: kind}
 	for _, n := range sampleCounts {
 		var sumErr, maxErr float64
 		start := time.Now()
 		for _, sc := range scenarios {
-			mc := core.PointQualificationBasic(sc.issuer, sc.s, p.W, p.W, n, rng)
-			e := math.Abs(mc - sc.exact)
+			e := math.Abs(sc.estimate(n) - sc.exact)
 			sumErr += e
 			maxErr = math.Max(maxErr, e)
 		}
@@ -103,66 +98,48 @@ func SensitivityIPQ(cfg Config, sampleCounts []int, trials int) (SensitivityResu
 	return res, nil
 }
 
+// SensitivityIPQ measures point-object refinement error versus sample
+// count under a Gaussian issuer, over trials random configurations at
+// the paper's default geometry.
+func SensitivityIPQ(cfg Config, sampleCounts []int, trials int) (SensitivityResult, error) {
+	if len(sampleCounts) == 0 {
+		sampleCounts = []int{25, 50, 100, 200, 400, 800}
+	}
+	if trials <= 0 {
+		trials = 200
+	}
+	rng := newRng(cfg.withDefaults().Seed + 300)
+	w := DefaultParams().W
+	return sensitivity("C-IPQ", rng, sampleCounts, trials, func(iss pdf.PDF, s geom.Point) (sensitivityScenario, error) {
+		return sensitivityScenario{
+			exact:    core.PointQualification(iss, s, w, w),
+			estimate: func(n int) float64 { return core.PointQualificationBasic(iss, s, w, w, n, rng) },
+		}, nil
+	})
+}
+
 // SensitivityIUQ is the uncertain-object analogue (paper: 250 samples
 // for C-IUQ), comparing Monte-Carlo refinement against the quadrature
 // evaluator under Gaussian issuer and object pdfs.
 func SensitivityIUQ(cfg Config, sampleCounts []int, trials int) (SensitivityResult, error) {
-	cfg = cfg.withDefaults()
 	if len(sampleCounts) == 0 {
 		sampleCounts = []int{25, 50, 100, 250, 500, 1000}
 	}
 	if trials <= 0 {
 		trials = 100
 	}
-	rng := newRng(cfg.Seed + 301)
-	p := DefaultParams()
-
-	type scenario struct {
-		issuer, obj pdf.PDF
-		exact       float64
-	}
-	scenarios := make([]scenario, 0, trials)
-	for len(scenarios) < trials {
-		c := geom.Pt(rng.Float64()*dataset.Extent, rng.Float64()*dataset.Extent)
-		iss, err := pdf.NewTruncGaussian(geom.RectCentered(c, p.U, p.U), 0, 0)
-		if err != nil {
-			return SensitivityResult{}, err
-		}
-		oc := geom.Pt(
-			c.X+(rng.Float64()*2-1)*(p.U+p.W),
-			c.Y+(rng.Float64()*2-1)*(p.U+p.W),
-		)
+	rng := newRng(cfg.withDefaults().Seed + 301)
+	w := DefaultParams().W
+	return sensitivity("C-IUQ", rng, sampleCounts, trials, func(iss pdf.PDF, oc geom.Point) (sensitivityScenario, error) {
 		obj, err := pdf.NewTruncGaussian(geom.RectCentered(oc, 20+rng.Float64()*100, 20+rng.Float64()*100), 0, 0)
 		if err != nil {
-			return SensitivityResult{}, err
+			return sensitivityScenario{}, err
 		}
-		exact := core.ObjectQualification(iss, obj, p.W, p.W, core.ObjectEvalConfig{})
-		if exact == 0 {
-			continue
-		}
-		scenarios = append(scenarios, scenario{issuer: iss, obj: obj, exact: exact})
-	}
-
-	res := SensitivityResult{Kind: "C-IUQ"}
-	for _, n := range sampleCounts {
-		var sumErr, maxErr float64
-		start := time.Now()
-		for _, sc := range scenarios {
-			mc := core.ObjectQualification(sc.issuer, sc.obj, p.W, p.W, core.ObjectEvalConfig{
-				ForceMonteCarlo: true,
-				MCSamples:       n,
-				Rng:             rng,
-			})
-			e := math.Abs(mc - sc.exact)
-			sumErr += e
-			maxErr = math.Max(maxErr, e)
-		}
-		res.Rows = append(res.Rows, SensitivityRow{
-			Samples:    n,
-			MeanAbsErr: sumErr / float64(len(scenarios)),
-			MaxAbsErr:  maxErr,
-			TimePerOp:  time.Since(start) / time.Duration(len(scenarios)),
-		})
-	}
-	return res, nil
+		return sensitivityScenario{
+			exact: core.ObjectQualification(iss, obj, w, w, core.ObjectEvalConfig{}),
+			estimate: func(n int) float64 {
+				return core.ObjectQualification(iss, obj, w, w, core.ObjectEvalConfig{ForceMonteCarlo: true, MCSamples: n, Rng: rng})
+			},
+		}, nil
+	})
 }

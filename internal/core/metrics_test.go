@@ -198,3 +198,38 @@ func TestStorageStats(t *testing.T) {
 		t.Fatalf("quiesced pool reports write backlog %d", ss.Point.WriteQueueDepth)
 	}
 }
+
+// The allocation budget of one untraced C-IUQ evaluation, and PR 8's
+// contract that instrumentation is free when idle: attaching a trace
+// may cost a handful of allocations (the trace, its span slice, note
+// formatting), not attaching one must cost none. The untraced count is
+// the one measured when this test was written plus a one-allocation
+// grace; raise it only with a reason.
+func TestEvaluateAllocationBudget(t *testing.T) {
+	const (
+		untracedBudget = 25 + 1
+		traceAttachMax = 8
+	)
+	eng := testWorld(t, 0, 2000, 21)
+	req := RequestUncertain(testIssuer(t, geom.Pt(500, 500), 40), 80, 80, 0.5)
+	req.Seed = 9
+	ctx := context.Background()
+	var evalErr error
+	eval := func(ctx context.Context) {
+		if _, err := eng.Evaluate(ctx, req); err != nil {
+			evalErr = err
+		}
+	}
+	untraced := testing.AllocsPerRun(20, func() { eval(ctx) })
+	traced := testing.AllocsPerRun(20, func() { eval(obs.WithTrace(ctx, obs.NewTrace("alloc"))) })
+	if evalErr != nil {
+		t.Fatal(evalErr)
+	}
+	t.Logf("allocs/op: untraced %.0f, traced %.0f", untraced, traced)
+	if untraced > untracedBudget {
+		t.Errorf("untraced Evaluate = %.0f allocs/op, budget %d", untraced, untracedBudget)
+	}
+	if d := traced - untraced; d > traceAttachMax {
+		t.Errorf("attaching a trace costs %.0f allocs/op, want at most %d", d, traceAttachMax)
+	}
+}

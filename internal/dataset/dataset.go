@@ -11,8 +11,7 @@
 // clusters (cities/road knots) over a uniform background. The
 // experiments measure how filtering and pruning scale with query
 // parameters, which depends on object density and skew — both
-// reproduced — rather than on exact street geometry; DESIGN.md records
-// this substitution.
+// reproduced — rather than on exact street geometry.
 //
 // Generation is deterministic per seed. Datasets round-trip through a
 // compact binary format (.ilq) with a magic header and version byte.

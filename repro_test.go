@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"os/exec"
 	"testing"
 
 	"repro"
@@ -389,5 +390,21 @@ func TestPublicAPIContinuousMonitor(t *testing.T) {
 	}
 	if !guard.ContainsRect(repro.RectCentered(repro.Pt(5000, 5000), 100, 100)) {
 		t.Fatalf("guard region %v does not cover the issuer", guard)
+	}
+}
+
+// benchmark/ is a module of its own (replace repro => ../), so
+// `go build ./... && go test ./...` never compiles it. Vetting it from
+// here lets tier-1 see an internal API change that breaks the
+// benchmark; `make bench-e2e-smoke` still runs its tests and smoke.
+func TestBenchmarkModuleVets(t *testing.T) {
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go is not on PATH")
+	}
+	cmd := exec.Command(goBin, "vet", ".")
+	cmd.Dir = "benchmark"
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("go vet . in benchmark/: %v\n%s", err, out)
 	}
 }

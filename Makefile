@@ -16,17 +16,22 @@ build:
 test: build
 	$(GO) test ./...
 
+# No exception list: every internal package is race-clean.
 race:
 	$(GO) test -race ./internal/...
 
 # The concurrency surfaces under sustained -race repetition — the CI
 # soak job: the continuous-query monitor plus the MVCC snapshot
-# overlap tests (slow pinned evaluations racing update floods), and
-# the crash-recovery property sweep (≥100 randomized kill points, each
-# recovery checked bit-exact against an uninterrupted reference).
+# overlap tests (slow pinned evaluations racing update floods), the
+# buffer pool and the paged engine under concurrent queries and
+# updates, and the crash-recovery property sweep (≥100 randomized kill
+# points, each recovery checked bit-exact against an uninterrupted
+# reference).
 soak:
 	$(GO) test -race -run Monitor -count=3 ./internal/monitor/...
 	$(GO) test -race -run Snapshot -count=3 ./internal/core/
+	$(GO) test -race -count=3 ./internal/storage
+	$(GO) test -race -count=3 -run 'Paged|ConcurrentUpdatesAndQueries|ConcurrentMixedWorkload' ./internal/core/
 	$(GO) test -run 'TestCrashRecoveryProperty|TestCheckpointFaultInjection' -count=3 ./internal/core/
 
 bench: build
@@ -49,8 +54,8 @@ cluster-smoke: build
 
 # Short fuzzing smoke: the R-tree op-stream and node-codec targets,
 # the WAL frame codec, the NN candidate grid against the linear scan
-# it replaced, and the NN candidate frame decoder (the router's
-# untrusted input from its shards).
+# it replaced, the NN candidate frame decoder (the router's untrusted
+# input from its shards), and the checkpoint manifest's extent checks.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzRTree -fuzztime=30s ./internal/index/rtree
 	$(GO) test -fuzz=FuzzNodeRoundTrip -fuzztime=15s ./internal/index/rtree
@@ -58,6 +63,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzWALRecord -fuzztime=15s ./internal/wal
 	$(GO) test -fuzz=FuzzRefineGrid -fuzztime=15s ./internal/nn
 	$(GO) test -fuzz=FuzzDecodeNNCandidateSet -fuzztime=15s ./internal/wire
+	$(GO) test -fuzz=FuzzCheckpointManifest -fuzztime=15s ./internal/core
 
 # API-surface gate: the public facade (package repro) is a reviewed
 # artifact. apicheck regenerates the surface with `go doc -all` and

@@ -57,8 +57,8 @@
 //     empirical Bernstein bound has decided it against the threshold
 //     (Cost.SamplesUsed, Cost.EarlyStopped; ObjectEvalConfig.Adaptive);
 //   - concurrent serving: any number of goroutines may Evaluate
-//     simultaneously — over in-memory or paged storage (a sharded
-//     CLOCK buffer pool with asynchronous dirty-page write-back) —
+//     simultaneously — over in-memory or paged storage (4 KiB node
+//     pages behind a CLOCK buffer pool that counts the paper's I/O) —
 //     each response carrying its own exact per-request Cost;
 //   - dynamic updates concurrent with queries, under MVCC snapshot
 //     isolation: every evaluation pins the immutable engine state

@@ -10,7 +10,7 @@ import (
 )
 
 // IOExperiment runs the C-IUQ workload against a disk-regime PTI:
-// nodes serialized into 4 KiB pages behind an LRU buffer pool, the
+// nodes serialized into 4 KiB pages behind a CLOCK buffer pool, the
 // setting of the paper's experiments (§6.1: 4 KiB R-tree nodes from a
 // disk-resident library). For each buffer-pool capacity it reports
 // physical page reads per query (in NodeIO) alongside response time,

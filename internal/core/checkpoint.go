@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -18,9 +19,9 @@ import (
 )
 
 // Checkpoint file format. A checkpoint serializes one pinned sealed
-// engine state into a paged file (storage.PageSize pages) written
-// through the sharded buffer pool — the same write path the live
-// paged indexes use:
+// engine state into a paged file (storage.PageSize pages). The writer
+// fills one page buffer and appends pages in file order, each written
+// exactly once, the manifest last (see pageAppender):
 //
 //	page 0:          manifest (see encodeManifest)
 //	point-tree pages: one R-tree node per page, rtree.EncodeNodePage
@@ -64,12 +65,6 @@ func openFileDevice(path string) (checkpointDevice, error) {
 	return storage.OpenFileStore(path)
 }
 
-// ckptPoolFrames sizes the buffer pool a checkpoint streams through.
-// Writes are sequential, so a modest pool suffices; dirty pages the
-// pool evicts are written back asynchronously while later pages are
-// still being filled.
-const ckptPoolFrames = 256
-
 // treeMeta locates one serialized tree inside the checkpoint file.
 type treeMeta struct {
 	firstPage  uint32
@@ -100,35 +95,56 @@ type manifest struct {
 	objects   secMeta
 }
 
+// pageAppender writes a checkpoint's pages in file order: every page
+// is filled in the one buffer, then allocated and written exactly
+// once — a write-once sequential stream has no use for a cache.
+type pageAppender struct {
+	dev  checkpointDevice
+	page []byte // the page being filled; zeroed after every append
+	next uint32 // the id the next allocated page must get
+}
+
+// append writes the buffer as the device's next page and clears it.
+func (a *pageAppender) append() error {
+	id, err := a.dev.Allocate()
+	if err != nil {
+		return err
+	}
+	if uint32(id) != a.next {
+		return fmt.Errorf("core: checkpoint pages not sequential (page %d, want %d)", id, a.next)
+	}
+	if err := a.dev.WritePage(id, a.page); err != nil {
+		return err
+	}
+	clear(a.page)
+	a.next++
+	return nil
+}
+
 // writeCheckpoint serializes st into dev. The state is sealed and
 // immutable, so this runs concurrently with writers publishing new
 // versions. ctx is checked between sections and page runs.
 func writeCheckpoint(ctx context.Context, dev checkpointDevice, st *engineState) (pages int, err error) {
-	pool := storage.NewBufferPool(dev, ckptPoolFrames)
-	alloc := storage.NewPageAllocator(pool)
-
-	// Reserve page 0 for the manifest, filled after the sections so
+	// Reserve page 0 for the manifest, written after the sections so
 	// their placement is known.
-	id0, err := alloc.Alloc()
+	id0, err := dev.Allocate()
 	if err != nil {
 		return 0, err
 	}
 	if id0 != 0 {
 		return 0, fmt.Errorf("core: checkpoint device not fresh (first page %d)", id0)
 	}
+	a := &pageAppender{dev: dev, page: make([]byte, storage.PageSize), next: 1}
 
-	var m manifest
-	m.version = st.version
-	m.probs = st.probs
-
-	if m.pointTree, err = writeTreeSection(ctx, pool, alloc, st.pointIdx); err != nil {
+	m := manifest{version: st.version, probs: st.probs}
+	if m.pointTree, err = writeTreeSection(ctx, a, st.pointIdx); err != nil {
 		return 0, fmt.Errorf("core: checkpointing point index: %w", err)
 	}
-	if m.uncTree, err = writeTreeSection(ctx, pool, alloc, st.uncIdx.Tree()); err != nil {
+	if m.uncTree, err = writeTreeSection(ctx, a, st.uncIdx.Tree()); err != nil {
 		return 0, fmt.Errorf("core: checkpointing PTI: %w", err)
 	}
 
-	pw := &sectionWriter{pool: pool, alloc: alloc}
+	pw := &sectionWriter{a: a}
 	var scratch [24]byte
 	binary.LittleEndian.PutUint64(scratch[:8], uint64(st.points.Len()))
 	pw.write(scratch[:8])
@@ -144,7 +160,7 @@ func writeCheckpoint(ctx context.Context, dev checkpointDevice, st *engineState)
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	ow := &sectionWriter{pool: pool, alloc: alloc}
+	ow := &sectionWriter{a: a}
 	binary.LittleEndian.PutUint64(scratch[:8], uint64(st.objects.Len()))
 	ow.write(scratch[:8])
 	var objBuf []byte
@@ -162,18 +178,9 @@ func writeCheckpoint(ctx context.Context, dev checkpointDevice, st *engineState)
 	}
 	m.objects.count = uint64(st.objects.Len())
 
-	// Manifest last: re-pin page 0 and fill it.
-	buf, err := pool.Pin(0)
-	if err != nil {
-		return 0, err
-	}
-	encodeManifest(buf, &m)
-	pool.MarkDirty(0)
-	if err := pool.Unpin(0); err != nil {
-		return 0, err
-	}
-
-	if err := pool.Flush(); err != nil {
+	// Manifest last.
+	encodeManifest(a.page, &m)
+	if err := dev.WritePage(0, a.page); err != nil {
 		return 0, err
 	}
 	if err := dev.Sync(); err != nil {
@@ -184,7 +191,7 @@ func writeCheckpoint(ctx context.Context, dev checkpointDevice, st *engineState)
 
 // writeTreeSection serializes t's nodes, one per page, ids densely
 // remapped in Walk order.
-func writeTreeSection(ctx context.Context, pool *storage.BufferPool, alloc *storage.PageAllocator, t *rtree.Tree) (treeMeta, error) {
+func writeTreeSection(ctx context.Context, a *pageAppender, t *rtree.Tree) (treeMeta, error) {
 	var meta treeMeta
 	cfg := t.Config()
 	meta.height = uint32(t.Height())
@@ -212,15 +219,8 @@ func writeTreeSection(ctx context.Context, pool *storage.BufferPool, alloc *stor
 				return meta, err
 			}
 		}
-		id, buf, err := alloc.AllocPinned()
-		if err != nil {
-			return meta, err
-		}
 		if i == 0 {
-			meta.firstPage = uint32(id)
-		} else if uint32(id) != meta.firstPage+uint32(i) {
-			return meta, fmt.Errorf("core: checkpoint pages not sequential (page %d, want %d)",
-				id, meta.firstPage+uint32(i))
+			meta.firstPage = a.next
 		}
 		cp.ID = rtree.NodeID(i)
 		cp.Leaf = n.Leaf
@@ -235,70 +235,47 @@ func writeTreeSection(ctx context.Context, pool *storage.BufferPool, alloc *stor
 				cp.Entries[j].Child = rtree.NodeID(nid)
 			}
 		}
-		if err := rtree.EncodeNodePage(cp, buf, cfg.AuxLen); err != nil {
+		if err := rtree.EncodeNodePage(cp, a.page, cfg.AuxLen); err != nil {
 			return meta, err
 		}
-		pool.MarkDirty(id)
-		if err := pool.Unpin(id); err != nil {
+		if err := a.append(); err != nil {
 			return meta, err
 		}
 	}
 	return meta, nil
 }
 
-// sectionWriter streams a byte section across sequentially allocated
-// pages. Errors are sticky; close reports them with the section's
-// placement.
+// sectionWriter streams a byte section across consecutive pages.
+// Errors are sticky; close reports them with the section's placement.
 type sectionWriter struct {
-	pool  *storage.BufferPool
-	alloc *storage.PageAllocator
-	meta  secMeta
-	cur   storage.PageID
-	buf   []byte
-	open  bool
-	off   int
-	err   error
+	a    *pageAppender
+	meta secMeta
+	off  int // fill offset in a.page; 0 means no page is open
+	err  error
 }
 
 func (w *sectionWriter) write(p []byte) {
 	for len(p) > 0 && w.err == nil {
-		if !w.open {
-			id, buf, err := w.alloc.AllocPinned()
-			if err != nil {
-				w.err = err
-				return
-			}
+		if w.off == 0 {
 			if w.meta.pages == 0 {
-				w.meta.firstPage = uint32(id)
-			} else if uint32(id) != w.meta.firstPage+w.meta.pages {
-				w.err = fmt.Errorf("core: checkpoint pages not sequential (page %d, want %d)",
-					id, w.meta.firstPage+w.meta.pages)
-				return
+				w.meta.firstPage = w.a.next
 			}
-			w.cur, w.buf, w.off, w.open = id, buf, 0, true
 			w.meta.pages++
 		}
-		n := copy(w.buf[w.off:], p)
+		n := copy(w.a.page[w.off:], p)
 		w.off += n
 		w.meta.bytes += uint64(n)
 		p = p[n:]
 		if w.off == storage.PageSize {
-			w.sealPage()
+			w.err = w.a.append()
+			w.off = 0
 		}
 	}
 }
 
-func (w *sectionWriter) sealPage() {
-	w.pool.MarkDirty(w.cur)
-	if err := w.pool.Unpin(w.cur); err != nil && w.err == nil {
-		w.err = err
-	}
-	w.open = false
-}
-
 func (w *sectionWriter) close() (secMeta, error) {
-	if w.open {
-		w.sealPage()
+	if w.off > 0 && w.err == nil {
+		w.err = w.a.append()
 	}
 	return w.meta, w.err
 }
@@ -307,9 +284,7 @@ func (w *sectionWriter) close() (secMeta, error) {
 // version, catalog probs, both tree metas, both section metas, and a
 // trailing CRC32C over everything before it.
 func encodeManifest(page []byte, m *manifest) {
-	for i := range page {
-		page[i] = 0
-	}
+	clear(page)
 	off := copy(page, ckptMagic)
 	off = putU32(page, off, ckptFormat)
 	off = putU64(page, off, m.version)
@@ -381,6 +356,39 @@ func decodeManifest(page []byte) (*manifest, error) {
 	return m, nil
 }
 
+// errManifestExtent marks a manifest that passes its CRC but places a
+// tree or section outside the file it heads. The CRC is a checksum,
+// not a MAC: a damaged or misdirected manifest can still carry one.
+var errManifestExtent = errors.New("core: checkpoint manifest extent outside file")
+
+// checkExtents validates every placement the manifest makes against
+// the file's page count, before the loader sizes a buffer or starts a
+// read loop from them. Page 0 is the manifest itself.
+func (m *manifest) checkExtents(numPages int) error {
+	inFile := func(first, n uint32) bool {
+		return n == 0 || first >= 1 && uint64(first)+uint64(n) <= uint64(numPages)
+	}
+	for _, tm := range []treeMeta{m.pointTree, m.uncTree} {
+		if !inFile(tm.firstPage, tm.nodeCount) {
+			return fmt.Errorf("%w: %d tree pages at %d in a %d-page file",
+				errManifestExtent, tm.nodeCount, tm.firstPage, numPages)
+		}
+	}
+	// A point record is 24 bytes; an object record is at least its id
+	// and two length prefixes. Both streams open with a u64 count.
+	for _, sm := range []struct {
+		secMeta
+		minRecord uint64
+	}{{m.points, 24}, {m.objects, 16}} {
+		if !inFile(sm.firstPage, sm.pages) || sm.bytes > uint64(sm.pages)*storage.PageSize ||
+			sm.bytes < 8 || sm.count > (sm.bytes-8)/sm.minRecord {
+			return fmt.Errorf("%w: section of %d records, %d bytes in %d pages at %d in a %d-page file",
+				errManifestExtent, sm.count, sm.bytes, sm.pages, sm.firstPage, numPages)
+		}
+	}
+	return nil
+}
+
 // loadCheckpoint reconstructs an engine state from a checkpoint file.
 // opts supplies the node stores (which must be fresh — the dense id
 // remap relies on sequential allocation from zero) and the point
@@ -398,6 +406,9 @@ func loadCheckpoint(path string, opts EngineOptions) (*engineState, error) {
 	}
 	m, err := decodeManifest(page)
 	if err != nil {
+		return nil, err
+	}
+	if err := m.checkExtents(dev.NumPages()); err != nil {
 		return nil, err
 	}
 
@@ -495,11 +506,9 @@ func loadTreeNodes(dev storage.Store, m treeMeta, store rtree.NodeStore) error {
 	return nil
 }
 
-// readSection reassembles a byte-stream section.
+// readSection reassembles a byte-stream section whose extent
+// checkExtents has accepted.
 func readSection(dev storage.Store, m secMeta) ([]byte, error) {
-	if uint64(m.pages)*storage.PageSize < m.bytes {
-		return nil, fmt.Errorf("core: checkpoint section claims %d bytes in %d pages", m.bytes, m.pages)
-	}
 	out := make([]byte, 0, int(m.pages)*storage.PageSize)
 	buf := make([]byte, storage.PageSize)
 	for i := 0; i < int(m.pages); i++ {

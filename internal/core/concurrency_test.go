@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/geom"
 	"repro/internal/index/rtree"
@@ -14,10 +13,9 @@ import (
 )
 
 // concurrencyWorld builds the same dataset as an in-memory engine and a
-// paged engine (4 KiB pages behind small buffer pools, optionally with
-// simulated read latency), for tests that must agree across storage
-// regimes.
-func concurrencyWorld(t testing.TB, seed int64, readLatency time.Duration) (mem, paged *Engine) {
+// paged engine (4 KiB pages behind small buffer pools), for tests that
+// must agree across storage regimes.
+func concurrencyWorld(t testing.TB, seed int64) (mem, paged *Engine) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	points := make([]uncertain.PointObject, 2500)
@@ -43,14 +41,9 @@ func concurrencyWorld(t testing.TB, seed int64, readLatency time.Duration) (mem,
 	if err != nil {
 		t.Fatal(err)
 	}
-	var pointStore, uncStore storage.Store = storage.NewMemStore(), storage.NewMemStore()
-	if readLatency > 0 {
-		pointStore = storage.NewLatencyStore(pointStore, readLatency, 0)
-		uncStore = storage.NewLatencyStore(uncStore, readLatency, 0)
-	}
 	paged, err = NewEngine(points, objects, EngineOptions{
-		PointNodeStore:     rtree.NewPagedNodeStore(storage.NewBufferPool(pointStore, 24), 0),
-		UncertainNodeStore: rtree.NewPagedNodeStore(storage.NewBufferPool(uncStore, 24), 4*len(uncertain.PaperCatalogProbs())),
+		PointNodeStore:     rtree.NewPagedNodeStore(storage.NewBufferPool(storage.NewMemStore(), 24), 0),
+		UncertainNodeStore: rtree.NewPagedNodeStore(storage.NewBufferPool(storage.NewMemStore(), 24), 4*len(uncertain.PaperCatalogProbs())),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +74,7 @@ func concurrencyQueries(t testing.TB, n int, seed int64) []Query {
 // the concurrent read path: no query perturbs another's answer or
 // accounting, even through a shared buffer pool.
 func TestConcurrentQueriesMatchSerial(t *testing.T) {
-	mem, paged := concurrencyWorld(t, 601, 0)
+	mem, paged := concurrencyWorld(t, 601)
 	queries := concurrencyQueries(t, 24, 602)
 
 	type baseline struct {
@@ -165,7 +158,7 @@ func checkSameResult(t *testing.T, label string, want, got Result) {
 // draws from a source derived from its index, not from its worker —
 // over both storage regimes, with mixed point/uncertain targets.
 func TestEvaluateBatchDeterministic(t *testing.T) {
-	mem, paged := concurrencyWorld(t, 603, 0)
+	mem, paged := concurrencyWorld(t, 603)
 	queries := concurrencyQueries(t, 20, 604)
 	batch := make([]BatchQuery, len(queries))
 	for i, q := range queries {
@@ -202,7 +195,7 @@ func TestEvaluateBatchDeterministic(t *testing.T) {
 // primarily a -race workout; results are sanity-checked against a
 // serial baseline.
 func TestConcurrentMixedWorkload(t *testing.T) {
-	_, paged := concurrencyWorld(t, 605, 0)
+	_, paged := concurrencyWorld(t, 605)
 	queries := concurrencyQueries(t, 12, 606)
 	batch := make([]BatchQuery, len(queries))
 	for i, q := range queries {
@@ -248,42 +241,5 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
-	}
-}
-
-// TestLatencyStoreOverlap asserts that with simulated read latency,
-// batch evaluation with several workers overlaps physical reads and
-// finishes faster than the serial run — the I/O-bound scaling the
-// thread-safe buffer pool buys even on one CPU.
-func TestLatencyStoreOverlap(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing-sensitive")
-	}
-	_, paged := concurrencyWorld(t, 607, 200*time.Microsecond)
-	queries := concurrencyQueries(t, 16, 608)
-	batch := make([]BatchQuery, len(queries))
-	for i, q := range queries {
-		batch[i] = BatchQuery{Query: q}
-	}
-	// Warm nothing: both runs start from the same (cold-ish) pool, and
-	// the serial run goes first, so any caching bias favours the run
-	// that must lose.
-	start := time.Now()
-	for _, r := range paged.EvaluateBatch(batch, EvalOptions{}, 1) {
-		if r.Err != nil {
-			t.Fatal(r.Err)
-		}
-	}
-	serialDur := time.Since(start)
-
-	start = time.Now()
-	for _, r := range paged.EvaluateBatch(batch, EvalOptions{}, 4) {
-		if r.Err != nil {
-			t.Fatal(r.Err)
-		}
-	}
-	parDur := time.Since(start)
-	if parDur >= serialDur {
-		t.Logf("note: 4-worker batch (%v) not faster than serial (%v); pool may have been warm", parDur, serialDur)
 	}
 }

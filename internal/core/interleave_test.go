@@ -166,7 +166,7 @@ func TestGuardRegion(t *testing.T) {
 // consistent), and afterwards the engine agrees with a serial replay
 // of the final state.
 func TestConcurrentUpdatesAndQueries(t *testing.T) {
-	mem, paged := concurrencyWorld(t, 617, 0)
+	mem, paged := concurrencyWorld(t, 617)
 	for name, e := range map[string]*Engine{"mem": mem, "paged": paged} {
 		e := e
 		t.Run(name, func(t *testing.T) {

@@ -99,9 +99,6 @@ type PoolStats struct {
 	Stats storage.Stats
 	// Resident is the number of pages currently cached.
 	Resident int
-	// WriteQueueDepth is the background write-back backlog (queued +
-	// in-flight pages).
-	WriteQueueDepth int
 }
 
 // HitRate returns the fraction of logical reads served from the pool.
@@ -132,12 +129,7 @@ func poolStatsOf(ns rtree.NodeStore) PoolStats {
 		return PoolStats{}
 	}
 	pool := paged.Pool()
-	return PoolStats{
-		Paged:           true,
-		Stats:           pool.Stats(),
-		Resident:        pool.Resident(),
-		WriteQueueDepth: pool.WriteQueueDepth(),
-	}
+	return PoolStats{Paged: true, Stats: pool.Stats(), Resident: pool.Resident()}
 }
 
 // evalKinds is the fixed kind order metric labels are emitted in.
@@ -281,8 +273,5 @@ func (e *Engine) RegisterMetrics(r *obs.Registry) {
 		r.GaugeFunc("ildq_pool_resident_pages",
 			"Pages currently cached.",
 			func() float64 { return float64(pick(e.StorageStats()).Resident) }, lbl)
-		r.GaugeFunc("ildq_pool_writeback_queue_depth",
-			"Background write-back backlog (queued + in-flight pages).",
-			func() float64 { return float64(pick(e.StorageStats()).WriteQueueDepth) }, lbl)
 	}
 }

@@ -194,9 +194,6 @@ func TestStorageStats(t *testing.T) {
 	if hr := ss.Uncertain.HitRate(); hr < 0 || hr > 1 {
 		t.Fatalf("hit rate out of range: %g", hr)
 	}
-	if ss.Point.WriteQueueDepth != 0 {
-		t.Fatalf("quiesced pool reports write backlog %d", ss.Point.WriteQueueDepth)
-	}
 }
 
 // The allocation budget of one untraced C-IUQ evaluation, and PR 8's

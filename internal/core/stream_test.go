@@ -29,7 +29,7 @@ func streamBatch(t *testing.T, n int, seed int64) []BatchQuery {
 // exactly the results of EvaluateBatch — same seeds, same per-query
 // derived streams — at every worker count, just without the slice.
 func TestEvaluateBatchStreamMatchesBatch(t *testing.T) {
-	mem, paged := concurrencyWorld(t, 611, 0)
+	mem, paged := concurrencyWorld(t, 611)
 	batch := streamBatch(t, 18, 612)
 
 	for name, e := range map[string]*Engine{"mem": mem, "paged": paged} {
@@ -70,7 +70,7 @@ func TestEvaluateBatchStreamMatchesBatch(t *testing.T) {
 // — and the batch itself still completes (the deadline is per query,
 // not per batch).
 func TestEvaluateBatchStreamPerQueryDeadline(t *testing.T) {
-	mem, _ := concurrencyWorld(t, 613, 0)
+	mem, _ := concurrencyWorld(t, 613)
 	batch := streamBatch(t, 10, 614)
 
 	var delivered, failed int
@@ -110,7 +110,7 @@ func TestEvaluateBatchStreamPerQueryDeadline(t *testing.T) {
 // TestEvaluateBatchStreamCancel: cancelling the batch context stops
 // dispatch and EvaluateBatchStream reports the cancellation.
 func TestEvaluateBatchStreamCancel(t *testing.T) {
-	mem, _ := concurrencyWorld(t, 615, 0)
+	mem, _ := concurrencyWorld(t, 615)
 	batch := streamBatch(t, 64, 616)
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -143,7 +143,7 @@ func TestEvaluateBatchStreamCancel(t *testing.T) {
 // TestEvaluateContextCancelled: the single-query context entry points
 // observe an already-cancelled context.
 func TestEvaluateContextCancelled(t *testing.T) {
-	mem, _ := concurrencyWorld(t, 617, 0)
+	mem, _ := concurrencyWorld(t, 617)
 	q := concurrencyQueries(t, 1, 618)[0]
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -162,7 +162,7 @@ func TestEvaluateContextCancelled(t *testing.T) {
 // TestEvaluateBatchStreamNilHandler: a nil handler discards results
 // without panicking (load-generation mode).
 func TestEvaluateBatchStreamNilHandler(t *testing.T) {
-	mem, _ := concurrencyWorld(t, 619, 0)
+	mem, _ := concurrencyWorld(t, 619)
 	batch := streamBatch(t, 6, 620)
 	if err := mem.EvaluateBatchStream(context.Background(), batch, EvalOptions{}, 3, nil); err != nil {
 		t.Fatal(err)

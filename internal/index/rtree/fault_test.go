@@ -14,8 +14,6 @@ var errInjected = errors.New("injected storage fault")
 
 // faultStore wraps a storage.Store and fails every operation once the
 // countdown reaches zero, exercising the index's error propagation.
-// The countdown is atomic because the buffer pool's background writer
-// issues WritePage calls concurrent with foreground operations.
 type faultStore struct {
 	inner     storage.Store
 	countdown atomic.Int64

@@ -109,9 +109,8 @@ func (s *MemNodeStore) NumNodes() int {
 // PagedNodeStore serializes each node into one 4 KiB page accessed
 // through a buffer pool, reproducing the paper's disk-resident index.
 // Tree metadata (root id) is kept in memory; page allocation and
-// free-page reuse go through the shared storage.PageAllocator, the
-// same path the checkpoint writer allocates from. Page data itself is
-// synchronized by the buffer pool.
+// free-page reuse go through a storage.PageAllocator. Page data itself
+// is synchronized by the buffer pool.
 type PagedNodeStore struct {
 	pool   *storage.BufferPool
 	alloc  *storage.PageAllocator

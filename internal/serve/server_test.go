@@ -457,7 +457,7 @@ func TestServeMetricsExposition(t *testing.T) {
 		`ildq_eval_latency_seconds_bucket{kind="nn",le="+Inf"} 1`,
 		`ildq_eval_latency_seconds_summary{kind="nn",quantile="0.5"}`,
 		`ildq_pool_logical_reads_total{store="point"} 0`,
-		`ildq_pool_writeback_queue_depth{store="uncertain"} 0`,
+		`ildq_pool_resident_pages{store="uncertain"} 0`,
 		`ildq_eval_node_accesses_total{kind="nn"}`,
 		"ildq_monitor_batch_seconds_count 1",
 		"ildq_monitor_batch_requalified_objects_count 1",

@@ -3,7 +3,6 @@ package storage
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 )
 
 // Stats counts buffer-pool traffic. LogicalReads is the paper's "node
@@ -34,607 +33,250 @@ func (s Stats) Sub(t Stats) Stats {
 	}
 }
 
-// add returns s + t, for aggregating per-shard counters.
-func (s Stats) add(t Stats) Stats {
-	return Stats{
-		LogicalReads:  s.LogicalReads + t.LogicalReads,
-		PhysicalReads: s.PhysicalReads + t.PhysicalReads,
-		PageWrites:    s.PageWrites + t.PageWrites,
-		Evictions:     s.Evictions + t.Evictions,
-	}
-}
-
-// shardStats is one shard's traffic counters, each atomic so the
-// lock-free hit path can bump them without the shard mutex.
-type shardStats struct {
-	logicalReads  atomic.Int64
-	physicalReads atomic.Int64
-	pageWrites    atomic.Int64
-	evictions     atomic.Int64
-}
-
-func (ss *shardStats) snapshot() Stats {
-	return Stats{
-		LogicalReads:  ss.logicalReads.Load(),
-		PhysicalReads: ss.physicalReads.Load(),
-		PageWrites:    ss.pageWrites.Load(),
-		Evictions:     ss.evictions.Load(),
-	}
-}
-
-func (ss *shardStats) reset() {
-	ss.logicalReads.Store(0)
-	ss.physicalReads.Store(0)
-	ss.pageWrites.Store(0)
-	ss.evictions.Store(0)
-}
-
+// frame is one cached page. Every field is guarded by the pool mutex;
+// data is additionally handed to pinners, who own its contents until
+// they Unpin.
 type frame struct {
 	id   PageID
 	data []byte
-	// pins counts concurrent users. -1 is the eviction tombstone: an
-	// evictor that CASes pins from 0 to -1 has claimed the frame, and
-	// tryPin refuses it forever after. Readers pin lock-free; all
-	// tombstoning happens with the shard mutex held, in the same
-	// critical section that removes the frame from the table — so a
-	// frame found in the table *under the mutex* is never tombstoned.
-	pins atomic.Int64
-	// dirty marks unpersisted modifications. Set lock-free by
-	// MarkDirty (the caller holds a pin, so the frame cannot be
-	// reclaimed underneath it); cleared by eviction snapshot, flush,
-	// and write-back completion, all under the shard mutex.
-	dirty atomic.Bool
+	// pins counts current users; a pinned frame is never evicted.
+	pins int
+	// dirty marks modifications the store has not seen yet.
+	dirty bool
 	// ref is the CLOCK reference bit: set on every pin, cleared when
 	// the sweep hand passes, granting recently used pages a second
 	// chance before eviction.
-	ref atomic.Bool
-	// writing marks a frame whose eviction write-back is in flight on
-	// the background writer. The frame stays resident (its data is
-	// still valid and pinnable) but is out of the clock ring and does
-	// not count against shard capacity; the writer decides on
-	// completion whether it is dropped or re-adopted. Guarded by the
-	// shard mutex.
-	writing bool
-	// clockIdx is the frame's slot in the shard's clock ring, -1 while
-	// absent (writing, or being discarded). Guarded by the shard mutex.
-	clockIdx int
-	// ready is closed once data holds the page contents; loadErr (set
-	// before the close) reports a failed physical read. Concurrent
-	// pinners of a page being fetched block on ready instead of the
-	// shard mutex, so physical I/O overlaps across goroutines.
-	ready   chan struct{}
-	loadErr error
+	ref bool
 }
 
-// tryPin acquires one pin unless the frame has been tombstoned.
-func (f *frame) tryPin() bool {
-	for {
-		p := f.pins.Load()
-		if p < 0 {
-			return false
-		}
-		if f.pins.CompareAndSwap(p, p+1) {
-			return true
-		}
-	}
-}
-
-// readyClosed is a pre-closed channel shared by frames whose data is
-// available immediately (hits, allocations).
-var readyClosed = func() chan struct{} {
-	ch := make(chan struct{})
-	close(ch)
-	return ch
-}()
-
-// poolShard is one lock domain of the pool: a page-id partition with
-// its own frame table, CLOCK ring, and counters. The frame table is a
-// sync.Map read lock-free by the hit path; every Store/Delete on it
-// happens with mu held, as does all clock-ring and capacity
-// accounting. Shards never take each other's locks, so pins on
-// different shards cannot contend — and resident hits don't take any
-// lock at all.
-type poolShard struct {
-	mu       sync.Mutex
-	capacity int
-	frames   sync.Map // PageID -> *frame; writes under mu, reads lock-free
-	resident int      // frames in the table; under mu (sync.Map has no O(1) len)
-	clock    []*frame // resident, non-writing frames; sweep order
-	hand     int
-	writing  int // frames in the table with write-back in flight
-	stats    shardStats
-}
-
-// BufferPool caches up to capacity pages over a Store. The pool is
-// partitioned into a power-of-two number of shards; a pin that hits a
-// resident page runs entirely on atomics (lock-free lookup, pin
-// acquisition, and CLOCK reference bit), while misses and evictions
-// take the owning shard's mutex, so concurrent hits never contend and
-// misses contend only within a shard. Pages are pinned while in use;
-// pinned pages are never evicted. Because capacity is partitioned,
-// ErrPoolFull is a per-shard condition: the pool is guaranteed to
-// serve only as many simultaneous pins as its smallest shard
-// (capacity/shards), not the full capacity — size generously, or use
-// fewer shards, when many pages stay pinned at once. The zero value
-// is not usable; call NewBufferPool or NewBufferPoolShards.
+// BufferPool caches up to capacity pages over a Store, evicting by
+// CLOCK (second chance). Pages are pinned while in use; pinned pages
+// are never evicted, and ErrPoolFull means all capacity pages are
+// pinned at once. The zero value is not usable; call NewBufferPool.
 //
-// The pool is safe for concurrent use. Physical reads run outside the
-// shard locks: goroutines missing on different pages fetch them in
-// parallel, and goroutines requesting a page already being fetched
-// wait only for that fetch (single-flight misses). Dirty-page eviction
-// write-back runs on a bounded background writer, also outside the
-// shard locks, so an eviction writing through a slow store never
-// stalls concurrent pins — not of other shards, and not even of the
-// same shard. The underlying Store must tolerate concurrent ReadPage,
-// WritePage (distinct pages), and Allocate calls (MemStore and
-// FileStore both do). Page contents themselves are not versioned —
-// writers must serialize with readers of the same page, as the
-// engine's quiescent-read contract guarantees; Flush and Clear must
-// be serialized with each other by the caller (the engine's write
-// path already is).
+// The pool is safe for concurrent use and deliberately plain: one
+// mutex guards the frame table, the clock ring and the counters, and
+// every store call — the physical read of a miss, the write-back of a
+// dirty victim, Flush — happens with it held. A page is therefore
+// either resident or on the store, never in between: a victim is
+// chosen, written back if dirty and dropped inside one critical
+// section, so a Pin of a page being evicted waits for the write and
+// then reads what it wrote. (A Store must therefore never call back
+// into the pool that wraps it.) The pool's traffic — a paged index under
+// the figure harness and under tests — does not need I/O to overlap;
+// it needs logical and physical reads counted (§6.1 of the paper) and
+// no page ever lost or torn.
+//
+// Page contents themselves are not versioned: a goroutine writing a
+// pinned page must be the only one using that page, as the engine's
+// copy-on-write path guarantees (it writes only pages no published
+// tree references), and Flush/Clear must not run concurrently with
+// such a writer.
 type BufferPool struct {
-	store  Store
-	shards []*poolShard
-	mask   uint64
-	wb     *writeback
+	store    Store
+	capacity int
+
+	mu     sync.Mutex
+	frames map[PageID]*frame
+	clock  []*frame // every resident frame, in sweep order
+	hand   int
+	stats  Stats
 }
 
 // NewBufferPool wraps store with a pool of the given page capacity
-// (minimum 1), choosing a shard count from the capacity: small pools
-// stay single-shard (deterministic eviction for unit-scale use),
-// larger pools get up to 8 shards.
+// (minimum 1).
 func NewBufferPool(store Store, capacity int) *BufferPool {
-	return NewBufferPoolShards(store, capacity, 0)
-}
-
-// NewBufferPoolShards wraps store with a pool of the given page
-// capacity split exactly over an explicit shard count (the first
-// capacity mod shards shards hold one extra page). shards is rounded
-// to the nearest power of two not exceeding capacity (rounding up
-// first, then halving while above capacity); 0 selects the default
-// heuristic.
-func NewBufferPoolShards(store Store, capacity, shards int) *BufferPool {
 	if capacity < 1 {
 		capacity = 1
 	}
-	if shards <= 0 {
-		shards = defaultShards(capacity)
-	}
-	shards = ceilPow2(shards)
-	for shards > capacity {
-		shards /= 2
-	}
-	bp := &BufferPool{
-		store:  store,
-		shards: make([]*poolShard, shards),
-		mask:   uint64(shards - 1),
-		wb:     newWriteback(store),
-	}
-	// Distribute the capacity exactly: the first capacity%shards
-	// shards hold one extra page, so the pool never caches more than
-	// the requested total.
-	base, extra := capacity/shards, capacity%shards
-	for i := range bp.shards {
-		c := base
-		if i < extra {
-			c++
-		}
-		bp.shards[i] = &poolShard{capacity: c}
-	}
-	return bp
+	return &BufferPool{store: store, capacity: capacity, frames: make(map[PageID]*frame)}
 }
 
-// defaultShards picks the shard count for NewBufferPool: one shard
-// per 32 pages of capacity, up to 8. Pools under 64 pages stay single
-// shard so tests and small simulations keep a deterministic global
-// eviction order.
-func defaultShards(capacity int) int {
-	s := 1
-	for s < 8 && capacity >= 64*s {
-		s *= 2
-	}
-	return s
-}
-
-// ceilPow2 rounds n up to the next power of two (n >= 1).
-func ceilPow2(n int) int {
-	p := 1
-	for p < n {
-		p *= 2
-	}
-	return p
-}
-
-// shardOf maps a page id to its shard. The splitmix finalizer spreads
-// sequentially allocated ids across shards evenly.
-func (bp *BufferPool) shardOf(id PageID) *poolShard {
-	x := uint64(id) + 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	x ^= x >> 31
-	return bp.shards[x&bp.mask]
-}
-
-// ShardCount returns the number of lock shards.
-func (bp *BufferPool) ShardCount() int { return len(bp.shards) }
-
-// Stats returns a snapshot of the pool's counters, aggregated over
-// the shards. Counters are read individually, so a snapshot taken
-// concurrently with traffic may be torn across counters (each counter
-// is itself exact).
+// Stats returns a snapshot of the pool's counters.
 func (bp *BufferPool) Stats() Stats {
-	var total Stats
-	for _, sh := range bp.shards {
-		total = total.add(sh.stats.snapshot())
-	}
-	return total
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	return bp.stats
 }
 
-// ResetStats zeroes the counters (page contents are untouched).
-func (bp *BufferPool) ResetStats() {
-	for _, sh := range bp.shards {
-		sh.stats.reset()
-	}
+// Resident returns the number of pages currently cached.
+func (bp *BufferPool) Resident() int {
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	return len(bp.frames)
 }
 
-// Allocate creates a new zeroed page in the store and pins it.
+// Allocate creates a new zeroed page in the store and pins it. Room is
+// made first, so a pool full of pinned pages fails without growing the
+// store.
 func (bp *BufferPool) Allocate() (PageID, []byte, error) {
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	if err := bp.makeRoomLocked(); err != nil {
+		return InvalidPage, nil, err
+	}
 	id, err := bp.store.Allocate()
 	if err != nil {
 		return InvalidPage, nil, err
 	}
-	sh := bp.shardOf(id)
-	sh.mu.Lock()
-	if err := bp.makeRoomLocked(sh); err != nil {
-		sh.mu.Unlock()
-		return InvalidPage, nil, err
-	}
-	f := &frame{id: id, data: make([]byte, PageSize), clockIdx: -1, ready: readyClosed}
-	f.pins.Store(1)
-	f.ref.Store(true)
-	sh.frames.Store(id, f)
-	sh.resident++
-	sh.clockAdd(f)
-	sh.mu.Unlock()
-	return id, f.data, nil
+	return id, bp.installLocked(id, make([]byte, PageSize)), nil
 }
 
 // Pin fetches page id, reading it from the store on a miss, and pins
 // it. The returned slice aliases the pool frame: it is valid until the
 // matching Unpin and must be written through MarkDirty to persist.
-//
-// A hit takes no lock: the frame lookup, the pin CAS, and the CLOCK
-// reference bit are all atomic. Only a miss — or losing a race with
-// an eviction in progress — falls through to the shard mutex.
 func (bp *BufferPool) Pin(id PageID) ([]byte, error) {
-	sh := bp.shardOf(id)
-	sh.stats.logicalReads.Add(1)
-	if v, ok := sh.frames.Load(id); ok {
-		f := v.(*frame)
-		if f.tryPin() {
-			f.ref.Store(true)
-			<-f.ready
-			if f.loadErr != nil {
-				// The loader already removed the frame and voided all
-				// pins; this pin never took effect.
-				return nil, f.loadErr
-			}
-			return f.data, nil
-		}
-		// Tombstoned: an evictor claimed the frame between our lookup
-		// and the pin attempt. Resolve under the shard mutex.
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	bp.stats.LogicalReads++
+	if f, ok := bp.frames[id]; ok {
+		f.pins++
+		f.ref = true
+		return f.data, nil
 	}
-	return bp.pinSlow(sh, id)
-}
-
-// pinSlow is the miss path: under the shard mutex, re-check the table
-// (the frame may have been installed — or an eviction resolved —
-// since the lock-free attempt), make room, install a loading frame,
-// and fetch the page outside the lock.
-func (bp *BufferPool) pinSlow(sh *poolShard, id PageID) ([]byte, error) {
-	sh.mu.Lock()
-	for {
-		if v, ok := sh.frames.Load(id); ok {
-			// Under the mutex a frame in the table is never tombstoned
-			// (tombstoning and table removal share one critical
-			// section), so this pin cannot fail.
-			f := v.(*frame)
-			f.tryPin()
-			f.ref.Store(true)
-			sh.mu.Unlock()
-			<-f.ready
-			if f.loadErr != nil {
-				return nil, f.loadErr
-			}
-			return f.data, nil
-		}
-		// Miss: make room, then install a loading frame under the lock
-		// and fetch outside it. makeRoomLocked may release the lock
-		// around a write-back hand-off, so another miss on this page
-		// can install a frame meanwhile — loop to join it as a waiter
-		// instead of installing a duplicate.
-		if err := bp.makeRoomLocked(sh); err != nil {
-			sh.mu.Unlock()
-			return nil, err
-		}
-		if _, ok := sh.frames.Load(id); !ok {
-			break
-		}
-	}
-	f := &frame{id: id, data: make([]byte, PageSize), clockIdx: -1, ready: make(chan struct{})}
-	f.pins.Store(1)
-	f.ref.Store(true)
-	sh.frames.Store(id, f)
-	sh.resident++
-	sh.clockAdd(f)
-	sh.stats.physicalReads.Add(1)
-	sh.mu.Unlock()
-
-	err := bp.store.ReadPage(id, f.data)
-	if err != nil {
-		sh.mu.Lock()
-		f.loadErr = err
-		sh.clockRemove(f)
-		sh.frames.Delete(id)
-		sh.resident--
-		// Void every pin (ours and any waiters') and tombstone so a
-		// reader that looked the frame up just before the Delete
-		// cannot pin it afterwards.
-		f.pins.Store(-1)
-		sh.mu.Unlock()
-		close(f.ready)
+	if err := bp.makeRoomLocked(); err != nil {
 		return nil, err
 	}
-	close(f.ready)
-	return f.data, nil
+	data := make([]byte, PageSize)
+	bp.stats.PhysicalReads++
+	if err := bp.store.ReadPage(id, data); err != nil {
+		return nil, err
+	}
+	return bp.installLocked(id, data), nil
 }
 
-// makeRoomLocked evicts frames until the shard has room for one more
-// page. Clean victims are claimed by tombstoning their pin count, so
-// lock-free pinners can never resurrect a frame that is leaving the
-// table; dirty victims are snapshotted and handed to the background
-// writer — the shard lock is released around the (possibly blocking)
-// hand-off, so a full writer queue never stalls the shard itself.
-// Called and returns with the shard mutex held.
-func (bp *BufferPool) makeRoomLocked(sh *poolShard) error {
-	for sh.resident-sh.writing >= sh.capacity {
-		v := sh.pickVictimLocked()
+// installLocked caches data as page id with one pin, at the tail of
+// the clock ring.
+func (bp *BufferPool) installLocked(id PageID, data []byte) []byte {
+	f := &frame{id: id, data: data, pins: 1, ref: true}
+	bp.frames[id] = f
+	bp.clock = append(bp.clock, f)
+	return data
+}
+
+// makeRoomLocked evicts until one more page fits. A dirty victim is
+// written back before it is dropped; if that write fails the victim
+// stays resident and dirty (it is the only copy) and the error fails
+// the Pin or Allocate that needed the room.
+func (bp *BufferPool) makeRoomLocked() error {
+	for len(bp.frames) >= bp.capacity {
+		v := bp.pickVictimLocked()
 		if v == nil {
-			return fmt.Errorf("%w: shard capacity %d", ErrPoolFull, sh.capacity)
+			return fmt.Errorf("%w: capacity %d", ErrPoolFull, bp.capacity)
 		}
-		if !v.dirty.Load() {
-			// Claim the clean victim: after this CAS no pinner can
-			// acquire it. The CAS fails if a lock-free pin slipped in
-			// after the sweep saw zero pins — the frame is hot again;
-			// resume the sweep.
-			if !v.pins.CompareAndSwap(0, -1) {
-				continue
-			}
-			// A pin/MarkDirty/Unpin cycle may have completed entirely
-			// between the dirty check and the claim. Re-check: a frame
-			// dirtied in that window must be written back, not dropped.
-			if v.dirty.Load() {
-				v.pins.Store(0)
-				continue
-			}
-			// Stats.Evictions counts frames that actually leave the
-			// pool: clean victims here, dirty ones when their
-			// write-back completes and drops them (a mid-write re-pin
-			// keeps the frame resident — no eviction happened).
-			sh.clockRemove(v)
-			sh.stats.evictions.Add(1)
-			sh.frames.Delete(v.id)
-			sh.resident--
-			continue
+		if err := bp.writeBackLocked(v); err != nil {
+			return err
 		}
-		// Dirty victim: no tombstone — the frame stays resident and
-		// pinnable while the write is in flight. Snapshot under the
-		// lock: the write-back must persist the page as of eviction
-		// even if a later pin re-dirties it.
-		sh.clockRemove(v)
-		v.dirty.Store(false)
-		v.writing = true
-		sh.writing++
-		snap := bp.wb.buffer()
-		copy(snap, v.data)
-		sh.mu.Unlock()
-		bp.wb.enqueue(writeJob{sh: sh, f: v, data: snap})
-		sh.mu.Lock()
+		// The victim sits under the hand: swap the ring's tail into its
+		// slot, so the hand inspects that frame next.
+		last := len(bp.clock) - 1
+		bp.clock[bp.hand] = bp.clock[last]
+		bp.clock[last] = nil
+		bp.clock = bp.clock[:last]
+		if bp.hand == last {
+			bp.hand = 0
+		}
+		delete(bp.frames, v.id)
+		bp.stats.Evictions++
 	}
 	return nil
 }
 
 // pickVictimLocked runs the CLOCK sweep: skip pinned frames, clear
 // reference bits, and return the first unpinned frame found without
-// one. Returns nil if two full sweeps find every frame pinned.
-func (sh *poolShard) pickVictimLocked() *frame {
-	for i := 0; i < 2*len(sh.clock); i++ {
-		if sh.hand >= len(sh.clock) {
-			sh.hand = 0
+// one, leaving the hand on it. Returns nil if two full sweeps find
+// every frame pinned.
+func (bp *BufferPool) pickVictimLocked() *frame {
+	for i := 0; i < 2*len(bp.clock); i++ {
+		if bp.hand >= len(bp.clock) {
+			bp.hand = 0
 		}
-		f := sh.clock[sh.hand]
-		if f.pins.Load() != 0 {
-			sh.hand++
-			continue
+		f := bp.clock[bp.hand]
+		if f.pins == 0 {
+			if !f.ref {
+				return f
+			}
+			f.ref = false
 		}
-		if f.ref.Swap(false) {
-			sh.hand++
-			continue
-		}
-		return f
+		bp.hand++
 	}
 	return nil
 }
 
-// clockAdd appends a frame to the clock ring.
-func (sh *poolShard) clockAdd(f *frame) {
-	f.clockIdx = len(sh.clock)
-	sh.clock = append(sh.clock, f)
+// writeBackLocked persists f if it is dirty.
+func (bp *BufferPool) writeBackLocked(f *frame) error {
+	if !f.dirty {
+		return nil
+	}
+	if err := bp.store.WritePage(f.id, f.data); err != nil {
+		return err
+	}
+	f.dirty = false
+	bp.stats.PageWrites++
+	return nil
 }
 
-// clockRemove swap-removes a frame from the clock ring.
-func (sh *poolShard) clockRemove(f *frame) {
-	i := f.clockIdx
-	if i < 0 {
-		return
-	}
-	last := len(sh.clock) - 1
-	sh.clock[i] = sh.clock[last]
-	sh.clock[i].clockIdx = i
-	sh.clock[last] = nil
-	sh.clock = sh.clock[:last]
-	f.clockIdx = -1
-	if sh.hand > i {
-		sh.hand--
-	}
-	if sh.hand >= len(sh.clock) {
-		sh.hand = 0
-	}
-}
-
-// MarkDirty records that the pinned page id has been modified. The
-// caller must hold a pin on the page (the engine's write path does),
-// which is what makes the lock-free bit set safe: a pinned frame
-// cannot be reclaimed, and every eviction path re-checks the dirty
-// bit after the last moment a pin could have existed.
+// MarkDirty records that the pinned page id has been modified.
 func (bp *BufferPool) MarkDirty(id PageID) {
-	sh := bp.shardOf(id)
-	if v, ok := sh.frames.Load(id); ok {
-		v.(*frame).dirty.Store(true)
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	if f, ok := bp.frames[id]; ok {
+		f.dirty = true
 	}
 }
 
 // Unpin releases one pin on page id.
 func (bp *BufferPool) Unpin(id PageID) error {
-	sh := bp.shardOf(id)
-	v, ok := sh.frames.Load(id)
-	if !ok {
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	f, ok := bp.frames[id]
+	if !ok || f.pins == 0 {
 		return fmt.Errorf("%w: page %d", ErrBadPinCount, id)
 	}
-	f := v.(*frame)
-	for {
-		p := f.pins.Load()
-		if p <= 0 {
-			return fmt.Errorf("%w: page %d", ErrBadPinCount, id)
-		}
-		if f.pins.CompareAndSwap(p, p-1) {
-			return nil
-		}
-	}
+	f.pins--
+	return nil
 }
 
-// Flush persists every dirty frame (pinned or not) without evicting:
-// it waits out in-flight write-backs (the flush barrier) and writes
-// the remaining dirty frames through synchronously, repeating until a
-// pass finds nothing dirty and nothing in flight — so write-backs
-// started by concurrent read-path evictions *during* the flush are
-// waited out too. A page whose background write-back failed is
-// dirty-resident again after the barrier and is retried by the
-// synchronous pass — Flush returns nil only when every dirty page has
-// actually been persisted, and surfaces the store's error otherwise.
-// (Termination: dirty pages are only created by MarkDirty, which the
-// engine's write path serializes with Flush, so each round strictly
-// drains the remaining dirty set.)
+// Flush persists every dirty frame (pinned or not) without evicting.
+// It stops at the first store error; the pages not yet written stay
+// dirty, so a later Flush retries them.
 func (bp *BufferPool) Flush() error {
-	for {
-		bp.wb.barrier()
-		inFlight := false
-		for _, sh := range bp.shards {
-			sh.mu.Lock()
-			if err := bp.flushShardLocked(sh); err != nil {
-				sh.mu.Unlock()
-				return err
-			}
-			sh.frames.Range(func(_, v any) bool {
-				if v.(*frame).writing {
-					inFlight = true
-					return false
-				}
-				return true
-			})
-			sh.mu.Unlock()
-		}
-		if !inFlight {
-			return nil
-		}
-	}
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	return bp.flushLocked()
 }
 
-func (bp *BufferPool) flushShardLocked(sh *poolShard) error {
-	var ferr error
-	sh.frames.Range(func(_, v any) bool {
-		f := v.(*frame)
-		if f.writing || !f.dirty.Load() {
-			return true
-		}
-		// Clear before writing: a MarkDirty racing in after the swap
-		// re-marks the frame rather than being lost (the engine
-		// serializes writers with Flush, so this is belt-and-braces).
-		f.dirty.Store(false)
-		if err := bp.store.WritePage(f.id, f.data); err != nil {
-			f.dirty.Store(true)
-			ferr = err
-			return false
-		}
-		sh.stats.pageWrites.Add(1)
-		return true
-	})
-	return ferr
-}
-
-// Resident returns the number of pages currently cached.
-func (bp *BufferPool) Resident() int {
-	n := 0
-	for _, sh := range bp.shards {
-		sh.mu.Lock()
-		n += sh.resident
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-// WriteQueueDepth returns the background writer's current backlog:
-// queued write-back jobs plus writes in flight. A depth pinned at
-// maxWritebackQueue means evictions are blocking on the store — the
-// write-back back-pressure signal the metrics layer exports.
-func (bp *BufferPool) WriteQueueDepth() int {
-	bp.wb.mu.Lock()
-	n := len(bp.wb.queue) + bp.wb.inFlight
-	bp.wb.mu.Unlock()
-	return n
-}
-
-// Clear flushes dirty frames (draining the background writer first)
-// and drops every unpinned frame, leaving a cold cache. It is used by
-// experiments that need cold-start I/O measurements. Pinned frames are
-// flushed but stay resident; an error is returned if any page remains
-// pinned.
-func (bp *BufferPool) Clear() error {
-	bp.wb.barrier()
-	var pinned int
-	for _, sh := range bp.shards {
-		sh.mu.Lock()
-		if err := bp.flushShardLocked(sh); err != nil {
-			sh.mu.Unlock()
+func (bp *BufferPool) flushLocked() error {
+	for _, f := range bp.clock {
+		if err := bp.writeBackLocked(f); err != nil {
 			return err
 		}
-		sh.frames.Range(func(id, v any) bool {
-			f := v.(*frame)
-			// Claim via tombstone like any eviction; a failure means a
-			// live pin, which keeps the frame resident.
-			if f.writing || !f.pins.CompareAndSwap(0, -1) {
-				pinned++
-				return true
-			}
-			sh.clockRemove(f)
-			sh.frames.Delete(id)
-			sh.resident--
-			return true
-		})
-		sh.mu.Unlock()
 	}
-	if pinned > 0 {
-		return fmt.Errorf("%w: %d pages still pinned during Clear", ErrBadPinCount, pinned)
+	return nil
+}
+
+// Clear flushes dirty frames and drops every unpinned frame, leaving a
+// cold cache. It is used by experiments that need cold-start I/O
+// measurements. Pinned frames are flushed but stay resident; an error
+// is returned if any page remains pinned.
+func (bp *BufferPool) Clear() error {
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	if err := bp.flushLocked(); err != nil {
+		return err
+	}
+	kept := bp.clock[:0]
+	for _, f := range bp.clock {
+		if f.pins > 0 {
+			kept = append(kept, f)
+		} else {
+			delete(bp.frames, f.id)
+		}
+	}
+	clear(bp.clock[len(kept):])
+	bp.clock, bp.hand = kept, 0
+	if len(kept) > 0 {
+		return fmt.Errorf("%w: %d pages still pinned during Clear", ErrBadPinCount, len(kept))
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -31,8 +32,9 @@ func (g *gateStore) ReadPage(id PageID, buf []byte) error {
 }
 
 // TestPinSingleFlight drives many goroutines at the same non-resident
-// page: exactly one physical read must reach the store, every pinner
-// must see the page contents, and pin accounting must drain cleanly.
+// page: exactly one physical read must reach the store (the miss loads
+// under the pool mutex, everyone behind it hits), every pinner must see
+// the page contents, and pin accounting must drain cleanly.
 func TestPinSingleFlight(t *testing.T) {
 	gs := &gateStore{MemStore: NewMemStore(), release: make(chan struct{})}
 	id, err := gs.Allocate()
@@ -103,108 +105,96 @@ func (b *blockingWriteStore) WritePage(id PageID, buf []byte) error {
 	return b.MemStore.WritePage(id, buf)
 }
 
-// TestWriteBackDoesNotBlockPins is the regression test for the PR 1
-// stall: an eviction writing back a dirty page used to hold the pool
-// lock across the physical write, stalling every concurrent pin. Here
-// a write-back is parked inside a blocked WritePage while the same
-// goroutine keeps pinning other pages — including pages of the same
-// shard — and must make progress; under the old design this test
-// deadlocks. Run with -race it also exercises the snapshot hand-off
-// between evictor and background writer.
-func TestWriteBackDoesNotBlockPins(t *testing.T) {
+// TestPinWaitsForEvictionWriteBack checks the invariant the pool is
+// built around, without the race detector: a page is either resident
+// or on the store, never in between. While the eviction write-back of
+// dirty page A is parked inside WritePage, a Pin(A) from a second
+// goroutine must not return; once the write completes the store holds
+// A's pre-eviction bytes and the re-pinned frame reads the same bytes.
+// A pool that kept A pinnable mid-write would let a pinner scribble on
+// the image being persisted.
+func TestPinWaitsForEvictionWriteBack(t *testing.T) {
 	bs := &blockingWriteStore{
 		MemStore: NewMemStore(),
 		started:  make(chan struct{}),
 		release:  make(chan struct{}),
 	}
-	var ids []PageID
-	for i := 0; i < 8; i++ {
-		id, err := bs.Allocate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, id)
-	}
-	bp := NewBufferPoolShards(bs, 2, 1) // one shard: the hardest case
+	a, _ := bs.Allocate()
+	b, _ := bs.Allocate()
+	c, _ := bs.Allocate()
+	bp := NewBufferPool(bs, 2)
 
-	// Dirty page 0 and evict it by touching page 1 then missing on 2.
-	data, err := bp.Pin(ids[0])
+	want := bytes.Repeat([]byte("pre-eviction"), PageSize/12+1)[:PageSize]
+	data, err := bp.Pin(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	copy(data, []byte("dirty-victim"))
-	bp.MarkDirty(ids[0])
-	if err := bp.Unpin(ids[0]); err != nil {
+	copy(data, want)
+	bp.MarkDirty(a)
+	if err := bp.Unpin(a); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bp.Pin(ids[1]); err != nil {
+	if _, err := bp.Pin(b); err != nil {
 		t.Fatal(err)
 	}
-	bp.Unpin(ids[1])
-	if _, err := bp.Pin(ids[2]); err != nil { // evicts 0 -> write-back parks
+	if err := bp.Unpin(b); err != nil {
 		t.Fatal(err)
 	}
-	bp.Unpin(ids[2])
-	<-bs.started // the write-back is now blocked inside WritePage
 
-	// Every pin below happens while the write-back is still parked. If
-	// eviction write-back held the shard lock (the old design), the
-	// first of these would block forever and the test would time out.
-	var extraPinners sync.WaitGroup
-	for i := 3; i < 8; i++ {
-		if _, err := bp.Pin(ids[i]); err != nil {
-			t.Fatalf("pin %d during write-back: %v", i, err)
-		}
-		bp.Unpin(ids[i])
-		extraPinners.Add(1)
-		go func(id PageID) {
-			defer extraPinners.Done()
-			if _, err := bp.Pin(id); err == nil {
-				bp.Unpin(id)
-			}
-		}(ids[i])
-	}
-	extraPinners.Wait()
+	evictor := make(chan error, 1)
+	go func() {
+		_, err := bp.Pin(c) // evicts A: its write-back parks in WritePage
+		evictor <- err
+	}()
+	<-bs.started
 
-	// The evicted page is still resident while writing: a re-pin during
-	// write-back must hit the in-memory copy, not read a stale page.
-	back, err := bp.Pin(ids[0])
-	if err != nil {
-		t.Fatal(err)
+	type pinned struct {
+		data []byte
+		err  error
 	}
-	if string(back[:len("dirty-victim")]) != "dirty-victim" {
-		t.Fatalf("re-pin during write-back saw %q", back[:12])
+	repin := make(chan pinned, 1)
+	go func() {
+		data, err := bp.Pin(a)
+		repin <- pinned{data, err}
+	}()
+	select {
+	case <-repin:
+		t.Fatal("Pin(A) returned while A's eviction write-back was still in flight")
+	case <-time.After(100 * time.Millisecond):
 	}
-	bp.Unpin(ids[0])
 
 	close(bs.release)
-	if err := bp.Flush(); err != nil { // barrier: wait out the writer
+	if err := <-evictor; err != nil {
 		t.Fatal(err)
+	}
+	got := <-repin // evicts B, reads A back from the store
+	if got.err != nil {
+		t.Fatal(got.err)
 	}
 	raw := make([]byte, PageSize)
-	if err := bs.MemStore.ReadPage(ids[0], raw); err != nil {
+	if err := bs.MemStore.ReadPage(a, raw); err != nil {
 		t.Fatal(err)
 	}
-	if string(raw[:len("dirty-victim")]) != "dirty-victim" {
-		t.Fatal("write-back lost the dirty page contents")
+	if !bytes.Equal(raw, want) {
+		t.Fatal("store does not hold A's pre-eviction bytes")
+	}
+	if !bytes.Equal(got.data, want) {
+		t.Fatal("re-pinned frame differs from the bytes written back")
 	}
 }
 
-// TestShardedPoolConcurrentTraffic hammers a multi-shard pool from
-// many goroutines (reads, dirty writes, evictions, write-backs) and
-// then verifies every page holds its last written value — the
-// cross-shard consistency sweep, meant for -race.
-func TestShardedPoolConcurrentTraffic(t *testing.T) {
+// TestPoolConcurrentTraffic hammers a pool far smaller than its page
+// set from many goroutines (reads, dirty writes, evictions,
+// write-backs) and then verifies every page holds its last written
+// value — the consistency sweep, meant for -race.
+func TestPoolConcurrentTraffic(t *testing.T) {
 	m := NewMemStore()
 	const pages = 256
 	ids := make([]PageID, pages)
 	for i := range ids {
 		ids[i], _ = m.Allocate()
 	}
-	bp := NewBufferPoolShards(m, 32, 4)
-	if bp.ShardCount() != 4 {
-		t.Fatalf("ShardCount = %d, want 4", bp.ShardCount())
-	}
+	bp := NewBufferPool(m, 32)
 
 	const workers = 8
 	var wg sync.WaitGroup
@@ -265,17 +255,17 @@ func TestShardedPoolConcurrentTraffic(t *testing.T) {
 	}
 }
 
-// TestWriteBackErrorSurfaces checks that a failed background write is
-// not silently dropped: the page stays resident and dirty, the error
-// surfaces through Flush's synchronous retry, and — once the store
-// recovers — a later Flush succeeds and persists the data (one
-// transient fault must not poison the pool forever).
+// TestWriteBackErrorSurfaces checks that a failed eviction write is
+// not silently dropped: it fails the Pin that needed the room, the
+// page stays resident and dirty, Flush keeps reporting the error, and
+// — once the store recovers — a later Flush succeeds and persists the
+// data (one transient fault must not poison the pool forever).
 func TestWriteBackErrorSurfaces(t *testing.T) {
 	fs := &failingWriteStore{MemStore: NewMemStore()}
 	fs.failing.Store(true)
 	id0, _ := fs.Allocate()
 	id1, _ := fs.Allocate()
-	bp := NewBufferPoolShards(fs, 1, 1)
+	bp := NewBufferPool(fs, 1)
 
 	data, err := bp.Pin(id0)
 	if err != nil {
@@ -284,20 +274,23 @@ func TestWriteBackErrorSurfaces(t *testing.T) {
 	copy(data, []byte("must-not-vanish"))
 	bp.MarkDirty(id0)
 	bp.Unpin(id0)
-	if _, err := bp.Pin(id1); err != nil { // evicts id0, write fails
-		t.Fatal(err)
+	if _, err := bp.Pin(id1); !errors.Is(err, errInjected) { // evicts id0, write fails
+		t.Fatalf("Pin over a failing eviction = %v, want %v", err, errInjected)
 	}
-	bp.Unpin(id1)
+	if err := bp.Unpin(id1); !errors.Is(err, ErrBadPinCount) {
+		t.Fatalf("failed Pin left a pin behind: Unpin = %v", err)
+	}
 
 	if err := bp.Flush(); !errors.Is(err, errInjected) {
 		t.Fatalf("Flush after failed write-back = %v, want %v", err, errInjected)
 	}
 	// The dirty copy must still be in memory.
+	before := bp.Stats().PhysicalReads
 	back, err := bp.Pin(id0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(back[:len("must-not-vanish")]) != "must-not-vanish" {
+	if string(back[:len("must-not-vanish")]) != "must-not-vanish" || bp.Stats().PhysicalReads != before {
 		t.Fatal("failed write-back lost the only copy of the page")
 	}
 	bp.Unpin(id0)
@@ -315,6 +308,9 @@ func TestWriteBackErrorSurfaces(t *testing.T) {
 	if string(raw[:len("must-not-vanish")]) != "must-not-vanish" {
 		t.Fatal("recovered Flush did not persist the page")
 	}
+	if _, err := bp.Pin(id1); err != nil {
+		t.Fatalf("Pin after store recovery: %v", err)
+	}
 }
 
 type failingWriteStore struct {
@@ -329,96 +325,10 @@ func (f *failingWriteStore) WritePage(id PageID, buf []byte) error {
 	return f.MemStore.WritePage(id, buf)
 }
 
-// TestConcurrentMissDuringWriteBackHandOff reproduces the duplicate-
-// install window: makeRoomLocked releases the shard lock to hand a
-// dirty victim to the (full) write-back queue, and a second miss on
-// the same page can install a frame in that window. The first miss
-// must then join the installed frame as a waiter, not overwrite it —
-// otherwise pin accounting splits across two frames and the second
-// Unpin below reports ErrBadPinCount.
-func TestConcurrentMissDuringWriteBackHandOff(t *testing.T) {
-	bs := &blockingWriteStore{
-		MemStore: NewMemStore(),
-		started:  make(chan struct{}),
-		release:  make(chan struct{}),
-	}
-	const cap = 70
-	var base, extra []PageID
-	for i := 0; i < cap; i++ {
-		id, _ := bs.Allocate()
-		base = append(base, id)
-	}
-	// 65 extra pages fill the writer (1 in flight + 64 queued), one
-	// more is the contended page X.
-	for i := 0; i < maxWritebackQueue+2; i++ {
-		id, _ := bs.Allocate()
-		extra = append(extra, id)
-	}
-	bp := NewBufferPoolShards(bs, cap, 1)
-
-	dirtyPin := func(id PageID) {
-		d, err := bp.Pin(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d[0] = byte(id)
-		bp.MarkDirty(id)
-		if err := bp.Unpin(id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, id := range base {
-		dirtyPin(id)
-	}
-	// Each of these misses evicts one dirty page; the writer blocks on
-	// the first and the queue absorbs the next maxWritebackQueue.
-	for _, id := range extra[:maxWritebackQueue+1] {
-		dirtyPin(id)
-	}
-	<-bs.started
-
-	// G1 misses on X; its eviction hand-off blocks on the full queue
-	// with the shard lock released.
-	x := extra[maxWritebackQueue+1]
-	g1 := make(chan error, 1)
-	go func() {
-		_, err := bp.Pin(x)
-		g1 <- err
-	}()
-	time.Sleep(50 * time.Millisecond) // let G1 park inside the hand-off
-
-	// G2 misses on X in that window and installs the frame (there is
-	// room: G1's victim is already counted as writing).
-	if _, err := bp.Pin(x); err != nil {
-		t.Fatal(err)
-	}
-
-	close(bs.release)
-	if err := <-g1; err != nil {
-		t.Fatal(err)
-	}
-
-	// Both pins must land on one frame: two unpins succeed, a third
-	// must fail. Under the duplicate-install bug the second already
-	// reports ErrBadPinCount.
-	if err := bp.Unpin(x); err != nil {
-		t.Fatalf("first Unpin: %v", err)
-	}
-	if err := bp.Unpin(x); err != nil {
-		t.Fatalf("second Unpin: %v", err)
-	}
-	if err := bp.Unpin(x); !errors.Is(err, ErrBadPinCount) {
-		t.Fatalf("third Unpin = %v, want %v", err, ErrBadPinCount)
-	}
-	if err := bp.Flush(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestPinLoadFailure injects a ReadPage error under concurrent pinners:
 // every waiter must receive the error, the frame must not stay cached,
 // and a later Pin (store healthy again) must succeed with clean pin
-// accounting — the invariants of the voided-pins error path.
+// accounting — a failed load installs nothing.
 func TestPinLoadFailure(t *testing.T) {
 	gs := &gateStore{MemStore: NewMemStore(), release: make(chan struct{})}
 	id, err := gs.Allocate()

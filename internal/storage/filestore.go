@@ -9,9 +9,8 @@ import (
 // at byte offset i*PageSize. It gives the simulation real disk
 // behaviour when wanted, and backs checkpoint files; tests and
 // benchmarks default to MemStore. The page directory (pageDir) makes
-// Allocate safe against concurrent page I/O from the buffer pool's
-// background writer; ReadAt/WriteAt on distinct offsets are safe by
-// themselves.
+// Allocate safe against concurrent page I/O; ReadAt/WriteAt on distinct
+// offsets are safe by themselves.
 type FileStore struct {
 	f   *os.File
 	dir pageDir
@@ -77,8 +76,8 @@ func (fs *FileStore) WritePage(id PageID, buf []byte) error {
 // NumPages implements Store.
 func (fs *FileStore) NumPages() int { return fs.dir.count() }
 
-// Sync implements Syncer: it forces written pages to stable media.
-// The checkpoint writer calls it before publishing a checkpoint.
+// Sync forces written pages to stable media. The checkpoint writer
+// calls it before publishing a checkpoint.
 func (fs *FileStore) Sync() error { return fs.f.Sync() }
 
 // Close flushes and closes the underlying file.

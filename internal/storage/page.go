@@ -1,6 +1,6 @@
 // Package storage provides the paged-storage substrate under the
 // spatial indexes and the durability layer: fixed-size pages, page
-// stores (memory- or file-backed), an LRU buffer pool with pin counts
+// stores (memory- or file-backed), a CLOCK buffer pool with pin counts
 // and I/O statistics, and a free-list page allocator.
 //
 // The paper's experiments run the R-tree of the Spatial Index Library
@@ -10,12 +10,12 @@
 // benchmark harness reports both wall-clock time and these counters, so
 // the paper's I/O trends can be read off hardware-independently.
 //
-// Store is the package's one paged-store contract. Every consumer —
-// the R-tree/PTI node stores, the buffer pool, and the checkpoint
-// writer — goes through it, and node pages everywhere use the single
-// codec pair rtree.EncodeNodePage/DecodeNodePage, so a page written by
-// the live index and a page written by a checkpoint are byte-wise the
-// same format.
+// Store is the package's one paged-store contract. The buffer pool
+// (under the R-tree/PTI node stores) and the checkpoint writer and
+// loader go through it, and node pages everywhere use the single codec
+// pair rtree.EncodeNodePage/DecodeNodePage, so a page written by the
+// live index and a page written by a checkpoint are byte-wise the same
+// format.
 package storage
 
 import (
@@ -42,17 +42,14 @@ var (
 )
 
 // Store is the raw page device: it can allocate fresh pages and read
-// and write whole pages by id. Concurrency contract: the buffer pool
-// issues ReadPage calls concurrently (goroutines missing on different
-// pages), and its background writer issues WritePage calls concurrent
-// with ReadPage and Allocate calls for *other* pages (never the page
-// being written: an evicted dirty page stays resident until its
-// write-back completes, so no pool reader can be fetching it, and the
-// engine's write path cannot be re-allocating it). Implementations
-// must tolerate all three; MemStore and FileStore share one
-// synchronized page directory (pageDir), and distinct pages occupy
-// distinct slices / file regions. Same-page read/write conflicts are
-// serialized by the engine's write path.
+// and write whole pages by id. Concurrency contract: a BufferPool
+// makes every store call under its own mutex, one at a time, and never
+// from a goroutine of its own — there is no background writer. The
+// checkpoint writer and loader drive their device from one goroutine.
+// MemStore and FileStore are nevertheless safe for concurrent use
+// (one synchronized page directory, pageDir; distinct pages occupy
+// distinct slices / file regions), so a test may inspect a store
+// beside the pool that wraps it.
 type Store interface {
 	// Allocate appends a zeroed page and returns its id.
 	Allocate() (PageID, error)
@@ -62,14 +59,6 @@ type Store interface {
 	WritePage(id PageID, buf []byte) error
 	// NumPages returns the number of allocated pages.
 	NumPages() int
-}
-
-// Syncer is implemented by stores whose pages must be explicitly
-// forced to stable media. FileStore implements it; MemStore has
-// nothing to sync. The checkpoint writer syncs before publishing a
-// checkpoint as valid.
-type Syncer interface {
-	Sync() error
 }
 
 // pageDir is the synchronized page directory every Store
@@ -152,12 +141,10 @@ func (m *MemStore) WritePage(id PageID, buf []byte) error {
 func (m *MemStore) NumPages() int { return m.dir.count() }
 
 // PageAllocator hands out pages from a buffer pool with free-list
-// reuse — the one allocation path shared by everything that consumes
-// pool pages (the R-tree/PTI node stores and the checkpoint writer),
-// so freed index pages are recycled instead of growing the store
-// forever. It carries its own mutex because frees may arrive from a
-// reader goroutine (snapshot reclamation) while the single writer
-// allocates.
+// reuse — the allocation path of the R-tree/PTI node stores — so freed
+// index pages are recycled instead of growing the store forever. It
+// carries its own mutex because frees may arrive from a reader
+// goroutine (snapshot reclamation) while the single writer allocates.
 type PageAllocator struct {
 	pool *BufferPool
 
@@ -169,9 +156,6 @@ type PageAllocator struct {
 func NewPageAllocator(pool *BufferPool) *PageAllocator {
 	return &PageAllocator{pool: pool}
 }
-
-// Pool exposes the underlying buffer pool.
-func (a *PageAllocator) Pool() *BufferPool { return a.pool }
 
 // Alloc returns a reusable or fresh page id, unpinned.
 func (a *PageAllocator) Alloc() (PageID, error) {
@@ -193,35 +177,9 @@ func (a *PageAllocator) Alloc() (PageID, error) {
 	return id, nil
 }
 
-// AllocPinned returns a fresh or reused page pinned in the pool, with
-// its buffer ready to fill; the caller must MarkDirty and Unpin. The
-// sequential-fill path of the checkpoint writer uses it.
-func (a *PageAllocator) AllocPinned() (PageID, []byte, error) {
-	a.mu.Lock()
-	if n := len(a.free); n > 0 {
-		id := a.free[n-1]
-		a.free = a.free[:n-1]
-		a.mu.Unlock()
-		buf, err := a.pool.Pin(id)
-		if err != nil {
-			return InvalidPage, nil, err
-		}
-		return id, buf, nil
-	}
-	a.mu.Unlock()
-	return a.pool.Allocate()
-}
-
 // Free returns id to the free list for reuse.
 func (a *PageAllocator) Free(id PageID) {
 	a.mu.Lock()
 	a.free = append(a.free, id)
 	a.mu.Unlock()
-}
-
-// FreeCount returns the number of reusable pages currently pooled.
-func (a *PageAllocator) FreeCount() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.free)
 }

@@ -1,6 +1,7 @@
 # Developer / CI entry points. Timing is measured by the end-to-end
 # benchmark (benchmark/, BENCHMARK.json); `make bench` only prints the
-# go test micro-benchmarks of the refinement and frame-codec kernels.
+# go test micro-benchmarks of the refinement kernels and the two hop
+# codecs (the NN frame, the match-list JSON).
 # `make apicheck` gates the public API surface against api/repro.txt.
 
 GO ?= go
@@ -35,7 +36,7 @@ soak:
 	$(GO) test -run 'TestCrashRecoveryProperty|TestCheckpointFaultInjection' -count=3 ./internal/core/
 
 bench: build
-	$(GO) test ./internal/bench ./internal/nn ./internal/wire -run xxx -bench 'BenchmarkRefine|BenchmarkNNCandidateFrame' -benchtime 1s -benchmem
+	$(GO) test ./internal/bench ./internal/nn ./internal/wire ./internal/serve -run xxx -bench 'BenchmarkRefine|BenchmarkNNCandidateFrame|BenchmarkEvaluateResponseCodec' -benchtime 1s -benchmem
 
 # The end-to-end benchmark (benchmark/, see BENCHMARK.json) is a
 # module of its own, so `go build ./... && go test ./...` never
@@ -54,8 +55,12 @@ cluster-smoke: build
 
 # Short fuzzing smoke: the R-tree op-stream and node-codec targets,
 # the WAL frame codec, the NN candidate grid against the linear scan
-# it replaced, the NN candidate frame decoder (the router's untrusted
-# input from its shards), and the checkpoint manifest's extent checks.
+# it replaced, the NN candidate frame decoder and the match-list JSON
+# scanner (the router's untrusted input from its shards; the scanner is
+# also held to json.Unmarshal), the checkpoint manifest's extent checks,
+# the request body a client sends, and the tile-map spec string.
+# Fuzzing runs only here and in the CI fuzz-smoke job; `go test ./...`
+# replays the seeds alone.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzRTree -fuzztime=30s ./internal/index/rtree
 	$(GO) test -fuzz=FuzzNodeRoundTrip -fuzztime=15s ./internal/index/rtree
@@ -64,6 +69,9 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzRefineGrid -fuzztime=15s ./internal/nn
 	$(GO) test -fuzz=FuzzDecodeNNCandidateSet -fuzztime=15s ./internal/wire
 	$(GO) test -fuzz=FuzzCheckpointManifest -fuzztime=15s ./internal/core
+	$(GO) test -fuzz=FuzzDecodeEvaluateResponse -fuzztime=15s ./internal/serve
+	$(GO) test -fuzz=FuzzRequestJSON -fuzztime=15s ./internal/serve
+	$(GO) test -fuzz=FuzzParseTileSpec -fuzztime=15s ./internal/shard
 
 # API-surface gate: the public facade (package repro) is a reviewed
 # artifact. apicheck regenerates the surface with `go doc -all` and

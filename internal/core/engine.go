@@ -103,7 +103,7 @@ type EngineOptions struct {
 // accesses are counted per search call, not in shared tree state, so
 // concurrent requests do not perturb each other's counters. Any
 // number of goroutines may Evaluate simultaneously — over in-memory
-// or paged node stores (the sharded buffer pool is internally
+// or paged node stores (the buffer pool is internally
 // synchronized) — as long as each call uses a distinct Request.Seed
 // or EvalOptions.Rng (EvaluateAll derives an independent seed per
 // request automatically).

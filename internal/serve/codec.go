@@ -1,0 +1,793 @@
+package serve
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"math"
+	"strconv"
+	"strings"
+	"unicode"
+	"unicode/utf16"
+	"unicode/utf8"
+
+	"repro/internal/core"
+	"repro/internal/uncertain"
+)
+
+// This file is the codec of the two bodies that carry a match list,
+// EvaluateResponse and RegisterResponse: an append encoder and a
+// scanning decoder that replace encoding/json's reflection on the hot
+// hops (shard → router → client) without changing a byte of either
+// body. The encoder writes exactly what json.NewEncoder(w).Encode
+// writes for the same struct — field order, omitempty, encoding/json's
+// float and string rules, the trailing newline — and the decoder
+// accepts a subset of what json.Unmarshal accepts and yields the same
+// struct for it. TestCodecMatchesEncodingJSON and
+// FuzzDecodeEvaluateResponse hold both to that, so there is one wire
+// format and no second schema to version.
+
+// encoder appends JSON to b. The one value it can refuse is a float64
+// that is not finite, as encoding/json does; err keeps the first.
+type encoder struct {
+	b   []byte
+	err error
+}
+
+func (e *encoder) raw(s string) { e.b = append(e.b, s...) }
+
+func (e *encoder) int(v int64) { e.b = strconv.AppendInt(e.b, v, 10) }
+
+func (e *encoder) uint(v uint64) { e.b = strconv.AppendUint(e.b, v, 10) }
+
+// float is encoding/json's float64 rule: the shortest digits that
+// round-trip, 'f' form except below 1e-6 and from 1e21, where the 'e'
+// form has its two-digit negative exponent trimmed (e-09 → e-9).
+func (e *encoder) float(f float64) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		if e.err == nil {
+			e.err = fmt.Errorf("json: unsupported value: %s", strconv.FormatFloat(f, 'g', -1, 64))
+		}
+		return
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	e.b = strconv.AppendFloat(e.b, f, format, -1, 64)
+	if n := len(e.b); format == 'e' && n >= 4 && e.b[n-4] == 'e' && e.b[n-3] == '-' && e.b[n-2] == '0' {
+		e.b[n-2] = e.b[n-1]
+		e.b = e.b[:n-1]
+	}
+}
+
+const hexDigits = "0123456789abcdef"
+
+// str is encoding/json's string rule with HTML escaping on: the quote,
+// the backslash, control characters, <, > and & are escaped, U+2028 and
+// U+2029 too, and a byte that is not UTF-8 becomes \ufffd.
+func (e *encoder) str(s string) {
+	b := append(e.b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '\\', '"':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(append(b, s[start:i]...), `\ufffd`...)
+			start = i + size
+		case r == '\u2028' || r == '\u2029':
+			b = append(append(b, s[start:i]...), '\\', 'u', '2', '0', '2', hexDigits[r&0xF])
+			start = i + size
+		}
+		i += size
+	}
+	e.b = append(append(b, s[start:]...), '"')
+}
+
+// matchRows appends a match list from whichever layer holds it — the
+// engine's []core.Match on a shard, the wire's []MatchJSON at the
+// router — so a shard encodes its answer without copying it first.
+func matchRows[M any](e *encoder, ms []M, row func(*M) (id int64, p float64)) {
+	e.raw("[")
+	for i := range ms {
+		if i > 0 {
+			e.raw(",")
+		}
+		id, p := row(&ms[i])
+		e.raw(`{"id":`)
+		e.int(id)
+		e.raw(`,"p":`)
+		e.float(p)
+		e.raw("}")
+	}
+	e.raw("]")
+}
+
+func (e *encoder) matches(ms []MatchJSON) {
+	if ms == nil {
+		e.raw("null")
+		return
+	}
+	matchRows(e, ms, func(m *MatchJSON) (int64, float64) { return m.ID, m.P })
+}
+
+// engineMatches writes what ToMatchesJSON's copy would have been
+// written as: a list even when the engine's slice is nil.
+func (e *encoder) engineMatches(ms []core.Match) {
+	matchRows(e, ms, func(m *core.Match) (int64, float64) { return int64(m.ID), m.P })
+}
+
+// evaluateHead is an EvaluateResponse up to its match list,
+// evaluateTail the rest of it.
+func (e *encoder) evaluateHead(r *EvaluateResponse) {
+	e.raw(`{"request_id":`)
+	e.str(r.RequestID)
+	e.raw(`,"kind":`)
+	e.str(r.Kind)
+	e.raw(`,"version":`)
+	e.uint(r.Version)
+	e.raw(`,"matches":`)
+}
+
+func (e *encoder) evaluateTail(r *EvaluateResponse) {
+	c := &r.Cost
+	e.raw(`,"cost":{"candidates":`)
+	e.int(int64(c.Candidates))
+	e.raw(`,"refined":`)
+	e.int(int64(c.Refined))
+	e.raw(`,"samples_used":`)
+	e.int(c.SamplesUsed)
+	e.raw(`,"early_stopped":`)
+	e.int(int64(c.EarlyStopped))
+	e.raw(`,"node_accesses":`)
+	e.int(c.NodeAccesses)
+	e.raw(`,"duration_ms":`)
+	e.float(c.DurationMS)
+	e.raw("}")
+	if len(r.Trace) > 0 {
+		e.raw(`,"trace":[`)
+		for i := range r.Trace {
+			if i > 0 {
+				e.raw(",")
+			}
+			e.span(&r.Trace[i])
+		}
+		e.raw("]")
+	}
+	if r.Partial {
+		e.raw(`,"partial":true`)
+	}
+	if len(r.MissingShards) > 0 {
+		e.raw(`,"missing_shards":[`)
+		for i, id := range r.MissingShards {
+			if i > 0 {
+				e.raw(",")
+			}
+			e.str(id)
+		}
+		e.raw("]")
+	}
+	e.raw("}\n")
+}
+
+func (e *encoder) span(sp *SpanJSON) {
+	e.raw(`{"stage":`)
+	e.str(sp.Stage)
+	e.raw(`,"start_ms":`)
+	e.float(sp.StartMS)
+	e.raw(`,"duration_ms":`)
+	e.float(sp.DurationMS)
+	if sp.NodeAccesses != 0 {
+		e.raw(`,"node_accesses":`)
+		e.int(sp.NodeAccesses)
+	}
+	if sp.Samples != 0 {
+		e.raw(`,"samples":`)
+		e.int(sp.Samples)
+	}
+	if sp.Items != 0 {
+		e.raw(`,"items":`)
+		e.int(int64(sp.Items))
+	}
+	if sp.Note != "" {
+		e.raw(`,"note":`)
+		e.str(sp.Note)
+	}
+	e.raw("}")
+}
+
+// done returns what was appended; after a refused value, dst as it was
+// handed in is gone, so the caller gets the error and no bytes.
+func (e *encoder) done() ([]byte, error) {
+	if e.err != nil {
+		return nil, e.err
+	}
+	return e.b, nil
+}
+
+// AppendMatches appends a match list as the JSON array encoding/json
+// writes for it (null for a nil slice).
+func AppendMatches(dst []byte, ms []MatchJSON) ([]byte, error) {
+	e := encoder{b: dst}
+	e.matches(ms)
+	return e.done()
+}
+
+// AppendEvaluateResponse appends r as the body of POST /v1/evaluate:
+// byte for byte what json.NewEncoder(w).Encode(r) writes.
+func AppendEvaluateResponse(dst []byte, r *EvaluateResponse) ([]byte, error) {
+	e := encoder{b: dst}
+	e.evaluateHead(r)
+	e.matches(r.Matches)
+	e.evaluateTail(r)
+	return e.done()
+}
+
+// appendEngineEvaluateResponse is AppendEvaluateResponse for a shard:
+// the match list is the engine's own slice and r.Matches is not read.
+func appendEngineEvaluateResponse(dst []byte, r *EvaluateResponse, ms []core.Match) ([]byte, error) {
+	e := encoder{b: dst}
+	e.evaluateHead(r)
+	e.engineMatches(ms)
+	e.evaluateTail(r)
+	return e.done()
+}
+
+// AppendRegisterResponse appends r as the body of POST /v1/queries.
+func AppendRegisterResponse(dst []byte, r *RegisterResponse) ([]byte, error) {
+	e := encoder{b: dst}
+	e.raw(`{"id":`)
+	e.int(r.ID)
+	e.raw(`,"kind":`)
+	e.str(r.Kind)
+	e.raw(`,"snapshot":`)
+	e.matches(r.Snapshot)
+	e.raw("}\n")
+	return e.done()
+}
+
+// ErrBody is wrapped by every refusal of the scanning decoder: the
+// bytes are not an EvaluateResponse or RegisterResponse body this
+// binary trusts. It is deterministic for given bytes, so a caller must
+// not retry on it.
+var ErrBody = errors.New("serve: malformed reply body")
+
+// maxSkipDepth bounds the nesting of a value under an unknown key.
+const maxSkipDepth = 32
+
+// scanner reads one JSON body left to right. It is an untrusted-input
+// decoder: every index is checked, the first failure is kept in err and
+// moves i to the end so that every loop stops, and nothing is allocated
+// in proportion to anything but the bytes actually present.
+//
+// It accepts less than encoding/json: only an object at the top, null
+// only in place of a list, no key twice in one object (json.Unmarshal
+// merges the two values), unknown values nested at most maxSkipDepth
+// deep, and a match list only in the engine's canonical order. It
+// accepts any key order, whitespace, keys spelled in another case (as
+// json.Unmarshal matches them) and unknown keys, whose values are
+// checked to be JSON and dropped.
+type scanner struct {
+	p     []byte
+	i     int
+	depth int // of the unknown value being skipped
+	err   error
+}
+
+func (s *scanner) fail(why string) {
+	if s.err == nil {
+		s.err = fmt.Errorf("%w: %s at byte %d", ErrBody, why, s.i)
+	}
+	s.i = len(s.p)
+}
+
+// peek skips whitespace and returns the byte after it, 0 at the end.
+func (s *scanner) peek() byte {
+	for s.i < len(s.p) {
+		switch c := s.p[s.i]; c {
+		case ' ', '\t', '\r', '\n':
+			s.i++
+		default:
+			return c
+		}
+	}
+	return 0
+}
+
+func (s *scanner) expect(c byte) bool {
+	if s.peek() != c {
+		s.fail("want '" + string(c) + "'")
+		return false
+	}
+	s.i++
+	return true
+}
+
+// word consumes the literal w, whose first byte the caller has peeked.
+func (s *scanner) word(w string) {
+	if !bytes.HasPrefix(s.p[s.i:], []byte(w)) {
+		s.fail("want " + w)
+		return
+	}
+	s.i += len(w)
+}
+
+// fieldOf returns the index of the name key matches — exactly, or
+// under Unicode case folding, which is how encoding/json matches a key
+// to a struct field — and -1 for a key that matches none.
+func fieldOf(names []string, key []byte) int {
+	for f, name := range names {
+		if string(key) == name {
+			return f
+		}
+	}
+	for f, name := range names {
+		if bytes.EqualFold(key, []byte(name)) {
+			return f
+		}
+	}
+	return -1
+}
+
+// members walks one object: for each key that matches one of names it
+// calls field with the name's index, and field consumes the value; the
+// value of any other key is skipped.
+func (s *scanner) members(names []string, field func(f int)) {
+	if !s.expect('{') {
+		return
+	}
+	if s.peek() == '}' {
+		s.i++
+		return
+	}
+	var seen uint
+	for {
+		key := s.str()
+		if !s.expect(':') {
+			return
+		}
+		switch f := fieldOf(names, key); {
+		case f < 0:
+			s.skip()
+		case seen&(1<<f) != 0:
+			s.fail("duplicate key " + names[f])
+		default:
+			seen |= 1 << f
+			field(f)
+		}
+		switch s.peek() {
+		case ',':
+			s.i++
+		case '}':
+			s.i++
+			return
+		default:
+			s.fail("want ',' or '}'")
+			return
+		}
+	}
+}
+
+// elements walks one array, calling elem at each element.
+func (s *scanner) elements(elem func()) {
+	if !s.expect('[') {
+		return
+	}
+	if s.peek() == ']' {
+		s.i++
+		return
+	}
+	for {
+		elem()
+		switch s.peek() {
+		case ',':
+			s.i++
+		case ']':
+			s.i++
+			return
+		default:
+			s.fail("want ',' or ']'")
+			return
+		}
+	}
+}
+
+// list scans an array into a slice as json.Unmarshal fills one: nil
+// for null, empty for [].
+func list[T any](s *scanner, sizeHint int, elem func() T) []T {
+	if s.peek() == 'n' {
+		s.word("null")
+		return nil
+	}
+	out := make([]T, 0, sizeHint)
+	s.elements(func() { out = append(out, elem()) })
+	return out
+}
+
+// skip checks that the next value is JSON and drops it.
+func (s *scanner) skip() {
+	if s.depth++; s.depth > maxSkipDepth {
+		s.fail("unknown value nested too deep")
+		return
+	}
+	switch s.peek() {
+	case '{':
+		s.members(nil, nil)
+	case '[':
+		s.elements(s.skip)
+	case '"':
+		s.str()
+	case 't':
+		s.word("true")
+	case 'f':
+		s.word("false")
+	case 'n':
+		s.word("null")
+	default:
+		s.number()
+	}
+	s.depth--
+}
+
+// str scans a string literal and returns its value as json.Unmarshal
+// would: escapes resolved, bytes that are not UTF-8 and unpaired
+// surrogates replaced by U+FFFD. The result aliases the body when the
+// literal is plain ASCII; callers that keep it copy it.
+func (s *scanner) str() []byte {
+	if !s.expect('"') {
+		return nil
+	}
+	start := s.i
+	for s.i < len(s.p) {
+		switch c := s.p[s.i]; {
+		case c == '"':
+			s.i++
+			return s.p[start : s.i-1]
+		case c == '\\' || c >= utf8.RuneSelf:
+			return s.strRewritten(start)
+		case c < ' ':
+			s.fail("control character in string")
+			return nil
+		}
+		s.i++
+	}
+	s.fail("unterminated string")
+	return nil
+}
+
+// strRewritten finishes str for a literal whose value is not its bytes.
+func (s *scanner) strRewritten(start int) []byte {
+	out := append([]byte(nil), s.p[start:s.i]...)
+	for s.i < len(s.p) {
+		switch c := s.p[s.i]; {
+		case c == '"':
+			s.i++
+			return out
+		case c < ' ':
+			s.fail("control character in string")
+			return nil
+		case c >= utf8.RuneSelf:
+			r, size := utf8.DecodeRune(s.p[s.i:])
+			out = utf8.AppendRune(out, r)
+			s.i += size
+		case c != '\\':
+			out = append(out, c)
+			s.i++
+		case s.i+1 == len(s.p):
+			s.fail("unterminated string")
+			return nil
+		case s.p[s.i+1] == 'u':
+			r := s.u4(s.i)
+			if r < 0 {
+				s.fail(`bad \u escape`)
+				return nil
+			}
+			s.i += 6
+			if utf16.IsSurrogate(r) {
+				// A pair is one rune; a half without its other half is
+				// U+FFFD, and what follows it is scanned on its own.
+				if r = utf16.DecodeRune(r, s.u4(s.i)); r != unicode.ReplacementChar {
+					s.i += 6
+				}
+			}
+			out = utf8.AppendRune(out, r)
+		default:
+			esc := strings.IndexByte(`"\/bfnrt`, s.p[s.i+1])
+			if esc < 0 {
+				s.fail("bad escape")
+				return nil
+			}
+			out = append(out, "\"\\/\b\f\n\r\t"[esc])
+			s.i += 2
+		}
+	}
+	s.fail("unterminated string")
+	return nil
+}
+
+// u4 reads the \uXXXX escape at p[at:], -1 if there is none.
+func (s *scanner) u4(at int) rune {
+	if at+6 > len(s.p) || s.p[at] != '\\' || s.p[at+1] != 'u' {
+		return -1
+	}
+	var r rune
+	for _, c := range s.p[at+2 : at+6] {
+		switch {
+		case '0' <= c && c <= '9':
+			c -= '0'
+		case 'a' <= c && c <= 'f':
+			c -= 'a' - 10
+		case 'A' <= c && c <= 'F':
+			c -= 'A' - 10
+		default:
+			return -1
+		}
+		r = r*16 + rune(c)
+	}
+	return r
+}
+
+// digitsEnd returns the end of the run of digits at p[i:].
+func digitsEnd(p []byte, i int) int {
+	for i < len(p) && p[i]-'0' <= 9 {
+		i++
+	}
+	return i
+}
+
+// number scans a number literal by the JSON grammar; integer reports a
+// literal with neither fraction nor exponent.
+func (s *scanner) number() (lit []byte, integer bool) {
+	s.peek()
+	p, i := s.p, s.i
+	if i < len(p) && p[i] == '-' {
+		i++
+	}
+	end := digitsEnd(p, i)
+	if end == i || p[i] == '0' && end > i+1 {
+		s.fail("want a value")
+		return nil, false
+	}
+	i, integer = end, true
+	if i < len(p) && p[i] == '.' {
+		if end = digitsEnd(p, i+1); end == i+1 {
+			s.fail("want digits after '.'")
+			return nil, false
+		}
+		i, integer = end, false
+	}
+	if i < len(p) && p[i]|0x20 == 'e' {
+		if i++; i < len(p) && (p[i] == '+' || p[i] == '-') {
+			i++
+		}
+		if end = digitsEnd(p, i); end == i {
+			s.fail("want digits in the exponent")
+			return nil, false
+		}
+		i, integer = end, false
+	}
+	lit, s.i = p[s.i:i], i
+	return lit, integer
+}
+
+func (s *scanner) int(bits int) int64 {
+	lit, integer := s.number()
+	if s.err != nil {
+		return 0
+	}
+	v, err := strconv.ParseInt(string(lit), 10, bits)
+	if !integer || err != nil {
+		s.fail("want an integer of " + strconv.Itoa(bits) + " bits")
+	}
+	return v
+}
+
+func (s *scanner) uint64() uint64 {
+	lit, integer := s.number()
+	if s.err != nil {
+		return 0
+	}
+	v, err := strconv.ParseUint(string(lit), 10, 64)
+	if !integer || err != nil {
+		s.fail("want an unsigned integer")
+	}
+	return v
+}
+
+// float64 refuses a literal beyond float64's range (1e999), so every
+// value it returns is finite.
+func (s *scanner) float64() float64 {
+	lit, _ := s.number()
+	if s.err != nil {
+		return 0
+	}
+	v, err := strconv.ParseFloat(string(lit), 64)
+	if err != nil {
+		s.fail("number out of range")
+	}
+	return v
+}
+
+func (s *scanner) bool() bool {
+	if s.peek() == 't' {
+		s.word("true")
+		return true
+	}
+	s.word("false")
+	return false
+}
+
+// text is str copied out of the body.
+func (s *scanner) text() string { return string(s.str()) }
+
+// CompareMatchJSON is core.CompareMatches, the engine's canonical
+// result order, on the wire form of a match: the order a shard's list
+// arrives in, the scanner checks and the router merges by.
+func CompareMatchJSON(a, b MatchJSON) int {
+	return core.CompareMatches(core.Match{ID: uncertain.ID(a.ID), P: a.P}, core.Match{ID: uncertain.ID(b.ID), P: b.P})
+}
+
+var matchKeys = []string{"id", "p"}
+
+// matches scans a match list and holds it to what the router's merge
+// relies on: strictly ascending in the engine's canonical order
+// (CompareMatchJSON), which also rules out a repeated id at one
+// probability. An unsorted list merged as if sorted would become the
+// fleet's answer silently.
+func (s *scanner) matches() []MatchJSON {
+	// Every element opens a brace, so their count bounds the list by
+	// the bytes actually present.
+	hint := bytes.Count(s.p[s.i:], []byte("{"))
+	var prev MatchJSON
+	first := true
+	return list(s, hint, func() (m MatchJSON) {
+		s.members(matchKeys, func(f int) {
+			if f == 0 {
+				m.ID = s.int(64)
+			} else {
+				m.P = s.float64()
+			}
+		})
+		if !first && CompareMatchJSON(prev, m) >= 0 {
+			s.fail("match list is not in canonical order")
+		}
+		prev, first = m, false
+		return m
+	})
+}
+
+var costKeys = []string{"candidates", "refined", "samples_used", "early_stopped", "node_accesses", "duration_ms"}
+
+func (s *scanner) cost() (c CostJSON) {
+	s.members(costKeys, func(f int) {
+		switch f {
+		case 0:
+			c.Candidates = int(s.int(strconv.IntSize))
+		case 1:
+			c.Refined = int(s.int(strconv.IntSize))
+		case 2:
+			c.SamplesUsed = s.int(64)
+		case 3:
+			c.EarlyStopped = int(s.int(strconv.IntSize))
+		case 4:
+			c.NodeAccesses = s.int(64)
+		case 5:
+			c.DurationMS = s.float64()
+		}
+	})
+	return c
+}
+
+var spanKeys = []string{"stage", "start_ms", "duration_ms", "node_accesses", "samples", "items", "note"}
+
+func (s *scanner) span() (sp SpanJSON) {
+	s.members(spanKeys, func(f int) {
+		switch f {
+		case 0:
+			sp.Stage = s.text()
+		case 1:
+			sp.StartMS = s.float64()
+		case 2:
+			sp.DurationMS = s.float64()
+		case 3:
+			sp.NodeAccesses = s.int(64)
+		case 4:
+			sp.Samples = s.int(64)
+		case 5:
+			sp.Items = int(s.int(strconv.IntSize))
+		case 6:
+			sp.Note = s.text()
+		}
+	})
+	return sp
+}
+
+// end refuses anything but whitespace after the body's one value.
+func (s *scanner) end() error {
+	if s.peek(); s.i < len(s.p) {
+		s.fail("bytes after the body")
+	}
+	return s.err
+}
+
+var evaluateKeys = []string{"request_id", "kind", "version", "matches", "cost", "trace", "partial", "missing_shards"}
+
+// DecodeEvaluateResponse decodes the body of POST /v1/evaluate. The
+// result shares no memory with body. Every refusal wraps ErrBody.
+func DecodeEvaluateResponse(body []byte) (EvaluateResponse, error) {
+	s := &scanner{p: body}
+	var r EvaluateResponse
+	s.members(evaluateKeys, func(f int) {
+		switch f {
+		case 0:
+			r.RequestID = s.text()
+		case 1:
+			r.Kind = s.text()
+		case 2:
+			r.Version = s.uint64()
+		case 3:
+			r.Matches = s.matches()
+		case 4:
+			r.Cost = s.cost()
+		case 5:
+			r.Trace = list(s, 0, s.span)
+		case 6:
+			r.Partial = s.bool()
+		case 7:
+			r.MissingShards = list(s, 0, s.text)
+		}
+	})
+	if err := s.end(); err != nil {
+		return EvaluateResponse{}, err
+	}
+	return r, nil
+}
+
+var registerKeys = []string{"id", "kind", "snapshot"}
+
+// DecodeRegisterResponse decodes the body of POST /v1/queries, under
+// the rules of DecodeEvaluateResponse.
+func DecodeRegisterResponse(body []byte) (RegisterResponse, error) {
+	s := &scanner{p: body}
+	var r RegisterResponse
+	s.members(registerKeys, func(f int) {
+		switch f {
+		case 0:
+			r.ID = s.int(64)
+		case 1:
+			r.Kind = s.text()
+		case 2:
+			r.Snapshot = s.matches()
+		}
+	})
+	if err := s.end(); err != nil {
+		return RegisterResponse{}, err
+	}
+	return r, nil
+}

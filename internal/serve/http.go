@@ -1,11 +1,14 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
+	"strconv"
+	"sync"
 
 	"repro/internal/core"
 )
@@ -28,15 +31,63 @@ func DecodeBody(r *http.Request, v any) error {
 	return dec.Decode(v)
 }
 
-// WriteJSON encodes v as the response body. An encode/write failure
-// here means the client is gone (or the value is unencodable — a bug
-// caught by tests), so it is logged at debug rather than surfaced.
-func WriteJSON(log *slog.Logger, w http.ResponseWriter, status int, v any) {
+// bodyPool holds the buffers replies are encoded into. A buffer that
+// grew past maxPooledBody is dropped, so one huge answer does not pin
+// its memory to the pool.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledBody = 1 << 20
+
+// writeBody encodes a reply into a pooled buffer and only then commits
+// to it: Content-Length, the status, one Write. A value that does not
+// encode (a NaN in a float field — a bug caught by tests) is therefore
+// a clean 500 with a JSON error body, not a truncated 200, and no reply
+// is chunked. A Write failure means the client is gone, so it is logged
+// at debug rather than surfaced.
+func writeBody(log *slog.Logger, w http.ResponseWriter, status int, encode func(dst []byte) ([]byte, error)) {
+	buf := bodyPool.Get().(*[]byte)
+	body, err := encode((*buf)[:0])
+	if err != nil {
+		log.Error("response does not encode", "err", err)
+		status = http.StatusInternalServerError
+		body, _ = json.Marshal(map[string]string{"error": err.Error()}) // a map of strings encodes
+		body = append(body, '\n')
+	}
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
+	if _, err := w.Write(body); err != nil {
 		log.Debug("response write failed", "err", err)
 	}
+	if cap(body) <= maxPooledBody {
+		*buf = body
+		bodyPool.Put(buf)
+	}
+}
+
+// WriteJSON sends v as the response body through encoding/json: every
+// reply but the two that carry a match list, which have an encoder of
+// their own (codec.go).
+func WriteJSON(log *slog.Logger, w http.ResponseWriter, status int, v any) {
+	writeBody(log, w, status, func(dst []byte) ([]byte, error) {
+		buf := bytes.NewBuffer(dst)
+		err := json.NewEncoder(buf).Encode(v)
+		return buf.Bytes(), err
+	})
+}
+
+// WriteEvaluateResponse answers POST /v1/evaluate with r.
+func WriteEvaluateResponse(log *slog.Logger, w http.ResponseWriter, r *EvaluateResponse) {
+	writeBody(log, w, http.StatusOK, func(dst []byte) ([]byte, error) {
+		return AppendEvaluateResponse(dst, r)
+	})
+}
+
+// WriteRegisterResponse answers POST /v1/queries with r.
+func WriteRegisterResponse(log *slog.Logger, w http.ResponseWriter, r *RegisterResponse) {
+	writeBody(log, w, http.StatusCreated, func(dst []byte) ([]byte, error) {
+		return AppendRegisterResponse(dst, r)
+	})
 }
 
 // WriteError reports an error as JSON. Request-validation failures

@@ -570,17 +570,19 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.observeSlow(rid, req, resp, tr)
+	// Matches stays empty: the list is encoded from the engine's slice.
 	body := EvaluateResponse{
 		RequestID: rid,
 		Kind:      resp.Kind.String(),
 		Version:   resp.Version,
-		Matches:   ToMatchesJSON(resp.Matches),
 		Cost:      ToCostJSON(resp.Cost),
 	}
 	if tr != nil {
 		body.Trace = toTraceJSON(tr)
 	}
-	WriteJSON(s.log, w, http.StatusOK, body)
+	writeBody(s.log, w, http.StatusOK, func(dst []byte) ([]byte, error) {
+		return appendEngineEvaluateResponse(dst, &body, resp.Matches)
+	})
 }
 
 // observeSlow counts and (sampled) logs one-shot evaluations slower
@@ -636,7 +638,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		WriteRequestError(s.log, w, err)
 		return
 	}
-	WriteJSON(s.log, w, http.StatusCreated, RegisterResponse{
+	WriteRegisterResponse(s.log, w, &RegisterResponse{
 		ID:       sub.ID(),
 		Kind:     sub.Request().Kind.String(),
 		Snapshot: ToMatchesJSON(sub.Snapshot()),

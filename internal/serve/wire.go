@@ -11,12 +11,17 @@ import (
 
 // Typed response bodies. The handlers encode these (instead of ad-hoc
 // maps) so a fleet router — or any Go client — can decode shard
-// responses with the exact same types the server encodes, which is
-// what keeps probabilities bit-exact across the scatter-gather hop:
-// encoding/json renders float64 at round-trip precision in both
-// directions. The one success body that is not JSON is the reply of
-// /v1/nn/candidates, a binary frame (internal/wire) that carries each
-// float64 as its bits.
+// responses with the exact same types the server encodes. What keeps
+// probabilities bit-exact across the scatter-gather hop is that a
+// float64 is rendered at round-trip precision in both directions, by
+// one encoder/decoder pair per body: AppendEvaluateResponse /
+// DecodeEvaluateResponse and AppendRegisterResponse /
+// DecodeRegisterResponse (codec.go) for the two bodies that carry a
+// match list, encoding/json for the small ones — and
+// TestCodecMatchesEncodingJSON pins the former pair to the latter byte
+// for byte, so the two cannot drift. The one success body that is not
+// JSON is the reply of /v1/nn/candidates, a binary frame
+// (internal/wire) that carries each float64 as its bits.
 
 // EvaluateResponse is the body of POST /v1/evaluate.
 type EvaluateResponse struct {

@@ -65,7 +65,7 @@ type Client struct {
 	// OnRetry, when set, observes each retry (metrics hook).
 	OnRetry func()
 	// OnReply, when set, observes the size of each 2xx reply body read
-	// for one of the router's fan-out ops (metrics hook).
+	// whole for one of the router's fan-out ops (metrics hook).
 	OnReply func(op string, bytes int)
 }
 
@@ -86,18 +86,21 @@ func (e *statusError) Error() string {
 	return fmt.Sprintf("HTTP %d: %s", e.code, e.body)
 }
 
-// ErrReplyTooLarge reports a shard reply that ran past the size cap of
-// its endpoint; the router stops reading at the cap.
+// ErrReplyTooLarge reports a shard reply that announced more than the
+// size cap of its endpoint, or ran past it; the router reads none of
+// the former and stops reading the latter at the cap.
 var ErrReplyTooLarge = errors.New("reply exceeds the size cap")
 
 // ErrReplyFormat reports a 2xx shard reply that is not in the encoding
 // this router speaks for the endpoint: the wrong Content-Type, or a
-// frame the decoder refuses (the error then also wraps wire.ErrFrame).
+// body its decoder refuses (the error then also wraps the decoder's
+// own: wire.ErrFrame, serve.ErrBody, encoding/json's).
 var ErrReplyFormat = errors.New("reply is not in the expected encoding (router and shard binaries differ)")
 
 // reply says how one endpoint's 2xx body is read: through a hard cap,
 // whole, and only then decoded — a shard is trusted neither to stop
-// sending nor to send what it announced.
+// sending nor to send what it announced. A decode failure is an
+// ErrReplyFormat.
 type reply struct {
 	op     string // OnReply label; "" is not observed
 	media  string // required Content-Type
@@ -105,9 +108,13 @@ type reply struct {
 	decode func(body []byte) error // nil discards the body
 }
 
-func jsonReply(op string, out any) reply {
-	return reply{op: op, media: "application/json", limit: serve.MaxBodyBytes,
-		decode: func(body []byte) error { return json.Unmarshal(body, out) }}
+func jsonReply(op string, decode func(body []byte) error) reply {
+	return reply{op: op, media: "application/json", limit: serve.MaxBodyBytes, decode: decode}
+}
+
+// unmarshalInto decodes the small JSON replies through encoding/json.
+func unmarshalInto(out any) func([]byte) error {
+	return func(body []byte) error { return json.Unmarshal(body, out) }
 }
 
 // do runs one request (in, when not nil, as its JSON body) with the
@@ -180,29 +187,54 @@ func (c *Client) doOnce(ctx context.Context, method, path string, body []byte, r
 			return fmt.Errorf("%w: Content-Type %q, want %q", ErrReplyFormat, got, rp.media)
 		}
 	}
-	// Reading to EOF is also what keeps the connection: a chunked
-	// reply's terminal chunk left unread makes net/http drop the
-	// keep-alive connection on Close.
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, rp.limit+1))
+	raw, err := readCapped(resp, rp.limit)
 	if err != nil {
 		return err
 	}
 	if c.OnReply != nil && rp.op != "" {
 		c.OnReply(rp.op, len(raw))
 	}
-	if int64(len(raw)) > rp.limit {
-		return fmt.Errorf("%w of %d bytes", ErrReplyTooLarge, rp.limit)
-	}
 	if rp.decode == nil {
 		return nil
 	}
-	return rp.decode(raw)
+	if err := rp.decode(raw); err != nil {
+		return fmt.Errorf("%w: %w", ErrReplyFormat, err)
+	}
+	return nil
+}
+
+// readCapped reads a reply body whole, into a buffer of the announced
+// Content-Length when there is one. A reply that announces more than
+// limit is refused unread, and one that announces nothing is read up to
+// limit, so the cap bounds what is allocated whatever the shard says.
+func readCapped(resp *http.Response, limit int64) ([]byte, error) {
+	if resp.ContentLength > limit {
+		return nil, fmt.Errorf("%w of %d bytes", ErrReplyTooLarge, limit)
+	}
+	if resp.ContentLength >= 0 {
+		// net/http reports the body's end together with its last byte,
+		// which is what keeps the connection for the next request.
+		raw := make([]byte, resp.ContentLength)
+		_, err := io.ReadFull(resp.Body, raw)
+		return raw, err
+	}
+	// Reading to EOF is also what keeps the connection: a chunked
+	// reply's terminal chunk left unread makes net/http drop the
+	// keep-alive connection on Close.
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
+	if err == nil && int64(len(raw)) > limit {
+		err = fmt.Errorf("%w of %d bytes", ErrReplyTooLarge, limit)
+	}
+	return raw, err
 }
 
 // Evaluate runs a one-shot request on the shard.
 func (c *Client) Evaluate(ctx context.Context, req serve.RequestJSON) (serve.EvaluateResponse, error) {
 	var out serve.EvaluateResponse
-	err := c.do(ctx, http.MethodPost, "/v1/evaluate", req, jsonReply("evaluate", &out))
+	err := c.do(ctx, http.MethodPost, "/v1/evaluate", req, jsonReply("evaluate", func(body []byte) (err error) {
+		out, err = serve.DecodeEvaluateResponse(body)
+		return err
+	}))
 	return out, err
 }
 
@@ -218,10 +250,8 @@ func (c *Client) NNCandidates(ctx context.Context, req serve.NNCandidatesRequest
 	err := c.do(ctx, http.MethodPost, "/v1/nn/candidates", req, reply{
 		op: "nn", media: wire.NNFrameType, limit: maxNNFrame,
 		decode: func(body []byte) (err error) {
-			if out, err = wire.DecodeNNCandidateSet(body); err != nil {
-				return fmt.Errorf("%w: %w", ErrReplyFormat, err)
-			}
-			return nil
+			out, err = wire.DecodeNNCandidateSet(body)
+			return err
 		},
 	})
 	return out, err
@@ -230,14 +260,17 @@ func (c *Client) NNCandidates(ctx context.Context, req serve.NNCandidatesRequest
 // Updates applies one update batch on the shard.
 func (c *Client) Updates(ctx context.Context, req serve.UpdatesRequest) (serve.UpdatesResponse, error) {
 	var out serve.UpdatesResponse
-	err := c.do(ctx, http.MethodPost, "/v1/updates", req, jsonReply("updates", &out))
+	err := c.do(ctx, http.MethodPost, "/v1/updates", req, jsonReply("updates", unmarshalInto(&out)))
 	return out, err
 }
 
 // Register registers a standing query on the shard.
 func (c *Client) Register(ctx context.Context, req serve.RequestJSON) (serve.RegisterResponse, error) {
 	var out serve.RegisterResponse
-	err := c.do(ctx, http.MethodPost, "/v1/queries", req, jsonReply("register", &out))
+	err := c.do(ctx, http.MethodPost, "/v1/queries", req, jsonReply("register", func(body []byte) (err error) {
+		out, err = serve.DecodeRegisterResponse(body)
+		return err
+	}))
 	return out, err
 }
 
@@ -249,7 +282,7 @@ func (c *Client) Deregister(ctx context.Context, id int64) error {
 // Healthz fetches the shard's health report.
 func (c *Client) Healthz(ctx context.Context) (serve.HealthzResponse, error) {
 	var out serve.HealthzResponse
-	err := c.do(ctx, http.MethodGet, "/healthz", nil, jsonReply("", &out))
+	err := c.do(ctx, http.MethodGet, "/healthz", nil, jsonReply("", unmarshalInto(&out)))
 	return out, err
 }
 

@@ -3,6 +3,8 @@ package shard
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -254,4 +256,50 @@ func TestRouterServerStream(t *testing.T) {
 func jsonNum(v int64) string {
 	b, _ := json.Marshal(v)
 	return string(b)
+}
+
+// TestRouterRepliesCarryContentLength: like ildq-serve's, every JSON
+// reply of the router is sent whole — a Content-Length that is the
+// body's length, no chunking — error replies and degraded health
+// included.
+func TestRouterRepliesCarryContentLength(t *testing.T) {
+	rt := fleet(t, 2)
+	ts := httptest.NewServer(NewServer(rt))
+	t.Cleanup(ts.Close)
+
+	var updates []string
+	for id := range 300 {
+		// A column across the y=5000 shard border: both shards answer.
+		updates = append(updates, fmt.Sprintf(`{"op":"upsert_object","id":%d,"region":[1000,%d,1040,%d]}`, id, 4700+2*id, 4740+2*id))
+	}
+	const query = `{"issuer":{"region":[950,4950,1050,5050]},"w":900,"h":900}`
+	for _, step := range []struct{ what, method, path, body string }{
+		{"updates", http.MethodPost, "/v1/updates", `{"updates":[` + strings.Join(updates, ",") + `]}`},
+		{"evaluate", http.MethodPost, "/v1/evaluate", query},
+		{"register", http.MethodPost, "/v1/queries", query},
+		{"healthz", http.MethodGet, "/healthz", ""},
+		{"bad request", http.MethodPost, "/v1/evaluate", `{"w":1}`},
+		{"no such query", http.MethodGet, "/v1/queries/99/stream", ""},
+	} {
+		req, err := http.NewRequest(step.method, ts.URL+step.path, strings.NewReader(step.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", step.what, err)
+		}
+		if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 || !json.Valid(body) {
+			t.Errorf("%s: HTTP %d, Content-Length %d, Transfer-Encoding %v for a body of %d bytes: %.80q",
+				step.what, resp.StatusCode, resp.ContentLength, resp.TransferEncoding, len(body), body)
+		}
+		if step.what == "evaluate" && (len(body) < 4096 || resp.StatusCode != http.StatusOK) {
+			t.Errorf("evaluate: HTTP %d with %d bytes: too small to have been chunked before", resp.StatusCode, len(body))
+		}
+	}
 }

@@ -15,7 +15,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/serve"
-	"repro/internal/uncertain"
 )
 
 // Router fans queries and updates across a tile-partitioned engine
@@ -235,13 +234,12 @@ func mergeSorted[T any](lists [][]T, compare func(a, b T) int, keep func(T) bool
 }
 
 // mergeMatches unions the shards' range answers. Every shard's list
-// arrives in the engine's canonical order, and a straddling object is
-// answered by every replica with a bit-identical probability, so the
-// copies meet at the heads of the merge and one stands for all.
+// arrives in the engine's canonical order (the reply decoder refuses
+// one that does not), and a straddling object is answered by every
+// replica with a bit-identical probability, so the copies meet at the
+// heads of the merge and one stands for all.
 func mergeMatches(lists [][]serve.MatchJSON) []serve.MatchJSON {
-	return mergeSorted(lists, func(a, b serve.MatchJSON) int {
-		return core.CompareMatches(core.Match{ID: uncertain.ID(a.ID), P: a.P}, core.Match{ID: uncertain.ID(b.ID), P: b.P})
-	}, nil)
+	return mergeSorted(lists, serve.CompareMatchJSON, nil)
 }
 
 func addCost(dst *serve.CostJSON, c serve.CostJSON) {

@@ -50,7 +50,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		serve.WriteRequestError(s.r.log, w, err)
 		return
 	}
-	serve.WriteJSON(s.r.log, w, http.StatusOK, resp)
+	serve.WriteEvaluateResponse(s.r.log, w, &resp)
 }
 
 func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
@@ -83,7 +83,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	if miss != nil {
 		s.r.log.Warn("standing query registered on a partial fleet", "id", resp.ID, "missing", miss)
 	}
-	serve.WriteJSON(s.r.log, w, http.StatusCreated, resp)
+	serve.WriteRegisterResponse(s.r.log, w, &resp)
 }
 
 func (s *Server) handleDeregister(w http.ResponseWriter, r *http.Request) {

@@ -34,6 +34,7 @@ package shard
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -120,11 +121,8 @@ func Uniform(world geom.Rect, tx, ty, shards int) (*TileMap, error) {
 // the expected object distribution and hot tiles spread over more
 // shards.
 func FromWeights(world geom.Rect, tx, ty, shards int, weights []float64, p Partitioner) (*TileMap, error) {
-	if err := world.Validate(); err != nil {
-		return nil, fmt.Errorf("shard: world rect: %w", err)
-	}
-	if world.Width() <= 0 || world.Height() <= 0 {
-		return nil, fmt.Errorf("shard: world rect %v has zero extent", world)
+	if err := checkWorld(world); err != nil {
+		return nil, err
 	}
 	if tx <= 0 || ty <= 0 {
 		return nil, fmt.Errorf("shard: tile grid %dx%d must be positive", tx, ty)
@@ -138,6 +136,19 @@ func FromWeights(world geom.Rect, tx, ty, shards int, weights []float64, p Parti
 	}
 	m := &TileMap{world: world, tx: tx, ty: ty, assign: assign, shards: shards}
 	return m, m.validate()
+}
+
+// checkWorld refuses a world rectangle tiles cannot be cut from: the
+// tile of a point is its offset into the world over the world's extent,
+// so the extent must be a positive finite number.
+func checkWorld(world geom.Rect) error {
+	if err := world.Validate(); err != nil {
+		return fmt.Errorf("shard: world rect: %w", err)
+	}
+	if w, h := world.Width(), world.Height(); !(w > 0 && h > 0) || math.IsInf(w+h, 0) {
+		return fmt.Errorf("shard: world rect %v has no finite positive extent", world)
+	}
+	return nil
 }
 
 func (m *TileMap) validate() error {
@@ -276,6 +287,11 @@ func rleEncode(assign []int) string {
 	return b.String()
 }
 
+// maxSpecTiles bounds the grid a spec may describe: Parse allocates per
+// tile, and a spec is a command-line string, so "grid:99999999x99999999"
+// must be an error and not an allocation.
+const maxSpecTiles = 1 << 16
+
 // Parse decodes a Spec() string.
 func Parse(spec string) (*TileMap, error) {
 	fail := func(why string) (*TileMap, error) {
@@ -298,6 +314,9 @@ func Parse(spec string) (*TileMap, error) {
 	ty, err2 := strconv.Atoi(tys)
 	if err1 != nil || err2 != nil || tx <= 0 || ty <= 0 {
 		return fail("grid wants positive TXxTY")
+	}
+	if tx > maxSpecTiles/ty { // tx*ty > maxSpecTiles, without the overflow
+		return fail(fmt.Sprintf("grid has more than %d tiles", maxSpecTiles))
 	}
 	cs := strings.Split(world, ",")
 	if len(cs) != 4 {
@@ -337,13 +356,13 @@ func Parse(spec string) (*TileMap, error) {
 	if assignRLE == "" {
 		return Uniform(wr, tx, ty, shards)
 	}
-	assign, err := rleDecode(assignRLE)
+	assign, err := rleDecode(assignRLE, tx*ty)
 	if err != nil {
 		return fail(err.Error())
 	}
 	m := &TileMap{world: wr, tx: tx, ty: ty, assign: assign, shards: shards}
-	if err := wr.Validate(); err != nil {
-		return fail(err.Error())
+	if err := checkWorld(wr); err != nil {
+		return nil, err
 	}
 	if err := m.validate(); err != nil {
 		return nil, err
@@ -351,7 +370,9 @@ func Parse(spec string) (*TileMap, error) {
 	return m, nil
 }
 
-func rleDecode(s string) ([]int, error) {
+// rleDecode expands an assign clause, which must not name more than
+// tiles tiles.
+func rleDecode(s string, tiles int) ([]int, error) {
 	var out []int
 	for _, run := range strings.Split(s, ",") {
 		ss, cnt, hasCount := strings.Cut(run, "x")
@@ -365,6 +386,9 @@ func rleDecode(s string) ([]int, error) {
 			if err != nil || n <= 0 {
 				return nil, fmt.Errorf("assign run %q", run)
 			}
+		}
+		if n > tiles-len(out) {
+			return nil, fmt.Errorf("assign covers more than the grid's %d tiles", tiles)
 		}
 		for range n {
 			out = append(out, sh)

@@ -3,6 +3,7 @@ package shard
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -126,6 +127,12 @@ func TestTileMapSpecRoundTrip(t *testing.T) {
 		"grid:2x2@0,0,1,1;shards=2;assign=0x4",   // shard 1 owns nothing
 		"grid:2x2@0,0,1,1;shards=2;assign=0,1",   // short assignment
 		"grid:2x2@0,0,1,1;shards=2;assign=0x3,7", // out-of-range shard
+		"grid:2x2@0,0,1,1;shards=2;assign=0x3,1x999999999999", // long assignment, refused before it is expanded
+		"grid:99999999x99999999@0,0,1,1;shards=2",             // more tiles than a spec may name
+		"grid:3037000500x3037000500@0,0,1,1;shards=2",         // tx*ty overflows
+		"grid:2x2@NaN,0,1,1;shards=1",                         // no extent to cut tiles from
+		"grid:2x2@0,0,Inf,1;shards=1",
+		"grid:2x2@0,0,0,1;shards=2;assign=0x2,1x2", // zero extent, refused on the assign path too
 	} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) should fail", bad)
@@ -167,4 +174,32 @@ func TestContiguousPartitionerBalancesWeight(t *testing.T) {
 			t.Fatalf("shard %d starved under skew: %v", s, assign)
 		}
 	}
+}
+
+// FuzzParseTileSpec: a spec string is an error or a map whose Spec()
+// parses back to the same map — and never a panic or an allocation the
+// string's length does not justify.
+func FuzzParseTileSpec(f *testing.F) {
+	f.Add("grid:4x2@0,0,10000,10000;shards=2")
+	f.Add("grid:2x2@0,0,1,1;shards=2;assign=0x3,1")
+	f.Add("grid:3x1@-5e-324,-0,1e308,Inf;shards=3;assign=2,0,1")
+	f.Add("grid:2x2@NaN,0,1,1;shards=1")
+	f.Add("grid:99999999x99999999@0,0,1,1;shards=2;assign=0x999999999999")
+	f.Add("grid:1x1@1,1,0,0;shards=1;assign=0;shards=1")
+	f.Fuzz(func(t *testing.T, spec string) {
+		m, err := Parse(spec)
+		if err != nil {
+			if m != nil {
+				t.Fatalf("Parse(%q) returned a map with its error %v", spec, err)
+			}
+			return
+		}
+		again, err := Parse(m.Spec())
+		if err != nil {
+			t.Fatalf("Parse(%q) = %q, which does not parse: %v", spec, m.Spec(), err)
+		}
+		if !reflect.DeepEqual(again, m) {
+			t.Fatalf("Parse(%q) = %+v, but its spec %q parses to %+v", spec, m, m.Spec(), again)
+		}
+	})
 }

@@ -1,7 +1,9 @@
 # Developer / CI entry points. Timing is measured by the end-to-end
 # benchmark (benchmark/, BENCHMARK.json); `make bench` only prints the
-# go test micro-benchmarks of the refinement kernels and the two hop
-# codecs (the NN frame, the match-list JSON).
+# go test micro-benchmarks of the refinement kernels, the two hop
+# codecs (the NN frame, the match-list JSON) and the write path (one
+# 16-move ApplyUpdates batch on a shard-sized engine; its bytes and
+# allocations are pinned by core.TestApplyUpdatesAllocationBudget).
 # `make apicheck` gates the public API surface against api/repro.txt.
 
 GO ?= go
@@ -36,7 +38,7 @@ soak:
 	$(GO) test -run 'TestCrashRecoveryProperty|TestCheckpointFaultInjection' -count=3 ./internal/core/
 
 bench: build
-	$(GO) test ./internal/bench ./internal/nn ./internal/wire ./internal/serve -run xxx -bench 'BenchmarkRefine|BenchmarkNNCandidateFrame|BenchmarkEvaluateResponseCodec' -benchtime 1s -benchmem
+	$(GO) test ./internal/bench ./internal/nn ./internal/wire ./internal/serve ./internal/core -run xxx -bench 'BenchmarkRefine|BenchmarkNNCandidateFrame|BenchmarkEvaluateResponseCodec|BenchmarkApplyUpdates' -benchtime 1s -benchmem
 
 # The end-to-end benchmark (benchmark/, see BENCHMARK.json) is a
 # module of its own, so `go build ./... && go test ./...` never
@@ -53,7 +55,8 @@ bench-e2e-smoke:
 cluster-smoke: build
 	$(GO) run ./examples/cluster -shards 2 -rounds 3
 
-# Short fuzzing smoke: the R-tree op-stream and node-codec targets,
+# Short fuzzing smoke: the R-tree op-stream (min/max payload envelopes
+# under copy-on-write versions included) and node-codec targets,
 # the WAL frame codec, the NN candidate grid against the linear scan
 # it replaced, the NN candidate frame decoder and the match-list JSON
 # scanner (the router's untrusted input from its shards; the scanner is

@@ -225,6 +225,7 @@ func writeTreeSection(ctx context.Context, a *pageAppender, t *rtree.Tree) (tree
 		cp.ID = rtree.NodeID(i)
 		cp.Leaf = n.Leaf
 		cp.Entries = append(cp.Entries[:0], n.Entries...)
+		cp.Aux = n.Aux
 		if !n.Leaf {
 			for j := range cp.Entries {
 				nid, ok := remap[cp.Entries[j].Child]
@@ -498,7 +499,7 @@ func loadTreeNodes(dev storage.Store, m treeMeta, store rtree.NodeStore) error {
 		if n.ID != rtree.NodeID(i) {
 			return fmt.Errorf("core: checkpoint restore requires a fresh node store (allocated id %d, want %d)", n.ID, i)
 		}
-		n.Entries = dec.Entries
+		n.Entries, n.Aux = dec.Entries, dec.Aux
 		if err := store.Update(n); err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/uncertain"
@@ -8,19 +9,25 @@ import (
 
 // cowTable is the engine's persistent object table: an immutable,
 // bucketed map from object id to value. A published table is never
-// modified; mutation goes through a tableTxn, which copies the bucket
-// spine once and each touched bucket once per transaction, so an
-// update batch pays O(touched buckets) — not O(table) — to produce
+// modified; mutation goes through a tableTxn, which copies what it
+// touches and shares the rest, so an update batch pays O(touched
+// buckets) — not O(table), and not O(bucket count) either — to produce
 // the next version while readers keep the old one.
 //
 // Buckets hold id-sorted slices: Get is a binary search within one
-// bucket, and bucket copies are flat memmoves. The bucket count is
-// fixed at construction (a power of two sized for ~32 entries per
-// bucket), chosen once from the initial dataset size.
+// bucket, and bucket copies are flat memmoves. The bucket headers are
+// reached through a two-level spine — a top slice of pages of
+// tablePageBuckets headers each — so a txn copies the top (a few
+// hundred bytes even for a table of millions) plus one page per group
+// of buckets it touches, where a flat spine cost 24 bytes per bucket of
+// the whole table on every batch. The bucket count is a power of two,
+// sized at construction for ~tableBucketFill entries per bucket and
+// doubled by the txn whose inserts push the average fill past that
+// (maybeGrow).
 type cowTable[V any] struct {
-	mask    uint64
-	buckets [][]tabEntry[V]
-	size    int
+	mask  uint64
+	pages [][][]tabEntry[V] // bucket b is pages[b>>tablePageShift][b&tablePageMask]
+	size  int
 }
 
 type tabEntry[V any] struct {
@@ -30,10 +37,20 @@ type tabEntry[V any] struct {
 
 // tableBucketFill is the target entries-per-bucket: the initial
 // bucket count is sized so fill stays at or below it, and a tableTxn
-// whose inserts push the average fill past it doubles the spine (see
-// maybeGrow) — so per-update bucket-copy cost stays O(fill) no matter
-// how far past its construction size the dataset grows.
+// whose inserts push the average fill past it doubles the bucket count
+// (see maybeGrow) — so per-update bucket-copy cost stays O(fill) no
+// matter how far past its construction size the dataset grows.
 const tableBucketFill = 32
+
+// A spine page holds tablePageBuckets bucket headers (384 bytes): small
+// enough that copying the pages a batch touches is cheap, large enough
+// that the top stays tiny (1.5 KB for the 1 024 buckets of a 30 000-entry
+// table).
+const (
+	tablePageShift   = 4
+	tablePageBuckets = 1 << tablePageShift
+	tablePageMask    = tablePageBuckets - 1
+)
 
 // newCowTable builds a table sized for roughly n entries. The bucket
 // count is floored at 64 so an engine built over a small (or empty)
@@ -44,7 +61,30 @@ func newCowTable[V any](n int) *cowTable[V] {
 	for b*tableBucketFill < n {
 		b <<= 1
 	}
-	return &cowTable[V]{mask: uint64(b - 1), buckets: make([][]tabEntry[V], b)}
+	return newCowTableBuckets[V](b)
+}
+
+// newCowTableBuckets builds an empty table of nb buckets (a power of
+// two, at least tablePageBuckets).
+func newCowTableBuckets[V any](nb int) *cowTable[V] {
+	t := &cowTable[V]{mask: uint64(nb - 1), pages: make([][][]tabEntry[V], nb/tablePageBuckets)}
+	for i := range t.pages {
+		t.pages[i] = make([][]tabEntry[V], tablePageBuckets)
+	}
+	return t
+}
+
+// numBuckets returns the bucket count.
+func (t *cowTable[V]) numBuckets() int { return len(t.pages) * tablePageBuckets }
+
+// bucket returns bucket b's entries.
+func (t *cowTable[V]) bucket(b int) []tabEntry[V] {
+	return t.pages[b>>tablePageShift][b&tablePageMask]
+}
+
+// setBucket replaces bucket b's header; the caller owns b's page.
+func (t *cowTable[V]) setBucket(b int, s []tabEntry[V]) {
+	t.pages[b>>tablePageShift][b&tablePageMask] = s
 }
 
 func (t *cowTable[V]) bucketOf(id uncertain.ID) int {
@@ -61,7 +101,7 @@ func (t *cowTable[V]) bucketOf(id uncertain.ID) int {
 // present.
 func (t *cowTable[V]) find(id uncertain.ID) (bucket, pos int, ok bool) {
 	b := t.bucketOf(id)
-	s := t.buckets[b]
+	s := t.bucket(b)
 	i := sort.Search(len(s), func(i int) bool { return s[i].id >= id })
 	return b, i, i < len(s) && s[i].id == id
 }
@@ -73,7 +113,7 @@ func (t *cowTable[V]) Get(id uncertain.ID) (V, bool) {
 		var zero V
 		return zero, false
 	}
-	return t.buckets[b][i].val, true
+	return t.bucket(b)[i].val, true
 }
 
 // Len returns the number of stored entries.
@@ -82,10 +122,12 @@ func (t *cowTable[V]) Len() int { return t.size }
 // Range calls fn for every entry until fn returns false. Iteration
 // order is unspecified but deterministic for a given table.
 func (t *cowTable[V]) Range(fn func(id uncertain.ID, v V) bool) {
-	for _, b := range t.buckets {
-		for _, e := range b {
-			if !fn(e.id, e.val) {
-				return
+	for _, page := range t.pages {
+		for _, b := range page {
+			for _, e := range b {
+				if !fn(e.id, e.val) {
+					return
+				}
 			}
 		}
 	}
@@ -96,58 +138,63 @@ func (t *cowTable[V]) Range(fn func(id uncertain.ID, v V) bool) {
 func (t *cowTable[V]) put(id uncertain.ID, v V) {
 	b, i, ok := t.find(id)
 	if ok {
-		t.buckets[b][i].val = v
+		t.bucket(b)[i].val = v
 		return
 	}
-	s := t.buckets[b]
-	s = append(s, tabEntry[V]{})
-	copy(s[i+1:], s[i:])
-	s[i] = tabEntry[V]{id: id, val: v}
-	t.buckets[b] = s
+	t.setBucket(b, slices.Insert(t.bucket(b), i, tabEntry[V]{id: id, val: v}))
 	t.size++
 }
 
-// tableTxn builds the next version of a table copy-on-write: the spine
-// is copied at construction, each bucket on first touch. The base
-// table is never modified. A txn whose inserts overfill the table
-// rebuilds it with a doubled spine (grown tables own every bucket, so
-// later touches stop copying).
+// tableTxn builds the next version of a table copy-on-write: the top
+// of the spine is copied at construction, each spine page and each
+// bucket on first touch. The base table is never modified. A txn whose
+// inserts overfill the table rebuilds it with twice the buckets (grown
+// tables own everything, so later touches stop copying).
 type tableTxn[V any] struct {
-	tab     *cowTable[V]
-	touched map[int]struct{}
-	// grown marks a txn that rebuilt the table: every bucket is
-	// private to the txn and ownBucket skips the copy-on-first-touch.
-	grown bool
+	tab *cowTable[V]
+	// own marks what the txn has copied and may now write in place:
+	// bit b for bucket b, bit numBuckets+p for spine page p. Nil once
+	// the txn has rebuilt the table and owns all of it.
+	own []uint64
 }
 
 // newTableTxn starts a mutation over base.
 func newTableTxn[V any](base *cowTable[V]) *tableTxn[V] {
 	next := &cowTable[V]{
-		mask:    base.mask,
-		buckets: make([][]tabEntry[V], len(base.buckets)),
-		size:    base.size,
+		mask:  base.mask,
+		pages: slices.Clone(base.pages),
+		size:  base.size,
 	}
-	copy(next.buckets, base.buckets)
-	return &tableTxn[V]{tab: next, touched: make(map[int]struct{})}
+	return &tableTxn[V]{tab: next, own: make([]uint64, (base.numBuckets()+len(base.pages)+63)/64)}
 }
 
-// ownBucket returns bucket b's slice, copying it first if this txn has
-// not touched it yet.
+// claim marks bit i owned, reporting whether it already was.
+func (tx *tableTxn[V]) claim(i int) bool {
+	w, m := &tx.own[i>>6], uint64(1)<<(i&63)
+	had := *w&m != 0
+	*w |= m
+	return had
+}
+
+// ownBucket returns bucket b's slice, writable in place: on first touch
+// the txn copies the bucket (with room for one insert) and, if it has
+// not yet, the spine page holding its header.
 func (tx *tableTxn[V]) ownBucket(b int) []tabEntry[V] {
-	if tx.grown {
-		return tx.tab.buckets[b]
+	t := tx.tab
+	if tx.own == nil || tx.claim(b) {
+		return t.bucket(b)
 	}
-	if _, ok := tx.touched[b]; !ok {
-		src := tx.tab.buckets[b]
-		cp := make([]tabEntry[V], len(src), len(src)+1)
-		copy(cp, src)
-		tx.tab.buckets[b] = cp
-		tx.touched[b] = struct{}{}
+	if p := b >> tablePageShift; !tx.claim(t.numBuckets() + p) {
+		t.pages[p] = slices.Clone(t.pages[p])
 	}
-	return tx.tab.buckets[b]
+	src := t.bucket(b)
+	cp := make([]tabEntry[V], len(src), len(src)+1)
+	copy(cp, src)
+	t.setBucket(b, cp)
+	return cp
 }
 
-// maybeGrow doubles the bucket spine once the average fill exceeds
+// maybeGrow doubles the bucket count once the average fill exceeds
 // tableBucketFill, rehashing every entry into a freshly built table.
 // Growth happens inside an unpublished txn, so readers of the base
 // table are unaffected; the O(n) rebuild amortizes over the >= n/2
@@ -156,27 +203,22 @@ func (tx *tableTxn[V]) ownBucket(b int) []tabEntry[V] {
 // buckets in order, so buckets stay sorted without re-sorting.
 func (tx *tableTxn[V]) maybeGrow() {
 	t := tx.tab
-	if t.size <= len(t.buckets)*tableBucketFill {
+	if t.size <= t.numBuckets()*tableBucketFill {
 		return
 	}
-	nb := len(t.buckets)
+	nb := t.numBuckets()
 	for t.size > nb*tableBucketFill {
 		nb <<= 1
 	}
-	next := &cowTable[V]{
-		mask:    uint64(nb - 1),
-		buckets: make([][]tabEntry[V], nb),
-		size:    t.size,
-	}
-	for _, b := range t.buckets {
-		for _, e := range b {
-			i := next.bucketOf(e.id)
-			next.buckets[i] = append(next.buckets[i], e)
-		}
-	}
+	next := newCowTableBuckets[V](nb)
+	next.size = t.size
+	t.Range(func(id uncertain.ID, v V) bool {
+		i := next.bucketOf(id)
+		next.setBucket(i, append(next.bucket(i), tabEntry[V]{id: id, val: v}))
+		return true
+	})
 	tx.tab = next
-	tx.touched = nil
-	tx.grown = true
+	tx.own = nil
 }
 
 // Get reads through the txn's current state.
@@ -190,10 +232,7 @@ func (tx *tableTxn[V]) Put(id uncertain.ID, v V) {
 		s[i].val = v
 		return
 	}
-	s = append(s, tabEntry[V]{})
-	copy(s[i+1:], s[i:])
-	s[i] = tabEntry[V]{id: id, val: v}
-	tx.tab.buckets[b] = s
+	tx.tab.setBucket(b, slices.Insert(s, i, tabEntry[V]{id: id, val: v}))
 	tx.tab.size++
 	tx.maybeGrow()
 }
@@ -204,9 +243,7 @@ func (tx *tableTxn[V]) Delete(id uncertain.ID) bool {
 	if !ok {
 		return false
 	}
-	s := tx.ownBucket(b)
-	s = append(s[:i], s[i+1:]...)
-	tx.tab.buckets[b] = s
+	tx.tab.setBucket(b, slices.Delete(tx.ownBucket(b), i, i+1))
 	tx.tab.size--
 	return true
 }

@@ -294,7 +294,7 @@ func (o EvalOptions) withDefaults() EvalOptions {
 		o.BasicSamples = 400
 	}
 	if o.Rng == nil {
-		o.Rng = rand.New(rand.NewSource(2))
+		o.Rng = newSeededRand(2)
 	}
 	if o.Object.Rng == nil {
 		o.Object.Rng = o.Rng
@@ -335,7 +335,7 @@ type candidateScan[T any] func(visit func(uncertain.ID, T) bool) (nodeAccesses i
 // probePoints scans the point index over region.
 func (st *engineState) probePoints(region geom.Rect) candidateScan[uncertain.PointObject] {
 	return func(visit func(uncertain.ID, uncertain.PointObject) bool) (int64, error) {
-		return st.pointIdx.SearchCounted(region, nil, func(en rtree.Entry) bool {
+		return st.pointIdx.SearchCounted(region, nil, func(en rtree.Entry, _ []float64) bool {
 			p, ok := st.points.Get(uncertain.ID(en.Ref))
 			return !ok || visit(p.ID, p) // index/table torn only by construction bugs
 		})
@@ -686,5 +686,36 @@ func CompareMatches(a, b Match) int {
 	}
 }
 
-// newSeededRand builds a deterministic source for derived workers.
-func newSeededRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+// newSeededRand returns a generator that draws exactly what
+// rand.New(rand.NewSource(seed)) draws, but seeds itself on the first
+// draw: seeding fills a 4.9 KB table, and a request whose refinement
+// turns out to be closed form never reads it. Generator and source are
+// one allocation.
+func newSeededRand(seed int64) *rand.Rand {
+	r := &seededRand{src: lazySource{seed: seed}}
+	r.Rand = *rand.New(&r.src)
+	return &r.Rand
+}
+
+type seededRand struct {
+	rand.Rand
+	src lazySource
+}
+
+// lazySource is a rand.Source64 that builds the math/rand source for
+// its seed when first asked for a value.
+type lazySource struct {
+	seed int64
+	src  rand.Source64
+}
+
+func (s *lazySource) seeded() rand.Source64 {
+	if s.src == nil {
+		s.src = rand.NewSource(s.seed).(rand.Source64)
+	}
+	return s.src
+}
+
+func (s *lazySource) Int63() int64    { return s.seeded().Int63() }
+func (s *lazySource) Uint64() uint64  { return s.seeded().Uint64() }
+func (s *lazySource) Seed(seed int64) { s.seed, s.src = seed, nil }

@@ -41,6 +41,12 @@ type engineMetrics struct {
 	retiredNodes atomic.Int64
 	freedNodes   atomic.Int64
 
+	// The write path: wall-clock of one ApplyUpdates batch from the
+	// first build to the publish (lost optimistic rounds included), and
+	// the updates those batches applied.
+	applyLatency   *obs.Histogram
+	appliedUpdates atomic.Int64
+
 	// Durability counters; all zero on ephemeral engines. walAppends/
 	// walBytes/walFsyncs are fed by the WAL writer's hooks, the
 	// checkpoint pair by Engine.checkpoint.
@@ -57,6 +63,7 @@ func newEngineMetrics() *engineMetrics {
 	for i := range m.latency {
 		m.latency[i] = obs.NewHistogram(obs.LatencyBuckets())
 	}
+	m.applyLatency = obs.NewHistogram(obs.LatencyBuckets())
 	m.fsyncLatency = obs.NewHistogram(obs.LatencyBuckets())
 	m.checkpointDur = obs.NewHistogram(obs.LatencyBuckets())
 	return m
@@ -179,6 +186,13 @@ func (e *Engine) RegisterMetrics(r *obs.Registry) {
 	r.CounterFunc("ildq_cow_freed_nodes_total",
 		"Retired index nodes returned to their stores after the last pin dropped.",
 		counter(&m.freedNodes))
+
+	r.RegisterHistogram("ildq_apply_seconds",
+		"ApplyUpdates wall-clock per batch: copy-on-write build and publish, lost optimistic rounds included.",
+		m.applyLatency)
+	r.CounterFunc("ildq_apply_updates_total",
+		"Updates applied by ApplyUpdates batches (failed updates and deletes of absent ids excluded).",
+		counter(&m.appliedUpdates))
 
 	r.CounterFunc("ildq_wal_appends_total",
 		"WAL records appended (one per committed update batch); zero on ephemeral engines.",

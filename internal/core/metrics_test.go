@@ -163,6 +163,35 @@ func TestEngineRegisterMetrics(t *testing.T) {
 	}
 }
 
+// The write path's instruments: every ApplyUpdates batch is one
+// observation of ildq_apply_seconds, whatever it applied, and
+// ildq_apply_updates_total counts the updates that took effect.
+func TestApplyMetrics(t *testing.T) {
+	eng := metricsTestEngine(t, EngineOptions{})
+	eng.ApplyUpdates([]Update{
+		{Op: OpUpsertPoint, Point: uncertain.PointObject{ID: 1, Loc: geom.Pt(10, 10)}},
+		{Op: OpUpsertPoint, Point: uncertain.PointObject{ID: 9001, Loc: geom.Pt(20, 20)}},
+		{Op: OpDeletePoint, ID: 9002}, // absent: Missing, not applied
+		{Op: OpUpsertObject},          // nil object: an error, not applied
+	})
+	eng.ApplyUpdates([]Update{{Op: OpDeleteObject, ID: 12345}}) // applies nothing, still a batch
+
+	r := obs.NewRegistry()
+	eng.RegisterMetrics(r)
+	var buf bytes.Buffer
+	if err := r.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if errs := obs.Lint(buf.Bytes()); len(errs) != 0 {
+		t.Fatalf("engine exposition does not lint: %v", errs)
+	}
+	for _, want := range []string{"ildq_apply_seconds_count 2", "ildq_apply_updates_total 2"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Fatalf("exposition missing %q:\n%s", want, buf.String())
+		}
+	}
+}
+
 // StorageStats surfaces the buffer-pool counters for paged stores and
 // zero-valued placeholders for in-memory ones.
 func TestStorageStats(t *testing.T) {

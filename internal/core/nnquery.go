@@ -92,7 +92,7 @@ func (st *engineState) collectNN(ctx context.Context, u0 geom.Rect, o NNCandidat
 	if o.TauBound > 0 && o.TauBound < radius {
 		radius = o.TauBound
 	}
-	na, err := st.pointIdx.SearchCounted(u0.Expand(radius, radius), nil, func(en rtree.Entry) bool {
+	na, err := st.pointIdx.SearchCounted(u0.Expand(radius, radius), nil, func(en rtree.Entry, _ []float64) bool {
 		if canceled(ctx) != nil {
 			return false
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -59,11 +60,16 @@ func refineSurvivors(ctx context.Context, plan queryPlan, survivors []*uncertain
 	// Sampling sources are only consulted by Monte-Carlo refinement
 	// (forced, or any side of the duality integral non-separable), so
 	// the per-candidate rand.New is only paid where hundreds of
-	// samples dwarf it; pure closed-form refinement never derives one.
-	// The parent is drawn unconditionally so the serial and parallel
-	// paths consume opts.Rng identically.
-	parent := opts.Rng.Int63()
+	// samples dwarf it; pure closed-form refinement never derives one,
+	// and never draws the parent either — which is what lets a request's
+	// own source (newSeededRand) go unseeded. When any candidate samples,
+	// the parent is drawn here, before refinement starts, so it is the
+	// same draw of opts.Rng on the serial and parallel paths.
 	mcAll := opts.Object.ForceMonteCarlo || !plan.qualifier.separable
+	var parent int64
+	if mcAll || slices.ContainsFunc(survivors, func(o *uncertain.Object) bool { return !isSeparable(o.PDF) }) {
+		parent = opts.Rng.Int63()
+	}
 
 	budget := opts.MaxSamples
 

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -603,7 +604,7 @@ func TestCowTableGrow(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		tab.put(uncertain.ID(i), i)
 	}
-	baseBuckets := len(tab.buckets)
+	baseBuckets := tab.numBuckets()
 
 	tx := newTableTxn(tab)
 	const n = 10_000
@@ -618,8 +619,8 @@ func TestCowTableGrow(t *testing.T) {
 	next := tx.Commit()
 
 	// Base untouched by the growing txn.
-	if tab.Len() != 100 || len(tab.buckets) != baseBuckets {
-		t.Fatalf("base mutated: len %d, buckets %d", tab.Len(), len(tab.buckets))
+	if tab.Len() != 100 || tab.numBuckets() != baseBuckets {
+		t.Fatalf("base mutated: len %d, buckets %d", tab.Len(), tab.numBuckets())
 	}
 	for i := 0; i < 100; i++ {
 		if v, ok := tab.Get(uncertain.ID(i)); !ok || v != i {
@@ -628,12 +629,12 @@ func TestCowTableGrow(t *testing.T) {
 	}
 
 	// Grown: doubled spine, fill at or below target, contents exact.
-	if len(next.buckets) <= baseBuckets {
-		t.Fatalf("spine did not grow: %d buckets for %d entries", len(next.buckets), next.Len())
+	if next.numBuckets() <= baseBuckets {
+		t.Fatalf("spine did not grow: %d buckets for %d entries", next.numBuckets(), next.Len())
 	}
-	if next.Len() > len(next.buckets)*tableBucketFill {
+	if next.Len() > next.numBuckets()*tableBucketFill {
 		t.Fatalf("fill %d entries over %d buckets exceeds target %d",
-			next.Len(), len(next.buckets), tableBucketFill)
+			next.Len(), next.numBuckets(), tableBucketFill)
 	}
 	if want := n - n/10; next.Len() != want {
 		t.Fatalf("len %d, want %d", next.Len(), want)
@@ -648,7 +649,8 @@ func TestCowTableGrow(t *testing.T) {
 			t.Fatalf("next[%d] = %d, %t", i, v, ok)
 		}
 	}
-	for b, s := range next.buckets {
+	for b := range next.numBuckets() {
+		s := next.bucket(b)
 		for j := 1; j < len(s); j++ {
 			if s[j-1].id >= s[j].id {
 				t.Fatalf("bucket %d unsorted after growth at %d", b, j)
@@ -668,5 +670,44 @@ func TestCowTableGrow(t *testing.T) {
 	}
 	if v, ok := next.Get(uncertain.ID(1)); !ok || v != 3 {
 		t.Fatalf("grown table mutated by later txn: %d, %t", v, ok)
+	}
+}
+
+// TestCowTableTxnCostFollowsTouches: what a txn allocates follows the
+// buckets it touches, not the size of the table's spine — a flat spine
+// copied 24 bytes per bucket of the whole table into every txn.
+func TestCowTableTxnCostFollowsTouches(t *testing.T) {
+	const n = 1 << 16
+	tab := newCowTable[int](n) // 2048 buckets
+	for i := 0; i < n; i++ {
+		tab.put(uncertain.ID(i), i)
+	}
+	txnBytes := func(touches int) float64 {
+		const rounds = 50
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for r := 0; r < rounds; r++ {
+			tx := newTableTxn(tab)
+			for k := 0; k < touches; k++ {
+				tx.Put(uncertain.ID((r*131+k*977)%n), -1)
+			}
+			if next := tx.Commit(); next.Len() != n {
+				t.Fatalf("replacing values changed the size: %d", next.Len())
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / rounds
+	}
+	few, many := txnBytes(4), txnBytes(64)
+	flatSpine := float64(tab.numBuckets() * 24)
+	t.Logf("%d buckets: txn touching 4 ids allocates %.0f B, 64 ids %.0f B; a flat spine alone is %.0f B", tab.numBuckets(), few, many, flatSpine)
+	if few > flatSpine/4 {
+		t.Errorf("a 4-touch txn allocates %.0f B, more than a quarter of the %.0f B flat spine", few, flatSpine)
+	}
+	if many < 4*few {
+		t.Errorf("cost does not follow touches: 4 ids %.0f B, 64 ids %.0f B", few, many)
+	}
+	if v, ok := tab.Get(977); !ok || v != 977 {
+		t.Fatalf("base table mutated: %d, %t", v, ok)
 	}
 }

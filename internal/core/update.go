@@ -420,6 +420,16 @@ func (e *Engine) ApplyUpdatesSnapshot(batch []Update) (UpdateReport, *Snapshot) 
 }
 
 func (e *Engine) applyUpdates(batch []Update, pin bool) (UpdateReport, *Snapshot) {
+	start := time.Now()
+	rep, snap := e.buildAndPublish(batch, pin)
+	e.met.applyLatency.ObserveDuration(time.Since(start))
+	e.met.appliedUpdates.Add(int64(rep.Applied))
+	return rep, snap
+}
+
+// buildAndPublish is applyUpdates' optimistic build/validate-publish
+// loop.
+func (e *Engine) buildAndPublish(batch []Update, pin bool) (UpdateReport, *Snapshot) {
 	for attempt := 0; ; attempt++ {
 		// Optimistic rounds load the base without writeMu and build
 		// the whole transaction lock-free; the final round builds
@@ -432,8 +442,10 @@ func (e *Engine) applyUpdates(batch []Update, pin bool) (UpdateReport, *Snapshot
 			e.writeMu.Lock()
 			base = e.state.Load()
 		}
-		var rep UpdateReport
+		rep := UpdateReport{Changes: make([]Change, 0, len(batch))}
 		tx := newStateTxn(base)
+		// A move logs two primitives (delete + upsert).
+		tx.logged = make([]Update, 0, 2*len(batch))
 		for i, u := range batch {
 			if err := tx.apply(u, &rep); err != nil {
 				rep.Errors = append(rep.Errors, UpdateError{Index: i, Err: err})

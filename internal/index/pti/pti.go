@@ -16,7 +16,6 @@ package pti
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/geom"
@@ -38,12 +37,15 @@ func AuxLen(n int) int { return 4 * n }
 // catalog value: min left, max right, min bottom, max top — exactly the
 // paper's node-level MBR(m) rule ("if l2(0.3) is on the left of
 // l1(0.3), then l2(0.3) is assigned to be the 0.3-bound for node X").
+// The min and max builtins order -0 below +0 and propagate NaN as the
+// math package's Min and Max do, and compile to inline code.
 func mergeAux(dst, src []float64) {
-	for i := 0; i < len(dst); i += 4 {
-		dst[i] = math.Min(dst[i], src[i])       // left
-		dst[i+1] = math.Max(dst[i+1], src[i+1]) // right
-		dst[i+2] = math.Min(dst[i+2], src[i+2]) // bottom
-		dst[i+3] = math.Max(dst[i+3], src[i+3]) // top
+	src = src[:len(dst)]
+	for i := 0; i+3 < len(dst); i += 4 {
+		dst[i] = min(dst[i], src[i])       // left
+		dst[i+1] = max(dst[i+1], src[i+1]) // right
+		dst[i+2] = min(dst[i+2], src[i+2]) // bottom
+		dst[i+3] = max(dst[i+3], src[i+3]) // top
 	}
 }
 
@@ -196,7 +198,7 @@ func (ix *Index) RangeSearch(q geom.Rect, visit func(id uncertain.ID) bool) erro
 // call performed. The count is local to the call, so concurrent
 // searches each observe their own exact I/O cost.
 func (ix *Index) RangeSearchCounted(q geom.Rect, visit func(id uncertain.ID) bool) (int64, error) {
-	return ix.tree.SearchCounted(q, nil, func(e rtree.Entry) bool {
+	return ix.tree.SearchCounted(q, nil, func(e rtree.Entry, _ []float64) bool {
 		return visit(uncertain.ID(e.Ref))
 	})
 }
@@ -225,11 +227,11 @@ func (ix *Index) ThresholdSearch(search, expanded geom.Rect, qp float64, visit f
 // this call performed, counted locally for concurrent callers.
 func (ix *Index) ThresholdSearchCounted(search, expanded geom.Rect, qp float64, visit func(id uncertain.ID) bool) (int64, error) {
 	pi := ix.probIndex(qp)
-	prune := func(e rtree.Entry) bool {
-		return pi >= 0 && prunedByBounds(e.Rect, e.Aux[4*pi:4*pi+4], expanded)
+	prune := func(e rtree.Entry, aux []float64) bool {
+		return pi >= 0 && prunedByBounds(e.Rect, aux[4*pi:4*pi+4], expanded)
 	}
-	return ix.tree.SearchCounted(search, prune, func(e rtree.Entry) bool {
-		if pi >= 0 && prunedByBounds(e.Rect, e.Aux[4*pi:4*pi+4], expanded) {
+	return ix.tree.SearchCounted(search, prune, func(e rtree.Entry, aux []float64) bool {
+		if pi >= 0 && prunedByBounds(e.Rect, aux[4*pi:4*pi+4], expanded) {
 			return true // pruned leaf entry; keep searching
 		}
 		return visit(uncertain.ID(e.Ref))

@@ -48,9 +48,10 @@ func BulkLoad(store NodeStore, cfg Config, items []Item) (*Tree, error) {
 		}
 	}
 
-	entries := make([]Entry, len(items))
+	auxLen := cfg.AuxLen
+	entries := make([]packed, len(items))
 	for i, it := range items {
-		entries[i] = Entry{Rect: it.Rect, Ref: it.Ref, Aux: copyAux(it.Aux)}
+		entries[i] = packed{e: Entry{Rect: it.Rect, Ref: it.Ref}, aux: it.Aux}
 	}
 
 	level := 0
@@ -68,7 +69,7 @@ func BulkLoad(store NodeStore, cfg Config, items []Item) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	root.Entries = entries
+	fillNode(root, entries, auxLen)
 	if err := store.Update(root); err != nil {
 		return nil, err
 	}
@@ -78,19 +79,40 @@ func BulkLoad(store NodeStore, cfg Config, items []Item) (*Tree, error) {
 	return t, nil
 }
 
+// packed is an entry on its way into a node, with its payload beside
+// it so the two sort together.
+type packed struct {
+	e   Entry
+	aux []float64
+}
+
+// fillNode gives n the packed entries, in order, as its contents; the
+// payloads are copied.
+func fillNode(n *Node, entries []packed, auxLen int) {
+	n.Entries = make([]Entry, len(entries))
+	n.Aux = newAuxRows(len(entries), auxLen)
+	for i, p := range entries {
+		n.Entries[i] = p.e
+		if n.Aux != nil {
+			copy(n.Aux[i], p.aux)
+		}
+	}
+}
+
 // packLevel tiles entries into nodes of capacity MaxEntries and returns
 // the parent entries describing them.
-func (t *Tree) packLevel(entries []Entry, leaf bool) ([]Entry, error) {
+func (t *Tree) packLevel(entries []packed, leaf bool) ([]packed, error) {
 	m := t.cfg.MaxEntries
+	auxLen := t.cfg.AuxLen
 	nLeaves := (len(entries) + m - 1) / m
 	nSlabs := int(math.Ceil(math.Sqrt(float64(nLeaves))))
 	slabSize := nSlabs * m
 
 	sort.Slice(entries, func(i, j int) bool {
-		return entries[i].Rect.Center().X < entries[j].Rect.Center().X
+		return entries[i].e.Rect.Center().X < entries[j].e.Rect.Center().X
 	})
 
-	var parents []Entry
+	parents := make([]packed, 0, nLeaves)
 	for s := 0; s < len(entries); s += slabSize {
 		end := s + slabSize
 		if end > len(entries) {
@@ -98,7 +120,7 @@ func (t *Tree) packLevel(entries []Entry, leaf bool) ([]Entry, error) {
 		}
 		slab := entries[s:end]
 		sort.Slice(slab, func(i, j int) bool {
-			return slab[i].Rect.Center().Y < slab[j].Rect.Center().Y
+			return slab[i].e.Rect.Center().Y < slab[j].e.Rect.Center().Y
 		})
 		for o := 0; o < len(slab); o += m {
 			oe := o + m
@@ -109,12 +131,12 @@ func (t *Tree) packLevel(entries []Entry, leaf bool) ([]Entry, error) {
 			if err != nil {
 				return nil, err
 			}
-			node.Entries = append(node.Entries, slab[o:oe]...)
+			fillNode(node, slab[o:oe], auxLen)
 			if err := t.store.Update(node); err != nil {
 				return nil, err
 			}
 			r, aux := t.entryEnvelope(node)
-			parents = append(parents, Entry{Rect: r, Child: node.ID, Aux: aux})
+			parents = append(parents, packed{e: Entry{Rect: r, Child: node.ID}, aux: aux})
 		}
 	}
 	if len(parents) == 0 {

@@ -16,25 +16,35 @@ package rtree
 // Nodes allocated within the current (unsealed) version are private to
 // the single writer and may be mutated in place — a batch of updates
 // therefore copies each touched path node at most once, not once per
-// update. Readers of sealed versions never lock: they only Get node
-// ids reachable from their version's root, and those are never
-// rewritten.
+// update. They are the only nodes a version writes: storeNode refuses
+// any other with ErrForeignNode. Readers of sealed versions never lock:
+// they only Get node ids reachable from their version's root, and those
+// are never rewritten.
+//
+// A copy starts as the shared node's entries and payload rows, and the
+// mutation then recomputes only the envelope coordinates it can have
+// moved (see the package comment) — an interior entry whose envelope
+// did not move keeps the very row the older versions hold. Because min
+// and max round nothing, what comes out is what recomputing every
+// envelope on the path from all of its child's entries would give, bit
+// for bit, so a version built here and one built by the full
+// recomputation have identical node pages.
 
 // cowState tracks one unsealed version's private bookkeeping.
 type cowState struct {
 	// fresh holds the ids allocated by this version: mutable in place,
-	// freeable immediately if the version discards them again.
-	fresh map[NodeID]struct{}
-	// retired lists the ids of shared nodes this version superseded;
-	// prior versions still reference them.
-	retired []NodeID
-	// dirty is the version's write cache: fresh nodes whose latest
-	// contents have not reached the store yet. Updates of fresh nodes
-	// land here (see Tree.storeNode) and are written through once, at
+	// freeable immediately if the version discards them again. The
+	// value is the version's write cache: the node's latest contents
+	// while they have not reached the store yet, nil once they have
+	// (or before the first write). Updates of fresh nodes land here
+	// (see Tree.storeNode) and are written through once, at
 	// FlushCOW/Seal — so N updates touching the same node per batch
 	// pay one store write (one page encode, for paged stores), not N.
 	// Reads during the phase consult it first (Tree.loadNode).
-	dirty map[NodeID]*Node
+	fresh map[NodeID]*Node
+	// retired lists the ids of shared nodes this version superseded;
+	// prior versions still reference them.
+	retired []NodeID
 }
 
 // CloneCOW returns a copy-on-write clone of the tree: a mutable next
@@ -50,10 +60,7 @@ func (t *Tree) CloneCOW() *Tree {
 		root:   t.root,
 		height: t.height,
 		size:   t.size,
-		cow: &cowState{
-			fresh: make(map[NodeID]struct{}),
-			dirty: make(map[NodeID]*Node),
-		},
+		cow:    &cowState{fresh: make(map[NodeID]*Node)},
 	}
 }
 
@@ -62,14 +69,17 @@ func (t *Tree) CloneCOW() *Tree {
 // remains — but callers that publish under a lock (the engine) flush
 // beforehand so page encoding runs outside their critical section.
 func (t *Tree) FlushCOW() error {
-	if t.cow == nil || len(t.cow.dirty) == 0 {
+	if t.cow == nil {
 		return nil
 	}
-	for id, n := range t.cow.dirty {
+	for id, n := range t.cow.fresh {
+		if n == nil {
+			continue
+		}
 		if err := t.store.Update(n); err != nil {
 			return err
 		}
-		delete(t.cow.dirty, id)
+		t.cow.fresh[id] = nil
 	}
 	return nil
 }
@@ -117,9 +127,12 @@ func (t *Tree) AbortCOW() error {
 
 // writable returns a node the current mutation may modify: n itself
 // when no COW phase is active or n was allocated by this version, else
-// a fresh copy of n (new id, copied entry slice) with n's id recorded
-// as retired. Callers must repoint the parent entry (and t.root for
-// the root) at the returned node's id.
+// a fresh copy of n (new id, copied entries, shared payload rows) with
+// n's id recorded as retired. Callers must repoint the parent entry
+// (and t.root for the root) at the returned node's id. The entry copy
+// is a flat memmove of pointer-free memory — all there is to a
+// points-tree node — and both slices are sized so that the one entry an
+// insert may append next fits without growing them again.
 func (t *Tree) writable(n *Node) (*Node, error) {
 	if t.cow == nil {
 		return n, nil
@@ -131,8 +144,12 @@ func (t *Tree) writable(n *Node) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	nn.Entries = make([]Entry, len(n.Entries))
+	nn.Entries = make([]Entry, len(n.Entries), len(n.Entries)+1)
 	copy(nn.Entries, n.Entries)
+	if n.Aux != nil {
+		nn.Aux = make([][]float64, len(n.Aux), len(n.Aux)+1)
+		copy(nn.Aux, n.Aux)
+	}
 	t.cow.retired = append(t.cow.retired, n.ID)
 	return nn, nil
 }
@@ -145,7 +162,7 @@ func (t *Tree) allocNode(leaf bool) (*Node, error) {
 		return nil, err
 	}
 	if t.cow != nil {
-		t.cow.fresh[n.ID] = struct{}{}
+		t.cow.fresh[n.ID] = nil
 	}
 	return n, nil
 }
@@ -159,7 +176,6 @@ func (t *Tree) freeNode(id NodeID) error {
 	}
 	if _, ok := t.cow.fresh[id]; ok {
 		delete(t.cow.fresh, id)
-		delete(t.cow.dirty, id)
 		return t.store.Free(id)
 	}
 	t.cow.retired = append(t.cow.retired, id)

@@ -1,12 +1,14 @@
 package rtree
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/storage"
 )
 
 // shadow is the reference model: the exact entry multiset a tree
@@ -314,4 +316,49 @@ func TestCOWConcurrentReadersDuringWrite(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestCOWRefusesForeignNode forges the call no mutation path makes: an
+// unsealed version asked to store a node it never allocated. Over a
+// paged store that write would land in a page the published version
+// still reads (it did, before storeNode checked), so it must come back
+// as ErrForeignNode with the published version untouched.
+func TestCOWRefusesForeignNode(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	pool := storage.NewBufferPool(storage.NewMemStore(), 64)
+	base, err := New(NewPagedNodeStore(pool, 0), Config{MaxEntries: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(shadow)
+	for i := 0; i < 100; i++ {
+		r := randRect(rng)
+		if err := base.Insert(r, Ref(i), nil); err != nil {
+			t.Fatal(err)
+		}
+		want[Ref(i)] = r
+	}
+
+	clone := base.CloneCOW()
+	shared, err := clone.loadNode(base.root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared.Entries = shared.Entries[:1] // what an in-place write would publish
+	if err := clone.storeNode(shared); !errors.Is(err, ErrForeignNode) {
+		t.Fatalf("storeNode of a shared node: %v, want ErrForeignNode", err)
+	}
+	if _, err := clone.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	checkShadow(t, base, want, "published version after the forged write")
+	if err := base.CheckInvariants(true); err != nil {
+		t.Fatal(err)
+	}
+
+	// The version's own nodes are still writable.
+	clone = base.CloneCOW()
+	if err := clone.Insert(randRect(rng), 1000, nil); err != nil {
+		t.Fatalf("insert on a fresh clone: %v", err)
+	}
 }

@@ -2,6 +2,7 @@ package rtree
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"repro/internal/geom"
@@ -15,8 +16,8 @@ func FuzzDecodeNode(f *testing.F) {
 	// Seed with a valid leaf page.
 	valid := make([]byte, storage.PageSize)
 	n := &Node{ID: 1, Leaf: true, Entries: []Entry{
-		{Rect: geom.Rect{Lo: geom.Pt(1, 2), Hi: geom.Pt(3, 4)}, Ref: 9, Aux: []float64{0.5}},
-	}}
+		{Rect: geom.Rect{Lo: geom.Pt(1, 2), Hi: geom.Pt(3, 4)}, Ref: 9},
+	}, Aux: [][]float64{{0.5}}}
 	if err := encodeNode(n, valid, 1); err != nil {
 		f.Fatal(err)
 	}
@@ -74,10 +75,11 @@ func FuzzNodeRoundTrip(f *testing.F) {
 			} else {
 				e.Child = NodeID(uint32(seed) + uint32(i))
 			}
+			var row []float64
 			for j := 0; j < auxLen; j++ {
-				e.Aux = append(e.Aux, float64(j)*x)
+				row = append(row, float64(j)*x)
 			}
-			n.Entries = append(n.Entries, e)
+			n.appendEntry(e, row)
 		}
 		page := make([]byte, storage.PageSize)
 		if err := encodeNode(n, page, auxLen); err != nil {
@@ -95,8 +97,8 @@ func FuzzNodeRoundTrip(f *testing.F) {
 			if !a.Rect.ApproxEqual(b.Rect) || a.Ref != b.Ref || a.Child != b.Child {
 				t.Fatalf("entry %d mismatch", i)
 			}
-			for j := range a.Aux {
-				if a.Aux[j] != b.Aux[j] {
+			for j, v := range n.auxAt(i) {
+				if v != got.auxAt(i)[j] {
 					t.Fatalf("entry %d aux %d mismatch", i, j)
 				}
 			}
@@ -104,46 +106,92 @@ func FuzzNodeRoundTrip(f *testing.F) {
 	})
 }
 
+// fuzzPayload is what one FuzzRTree entry carries: a [min, max, min,
+// max] payload derived from the op bytes, signed zeros included, so the
+// envelopes above it have something to get wrong.
+func fuzzPayload(a, b, c, d byte) []float64 {
+	negZero := math.Copysign(0, -1)
+	aux := []float64{float64(a) - float64(c), float64(a) + float64(d), float64(b) - float64(d), float64(b) + float64(c)}
+	if c%8 == 0 {
+		aux[0], aux[1] = negZero, 0
+	}
+	if d%8 == 0 {
+		aux[2], aux[3] = 0, negZero
+	}
+	return aux
+}
+
+func mergeMinMax(dst, src []float64) {
+	for i := 0; i+1 < len(dst); i += 2 {
+		dst[i] = min(dst[i], src[i])
+		dst[i+1] = max(dst[i+1], src[i+1])
+	}
+}
+
+// fuzzEntry is the shadow model's record of one entry.
+type fuzzEntry struct {
+	rect geom.Rect
+	aux  []float64
+}
+
 // FuzzRTree drives the dynamic tree through an arbitrary op stream —
 // inserts, deletes, moves, and copy-on-write version boundaries —
-// against a shadow model, checking structural invariants, exact
-// search results, and old-version isolation after every sealed
-// version. The byte stream encodes one op per 5 bytes: opcode,
-// 2-byte coordinate pair, 2-byte target selector.
+// against a shadow model, checking structural invariants (envelopes of
+// rectangles and of a 4-value min/max payload, bit for bit against the
+// from-scratch recomputation), exact search results, and old-version
+// isolation after every sealed version: later versions share a frozen
+// version's nodes and payload rows, and must not have written to them.
+// The byte stream encodes one op per 5 bytes: opcode, 2-byte coordinate
+// pair, 2-byte target selector.
 func FuzzRTree(f *testing.F) {
 	f.Add([]byte{0, 10, 20, 0, 1, 0, 200, 100, 0, 2, 3, 0, 0, 0, 0})
 	f.Add(bytes.Repeat([]byte{0, 50, 60, 1, 7, 2, 0, 0, 0, 0}, 12))
 	f.Add(bytes.Repeat([]byte{0, 1, 2, 3, 4, 1, 0, 0, 0, 1, 3, 0, 0, 0, 0}, 8))
+	// Grow through several splits and a root split, freeze, then delete
+	// enough under copy-on-write to dissolve nodes and collapse the
+	// root, moving the survivors on the way.
+	var grow []byte
+	for i := 0; i < 60; i++ {
+		grow = append(grow, 0, byte(i*37), byte(i*91), byte(i), byte(i*5))
+	}
+	grow = append(grow, 3, 0, 0, 0, 0)
+	for i := 0; i < 55; i++ {
+		grow = append(grow, 1, byte(i), 0, 0, 0, 2, byte(i*3), byte(i*7), byte(i*11), byte(i*13))
+	}
+	f.Add(grow)
+	// The same position over and over: duplicates, zero-length moves,
+	// a version boundary every few ops.
+	f.Add(bytes.Repeat([]byte{0, 9, 9, 8, 8, 0, 9, 9, 8, 8, 2, 0, 9, 9, 8, 3, 0, 0, 0, 0, 1, 0, 0, 0, 0}, 20))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 4000 {
 			return
 		}
 		store := NewMemNodeStore()
-		tr, err := New(store, Config{MaxEntries: 8})
+		tr, err := New(store, Config{MaxEntries: 8, AuxLen: 4, MergeAux: mergeMinMax})
 		if err != nil {
 			t.Fatal(err)
 		}
-		model := make(map[Ref]geom.Rect)
+		model := make(map[Ref]fuzzEntry)
 		refs := []Ref{} // insertion order, for deterministic target picks
 		nextRef := Ref(0)
 
 		// One frozen prior version to check isolation against.
 		var frozenTree *Tree
-		var frozenModel map[Ref]geom.Rect
+		var frozenModel map[Ref]fuzzEntry
 
-		checkAll := func(label string, tr *Tree, m map[Ref]geom.Rect) {
+		checkAll := func(label string, tr *Tree, m map[Ref]fuzzEntry) {
 			if err := tr.CheckInvariants(false); err != nil {
 				t.Fatalf("%s: invariants: %v", label, err)
 			}
-			got := make(map[Ref]geom.Rect)
+			got := make(map[Ref]fuzzEntry)
 			if tr.Len() > 0 {
 				b, err := tr.Bounds()
 				if err != nil {
 					t.Fatalf("%s: bounds: %v", label, err)
 				}
-				if err := tr.Search(b, func(e Entry) bool {
-					got[e.Ref] = e.Rect
+				if _, err := tr.SearchCounted(b, nil, func(e Entry, aux []float64) bool {
+					got[e.Ref] = fuzzEntry{rect: e.Rect, aux: aux}
 					return true
 				}); err != nil {
 					t.Fatalf("%s: search: %v", label, err)
@@ -152,22 +200,31 @@ func FuzzRTree(f *testing.F) {
 			if len(got) != len(m) {
 				t.Fatalf("%s: %d entries, want %d", label, len(got), len(m))
 			}
-			for ref, r := range m {
-				if gr, ok := got[ref]; !ok || !gr.ApproxEqual(r) {
-					t.Fatalf("%s: ref %d = %v, want %v", label, ref, gr, r)
+			for ref, want := range m {
+				g, ok := got[ref]
+				if !ok || !g.rect.ApproxEqual(want.rect) {
+					t.Fatalf("%s: ref %d = %v, want %v", label, ref, g.rect, want.rect)
+				}
+				for j := range want.aux {
+					if !sameBits(g.aux[j], want.aux[j]) {
+						t.Fatalf("%s: ref %d payload %v, want %v", label, ref, g.aux, want.aux)
+					}
 				}
 			}
 		}
 
 		for i := 0; i+5 <= len(data); i += 5 {
 			op, a, b, c, d := data[i], data[i+1], data[i+2], data[i+3], data[i+4]
-			rect := geom.RectCentered(geom.Pt(float64(a)*4, float64(b)*4), 1+float64(c%8), 1+float64(d%8))
+			ent := fuzzEntry{
+				rect: geom.RectCentered(geom.Pt(float64(a)*4, float64(b)*4), 1+float64(c%8), 1+float64(d%8)),
+				aux:  fuzzPayload(a, b, c, d),
+			}
 			switch op % 4 {
 			case 0: // insert
-				if err := tr.Insert(rect, nextRef, nil); err != nil {
+				if err := tr.Insert(ent.rect, nextRef, ent.aux); err != nil {
 					t.Fatalf("insert: %v", err)
 				}
-				model[nextRef] = rect
+				model[nextRef] = ent
 				refs = append(refs, nextRef)
 				nextRef++
 			case 1: // delete an existing entry
@@ -175,11 +232,11 @@ func FuzzRTree(f *testing.F) {
 					continue
 				}
 				ref := refs[int(a)%len(refs)]
-				r, ok := model[ref]
+				old, ok := model[ref]
 				if !ok {
 					continue
 				}
-				removed, err := tr.Delete(r, ref)
+				removed, err := tr.Delete(old.rect, ref)
 				if err != nil {
 					t.Fatalf("delete: %v", err)
 				}
@@ -192,23 +249,23 @@ func FuzzRTree(f *testing.F) {
 					continue
 				}
 				ref := refs[int(b)%len(refs)]
-				r, ok := model[ref]
+				old, ok := model[ref]
 				if !ok {
 					continue
 				}
-				if removed, err := tr.Delete(r, ref); err != nil || !removed {
+				if removed, err := tr.Delete(old.rect, ref); err != nil || !removed {
 					t.Fatalf("move delete: %v %v", removed, err)
 				}
-				if err := tr.Insert(rect, ref, nil); err != nil {
+				if err := tr.Insert(ent.rect, ref, ent.aux); err != nil {
 					t.Fatalf("move insert: %v", err)
 				}
-				model[ref] = rect
+				model[ref] = ent
 			case 3: // version boundary: seal current, continue on a clone
 				if _, err := tr.Seal(); err != nil { // retired ids leaked deliberately: frozen version may use them
 					t.Fatalf("seal: %v", err)
 				}
 				frozenTree = tr
-				frozenModel = make(map[Ref]geom.Rect, len(model))
+				frozenModel = make(map[Ref]fuzzEntry, len(model))
 				for k, v := range model {
 					frozenModel[k] = v
 				}
@@ -237,7 +294,7 @@ func TestEncodeNodeOverflow(t *testing.T) {
 		t.Fatal("oversized node encoded without error")
 	}
 	// Wrong aux length is rejected too.
-	n2 := &Node{ID: 2, Leaf: true, Entries: []Entry{{Rect: geom.RectAt(geom.Pt(0, 0)), Aux: []float64{1}}}}
+	n2 := &Node{ID: 2, Leaf: true, Entries: []Entry{{Rect: geom.RectAt(geom.Pt(0, 0))}}, Aux: [][]float64{{1}}}
 	if err := encodeNode(n2, page, 2); err == nil {
 		t.Fatal("wrong aux length encoded without error")
 	}

@@ -2,13 +2,14 @@ package rtree
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/geom"
 )
 
 // Insert adds an entry with the given rectangle, reference and
 // (optionally) auxiliary payload. aux must have length Config.AuxLen
-// (nil when AuxLen is 0).
+// (nil when AuxLen is 0); it is copied.
 func (t *Tree) Insert(r geom.Rect, ref Ref, aux []float64) error {
 	if err := r.Validate(); err != nil {
 		return err
@@ -16,21 +17,24 @@ func (t *Tree) Insert(r geom.Rect, ref Ref, aux []float64) error {
 	if len(aux) != t.cfg.AuxLen {
 		return fmt.Errorf("rtree: aux length %d, want %d", len(aux), t.cfg.AuxLen)
 	}
-	e := Entry{Rect: r, Ref: ref, Aux: copyAux(aux)}
-	if err := t.insertAtLevel(e, 0); err != nil {
+	var row []float64
+	if t.cfg.AuxLen > 0 {
+		row = slices.Clone(aux)
+	}
+	if err := t.insertAtLevel(Entry{Rect: r, Ref: ref}, row, 0); err != nil {
 		return err
 	}
 	t.size++
 	return nil
 }
 
-// insertAtLevel places e at the given level (0 = leaves). Levels above
-// 0 are used when reinserting orphaned subtrees during deletion.
-// Under copy-on-write, every node mutated along the descent path is
-// first made writable (path-copied on first touch); adjustTree then
-// repoints each parent at its child's current id, and the root id is
-// refreshed last.
-func (t *Tree) insertAtLevel(e Entry, level int) error {
+// insertAtLevel places e, with payload row aux (the tree keeps it), at
+// the given level (0 = leaves). Levels above 0 are used when
+// reinserting orphaned subtrees during deletion. Under copy-on-write,
+// every node mutated along the descent path is first made writable
+// (path-copied on first touch); adjustTree then repoints each parent at
+// its child's current id, and the root id is refreshed last.
+func (t *Tree) insertAtLevel(e Entry, aux []float64, level int) error {
 	path, err := t.chooseNode(e.Rect, level)
 	if err != nil {
 		return err
@@ -40,7 +44,7 @@ func (t *Tree) insertAtLevel(e Entry, level int) error {
 		return err
 	}
 	path[len(path)-1].node = n
-	n.Entries = append(n.Entries, e)
+	n.appendEntry(e, aux)
 
 	var splitNew *Node
 	if len(n.Entries) > t.cfg.MaxEntries {
@@ -51,7 +55,7 @@ func (t *Tree) insertAtLevel(e Entry, level int) error {
 	} else if err := t.storeNode(n); err != nil {
 		return err
 	}
-	return t.adjustTree(path, splitNew)
+	return t.adjustTree(path, e.Rect, aux, splitNew)
 }
 
 // pathStep records one node on the descent path and the index of the
@@ -72,7 +76,7 @@ func (t *Tree) chooseNode(r geom.Rect, targetLevel int) ([]pathStep, error) {
 	if err != nil {
 		return nil, err
 	}
-	path := []pathStep{{node: n, entryIdx: -1}}
+	path := append(make([]pathStep, 0, t.height), pathStep{node: n, entryIdx: -1})
 	level := t.height - 1
 	for level > targetLevel {
 		best := -1
@@ -98,32 +102,43 @@ func (t *Tree) chooseNode(r geom.Rect, targetLevel int) ([]pathStep, error) {
 	return path, nil
 }
 
-// adjustTree walks the path bottom-up, refreshing parent envelopes and
-// propagating splits. splitNew is the sibling created by splitting the
-// deepest node on the path, or nil. Parents are made writable before
-// mutation and repointed at their child's current id — under
+// adjustTree walks the path bottom-up after the entry (added, addedAux)
+// went in below its deepest node, bringing parent envelopes up to date
+// and propagating splits. splitNew is the sibling created by splitting
+// the deepest node on the path, or nil. Parents are made writable
+// before mutation and repointed at their child's current id — under
 // copy-on-write the child may have been path-copied to a new id.
-func (t *Tree) adjustTree(path []pathStep, splitNew *Node) error {
+//
+// A child that did not split still holds every entry its parent entry
+// was the envelope of, plus whatever arrived below it — and all that
+// arrived is the added entry, wherever splits further down put it — so
+// the parent entry grows by the added entry alone. A child that did
+// split lost entries to its sibling; both envelopes are recomputed.
+func (t *Tree) adjustTree(path []pathStep, added geom.Rect, addedAux []float64, splitNew *Node) error {
 	for i := len(path) - 1; i > 0; i-- {
-		child := path[i]
+		child, idx := path[i].node, path[i].entryIdx
 		parent, err := t.writable(path[i-1].node)
 		if err != nil {
 			return err
 		}
 		path[i-1].node = parent
 
-		r, aux := t.entryEnvelope(child.node)
-		parent.Entries[child.entryIdx].Rect = r
-		parent.Entries[child.entryIdx].Aux = aux
-		parent.Entries[child.entryIdx].Child = child.node.ID
-
-		if splitNew != nil {
-			r2, aux2 := t.entryEnvelope(splitNew)
-			parent.Entries = append(parent.Entries, Entry{Rect: r2, Child: splitNew.ID, Aux: aux2})
+		parent.Entries[idx].Child = child.ID
+		if splitNew == nil {
+			parent.Entries[idx].Rect = parent.Entries[idx].Rect.Union(added)
+			if addedAux != nil {
+				parent.Aux[idx] = t.grownRow(parent.Aux[idx], addedAux)
+			}
+		} else {
+			r, row := t.entryEnvelope(child)
+			parent.Entries[idx].Rect = r
+			if row != nil {
+				parent.Aux[idx] = row
+			}
+			t.appendChild(parent, splitNew)
 			splitNew = nil
 		}
 		if len(parent.Entries) > t.cfg.MaxEntries {
-			var err error
 			splitNew, err = t.splitNode(parent)
 			if err != nil {
 				return err
@@ -139,6 +154,13 @@ func (t *Tree) adjustTree(path []pathStep, splitNew *Node) error {
 	return nil
 }
 
+// appendChild adds an entry for child, with its envelope computed from
+// scratch, to the interior node parent.
+func (t *Tree) appendChild(parent, child *Node) {
+	r, row := t.entryEnvelope(child)
+	parent.appendEntry(Entry{Rect: r, Child: child.ID}, row)
+}
+
 // growRoot installs a new root above old and sibling after a root
 // split.
 func (t *Tree) growRoot(old, sibling *Node) error {
@@ -146,12 +168,8 @@ func (t *Tree) growRoot(old, sibling *Node) error {
 	if err != nil {
 		return err
 	}
-	r1, a1 := t.entryEnvelope(old)
-	r2, a2 := t.entryEnvelope(sibling)
-	root.Entries = []Entry{
-		{Rect: r1, Child: old.ID, Aux: a1},
-		{Rect: r2, Child: sibling.ID, Aux: a2},
-	}
+	t.appendChild(root, old)
+	t.appendChild(root, sibling)
 	if err := t.storeNode(root); err != nil {
 		return err
 	}
@@ -177,8 +195,10 @@ func (t *Tree) splitNodeLinear(n *Node) (*Node, error) {
 	entries := n.Entries
 	seedA, seedB := pickSeedsLinear(entries)
 
-	groupA := []Entry{entries[seedA]}
-	groupB := []Entry{entries[seedB]}
+	// Groups are lists of positions in n.Entries, so an entry's payload
+	// can follow it into its new node.
+	groupA := append(make([]int, 0, len(entries)), seedA)
+	groupB := append(make([]int, 0, len(entries)), seedB)
 	rectA := entries[seedA].Rect
 	rectB := entries[seedB].Rect
 	for i, e := range entries {
@@ -188,21 +208,21 @@ func (t *Tree) splitNodeLinear(n *Node) (*Node, error) {
 		remaining := len(entries) - i // pessimistic; only used for forcing
 		switch {
 		case len(groupA)+remaining <= t.cfg.MinEntries:
-			groupA = append(groupA, e)
+			groupA = append(groupA, i)
 			rectA = rectA.Union(e.Rect)
 			continue
 		case len(groupB)+remaining <= t.cfg.MinEntries:
-			groupB = append(groupB, e)
+			groupB = append(groupB, i)
 			rectB = rectB.Union(e.Rect)
 			continue
 		}
 		dA, dB := rectA.Enlargement(e.Rect), rectB.Enlargement(e.Rect)
 		toA := dA < dB || (dA == dB && rectA.Area() <= rectB.Area())
 		if toA {
-			groupA = append(groupA, e)
+			groupA = append(groupA, i)
 			rectA = rectA.Union(e.Rect)
 		} else {
-			groupB = append(groupB, e)
+			groupB = append(groupB, i)
 			rectB = rectB.Union(e.Rect)
 		}
 	}
@@ -281,15 +301,17 @@ func (t *Tree) splitNodeQuadratic(n *Node) (*Node, error) {
 	entries := n.Entries
 	seedA, seedB := pickSeeds(entries)
 
-	groupA := []Entry{entries[seedA]}
-	groupB := []Entry{entries[seedB]}
+	// Groups (and the unassigned rest) are lists of positions in
+	// n.Entries, so an entry's payload can follow it into its new node.
+	groupA := append(make([]int, 0, len(entries)), seedA)
+	groupB := append(make([]int, 0, len(entries)), seedB)
 	rectA := entries[seedA].Rect
 	rectB := entries[seedB].Rect
 
-	rest := make([]Entry, 0, len(entries)-2)
-	for i, e := range entries {
+	rest := make([]int, 0, len(entries)-2)
+	for i := range entries {
 		if i != seedA && i != seedB {
-			rest = append(rest, e)
+			rest = append(rest, i)
 		}
 	}
 
@@ -297,31 +319,31 @@ func (t *Tree) splitNodeQuadratic(n *Node) (*Node, error) {
 		// If one group must take all remaining entries to reach the
 		// minimum fill, assign them wholesale.
 		if len(groupA)+len(rest) == t.cfg.MinEntries {
-			for _, e := range rest {
-				groupA = append(groupA, e)
-				rectA = rectA.Union(e.Rect)
+			for _, i := range rest {
+				groupA = append(groupA, i)
+				rectA = rectA.Union(entries[i].Rect)
 			}
 			break
 		}
 		if len(groupB)+len(rest) == t.cfg.MinEntries {
-			for _, e := range rest {
-				groupB = append(groupB, e)
-				rectB = rectB.Union(e.Rect)
+			for _, i := range rest {
+				groupB = append(groupB, i)
+				rectB = rectB.Union(entries[i].Rect)
 			}
 			break
 		}
 		// PickNext: the entry with the strongest preference.
 		bestIdx, bestDiff := -1, -1.0
 		var bestDA, bestDB float64
-		for i, e := range rest {
-			dA := rectA.Enlargement(e.Rect)
-			dB := rectB.Enlargement(e.Rect)
+		for k, i := range rest {
+			dA := rectA.Enlargement(entries[i].Rect)
+			dB := rectB.Enlargement(entries[i].Rect)
 			diff := dA - dB
 			if diff < 0 {
 				diff = -diff
 			}
 			if diff > bestDiff {
-				bestIdx, bestDiff, bestDA, bestDB = i, diff, dA, dB
+				bestIdx, bestDiff, bestDA, bestDB = k, diff, dA, dB
 			}
 		}
 		e := rest[bestIdx]
@@ -340,25 +362,26 @@ func (t *Tree) splitNodeQuadratic(n *Node) (*Node, error) {
 		}
 		if toA {
 			groupA = append(groupA, e)
-			rectA = rectA.Union(e.Rect)
+			rectA = rectA.Union(entries[e].Rect)
 		} else {
 			groupB = append(groupB, e)
-			rectB = rectB.Union(e.Rect)
+			rectB = rectB.Union(entries[e].Rect)
 		}
 	}
 	return t.finishSplit(n, groupA, groupB)
 }
 
-// finishSplit materializes a split: n keeps groupA, a fresh sibling
-// takes groupB, both persisted. n must already be writable (splits
-// only happen to nodes the current mutation has touched).
-func (t *Tree) finishSplit(n *Node, groupA, groupB []Entry) (*Node, error) {
+// finishSplit materializes a split: n keeps the entries at positions
+// groupA, a fresh sibling takes those at groupB, both persisted. n must
+// already be writable (splits only happen to nodes the current mutation
+// has touched).
+func (t *Tree) finishSplit(n *Node, groupA, groupB []int) (*Node, error) {
 	sibling, err := t.allocNode(n.Leaf)
 	if err != nil {
 		return nil, err
 	}
-	n.Entries = groupA
-	sibling.Entries = groupB
+	sibling.Entries, sibling.Aux = t.gather(n, groupB)
+	n.Entries, n.Aux = t.gather(n, groupA)
 	if err := t.storeNode(n); err != nil {
 		return nil, err
 	}
@@ -366,6 +389,23 @@ func (t *Tree) finishSplit(n *Node, groupA, groupB []Entry) (*Node, error) {
 		return nil, err
 	}
 	return sibling, nil
+}
+
+// gather copies the entries of n at the given positions, and their
+// payload rows, into fresh slices with room for one more entry.
+func (t *Tree) gather(n *Node, positions []int) ([]Entry, [][]float64) {
+	entries := make([]Entry, len(positions), len(positions)+1)
+	var aux [][]float64
+	if n.Aux != nil {
+		aux = make([][]float64, len(positions), len(positions)+1)
+	}
+	for k, i := range positions {
+		entries[k] = n.Entries[i]
+		if aux != nil {
+			aux[k] = n.Aux[i]
+		}
+	}
+	return entries, aux
 }
 
 // pickSeeds returns the pair of entries wasting the most area if

@@ -12,11 +12,41 @@
 //
 // Node accesses (the paper's I/O metric) are counted by the tree and
 // can be sampled around each operation.
+//
+// Envelope maintenance. An interior entry is the envelope of its child:
+// the union of the child's entry rectangles and the merge of their
+// payloads. Both are element-wise minima and maxima, which round
+// nothing, so an envelope has exactly one value whatever order it is
+// computed in — and a mutation only pays for the part of it that can
+// have moved (insert.go, delete.go):
+//
+//   - an insert that splits nothing grows each ancestor entry by the
+//     inserted entry alone (one Rect.Union, one MergeAux per level): the
+//     child kept every entry it had, so min(old envelope, new entry) is
+//     the minimum over the new membership — and where that moves
+//     nothing, the ancestor keeps its payload row;
+//   - a delete recomputes an ancestor entry only on the coordinates the
+//     departed value held the extreme of — a value strictly inside the
+//     envelope leaves it to another entry, which is still there — and
+//     one level up the same test is applied to the child envelope that
+//     just shrank; once a level comes out unchanged nothing above it can
+//     move and only child pointers are rewritten;
+//   - where a node's membership was rebuilt — the two halves of a
+//     split, a new root, bulk load — the envelope is recomputed from
+//     all of the node's entries (entryEnvelope). A dissolved node needs
+//     none: its parent entry leaves as a delete does, and its entries
+//     are reinserted as inserts.
+//
+// The result is bit-identical to recomputing every envelope on the path
+// from scratch, which is what CheckInvariants compares against,
+// Float64bits for Float64bits.
 package rtree
 
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/geom"
@@ -34,13 +64,14 @@ type NodeID uint32
 const InvalidNode = NodeID(0xFFFFFFFF)
 
 // Entry is one slot of a node: a rectangle plus either a child pointer
-// (interior nodes) or an object reference (leaves), and an optional
-// auxiliary payload of exactly Config.AuxLen float64s.
+// (interior nodes) or an object reference (leaves). It holds no pointer,
+// so a node's entry array is memory the garbage collector never scans
+// and a copy-on-write path copy of it is a flat memmove. The entry's
+// auxiliary payload lives beside it in its node (Node.Aux).
 type Entry struct {
 	Rect  geom.Rect
-	Child NodeID // interior entries
 	Ref   Ref    // leaf entries
-	Aux   []float64
+	Child NodeID // interior entries
 }
 
 // Node is an R-tree node. Nodes are value-owned by callers of
@@ -51,6 +82,11 @@ type Node struct {
 	ID      NodeID
 	Leaf    bool
 	Entries []Entry
+	// Aux holds one payload row of Config.AuxLen values per entry
+	// (Aux[i] belongs to Entries[i]); nil when AuxLen is 0. A row is
+	// never written once it is in a node: versions of a node share
+	// their rows, and an envelope that changes is a new row.
+	Aux [][]float64
 
 	// soa caches the structure-of-arrays mirror of the entry
 	// rectangles used by the search hot path (see soa.go). It is
@@ -70,6 +106,50 @@ func (n *Node) bounds() geom.Rect {
 		r = r.Union(e.Rect)
 	}
 	return r
+}
+
+// newAuxRows returns count payload rows of auxLen values cut from one
+// block, so a node built in one go (bulk load, page decode) is three
+// heap objects however many entries it has; nil when auxLen is 0.
+func newAuxRows(count, auxLen int) [][]float64 {
+	if auxLen == 0 {
+		return nil
+	}
+	rows := make([][]float64, count)
+	block := make([]float64, count*auxLen)
+	for i := range rows {
+		rows[i] = block[i*auxLen : (i+1)*auxLen : (i+1)*auxLen]
+	}
+	return rows
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// auxAt returns entry i's payload row, nil for a tree that carries
+// none.
+func (n *Node) auxAt(i int) []float64 {
+	if n.Aux == nil {
+		return nil
+	}
+	return n.Aux[i]
+}
+
+// appendEntry adds e as the node's last entry, with its payload row
+// (nil for a tree that carries none).
+func (n *Node) appendEntry(e Entry, row []float64) {
+	n.Entries = append(n.Entries, e)
+	if row != nil {
+		n.Aux = append(n.Aux, row)
+	}
+}
+
+// removeEntry deletes entry i and its payload row, keeping the order of
+// the rest.
+func (n *Node) removeEntry(i int) {
+	n.Entries = slices.Delete(n.Entries, i, i+1)
+	if n.Aux != nil {
+		n.Aux = slices.Delete(n.Aux, i, i+1)
+	}
 }
 
 // MergeAuxFunc folds entry payload src into dst in place. dst and src
@@ -180,6 +260,9 @@ type Tree struct {
 	// mutations path-copy shared nodes instead of updating in place
 	// (see cow.go). Sealed trees and legacy in-place trees carry nil.
 	cow *cowState
+	// scratch is grownRow's merge buffer, allocated on the handle's
+	// first use (one writer per handle).
+	scratch []float64
 	// accesses accumulates node reads across the tree's lifetime,
 	// atomically so concurrent read-only searches are race-free.
 	// Per-operation deltas sampled around ResetNodeAccesses are only
@@ -238,51 +321,73 @@ func (t *Tree) getNode(id NodeID) (*Node, error) {
 // have its latest (or, for paged stores, any) contents yet.
 func (t *Tree) loadNode(id NodeID) (*Node, error) {
 	if t.cow != nil {
-		if n, ok := t.cow.dirty[id]; ok {
+		if n := t.cow.fresh[id]; n != nil {
 			return n, nil
 		}
 	}
 	return t.store.Get(id)
 }
 
+// ErrForeignNode is returned when an unsealed copy-on-write version is
+// asked to write a node it did not allocate: the node belongs to a
+// published version that readers may be traversing, so the write is
+// refused rather than performed.
+var ErrForeignNode = errors.New("rtree: copy-on-write version does not own the node")
+
 // storeNode persists a mutated node. During a copy-on-write phase the
-// node is fresh (private to this unsealed version) and the write is
-// only recorded in the version's write cache — a batch that updates
-// the same node N times pays one store write at FlushCOW/Seal, not N;
-// for paged stores that means one page encode per touched node per
-// batch. Outside a COW phase (legacy in-place trees, construction)
-// the write goes straight through.
+// node must be fresh (private to this unsealed version; every mutation
+// reaches its nodes through writable) and the write is only recorded in
+// the version's write cache — a batch that updates the same node N
+// times pays one store write at FlushCOW/Seal, not N; for paged stores
+// that means one page encode per touched node per batch. Outside a COW
+// phase (legacy in-place trees, construction) the write goes straight
+// through.
 func (t *Tree) storeNode(n *Node) error {
-	n.invalidateSoA()
-	if t.cow != nil {
-		if _, fresh := t.cow.fresh[n.ID]; fresh {
-			t.cow.dirty[n.ID] = n
-			return nil
-		}
+	if t.cow == nil {
+		n.invalidateSoA()
+		return t.store.Update(n)
 	}
-	return t.store.Update(n)
+	if _, fresh := t.cow.fresh[n.ID]; !fresh {
+		return fmt.Errorf("%w: node %d", ErrForeignNode, n.ID)
+	}
+	n.invalidateSoA()
+	t.cow.fresh[n.ID] = n
+	return nil
 }
 
-// copyAux clones an aux payload (nil-safe).
-func copyAux(a []float64) []float64 {
-	if a == nil {
+// entryEnvelope recomputes the parent-entry view of node n from all of
+// its entries: their bounding rectangle and, in a new row, their merged
+// payload (nil for a tree that carries none, or an empty node). It is
+// the from-scratch form, used where a node's membership was rebuilt
+// (see the package comment).
+func (t *Tree) entryEnvelope(n *Node) (geom.Rect, []float64) {
+	return n.bounds(), t.auxEnvelope(n)
+}
+
+// auxEnvelope is the payload half of entryEnvelope.
+func (t *Tree) auxEnvelope(n *Node) []float64 {
+	if len(n.Aux) == 0 {
 		return nil
 	}
-	out := make([]float64, len(a))
-	copy(out, a)
-	return out
+	row := slices.Clone(n.Aux[0])
+	for _, r := range n.Aux[1:] {
+		t.cfg.MergeAux(row, r)
+	}
+	return row
 }
 
-// entryEnvelope recomputes the parent-entry view of node n: its
-// bounding rectangle and merged aux payload.
-func (t *Tree) entryEnvelope(n *Node) (geom.Rect, []float64) {
-	r := n.bounds()
-	if t.cfg.AuxLen == 0 || len(n.Entries) == 0 {
-		return r, nil
+// grownRow returns the envelope row merged with one more payload: row
+// itself when the payload lies inside it, a new row otherwise.
+func (t *Tree) grownRow(row, added []float64) []float64 {
+	if t.scratch == nil {
+		t.scratch = make([]float64, t.cfg.AuxLen)
 	}
-	aux := copyAux(n.Entries[0].Aux)
-	for _, e := range n.Entries[1:] {
-		t.cfg.MergeAux(aux, e.Aux)
+	copy(t.scratch, row)
+	t.cfg.MergeAux(t.scratch, added)
+	for j, v := range t.scratch {
+		if !sameBits(v, row[j]) {
+			return slices.Clone(t.scratch)
+		}
 	}
-	return r, aux
+	return row
 }

@@ -481,10 +481,10 @@ func TestAuxMaintenance(t *testing.T) {
 		if !n.Leaf {
 			return nil
 		}
-		for _, e := range n.Entries {
-			want := recs[e.Ref].aux
-			if e.Aux[0] != want[0] || e.Aux[1] != want[1] {
-				t.Fatalf("ref %d aux = %v, want %v", e.Ref, e.Aux, want)
+		for i, e := range n.Entries {
+			want, got := recs[e.Ref].aux, n.auxAt(i)
+			if got[0] != want[0] || got[1] != want[1] {
+				t.Fatalf("ref %d aux = %v, want %v", e.Ref, got, want)
 			}
 			seen++
 		}
@@ -544,9 +544,10 @@ func TestPagedNodeStoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.Entries = []Entry{
-		{Rect: geom.Rect{Lo: geom.Pt(1, 2), Hi: geom.Pt(3, 4)}, Ref: 77, Aux: []float64{0.5, -1, 9}},
-		{Rect: geom.Rect{Lo: geom.Pt(-5, -6), Hi: geom.Pt(-1, -2)}, Ref: -3, Aux: []float64{1, 2, 3}},
+		{Rect: geom.Rect{Lo: geom.Pt(1, 2), Hi: geom.Pt(3, 4)}, Ref: 77},
+		{Rect: geom.Rect{Lo: geom.Pt(-5, -6), Hi: geom.Pt(-1, -2)}, Ref: -3},
 	}
+	n.Aux = [][]float64{{0.5, -1, 9}, {1, 2, 3}}
 	if err := store.Update(n); err != nil {
 		t.Fatal(err)
 	}
@@ -564,8 +565,8 @@ func TestPagedNodeStoreRoundTrip(t *testing.T) {
 		t.Fatalf("rect mismatch: %v", got.Entries[0].Rect)
 	}
 	for i, v := range []float64{0.5, -1, 9} {
-		if got.Entries[0].Aux[i] != v {
-			t.Fatalf("aux mismatch: %v", got.Entries[0].Aux)
+		if got.auxAt(0)[i] != v {
+			t.Fatalf("aux mismatch: %v", got.auxAt(0))
 		}
 	}
 	// Interior node round trip.
@@ -573,7 +574,8 @@ func TestPagedNodeStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in.Entries = []Entry{{Rect: geom.Rect{Lo: geom.Pt(0, 0), Hi: geom.Pt(9, 9)}, Child: n.ID, Aux: []float64{1, 1, 1}}}
+	in.Entries = []Entry{{Rect: geom.Rect{Lo: geom.Pt(0, 0), Hi: geom.Pt(9, 9)}, Child: n.ID}}
+	in.Aux = [][]float64{{1, 1, 1}}
 	if err := store.Update(in); err != nil {
 		t.Fatal(err)
 	}

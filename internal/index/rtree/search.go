@@ -2,26 +2,30 @@ package rtree
 
 import "repro/internal/geom"
 
-// Visit receives a matching leaf entry; returning false stops the
-// search early.
-type Visit func(e Entry) bool
+// Visit receives a matching leaf entry and its auxiliary payload (nil
+// for a tree that carries none; valid only during the call); returning
+// false stops the search early.
+type Visit func(e Entry, aux []float64) bool
 
 // NodePruner inspects an interior entry (its rectangle already
-// intersects the query) and returns true if the whole subtree can be
-// skipped. It is the hook PTI uses for index-level probability pruning
-// (§5.3). A nil pruner skips nothing.
-type NodePruner func(e Entry) bool
+// intersects the query) and its payload, and returns true if the whole
+// subtree can be skipped. It is the hook PTI uses for index-level
+// probability pruning (§5.3). A nil pruner skips nothing.
+type NodePruner func(e Entry, aux []float64) bool
 
 // Search visits every leaf entry whose rectangle intersects q.
-func (t *Tree) Search(q geom.Rect, visit Visit) error {
-	_, err := t.SearchCounted(q, nil, visit)
-	return err
+func (t *Tree) Search(q geom.Rect, visit func(e Entry) bool) error {
+	return t.SearchWithPruner(q, nil, visit)
 }
 
 // SearchWithPruner is Search with an additional subtree pruner applied
 // to interior entries after the rectangle test.
-func (t *Tree) SearchWithPruner(q geom.Rect, prune NodePruner, visit Visit) error {
-	_, err := t.SearchCounted(q, prune, visit)
+func (t *Tree) SearchWithPruner(q geom.Rect, prune, visit func(e Entry) bool) error {
+	var p NodePruner
+	if prune != nil {
+		p = func(e Entry, _ []float64) bool { return prune(e) }
+	}
+	_, err := t.SearchCounted(q, p, func(e Entry, _ []float64) bool { return visit(e) })
 	return err
 }
 
@@ -61,7 +65,7 @@ func (t *Tree) searchNode(id NodeID, q geom.Rect, prune NodePruner, visit Visit,
 				q.Lo.Y <= hiY[i] && loY[i] <= q.Hi.Y) {
 				continue
 			}
-			if !visit(n.Entries[i]) {
+			if !visit(n.Entries[i], n.auxAt(i)) {
 				return false, nil
 			}
 		}
@@ -73,7 +77,7 @@ func (t *Tree) searchNode(id NodeID, q geom.Rect, prune NodePruner, visit Visit,
 			continue
 		}
 		e := n.Entries[i]
-		if prune != nil && prune(e) {
+		if prune != nil && prune(e, n.auxAt(i)) {
 			continue
 		}
 		cont, err := t.searchNode(e.Child, q, prune, visit, accesses)

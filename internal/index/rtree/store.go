@@ -180,6 +180,9 @@ func encodeNode(n *Node, data []byte, auxLen int) error {
 		return fmt.Errorf("rtree: node %d with %d entries overflows page (%d > %d)",
 			n.ID, len(n.Entries), need, storage.PageSize)
 	}
+	if auxLen > 0 && len(n.Aux) != len(n.Entries) {
+		return fmt.Errorf("rtree: node %d carries %d aux rows for %d entries", n.ID, len(n.Aux), len(n.Entries))
+	}
 	var flags byte
 	if n.Leaf {
 		flags |= 1
@@ -189,7 +192,7 @@ func encodeNode(n *Node, data []byte, auxLen int) error {
 	binary.LittleEndian.PutUint16(data[2:], uint16(len(n.Entries)))
 	binary.LittleEndian.PutUint32(data[4:], 0)
 	off := nodeHeaderBytes
-	for _, e := range n.Entries {
+	for i, e := range n.Entries {
 		putFloat(data[off:], e.Rect.Lo.X)
 		putFloat(data[off+8:], e.Rect.Lo.Y)
 		putFloat(data[off+16:], e.Rect.Hi.X)
@@ -201,10 +204,10 @@ func encodeNode(n *Node, data []byte, auxLen int) error {
 		}
 		off += 40
 		if auxLen > 0 {
-			if len(e.Aux) != auxLen {
-				return fmt.Errorf("rtree: entry aux length %d, want %d", len(e.Aux), auxLen)
+			if len(n.Aux[i]) != auxLen {
+				return fmt.Errorf("rtree: entry aux length %d, want %d", len(n.Aux[i]), auxLen)
 			}
-			for _, v := range e.Aux {
+			for _, v := range n.Aux[i] {
 				putFloat(data[off:], v)
 				off += 8
 			}
@@ -221,6 +224,7 @@ func decodeNode(id NodeID, data []byte, auxLen int) (*Node, error) {
 		return nil, fmt.Errorf("rtree: corrupt node %d: count %d overflows page", id, count)
 	}
 	n.Entries = make([]Entry, count)
+	n.Aux = newAuxRows(count, auxLen)
 	off := nodeHeaderBytes
 	for i := 0; i < count; i++ {
 		e := Entry{
@@ -236,12 +240,9 @@ func decodeNode(id NodeID, data []byte, auxLen int) (*Node, error) {
 			e.Child = NodeID(raw)
 		}
 		off += 40
-		if auxLen > 0 {
-			e.Aux = make([]float64, auxLen)
-			for j := range e.Aux {
-				e.Aux[j] = getFloat(data[off:])
-				off += 8
-			}
+		for j := range n.auxAt(i) {
+			n.Aux[i][j] = getFloat(data[off:])
+			off += 8
 		}
 		n.Entries[i] = e
 	}

@@ -1,18 +1,17 @@
 package rtree
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // CheckInvariants verifies the structural invariants of the tree and
 // returns a descriptive error on the first violation. It is intended
 // for tests and post-bulk-load sanity checks:
 //
 //   - every interior entry's rectangle equals the union of its child's
-//     entry rectangles (tight envelopes);
+//     entry rectangles (tight envelopes) — bit for bit: an envelope is
+//     a minimum or maximum of stored values, which rounds nothing, and
+//     a tolerance would hide an incremental-maintenance bug;
 //   - when AuxLen > 0, every interior entry's aux payload equals the
-//     merge of its child's entry payloads;
+//     merge of its child's entry payloads, likewise exactly;
 //   - all leaves sit at the same depth;
 //   - all nodes respect MaxEntries, and — when requireMinFill is true —
 //     non-root nodes respect MinEntries (dynamically built trees
@@ -21,6 +20,7 @@ import (
 //   - the entry count matches Len().
 func (t *Tree) CheckInvariants(requireMinFill bool) error {
 	count := 0
+	auxLen := t.cfg.AuxLen
 	var walk func(id NodeID, depth int) error
 	leafDepth := -1
 	walk = func(id NodeID, depth int) error {
@@ -46,18 +46,22 @@ func (t *Tree) CheckInvariants(requireMinFill bool) error {
 			count += len(n.Entries)
 			return nil
 		}
+		if auxLen > 0 && len(n.Aux) != len(n.Entries) {
+			return fmt.Errorf("node %d: %d payload rows for %d entries", id, len(n.Aux), len(n.Entries))
+		}
 		for i, e := range n.Entries {
 			child, err := t.getNode(e.Child)
 			if err != nil {
 				return fmt.Errorf("node %d entry %d: %w", id, i, err)
 			}
 			r, aux := t.entryEnvelope(child)
-			if !e.Rect.ApproxEqual(r) {
+			if !sameBits(e.Rect.Lo.X, r.Lo.X) || !sameBits(e.Rect.Lo.Y, r.Lo.Y) ||
+				!sameBits(e.Rect.Hi.X, r.Hi.X) || !sameBits(e.Rect.Hi.Y, r.Hi.Y) {
 				return fmt.Errorf("node %d entry %d: envelope %v, children union %v", id, i, e.Rect, r)
 			}
-			for j := range aux {
-				if math.Abs(aux[j]-e.Aux[j]) > 1e-9 {
-					return fmt.Errorf("node %d entry %d: aux[%d] = %g, merged %g", id, i, j, e.Aux[j], aux[j])
+			for j, have := range n.auxAt(i) {
+				if !sameBits(have, aux[j]) {
+					return fmt.Errorf("node %d entry %d: aux[%d] = %g, merged %g", id, i, j, have, aux[j])
 				}
 			}
 			if err := walk(e.Child, depth+1); err != nil {

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/geom"
 	"repro/internal/serve"
 )
 
@@ -301,5 +303,74 @@ func TestRouterRepliesCarryContentLength(t *testing.T) {
 		if step.what == "evaluate" && (len(body) < 4096 || resp.StatusCode != http.StatusOK) {
 			t.Errorf("evaluate: HTTP %d with %d bytes: too small to have been chunked before", resp.StatusCode, len(body))
 		}
+	}
+}
+
+// TestRouterStreamCorruptFrame: a shard whose delta stream carries one
+// undecodable frame between two good ones. The relay must not hand the
+// subscriber a stream with a hole in it — before the fix it skipped the
+// frame in silence and forwarded the next one — so it forwards the
+// frames up to the bad one, counts and logs the loss, and ends the
+// subscriber's stream with an error event; nothing after the hole is
+// forwarded.
+func TestRouterStreamCorruptFrame(t *testing.T) {
+	release := make(chan struct{})
+	shardSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/queries/7/stream" {
+			http.NotFound(w, r)
+			return
+		}
+		serve.StartSSE(w)
+		fmt.Fprint(w, "data: {\"version\":1,\"entered\":[{\"id\":10,\"p\":0.5}]}\n\n")
+		fmt.Fprint(w, "data: {\"version\":2,\"entered\":[{\"id\":11,\n\n") // torn frame
+		fmt.Fprint(w, "data: {\"version\":3,\"entered\":[{\"id\":12,\"p\":0.5}]}\n\n")
+		w.(http.Flusher).Flush()
+		select { // a live stream stays open; the router must end it itself
+		case <-release:
+		case <-r.Context().Done():
+		}
+	}))
+	t.Cleanup(shardSrv.Close)
+	t.Cleanup(func() { close(release) })
+
+	m, err := Uniform(geom.Rect{Lo: geom.Pt(0, 0), Hi: geom.Pt(10000, 10000)}, 4, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := NewRouter(m, []*Client{{ID: "0", BaseURL: shardSrv.URL}}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.subs[1] = &routerSub{id: 1, kind: "uncertain", members: []subMember{{shard: 0, subID: 7}}}
+	ts := httptest.NewServer(NewServer(rt))
+	t.Cleanup(ts.Close)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/queries/1/stream", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stream.Body.Close()
+	raw, err := io.ReadAll(stream.Body) // returns when the router ends the stream
+	if err != nil {
+		t.Fatalf("subscriber stream did not end cleanly: %v", err)
+	}
+	got := string(raw)
+	if !strings.Contains(got, `"version":1`) {
+		t.Errorf("frame before the corrupt one was not forwarded:\n%s", got)
+	}
+	if strings.Contains(got, `"version":3`) {
+		t.Errorf("frame after the hole was forwarded — the subscriber would replay over a gap:\n%s", got)
+	}
+	if !strings.Contains(got, "event: error\n") || !strings.Contains(got, "re-register") {
+		t.Errorf("stream did not end with an error event:\n%s", got)
+	}
+	if v := rt.m.framesDropped.With("0").Value(); v != 1 {
+		t.Errorf("ildq_router_stream_frames_dropped_total{shard=\"0\"} = %v, want 1", v)
 	}
 }

@@ -21,6 +21,9 @@ type routerMetrics struct {
 	fanout   *obs.Histogram
 	nnRounds *obs.Histogram // candidate-collection rounds per NN request
 	nnAsked  *obs.Histogram // distinct shards asked per NN request
+	// framesDropped counts delta frames a shard's SSE stream delivered
+	// that the relay could not use (each one ends a subscriber stream).
+	framesDropped *obs.CounterVec
 	// replyBytes is the size of each shard reply body the router read,
 	// per op — the production twin of the benchmark's serve.resp_bytes.
 	replyBytes *obs.HistogramVec
@@ -57,6 +60,8 @@ func newRouterMetrics() *routerMetrics {
 		nnAsked: reg.Histogram("ildq_router_nn_shards_asked",
 			"Distinct shards asked for candidates per NN request, over both rounds.",
 			fanoutBuckets),
+		framesDropped: reg.CounterVec("ildq_router_stream_frames_dropped_total",
+			"Delta frames from a shard's stream the relay could not decode; each ends the subscriber's stream with an error event.", "shard"),
 		replyBytes: reg.HistogramVec("ildq_router_shard_reply_bytes",
 			"Bytes of each 2xx shard reply body the router read, by op (evaluate, nn, updates, register).",
 			replyByteBuckets, "op"),

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -122,6 +123,9 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithCancel(r.Context())
 	defer cancel()
 	frames := make(chan serve.DeltaJSON, 16)
+	// A member stream that loses a frame reports here, once; the buffer
+	// holds one report per member so no reader blocks on it.
+	broken := make(chan error, len(sub.members))
 	var wg sync.WaitGroup
 	for _, m := range sub.members {
 		c := s.r.shards[m.shard]
@@ -134,7 +138,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			defer body.Close()
-			readSSE(body, func(d serve.DeltaJSON) bool {
+			err = readSSE(body, func(d serve.DeltaJSON) bool {
 				d.Shard = c.ID
 				select {
 				case frames <- d:
@@ -143,6 +147,13 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 					return false
 				}
 			})
+			if err != nil {
+				// The delta in that frame is gone and everything after
+				// it on this sub-stream would be replayed over a hole.
+				s.r.m.framesDropped.With(c.ID).Inc()
+				s.r.log.Warn("shard stream frame dropped; ending subscriber stream", "shard", c.ID, "query", id, "err", err)
+				broken <- fmt.Errorf("shard %s: %w", c.ID, err)
+			}
 		}(c, m.subID)
 	}
 	done := make(chan struct{})
@@ -150,6 +161,11 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 
 	for {
 		select {
+		case err := <-broken:
+			// Tell the subscriber its replay is no longer the fleet's
+			// answer, so it re-registers instead of trusting the gap.
+			serve.WriteSSE(w, "error", map[string]string{"error": "delta stream broken, re-register the query: " + err.Error()}) //nolint:errcheck // the stream ends either way
+			return
 		case d := <-frames:
 			if serve.WriteSSE(w, "", d) != nil {
 				return
@@ -175,8 +191,11 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 
 // readSSE parses "data: {json}" frames off a server-sent-event body,
 // invoking fn per decoded delta until the stream ends, a close event
-// arrives, or fn returns false.
-func readSSE(body io.Reader, fn func(serve.DeltaJSON) bool) {
+// arrives, or fn returns false. A frame that cannot be decoded, or is
+// too long to scan, ends the read with an error: the delta it carried
+// is lost, and skipping it would hand the consumer a stream with a
+// hole in it.
+func readSSE(body io.Reader, fn func(serve.DeltaJSON) bool) error {
 	sc := bufio.NewScanner(body)
 	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
 	closing := false
@@ -187,17 +206,21 @@ func readSSE(body io.Reader, fn func(serve.DeltaJSON) bool) {
 			closing = true
 		case strings.HasPrefix(line, "data: "):
 			if closing {
-				return
+				return nil
 			}
 			var d serve.DeltaJSON
 			if err := json.Unmarshal([]byte(line[len("data: "):]), &d); err != nil {
-				continue
+				return fmt.Errorf("undecodable delta frame: %w", err)
 			}
 			if !fn(d) {
-				return
+				return nil
 			}
 		}
 	}
+	if errors.Is(sc.Err(), bufio.ErrTooLong) {
+		return fmt.Errorf("delta frame: %w", sc.Err())
+	}
+	return nil
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {

@@ -260,27 +260,11 @@ func BenchmarkNNExtension(b *testing.B) {
 	}
 }
 
-// Parallel refinement under forced Monte-Carlo (where it pays off).
-func BenchmarkParallelRefinementSerial(b *testing.B) {
+// Refinement under forced Monte-Carlo: every candidate sampled.
+func BenchmarkRefinementForcedMC(b *testing.B) {
 	runUncertain(b, uniEngine, uniIssuers, 1000, 0, repro.EvalOptions{
 		Object: repro.ObjectEvalConfig{ForceMonteCarlo: true, MCSamples: 512},
 	})
-}
-
-func BenchmarkParallelRefinement8(b *testing.B) {
-	world.init(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := repro.Query{Issuer: world.issuers[i%len(world.issuers)], W: 1000, H: 1000}
-		_, err := world.engine.Evaluate(context.Background(), repro.Request{
-			Kind: repro.KindUncertain, Issuer: q.Issuer, W: q.W, H: q.H, Threshold: q.Threshold,
-			Options: repro.EvalOptions{Object: repro.ObjectEvalConfig{ForceMonteCarlo: true, MCSamples: 512}},
-			Workers: 8,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // Split-strategy ablation: insertion throughput under quadratic vs

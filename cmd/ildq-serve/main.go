@@ -6,7 +6,7 @@
 // The wire format is a direct JSON encoding of core.Request /
 // core.Response, shared by the one-shot and standing paths: kind
 // ("uncertain" default, "points", "nn"), issuer, w/h, threshold, k,
-// nn_samples, workers, seed. Unknown fields and malformed requests
+// nn_samples, seed. Unknown fields and malformed requests
 // are rejected with structured 400s carrying the offending field.
 // Setting "trace": true on /v1/evaluate returns the per-stage cost
 // breakdown (snapshot pin, index filter, refinement, merge) with the

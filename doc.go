@@ -8,15 +8,16 @@
 //
 // The engine's query surface is one value type and one entry point:
 // a Request describes any evaluation — its Kind (KindUncertain,
-// KindPoints, or KindNN), issuer, constraint, EvalOptions, refinement
-// fan-out (Workers), and reproducibility Seed — and
+// KindPoints, or KindNN), issuer, constraint, EvalOptions, and
+// reproducibility Seed — and
 // Evaluate(ctx, req) runs it, returning a Response (the Result plus
 // the kind and the engine version observed). Evaluate is defined on
 // *Snapshot, so every evaluation observes exactly one pinned MVCC
 // version; Engine.Evaluate is the one-shot pin-evaluate-release
 // wrapper. EvaluateAll(ctx, reqs, opts, fn) is the single fan-out
 // form: requests run opts.Workers at a time against one pinned
-// version, each with an independent deterministic sampling seed, and
+// version, each refining on its own goroutine with an independent
+// deterministic sampling seed, and
 // responses stream to the handler in completion order with
 // per-request deadlines and whole-batch cancellation. Malformed
 // requests return a typed *RequestError naming the offending field.
@@ -34,9 +35,10 @@
 // issuer among the point objects (the paper's §7 future-work
 // extension). Candidates are pruned by branch-and-bound over the
 // engine's point R-tree — node accesses recorded in Cost like every
-// other kind — and refined with one deterministic Monte-Carlo sample
-// stream per candidate object id, so results are bit-identical at
-// every Workers count and consistent under concurrent ingestion.
+// other kind — and refined against one deterministic Monte-Carlo
+// stream of issuer positions shared by every candidate, so results are
+// reproducible for a fixed seed and consistent under concurrent
+// ingestion.
 //
 // The pre-Request methods (EvaluatePoints, EvaluateUncertain, their
 // Context variants, EvaluateUncertainParallel, EvaluateBatch,

@@ -66,6 +66,20 @@ func concurrencyQueries(t testing.TB, n int, seed int64) []Query {
 	return out
 }
 
+// mixedRequests turns queries into a mixed workload under opts: every
+// third a points request, the rest uncertain.
+func mixedRequests(queries []Query, opts EvalOptions) []Request {
+	reqs := make([]Request, len(queries))
+	for i, q := range queries {
+		kind := KindUncertain
+		if i%3 == 0 {
+			kind = KindPoints
+		}
+		reqs[i] = requestFor(kind, q, opts)
+	}
+	return reqs
+}
+
 // TestConcurrentQueriesMatchSerial runs many simultaneous
 // EvaluatePoints / EvaluateUncertain calls over the in-memory and the
 // paged engine and asserts that every concurrent result — matches and
@@ -153,93 +167,78 @@ func checkSameResult(t *testing.T, label string, want, got Result) {
 	}
 }
 
-// TestEvaluateBatchDeterministic asserts that EvaluateBatch returns
-// bit-identical results regardless of the worker count — each query
-// draws from a source derived from its index, not from its worker —
-// over both storage regimes, with mixed point/uncertain targets.
+// TestEvaluateBatchDeterministic asserts that an EvaluateAll fan-out
+// returns bit-identical results regardless of the worker count — each
+// request draws from a source derived from its index, not from its
+// worker — over both storage regimes, with mixed point/uncertain kinds.
 func TestEvaluateBatchDeterministic(t *testing.T) {
 	mem, paged := concurrencyWorld(t, 603)
-	queries := concurrencyQueries(t, 20, 604)
-	batch := make([]BatchQuery, len(queries))
-	for i, q := range queries {
-		target := TargetUncertain
-		if i%3 == 0 {
-			target = TargetPoints
-		}
-		batch[i] = BatchQuery{Query: q, Target: target}
-	}
+	reqs := mixedRequests(concurrencyQueries(t, 20, 604), EvalOptions{})
 
 	for name, e := range map[string]*Engine{"mem": mem, "paged": paged} {
 		e := e
 		t.Run(name, func(t *testing.T) {
-			serial := e.EvaluateBatch(batch, EvalOptions{Rng: rand.New(rand.NewSource(77))}, 1)
+			serial, serialErrs := collectAll(t, e.EvaluateAll, reqs, AllOptions{Seed: 77})
 			for workers := 2; workers <= 4; workers++ {
-				par := e.EvaluateBatch(batch, EvalOptions{Rng: rand.New(rand.NewSource(77))}, workers)
-				if len(par) != len(serial) {
-					t.Fatalf("workers=%d: %d results, want %d", workers, len(par), len(serial))
-				}
+				par, errs := collectAll(t, e.EvaluateAll, reqs, AllOptions{Workers: workers, Seed: 77})
 				for i := range par {
-					if par[i].Err != nil || serial[i].Err != nil {
-						t.Fatalf("workers=%d query %d: err %v / %v", workers, i, par[i].Err, serial[i].Err)
+					if errs[i] != nil || serialErrs[i] != nil {
+						t.Fatalf("workers=%d request %d: err %v / %v", workers, i, errs[i], serialErrs[i])
 					}
-					checkSameResult(t, batch[i].Target.String(), serial[i].Result, par[i].Result)
+					checkSameResult(t, reqs[i].Kind.String(), serial[i], par[i])
 				}
 			}
 		})
 	}
 }
 
-// TestConcurrentMixedWorkload drives EvaluateBatch, single-query
-// evaluations, and parallel refinement simultaneously against one paged
-// engine — the serving shape the engine documents as safe. It is
-// primarily a -race workout; results are sanity-checked against a
+// TestConcurrentMixedWorkload drives an engine fan-out, single-request
+// evaluations, and a pinned snapshot's fan-out simultaneously against
+// one paged engine — the serving shape the engine documents as safe.
+// It is primarily a -race workout; results are sanity-checked against a
 // serial baseline.
 func TestConcurrentMixedWorkload(t *testing.T) {
 	_, paged := concurrencyWorld(t, 605)
 	queries := concurrencyQueries(t, 12, 606)
-	batch := make([]BatchQuery, len(queries))
+	reqs := make([]Request, len(queries))
 	for i, q := range queries {
-		batch[i] = BatchQuery{Query: q}
+		reqs[i] = requestFor(KindUncertain, q, EvalOptions{})
 	}
-	serial := paged.EvaluateBatch(batch, EvalOptions{}, 1)
+	serial, _ := collectAll(t, paged.EvaluateAll, reqs, AllOptions{})
+	snap := paged.Snapshot()
+	defer snap.Close()
 
+	check := func(label string, out []Result, errs []error) {
+		for i := range out {
+			if errs[i] != nil {
+				t.Errorf("%s request %d: %v", label, i, errs[i])
+				continue
+			}
+			checkSameResult(t, label, serial[i], out[i])
+		}
+	}
 	var wg sync.WaitGroup
-	errs := make(chan error, 3)
 	wg.Add(3)
 	go func() {
 		defer wg.Done()
-		out := paged.EvaluateBatch(batch, EvalOptions{}, 4)
-		for i, r := range out {
-			if r.Err != nil {
-				errs <- r.Err
-				return
-			}
-			checkSameResult(t, "batch", serial[i].Result, r.Result)
-		}
+		out, errs := collectAll(t, paged.EvaluateAll, reqs, AllOptions{Workers: 4})
+		check("fan-out", out, errs)
 	}()
 	go func() {
 		defer wg.Done()
 		for i, q := range queries {
 			r, err := paged.EvaluateUncertain(q, EvalOptions{Rng: rand.New(rand.NewSource(31))})
 			if err != nil {
-				errs <- err
+				t.Error(err)
 				return
 			}
-			checkSameResult(t, "single", serial[i].Result, r)
+			checkSameResult(t, "single", serial[i], r)
 		}
 	}()
 	go func() {
 		defer wg.Done()
-		r, err := paged.EvaluateUncertainParallel(queries[0], EvalOptions{Rng: rand.New(rand.NewSource(32))}, 4)
-		if err != nil {
-			errs <- err
-			return
-		}
-		checkSameResult(t, "parallel", serial[0].Result, r)
+		out, errs := collectAll(t, snap.EvaluateAll, reqs, AllOptions{Workers: 2})
+		check("snapshot fan-out", out, errs)
 	}()
 	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
 }

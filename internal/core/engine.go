@@ -64,25 +64,15 @@ type EngineOptions struct {
 // it starts and runs entirely against that snapshot without holding
 // any lock — a long Monte-Carlo refinement never delays ingestion.
 // Conversely, writers (Insert*/Delete*/Move*/Replace*/ApplyUpdates)
-// never wait for readers, and contend with each other only for an
-// instant. The writer pipeline is optimistic:
-//
-//  1. Build out of lock: the writer loads the current state and
-//     constructs the successor copy-on-write against it (path-copied
-//     index nodes — each node copied at most once per batch, however
-//     many of the batch's updates touch it — and bucket-copied object
-//     tables, with the bucket spine doubling when inserts outgrow
-//     it). No lock is held; concurrent writers build in parallel
-//     against the same base, each into private nodes and buckets.
-//  2. Validate and publish: under writeMu the writer checks its base
-//     is still the published state; if so it seals the build and
-//     swaps the state pointer — a critical section whose cost is
-//     independent of both batch size and in-flight readers.
-//  3. Retry on conflict: a writer that lost the race discards its
-//     private build and rebuilds against the new base (bounded
-//     retries, then building under the lock as a fallback), so
-//     progress is guaranteed and contention costs only duplicated
-//     out-of-lock work.
+// never wait for readers. Writers take turns under writeMu: each
+// builds the successor state copy-on-write against the current one
+// (path-copied index nodes — each node copied at most once per batch,
+// however many of the batch's updates touch it — and bucket-copied
+// object tables, with the bucket spine doubling when inserts outgrow
+// it), writes its new nodes through to the stores, and swaps the state
+// pointer. A served engine has one writer at a time anyway — its
+// batches arrive through the monitor's ingest lock — so the lock costs
+// nothing there.
 //
 // A query therefore observes either all of an update batch or none of
 // it — specifically, the newest state published before the evaluation
@@ -95,9 +85,7 @@ type EngineOptions struct {
 // answers any kind (range over uncertain objects or points, nearest
 // neighbor) and EvaluateAll is the one fan-out form; both are defined
 // on Snapshot with thin Engine wrappers, so every evaluation flows
-// through the single pinned-snapshot code path. (The legacy Evaluate*
-// shims were removed after one deprecation cycle; their behavior
-// survives in legacy_test.go as test-only equivalence coverage.)
+// through the single pinned-snapshot code path.
 //
 // Every Response carries its own exact per-request Cost: node
 // accesses are counted per search call, not in shared tree state, so
@@ -106,14 +94,15 @@ type EngineOptions struct {
 // or paged node stores (the buffer pool is internally
 // synchronized) — as long as each call uses a distinct Request.Seed
 // or EvalOptions.Rng (EvaluateAll derives an independent seed per
-// request automatically).
+// request automatically). Each request refines on the goroutine that
+// evaluates it; parallelism comes from concurrent requests.
 //
 // Determinism: for a fixed engine version, request, and seed,
-// evaluation is bit-identical at every worker count (serial
-// included): range refinement derives one sample stream per candidate
-// object, keyed by object id (see refineSurvivors), and NN refinement
-// derives one shared position stream keyed by sample block, merged as
-// integer tallies (see nn.Refine).
+// evaluation is bit-identical whichever candidates it visits and in
+// which order: range refinement derives one sample stream per
+// candidate object, keyed by object id (see refineSurvivors), and NN
+// refinement derives one shared position stream keyed by sample block
+// (see nn.Refine).
 type Engine struct {
 	// writeMu serializes writers; readers never take it.
 	writeMu sync.Mutex
@@ -267,7 +256,7 @@ type EvalOptions struct {
 	Strategies StrategySet
 	// Timeout bounds one query's evaluation wall clock (0 = none).
 	// It composes with any deadline already on the caller's context
-	// (the Evaluate*Context entry points); cancellation is checked at
+	// (the ctx passed to Evaluate); cancellation is checked at
 	// candidate granularity, and an expired evaluation returns
 	// context.DeadlineExceeded with no result. Inside batch serving
 	// this is the per-query deadline.
@@ -497,7 +486,7 @@ func (st *engineState) evaluatePoints(ctx context.Context, q Query, opts EvalOpt
 // the interleaved scan over the plain Minkowski range with the §3.3
 // issuer-sampling estimator as the qualifier (all candidates sharing
 // the one opts.Rng stream, in scan order).
-func (st *engineState) evaluateUncertain(ctx context.Context, q Query, opts EvalOptions, workers int, only []uncertain.ID) (Result, error) {
+func (st *engineState) evaluateUncertain(ctx context.Context, q Query, opts EvalOptions, only []uncertain.ID) (Result, error) {
 	if err := q.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -506,7 +495,7 @@ func (st *engineState) evaluateUncertain(ctx context.Context, q Query, opts Eval
 	defer cancel()
 	switch opts.Method {
 	case MethodEnhanced:
-		return st.evaluateUncertainEnhanced(ctx, q, opts, workers, only)
+		return st.evaluateUncertainEnhanced(ctx, q, opts, only)
 	case MethodBasic:
 		iss, mc := q.Issuer.PDF, opts.Object
 		stopQP := stopThreshold(q, opts)
@@ -519,12 +508,11 @@ func (st *engineState) evaluateUncertain(ctx context.Context, q Query, opts Eval
 	}
 }
 
-// evaluateUncertainEnhanced is the single enhanced evaluation path,
-// serial (workers <= 1) or fanned out: index probe and object-level
-// pruning run once, collecting survivors; refinement — where nearly all
-// CPU time goes — runs over the prepared query plan, optionally split
-// across a worker pool (see refineSurvivors). ctx must already carry
-// any opts.Timeout bound.
+// evaluateUncertainEnhanced is the single enhanced evaluation path:
+// index probe and object-level pruning run once, collecting survivors;
+// refinement — where nearly all CPU time goes — runs over the prepared
+// query plan (see refineSurvivors). ctx must already carry any
+// opts.Timeout bound.
 //
 // A nil only draws the candidates from the index probe; a non-nil only
 // (Snapshot.EvaluateOnly) takes exactly those ids from the table and
@@ -532,7 +520,7 @@ func (st *engineState) evaluateUncertain(ctx context.Context, q Query, opts Eval
 // refinement — each survivor on the sample stream keyed by its id —
 // and merge are the same code either way, so the restricted answer is
 // the full answer's restriction bit for bit.
-func (st *engineState) evaluateUncertainEnhanced(ctx context.Context, q Query, opts EvalOptions, workers int, only []uncertain.ID) (Result, error) {
+func (st *engineState) evaluateUncertainEnhanced(ctx context.Context, q Query, opts EvalOptions, only []uncertain.ID) (Result, error) {
 	start := time.Now()
 	var res Result
 	tr := obs.TraceFrom(ctx)
@@ -612,7 +600,7 @@ func (st *engineState) evaluateUncertainEnhanced(ctx context.Context, q Query, o
 	spF.End()
 
 	spR := tr.StartSpan("refine")
-	probs, rst, err := refineSurvivors(ctx, plan, survivors, opts, workers)
+	probs, rst, err := refineSurvivors(ctx, plan, survivors, opts)
 	if err != nil {
 		return Result{}, err
 	}

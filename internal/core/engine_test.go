@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -60,6 +61,55 @@ func matchesToMap(ms []Match) map[uncertain.ID]float64 {
 		out[m.ID] = m.P
 	}
 	return out
+}
+
+// requestFor is the Request of kind for a (Query, EvalOptions) pair —
+// what the Query-form helpers below evaluate.
+func requestFor(kind Kind, q Query, opts EvalOptions) Request {
+	return Request{Kind: kind, Issuer: q.Issuer, W: q.W, H: q.H, Threshold: q.Threshold, Options: opts}
+}
+
+// The Query-form one-liners most tests are written in: IPQ / C-IPQ
+// (EvaluatePoints) and IUQ / C-IUQ (EvaluateUncertain), optionally
+// bounded by ctx.
+
+func (e *Engine) EvaluatePoints(q Query, opts EvalOptions) (Result, error) {
+	return e.EvaluatePointsContext(context.Background(), q, opts)
+}
+
+func (e *Engine) EvaluatePointsContext(ctx context.Context, q Query, opts EvalOptions) (Result, error) {
+	resp, err := e.Evaluate(ctx, requestFor(KindPoints, q, opts))
+	return resp.Result, err
+}
+
+func (e *Engine) EvaluateUncertain(q Query, opts EvalOptions) (Result, error) {
+	return e.EvaluateUncertainContext(context.Background(), q, opts)
+}
+
+func (e *Engine) EvaluateUncertainContext(ctx context.Context, q Query, opts EvalOptions) (Result, error) {
+	resp, err := e.Evaluate(ctx, requestFor(KindUncertain, q, opts))
+	return resp.Result, err
+}
+
+func (s *Snapshot) EvaluateUncertain(q Query, opts EvalOptions) (Result, error) {
+	resp, err := s.Evaluate(context.Background(), requestFor(KindUncertain, q, opts))
+	return resp.Result, err
+}
+
+// collectAll runs reqs through an EvaluateAll form (an engine's or a
+// snapshot's) and returns each request's result and error in request
+// order. A fan-out error fails the test through Errorf, so collectAll
+// may run on any goroutine.
+func collectAll(t testing.TB, evalAll func(context.Context, []Request, AllOptions, AllHandler) error, reqs []Request, opts AllOptions) ([]Result, []error) {
+	t.Helper()
+	res := make([]Result, len(reqs))
+	errs := make([]error, len(reqs))
+	if err := evalAll(context.Background(), reqs, opts, func(i int, resp Response, err error) {
+		res[i], errs[i] = resp.Result, err
+	}); err != nil {
+		t.Errorf("EvaluateAll: %v", err)
+	}
+	return res, errs
 }
 
 func TestEngineConstruction(t *testing.T) {

@@ -58,8 +58,11 @@ func pinOf(res Result) goldenPin {
 // equivalence test compares two paths of the same binary, so none of
 // them can see a refactor shift a sample stream; this one can. The
 // matrix is kind × method × refinement regime × threshold × adaptive
-// mode × workers, plus EvaluateOnly over a fixed id subset and the
-// NNCandidates → EvaluateNNCandidates split over simulated shards.
+// mode, plus EvaluateOnly over a fixed id subset and the NNCandidates →
+// EvaluateNNCandidates split over simulated shards. Each matrix cell is
+// pinned under two names, workers=1 and workers=4, recorded when a
+// request could fan its refinement out over a pool; both now run the
+// one serial path, which is the answer the pool had to match.
 // Regenerate with `go test ./internal/core -run TestKernelGoldenPins
 // -update` only when an answer is meant to change.
 func TestKernelGoldenPins(t *testing.T) {
@@ -98,8 +101,8 @@ func TestKernelGoldenPins(t *testing.T) {
 		{name: "pointmc", pointMC: 200, kinds: []Kind{KindPoints}, enhanced: true},
 		{name: "nonsep-pointmc", nonSep: true, pointMC: 200, kinds: []Kind{KindPoints}, enhanced: true},
 	}
-	request := func(rg regime, kind Kind, method Method, qp float64, adaptive AdaptiveMode, workers int) Request {
-		req := Request{Kind: kind, Issuer: issuers[rg.nonSep], Threshold: qp, Workers: workers, Seed: 1234}
+	request := func(rg regime, kind Kind, method Method, qp float64, adaptive AdaptiveMode) Request {
+		req := Request{Kind: kind, Issuer: issuers[rg.nonSep], Threshold: qp, Seed: 1234}
 		if kind == KindNN {
 			req.Issuer, req.K, req.NNSamples = nnIssuers[rg.nonSep], 5, 5000
 		} else {
@@ -124,7 +127,7 @@ func TestKernelGoldenPins(t *testing.T) {
 					for _, adaptive := range []AdaptiveMode{AdaptiveAuto, AdaptiveOff} {
 						for _, workers := range []int{1, 4} {
 							name := fmt.Sprintf("%s/%s/%s/qp=%g/adaptive=%d/workers=%d", kind, method, rg.name, qp, adaptive, workers)
-							resp, err := worlds[rg.nonSep].Evaluate(ctx, request(rg, kind, method, qp, adaptive, workers))
+							resp, err := worlds[rg.nonSep].Evaluate(ctx, request(rg, kind, method, qp, adaptive))
 							if err != nil {
 								t.Fatalf("%s: %v", name, err)
 							}
@@ -151,7 +154,7 @@ func TestKernelGoldenPins(t *testing.T) {
 			for _, qp := range []float64{0, 0.3} {
 				name := fmt.Sprintf("only/%s/%s/qp=%g", kind, rg.name, qp)
 				snap := worlds[rg.nonSep].Snapshot()
-				resp, err := snap.EvaluateOnly(ctx, request(rg, kind, MethodEnhanced, qp, AdaptiveAuto, 1), subset)
+				resp, err := snap.EvaluateOnly(ctx, request(rg, kind, MethodEnhanced, qp, AdaptiveAuto), subset)
 				snap.Close()
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
@@ -174,7 +177,7 @@ func TestKernelGoldenPins(t *testing.T) {
 	}
 	for _, shards := range []int{1, 3} {
 		for _, qp := range []float64{0, 0.3} {
-			req := request(regimes[0], KindNN, MethodEnhanced, qp, AdaptiveAuto, 1)
+			req := request(regimes[0], KindNN, MethodEnhanced, qp, AdaptiveAuto)
 			parts := make([][]uncertain.PointObject, shards)
 			for i, p := range points {
 				parts[i%shards] = append(parts[i%shards], p)

@@ -160,7 +160,7 @@ func TestGuardRegion(t *testing.T) {
 }
 
 // TestConcurrentUpdatesAndQueries drives ApplyUpdates batches, single
-// mutators, and streaming batch evaluation simultaneously. Under
+// mutators, and streaming EvaluateAll fan-outs simultaneously. Under
 // -race this is the writer/reader coordination contract: no data
 // races, no torn states (every delivered result is internally
 // consistent), and afterwards the engine agrees with a serial replay
@@ -170,7 +170,7 @@ func TestConcurrentUpdatesAndQueries(t *testing.T) {
 	for name, e := range map[string]*Engine{"mem": mem, "paged": paged} {
 		e := e
 		t.Run(name, func(t *testing.T) {
-			batch := streamBatch(t, 12, 618)
+			batch := mixedRequests(concurrencyQueries(t, 12, 618), EvalOptions{})
 			var wg sync.WaitGroup
 			stop := make(chan struct{})
 
@@ -219,19 +219,18 @@ func TestConcurrentUpdatesAndQueries(t *testing.T) {
 				}
 			}()
 
-			// Readers: a few rounds of streaming batches while the
+			// Readers: a few rounds of streaming fan-outs while the
 			// writers churn.
 			for round := 0; round < 3; round++ {
-				err := e.EvaluateBatchStream(context.Background(), batch,
-					EvalOptions{Rng: rand.New(rand.NewSource(int64(round)))}, 4,
-					func(i int, br BatchResult) {
-						if br.Err != nil {
-							t.Errorf("query %d: %v", i, br.Err)
+				err := e.EvaluateAll(context.Background(), batch, AllOptions{Workers: 4, Seed: int64(round)},
+					func(i int, resp Response, err error) {
+						if err != nil {
+							t.Errorf("request %d: %v", i, err)
 							return
 						}
-						for _, m := range br.Result.Matches {
+						for _, m := range resp.Matches {
 							if m.P <= 0 || m.P > 1 {
-								t.Errorf("query %d: probability %g out of range", i, m.P)
+								t.Errorf("request %d: probability %g out of range", i, m.P)
 							}
 						}
 					})
@@ -242,22 +241,22 @@ func TestConcurrentUpdatesAndQueries(t *testing.T) {
 			close(stop)
 			wg.Wait()
 
-			// Quiesced: a concurrent batch must now equal the serial one.
-			want := e.EvaluateBatch(batch, EvalOptions{Rng: rand.New(rand.NewSource(88))}, 1)
-			got := e.EvaluateBatch(batch, EvalOptions{Rng: rand.New(rand.NewSource(88))}, 4)
+			// Quiesced: a concurrent fan-out must now equal the serial one.
+			want, wantErrs := collectAll(t, e.EvaluateAll, batch, AllOptions{Seed: 88})
+			got, errs := collectAll(t, e.EvaluateAll, batch, AllOptions{Workers: 4, Seed: 88})
 			for i := range batch {
-				if want[i].Err != nil || got[i].Err != nil {
-					t.Fatalf("query %d: err %v / %v", i, want[i].Err, got[i].Err)
+				if wantErrs[i] != nil || errs[i] != nil {
+					t.Fatalf("request %d: err %v / %v", i, wantErrs[i], errs[i])
 				}
-				checkSameResult(t, batch[i].Target.String(), want[i].Result, got[i].Result)
+				checkSameResult(t, batch[i].Kind.String(), want[i], got[i])
 			}
 		})
 	}
 }
 
 // TestMaxSamplesBudget: a forced-Monte-Carlo query under a tiny budget
-// must return ErrSampleBudget — identically at every worker count —
-// while an ample budget reproduces the unbounded result bit for bit.
+// must return ErrSampleBudget, while an ample budget reproduces the
+// unbounded result bit for bit.
 func TestMaxSamplesBudget(t *testing.T) {
 	e := testWorld(t, 0, 400, 43)
 	iss := testIssuer(t, geom.Pt(500, 500), 60)
@@ -272,20 +271,17 @@ func TestMaxSamplesBudget(t *testing.T) {
 		t.Fatal("workload drew no samples; budget test is vacuous")
 	}
 
-	for _, workers := range []int{1, 4} {
-		opts := base
-		opts.MaxSamples = full.Cost.SamplesUsed / 2
-		if _, err := e.EvaluateUncertainParallel(q, opts, workers); !errors.Is(err, ErrSampleBudget) {
-			t.Fatalf("workers=%d: err = %v, want ErrSampleBudget", workers, err)
-		}
-
-		opts.MaxSamples = full.Cost.SamplesUsed
-		res, err := e.EvaluateUncertainParallel(q, opts, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: exact budget: %v", workers, err)
-		}
-		checkSameResult(t, "budget==usage", full, res)
+	opts := base
+	opts.MaxSamples = full.Cost.SamplesUsed / 2
+	if _, err := e.EvaluateUncertain(q, opts); !errors.Is(err, ErrSampleBudget) {
+		t.Fatalf("err = %v, want ErrSampleBudget", err)
 	}
+	opts.MaxSamples = full.Cost.SamplesUsed
+	res, err := e.EvaluateUncertain(q, opts)
+	if err != nil {
+		t.Fatalf("exact budget: %v", err)
+	}
+	checkSameResult(t, "budget==usage", full, res)
 
 	// The point Monte-Carlo path honors the same budget.
 	ep := testWorld(t, 400, 0, 44)

@@ -41,9 +41,9 @@ type engineMetrics struct {
 	retiredNodes atomic.Int64
 	freedNodes   atomic.Int64
 
-	// The write path: wall-clock of one ApplyUpdates batch from the
-	// first build to the publish (lost optimistic rounds included), and
-	// the updates those batches applied.
+	// The write path: wall-clock of one ApplyUpdates batch from the call
+	// to the publish (waiting for the writer lock included), and the
+	// updates those batches applied.
 	applyLatency   *obs.Histogram
 	appliedUpdates atomic.Int64
 
@@ -188,7 +188,7 @@ func (e *Engine) RegisterMetrics(r *obs.Registry) {
 		counter(&m.freedNodes))
 
 	r.RegisterHistogram("ildq_apply_seconds",
-		"ApplyUpdates wall-clock per batch: copy-on-write build and publish, lost optimistic rounds included.",
+		"ApplyUpdates wall-clock per batch: copy-on-write build and publish, waiting for the writer lock included.",
 		m.applyLatency)
 	r.CounterFunc("ildq_apply_updates_total",
 		"Updates applied by ApplyUpdates batches (failed updates and deletes of absent ids excluded).",

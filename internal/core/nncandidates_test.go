@@ -50,7 +50,6 @@ func TestNNCandidatesSplitEvaluate(t *testing.T) {
 		Threshold: 0.05,
 		NNSamples: 512,
 		Seed:      99,
-		Workers:   2,
 	}
 	want, err := single.Evaluate(context.Background(), req)
 	if err != nil {

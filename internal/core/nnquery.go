@@ -25,8 +25,8 @@ import (
 // sample's nearest candidate, so the work is O(candidates + samples)
 // expected and the product only in the clustered worst case; estimates
 // sum to exactly 1, with adaptive early termination against Threshold
-// — so results are bit-identical at every worker count and stable
-// under concurrent ingestion. evaluateNN composes the
+// — so results are a pure function of the candidate set and the seed,
+// and stable under concurrent ingestion. evaluateNN composes the
 // two on one state; nncandidates.go exposes each on its own so a fleet
 // router can run the first on every shard and the second once.
 
@@ -184,7 +184,6 @@ func refineNNCandidates(ctx context.Context, req Request, opts EvalOptions, cand
 		Threshold: req.Threshold,
 		Adaptive:  opts.Object.Adaptive == AdaptiveAuto,
 		Delta:     opts.Object.MCDelta,
-		Workers:   req.Workers,
 		Cancel:    func() error { return canceled(ctx) },
 	})
 	if err != nil {

@@ -22,10 +22,9 @@ import (
 // the tuning options, and the reproducibility seed, all in one
 // serializable struct. Evaluate(ctx, req) on *Snapshot is the single
 // evaluation entry point every other method (the Engine wrappers, the
-// deprecated legacy Evaluate* shims, the monitor, the HTTP server)
-// flows through, so every evaluation — nearest neighbor included —
-// runs against one pinned MVCC snapshot. EvaluateAll is the one
-// fan-out form.
+// monitor, the HTTP server) flows through, so every evaluation —
+// nearest neighbor included — runs against one pinned MVCC snapshot.
+// EvaluateAll is the one fan-out form.
 
 // Kind selects what a Request evaluates.
 type Kind int
@@ -146,11 +145,6 @@ type Request struct {
 	// deadline, sample budget). Options.Rng is only consulted when
 	// Seed is zero.
 	Options EvalOptions
-	// Workers fans per-request refinement out over a worker pool:
-	// surviving candidates of an uncertain range query, or NN
-	// candidates. <= 1 refines serially. Results are bit-identical at
-	// every worker count (per-candidate sample streams).
-	Workers int
 	// Seed, when non-zero, makes the request self-deterministic: the
 	// sampling source is derived from it, ignoring Options.Rng. Inside
 	// EvaluateAll a zero Seed is filled from AllOptions.Seed and the
@@ -332,7 +326,7 @@ func (st *engineState) evaluateRequest(ctx context.Context, req Request, only []
 	case KindPoints:
 		resp.Result, err = st.evaluatePoints(ctx, req.query(), opts, only)
 	case KindUncertain:
-		resp.Result, err = st.evaluateUncertain(ctx, req.query(), opts, req.Workers, only)
+		resp.Result, err = st.evaluateUncertain(ctx, req.query(), opts, only)
 	case KindNN:
 		resp.Result, err = st.evaluateNN(ctx, req, opts)
 	}
@@ -414,8 +408,8 @@ func (e *Engine) Evaluate(ctx context.Context, req Request) (Response, error) {
 // AllOptions tunes one EvaluateAll fan-out.
 type AllOptions struct {
 	// Workers is the number of requests evaluated concurrently (0 or 1
-	// = serial, on the calling goroutine). Per-request Workers still
-	// applies inside each evaluation.
+	// = serial, on the calling goroutine). Each request refines on the
+	// goroutine that evaluates it.
 	Workers int
 	// Seed derives the sampling seed for requests whose own Seed is
 	// zero: request i receives mcbound.DeriveSeed(Seed, i), so every request

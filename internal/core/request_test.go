@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/geom"
+	"repro/internal/mcbound"
 	"repro/internal/pdf"
 	"repro/internal/uncertain"
 )
@@ -97,9 +98,10 @@ func stripDurations(r Result) Result {
 	return r
 }
 
-// TestShimGoldenEquivalence: the deprecated Evaluate* shims must
-// produce byte-identical Results to the Request path, for every kind
-// and both databases, sampling paths included.
+// TestShimGoldenEquivalence: the Query-form helpers the tests are
+// written in produce byte-identical Results to the Request path, for
+// both databases, sampling paths included; and an EvaluateAll fan-out
+// equals its requests evaluated one at a time.
 func TestShimGoldenEquivalence(t *testing.T) {
 	e := testWorld(t, 400, 300, 4)
 	iss := testIssuer(t, geom.Pt(500, 500), 60)
@@ -112,7 +114,7 @@ func TestShimGoldenEquivalence(t *testing.T) {
 	}
 
 	t.Run("points", func(t *testing.T) {
-		legacy, err := e.EvaluatePoints(q, EvalOptions{Rng: rand.New(rand.NewSource(9))})
+		viaHelper, err := e.EvaluatePoints(q, EvalOptions{Rng: rand.New(rand.NewSource(9))})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,13 +124,13 @@ func TestShimGoldenEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(stripDurations(legacy), stripDurations(resp.Result)) {
-			t.Fatalf("EvaluatePoints shim diverged:\n%+v\n%+v", legacy, resp.Result)
+		if !reflect.DeepEqual(stripDurations(viaHelper), stripDurations(resp.Result)) {
+			t.Fatalf("EvaluatePoints helper diverged:\n%+v\n%+v", viaHelper, resp.Result)
 		}
 	})
 
 	t.Run("uncertain-montecarlo", func(t *testing.T) {
-		legacy, err := e.EvaluateUncertain(q, mcOpts(9))
+		viaHelper, err := e.EvaluateUncertain(q, mcOpts(9))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,82 +140,37 @@ func TestShimGoldenEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(stripDurations(legacy), stripDurations(resp.Result)) {
-			t.Fatalf("EvaluateUncertain shim diverged:\n%+v\n%+v", legacy, resp.Result)
-		}
-	})
-
-	t.Run("parallel-vs-workers", func(t *testing.T) {
-		// The old parallel entry point, the serial path, and a Request
-		// with Workers set must agree bit-exactly on identical seeds —
-		// parallel vs serial is just Request.Workers now.
-		serial, err := e.EvaluateUncertain(q, mcOpts(9))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{1, 2, 4, 8} {
-			legacy, err := e.EvaluateUncertainParallel(q, mcOpts(9), workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			req := RequestUncertain(iss, 150, 150, 0.3)
-			req.Options = mcOpts(9)
-			req.Workers = workers
-			resp, err := e.Evaluate(context.Background(), req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(stripDurations(legacy), stripDurations(resp.Result)) {
-				t.Fatalf("workers=%d: EvaluateUncertainParallel shim diverged", workers)
-			}
-			if !reflect.DeepEqual(stripDurations(serial), stripDurations(resp.Result)) {
-				t.Fatalf("workers=%d: parallel result != serial result", workers)
-			}
+		if !reflect.DeepEqual(stripDurations(viaHelper), stripDurations(resp.Result)) {
+			t.Fatalf("EvaluateUncertain helper diverged:\n%+v\n%+v", viaHelper, resp.Result)
 		}
 	})
 
 	t.Run("batch", func(t *testing.T) {
-		var queries []BatchQuery
+		// EvaluateAll's seeding contract: request i, carrying no Seed of
+		// its own, runs seeded by mcbound.DeriveSeed(AllOptions.Seed, i)
+		// — evaluating it alone under that seed reproduces the fan-out
+		// bit-exactly.
+		var reqs []Request
 		for i := 0; i < 12; i++ {
-			target := TargetUncertain
+			kind := KindUncertain
 			if i%3 == 0 {
-				target = TargetPoints
+				kind = KindPoints
 			}
-			queries = append(queries, BatchQuery{
-				Query:  Query{Issuer: testIssuer(t, geom.Pt(100+float64(i)*70, 500), 40), W: 120, H: 120, Threshold: 0.2},
-				Target: target,
-			})
+			q := Query{Issuer: testIssuer(t, geom.Pt(100+float64(i)*70, 500), 40), W: 120, H: 120, Threshold: 0.2}
+			reqs = append(reqs, requestFor(kind, q, mcOpts(9)))
 		}
-		legacy := e.EvaluateBatch(queries, mcOpts(9), 3)
-		// The shim's contract: query i runs as a Request seeded by the
-		// historical derivation — evaluating those requests one at a
-		// time must reproduce the batch bit-exactly.
-		reqs := batchRequests(queries, mcOpts(9))
+		fanned, errs := collectAll(t, e.EvaluateAll, reqs, AllOptions{Workers: 3, Seed: 9})
 		for i, req := range reqs {
-			if legacy[i].Err != nil {
-				t.Fatalf("batch query %d: %v", i, legacy[i].Err)
+			if errs[i] != nil {
+				t.Fatalf("request %d: %v", i, errs[i])
 			}
+			req.Seed = mcbound.DeriveSeed(9, i)
 			resp, err := e.Evaluate(context.Background(), req)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(stripDurations(legacy[i].Result), stripDurations(resp.Result)) {
-				t.Fatalf("batch query %d diverged from its Request", i)
-			}
-		}
-		// And the stream shim delivers the same results.
-		streamed := make([]Result, len(queries))
-		if err := e.EvaluateBatchStream(context.Background(), queries, mcOpts(9), 2, func(i int, br BatchResult) {
-			if br.Err != nil {
-				t.Errorf("stream query %d: %v", i, br.Err)
-			}
-			streamed[i] = br.Result
-		}); err != nil {
-			t.Fatal(err)
-		}
-		for i := range queries {
-			if !reflect.DeepEqual(stripDurations(legacy[i].Result), stripDurations(streamed[i])) {
-				t.Fatalf("stream query %d diverged from batch", i)
+			if !reflect.DeepEqual(stripDurations(fanned[i]), stripDurations(resp.Result)) {
+				t.Fatalf("request %d diverged from its lone evaluation", i)
 			}
 		}
 	})
@@ -269,39 +226,45 @@ func TestEvaluateAllDeterminism(t *testing.T) {
 	}
 }
 
-// TestNNRequestWorkerDeterminism: RequestNN results are bit-identical
-// at every worker count — block-keyed shared-stream sampling with
-// integer tally merges makes the refinement schedule irrelevant.
+// TestNNRequestWorkerDeterminism: an NN request's answer is a pure
+// function of (snapshot, request, seed) — the same evaluated alone or
+// inside an EvaluateAll fan-out of any width, where concurrent NN
+// requests each refine on their own worker goroutine — and its shared
+// stream draws exactly the NNSamples budget however many candidates it
+// tallies.
 func TestNNRequestWorkerDeterminism(t *testing.T) {
 	e := testWorld(t, 500, 0, 6)
-	iss := testIssuer(t, geom.Pt(500, 500), 80)
-	mk := func(workers int) Request {
-		req := RequestNN(iss, 500)
+	var reqs []Request
+	for i := 0; i < 4; i++ {
+		req := RequestNN(testIssuer(t, geom.Pt(380+float64(i)*80, 500), 80), 500)
 		req.NNSamples = 3000
-		req.Seed = 99
-		req.Workers = workers
-		return req
+		req.Seed = int64(99 + i)
+		reqs = append(reqs, req)
 	}
-	base, err := e.Evaluate(context.Background(), mk(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(base.Matches) == 0 || base.Cost.Refined == 0 {
-		t.Fatalf("degenerate NN baseline: %+v", base.Cost)
-	}
-	// The stream is shared: an unconstrained request draws exactly its
-	// NNSamples budget, no matter how many candidates are tallied.
-	if base.Cost.SamplesUsed != 3000 {
-		t.Fatalf("SamplesUsed %d != shared-stream budget 3000 (candidates %d)",
-			base.Cost.SamplesUsed, base.Cost.Refined)
-	}
-	for _, workers := range []int{2, 3, 8, 32} {
-		got, err := e.Evaluate(context.Background(), mk(workers))
+	base := make([]Result, len(reqs))
+	for i, req := range reqs {
+		resp, err := e.Evaluate(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(stripDurations(base.Result), stripDurations(got.Result)) {
-			t.Fatalf("NN results changed at workers=%d", workers)
+		if len(resp.Matches) == 0 || resp.Cost.Refined == 0 {
+			t.Fatalf("request %d: degenerate NN baseline: %+v", i, resp.Cost)
+		}
+		if resp.Cost.SamplesUsed != 3000 {
+			t.Fatalf("request %d: SamplesUsed %d != shared-stream budget 3000 (candidates %d)",
+				i, resp.Cost.SamplesUsed, resp.Cost.Refined)
+		}
+		base[i] = stripDurations(resp.Result)
+	}
+	for _, workers := range []int{1, 2, 3, 8} {
+		got, errs := collectAll(t, e.EvaluateAll, reqs, AllOptions{Workers: workers})
+		for i := range reqs {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			if !reflect.DeepEqual(base[i], stripDurations(got[i])) {
+				t.Fatalf("request %d: NN result changed inside a %d-worker fan-out", i, workers)
+			}
 		}
 	}
 }

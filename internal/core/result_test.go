@@ -88,41 +88,41 @@ func TestQualityImprovesWithThreshold(t *testing.T) {
 	}
 }
 
+// TestEvaluateUncertainBatch: an EvaluateAll fan-out of uncertain range
+// requests answers the same at one worker and at six, and an invalid
+// request fails only its own slot.
 func TestEvaluateUncertainBatch(t *testing.T) {
 	e := testWorld(t, 0, 1200, 42)
 	rng := rand.New(rand.NewSource(43))
-	var queries []Query
+	var reqs []Request
 	for i := 0; i < 12; i++ {
 		iss := testIssuer(t, geom.Pt(rng.Float64()*1000, rng.Float64()*1000), 50)
-		queries = append(queries, Query{Issuer: iss, W: 100, H: 100, Threshold: 0.2})
+		reqs = append(reqs, RequestUncertain(iss, 100, 100, 0.2))
 	}
-	// Invalid query mixed in: only its slot errors.
-	queries = append(queries, Query{})
+	// Invalid request mixed in: only its slot errors.
+	reqs = append(reqs, Request{})
 
-	serial := e.EvaluateUncertainBatch(queries, EvalOptions{}, 1)
-	parallel := e.EvaluateUncertainBatch(queries, EvalOptions{}, 6)
-	if len(serial) != len(queries) || len(parallel) != len(queries) {
-		t.Fatal("batch result length mismatch")
-	}
-	for i := range queries {
-		if (serial[i].Err == nil) != (parallel[i].Err == nil) {
-			t.Fatalf("query %d: error mismatch: %v vs %v", i, serial[i].Err, parallel[i].Err)
+	serial, serialErrs := collectAll(t, e.EvaluateAll, reqs, AllOptions{})
+	parallel, parallelErrs := collectAll(t, e.EvaluateAll, reqs, AllOptions{Workers: 6})
+	for i := range reqs {
+		if (serialErrs[i] == nil) != (parallelErrs[i] == nil) {
+			t.Fatalf("request %d: error mismatch: %v vs %v", i, serialErrs[i], parallelErrs[i])
 		}
-		if serial[i].Err != nil {
+		if serialErrs[i] != nil {
 			continue
 		}
-		a := matchesToMap(serial[i].Result.Matches)
-		b := matchesToMap(parallel[i].Result.Matches)
+		a := matchesToMap(serial[i].Matches)
+		b := matchesToMap(parallel[i].Matches)
 		if len(a) != len(b) {
-			t.Fatalf("query %d: %d vs %d matches", i, len(a), len(b))
+			t.Fatalf("request %d: %d vs %d matches", i, len(a), len(b))
 		}
 		for id, p := range a {
 			if !approx(b[id], p, 1e-12) {
-				t.Fatalf("query %d object %d: %g vs %g", i, id, p, b[id])
+				t.Fatalf("request %d object %d: %g vs %g", i, id, p, b[id])
 			}
 		}
 	}
-	if serial[len(queries)-1].Err == nil {
-		t.Fatal("invalid query did not error")
+	if serialErrs[len(reqs)-1] == nil {
+		t.Fatal("invalid request did not error")
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"runtime"
@@ -215,8 +216,8 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 }
 
-// TestSnapshotBatchConsistency: a batch/stream evaluation observes one
-// version for all its queries.
+// TestSnapshotBatchConsistency: a snapshot's EvaluateAll fan-out
+// observes one version for all its requests.
 func TestSnapshotBatchConsistency(t *testing.T) {
 	e := testWorld(t, 100, 100, 9)
 	snap := e.Snapshot()
@@ -229,23 +230,24 @@ func TestSnapshotBatchConsistency(t *testing.T) {
 	}
 
 	q := Query{Issuer: testIssuer(t, geom.Pt(500, 500), 50), W: 150, H: 150}
-	queries := []BatchQuery{{Query: q}, {Query: q}, {Query: q}}
-	out := snap.EvaluateBatch(queries, EvalOptions{}, 2)
-	live := e.EvaluateBatch(queries, EvalOptions{}, 2)
+	req := requestFor(KindUncertain, q, EvalOptions{})
+	reqs := []Request{req, req, req}
+	out, errs := collectAll(t, snap.EvaluateAll, reqs, AllOptions{Workers: 2})
+	live, _ := collectAll(t, e.EvaluateAll, reqs, AllOptions{Workers: 2})
 	for i := 1; i < len(out); i++ {
-		if out[i].Err != nil || out[0].Err != nil {
-			t.Fatalf("batch errs: %v %v", out[0].Err, out[i].Err)
+		if errs[i] != nil || errs[0] != nil {
+			t.Fatalf("fan-out errs: %v %v", errs[0], errs[i])
 		}
-		if len(out[i].Result.Matches) != len(out[0].Result.Matches) {
-			t.Fatalf("snapshot batch inconsistent: %d vs %d matches", len(out[i].Result.Matches), len(out[0].Result.Matches))
+		if len(out[i].Matches) != len(out[0].Matches) {
+			t.Fatalf("snapshot fan-out inconsistent: %d vs %d matches", len(out[i].Matches), len(out[0].Matches))
 		}
 	}
-	// The snapshot's answer is the pre-update world; the live batch
+	// The snapshot's answer is the pre-update world; the live fan-out
 	// sees the post-update world (almost surely different here).
-	if len(out[0].Result.Matches) == len(live[0].Result.Matches) {
+	if len(out[0].Matches) == len(live[0].Matches) {
 		sameAll := true
-		for i, m := range out[0].Result.Matches {
-			if live[0].Result.Matches[i] != m {
+		for i, m := range out[0].Matches {
+			if live[0].Matches[i] != m {
 				sameAll = false
 				break
 			}
@@ -319,7 +321,7 @@ func TestBasicMethodAdaptive(t *testing.T) {
 	e := testWorld(t, 400, 400, 21)
 	iss := testIssuer(t, geom.Pt(500, 500), 30)
 
-	for _, target := range []Target{TargetUncertain, TargetPoints} {
+	for _, kind := range []Kind{KindUncertain, KindPoints} {
 		q := Query{Issuer: iss, W: 100, H: 100, Threshold: 0.5}
 		run := func(mode AdaptiveMode) Result {
 			opts := EvalOptions{
@@ -328,54 +330,39 @@ func TestBasicMethodAdaptive(t *testing.T) {
 				Object:       ObjectEvalConfig{Adaptive: mode},
 				Rng:          rand.New(rand.NewSource(17)),
 			}
-			var res Result
-			var err error
-			if target == TargetPoints {
-				res, err = e.EvaluatePoints(q, opts)
-			} else {
-				res, err = e.EvaluateUncertain(q, opts)
-			}
+			resp, err := e.Evaluate(context.Background(), requestFor(kind, q, opts))
 			if err != nil {
 				t.Fatal(err)
 			}
-			return res
+			return resp.Result
 		}
 		full := run(AdaptiveOff)
 		adpt := run(AdaptiveAuto)
 
 		if full.Cost.EarlyStopped != 0 {
-			t.Fatalf("%v: AdaptiveOff recorded %d early stops", target, full.Cost.EarlyStopped)
+			t.Fatalf("%v: AdaptiveOff recorded %d early stops", kind, full.Cost.EarlyStopped)
 		}
 		if full.Cost.SamplesUsed != int64(full.Cost.Refined)*4096 {
-			t.Fatalf("%v: full budget drew %d samples for %d refined", target, full.Cost.SamplesUsed, full.Cost.Refined)
+			t.Fatalf("%v: full budget drew %d samples for %d refined", kind, full.Cost.SamplesUsed, full.Cost.Refined)
 		}
 		if adpt.Cost.Refined == 0 {
-			t.Fatalf("%v: workload refined nothing", target)
+			t.Fatalf("%v: workload refined nothing", kind)
 		}
 		if adpt.Cost.EarlyStopped == 0 {
-			t.Fatalf("%v: adaptive run never early-stopped (refined %d)", target, adpt.Cost.Refined)
+			t.Fatalf("%v: adaptive run never early-stopped (refined %d)", kind, adpt.Cost.Refined)
 		}
 		if adpt.Cost.SamplesUsed >= full.Cost.SamplesUsed {
-			t.Fatalf("%v: adaptive drew %d samples, full %d", target, adpt.Cost.SamplesUsed, full.Cost.SamplesUsed)
+			t.Fatalf("%v: adaptive drew %d samples, full %d", kind, adpt.Cost.SamplesUsed, full.Cost.SamplesUsed)
 		}
 
 		// The qualifying decision must agree with the exact enhanced
 		// evaluation for every candidate (uniform pdfs: closed form,
 		// far-from-threshold workload).
-		exact := func() Result {
-			var res Result
-			var err error
-			opts := EvalOptions{Rng: rand.New(rand.NewSource(23))}
-			if target == TargetPoints {
-				res, err = e.EvaluatePoints(q, opts)
-			} else {
-				res, err = e.EvaluateUncertain(q, opts)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res
-		}()
+		exactResp, err := e.Evaluate(context.Background(), requestFor(kind, q, EvalOptions{Rng: rand.New(rand.NewSource(23))}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		exact := exactResp.Result
 		exactSet := matchesToMap(exact.Matches)
 		adptSet := matchesToMap(adpt.Matches)
 		for id, p := range exactSet {
@@ -383,7 +370,7 @@ func TestBasicMethodAdaptive(t *testing.T) {
 				continue // borderline: sampling noise may differ legitimately
 			}
 			if _, ok := adptSet[id]; !ok {
-				t.Errorf("%v: clear-cut qualifier %d (p=%.3f) missing from adaptive basic result", target, id, p)
+				t.Errorf("%v: clear-cut qualifier %d (p=%.3f) missing from adaptive basic result", kind, id, p)
 			}
 		}
 		for id, p := range adptSet {
@@ -392,7 +379,7 @@ func TestBasicMethodAdaptive(t *testing.T) {
 				continue
 			}
 			if !ok && p > q.Threshold+0.05 {
-				t.Errorf("%v: adaptive basic accepted %d (p=%.3f) that exact evaluation rejects", target, id, p)
+				t.Errorf("%v: adaptive basic accepted %d (p=%.3f) that exact evaluation rejects", kind, id, p)
 			}
 		}
 	}
@@ -400,13 +387,13 @@ func TestBasicMethodAdaptive(t *testing.T) {
 
 // TestSnapshotConcurrentWriterFlood races several ApplyUpdates callers
 // against each other and against live readers while a snapshot stays
-// pinned — the out-of-lock COW build's acceptance test. Concurrent
-// writers force optimistic builds to fail validation and retry, so the
-// assertions cover the whole optimistic path: every batch commits
-// atomically (all its updates applied, exactly one version bump), no
-// batch is lost or double-applied under contention, and the pinned
-// snapshot's answer stays bit-identical throughout. Run under -race by
-// the CI soak job.
+// pinned. Writers serialize on the engine's writer lock; the test
+// asserts that every batch commits atomically (all its updates
+// applied, exactly one version bump), that no batch is lost or applied
+// twice under contention, and that the pinned snapshot's answer stays
+// bit-identical throughout. The readers evaluate alongside the writers
+// the whole time and never wait for them: evaluation never takes the
+// writer lock. Run under -race by the CI soak job.
 func TestSnapshotConcurrentWriterFlood(t *testing.T) {
 	e := testWorld(t, 0, 2000, 13)
 	q := Query{Issuer: testIssuer(t, geom.Pt(500, 500), 50), W: 120, H: 120, Threshold: 0.3}

@@ -3,62 +3,45 @@ package core
 import (
 	"context"
 	"errors"
-	"math/rand"
 	"sync"
 	"testing"
 	"time"
 )
 
-// streamBatch builds a mixed point/uncertain workload over the shared
-// concurrency world.
-func streamBatch(t *testing.T, n int, seed int64) []BatchQuery {
-	t.Helper()
-	queries := concurrencyQueries(t, n, seed)
-	batch := make([]BatchQuery, len(queries))
-	for i, q := range queries {
-		target := TargetUncertain
-		if i%3 == 0 {
-			target = TargetPoints
-		}
-		batch[i] = BatchQuery{Query: q, Target: target}
-	}
-	return batch
-}
-
-// TestEvaluateBatchStreamMatchesBatch: streaming delivery must produce
-// exactly the results of EvaluateBatch — same seeds, same per-query
-// derived streams — at every worker count, just without the slice.
+// TestEvaluateBatchStreamMatchesBatch: EvaluateAll's streaming
+// delivery hands every request to the handler exactly once, with
+// exactly the result a serial fan-out collects — same derived seeds,
+// same per-candidate streams — at every worker count.
 func TestEvaluateBatchStreamMatchesBatch(t *testing.T) {
 	mem, paged := concurrencyWorld(t, 611)
-	batch := streamBatch(t, 18, 612)
+	reqs := mixedRequests(concurrencyQueries(t, 18, 612), EvalOptions{})
 
 	for name, e := range map[string]*Engine{"mem": mem, "paged": paged} {
 		e := e
 		t.Run(name, func(t *testing.T) {
-			want := e.EvaluateBatch(batch, EvalOptions{Rng: rand.New(rand.NewSource(88))}, 1)
+			want, wantErrs := collectAll(t, e.EvaluateAll, reqs, AllOptions{Seed: 88})
 			for _, workers := range []int{1, 4} {
-				got := make([]BatchResult, len(batch))
-				seen := make([]bool, len(batch))
-				err := e.EvaluateBatchStream(context.Background(), batch,
-					EvalOptions{Rng: rand.New(rand.NewSource(88))}, workers,
-					func(i int, br BatchResult) {
+				got := make([]Result, len(reqs))
+				seen := make([]bool, len(reqs))
+				err := e.EvaluateAll(context.Background(), reqs, AllOptions{Workers: workers, Seed: 88},
+					func(i int, resp Response, err error) {
 						if seen[i] {
-							t.Errorf("query %d delivered twice", i)
+							t.Errorf("request %d delivered twice", i)
 						}
 						seen[i] = true
-						got[i] = br
+						if err != nil || wantErrs[i] != nil {
+							t.Errorf("workers=%d request %d: err %v / %v", workers, i, err, wantErrs[i])
+						}
+						got[i] = resp.Result
 					})
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
-				for i := range batch {
+				for i := range reqs {
 					if !seen[i] {
-						t.Fatalf("workers=%d: query %d never delivered", workers, i)
+						t.Fatalf("workers=%d: request %d never delivered", workers, i)
 					}
-					if got[i].Err != nil || want[i].Err != nil {
-						t.Fatalf("workers=%d query %d: err %v / %v", workers, i, got[i].Err, want[i].Err)
-					}
-					checkSameResult(t, batch[i].Target.String(), want[i].Result, got[i].Result)
+					checkSameResult(t, reqs[i].Kind.String(), want[i], got[i])
 				}
 			}
 		})
@@ -66,22 +49,22 @@ func TestEvaluateBatchStreamMatchesBatch(t *testing.T) {
 }
 
 // TestEvaluateBatchStreamPerQueryDeadline: with an already-expired
-// per-query timeout every query must deliver context.DeadlineExceeded
-// — and the batch itself still completes (the deadline is per query,
-// not per batch).
+// per-request timeout every request of an EvaluateAll fan-out must
+// deliver context.DeadlineExceeded — and the fan-out itself still
+// completes (the deadline is per request, not per fan-out).
 func TestEvaluateBatchStreamPerQueryDeadline(t *testing.T) {
 	mem, _ := concurrencyWorld(t, 613)
-	batch := streamBatch(t, 10, 614)
+	queries := concurrencyQueries(t, 10, 614)
+	batch := mixedRequests(queries, EvalOptions{Timeout: time.Nanosecond})
 
 	var delivered, failed int
-	err := mem.EvaluateBatchStream(context.Background(), batch,
-		EvalOptions{Timeout: time.Nanosecond}, 2,
-		func(i int, br BatchResult) {
+	err := mem.EvaluateAll(context.Background(), batch, AllOptions{Workers: 2},
+		func(i int, _ Response, err error) {
 			delivered++
-			if errors.Is(br.Err, context.DeadlineExceeded) {
+			if errors.Is(err, context.DeadlineExceeded) {
 				failed++
-			} else if br.Err != nil {
-				t.Errorf("query %d: unexpected error %v", i, br.Err)
+			} else if err != nil {
+				t.Errorf("request %d: unexpected error %v", i, err)
 			}
 		})
 	if err != nil {
@@ -95,11 +78,10 @@ func TestEvaluateBatchStreamPerQueryDeadline(t *testing.T) {
 	}
 
 	// Sanity: a generous timeout lets everything through.
-	err = mem.EvaluateBatchStream(context.Background(), batch,
-		EvalOptions{Timeout: time.Minute}, 2,
-		func(i int, br BatchResult) {
-			if br.Err != nil {
-				t.Errorf("query %d: %v", i, br.Err)
+	err = mem.EvaluateAll(context.Background(), mixedRequests(queries, EvalOptions{Timeout: time.Minute}), AllOptions{Workers: 2},
+		func(i int, _ Response, err error) {
+			if err != nil {
+				t.Errorf("request %d: %v", i, err)
 			}
 		})
 	if err != nil {
@@ -107,17 +89,17 @@ func TestEvaluateBatchStreamPerQueryDeadline(t *testing.T) {
 	}
 }
 
-// TestEvaluateBatchStreamCancel: cancelling the batch context stops
-// dispatch and EvaluateBatchStream reports the cancellation.
+// TestEvaluateBatchStreamCancel: cancelling the fan-out's context stops
+// dispatch and EvaluateAll reports the cancellation.
 func TestEvaluateBatchStreamCancel(t *testing.T) {
 	mem, _ := concurrencyWorld(t, 615)
-	batch := streamBatch(t, 64, 616)
+	batch := mixedRequests(concurrencyQueries(t, 64, 616), EvalOptions{})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	var mu sync.Mutex
 	delivered := 0
-	err := mem.EvaluateBatchStream(ctx, batch, EvalOptions{}, 2,
-		func(i int, br BatchResult) {
+	err := mem.EvaluateAll(ctx, batch, AllOptions{Workers: 2},
+		func(int, Response, error) {
 			mu.Lock()
 			delivered++
 			if delivered == 3 {
@@ -132,12 +114,10 @@ func TestEvaluateBatchStreamCancel(t *testing.T) {
 		t.Fatalf("cancellation did not stop dispatch (%d delivered)", delivered)
 	}
 
-	// An engine is still fully usable after a cancelled batch.
-	res, err := mem.EvaluateUncertain(batch[1].Query, EvalOptions{})
-	if err != nil {
+	// An engine is still fully usable after a cancelled fan-out.
+	if _, err := mem.Evaluate(context.Background(), batch[1]); err != nil {
 		t.Fatal(err)
 	}
-	_ = res
 }
 
 // TestEvaluateContextCancelled: the single-query context entry points
@@ -163,8 +143,8 @@ func TestEvaluateContextCancelled(t *testing.T) {
 // without panicking (load-generation mode).
 func TestEvaluateBatchStreamNilHandler(t *testing.T) {
 	mem, _ := concurrencyWorld(t, 619)
-	batch := streamBatch(t, 6, 620)
-	if err := mem.EvaluateBatchStream(context.Background(), batch, EvalOptions{}, 3, nil); err != nil {
+	batch := mixedRequests(concurrencyQueries(t, 6, 620), EvalOptions{})
+	if err := mem.EvaluateAll(context.Background(), batch, AllOptions{Workers: 3}, nil); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -165,11 +165,8 @@ func (rep *UpdateReport) Touches(r geom.Rect) bool {
 // stateTxn builds the next engine state copy-on-write over a base
 // version. Tables and trees are cloned lazily, on first touch, so a
 // batch pays only for the structures it actually mutates; reads fall
-// through to the base until then. A txn is single-goroutine, but
-// distinct txns may be built concurrently against the same base
-// (every clone's mutations live in private fresh nodes and copied
-// buckets): the optimistic writers in applyUpdates/mutate race to
-// publish and the losers discard and rebuild.
+// through to the base until then. One writer builds a txn, under
+// writeMu, against the current state (see Engine.commit).
 type stateTxn struct {
 	base *engineState
 
@@ -255,11 +252,10 @@ func (tx *stateTxn) discard() {
 }
 
 // flush writes the txn's cached index-node updates through to the
-// stores. The engine calls it before entering the publish critical
-// section, so page encoding — the bulk of a paged batch's write cost,
-// already amortized to one encode per touched node — runs outside any
-// lock. An error means storage rejected a write; the txn must be
-// discarded, not published.
+// stores. commit calls it before finish seals the trees, so a write the
+// store rejects leaves a txn that discard can still throw away whole (a
+// seal that fails half-way cannot be undone). An error means storage
+// rejected a write; the txn must be discarded, not published.
 func (tx *stateTxn) flush() error {
 	if tx.pointIdx != nil {
 		if err := tx.pointIdx.FlushCOW(); err != nil {
@@ -325,10 +321,10 @@ func (tx *stateTxn) finish() (*engineState, retiredBatch, error) {
 // must mean identical contents). pin additionally returns a pinned
 // snapshot of the resulting state, taken atomically with the publish —
 // the post-batch view continuous-query layers evaluate against.
-// writeMu is held and tx.base must be the current state (the caller
-// validated it under writeMu); this is the writer's entire critical
-// section with respect to readers, and none of it waits for them. A
-// non-nil error (a storage write rejected at seal time, impossible
+// writeMu is held and tx.base is the current state (commit built tx
+// under the lock). Readers meet the writer only at the pinMu section
+// below, and none of it waits for them. A non-nil error (the WAL append
+// failed, or a storage write was rejected at seal time — impossible
 // after a successful flush) means nothing was published.
 func (e *Engine) publishLocked(tx *stateTxn, advance, pin bool) (*engineState, *Snapshot, error) {
 	base := tx.base
@@ -383,11 +379,39 @@ func (e *Engine) publishLocked(tx *stateTxn, advance, pin bool) (*engineState, *
 	return st, snap, nil
 }
 
-// maxOptimisticBuilds bounds how many times a writer rebuilds its
-// transaction after losing the publish race before falling back to
-// building under writeMu (which cannot lose: publishing requires the
-// lock, so the base cannot move).
-const maxOptimisticBuilds = 4
+// commit runs one write transaction: under writeMu, fn builds it
+// against the current state, its node writes go through to the stores,
+// and it is published — or, when fn or the flush fails, discarded —
+// before the lock is released. fn returns whether the version epoch
+// advances. commit returns the engine version the transaction left
+// (the unchanged base's on failure) and, with pin set, a snapshot
+// pinning that same state, both taken inside the critical section so
+// no other writer can commit between them. Writers serialize whole;
+// readers never take writeMu.
+func (e *Engine) commit(pin bool, fn func(tx *stateTxn) (advance bool, err error)) (uint64, *Snapshot, error) {
+	e.writeMu.Lock()
+	defer e.writeMu.Unlock()
+	base := e.state.Load()
+	tx := newStateTxn(base)
+	advance, err := fn(tx)
+	if err == nil {
+		err = tx.flush()
+	}
+	if err != nil {
+		tx.discard()
+	} else {
+		st, snap, perr := e.publishLocked(tx, advance, pin)
+		if perr == nil {
+			return st.version, snap, nil
+		}
+		err = perr
+	}
+	var snap *Snapshot
+	if pin {
+		snap = e.Snapshot() // the base: nothing else publishes under writeMu
+	}
+	return base.version, snap, err
+}
 
 // ApplyUpdates applies a batch of updates as one transaction. Failed
 // updates are recorded in the report's Errors and do not abort the
@@ -397,13 +421,8 @@ const maxOptimisticBuilds = 4
 // Concurrency: the batch is built copy-on-write against the current
 // version and published atomically — queries observe either the
 // entire batch or none of it, and ApplyUpdates never waits for
-// in-flight evaluations. The copy-on-write build itself runs outside
-// the writer lock (optimistic concurrency control): concurrent
-// writers build private transactions against the same base in
-// parallel and only the publish — a pointer re-validation and swap —
-// serializes; a writer whose base moved underneath it discards its
-// build and retries, falling back to building under the lock after
-// maxOptimisticBuilds lost races.
+// in-flight evaluations. Concurrent writers take turns: each batch is
+// built, written and published under the engine's writer lock.
 func (e *Engine) ApplyUpdates(batch []Update) UpdateReport {
 	rep, _ := e.applyUpdates(batch, false)
 	return rep
@@ -421,29 +440,8 @@ func (e *Engine) ApplyUpdatesSnapshot(batch []Update) (UpdateReport, *Snapshot) 
 
 func (e *Engine) applyUpdates(batch []Update, pin bool) (UpdateReport, *Snapshot) {
 	start := time.Now()
-	rep, snap := e.buildAndPublish(batch, pin)
-	e.met.applyLatency.ObserveDuration(time.Since(start))
-	e.met.appliedUpdates.Add(int64(rep.Applied))
-	return rep, snap
-}
-
-// buildAndPublish is applyUpdates' optimistic build/validate-publish
-// loop.
-func (e *Engine) buildAndPublish(batch []Update, pin bool) (UpdateReport, *Snapshot) {
-	for attempt := 0; ; attempt++ {
-		// Optimistic rounds load the base without writeMu and build
-		// the whole transaction lock-free; the final round builds
-		// under writeMu, where the base provably cannot move.
-		optimistic := attempt < maxOptimisticBuilds
-		var base *engineState
-		if optimistic {
-			base = e.state.Load()
-		} else {
-			e.writeMu.Lock()
-			base = e.state.Load()
-		}
-		rep := UpdateReport{Changes: make([]Change, 0, len(batch))}
-		tx := newStateTxn(base)
+	rep := UpdateReport{Changes: make([]Change, 0, len(batch))}
+	version, snap, err := e.commit(pin, func(tx *stateTxn) (bool, error) {
 		// A move logs two primitives (delete + upsert).
 		tx.logged = make([]Update, 0, 2*len(batch))
 		for i, u := range batch {
@@ -451,86 +449,18 @@ func (e *Engine) buildAndPublish(batch []Update, pin bool) (UpdateReport, *Snaps
 				rep.Errors = append(rep.Errors, UpdateError{Index: i, Err: err})
 			}
 		}
-		if err := tx.flush(); err != nil {
-			// Storage rejected a node write: the batch cannot be
-			// published at all. Report it as a batch-wide error
-			// (Index -1) against the untouched current version.
-			if !optimistic {
-				e.writeMu.Unlock()
-			}
-			tx.discard()
-			rep = UpdateReport{Errors: []UpdateError{{Index: -1, Err: err}}}
-			var snap *Snapshot
-			if pin {
-				snap = e.Snapshot()
-			}
-			rep.Version = e.state.Load().version
-			return rep, snap
-		}
-		if optimistic {
-			e.writeMu.Lock()
-			if e.state.Load() != base {
-				// Lost the publish race: a writer committed while we
-				// were building. Throw the build away and rebase.
-				e.writeMu.Unlock()
-				tx.discard()
-				continue
-			}
-		}
-		st, snap, err := e.publishLocked(tx, rep.Applied > 0, pin)
-		e.writeMu.Unlock()
-		if err != nil {
-			rep = UpdateReport{Errors: []UpdateError{{Index: -1, Err: err}}}
-			if pin {
-				snap = e.Snapshot()
-			}
-		}
-		rep.Version = st.version
-		return rep, snap
+		return rep.Applied > 0, nil
+	})
+	if err != nil {
+		// Storage rejected a node write (or the WAL append): none of
+		// the batch was published. Report it as one batch-wide error
+		// (Index -1) against the unchanged version.
+		rep = UpdateReport{Errors: []UpdateError{{Index: -1, Err: err}}}
 	}
-}
-
-// mutate runs one single-operation transaction through the same
-// optimistic build/validate-publish pipeline as applyUpdates: fn
-// builds against a base loaded without the writer lock, the publish
-// re-validates the base under writeMu, and a lost race rebuilds from
-// scratch (fn must therefore be safe to re-run). fn returns whether
-// the version epoch should advance. Errors from fn are returned
-// as-is; they are linearized at the moment the base was loaded.
-func (e *Engine) mutate(fn func(tx *stateTxn) (advance bool, err error)) error {
-	for attempt := 0; ; attempt++ {
-		optimistic := attempt < maxOptimisticBuilds
-		var base *engineState
-		if optimistic {
-			base = e.state.Load()
-		} else {
-			e.writeMu.Lock()
-			base = e.state.Load()
-		}
-		tx := newStateTxn(base)
-		advance, err := fn(tx)
-		if err == nil {
-			err = tx.flush()
-		}
-		if err != nil {
-			if !optimistic {
-				e.writeMu.Unlock()
-			}
-			tx.discard()
-			return err
-		}
-		if optimistic {
-			e.writeMu.Lock()
-			if e.state.Load() != base {
-				e.writeMu.Unlock()
-				tx.discard()
-				continue
-			}
-		}
-		_, _, perr := e.publishLocked(tx, advance, false)
-		e.writeMu.Unlock()
-		return perr
-	}
+	rep.Version = version
+	e.met.applyLatency.ObserveDuration(time.Since(start))
+	e.met.appliedUpdates.Add(int64(rep.Applied))
+	return rep, snap
 }
 
 // apply dispatches one update onto the txn, recording its Change.
@@ -591,9 +521,10 @@ func (tx *stateTxn) apply(u Update, rep *UpdateReport) error {
 // publishes a new snapshot); batches of updates should prefer
 // ApplyUpdates, which amortizes the copy-on-write work.
 func (e *Engine) InsertPoint(p uncertain.PointObject) error {
-	return e.mutate(func(tx *stateTxn) (bool, error) {
+	_, _, err := e.commit(false, func(tx *stateTxn) (bool, error) {
 		return true, tx.insertPoint(p)
 	})
+	return err
 }
 
 func (tx *stateTxn) insertPoint(p uncertain.PointObject) error {
@@ -612,7 +543,7 @@ func (tx *stateTxn) insertPoint(p uncertain.PointObject) error {
 // whether it existed. Safe to call concurrently with queries.
 func (e *Engine) DeletePoint(id uncertain.ID) (bool, error) {
 	var ok bool
-	err := e.mutate(func(tx *stateTxn) (bool, error) {
+	_, _, err := e.commit(false, func(tx *stateTxn) (bool, error) {
 		var err error
 		ok, err = tx.deletePoint(id)
 		return ok, err
@@ -641,9 +572,10 @@ func (tx *stateTxn) deletePoint(id uncertain.ID) (bool, error) {
 // to call concurrently with queries; a query never observes the point
 // half-moved.
 func (e *Engine) MovePoint(id uncertain.ID, to geom.Point) error {
-	return e.mutate(func(tx *stateTxn) (bool, error) {
+	_, _, err := e.commit(false, func(tx *stateTxn) (bool, error) {
 		return true, tx.movePoint(id, to)
 	})
+	return err
 }
 
 func (tx *stateTxn) movePoint(id uncertain.ID, to geom.Point) error {
@@ -670,9 +602,10 @@ func (tx *stateTxn) movePoint(id uncertain.ID, to geom.Point) error {
 // uncertain objects and its U-catalog must cover the engine's catalog
 // probability values. Safe to call concurrently with queries.
 func (e *Engine) InsertObject(o *uncertain.Object) error {
-	return e.mutate(func(tx *stateTxn) (bool, error) {
+	_, _, err := e.commit(false, func(tx *stateTxn) (bool, error) {
 		return true, tx.insertObject(o)
 	})
+	return err
 }
 
 func (tx *stateTxn) insertObject(o *uncertain.Object) error {
@@ -692,7 +625,7 @@ func (tx *stateTxn) insertObject(o *uncertain.Object) error {
 // queries.
 func (e *Engine) DeleteObject(id uncertain.ID) (bool, error) {
 	var ok bool
-	err := e.mutate(func(tx *stateTxn) (bool, error) {
+	_, _, err := e.commit(false, func(tx *stateTxn) (bool, error) {
 		var err error
 		ok, err = tx.deleteObject(id)
 		return ok, err
@@ -723,9 +656,10 @@ func (tx *stateTxn) deleteObject(id uncertain.ID) (bool, error) {
 // with queries; a query observes either the old or the new version,
 // never neither.
 func (e *Engine) ReplaceObject(o *uncertain.Object) error {
-	return e.mutate(func(tx *stateTxn) (bool, error) {
+	_, _, err := e.commit(false, func(tx *stateTxn) (bool, error) {
 		return true, tx.replaceObject(o)
 	})
+	return err
 }
 
 func (tx *stateTxn) replaceObject(o *uncertain.Object) error {

@@ -1,10 +1,14 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/index/rtree"
 	"repro/internal/pdf"
 	"repro/internal/uncertain"
 )
@@ -243,68 +247,108 @@ func TestChurnKeepsIndexConsistent(t *testing.T) {
 	}
 }
 
-func TestEvaluateUncertainParallelMatchesSerial(t *testing.T) {
-	e := testWorld(t, 0, 1500, 37)
-	rng := rand.New(rand.NewSource(38))
-	for trial := 0; trial < 6; trial++ {
-		iss := testIssuer(t, geom.Pt(rng.Float64()*1000, rng.Float64()*1000), 50)
-		q := Query{Issuer: iss, W: 100, H: 100, Threshold: 0.3}
-		serial, err := e.EvaluateUncertain(q, EvalOptions{})
+// TestEvaluateUncertainParallelMonteCarlo: forced Monte-Carlo requests
+// refined concurrently — an EvaluateAll fan-out, each request on its own
+// worker goroutine and sample streams — stay near the closed form.
+func TestEvaluateUncertainParallelMonteCarlo(t *testing.T) {
+	e := testWorld(t, 0, 600, 39)
+	mcOpts := EvalOptions{Object: ObjectEvalConfig{ForceMonteCarlo: true, MCSamples: 20000}}
+	var reqs []Request
+	var exact []Result
+	for _, c := range []geom.Point{{X: 500, Y: 500}, {X: 300, Y: 650}, {X: 700, Y: 350}} {
+		q := Query{Issuer: testIssuer(t, c, 60), W: 120, H: 120}
+		res, err := e.EvaluateUncertain(q, EvalOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := e.EvaluateUncertainParallel(q, EvalOptions{}, 8)
-		if err != nil {
-			t.Fatal(err)
+		exact = append(exact, res)
+		reqs = append(reqs, requestFor(KindUncertain, q, mcOpts))
+	}
+	mc, errs := collectAll(t, e.EvaluateAll, reqs, AllOptions{Workers: 3})
+	for i := range reqs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
 		}
-		// Closed-form refinement: identical results regardless of
-		// worker count.
-		a, b := matchesToMap(serial.Matches), matchesToMap(par.Matches)
-		if len(a) != len(b) {
-			t.Fatalf("trial %d: serial %d vs parallel %d matches", trial, len(a), len(b))
-		}
-		for id, p := range a {
-			if !approx(b[id], p, 1e-12) {
-				t.Fatalf("trial %d: object %d: %g vs %g", trial, id, p, b[id])
+		exactMap := matchesToMap(exact[i].Matches)
+		for _, m := range mc[i].Matches {
+			if want, ok := exactMap[m.ID]; ok && !approx(m.P, want, 0.03) {
+				t.Fatalf("request %d object %d: parallel MC %g vs exact %g", i, m.ID, m.P, want)
 			}
 		}
-		if par.Cost.Refined != serial.Cost.Refined {
-			t.Fatalf("trial %d: refinement counts differ: %d vs %d",
-				trial, par.Cost.Refined, serial.Cost.Refined)
-		}
-	}
-	// workers <= 1 falls back to serial.
-	iss := testIssuer(t, geom.Pt(500, 500), 50)
-	q := Query{Issuer: iss, W: 100, H: 100}
-	if _, err := e.EvaluateUncertainParallel(q, EvalOptions{}, 1); err != nil {
-		t.Fatal(err)
-	}
-	// Validation still applies.
-	if _, err := e.EvaluateUncertainParallel(Query{}, EvalOptions{}, 4); err == nil {
-		t.Fatal("invalid query accepted")
 	}
 }
 
-func TestEvaluateUncertainParallelMonteCarlo(t *testing.T) {
-	// MC refinement across workers: probabilities are noisy but must
-	// stay near the closed form.
-	e := testWorld(t, 0, 600, 39)
-	iss := testIssuer(t, geom.Pt(500, 500), 60)
-	q := Query{Issuer: iss, W: 120, H: 120}
-	exact, err := e.EvaluateUncertain(q, EvalOptions{})
+// rejectingStore is an in-memory node store whose Update fails while
+// reject is set. A copy-on-write build writes nodes only through its
+// flush (allocations and frees go straight to the store), so an armed
+// store lets a batch build in full and then fail at the flush.
+type rejectingStore struct {
+	*rtree.MemNodeStore
+	reject bool
+}
+
+var errRejectedWrite = errors.New("store rejected the write")
+
+func (s *rejectingStore) Update(n *rtree.Node) error {
+	if s.reject {
+		return errRejectedWrite
+	}
+	return s.MemNodeStore.Update(n)
+}
+
+// TestApplyUpdatesStorageFailure: a batch whose node writes the store
+// rejects publishes none of itself. It reports one batch-wide error
+// (Index -1) against the unchanged version, and the snapshot it hands
+// back pins that same version. The aborted build's fresh nodes are
+// freed, answers do not move, no pin leaks, and the next batch commits
+// normally.
+func TestApplyUpdatesStorageFailure(t *testing.T) {
+	store := &rejectingStore{MemNodeStore: rtree.NewMemNodeStore()}
+	e := testWorldOpts(t, 300, 0, 61, EngineOptions{PointNodeStore: store})
+	req := RequestPoints(testIssuer(t, geom.Pt(500, 500), 60), 150, 150, 0)
+	before, err := e.Evaluate(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc, err := e.EvaluateUncertainParallel(q, EvalOptions{
-		Object: ObjectEvalConfig{ForceMonteCarlo: true, MCSamples: 20000},
-	}, 6)
+	v0, nodes0 := e.Version(), store.NumNodes()
+
+	rng := rand.New(rand.NewSource(62))
+	batch := make([]Update, 16)
+	for i := range batch {
+		batch[i] = Update{Op: OpUpsertPoint, Point: uncertain.PointObject{
+			ID:  uncertain.ID(rng.Intn(300)),
+			Loc: geom.Pt(rng.Float64()*1000, rng.Float64()*1000),
+		}}
+	}
+
+	store.reject = true
+	rep, snap := e.ApplyUpdatesSnapshot(batch)
+	if len(rep.Errors) != 1 || rep.Errors[0].Index != -1 || !errors.Is(rep.Errors[0].Err, errRejectedWrite) {
+		t.Fatalf("errors = %v, want one batch-wide (Index -1) rejected write", rep.Errors)
+	}
+	if rep.Applied != 0 || len(rep.Changes) != 0 {
+		t.Fatalf("failed batch reports Applied %d, %d changes", rep.Applied, len(rep.Changes))
+	}
+	if rep.Version != v0 || snap.Version() != v0 || e.Version() != v0 {
+		t.Fatalf("versions: report %d, snapshot %d, engine %d, want all %d", rep.Version, snap.Version(), e.Version(), v0)
+	}
+	if n := store.NumNodes(); n != nodes0 {
+		t.Fatalf("store holds %d nodes after the aborted batch, %d before", n, nodes0)
+	}
+	after, err := e.Evaluate(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exactMap := matchesToMap(exact.Matches)
-	for _, m := range mc.Matches {
-		if want, ok := exactMap[m.ID]; ok && !approx(m.P, want, 0.03) {
-			t.Fatalf("object %d: parallel MC %g vs exact %g", m.ID, m.P, want)
-		}
+	if !reflect.DeepEqual(stripDurations(before.Result), stripDurations(after.Result)) || after.Version != v0 {
+		t.Fatal("answer moved after a batch that published nothing")
+	}
+	snap.Close()
+	if pins := e.SnapshotStats().Pins; pins != 0 {
+		t.Fatalf("%d pins left after Close", pins)
+	}
+
+	store.reject = false
+	if rep := e.ApplyUpdates(batch); len(rep.Errors) != 0 || rep.Version != v0+1 || e.Version() != v0+1 {
+		t.Fatalf("batch after disarming: errors %v, version %d (engine %d), want %d", rep.Errors, rep.Version, e.Version(), v0+1)
 	}
 }

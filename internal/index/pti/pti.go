@@ -136,8 +136,8 @@ func (ix *Index) CloneCOW() *Index {
 }
 
 // FlushCOW writes the unsealed clone's cached node updates through to
-// the store (see rtree.Tree.FlushCOW); callers that publish under a
-// lock flush beforehand so page encoding runs outside it.
+// the store (see rtree.Tree.FlushCOW), so a rejected write can still
+// be undone with Abort before Seal.
 func (ix *Index) FlushCOW() error { return ix.tree.FlushCOW() }
 
 // Seal finishes the copy-on-write phase (flushing any still-cached

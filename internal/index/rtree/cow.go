@@ -66,8 +66,10 @@ func (t *Tree) CloneCOW() *Tree {
 
 // FlushCOW writes the unsealed version's cached node updates through
 // to the store. It is idempotent and optional — Seal flushes whatever
-// remains — but callers that publish under a lock (the engine) flush
-// beforehand so page encoding runs outside their critical section.
+// remains — but a caller that may still need to abandon the version
+// (the engine) flushes first: a write the store rejects here leaves a
+// version AbortCOW can still discard whole, which a Seal that fails
+// half-way across two trees would not.
 func (t *Tree) FlushCOW() error {
 	if t.cow == nil {
 		return nil

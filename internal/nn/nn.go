@@ -25,10 +25,10 @@
 // candidate: sample index s belongs to block b = s/BlockSize, and
 // block b's positions come from a generator seeded by (parent seed,
 // b) — splitmix-derived, so the position at any index is a pure
-// function of the parent seed, independent of candidate count, worker
-// count, and scheduling. Each sampled position is resolved to its
-// nearest candidate in a single pass and tallied as one integer win;
-// a candidate's probability is wins/samples. Consequences:
+// function of the parent seed, independent of the candidate count.
+// Each sampled position is resolved to its nearest candidate in a
+// single pass and tallied as one integer win; a candidate's
+// probability is wins/samples. Consequences:
 //
 //   - Total refinement work is O(candidates + samples) expected — one
 //     grid build plus one ring search per sample. The product
@@ -38,17 +38,11 @@
 //     O(candidates² × samples) as with per-candidate streams.
 //   - Exactly one candidate wins each sample, so exhaustive estimates
 //     sum to exactly 1 (up to float addition of the final divisions).
-//   - Parallelism partitions the sample axis into whole blocks; each
-//     worker tallies its blocks into a private integer count vector
-//     and the vectors are summed afterwards. Integer tallies make the
-//     merge order-exact, so results are bit-identical at every worker
-//     count, serial included.
 //   - Adaptive early termination (Threshold > 0) checks candidates
 //     against the mcbound certainty/Hoeffding/empirical-Bernstein
 //     bounds only at fixed round boundaries (RoundBlocks whole
-//     blocks), never mid-block and never at worker-dependent points —
-//     so the retirement schedule, and with it every tally, is also
-//     bit-identical at every worker count.
+//     blocks), never mid-block — so the retirement schedule, and with
+//     it every tally, is a function of the stream alone.
 //
 // Retired ("decided") candidates stop accumulating wins but stay in the
 // grid: a sample is tallied only when its nearest candidate over the
@@ -69,8 +63,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/geom"
 	"repro/internal/mcbound"
@@ -107,13 +99,13 @@ const DefaultSamples = 1000
 
 // DefaultBlock is the number of consecutive sample indexes per seed
 // block: block b of the stream is generated from (parent, b). Blocks
-// are the unit of worker scheduling and cancellation polling.
+// are the unit of cancellation polling.
 const DefaultBlock = 128
 
 // DefaultRoundBlocks is the number of whole blocks between adaptive
 // early-termination checks (16 blocks × 128 samples = 2048 samples per
-// round). Rounds are fixed sample counts — never a function of the
-// worker count — so retirement decisions are scheduling-independent.
+// round). Rounds are fixed sample counts, so retirement decisions
+// depend on the stream alone.
 const DefaultRoundBlocks = 16
 
 // Prune applies the MinDist/MaxDist bound: tau is the smallest
@@ -138,7 +130,7 @@ func Prune(points []uncertain.PointObject, u0 geom.Rect) []uncertain.PointObject
 }
 
 // RefineConfig tunes the shared-stream tally kernel. The zero value
-// asks for an exhaustive DefaultSamples-long stream refined serially.
+// asks for an exhaustive DefaultSamples-long stream.
 type RefineConfig struct {
 	// Samples is the shared-stream length (<= 0 selects
 	// DefaultSamples). This is the total number of issuer positions
@@ -156,15 +148,12 @@ type RefineConfig struct {
 	// schedule, not a tuning knob to vary per call.
 	Block int
 	// RoundBlocks is the number of whole blocks drawn between adaptive
-	// bound checks (<= 0 selects DefaultRoundBlocks). Fixed rounds keep
-	// retirement decisions independent of the worker count.
+	// bound checks (<= 0 selects DefaultRoundBlocks). Like Block, it is
+	// part of the retirement schedule, so every tally depends on it.
 	RoundBlocks int
 	// Delta is the per-check failure probability of the confidence
 	// bounds (<= 0 selects 1e-6).
 	Delta float64
-	// Workers > 1 partitions each round's blocks across a worker pool.
-	// Results are bit-identical at every worker count.
-	Workers int
 	// Cancel, when non-nil, is polled once per block inside the
 	// refinement loop: a non-nil return stops refinement within a
 	// block's worth of samples and is returned to the caller (the
@@ -228,7 +217,7 @@ type RefineStats struct {
 //
 // On error (cancellation, or an issuer sampling failure surfaced
 // through Cancel) the partial probabilities are returned along with
-// the error; the first error by stream position wins when workers race.
+// the error.
 func Refine(cands []uncertain.PointObject, issuer pdf.PDF, parent int64, cfg RefineConfig) ([]float64, RefineStats, error) {
 	cfg = cfg.withDefaults()
 	n := len(cands)
@@ -271,7 +260,7 @@ func Refine(cands []uncertain.PointObject, issuer pdf.PDF, parent int64, cfg Ref
 		if b1 > nBlocks {
 			b1 = nBlocks
 		}
-		err := k.runRound(b0, b1, cfg.Workers, cfg.Cancel)
+		err := k.runRound(b0, b1, cfg.Cancel)
 		stats.Rounds++
 		drawn = b1 * cfg.Block
 		if drawn > cfg.Samples {
@@ -324,8 +313,7 @@ type kernel struct {
 	samples int
 	xs, ys  []float64
 	grid    *grid
-	// wins[i] counts samples candidate i was nearest to; only merged
-	// round tallies land here (worker-private vectors during a round).
+	// wins[i] counts samples candidate i was nearest to.
 	wins []int64
 	// retired[i] marks a candidate a bound has decided (the slice is
 	// RefineStats.Decided). It no longer accumulates wins, and a sample
@@ -503,10 +491,9 @@ func (k *kernel) scanCells(c0, c1 int, px, py float64, best int, bd float64) (in
 }
 
 // scanBlock draws block b's samples from (parent, b) and tallies
-// nearest-candidate wins into tal (len(cands)-sized; either the merged
-// wins vector in serial mode or a worker-private vector). A sample
-// whose nearest candidate has retired is tallied for nobody.
-func (k *kernel) scanBlock(b int, tal []int64) {
+// nearest-candidate wins into k.wins. A sample whose nearest candidate
+// has retired is tallied for nobody.
+func (k *kernel) scanBlock(b int) {
 	rng := rand.New(rand.NewSource(mcbound.DeriveSeed(k.parent, b)))
 	lo := b * k.block
 	hi := lo + k.block
@@ -516,72 +503,19 @@ func (k *kernel) scanBlock(b int, tal []int64) {
 	for s := lo; s < hi; s++ {
 		pos := k.issuer.Sample(rng)
 		if best := k.nearest(pos.X, pos.Y); best >= 0 && !k.retired[best] {
-			tal[best]++
+			k.wins[best]++
 		}
 	}
 }
 
-// runRound tallies blocks [b0, b1) into k.wins. workers > 1 spreads
-// the blocks over a pool with worker-private tally vectors merged
-// after the barrier; integer tallies make the merge exact, so the
-// result is bit-identical to the serial path. Every worker error is
-// recorded and the one at the lowest block position is returned — a
-// failing worker can no longer be silently swallowed behind zeroed
-// tallies (errors here are cancellations, so the whole evaluation is
-// discarded by the caller anyway).
-func (k *kernel) runRound(b0, b1, workers int, cancel func() error) error {
-	if workers > b1-b0 {
-		workers = b1 - b0
-	}
-	if workers <= 1 {
-		for b := b0; b < b1; b++ {
-			if err := cancel(); err != nil {
-				return err
-			}
-			k.scanBlock(b, k.wins)
+// runRound tallies blocks [b0, b1) into k.wins, polling cancel before
+// each block.
+func (k *kernel) runRound(b0, b1 int, cancel func() error) error {
+	for b := b0; b < b1; b++ {
+		if err := cancel(); err != nil {
+			return err
 		}
-		return nil
-	}
-
-	var (
-		wg       sync.WaitGroup
-		next     atomic.Int64
-		mu       sync.Mutex
-		errBlock = -1
-		firstErr error
-	)
-	next.Store(int64(b0))
-	private := make([][]int64, workers)
-	for w := 0; w < workers; w++ {
-		private[w] = make([]int64, len(k.wins))
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				b := int(next.Add(1)) - 1
-				if b >= b1 {
-					return
-				}
-				if err := cancel(); err != nil {
-					mu.Lock()
-					if errBlock < 0 || b < errBlock {
-						errBlock, firstErr = b, err
-					}
-					mu.Unlock()
-					return
-				}
-				k.scanBlock(b, private[w])
-			}
-		}(w)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	for _, tal := range private {
-		for i, v := range tal {
-			k.wins[i] += v
-		}
+		k.scanBlock(b)
 	}
 	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/dataset"
@@ -230,45 +229,6 @@ func refineFixture(n int, seed int64) ([]uncertain.PointObject, pdf.PDF) {
 	return cands, issuer
 }
 
-func TestRefineWorkerInvariance(t *testing.T) {
-	// The determinism contract: block-keyed streams plus integer tally
-	// merges make the probabilities bit-identical at every worker
-	// count, serial included — in exhaustive mode and under adaptive
-	// retirement (decisions happen at fixed round boundaries, never at
-	// worker-dependent points).
-	cands, issuer := refineFixture(17, 11)
-	const parent = 42
-	for _, cfg := range []RefineConfig{
-		{Samples: 5000},
-		{Samples: 9000, Threshold: 0.3, Adaptive: true},
-	} {
-		serial := cfg
-		serial.Workers = 1
-		base, baseStats, err := Refine(cands, issuer, parent, serial)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{1, 2, 4, 8} {
-			c := cfg
-			c.Workers = workers
-			got, stats, err := Refine(cands, issuer, parent, c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range base {
-				if got[i] != base[i] {
-					t.Fatalf("adaptive=%v workers=%d: candidate %d probability %v != serial %v",
-						cfg.Adaptive, workers, cands[i].ID, got[i], base[i])
-				}
-			}
-			if stats.Samples != baseStats.Samples || stats.EarlyStopped != baseStats.EarlyStopped {
-				t.Fatalf("adaptive=%v workers=%d: stats %+v != serial %+v",
-					cfg.Adaptive, workers, stats, baseStats)
-			}
-		}
-	}
-}
-
 func TestRefineMatchesExact1D(t *testing.T) {
 	// The shared-stream kernel against the interval closed form,
 	// exercised directly (not through Evaluate).
@@ -279,7 +239,7 @@ func TestRefineMatchesExact1D(t *testing.T) {
 	for i, x := range xs {
 		cands = append(cands, uncertain.PointObject{ID: uncertain.ID(i), Loc: geom.Pt(x, 10)})
 	}
-	probs, stats, err := Refine(cands, issuer, 77, RefineConfig{Samples: 60000, Workers: 4})
+	probs, stats, err := Refine(cands, issuer, 77, RefineConfig{Samples: 60000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,26 +316,25 @@ func TestRefineAdaptiveConverges(t *testing.T) {
 }
 
 func TestRefineErrorPropagation(t *testing.T) {
-	// A refinement error must surface from every path — the serial
-	// loop and the block workers (the old per-candidate pool dropped
-	// worker errors, leaving silent zero probabilities).
+	// A Cancel error cuts the stream at the next block and surfaces to
+	// the caller, rather than leaving silent partial probabilities.
 	cands, issuer := refineFixture(9, 17)
 	wantErr := errors.New("boom")
-	for _, workers := range []int{1, 4} {
-		var calls atomic.Int64
-		_, _, err := Refine(cands, issuer, 1, RefineConfig{
-			Samples: 100000,
-			Workers: workers,
-			Cancel: func() error {
-				if calls.Add(1) > 3 {
-					return wantErr
-				}
-				return nil
-			},
-		})
-		if !errors.Is(err, wantErr) {
-			t.Fatalf("workers=%d: error = %v, want %v", workers, err, wantErr)
-		}
+	calls := 0
+	_, _, err := Refine(cands, issuer, 1, RefineConfig{
+		Samples: 100000,
+		Cancel: func() error {
+			if calls++; calls > 3 {
+				return wantErr
+			}
+			return nil
+		},
+	})
+	if !errors.Is(err, wantErr) {
+		t.Fatalf("error = %v, want %v", err, wantErr)
+	}
+	if calls != 4 {
+		t.Fatalf("Cancel polled %d times, want 4 (once per block until it fails)", calls)
 	}
 }
 
@@ -405,28 +364,6 @@ func TestRefineNoCandidates(t *testing.T) {
 	probs, stats, err := Refine(nil, issuer, 1, RefineConfig{})
 	if err != nil || len(probs) != 0 || stats.Samples != 0 {
 		t.Fatalf("empty refine = %v %+v %v", probs, stats, err)
-	}
-}
-
-// Race-detector coverage of a parallel adaptive refinement (run under
-// `go test -race ./internal/...`): a multi-round run with retirements
-// between rounds, checked against the serial result.
-func TestRefineParallelAdaptiveRace(t *testing.T) {
-	cands, issuer := refineFixture(30, 23)
-	cfg := RefineConfig{Samples: 20000, Threshold: 0.4, Adaptive: true}
-	serial, _, err := Refine(cands, issuer, 99, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Workers = 8
-	par, _, err := Refine(cands, issuer, 99, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range serial {
-		if serial[i] != par[i] {
-			t.Fatalf("candidate %d: parallel %v != serial %v", i, par[i], serial[i])
-		}
 	}
 }
 
@@ -527,13 +464,13 @@ func requireBrute(t testing.TB, name string, cands []uncertain.PointObject, issu
 	wantP, want := bruteWins(cands, issuer, parent, cfg)
 	for i := range cands {
 		if math.Float64bits(probs[i]) != math.Float64bits(wantP[i]) || stats.Decided[i] != want.Decided[i] {
-			t.Fatalf("%s workers=%d: candidate %d at %v: grid p=%v decided=%v, brute p=%v decided=%v",
-				name, cfg.Workers, i, cands[i].Loc, probs[i], stats.Decided[i], wantP[i], want.Decided[i])
+			t.Fatalf("%s: candidate %d at %v: grid p=%v decided=%v, brute p=%v decided=%v",
+				name, i, cands[i].Loc, probs[i], stats.Decided[i], wantP[i], want.Decided[i])
 		}
 	}
 	if stats.Samples != want.Samples || stats.EarlyStopped != want.EarlyStopped ||
 		stats.Converged != want.Converged || stats.Rounds != want.Rounds {
-		t.Fatalf("%s workers=%d: grid stats %+v, brute %+v", name, cfg.Workers, stats, want)
+		t.Fatalf("%s: grid stats %+v, brute %+v", name, stats, want)
 	}
 	return stats
 }
@@ -583,7 +520,7 @@ func pointsOf(coords ...[2]float64) []uncertain.PointObject {
 // layouts a grid gets wrong first: exact distance ties, degenerate
 // boxes, lopsided cells, and samples outside or on the edge of the
 // grid — exhaustive and with enough adaptive rounds that retired
-// candidates veto samples, at several worker counts.
+// candidates veto samples.
 func TestRefineGridMatchesBruteScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(20070415))
 	random := func(n int, lo, hi float64) []uncertain.PointObject {
@@ -659,16 +596,14 @@ func TestRefineGridMatchesBruteScan(t *testing.T) {
 		{"overflowing-support", random(50, 0, 100), pdf.MustUniform(geom.Rect{Lo: geom.Pt(-1.7e308, -1.7e308), Hi: geom.Pt(1.7e308, 1.7e308)})},
 	}
 	for _, tc := range cases {
-		for _, workers := range []int{1, 2, 4} {
-			requireBrute(t, tc.name+"/exhaustive", tc.cands, tc.issuer, 7, RefineConfig{Samples: 1500, Workers: workers})
-			// Four 2 048-sample rounds: candidates retire after the first
-			// and veto samples in the later ones.
-			stats := requireBrute(t, tc.name+"/adaptive", tc.cands, tc.issuer, 11, RefineConfig{
-				Samples: 4 * DefaultRoundBlocks * DefaultBlock, Threshold: 0.1, Adaptive: true, Workers: workers,
-			})
-			if len(tc.cands) > 1 && stats.EarlyStopped == 0 {
-				t.Fatalf("%s: no candidate retired, the retired-nearest veto went unexercised", tc.name)
-			}
+		requireBrute(t, tc.name+"/exhaustive", tc.cands, tc.issuer, 7, RefineConfig{Samples: 1500})
+		// Four 2 048-sample rounds: candidates retire after the first
+		// and veto samples in the later ones.
+		stats := requireBrute(t, tc.name+"/adaptive", tc.cands, tc.issuer, 11, RefineConfig{
+			Samples: 4 * DefaultRoundBlocks * DefaultBlock, Threshold: 0.1, Adaptive: true,
+		})
+		if len(tc.cands) > 1 && stats.EarlyStopped == 0 {
+			t.Fatalf("%s: no candidate retired, the retired-nearest veto went unexercised", tc.name)
 		}
 	}
 }
@@ -705,7 +640,7 @@ func FuzzRefineGrid(f *testing.F) {
 		}
 		requireBrute(t, "fuzz", pointsOf(cs...), issuer, seed, RefineConfig{Samples: 600})
 		requireBrute(t, "fuzz/adaptive", pointsOf(cs...), issuer, seed, RefineConfig{
-			Samples: 3 * 4 * 64, Block: 64, RoundBlocks: 4, Threshold: 0.2, Adaptive: true, Workers: 2,
+			Samples: 3 * 4 * 64, Block: 64, RoundBlocks: 4, Threshold: 0.2, Adaptive: true,
 		})
 	})
 }

@@ -449,7 +449,7 @@ func FuzzDecodeEvaluateResponse(f *testing.F) {
 // request that validates.
 func FuzzRequestJSON(f *testing.F) {
 	f.Add([]byte(`{"issuer":{"region":[450,450,550,550]},"w":100,"h":100,"threshold":0.3}`))
-	f.Add([]byte(`{"kind":"points","issuer":{"region":[0,0,10,10],"pdf":"gaussian","sigma_x":2},"w":5,"h":5,"workers":99,"trace":true}`))
+	f.Add([]byte(`{"kind":"points","issuer":{"region":[0,0,10,10],"pdf":"gaussian","sigma_x":2},"w":5,"h":5,"trace":true}`))
 	f.Add([]byte(`{"kind":"nn","issuer":{"region":[900,5100,1100,5300]},"k":1,"nn_samples":64,"seed":5}`))
 	f.Add([]byte(`{"target":"points","issuer":{"region":[10,10,0,0]},"w":-1,"h":1e308}`))
 	f.Add([]byte(`{"kind":"nn","issuer":{"region":[-1e308,-1e308,1e308,1e308]},"k":1}`))

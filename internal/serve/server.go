@@ -48,7 +48,6 @@ type RequestJSON struct {
 	Threshold float64    `json:"threshold,omitempty"`
 	K         int        `json:"k,omitempty"`
 	NNSamples int        `json:"nn_samples,omitempty"`
-	Workers   int        `json:"workers,omitempty"`
 	Seed      int64      `json:"seed,omitempty"`
 	// Trace asks for the per-stage cost breakdown (pin, filter,
 	// refine, merge) in the response — one-shot evaluation only.
@@ -130,10 +129,6 @@ func ToPDF(region geom.Rect, kind string, sx, sy float64) (pdf.PDF, error) {
 	}
 }
 
-// maxRequestWorkers caps client-requested per-request refinement
-// fan-out so one request cannot commandeer the whole server.
-const maxRequestWorkers = 16
-
 // maxRequestNNSamples caps the client-requested NN shared-stream
 // length (the total issuer positions drawn, tallied against every
 // candidate).
@@ -191,10 +186,6 @@ func (rj RequestJSON) ToRequest() (core.Request, error) {
 	if err != nil {
 		return core.Request{}, &core.RequestError{Field: "issuer", Err: err}
 	}
-	workers := rj.Workers
-	if workers > maxRequestWorkers {
-		workers = maxRequestWorkers
-	}
 	nnSamples := rj.NNSamples
 	if nnSamples > maxRequestNNSamples {
 		nnSamples = maxRequestNNSamples
@@ -207,7 +198,6 @@ func (rj RequestJSON) ToRequest() (core.Request, error) {
 		Threshold: rj.Threshold,
 		K:         rj.K,
 		NNSamples: nnSamples,
-		Workers:   workers,
 		Seed:      rj.Seed,
 	}
 	return req, req.Validate()

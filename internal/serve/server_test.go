@@ -178,15 +178,20 @@ func postRaw(t *testing.T, url, body string) (int, map[string]any) {
 func TestServeRejectsUnknownFields(t *testing.T) {
 	ts := testServer(t)
 	for _, path := range []string{"/v1/evaluate", "/v1/queries"} {
-		status, body := postRaw(t, ts.URL+path, `{
-			"issuer": {"region": [450, 450, 550, 550]}, "w": 100, "h": 100,
-			"treshold": 0.5}`)
-		if status != http.StatusBadRequest {
-			t.Fatalf("%s with unknown field: HTTP %d, want 400", path, status)
-		}
-		msg, _ := body["error"].(string)
-		if !strings.Contains(msg, "treshold") {
-			t.Fatalf("%s error does not name the unknown field: %v", path, body)
+		for field, req := range map[string]string{
+			"treshold": `{"issuer": {"region": [450, 450, 550, 550]}, "w": 100, "h": 100, "treshold": 0.5}`,
+			// A request refines on its own goroutine: there is no
+			// per-request pool for a client to size.
+			"workers": `{"issuer": {"region": [450, 450, 550, 550]}, "w": 100, "h": 100, "workers": 4}`,
+		} {
+			status, body := postRaw(t, ts.URL+path, req)
+			if status != http.StatusBadRequest {
+				t.Fatalf("%s with unknown field %q: HTTP %d, want 400", path, field, status)
+			}
+			msg, _ := body["error"].(string)
+			if !strings.Contains(msg, field) {
+				t.Fatalf("%s error does not name the unknown field %q: %v", path, field, body)
+			}
 		}
 	}
 	// Updates share the decoder policy.

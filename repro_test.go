@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"os/exec"
+	"reflect"
 	"testing"
 
 	"repro"
@@ -277,23 +278,35 @@ func TestPublicAPIDynamicUpdates(t *testing.T) {
 	}
 }
 
+// TestPublicAPIParallel fans requests out through the facade's
+// EvaluateAll, eight at a time, and checks every answer against the
+// same request evaluated alone.
 func TestPublicAPIParallel(t *testing.T) {
 	engine, _, _ := buildSmallWorld(t)
-	iss := newIssuer(t, repro.Pt(5000, 5000), 250)
-	q := repro.Query{Issuer: iss, W: 600, H: 600, Threshold: 0.2}
-	serial, err := evalReq(engine, repro.KindUncertain, q, repro.EvalOptions{})
+	var reqs []repro.Request
+	for i := 0; i < 8; i++ {
+		iss := newIssuer(t, repro.Pt(3000+float64(i)*500, 5000), 250)
+		reqs = append(reqs, repro.Request{Kind: repro.KindUncertain, Issuer: iss, W: 600, H: 600, Threshold: 0.2, Seed: int64(i + 1)})
+	}
+	par := make([]repro.Result, len(reqs))
+	err := engine.EvaluateAll(context.Background(), reqs, repro.AllOptions{Workers: 8},
+		func(i int, resp repro.Response, err error) {
+			if err != nil {
+				t.Errorf("request %d: %v", i, err)
+			}
+			par[i] = resp.Result
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
-	presp, err := engine.Evaluate(context.Background(), repro.Request{
-		Kind: repro.KindUncertain, Issuer: q.Issuer, W: q.W, H: q.H, Threshold: q.Threshold, Workers: 8,
-	})
-	par := presp.Result
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial.Matches) != len(par.Matches) {
-		t.Fatalf("serial %d vs parallel %d matches", len(serial.Matches), len(par.Matches))
+	for i, req := range reqs {
+		serial, err := engine.Evaluate(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(serial.Matches, par[i].Matches) {
+			t.Fatalf("request %d: serial %d matches vs parallel %d", i, len(serial.Matches), len(par[i].Matches))
+		}
 	}
 }
 

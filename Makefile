@@ -1,9 +1,11 @@
 # Developer / CI entry points. Timing is measured by the end-to-end
 # benchmark (benchmark/, BENCHMARK.json); `make bench` only prints the
-# go test micro-benchmarks of the refinement kernels, the two hop
-# codecs (the NN frame, the match-list JSON) and the write path (one
-# 16-move ApplyUpdates batch on a shard-sized engine; its bytes and
-# allocations are pinned by core.TestApplyUpdatesAllocationBudget).
+# go test micro-benchmarks of the refinement kernels, the hop codecs
+# (the NN frame, the match-list JSON, the update batch, the delta frame
+# relay; the last two pinned by serve.TestWriteCodecAllocationBudget)
+# and the write path (one 16-move ApplyUpdates batch on a shard-sized
+# engine; its bytes and allocations are pinned by
+# core.TestApplyUpdatesAllocationBudget).
 # `make apicheck` gates the public API surface against api/repro.txt.
 
 GO ?= go
@@ -38,7 +40,7 @@ soak:
 	$(GO) test -run 'TestCrashRecoveryProperty|TestCheckpointFaultInjection' -count=3 ./internal/core/
 
 bench: build
-	$(GO) test ./internal/bench ./internal/nn ./internal/wire ./internal/serve ./internal/core -run xxx -bench 'BenchmarkRefine|BenchmarkNNCandidateFrame|BenchmarkEvaluateResponseCodec|BenchmarkApplyUpdates' -benchtime 1s -benchmem
+	$(GO) test ./internal/bench ./internal/nn ./internal/wire ./internal/serve ./internal/core -run xxx -bench 'BenchmarkRefine|BenchmarkNNCandidateFrame|BenchmarkEvaluateResponseCodec|BenchmarkUpdatesCodec|BenchmarkRelayFrame|BenchmarkApplyUpdates' -benchtime 1s -benchmem
 
 # The end-to-end benchmark (benchmark/, see BENCHMARK.json) is a
 # module of its own, so `go build ./... && go test ./...` never
@@ -60,8 +62,10 @@ cluster-smoke: build
 # the WAL frame codec, the NN candidate grid against the linear scan
 # it replaced, the NN candidate frame decoder and the match-list JSON
 # scanner (the router's untrusted input from its shards; the scanner is
-# also held to json.Unmarshal), the checkpoint manifest's extent checks,
-# the request body a client sends, and the tile-map spec string.
+# also held to json.Unmarshal), the delta frame relay, the checkpoint
+# manifest's extent checks, the request bodies a client sends (the
+# update batch's decoder held to the json.Decoder it replaced), and the
+# tile-map spec string.
 # Fuzzing runs only here and in the CI fuzz-smoke job; `go test ./...`
 # replays the seeds alone.
 fuzz-smoke:
@@ -74,6 +78,8 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzCheckpointManifest -fuzztime=15s ./internal/core
 	$(GO) test -fuzz=FuzzDecodeEvaluateResponse -fuzztime=15s ./internal/serve
 	$(GO) test -fuzz=FuzzRequestJSON -fuzztime=15s ./internal/serve
+	$(GO) test -fuzz=FuzzDecodeUpdatesRequest -fuzztime=15s ./internal/serve
+	$(GO) test -fuzz=FuzzRelayDeltaFrame -fuzztime=15s ./internal/serve
 	$(GO) test -fuzz=FuzzParseTileSpec -fuzztime=15s ./internal/shard
 
 # API-surface gate: the public facade (package repro) is a reviewed

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"unicode"
@@ -12,20 +14,30 @@ import (
 	"unicode/utf8"
 
 	"repro/internal/core"
+	"repro/internal/monitor"
 	"repro/internal/uncertain"
 )
 
-// This file is the codec of the two bodies that carry a match list,
-// EvaluateResponse and RegisterResponse: an append encoder and a
-// scanning decoder that replace encoding/json's reflection on the hot
-// hops (shard → router → client) without changing a byte of either
-// body. The encoder writes exactly what json.NewEncoder(w).Encode
-// writes for the same struct — field order, omitempty, encoding/json's
-// float and string rules, the trailing newline — and the decoder
-// accepts a subset of what json.Unmarshal accepts and yields the same
-// struct for it. TestCodecMatchesEncodingJSON and
-// FuzzDecodeEvaluateResponse hold both to that, so there is one wire
-// format and no second schema to version.
+// This file is the codec of every body a query answer or a write
+// crosses the fleet in: an append encoder and a scanning decoder that
+// replace encoding/json's reflection on the hot hops without changing a
+// byte of any body. On the read path they carry the two bodies with a
+// match list, EvaluateResponse and RegisterResponse (shard → router →
+// client); on the write path the /v1/updates batch (client → router →
+// shard) and its UpdatesResponse, and the SSE delta frame, which a
+// shard writes straight from monitor.Delta and the router relays as the
+// shard's own bytes with its shard tag spliced in (AppendRelayedDelta).
+//
+// The encoder writes exactly what encoding/json writes for the same
+// struct — field order, omitempty, encoding/json's float and string
+// rules, the trailing newline where json.NewEncoder(w).Encode writes
+// one. The decoders of replies and frames accept a subset of what
+// json.Unmarshal accepts and yield the same struct for it; the decoder
+// of the update batch, a client's request, accepts what
+// json.Decoder with DisallowUnknownFields accepts, with two documented
+// exceptions (DecodeUpdatesRequest). TestCodecMatchesEncodingJSON and
+// the fuzz targets hold them to that, so there is one wire format and
+// no second schema to version.
 
 // encoder appends JSON to b. The one value it can refuse is a float64
 // that is not finite, as encoding/json does; err keeps the first.
@@ -156,8 +168,24 @@ func (e *encoder) evaluateHead(r *EvaluateResponse) {
 }
 
 func (e *encoder) evaluateTail(r *EvaluateResponse) {
-	c := &r.Cost
-	e.raw(`,"cost":{"candidates":`)
+	e.raw(`,"cost":`)
+	e.cost(&r.Cost)
+	if len(r.Trace) > 0 {
+		e.raw(`,"trace":[`)
+		for i := range r.Trace {
+			if i > 0 {
+				e.raw(",")
+			}
+			e.span(&r.Trace[i])
+		}
+		e.raw("]")
+	}
+	e.partial(r.Partial, r.MissingShards)
+	e.raw("}\n")
+}
+
+func (e *encoder) cost(c *CostJSON) {
+	e.raw(`{"candidates":`)
 	e.int(int64(c.Candidates))
 	e.raw(`,"refined":`)
 	e.int(int64(c.Refined))
@@ -170,30 +198,28 @@ func (e *encoder) evaluateTail(r *EvaluateResponse) {
 	e.raw(`,"duration_ms":`)
 	e.float(c.DurationMS)
 	e.raw("}")
-	if len(r.Trace) > 0 {
-		e.raw(`,"trace":[`)
-		for i := range r.Trace {
-			if i > 0 {
-				e.raw(",")
-			}
-			e.span(&r.Trace[i])
+}
+
+func (e *encoder) strs(ss []string) {
+	e.raw("[")
+	for i, s := range ss {
+		if i > 0 {
+			e.raw(",")
 		}
-		e.raw("]")
+		e.str(s)
 	}
-	if r.Partial {
+	e.raw("]")
+}
+
+// partial is the fail-open tail of a router-merged reply.
+func (e *encoder) partial(partial bool, missing []string) {
+	if partial {
 		e.raw(`,"partial":true`)
 	}
-	if len(r.MissingShards) > 0 {
-		e.raw(`,"missing_shards":[`)
-		for i, id := range r.MissingShards {
-			if i > 0 {
-				e.raw(",")
-			}
-			e.str(id)
-		}
-		e.raw("]")
+	if len(missing) > 0 {
+		e.raw(`,"missing_shards":`)
+		e.strs(missing)
 	}
-	e.raw("}\n")
 }
 
 func (e *encoder) span(sp *SpanJSON) {
@@ -272,11 +298,189 @@ func AppendRegisterResponse(dst []byte, r *RegisterResponse) ([]byte, error) {
 	return e.done()
 }
 
+func (e *encoder) floats(fs []float64) {
+	e.raw("[")
+	for i, f := range fs {
+		if i > 0 {
+			e.raw(",")
+		}
+		e.float(f)
+	}
+	e.raw("]")
+}
+
+func (e *encoder) update(u *UpdateJSON) {
+	e.raw(`{"op":`)
+	e.str(u.Op)
+	e.raw(`,"id":`)
+	e.int(u.ID)
+	if u.X != 0 {
+		e.raw(`,"x":`)
+		e.float(u.X)
+	}
+	if u.Y != 0 {
+		e.raw(`,"y":`)
+		e.float(u.Y)
+	}
+	if len(u.Region) > 0 {
+		e.raw(`,"region":`)
+		e.floats(u.Region)
+	}
+	if u.PDF != "" {
+		e.raw(`,"pdf":`)
+		e.str(u.PDF)
+	}
+	if u.SigmaX != 0 {
+		e.raw(`,"sigma_x":`)
+		e.float(u.SigmaX)
+	}
+	if u.SigmaY != 0 {
+		e.raw(`,"sigma_y":`)
+		e.float(u.SigmaY)
+	}
+	e.raw("}")
+}
+
+// AppendUpdatesRequest appends r as the body of POST /v1/updates: byte
+// for byte what json.Marshal(r) writes, with no trailing newline.
+func AppendUpdatesRequest(dst []byte, r *UpdatesRequest) ([]byte, error) {
+	e := encoder{b: dst}
+	e.raw(`{"updates":`)
+	if r.Updates == nil {
+		e.raw("null")
+	} else {
+		e.raw("[")
+		for i := range r.Updates {
+			if i > 0 {
+				e.raw(",")
+			}
+			e.update(&r.Updates[i])
+		}
+		e.raw("]")
+	}
+	e.raw("}")
+	return e.done()
+}
+
+// AppendUpdatesResponse appends r as the reply of POST /v1/updates,
+// versions in the sorted key order encoding/json writes a map in.
+func AppendUpdatesResponse(dst []byte, r *UpdatesResponse) ([]byte, error) {
+	e := encoder{b: dst}
+	e.raw(`{"seq":`)
+	e.uint(r.Seq)
+	e.raw(`,"applied":`)
+	e.int(int64(r.Applied))
+	e.raw(`,"missing":`)
+	e.int(int64(r.Missing))
+	e.raw(`,"version":`)
+	e.uint(r.Version)
+	e.raw(`,"reevaluated":`)
+	e.int(int64(r.Reevaluated))
+	e.raw(`,"skipped":`)
+	e.int(int64(r.Skipped))
+	e.raw(`,"entered":`)
+	e.int(int64(r.Entered))
+	e.raw(`,"left":`)
+	e.int(int64(r.Left))
+	e.raw(`,"changed":`)
+	e.int(int64(r.Changed))
+	if len(r.Errors) > 0 {
+		e.raw(`,"errors":`)
+		e.strs(r.Errors)
+	}
+	if len(r.Versions) > 0 {
+		e.raw(`,"versions":{`)
+		for i, shard := range slices.Sorted(maps.Keys(r.Versions)) {
+			if i > 0 {
+				e.raw(",")
+			}
+			e.str(shard)
+			e.raw(":")
+			e.uint(r.Versions[shard])
+		}
+		e.raw("}")
+	}
+	e.partial(r.Partial, r.MissingShards)
+	e.raw("}\n")
+	return e.done()
+}
+
+// AppendDelta appends d as one frame of a standing query's delta
+// stream: byte for byte what json.Marshal writes for its DeltaJSON
+// form, with no trailing newline. Seq and version lead, as in
+// DeltaJSON, which is what lets the router splice its shard tag in
+// behind them (AppendRelayedDelta).
+func AppendDelta(dst []byte, d *monitor.Delta) ([]byte, error) {
+	e := encoder{b: dst}
+	e.raw(`{"seq":`)
+	e.uint(d.Seq)
+	e.raw(`,"version":`)
+	e.uint(d.Version)
+	if len(d.Entered) > 0 {
+		e.raw(`,"entered":`)
+		e.engineMatches(d.Entered)
+	}
+	if len(d.Updated) > 0 {
+		e.raw(`,"updated":`)
+		e.engineMatches(d.Updated)
+	}
+	if len(d.Left) > 0 {
+		e.raw(`,"left":[`)
+		for i, id := range d.Left {
+			if i > 0 {
+				e.raw(",")
+			}
+			e.int(int64(id))
+		}
+		e.raw("]")
+	}
+	if d.Err != nil {
+		if msg := d.Err.Error(); msg != "" {
+			e.raw(`,"error":`)
+			e.str(msg)
+		}
+	}
+	e.raw(`,"coalesced":`)
+	e.int(int64(d.Coalesced))
+	e.raw(`,"cost":`)
+	cost := ToCostJSON(d.Cost)
+	e.cost(&cost)
+	e.raw("}")
+	return e.done()
+}
+
+// AppendRelayedDelta appends a shard's delta frame as the router
+// relays it: the frame's own bytes, with `,"shard":<shard>` spliced in
+// where the version value ends. The frame is checked first by the
+// scanning decoder; a frame it refuses, one without a version and one
+// that already carries a shard tag are refused with ErrBody. For a
+// frame a shard's AppendDelta wrote — seq, then version, then the rest
+// — the result is byte for byte what json.Marshal writes for the
+// frame's DeltaJSON with Shard set, since that is where encoding/json
+// puts the shard field. A frame written some other way keeps its own
+// bytes too: its unknown keys, key case, whitespace and number
+// spellings (0.50) reach the subscriber as the shard wrote them, where
+// a decode and re-encode would drop and normalise them.
+func AppendRelayedDelta(dst, frame []byte, shard string) ([]byte, error) {
+	s := &scanner{p: frame}
+	_, versionEnd, tagged := s.delta()
+	if err := s.end(); err != nil {
+		return nil, err
+	}
+	if versionEnd < 0 || tagged {
+		return nil, fmt.Errorf("%w: a shard's delta frame needs a version and no shard tag", ErrBody)
+	}
+	e := encoder{b: append(dst, frame[:versionEnd]...)}
+	e.raw(`,"shard":`)
+	e.str(shard)
+	return append(e.b, frame[versionEnd:]...), nil
+}
+
 // ErrBody is wrapped by every refusal of the scanning decoder: the
-// bytes are not an EvaluateResponse or RegisterResponse body this
-// binary trusts. It is deterministic for given bytes, so a caller must
-// not retry on it.
-var ErrBody = errors.New("serve: malformed reply body")
+// bytes are not a body of the kind asked for that this binary trusts.
+// It is deterministic for given bytes, so a caller must not retry on
+// it.
+var ErrBody = errors.New("serve: malformed JSON body")
 
 // maxSkipDepth bounds the nesting of a value under an unknown key.
 const maxSkipDepth = 32
@@ -286,26 +490,42 @@ const maxSkipDepth = 32
 // moves i to the end so that every loop stops, and nothing is allocated
 // in proportion to anything but the bytes actually present.
 //
-// It accepts less than encoding/json: only an object at the top, null
-// only in place of a list, no key twice in one object (json.Unmarshal
-// merges the two values), unknown values nested at most maxSkipDepth
-// deep, and a match list only in the engine's canonical order. It
-// accepts any key order, whitespace, keys spelled in another case (as
-// json.Unmarshal matches them) and unknown keys, whose values are
-// checked to be JSON and dropped.
+// As a decoder of replies and frames it accepts less than
+// encoding/json: only an object at the top, null only in place of a
+// list, no key twice in one object (json.Unmarshal merges the two
+// values), unknown values nested at most maxSkipDepth deep, and a
+// match list only in the engine's canonical order. It accepts any key
+// order, whitespace, keys spelled in another case (as json.Unmarshal
+// matches them) and unknown keys, whose values are checked to be JSON
+// and dropped — unless strict, when an unknown key is refused as
+// DisallowUnknownFields refuses it.
 type scanner struct {
-	p     []byte
-	i     int
-	depth int // of the unknown value being skipped
-	err   error
+	p      []byte
+	i      int
+	depth  int // of the unknown value being skipped
+	strict bool
+	err    error
 }
 
 func (s *scanner) fail(why string) {
+	s.failWith(fmt.Errorf("%w: %s at byte %d", ErrBody, why, s.i))
+}
+
+func (s *scanner) failWith(err error) {
 	if s.err == nil {
-		s.err = fmt.Errorf("%w: %s at byte %d", ErrBody, why, s.i)
+		s.err = err
 	}
 	s.i = len(s.p)
 }
+
+// unknownFieldError is json.Decoder's refusal of an unknown key under
+// DisallowUnknownFields, word for word, so that a 400 names the field
+// as it always did. It is an ErrBody like every other refusal.
+type unknownFieldError string
+
+func (e unknownFieldError) Error() string { return fmt.Sprintf("json: unknown field %q", string(e)) }
+
+func (unknownFieldError) Is(target error) bool { return target == ErrBody }
 
 // peek skips whitespace and returns the byte after it, 0 at the end.
 func (s *scanner) peek() byte {
@@ -355,10 +575,9 @@ func fieldOf(names []string, key []byte) int {
 	return -1
 }
 
-// members walks one object: for each key that matches one of names it
-// calls field with the name's index, and field consumes the value; the
-// value of any other key is skipped.
-func (s *scanner) members(names []string, field func(f int)) {
+// object walks one object, calling member with each key (which aliases
+// the body); member consumes the value.
+func (s *scanner) object(member func(key []byte)) {
 	if !s.expect('{') {
 		return
 	}
@@ -366,21 +585,12 @@ func (s *scanner) members(names []string, field func(f int)) {
 		s.i++
 		return
 	}
-	var seen uint
 	for {
 		key := s.str()
 		if !s.expect(':') {
 			return
 		}
-		switch f := fieldOf(names, key); {
-		case f < 0:
-			s.skip()
-		case seen&(1<<f) != 0:
-			s.fail("duplicate key " + names[f])
-		default:
-			seen |= 1 << f
-			field(f)
-		}
+		member(key)
 		switch s.peek() {
 		case ',':
 			s.i++
@@ -392,6 +602,26 @@ func (s *scanner) members(names []string, field func(f int)) {
 			return
 		}
 	}
+}
+
+// members walks an object of a struct's fields: for each key that
+// matches one of names it calls field with the name's index, and field
+// consumes the value; the value of any other key is skipped.
+func (s *scanner) members(names []string, field func(f int)) {
+	var seen uint
+	s.object(func(key []byte) {
+		switch f := fieldOf(names, key); {
+		case f < 0 && s.strict:
+			s.failWith(unknownFieldError(key))
+		case f < 0:
+			s.skip()
+		case seen&(1<<f) != 0:
+			s.fail("duplicate key " + names[f])
+		default:
+			seen |= 1 << f
+			field(f)
+		}
+	})
 }
 
 // elements walks one array, calling elem at each element.
@@ -418,11 +648,19 @@ func (s *scanner) elements(elem func()) {
 	}
 }
 
+// null consumes a null literal if one is next.
+func (s *scanner) null() bool {
+	if s.peek() != 'n' {
+		return false
+	}
+	s.word("null")
+	return true
+}
+
 // list scans an array into a slice as json.Unmarshal fills one: nil
 // for null, empty for [].
 func list[T any](s *scanner, sizeHint int, elem func() T) []T {
-	if s.peek() == 'n' {
-		s.word("null")
+	if s.null() {
 		return nil
 	}
 	out := make([]T, 0, sizeHint)
@@ -438,7 +676,7 @@ func (s *scanner) skip() {
 	}
 	switch s.peek() {
 	case '{':
-		s.members(nil, nil)
+		s.object(func([]byte) { s.skip() })
 	case '[':
 		s.elements(s.skip)
 	case '"':
@@ -666,20 +904,25 @@ func (s *scanner) matches() []MatchJSON {
 	hint := bytes.Count(s.p[s.i:], []byte("{"))
 	var prev MatchJSON
 	first := true
-	return list(s, hint, func() (m MatchJSON) {
-		s.members(matchKeys, func(f int) {
-			if f == 0 {
-				m.ID = s.int(64)
-			} else {
-				m.P = s.float64()
-			}
-		})
+	return list(s, hint, func() MatchJSON {
+		m := s.match()
 		if !first && CompareMatchJSON(prev, m) >= 0 {
 			s.fail("match list is not in canonical order")
 		}
 		prev, first = m, false
 		return m
 	})
+}
+
+func (s *scanner) match() (m MatchJSON) {
+	s.members(matchKeys, func(f int) {
+		if f == 0 {
+			m.ID = s.int(64)
+		} else {
+			m.P = s.float64()
+		}
+	})
+	return m
 }
 
 var costKeys = []string{"candidates", "refined", "samples_used", "early_stopped", "node_accesses", "duration_ms"}
@@ -790,4 +1033,188 @@ func DecodeRegisterResponse(body []byte) (RegisterResponse, error) {
 		return RegisterResponse{}, err
 	}
 	return r, nil
+}
+
+var updatesKeys = []string{"updates"}
+
+// maxUpdatesHint caps the update list DecodeUpdatesRequest reserves
+// before it decodes one: without it a body of braces alone would
+// reserve a 96-byte UpdateJSON for each of its bytes.
+const maxUpdatesHint = 512
+
+// DecodeUpdatesRequest decodes the body of POST /v1/updates, a
+// client's request: it accepts and refuses what json.Decoder with
+// DisallowUnknownFields does and returns the same struct — null
+// wherever encoding/json takes it, keys in another case, an unknown key
+// refused with encoding/json's own words — with two exceptions, both
+// refused: the same key twice in one object (encoding/json keeps the
+// last), and bytes after the body's one value (json.Decoder leaves them
+// unread). The result shares no memory with body. Every refusal wraps
+// ErrBody.
+func DecodeUpdatesRequest(body []byte) (UpdatesRequest, error) {
+	s := &scanner{p: body, strict: true}
+	var r UpdatesRequest
+	if !s.null() {
+		s.members(updatesKeys, func(int) {
+			// Every update opens a brace, so their count bounds the list
+			// by the bytes present; a client writes those bytes, so the
+			// reservation is capped too and a longer list grows as it
+			// decodes.
+			hint := min(bytes.Count(s.p[s.i:], []byte("{")), maxUpdatesHint)
+			r.Updates = list(s, hint, s.update)
+		})
+	}
+	if err := s.end(); err != nil {
+		return UpdatesRequest{}, err
+	}
+	return r, nil
+}
+
+var updateKeys = []string{"op", "id", "x", "y", "region", "pdf", "sigma_x", "sigma_y"}
+
+var opNames = []string{"upsert_object", "upsert_point", "delete_object", "delete_point"}
+
+// op is text for an update's op: the four names the server knows come
+// back as these constants, so they cost no allocation.
+func (s *scanner) op() string {
+	b := s.str()
+	for _, name := range opNames {
+		if string(b) == name {
+			return name
+		}
+	}
+	return string(b)
+}
+
+// update scans one update of a request: null, for the update or for
+// any of its fields, leaves it at its zero value as encoding/json does.
+func (s *scanner) update() (u UpdateJSON) {
+	if s.null() {
+		return u
+	}
+	s.members(updateKeys, func(f int) {
+		if s.null() {
+			return
+		}
+		switch f {
+		case 0:
+			u.Op = s.op()
+		case 1:
+			u.ID = s.int(64)
+		case 2:
+			u.X = s.float64()
+		case 3:
+			u.Y = s.float64()
+		case 4:
+			u.Region = list(s, 4, func() float64 {
+				if s.null() {
+					return 0
+				}
+				return s.float64()
+			})
+		case 5:
+			u.PDF = s.text()
+		case 6:
+			u.SigmaX = s.float64()
+		case 7:
+			u.SigmaY = s.float64()
+		}
+	})
+	return u
+}
+
+var updatesResponseKeys = []string{"seq", "applied", "missing", "version", "reevaluated", "skipped", "entered", "left", "changed", "errors", "versions", "partial", "missing_shards"}
+
+// DecodeUpdatesResponse decodes the reply of POST /v1/updates, under
+// the rules of DecodeEvaluateResponse; a versions key repeated is
+// refused like any other.
+func DecodeUpdatesResponse(body []byte) (UpdatesResponse, error) {
+	s := &scanner{p: body}
+	var r UpdatesResponse
+	count := func(p *int) { *p = int(s.int(strconv.IntSize)) }
+	s.members(updatesResponseKeys, func(f int) {
+		switch f {
+		case 0:
+			r.Seq = s.uint64()
+		case 1:
+			count(&r.Applied)
+		case 2:
+			count(&r.Missing)
+		case 3:
+			r.Version = s.uint64()
+		case 4:
+			count(&r.Reevaluated)
+		case 5:
+			count(&r.Skipped)
+		case 6:
+			count(&r.Entered)
+		case 7:
+			count(&r.Left)
+		case 8:
+			count(&r.Changed)
+		case 9:
+			r.Errors = list(s, 0, s.text)
+		case 10:
+			r.Versions = s.versions()
+		case 11:
+			r.Partial = s.bool()
+		case 12:
+			r.MissingShards = list(s, 0, s.text)
+		}
+	})
+	if err := s.end(); err != nil {
+		return UpdatesResponse{}, err
+	}
+	return r, nil
+}
+
+// versions scans the shard → version map: nil for null, as
+// json.Unmarshal fills a map.
+func (s *scanner) versions() map[string]uint64 {
+	if s.null() {
+		return nil
+	}
+	m := map[string]uint64{}
+	s.object(func(key []byte) {
+		if _, dup := m[string(key)]; dup {
+			s.fail("duplicate key " + string(key))
+			return
+		}
+		m[string(key)] = s.uint64()
+	})
+	return m
+}
+
+var deltaKeys = []string{"seq", "version", "shard", "entered", "updated", "left", "error", "coalesced", "cost"}
+
+// delta scans one delta frame. versionEnd is the offset just past the
+// version value, -1 in a frame without one; tagged reports a shard key.
+// The entered and updated lists are taken in any order: a delta is a
+// change set, not an answer the router merges.
+func (s *scanner) delta() (d DeltaJSON, versionEnd int, tagged bool) {
+	versionEnd = -1
+	s.members(deltaKeys, func(f int) {
+		switch f {
+		case 0:
+			d.Seq = s.uint64()
+		case 1:
+			d.Version = s.uint64()
+			versionEnd = s.i
+		case 2:
+			d.Shard, tagged = s.text(), true
+		case 3:
+			d.Entered = list(s, 0, s.match)
+		case 4:
+			d.Updated = list(s, 0, s.match)
+		case 5:
+			d.Left = list(s, 0, func() int64 { return s.int(64) })
+		case 6:
+			d.Error = s.text()
+		case 7:
+			d.Coalesced = int(s.int(strconv.IntSize))
+		case 8:
+			d.Cost = s.cost()
+		}
+	})
+	return d, versionEnd, tagged
 }

@@ -12,12 +12,15 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/monitor"
+	"repro/internal/uncertain"
 )
 
-// stdEncode is the encoder the codec replaced and is held to.
+// stdEncode is the encoder the codec replaced and is held to, for a
+// body a handler wrote through json.NewEncoder(w).Encode.
 func stdEncode(t testing.TB, v any) []byte {
 	t.Helper()
 	var b bytes.Buffer
@@ -27,6 +30,17 @@ func stdEncode(t testing.TB, v any) []byte {
 	return b.Bytes()
 }
 
+// stdMarshal is stdEncode for a body that went through json.Marshal:
+// the router's sub-batches and the delta frames.
+func stdMarshal(t testing.TB, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // goldenEvaluate and goldenRegister were recorded from
 // json.NewEncoder(w).Encode at the commit before the append encoder
 // existed (d1fa13c).
@@ -34,6 +48,42 @@ const (
 	goldenEvaluate = `{"request_id":"41","kind":"uncertain","version":18446744073709551615,"matches":[{"id":7,"p":1},{"id":-9223372036854775808,"p":0.8414709848078965},{"id":9223372036854775807,"p":0.1},{"id":12,"p":0.000001},{"id":13,"p":9.5e-7},{"id":14,"p":1.5e-9},{"id":15,"p":5e-324},{"id":3,"p":0},{"id":4,"p":-0}],"cost":{"candidates":640,"refined":12,"samples_used":1099511627776,"early_stopped":3,"node_accesses":47,"duration_ms":1.234567},"trace":[{"stage":"pin","start_ms":0,"duration_ms":0.001},{"stage":"refine","start_ms":0.25,"duration_ms":1e+21,"node_accesses":5,"samples":1000,"items":12,"note":"grid=\u003c4x4\u003e \u0026 \"q\"\t\u2028\ufffd"}],"partial":true,"missing_shards":["1","b/2"]}` + "\n"
 	goldenRegister = `{"id":-3,"kind":"points","snapshot":[{"id":2,"p":0.5},{"id":5,"p":0.5},{"id":1,"p":1.25e-7}]}` + "\n"
 )
+
+// The write path's bodies, recorded from encoding/json at the commit
+// before the write path left it (953cd69): the batch as json.Marshal
+// wrote a router's sub-batch, the reply as WriteJSON wrote it, the
+// delta frame as WriteSSE wrote a shard's and the relayed frame as the
+// router wrote it after decoding the shard's and setting its tag.
+const (
+	goldenBatch        = `{"updates":[{"op":"upsert_object","id":9007199254740993,"region":[4821.337512,0.000001,1e+21,5e-324],"pdf":"gaussian","sigma_x":12.5},{"op":"upsert_point","id":-4,"y":9.5e-7},{"op":"upsert_point","id":5,"y":7512.0000001},{"op":"delete_object","id":0},{"op":"delete_point","id":9223372036854775807,"sigma_y":-2},{"op":"\u003cop\u003e\u0026\u2028\ufffd","id":-9223372036854775808}]}`
+	goldenUpdatesReply = `{"seq":18446744073709551615,"applied":32,"missing":1,"version":77,"reevaluated":64,"skipped":3,"entered":2,"left":1,"changed":5,"errors":["shard 1: update 3: unknown op \"x\"","\u003c\u0026\u003e"],"versions":{"0":77,"1":70,"10":3,"b\u003c2\u003e":1},"partial":true,"missing_shards":["2"]}` + "\n"
+	goldenDelta        = `{"seq":12,"version":40,"entered":[{"id":7,"p":0.75},{"id":3,"p":1.5e-7}],"updated":[{"id":9,"p":0.5}],"left":[2,11],"error":"deadline \u003cexceeded\u003e \u0026 \"quoted\"","coalesced":2,"cost":{"candidates":5,"refined":3,"samples_used":4096,"early_stopped":1,"node_accesses":0,"duration_ms":1.234567}}`
+	goldenRelayed      = `{"seq":12,"version":40,"shard":"1","entered":[{"id":7,"p":0.75},{"id":3,"p":1.5e-7}],"updated":[{"id":9,"p":0.5}],"left":[2,11],"error":"deadline \u003cexceeded\u003e \u0026 \"quoted\"","coalesced":2,"cost":{"candidates":5,"refined":3,"samples_used":4096,"early_stopped":1,"node_accesses":0,"duration_ms":1.234567}}`
+)
+
+func goldenWriteValues() (UpdatesRequest, UpdatesResponse, monitor.Delta) {
+	batch := UpdatesRequest{Updates: []UpdateJSON{
+		{Op: "upsert_object", ID: 9007199254740993, Region: []float64{4821.337512, 0.000001, 1e21, 5e-324}, PDF: "gaussian", SigmaX: 12.5},
+		{Op: "upsert_point", ID: -4, Y: 9.5e-7},
+		{Op: "upsert_point", ID: 5, X: math.Copysign(0, -1), Y: 7512.0000001},
+		{Op: "delete_object", ID: 0},
+		{Op: "delete_point", ID: math.MaxInt64, Region: []float64{}, SigmaY: -2},
+		{Op: "<op>&\u2028\xff", ID: math.MinInt64},
+	}}
+	reply := UpdatesResponse{Seq: math.MaxUint64, Applied: 32, Missing: 1, Version: 77, Reevaluated: 64, Skipped: 3, Entered: 2, Left: 1, Changed: 5,
+		Errors:   []string{`shard 1: update 3: unknown op "x"`, "<&>"},
+		Versions: map[string]uint64{"1": 70, "0": 77, "b<2>": 1, "10": 3},
+		Partial:  true, MissingShards: []string{"2"}}
+	d := monitor.Delta{Seq: 12, Version: 40,
+		Entered:   []core.Match{{ID: 7, P: 0.75}, {ID: 3, P: 1.5e-7}},
+		Updated:   []core.Match{{ID: 9, P: 0.5}},
+		Left:      []uncertain.ID{2, 11},
+		Err:       errors.New(`deadline <exceeded> & "quoted"`),
+		Coalesced: 2,
+		Cost:      core.Cost{Candidates: 5, Refined: 3, SamplesUsed: 4096, EarlyStopped: 1, Duration: 1234567 * time.Nanosecond},
+	}
+	return batch, reply, d
+}
 
 func goldenValues() (EvaluateResponse, RegisterResponse) {
 	ev := EvaluateResponse{
@@ -61,9 +111,9 @@ func goldenValues() (EvaluateResponse, RegisterResponse) {
 	return ev, reg
 }
 
-// TestCodecGolden: the two bodies are the bytes encoding/json wrote for
-// them before this codec, and those bytes decode to what json.Unmarshal
-// makes of them.
+// TestCodecGolden: every body is the bytes encoding/json wrote for it
+// before this codec, and those bytes decode to what json.Unmarshal
+// makes of them; the relayed frame is the one the router wrote.
 func TestCodecGolden(t *testing.T) {
 	ev, reg := goldenValues()
 	got, err := AppendEvaluateResponse(nil, &ev)
@@ -88,6 +138,32 @@ func TestCodecGolden(t *testing.T) {
 	}
 	if gotReg, err := DecodeRegisterResponse([]byte(goldenRegister)); err != nil || !reflect.DeepEqual(gotReg, wantReg) {
 		t.Errorf("register decode (err %v):\n got %+v\nwant %+v", err, gotReg, wantReg)
+	}
+
+	batch, reply, d := goldenWriteValues()
+	goldenBody(t, "batch", &batch, goldenBatch, AppendUpdatesRequest, DecodeUpdatesRequest)
+	goldenBody(t, "updates reply", &reply, goldenUpdatesReply, AppendUpdatesResponse, DecodeUpdatesResponse)
+	goldenBody(t, "delta frame", &d, goldenDelta, AppendDelta, decodeDelta)
+	relayed, err := AppendRelayedDelta(nil, []byte(goldenDelta), "1")
+	if err != nil || string(relayed) != goldenRelayed {
+		t.Errorf("relayed frame (err %v):\n got %s\nwant %s", err, relayed, goldenRelayed)
+	}
+}
+
+// goldenBody checks that v encodes to golden and that golden decodes
+// to what json.Unmarshal makes of it.
+func goldenBody[V, T any](t *testing.T, what string, v *V, golden string, appendTo func([]byte, *V) ([]byte, error), decode func([]byte) (T, error)) {
+	t.Helper()
+	got, err := appendTo(nil, v)
+	if err != nil || string(got) != golden {
+		t.Errorf("%s (err %v):\n got %s\nwant %s", what, err, got, golden)
+	}
+	var want T
+	if err := json.Unmarshal([]byte(golden), &want); err != nil {
+		t.Fatal(err)
+	}
+	if scanned, err := decode([]byte(golden)); err != nil || !reflect.DeepEqual(scanned, want) {
+		t.Errorf("%s decode (err %v):\n got %+v\nwant %+v", what, err, scanned, want)
 	}
 }
 
@@ -189,9 +265,9 @@ func randomEvaluateResponse(rng *rand.Rand) EvaluateResponse {
 // encoder writes std's bytes, and the scanner reads them — as they are
 // or, when reindent is set, spread over lines — into the struct
 // json.Unmarshal reads them into.
-func sameBodyAsStd[T any](t *testing.T, v *T, reindent bool, appendTo func([]byte, *T) ([]byte, error), decode func([]byte) (T, error)) {
+func sameBodyAsStd[T any](t *testing.T, std func(testing.TB, any) []byte, v *T, reindent bool, appendTo func([]byte, *T) ([]byte, error), decode func([]byte) (T, error)) {
 	t.Helper()
-	body := stdEncode(t, v)
+	body := std(t, v)
 	got, err := appendTo([]byte("prefix"), v)
 	if err != nil || !bytes.Equal(got, append([]byte("prefix"), body...)) {
 		t.Fatalf("encode (err %v):\n got %s\n std %s", err, got, body)
@@ -203,26 +279,33 @@ func sameBodyAsStd[T any](t *testing.T, v *T, reindent bool, appendTo func([]byt
 		}
 		body = indented.Bytes()
 	}
-	var std T
-	if err := json.Unmarshal(body, &std); err != nil {
+	var want T
+	if err := json.Unmarshal(body, &want); err != nil {
 		t.Fatal(err)
 	}
 	scanned, err := decode(body)
-	if err != nil || !reflect.DeepEqual(scanned, std) {
-		t.Fatalf("decode (err %v) of %s:\n got %+v\n std %+v", err, body, scanned, std)
+	if err != nil || !reflect.DeepEqual(scanned, want) {
+		t.Fatalf("decode (err %v) of %s:\n got %+v\n std %+v", err, body, scanned, want)
 	}
 }
 
 // TestCodecMatchesEncodingJSON is the differential that pins the codec
-// to encoding/json: for random responses the bytes and the decoded
-// structs are identical.
+// to encoding/json: for random bodies of every kind the bytes and the
+// decoded structs are identical, and a relayed delta frame is the
+// frame encoding/json writes with its shard tag set.
 func TestCodecMatchesEncodingJSON(t *testing.T) {
 	rng := rand.New(rand.NewPCG(22, 1))
 	for i := range 3000 {
 		ev := randomEvaluateResponse(rng)
-		sameBodyAsStd(t, &ev, i%4 == 0, AppendEvaluateResponse, DecodeEvaluateResponse)
+		sameBodyAsStd(t, stdEncode, &ev, i%4 == 0, AppendEvaluateResponse, DecodeEvaluateResponse)
 		reg := RegisterResponse{ID: randomID(rng), Kind: randomString(rng), Snapshot: randomMatches(rng)}
-		sameBodyAsStd(t, &reg, i%4 == 1, AppendRegisterResponse, DecodeRegisterResponse)
+		sameBodyAsStd(t, stdEncode, &reg, i%4 == 1, AppendRegisterResponse, DecodeRegisterResponse)
+		batch := randomUpdatesRequest(rng)
+		sameBodyAsStd(t, stdMarshal, &batch, i%4 == 2, AppendUpdatesRequest, DecodeUpdatesRequest)
+		rep := randomUpdatesResponse(rng)
+		sameBodyAsStd(t, stdEncode, &rep, i%4 == 3, AppendUpdatesResponse, DecodeUpdatesResponse)
+		d := randomDelta(rng)
+		sameDeltaAsStd(t, &d, i%4 == 0)
 
 		ms, err := AppendMatches(nil, ev.Matches)
 		if want := bytes.TrimSuffix(stdEncode(t, ev.Matches), []byte("\n")); err != nil || !bytes.Equal(ms, want) {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -14,7 +15,8 @@ import (
 )
 
 // This file is the one HTTP helper set of the wire format: body
-// decoding, JSON and error replies, and the server-sent-event frame.
+// reading and decoding (and the 413 for a body over the cap), JSON and
+// error replies, and the server-sent-event frame.
 // ildq-serve and the fleet router (internal/shard) both answer through
 // it, so a status code, an error shape or a frame layout cannot differ
 // between a standalone server and a fleet.
@@ -25,18 +27,73 @@ const MaxBodyBytes = 16 << 20
 
 // DecodeBody decodes a JSON body, rejecting unknown fields — a typo
 // in a request must fail loudly, not be silently ignored.
-func DecodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, MaxBodyBytes))
+func DecodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	dec.DisallowUnknownFields()
 	return dec.Decode(v)
 }
 
-// bodyPool holds the buffers replies are encoded into. A buffer that
-// grew past maxPooledBody is dropped, so one huge answer does not pin
-// its memory to the pool.
-var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+// ReadUpdatesRequest reads the body of POST /v1/updates into a pooled
+// buffer and decodes it with DecodeUpdatesRequest; the request it
+// returns shares no memory with the buffer.
+func ReadUpdatesRequest(w http.ResponseWriter, r *http.Request) (UpdatesRequest, error) {
+	buf := GetBuffer()
+	body, err := readBody(w, r, *buf)
+	var req UpdatesRequest
+	if err == nil {
+		req, err = DecodeUpdatesRequest(body)
+	}
+	PutBuffer(buf, body)
+	return req, err
+}
 
-const maxPooledBody = 1 << 20
+// maxPresize bounds the room readBody reserves on a client's word: a
+// body announced larger grows only as its bytes arrive, so a client
+// that announces the cap and stalls holds what it sent, not the cap.
+const maxPresize = 64 << 10
+
+// readBody reads a request body whole through the MaxBodyBytes cap into
+// dst, which is grown first to the announced Content-Length up to
+// maxPresize, plus the room for the read that sees the end — one read
+// and no copy for a body within the bound.
+func readBody(w http.ResponseWriter, r *http.Request, dst []byte) ([]byte, error) {
+	buf := bytes.NewBuffer(dst[:0])
+	if n := r.ContentLength; n > 0 {
+		buf.Grow(int(min(n, maxPresize)) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+	return buf.Bytes(), err
+}
+
+// WriteBodyError answers a request whose body could not be read or
+// decoded: 413 when it ran past MaxBodyBytes, 400 for anything else.
+func WriteBodyError(log *slog.Logger, w http.ResponseWriter, err error) {
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	WriteError(log, w, status, err)
+}
+
+// bufferPool holds the buffers request and reply bodies and relayed
+// delta frames pass through. A buffer that grew past maxPooledBuffer is
+// dropped, so one huge body does not pin its memory to the pool.
+var bufferPool = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledBuffer = 1 << 20
+
+// GetBuffer takes a buffer from the pool; its bytes are stale, so fill
+// it from (*buf)[:0] and hand the result to PutBuffer.
+func GetBuffer() *[]byte { return bufferPool.Get().(*[]byte) }
+
+// PutBuffer returns buf to the pool holding b, the bytes last put in it.
+func PutBuffer(buf *[]byte, b []byte) {
+	if cap(b) <= maxPooledBuffer {
+		*buf = b
+		bufferPool.Put(buf)
+	}
+}
 
 // writeBody encodes a reply into a pooled buffer and only then commits
 // to it: Content-Length, the status, one Write. A value that does not
@@ -45,7 +102,7 @@ const maxPooledBody = 1 << 20
 // is chunked. A Write failure means the client is gone, so it is logged
 // at debug rather than surfaced.
 func writeBody(log *slog.Logger, w http.ResponseWriter, status int, encode func(dst []byte) ([]byte, error)) {
-	buf := bodyPool.Get().(*[]byte)
+	buf := GetBuffer()
 	body, err := encode((*buf)[:0])
 	if err != nil {
 		log.Error("response does not encode", "err", err)
@@ -59,15 +116,12 @@ func writeBody(log *slog.Logger, w http.ResponseWriter, status int, encode func(
 	if _, err := w.Write(body); err != nil {
 		log.Debug("response write failed", "err", err)
 	}
-	if cap(body) <= maxPooledBody {
-		*buf = body
-		bodyPool.Put(buf)
-	}
+	PutBuffer(buf, body)
 }
 
-// WriteJSON sends v as the response body through encoding/json: every
-// reply but the two that carry a match list, which have an encoder of
-// their own (codec.go).
+// WriteJSON sends v as the response body through encoding/json: the
+// small replies off the query and write paths, whose bodies have an
+// encoder of their own (codec.go).
 func WriteJSON(log *slog.Logger, w http.ResponseWriter, status int, v any) {
 	writeBody(log, w, status, func(dst []byte) ([]byte, error) {
 		buf := bytes.NewBuffer(dst)
@@ -87,6 +141,13 @@ func WriteEvaluateResponse(log *slog.Logger, w http.ResponseWriter, r *EvaluateR
 func WriteRegisterResponse(log *slog.Logger, w http.ResponseWriter, r *RegisterResponse) {
 	writeBody(log, w, http.StatusCreated, func(dst []byte) ([]byte, error) {
 		return AppendRegisterResponse(dst, r)
+	})
+}
+
+// WriteUpdatesResponse answers POST /v1/updates with r.
+func WriteUpdatesResponse(log *slog.Logger, w http.ResponseWriter, r *UpdatesResponse) {
+	writeBody(log, w, http.StatusOK, func(dst []byte) ([]byte, error) {
+		return AppendUpdatesResponse(dst, r)
 	})
 }
 
@@ -132,24 +193,30 @@ func StartSSE(w http.ResponseWriter) {
 }
 
 // WriteSSE writes one server-sent-event frame — "event: <event>" when
-// event is non-empty, then v as one "data:" line of JSON and the blank
-// line that ends the frame — and flushes it to the client.
-func WriteSSE(w http.ResponseWriter, event string, v any) error {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	var frame []byte
+// event is non-empty, then data, one line of JSON, as the "data:" line
+// and the blank line that ends the frame — and flushes it to the
+// client. The pieces collect in the response's buffer, so the frame
+// still leaves in one write.
+func WriteSSE(w http.ResponseWriter, event string, data []byte) error {
 	if event != "" {
-		frame = append(append(frame, "event: "...), event...)
-		frame = append(frame, '\n')
+		io.WriteString(w, "event: "+event+"\n") //nolint:errcheck // a failed write fails the next one too
 	}
-	frame = append(append(append(frame, "data: "...), data...), "\n\n"...)
-	if _, err := w.Write(frame); err != nil {
+	io.WriteString(w, "data: ") //nolint:errcheck // as above
+	w.Write(data)               //nolint:errcheck // as above
+	if _, err := io.WriteString(w, "\n\n"); err != nil {
 		return err
 	}
 	if f, ok := w.(http.Flusher); ok {
 		f.Flush()
 	}
 	return nil
+}
+
+// WriteSSEError ends a stream with an "error" event whose data is
+// {"error": msg}, the shape of every error reply.
+func WriteSSEError(w http.ResponseWriter, msg string) error {
+	e := encoder{b: []byte(`{"error":`)}
+	e.str(msg)
+	e.raw("}")
+	return WriteSSE(w, "error", e.b)
 }

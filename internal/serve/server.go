@@ -90,6 +90,10 @@ type SpanJSON struct {
 	Note         string  `json:"note,omitempty"`
 }
 
+// DeltaJSON is one frame of a standing query's delta stream. A shard
+// writes it straight from monitor.Delta (AppendDelta); a router relays
+// the shard's bytes with Shard spliced in (AppendRelayedDelta), which
+// relies on Seq and Version leading the field order.
 type DeltaJSON struct {
 	Seq uint64 `json:"seq"`
 	// Version is the engine version the delta's re-evaluation observed.
@@ -203,31 +207,55 @@ func (rj RequestJSON) ToRequest() (core.Request, error) {
 	return req, req.Validate()
 }
 
-func (uj UpdateJSON) ToUpdate() (core.Update, error) {
+// parse is everything ToUpdate checks: the op and, for an object, its
+// pdf. What it leaves out is uncertain.NewObject, which computes the
+// object's U-catalog and cannot fail on a pdf that exists — the catalog
+// probabilities are constants in [0, 1].
+func (uj UpdateJSON) parse() (core.UpdateOp, pdf.PDF, error) {
 	switch uj.Op {
 	case "upsert_point":
-		return core.Update{Op: core.OpUpsertPoint,
-			Point: uncertain.PointObject{ID: uncertain.ID(uj.ID), Loc: geom.Pt(uj.X, uj.Y)}}, nil
+		return core.OpUpsertPoint, nil, nil
 	case "delete_point":
-		return core.Update{Op: core.OpDeletePoint, ID: uncertain.ID(uj.ID)}, nil
+		return core.OpDeletePoint, nil, nil
 	case "upsert_object":
 		region, err := ToRect(uj.Region)
 		if err != nil {
-			return core.Update{}, err
+			return 0, nil, err
 		}
 		p, err := ToPDF(region, uj.PDF, uj.SigmaX, uj.SigmaY)
-		if err != nil {
-			return core.Update{}, err
-		}
-		o, err := uncertain.NewObject(uncertain.ID(uj.ID), p, uncertain.PaperCatalogProbs())
-		if err != nil {
-			return core.Update{}, err
-		}
-		return core.Update{Op: core.OpUpsertObject, Object: o}, nil
+		return core.OpUpsertObject, p, err
 	case "delete_object":
-		return core.Update{Op: core.OpDeleteObject, ID: uncertain.ID(uj.ID)}, nil
+		return core.OpDeleteObject, nil, nil
 	default:
-		return core.Update{}, fmt.Errorf("unknown op %q", uj.Op)
+		return 0, nil, fmt.Errorf("unknown op %q", uj.Op)
+	}
+}
+
+// Validate returns the error ToUpdate would, without building the
+// object: what a router checks before it routes a batch it does not
+// apply itself.
+func (uj UpdateJSON) Validate() error {
+	_, _, err := uj.parse()
+	return err
+}
+
+func (uj UpdateJSON) ToUpdate() (core.Update, error) {
+	op, p, err := uj.parse()
+	if err != nil {
+		return core.Update{}, err
+	}
+	id := uncertain.ID(uj.ID)
+	switch op {
+	case core.OpUpsertPoint:
+		return core.Update{Op: op, Point: uncertain.PointObject{ID: id, Loc: geom.Pt(uj.X, uj.Y)}}, nil
+	case core.OpUpsertObject:
+		o, err := uncertain.NewObject(id, p, uncertain.PaperCatalogProbs())
+		if err != nil {
+			return core.Update{}, err
+		}
+		return core.Update{Op: op, Object: o}, nil
+	default:
+		return core.Update{Op: op, ID: id}, nil
 	}
 }
 
@@ -265,24 +293,6 @@ func toTraceJSON(tr *obs.Trace) []SpanJSON {
 		}
 	}
 	return out
-}
-
-func ToDeltaJSON(d monitor.Delta) DeltaJSON {
-	dj := DeltaJSON{
-		Seq:       d.Seq,
-		Version:   d.Version,
-		Entered:   ToMatchesJSON(d.Entered),
-		Updated:   ToMatchesJSON(d.Updated),
-		Coalesced: d.Coalesced,
-		Cost:      ToCostJSON(d.Cost),
-	}
-	if d.Err != nil {
-		dj.Error = d.Err.Error()
-	}
-	for _, id := range d.Left {
-		dj.Left = append(dj.Left, int64(id))
-	}
-	return dj
 }
 
 // Config carries the operator's observability knobs.
@@ -518,8 +528,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // returned alongside for serve-only fields (trace).
 func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (RequestJSON, core.Request, bool) {
 	var rj RequestJSON
-	if err := DecodeBody(r, &rj); err != nil {
-		WriteError(s.log, w, http.StatusBadRequest, err)
+	if err := DecodeBody(w, r, &rj); err != nil {
+		WriteBodyError(s.log, w, err)
 		return rj, core.Request{}, false
 	}
 	req, err := rj.ToRequest()
@@ -693,15 +703,20 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	StartSSE(w)
+	var frame []byte
 	for {
 		d, err := sub.Next(r.Context())
 		if err != nil {
 			if errors.Is(err, monitor.ErrClosed) {
-				WriteSSE(w, "close", struct{}{}) //nolint:errcheck // the stream ends either way
+				WriteSSE(w, "close", []byte("{}")) //nolint:errcheck // the stream ends either way
 			}
 			return
 		}
-		if WriteSSE(w, "", ToDeltaJSON(d)) != nil {
+		if frame, err = AppendDelta(frame[:0], &d); err != nil {
+			s.log.Error("delta does not encode", "err", err)
+			return
+		}
+		if WriteSSE(w, "", frame) != nil {
 			return
 		}
 	}
@@ -709,9 +724,9 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 
 // POST /v1/updates — ingest one update batch.
 func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
-	var body UpdatesRequest
-	if err := DecodeBody(r, &body); err != nil {
-		WriteError(s.log, w, http.StatusBadRequest, err)
+	body, err := ReadUpdatesRequest(w, r)
+	if err != nil {
+		WriteBodyError(s.log, w, err)
 		return
 	}
 	batch := make([]core.Update, len(body.Updates))
@@ -746,7 +761,7 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 	for _, e := range out.Report.Errors {
 		resp.Errors = append(resp.Errors, e.Error())
 	}
-	WriteJSON(s.log, w, http.StatusOK, resp)
+	WriteUpdatesResponse(s.log, w, &resp)
 }
 
 // GET /metrics — the registry's Prometheus text exposition: engine

@@ -194,11 +194,40 @@ func TestServeRejectsUnknownFields(t *testing.T) {
 			}
 		}
 	}
-	// Updates share the decoder policy.
+	// Updates share the decoder policy, and its words.
 	status, body := postRaw(t, ts.URL+"/v1/updates", `{"updates": [
 		{"op": "upsert_object", "id": 7, "regoin": [480, 480, 520, 520]}]}`)
-	if status != http.StatusBadRequest {
-		t.Fatalf("updates with unknown field: HTTP %d (%v), want 400", status, body)
+	if status != http.StatusBadRequest || body["error"] != `json: unknown field "regoin"` {
+		t.Fatalf("updates with unknown field: HTTP %d (%v), want 400 naming regoin", status, body)
+	}
+}
+
+// capBodies are request bodies of MaxBodyBytes+1 and of MaxBodyBytes
+// bytes for path: one value padded with whitespace inside it, so a
+// decoder cannot stop before the end. The one at the cap is a valid
+// request.
+func capBodies(path string) (over, at string) {
+	head, tail := `{"issuer":{"region":[450,450,550,550]},"w":100,`, `"h":100}`
+	if path == "/v1/updates" {
+		head, tail = `{"updates":[`, `{"op":"delete_point","id":1}]}`
+	}
+	pad := func(n int) string { return head + strings.Repeat(" ", n-len(head)-len(tail)) + tail }
+	return pad(MaxBodyBytes + 1), pad(MaxBodyBytes)
+}
+
+// TestServeBodyCap: a request body past MaxBodyBytes is a 413, not a
+// 400, on the decoder the query requests go through and on the
+// /v1/updates reader alike; a body exactly at the cap is served.
+func TestServeBodyCap(t *testing.T) {
+	ts := testServer(t)
+	for _, path := range []string{"/v1/evaluate", "/v1/updates"} {
+		over, at := capBodies(path)
+		if status, body := postRaw(t, ts.URL+path, over); status != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s, %d bytes: HTTP %d (%v), want 413", path, len(over), status, body)
+		}
+		if status, body := postRaw(t, ts.URL+path, at); status != http.StatusOK {
+			t.Errorf("%s, %d bytes: HTTP %d (%v), want 200", path, len(at), status, body)
+		}
 	}
 }
 

@@ -14,14 +14,15 @@ import (
 // responses with the exact same types the server encodes. What keeps
 // probabilities bit-exact across the scatter-gather hop is that a
 // float64 is rendered at round-trip precision in both directions, by
-// one encoder/decoder pair per body: AppendEvaluateResponse /
-// DecodeEvaluateResponse and AppendRegisterResponse /
-// DecodeRegisterResponse (codec.go) for the two bodies that carry a
-// match list, encoding/json for the small ones — and
-// TestCodecMatchesEncodingJSON pins the former pair to the latter byte
-// for byte, so the two cannot drift. The one success body that is not
-// JSON is the reply of /v1/nn/candidates, a binary frame
-// (internal/wire) that carries each float64 as its bits.
+// one encoder/decoder pair per body. Every body a query or a write
+// crosses the fleet in has a pair of its own in codec.go — the match
+// lists (EvaluateResponse, RegisterResponse), the update batch and its
+// reply, the delta frame and the router's relay of it — and
+// TestCodecMatchesEncodingJSON pins each pair to encoding/json byte for
+// byte, so the two cannot drift; encoding/json is left with the small
+// bodies off those paths (query requests, /healthz, error replies). The one
+// success body that is not JSON is the reply of /v1/nn/candidates, a
+// binary frame (internal/wire) that carries each float64 as its bits.
 
 // EvaluateResponse is the body of POST /v1/evaluate.
 type EvaluateResponse struct {
@@ -106,8 +107,8 @@ const MaxNNCandidateLimit = 1 << 16
 // Content-Length.
 func (s *Server) handleNNCandidates(w http.ResponseWriter, r *http.Request) {
 	var body NNCandidatesRequest
-	if err := DecodeBody(r, &body); err != nil {
-		WriteError(s.log, w, http.StatusBadRequest, err)
+	if err := DecodeBody(w, r, &body); err != nil {
+		WriteBodyError(s.log, w, err)
 		return
 	}
 	req, err := body.Request.ToRequest()

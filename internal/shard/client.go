@@ -127,6 +127,12 @@ func (c *Client) do(ctx context.Context, method, path string, in any, rp reply) 
 			return fmt.Errorf("shard %s: encoding %s: %w", c.ID, path, err)
 		}
 	}
+	return c.send(ctx, method, path, body, rp)
+}
+
+// send runs one request with an encoded body (nil for none) under the
+// client's retry policy.
+func (c *Client) send(ctx context.Context, method, path string, body []byte, rp reply) error {
 	pol := c.Retry.withDefaults()
 	backoff := pol.Backoff
 	var lastErr error
@@ -257,10 +263,19 @@ func (c *Client) NNCandidates(ctx context.Context, req serve.NNCandidatesRequest
 	return out, err
 }
 
-// Updates applies one update batch on the shard.
+// Updates applies one update batch on the shard. The batch and the
+// reply go through the append encoder and the scanning decoder.
 func (c *Client) Updates(ctx context.Context, req serve.UpdatesRequest) (serve.UpdatesResponse, error) {
 	var out serve.UpdatesResponse
-	err := c.do(ctx, http.MethodPost, "/v1/updates", req, jsonReply("updates", unmarshalInto(&out)))
+	// ~110 bytes is a move of an object with a 4-float region.
+	body, err := serve.AppendUpdatesRequest(make([]byte, 0, 16+128*len(req.Updates)), &req)
+	if err != nil {
+		return out, fmt.Errorf("shard %s: encoding /v1/updates: %w", c.ID, err)
+	}
+	err = c.send(ctx, http.MethodPost, "/v1/updates", body, jsonReply("updates", func(b []byte) (err error) {
+		out, err = serve.DecodeUpdatesResponse(b)
+		return err
+	}))
 	return out, err
 }
 

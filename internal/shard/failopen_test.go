@@ -306,48 +306,104 @@ func TestRouterRepliesCarryContentLength(t *testing.T) {
 	}
 }
 
-// TestRouterStreamCorruptFrame: a shard whose delta stream carries one
-// undecodable frame between two good ones. The relay must not hand the
-// subscriber a stream with a hole in it — before the fix it skipped the
-// frame in silence and forwarded the next one — so it forwards the
-// frames up to the bad one, counts and logs the loss, and ends the
-// subscriber's stream with an error event; nothing after the hole is
-// forwarded.
-func TestRouterStreamCorruptFrame(t *testing.T) {
-	release := make(chan struct{})
-	shardSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+// postStatus posts body to url and returns the status and the error
+// reply's message.
+func postStatus(t *testing.T, url, body string) (int, string) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var reply struct{ Error string }
+	json.NewDecoder(resp.Body).Decode(&reply) //nolint:errcheck // a success body has no error to read
+	return resp.StatusCode, reply.Error
+}
+
+// TestRouterRequestBodies: the router refuses a client's body as a
+// standalone server does — an unknown field in an update batch is a 400
+// naming it, a body past serve.MaxBodyBytes a 413 on the query decoder
+// and on the /v1/updates reader alike — and serves one exactly at the
+// cap.
+func TestRouterRequestBodies(t *testing.T) {
+	rt := fleet(t, 2)
+	ts := httptest.NewServer(NewServer(rt))
+	t.Cleanup(ts.Close)
+
+	status, msg := postStatus(t, ts.URL+"/v1/updates", `{"updates": [
+		{"op": "upsert_object", "id": 7, "regoin": [480, 480, 520, 520]}]}`)
+	if status != http.StatusBadRequest || msg != `json: unknown field "regoin"` {
+		t.Errorf("updates with unknown field: HTTP %d %q, want 400 naming regoin", status, msg)
+	}
+
+	for path, value := range map[string][2]string{
+		"/v1/evaluate": {`{"issuer":{"region":[450,450,550,550]},"w":100,`, `"h":100}`},
+		"/v1/updates":  {`{"updates":[`, `{"op":"delete_point","id":1}]}`},
+	} {
+		// Whitespace inside the one value, so no decoder stops early.
+		pad := func(n int) string { return value[0] + strings.Repeat(" ", n-len(value[0])-len(value[1])) + value[1] }
+		if status, msg := postStatus(t, ts.URL+path, pad(serve.MaxBodyBytes+1)); status != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s past the cap: HTTP %d %q, want 413", path, status, msg)
+		}
+		if status, msg := postStatus(t, ts.URL+path, pad(serve.MaxBodyBytes)); status != http.StatusOK {
+			t.Errorf("%s at the cap: HTTP %d %q, want 200", path, status, msg)
+		}
+	}
+}
+
+// streamFleet is a router over stand-in shards, one per handler, and
+// its HTTP front: router query 1 stands on every shard as the shard's
+// query 7.
+func streamFleet(t *testing.T, shards ...http.HandlerFunc) (rt *Router, url string) {
+	t.Helper()
+	clients := make([]*Client, len(shards))
+	sub := &routerSub{id: 1, kind: "uncertain"}
+	for i, h := range shards {
+		ts := httptest.NewServer(h)
+		t.Cleanup(ts.Close)
+		clients[i] = &Client{ID: fmt.Sprint(i), BaseURL: ts.URL}
+		sub.members = append(sub.members, subMember{shard: i, subID: 7})
+	}
+	m, err := Uniform(geom.Rect{Lo: geom.Pt(0, 0), Hi: geom.Pt(10000, 10000)}, 4, 2, len(shards))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rt, err = NewRouter(m, clients, Config{}); err != nil {
+		t.Fatal(err)
+	}
+	rt.subs[1] = sub
+	ts := httptest.NewServer(NewServer(rt))
+	t.Cleanup(ts.Close)
+	return rt, ts.URL
+}
+
+// shardStream is a stand-in shard's stream of query 7: the stream
+// headers, then write's frames, then what end does (nothing keeps the
+// stream open until the router hangs up).
+func shardStream(write string, end func(http.ResponseWriter)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/v1/queries/7/stream" {
 			http.NotFound(w, r)
 			return
 		}
 		serve.StartSSE(w)
-		fmt.Fprint(w, "data: {\"version\":1,\"entered\":[{\"id\":10,\"p\":0.5}]}\n\n")
-		fmt.Fprint(w, "data: {\"version\":2,\"entered\":[{\"id\":11,\n\n") // torn frame
-		fmt.Fprint(w, "data: {\"version\":3,\"entered\":[{\"id\":12,\"p\":0.5}]}\n\n")
+		io.WriteString(w, write) //nolint:errcheck // test server
 		w.(http.Flusher).Flush()
-		select { // a live stream stays open; the router must end it itself
-		case <-release:
-		case <-r.Context().Done():
+		if end != nil {
+			end(w)
+			return
 		}
-	}))
-	t.Cleanup(shardSrv.Close)
-	t.Cleanup(func() { close(release) })
-
-	m, err := Uniform(geom.Rect{Lo: geom.Pt(0, 0), Hi: geom.Pt(10000, 10000)}, 4, 2, 1)
-	if err != nil {
-		t.Fatal(err)
+		<-r.Context().Done() // a live stream stays open; the router must end it itself
 	}
-	rt, err := NewRouter(m, []*Client{{ID: "0", BaseURL: shardSrv.URL}}, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt.subs[1] = &routerSub{id: 1, kind: "uncertain", members: []subMember{{shard: 0, subID: 7}}}
-	ts := httptest.NewServer(NewServer(rt))
-	t.Cleanup(ts.Close)
+}
 
+// readStream reads the router's stream of query 1 to its end, which the
+// router must bring about itself.
+func readStream(t *testing.T, url string) string {
+	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/queries/1/stream", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/v1/queries/1/stream", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,11 +412,26 @@ func TestRouterStreamCorruptFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer stream.Body.Close()
-	raw, err := io.ReadAll(stream.Body) // returns when the router ends the stream
+	raw, err := io.ReadAll(stream.Body)
 	if err != nil {
 		t.Fatalf("subscriber stream did not end cleanly: %v", err)
 	}
-	got := string(raw)
+	return string(raw)
+}
+
+// TestRouterStreamCorruptFrame: a shard whose delta stream carries one
+// undecodable frame between two good ones. The relay must not hand the
+// subscriber a stream with a hole in it — before the fix it skipped the
+// frame in silence and forwarded the next one — so it forwards the
+// frames up to the bad one, counts and logs the loss, and ends the
+// subscriber's stream with an error event; nothing after the hole is
+// forwarded.
+func TestRouterStreamCorruptFrame(t *testing.T) {
+	rt, url := streamFleet(t, shardStream(
+		"data: {\"version\":1,\"entered\":[{\"id\":10,\"p\":0.5}]}\n\n"+
+			"data: {\"version\":2,\"entered\":[{\"id\":11,\n\n"+ // torn frame
+			"data: {\"version\":3,\"entered\":[{\"id\":12,\"p\":0.5}]}\n\n", nil))
+	got := readStream(t, url)
 	if !strings.Contains(got, `"version":1`) {
 		t.Errorf("frame before the corrupt one was not forwarded:\n%s", got)
 	}
@@ -372,5 +443,59 @@ func TestRouterStreamCorruptFrame(t *testing.T) {
 	}
 	if v := rt.m.framesDropped.With("0").Value(); v != 1 {
 		t.Errorf("ildq_router_stream_frames_dropped_total{shard=\"0\"} = %v, want 1", v)
+	}
+}
+
+// TestRouterStreamMemberLost: a member stream the relay cannot follow
+// to its close event — one that breaks off after a frame (the shard
+// hijacks and drops its connection), one that will not open (404, 500)
+// — ends the subscriber's stream with an error event and counts the
+// member lost; before, the relay let the member go in silence and kept
+// forwarding the other shards' frames, so the subscriber replayed an
+// answer that was no longer the fleet's. A member's own close event
+// still means what it did: the stream ends when every member has
+// closed, with a close event.
+func TestRouterStreamMemberLost(t *testing.T) {
+	live := shardStream("data: {\"seq\":1,\"version\":1,\"entered\":[{\"id\":10,\"p\":0.5}]}\n\n", nil)
+	for name, shard1 := range map[string]http.HandlerFunc{
+		"connection dropped": shardStream("data: {\"seq\":1,\"version\":1,\"entered\":[{\"id\":20,\"p\":0.5}]}\n\n",
+			func(w http.ResponseWriter) {
+				conn, _, err := w.(http.Hijacker).Hijack()
+				if err == nil {
+					conn.Close()
+				}
+			}),
+		"ended without close": shardStream("data: {\"seq\":1,\"version\":1,\"entered\":[{\"id\":20,\"p\":0.5}]}\n\n",
+			func(http.ResponseWriter) {}),
+		"stream open 404": http.NotFound,
+		"stream open 500": func(w http.ResponseWriter, _ *http.Request) {
+			http.Error(w, "boom", http.StatusInternalServerError)
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			rt, url := streamFleet(t, live, shard1)
+			got := readStream(t, url)
+			if !strings.Contains(got, "event: error\n") || !strings.Contains(got, "re-register") || !strings.Contains(got, "shard 1") {
+				t.Errorf("stream did not end with an error event naming shard 1:\n%s", got)
+			}
+			if strings.HasPrefix(name, "stream open") == strings.Contains(got, `"id":20`) {
+				t.Errorf("shard 1's frames were relayed wrong (want its one frame iff it sent one):\n%s", got)
+			}
+			if v := rt.m.membersLost.With("1").Value(); v != 1 {
+				t.Errorf("ildq_router_stream_members_lost_total{shard=\"1\"} = %v, want 1", v)
+			}
+		})
+	}
+
+	closing := func(id int) http.HandlerFunc {
+		return shardStream(fmt.Sprintf("data: {\"seq\":1,\"version\":1,\"entered\":[{\"id\":%d,\"p\":0.5}]}\n\nevent: close\ndata: {}\n\n", id), func(http.ResponseWriter) {})
+	}
+	rt, url := streamFleet(t, closing(10), closing(20))
+	got := readStream(t, url)
+	if !strings.Contains(got, `"id":10`) || !strings.Contains(got, `"id":20`) || !strings.HasSuffix(got, "event: close\ndata: {}\n\n") || strings.Contains(got, "event: error") {
+		t.Errorf("members that closed: want both frames, then a close event:\n%s", got)
+	}
+	if v := rt.m.membersLost.With("0").Value() + rt.m.membersLost.With("1").Value(); v != 0 {
+		t.Errorf("members that closed were counted lost %v times", v)
 	}
 }

@@ -156,7 +156,12 @@ var hostileReplies = []struct {
 	{
 		name: "updates: truncated body", path: "/v1/updates",
 		reply: jsonBody(`{"seq":1,"applied":`),
-		want:  []error{ErrReplyFormat}, binaries: true,
+		want:  []error{ErrReplyFormat, serve.ErrBody}, binaries: true,
+	},
+	{
+		name: "updates: versions key twice", path: "/v1/updates",
+		reply: jsonBody(`{"seq":1,"versions":{"0":3,"0":4}}`),
+		want:  []error{ErrReplyFormat, serve.ErrBody}, binaries: true,
 	},
 	{
 		name: "healthz: not an object", path: "/healthz",

@@ -24,6 +24,9 @@ type routerMetrics struct {
 	// framesDropped counts delta frames a shard's SSE stream delivered
 	// that the relay could not use (each one ends a subscriber stream).
 	framesDropped *obs.CounterVec
+	// membersLost counts member streams that would not open or ended
+	// without their close event (each ends a subscriber stream too).
+	membersLost *obs.CounterVec
 	// replyBytes is the size of each shard reply body the router read,
 	// per op — the production twin of the benchmark's serve.resp_bytes.
 	replyBytes *obs.HistogramVec
@@ -62,6 +65,8 @@ func newRouterMetrics() *routerMetrics {
 			fanoutBuckets),
 		framesDropped: reg.CounterVec("ildq_router_stream_frames_dropped_total",
 			"Delta frames from a shard's stream the relay could not decode; each ends the subscriber's stream with an error event.", "shard"),
+		membersLost: reg.CounterVec("ildq_router_stream_members_lost_total",
+			"Shard delta streams that would not open or ended without their close event; each ends the subscriber's stream with an error event.", "shard"),
 		replyBytes: reg.HistogramVec("ildq_router_shard_reply_bytes",
 			"Bytes of each 2xx shard reply body the router read, by op (evaluate, nn, updates, register).",
 			replyByteBuckets, "op"),

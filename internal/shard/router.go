@@ -417,9 +417,10 @@ func firstErr(errs []error) error {
 func (r *Router) ApplyUpdates(ctx context.Context, body serve.UpdatesRequest) (serve.UpdatesResponse, error) {
 	// Validate the whole batch before routing any of it: a rejected
 	// batch reaches no shard, so it must not have moved the ownership
-	// cache either.
+	// cache either. Validate is ToUpdate's own check, short of the
+	// U-catalog the shard builds.
 	for i, u := range body.Updates {
-		if _, err := u.ToUpdate(); err != nil {
+		if err := u.Validate(); err != nil {
 			return serve.UpdatesResponse{}, &core.RequestError{Field: "updates", Err: fmt.Errorf("update %d: %w", i, err)}
 		}
 	}
@@ -450,7 +451,7 @@ func (r *Router) ApplyUpdates(ctx context.Context, body serve.UpdatesRequest) (s
 				}
 			}
 		case "upsert_object":
-			region, _ := serve.ToRect(u.Region) // validated by ToUpdate above
+			region, _ := serve.ToRect(u.Region) // validated above
 			replicas := r.tiles.ShardsOverlapping(region)
 			prev := r.owners[u.ID]
 			for _, s := range prev.replicas {

@@ -2,14 +2,13 @@ package shard
 
 import (
 	"bufio"
+	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 
 	"repro/internal/serve"
@@ -42,8 +41,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 
 func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	var rj serve.RequestJSON
-	if err := serve.DecodeBody(r, &rj); err != nil {
-		serve.WriteError(s.r.log, w, http.StatusBadRequest, err)
+	if err := serve.DecodeBody(w, r, &rj); err != nil {
+		serve.WriteBodyError(s.r.log, w, err)
 		return
 	}
 	resp, err := s.r.Evaluate(r.Context(), rj)
@@ -55,9 +54,9 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
-	var body serve.UpdatesRequest
-	if err := serve.DecodeBody(r, &body); err != nil {
-		serve.WriteError(s.r.log, w, http.StatusBadRequest, err)
+	body, err := serve.ReadUpdatesRequest(w, r)
+	if err != nil {
+		serve.WriteBodyError(s.r.log, w, err)
 		return
 	}
 	// Route regardless of the client connection: the shard batches
@@ -67,13 +66,13 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 		serve.WriteRequestError(s.r.log, w, err)
 		return
 	}
-	serve.WriteJSON(s.r.log, w, http.StatusOK, resp)
+	serve.WriteUpdatesResponse(s.r.log, w, &resp)
 }
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var rj serve.RequestJSON
-	if err := serve.DecodeBody(r, &rj); err != nil {
-		serve.WriteError(s.r.log, w, http.StatusBadRequest, err)
+	if err := serve.DecodeBody(w, r, &rj); err != nil {
+		serve.WriteBodyError(s.r.log, w, err)
 		return
 	}
 	resp, miss, err := s.r.Register(r.Context(), rj)
@@ -101,12 +100,18 @@ func (s *Server) handleDeregister(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleStream multiplexes the member shards' SSE delta streams into
-// one stream. Every frame is forwarded verbatim with its per-shard
-// engine version and tagged with the shard id, so the (shard, version)
+// one stream. Every frame is forwarded as the shard's own bytes, its
+// per-shard engine version included, with the shard id spliced in as
+// its shard tag (serve.AppendRelayedDelta) — keys this binary does not
+// know pass through as the shard wrote them — so the (shard, version)
 // pairs form a version vector and a consumer can replay each shard's
 // sub-stream bit-exactly; a replicated straddler appears in multiple
 // sub-streams with bit-identical probabilities (dedup by owner — the
 // lowest shard id carrying the object — when folding to a global set).
+// A member stream that cannot be followed to its close event — it does
+// not open, it carries a frame the relay cannot use, it ends without
+// closing — ends the subscriber's stream with an error event: replay
+// past that point would not be the fleet's answer.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	id, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
 	if err != nil {
@@ -122,9 +127,10 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := context.WithCancel(r.Context())
 	defer cancel()
-	frames := make(chan serve.DeltaJSON, 16)
-	// A member stream that loses a frame reports here, once; the buffer
-	// holds one report per member so no reader blocks on it.
+	frames := make(chan *[]byte, 16)
+	// A member stream that breaks reports here, once, after the frames it
+	// relayed; the buffer holds one report per member so no reader
+	// blocks on it.
 	broken := make(chan error, len(sub.members))
 	var wg sync.WaitGroup
 	for _, m := range sub.members {
@@ -132,95 +138,136 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(c *Client, subID int64) {
 			defer wg.Done()
-			body, err := c.OpenStream(ctx, subID)
-			if err != nil {
-				s.r.log.Warn("shard stream unavailable", "shard", c.ID, "err", err)
+			err := relay(ctx, c, subID, frames)
+			if err == nil || ctx.Err() != nil {
 				return
 			}
-			defer body.Close()
-			err = readSSE(body, func(d serve.DeltaJSON) bool {
-				d.Shard = c.ID
-				select {
-				case frames <- d:
-					return true
-				case <-ctx.Done():
-					return false
-				}
-			})
-			if err != nil {
+			if errors.Is(err, serve.ErrBody) || errors.Is(err, bufio.ErrTooLong) {
 				// The delta in that frame is gone and everything after
 				// it on this sub-stream would be replayed over a hole.
 				s.r.m.framesDropped.With(c.ID).Inc()
-				s.r.log.Warn("shard stream frame dropped; ending subscriber stream", "shard", c.ID, "query", id, "err", err)
-				broken <- fmt.Errorf("shard %s: %w", c.ID, err)
+			} else {
+				s.r.m.membersLost.With(c.ID).Inc()
 			}
+			s.r.log.Warn("shard delta stream broken; ending subscriber stream", "shard", c.ID, "query", id, "err", err)
+			broken <- err
 		}(c, m.subID)
 	}
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
 
+	forward := func(f *[]byte) bool {
+		err := serve.WriteSSE(w, "", *f)
+		serve.PutBuffer(f, *f)
+		return err == nil
+	}
+	// drain forwards what the members relayed before the stream ends.
+	drain := func() bool {
+		for {
+			select {
+			case f := <-frames:
+				if !forward(f) {
+					return false
+				}
+			default:
+				return true
+			}
+		}
+	}
+	// end tells the subscriber its replay is no longer the fleet's
+	// answer, so it re-registers instead of trusting the gap.
+	end := func(err error) {
+		if drain() {
+			serve.WriteSSEError(w, "delta stream broken, re-register the query: "+err.Error()) //nolint:errcheck // the stream ends either way
+		}
+	}
 	for {
 		select {
 		case err := <-broken:
-			// Tell the subscriber its replay is no longer the fleet's
-			// answer, so it re-registers instead of trusting the gap.
-			serve.WriteSSE(w, "error", map[string]string{"error": "delta stream broken, re-register the query: " + err.Error()}) //nolint:errcheck // the stream ends either way
+			end(err)
 			return
-		case d := <-frames:
-			if serve.WriteSSE(w, "", d) != nil {
+		case f := <-frames:
+			if !forward(f) {
 				return
 			}
 		case <-done:
-			// Drain anything buffered before closing.
-			for {
-				select {
-				case d := <-frames:
-					if serve.WriteSSE(w, "", d) != nil {
-						return
-					}
-				default:
-					serve.WriteSSE(w, "close", struct{}{}) //nolint:errcheck // the stream ends either way
-					return
+			// A member reports a break before it is done.
+			select {
+			case err := <-broken:
+				end(err)
+			default:
+				if drain() {
+					serve.WriteSSE(w, "close", []byte("{}")) //nolint:errcheck // the stream ends either way
 				}
 			}
+			return
 		case <-ctx.Done():
 			return
 		}
 	}
 }
 
-// readSSE parses "data: {json}" frames off a server-sent-event body,
-// invoking fn per decoded delta until the stream ends, a close event
-// arrives, or fn returns false. A frame that cannot be decoded, or is
-// too long to scan, ends the read with an error: the delta it carried
-// is lost, and skipping it would hand the consumer a stream with a
-// hole in it.
-func readSSE(body io.Reader, fn func(serve.DeltaJSON) bool) error {
+// relay follows one member's delta stream, sending each frame it
+// carries to frames as the router relays it, and returns nil once the
+// member closes the stream. Anything else is an error: the stream does
+// not open, a frame is refused (serve.ErrBody) or too long
+// (bufio.ErrTooLong), the read fails, or the stream ends without its
+// close event — or ctx ends.
+func relay(ctx context.Context, c *Client, subID int64, frames chan<- *[]byte) error {
+	body, err := c.OpenStream(ctx, subID)
+	if err != nil {
+		return err
+	}
+	defer body.Close()
+	err = readSSE(body, func(data []byte) error {
+		f := serve.GetBuffer()
+		frame, err := serve.AppendRelayedDelta((*f)[:0], data, c.ID)
+		if err != nil {
+			serve.PutBuffer(f, *f)
+			return err
+		}
+		*f = frame
+		select {
+		case frames <- f:
+			return nil
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	})
+	if err != nil {
+		return fmt.Errorf("shard %s: stream %d: %w", c.ID, subID, err)
+	}
+	return nil
+}
+
+var errNoClose = errors.New("delta stream ended without a close event")
+
+// readSSE hands fn the data of each "data: {json}" frame on a
+// server-sent-event body until the close event, which ends the read
+// with nil. fn's error ends it too; so does a line too long to scan, a
+// failed read and the body's end before the close event.
+func readSSE(body io.Reader, fn func(data []byte) error) error {
 	sc := bufio.NewScanner(body)
 	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
 	closing := false
 	for sc.Scan() {
-		line := sc.Text()
+		line := sc.Bytes()
 		switch {
-		case line == "event: close":
+		case string(line) == "event: close":
 			closing = true
-		case strings.HasPrefix(line, "data: "):
+		case bytes.HasPrefix(line, []byte("data: ")):
 			if closing {
 				return nil
 			}
-			var d serve.DeltaJSON
-			if err := json.Unmarshal([]byte(line[len("data: "):]), &d); err != nil {
-				return fmt.Errorf("undecodable delta frame: %w", err)
-			}
-			if !fn(d) {
-				return nil
+			if err := fn(line[len("data: "):]); err != nil {
+				return err
 			}
 		}
 	}
-	if errors.Is(sc.Err(), bufio.ErrTooLong) {
-		return fmt.Errorf("delta frame: %w", sc.Err())
+	if err := sc.Err(); err != nil {
+		return fmt.Errorf("delta stream: %w", err)
 	}
-	return nil
+	return errNoClose
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {

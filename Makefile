@@ -3,9 +3,11 @@
 # go test micro-benchmarks of the refinement kernels, the hop codecs
 # (the NN frame, the match-list JSON, the update batch, the delta frame
 # relay; the last two pinned by serve.TestWriteCodecAllocationBudget)
-# and the write path (one 16-move ApplyUpdates batch on a shard-sized
+# the write path (one 16-move ApplyUpdates batch on a shard-sized
 # engine; its bytes and allocations are pinned by
-# core.TestApplyUpdatesAllocationBudget).
+# core.TestApplyUpdatesAllocationBudget) and a shard's NN candidate
+# stage (one Snapshot.NNCandidates call on the same engine; pinned by
+# core.TestNNCandidatesAllocationBudget).
 # `make apicheck` gates the public API surface against api/repro.txt.
 
 GO ?= go
@@ -40,7 +42,7 @@ soak:
 	$(GO) test -run 'TestCrashRecoveryProperty|TestCheckpointFaultInjection' -count=3 ./internal/core/
 
 bench: build
-	$(GO) test ./internal/bench ./internal/nn ./internal/wire ./internal/serve ./internal/core -run xxx -bench 'BenchmarkRefine|BenchmarkNNCandidateFrame|BenchmarkEvaluateResponseCodec|BenchmarkUpdatesCodec|BenchmarkRelayFrame|BenchmarkApplyUpdates' -benchtime 1s -benchmem
+	$(GO) test ./internal/bench ./internal/nn ./internal/wire ./internal/serve ./internal/core -run xxx -bench 'BenchmarkRefine|BenchmarkNNCandidateFrame|BenchmarkEvaluateResponseCodec|BenchmarkUpdatesCodec|BenchmarkRelayFrame|BenchmarkApplyUpdates|BenchmarkNNCandidates' -benchtime 1s -benchmem
 
 # The end-to-end benchmark (benchmark/, see BENCHMARK.json) is a
 # module of its own, so `go build ./... && go test ./...` never
@@ -60,7 +62,8 @@ cluster-smoke: build
 # Short fuzzing smoke: the R-tree op-stream (min/max payload envelopes
 # under copy-on-write versions included) and node-codec targets,
 # the WAL frame codec, the NN candidate grid against the linear scan
-# it replaced, the NN candidate frame decoder and the match-list JSON
+# it replaced, a shard's NN candidate collection against a brute-force
+# scan of its point table, the NN candidate frame decoder and the match-list JSON
 # scanner (the router's untrusted input from its shards; the scanner is
 # also held to json.Unmarshal), the delta frame relay, the checkpoint
 # manifest's extent checks, the request bodies a client sends (the
@@ -76,6 +79,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzRefineGrid -fuzztime=15s ./internal/nn
 	$(GO) test -fuzz=FuzzDecodeNNCandidateSet -fuzztime=15s ./internal/wire
 	$(GO) test -fuzz=FuzzCheckpointManifest -fuzztime=15s ./internal/core
+	$(GO) test -fuzz=FuzzNNCandidates -fuzztime=15s ./internal/core
 	$(GO) test -fuzz=FuzzDecodeEvaluateResponse -fuzztime=15s ./internal/serve
 	$(GO) test -fuzz=FuzzRequestJSON -fuzztime=15s ./internal/serve
 	$(GO) test -fuzz=FuzzDecodeUpdatesRequest -fuzztime=15s ./internal/serve

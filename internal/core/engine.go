@@ -321,12 +321,13 @@ func stopThreshold(q Query, opts EvalOptions) float64 {
 // until visit returns false; it reports the index nodes it read.
 type candidateScan[T any] func(visit func(uncertain.ID, T) bool) (nodeAccesses int64, err error)
 
-// probePoints scans the point index over region.
+// probePoints scans the point index over region. Each leaf entry is
+// the point record itself (see engineState), so the table is not read.
 func (st *engineState) probePoints(region geom.Rect) candidateScan[uncertain.PointObject] {
 	return func(visit func(uncertain.ID, uncertain.PointObject) bool) (int64, error) {
 		return st.pointIdx.SearchCounted(region, nil, func(en rtree.Entry, _ []float64) bool {
-			p, ok := st.points.Get(uncertain.ID(en.Ref))
-			return !ok || visit(p.ID, p) // index/table torn only by construction bugs
+			id := uncertain.ID(en.Ref)
+			return visit(id, uncertain.PointObject{ID: id, Loc: en.Rect.Lo})
 		})
 	}
 }

@@ -66,7 +66,8 @@ type NNCandidateOptions struct {
 // NNCandidates runs the candidate-pruning stage of a KindNN request
 // against the snapshot: the local tau branch-and-bound plus the range
 // probe of the tau-expanded issuer region. It never samples, so the
-// result is independent of Seed and NNSamples.
+// result is independent of Seed and NNSamples; req.Options.Timeout
+// bounds it as it bounds Evaluate.
 func (s *Snapshot) NNCandidates(ctx context.Context, req Request, o NNCandidateOptions) (NNCandidateSet, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -82,6 +83,9 @@ func (s *Snapshot) NNCandidates(ctx context.Context, req Request, o NNCandidateO
 		return NNCandidateSet{}, err
 	}
 	defer s.e.releaseState(st)
+	// The request's Timeout bounds this stage as it bounds Evaluate's.
+	ctx, cancel := req.Options.evalContext(ctx)
+	defer cancel()
 
 	set, _, err := st.collectNN(ctx, req.Issuer.Region(), o)
 	return set, err

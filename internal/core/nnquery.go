@@ -92,20 +92,25 @@ func (st *engineState) collectNN(ctx context.Context, u0 geom.Rect, o NNCandidat
 	if o.TauBound > 0 && o.TauBound < radius {
 		radius = o.TauBound
 	}
+	sc := nnScratchPool.Get().(*nnScratch)
+	defer putNNScratch(sc)
+	cands := sc.cands[:0]
 	na, err := st.pointIdx.SearchCounted(u0.Expand(radius, radius), nil, func(en rtree.Entry, _ []float64) bool {
 		if canceled(ctx) != nil {
 			return false
 		}
 		visited++
-		p, ok := st.points.Get(uncertain.ID(en.Ref))
-		if !ok || u0.MinDist(p.Loc) > radius {
+		// The leaf entry is the point record (see engineState): Ref is
+		// the id and Rect.Lo the location.
+		loc := en.Rect.Lo
+		if u0.MinDist(loc) > radius {
 			return true
 		}
-		if o.Limit > 0 && len(set.Candidates) >= o.Limit {
+		if o.Limit > 0 && len(cands) >= o.Limit {
 			set.Truncated = true
 			return false
 		}
-		set.Candidates = append(set.Candidates, NNCandidate{ID: p.ID, Loc: [2]float64{p.Loc.X, p.Loc.Y}})
+		cands = append(cands, NNCandidate{ID: uncertain.ID(en.Ref), Loc: [2]float64{loc.X, loc.Y}})
 		return true
 	})
 	if err == nil {
@@ -115,7 +120,13 @@ func (st *engineState) collectNN(ctx context.Context, u0 geom.Rect, o NNCandidat
 		return NNCandidateSet{}, 0, err
 	}
 	set.NodeAccesses += na
-	slices.SortFunc(set.Candidates, func(a, b NNCandidate) int { return cmp.Compare(a.ID, b.ID) })
+	sc.cands = cands
+	if len(cands) > 0 {
+		if cap(sc.tmp) < len(cands) {
+			sc.tmp = make([]NNCandidate, cap(cands))
+		}
+		set.Candidates = slices.Clone(sortByID(cands, sc.tmp))
+	}
 	sp.AddNodes(set.NodeAccesses)
 	sp.SetItems(len(set.Candidates))
 	if sp.Active() {

@@ -33,6 +33,13 @@ type engineState struct {
 	version     uint64
 	publishedAt time.Time
 
+	// points and pointIdx hold the same point set: for every table row
+	// p the index has exactly one leaf entry {Rect: geom.RectAt(p.Loc),
+	// Ref: p.ID}, and it has no other entries. Every writer (bulk load,
+	// upsert, move, delete, checkpoint restore) keeps the two in step,
+	// so the read path takes a point's id and location straight from
+	// its leaf entry; the table serves lookups by id.
+	// TestPointIndexMatchesTable holds the invariant.
 	points   *cowTable[uncertain.PointObject]
 	pointIdx *rtree.Tree
 

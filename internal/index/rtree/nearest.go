@@ -1,6 +1,6 @@
 package rtree
 
-import "container/heap"
+import "sync"
 
 // This file implements best-first (branch-and-bound) traversal, the
 // primitive behind nearest-neighbor search (Hjaltason & Samet 1999):
@@ -29,13 +29,72 @@ type bbEntry struct {
 	leaf bool
 }
 
+// bbHeap is the best-first frontier: a binary min-heap on prio with
+// typed push and pop, so no element is boxed into an interface. Both
+// perform container/heap's sift steps exactly — the same comparisons
+// and the same moves, a hole standing in for each swap of the element
+// being sifted — so the pop order, ties included, is the one
+// container/heap would give.
 type bbHeap []bbEntry
 
-func (h bbHeap) Len() int           { return len(h) }
-func (h bbHeap) Less(i, j int) bool { return h[i].prio < h[j].prio }
-func (h bbHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *bbHeap) Push(x any)        { *h = append(*h, x.(bbEntry)) }
-func (h *bbHeap) Pop() any          { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
+// push is heap.Push: append x, then sift it up.
+func (h *bbHeap) push(x bbEntry) {
+	*h = append(*h, x)
+	s := *h
+	j := len(s) - 1
+	for j > 0 {
+		i := (j - 1) / 2
+		if !(x.prio < s[i].prio) {
+			break
+		}
+		s[j] = s[i]
+		j = i
+	}
+	s[j] = x
+}
+
+// pop is heap.Pop: move the last element to the root, sift it down
+// over the remaining n-1, and return the old root.
+func (h *bbHeap) pop() bbEntry {
+	s := *h
+	n := len(s) - 1
+	top := s[0]
+	x := s[n]
+	i := 0
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && s[j2].prio < s[j].prio {
+			j = j2
+		}
+		if !(s[j].prio < x.prio) {
+			break
+		}
+		s[i] = s[j]
+		i = j
+	}
+	s[i] = x
+	*h = s[:n]
+	return top
+}
+
+// frontierPool recycles best-first frontiers: a traversal's frontier
+// holds every entry pushed and not yet popped, a few hundred on a
+// shard-sized tree, so a fresh one would be regrown on every search.
+var frontierPool = sync.Pool{New: func() any { return new(bbHeap) }}
+
+// maxPooledFrontier caps the frontier the pool keeps (1 MiB): a rare
+// traversal that pushes most of a large tree does not pin its frontier
+// for every later one.
+const maxPooledFrontier = 1 << 14
+
+func putFrontier(h *bbHeap) {
+	if cap(*h) <= maxPooledFrontier {
+		frontierPool.Put(h)
+	}
+}
 
 // BestFirstCounted traverses leaf entries in ascending order of prio,
 // pruning subtrees whose lower bound exceeds the running cutoff, and
@@ -48,11 +107,13 @@ func (t *Tree) BestFirstCounted(prio Priority, cutoff float64, visit BestVisit) 
 		return 0, nil
 	}
 	var accesses int64
-	h := bbHeap{{prio: 0, e: Entry{Child: t.root}, leaf: false}}
+	h := frontierPool.Get().(*bbHeap)
+	defer putFrontier(h)
 	// The root pseudo-entry has priority 0 so it is always expanded;
 	// real entries get caller priorities from then on.
-	for len(h) > 0 {
-		top := heap.Pop(&h).(bbEntry)
+	*h = append((*h)[:0], bbEntry{prio: 0, e: Entry{Child: t.root}, leaf: false})
+	for len(*h) > 0 {
+		top := h.pop()
 		if top.prio > cutoff {
 			break // everything remaining is at least as far
 		}
@@ -75,7 +136,7 @@ func (t *Tree) BestFirstCounted(prio Priority, cutoff float64, visit BestVisit) 
 			if p > cutoff {
 				continue
 			}
-			heap.Push(&h, bbEntry{prio: p, e: e, leaf: n.Leaf})
+			h.push(bbEntry{prio: p, e: e, leaf: n.Leaf})
 		}
 	}
 	t.accesses.Add(accesses)

@@ -83,7 +83,6 @@ func (s *Snapshot) NNCandidates(ctx context.Context, req Request, o NNCandidateO
 		return NNCandidateSet{}, err
 	}
 	defer s.e.releaseState(st)
-	// The request's Timeout bounds this stage as it bounds Evaluate's.
 	ctx, cancel := req.Options.evalContext(ctx)
 	defer cancel()
 

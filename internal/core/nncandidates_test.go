@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -465,4 +466,52 @@ func FuzzNNCandidates(f *testing.F) {
 		req := Request{Kind: KindNN, Issuer: iss, K: 1, Threshold: 0.1}
 		checkNNAgainstOracle(t, "fuzz", eng, req, NNCandidateOptions{TauBound: tauBound, Limit: int(limit % 16)})
 	})
+}
+
+// TestNNCandidatesConcurrent: collections running at once on one
+// snapshot share the pooled scratch and frontiers, and each still
+// returns what it returns alone.
+func TestNNCandidatesConcurrent(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	var points []uncertain.PointObject
+	for i := 0; i < 2000; i++ {
+		points = append(points, uncertain.PointObject{ID: uncertain.ID(i), Loc: geom.Pt(rng.Float64()*1000, rng.Float64()*1000)})
+	}
+	eng, err := NewEngine(points, nil, EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := eng.Snapshot()
+	defer snap.Close()
+	reqs := make([]Request, 8)
+	want := make([]NNCandidateSet, len(reqs))
+	for i := range reqs {
+		reqs[i] = Request{Kind: KindNN, Issuer: nnTestIssuer(t, geom.Pt(100+float64(i)*100, 900-float64(i)*100), 20+float64(i)*15), K: 1, Threshold: 0.1}
+		if want[i], err = snap.NNCandidates(context.Background(), reqs[i], NNCandidateOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, len(reqs))
+	for g := range reqs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := range 20 {
+				i := (g + round) % len(reqs)
+				got, err := snap.NNCandidates(context.Background(), reqs[i], NNCandidateOptions{})
+				if err == nil && (got.Tau != want[i].Tau || !slices.Equal(got.Candidates, want[i].Candidates)) {
+					err = fmt.Errorf("request %d: concurrent answer differs from the lone one", i)
+				}
+				if err != nil {
+					errs[g] = err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -81,8 +81,9 @@ func (h *bbHeap) pop() bbEntry {
 }
 
 // frontierPool recycles best-first frontiers: a traversal's frontier
-// holds every entry pushed and not yet popped, a few hundred on a
-// shard-sized tree, so a fresh one would be regrown on every search.
+// holds every entry pushed and not yet popped — whole nodes' worth of
+// entries per expansion — so a fresh one would be regrown on every
+// search.
 var frontierPool = sync.Pool{New: func() any { return new(bbHeap) }}
 
 // maxPooledFrontier caps the frontier the pool keeps (1 MiB): a rare

@@ -7,7 +7,10 @@
 # engine; its bytes and allocations are pinned by
 # core.TestApplyUpdatesAllocationBudget) and a shard's NN candidate
 # stage (one Snapshot.NNCandidates call on the same engine; pinned by
-# core.TestNNCandidatesAllocationBudget).
+# core.TestNNCandidatesAllocationBudget), and the generator's seeding
+# (mcbound.BenchmarkSeed, math/rand's against mcbound.Source). It also
+# runs nn.TestRefineAllocationBudget, which prints the bytes and
+# allocations of one pooled Refine call at the nn_ro shape.
 # `make apicheck` gates the public API surface against api/repro.txt.
 
 GO ?= go
@@ -42,7 +45,7 @@ soak:
 	$(GO) test -run 'TestCrashRecoveryProperty|TestCheckpointFaultInjection' -count=3 ./internal/core/
 
 bench: build
-	$(GO) test ./internal/bench ./internal/nn ./internal/wire ./internal/serve ./internal/core -run xxx -bench 'BenchmarkRefine|BenchmarkNNCandidateFrame|BenchmarkEvaluateResponseCodec|BenchmarkUpdatesCodec|BenchmarkRelayFrame|BenchmarkApplyUpdates|BenchmarkNNCandidates' -benchtime 1s -benchmem
+	$(GO) test ./internal/bench ./internal/nn ./internal/mcbound ./internal/wire ./internal/serve ./internal/core -run 'TestRefineAllocationBudget' -v -bench 'BenchmarkRefine|BenchmarkSeed|BenchmarkNNCandidateFrame|BenchmarkEvaluateResponseCodec|BenchmarkUpdatesCodec|BenchmarkRelayFrame|BenchmarkApplyUpdates|BenchmarkNNCandidates' -benchtime 1s -benchmem
 
 # The end-to-end benchmark (benchmark/, see BENCHMARK.json) is a
 # module of its own, so `go build ./... && go test ./...` never
@@ -62,7 +65,7 @@ cluster-smoke: build
 # Short fuzzing smoke: the R-tree op-stream (min/max payload envelopes
 # under copy-on-write versions included) and node-codec targets,
 # the WAL frame codec, the NN candidate grid against the linear scan
-# it replaced, a shard's NN candidate collection against a brute-force
+# it replaced, mcbound.Source against math/rand's source, a shard's NN candidate collection against a brute-force
 # scan of its point table, the NN candidate frame decoder and the match-list JSON
 # scanner (the router's untrusted input from its shards; the scanner is
 # also held to json.Unmarshal), the delta frame relay, the checkpoint
@@ -77,6 +80,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecodeNode -fuzztime=15s ./internal/index/rtree
 	$(GO) test -fuzz=FuzzWALRecord -fuzztime=15s ./internal/wal
 	$(GO) test -fuzz=FuzzRefineGrid -fuzztime=15s ./internal/nn
+	$(GO) test -fuzz=FuzzSource -fuzztime=15s ./internal/mcbound
 	$(GO) test -fuzz=FuzzDecodeNNCandidateSet -fuzztime=15s ./internal/wire
 	$(GO) test -fuzz=FuzzCheckpointManifest -fuzztime=15s ./internal/core
 	$(GO) test -fuzz=FuzzNNCandidates -fuzztime=15s ./internal/core

@@ -691,16 +691,17 @@ type seededRand struct {
 	src lazySource
 }
 
-// lazySource is a rand.Source64 that builds the math/rand source for
-// its seed when first asked for a value.
+// lazySource is a rand.Source64 that builds the source for its seed —
+// mcbound.Source, math/rand's stream at a quarter of its seeding cost —
+// when first asked for a value.
 type lazySource struct {
 	seed int64
-	src  rand.Source64
+	src  *mcbound.Source
 }
 
-func (s *lazySource) seeded() rand.Source64 {
+func (s *lazySource) seeded() *mcbound.Source {
 	if s.src == nil {
-		s.src = rand.NewSource(s.seed).(rand.Source64)
+		s.src = mcbound.NewSource(s.seed)
 	}
 	return s.src
 }

@@ -1,6 +1,10 @@
 package core
 
-import "sync"
+import (
+	"sync"
+
+	"repro/internal/uncertain"
+)
 
 // sortByID puts c in ascending id order: a stable LSD radix sort on the
 // id with its sign bit flipped (so the unsigned byte order is the
@@ -61,11 +65,15 @@ const radixSortCutoff = 32
 // order.
 func radixKey(c NNCandidate) uint64 { return uint64(c.ID) ^ 1<<63 }
 
-// nnScratch is one collection's working memory: the candidates as the
-// probe surfaces them and the sort's scatter buffer. It is pooled, so
-// a collection allocates only the id-ordered list it returns.
+// nnScratch is one NN stage's working memory: for a collection the
+// candidates as the probe surfaces them and the sort's scatter buffer,
+// for a refinement the candidates as the kernel takes them. It is
+// pooled, so a collection allocates only the id-ordered list it
+// returns, and a refinement only what nn.Refine returns and the
+// matches.
 type nnScratch struct {
 	cands, tmp []NNCandidate
+	objs       []uncertain.PointObject
 }
 
 var nnScratchPool = sync.Pool{New: func() any { return new(nnScratch) }}
@@ -75,7 +83,7 @@ var nnScratchPool = sync.Pool{New: func() any { return new(nnScratch) }}
 const maxPooledCandidates = 1 << 16
 
 func putNNScratch(sc *nnScratch) {
-	if cap(sc.cands) <= maxPooledCandidates && cap(sc.tmp) <= maxPooledCandidates {
+	if max(cap(sc.cands), cap(sc.tmp), cap(sc.objs)) <= maxPooledCandidates {
 		nnScratchPool.Put(sc)
 	}
 }

@@ -63,6 +63,19 @@ type NNCandidateOptions struct {
 	Limit int
 }
 
+// Radius is the collection radius for a snapshot whose local tau is tau:
+// tau, capped by TauBound when TauBound is positive. A TauBound of 0 —
+// what an omitted tau_bound decodes to on the wire — means no bound, not
+// a radius of 0. Every collected candidate has MinDist <= Radius(tau),
+// so a router that knows the radius a shard collected under knows
+// whether that list can hold a point beyond the global tau.
+func (o NNCandidateOptions) Radius(tau float64) float64 {
+	if o.TauBound > 0 && o.TauBound < tau {
+		return o.TauBound
+	}
+	return tau
+}
+
 // NNCandidates runs the candidate-pruning stage of a KindNN request
 // against the snapshot: the local tau branch-and-bound plus the range
 // probe of the tau-expanded issuer region. It never samples, so the

@@ -88,10 +88,7 @@ func (st *engineState) collectNN(ctx context.Context, u0 geom.Rect, o NNCandidat
 
 	// A router that has already merged a tighter global tau caps the
 	// collection radius with it.
-	radius := set.Tau
-	if o.TauBound > 0 && o.TauBound < radius {
-		radius = o.TauBound
-	}
+	radius := o.Radius(set.Tau)
 	sc := nnScratchPool.Get().(*nnScratch)
 	defer putNNScratch(sc)
 	cands := sc.cands[:0]
@@ -148,7 +145,10 @@ func (st *engineState) collectNN(ctx context.Context, u0 geom.Rect, o NNCandidat
 // Result carries the matches and the refinement's share of Cost; the
 // caller adds the collection stage's.
 func refineNNCandidates(ctx context.Context, req Request, opts EvalOptions, candidates []NNCandidate) (Result, error) {
-	cands := make([]uncertain.PointObject, len(candidates))
+	sc := nnScratchPool.Get().(*nnScratch)
+	defer putNNScratch(sc)
+	cands := slices.Grow(sc.objs[:0], len(candidates))[:len(candidates)]
+	sc.objs = cands
 	for i, c := range candidates {
 		cands[i] = uncertain.PointObject{ID: c.ID, Loc: geom.Pt(c.Loc[0], c.Loc[1])}
 	}

@@ -88,7 +88,7 @@ type ObjectEvalConfig struct {
 	// QuadratureNodes is the per-axis Gauss–Legendre order for smooth
 	// separable factors without closed form (default 24).
 	QuadratureNodes int
-	// Rng drives sampling; nil creates a fixed-seed source.
+	// Rng drives sampling; nil draws math/rand's stream for seed 1.
 	Rng *rand.Rand
 }
 
@@ -106,7 +106,7 @@ func (c ObjectEvalConfig) withDefaults() ObjectEvalConfig {
 		c.QuadratureNodes = 24
 	}
 	if c.Rng == nil {
-		c.Rng = rand.New(rand.NewSource(1))
+		c.Rng = newSeededRand(1)
 	}
 	return c
 }

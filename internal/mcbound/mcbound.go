@@ -2,8 +2,10 @@
 // sampling refinement path in this repository: the early-termination
 // decision rule (Decided), the one block-adaptive sampling driver the
 // range-query refiners of internal/core run their draws through
-// (Adaptive), and the child-seed derivation that keys every sample
-// stream (DeriveSeed). The shared-stream NN tally kernel (internal/nn)
+// (Adaptive), the child-seed derivation that keys every sample
+// stream (DeriveSeed), and the generator every stream is drawn from
+// (Source: math/rand's generator, output for output, with a seeding
+// four times cheaper). The shared-stream NN tally kernel (internal/nn)
 // applies Decided from its own round loop — one stream retiring many
 // candidates is a different algorithm from one candidate's private
 // stream. Keeping the rule, the driver and the seed schedule here keeps

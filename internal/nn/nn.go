@@ -23,9 +23,12 @@
 //
 // Refinement draws ONE issuer-position stream shared by every
 // candidate: sample index s belongs to block b = s/BlockSize, and
-// block b's positions come from a generator seeded by (parent seed,
-// b) — splitmix-derived, so the position at any index is a pure
-// function of the parent seed, independent of the candidate count.
+// block b's positions come from math/rand's generator seeded with
+// mcbound.DeriveSeed(parent seed, b) — splitmix-derived, so the
+// position at any index is a pure function of the parent seed,
+// independent of the candidate count. The generator is mcbound.Source,
+// whose every output equals rand.NewSource's for the same seed; one
+// per Refine call is re-seeded for each block.
 // Each sampled position is resolved to its nearest candidate in a
 // single pass and tallied as one integer win; a candidate's
 // probability is wins/samples. Consequences:
@@ -63,6 +66,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"repro/internal/geom"
 	"repro/internal/mcbound"
@@ -227,24 +231,22 @@ func Refine(cands []uncertain.PointObject, issuer pdf.PDF, parent int64, cfg Ref
 		return probs, stats, nil
 	}
 
-	k := &kernel{
-		issuer:  issuer,
-		parent:  parent,
-		block:   cfg.Block,
-		samples: cfg.Samples,
-		xs:      make([]float64, n),
-		ys:      make([]float64, n),
-		wins:    make([]int64, n),
-		retired: stats.Decided,
-	}
+	k := kernelPool.Get().(*kernel)
+	defer k.release()
+	k.issuer, k.parent, k.block, k.samples = issuer, parent, cfg.Block, cfg.Samples
+	k.retired = stats.Decided
+	k.xs, k.ys = resize(k.xs, n), resize(k.ys, n)
+	k.wins = resize(k.wins, n)
+	clear(k.wins)
 	// active lists the undecided candidate indexes.
-	active := make([]int, n)
+	k.active = resize(k.active, n)
+	active := k.active
 	for i, c := range cands {
 		k.xs[i] = c.Loc.X
 		k.ys[i] = c.Loc.Y
 		active[i] = i
 	}
-	k.grid = newGrid(k.xs, k.ys)
+	k.grid.build(k.xs, k.ys)
 	stats.GridCells = k.grid.nx * k.grid.ny
 
 	nBlocks := (cfg.Samples + cfg.Block - 1) / cfg.Block
@@ -305,21 +307,57 @@ func Refine(cands []uncertain.PointObject, issuer pdf.PDF, parent int64, cfg Ref
 
 // kernel is the shared-stream tally state for one Refine call.
 // Candidate coordinates live in parallel slices so the per-sample
-// search walks flat float64 arrays.
+// search walks flat float64 arrays. Kernels are pooled: a Refine call
+// allocates only the probabilities and the Decided flags it returns,
+// and its generator is re-seeded per block, never rebuilt.
 type kernel struct {
 	issuer  pdf.PDF
 	parent  int64
 	block   int
 	samples int
 	xs, ys  []float64
-	grid    *grid
+	grid    grid
 	// wins[i] counts samples candidate i was nearest to.
 	wins []int64
+	// active is Refine's list of undecided candidates.
+	active []int
 	// retired[i] marks a candidate a bound has decided (the slice is
 	// RefineStats.Decided). It no longer accumulates wins, and a sample
 	// it is nearest to is tallied for nobody. Written only between
 	// rounds.
 	retired []bool
+	// rng draws the issuer positions from src, which scanBlock re-seeds
+	// for every block.
+	rng rand.Rand
+	src mcbound.Source
+}
+
+var kernelPool = sync.Pool{New: func() any {
+	k := new(kernel)
+	k.rng = *rand.New(&k.src)
+	return k
+}}
+
+// maxPooledCandidates caps the candidate count whose buffers a pooled
+// kernel keeps: a rare refinement of a huge candidate set does not pin
+// its buffers for every later one.
+const maxPooledCandidates = 1 << 16
+
+// release returns k to the pool, dropping what belongs to the call.
+func (k *kernel) release() {
+	k.issuer, k.retired = nil, nil
+	if cap(k.xs) <= maxPooledCandidates {
+		kernelPool.Put(k)
+	}
+}
+
+// resize returns s with length n, reusing its array when it is large
+// enough. The contents are not cleared.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // grid is a uniform bucket grid over the candidates' bounding box, in
@@ -340,6 +378,9 @@ type grid struct {
 	// bound holds in floating point exactly and space outside the
 	// candidates' box is infinitely far. loY / hiY likewise for rows.
 	loX, hiX, loY, hiY []float64
+	// cell and next are build's scratch: each candidate's cell, and each
+	// cell's next free slot in cellItems.
+	cell, next []int32
 }
 
 // cellOf maps a coordinate to its clamped column (or row). It is
@@ -356,14 +397,16 @@ func cellOf(v, lo, inv float64, n int) int {
 	return int(f)
 }
 
-func newGrid(xs, ys []float64) *grid {
+// build lays the grid over the candidates at xs, ys, reusing the
+// arrays of the grid it replaces.
+func (g *grid) build(xs, ys []float64) {
 	n := len(xs)
 	minX, maxX, minY, maxY := xs[0], xs[0], ys[0], ys[0]
 	for i := 1; i < n; i++ {
 		minX, maxX = min(minX, xs[i]), max(maxX, xs[i])
 		minY, maxY = min(minY, ys[i]), max(maxY, ys[i])
 	}
-	g := &grid{nx: 1, ny: 1, minX: minX, minY: minY}
+	g.nx, g.ny, g.minX, g.minY, g.invW, g.invH = 1, 1, minX, minY, 0, 0
 	cells := max(n/2, 1)
 	w, h := maxX-minX, maxY-minY
 	switch {
@@ -383,10 +426,12 @@ func newGrid(xs, ys []float64) *grid {
 		g.invH = float64(g.ny) / h
 	}
 
-	g.loX, g.hiX = bounds(g.nx)
-	g.loY, g.hiY = bounds(g.ny)
-	g.cellStart = make([]int32, g.nx*g.ny+1)
-	cell := make([]int32, n)
+	g.loX, g.hiX = bounds(g.loX, g.hiX, g.nx)
+	g.loY, g.hiY = bounds(g.loY, g.hiY, g.ny)
+	g.cellStart = resize(g.cellStart, g.nx*g.ny+1)
+	clear(g.cellStart)
+	g.cell = resize(g.cell, n)
+	cell := g.cell
 	for i := range xs {
 		cx := cellOf(xs[i], minX, g.invW, g.nx)
 		cy := cellOf(ys[i], minY, g.invH, g.ny)
@@ -412,19 +457,19 @@ func newGrid(xs, ys []float64) *grid {
 	}
 	// Counting sort by cell; filling in index order keeps each cell's
 	// items ascending.
-	g.cellItems = make([]int32, n)
-	next := append([]int32(nil), g.cellStart[:len(g.cellStart)-1]...)
+	g.cellItems = resize(g.cellItems, n)
+	g.next = append(g.next[:0], g.cellStart[:len(g.cellStart)-1]...)
+	next := g.next
 	for i, c := range cell {
 		g.cellItems[next[c]] = int32(i)
 		next[c]++
 	}
-	return g
 }
 
-// bounds returns the lo (all +Inf) and hi (all -Inf) arrays for an
-// axis of n cells.
-func bounds(n int) (lo, hi []float64) {
-	lo, hi = make([]float64, n+1), make([]float64, n+1)
+// bounds returns lo and hi resized to n+1 entries, lo all +Inf and hi
+// all -Inf: the initial bounds of an axis of n cells.
+func bounds(lo, hi []float64, n int) ([]float64, []float64) {
+	lo, hi = resize(lo, n+1), resize(hi, n+1)
 	for i := range lo {
 		lo[i], hi[i] = math.Inf(1), math.Inf(-1)
 	}
@@ -439,7 +484,7 @@ func bounds(n int) (lo, hi []float64) {
 // distance is strictly below the squared distance to every candidate
 // not yet visited.
 func (k *kernel) nearest(px, py float64) int {
-	g := k.grid
+	g := &k.grid
 	sx := cellOf(px, g.minX, g.invW, g.nx)
 	sy := cellOf(py, g.minY, g.invH, g.ny)
 	best, bd := -1, math.Inf(1)
@@ -492,9 +537,12 @@ func (k *kernel) scanCells(c0, c1 int, px, py float64, best int, bd float64) (in
 
 // scanBlock draws block b's samples from (parent, b) and tallies
 // nearest-candidate wins into k.wins. A sample whose nearest candidate
-// has retired is tallied for nobody.
+// has retired is tallied for nobody. Re-seeding the kernel's generator
+// resets it completely (rand.Rand.Seed clears its read position too),
+// so the block draws what a fresh rand.New(rand.NewSource(seed)) would.
 func (k *kernel) scanBlock(b int) {
-	rng := rand.New(rand.NewSource(mcbound.DeriveSeed(k.parent, b)))
+	rng := &k.rng
+	rng.Seed(mcbound.DeriveSeed(k.parent, b))
 	lo := b * k.block
 	hi := lo + k.block
 	if hi > k.samples {
@@ -538,7 +586,7 @@ func Evaluate(points []uncertain.PointObject, issuer pdf.PDF, samples int, rng *
 		samples = DefaultSamples
 	}
 	if rng == nil {
-		rng = rand.New(rand.NewSource(1))
+		rng = rand.New(mcbound.NewSource(1))
 	}
 	cands := Prune(points, issuer.Support())
 	probs, _, _ := Refine(cands, issuer, rng.Int63(), RefineConfig{Samples: samples})

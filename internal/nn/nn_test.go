@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/dataset"
@@ -691,5 +692,42 @@ func BenchmarkRefineDense(b *testing.B) {
 				sinkProbs = probs
 			}
 		})
+	}
+}
+
+// TestRefineAllocationBudget pins what one Refine call at the nn_ro
+// shape allocates once its kernel is pooled: the probabilities and the
+// Decided flags it returns, nothing per candidate, block or sample.
+func TestRefineAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled kernels at random under the race detector")
+	}
+	const (
+		rounds      = 16
+		bytesBudget = 12_500 // measured 11 540 for 1 300 candidates (113 000 with a kernel, a grid and a generator per block built per call)
+		allocBudget = 2      // measured 2.0 (31)
+	)
+	cands, issuer := denseFixture(t)
+	cfg := RefineConfig{Samples: 1000, Threshold: 0.1, Adaptive: true}
+	run := func(i int) {
+		if _, _, err := Refine(cands, issuer, int64(i), cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run(0) // warm the kernel pool
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range rounds {
+		run(i)
+	}
+	runtime.ReadMemStats(&after)
+	bytesPer := float64(after.TotalAlloc-before.TotalAlloc) / rounds
+	allocsPer := float64(after.Mallocs-before.Mallocs) / rounds
+	t.Logf("per Refine call: %.0f B, %.1f allocs", bytesPer, allocsPer)
+	if bytesPer > bytesBudget {
+		t.Errorf("Refine = %.0f B/call, budget %d", bytesPer, bytesBudget)
+	}
+	if allocsPer > allocBudget {
+		t.Errorf("Refine = %.1f allocs/call, budget %d", allocsPer, allocBudget)
 	}
 }

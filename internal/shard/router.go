@@ -273,7 +273,7 @@ type nnGather struct {
 // home shard answered or none holds a point, tau1 is +Inf and round 2
 // asks everyone else, unbounded.) The global tau is the minimum over
 // all responders; a truncated tally is re-collected under it, and
-// the union is filtered to MinDist <= tau.
+// the union is filtered to MinDist <= tau where a list can hold more.
 //
 // Because every point lives on exactly one shard, min-of-local-taus
 // over the whole fleet equals the single-engine tau and the filtered
@@ -287,13 +287,15 @@ type nnGather struct {
 // Hi+e lies beyond the real one, its computed axis gap is therefore at
 // least e, and Hypot never returns less than its larger argument.
 func (r *Router) gatherNN(ctx context.Context, rj serve.RequestJSON, u0 geom.Rect) (nnGather, error) {
-	// Indexed by shard number, whichever round asked.
+	// Indexed by shard number, whichever round asked: the reply, and
+	// the tau bound it was collected under.
 	resps := make([]core.NNCandidateSet, len(r.shards))
+	bounds := make([]float64, len(r.shards))
 	var g nnGather
 	ask := func(targets []int, creq serve.NNCandidatesRequest) {
 		errs := r.scatter(targets, func(s int) error {
 			resp, err := r.shards[s].NNCandidates(ctx, creq)
-			resps[s] = resp
+			resps[s], bounds[s] = resp, creq.TauBound
 			return err
 		})
 		g.asked = append(g.asked, targets...)
@@ -341,13 +343,20 @@ func (r *Router) gatherNN(ctx context.Context, rj serve.RequestJSON, u0 geom.Rec
 		if err == nil && resp.Truncated {
 			err = fmt.Errorf("shard: shard %s candidate tally still truncated at tau=%g", r.shards[s].ID, g.tau)
 		}
-		resps[s], g.errs[i] = resp, err
+		resps[s], bounds[s], g.errs[i] = resp, creq.TauBound, err
 	}
 
 	// Merge the shards' id-sorted lists, dropping what a looser local
-	// tau let through. Equal ids meet at the heads — only a point caught
-	// mid-move between two shards produces them — and one copy is kept.
+	// tau let through. A shard collected under the radius its local tau
+	// and its bound give (core.NNCandidateOptions.Radius); a list whose
+	// radius is within the global tau has nothing to drop, so when every
+	// list's is, the filter is skipped and a lone list is taken as
+	// decoded. A bound of 0 is no bound: at a global tau of 0 a round-2
+	// shard collected under its own tau, and its list is filtered. Equal
+	// ids meet at the heads — only a point caught mid-move between two
+	// shards produces them — and one copy is kept.
 	lists := make([][]core.NNCandidate, 0, len(g.asked))
+	var keep func(core.NNCandidate) bool
 	for i, s := range g.asked {
 		if g.errs[i] != nil {
 			continue
@@ -355,10 +364,12 @@ func (r *Router) gatherNN(ctx context.Context, rj serve.RequestJSON, u0 geom.Rec
 		g.version = max(g.version, resps[s].Version)
 		g.nodeAccesses += resps[s].NodeAccesses
 		lists = append(lists, resps[s].Candidates)
+		radius := core.NNCandidateOptions{TauBound: bounds[s]}.Radius(resps[s].Tau)
+		if len(resps[s].Candidates) > 0 && !(radius <= g.tau) {
+			keep = func(c core.NNCandidate) bool { return u0.MinDist(geom.Pt(c.Loc[0], c.Loc[1])) <= g.tau }
+		}
 	}
-	g.cands = mergeSorted(lists,
-		func(a, b core.NNCandidate) int { return cmp.Compare(a.ID, b.ID) },
-		func(c core.NNCandidate) bool { return u0.MinDist(geom.Pt(c.Loc[0], c.Loc[1])) <= g.tau })
+	g.cands = mergeSorted(lists, func(a, b core.NNCandidate) int { return cmp.Compare(a.ID, b.ID) }, keep)
 	return g, nil
 }
 

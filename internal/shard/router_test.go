@@ -87,11 +87,13 @@ func requireSameMatches(t *testing.T, what string, got, want serve.EvaluateRespo
 // queries of every kind produces Float64bits-identical qualifying sets
 // through router+N shards and through a single engine, for N ∈ {1, 2,
 // 4}. The NN arm repeats it on random tile maps, where the router asks
-// only the shards the tau ball can reach (nnFanOutBitExact).
+// only the shards the tau ball can reach (nnFanOutBitExact), and at a
+// global tau of 0 (nnTauZeroBitExact).
 func TestRouterBitExact(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprintf("nn/random-tiles/seed=%d", seed), func(t *testing.T) { nnFanOutBitExact(t, seed) })
 	}
+	t.Run("nn/tau-zero", nnTauZeroBitExact)
 	for _, n := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
 			rt := fleet(t, n)
@@ -330,6 +332,82 @@ func nnFanOutBitExact(t *testing.T, seed int64) {
 		t.Fatalf("nn fan-out histograms: rounds observed %d times, shards asked %d times",
 			rt.m.nnRounds.Count(), rt.m.nnAsked.Count())
 	}
+}
+
+// nnTauZeroBitExact puts a degenerate issuer exactly on a point, so the
+// global tau is 0, next to a border where round 2 fires. That needs a
+// world in subnormal coordinates: the router widens the tau ball by the
+// smallest float above tau1, and only there does a step that small
+// reach another tile. The round-2 shard is sent tau_bound 0, which means
+// no bound, so it collects under its own tau; the router must still
+// filter its list, or a point beyond tau 0 joins the candidates.
+func nnTauZeroBitExact(t *testing.T) {
+	const e = math.SmallestNonzeroFloat64
+	m, err := Uniform(geom.Rect{Lo: geom.Pt(-1000*e, -1000*e), Hi: geom.Pt(1000*e, 1000*e)}, 2, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := fleetOn(t, m)
+	srv, ref := reference(t)
+	ctx := t.Context()
+
+	// The issuer's point sits on the border and belongs to tile 1; the
+	// lowest id is the nearest point across it, which would win every
+	// sample's distance tie (squares of subnormals are 0) were it let in.
+	pts := []geom.Point{{X: -3 * e}, {X: 0}, {X: -500 * e, Y: 100 * e}, {X: 7 * e}, {X: 400 * e, Y: -300 * e}}
+	var ups []serve.UpdateJSON
+	for id, p := range pts {
+		ups = append(ups, serve.UpdateJSON{Op: "upsert_point", ID: int64(id), X: p.X, Y: p.Y})
+	}
+	if m.ShardOf(pts[0]) == m.ShardOf(pts[1]) {
+		t.Fatalf("points %v and %v share shard %d", pts[0], pts[1], m.ShardOf(pts[0]))
+	}
+	if _, err := rt.ApplyUpdates(ctx, serve.UpdatesRequest{Updates: ups}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ref.Updates(ctx, serve.UpdatesRequest{Updates: ups}); err != nil {
+		t.Fatal(err)
+	}
+
+	u0 := geom.Rect{Lo: pts[1], Hi: pts[1]}
+	q := serve.RequestJSON{Kind: "nn", K: 2, NNSamples: 300, Seed: 31,
+		Issuer: serve.IssuerJSON{Region: []float64{u0.Lo.X, u0.Lo.Y, u0.Hi.X, u0.Hi.Y}}}
+	req, err := q.ToRequest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := rt.gatherNN(ctx, q, u0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.rounds != 2 || g.tau != 0 {
+		t.Fatalf("gather took %d rounds to tau %v, want 2 rounds to tau 0", g.rounds, g.tau)
+	}
+	snap := srv.Engine().Snapshot()
+	want, err := snap.NNCandidates(ctx, req, core.NNCandidateOptions{})
+	snap.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(g.cands, want.Candidates) {
+		t.Fatalf("fleet gathered %v, single engine %v", g.cands, want.Candidates)
+	}
+
+	got, err := rt.Evaluate(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantResp, err := ref.Evaluate(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Partial {
+		t.Fatalf("unexpected partial response (missing %v)", got.MissingShards)
+	}
+	if got.Cost.Refined != wantResp.Cost.Refined {
+		t.Fatalf("router refined %d candidates, single engine %d", got.Cost.Refined, wantResp.Cost.Refined)
+	}
+	requireSameMatches(t, "tau-zero", got, wantResp)
 }
 
 // TestRouterStraddlerReplication checks the ownership bookkeeping

@@ -7,7 +7,10 @@
 # engine; its bytes and allocations are pinned by
 # core.TestApplyUpdatesAllocationBudget) and a shard's NN candidate
 # stage (one Snapshot.NNCandidates call on the same engine; pinned by
-# core.TestNNCandidatesAllocationBudget), and the generator's seeding
+# core.TestNNCandidatesAllocationBudget), a shard's share of a range
+# request (one Snapshot.Evaluate of range_ro's question on the same
+# engine; pinned by core.TestEvaluateRangeAllocationBudget), and the
+# generator's seeding
 # (mcbound.BenchmarkSeed, math/rand's against mcbound.Source). It also
 # runs nn.TestRefineAllocationBudget, which prints the bytes and
 # allocations of one pooled Refine call at the nn_ro shape.
@@ -45,7 +48,7 @@ soak:
 	$(GO) test -run 'TestCrashRecoveryProperty|TestCheckpointFaultInjection' -count=3 ./internal/core/
 
 bench: build
-	$(GO) test ./internal/bench ./internal/nn ./internal/mcbound ./internal/wire ./internal/serve ./internal/core -run 'TestRefineAllocationBudget' -v -bench 'BenchmarkRefine|BenchmarkSeed|BenchmarkNNCandidateFrame|BenchmarkEvaluateResponseCodec|BenchmarkUpdatesCodec|BenchmarkRelayFrame|BenchmarkApplyUpdates|BenchmarkNNCandidates' -benchtime 1s -benchmem
+	$(GO) test ./internal/bench ./internal/nn ./internal/mcbound ./internal/wire ./internal/serve ./internal/core -run 'TestRefineAllocationBudget' -v -bench 'BenchmarkRefine|BenchmarkSeed|BenchmarkNNCandidateFrame|BenchmarkEvaluateResponseCodec|BenchmarkUpdatesCodec|BenchmarkRelayFrame|BenchmarkApplyUpdates|BenchmarkNNCandidates|BenchmarkEvaluateRange' -benchtime 1s -benchmem
 
 # The end-to-end benchmark (benchmark/, see BENCHMARK.json) is a
 # module of its own, so `go build ./... && go test ./...` never
@@ -66,7 +69,8 @@ cluster-smoke: build
 # under copy-on-write versions included) and node-codec targets,
 # the WAL frame codec, the NN candidate grid against the linear scan
 # it replaced, mcbound.Source against math/rand's source, a shard's NN candidate collection against a brute-force
-# scan of its point table, the NN candidate frame decoder and the match-list JSON
+# scan of its point table, a uniform object's PTI leaf record against
+# its table row, the NN candidate frame decoder and the match-list JSON
 # scanner (the router's untrusted input from its shards; the scanner is
 # also held to json.Unmarshal), the delta frame relay, the checkpoint
 # manifest's extent checks, the request bodies a client sends (the
@@ -84,6 +88,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecodeNNCandidateSet -fuzztime=15s ./internal/wire
 	$(GO) test -fuzz=FuzzCheckpointManifest -fuzztime=15s ./internal/core
 	$(GO) test -fuzz=FuzzNNCandidates -fuzztime=15s ./internal/core
+	$(GO) test -fuzz=FuzzLeafRecord -fuzztime=15s ./internal/core
 	$(GO) test -fuzz=FuzzDecodeEvaluateResponse -fuzztime=15s ./internal/serve
 	$(GO) test -fuzz=FuzzRequestJSON -fuzztime=15s ./internal/serve
 	$(GO) test -fuzz=FuzzDecodeUpdatesRequest -fuzztime=15s ./internal/serve

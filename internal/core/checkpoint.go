@@ -462,6 +462,7 @@ func loadCheckpoint(path string, opts EngineOptions) (*engineState, error) {
 		pointIdx:    pointIdx,
 		objects:     objects,
 		uncIdx:      uncIdx,
+		irregular:   irregularSet(objects, uncIdx.Probs()),
 		probs:       m.probs,
 		met:         newEngineMetrics(),
 	}, nil

@@ -31,10 +31,13 @@
 //     stopping rule and the seed derivation keying every stream live
 //     beside it.
 //   - range evaluation: evaluateUncertainEnhanced is the filter → prune
-//     → refineSurvivors → merge pipeline over the PTI; scanQualifyAccept
-//     is the interleaved pass, parameterised by probe region, candidate
-//     source and a qualifier chosen up front — the enhanced point path
-//     and both MethodBasic paths.
+//     → refineSurvivors → merge pipeline over the PTI, one prune kernel
+//     (pruneRegion) and one closed form (ObjectQualifier.closedForm)
+//     for both candidate sources — a leaf record, whose PTI leaf entry
+//     is its whole record (see engineState.irregular), or a table
+//     object; scanQualifyAccept is the interleaved pass, parameterised
+//     by probe region, candidate source and a qualifier chosen up front
+//     — the enhanced point path and both MethodBasic paths.
 //   - nearest neighbor: collectNN + refineNNCandidates, which a
 //     single-engine evaluation, Snapshot.NNCandidates and
 //     EvaluateNNCandidates are compositions of — so a fleet router's NN

@@ -179,6 +179,7 @@ func NewEngine(points []uncertain.PointObject, objects []*uncertain.Object, opts
 	if err != nil {
 		return nil, fmt.Errorf("core: building PTI: %w", err)
 	}
+	st.irregular = irregularSet(st.objects, st.uncIdx.Probs())
 
 	return newEngineFromState(st, opts.MaxSnapshotAge), nil
 }
@@ -510,17 +511,25 @@ func (st *engineState) evaluateUncertain(ctx context.Context, q Query, opts Eval
 }
 
 // evaluateUncertainEnhanced is the single enhanced evaluation path:
-// index probe and object-level pruning run once, collecting survivors;
-// refinement — where nearly all CPU time goes — runs over the prepared
-// query plan (see refineSurvivors). ctx must already carry any
-// opts.Timeout bound.
+// the index probe and object-level pruning run once, collecting
+// survivors, which are refined over the prepared query plan (see
+// refineSurvivors) and merged. On a threshold query whose candidates
+// refine in closed form the filter is the larger part — range_ro's
+// profile puts three quarters of the evaluation in it — so it reads
+// only what the leaf entry holds wherever it can (see
+// engineState.irregular). ctx must already carry any opts.Timeout
+// bound.
 //
-// A nil only draws the candidates from the index probe; a non-nil only
-// (Snapshot.EvaluateOnly) takes exactly those ids from the table and
-// admits the ones the probe would have visited (admitsObject). Pruning,
-// refinement — each survivor on the sample stream keyed by its id —
-// and merge are the same code either way, so the restricted answer is
-// the full answer's restriction bit for bit.
+// A nil only draws the candidates from the index probe: a leaf record
+// is pruned, by the index's leaf test and the strategies, and refined
+// from its entry's rectangle, any other object through its table row.
+// A non-nil only (Snapshot.EvaluateOnly) takes exactly those ids from
+// the table and admits the ones the probe would have visited
+// (admitsObject), every one on the table path. The two sources compute
+// the same rows and the same closed form, and pruning, refinement —
+// each survivor on the sample stream keyed by its id — and merge are
+// the same code either way, so the restricted answer is the full
+// answer's restriction bit for bit.
 func (st *engineState) evaluateUncertainEnhanced(ctx context.Context, q Query, opts EvalOptions, only []uncertain.ID) (Result, error) {
 	start := time.Now()
 	var res Result
@@ -531,19 +540,21 @@ func (st *engineState) evaluateUncertainEnhanced(ctx context.Context, q Query, o
 		res.Cost.Duration = time.Since(start)
 		return res, nil
 	}
+	sc := acquireScratch()
+	defer releaseScratch(sc)
 
 	// The filter span covers the index probe and the object-level
 	// pruning strategies that run inside its visitor — the paper's
 	// filter step, whose output is the survivor set refinement pays
 	// for.
 	spF := tr.StartSpan("filter")
-	var survivors []*uncertain.Object
-	consider := func(obj *uncertain.Object) bool {
+	survivors := sc.cands[:0]
+	consider := func(c candidate) bool {
 		if canceled(ctx) != nil {
 			return false
 		}
 		res.Cost.Candidates++
-		switch PruneUncertain(q, obj, plan.expanded, plan.searchReg, opts.Strategies) {
+		switch st.pruneCandidate(&plan, &c, opts.Strategies, sc) {
 		case PrunedEmptyOverlap:
 			// Zero probability; simply not a match.
 		case PrunedStrategy1:
@@ -553,37 +564,55 @@ func (st *engineState) evaluateUncertainEnhanced(ctx context.Context, q Query, o
 		case PrunedStrategy3:
 			res.Cost.PrunedStrategy3++
 		default:
-			survivors = append(survivors, obj)
+			survivors = append(survivors, c)
 		}
 		return true
-	}
-	visit := func(id uncertain.ID) bool {
-		obj, ok := st.objects.Get(id)
-		if !ok {
-			return true
-		}
-		return consider(obj)
 	}
 
 	indexPruning := q.Threshold > 0 && !opts.DisableIndexPruning
 	var na int64
 	var err error
-	switch {
-	case only != nil:
+	if only != nil {
 		for _, id := range only {
 			obj, ok := st.objects.Get(id)
 			if !ok || !st.admitsObject(plan, obj, indexPruning) {
 				continue
 			}
-			if !consider(obj) {
+			if !consider(candidate{id: id, region: obj.Region(), obj: obj}) {
 				break
 			}
 		}
-	case indexPruning:
-		na, err = st.uncIdx.ThresholdSearchCounted(plan.searchReg, plan.expanded, q.Threshold, visit)
-	default:
-		na, err = st.uncIdx.RangeSearchCounted(plan.searchReg, visit)
+	} else {
+		// The index's leaf test (pruning Strategy 1 at the leaf) on the
+		// M-bound row: computed from a leaf record's rectangle, read
+		// from the stored payload for any other object.
+		row, m, rowOK := st.uncIdx.MRow(q.Threshold)
+		rowOK = rowOK && indexPruning
+		visit := func(e rtree.Entry, aux []float64) bool {
+			c := candidate{id: uncertain.ID(e.Ref), region: e.Rect}
+			if st.inTable(c.id) {
+				if rowOK && pti.BoundPrunes(e.Rect, pti.StoredRow(aux, row, m), plan.expanded) {
+					return true
+				}
+				obj, ok := st.objects.Get(c.id)
+				if !ok {
+					return true
+				}
+				c.obj = obj
+			} else if rowOK && pti.BoundPrunes(e.Rect, uncertain.UniformBound(e.Rect, m), plan.expanded) {
+				return true
+			}
+			return consider(c)
+		}
+		if indexPruning {
+			na, err = st.uncIdx.ThresholdLeavesCounted(plan.searchReg, plan.expanded, q.Threshold, visit)
+		} else {
+			na, err = st.uncIdx.RangeLeavesCounted(plan.searchReg, visit)
+		}
 	}
+	// The pooled buffer keeps what it grew to, and holds no object
+	// past the query.
+	defer func() { clear(survivors); sc.cands = survivors[:0] }()
 	if err != nil {
 		return Result{}, err
 	}
@@ -601,7 +630,7 @@ func (st *engineState) evaluateUncertainEnhanced(ctx context.Context, q Query, o
 	spF.End()
 
 	spR := tr.StartSpan("refine")
-	probs, rst, err := refineSurvivors(ctx, plan, survivors, opts)
+	rst, err := st.refineSurvivors(ctx, plan, survivors, opts, sc)
 	if err != nil {
 		return Result{}, err
 	}
@@ -614,9 +643,9 @@ func (st *engineState) evaluateUncertainEnhanced(ctx context.Context, q Query, o
 	spR.End()
 
 	spM := tr.StartSpan("merge")
-	for i, obj := range survivors {
-		if accept(probs[i], q.Threshold) {
-			res.Matches = append(res.Matches, Match{ID: obj.ID, P: probs[i]})
+	for _, c := range survivors {
+		if accept(c.p, q.Threshold) {
+			res.Matches = append(res.Matches, Match{ID: c.id, P: c.p})
 		} else {
 			res.Cost.BelowThreshold++
 		}

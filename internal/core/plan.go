@@ -8,6 +8,7 @@ import (
 	"repro/internal/integrate"
 	"repro/internal/mcbound"
 	"repro/internal/pdf"
+	"repro/internal/uncertain"
 )
 
 // This file implements prepared query evaluation: everything about a
@@ -19,15 +20,24 @@ import (
 // (shiftedBreakpoints in qualification.go), which dominated the
 // allocation profile of the closed-form refinement path.
 
-// evalScratch holds per-goroutine scratch buffers reused across
-// candidate refinements. Instances cycle through a sync.Pool: one
+// evalScratch holds per-goroutine scratch buffers reused across the
+// candidates of a query. Instances cycle through a sync.Pool: one
 // acquire per query (or per worker), not per candidate.
 type evalScratch struct {
 	cuts []float64
+	// cands is the range filter's survivor buffer.
+	cands []candidate
+	// rows is a leaf record's U-catalog, computed from its rectangle
+	// for the pruning strategies (see engineState.pruneCandidate).
+	rows []uncertain.Bound
+	// ux, uy are a leaf record's marginals for closed-form refinement.
+	ux, uy pdf.UniformMarginal
 }
 
 var scratchPool = sync.Pool{
-	New: func() any { return &evalScratch{cuts: make([]float64, 0, 64)} },
+	New: func() any {
+		return &evalScratch{cuts: make([]float64, 0, 64), rows: make([]uncertain.Bound, 0, 16)}
+	},
 }
 
 func acquireScratch() *evalScratch   { return scratchPool.Get().(*evalScratch) }
@@ -188,16 +198,7 @@ func (oq *ObjectQualifier) QualifyThreshold(obj pdf.PDF, qp float64, cfg ObjectE
 func (oq *ObjectQualifier) qualifyThreshold(obj pdf.PDF, qp float64, cfg ObjectEvalConfig, sc *evalScratch) (float64, int, bool) {
 	if !cfg.ForceMonteCarlo && oq.separable {
 		if sObj, ok := obj.(pdf.Separable); ok {
-			clip := obj.Support().Intersect(oq.expSup)
-			if clip.Empty() {
-				return 0, 0, false
-			}
-			fx := oq.ax.factor(sObj.MarginalX(), clip.Lo.X, clip.Hi.X, cfg.QuadratureNodes, sc)
-			if fx == 0 {
-				return 0, 0, false
-			}
-			fy := oq.ay.factor(sObj.MarginalY(), clip.Lo.Y, clip.Hi.Y, cfg.QuadratureNodes, sc)
-			return clampProb(fx * fy), 0, false
+			return oq.closedForm(obj.Support(), sObj.MarginalX(), sObj.MarginalY(), cfg, sc), 0, false
 		}
 	}
 	// The sampling path: draw locations from the object's pdf and
@@ -217,6 +218,23 @@ func (oq *ObjectQualifier) qualifyThreshold(obj pdf.PDF, qp float64, cfg ObjectE
 		}
 		return t
 	})
+}
+
+// closedForm is the Lemma 4 closed form for a separable object with
+// support sup and marginals mx, my against a separable issuer — the
+// refinement of a table object and of a leaf record alike (see
+// engineState.refineSurvivors).
+func (oq *ObjectQualifier) closedForm(sup geom.Rect, mx, my pdf.Marginal, cfg ObjectEvalConfig, sc *evalScratch) float64 {
+	clip := sup.Intersect(oq.expSup)
+	if clip.Empty() {
+		return 0
+	}
+	fx := oq.ax.factor(mx, clip.Lo.X, clip.Hi.X, cfg.QuadratureNodes, sc)
+	if fx == 0 {
+		return 0
+	}
+	fy := oq.ay.factor(my, clip.Lo.Y, clip.Hi.Y, cfg.QuadratureNodes, sc)
+	return clampProb(fx * fy)
 }
 
 // queryPlan is the per-query execution state the engine prepares once

@@ -116,7 +116,14 @@ type StrategySet struct {
 // probability could reach qp; it returns the verdict for cost
 // accounting.
 func PruneUncertain(q Query, obj *uncertain.Object, expanded, searchReg geom.Rect, ss StrategySet) PruneVerdict {
-	region := obj.Region()
+	return pruneRegion(q, obj.Region(), obj.Catalog, expanded, searchReg, ss)
+}
+
+// pruneRegion is PruneUncertain over what the strategies read of a
+// candidate: its uncertainty region and its U-catalog — a table
+// object's own, or a leaf record's computed from its rectangle (see
+// engineState.pruneCandidate). The catalog is read only when qp > 0.
+func pruneRegion(q Query, region geom.Rect, cat uncertain.Catalog, expanded, searchReg geom.Rect, ss StrategySet) PruneVerdict {
 	reg := region.Intersect(expanded)
 	if reg.Empty() {
 		return PrunedEmptyOverlap
@@ -129,7 +136,7 @@ func PruneUncertain(q Query, obj *uncertain.Object, expanded, searchReg geom.Rec
 	// Strategy 1: the overlap with R⊕U0 lies beyond the object's
 	// M-bound, M = max catalog value <= Qp, so pi <= M <= Qp.
 	if !ss.DisableStrategy1 {
-		if b, ok := obj.Catalog.MaxLE(qp); ok && beyondBound(reg, b) {
+		if b, ok := cat.MaxLE(qp); ok && beyondBound(reg, b) {
 			return PrunedStrategy1
 		}
 	}
@@ -149,7 +156,7 @@ func PruneUncertain(q Query, obj *uncertain.Object, expanded, searchReg geom.Rec
 	// (Using reg instead of the whole Ui for the kernel bound is
 	// sound — Lemma 4 integrates over reg only — and strictly tighter.)
 	if !ss.DisableStrategy3 {
-		dmin := massUpperBound(obj.Catalog, reg)
+		dmin := massUpperBound(cat, reg)
 		qmin := kernelUpperBound(q.Issuer.Catalog, reg, q.W, q.H)
 		if qmin*dmin < qp {
 			return PrunedStrategy3

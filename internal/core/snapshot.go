@@ -46,6 +46,20 @@ type engineState struct {
 	objects *cowTable[*uncertain.Object]
 	uncIdx  *pti.Index
 
+	// irregular holds the ids of the objects that are not leaf records
+	// (isLeafRecord at uncIdx.Probs()), and no other ids. Every other
+	// object's PTI leaf entry {Rect: o.Region(), Ref: o.ID} is its
+	// whole record for the range path: its pdf is the uniform product
+	// over the rectangle and its catalog rows — the leaf's stored
+	// payload rows too — are uncertain.UniformBound of it, so the
+	// filter, the pruning strategies and closed-form refinement run
+	// from the entry without reading the table or the payload. Every
+	// writer (bulk load, insert and delete in the txn — replace, upsert
+	// and WAL replay go through them — and checkpoint restore) keeps
+	// the set in step with the table. TestLeafRecordMatchesTable holds
+	// the invariant.
+	irregular *cowTable[struct{}]
+
 	probs []float64
 
 	// met is the owning engine's telemetry, shared by every state so

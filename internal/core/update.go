@@ -173,8 +173,9 @@ type stateTxn struct {
 	points   *tableTxn[uncertain.PointObject]
 	pointIdx *rtree.Tree
 
-	objects *tableTxn[*uncertain.Object]
-	uncIdx  *pti.Index
+	objects   *tableTxn[*uncertain.Object]
+	uncIdx    *pti.Index
+	irregular *tableTxn[struct{}]
 
 	// logged accumulates the txn's effective primitive updates in
 	// application order — the WAL record a durable engine appends at
@@ -215,6 +216,22 @@ func (tx *stateTxn) uncTree() *pti.Index {
 	return tx.uncIdx
 }
 
+func (tx *stateTxn) irregularSet() *tableTxn[struct{}] {
+	if tx.irregular == nil {
+		tx.irregular = newTableTxn(tx.base.irregular)
+	}
+	return tx.irregular
+}
+
+// inTable is engineState.inTable through the txn.
+func (tx *stateTxn) inTable(id uncertain.ID) bool {
+	if tx.irregular != nil {
+		_, ok := tx.irregular.Get(id)
+		return ok
+	}
+	return tx.base.inTable(id)
+}
+
 func (tx *stateTxn) getPoint(id uncertain.ID) (uncertain.PointObject, bool) {
 	if tx.points != nil {
 		return tx.points.Get(id)
@@ -231,7 +248,7 @@ func (tx *stateTxn) getObject(id uncertain.ID) (*uncertain.Object, bool) {
 
 // touched reports whether the txn physically diverged from its base.
 func (tx *stateTxn) touched() bool {
-	return tx.points != nil || tx.pointIdx != nil || tx.objects != nil || tx.uncIdx != nil
+	return tx.points != nil || tx.pointIdx != nil || tx.objects != nil || tx.uncIdx != nil || tx.irregular != nil
 }
 
 // discard throws the txn away instead of publishing it: the cloned
@@ -280,12 +297,13 @@ func (tx *stateTxn) finish() (*engineState, retiredBatch, error) {
 		return nil, retiredBatch{}, nil
 	}
 	st := &engineState{
-		points:   tx.base.points,
-		pointIdx: tx.base.pointIdx,
-		objects:  tx.base.objects,
-		uncIdx:   tx.base.uncIdx,
-		probs:    tx.base.probs,
-		met:      tx.base.met,
+		points:    tx.base.points,
+		pointIdx:  tx.base.pointIdx,
+		objects:   tx.base.objects,
+		uncIdx:    tx.base.uncIdx,
+		irregular: tx.base.irregular,
+		probs:     tx.base.probs,
+		met:       tx.base.met,
 	}
 	var retired retiredBatch
 	if tx.points != nil {
@@ -301,6 +319,9 @@ func (tx *stateTxn) finish() (*engineState, retiredBatch, error) {
 	}
 	if tx.objects != nil {
 		st.objects = tx.objects.Commit()
+	}
+	if tx.irregular != nil {
+		st.irregular = tx.irregular.Commit()
 	}
 	if tx.uncIdx != nil {
 		st.uncIdx = tx.uncIdx
@@ -616,6 +637,9 @@ func (tx *stateTxn) insertObject(o *uncertain.Object) error {
 		return err
 	}
 	tx.objectTable().Put(o.ID, o)
+	if !isLeafRecord(o, tx.base.uncIdx.Probs()) {
+		tx.irregularSet().Put(o.ID, struct{}{})
+	}
 	tx.logged = append(tx.logged, Update{Op: OpUpsertObject, Object: o})
 	return nil
 }
@@ -646,6 +670,9 @@ func (tx *stateTxn) deleteObject(id uncertain.ID) (bool, error) {
 		return false, fmt.Errorf("core: object %d present in table but missing from index", id)
 	}
 	tx.objectTable().Delete(id)
+	if tx.inTable(id) {
+		tx.irregularSet().Delete(id)
+	}
 	tx.logged = append(tx.logged, Update{Op: OpDeleteObject, ID: id})
 	return true, nil
 }

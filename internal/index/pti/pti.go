@@ -198,9 +198,16 @@ func (ix *Index) RangeSearch(q geom.Rect, visit func(id uncertain.ID) bool) erro
 // call performed. The count is local to the call, so concurrent
 // searches each observe their own exact I/O cost.
 func (ix *Index) RangeSearchCounted(q geom.Rect, visit func(id uncertain.ID) bool) (int64, error) {
-	return ix.tree.SearchCounted(q, nil, func(e rtree.Entry, _ []float64) bool {
+	return ix.RangeLeavesCounted(q, func(e rtree.Entry, _ []float64) bool {
 		return visit(uncertain.ID(e.Ref))
 	})
+}
+
+// RangeLeavesCounted is RangeSearchCounted handing the caller each
+// intersecting leaf entry — an object's region and id — with its
+// stored bound payload.
+func (ix *Index) RangeLeavesCounted(q geom.Rect, visit rtree.Visit) (int64, error) {
+	return ix.tree.SearchCounted(q, nil, visit)
 }
 
 // ThresholdSearch visits candidate ids for a constrained query with
@@ -217,25 +224,36 @@ func (ix *Index) RangeSearchCounted(q geom.Rect, visit func(id uncertain.ID) boo
 //     (pruning Strategy 1 applied at the index level).
 //
 // Survivors still require exact evaluation; the engine filters them by
-// their true qualification probability.
+// their true qualification probability, after deciding the leaf entries
+// itself (ThresholdLeavesCounted).
 func (ix *Index) ThresholdSearch(search, expanded geom.Rect, qp float64, visit func(id uncertain.ID) bool) error {
-	_, err := ix.ThresholdSearchCounted(search, expanded, qp, visit)
-	return err
-}
-
-// ThresholdSearchCounted is ThresholdSearch returning the node accesses
-// this call performed, counted locally for concurrent callers.
-func (ix *Index) ThresholdSearchCounted(search, expanded geom.Rect, qp float64, visit func(id uncertain.ID) bool) (int64, error) {
-	pi := ix.probIndex(qp)
-	prune := func(e rtree.Entry, aux []float64) bool {
-		return pi >= 0 && prunedByBounds(e.Rect, aux[4*pi:4*pi+4], expanded)
-	}
-	return ix.tree.SearchCounted(search, prune, func(e rtree.Entry, aux []float64) bool {
-		if pi >= 0 && prunedByBounds(e.Rect, aux[4*pi:4*pi+4], expanded) {
+	row, m, ok := ix.MRow(qp)
+	_, err := ix.ThresholdLeavesCounted(search, expanded, qp, func(e rtree.Entry, aux []float64) bool {
+		if ok && BoundPrunes(e.Rect, StoredRow(aux, row, m), expanded) {
 			return true // pruned leaf entry; keep searching
 		}
 		return visit(uncertain.ID(e.Ref))
 	})
+	return err
+}
+
+// ThresholdLeavesCounted is ThresholdSearch with the leaf-level test
+// handed to the caller: interior entries are pruned by their M-bound
+// envelope rows as ThresholdSearch prunes them, and every leaf entry
+// that intersects search is visited, untested, with its stored
+// payload. The caller decides the entry with BoundPrunes on its M-bound
+// row (see MRow) — the stored one, or one it can compute from the
+// entry alone. It returns the node accesses this call performed,
+// counted locally for concurrent callers.
+func (ix *Index) ThresholdLeavesCounted(search, expanded geom.Rect, qp float64, visit rtree.Visit) (int64, error) {
+	row, m, ok := ix.MRow(qp)
+	var prune rtree.NodePruner
+	if ok {
+		prune = func(e rtree.Entry, aux []float64) bool {
+			return BoundPrunes(e.Rect, StoredRow(aux, row, m), expanded)
+		}
+	}
+	return ix.tree.SearchCounted(search, prune, visit)
 }
 
 // ThresholdAdmits reports whether ThresholdSearch(search, expanded, qp)
@@ -250,28 +268,48 @@ func (ix *Index) ThresholdAdmits(o *uncertain.Object, search, expanded geom.Rect
 	if !search.Intersects(region) {
 		return false
 	}
-	pi := ix.probIndex(qp)
-	if pi < 0 {
+	_, m, ok := ix.MRow(qp)
+	if !ok {
 		return true
 	}
-	// The row exists: Insert rejects an object whose catalog lacks an
-	// index probability value.
-	b, _ := o.Catalog.MaxLE(ix.probs[pi])
-	return !prunedByBounds(region, []float64{b.Left, b.Right, b.Bottom, b.Top}, expanded)
+	// The row exists and is the stored one: Insert rejects an object
+	// whose catalog lacks an index probability value, and stores the
+	// catalog's row.
+	b, _ := o.Catalog.MaxLE(m)
+	return !BoundPrunes(region, b, expanded)
 }
 
-// prunedByBounds reports whether the overlap of region (an entry MBR)
-// with the expanded query lies entirely beyond one of the four bound
-// lines [left, right, bottom, top], in which case the probability mass
-// reachable by the query is at most the bound's catalog value.
-func prunedByBounds(region geom.Rect, bound []float64, expanded geom.Rect) bool {
+// MRow returns where the M-bound rows of threshold qp sit in every
+// entry's payload (M = the largest catalog value <= qp) and M itself;
+// ok is false when every catalog value exceeds qp, and then no bound
+// prunes.
+func (ix *Index) MRow(qp float64) (row int, m float64, ok bool) {
+	row = ix.probIndex(qp)
+	if row < 0 {
+		return -1, 0, false
+	}
+	return row, ix.probs[row], true
+}
+
+// StoredRow returns the bound at probability p held at row of an
+// entry's payload (see MRow).
+func StoredRow(aux []float64, row int, p float64) uncertain.Bound {
+	r := aux[4*row : 4*row+4]
+	return uncertain.Bound{P: p, Left: r[0], Right: r[1], Bottom: r[2], Top: r[3]}
+}
+
+// BoundPrunes reports whether the overlap of region (an entry's MBR)
+// with the expanded query is empty or lies entirely beyond one of b's
+// four lines, in which case the probability mass the query can reach
+// below the entry is at most b.P. It is the threshold search's test at
+// every level of the tree.
+func BoundPrunes(region geom.Rect, b uncertain.Bound, expanded geom.Rect) bool {
 	reg := region.Intersect(expanded)
 	if reg.Empty() {
 		return true // no overlap at all: zero qualification probability
 	}
-	left, right, bottom, top := bound[0], bound[1], bound[2], bound[3]
-	return reg.Lo.X >= right || reg.Hi.X <= left ||
-		reg.Lo.Y >= top || reg.Hi.Y <= bottom
+	return reg.Lo.X >= b.Right || reg.Hi.X <= b.Left ||
+		reg.Lo.Y >= b.Top || reg.Hi.Y <= b.Bottom
 }
 
 // Restore rebuilds a sealed index handle over nodes already present in

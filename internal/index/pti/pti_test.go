@@ -241,31 +241,31 @@ func TestInsertDeleteCycle(t *testing.T) {
 
 func TestPrunedByBounds(t *testing.T) {
 	region := geom.Rect{Lo: geom.Pt(0, 0), Hi: geom.Pt(10, 10)}
-	bound := []float64{2, 8, 2, 8} // left, right, bottom, top
+	bound := uncertain.Bound{Left: 2, Right: 8, Bottom: 2, Top: 8}
 	// Expanded query overlapping only the region's right sliver, right
 	// of the right bound: prune.
 	exp := geom.Rect{Lo: geom.Pt(8.5, 0), Hi: geom.Pt(20, 10)}
-	if !prunedByBounds(region, bound, exp) {
+	if !BoundPrunes(region, bound, exp) {
 		t.Fatal("right sliver should prune")
 	}
 	// Overlap spanning the center: keep.
 	exp = geom.Rect{Lo: geom.Pt(4, 4), Hi: geom.Pt(6, 6)}
-	if prunedByBounds(region, bound, exp) {
+	if BoundPrunes(region, bound, exp) {
 		t.Fatal("central overlap should not prune")
 	}
 	// Left sliver: prune.
 	exp = geom.Rect{Lo: geom.Pt(-5, 0), Hi: geom.Pt(1.5, 10)}
-	if !prunedByBounds(region, bound, exp) {
+	if !BoundPrunes(region, bound, exp) {
 		t.Fatal("left sliver should prune")
 	}
 	// Top sliver: prune.
 	exp = geom.Rect{Lo: geom.Pt(0, 9), Hi: geom.Pt(10, 30)}
-	if !prunedByBounds(region, bound, exp) {
+	if !BoundPrunes(region, bound, exp) {
 		t.Fatal("top sliver should prune")
 	}
 	// Disjoint: prune.
 	exp = geom.Rect{Lo: geom.Pt(50, 50), Hi: geom.Pt(60, 60)}
-	if !prunedByBounds(region, bound, exp) {
+	if !BoundPrunes(region, bound, exp) {
 		t.Fatal("disjoint should prune")
 	}
 }
@@ -300,10 +300,10 @@ func TestGaussianBoundsTighter(t *testing.T) {
 	// 100 - 0.52σ ≈ 94.7, right of 91) and prunes.
 	exp := geom.Rect{Lo: geom.Pt(70, 70), Hi: geom.Pt(91, 130)}
 	slot := 3 // probs[3] = 0.3
-	if !prunedByBounds(region, gAux[4*slot:4*slot+4], exp) {
+	if !BoundPrunes(region, StoredRow(gAux, slot, probs[slot]), exp) {
 		t.Fatal("Gaussian object should prune at qp=0.3 sliver")
 	}
-	if prunedByBounds(region, uAux[4*slot:4*slot+4], exp) {
+	if BoundPrunes(region, StoredRow(uAux, slot, probs[slot]), exp) {
 		t.Fatal("uniform object should survive at qp=0.3 sliver")
 	}
 }

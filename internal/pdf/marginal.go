@@ -30,6 +30,12 @@ func NewUniformMarginal(lo, hi float64) (*UniformMarginal, error) {
 	return &UniformMarginal{lo: lo, hi: hi}, nil
 }
 
+// UniformOn returns the uniform marginal on [lo, hi] by value and
+// unchecked, for a caller that holds an interval a validated marginal
+// already had — a PTI leaf rectangle's side — and wants the marginal
+// without an allocation.
+func UniformOn(lo, hi float64) UniformMarginal { return UniformMarginal{lo: lo, hi: hi} }
+
 // Bounds implements Marginal.
 func (u *UniformMarginal) Bounds() (float64, float64) { return u.lo, u.hi }
 

@@ -84,6 +84,24 @@ func NewTruncGaussian(region geom.Rect, sigmaX, sigmaY float64) (*Product, error
 	return NewProduct(x, y), nil
 }
 
+// UniformSupport reports whether d is the uniform product over a
+// rectangle — a Product whose two marginals are UniformMarginals — and
+// returns that rectangle, its support. Such a pdf is a function of its
+// support alone.
+func UniformSupport(d PDF) (geom.Rect, bool) {
+	p, ok := d.(*Product)
+	if !ok {
+		return geom.Rect{}, false
+	}
+	if _, ok := p.x.(*UniformMarginal); !ok {
+		return geom.Rect{}, false
+	}
+	if _, ok := p.y.(*UniformMarginal); !ok {
+		return geom.Rect{}, false
+	}
+	return p.support, true
+}
+
 // Support implements PDF.
 func (p *Product) Support() geom.Rect { return p.support }
 

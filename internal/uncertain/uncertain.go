@@ -141,6 +141,9 @@ func NewCatalog(p pdf.PDF, probs []float64) (Catalog, error) {
 // otherwise each line is located by bisection on rectangle mass, which
 // only requires the PDF interface.
 func ComputeBound(p pdf.PDF, v float64) Bound {
+	if region, ok := pdf.UniformSupport(p); ok {
+		return UniformBound(region, v)
+	}
 	if s, ok := p.(pdf.Separable); ok {
 		mx, my := s.MarginalX(), s.MarginalY()
 		return Bound{
@@ -165,6 +168,36 @@ func ComputeBound(p pdf.PDF, v float64) Bound {
 		Bottom: bisect(massBelow, sup.Lo.Y, sup.Hi.Y, v),
 		Top:    bisect(massBelow, sup.Lo.Y, sup.Hi.Y, 1-v),
 	}
+}
+
+// UniformBound is ComputeBound for the uniform pdf over region: each
+// line moves in from region's edge by v of its extent, l(v) = Lo.X +
+// v·(Hi.X − Lo.X), computed by the UniformMarginal.InvCDF calls
+// ComputeBound makes on that pdf's marginals. A bound computed from a
+// rectangle alone — a PTI leaf entry's — is therefore the catalog row
+// of the uniform object over it, bit for bit.
+func UniformBound(region geom.Rect, v float64) Bound {
+	mx, my := pdf.UniformOn(region.Lo.X, region.Hi.X), pdf.UniformOn(region.Lo.Y, region.Hi.Y)
+	return Bound{
+		P:      v,
+		Left:   mx.InvCDF(v),
+		Right:  mx.InvCDF(1 - v),
+		Bottom: my.InvCDF(v),
+		Top:    my.InvCDF(1 - v),
+	}
+}
+
+// UniformCatalog is NewCatalog for the uniform pdf over region at probs
+// (ascending and distinct, as an index's catalog values are), its rows
+// computed by UniformBound into dst's storage, which is grown only if
+// it is short. The catalog aliases that storage: it is scratch, valid
+// until the caller reuses dst.
+func UniformCatalog(dst []Bound, region geom.Rect, probs []float64) Catalog {
+	dst = dst[:0]
+	for _, v := range probs {
+		dst = append(dst, UniformBound(region, v))
+	}
+	return Catalog{bounds: dst}
 }
 
 // bisect finds x in [lo, hi] with monotone f(x) ~= target.

@@ -137,8 +137,7 @@ var durationMS = regexp.MustCompile(`"duration_ms":[^,}]*`)
 // owner, equal after every batch the single engine's evaluation of the
 // same query, Float64bits for Float64bits. Ten standing queries — some
 // guards straddling the y=5000 shard border — ride random batches of
-// straddling objects, border crossings, Gaussian objects (Monte-Carlo
-// refinement) and deletes; one subscriber connects only after four
+// straddling objects, border crossings, Gaussian objects and deletes; one subscriber connects only after four
 // batches and must still see the registration snapshot first, and one
 // query is deregistered mid-stream and must end with a close event.
 // Every frame's bytes, its wall-clock duration blanked, are held to
@@ -184,9 +183,9 @@ func TestRouterStreamReplay(t *testing.T) {
 		for range 30 {
 			id := int64(rng.Intn(80))
 			switch k := rng.Intn(8); k {
-			case 0, 1, 2: // an object, often across the border
+			case 0, 1: // an object, often across the border
 				ups = append(ups, serve.UpdateJSON{Op: "upsert_object", ID: id, Region: region(rng.Intn(2) == 0)})
-			case 3: // a Gaussian object: refined by sampling
+			case 2, 3: // a Gaussian object
 				ups = append(ups, serve.UpdateJSON{Op: "upsert_object", ID: id, Region: region(true), PDF: "gaussian"})
 			case 4, 5: // a point, possibly crossing the border
 				ups = append(ups, serve.UpdateJSON{Op: "upsert_point", ID: id, X: rng.Float64() * 10000, Y: 4000 + rng.Float64()*2000})

@@ -74,8 +74,9 @@ cluster-smoke: build
 # scanner (the router's untrusted input from its shards; the scanner is
 # also held to json.Unmarshal), the delta frame relay, the checkpoint
 # manifest's extent checks, the request bodies a client sends (the
-# update batch's decoder held to the json.Decoder it replaced), and the
-# tile-map spec string.
+# update batch's decoder held to the json.Decoder it replaced), the
+# tile-map spec string, and the router's delta feed reader (a shard's
+# feed stream, untrusted input at the router).
 # Fuzzing runs only here and in the CI fuzz-smoke job; `go test ./...`
 # replays the seeds alone.
 fuzz-smoke:
@@ -94,6 +95,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecodeUpdatesRequest -fuzztime=15s ./internal/serve
 	$(GO) test -fuzz=FuzzRelayDeltaFrame -fuzztime=15s ./internal/serve
 	$(GO) test -fuzz=FuzzParseTileSpec -fuzztime=15s ./internal/shard
+	$(GO) test -fuzz=FuzzFeedReader -fuzztime=15s ./internal/shard
 
 # API-surface gate: the public facade (package repro) is a reviewed
 # artifact. apicheck regenerates the surface with `go doc -all` and

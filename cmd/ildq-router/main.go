@@ -47,7 +47,7 @@ func main() {
 		retries    = flag.Int("retries", 0, "per-shard request attempts (0 = default policy)")
 		backoff    = flag.Duration("retry-backoff", 0, "initial retry backoff (0 = default policy)")
 		maxSamples = flag.Int64("max-samples", 0, "router-side NN refinement sample budget (0 = standalone-server default)")
-		timeout    = flag.Duration("shard-timeout", 30*time.Second, "per-shard HTTP timeout (streams excluded)")
+		timeout    = flag.Duration("shard-timeout", 30*time.Second, "per-shard HTTP timeout (a delta feed: only while it opens)")
 		logLevel   = flag.String("log-level", "info", "log level: debug, info, warn, or error")
 	)
 	flag.Parse()
@@ -72,8 +72,9 @@ func main() {
 	if len(urls) != tiles.NumShards() {
 		fatal(fmt.Errorf("tile map wants %d shards, -shards lists %d", tiles.NumShards(), len(urls)))
 	}
-	// Streams hold connections open indefinitely; only the scatter
-	// paths get the per-request timeout, via a dedicated client.
+	// The timeout bounds every scatter exchange; a delta feed, which
+	// stays open for the router's life, is held to it only while it
+	// opens (shard.Client.OpenFeed).
 	httpc := &http.Client{Timeout: *timeout}
 	clients := make([]*shard.Client, len(urls))
 	for i, u := range urls {
@@ -122,6 +123,7 @@ func main() {
 			logger.Warn("http shutdown", "err", err)
 		}
 		cancel()
+		router.Close()
 	}
 }
 

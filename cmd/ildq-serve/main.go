@@ -127,19 +127,21 @@ func main() {
 		Options:    opts,
 	})
 
+	api := serve.NewServer(mon, opts, serve.Config{
+		SlowQuery:     *slowQuery,
+		SlowEvery:     *slowSample,
+		PerQueryLimit: *perQuery,
+		Pprof:         *pprofOn,
+		Logger:        logger,
+		ShardID:       *shardID,
+		Tiles:         *tiles,
+	})
 	srv := &http.Server{
-		Addr: *addr,
-		Handler: serve.NewServer(mon, opts, serve.Config{
-			SlowQuery:     *slowQuery,
-			SlowEvery:     *slowSample,
-			PerQueryLimit: *perQuery,
-			Pprof:         *pprofOn,
-			Logger:        logger,
-			ShardID:       *shardID,
-			Tiles:         *tiles,
-		}),
+		Addr:              *addr,
+		Handler:           api,
 		ReadHeaderTimeout: 5 * time.Second,
 	}
+	srv.RegisterOnShutdown(api.EndFeeds)
 	logger.Info("listening",
 		"addr", *addr,
 		"points", eng.NumPoints(),

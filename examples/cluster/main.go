@@ -8,14 +8,22 @@
 // both deployments, then replays range and nearest-neighbor queries
 // against both and fails unless every probability comes back
 // Float64bits-identical: the scatter-gather fleet must be
-// indistinguishable from a single engine. Finally both deployments
-// are shut down with SIGTERM and must exit cleanly.
+// indistinguishable from a single engine. A standing query straddling
+// the shard borders is registered on both deployments and its delta
+// streams are drained throughout: after every round both replays —
+// the fleet's per shard tag, folded by owner — must equal the single
+// engine's answer bit for bit, and the router runs with a
+// -shard-timeout shorter than the streams live, which must not end
+// them. Finally the query is deregistered (both streams must end with
+// a close event) and both deployments are shut down with SIGTERM and
+// must exit cleanly.
 //
 // Run with: go run ./examples/cluster [-shards 2] [-rounds 3]
 // (from the repository root; the harness runs `go build`).
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"flag"
@@ -28,6 +36,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
+	"sync"
 	"time"
 )
 
@@ -73,6 +83,21 @@ type updatesResponse struct {
 	Partial  bool              `json:"partial,omitempty"`
 	Versions map[string]uint64 `json:"versions,omitempty"`
 }
+
+type registerResponse struct {
+	ID int64 `json:"id"`
+}
+
+type deltaJSON struct {
+	Shard   string      `json:"shard,omitempty"`
+	Entered []matchJSON `json:"entered,omitempty"`
+	Updated []matchJSON `json:"updated,omitempty"`
+	Left    []int64     `json:"left,omitempty"`
+}
+
+// shardTimeout is the router's -shard-timeout: shorter than the
+// standing query's streams live, so a stream bound by it would break.
+const shardTimeout = time.Second
 
 func main() {
 	shards := flag.Int("shards", 2, "fleet size")
@@ -120,9 +145,21 @@ func main() {
 		waitHealthy(u)
 	}
 	procs = append(procs, start(filepath.Join(bin, "ildq-router"),
-		"-addr", routerAddr, "-shards", joinComma(shardURLs), "-tiles", spec, "-log-level", "warn"))
+		"-addr", routerAddr, "-shards", joinComma(shardURLs), "-tiles", spec, "-log-level", "warn",
+		"-shard-timeout", shardTimeout.String()))
 	waitHealthy(routerURL)
 	log.Printf("fleet up: %d shards behind %s, reference at %s", *shards, routerURL, refURL)
+
+	// One standing query across the shard borders, on both deployments;
+	// the seed makes the fleet's members and the reference sample alike.
+	standing := requestJSON{Kind: "uncertain", Issuer: issuerJSON{Region: []float64{4700, 4700, 5300, 5300}},
+		W: 1500, H: 1500, Threshold: 0.05, Seed: 7}
+	var fleetReg, refReg registerResponse
+	post(routerURL+"/v1/queries", standing, &fleetReg)
+	post(refURL+"/v1/queries", standing, &refReg)
+	fleetStream := follow(fmt.Sprintf("%s/v1/queries/%d/stream", routerURL, fleetReg.ID))
+	refStream := follow(fmt.Sprintf("%s/v1/queries/%d/stream", refURL, refReg.ID))
+	opened := time.Now()
 
 	// The workload: every round, one batch of moves (some centered on
 	// the x=5000 / y=5000 shard borders so objects straddle members),
@@ -130,6 +167,8 @@ func main() {
 	rng := rand.New(rand.NewSource(*seed))
 	queriesRun := 0
 	for round := range *rounds {
+		// Pace the rounds so the streams outlive the router's timeout.
+		time.Sleep(time.Until(opened.Add(time.Duration(round) * shardTimeout * 6 / 10)))
 		var ups []updateJSON
 		for i := range 30 {
 			id := int64(rng.Intn(40))
@@ -181,8 +220,39 @@ func main() {
 			}
 			queriesRun++
 		}
-		log.Printf("round %d: %d updates routed, versions %v; 3 query kinds bit-exact",
-			round, viaRouter.Applied, viaRouter.Versions)
+		// The standing query: both replays must reach the single engine's
+		// answer to the same request.
+		var truth evaluateResponse
+		post(refURL+"/v1/evaluate", standing, &truth)
+		want := map[int64]float64{}
+		for _, m := range truth.Matches {
+			want[m.ID] = m.P
+		}
+		for name, st := range map[string]*stream{"fleet": fleetStream, "reference": refStream} {
+			if err := st.await(want); err != nil {
+				log.Fatalf("round %d: %s standing-query replay: %v", round, name, err)
+			}
+		}
+		log.Printf("round %d: %d updates routed, versions %v; 3 query kinds and the standing query (%d matches) bit-exact",
+			round, viaRouter.Applied, viaRouter.Versions, len(want))
+	}
+	if age := time.Since(opened); *rounds > 2 && age <= shardTimeout {
+		log.Fatalf("the standing query's streams lived %v, not past the router's -shard-timeout %v", age, shardTimeout)
+	}
+	for _, d := range []struct {
+		base string
+		id   int64
+		st   *stream
+	}{{routerURL, fleetReg.ID, fleetStream}, {refURL, refReg.ID, refStream}} {
+		req, _ := http.NewRequest(http.MethodDelete, fmt.Sprintf("%s/v1/queries/%d", d.base, d.id), nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil || resp.StatusCode != http.StatusNoContent {
+			log.Fatalf("deregistering the standing query at %s: %v %v", d.base, err, resp)
+		}
+		resp.Body.Close()
+		if end := d.st.end(); end != "close" {
+			log.Fatalf("the standing query's stream at %s ended with %q, want close", d.base, end)
+		}
 	}
 
 	// Graceful shutdown: router first, then the engines; every process
@@ -193,6 +263,120 @@ func main() {
 		}
 	}
 	log.Printf("ok: %d rounds, %d queries bit-exact across %d shards, clean shutdown", *rounds, queriesRun, *shards)
+}
+
+// stream follows one standing query's delta stream, replaying each
+// shard tag's frames ("" for a single engine) into its own set.
+type stream struct {
+	mu     sync.Mutex
+	sets   map[string]map[int64]float64
+	err    error  // a frame that would not decode
+	ending string // the event that ended the stream
+	done   chan struct{}
+}
+
+func follow(url string) *stream {
+	resp, err := http.Get(url)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		log.Fatalf("GET %s: %v %v", url, err, resp)
+	}
+	st := &stream{sets: map[string]map[int64]float64{}, done: make(chan struct{})}
+	go func() {
+		defer close(st.done)
+		defer resp.Body.Close()
+		sc := bufio.NewScanner(resp.Body)
+		sc.Buffer(nil, 16<<20)
+		event := ""
+		for sc.Scan() {
+			line := sc.Text()
+			if ev, ok := strings.CutPrefix(line, "event: "); ok {
+				event = ev
+				continue
+			}
+			data, ok := strings.CutPrefix(line, "data: ")
+			if !ok {
+				continue
+			}
+			st.mu.Lock()
+			if event != "" {
+				st.ending = event + " " + data
+				if event == "close" {
+					st.ending = "close"
+				}
+			} else {
+				var d deltaJSON
+				if err := json.Unmarshal([]byte(data), &d); err != nil {
+					st.err = fmt.Errorf("frame %q: %w", data, err)
+				}
+				set := st.sets[d.Shard]
+				if set == nil {
+					set = map[int64]float64{}
+					st.sets[d.Shard] = set
+				}
+				for _, id := range d.Left {
+					delete(set, id)
+				}
+				for _, m := range append(d.Entered, d.Updated...) {
+					set[m.ID] = m.P
+				}
+			}
+			st.mu.Unlock()
+			event = ""
+		}
+	}()
+	return st
+}
+
+// await waits until the replay, folded across shard tags, equals want
+// Float64bits for Float64bits; a replicated object must carry the same
+// bits on every shard.
+func (st *stream) await(want map[int64]float64) error {
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		st.mu.Lock()
+		err, ending := st.err, st.ending
+		folded, agree := map[int64]float64{}, true
+		for _, set := range st.sets {
+			for id, p := range set {
+				if q, ok := folded[id]; ok && math.Float64bits(p) != math.Float64bits(q) {
+					agree = false
+				}
+				folded[id] = p
+			}
+		}
+		st.mu.Unlock()
+		if err != nil {
+			return err
+		}
+		if ending != "" {
+			return fmt.Errorf("stream ended: %s", ending)
+		}
+		same := agree && len(folded) == len(want)
+		for id, p := range want {
+			if q, ok := folded[id]; !ok || math.Float64bits(p) != math.Float64bits(q) {
+				same = false
+			}
+		}
+		if same {
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("replay %v (replicas agree: %v), single engine %v", folded, agree, want)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// end waits for the stream to end and returns the event that ended it.
+func (st *stream) end() string {
+	select {
+	case <-st.done:
+	case <-time.After(10 * time.Second):
+		return "nothing within 10s"
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.ending
 }
 
 type process struct {

@@ -128,6 +128,8 @@ type Monitor struct {
 	// walks the slice it loaded without copying or sorting.
 	ordered []*Subscription
 	nextID  int64
+	// feeds lists the open feeds, replaced like ordered (see feed.go).
+	feeds []*Feed
 
 	// changes and ids are per-batch scratch, reused under ingestMu.
 	changes []core.Change
@@ -341,6 +343,9 @@ func (m *Monitor) ApplyUpdates(ctx context.Context, batch []core.Update) (BatchO
 	batchStart := time.Now()
 	out := BatchOutcome{}
 	defer func() { m.met.observeBatch(time.Since(batchStart), out) }()
+	// Every delta of the pass is queued before any feed is signalled, so
+	// a feed's consumer finds the whole pass in one drain.
+	defer m.wakeFeeds()
 
 	rep, snap := m.eng.ApplyUpdatesSnapshot(batch)
 	defer snap.Close()

@@ -218,6 +218,9 @@ type Subscription struct {
 	// full on the next batch regardless of guard filtering.
 	stale bool
 	stats SubStats
+	// feed, when set, is signalled at the end of a pass that queued a
+	// delta here (see Attach).
+	feed *Feed
 
 	notify   chan struct{} // capacity 1: pending became non-empty
 	closedCh chan struct{} // closed on Close/Unregister
@@ -297,19 +300,8 @@ func (s *Subscription) Stats() SubStats {
 // consumer; concurrent callers each receive disjoint deltas.
 func (s *Subscription) Next(ctx context.Context) (Delta, error) {
 	for {
-		s.mu.Lock()
-		if len(s.pending) > 0 {
-			d := s.pending[0]
-			n := copy(s.pending, s.pending[1:])
-			s.pending[n] = Delta{} // release references
-			s.pending = s.pending[:n]
-			s.mu.Unlock()
-			return d, nil
-		}
-		closed := s.closed
-		s.mu.Unlock()
-		if closed {
-			return Delta{}, ErrClosed
+		if d, ok, err := s.Poll(); ok || err != nil {
+			return d, err
 		}
 		select {
 		case <-s.notify:
@@ -471,14 +463,17 @@ func (s *Subscription) queueLocked(d Delta) {
 		s.pending = append(s.pending, d)
 	}
 	s.stats.Deltas++
+	if s.feed != nil {
+		s.feed.dirty.Store(true)
+	}
 	select {
 	case s.notify <- struct{}{}:
 	default:
 	}
 }
 
-// closeLocked marks the subscription closed; the monitor calls it
-// with the registry already updated.
+// close marks the subscription closed and wakes its feed, if any; the
+// monitor calls it with the registry already updated.
 func (s *Subscription) close() {
 	s.mu.Lock()
 	if s.closed {
@@ -486,6 +481,10 @@ func (s *Subscription) close() {
 		return
 	}
 	s.closed = true
+	f := s.feed
 	s.mu.Unlock()
 	close(s.closedCh)
+	if f != nil {
+		f.signal()
+	}
 }

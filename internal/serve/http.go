@@ -212,11 +212,11 @@ func WriteSSE(w http.ResponseWriter, event string, data []byte) error {
 	return nil
 }
 
-// WriteSSEError ends a stream with an "error" event whose data is
-// {"error": msg}, the shape of every error reply.
-func WriteSSEError(w http.ResponseWriter, msg string) error {
-	e := encoder{b: []byte(`{"error":`)}
+// AppendSSEError appends the "error" event that ends a stream: its data
+// is {"error": msg}, the shape of every error reply.
+func AppendSSEError(dst []byte, msg string) []byte {
+	e := encoder{b: append(dst, "event: error\ndata: {\"error\":"...)}
 	e.str(msg)
-	e.raw("}")
-	return WriteSSE(w, "error", e.b)
+	e.raw("}\n\n")
+	return e.b
 }

@@ -11,6 +11,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -343,6 +344,12 @@ type Server struct {
 	reqID    atomic.Int64
 	slowSeen atomic.Int64
 	slow     *obs.Counter
+
+	// feeds are the open delta feeds by token (feed.go); feedWrites
+	// observes the frames each feed write carried.
+	feedsMu    sync.Mutex
+	feeds      map[string]*feed
+	feedWrites *obs.Histogram
 }
 
 func NewServer(mon *monitor.Monitor, defaults core.EvalOptions, cfg Config) *Server {
@@ -362,6 +369,7 @@ func NewServer(mon *monitor.Monitor, defaults core.EvalOptions, cfg Config) *Ser
 		mux:      http.NewServeMux(),
 		reg:      obs.NewRegistry(),
 		log:      cfg.Logger,
+		feeds:    make(map[string]*feed),
 	}
 	mon.Engine().RegisterMetrics(s.reg)
 	mon.RegisterMetrics(s.reg)
@@ -372,6 +380,7 @@ func NewServer(mon *monitor.Monitor, defaults core.EvalOptions, cfg Config) *Ser
 	s.mux.HandleFunc("GET /v1/queries/{id}", s.handleQueryGet)
 	s.mux.HandleFunc("DELETE /v1/queries/{id}", s.handleQueryDelete)
 	s.mux.HandleFunc("GET /v1/queries/{id}/stream", s.handleStream)
+	s.mux.HandleFunc("GET /v1/feeds/{token}/stream", s.handleFeed)
 	s.mux.HandleFunc("POST /v1/updates", s.handleUpdates)
 	s.mux.HandleFunc("POST /v1/nn/candidates", s.handleNNCandidates)
 	s.mux.HandleFunc("POST /v1/admin/checkpoint", s.handleCheckpoint)
@@ -399,6 +408,9 @@ var evalKinds = [3]core.Kind{core.KindUncertain, core.KindPoints, core.KindNN}
 func (s *Server) registerServeMetrics() {
 	s.slow = s.reg.Counter("ildq_slow_queries_total",
 		"One-shot evaluations slower than the -slow-query threshold.")
+	s.feedWrites = s.reg.Histogram("ildq_feed_write_frames",
+		"Delta frames per write on a delta feed: one write carries a whole monitor pass.",
+		obs.CountBuckets(4096))
 
 	s.reg.GaugeFunc("ildq_standing_queries_unlisted",
 		"Standing queries beyond -metrics-per-query-limit, summarized instead of listed.",
@@ -627,15 +639,28 @@ func stageSummary(tr *obs.Trace) string {
 	return b.String()
 }
 
-// POST /v1/queries — register a standing request.
+// POST /v1/queries — register a standing request; with ?feed={token}
+// its deltas go out on that open feed (feed.go), not on its own stream.
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	_, req, ok := s.decodeRequest(w, r)
 	if !ok {
 		return
 	}
+	var f *feed
+	if token := r.URL.Query().Get("feed"); token != "" {
+		if f, ok = s.lookupFeed(token); !ok {
+			WriteError(s.log, w, http.StatusConflict, fmt.Errorf("%w %q", errNoFeed, token))
+			return
+		}
+	}
 	sub, err := s.mon.Register(req)
 	if err != nil {
 		WriteRequestError(s.log, w, err)
+		return
+	}
+	if f != nil && !f.attach(sub) {
+		s.mon.Unregister(sub.ID())
+		WriteError(s.log, w, http.StatusConflict, fmt.Errorf("%w: it ended during the registration", errNoFeed))
 		return
 	}
 	WriteRegisterResponse(s.log, w, &RegisterResponse{
@@ -700,6 +725,10 @@ func (s *Server) handleQueryDelete(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	sub, ok := s.subscription(w, r)
 	if !ok {
+		return
+	}
+	if sub.Attached() {
+		WriteError(s.log, w, http.StatusConflict, fmt.Errorf("standing query %d is delivered on a delta feed", sub.ID()))
 		return
 	}
 	StartSSE(w)

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strings"
 	"time"
 
@@ -279,10 +280,11 @@ func (c *Client) Updates(ctx context.Context, req serve.UpdatesRequest) (serve.U
 	return out, err
 }
 
-// Register registers a standing query on the shard.
-func (c *Client) Register(ctx context.Context, req serve.RequestJSON) (serve.RegisterResponse, error) {
+// Register registers a standing query on the shard, its deltas
+// delivered on the open feed named feed (OpenFeed).
+func (c *Client) Register(ctx context.Context, req serve.RequestJSON, feed string) (serve.RegisterResponse, error) {
 	var out serve.RegisterResponse
-	err := c.do(ctx, http.MethodPost, "/v1/queries", req, jsonReply("register", func(body []byte) (err error) {
+	err := c.do(ctx, http.MethodPost, "/v1/queries?feed="+url.QueryEscape(feed), req, jsonReply("register", func(body []byte) (err error) {
 		out, err = serve.DecodeRegisterResponse(body)
 		return err
 	}))
@@ -301,22 +303,46 @@ func (c *Client) Healthz(ctx context.Context) (serve.HealthzResponse, error) {
 	return out, err
 }
 
-// OpenStream opens the SSE delta stream of a standing query. The
-// returned body must be closed by the caller; stream reads are not
-// retried (a consumer resubscribes from a fresh snapshot instead).
-func (c *Client) OpenStream(ctx context.Context, id int64) (io.ReadCloser, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		fmt.Sprintf("%s/v1/queries/%d/stream", c.BaseURL, id), nil)
+// OpenFeed opens a delta feed on the shard under token: the one stream
+// that carries the deltas of every standing query registered onto it.
+// The stream lives until ctx ends or the body is closed — HTTP.Timeout,
+// which covers a whole exchange body included, bounds only the wait for
+// it to open — and is not retried: the router opens a fresh feed for
+// later registrations instead.
+func (c *Client) OpenFeed(ctx context.Context, token string) (io.ReadCloser, error) {
+	hc := *c.httpClient()
+	ctx, cancel := context.WithCancel(ctx)
+	if hc.Timeout > 0 {
+		t := time.AfterFunc(hc.Timeout, cancel)
+		defer t.Stop()
+		hc.Timeout = 0
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/feeds/"+url.PathEscape(token)+"/stream", nil)
 	if err != nil {
+		cancel()
 		return nil, err
 	}
-	resp, err := c.httpClient().Do(req)
+	resp, err := hc.Do(req)
 	if err != nil {
-		return nil, fmt.Errorf("shard %s: stream %d: %w", c.ID, id, err)
+		cancel()
+		return nil, fmt.Errorf("shard %s: feed: %w", c.ID, err)
 	}
 	if resp.StatusCode != http.StatusOK {
 		resp.Body.Close()
-		return nil, fmt.Errorf("shard %s: stream %d: HTTP %d", c.ID, id, resp.StatusCode)
+		cancel()
+		return nil, fmt.Errorf("shard %s: feed: HTTP %d", c.ID, resp.StatusCode)
 	}
-	return resp.Body, nil
+	return cancelBody{resp.Body, cancel}, nil
+}
+
+// cancelBody releases a stream's context when the stream is closed.
+type cancelBody struct {
+	io.ReadCloser
+	cancel context.CancelFunc
+}
+
+func (b cancelBody) Close() error {
+	err := b.ReadCloser.Close()
+	b.cancel()
+	return err
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -352,17 +353,22 @@ func TestRouterRequestBodies(t *testing.T) {
 }
 
 // streamFleet is a router over stand-in shards, one per handler, and
-// its HTTP front: router query 1 stands on every shard as the shard's
-// query 7.
+// its HTTP front, with router query 1 registered on every shard: each
+// stand-in answers the registration as its query 7, and its handler
+// serves the rest — the delta feed.
 func streamFleet(t *testing.T, shards ...http.HandlerFunc) (rt *Router, url string) {
 	t.Helper()
 	clients := make([]*Client, len(shards))
-	sub := &routerSub{id: 1, kind: "uncertain"}
 	for i, h := range shards {
-		ts := httptest.NewServer(h)
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodPost && r.URL.Path == "/v1/queries" {
+				serve.WriteRegisterResponse(slog.New(slog.DiscardHandler), w, &serve.RegisterResponse{ID: 7, Kind: "uncertain", Snapshot: []serve.MatchJSON{}})
+				return
+			}
+			h(w, r)
+		}))
 		t.Cleanup(ts.Close)
-		clients[i] = &Client{ID: fmt.Sprint(i), BaseURL: ts.URL}
-		sub.members = append(sub.members, subMember{shard: i, subID: 7})
+		clients[i] = &Client{ID: fmt.Sprint(i), BaseURL: ts.URL, Retry: RetryPolicy{Attempts: 1}}
 	}
 	m, err := Uniform(geom.Rect{Lo: geom.Pt(0, 0), Hi: geom.Pt(10000, 10000)}, 4, 2, len(shards))
 	if err != nil {
@@ -371,18 +377,22 @@ func streamFleet(t *testing.T, shards ...http.HandlerFunc) (rt *Router, url stri
 	if rt, err = NewRouter(m, clients, Config{}); err != nil {
 		t.Fatal(err)
 	}
-	rt.subs[1] = sub
+	t.Cleanup(rt.Close)
+	reg, _, err := rt.Register(t.Context(), serve.RequestJSON{Issuer: serve.IssuerJSON{Region: []float64{100, 100, 9900, 9900}}, W: 100, H: 100})
+	if err != nil || reg.ID != 1 {
+		t.Fatalf("register: id %d, %v", reg.ID, err)
+	}
 	ts := httptest.NewServer(NewServer(rt))
 	t.Cleanup(ts.Close)
 	return rt, ts.URL
 }
 
-// shardStream is a stand-in shard's stream of query 7: the stream
-// headers, then write's frames, then what end does (nothing keeps the
-// stream open until the router hangs up).
+// shardStream is a stand-in shard's delta feed: the stream headers,
+// then write's frames, then what end does (nothing keeps the stream
+// open until the router hangs up).
 func shardStream(write string, end func(http.ResponseWriter)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/v1/queries/7/stream" {
+		if !strings.HasPrefix(r.URL.Path, "/v1/feeds/") || !strings.HasSuffix(r.URL.Path, "/stream") {
 			http.NotFound(w, r)
 			return
 		}
@@ -393,7 +403,7 @@ func shardStream(write string, end func(http.ResponseWriter)) http.HandlerFunc {
 			end(w)
 			return
 		}
-		<-r.Context().Done() // a live stream stays open; the router must end it itself
+		<-r.Context().Done() // a live feed stays open; the router must end it itself
 	}
 }
 
@@ -419,7 +429,7 @@ func readStream(t *testing.T, url string) string {
 	return string(raw)
 }
 
-// TestRouterStreamCorruptFrame: a shard whose delta stream carries one
+// TestRouterStreamCorruptFrame: a shard whose delta feed carries one
 // undecodable frame between two good ones. The relay must not hand the
 // subscriber a stream with a hole in it — before the fix it skipped the
 // frame in silence and forwarded the next one — so it forwards the
@@ -428,9 +438,9 @@ func readStream(t *testing.T, url string) string {
 // forwarded.
 func TestRouterStreamCorruptFrame(t *testing.T) {
 	rt, url := streamFleet(t, shardStream(
-		"data: {\"version\":1,\"entered\":[{\"id\":10,\"p\":0.5}]}\n\n"+
-			"data: {\"version\":2,\"entered\":[{\"id\":11,\n\n"+ // torn frame
-			"data: {\"version\":3,\"entered\":[{\"id\":12,\"p\":0.5}]}\n\n", nil))
+		"id: 7\ndata: {\"version\":1,\"entered\":[{\"id\":10,\"p\":0.5}]}\n\n"+
+			"id: 7\ndata: {\"version\":2,\"entered\":[{\"id\":11,\n\n"+ // torn frame
+			"id: 7\ndata: {\"version\":3,\"entered\":[{\"id\":12,\"p\":0.5}]}\n\n", nil))
 	got := readStream(t, url)
 	if !strings.Contains(got, `"version":1`) {
 		t.Errorf("frame before the corrupt one was not forwarded:\n%s", got)
@@ -456,16 +466,16 @@ func TestRouterStreamCorruptFrame(t *testing.T) {
 // still means what it did: the stream ends when every member has
 // closed, with a close event.
 func TestRouterStreamMemberLost(t *testing.T) {
-	live := shardStream("data: {\"seq\":1,\"version\":1,\"entered\":[{\"id\":10,\"p\":0.5}]}\n\n", nil)
+	live := shardStream("id: 7\ndata: {\"seq\":1,\"version\":1,\"entered\":[{\"id\":10,\"p\":0.5}]}\n\n", nil)
 	for name, shard1 := range map[string]http.HandlerFunc{
-		"connection dropped": shardStream("data: {\"seq\":1,\"version\":1,\"entered\":[{\"id\":20,\"p\":0.5}]}\n\n",
+		"connection dropped": shardStream("id: 7\ndata: {\"seq\":1,\"version\":1,\"entered\":[{\"id\":20,\"p\":0.5}]}\n\n",
 			func(w http.ResponseWriter) {
 				conn, _, err := w.(http.Hijacker).Hijack()
 				if err == nil {
 					conn.Close()
 				}
 			}),
-		"ended without close": shardStream("data: {\"seq\":1,\"version\":1,\"entered\":[{\"id\":20,\"p\":0.5}]}\n\n",
+		"ended without close": shardStream("id: 7\ndata: {\"seq\":1,\"version\":1,\"entered\":[{\"id\":20,\"p\":0.5}]}\n\n",
 			func(http.ResponseWriter) {}),
 		"stream open 404": http.NotFound,
 		"stream open 500": func(w http.ResponseWriter, _ *http.Request) {
@@ -488,7 +498,7 @@ func TestRouterStreamMemberLost(t *testing.T) {
 	}
 
 	closing := func(id int) http.HandlerFunc {
-		return shardStream(fmt.Sprintf("data: {\"seq\":1,\"version\":1,\"entered\":[{\"id\":%d,\"p\":0.5}]}\n\nevent: close\ndata: {}\n\n", id), func(http.ResponseWriter) {})
+		return shardStream(fmt.Sprintf("id: 7\ndata: {\"seq\":1,\"version\":1,\"entered\":[{\"id\":%d,\"p\":0.5}]}\n\nid: 7\nevent: close\ndata: {}\n\n", id), func(http.ResponseWriter) {})
 	}
 	rt, url := streamFleet(t, closing(10), closing(20))
 	got := readStream(t, url)

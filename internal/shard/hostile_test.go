@@ -215,7 +215,7 @@ func askHostile(t *testing.T, c *Client, path string) (produced bool, err error)
 		resp, err := c.Evaluate(ctx, straddlingRange)
 		return !reflect.DeepEqual(resp, serve.EvaluateResponse{}), err
 	case "/v1/queries":
-		resp, err := c.Register(ctx, straddlingRange)
+		resp, err := c.Register(ctx, straddlingRange, "")
 		return !reflect.DeepEqual(resp, serve.RegisterResponse{}), err
 	case "/v1/updates":
 		resp, err := c.Updates(ctx, serve.UpdatesRequest{})

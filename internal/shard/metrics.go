@@ -21,12 +21,18 @@ type routerMetrics struct {
 	fanout   *obs.Histogram
 	nnRounds *obs.Histogram // candidate-collection rounds per NN request
 	nnAsked  *obs.Histogram // distinct shards asked per NN request
-	// framesDropped counts delta frames a shard's SSE stream delivered
-	// that the relay could not use (each one ends a subscriber stream).
+	// framesDropped counts delta frames a shard's feed delivered that the
+	// router could not use: a frame the relay refuses ends the stream of
+	// the query it was addressed to, broken framing the whole feed.
 	framesDropped *obs.CounterVec
-	// membersLost counts member streams that would not open or ended
-	// without their close event (each ends a subscriber stream too).
+	// membersLost counts standing-query members whose feed would not
+	// open or was lost (each ends a subscriber stream).
 	membersLost *obs.CounterVec
+	// feedLost counts delta feeds that broke, ended or carried broken
+	// framing; overflow counts subscriber streams ended because their
+	// buffered frames reached maxBuffered.
+	feedLost *obs.CounterVec
+	overflow *obs.Counter
 	// replyBytes is the size of each shard reply body the router read,
 	// per op — the production twin of the benchmark's serve.resp_bytes.
 	replyBytes *obs.HistogramVec
@@ -64,9 +70,13 @@ func newRouterMetrics() *routerMetrics {
 			"Distinct shards asked for candidates per NN request, over both rounds.",
 			fanoutBuckets),
 		framesDropped: reg.CounterVec("ildq_router_stream_frames_dropped_total",
-			"Delta frames from a shard's stream the relay could not decode; each ends the subscriber's stream with an error event.", "shard"),
+			"Delta frames from a shard's feed the router could not use; each ends the addressed subscriber's stream (broken framing: every stream on the feed) with an error event.", "shard"),
 		membersLost: reg.CounterVec("ildq_router_stream_members_lost_total",
-			"Shard delta streams that would not open or ended without their close event; each ends the subscriber's stream with an error event.", "shard"),
+			"Standing-query members whose shard delta feed would not open or was lost; each ends the subscriber's stream with an error event.", "shard"),
+		feedLost: reg.CounterVec("ildq_router_feed_lost_total",
+			"Shard delta feeds that broke, ended, or carried broken framing; the next registration on the shard opens a fresh one.", "shard"),
+		overflow: reg.Counter("ildq_router_stream_overflow_total",
+			"Subscriber streams ended with an error event because their undelivered frames reached the router's buffer bound."),
 		replyBytes: reg.HistogramVec("ildq_router_shard_reply_bytes",
 			"Bytes of each 2xx shard reply body the router read, by op (evaluate, nn, updates, register).",
 			replyByteBuckets, "op"),

@@ -158,6 +158,7 @@ func TestRouterStreamReplay(t *testing.T) {
 		mons[i] = monitor.New(eng, monitor.Config{Workers: 1})
 		ts := httptest.NewServer(serve.NewServer(mons[i], core.EvalOptions{}, serve.Config{ShardID: fmt.Sprint(i), Tiles: m.Spec()}))
 		t.Cleanup(ts.Close)
+		t.Cleanup(ts.CloseClientConnections) // the router's streams stay open
 		clients[i] = &Client{ID: fmt.Sprint(i), BaseURL: ts.URL}
 	}
 	rt, err := NewRouter(m, clients, Config{})

@@ -3,6 +3,7 @@ package shard
 import (
 	"cmp"
 	"context"
+	"crypto/rand"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -49,24 +50,24 @@ type Router struct {
 	subs     map[int64]*routerSub
 	seq      atomic.Uint64
 	subID    atomic.Int64
+
+	// feeds holds each shard's open delta feed (feed.go), named on the
+	// shard by token and a sequence number.
+	feeds   []feedSlot
+	token   string
+	feedSeq atomic.Int64
+}
+
+// feedSlot is one shard's open feed; mu serializes opening it.
+type feedSlot struct {
+	mu sync.Mutex
+	f  *feed
 }
 
 // ownerRec is the cached placement of one replicated uncertain object.
 type ownerRec struct {
 	owner    int
 	replicas []int
-}
-
-// routerSub is one standing query fanned to member shards.
-type routerSub struct {
-	id      int64
-	kind    string
-	members []subMember
-}
-
-type subMember struct {
-	shard int   // index into Router.shards
-	subID int64 // the shard-local standing query id
 }
 
 // Config parameterizes NewRouter.
@@ -100,6 +101,8 @@ func NewRouter(tiles *TileMap, clients []*Client, cfg Config) (*Router, error) {
 		owners: make(map[int64]ownerRec),
 		points: make(map[int64]int),
 		subs:   make(map[int64]*routerSub),
+		feeds:  make([]feedSlot, len(clients)),
+		token:  rand.Text(),
 	}
 	r.maxSamples = cfg.MaxSamples
 	if r.maxSamples == 0 {
@@ -550,24 +553,50 @@ func (r *Router) Register(ctx context.Context, rj serve.RequestJSON) (serve.Regi
 	}
 	targets := r.tiles.ShardsOverlapping(guard)
 	resps := make([]serve.RegisterResponse, len(targets))
+	feeds := make([]*feed, len(targets))
+	feedErrs := make([]error, len(targets))
 	errs := r.scatter(targets, func(s int) error {
 		idx := sort.SearchInts(targets, s)
-		resp, err := r.shards[s].Register(ctx, rj)
-		resps[idx] = resp
-		return err
+		f, err := r.acquireFeed(ctx, s)
+		if err != nil {
+			feedErrs[idx] = err
+			return err
+		}
+		resp, err := r.shards[s].Register(ctx, rj, f.token)
+		if err != nil {
+			f.release()
+			return err
+		}
+		resps[idx], feeds[idx] = resp, f
+		return nil
 	})
-	sub := &routerSub{id: r.subID.Add(1), kind: req.Kind.String()}
+	sub := newRouterSub(r.subID.Add(1), req.Kind.String())
 	lists := make([][]serve.MatchJSON, 0, len(resps))
 	for i, resp := range resps {
-		if errs[i] != nil {
-			continue
+		if errs[i] == nil {
+			sub.members = append(sub.members, subMember{shard: targets[i], subID: resp.ID})
+			lists = append(lists, resp.Snapshot)
 		}
-		sub.members = append(sub.members, subMember{shard: targets[i], subID: resp.ID})
-		lists = append(lists, resp.Snapshot)
 	}
 	miss := r.missing(targets, errs, "register")
 	if len(sub.members) == 0 {
+		for _, f := range feeds {
+			if f != nil {
+				f.release()
+			}
+		}
 		return serve.RegisterResponse{}, miss, fmt.Errorf("shard: register: no shard accepted (first: %w)", firstErr(errs))
+	}
+	// Every member counts toward the close before any can deliver one; a
+	// shard whose feed would not open is a member lost at birth, so the
+	// stream says its replay is not the fleet's answer.
+	sub.open = len(sub.members)
+	for i, f := range feeds {
+		if f != nil {
+			f.attach(resps[i].ID, sub)
+		} else if feedErrs[i] != nil {
+			r.loseMember(sub, targets[i], feedErrs[i])
+		}
 	}
 	r.mu.Lock()
 	r.subs[sub.id] = sub

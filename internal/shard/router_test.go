@@ -50,6 +50,7 @@ func fleetOn(t *testing.T, m *TileMap) *Router {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(r.Close)
 	return r
 }
 

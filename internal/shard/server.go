@@ -1,15 +1,10 @@
 package shard
 
 import (
-	"bufio"
-	"bytes"
 	"context"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
-	"sync"
 
 	"repro/internal/serve"
 )
@@ -99,19 +94,23 @@ func (s *Server) handleDeregister(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// handleStream multiplexes the member shards' SSE delta streams into
-// one stream. Every frame is forwarded as the shard's own bytes, its
-// per-shard engine version included, with the shard id spliced in as
-// its shard tag (serve.AppendRelayedDelta) — keys this binary does not
-// know pass through as the shard wrote them — so the (shard, version)
-// pairs form a version vector and a consumer can replay each shard's
-// sub-stream bit-exactly; a replicated straddler appears in multiple
-// sub-streams with bit-identical probabilities (dedup by owner — the
-// lowest shard id carrying the object — when folding to a global set).
-// A member stream that cannot be followed to its close event — it does
-// not open, it carries a frame the relay cannot use, it ends without
-// closing — ends the subscriber's stream with an error event: replay
-// past that point would not be the fleet's answer.
+// handleStream writes a router standing query's delta stream: the
+// frames its member shards' feeds delivered (feed.go), each one the
+// shard's own bytes — its per-shard engine version included — with the
+// shard id spliced in as its shard tag (serve.AppendRelayedDelta); keys
+// this binary does not know pass through as the shard wrote them. The
+// (shard, version) pairs form a version vector, so a consumer can replay
+// each shard's sub-stream bit-exactly; a replicated straddler appears in
+// several sub-streams with bit-identical probabilities (dedup by owner —
+// the lowest shard id carrying the object — when folding to a global
+// set). Frames wait for a subscriber that is not connected, so one that
+// connects late still sees the registration snapshot first; a query has
+// one subscriber at a time (409 for a second). The stream ends with
+// event: close once every member has closed, and with an error event
+// when a member cannot be followed — its feed would not open, broke, or
+// carried a frame the relay cannot use — or the subscriber fell
+// maxBuffered behind: replay past that point would not be the fleet's
+// answer.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	id, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
 	if err != nil {
@@ -123,151 +122,28 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		serve.WriteError(s.r.log, w, http.StatusNotFound, fmt.Errorf("no standing query %d", id))
 		return
 	}
+	if !sub.claim() {
+		serve.WriteError(s.r.log, w, http.StatusConflict, fmt.Errorf("standing query %d is already being streamed", id))
+		return
+	}
 	serve.StartSSE(w)
-
-	ctx, cancel := context.WithCancel(r.Context())
-	defer cancel()
-	frames := make(chan *[]byte, 16)
-	// A member stream that breaks reports here, once, after the frames it
-	// relayed; the buffer holds one report per member so no reader
-	// blocks on it.
-	broken := make(chan error, len(sub.members))
-	var wg sync.WaitGroup
-	for _, m := range sub.members {
-		c := s.r.shards[m.shard]
-		wg.Add(1)
-		go func(c *Client, subID int64) {
-			defer wg.Done()
-			err := relay(ctx, c, subID, frames)
-			if err == nil || ctx.Err() != nil {
-				return
-			}
-			if errors.Is(err, serve.ErrBody) || errors.Is(err, bufio.ErrTooLong) {
-				// The delta in that frame is gone and everything after
-				// it on this sub-stream would be replayed over a hole.
-				s.r.m.framesDropped.With(c.ID).Inc()
-			} else {
-				s.r.m.membersLost.With(c.ID).Inc()
-			}
-			s.r.log.Warn("shard delta stream broken; ending subscriber stream", "shard", c.ID, "query", id, "err", err)
-			broken <- err
-		}(c, m.subID)
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-
-	forward := func(f *[]byte) bool {
-		err := serve.WriteSSE(w, "", *f)
-		serve.PutBuffer(f, *f)
-		return err == nil
-	}
-	// drain forwards what the members relayed before the stream ends.
-	drain := func() bool {
-		for {
-			select {
-			case f := <-frames:
-				if !forward(f) {
-					return false
-				}
-			default:
-				return true
-			}
-		}
-	}
-	// end tells the subscriber its replay is no longer the fleet's
-	// answer, so it re-registers instead of trusting the gap.
-	end := func(err error) {
-		if drain() {
-			serve.WriteSSEError(w, "delta stream broken, re-register the query: "+err.Error()) //nolint:errcheck // the stream ends either way
-		}
-	}
+	flusher, _ := w.(http.Flusher)
 	for {
-		select {
-		case err := <-broken:
-			end(err)
+		frames, end, ok := sub.take(r.Context())
+		if !ok {
+			sub.done(nil, true)
 			return
-		case f := <-frames:
-			if !forward(f) {
-				return
-			}
-		case <-done:
-			// A member reports a break before it is done.
-			select {
-			case err := <-broken:
-				end(err)
-			default:
-				if drain() {
-					serve.WriteSSE(w, "close", []byte("{}")) //nolint:errcheck // the stream ends either way
-				}
-			}
-			return
-		case <-ctx.Done():
+		}
+		_, err := w.Write(append(frames, end...))
+		if err == nil && flusher != nil {
+			flusher.Flush()
+		}
+		leaving := err != nil || end != nil
+		sub.done(frames, leaving)
+		if leaving {
 			return
 		}
 	}
-}
-
-// relay follows one member's delta stream, sending each frame it
-// carries to frames as the router relays it, and returns nil once the
-// member closes the stream. Anything else is an error: the stream does
-// not open, a frame is refused (serve.ErrBody) or too long
-// (bufio.ErrTooLong), the read fails, or the stream ends without its
-// close event — or ctx ends.
-func relay(ctx context.Context, c *Client, subID int64, frames chan<- *[]byte) error {
-	body, err := c.OpenStream(ctx, subID)
-	if err != nil {
-		return err
-	}
-	defer body.Close()
-	err = readSSE(body, func(data []byte) error {
-		f := serve.GetBuffer()
-		frame, err := serve.AppendRelayedDelta((*f)[:0], data, c.ID)
-		if err != nil {
-			serve.PutBuffer(f, *f)
-			return err
-		}
-		*f = frame
-		select {
-		case frames <- f:
-			return nil
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	})
-	if err != nil {
-		return fmt.Errorf("shard %s: stream %d: %w", c.ID, subID, err)
-	}
-	return nil
-}
-
-var errNoClose = errors.New("delta stream ended without a close event")
-
-// readSSE hands fn the data of each "data: {json}" frame on a
-// server-sent-event body until the close event, which ends the read
-// with nil. fn's error ends it too; so does a line too long to scan, a
-// failed read and the body's end before the close event.
-func readSSE(body io.Reader, fn func(data []byte) error) error {
-	sc := bufio.NewScanner(body)
-	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
-	closing := false
-	for sc.Scan() {
-		line := sc.Bytes()
-		switch {
-		case string(line) == "event: close":
-			closing = true
-		case bytes.HasPrefix(line, []byte("data: ")):
-			if closing {
-				return nil
-			}
-			if err := fn(line[len("data: "):]); err != nil {
-				return err
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("delta stream: %w", err)
-	}
-	return errNoClose
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {

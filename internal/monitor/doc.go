@@ -65,6 +65,12 @@
 // bit for bit and never appears in a delta, and a patched set is
 // indistinguishable from a recomputed one.
 //
+// Feeds. A consumer of many subscriptions — a server writing all of a
+// fleet router's deltas to one connection — attaches them to one Feed
+// (Monitor.NewFeed, Subscription.Attach) and drains each with
+// Subscription.Poll whenever the feed is signalled: once per pass that
+// queued a delta on any of them, not once per delta.
+//
 // Replay invariant. Each ingestion pass evaluates against the
 // post-batch MVCC snapshot, pinned atomically with the batch commit
 // (core.Engine.ApplyUpdatesSnapshot). Every delta therefore reflects

@@ -731,7 +731,8 @@ func TestMonitorEvalErrorKeepsCachedSet(t *testing.T) {
 
 // TestMonitorConcurrentStress exercises the full surface at once
 // under the race detector: concurrent ApplyUpdates callers, standing
-// consumers blocking in Next, registration churn, and one-shot
+// consumers blocking in Next, a feed's consumer polling its
+// subscriptions, registration churn onto that feed, and one-shot
 // queries sharing the engine. Correctness here is absence of races
 // and a consistent final replay.
 func TestMonitorConcurrentStress(t *testing.T) {
@@ -740,8 +741,8 @@ func TestMonitorConcurrentStress(t *testing.T) {
 	m := New(eng, Config{Workers: 2, MaxPending: 8})
 
 	var subs []*Subscription
-	for i := 0; i < 6; i++ {
-		c := geom.Pt(200+rand.New(rand.NewSource(int64(i))).Float64()*1600, 200+float64(i)*250)
+	for i := 0; i < 9; i++ {
+		c := geom.Pt(200+rand.New(rand.NewSource(int64(i))).Float64()*1600, 200+float64(i%6)*250)
 		q := core.Query{Issuer: monitorIssuer(t, c, 50), W: 200, H: 200}
 		sub, err := m.Register(reqOf(q, core.KindUncertain))
 		if err != nil {
@@ -788,6 +789,37 @@ func TestMonitorConcurrentStress(t *testing.T) {
 			}
 		}(sub)
 	}
+	// subs[6:] ride one feed, drained with Poll whenever it is signalled.
+	f := m.NewFeed()
+	fed := subs[6:]
+	replays := make([]map[uncertain.ID]float64, len(fed))
+	for i, sub := range fed {
+		sub.Attach(f)
+		replays[i] = map[uncertain.ID]float64{}
+	}
+	pollAll := func() {
+		for i, sub := range fed {
+			for {
+				d, ok, err := sub.Poll()
+				if err != nil || !ok {
+					break
+				}
+				applyDelta(replays[i], d)
+			}
+		}
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-f.Wake():
+				pollAll()
+			case <-ctx.Done():
+				return
+			}
+		}
+	}()
 	// Registration churn + one-shot queries.
 	wg.Add(1)
 	go func() {
@@ -805,6 +837,7 @@ func TestMonitorConcurrentStress(t *testing.T) {
 				t.Errorf("Register: %v", err)
 				return
 			}
+			sub.Attach(f)
 			if _, err := eng.Evaluate(context.Background(), reqOf(q, core.KindUncertain)); err != nil {
 				t.Errorf("one-shot: %v", err)
 				return
@@ -819,14 +852,21 @@ func TestMonitorConcurrentStress(t *testing.T) {
 	wg.Wait()
 
 	// Quiesced: every surviving subscription's drained replay matches
-	// a fresh evaluation.
-	for i, sub := range subs[3:] {
+	// a fresh evaluation — the ones nobody read during the stress, and
+	// the fed ones drained to the end.
+	for i, sub := range subs[3:6] {
 		replay := map[uncertain.ID]float64{}
 		for _, d := range drain(t, sub) {
 			applyDelta(replay, d)
 		}
 		if fresh := freshSet(t, eng, sub.Request()); !sameSet(replay, fresh) {
 			t.Fatalf("sub %d: post-stress replay != fresh evaluation", i)
+		}
+	}
+	pollAll()
+	for i, sub := range fed {
+		if fresh := freshSet(t, eng, sub.Request()); !sameSet(replays[i], fresh) {
+			t.Fatalf("sub %d: post-stress replay != fresh evaluation (fed)", i)
 		}
 	}
 }

@@ -333,7 +333,7 @@ func (s *routerSub) push(data []byte, shardID string, m *routerMetrics) error {
 	if mark > 0 && len(out)+2 > maxBuffered {
 		s.buf = out[:mark]
 		m.overflow.Inc()
-		s.endLocked(errorEvent("subscriber fell behind the delta stream, re-register the query"))
+		s.endLocked(serve.AppendSSEError(nil, "subscriber fell behind the delta stream, re-register the query"))
 		return nil
 	}
 	s.buf = append(out, "\n\n"...)
@@ -355,7 +355,7 @@ func (s *routerSub) closeMember() {
 func (s *routerSub) fail(msg string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.endLocked(errorEvent("delta stream broken, re-register the query: " + msg))
+	s.endLocked(serve.AppendSSEError(nil, "delta stream broken, re-register the query: "+msg))
 }
 
 func (s *routerSub) endLocked(event []byte) {
@@ -364,8 +364,6 @@ func (s *routerSub) endLocked(event []byte) {
 		s.signal()
 	}
 }
-
-func errorEvent(msg string) []byte { return serve.AppendSSEError(nil, msg) }
 
 // claim makes the caller the query's one subscriber, reporting false if
 // another is connected.
@@ -404,7 +402,7 @@ func (s *routerSub) take(ctx context.Context) (frames, end []byte, ok bool) {
 // the subscriber gone, lets another subscriber claim the query.
 func (s *routerSub) done(frames []byte, leaving bool) {
 	s.mu.Lock()
-	if cap(frames) <= maxBuffered {
+	if frames != nil && cap(frames) <= maxBuffered {
 		s.spare = frames[:0]
 	}
 	if leaving {

@@ -533,8 +533,8 @@ func (r *Router) ApplyUpdates(ctx context.Context, body serve.UpdatesRequest) (s
 }
 
 // Register fans a standing range query to the shards its guard region
-// intersects and returns the merged registration snapshot under a
-// router-assigned id. Standing NN queries are rejected: their guard is
+// intersects, onto the router's delta feed on each (feed.go), and
+// returns the merged registration snapshot under a router-assigned id. Standing NN queries are rejected: their guard is
 // unbounded until an evaluation fixes tau, and the cross-shard tau
 // guard is not maintained incrementally — issue one-shot NN requests
 // through the router instead.
@@ -573,18 +573,14 @@ func (r *Router) Register(ctx context.Context, rj serve.RequestJSON) (serve.Regi
 	sub := newRouterSub(r.subID.Add(1), req.Kind.String())
 	lists := make([][]serve.MatchJSON, 0, len(resps))
 	for i, resp := range resps {
-		if errs[i] == nil {
-			sub.members = append(sub.members, subMember{shard: targets[i], subID: resp.ID})
-			lists = append(lists, resp.Snapshot)
+		if errs[i] != nil {
+			continue
 		}
+		sub.members = append(sub.members, subMember{shard: targets[i], subID: resp.ID})
+		lists = append(lists, resp.Snapshot)
 	}
 	miss := r.missing(targets, errs, "register")
 	if len(sub.members) == 0 {
-		for _, f := range feeds {
-			if f != nil {
-				f.release()
-			}
-		}
 		return serve.RegisterResponse{}, miss, fmt.Errorf("shard: register: no shard accepted (first: %w)", firstErr(errs))
 	}
 	// Every member counts toward the close before any can deliver one; a

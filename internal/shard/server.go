@@ -135,7 +135,11 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		_, err := w.Write(append(frames, end...))
-		if err == nil && flusher != nil {
+		if err != nil {
+			// Some of the frames may be gone: a later subscriber must not
+			// replay over the hole.
+			sub.fail("a write to the previous subscriber failed")
+		} else if flusher != nil {
 			flusher.Flush()
 		}
 		leaving := err != nil || end != nil

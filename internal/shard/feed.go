@@ -92,7 +92,9 @@ func (r *Router) acquireFeed(ctx context.Context, s int) (*feed, error) {
 	}
 	f.cancel = cancel
 	slot.f = f
+	r.readers.Add(1)
 	go func() {
+		defer r.readers.Done()
 		err := f.read(body)
 		body.Close()
 		cancel()
@@ -101,9 +103,9 @@ func (r *Router) acquireFeed(ctx context.Context, s int) (*feed, error) {
 	return f, nil
 }
 
-// Close hangs up every open delta feed; the shards unregister the
-// standing queries registered onto them, and their subscriber streams
-// end with an error event.
+// Close hangs up every open delta feed and returns once their readers
+// have exited; the shards unregister the standing queries registered
+// onto them, and their subscriber streams end with an error event.
 func (r *Router) Close() {
 	for i := range r.feeds {
 		slot := &r.feeds[i]
@@ -113,12 +115,13 @@ func (r *Router) Close() {
 		}
 		slot.mu.Unlock()
 	}
+	r.readers.Wait()
 }
 
 // attach maps the shard's query id onto sub and ends the registration
-// acquireFeed counted; it reports false, counting sub's member lost, if
-// the feed has been lost meanwhile.
-func (f *feed) attach(id int64, sub *routerSub) bool {
+// acquireFeed counted; if the feed has been lost meanwhile, sub's
+// member is lost with it.
+func (f *feed) attach(id int64, sub *routerSub) {
 	f.mu.Lock()
 	f.pending--
 	f.cond.Broadcast()
@@ -130,7 +133,6 @@ func (f *feed) attach(id int64, sub *routerSub) bool {
 	if lost != nil {
 		f.r.loseMember(sub, f.shard, lost)
 	}
-	return lost == nil
 }
 
 // release ends a registration acquireFeed counted that attached nothing.

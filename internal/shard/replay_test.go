@@ -137,9 +137,10 @@ var durationMS = regexp.MustCompile(`"duration_ms":[^,}]*`)
 // owner, equal after every batch the single engine's evaluation of the
 // same query, Float64bits for Float64bits. Ten standing queries — some
 // guards straddling the y=5000 shard border — ride random batches of
-// straddling objects, border crossings, Gaussian objects and deletes; one subscriber connects only after four
-// batches and must still see the registration snapshot first, and one
-// query is deregistered mid-stream and must end with a close event.
+// straddling objects, border crossings, Gaussian objects and deletes;
+// one subscriber connects only after four batches and must still see
+// the registration snapshot first, and one query is deregistered
+// mid-stream and must end with a close event.
 // Every frame's bytes, its wall-clock duration blanked, are held to
 // testdata/stream_replay.golden, recorded from the member-stream relay
 // the feed replaced (-update-replay rewrites it).

@@ -52,10 +52,12 @@ type Router struct {
 	subID    atomic.Int64
 
 	// feeds holds each shard's open delta feed (feed.go), named on the
-	// shard by token and a sequence number.
+	// shard by token and a sequence number; readers counts the feeds'
+	// reader goroutines.
 	feeds   []feedSlot
 	token   string
 	feedSeq atomic.Int64
+	readers sync.WaitGroup
 }
 
 // feedSlot is one shard's open feed; mu serializes opening it.

@@ -30,6 +30,9 @@ var ErrFeedFrame = errors.New("malformed delta feed frame")
 // errFeedEnded reports a feed stream that ended; a live feed never does.
 var errFeedEnded = errors.New("delta feed ended")
 
+// errRouterClosed refuses a feed to a router that Close has hung up.
+var errRouterClosed = errors.New("router closed")
+
 // maxBuffered bounds the frame bytes one router query holds for its
 // subscriber. A subscriber that falls this far behind — or a query no
 // one streams — loses its stream (an error event; re-register), so a
@@ -64,6 +67,9 @@ func (r *Router) acquireFeed(ctx context.Context, s int) (*feed, error) {
 	slot := &r.feeds[s]
 	slot.mu.Lock()
 	defer slot.mu.Unlock()
+	if r.closed.Load() {
+		return nil, fmt.Errorf("shard %s: feed: %w", r.shards[s].ID, errRouterClosed)
+	}
 	if f := slot.f; f != nil {
 		f.mu.Lock()
 		open := f.lost == nil
@@ -105,8 +111,10 @@ func (r *Router) acquireFeed(ctx context.Context, s int) (*feed, error) {
 
 // Close hangs up every open delta feed and returns once their readers
 // have exited; the shards unregister the standing queries registered
-// onto them, and their subscriber streams end with an error event.
+// onto them, and their subscriber streams end with an error event. A
+// later registration opens no feed, so no shard accepts it.
 func (r *Router) Close() {
+	r.closed.Store(true)
 	for i := range r.feeds {
 		slot := &r.feeds[i]
 		slot.mu.Lock()

@@ -53,11 +53,12 @@ type Router struct {
 
 	// feeds holds each shard's open delta feed (feed.go), named on the
 	// shard by token and a sequence number; readers counts the feeds'
-	// reader goroutines.
+	// reader goroutines; closed refuses new feeds once Close has begun.
 	feeds   []feedSlot
 	token   string
 	feedSeq atomic.Int64
 	readers sync.WaitGroup
+	closed  atomic.Bool
 }
 
 // feedSlot is one shard's open feed; mu serializes opening it.

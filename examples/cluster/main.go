@@ -108,21 +108,20 @@ func main() {
 
 	bin, err := os.MkdirTemp("", "ildq-cluster-")
 	if err != nil {
-		log.Fatal(err)
+		fatalf("%v", err)
 	}
 	defer os.RemoveAll(bin)
 	for _, cmd := range []string{"ildq-serve", "ildq-router"} {
 		build := exec.Command("go", "build", "-o", filepath.Join(bin, cmd), "./cmd/"+cmd)
 		build.Stderr = os.Stderr
 		if err := build.Run(); err != nil {
-			log.Fatalf("building %s: %v", cmd, err)
+			fatalf("building %s: %v", cmd, err)
 		}
 	}
 
 	// The fleet: a 4x2 tile grid split across the shards, each member
 	// told its identity and the shared map.
 	spec := fmt.Sprintf("grid:4x2@0,0,%g,%g;shards=%d", world, world, *shards)
-	var procs []*process
 	defer func() {
 		for _, p := range procs {
 			p.kill()
@@ -191,7 +190,7 @@ func main() {
 		post(routerURL+"/v1/updates", map[string]any{"updates": ups}, &viaRouter)
 		post(refURL+"/v1/updates", map[string]any{"updates": ups}, &viaRef)
 		if viaRouter.Partial {
-			log.Fatalf("round %d: router reported a partial update batch: %+v", round, viaRouter)
+			fatalf("round %d: router reported a partial update batch: %+v", round, viaRouter)
 		}
 
 		cx, cy := rng.Float64()*9000+500, rng.Float64()*9000+500
@@ -205,16 +204,16 @@ func main() {
 			post(routerURL+"/v1/evaluate", q, &got)
 			post(refURL+"/v1/evaluate", q, &want)
 			if got.Partial {
-				log.Fatalf("round %d: %s: partial response, missing %v", round, q.Kind, got.MissingShards)
+				fatalf("round %d: %s: partial response, missing %v", round, q.Kind, got.MissingShards)
 			}
 			if len(got.Matches) != len(want.Matches) {
-				log.Fatalf("round %d: %s: fleet %d matches, single engine %d\nfleet:  %+v\nsingle: %+v",
+				fatalf("round %d: %s: fleet %d matches, single engine %d\nfleet:  %+v\nsingle: %+v",
 					round, q.Kind, len(got.Matches), len(want.Matches), got.Matches, want.Matches)
 			}
 			for i := range want.Matches {
 				g, w := got.Matches[i], want.Matches[i]
 				if g.ID != w.ID || math.Float64bits(g.P) != math.Float64bits(w.P) {
-					log.Fatalf("round %d: %s: match %d differs: fleet {%d %v} single {%d %v}",
+					fatalf("round %d: %s: match %d differs: fleet {%d %v} single {%d %v}",
 						round, q.Kind, i, g.ID, g.P, w.ID, w.P)
 				}
 			}
@@ -230,14 +229,14 @@ func main() {
 		}
 		for name, st := range map[string]*stream{"fleet": fleetStream, "reference": refStream} {
 			if err := st.await(want); err != nil {
-				log.Fatalf("round %d: %s standing-query replay: %v", round, name, err)
+				fatalf("round %d: %s standing-query replay: %v", round, name, err)
 			}
 		}
 		log.Printf("round %d: %d updates routed, versions %v; 3 query kinds and the standing query (%d matches) bit-exact",
 			round, viaRouter.Applied, viaRouter.Versions, len(want))
 	}
 	if age := time.Since(opened); *rounds > 2 && age <= shardTimeout {
-		log.Fatalf("the standing query's streams lived %v, not past the router's -shard-timeout %v", age, shardTimeout)
+		fatalf("the standing query's streams lived %v, not past the router's -shard-timeout %v", age, shardTimeout)
 	}
 	for _, d := range []struct {
 		base string
@@ -247,11 +246,11 @@ func main() {
 		req, _ := http.NewRequest(http.MethodDelete, fmt.Sprintf("%s/v1/queries/%d", d.base, d.id), nil)
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil || resp.StatusCode != http.StatusNoContent {
-			log.Fatalf("deregistering the standing query at %s: %v %v", d.base, err, resp)
+			fatalf("deregistering the standing query at %s: %v %v", d.base, err, resp)
 		}
 		resp.Body.Close()
 		if end := d.st.end(); end != "close" {
-			log.Fatalf("the standing query's stream at %s ended with %q, want close", d.base, end)
+			fatalf("the standing query's stream at %s ended with %q, want close", d.base, end)
 		}
 	}
 
@@ -259,7 +258,7 @@ func main() {
 	// must exit zero on SIGTERM.
 	for i := len(procs) - 1; i >= 0; i-- {
 		if err := procs[i].stop(); err != nil {
-			log.Fatalf("shutdown: %v", err)
+			fatalf("shutdown: %v", err)
 		}
 	}
 	log.Printf("ok: %d rounds, %d queries bit-exact across %d shards, clean shutdown", *rounds, queriesRun, *shards)
@@ -278,7 +277,7 @@ type stream struct {
 func follow(url string) *stream {
 	resp, err := http.Get(url)
 	if err != nil || resp.StatusCode != http.StatusOK {
-		log.Fatalf("GET %s: %v %v", url, err, resp)
+		fatalf("GET %s: %v %v", url, err, resp)
 	}
 	st := &stream{sets: map[string]map[int64]float64{}, done: make(chan struct{})}
 	go func() {
@@ -379,6 +378,17 @@ func (st *stream) end() string {
 	return st.ending
 }
 
+// procs are the servers the harness started; fatalf stops them before
+// exiting, so a failed run does not leave them holding its output.
+var procs []*process
+
+func fatalf(format string, args ...any) {
+	for _, p := range procs {
+		p.kill()
+	}
+	log.Fatalf(format, args...)
+}
+
 type process struct {
 	name string
 	cmd  *exec.Cmd
@@ -388,7 +398,7 @@ func start(path string, args ...string) *process {
 	cmd := exec.Command(path, args...)
 	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {
-		log.Fatalf("starting %s: %v", filepath.Base(path), err)
+		fatalf("starting %s: %v", filepath.Base(path), err)
 	}
 	return &process{name: filepath.Base(path) + " " + args[1], cmd: cmd}
 }
@@ -421,7 +431,7 @@ func (p *process) kill() {
 func freeAddr() string {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		log.Fatal(err)
+		fatalf("%v", err)
 	}
 	addr := l.Addr().String()
 	l.Close()
@@ -440,26 +450,26 @@ func waitHealthy(base string) {
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
-	log.Fatalf("%s never became healthy", base)
+	fatalf("%s never became healthy", base)
 }
 
 func post(url string, in, out any) {
 	body, err := json.Marshal(in)
 	if err != nil {
-		log.Fatal(err)
+		fatalf("%v", err)
 	}
 	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
 	if err != nil {
-		log.Fatalf("POST %s: %v", url, err)
+		fatalf("POST %s: %v", url, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode >= 300 {
 		var msg bytes.Buffer
 		msg.ReadFrom(resp.Body)
-		log.Fatalf("POST %s: HTTP %d: %s", url, resp.StatusCode, msg.String())
+		fatalf("POST %s: HTTP %d: %s", url, resp.StatusCode, msg.String())
 	}
 	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		log.Fatalf("POST %s: decoding: %v", url, err)
+		fatalf("POST %s: decoding: %v", url, err)
 	}
 }
 

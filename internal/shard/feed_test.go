@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"log/slog"
@@ -244,5 +245,93 @@ func TestRouterStreamOutlivesShardTimeout(t *testing.T) {
 	}
 	if lost := rt.m.feedLost.With("0").Value() + rt.m.feedLost.With("1").Value(); lost != 0 {
 		t.Fatalf("%d feeds lost", lost)
+	}
+}
+
+// TestRouterSubOverflow: a router query whose undelivered frames would
+// pass maxBuffered — a subscriber that stopped reading, or a query
+// nobody streams — has its stream ended with an error event and
+// counted, keeping what it had buffered; the feed and the other
+// queries on it are unaffected.
+func TestRouterSubOverflow(t *testing.T) {
+	rt, _, subs := feedUnderTest(t)
+	entered := strings.Repeat(`{"id":1,"p":0.5},`, 4000)
+	big := []byte(`{"seq":1,"version":1,"entered":[` + entered[:len(entered)-1] + `],"coalesced":1,"cost":{}}`)
+	small := []byte(`{"seq":1,"version":1,"coalesced":1,"cost":{}}`)
+	pushes := 0
+	for subs[0].end == nil {
+		if err := subs[0].push(big, "0", rt.m); err != nil {
+			t.Fatal(err)
+		}
+		if err := subs[1].push(small, "0", rt.m); err != nil {
+			t.Fatal(err)
+		}
+		if pushes++; pushes > 2*maxBuffered/len(big) {
+			t.Fatalf("%d frames of %d bytes buffered without an overflow", pushes, len(big))
+		}
+	}
+	if got := rt.m.overflow.Value(); got != 1 {
+		t.Fatalf("overflows counted %d, want 1", got)
+	}
+	if end := string(subs[0].end); !strings.HasPrefix(end, "event: error\n") || !strings.Contains(end, "re-register") {
+		t.Fatalf("overflowed stream ends with %q", end)
+	}
+	if n := len(subs[0].buf); n > maxBuffered || n < maxBuffered-len(big)-64 {
+		t.Fatalf("overflowed query keeps %d bytes, want its frames up to the %d-byte bound", n, maxBuffered)
+	}
+	if subs[1].end != nil || bytes.Count(subs[1].buf, []byte("data: ")) != pushes {
+		t.Fatalf("a query beside the overflow lost frames or its stream: end %q, %d of %d frames",
+			subs[1].end, bytes.Count(subs[1].buf, []byte("data: ")), pushes)
+	}
+}
+
+// TestRouterStreamOneSubscriber: a router query has one subscriber at a
+// time — a second concurrent stream is a 409 (two streams used to split
+// the deltas between them) — and once the first hangs up, the query can
+// be streamed again and carries the deltas of later batches.
+func TestRouterStreamOneSubscriber(t *testing.T) {
+	rt := fleet(t, 2)
+	front := httptest.NewServer(NewServer(rt))
+	t.Cleanup(front.Close)
+	status, body := postJSON(t, front.URL+"/v1/queries", straddlingRange)
+	var reg serve.RegisterResponse
+	if err := json.Unmarshal(body, &reg); status != http.StatusCreated || err != nil {
+		t.Fatalf("register: HTTP %d %s", status, body)
+	}
+	url := front.URL + "/v1/queries/" + strconv.FormatInt(reg.ID, 10) + "/stream"
+
+	ctx, hangUp := context.WithCancel(t.Context())
+	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	first, err := http.DefaultClient.Do(req)
+	if err != nil || first.StatusCode != http.StatusOK {
+		t.Fatalf("first stream: %v %v", err, first)
+	}
+	second, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second.Body.Close()
+	if second.StatusCode != http.StatusConflict {
+		t.Fatalf("second concurrent stream: HTTP %d, want 409", second.StatusCode)
+	}
+	hangUp()
+	first.Body.Close()
+
+	sub, _ := rt.Subscription(reg.ID)
+	for deadline := time.Now().Add(10 * time.Second); !sub.claim(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the query stayed claimed after its subscriber hung up")
+		}
+	}
+	sub.done(nil, true)
+	again := openSubscriber(t, front.URL, reg.ID)
+	if _, err := rt.ApplyUpdates(t.Context(), serve.UpdatesRequest{Updates: []serve.UpdateJSON{
+		{Op: "upsert_object", ID: 1, Region: []float64{950, 4950, 1050, 5050}}}}); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); again.received("0")+again.received("1") == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the second subscriber received nothing")
+		}
 	}
 }

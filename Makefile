@@ -75,8 +75,9 @@ cluster-smoke: build
 # also held to json.Unmarshal), the delta frame relay, the checkpoint
 # manifest's extent checks, the request bodies a client sends (the
 # update batch's decoder held to the json.Decoder it replaced), the
-# tile-map spec string, and the router's delta feed reader (a shard's
-# feed stream, untrusted input at the router).
+# tile-map spec string, the router's delta feed reader (a shard's
+# feed stream, untrusted input at the router), and the point and
+# rectangle dataset readers.
 # Fuzzing runs only here and in the CI fuzz-smoke job; `go test ./...`
 # replays the seeds alone.
 fuzz-smoke:
@@ -96,6 +97,8 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzRelayDeltaFrame -fuzztime=15s ./internal/serve
 	$(GO) test -fuzz=FuzzParseTileSpec -fuzztime=15s ./internal/shard
 	$(GO) test -fuzz=FuzzFeedReader -fuzztime=15s ./internal/shard
+	$(GO) test -fuzz=FuzzReadPoints -fuzztime=15s ./internal/dataset
+	$(GO) test -fuzz=FuzzReadRects -fuzztime=15s ./internal/dataset
 
 # API-surface gate: the public facade (package repro) is a reviewed
 # artifact. apicheck regenerates the surface with `go doc -all` and

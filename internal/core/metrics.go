@@ -108,9 +108,6 @@ type PoolStats struct {
 	Resident int
 }
 
-// HitRate returns the fraction of logical reads served from the pool.
-func (ps PoolStats) HitRate() float64 { return ps.Stats.HitRate() }
-
 // StorageStats reports the buffer-pool counters behind the current
 // state's two indexes, so serving layers and benches can report hit
 // ratios directly instead of inferring them from QPS.

@@ -220,8 +220,8 @@ func TestStorageStats(t *testing.T) {
 	if ss.Uncertain.Stats.LogicalReads <= 0 {
 		t.Fatalf("paged evaluation recorded no logical reads: %+v", ss.Uncertain)
 	}
-	if hr := ss.Uncertain.HitRate(); hr < 0 || hr > 1 {
-		t.Fatalf("hit rate out of range: %g", hr)
+	if st := ss.Uncertain.Stats; st.PhysicalReads < 0 || st.PhysicalReads > st.LogicalReads {
+		t.Fatalf("physical reads %d outside [0, logical reads %d]", st.PhysicalReads, st.LogicalReads)
 	}
 }
 

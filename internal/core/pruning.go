@@ -105,24 +105,18 @@ type StrategySet struct {
 	DisableStrategy3 bool
 }
 
-// PruneUncertain applies the §5.2 pruning strategies to one uncertain
-// candidate of a constrained query.
+// pruneRegion applies the §5.2 pruning strategies to one uncertain
+// candidate of a constrained query, from what the strategies read of
+// it: its uncertainty region and its U-catalog — a table object's own,
+// or a leaf record's computed from its rectangle (see
+// engineState.pruneCandidate). The catalog is read only when qp > 0.
 //
 //	expanded  = R⊕U0 (Minkowski sum)
 //	searchReg = Qp-expanded query (or expanded when unavailable)
 //	qp        = probability threshold
 //
-// The function never prunes a candidate whose qualification
-// probability could reach qp; it returns the verdict for cost
-// accounting.
-func PruneUncertain(q Query, obj *uncertain.Object, expanded, searchReg geom.Rect, ss StrategySet) PruneVerdict {
-	return pruneRegion(q, obj.Region(), obj.Catalog, expanded, searchReg, ss)
-}
-
-// pruneRegion is PruneUncertain over what the strategies read of a
-// candidate: its uncertainty region and its U-catalog — a table
-// object's own, or a leaf record's computed from its rectangle (see
-// engineState.pruneCandidate). The catalog is read only when qp > 0.
+// It never prunes a candidate whose qualification probability could
+// reach qp; it returns the verdict for cost accounting.
 func pruneRegion(q Query, region geom.Rect, cat uncertain.Catalog, expanded, searchReg geom.Rect, ss StrategySet) PruneVerdict {
 	reg := region.Intersect(expanded)
 	if reg.Empty() {

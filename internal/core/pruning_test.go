@@ -159,7 +159,7 @@ func TestPruneUncertainNeverDropsAnswers(t *testing.T) {
 		q := Query{Issuer: iss, W: 30 + rng.Float64()*100, H: 30 + rng.Float64()*100, Threshold: qp}
 		expanded := q.Expanded()
 		searchReg, _ := SearchRegion(q)
-		verdict := PruneUncertain(q, obj, expanded, searchReg, StrategySet{})
+		verdict := pruneRegion(q, obj.Region(), obj.Catalog, expanded, searchReg, StrategySet{})
 		if verdict == KeepCandidate {
 			continue
 		}
@@ -190,14 +190,14 @@ func TestPruneUncertainStrategyAttribution(t *testing.T) {
 	q := Query{Issuer: iss, W: w, H: h, Threshold: 0.3}
 	expanded := q.Expanded()
 	searchReg, _ := SearchRegion(q)
-	if v := PruneUncertain(q, objA, expanded, searchReg, StrategySet{}); v != PrunedStrategy1 {
+	if v := pruneRegion(q, objA.Region(), objA.Catalog, expanded, searchReg, StrategySet{}); v != PrunedStrategy1 {
 		t.Fatalf("sliver object verdict = %d, want Strategy1", v)
 	}
 	// With Strategy 1 disabled, some other strategy (or none) applies,
 	// but the object must not be *kept* incorrectly as a match — it is
 	// simply refined. Here Strategy 3 should also catch it (dmin ~ 0.1,
 	// qmin <= 1).
-	if v := PruneUncertain(q, objA, expanded, searchReg, StrategySet{DisableStrategy1: true}); v == KeepCandidate {
+	if v := pruneRegion(q, objA.Region(), objA.Catalog, expanded, searchReg, StrategySet{DisableStrategy1: true}); v == KeepCandidate {
 		exact := ObjectQualification(iss.PDF, objA.PDF, w, h, ObjectEvalConfig{})
 		if exact >= 0.3 {
 			t.Fatalf("object kept with p=%g", exact)
@@ -212,7 +212,7 @@ func TestPruneUncertainStrategyAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := PruneUncertain(q, objB, expanded, searchReg,
+	v := pruneRegion(q, objB.Region(), objB.Catalog, expanded, searchReg,
 		StrategySet{DisableStrategy1: true})
 	if v != PrunedStrategy2 {
 		t.Fatalf("outside-search object verdict = %d, want Strategy2", v)
@@ -224,7 +224,7 @@ func TestPruneUncertainStrategyAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := PruneUncertain(q, objC, expanded, searchReg, StrategySet{}); v != PrunedEmptyOverlap {
+	if v := pruneRegion(q, objC.Region(), objC.Catalog, expanded, searchReg, StrategySet{}); v != PrunedEmptyOverlap {
 		t.Fatalf("disjoint object verdict = %d, want EmptyOverlap", v)
 	}
 }

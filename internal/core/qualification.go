@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"sort"
 
 	"repro/internal/geom"
 	"repro/internal/mcbound"
@@ -155,17 +154,6 @@ func pointQualificationMCThreshold(issuer pdf.PDF, s geom.Point, w, h, qp float6
 	})
 }
 
-// ObjectQualificationBasic evaluates Equation 4 directly (§3.3): sample
-// the issuer's position n times; at each position integrate the
-// object's pdf over the overlap of its region with the range query
-// (Equation 3, exact via MassIn); average. The cost is n rectangle-mass
-// integrations per object regardless of how little of U0 matters,
-// which is what Figure 8 shows losing to the enhanced method.
-func ObjectQualificationBasic(issuer, obj pdf.PDF, w, h float64, n int, rng *rand.Rand) float64 {
-	p, _, _ := objectQualificationBasicThreshold(issuer, obj, w, h, 0, n, n, 0, rng)
-	return p
-}
-
 // objectQualificationBasicThreshold is the basic (§3.3)
 // issuer-sampling estimator run through the shared driver: each draw
 // is the object's mass in the range query formed at one issuer sample,
@@ -181,43 +169,4 @@ func objectQualificationBasicThreshold(issuer, obj pdf.PDF, w, h, qp float64, to
 		}
 		return t
 	})
-}
-
-// axisFactor computes the one-dimensional factor of Lemma 4 for one
-// axis:
-//
-//	∫_a^b fObj(x) · g(x) dx,  g(x) = FIss(x+w) − FIss(x−w)
-//
-// where FIss is the issuer marginal's CDF. When FIss is piecewise
-// linear, g is piecewise linear with breakpoints at the issuer CDF
-// breakpoints shifted by ±w, and the integral is an exact sum of
-// partial moments. Otherwise the factor is integrated by composite
-// Gauss–Legendre between the same breakpoints (g has kinks there, so
-// splitting preserves spectral accuracy).
-//
-// The implementation lives on axisPlan (plan.go), which prepares the
-// shifted breakpoints once per query; this convenience form rebuilds
-// them per call.
-func axisFactor(objM, issM pdf.Marginal, a, b, w float64, glNodes int) float64 {
-	ap := newAxisPlan(issM, w)
-	sc := acquireScratch()
-	defer releaseScratch(sc)
-	return ap.factor(objM, a, b, glNodes, sc)
-}
-
-// shiftedBreakpoints returns the sorted breakpoints {p±w} clipped to
-// [a, b], with a and b included — the reference construction that
-// axisPlan.cutsInto reproduces without per-candidate sorting.
-func shiftedBreakpoints(points []float64, w, a, b float64) []float64 {
-	cuts := make([]float64, 0, 2*len(points)+2)
-	cuts = append(cuts, a, b)
-	for _, p := range points {
-		for _, x := range [2]float64{p - w, p + w} {
-			if x > a && x < b {
-				cuts = append(cuts, x)
-			}
-		}
-	}
-	sort.Float64s(cuts)
-	return cuts
 }

@@ -55,7 +55,8 @@ func WritePoints(w io.Writer, pts []geom.Point) error {
 // the first missing record.
 const maxPrealloc = 1 << 20
 
-// ReadPoints deserializes points from r.
+// ReadPoints deserializes points from r, refusing a non-finite
+// coordinate.
 func ReadPoints(r io.Reader) ([]geom.Point, error) {
 	br := bufio.NewReader(r)
 	n, err := readHeader(br, kindPoints)
@@ -67,6 +68,9 @@ func ReadPoints(r io.Reader) ([]geom.Point, error) {
 		vals, err := readFloats(br, 2)
 		if err != nil {
 			return nil, fmt.Errorf("dataset: point %d: %w", i, err)
+		}
+		if !allFinite(vals) {
+			return nil, fmt.Errorf("dataset: point %d: non-finite coordinate in %v", i, vals)
 		}
 		pts = append(pts, geom.Pt(vals[0], vals[1]))
 	}
@@ -87,7 +91,8 @@ func WriteRects(w io.Writer, rects []geom.Rect) error {
 	return bw.Flush()
 }
 
-// ReadRects deserializes rectangles from r, validating each.
+// ReadRects deserializes rectangles from r, validating each and
+// refusing a non-finite coordinate.
 func ReadRects(r io.Reader) ([]geom.Rect, error) {
 	br := bufio.NewReader(r)
 	n, err := readHeader(br, kindRects)
@@ -99,6 +104,9 @@ func ReadRects(r io.Reader) ([]geom.Rect, error) {
 		vals, err := readFloats(br, 4)
 		if err != nil {
 			return nil, fmt.Errorf("dataset: rect %d: %w", i, err)
+		}
+		if !allFinite(vals) {
+			return nil, fmt.Errorf("dataset: rect %d: non-finite coordinate in %v", i, vals)
 		}
 		rc := geom.Rect{Lo: geom.Pt(vals[0], vals[1]), Hi: geom.Pt(vals[2], vals[3])}
 		if err := rc.Validate(); err != nil {
@@ -196,6 +204,17 @@ func writeFloats(w io.Writer, vals ...float64) error {
 		}
 	}
 	return nil
+}
+
+// allFinite reports whether no value is NaN or ±Inf: a coordinate in a
+// dataset is a position, which neither is.
+func allFinite(vals []float64) bool {
+	for _, v := range vals {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 func readFloats(r io.Reader, n int) ([]float64, error) {

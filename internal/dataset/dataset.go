@@ -30,11 +30,6 @@ import (
 // World is the experiment coordinate space: [0, Extent]^2.
 const Extent = 10000.0
 
-// WorldRect returns the dataspace rectangle.
-func WorldRect() geom.Rect {
-	return geom.Rect{Lo: geom.Pt(0, 0), Hi: geom.Pt(Extent, Extent)}
-}
-
 // Defaults matching the paper's setup (§6.1, Table 2).
 const (
 	// CaliforniaSize is the point-object count of the California set.
@@ -162,16 +157,10 @@ func clusterCenters(rng *rand.Rand, n int) []geom.Point {
 	return centers
 }
 
-// samplePosition draws one position: uniform background with
-// probability backgroundFrac, otherwise Gaussian around a random
-// cluster center, clamped to the space.
-func samplePosition(rng *rand.Rand, centers []geom.Point, sigma, backgroundFrac float64) geom.Point {
-	return samplePositionWeighted(rng, centers, nil, sigma, backgroundFrac)
-}
-
-// samplePositionWeighted is samplePosition with an optional Zipf
-// cumulative distribution over the cluster centers (nil = uniform
-// choice, consuming the identical rng stream as before).
+// samplePositionWeighted draws one position: uniform background with
+// probability backgroundFrac, otherwise Gaussian around a cluster
+// center, clamped to the space. The center is drawn from the Zipf
+// cumulative distribution cum, or uniformly when cum is nil.
 func samplePositionWeighted(rng *rand.Rand, centers []geom.Point, cum []float64, sigma, backgroundFrac float64) geom.Point {
 	if len(centers) == 0 || rng.Float64() < backgroundFrac {
 		return geom.Pt(rng.Float64()*Extent, rng.Float64()*Extent)

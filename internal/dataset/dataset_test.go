@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/geom"
@@ -38,7 +39,7 @@ func TestGeneratePointsDeterministic(t *testing.T) {
 
 func TestGeneratePointsInWorld(t *testing.T) {
 	pts := GeneratePoints(PointConfig{N: 5000, Clusters: 10, ClusterSigma: 500, BackgroundFrac: 0.1, Seed: 9})
-	world := WorldRect()
+	world := geom.Rect{Lo: geom.Pt(0, 0), Hi: geom.Pt(Extent, Extent)}
 	for _, p := range pts {
 		if !world.Contains(p) {
 			t.Fatalf("point %v outside world", p)
@@ -79,7 +80,7 @@ func TestGenerateRects(t *testing.T) {
 	cfg := LongBeachConfig()
 	cfg.N = 3000
 	rects := GenerateRects(cfg)
-	world := WorldRect()
+	world := geom.Rect{Lo: geom.Pt(0, 0), Hi: geom.Pt(Extent, Extent)}
 	var meanW float64
 	for _, r := range rects {
 		if err := r.Validate(); err != nil {
@@ -230,6 +231,28 @@ func TestCodecErrors(t *testing.T) {
 	}
 	if _, err := ReadRects(&buf3); err == nil {
 		t.Fatal("invalid rect accepted")
+	}
+	// Non-finite coordinates, refused with the record named.
+	nan, inf := math.NaN(), math.Inf(1)
+	var pbuf bytes.Buffer
+	if err := WritePoints(&pbuf, []geom.Point{{X: 1, Y: 2}, {X: inf, Y: nan}}); err != nil {
+		t.Fatal(err)
+	}
+	if pts, err := ReadPoints(&pbuf); err == nil || !strings.Contains(err.Error(), "point 1") {
+		t.Fatalf("non-finite point: %v, %v", pts, err)
+	}
+	for _, r := range []geom.Rect{
+		{Lo: geom.Pt(nan, 0), Hi: geom.Pt(1, 1)},
+		{Lo: geom.Pt(0, 0), Hi: geom.Pt(inf, 1)},
+		{Lo: geom.Pt(0, -inf), Hi: geom.Pt(1, 1)},
+	} {
+		var rbuf bytes.Buffer
+		if err := WriteRects(&rbuf, []geom.Rect{{Hi: geom.Pt(1, 1)}, r}); err != nil {
+			t.Fatal(err)
+		}
+		if rects, err := ReadRects(&rbuf); err == nil || !strings.Contains(err.Error(), "rect 1") {
+			t.Fatalf("non-finite rect %v: %v, %v", r, rects, err)
+		}
 	}
 }
 

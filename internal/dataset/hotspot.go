@@ -13,7 +13,8 @@ import (
 // absorb most of the mass, the way real mobility traces concentrate on
 // a few city centers, which is what exercises a tile map's density
 // handling: uniform tiles leave most shards idle while the hot tiles
-// saturate, density-aware splitting rebalances them.
+// saturate, and an uneven tile map (the spec's assign= clause)
+// rebalances them.
 //
 // ZipfS = 0 (the zero value) keeps the historical uniform cluster
 // choice and byte-identical output for existing seeds.
@@ -54,15 +55,4 @@ func pickCluster(rng *rand.Rand, centers []geom.Point, cum []float64) geom.Point
 		}
 	}
 	return centers[lo]
-}
-
-// HotspotFraction reports the probability mass of the single hottest
-// cluster under exponent s with n clusters — a quick way for callers
-// (and tests) to reason about how skewed a configuration is.
-func HotspotFraction(n int, s float64) float64 {
-	cum := zipfWeights(n, s)
-	if len(cum) == 0 {
-		return 0
-	}
-	return cum[0]
 }

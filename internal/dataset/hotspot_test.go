@@ -5,6 +5,17 @@ import (
 	"testing"
 )
 
+// HotspotFraction reports the probability mass of the single hottest
+// cluster under exponent s with n clusters — a quick way for tests
+// to reason about how skewed a configuration is.
+func HotspotFraction(n int, s float64) float64 {
+	cum := zipfWeights(n, s)
+	if len(cum) == 0 {
+		return 0
+	}
+	return cum[0]
+}
+
 // TestZipfSkewConcentratesMass: with a Zipf exponent the densest
 // spatial cell must hold a much larger share of the points than under
 // uniform cluster choice, and ZipfS=0 must reproduce the historical

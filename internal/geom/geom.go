@@ -1,13 +1,12 @@
 // Package geom provides the planar geometry substrate used by the
 // imprecise location-dependent query engine: points, axis-parallel
-// rectangles, convex polygons, Minkowski sums, and clipping.
+// rectangles and their Minkowski sums, convex polygons, and clipping.
 //
 // The paper (Chen & Cheng, ICDE 2007) models every uncertainty region
 // and every range query as an axis-parallel rectangle, so Rect is the
-// workhorse type. Convex polygons and the general convex Minkowski sum
-// are provided for the paper's future-work extension to non-rectangular
-// regions and to validate the rectangle fast paths against a general
-// implementation.
+// workhorse type. Convex polygons are provided for the paper's
+// future-work extension to non-rectangular regions; the package tests
+// hold the rectangle fast paths to a general convex Minkowski sum.
 //
 // Conventions: the coordinate system is the usual mathematical plane
 // (y grows upward). A Rect is closed: boundary points are contained.
@@ -69,39 +68,9 @@ type Vec struct {
 	X, Y float64
 }
 
-// Add returns the vector sum v+w.
-func (v Vec) Add(w Vec) Vec { return Vec{v.X + w.X, v.Y + w.Y} }
-
-// Neg returns -v.
-func (v Vec) Neg() Vec { return Vec{-v.X, -v.Y} }
-
-// Scale returns v scaled by s.
-func (v Vec) Scale(s float64) Vec { return Vec{v.X * s, v.Y * s} }
-
 // Cross returns the z-component of the cross product v x w.
 // Positive means w is counterclockwise from v.
 func (v Vec) Cross(w Vec) float64 { return v.X*w.Y - v.Y*w.X }
-
-// Dot returns the dot product of v and w.
-func (v Vec) Dot(w Vec) float64 { return v.X*w.X + v.Y*w.Y }
-
-// Len returns the Euclidean length of v.
-func (v Vec) Len() float64 { return math.Hypot(v.X, v.Y) }
-
-// Angle returns the polar angle of v in (-pi, pi].
-func (v Vec) Angle() float64 { return math.Atan2(v.Y, v.X) }
-
-// Clamp returns x constrained to the interval [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	switch {
-	case x < lo:
-		return lo
-	case x > hi:
-		return hi
-	default:
-		return x
-	}
-}
 
 // IntervalOverlap returns the length of the intersection of the closed
 // intervals [a0, a1] and [b0, b1], or 0 if they are disjoint. It is the

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // ErrNotConvex is returned by operations that require a convex input.
@@ -80,15 +79,6 @@ func (p Polygon) Contains(q Point) bool {
 	return true
 }
 
-// Translate returns p shifted by v.
-func (p Polygon) Translate(v Vec) Polygon {
-	out := make(Polygon, len(p))
-	for i, q := range p {
-		out[i] = q.Add(v)
-	}
-	return out
-}
-
 // ClipToRect returns the intersection of the convex polygon p with the
 // rectangle r using Sutherland–Hodgman clipping. The result is convex
 // (possibly empty).
@@ -127,114 +117,6 @@ func clipHalfPlane(poly Polygon, inside func(Point) float64) Polygon {
 		}
 	}
 	return out
-}
-
-// MinkowskiSumConvex computes p ⊕ q for convex counterclockwise
-// polygons using the classic edge-merge algorithm: the edges of the sum
-// are the edges of both polygons merged by polar angle, so the result
-// has at most len(p)+len(q) vertices and is computed in linear time
-// after locating the bottom-most starting vertices (paper §4.1,
-// footnote 1: "a convex polygon with at most m+e edges, O(m+e) time").
-func MinkowskiSumConvex(p, q Polygon) (Polygon, error) {
-	if !p.IsConvexCCW() || !q.IsConvexCCW() {
-		return nil, ErrNotConvex
-	}
-	p = rotateToLowest(p)
-	q = rotateToLowest(q)
-	np, nq := len(p), len(q)
-	result := make(Polygon, 0, np+nq)
-	i, j := 0, 0
-	for i < np || j < nq {
-		result = append(result, Point{p[i%np].X + q[j%nq].X, p[i%np].Y + q[j%nq].Y})
-		ep := p[(i+1)%np].Sub(p[i%np])
-		eq := q[(j+1)%nq].Sub(q[j%nq])
-		cross := ep.Cross(eq)
-		switch {
-		case i >= np:
-			j++
-		case j >= nq:
-			i++
-		case cross > Eps:
-			i++
-		case cross < -Eps:
-			j++
-		default: // parallel edges: advance both
-			i++
-			j++
-		}
-	}
-	return dedupe(result), nil
-}
-
-// rotateToLowest rotates the vertex slice so that the lexicographically
-// lowest (y, then x) vertex comes first, the canonical start for the
-// Minkowski edge merge.
-func rotateToLowest(p Polygon) Polygon {
-	best := 0
-	for i := 1; i < len(p); i++ {
-		if p[i].Y < p[best].Y || (p[i].Y == p[best].Y && p[i].X < p[best].X) {
-			best = i
-		}
-	}
-	out := make(Polygon, 0, len(p))
-	out = append(out, p[best:]...)
-	out = append(out, p[:best]...)
-	return out
-}
-
-// dedupe removes consecutive (approximately) duplicate vertices.
-func dedupe(p Polygon) Polygon {
-	if len(p) < 2 {
-		return p
-	}
-	out := p[:1]
-	for _, v := range p[1:] {
-		if !v.ApproxEqual(out[len(out)-1]) {
-			out = append(out, v)
-		}
-	}
-	if len(out) > 1 && out[0].ApproxEqual(out[len(out)-1]) {
-		out = out[:len(out)-1]
-	}
-	return out
-}
-
-// ConvexHull returns the convex hull of the given points in
-// counterclockwise order (Andrew's monotone chain). Collinear points on
-// the hull boundary are dropped.
-func ConvexHull(pts []Point) Polygon {
-	n := len(pts)
-	if n < 3 {
-		out := make(Polygon, n)
-		copy(out, pts)
-		return out
-	}
-	sorted := make([]Point, n)
-	copy(sorted, pts)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].X != sorted[j].X {
-			return sorted[i].X < sorted[j].X
-		}
-		return sorted[i].Y < sorted[j].Y
-	})
-	hull := make(Polygon, 0, 2*n)
-	// Lower hull.
-	for _, p := range sorted {
-		for len(hull) >= 2 && hull[len(hull)-1].Sub(hull[len(hull)-2]).Cross(p.Sub(hull[len(hull)-2])) <= Eps {
-			hull = hull[:len(hull)-1]
-		}
-		hull = append(hull, p)
-	}
-	// Upper hull.
-	lower := len(hull) + 1
-	for i := n - 2; i >= 0; i-- {
-		p := sorted[i]
-		for len(hull) >= lower && hull[len(hull)-1].Sub(hull[len(hull)-2]).Cross(p.Sub(hull[len(hull)-2])) <= Eps {
-			hull = hull[:len(hull)-1]
-		}
-		hull = append(hull, p)
-	}
-	return hull[:len(hull)-1]
 }
 
 // RegularPolygon returns a counterclockwise regular n-gon centered at c

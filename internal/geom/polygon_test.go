@@ -7,6 +7,78 @@ import (
 	"testing/quick"
 )
 
+// MinkowskiSumConvex computes p ⊕ q for convex counterclockwise
+// polygons — the general form the rectangle Minkowski sum (Rect.
+// MinkowskiSum, ExpandedQuery) is checked against — using the classic
+// edge-merge algorithm: the edges of the sum
+// are the edges of both polygons merged by polar angle, so the result
+// has at most len(p)+len(q) vertices and is computed in linear time
+// after locating the bottom-most starting vertices (paper §4.1,
+// footnote 1: "a convex polygon with at most m+e edges, O(m+e) time").
+func MinkowskiSumConvex(p, q Polygon) (Polygon, error) {
+	if !p.IsConvexCCW() || !q.IsConvexCCW() {
+		return nil, ErrNotConvex
+	}
+	p = rotateToLowest(p)
+	q = rotateToLowest(q)
+	np, nq := len(p), len(q)
+	result := make(Polygon, 0, np+nq)
+	i, j := 0, 0
+	for i < np || j < nq {
+		result = append(result, Point{p[i%np].X + q[j%nq].X, p[i%np].Y + q[j%nq].Y})
+		ep := p[(i+1)%np].Sub(p[i%np])
+		eq := q[(j+1)%nq].Sub(q[j%nq])
+		cross := ep.Cross(eq)
+		switch {
+		case i >= np:
+			j++
+		case j >= nq:
+			i++
+		case cross > Eps:
+			i++
+		case cross < -Eps:
+			j++
+		default: // parallel edges: advance both
+			i++
+			j++
+		}
+	}
+	return dedupe(result), nil
+}
+
+// rotateToLowest rotates the vertex slice so that the lexicographically
+// lowest (y, then x) vertex comes first, the canonical start for the
+// Minkowski edge merge.
+func rotateToLowest(p Polygon) Polygon {
+	best := 0
+	for i := 1; i < len(p); i++ {
+		if p[i].Y < p[best].Y || (p[i].Y == p[best].Y && p[i].X < p[best].X) {
+			best = i
+		}
+	}
+	out := make(Polygon, 0, len(p))
+	out = append(out, p[best:]...)
+	out = append(out, p[:best]...)
+	return out
+}
+
+// dedupe removes consecutive (approximately) duplicate vertices.
+func dedupe(p Polygon) Polygon {
+	if len(p) < 2 {
+		return p
+	}
+	out := p[:1]
+	for _, v := range p[1:] {
+		if !v.ApproxEqual(out[len(out)-1]) {
+			out = append(out, v)
+		}
+	}
+	if len(out) > 1 && out[0].ApproxEqual(out[len(out)-1]) {
+		out = out[:len(out)-1]
+	}
+	return out
+}
+
 func TestPolygonAreaSquare(t *testing.T) {
 	sq := Rect{Lo: Pt(0, 0), Hi: Pt(2, 2)}.ToPolygon()
 	if got := sq.Area(); !ApproxEqual(got, 4) {
@@ -94,24 +166,6 @@ func TestMinkowskiSumNotConvex(t *testing.T) {
 	}
 }
 
-func TestConvexHull(t *testing.T) {
-	pts := []Point{
-		{0, 0}, {4, 0}, {4, 4}, {0, 4}, // square corners
-		{2, 2}, {1, 1}, {3, 2}, // interior points
-		{2, 0}, // collinear boundary point (dropped)
-	}
-	hull := ConvexHull(pts)
-	if len(hull) != 4 {
-		t.Fatalf("hull has %d vertices, want 4: %v", len(hull), hull)
-	}
-	if !hull.IsConvexCCW() {
-		t.Fatalf("hull not convex CCW: %v", hull)
-	}
-	if got := hull.Area(); !ApproxEqual(got, 16) {
-		t.Fatalf("hull area = %g, want 16", got)
-	}
-}
-
 func TestRegularPolygon(t *testing.T) {
 	hex := RegularPolygon(Pt(0, 0), 1, 6)
 	if len(hex) != 6 {
@@ -170,30 +224,6 @@ func TestPropMinkowskiAreaInequality(t *testing.T) {
 			return false
 		}
 		return sum.Area() >= a.Area()+b.Area()-1e-6
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPropHullContainsAllPoints(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	f := func() bool {
-		n := 4 + rng.Intn(40)
-		pts := make([]Point, n)
-		for i := range pts {
-			pts[i] = Pt(rng.Float64()*100, rng.Float64()*100)
-		}
-		hull := ConvexHull(pts)
-		if len(hull) < 3 {
-			return true
-		}
-		for _, p := range pts {
-			if !hull.Contains(p) {
-				return false
-			}
-		}
-		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

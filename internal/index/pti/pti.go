@@ -92,21 +92,8 @@ func validateProbs(probs []float64) ([]float64, error) {
 	return out, nil
 }
 
-// New creates an empty PTI over the given node store with the given
-// shared catalog probability values.
-func New(store rtree.NodeStore, probs []float64) (*Index, error) {
-	ps, err := validateProbs(probs)
-	if err != nil {
-		return nil, err
-	}
-	tr, err := rtree.New(store, config(len(ps)))
-	if err != nil {
-		return nil, err
-	}
-	return &Index{tree: tr, probs: ps}, nil
-}
-
-// BulkLoad builds a PTI from objects using STR packing.
+// BulkLoad builds a PTI from objects using STR packing; with no
+// objects it is an empty index.
 func BulkLoad(store rtree.NodeStore, probs []float64, objs []*uncertain.Object) (*Index, error) {
 	ps, err := validateProbs(probs)
 	if err != nil {
@@ -168,9 +155,6 @@ func (ix *Index) Delete(o *uncertain.Object) (bool, error) {
 	return ix.tree.Delete(o.Region(), rtree.Ref(o.ID))
 }
 
-// Len returns the number of indexed objects.
-func (ix *Index) Len() int { return ix.tree.Len() }
-
 // Tree exposes the underlying R-tree (for statistics and validation).
 func (ix *Index) Tree() *rtree.Tree { return ix.tree }
 
@@ -187,16 +171,10 @@ func (ix *Index) probIndex(q float64) int {
 	return i - 1
 }
 
-// RangeSearch visits the ids of all objects whose uncertainty region
-// intersects q (no probability pruning).
-func (ix *Index) RangeSearch(q geom.Rect, visit func(id uncertain.ID) bool) error {
-	_, err := ix.RangeSearchCounted(q, visit)
-	return err
-}
-
-// RangeSearchCounted is RangeSearch returning the node accesses this
-// call performed. The count is local to the call, so concurrent
-// searches each observe their own exact I/O cost.
+// RangeSearchCounted visits the ids of all objects whose uncertainty
+// region intersects q (no probability pruning) and returns the node
+// accesses this call performed. The count is local to the call, so
+// concurrent searches each observe their own exact I/O cost.
 func (ix *Index) RangeSearchCounted(q geom.Rect, visit func(id uncertain.ID) bool) (int64, error) {
 	return ix.RangeLeavesCounted(q, func(e rtree.Entry, _ []float64) bool {
 		return visit(uncertain.ID(e.Ref))
@@ -210,41 +188,25 @@ func (ix *Index) RangeLeavesCounted(q geom.Rect, visit rtree.Visit) (int64, erro
 	return ix.tree.SearchCounted(q, nil, visit)
 }
 
-// ThresholdSearch visits candidate ids for a constrained query with
-// probability threshold qp:
+// ThresholdLeavesCounted is the index search of a constrained query
+// with probability threshold qp:
 //
 //   - search is the index search region, normally the Qp-expanded
 //     query (§5.3) — anything outside it is skipped by rectangle
 //     tests alone (pruning Strategy 2 applied at every level);
 //   - expanded is the Minkowski sum R⊕U0, the region over which
 //     qualification probability mass can accrue (Lemma 4);
-//   - at every node and leaf entry, the M-bound envelope (M = largest
+//   - at every interior entry, the M-bound envelope (M = largest
 //     catalog value <= qp) prunes subtrees whose overlap with
 //     expanded lies wholly beyond one of the four bound lines
 //     (pruning Strategy 1 applied at the index level).
 //
-// Survivors still require exact evaluation; the engine filters them by
-// their true qualification probability, after deciding the leaf entries
-// itself (ThresholdLeavesCounted).
-func (ix *Index) ThresholdSearch(search, expanded geom.Rect, qp float64, visit func(id uncertain.ID) bool) error {
-	row, m, ok := ix.MRow(qp)
-	_, err := ix.ThresholdLeavesCounted(search, expanded, qp, func(e rtree.Entry, aux []float64) bool {
-		if ok && BoundPrunes(e.Rect, StoredRow(aux, row, m), expanded) {
-			return true // pruned leaf entry; keep searching
-		}
-		return visit(uncertain.ID(e.Ref))
-	})
-	return err
-}
-
-// ThresholdLeavesCounted is ThresholdSearch with the leaf-level test
-// handed to the caller: interior entries are pruned by their M-bound
-// envelope rows as ThresholdSearch prunes them, and every leaf entry
-// that intersects search is visited, untested, with its stored
-// payload. The caller decides the entry with BoundPrunes on its M-bound
-// row (see MRow) — the stored one, or one it can compute from the
-// entry alone. It returns the node accesses this call performed,
-// counted locally for concurrent callers.
+// Every leaf entry that intersects search is visited, untested, with
+// its stored payload. The caller decides the entry with BoundPrunes on
+// its M-bound row (see MRow) — the stored one, or one it can compute
+// from the entry alone — and evaluates the survivors exactly. It
+// returns the node accesses this call performed, counted locally for
+// concurrent callers.
 func (ix *Index) ThresholdLeavesCounted(search, expanded geom.Rect, qp float64, visit rtree.Visit) (int64, error) {
 	row, m, ok := ix.MRow(qp)
 	var prune rtree.NodePruner
@@ -256,8 +218,9 @@ func (ix *Index) ThresholdLeavesCounted(search, expanded geom.Rect, qp float64, 
 	return ix.tree.SearchCounted(search, prune, visit)
 }
 
-// ThresholdAdmits reports whether ThresholdSearch(search, expanded, qp)
-// over an index holding o would visit o — the search's leaf-level
+// ThresholdAdmits reports whether ThresholdLeavesCounted(search,
+// expanded, qp) over an index holding o would visit o's entry and
+// BoundPrunes on its stored M-bound row would keep it — the search's
 // tests applied to the object directly. It decides the same set
 // without descending the tree because both tests are monotone along
 // the path from the root: a node's rectangle and bound envelope

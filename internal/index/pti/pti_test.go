@@ -30,30 +30,46 @@ func makeObjects(t testing.TB, rng *rand.Rand, n int, world float64) []*uncertai
 	return objs
 }
 
-func collectIDs(t *testing.T, fn func(visit func(uncertain.ID) bool) error) []uncertain.ID {
+// collectIDs runs one counted search and returns the ids it visited,
+// sorted, and the node accesses it performed.
+func collectIDs(t *testing.T, fn func(visit func(uncertain.ID) bool) (int64, error)) ([]uncertain.ID, int64) {
 	t.Helper()
 	var ids []uncertain.ID
-	if err := fn(func(id uncertain.ID) bool {
+	accesses, err := fn(func(id uncertain.ID) bool {
 		ids = append(ids, id)
 		return true
-	}); err != nil {
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	return ids, accesses
+}
+
+// thresholdSearch is the engine's constrained-query filter over the
+// index: ThresholdLeavesCounted, with each leaf entry it visits decided
+// by BoundPrunes on the entry's stored M-bound row.
+func thresholdSearch(ix *Index, search, expanded geom.Rect, qp float64, visit func(uncertain.ID) bool) (int64, error) {
+	row, m, ok := ix.MRow(qp)
+	return ix.ThresholdLeavesCounted(search, expanded, qp, func(e rtree.Entry, aux []float64) bool {
+		if ok && BoundPrunes(e.Rect, StoredRow(aux, row, m), expanded) {
+			return true // pruned leaf entry; keep searching
+		}
+		return visit(uncertain.ID(e.Ref))
+	})
 }
 
 func TestValidateProbs(t *testing.T) {
-	if _, err := New(rtree.NewMemNodeStore(), nil); err == nil {
+	if _, err := BulkLoad(rtree.NewMemNodeStore(), nil, nil); err == nil {
 		t.Fatal("empty probs accepted")
 	}
-	if _, err := New(rtree.NewMemNodeStore(), []float64{0, 1.5}); err == nil {
+	if _, err := BulkLoad(rtree.NewMemNodeStore(), []float64{0, 1.5}, nil); err == nil {
 		t.Fatal("out-of-range prob accepted")
 	}
-	if _, err := New(rtree.NewMemNodeStore(), []float64{0.5, 0.5}); err == nil {
+	if _, err := BulkLoad(rtree.NewMemNodeStore(), []float64{0.5, 0.5}, nil); err == nil {
 		t.Fatal("duplicate prob accepted")
 	}
-	ix, err := New(rtree.NewMemNodeStore(), []float64{0.4, 0.1, 0})
+	ix, err := BulkLoad(rtree.NewMemNodeStore(), []float64{0.4, 0.1, 0}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +80,7 @@ func TestValidateProbs(t *testing.T) {
 }
 
 func TestInsertRequiresCatalog(t *testing.T) {
-	ix, err := New(rtree.NewMemNodeStore(), probs)
+	ix, err := BulkLoad(rtree.NewMemNodeStore(), probs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,8 +109,8 @@ func TestRangeSearchMatchesBruteForce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ix.Len() != 800 {
-		t.Fatalf("Len = %d", ix.Len())
+	if ix.Tree().Len() != 800 {
+		t.Fatalf("Len = %d", ix.Tree().Len())
 	}
 	if err := ix.Tree().CheckInvariants(false); err != nil {
 		t.Fatal(err)
@@ -103,7 +119,7 @@ func TestRangeSearchMatchesBruteForce(t *testing.T) {
 		q := geom.RectCentered(
 			geom.Pt(rng.Float64()*1000, rng.Float64()*1000),
 			rng.Float64()*100, rng.Float64()*100)
-		got := collectIDs(t, func(v func(uncertain.ID) bool) error { return ix.RangeSearch(q, v) })
+		got, _ := collectIDs(t, func(v func(uncertain.ID) bool) (int64, error) { return ix.RangeSearchCounted(q, v) })
 		var want []uncertain.ID
 		for _, o := range objs {
 			if q.Intersects(o.Region()) {
@@ -118,7 +134,7 @@ func TestRangeSearchMatchesBruteForce(t *testing.T) {
 
 func TestThresholdSearchNeverDropsQualified(t *testing.T) {
 	// Soundness: every object whose true qualification mass within the
-	// expanded region could reach qp must survive ThresholdSearch.
+	// expanded region could reach qp must survive the threshold search.
 	// We use the mass upper bound MassIn(Ui ∩ expanded) as ground
 	// truth: if it is >= qp, the object must be returned.
 	rng := rand.New(rand.NewSource(72))
@@ -138,7 +154,7 @@ func TestThresholdSearchNeverDropsQualified(t *testing.T) {
 		expanded := geom.ExpandedQuery(u0, w, h)
 		qp := rng.Float64() * 0.9
 		got := map[uncertain.ID]bool{}
-		err := ix.ThresholdSearch(expanded, expanded, qp, func(id uncertain.ID) bool {
+		_, err := thresholdSearch(ix, expanded, expanded, qp, func(id uncertain.ID) bool {
 			got[id] = true
 			return true
 		})
@@ -167,11 +183,11 @@ func TestThresholdSearchPrunes(t *testing.T) {
 	u0 := geom.RectCentered(geom.Pt(500, 500), 30, 30)
 	expanded := geom.ExpandedQuery(u0, 60, 60)
 
-	all := collectIDs(t, func(v func(uncertain.ID) bool) error {
-		return ix.RangeSearch(expanded, v)
+	all, _ := collectIDs(t, func(v func(uncertain.ID) bool) (int64, error) {
+		return ix.RangeSearchCounted(expanded, v)
 	})
-	strict := collectIDs(t, func(v func(uncertain.ID) bool) error {
-		return ix.ThresholdSearch(expanded, expanded, 0.9, v)
+	strict, _ := collectIDs(t, func(v func(uncertain.ID) bool) (int64, error) {
+		return thresholdSearch(ix, expanded, expanded, 0.9, v)
 	})
 	if len(all) == 0 {
 		t.Skip("no candidates in range; unlucky layout")
@@ -191,20 +207,16 @@ func TestThresholdSearchNodeLevelPruningSavesIO(t *testing.T) {
 	u0 := geom.RectCentered(geom.Pt(1000, 1000), 100, 100)
 	expanded := geom.ExpandedQuery(u0, 200, 200)
 
-	ix.Tree().ResetNodeAccesses()
-	_ = collectIDs(t, func(v func(uncertain.ID) bool) error {
-		return ix.RangeSearch(expanded, v)
+	_, baseIO := collectIDs(t, func(v func(uncertain.ID) bool) (int64, error) {
+		return ix.RangeSearchCounted(expanded, v)
 	})
-	baseIO := ix.Tree().NodeAccesses()
 
 	// Shrunken search region (stand-in for a Qp-expanded query) plus
 	// bound pruning must not read more nodes.
 	smaller := expanded.Expand(-80, -80)
-	ix.Tree().ResetNodeAccesses()
-	_ = collectIDs(t, func(v func(uncertain.ID) bool) error {
-		return ix.ThresholdSearch(smaller, expanded, 0.8, v)
+	_, prunedIO := collectIDs(t, func(v func(uncertain.ID) bool) (int64, error) {
+		return thresholdSearch(ix, smaller, expanded, 0.8, v)
 	})
-	prunedIO := ix.Tree().NodeAccesses()
 	if prunedIO > baseIO {
 		t.Fatalf("threshold search I/O %d exceeds plain search %d", prunedIO, baseIO)
 	}
@@ -213,7 +225,7 @@ func TestThresholdSearchNodeLevelPruningSavesIO(t *testing.T) {
 func TestInsertDeleteCycle(t *testing.T) {
 	rng := rand.New(rand.NewSource(75))
 	objs := makeObjects(t, rng, 300, 500)
-	ix, err := New(rtree.NewMemNodeStore(), probs)
+	ix, err := BulkLoad(rtree.NewMemNodeStore(), probs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,8 +243,8 @@ func TestInsertDeleteCycle(t *testing.T) {
 			t.Fatalf("delete %d: %t %v", objs[i].ID, ok, err)
 		}
 	}
-	if ix.Len() != 150 {
-		t.Fatalf("Len = %d", ix.Len())
+	if ix.Tree().Len() != 150 {
+		t.Fatalf("Len = %d", ix.Tree().Len())
 	}
 	if err := ix.Tree().CheckInvariants(true); err != nil {
 		t.Fatal(err)

@@ -364,7 +364,7 @@ func TestIncrementalEnvelopesMatchTwin(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(424242))
 	auxLen := AuxLen(len(probs))
-	ix, err := New(rtree.NewMemNodeStore(), probs)
+	ix, err := BulkLoad(rtree.NewMemNodeStore(), probs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

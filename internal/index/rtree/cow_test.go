@@ -26,7 +26,7 @@ func (s shadow) clone() shadow {
 // collect reads every entry of the tree into a shadow.
 func collect(t *testing.T, tr *Tree) shadow {
 	t.Helper()
-	b, err := tr.Bounds()
+	b, err := rootBounds(tr)
 	if err != nil {
 		t.Fatalf("bounds: %v", err)
 	}
@@ -34,7 +34,7 @@ func collect(t *testing.T, tr *Tree) shadow {
 	if tr.Len() == 0 {
 		return out
 	}
-	if err := tr.Search(b, func(e Entry) bool {
+	if _, err := tr.SearchCounted(b, nil, func(e Entry, _ []float64) bool {
 		out[e.Ref] = e.Rect
 		return true
 	}); err != nil {
@@ -76,7 +76,7 @@ func TestCOWVersionIsolation(t *testing.T) {
 			store := NewMemNodeStore()
 			cfg := Config{MaxEntries: 8}
 
-			cur, err := New(store, cfg)
+			cur, err := BulkLoad(store, cfg, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -179,7 +179,7 @@ func TestCOWVersionIsolation(t *testing.T) {
 // version does not retire nodes the version itself allocated.
 func TestCOWFreshNodesMutateInPlace(t *testing.T) {
 	store := NewMemNodeStore()
-	base, err := New(store, Config{MaxEntries: 8})
+	base, err := BulkLoad(store, Config{MaxEntries: 8}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestCOWFreshNodesMutateInPlace(t *testing.T) {
 // the failed-mutation discard path.
 func TestCOWAbortDiscardsCleanly(t *testing.T) {
 	store := NewMemNodeStore()
-	base, err := New(store, Config{MaxEntries: 8})
+	base, err := BulkLoad(store, Config{MaxEntries: 8}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestCOWAbortDiscardsCleanly(t *testing.T) {
 // pattern. Run with -race.
 func TestCOWConcurrentReadersDuringWrite(t *testing.T) {
 	store := NewMemNodeStore()
-	base, err := New(store, Config{MaxEntries: 8})
+	base, err := BulkLoad(store, Config{MaxEntries: 8}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestCOWConcurrentReadersDuringWrite(t *testing.T) {
 				default:
 				}
 				n := 0
-				if err := base.Search(q, func(Entry) bool { n++; return true }); err != nil {
+				if _, err := base.SearchCounted(q, nil, func(Entry, []float64) bool { n++; return true }); err != nil {
 					t.Errorf("search: %v", err)
 					return
 				}
@@ -326,7 +326,7 @@ func TestCOWConcurrentReadersDuringWrite(t *testing.T) {
 func TestCOWRefusesForeignNode(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	pool := storage.NewBufferPool(storage.NewMemStore(), 64)
-	base, err := New(NewPagedNodeStore(pool, 0), Config{MaxEntries: 8})
+	base, err := BulkLoad(NewPagedNodeStore(pool, 0), Config{MaxEntries: 8}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,7 @@ func (t *Tree) findLeaf(id NodeID, entryIdx int, r geom.Rect, ref Ref, path []pa
 	if len(path) == 0 {
 		return false, fmt.Errorf("rtree: node %d lies below the tree's height %d", id, t.height)
 	}
-	n, err := t.getNode(id)
+	n, err := t.loadNode(id)
 	if err != nil {
 		return false, err
 	}
@@ -213,7 +213,7 @@ func (t *Tree) condenseTree(path []pathStep, d *departure) error {
 
 	// Collapse a non-leaf root with a single child.
 	for {
-		root, err := t.getNode(t.root)
+		root, err := t.loadNode(t.root)
 		if err != nil {
 			return err
 		}

@@ -70,7 +70,7 @@ func TestFaultsSurfaceAsErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tr.SearchCollect(randItems(rng, 1, 500)[0].Rect); err != nil {
+	if _, _, err := searchRefs(tr, randItems(rng, 1, 500)[0].Rect); err != nil {
 		t.Fatal(err)
 	}
 	totalOps := int((1 << 30) - clean.countdown.Load())
@@ -91,7 +91,7 @@ func TestFaultsSurfaceAsErrors(t *testing.T) {
 		}
 		// Load survived; the fault must fire during search (or the
 		// budget ran out, in which case search succeeds).
-		_, err = tr.SearchCollect(randItems(rng, 1, 500)[0].Rect)
+		_, _, err = searchRefs(tr, randItems(rng, 1, 500)[0].Rect)
 		if err != nil && !errors.Is(err, errInjected) {
 			t.Fatalf("pos %d: unexpected search error: %v", pos, err)
 		}
@@ -106,10 +106,10 @@ func TestInsertFaultsSurfaceAsErrors(t *testing.T) {
 	for _, budget := range []int{5, 50, 500, 2000} {
 		fs := newFaultStore(storage.NewMemStore(), budget)
 		pool := storage.NewBufferPool(fs, 8)
-		tr, err := New(NewPagedNodeStore(pool, 0), Config{MaxEntries: 8, MinEntries: 2})
+		tr, err := BulkLoad(NewPagedNodeStore(pool, 0), Config{MaxEntries: 8, MinEntries: 2}, nil)
 		if err != nil {
 			if !errors.Is(err, errInjected) {
-				t.Fatalf("budget %d: unexpected New error: %v", budget, err)
+				t.Fatalf("budget %d: unexpected BulkLoad error: %v", budget, err)
 			}
 			continue
 		}

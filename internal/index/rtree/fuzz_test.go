@@ -168,7 +168,7 @@ func FuzzRTree(f *testing.F) {
 			return
 		}
 		store := NewMemNodeStore()
-		tr, err := New(store, Config{MaxEntries: 8, AuxLen: 4, MergeAux: mergeMinMax})
+		tr, err := BulkLoad(store, Config{MaxEntries: 8, AuxLen: 4, MergeAux: mergeMinMax}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,7 +186,7 @@ func FuzzRTree(f *testing.F) {
 			}
 			got := make(map[Ref]fuzzEntry)
 			if tr.Len() > 0 {
-				b, err := tr.Bounds()
+				b, err := rootBounds(tr)
 				if err != nil {
 					t.Fatalf("%s: bounds: %v", label, err)
 				}

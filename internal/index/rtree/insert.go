@@ -72,7 +72,7 @@ func (t *Tree) chooseNode(r geom.Rect, targetLevel int) ([]pathStep, error) {
 	if targetLevel >= t.height {
 		return nil, fmt.Errorf("rtree: level %d exceeds height %d", targetLevel, t.height)
 	}
-	n, err := t.getNode(t.root)
+	n, err := t.loadNode(t.root)
 	if err != nil {
 		return nil, err
 	}
@@ -91,7 +91,7 @@ func (t *Tree) chooseNode(r geom.Rect, targetLevel int) ([]pathStep, error) {
 		if best == -1 {
 			return nil, fmt.Errorf("rtree: interior node %d has no entries", n.ID)
 		}
-		child, err := t.getNode(n.Entries[best].Child)
+		child, err := t.loadNode(n.Entries[best].Child)
 		if err != nil {
 			return nil, err
 		}

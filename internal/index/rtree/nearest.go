@@ -129,7 +129,6 @@ func (t *Tree) BestFirstCounted(prio Priority, cutoff float64, visit BestVisit) 
 		accesses++
 		n, err := t.loadNode(top.e.Child)
 		if err != nil {
-			t.accesses.Add(accesses)
 			return accesses, err
 		}
 		for _, e := range n.Entries {
@@ -140,6 +139,5 @@ func (t *Tree) BestFirstCounted(prio Priority, cutoff float64, visit BestVisit) 
 			h.push(bbEntry{prio: p, e: e, leaf: n.Leaf})
 		}
 	}
-	t.accesses.Add(accesses)
 	return accesses, nil
 }

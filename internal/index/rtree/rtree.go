@@ -10,8 +10,8 @@
 // PTI (Probability Threshold Index, §5.3) is built on exactly this
 // hook, storing per-catalog-value bound rectangles in interior nodes.
 //
-// Node accesses (the paper's I/O metric) are counted by the tree and
-// can be sampled around each operation.
+// Node accesses (the paper's I/O metric) are counted per call: every
+// search returns the accesses it performed.
 //
 // Envelope maintenance. An interior entry is the envelope of its child:
 // the union of the child's entry rectangles and the merge of their
@@ -201,9 +201,6 @@ type Config struct {
 	Split SplitAlgorithm
 }
 
-// entryBytes returns the serialized size of one entry under cfg.
-func (c Config) entryBytes() int { return 32 + 8 + 8*c.AuxLen }
-
 // nodeHeaderBytes is the serialized node header size: flags byte,
 // entry count uint16, and a reserved byte, plus a 4-byte checksum seed.
 const nodeHeaderBytes = 8
@@ -241,7 +238,7 @@ func (c Config) normalize() (Config, error) {
 }
 
 // Tree is a dynamic R-tree. A given Tree value is not safe for
-// concurrent mutation (single writer); concurrent Search calls
+// concurrent mutation (single writer); concurrent searches
 // against a sealed tree are safe, including over paged node stores
 // (the buffer pool is internally synchronized), and — through the
 // copy-on-write machinery (CloneCOW/Seal, cow.go) — remain safe while
@@ -263,29 +260,6 @@ type Tree struct {
 	// scratch is grownRow's merge buffer, allocated on the handle's
 	// first use (one writer per handle).
 	scratch []float64
-	// accesses accumulates node reads across the tree's lifetime,
-	// atomically so concurrent read-only searches are race-free.
-	// Per-operation deltas sampled around ResetNodeAccesses are only
-	// meaningful when operations run serially; concurrent callers use
-	// SearchCounted instead.
-	accesses atomic.Int64
-}
-
-// New creates an empty tree over the given node store.
-func New(store NodeStore, cfg Config) (*Tree, error) {
-	cfg, err := cfg.normalize()
-	if err != nil {
-		return nil, err
-	}
-	root, err := store.Alloc(true)
-	if err != nil {
-		return nil, err
-	}
-	t := &Tree{store: store, cfg: cfg, root: root.ID, height: 1}
-	if err := store.Update(root); err != nil {
-		return nil, err
-	}
-	return t, nil
 }
 
 // Len returns the number of stored entries.
@@ -301,19 +275,6 @@ func (t *Tree) Config() Config { return t.cfg }
 // it against *PagedNodeStore to reach the buffer pool behind a paged
 // tree; in-memory trees expose nothing further.
 func (t *Tree) Store() NodeStore { return t.store }
-
-// NodeAccesses returns the cumulative count of node reads performed by
-// tree operations — the paper's I/O cost metric.
-func (t *Tree) NodeAccesses() int64 { return t.accesses.Load() }
-
-// ResetNodeAccesses zeroes the access counter.
-func (t *Tree) ResetNodeAccesses() { t.accesses.Store(0) }
-
-// getNode reads a node and counts the access.
-func (t *Tree) getNode(id NodeID) (*Node, error) {
-	t.accesses.Add(1)
-	return t.loadNode(id)
-}
 
 // loadNode fetches a node, consulting the unsealed version's write
 // cache first: a node updated during the current copy-on-write phase

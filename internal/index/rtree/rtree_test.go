@@ -15,11 +15,32 @@ var smallCfg = Config{MaxEntries: 4, MinEntries: 2}
 // newMemTree builds an empty tree over a fresh memory store.
 func newMemTree(t *testing.T, cfg Config) *Tree {
 	t.Helper()
-	tr, err := New(NewMemNodeStore(), cfg)
+	tr, err := BulkLoad(NewMemNodeStore(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return tr
+}
+
+// searchRefs returns the refs of the leaf entries a SearchCounted over
+// q visits, in visit order, and the node accesses it performed.
+func searchRefs(tr *Tree, q geom.Rect) ([]Ref, int64, error) {
+	var out []Ref
+	n, err := tr.SearchCounted(q, nil, func(e Entry, _ []float64) bool {
+		out = append(out, e.Ref)
+		return true
+	})
+	return out, n, err
+}
+
+// rootBounds returns the union of the root's entry rectangles: the
+// bounds of all data, Empty for an empty tree.
+func rootBounds(tr *Tree) (geom.Rect, error) {
+	n, err := tr.loadNode(tr.root)
+	if err != nil {
+		return geom.Rect{}, err
+	}
+	return n.bounds(), nil
 }
 
 // randItems produces n random small rectangles with refs 0..n-1.
@@ -105,14 +126,14 @@ func TestEmptyTree(t *testing.T) {
 	if tr.Len() != 0 || tr.Height() != 1 {
 		t.Fatalf("Len = %d, Height = %d", tr.Len(), tr.Height())
 	}
-	refs, err := tr.SearchCollect(geom.Rect{Lo: geom.Pt(-1e9, -1e9), Hi: geom.Pt(1e9, 1e9)})
+	refs, _, err := searchRefs(tr, geom.Rect{Lo: geom.Pt(-1e9, -1e9), Hi: geom.Pt(1e9, 1e9)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(refs) != 0 {
 		t.Fatalf("empty tree returned %v", refs)
 	}
-	b, err := tr.Bounds()
+	b, err := rootBounds(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +157,7 @@ func TestInsertAndSearchSmall(t *testing.T) {
 	if tr.Len() != 3 {
 		t.Fatalf("Len = %d", tr.Len())
 	}
-	refs, err := tr.SearchCollect(geom.Rect{Lo: geom.Pt(4, 4), Hi: geom.Pt(7, 7)})
+	refs, _, err := searchRefs(tr, geom.Rect{Lo: geom.Pt(4, 4), Hi: geom.Pt(7, 7)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +197,7 @@ func TestInsertManyMatchesBruteForce(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		c := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
 		q := geom.RectCentered(c, rng.Float64()*80, rng.Float64()*80)
-		got, err := tr.SearchCollect(q)
+		got, _, err := searchRefs(tr, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +217,7 @@ func TestSearchEarlyStop(t *testing.T) {
 	}
 	world := geom.Rect{Lo: geom.Pt(-10, -10), Hi: geom.Pt(110, 110)}
 	var seen int
-	err := tr.Search(world, func(e Entry) bool {
+	_, err := tr.SearchCounted(world, nil, func(Entry, []float64) bool {
 		seen++
 		return seen < 5
 	})
@@ -246,7 +267,7 @@ func TestDeleteMatchesBruteForce(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		c := geom.Pt(rng.Float64()*500, rng.Float64()*500)
 		q := geom.RectCentered(c, rng.Float64()*60, rng.Float64()*60)
-		got, err := tr.SearchCollect(q)
+		got, _, err := searchRefs(tr, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -321,7 +342,7 @@ func TestBulkLoadMatchesBruteForce(t *testing.T) {
 	for i := 0; i < 80; i++ {
 		c := geom.Pt(rng.Float64()*2000, rng.Float64()*2000)
 		q := geom.RectCentered(c, rng.Float64()*100, rng.Float64()*100)
-		got, err := tr.SearchCollect(q)
+		got, _, err := searchRefs(tr, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -357,7 +378,13 @@ func TestBulkLoadUtilization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, leaves, err := tr.NodeCount()
+	leaves := 0
+	err = tr.Walk(func(n *Node, _ int) error {
+		if n.Leaf {
+			leaves++
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +417,7 @@ func TestInsertAfterBulkLoad(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		c := geom.Pt(rng.Float64()*300, rng.Float64()*300)
 		q := geom.RectCentered(c, rng.Float64()*50, rng.Float64()*50)
-		got, err := tr.SearchCollect(q)
+		got, _, err := searchRefs(tr, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -407,21 +434,20 @@ func TestNodeAccessCounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr.ResetNodeAccesses()
 	small := geom.RectCentered(geom.Pt(500, 500), 10, 10)
-	if _, err := tr.SearchCollect(small); err != nil {
+	_, smallCost, err := searchRefs(tr, small)
+	if err != nil {
 		t.Fatal(err)
 	}
-	smallCost := tr.NodeAccesses()
 	if smallCost < 1 {
 		t.Fatal("no node accesses counted")
 	}
-	tr.ResetNodeAccesses()
 	big := geom.RectCentered(geom.Pt(500, 500), 400, 400)
-	if _, err := tr.SearchCollect(big); err != nil {
+	_, bigCost, err := searchRefs(tr, big)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if bigCost := tr.NodeAccesses(); bigCost <= smallCost {
+	if bigCost <= smallCost {
 		t.Fatalf("larger query cost %d not above smaller %d", bigCost, smallCost)
 	}
 }
@@ -438,7 +464,7 @@ func TestAuxMaintenance(t *testing.T) {
 		}
 	}
 	cfg := Config{MaxEntries: 4, MinEntries: 2, AuxLen: 2, MergeAux: merge}
-	tr, err := New(NewMemNodeStore(), cfg)
+	tr, err := BulkLoad(NewMemNodeStore(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,7 +534,7 @@ func TestSearchWithPruner(t *testing.T) {
 	world := geom.Rect{Lo: geom.Pt(0, 0), Hi: geom.Pt(1000, 1000)}
 	// Pruning everything yields nothing.
 	var n int
-	err = tr.SearchWithPruner(world, func(Entry) bool { return true }, func(Entry) bool {
+	_, err = tr.SearchCounted(world, func(Entry, []float64) bool { return true }, func(Entry, []float64) bool {
 		n++
 		return true
 	})
@@ -520,9 +546,9 @@ func TestSearchWithPruner(t *testing.T) {
 	}
 	// Pruning subtrees left of x=500 leaves only right-side results.
 	got := map[Ref]bool{}
-	err = tr.SearchWithPruner(world,
-		func(e Entry) bool { return e.Rect.Hi.X < 500 },
-		func(e Entry) bool {
+	_, err = tr.SearchCounted(world,
+		func(e Entry, _ []float64) bool { return e.Rect.Hi.X < 500 },
+		func(e Entry, _ []float64) bool {
 			got[e.Ref] = true
 			return true
 		})
@@ -607,11 +633,11 @@ func TestPagedTreeMatchesMemTree(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		c := geom.Pt(rng.Float64()*1500, rng.Float64()*1500)
 		q := geom.RectCentered(c, rng.Float64()*120, rng.Float64()*120)
-		a, err := memTr.SearchCollect(q)
+		a, _, err := searchRefs(memTr, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := pagedTr.SearchCollect(q)
+		b, _, err := searchRefs(pagedTr, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -626,7 +652,7 @@ func TestPagedTreeMatchesMemTree(t *testing.T) {
 
 func TestPagedTreeInsertDelete(t *testing.T) {
 	pool := storage.NewBufferPool(storage.NewMemStore(), 16)
-	tr, err := New(NewPagedNodeStore(pool, 0), Config{MaxEntries: 8, MinEntries: 2})
+	tr, err := BulkLoad(NewPagedNodeStore(pool, 0), Config{MaxEntries: 8, MinEntries: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -661,22 +687,30 @@ func TestTreeStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := tr.Stats()
+	var nodes, leaves, entries, levels int
+	var fill float64
+	err = tr.Walk(func(n *Node, level int) error {
+		nodes++
+		fill += float64(len(n.Entries)) / float64(tr.Config().MaxEntries)
+		levels = max(levels, level+1)
+		if n.Leaf {
+			leaves++
+			entries += len(n.Entries)
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Entries != 2000 || s.Height != tr.Height() {
-		t.Fatalf("stats = %+v", s)
+	if entries != 2000 || tr.Len() != 2000 || levels != tr.Height() {
+		t.Fatalf("entries = %d, Len = %d, levels = %d, Height = %d", entries, tr.Len(), levels, tr.Height())
 	}
-	if s.Leaves < 100 || s.Leaves > 110 { // ceil(2000/20) = 100 + slack
-		t.Fatalf("leaves = %d", s.Leaves)
+	if leaves < 100 || leaves > 110 { // ceil(2000/20) = 100 + slack
+		t.Fatalf("leaves = %d", leaves)
 	}
 	// STR packs nodes nearly full.
-	if s.AvgFill < 0.8 {
-		t.Fatalf("avg fill = %g; STR should pack tight", s.AvgFill)
-	}
-	if s.BytesPerEntry != 40 {
-		t.Fatalf("bytes/entry = %d", s.BytesPerEntry)
+	if avg := fill / float64(nodes); avg < 0.8 {
+		t.Fatalf("avg fill = %g; STR should pack tight", avg)
 	}
 }
 
@@ -686,7 +720,7 @@ func TestLinearSplitCorrectness(t *testing.T) {
 	rng := rand.New(rand.NewSource(65))
 	items := randItems(rng, 1500, 800)
 	linCfg := Config{MaxEntries: 6, MinEntries: 2, Split: SplitLinear}
-	tr, err := New(NewMemNodeStore(), linCfg)
+	tr, err := BulkLoad(NewMemNodeStore(), linCfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -702,7 +736,7 @@ func TestLinearSplitCorrectness(t *testing.T) {
 		q := geom.RectCentered(
 			geom.Pt(rng.Float64()*800, rng.Float64()*800),
 			rng.Float64()*70, rng.Float64()*70)
-		got, err := tr.SearchCollect(q)
+		got, _, err := searchRefs(tr, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -735,7 +769,7 @@ func TestSplitAlgorithmQualityAblation(t *testing.T) {
 		}
 	}
 	build := func(alg SplitAlgorithm) *Tree {
-		tr, err := New(NewMemNodeStore(), Config{MaxEntries: 10, MinEntries: 3, Split: alg})
+		tr, err := BulkLoad(NewMemNodeStore(), Config{MaxEntries: 10, MinEntries: 3, Split: alg}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -752,22 +786,17 @@ func TestSplitAlgorithmQualityAblation(t *testing.T) {
 	for i := 0; i < 80; i++ {
 		q := geom.RectCentered(
 			geom.Pt(rng.Float64()*1000, rng.Float64()*1000), 40, 40)
-		quad.ResetNodeAccesses()
-		if _, err := quad.SearchCollect(q); err != nil {
-			t.Fatal(err)
-		}
-		quadIO += quad.NodeAccesses()
-		lin.ResetNodeAccesses()
-		got, err := lin.SearchCollect(q)
+		want, qa, err := searchRefs(quad, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		linIO += lin.NodeAccesses()
+		quadIO += qa
+		got, la, err := searchRefs(lin, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		linIO += la
 		// Same answers regardless of split strategy.
-		want, err := quad.SearchCollect(q)
-		if err != nil {
-			t.Fatal(err)
-		}
 		if !refsEqual(sortedRefs(got), sortedRefs(want)) {
 			t.Fatalf("split strategies disagree on %v", q)
 		}
@@ -796,12 +825,11 @@ func TestNodeAccessesMatchPoolLogicalReads(t *testing.T) {
 		q := geom.RectCentered(
 			geom.Pt(rng.Float64()*1200, rng.Float64()*1200),
 			rng.Float64()*150, rng.Float64()*150)
-		tr.ResetNodeAccesses()
 		before := pool.Stats().LogicalReads
-		if _, err := tr.SearchCollect(q); err != nil {
+		_, treeCount, err := searchRefs(tr, q)
+		if err != nil {
 			t.Fatal(err)
 		}
-		treeCount := tr.NodeAccesses()
 		poolCount := pool.Stats().LogicalReads - before
 		if treeCount != poolCount {
 			t.Fatalf("query %d: tree counted %d accesses, pool %d logical reads",

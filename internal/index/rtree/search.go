@@ -13,35 +13,17 @@ type Visit func(e Entry, aux []float64) bool
 // probability pruning (§5.3). A nil pruner skips nothing.
 type NodePruner func(e Entry, aux []float64) bool
 
-// Search visits every leaf entry whose rectangle intersects q.
-func (t *Tree) Search(q geom.Rect, visit func(e Entry) bool) error {
-	return t.SearchWithPruner(q, nil, visit)
-}
-
-// SearchWithPruner is Search with an additional subtree pruner applied
-// to interior entries after the rectangle test.
-func (t *Tree) SearchWithPruner(q geom.Rect, prune, visit func(e Entry) bool) error {
-	var p NodePruner
-	if prune != nil {
-		p = func(e Entry, _ []float64) bool { return prune(e) }
-	}
-	_, err := t.SearchCounted(q, p, func(e Entry, _ []float64) bool { return visit(e) })
-	return err
-}
-
-// SearchCounted is SearchWithPruner returning the number of node
-// accesses this call performed, counted locally so concurrent searches
-// each observe their own exact cost (the cumulative Tree counter is
-// still advanced, atomically, for whole-run diagnostics). It is the
-// search the engine's read path is built on: no shared state is reset
-// or sampled around the call.
+// SearchCounted visits every leaf entry whose rectangle intersects q,
+// skipping the subtrees prune rejects, and returns the number of node
+// accesses this call performed. The count is local to the call, so
+// concurrent searches each observe their own exact cost without
+// touching shared state.
 func (t *Tree) SearchCounted(q geom.Rect, prune NodePruner, visit Visit) (int64, error) {
 	if t.size == 0 {
 		return 0, nil
 	}
 	var accesses int64
 	_, err := t.searchNode(t.root, q, prune, visit, &accesses)
-	t.accesses.Add(accesses)
 	return accesses, err
 }
 
@@ -88,17 +70,6 @@ func (t *Tree) searchNode(id NodeID, q geom.Rect, prune NodePruner, visit Visit,
 	return true, nil
 }
 
-// SearchCollect returns the refs of all leaf entries intersecting q, in
-// visit order.
-func (t *Tree) SearchCollect(q geom.Rect) ([]Ref, error) {
-	var out []Ref
-	err := t.Search(q, func(e Entry) bool {
-		out = append(out, e.Ref)
-		return true
-	})
-	return out, err
-}
-
 // Walk visits every node in the tree, top-down, calling fn with the
 // node and its level (root level = Height-1, leaves = 0). It is meant
 // for diagnostics, validation, and statistics.
@@ -107,7 +78,7 @@ func (t *Tree) Walk(fn func(n *Node, level int) error) error {
 }
 
 func (t *Tree) walkNode(id NodeID, level int, fn func(n *Node, level int) error) error {
-	n, err := t.getNode(id)
+	n, err := t.loadNode(id)
 	if err != nil {
 		return err
 	}
@@ -123,14 +94,4 @@ func (t *Tree) walkNode(id NodeID, level int, fn func(n *Node, level int) error)
 		}
 	}
 	return nil
-}
-
-// Bounds returns the bounding rectangle of all data (Empty if the tree
-// is empty).
-func (t *Tree) Bounds() (geom.Rect, error) {
-	n, err := t.getNode(t.root)
-	if err != nil {
-		return geom.Rect{}, err
-	}
-	return n.bounds(), nil
 }

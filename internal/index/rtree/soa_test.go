@@ -116,7 +116,7 @@ func TestSearchSoABitIdentical(t *testing.T) {
 			for k := 0; k < 50; k++ {
 				lo := geom.Pt(float64(rng.Intn(40)), float64(rng.Intn(40)))
 				q := geom.Rect{Lo: lo, Hi: geom.Pt(lo.X+float64(rng.Intn(10)), lo.Y+float64(rng.Intn(10)))}
-				got, err := tr.SearchCollect(q)
+				got, _, err := searchRefs(tr, q)
 				if err != nil {
 					t.Fatal(err)
 				}

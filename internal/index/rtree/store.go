@@ -31,7 +31,7 @@ type NodeStore interface {
 }
 
 // MemNodeStore keeps nodes on the Go heap. It is the fast path for
-// CPU-bound experiments; node accesses are still counted by the Tree.
+// CPU-bound experiments; searches still count their node accesses.
 // A reader–writer mutex makes concurrent Gets race-free against the
 // single COW writer's Alloc/Update/Free; the lock is held only for
 // the map operation, never across node processing.

@@ -24,7 +24,7 @@ func (t *Tree) CheckInvariants(requireMinFill bool) error {
 	var walk func(id NodeID, depth int) error
 	leafDepth := -1
 	walk = func(id NodeID, depth int) error {
-		n, err := t.getNode(id)
+		n, err := t.loadNode(id)
 		if err != nil {
 			return err
 		}
@@ -50,7 +50,7 @@ func (t *Tree) CheckInvariants(requireMinFill bool) error {
 			return fmt.Errorf("node %d: %d payload rows for %d entries", id, len(n.Aux), len(n.Entries))
 		}
 		for i, e := range n.Entries {
-			child, err := t.getNode(e.Child)
+			child, err := t.loadNode(e.Child)
 			if err != nil {
 				return fmt.Errorf("node %d entry %d: %w", id, i, err)
 			}
@@ -77,50 +77,4 @@ func (t *Tree) CheckInvariants(requireMinFill bool) error {
 		return fmt.Errorf("entry count %d != Len() %d", count, t.size)
 	}
 	return nil
-}
-
-// NodeCount returns the total number of nodes and leaves in the tree.
-func (t *Tree) NodeCount() (nodes, leaves int, err error) {
-	err = t.Walk(func(n *Node, level int) error {
-		nodes++
-		if n.Leaf {
-			leaves++
-		}
-		return nil
-	})
-	return nodes, leaves, err
-}
-
-// TreeStats summarizes the tree's shape for diagnostics and ablation
-// reporting.
-type TreeStats struct {
-	Height        int
-	Nodes         int
-	Leaves        int
-	Entries       int
-	AvgFill       float64 // mean entries per node relative to capacity
-	LeafArea      float64 // total leaf MBR area (overlap proxy)
-	BytesPerEntry int
-}
-
-// Stats walks the tree and returns shape statistics.
-func (t *Tree) Stats() (TreeStats, error) {
-	s := TreeStats{Height: t.height, Entries: t.size, BytesPerEntry: t.cfg.entryBytes()}
-	var fill float64
-	err := t.Walk(func(n *Node, level int) error {
-		s.Nodes++
-		fill += float64(len(n.Entries)) / float64(t.cfg.MaxEntries)
-		if n.Leaf {
-			s.Leaves++
-			s.LeafArea += n.bounds().Area()
-		}
-		return nil
-	})
-	if err != nil {
-		return TreeStats{}, err
-	}
-	if s.Nodes > 0 {
-		s.AvgFill = fill / float64(s.Nodes)
-	}
-	return s, nil
 }

@@ -633,29 +633,3 @@ func EvaluateThreshold(points []uncertain.PointObject, issuer pdf.PDF, qp float6
 	res.Matches = kept
 	return res, nil
 }
-
-// Exact1D is a closed-form reference for tests: with a uniform issuer
-// on a horizontal segment (degenerate-height U0) and objects on the
-// same line, nearest-neighbor regions are intervals split at midpoints
-// of consecutive objects, so probabilities are interval-length
-// fractions. Objects must be sorted by X and distinct; the issuer
-// segment is [a, b] at the same Y.
-func Exact1D(xs []float64, a, b float64) []float64 {
-	n := len(xs)
-	out := make([]float64, n)
-	if n == 0 || b <= a {
-		return out
-	}
-	for i := range xs {
-		lo := math.Inf(-1)
-		hi := math.Inf(1)
-		if i > 0 {
-			lo = (xs[i-1] + xs[i]) / 2
-		}
-		if i < n-1 {
-			hi = (xs[i] + xs[i+1]) / 2
-		}
-		out[i] = geom.IntervalOverlap(math.Max(lo, a), math.Min(hi, b), a, b) / (b - a)
-	}
-	return out
-}

@@ -14,6 +14,32 @@ import (
 	"repro/internal/uncertain"
 )
 
+// Exact1D is a closed-form reference: with a uniform issuer
+// on a horizontal segment (degenerate-height U0) and objects on the
+// same line, nearest-neighbor regions are intervals split at midpoints
+// of consecutive objects, so probabilities are interval-length
+// fractions. Objects must be sorted by X and distinct; the issuer
+// segment is [a, b] at the same Y.
+func Exact1D(xs []float64, a, b float64) []float64 {
+	n := len(xs)
+	out := make([]float64, n)
+	if n == 0 || b <= a {
+		return out
+	}
+	for i := range xs {
+		lo := math.Inf(-1)
+		hi := math.Inf(1)
+		if i > 0 {
+			lo = (xs[i-1] + xs[i]) / 2
+		}
+		if i < n-1 {
+			hi = (xs[i] + xs[i+1]) / 2
+		}
+		out[i] = geom.IntervalOverlap(math.Max(lo, a), math.Min(hi, b), a, b) / (b - a)
+	}
+	return out
+}
+
 func TestEvaluateEmpty(t *testing.T) {
 	issuer := pdf.MustUniform(geom.RectCentered(geom.Pt(0, 0), 1, 1))
 	if _, err := Evaluate(nil, issuer, 100, nil); err != ErrNoObjects {

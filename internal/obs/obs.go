@@ -1,12 +1,13 @@
 // Package obs is the engine's dependency-free telemetry layer: atomic
-// counters and gauges, fixed-bucket lock-free latency histograms, a
-// Registry that renders them in the Prometheus text exposition format
-// (with quantile summaries derived from the buckets), and a lightweight
-// per-request Trace carried through context.Context.
+// counters, gauges read at scrape time, fixed-bucket lock-free latency
+// histograms, a Registry that renders them in the Prometheus text
+// exposition format (with quantile summaries derived from the
+// buckets), and a lightweight per-request Trace carried through
+// context.Context.
 //
-// Everything here is built for the hot path it observes. Counters and
-// gauges are single atomics; histograms preallocate their bucket array
-// at construction and record with one atomic add per observation plus a
+// Everything here is built for the hot path it observes. Counters are
+// single atomics; histograms preallocate their bucket array at
+// construction and record with one atomic add per observation plus a
 // CAS loop for the running sum; tracing costs one pointer-sized context
 // lookup plus a nil check when no trace is attached. Nothing in this
 // package allocates after construction, takes a lock on the record
@@ -35,28 +36,6 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is an atomic float64 gauge (value stored as bits).
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adds delta with a CAS loop.
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Histogram is a fixed-bucket lock-free histogram. Bucket bounds are
 // inclusive upper bounds in ascending order; one implicit +Inf overflow

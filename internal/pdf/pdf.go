@@ -91,17 +91,3 @@ type Marginal interface {
 	// Sample draws a random value from the marginal.
 	Sample(rng *rand.Rand) float64
 }
-
-// MassAboveRight is a convenience helper returning the probability mass
-// strictly to the right of vertical line x within the pdf's support —
-// the quantity bounded by the paper's r(p) line.
-func MassAboveRight(p PDF, x float64) float64 {
-	s := p.Support()
-	if x <= s.Lo.X {
-		return 1
-	}
-	if x >= s.Hi.X {
-		return 0
-	}
-	return p.MassIn(geom.Rect{Lo: geom.Pt(x, s.Lo.Y), Hi: s.Hi})
-}

@@ -237,16 +237,21 @@ func TestConstructorValidation(t *testing.T) {
 	}
 }
 
+// The mass to the right of a vertical line x — the quantity the
+// paper's r(p) line bounds — is MassIn of the half-plane right of x.
 func TestMassAboveRight(t *testing.T) {
 	p := MustUniform(geom.Rect{Lo: geom.Pt(0, 0), Hi: geom.Pt(10, 10)})
-	if got := MassAboveRight(p, -5); got != 1 {
+	right := func(x float64) float64 {
+		return p.MassIn(geom.Rect{Lo: geom.Pt(x, -1e9), Hi: geom.Pt(1e9, 1e9)})
+	}
+	if got := right(-5); got != 1 {
 		t.Fatalf("left of support = %g, want 1", got)
 	}
-	if got := MassAboveRight(p, 15); got != 0 {
+	if got := right(15); got != 0 {
 		t.Fatalf("right of support = %g, want 0", got)
 	}
-	if got := MassAboveRight(p, 7.5); !approx(got, 0.25, 1e-12) {
-		t.Fatalf("MassAboveRight(7.5) = %g, want 0.25", got)
+	if got := right(7.5); !approx(got, 0.25, 1e-12) {
+		t.Fatalf("mass right of 7.5 = %g, want 0.25", got)
 	}
 }
 

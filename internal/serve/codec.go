@@ -257,14 +257,6 @@ func (e *encoder) done() ([]byte, error) {
 	return e.b, nil
 }
 
-// AppendMatches appends a match list as the JSON array encoding/json
-// writes for it (null for a nil slice).
-func AppendMatches(dst []byte, ms []MatchJSON) ([]byte, error) {
-	e := encoder{b: dst}
-	e.matches(ms)
-	return e.done()
-}
-
 // AppendEvaluateResponse appends r as the body of POST /v1/evaluate:
 // byte for byte what json.NewEncoder(w).Encode(r) writes.
 func AppendEvaluateResponse(dst []byte, r *EvaluateResponse) ([]byte, error) {

@@ -306,11 +306,6 @@ func TestCodecMatchesEncodingJSON(t *testing.T) {
 		sameBodyAsStd(t, stdEncode, &rep, i%4 == 3, AppendUpdatesResponse, DecodeUpdatesResponse)
 		d := randomDelta(rng)
 		sameDeltaAsStd(t, &d, i%4 == 0)
-
-		ms, err := AppendMatches(nil, ev.Matches)
-		if want := bytes.TrimSuffix(stdEncode(t, ev.Matches), []byte("\n")); err != nil || !bytes.Equal(ms, want) {
-			t.Fatalf("AppendMatches (err %v):\n got %s\n std %s", err, ms, want)
-		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"strconv"
 
 	"repro/internal/core"
-	"repro/internal/monitor"
 	"repro/internal/wire"
 )
 
@@ -143,6 +142,3 @@ func (s *Server) handleNNCandidates(w http.ResponseWriter, r *http.Request) {
 
 // Engine exposes the served engine (cluster harnesses and tests).
 func (s *Server) Engine() *core.Engine { return s.mon.Engine() }
-
-// Monitor exposes the served monitor.
-func (s *Server) Monitor() *monitor.Monitor { return s.mon }

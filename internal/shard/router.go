@@ -124,9 +124,6 @@ func NewRouter(tiles *TileMap, clients []*Client, cfg Config) (*Router, error) {
 	return r, nil
 }
 
-// Tiles returns the router's tile map.
-func (r *Router) Tiles() *TileMap { return r.tiles }
-
 // scatter runs fn against every target shard concurrently and returns
 // the per-target error slice (nil entries succeeded).
 func (r *Router) scatter(targets []int, fn func(shard int) error) []error {

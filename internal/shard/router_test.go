@@ -191,7 +191,8 @@ func TestRouterBitExact(t *testing.T) {
 }
 
 // nnFanOutBitExact holds the two-round NN fan-out to the single engine
-// on a random weighted tile map over 2–4 shards, one of them left
+// on a random tile map over 2–4 shards — a random assign= clause, its
+// shards' territories not necessarily contiguous — one of them left
 // without points: issuers centred on tile borders, in tile interiors,
 // at random, and inside the empty shard (tau1 = +Inf, so round 2 asks
 // everyone else unbounded). The gathered tau and candidate set must
@@ -202,11 +203,8 @@ func nnFanOutBitExact(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	world := geom.Rect{Lo: geom.Pt(0, 0), Hi: geom.Pt(10000, 10000)}
 	tx, ty, shards := 4+rng.Intn(3), 3+rng.Intn(3), 2+rng.Intn(3)
-	weights := make([]float64, tx*ty)
-	for i := range weights {
-		weights[i] = rng.Float64()
-	}
-	m, err := FromWeights(world, tx, ty, shards, weights, ContiguousPartitioner{})
+	spec, _ := randomTileSpec(rng, world, tx, ty, shards)
+	m, err := Parse(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,12 +24,13 @@
 //     its probe/guard region; by the replication rule each candidate
 //     object is present on at least one queried shard.
 //
-// Tile→shard assignment is produced by a Partitioner. The default is
-// an equal-weight contiguous split in row-major order; a density-aware
-// assignment (weights from a hotspot histogram) plugs in through the
-// same interface. The whole map round-trips through a compact spec
-// string so the router and every shard can agree on — and
-// health-check — the fleet geometry.
+// The default tile→shard assignment (Uniform) splits the tiles, in
+// row-major order, into contiguous runs whose lengths differ by at most
+// one tile. Any other assignment — an uneven one that spreads a
+// hotspot over more shards, say — is written out in the assign= clause
+// of the map's spec string, which operators pass with -tiles. The
+// whole map round-trips through that compact string so the router and
+// every shard can agree on — and health-check — the fleet geometry.
 package shard
 
 import (
@@ -52,90 +53,30 @@ type TileMap struct {
 	shards int
 }
 
-// Partitioner turns per-tile weights into a tile→shard assignment.
-// The returned slice maps tile index (row-major) to shard in
-// [0, shards).
-type Partitioner interface {
-	Partition(weights []float64, shards int) ([]int, error)
-}
-
-// ContiguousPartitioner assigns tiles to shards in contiguous
-// row-major runs, splitting so each shard's cumulative weight is as
-// close to the mean as a greedy scan allows. With uniform weights it
-// degenerates to the balanced equal-count split. Contiguity keeps each
-// shard's territory a band of adjacent tiles, which bounds the
-// replication factor of small straddling regions to neighboring
-// shards.
-type ContiguousPartitioner struct{}
-
-// Partition implements Partitioner.
-func (ContiguousPartitioner) Partition(weights []float64, shards int) ([]int, error) {
-	n := len(weights)
-	if shards <= 0 {
-		return nil, fmt.Errorf("shard: partition wants at least 1 shard, got %d", shards)
-	}
-	if n < shards {
-		return nil, fmt.Errorf("shard: %d tiles cannot cover %d shards", n, shards)
-	}
-	total := 0.0
-	for i, w := range weights {
-		if w < 0 {
-			return nil, fmt.Errorf("shard: negative tile weight %g at %d", w, i)
-		}
-		total += w
-	}
-	assign := make([]int, n)
-	if total == 0 {
-		// Degenerate weights: equal tile counts per shard.
-		for i := range assign {
-			assign[i] = i * shards / n
-		}
-		return assign, nil
-	}
-	// Greedy scan: close a shard's run once its share is reached,
-	// keeping enough tiles in reserve that every later shard gets at
-	// least one.
-	s, acc := 0, 0.0
-	for i, w := range weights {
-		if s < shards-1 && (acc >= total*float64(s+1)/float64(shards) || n-i <= shards-1-s) {
-			s++
-		}
-		assign[i] = s
-		acc += w
-	}
-	return assign, nil
-}
-
-// Uniform builds a tile map with the default equal-weight contiguous
-// assignment.
+// Uniform builds a tile map with the default assignment: the tiles, in
+// row-major order, split into contiguous runs whose lengths differ by
+// at most one tile. Contiguity keeps each shard's territory a band of
+// adjacent tiles, which bounds the replication factor of small
+// straddling regions to neighboring shards.
 func Uniform(world geom.Rect, tx, ty, shards int) (*TileMap, error) {
-	weights := make([]float64, tx*ty)
-	for i := range weights {
-		weights[i] = 1
-	}
-	return FromWeights(world, tx, ty, shards, weights, ContiguousPartitioner{})
-}
-
-// FromWeights builds a tile map from per-tile weights (row-major,
-// len tx*ty) — the density-aware entry point: feed it a histogram of
-// the expected object distribution and hot tiles spread over more
-// shards.
-func FromWeights(world geom.Rect, tx, ty, shards int, weights []float64, p Partitioner) (*TileMap, error) {
 	if err := checkWorld(world); err != nil {
 		return nil, err
 	}
 	if tx <= 0 || ty <= 0 {
 		return nil, fmt.Errorf("shard: tile grid %dx%d must be positive", tx, ty)
 	}
-	if len(weights) != tx*ty {
-		return nil, fmt.Errorf("shard: %d weights for a %dx%d grid", len(weights), tx, ty)
+	n := tx * ty
+	if shards <= 0 {
+		return nil, fmt.Errorf("shard: a tile map wants at least 1 shard, got %d", shards)
 	}
-	assign, err := p.Partition(weights, shards)
-	if err != nil {
-		return nil, err
+	if n < shards {
+		return nil, fmt.Errorf("shard: %d tiles cannot cover %d shards", n, shards)
 	}
-	m := &TileMap{world: world, tx: tx, ty: ty, assign: assign, shards: shards}
-	return m, m.validate()
+	assign := make([]int, n)
+	for i := range assign {
+		assign[i] = i * shards / n
+	}
+	return &TileMap{world: world, tx: tx, ty: ty, assign: assign, shards: shards}, nil
 }
 
 // checkWorld refuses a world rectangle tiles cannot be cut from: the
@@ -172,12 +113,6 @@ func (m *TileMap) validate() error {
 
 // NumShards returns the fleet size.
 func (m *TileMap) NumShards() int { return m.shards }
-
-// Grid returns the tile grid dimensions.
-func (m *TileMap) Grid() (tx, ty int) { return m.tx, m.ty }
-
-// World returns the world rectangle the grid covers.
-func (m *TileMap) World() geom.Rect { return m.world }
 
 // tileCoord maps a coordinate to a clamped tile column/row: positions
 // outside the world fall into the nearest edge tile. The clamp is done
@@ -250,7 +185,7 @@ func (m *TileMap) AllShards() []int {
 // where RLE is a comma-separated run-length encoding of the row-major
 // tile assignment ("0x3,1x3" = three tiles on shard 0, three on shard
 // 1; a run of one drops the "x1"). The assign clause is omitted when
-// it equals the default equal-weight contiguous split. Floats use the
+// it equals Uniform's assignment. Floats use the
 // shortest exact representation, so Parse(Spec()) reproduces the map
 // bit-for-bit.
 func (m *TileMap) Spec() string {
@@ -259,11 +194,21 @@ func (m *TileMap) Spec() string {
 		m.tx, m.ty,
 		fmtF(m.world.Lo.X), fmtF(m.world.Lo.Y), fmtF(m.world.Hi.X), fmtF(m.world.Hi.Y),
 		m.shards)
-	if def, err := Uniform(m.world, m.tx, m.ty, m.shards); err != nil || !slices.Equal(def.assign, m.assign) {
+	if !m.uniform() {
 		b.WriteString(";assign=")
 		b.WriteString(rleEncode(m.assign))
 	}
 	return b.String()
+}
+
+// uniform reports whether m's assignment is Uniform's.
+func (m *TileMap) uniform() bool {
+	for i, s := range m.assign {
+		if s != i*m.shards/len(m.assign) {
+			return false
+		}
+	}
+	return true
 }
 
 func fmtF(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
@@ -288,8 +233,10 @@ func rleEncode(assign []int) string {
 }
 
 // maxSpecTiles bounds the grid a spec may describe: Parse allocates per
-// tile, and a spec is a command-line string, so "grid:99999999x99999999"
-// must be an error and not an allocation.
+// tile and per shard, and a spec is a command-line string, so
+// "grid:99999999x99999999" must be an error and not an allocation. A
+// shard count is refused unless every shard can own a tile, so it is
+// bounded by the tile count before anything is sized from it.
 const maxSpecTiles = 1 << 16
 
 // Parse decodes a Spec() string.
@@ -351,6 +298,9 @@ func Parse(spec string) (*TileMap, error) {
 	}
 	if shards == 0 {
 		return fail("missing shards clause")
+	}
+	if shards > tx*ty {
+		return fail(fmt.Sprintf("%d shards cannot each own one of %d tiles", shards, tx*ty))
 	}
 	wr := geom.RectFromCorners(geom.Pt(c[0], c[1]), geom.Pt(c[2], c[3]))
 	if assignRLE == "" {

@@ -1,10 +1,12 @@
 package shard
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/geom"
@@ -12,6 +14,23 @@ import (
 
 func world() geom.Rect {
 	return geom.Rect{Lo: geom.Pt(0, 0), Hi: geom.Pt(10000, 10000)}
+}
+
+// randomTileSpec returns the spec of a random tile map over world and
+// its assignment: a tx×ty grid whose tiles go to shards at random, not
+// necessarily in contiguous runs, with every shard owning a tile.
+func randomTileSpec(rng *rand.Rand, world geom.Rect, tx, ty, shards int) (string, []int) {
+	assign := make([]int, tx*ty)
+	for i, tile := range rng.Perm(len(assign)) {
+		if i < shards {
+			assign[tile] = i
+		} else {
+			assign[tile] = rng.Intn(shards)
+		}
+	}
+	spec := fmt.Sprintf("grid:%dx%d@%s,%s,%s,%s;shards=%d;assign=%s", tx, ty,
+		fmtF(world.Lo.X), fmtF(world.Lo.Y), fmtF(world.Hi.X), fmtF(world.Hi.Y), shards, rleEncode(assign))
+	return spec, assign
 }
 
 func TestTileMapOwnershipInvariants(t *testing.T) {
@@ -89,18 +108,21 @@ func TestTileMapSpecRoundTrip(t *testing.T) {
 	}
 	cases = append(cases, m)
 
-	// Density-aware: all weight in the first tile row → shard 0 gets a
-	// narrow band, the rest split the remainder.
-	weights := make([]float64, 16)
-	for i := range weights {
-		weights[i] = 0.01
+	// Random assign= clauses, not necessarily contiguous.
+	rng := rand.New(rand.NewSource(12))
+	for range 20 {
+		tx, ty := 1+rng.Intn(6), 1+rng.Intn(6)
+		shards := 1 + rng.Intn(tx*ty)
+		spec, assign := randomTileSpec(rng, world(), tx, ty, shards)
+		m, err := Parse(spec)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", spec, err)
+		}
+		if !slices.Equal(m.assign, assign) {
+			t.Fatalf("Parse(%q) assigns %v, want %v", spec, m.assign, assign)
+		}
+		cases = append(cases, m)
 	}
-	weights[0], weights[1] = 100, 100
-	m2, err := FromWeights(world(), 4, 4, 3, weights, ContiguousPartitioner{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases = append(cases, m2)
 
 	for _, m := range cases {
 		spec := m.Spec()
@@ -132,7 +154,9 @@ func TestTileMapSpecRoundTrip(t *testing.T) {
 		"grid:3037000500x3037000500@0,0,1,1;shards=2",         // tx*ty overflows
 		"grid:2x2@NaN,0,1,1;shards=1",                         // no extent to cut tiles from
 		"grid:2x2@0,0,Inf,1;shards=1",
-		"grid:2x2@0,0,0,1;shards=2;assign=0x2,1x2", // zero extent, refused on the assign path too
+		"grid:2x2@0,0,0,1;shards=2;assign=0x2,1x2",    // zero extent, refused on the assign path too
+		"grid:1x1@0,0,1,1;shards=1000000000;assign=0", // more shards than tiles, refused before anything is sized from it
+		"grid:1x1@0,0,1,1;shards=9223372036854775807;assign=0",
 	} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) should fail", bad)
@@ -140,39 +164,32 @@ func TestTileMapSpecRoundTrip(t *testing.T) {
 	}
 }
 
-func TestContiguousPartitionerBalancesWeight(t *testing.T) {
-	// Uniform weights: equal-count contiguous runs.
-	m, err := Uniform(world(), 8, 1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := []int{0, 0, 1, 1, 2, 2, 3, 3}; !slices.Equal(m.assign, want) {
-		t.Errorf("uniform 8/4 assignment = %v, want %v", m.assign, want)
-	}
-
-	// Zipf-ish weights: the heavy head is split finer than the tail.
-	weights := []float64{8, 4, 2, 1, 1, 1, 1, 1}
-	assign, err := ContiguousPartitioner{}.Partition(weights, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.IsSorted(assign) {
-		t.Fatalf("assignment %v not contiguous", assign)
-	}
-	headShards := assign[1] // tile 1 (weight 4) should not share shard 0 with the weight-8 head
-	if assign[0] == headShards {
-		t.Errorf("density-aware split left the two heaviest tiles on one shard: %v", assign)
-	}
-	// Every shard must own at least one tile even under extreme skew.
-	skew := []float64{1000, 0, 0, 0}
-	assign, err = ContiguousPartitioner{}.Partition(skew, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s := range 4 {
-		if !slices.Contains(assign, s) {
-			t.Fatalf("shard %d starved under skew: %v", s, assign)
+// Uniform's assignment, pinned: contiguous row-major runs whose
+// lengths differ by at most one tile, on grids the shards do and do not
+// divide.
+func TestUniformAssignment(t *testing.T) {
+	for _, c := range []struct {
+		tx, ty, shards int
+		want           []int
+	}{
+		{8, 1, 4, []int{0, 0, 1, 1, 2, 2, 3, 3}},
+		{5, 3, 4, []int{0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3}},
+		{7, 1, 3, []int{0, 0, 0, 1, 1, 2, 2}},
+		{1, 1, 1, []int{0}},
+	} {
+		m, err := Uniform(world(), c.tx, c.ty, c.shards)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if !slices.Equal(m.assign, c.want) {
+			t.Errorf("Uniform %dx%d over %d shards = %v, want %v", c.tx, c.ty, c.shards, m.assign, c.want)
+		}
+		if strings.Contains(m.Spec(), "assign=") {
+			t.Errorf("Uniform %dx%d over %d shards: spec %q spells out the default assignment", c.tx, c.ty, c.shards, m.Spec())
+		}
+	}
+	if _, err := Uniform(world(), 2, 2, 5); err == nil {
+		t.Error("Uniform gave 5 shards 4 tiles")
 	}
 }
 
@@ -186,6 +203,8 @@ func FuzzParseTileSpec(f *testing.F) {
 	f.Add("grid:2x2@NaN,0,1,1;shards=1")
 	f.Add("grid:99999999x99999999@0,0,1,1;shards=2;assign=0x999999999999")
 	f.Add("grid:1x1@1,1,0,0;shards=1;assign=0;shards=1")
+	f.Add("grid:1x1@0,0,1,1;shards=1000000000;assign=0")
+	f.Add("grid:1x1@0,0,1,1;shards=9223372036854775807;assign=0")
 	f.Fuzz(func(t *testing.T, spec string) {
 		m, err := Parse(spec)
 		if err != nil {

@@ -15,14 +15,6 @@ type Stats struct {
 	Evictions     int64
 }
 
-// HitRate returns the fraction of logical reads served from the pool.
-func (s Stats) HitRate() float64 {
-	if s.LogicalReads == 0 {
-		return 0
-	}
-	return 1 - float64(s.PhysicalReads)/float64(s.LogicalReads)
-}
-
 // Sub returns s - t, for measuring a single operation's traffic.
 func (s Stats) Sub(t Stats) Stats {
 	return Stats{

@@ -116,9 +116,6 @@ func TestBufferPoolHitAndMiss(t *testing.T) {
 	if s.LogicalReads != 2 || s.PhysicalReads != 1 {
 		t.Fatalf("stats = %+v, want 2 logical / 1 physical", s)
 	}
-	if got := s.HitRate(); got != 0.5 {
-		t.Fatalf("hit rate = %g, want 0.5", got)
-	}
 }
 
 func TestBufferPoolEvictionClock(t *testing.T) {
@@ -274,9 +271,6 @@ func TestStatsSub(t *testing.T) {
 	d := a.Sub(b)
 	if d.LogicalReads != 4 || d.PhysicalReads != 3 || d.PageWrites != 1 || d.Evictions != 1 {
 		t.Fatalf("Sub = %+v", d)
-	}
-	if (Stats{}).HitRate() != 0 {
-		t.Fatal("zero stats hit rate should be 0")
 	}
 }
 

@@ -72,17 +72,6 @@ type Bound struct {
 	Left, Right, Bottom, Top float64
 }
 
-// InnerRect returns the rectangle [Left, Right] x [Bottom, Top]. For
-// P <= 0.5 this is the region retaining at least 1-2P of the mass per
-// axis; for larger P the rectangle may be empty, which callers treat as
-// "nothing can reach this probability".
-func (b Bound) InnerRect() geom.Rect {
-	return geom.Rect{
-		Lo: geom.Pt(b.Left, b.Bottom),
-		Hi: geom.Pt(b.Right, b.Top),
-	}
-}
-
 // Catalog is a U-catalog: an immutable table of Bounds sorted by
 // ascending probability. The zero Catalog is empty and valid.
 type Catalog struct {
@@ -249,23 +238,4 @@ func (c Catalog) MinGE(q float64) (Bound, bool) {
 		return Bound{}, false
 	}
 	return c.bounds[i], true
-}
-
-// MergeBounds returns the per-side envelope of the given bounds at a
-// common probability value: the loosest line on each side (minimum
-// Left/Bottom, maximum Right/Top). It is the aggregation rule for PTI
-// interior nodes (§5.3): if an expanded query clears the merged bound,
-// it clears every child's bound.
-func MergeBounds(bs []Bound) (Bound, bool) {
-	if len(bs) == 0 {
-		return Bound{}, false
-	}
-	out := bs[0]
-	for _, b := range bs[1:] {
-		out.Left = math.Min(out.Left, b.Left)
-		out.Bottom = math.Min(out.Bottom, b.Bottom)
-		out.Right = math.Max(out.Right, b.Right)
-		out.Top = math.Max(out.Top, b.Top)
-	}
-	return out, true
 }

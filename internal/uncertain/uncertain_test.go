@@ -39,8 +39,8 @@ func TestComputeBoundUniform(t *testing.T) {
 	// The 0-bound is the region boundary (paper: boundary of Ui is
 	// l(0), r(0), t(0), b(0)).
 	b0 := ComputeBound(u, 0)
-	if !b0.InnerRect().ApproxEqual(region) {
-		t.Fatalf("0-bound = %v, want region %v", b0.InnerRect(), region)
+	if inner := (geom.Rect{Lo: geom.Pt(b0.Left, b0.Bottom), Hi: geom.Pt(b0.Right, b0.Top)}); !inner.ApproxEqual(region) {
+		t.Fatalf("0-bound = %v, want region %v", inner, region)
 	}
 }
 
@@ -178,21 +178,6 @@ func TestNewObject(t *testing.T) {
 	}
 	if o2.Catalog.Len() != 0 {
 		t.Fatal("expected empty catalog")
-	}
-}
-
-func TestMergeBounds(t *testing.T) {
-	a := Bound{P: 0.3, Left: 2, Right: 8, Bottom: 1, Top: 9}
-	b := Bound{P: 0.3, Left: 0, Right: 6, Bottom: 3, Top: 11}
-	m, ok := MergeBounds([]Bound{a, b})
-	if !ok {
-		t.Fatal("merge of non-empty list failed")
-	}
-	if m.Left != 0 || m.Right != 8 || m.Bottom != 1 || m.Top != 11 {
-		t.Fatalf("merged = %+v", m)
-	}
-	if _, ok := MergeBounds(nil); ok {
-		t.Fatal("merge of empty list should report !ok")
 	}
 }
 

@@ -181,16 +181,3 @@ func (m Method) String() string {
 		return fmt.Sprintf("Method(%d)", int(m))
 	}
 }
-
-// clampProb snaps tiny negative or >1 values arising from floating
-// point accumulation back into [0, 1].
-func clampProb(p float64) float64 {
-	switch {
-	case p < 0:
-		return 0
-	case p > 1:
-		return 1
-	default:
-		return p
-	}
-}

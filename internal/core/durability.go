@@ -191,9 +191,8 @@ func Open(dir string, opts EngineOptions) (*Engine, error) {
 	}
 
 	w, err := wal.Open(walDir, wal.Options{
-		Policy:       opts.FsyncPolicy,
-		Interval:     opts.FsyncInterval,
-		SegmentBytes: opts.WALSegmentBytes,
+		Policy:   opts.FsyncPolicy,
+		Interval: opts.FsyncInterval,
 		OnFsync: func(d time.Duration) {
 			e.met.walFsyncs.Add(1)
 			e.met.fsyncLatency.ObserveDuration(d)

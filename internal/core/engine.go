@@ -46,12 +46,10 @@ type EngineOptions struct {
 	// group-commit policy (default FsyncInterval); FsyncInterval is
 	// the flush period for FsyncInterval (default 50ms);
 	// CheckpointEvery, when positive, checkpoints automatically after
-	// that many committed update batches; WALSegmentBytes caps one WAL
-	// segment (default 16 MiB).
+	// that many committed update batches.
 	FsyncPolicy     FsyncPolicy
 	FsyncInterval   time.Duration
 	CheckpointEvery int
-	WALSegmentBytes int64
 }
 
 // Engine holds a database of point objects and uncertain objects with
@@ -244,7 +242,7 @@ type EvalOptions struct {
 	// Qp-expanded query.
 	PointMCSamples int
 	// Object tunes uncertain-object refinement (Monte-Carlo forcing,
-	// sample counts, quadrature order).
+	// sample count, early stops).
 	Object ObjectEvalConfig
 	// DisablePExpansion probes the index with the full Minkowski sum
 	// even for constrained queries — the paper's baseline curve in
@@ -433,7 +431,7 @@ func (st *engineState) evaluatePoints(ctx context.Context, q Query, opts EvalOpt
 	ctx, cancel := opts.evalContext(ctx)
 	defer cancel()
 
-	iss, mc := q.Issuer.PDF, opts.Object
+	iss := q.Issuer.PDF
 	stopQP := stopThreshold(q, opts)
 	var region geom.Rect
 	var qualify func(uncertain.PointObject) (float64, int, bool)
@@ -455,7 +453,7 @@ func (st *engineState) evaluatePoints(ctx context.Context, q Query, opts EvalOpt
 			parent := opts.Rng.Int63()
 			qualify = func(p uncertain.PointObject) (float64, int, bool) {
 				rng := newSeededRand(mcbound.DeriveSeed(parent, int(p.ID)))
-				return pointQualificationMCThreshold(iss, p.Loc, q.W, q.H, stopQP, opts.PointMCSamples, mc.MCBlock, mc.MCDelta, rng)
+				return pointQualificationMCThreshold(iss, p.Loc, q.W, q.H, stopQP, opts.PointMCSamples, rng)
 			}
 		} else {
 			qualify = func(p uncertain.PointObject) (float64, int, bool) {
@@ -470,7 +468,7 @@ func (st *engineState) evaluatePoints(ctx context.Context, q Query, opts EvalOpt
 		// candidates share the one opts.Rng stream, in scan order.
 		region = q.Expanded()
 		qualify = func(p uncertain.PointObject) (float64, int, bool) {
-			return pointQualificationMCThreshold(iss, p.Loc, q.W, q.H, stopQP, opts.BasicSamples, mc.MCBlock, mc.MCDelta, opts.Rng)
+			return pointQualificationMCThreshold(iss, p.Loc, q.W, q.H, stopQP, opts.BasicSamples, opts.Rng)
 		}
 	default:
 		return Result{}, fmt.Errorf("%w: %v", ErrUnknownMethod, opts.Method)
@@ -499,11 +497,11 @@ func (st *engineState) evaluateUncertain(ctx context.Context, q Query, opts Eval
 	case MethodEnhanced:
 		return st.evaluateUncertainEnhanced(ctx, q, opts, only)
 	case MethodBasic:
-		iss, mc := q.Issuer.PDF, opts.Object
+		iss := q.Issuer.PDF
 		stopQP := stopThreshold(q, opts)
 		return scanQualifyAccept(ctx, q.Threshold, opts.MaxSamples, st.probeObjects(q.Expanded()),
 			func(obj *uncertain.Object) (float64, int, bool) {
-				return objectQualificationBasicThreshold(iss, obj.PDF, q.W, q.H, stopQP, opts.BasicSamples, mc.MCBlock, mc.MCDelta, opts.Rng)
+				return objectQualificationBasicThreshold(iss, obj.PDF, q.W, q.H, stopQP, opts.BasicSamples, opts.Rng)
 			})
 	default:
 		return Result{}, fmt.Errorf("%w: %v", ErrUnknownMethod, opts.Method)

@@ -16,7 +16,7 @@ import (
 	"repro/internal/uncertain"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_pr13.json from the current binary")
+var updateGolden = flag.Bool("update", false, "rewrite the golden file of the tests run (testdata/golden_*.json) from the current binary")
 
 // goldenPin is one pinned evaluation outcome: every match with the bit
 // pattern of its probability, and every cost counter but Duration.

@@ -105,7 +105,7 @@ func leafClosedForm(oq *ObjectQualifier, region geom.Rect) float64 {
 	defer releaseScratch(sc)
 	sc.ux = pdf.UniformOn(region.Lo.X, region.Hi.X)
 	sc.uy = pdf.UniformOn(region.Lo.Y, region.Hi.Y)
-	return oq.closedForm(region, &sc.ux, &sc.uy, ObjectEvalConfig{}.withDefaults(), sc)
+	return oq.closedForm(region, &sc.ux, &sc.uy, sc)
 }
 
 // checkLeafRecords holds e's current state to the leaf-record

@@ -194,7 +194,6 @@ func refineNNCandidates(ctx context.Context, req Request, opts EvalOptions, cand
 		Samples:   samples,
 		Threshold: req.Threshold,
 		Adaptive:  opts.Object.Adaptive == AdaptiveAuto,
-		Delta:     opts.Object.MCDelta,
 		Cancel:    func() error { return canceled(ctx) },
 	})
 	if err != nil {

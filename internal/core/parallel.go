@@ -71,7 +71,7 @@ func (st *engineState) refineSurvivors(ctx context.Context, plan queryPlan, surv
 			// uniform ones over its rectangle, held in sc.
 			sc.ux = pdf.UniformOn(c.region.Lo.X, c.region.Hi.X)
 			sc.uy = pdf.UniformOn(c.region.Lo.Y, c.region.Hi.Y)
-			c.p = plan.qualifier.closedForm(c.region, &sc.ux, &sc.uy, opts.Object, sc)
+			c.p = plan.qualifier.closedForm(c.region, &sc.ux, &sc.uy, sc)
 			continue
 		}
 		obj := c.obj

@@ -1,11 +1,11 @@
 package core
 
 import (
+	"math"
 	"sort"
 	"sync"
 
 	"repro/internal/geom"
-	"repro/internal/integrate"
 	"repro/internal/mcbound"
 	"repro/internal/pdf"
 	"repro/internal/uncertain"
@@ -93,9 +93,8 @@ func (ap *axisPlan) cutsInto(dst []float64, a, b float64) []float64 {
 }
 
 // factor computes the axis factor over [a, b] using the prepared
-// breakpoints. sc provides the cut buffer; glNodes is the per-piece
-// Gauss–Legendre order for the smooth-issuer path.
-func (ap *axisPlan) factor(objM pdf.Marginal, a, b float64, glNodes int, sc *evalScratch) float64 {
+// breakpoints. sc provides the cut buffer.
+func (ap *axisPlan) factor(objM pdf.Marginal, a, b float64, sc *evalScratch) float64 {
 	if b <= a {
 		return 0
 	}
@@ -133,9 +132,63 @@ func (ap *axisPlan) factor(objM pdf.Marginal, a, b float64, glNodes int, sc *eva
 		if hi <= lo {
 			continue
 		}
-		total += integrate.GaussLegendre1D(func(x float64) float64 { return objM.At(x) * g(x) }, lo, hi, glNodes)
+		total += gaussLegendre(func(x float64) float64 { return objM.At(x) * g(x) }, lo, hi)
 	}
 	return total
+}
+
+// glOrder is the Gauss–Legendre order of the smooth-issuer axis factor
+// per piece between breakpoints: exact for polynomials of degree below
+// 48, and spectrally accurate for the smooth Gaussian kernel.
+const glOrder = 24
+
+// glNodes and glWeights are the glOrder-point rule on [-1, 1],
+// computed once; every refinement reads them without a lock.
+var glNodes, glWeights = gaussLegendreRule(glOrder)
+
+// gaussLegendre integrates f over [a, b], a < b, with the
+// glOrder-point Gauss–Legendre rule.
+func gaussLegendre(f func(float64) float64, a, b float64) float64 {
+	c, hw := (a+b)/2, (b-a)/2
+	var sum float64
+	for i, x := range glNodes {
+		sum += glWeights[i] * f(c+hw*x)
+	}
+	return sum * hw
+}
+
+// gaussLegendreRule returns the nodes (ascending) and weights of the
+// n-point Gauss–Legendre rule on [-1, 1], computed by Newton iteration
+// on the Legendre polynomial with the standard asymptotic initial
+// guess.
+func gaussLegendreRule(n int) (nodes, weights []float64) {
+	nodes, weights = make([]float64, n), make([]float64, n)
+	m := (n + 1) / 2
+	for i := 0; i < m; i++ {
+		// Initial guess (Abramowitz & Stegun 25.4.30 neighborhood).
+		x := math.Cos(math.Pi * (float64(i) + 0.75) / (float64(n) + 0.5))
+		var pp float64
+		for iter := 0; iter < 100; iter++ {
+			p0, p1 := 1.0, 0.0
+			for j := 0; j < n; j++ {
+				p2 := p1
+				p1 = p0
+				p0 = ((2*float64(j)+1)*x*p1 - float64(j)*p2) / float64(j+1)
+			}
+			// p0 is P_n(x); derivative from the recurrence.
+			pp = float64(n) * (x*p0 - p1) / (x*x - 1)
+			dx := p0 / pp
+			x -= dx
+			if math.Abs(dx) < 1e-15 {
+				break
+			}
+		}
+		nodes[i] = -x
+		nodes[n-1-i] = x
+		weights[i] = 2 / ((1 - x*x) * pp * pp)
+		weights[n-1-i] = weights[i]
+	}
+	return nodes, weights
 }
 
 // ObjectQualifier is the prepared form of ObjectQualification: it
@@ -198,13 +251,13 @@ func (oq *ObjectQualifier) QualifyThreshold(obj pdf.PDF, qp float64, cfg ObjectE
 func (oq *ObjectQualifier) qualifyThreshold(obj pdf.PDF, qp float64, cfg ObjectEvalConfig, sc *evalScratch) (float64, int, bool) {
 	if !cfg.ForceMonteCarlo && oq.separable {
 		if sObj, ok := obj.(pdf.Separable); ok {
-			return oq.closedForm(obj.Support(), sObj.MarginalX(), sObj.MarginalY(), cfg, sc), 0, false
+			return oq.closedForm(obj.Support(), sObj.MarginalX(), sObj.MarginalY(), sc), 0, false
 		}
 	}
 	// The sampling path: draw locations from the object's pdf and
 	// average the exact duality kernel there. The estimate is on the
 	// same side of qp as the full-budget estimate would be (certainty
-	// bound) or as the true probability with confidence 1−MCDelta per
+	// bound) or as the true probability with confidence 1−mcbound.Delta per
 	// check (Hoeffding / Bernstein), so early termination never changes
 	// a threshold query's qualifying set — only the samples spent on
 	// clear-cut candidates.
@@ -212,7 +265,7 @@ func (oq *ObjectQualifier) qualifyThreshold(obj pdf.PDF, qp float64, cfg ObjectE
 		qp = 0
 	}
 	kern := DualityKernel(oq.issuer, oq.w, oq.h)
-	return mcbound.Adaptive(cfg.MCSamples, cfg.MCBlock, qp, cfg.MCDelta, func(n int, t mcbound.Tally) mcbound.Tally {
+	return mcbound.Adaptive(cfg.MCSamples, mcBlock, qp, mcbound.Delta, func(n int, t mcbound.Tally) mcbound.Tally {
 		for ; n > 0; n-- {
 			t.Add(kern(obj.Sample(cfg.Rng)))
 		}
@@ -224,17 +277,17 @@ func (oq *ObjectQualifier) qualifyThreshold(obj pdf.PDF, qp float64, cfg ObjectE
 // support sup and marginals mx, my against a separable issuer — the
 // refinement of a table object and of a leaf record alike (see
 // engineState.refineSurvivors).
-func (oq *ObjectQualifier) closedForm(sup geom.Rect, mx, my pdf.Marginal, cfg ObjectEvalConfig, sc *evalScratch) float64 {
+func (oq *ObjectQualifier) closedForm(sup geom.Rect, mx, my pdf.Marginal, sc *evalScratch) float64 {
 	clip := sup.Intersect(oq.expSup)
 	if clip.Empty() {
 		return 0
 	}
-	fx := oq.ax.factor(mx, clip.Lo.X, clip.Hi.X, cfg.QuadratureNodes, sc)
+	fx := oq.ax.factor(mx, clip.Lo.X, clip.Hi.X, sc)
 	if fx == 0 {
 		return 0
 	}
-	fy := oq.ay.factor(my, clip.Lo.Y, clip.Hi.Y, cfg.QuadratureNodes, sc)
-	return clampProb(fx * fy)
+	fy := oq.ay.factor(my, clip.Lo.Y, clip.Hi.Y, sc)
+	return mcbound.ClampProb(fx * fy)
 }
 
 // queryPlan is the per-query execution state the engine prepares once

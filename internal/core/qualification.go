@@ -18,7 +18,7 @@ import (
 // closed form, so this is exact — for the uniform issuer it reduces to
 // the paper's Equation 6 (overlap area over |U0|).
 func PointQualification(issuer pdf.PDF, s geom.Point, w, h float64) float64 {
-	return clampProb(issuer.MassIn(geom.RectCentered(s, w, h)))
+	return mcbound.ClampProb(issuer.MassIn(geom.RectCentered(s, w, h)))
 }
 
 // PointQualificationBasic computes the same probability the basic way
@@ -26,7 +26,7 @@ func PointQualification(issuer pdf.PDF, s geom.Point, w, h float64) float64 {
 // how often the object falls inside the range query formed at each
 // sample. This is the baseline the duality formula replaces.
 func PointQualificationBasic(issuer pdf.PDF, s geom.Point, w, h float64, n int, rng *rand.Rand) float64 {
-	p, _, _ := pointQualificationMCThreshold(issuer, s, w, h, 0, n, n, 0, rng)
+	p, _, _ := pointQualificationMCThreshold(issuer, s, w, h, 0, n, rng)
 	return p
 }
 
@@ -55,7 +55,13 @@ const (
 	AdaptiveOff
 )
 
-// ObjectEvalConfig tunes uncertain-object refinement.
+// mcBlock is the samples between the range refiners' bound checks.
+const mcBlock = 64
+
+// ObjectEvalConfig tunes uncertain-object refinement. Its numerics are
+// fixed: Monte-Carlo early stops check every 64 samples at failure
+// probability δ = mcbound.Delta = 1e-6 per check, and smooth separable
+// factors integrate with a 24-node Gauss–Legendre rule.
 type ObjectEvalConfig struct {
 	// ForceMonteCarlo evaluates by sampling even when a closed form or
 	// quadrature exists — the mode the paper benchmarks for
@@ -67,26 +73,15 @@ type ObjectEvalConfig struct {
 	MCSamples int
 	// Adaptive controls threshold early termination for Monte-Carlo
 	// refinement (default AdaptiveAuto). For a threshold query,
-	// sampling proceeds in blocks of MCBlock and stops as soon as
-	// either (a) the remaining draws cannot change which side of the
+	// sampling proceeds in blocks of 64 and stops as soon as either
+	// (a) the remaining draws cannot change which side of the
 	// threshold the full-budget estimate lands on (a certainty bound:
 	// kernel values lie in [0, 1]), or (b) a confidence bound — the
 	// tighter of Hoeffding and empirical Bernstein, at confidence
-	// 1−MCDelta — separates the running mean from the threshold.
-	// Clear-cut candidates settle after a fraction of the budget;
-	// borderline ones still draw all MCSamples.
+	// 1−δ — separates the running mean from the threshold. Clear-cut
+	// candidates settle after a fraction of the budget; borderline ones
+	// still draw all MCSamples.
 	Adaptive AdaptiveMode
-	// MCBlock is the sample-block size between early-termination bound
-	// checks (default 64).
-	MCBlock int
-	// MCDelta is the per-check failure probability of the confidence
-	// bounds (default 1e-6): the chance that an early stop misjudges a
-	// candidate whose true probability sits on the other side of the
-	// threshold. Smaller values stop later but more safely.
-	MCDelta float64
-	// QuadratureNodes is the per-axis Gauss–Legendre order for smooth
-	// separable factors without closed form (default 24).
-	QuadratureNodes int
 	// Rng drives sampling; nil draws math/rand's stream for seed 1.
 	Rng *rand.Rand
 }
@@ -94,15 +89,6 @@ type ObjectEvalConfig struct {
 func (c ObjectEvalConfig) withDefaults() ObjectEvalConfig {
 	if c.MCSamples <= 0 {
 		c.MCSamples = 256
-	}
-	if c.MCBlock <= 0 {
-		c.MCBlock = 64
-	}
-	if c.MCDelta <= 0 {
-		c.MCDelta = 1e-6
-	}
-	if c.QuadratureNodes <= 0 {
-		c.QuadratureNodes = 24
 	}
 	if c.Rng == nil {
 		c.Rng = newSeededRand(1)
@@ -137,12 +123,12 @@ func ObjectQualification(issuer, obj pdf.PDF, w, h float64, cfg ObjectEvalConfig
 // pdfs): sample the issuer's location and count how often the object
 // falls inside the range query formed at each sample. The indicator
 // draws lie in {0, 1} ⊂ [0, 1], so the shared driver's stopping rule
-// applies as is: for qp > 0 sampling stops, in blocks of block, once a
-// bound decides the candidate. It returns the estimate, the samples
+// applies as is: for qp > 0 sampling stops, in blocks of mcBlock, once
+// a bound decides the candidate. It returns the estimate, the samples
 // actually drawn, and whether sampling terminated early; qp <= 0 draws
 // the full budget.
-func pointQualificationMCThreshold(issuer pdf.PDF, s geom.Point, w, h, qp float64, total, block int, delta float64, rng *rand.Rand) (float64, int, bool) {
-	return mcbound.Adaptive(total, block, qp, delta, func(n int, t mcbound.Tally) mcbound.Tally {
+func pointQualificationMCThreshold(issuer pdf.PDF, s geom.Point, w, h, qp float64, total int, rng *rand.Rand) (float64, int, bool) {
+	return mcbound.Adaptive(total, mcBlock, qp, mcbound.Delta, func(n int, t mcbound.Tally) mcbound.Tally {
 		for ; n > 0; n-- {
 			if geom.RectCentered(issuer.Sample(rng), w, h).Contains(s) {
 				t.Add(1)
@@ -158,12 +144,12 @@ func pointQualificationMCThreshold(issuer pdf.PDF, s geom.Point, w, h, qp float6
 // issuer-sampling estimator run through the shared driver: each draw
 // is the object's mass in the range query formed at one issuer sample,
 // which lies in [0, 1], so for qp > 0 sampling stops, in blocks of
-// block, once a bound decides the candidate — the same rule every
+// mcBlock, once a bound decides the candidate — the same rule every
 // other Monte-Carlo refinement path applies. It returns the estimate,
 // the issuer samples actually drawn, and whether sampling terminated
 // early; qp <= 0 draws the full budget.
-func objectQualificationBasicThreshold(issuer, obj pdf.PDF, w, h, qp float64, total, block int, delta float64, rng *rand.Rand) (float64, int, bool) {
-	return mcbound.Adaptive(total, block, qp, delta, func(n int, t mcbound.Tally) mcbound.Tally {
+func objectQualificationBasicThreshold(issuer, obj pdf.PDF, w, h, qp float64, total int, rng *rand.Rand) (float64, int, bool) {
+	return mcbound.Adaptive(total, mcBlock, qp, mcbound.Delta, func(n int, t mcbound.Tally) mcbound.Tally {
 		for ; n > 0; n-- {
 			t.Add(obj.MassIn(geom.RectCentered(issuer.Sample(rng), w, h)))
 		}

@@ -18,7 +18,7 @@ import (
 // integrations per object regardless of how little of U0 matters,
 // which is what Figure 8 shows losing to the enhanced method.
 func ObjectQualificationBasic(issuer, obj pdf.PDF, w, h float64, n int, rng *rand.Rand) float64 {
-	p, _, _ := objectQualificationBasicThreshold(issuer, obj, w, h, 0, n, n, 0, rng)
+	p, _, _ := objectQualificationBasicThreshold(issuer, obj, w, h, 0, n, rng)
 	return p
 }
 
@@ -37,11 +37,11 @@ func ObjectQualificationBasic(issuer, obj pdf.PDF, w, h float64, n int, rng *ran
 // The engine's form lives on axisPlan (plan.go), which prepares the
 // shifted breakpoints once per query; this reference form rebuilds
 // them per call.
-func axisFactor(objM, issM pdf.Marginal, a, b, w float64, glNodes int) float64 {
+func axisFactor(objM, issM pdf.Marginal, a, b, w float64) float64 {
 	ap := newAxisPlan(issM, w)
 	sc := acquireScratch()
 	defer releaseScratch(sc)
-	return ap.factor(objM, a, b, glNodes, sc)
+	return ap.factor(objM, a, b, sc)
 }
 
 // shiftedBreakpoints returns the sorted breakpoints {p±w} clipped to
@@ -313,7 +313,7 @@ func TestAxisFactorAgainstDirectIntegration(t *testing.T) {
 	}
 	w := 8.0
 	a, b := -5.0, 55.0
-	got := axisFactor(obj, iss, a, b, w, 24)
+	got := axisFactor(obj, iss, a, b, w)
 	// Trapezoid reference.
 	const n = 400000
 	var want float64
@@ -359,7 +359,7 @@ func TestAxisFactorDegenerateIssuer(t *testing.T) {
 	w := 10.0
 	// g(x) = 1 exactly when |x-50| <= w; the object marginal holds
 	// mass 20/100 there.
-	got := axisFactor(obj, iss, 0, 100, w, 24)
+	got := axisFactor(obj, iss, 0, 100, w)
 	if !approx(got, 0.2, 1e-9) {
 		t.Fatalf("degenerate-issuer axis factor = %g, want 0.2", got)
 	}

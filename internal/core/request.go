@@ -11,6 +11,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/mcbound"
 	"repro/internal/obs"
+	"repro/internal/pdf"
 	"repro/internal/uncertain"
 )
 
@@ -206,13 +207,12 @@ func (r Request) Validate() error {
 		if r.NNSamples < 0 {
 			return badRequest("nn_samples", fmt.Errorf("%w: %d", ErrBadNNSamples, r.NNSamples))
 		}
-		// A NaN or overflowing region makes the issuer pdf draw
-		// non-finite positions, which no point is nearest to.
-		if u0 := r.Issuer.Region(); math.IsNaN(u0.Width()+u0.Height()) || math.IsInf(u0.Width()+u0.Height(), 0) {
-			return badRequest("issuer", fmt.Errorf("%w: region %v is not finite", geom.ErrInvalidRect, u0))
-		}
 	default:
 		return badRequest("kind", fmt.Errorf("%w: %d", ErrBadKind, int(r.Kind)))
+	}
+	// A custom pdf can still report a support the constructors refuse.
+	if err := pdf.CheckFiniteSupport(r.Issuer.Region()); err != nil {
+		return badRequest("issuer", err)
 	}
 	if r.Threshold < 0 || r.Threshold > 1 {
 		return badRequest("threshold", fmt.Errorf("%w: %g", ErrBadThreshold, r.Threshold))

@@ -21,8 +21,14 @@ import (
 // offending field and wrapping the documented sentinel.
 func TestRequestValidationTable(t *testing.T) {
 	iss := testIssuer(t, geom.Pt(500, 500), 25)
-	huge := uncertain.Object{PDF: pdf.MustUniform(geom.Rect{Lo: geom.Pt(-1.7e308, 0), Hi: geom.Pt(1.7e308, 1)})}
-	nan := uncertain.Object{PDF: pdf.MustUniform(geom.Rect{Lo: geom.Pt(math.NaN(), 0), Hi: geom.Pt(1, 1)})}
+	// The pdf constructors refuse these supports; a pdf built from
+	// unchecked marginals stands in for a custom one that reports them.
+	unchecked := func(r geom.Rect) *uncertain.Object {
+		x, y := pdf.UniformOn(r.Lo.X, r.Hi.X), pdf.UniformOn(r.Lo.Y, r.Hi.Y)
+		return &uncertain.Object{PDF: pdf.NewProduct(&x, &y)}
+	}
+	huge := unchecked(geom.Rect{Lo: geom.Pt(-1.7e308, 0), Hi: geom.Pt(1.7e308, 1)})
+	nan := unchecked(geom.Rect{Lo: geom.Pt(math.NaN(), 0), Hi: geom.Pt(1, 1)})
 	cases := []struct {
 		name     string
 		req      Request
@@ -46,8 +52,11 @@ func TestRequestValidationTable(t *testing.T) {
 		{"nn k zero", Request{Kind: KindNN, Issuer: iss}, "k", ErrBadNNK},
 		{"nn k negative", Request{Kind: KindNN, Issuer: iss, K: -2}, "k", ErrBadNNK},
 		{"nn negative samples", Request{Kind: KindNN, Issuer: iss, K: 3, NNSamples: -1}, "nn_samples", ErrBadNNSamples},
-		{"nn overflowing issuer region", Request{Kind: KindNN, Issuer: &huge, K: 1}, "issuer", geom.ErrInvalidRect},
-		{"nn NaN issuer region", Request{Kind: KindNN, Issuer: &nan, K: 1}, "issuer", geom.ErrInvalidRect},
+		{"nn overflowing issuer region", Request{Kind: KindNN, Issuer: huge, K: 1}, "issuer", pdf.ErrNonFiniteSupport},
+		{"nn NaN issuer region", Request{Kind: KindNN, Issuer: nan, K: 1}, "issuer", pdf.ErrNonFiniteSupport},
+		{"uncertain overflowing issuer region", Request{Kind: KindUncertain, Issuer: huge, W: 10, H: 10}, "issuer", pdf.ErrNonFiniteSupport},
+		{"points overflowing issuer region", Request{Kind: KindPoints, Issuer: huge, W: 1e308, H: 1e308}, "issuer", pdf.ErrNonFiniteSupport},
+		{"points NaN issuer region", Request{Kind: KindPoints, Issuer: nan, W: 10, H: 10}, "issuer", pdf.ErrNonFiniteSupport},
 	}
 	e := testWorld(t, 20, 20, 3)
 	for _, tc := range cases {

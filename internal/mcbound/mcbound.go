@@ -16,6 +16,10 @@ package mcbound
 
 import "math"
 
+// Delta is δ, the per-check failure probability every query-path
+// refiner passes to Decided.
+const Delta = 1e-6
+
 // Decided applies the early-termination bounds after n of total
 // samples summing to sum (squares to sumSq; each sample lies in
 // [0, 1]):
@@ -40,10 +44,10 @@ import "math"
 func Decided(sum, sumSq float64, n, total int, qp, delta float64) (float64, bool) {
 	mean := sum / float64(n)
 	if sum/float64(total) >= qp {
-		return clampProb(mean), true
+		return ClampProb(mean), true
 	}
 	if (sum+float64(total-n))/float64(total) < qp {
-		return clampProb(mean), true
+		return ClampProb(mean), true
 	}
 	lg := math.Log(2 / delta)
 	eps := math.Sqrt(lg / (2 * float64(n)))
@@ -59,7 +63,7 @@ func Decided(sum, sumSq float64, n, total int, qp, delta float64) (float64, bool
 		}
 	}
 	if mean-eps >= qp || mean+eps < qp {
-		return clampProb(mean), true
+		return ClampProb(mean), true
 	}
 	return 0, false
 }
@@ -112,7 +116,7 @@ func Adaptive(total, block int, qp, delta float64, draw func(n int, t Tally) Tal
 			}
 		}
 	}
-	return clampProb(t.sum / float64(total)), total, false
+	return ClampProb(t.sum / float64(total)), total, false
 }
 
 // SplitMix64 is the SplitMix64 finalizer: a bijective avalanche mix
@@ -136,7 +140,9 @@ func DeriveSeed(parent int64, child int) int64 {
 	return int64(SplitMix64(uint64(parent) + SplitMix64(uint64(child))))
 }
 
-func clampProb(p float64) float64 {
+// ClampProb snaps the tiny negative or >1 values floating-point
+// accumulation leaves on an estimate back into [0, 1].
+func ClampProb(p float64) float64 {
 	switch {
 	case p < 0:
 		return 0

@@ -144,7 +144,8 @@ type RefineConfig struct {
 	// Adaptive set and Threshold > 0, candidates provably above or
 	// below qp retire early (see RefineStats.Decided).
 	Threshold float64
-	// Adaptive enables early termination against Threshold.
+	// Adaptive enables early termination against Threshold; each
+	// bound check errs with probability at most mcbound.Delta.
 	Adaptive bool
 	// Block is the samples-per-seed-block granule (<= 0 selects
 	// DefaultBlock). Positions in block b derive from (parent, b), so
@@ -155,9 +156,6 @@ type RefineConfig struct {
 	// bound checks (<= 0 selects DefaultRoundBlocks). Like Block, it is
 	// part of the retirement schedule, so every tally depends on it.
 	RoundBlocks int
-	// Delta is the per-check failure probability of the confidence
-	// bounds (<= 0 selects 1e-6).
-	Delta float64
 	// Cancel, when non-nil, is polled once per block inside the
 	// refinement loop: a non-nil return stops refinement within a
 	// block's worth of samples and is returned to the caller (the
@@ -175,9 +173,6 @@ func (c RefineConfig) withDefaults() RefineConfig {
 	}
 	if c.RoundBlocks <= 0 {
 		c.RoundBlocks = DefaultRoundBlocks
-	}
-	if c.Delta <= 0 {
-		c.Delta = 1e-6
 	}
 	if c.Cancel == nil {
 		c.Cancel = func() error { return nil }
@@ -285,7 +280,7 @@ func Refine(cands []uncertain.PointObject, issuer pdf.PDF, parent int64, cfg Ref
 		kept := active[:0]
 		for _, i := range active {
 			w := float64(k.wins[i])
-			p, done := mcbound.Decided(w, w, drawn, cfg.Samples, cfg.Threshold, cfg.Delta)
+			p, done := mcbound.Decided(w, w, drawn, cfg.Samples, cfg.Threshold, mcbound.Delta)
 			if !done {
 				kept = append(kept, i)
 				continue

@@ -459,7 +459,7 @@ func bruteWins(cands []uncertain.PointObject, issuer pdf.PDF, parent int64, cfg 
 		kept := active[:0]
 		for _, i := range active {
 			w := float64(wins[i])
-			p, done := mcbound.Decided(w, w, drawn, cfg.Samples, cfg.Threshold, cfg.Delta)
+			p, done := mcbound.Decided(w, w, drawn, cfg.Samples, cfg.Threshold, mcbound.Delta)
 			if !done {
 				kept = append(kept, i)
 				continue
@@ -598,6 +598,10 @@ func TestRefineGridMatchesBruteScan(t *testing.T) {
 		return pdf.MustUniform(geom.RectCentered(geom.Pt(cx, cy), half, half))
 	}
 
+	// pdf.NewUniform refuses a support this wide; unchecked marginals
+	// build the same product, as a custom pdf could.
+	wide := pdf.UniformOn(-1.7e308, 1.7e308)
+	overflowing := pdf.NewProduct(&wide, &wide)
 	cases := []struct {
 		name   string
 		cands  []uncertain.PointObject
@@ -620,7 +624,7 @@ func TestRefineGridMatchesBruteScan(t *testing.T) {
 		{"issuer-disjoint/snapped", pointsOf(lattice...), snapPDF{uniform(40, 8, 12), 0.5}},
 		{"non-finite-samples", random(300, 0, 100), wildPDF{uniform(50, 50, 20)}},
 		{"non-finite-samples/single", pointsOf([2]float64{1, 2}), wildPDF{uniform(0, 0, 5)}},
-		{"overflowing-support", random(50, 0, 100), pdf.MustUniform(geom.Rect{Lo: geom.Pt(-1.7e308, -1.7e308), Hi: geom.Pt(1.7e308, 1.7e308)})},
+		{"overflowing-support", random(50, 0, 100), overflowing},
 	}
 	for _, tc := range cases {
 		requireBrute(t, tc.name+"/exhaustive", tc.cands, tc.issuer, 7, RefineConfig{Samples: 1500})

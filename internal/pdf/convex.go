@@ -3,6 +3,7 @@ package pdf
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/geom"
@@ -36,13 +37,20 @@ func NewConvexUniform(poly geom.Polygon) (*ConvexUniform, error) {
 	if !poly.IsConvexCCW() {
 		return nil, fmt.Errorf("%w: %v", geom.ErrNotConvex, poly)
 	}
+	bounds := poly.Bounds()
+	if err := CheckFiniteSupport(bounds); err != nil {
+		return nil, err
+	}
 	area := poly.Area()
+	if math.IsInf(area, 0) || math.IsNaN(area) {
+		return nil, fmt.Errorf("%w: area %g", ErrNonFiniteSupport, area)
+	}
 	if area <= 0 {
 		return nil, fmt.Errorf("%w: area %g", ErrDegeneratePolygon, area)
 	}
 	p := make(geom.Polygon, len(poly))
 	copy(p, poly)
-	return &ConvexUniform{poly: p, bounds: p.Bounds(), area: area}, nil
+	return &ConvexUniform{poly: p, bounds: bounds, area: area}, nil
 }
 
 // NewDisc builds a regular-polygon approximation of the uniform

@@ -34,6 +34,9 @@ func NewGrid(support geom.Rect, nx, ny int, weights []float64) (*Grid, error) {
 	if support.Area() == 0 {
 		return nil, fmt.Errorf("pdf: grid needs a non-degenerate region, got %v", support)
 	}
+	if a := support.Area(); math.IsNaN(a) || math.IsInf(a, 0) {
+		return nil, fmt.Errorf("%w: area of %v", ErrNonFiniteSupport, support)
+	}
 	if nx < 1 || ny < 1 || len(weights) != nx*ny {
 		return nil, fmt.Errorf("pdf: grid wants %d weights for %dx%d cells, got %d", nx*ny, nx, ny, len(weights))
 	}

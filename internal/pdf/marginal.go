@@ -6,6 +6,8 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+
+	"repro/internal/geom"
 )
 
 // Errors returned by marginal constructors.
@@ -13,7 +15,26 @@ var (
 	ErrEmptySupport = errors.New("pdf: empty support interval")
 	ErrBadSigma     = errors.New("pdf: sigma must be positive")
 	ErrBadWeights   = errors.New("pdf: weights must be non-negative with positive sum")
+	// ErrNonFiniteSupport reports a support whose width or height is
+	// not finite: every density over it is zero or NaN.
+	ErrNonFiniteSupport = errors.New("pdf: support extent is not finite")
 )
+
+// CheckFiniteSupport refuses a support whose width or height is not
+// finite, as this package's constructors do.
+func CheckFiniteSupport(r geom.Rect) error {
+	if err := finiteExtent(r.Lo.X, r.Hi.X); err != nil {
+		return err
+	}
+	return finiteExtent(r.Lo.Y, r.Hi.Y)
+}
+
+func finiteExtent(lo, hi float64) error {
+	if w := hi - lo; math.IsNaN(w) || math.IsInf(w, 0) {
+		return fmt.Errorf("%w: [%g, %g]", ErrNonFiniteSupport, lo, hi)
+	}
+	return nil
+}
 
 // UniformMarginal is the uniform distribution on [Lo, Hi].
 type UniformMarginal struct {
@@ -26,6 +47,9 @@ type UniformMarginal struct {
 func NewUniformMarginal(lo, hi float64) (*UniformMarginal, error) {
 	if hi < lo {
 		return nil, fmt.Errorf("%w: [%g, %g]", ErrEmptySupport, lo, hi)
+	}
+	if err := finiteExtent(lo, hi); err != nil {
+		return nil, err
 	}
 	return &UniformMarginal{lo: lo, hi: hi}, nil
 }
@@ -108,6 +132,9 @@ type TruncNormalMarginal struct {
 func NewTruncNormalMarginal(lo, hi, mu, sigma float64) (*TruncNormalMarginal, error) {
 	if hi <= lo {
 		return nil, fmt.Errorf("%w: [%g, %g]", ErrEmptySupport, lo, hi)
+	}
+	if err := finiteExtent(lo, hi); err != nil {
+		return nil, err
 	}
 	if sigma <= 0 {
 		return nil, fmt.Errorf("%w: %g", ErrBadSigma, sigma)
@@ -225,6 +252,9 @@ func NewHistogramMarginal(edges, weights []float64) (*HistogramMarginal, error) 
 		if edges[i] <= edges[i-1] {
 			return nil, fmt.Errorf("pdf: edges must be strictly increasing at index %d", i)
 		}
+	}
+	if err := finiteExtent(edges[0], edges[len(edges)-1]); err != nil {
+		return nil, err
 	}
 	for _, w := range weights {
 		if w < 0 || math.IsNaN(w) {

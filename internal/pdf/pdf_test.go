@@ -1,6 +1,7 @@
 package pdf
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -234,6 +235,74 @@ func TestConstructorValidation(t *testing.T) {
 	}
 	if _, err := NewMixture([]PDF{MustUniform(ok)}, []float64{0}); err == nil {
 		t.Error("NewMixture accepted zero total weight")
+	}
+}
+
+// TestConstructorsRefuseNonFiniteSupport: every constructor refuses a
+// support whose width or height is not finite — finite bounds whose
+// difference overflows, an infinite bound, or a NaN — with
+// ErrNonFiniteSupport, and accepts the widest support that still fits.
+func TestConstructorsRefuseNonFiniteSupport(t *testing.T) {
+	const big = 1e308
+	supports := map[string]geom.Rect{
+		"x overflows": {Lo: geom.Pt(-big, 0), Hi: geom.Pt(big, 1)},
+		"y overflows": {Lo: geom.Pt(0, -big), Hi: geom.Pt(1, big)},
+		"both":        {Lo: geom.Pt(-big, -big), Hi: geom.Pt(big, big)},
+		"infinite":    {Lo: geom.Pt(0, 0), Hi: geom.Pt(math.Inf(1), 1)},
+		"NaN":         {Lo: geom.Pt(math.NaN(), 0), Hi: geom.Pt(1, 1)},
+	}
+	quad := func(r geom.Rect) geom.Polygon {
+		return geom.Polygon{r.Lo, geom.Pt(r.Hi.X, r.Lo.Y), r.Hi, geom.Pt(r.Lo.X, r.Hi.Y)}
+	}
+	constructors := map[string]func(geom.Rect) error{
+		"NewUniformMarginal": func(r geom.Rect) error {
+			if _, err := NewUniformMarginal(r.Lo.X, r.Hi.X); err != nil {
+				return err
+			}
+			_, err := NewUniformMarginal(r.Lo.Y, r.Hi.Y)
+			return err
+		},
+		"NewUniform":       func(r geom.Rect) error { _, err := NewUniform(r); return err },
+		"NewTruncGaussian": func(r geom.Rect) error { _, err := NewTruncGaussian(r, 0, 0); return err },
+		"NewGrid":          func(r geom.Rect) error { _, err := NewGrid(r, 2, 2, []float64{1, 2, 3, 4}); return err },
+		"NewConvexUniform": func(r geom.Rect) error { _, err := NewConvexUniform(quad(r)); return err },
+		"NewHistogramMarginal": func(r geom.Rect) error {
+			_, err := NewHistogramMarginal([]float64{r.Lo.X, 0.5, r.Hi.X}, []float64{1, 1})
+			return err
+		},
+	}
+	for name, build := range constructors {
+		for what, r := range supports {
+			if name == "NewHistogramMarginal" && what == "y overflows" {
+				continue // a histogram is one axis
+			}
+			err := build(r)
+			if name == "NewConvexUniform" && what == "NaN" && err != nil {
+				continue // the convexity test already refuses a NaN vertex
+			}
+			if !errors.Is(err, ErrNonFiniteSupport) {
+				t.Errorf("%s over %s %v: error %v, want ErrNonFiniteSupport", name, what, r, err)
+			}
+		}
+		// The widest support whose extent is still finite is accepted.
+		if name == "NewConvexUniform" || name == "NewGrid" {
+			continue // their area, big², overflows: see below
+		}
+		if err := build(geom.Rect{Lo: geom.Pt(-big/2, -big/2), Hi: geom.Pt(big/2, big/2)}); err != nil {
+			t.Errorf("%s refused a finite support: %v", name, err)
+		}
+	}
+	// A polygon or grid whose extents fit but whose area overflows has
+	// no finite density either.
+	wide := geom.Rect{Lo: geom.Pt(0, 0), Hi: geom.Pt(big, big)}
+	if _, err := NewConvexUniform(quad(wide)); !errors.Is(err, ErrNonFiniteSupport) {
+		t.Errorf("NewConvexUniform with area %g: error %v, want ErrNonFiniteSupport", quad(wide).Area(), err)
+	}
+	if _, err := NewGrid(wide, 2, 2, []float64{1, 2, 3, 4}); !errors.Is(err, ErrNonFiniteSupport) {
+		t.Errorf("NewGrid with area %g: error %v, want ErrNonFiniteSupport", wide.Area(), err)
+	}
+	if err := CheckFiniteSupport(geom.Rect{Lo: geom.Pt(-big/2, 0), Hi: geom.Pt(big/2, 1)}); err != nil {
+		t.Errorf("CheckFiniteSupport refused a finite support: %v", err)
 	}
 }
 

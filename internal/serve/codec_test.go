@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"net/http"
@@ -16,6 +17,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/monitor"
+	"repro/internal/pdf"
 	"repro/internal/uncertain"
 )
 
@@ -531,6 +533,8 @@ func FuzzRequestJSON(f *testing.F) {
 	f.Add([]byte(`{"kind":"nn","issuer":{"region":[900,5100,1100,5300]},"k":1,"nn_samples":64,"seed":5}`))
 	f.Add([]byte(`{"target":"points","issuer":{"region":[10,10,0,0]},"w":-1,"h":1e308}`))
 	f.Add([]byte(`{"kind":"nn","issuer":{"region":[-1e308,-1e308,1e308,1e308]},"k":1}`))
+	f.Add([]byte(`{"kind":"points","issuer":{"region":[-1e308,-1e308,1e308,1e308]},"w":1e308,"h":1e308}`))
+	f.Add([]byte(`{"issuer":{"region":[-1e308,0,1e308,1],"pdf":"gaussian"},"w":1,"h":1}`))
 	f.Add([]byte(`{"issuer":{"region":[0,0,1]},"w":1,"h":1}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		dec := json.NewDecoder(bytes.NewReader(body))
@@ -550,7 +554,26 @@ func FuzzRequestJSON(f *testing.F) {
 		if err := req.Validate(); err != nil {
 			t.Fatalf("ToRequest passed a request that does not validate (%v): %q", err, body)
 		}
+		if err := finiteObject(req.Issuer); err != nil {
+			t.Fatalf("ToRequest passed an issuer %v: %q", err, body)
+		}
 	})
+}
+
+// finiteObject reports an object whose support extent or U-catalog row
+// is not finite: an object no engine may index or query with.
+func finiteObject(o *uncertain.Object) error {
+	if err := pdf.CheckFiniteSupport(o.Region()); err != nil {
+		return err
+	}
+	for _, b := range o.Catalog.Bounds() {
+		for _, v := range []float64{b.P, b.Left, b.Right, b.Bottom, b.Top} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("catalog row %+v is not finite", b)
+			}
+		}
+	}
+	return nil
 }
 
 // BenchmarkEvaluateResponseCodec: the reflection codec against the

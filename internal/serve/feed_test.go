@@ -131,7 +131,16 @@ func TestServeFeed(t *testing.T) {
 		t.Errorf("own stream of a query on a feed: HTTP %d, want 409", status)
 	}
 
+	// The feed observes a write after flushing it, so the second
+	// snapshot frame can reach the client before the histogram counts
+	// it: wait until both snapshot frames are counted.
 	count, sum := feedWrites(t, ts.URL)
+	for deadline := time.Now().Add(10 * time.Second); sum != 2; count, sum = feedWrites(t, ts.URL) {
+		if time.Now().After(deadline) {
+			t.Fatalf("frames-per-write histogram counts %d frames in %d writes, want the 2 snapshot frames", sum, count)
+		}
+		time.Sleep(time.Millisecond)
+	}
 	postJSON(t, ts.URL+"/v1/updates", `{"updates": [
 		{"op": "upsert_object", "id": 1, "region": [3000, 3000, 3040, 3040]},
 		{"op": "upsert_object", "id": 2, "region": [4000, 3000, 4040, 3040]}]}`)

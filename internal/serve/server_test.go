@@ -263,6 +263,52 @@ func TestServeInvalidRequests(t *testing.T) {
 	}
 }
 
+// nonFiniteBodies are requests and update batches whose issuer or
+// object region is finite but whose width or height overflows float64,
+// keyed by the endpoint that takes them. A pdf over such a region has
+// NaN masses and catalog rows, so each must be a 400.
+var nonFiniteBodies = map[string][]string{
+	"/v1/evaluate": {
+		`{"issuer": {"region": [-1e308, -1e308, 1e308, 1e308]}, "w": 10, "h": 10}`,
+		`{"kind": "points", "issuer": {"region": [-1e308, -1e308, 1e308, 1e308]}, "w": 1e308, "h": 1e308}`,
+		`{"kind": "nn", "issuer": {"region": [-1e308, -1e308, 1e308, 1e308]}, "k": 1}`,
+		`{"issuer": {"region": [0, -1e308, 1, 1e308], "pdf": "gaussian"}, "w": 10, "h": 10}`,
+	},
+	"/v1/queries": {
+		`{"issuer": {"region": [-1e308, -1e308, 1e308, 1e308]}, "w": 10, "h": 10}`,
+		`{"kind": "points", "issuer": {"region": [-1e308, 0, 1e308, 1]}, "w": 10, "h": 10}`,
+	},
+	"/v1/updates": {
+		`{"updates": [{"op": "upsert_object", "id": 7, "region": [-1e308, -1e308, 1e308, 1e308]}]}`,
+		`{"updates": [{"op": "upsert_object", "id": 7, "region": [-1e308, 0, 1e308, 1], "pdf": "gaussian"}]}`,
+	},
+}
+
+// TestServeRefusesNonFiniteRegions: every endpoint refuses a region
+// whose extent overflows with a 400 that says so, and a refused update
+// leaves the engine as it was.
+func TestServeRefusesNonFiniteRegions(t *testing.T) {
+	eng, err := core.NewEngine(nil, nil, core.EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(monitor.New(eng, monitor.Config{Workers: 2}), core.EvalOptions{}, Config{})
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	before := srv.Engine().Version()
+	for path, bodies := range nonFiniteBodies {
+		for _, body := range bodies {
+			status, reply := postRaw(t, ts.URL+path, body)
+			if msg, _ := reply["error"].(string); status != http.StatusBadRequest || !strings.Contains(msg, "not finite") {
+				t.Errorf("%s %s: HTTP %d (%v), want a 400 saying not finite", path, body, status, reply)
+			}
+		}
+	}
+	if after := srv.Engine().Version(); after != before {
+		t.Errorf("refused updates moved the engine from version %d to %d", before, after)
+	}
+}
+
 // TestServeNNBudgetRefusal: an NN request whose total Monte-Carlo
 // work (samples × candidates) exceeds the server's budget is refused
 // up front with a 400 — not served for hours.

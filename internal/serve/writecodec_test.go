@@ -538,6 +538,7 @@ func FuzzDecodeUpdatesRequest(f *testing.F) {
 	f.Add([]byte(`{"updates":[{"op":"upsert_object","id":7,"regoin":[480,480,520,520]}]}`))
 	f.Add([]byte(`{"updates":[]} {"updates":[]}`))
 	f.Add([]byte(`{"updates":[{"op":"upsert_object","region":[-1e308,-1e308,1e308,1e308]}]}`))
+	f.Add([]byte(`{"updates":[{"op":"upsert_object","region":[-1e308,0,1e308,1],"pdf":"gaussian"}]}`))
 	f.Add([]byte(`null`))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		got, err := DecodeUpdatesRequest(body)
@@ -556,9 +557,14 @@ func FuzzDecodeUpdatesRequest(f *testing.F) {
 			t.Fatalf("unknown field %q, encoding/json says %q: %q", err, stdErr, body)
 		}
 		for _, u := range got.Updates {
-			_, uerr := u.ToUpdate()
+			upd, uerr := u.ToUpdate()
 			if verr := u.Validate(); (uerr == nil) != (verr == nil) {
 				t.Fatalf("%+v: ToUpdate says %v, Validate says %v", u, uerr, verr)
+			}
+			if uerr == nil && upd.Object != nil {
+				if err := finiteObject(upd.Object); err != nil {
+					t.Fatalf("%+v: ToUpdate accepted an object %v", u, err)
+				}
 			}
 		}
 	})

@@ -352,6 +352,36 @@ func TestRouterRequestBodies(t *testing.T) {
 	}
 }
 
+// TestRouterRefusesNonFiniteRegions: the router refuses an issuer or
+// object region whose extent overflows float64 with the 400 a
+// standalone server gives — an update before it routes the batch.
+func TestRouterRefusesNonFiniteRegions(t *testing.T) {
+	rt := fleet(t, 2)
+	ts := httptest.NewServer(NewServer(rt))
+	t.Cleanup(ts.Close)
+	for path, bodies := range map[string][]string{
+		"/v1/evaluate": {
+			`{"issuer": {"region": [-1e308, -1e308, 1e308, 1e308]}, "w": 10, "h": 10}`,
+			`{"kind": "points", "issuer": {"region": [-1e308, -1e308, 1e308, 1e308]}, "w": 1e308, "h": 1e308}`,
+			`{"kind": "nn", "issuer": {"region": [-1e308, -1e308, 1e308, 1e308]}, "k": 1}`,
+		},
+		"/v1/queries": {
+			`{"issuer": {"region": [-1e308, 0, 1e308, 1], "pdf": "gaussian"}, "w": 10, "h": 10}`,
+		},
+		"/v1/updates": {
+			`{"updates": [{"op": "upsert_object", "id": 7, "region": [-1e308, -1e308, 1e308, 1e308]}]}`,
+			`{"updates": [{"op": "upsert_point", "id": 1, "x": 5, "y": 5},
+				{"op": "upsert_object", "id": 7, "region": [0, -1e308, 1, 1e308], "pdf": "gaussian"}]}`,
+		},
+	} {
+		for _, body := range bodies {
+			if status, msg := postStatus(t, ts.URL+path, body); status != http.StatusBadRequest || !strings.Contains(msg, "not finite") {
+				t.Errorf("%s %s: HTTP %d %q, want a 400 saying not finite", path, body, status, msg)
+			}
+		}
+	}
+}
+
 // streamFleet is a router over stand-in shards, one per handler, and
 // its HTTP front, with router query 1 registered on every shard: each
 // stand-in answers the registration as its query 7, and its handler

@@ -547,12 +547,12 @@ func (st *engineState) evaluateUncertainEnhanced(ctx context.Context, q Query, o
 	// for.
 	spF := tr.StartSpan("filter")
 	survivors := sc.cands[:0]
-	consider := func(c candidate) bool {
+	consider := func(c candidate, leafTested bool) bool {
 		if canceled(ctx) != nil {
 			return false
 		}
 		res.Cost.Candidates++
-		switch st.pruneCandidate(&plan, &c, opts.Strategies, sc) {
+		switch st.pruneCandidate(&plan, &c, leafTested, opts.Strategies) {
 		case PrunedEmptyOverlap:
 			// Zero probability; simply not a match.
 		case PrunedStrategy1:
@@ -576,7 +576,7 @@ func (st *engineState) evaluateUncertainEnhanced(ctx context.Context, q Query, o
 			if !ok || !st.admitsObject(plan, obj, indexPruning) {
 				continue
 			}
-			if !consider(candidate{id: id, region: obj.Region(), obj: obj}) {
+			if !consider(candidate{id: id, region: obj.Region(), obj: obj}, false) {
 				break
 			}
 		}
@@ -597,10 +597,12 @@ func (st *engineState) evaluateUncertainEnhanced(ctx context.Context, q Query, o
 					return true
 				}
 				c.obj = obj
-			} else if rowOK && pti.BoundPrunes(e.Rect, uncertain.UniformBound(e.Rect, m), plan.expanded) {
+				return consider(c, false)
+			}
+			if rowOK && pti.BoundPrunes(e.Rect, uncertain.UniformBound(e.Rect, m), plan.expanded) {
 				return true
 			}
-			return consider(c)
+			return consider(c, rowOK)
 		}
 		if indexPruning {
 			na, err = st.uncIdx.ThresholdLeavesCounted(plan.searchReg, plan.expanded, q.Threshold, visit)

@@ -78,18 +78,26 @@ type candidate struct {
 	p      float64
 }
 
-// pruneCandidate runs the pruning strategies on c with its U-catalog:
-// a table object's own, or a leaf record's computed from its rectangle
-// into sc — only when there is a threshold, the one case the
-// strategies read it.
-func (st *engineState) pruneCandidate(plan *queryPlan, c *candidate, ss StrategySet, sc *evalScratch) PruneVerdict {
-	var cat uncertain.Catalog
-	switch {
-	case c.obj != nil:
-		cat = c.obj.Catalog
-	case plan.q.Threshold > 0:
-		cat = uncertain.UniformCatalog(sc.rows, c.region, st.uncIdx.Probs())
-		sc.rows = cat.Bounds()
+// pruneCandidate runs the pruning strategies on c, reading its
+// U-catalog rows as they are needed: a table object's stored rows, or
+// a leaf record's computed from its rectangle (catalogRows).
+//
+// leafTested says the index's leaf test admitted c's entry on the row
+// computed at M, the largest index value <= Qp. For a leaf record
+// that settles Strategies 1 and 2, and also every row below M:
+// UniformMarginal.InvCDF(v) = lo + v·(hi−lo) is monotone in v under
+// IEEE rounding, so a row at v ≤ M lies outside row M on every side,
+// and an overlap beyond it would be beyond row M — which the leaf test
+// ruled out. Strategy 3 then reads the issuer's kernel bound qmin
+// first and only the rows above M, stopping at the first that clears
+// the overlap or whose value d has qmin·d ≥ Qp. A table object's
+// catalog need not be monotone bit for bit, so it is read from its
+// first row.
+func (st *engineState) pruneCandidate(plan *queryPlan, c *candidate, leafTested bool, ss StrategySet) PruneVerdict {
+	if c.obj != nil {
+		rows := storedRows(c.obj.Catalog)
+		return pruneRegion(plan, c.region, &rows, false, ss)
 	}
-	return pruneRegion(plan.q, c.region, cat, plan.expanded, plan.searchReg, ss)
+	rows := leafRows(c.region, st.uncIdx.Probs())
+	return pruneRegion(plan, c.region, &rows, leafTested, ss)
 }

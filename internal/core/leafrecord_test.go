@@ -135,14 +135,13 @@ func checkLeafRecords(t *testing.T, label string, e *Engine, leaf map[uncertain.
 			irregular++
 			continue
 		}
-		cat := uncertain.UniformCatalog(nil, o.Region(), probs)
-		got, want := cat.Bounds(), o.Catalog.Bounds()
-		if len(got) != len(want) {
-			t.Fatalf("%s: object %d: %d computed rows, catalog has %d", label, id, len(got), len(want))
+		want := o.Catalog.Bounds()
+		if len(want) != len(probs) {
+			t.Fatalf("%s: object %d: %d index values, catalog has %d rows", label, id, len(probs), len(want))
 		}
-		for i := range got {
-			if !sameBound(got[i], want[i]) {
-				t.Fatalf("%s: object %d row %d computed %+v, catalog %+v", label, id, i, got[i], want[i])
+		for i, p := range probs {
+			if got := uncertain.UniformBound(o.Region(), p); !sameBound(got, want[i]) {
+				t.Fatalf("%s: object %d row %d computed %+v, catalog %+v", label, id, i, got, want[i])
 			}
 		}
 	}
@@ -335,6 +334,12 @@ func FuzzLeafRecord(f *testing.F) {
 	f.Add(5e-324, 0.0, 1e-323, 2.2e-308, 0.0, 0.0, 1e-300) // subnormal
 	f.Add(-1e300, -1e300, 1e300, 1e300, 0.0, 0.0, 1e299)   // huge
 	f.Add(-0.0, -0.0, 0.5, 0.25, 0.0, 0.1, 0.3)            // negative zero
+	// Strategy 3 prunes these at the threshold named, reading a row
+	// above M on the leaf path: 0.2, 0.35, 0.55, 0.7.
+	f.Add(15.0, -2.0, 30.0, 2.0, 0.0, 0.0, 10.0)
+	f.Add(14.0, -3.0, 26.0, 3.0, 0.0, 0.0, 10.0)
+	f.Add(5.0, 4.0, 22.0, 6.0, 0.0, 0.0, 10.0)
+	f.Add(5.0, -2.0, 24.0, 0.0, 0.0, 0.0, 10.0)
 	f.Fuzz(func(t *testing.T, x0, y0, x1, y1, cx, cy, half float64) {
 		for _, v := range []float64{x0, y0, x1, y1, cx, cy, half} {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -374,7 +379,10 @@ func FuzzLeafRecord(f *testing.F) {
 		}
 		snap := e.Snapshot()
 		defer snap.Close()
-		for _, qp := range []float64{0, 0.2, 0.5, 0.9} {
+		// Thresholds on and between the catalog values, where the leaf
+		// path reads rows above M for Strategy 3 and the table path
+		// reads the stored catalog from its first row.
+		for _, qp := range []float64{0, 0.2, 0.35, 0.5, 0.55, 0.7, 0.9, 0.95, 1} {
 			for _, opts := range []EvalOptions{{}, {DisableIndexPruning: true}} {
 				req := Request{Kind: KindUncertain, Issuer: iss, W: half, H: half / 2, Threshold: qp, Options: opts}
 				full, err := snap.Evaluate(context.Background(), req)

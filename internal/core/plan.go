@@ -8,7 +8,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/mcbound"
 	"repro/internal/pdf"
-	"repro/internal/uncertain"
 )
 
 // This file implements prepared query evaluation: everything about a
@@ -27,16 +26,13 @@ type evalScratch struct {
 	cuts []float64
 	// cands is the range filter's survivor buffer.
 	cands []candidate
-	// rows is a leaf record's U-catalog, computed from its rectangle
-	// for the pruning strategies (see engineState.pruneCandidate).
-	rows []uncertain.Bound
 	// ux, uy are a leaf record's marginals for closed-form refinement.
 	ux, uy pdf.UniformMarginal
 }
 
 var scratchPool = sync.Pool{
 	New: func() any {
-		return &evalScratch{cuts: make([]float64, 0, 64), rows: make([]uncertain.Bound, 0, 16)}
+		return &evalScratch{cuts: make([]float64, 0, 64)}
 	},
 }
 
@@ -297,12 +293,22 @@ type queryPlan struct {
 	q         Query
 	expanded  geom.Rect // Minkowski sum R⊕U0
 	searchReg geom.Rect // index probe region (p-expanded when applicable)
-	qualifier *ObjectQualifier
+	// kernel[:kernelN] are the issuer's q-expanded queries at its first
+	// kernelN catalog rows, for the pruning strategies' kernel bound
+	// (kernelUpperBound): built once per request, not per candidate.
+	// kernelNested says each lies inside the one before
+	// (geom.Rect.ContainsRect), as Lemma 5's queries do for a separable
+	// issuer.
+	kernel       [kernelRows]geom.Rect
+	kernelN      int
+	kernelNested bool
+	qualifier    *ObjectQualifier
 }
 
 // newQueryPlan prepares a validated query. withQualifier is set by the
-// uncertain-object paths, which refine candidates through the duality
-// kernel; point paths skip that preparation.
+// uncertain-object paths, which prune candidates against the issuer's
+// q-expanded queries and refine them through the duality kernel; point
+// paths skip that preparation.
 func newQueryPlan(q Query, opts EvalOptions, withQualifier bool) queryPlan {
 	p := queryPlan{q: q, expanded: q.Expanded()}
 	p.searchReg = p.expanded
@@ -310,6 +316,14 @@ func newQueryPlan(q Query, opts EvalOptions, withQualifier bool) queryPlan {
 		p.searchReg, _ = SearchRegion(q)
 	}
 	if withQualifier {
+		p.kernelN = min(q.Issuer.Catalog.Len(), kernelRows)
+		p.kernelNested = true
+		for i, b := range q.Issuer.Catalog.Bounds()[:p.kernelN] {
+			p.kernel[i] = PExpandedQuery(b, q.W, q.H)
+			if i > 0 && !p.kernel[i-1].ContainsRect(p.kernel[i]) {
+				p.kernelNested = false
+			}
+		}
 		p.qualifier = NewObjectQualifier(q.Issuer.PDF, q.W, q.H)
 	}
 	return p

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sort"
+
 	"repro/internal/geom"
 	"repro/internal/uncertain"
 )
@@ -45,21 +47,94 @@ func beyondBound(reg geom.Rect, b uncertain.Bound) bool {
 		reg.Lo.Y >= b.Top || reg.Hi.Y <= b.Bottom
 }
 
-// massUpperBound returns the tightest catalog-certified upper bound on
-// the object's pdf mass inside reg: the smallest catalog value d such
-// that reg lies beyond the d-bound. Without such a row it returns 1.
-// reg must be non-empty.
+// catalogRows is a candidate's U-catalog as the pruning strategies
+// read it, one row at a time: a table object's stored rows, or — probs
+// set — a leaf record's, each computed by uncertain.UniformBound from
+// its rectangle at the index's catalog values when it is read. Rows
+// are ascending in P, and every P lies in [0, 1] (NewCatalog).
+type catalogRows struct {
+	stored []uncertain.Bound
+	probs  []float64
+	rect   geom.Rect
+}
+
+// storedRows reads a table object's catalog.
+func storedRows(cat uncertain.Catalog) catalogRows { return catalogRows{stored: cat.Bounds()} }
+
+// leafRows reads a leaf record's catalog: the rows of the uniform pdf
+// over rect at the index's catalog values probs.
+func leafRows(rect geom.Rect, probs []float64) catalogRows {
+	return catalogRows{probs: probs, rect: rect}
+}
+
+func (r *catalogRows) len() int {
+	if r.probs != nil {
+		return len(r.probs)
+	}
+	return len(r.stored)
+}
+
+// p returns row i's probability value without computing the row.
+func (r *catalogRows) p(i int) float64 {
+	if r.probs != nil {
+		return r.probs[i]
+	}
+	return r.stored[i].P
+}
+
+func (r *catalogRows) row(i int) uncertain.Bound {
+	if r.probs != nil {
+		return uncertain.UniformBound(r.rect, r.probs[i])
+	}
+	return r.stored[i]
+}
+
+// maxLE returns the index of the row Catalog.MaxLE(q) returns — the
+// one with the largest value <= q — or -1 when every row exceeds q.
+func (r *catalogRows) maxLE(q float64) int {
+	return sort.Search(r.len(), func(i int) bool { return r.p(i) > q }) - 1
+}
+
+// massUpperBound returns a catalog-certified upper bound on the
+// object's pdf mass inside reg (non-empty), as tight as Strategy 3's
+// product qmin·d against the threshold qp needs. It reads rows from
+// row from on, one at a time in ascending order:
 //
-// Catalog rows are sorted ascending and bounds tighten monotonically
-// with p, so the first row that clears reg is the tightest.
-func massUpperBound(cat uncertain.Catalog, reg geom.Rect) float64 {
-	for _, b := range cat.Bounds() {
-		if beyondBound(reg, b) {
-			return b.P
+//   - the first row whose d-bound reg lies beyond gives d, the
+//     tightest bound (a row with a smaller value came first);
+//   - reading stops before computing the first row whose value d has
+//     qmin·d ≥ qp, and returns 1: every later row's value, and 1,
+//     is at least d, so no bound a later row certifies can bring the
+//     product below qp (IEEE multiplication is monotone);
+//   - without either, it returns 1.
+//
+// Pass qp = +Inf for the tightest bound over all rows from from.
+//
+// from skips rows the caller knows reg does not lie beyond. For a
+// leaf record the PTI leaf test admitted, that is every row up to M
+// (see engineState.pruneCandidate): its row at v has Left =
+// lo + v·(hi−lo) and Right = lo + (1−v)·(hi−lo), the two
+// UniformMarginal.InvCDF forms, each monotone in v under IEEE
+// rounding, and so on the Y axis. A row at v ≤ M therefore lies
+// outside row M on every side, and reg beyond it would be beyond row
+// M, which the leaf test ruled out.
+func massUpperBound(rows *catalogRows, from int, reg geom.Rect, qmin, qp float64) float64 {
+	for i := from; i < rows.len(); i++ {
+		d := rows.p(i)
+		if qmin*d >= qp {
+			return 1
+		}
+		if beyondBound(reg, rows.row(i)) {
+			return d
 		}
 	}
 	return 1
 }
+
+// kernelRows is how many issuer-catalog rows a queryPlan holds the
+// q-expanded query of, in a fixed array: the paper's ten and then
+// some. A longer issuer catalog's later rows are expanded when read.
+const kernelRows = 16
 
 // kernelUpperBound returns the tightest catalog-certified upper bound
 // on the duality kernel Q(x,y) over the object region: the smallest
@@ -67,15 +142,38 @@ func massUpperBound(cat uncertain.Catalog, reg geom.Rect) float64 {
 // entirely (Definition 7: outside the q-expanded query every point's
 // qualification probability is below q). Without such a row it
 // returns 1.
-func kernelUpperBound(issuerCat uncertain.Catalog, region geom.Rect, w, h float64) float64 {
-	for _, b := range issuerCat.Bounds() {
-		pe := PExpandedQuery(b, w, h)
-		if pe.Empty() || !pe.Intersects(region) {
-			return b.P
+//
+// It reads the q-expanded queries the plan built once for the request.
+// When they are nested (queryPlan.kernelNested), a query that excludes
+// region is followed only by queries that exclude it too — each side
+// of a nested query is at or inside the one before, so it is empty or
+// misses region whenever that one does — and the first one is found by
+// bisection: four tests for the paper's ten rows, where a region every
+// query reaches took ten.
+func (p *queryPlan) kernelUpperBound(region geom.Rect) float64 {
+	rows := p.q.Issuer.Catalog.Bounds()
+	var i int
+	if p.kernelNested {
+		i = sort.Search(p.kernelN, func(i int) bool { return excludes(p.kernel[i], region) })
+	} else {
+		for i < p.kernelN && !excludes(p.kernel[i], region) {
+			i++
+		}
+	}
+	if i < p.kernelN {
+		return rows[i].P
+	}
+	for ; i < len(rows); i++ {
+		if excludes(PExpandedQuery(rows[i], p.q.W, p.q.H), region) {
+			return rows[i].P
 		}
 	}
 	return 1
 }
+
+// excludes reports whether the q-expanded query pe certifies Q < q
+// over region: it is empty or misses region.
+func excludes(pe, region geom.Rect) bool { return pe.Empty() || !pe.Intersects(region) }
 
 // PruneVerdict says which strategy (if any) eliminated a candidate.
 type PruneVerdict int
@@ -107,38 +205,47 @@ type StrategySet struct {
 
 // pruneRegion applies the §5.2 pruning strategies to one uncertain
 // candidate of a constrained query, from what the strategies read of
-// it: its uncertainty region and its U-catalog — a table object's own,
-// or a leaf record's computed from its rectangle (see
-// engineState.pruneCandidate). The catalog is read only when qp > 0.
+// it: its uncertainty region and its U-catalog rows — a table
+// object's own, or a leaf record's computed from its rectangle (see
+// engineState.pruneCandidate). Rows are read only when qp > 0, and
+// only those a verdict needs.
 //
-//	expanded  = R⊕U0 (Minkowski sum)
-//	searchReg = Qp-expanded query (or expanded when unavailable)
-//	qp        = probability threshold
+//	plan.expanded  = R⊕U0 (Minkowski sum)
+//	plan.searchReg = Qp-expanded query (or expanded when unavailable)
+//	qp             = probability threshold
+//
+// mTested says the PTI leaf test already admitted the candidate on
+// its M row, M = max catalog value <= Qp — a leaf record visited by
+// the threshold search. Then Strategy 1 is decided (the leaf test is
+// its test on the same row over the same overlap), so is Strategy 2
+// (the search visits only entries that intersect searchReg), and no
+// row up to M can clear the overlap (see massUpperBound): Strategy 3
+// reads only the rows above M.
 //
 // It never prunes a candidate whose qualification probability could
 // reach qp; it returns the verdict for cost accounting.
-func pruneRegion(q Query, region geom.Rect, cat uncertain.Catalog, expanded, searchReg geom.Rect, ss StrategySet) PruneVerdict {
-	reg := region.Intersect(expanded)
+func pruneRegion(plan *queryPlan, region geom.Rect, rows *catalogRows, mTested bool, ss StrategySet) PruneVerdict {
+	reg := region.Intersect(plan.expanded)
 	if reg.Empty() {
 		return PrunedEmptyOverlap
 	}
-	qp := q.Threshold
+	qp := plan.q.Threshold
 	if qp <= 0 {
 		return KeepCandidate
 	}
 
-	// Strategy 1: the overlap with R⊕U0 lies beyond the object's
-	// M-bound, M = max catalog value <= Qp, so pi <= M <= Qp.
-	if !ss.DisableStrategy1 {
-		if b, ok := cat.MaxLE(qp); ok && beyondBound(reg, b) {
+	// Row m is the object's M-bound, M = max catalog value <= Qp.
+	m := rows.maxLE(qp)
+	if !mTested {
+		// Strategy 1: the overlap with R⊕U0 lies beyond the M-bound,
+		// so pi <= M <= Qp.
+		if !ss.DisableStrategy1 && m >= 0 && beyondBound(reg, rows.row(m)) {
 			return PrunedStrategy1
 		}
-	}
 
-	// Strategy 2: the whole uncertainty region sits outside the
-	// Qp-expanded query, so Q(x,y) < Qp everywhere and pi < Qp.
-	if !ss.DisableStrategy2 {
-		if searchReg.Empty() || !searchReg.Intersects(region) {
+		// Strategy 2: the whole uncertainty region sits outside the
+		// Qp-expanded query, so Q(x,y) < Qp everywhere and pi < Qp.
+		if !ss.DisableStrategy2 && (plan.searchReg.Empty() || !plan.searchReg.Intersects(region)) {
 			return PrunedStrategy2
 		}
 	}
@@ -149,10 +256,15 @@ func pruneRegion(q Query, region geom.Rect, cat uncertain.Catalog, expanded, sea
 	// pi <= qmin · dmin, so prune when the product stays below Qp.
 	// (Using reg instead of the whole Ui for the kernel bound is
 	// sound — Lemma 4 integrates over reg only — and strictly tighter.)
+	// qmin comes first: it decides how many object rows are worth
+	// reading.
 	if !ss.DisableStrategy3 {
-		dmin := massUpperBound(cat, reg)
-		qmin := kernelUpperBound(q.Issuer.Catalog, reg, q.W, q.H)
-		if qmin*dmin < qp {
+		from := 0
+		if mTested {
+			from = m + 1
+		}
+		qmin := plan.kernelUpperBound(reg)
+		if qmin*massUpperBound(rows, from, reg, qmin, qp) < qp {
 			return PrunedStrategy3
 		}
 	}

@@ -70,10 +70,12 @@ func BenchmarkEvaluateRange(b *testing.B) {
 // TestEvaluateRangeAllocationBudget pins what one range request on the
 // shard-sized engine allocates: the match list, the query plan and the
 // request's fixed overhead — the survivor buffer and a leaf record's
-// catalog rows and marginals are pooled scratch, and nothing is
-// allocated per candidate. Budgets are the measured values plus a
-// small grace; a change that moves them re-measures and says so, as
-// for TestApplyUpdatesAllocationBudget.
+// marginals are pooled scratch, the issuer's q-expanded queries are a
+// fixed array on the plan, a leaf record's catalog rows are computed
+// one at a time as pruning reads them, and nothing is allocated per
+// candidate. Budgets are the measured values plus a small grace; a
+// change that moves them re-measures and says so, as for
+// TestApplyUpdatesAllocationBudget.
 func TestEvaluateRangeAllocationBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a shard-sized engine")
@@ -83,8 +85,8 @@ func TestEvaluateRangeAllocationBudget(t *testing.T) {
 	}
 	const (
 		rounds      = 4
-		bytesBudget = 27_500 // measured 25 800 (46 100 with the table reads and a survivor slice and probability slice per request)
-		allocBudget = 18     // measured 16.3 (27.6)
+		bytesBudget = 27_500 // measured 25 812 with rows read on demand, as with a pooled row buffer (46 100 with the table reads and a survivor slice and probability slice per request)
+		allocBudget = 18     // measured 16.3 both ways (27.6)
 	)
 	eng, w := newApplyEngine(t)
 	reqs := rangeBenchRequests(t, w)

@@ -176,19 +176,6 @@ func UniformBound(region geom.Rect, v float64) Bound {
 	}
 }
 
-// UniformCatalog is NewCatalog for the uniform pdf over region at probs
-// (ascending and distinct, as an index's catalog values are), its rows
-// computed by UniformBound into dst's storage, which is grown only if
-// it is short. The catalog aliases that storage: it is scratch, valid
-// until the caller reuses dst.
-func UniformCatalog(dst []Bound, region geom.Rect, probs []float64) Catalog {
-	dst = dst[:0]
-	for _, v := range probs {
-		dst = append(dst, UniformBound(region, v))
-	}
-	return Catalog{bounds: dst}
-}
-
 // bisect finds x in [lo, hi] with monotone f(x) ~= target.
 func bisect(f func(float64) float64, lo, hi, target float64) float64 {
 	if target <= 0 {

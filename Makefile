@@ -1,8 +1,10 @@
 # Developer / CI entry points. Timing is measured by the end-to-end
 # benchmark (benchmark/, BENCHMARK.json); `make bench` only prints the
 # go test micro-benchmarks of the refinement kernels, the hop codecs
-# (the NN frame, the match-list JSON, the update batch, the delta frame
-# relay; the last two pinned by serve.TestWriteCodecAllocationBudget)
+# (the NN frame; the match-list JSON, the router's relay of a shard's
+# match list and the query request, those two pinned by
+# serve.TestRelayAllocationBudget; the update batch and the delta frame
+# relay, pinned by serve.TestWriteCodecAllocationBudget)
 # the write path (one 16-move ApplyUpdates batch on a shard-sized
 # engine; its bytes and allocations are pinned by
 # core.TestApplyUpdatesAllocationBudget) and a shard's NN candidate
@@ -12,8 +14,10 @@
 # engine; pinned by core.TestEvaluateRangeAllocationBudget), and the
 # generator's seeding
 # (mcbound.BenchmarkSeed, math/rand's against mcbound.Source). It also
-# runs nn.TestRefineAllocationBudget, which prints the bytes and
-# allocations of one pooled Refine call at the nn_ro shape.
+# runs nn.TestRefineAllocationBudget and serve.TestRelayAllocationBudget,
+# which print the bytes and allocations of one pooled Refine call at the
+# nn_ro shape and of the router's codec work per range_ro reply and
+# request.
 # `make apicheck` gates the public API surface against api/repro.txt.
 
 GO ?= go
@@ -48,7 +52,7 @@ soak:
 	$(GO) test -run 'TestCrashRecoveryProperty|TestCheckpointFaultInjection' -count=3 ./internal/core/
 
 bench: build
-	$(GO) test ./internal/bench ./internal/nn ./internal/mcbound ./internal/wire ./internal/serve ./internal/core -run 'TestRefineAllocationBudget' -v -bench 'BenchmarkRefine|BenchmarkSeed|BenchmarkNNCandidateFrame|BenchmarkEvaluateResponseCodec|BenchmarkUpdatesCodec|BenchmarkRelayFrame|BenchmarkApplyUpdates|BenchmarkNNCandidates|BenchmarkEvaluateRange' -benchtime 1s -benchmem
+	$(GO) test ./internal/bench ./internal/nn ./internal/mcbound ./internal/wire ./internal/serve ./internal/core -run 'TestRefineAllocationBudget|TestRelayAllocationBudget' -v -bench 'BenchmarkRefine|BenchmarkSeed|BenchmarkNNCandidateFrame|BenchmarkEvaluateResponseCodec|BenchmarkUpdatesCodec|BenchmarkRelayFrame|BenchmarkApplyUpdates|BenchmarkNNCandidates|BenchmarkEvaluateRange' -benchtime 1s -benchmem
 
 # The end-to-end benchmark (benchmark/, see BENCHMARK.json) is a
 # module of its own, so `go build ./... && go test ./...` never
@@ -72,9 +76,11 @@ cluster-smoke: build
 # scan of its point table, a uniform object's PTI leaf record against
 # its table row, the NN candidate frame decoder and the match-list JSON
 # scanner (the router's untrusted input from its shards; the scanner is
-# also held to json.Unmarshal), the delta frame relay, the checkpoint
-# manifest's extent checks, the request bodies a client sends (the
-# update batch's decoder held to the json.Decoder it replaced), the
+# also held to json.Unmarshal, and its relay of a reply to the reply),
+# the delta frame relay, the checkpoint manifest's extent checks, the
+# request bodies a client sends (the query request's, the NN candidate
+# request's and the update batch's decoders held to the json.Decoder
+# they replaced, their encoders to json.Marshal), the
 # tile-map spec string, the router's delta feed reader (a shard's
 # feed stream, untrusted input at the router), and the point and
 # rectangle dataset readers.

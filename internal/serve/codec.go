@@ -18,26 +18,29 @@ import (
 	"repro/internal/uncertain"
 )
 
-// This file is the codec of every body a query answer or a write
-// crosses the fleet in: an append encoder and a scanning decoder that
-// replace encoding/json's reflection on the hot hops without changing a
-// byte of any body. On the read path they carry the two bodies with a
-// match list, EvaluateResponse and RegisterResponse (shard → router →
-// client); on the write path the /v1/updates batch (client → router →
-// shard) and its UpdatesResponse, and the SSE delta frame, which a
-// shard writes straight from monitor.Delta and the router relays as the
-// shard's own bytes with its shard tag spliced in (AppendRelayedDelta).
+// This file is the codec of every body a query or a write crosses the
+// fleet in: an append encoder and a scanning decoder that replace
+// encoding/json's reflection on the hot hops without changing a byte of
+// any body. On the read path they carry the query request (client →
+// router → shard, and inside the NN candidate request) and the two
+// bodies with a match list, EvaluateResponse and RegisterResponse
+// (shard → router → client), whose match elements the router relays as
+// the shards' own bytes (AppendRelayedEvaluateResponse); on the write
+// path the /v1/updates batch (client → router → shard) and its
+// UpdatesResponse, and the SSE delta frame, which a shard writes
+// straight from monitor.Delta and the router relays as the shard's own
+// bytes with its shard tag spliced in (AppendRelayedDelta).
 //
 // The encoder writes exactly what encoding/json writes for the same
 // struct — field order, omitempty, encoding/json's float and string
 // rules, the trailing newline where json.NewEncoder(w).Encode writes
 // one. The decoders of replies and frames accept a subset of what
-// json.Unmarshal accepts and yield the same struct for it; the decoder
-// of the update batch, a client's request, accepts what
-// json.Decoder with DisallowUnknownFields accepts, with two documented
-// exceptions (DecodeUpdatesRequest). TestCodecMatchesEncodingJSON and
-// the fuzz targets hold them to that, so there is one wire format and
-// no second schema to version.
+// json.Unmarshal accepts and yield the same struct for it; the decoders
+// of a client's request bodies accept what json.Decoder with
+// DisallowUnknownFields accepts, with two documented exceptions
+// (DecodeUpdatesRequest). TestCodecMatchesEncodingJSON and the fuzz
+// targets hold them to that, so there is one wire format and no second
+// schema to version.
 
 // encoder appends JSON to b. The one value it can refuse is a float64
 // that is not finite, as encoding/json does; err keeps the first.
@@ -277,6 +280,71 @@ func appendEngineEvaluateResponse(dst []byte, r *EvaluateResponse, ms []core.Mat
 	return e.done()
 }
 
+// AppendRelayedEvaluateResponse appends the router's answer to POST
+// /v1/evaluate: r, except that its match list is not r.Matches but the
+// union of the replies' lists, merged in the canonical order each
+// arrives in (DecodeEvaluateReply checked it) with one copy kept of
+// matches that compare equal — a straddling object's replicas — and
+// every element copied from the reply that supplied it rather than
+// written again. A lone non-empty list is one copy. The list is always
+// a list: no reply, or only empty or null ones, is [].
+func AppendRelayedEvaluateResponse(dst []byte, r *EvaluateResponse, replies []EvaluateReply) ([]byte, error) {
+	e := encoder{b: dst}
+	e.evaluateHead(r)
+	e.relayedMatches(replies)
+	e.evaluateTail(r)
+	return e.done()
+}
+
+// relayCursor is the part of one reply's match list the merge has not
+// passed yet: the decoded matches, and their elements' bytes.
+type relayCursor struct {
+	ms    []MatchJSON
+	elems []byte
+}
+
+func (e *encoder) relayedMatches(replies []EvaluateReply) {
+	var fixed [4]relayCursor // a query touches one shard, rarely more than two
+	lists := fixed[:0]
+	for i := range replies {
+		if len(replies[i].Matches) > 0 {
+			lists = append(lists, relayCursor{replies[i].Matches, replies[i].elems})
+		}
+	}
+	e.raw("[")
+	if len(lists) == 1 {
+		e.b = append(e.b, lists[0].elems...)
+		lists = nil
+	}
+	var last MatchJSON
+	for kept := 0; len(lists) > 0; {
+		lo := 0
+		for l := 1; l < len(lists); l++ {
+			if CompareMatchJSON(lists[l].ms[0], lists[lo].ms[0]) < 0 {
+				lo = l
+			}
+		}
+		c := &lists[lo]
+		// An element ends at its one '}': the layout the scanner accepted
+		// has no other.
+		end := bytes.IndexByte(c.elems, '}') + 1
+		if m := c.ms[0]; kept == 0 || CompareMatchJSON(last, m) != 0 {
+			if kept > 0 {
+				e.raw(",")
+			}
+			e.b = append(e.b, c.elems[:end]...)
+			last = m
+			kept++
+		}
+		if c.ms = c.ms[1:]; len(c.ms) == 0 {
+			lists = slices.Delete(lists, lo, lo+1)
+		} else {
+			c.elems = c.elems[end+1:] // and the comma
+		}
+	}
+	e.raw("]")
+}
+
 // AppendRegisterResponse appends r as the body of POST /v1/queries.
 func AppendRegisterResponse(dst []byte, r *RegisterResponse) ([]byte, error) {
 	e := encoder{b: dst}
@@ -287,6 +355,82 @@ func AppendRegisterResponse(dst []byte, r *RegisterResponse) ([]byte, error) {
 	e.raw(`,"snapshot":`)
 	e.matches(r.Snapshot)
 	e.raw("}\n")
+	return e.done()
+}
+
+// request writes a RequestJSON. Every field before the issuer is
+// omitempty and the issuer never is, so the comma goes after each of
+// those.
+func (e *encoder) request(rj *RequestJSON) {
+	e.raw("{")
+	if rj.Kind != "" {
+		e.raw(`"kind":`)
+		e.str(rj.Kind)
+		e.raw(",")
+	}
+	if rj.Target != "" {
+		e.raw(`"target":`)
+		e.str(rj.Target)
+		e.raw(",")
+	}
+	e.raw(`"issuer":{"region":`)
+	if rj.Issuer.Region == nil {
+		e.raw("null")
+	} else {
+		e.floats(rj.Issuer.Region)
+	}
+	if rj.Issuer.PDF != "" {
+		e.raw(`,"pdf":`)
+		e.str(rj.Issuer.PDF)
+	}
+	e.optFloat(`,"sigma_x":`, rj.Issuer.SigmaX)
+	e.optFloat(`,"sigma_y":`, rj.Issuer.SigmaY)
+	e.raw("}")
+	e.optFloat(`,"w":`, rj.W)
+	e.optFloat(`,"h":`, rj.H)
+	e.optFloat(`,"threshold":`, rj.Threshold)
+	e.optInt(`,"k":`, int64(rj.K))
+	e.optInt(`,"nn_samples":`, int64(rj.NNSamples))
+	e.optInt(`,"seed":`, rj.Seed)
+	if rj.Trace {
+		e.raw(`,"trace":true`)
+	}
+	e.raw("}")
+}
+
+// optFloat and optInt write an omitempty number field, key included.
+func (e *encoder) optFloat(key string, f float64) {
+	if f != 0 {
+		e.raw(key)
+		e.float(f)
+	}
+}
+
+func (e *encoder) optInt(key string, v int64) {
+	if v != 0 {
+		e.raw(key)
+		e.int(v)
+	}
+}
+
+// AppendRequest appends rj as the body of POST /v1/evaluate and POST
+// /v1/queries: byte for byte what json.Marshal(rj) writes, with no
+// trailing newline.
+func AppendRequest(dst []byte, rj *RequestJSON) ([]byte, error) {
+	e := encoder{b: dst}
+	e.request(rj)
+	return e.done()
+}
+
+// AppendNNCandidatesRequest appends r as the body of POST
+// /v1/nn/candidates: byte for byte what json.Marshal(r) writes.
+func AppendNNCandidatesRequest(dst []byte, r *NNCandidatesRequest) ([]byte, error) {
+	e := encoder{b: dst}
+	e.raw(`{"request":`)
+	e.request(&r.Request)
+	e.optFloat(`,"tau_bound":`, r.TauBound)
+	e.optInt(`,"limit":`, int64(r.Limit))
+	e.raw("}")
 	return e.done()
 }
 
@@ -306,14 +450,8 @@ func (e *encoder) update(u *UpdateJSON) {
 	e.str(u.Op)
 	e.raw(`,"id":`)
 	e.int(u.ID)
-	if u.X != 0 {
-		e.raw(`,"x":`)
-		e.float(u.X)
-	}
-	if u.Y != 0 {
-		e.raw(`,"y":`)
-		e.float(u.Y)
-	}
+	e.optFloat(`,"x":`, u.X)
+	e.optFloat(`,"y":`, u.Y)
 	if len(u.Region) > 0 {
 		e.raw(`,"region":`)
 		e.floats(u.Region)
@@ -322,14 +460,8 @@ func (e *encoder) update(u *UpdateJSON) {
 		e.raw(`,"pdf":`)
 		e.str(u.PDF)
 	}
-	if u.SigmaX != 0 {
-		e.raw(`,"sigma_x":`)
-		e.float(u.SigmaX)
-	}
-	if u.SigmaY != 0 {
-		e.raw(`,"sigma_y":`)
-		e.float(u.SigmaY)
-	}
+	e.optFloat(`,"sigma_x":`, u.SigmaX)
+	e.optFloat(`,"sigma_y":`, u.SigmaY)
 	e.raw("}")
 }
 
@@ -485,12 +617,14 @@ const maxSkipDepth = 32
 // As a decoder of replies and frames it accepts less than
 // encoding/json: only an object at the top, null only in place of a
 // list, no key twice in one object (json.Unmarshal merges the two
-// values), unknown values nested at most maxSkipDepth deep, and a
-// match list only in the engine's canonical order. It accepts any key
-// order, whitespace, keys spelled in another case (as json.Unmarshal
-// matches them) and unknown keys, whose values are checked to be JSON
-// and dropped — unless strict, when an unknown key is refused as
-// DisallowUnknownFields refuses it.
+// values), unknown values nested at most maxSkipDepth deep, an
+// answer's match list only in the engine's canonical order (matches),
+// and the one in a shard's evaluate reply only in the layout a shard
+// writes, too (shardMatches). It accepts any key order, whitespace, keys
+// spelled in another case (as json.Unmarshal matches them) and unknown
+// keys, whose values are checked to be JSON and dropped — unless
+// strict, when an unknown key is refused as DisallowUnknownFields
+// refuses it.
 type scanner struct {
 	p      []byte
 	i      int
@@ -885,8 +1019,21 @@ func CompareMatchJSON(a, b MatchJSON) int {
 
 var matchKeys = []string{"id", "p"}
 
-// matches scans a match list and holds it to what the router's merge
-// relies on: strictly ascending in the engine's canonical order
+// match scans a delta frame's match in any layout json.Unmarshal reads.
+func (s *scanner) match() (m MatchJSON) {
+	s.members(matchKeys, func(f int) {
+		if f == 0 {
+			m.ID = s.int(64)
+		} else {
+			m.P = s.float64()
+		}
+	})
+	return m
+}
+
+// matches scans an answer's match list — an evaluate reply or a
+// registration snapshot — and holds it to what the router's merge relies
+// on: strictly ascending in the engine's canonical order
 // (CompareMatchJSON), which also rules out a repeated id at one
 // probability. An unsorted list merged as if sorted would become the
 // fleet's answer silently.
@@ -899,23 +1046,106 @@ func (s *scanner) matches() []MatchJSON {
 	return list(s, hint, func() MatchJSON {
 		m := s.match()
 		if !first && CompareMatchJSON(prev, m) >= 0 {
-			s.fail("match list is not in canonical order")
+			s.fail(outOfOrder)
 		}
 		prev, first = m, false
 		return m
 	})
 }
 
-func (s *scanner) match() (m MatchJSON) {
-	s.members(matchKeys, func(f int) {
-		if f == 0 {
-			m.ID = s.int(64)
-		} else {
-			m.P = s.float64()
+const outOfOrder = "match list is not in canonical order"
+
+// shardMatches is matches for the match list of a shard's evaluate
+// reply, which the router relays as the shard's bytes: it also returns
+// the elements' bytes — the list between its brackets, aliasing the
+// body — and takes each element only in the one layout a shard's
+// encoder writes (matchRows), {"id":<int>,"p":<number>} with no
+// whitespace and no other key. That is what lets the router find where
+// an element ends and copy it instead of writing it again.
+func (s *scanner) shardMatches() (ms []MatchJSON, elems []byte) {
+	if s.null() || !s.expect('[') {
+		return nil, nil
+	}
+	from := s.i
+	ms = make([]MatchJSON, 0, bytes.Count(s.p[s.i:], []byte("{")))
+	if s.i < len(s.p) && s.p[s.i] == ']' {
+		s.i++
+		return ms, s.p[from:from]
+	}
+	for {
+		m := s.matchElement()
+		if n := len(ms); n > 0 && CompareMatchJSON(ms[n-1], m) >= 0 {
+			s.fail(outOfOrder)
 		}
-	})
+		if s.err != nil {
+			return nil, nil
+		}
+		ms = append(ms, m)
+		switch {
+		case s.i < len(s.p) && s.p[s.i] == ',':
+			s.i++
+		case s.i < len(s.p) && s.p[s.i] == ']':
+			s.i++
+			return ms, s.p[from : s.i-1]
+		default:
+			s.fail("want ',' or ']' right after a match")
+			return nil, nil
+		}
+	}
+}
+
+// matchElement scans one element of a shard's match list.
+func (s *scanner) matchElement() (m MatchJSON) {
+	s.layout(`{"id":`)
+	m.ID = s.id()
+	s.layout(`,"p":`)
+	m.P = s.float64()
+	s.layout("}")
 	return m
 }
+
+// id is int(64) for a match element's id, where the layout leaves no
+// room for a fraction or an exponent (the bytes after an id must be
+// ,"p":): an optional minus, then at most 19 digits without a leading
+// zero, in int64's range.
+func (s *scanner) id() int64 {
+	p, i := s.p, s.i
+	neg := i < len(p) && p[i] == '-'
+	if neg {
+		i++
+	}
+	end := digitsEnd(p, i)
+	if end == i || p[i] == '0' && end > i+1 || end-i > 19 {
+		s.fail("want an integer of 64 bits")
+		return 0
+	}
+	var u uint64 // 19 digits cannot overflow it
+	for _, c := range p[i:end] {
+		u = u*10 + uint64(c-'0')
+	}
+	if neg && u > 1<<63 || !neg && u > math.MaxInt64 {
+		s.fail("want an integer of 64 bits")
+		return 0
+	}
+	s.i = end
+	if neg {
+		return -int64(u) // 1<<63 wraps to math.MinInt64, as it should
+	}
+	return int64(u)
+}
+
+// layout consumes w, a match element's fixed bytes, which must come
+// next; what follows w must not be whitespace either (float64 would
+// skip it).
+func (s *scanner) layout(w string) {
+	if !bytes.HasPrefix(s.p[s.i:], []byte(w)) || s.i+len(w) < len(s.p) && isSpace(s.p[s.i+len(w)]) {
+		s.fail(`a match is not {"id":<int>,"p":<number>}`)
+		return
+	}
+	s.i += len(w)
+}
+
+func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\r' || c == '\n' }
 
 var costKeys = []string{"candidates", "refined", "samples_used", "early_stopped", "node_accesses", "duration_ms"}
 
@@ -973,21 +1203,47 @@ func (s *scanner) end() error {
 
 var evaluateKeys = []string{"request_id", "kind", "version", "matches", "cost", "trace", "partial", "missing_shards"}
 
+// EvaluateReply is a shard's reply to POST /v1/evaluate as the router
+// relays it: the reply decoded, and the bytes of its match elements,
+// which AppendRelayedEvaluateResponse copies into the router's answer.
+// Those bytes alias the body it was decoded from, which must therefore
+// outlive it; the rest shares no memory with the body.
+type EvaluateReply struct {
+	EvaluateResponse
+	elems []byte // the match list between its brackets
+}
+
+// DecodeEvaluateReply decodes a shard's reply to POST /v1/evaluate
+// under the rules of DecodeEvaluateResponse, but for its match list,
+// which it takes only in the layout a shard writes (shardMatches).
+func DecodeEvaluateReply(body []byte) (EvaluateReply, error) {
+	return decodeEvaluate(body, true)
+}
+
 // DecodeEvaluateResponse decodes the body of POST /v1/evaluate. The
 // result shares no memory with body. Every refusal wraps ErrBody.
 func DecodeEvaluateResponse(body []byte) (EvaluateResponse, error) {
+	r, err := decodeEvaluate(body, false)
+	return r.EvaluateResponse, err
+}
+
+func decodeEvaluate(body []byte, relay bool) (EvaluateReply, error) {
 	s := &scanner{p: body}
-	var r EvaluateResponse
+	var r EvaluateReply
 	s.members(evaluateKeys, func(f int) {
 		switch f {
 		case 0:
 			r.RequestID = s.text()
 		case 1:
-			r.Kind = s.text()
+			r.Kind = s.known(kindNames)
 		case 2:
 			r.Version = s.uint64()
 		case 3:
-			r.Matches = s.matches()
+			if relay {
+				r.Matches, r.elems = s.shardMatches()
+			} else {
+				r.Matches = s.matches()
+			}
 		case 4:
 			r.Cost = s.cost()
 		case 5:
@@ -999,7 +1255,7 @@ func DecodeEvaluateResponse(body []byte) (EvaluateResponse, error) {
 		}
 	})
 	if err := s.end(); err != nil {
-		return EvaluateResponse{}, err
+		return EvaluateReply{}, err
 	}
 	return r, nil
 }
@@ -1016,7 +1272,7 @@ func DecodeRegisterResponse(body []byte) (RegisterResponse, error) {
 		case 0:
 			r.ID = s.int(64)
 		case 1:
-			r.Kind = s.text()
+			r.Kind = s.known(kindNames)
 		case 2:
 			r.Snapshot = s.matches()
 		}
@@ -1066,16 +1322,28 @@ var updateKeys = []string{"op", "id", "x", "y", "region", "pdf", "sigma_x", "sig
 
 var opNames = []string{"upsert_object", "upsert_point", "delete_object", "delete_point"}
 
-// op is text for an update's op: the four names the server knows come
-// back as these constants, so they cost no allocation.
-func (s *scanner) op() string {
+// known is text for a value with a few common spellings — an update's
+// op, a request's kind: those come back as the constants in names, so
+// they cost no allocation.
+func (s *scanner) known(names []string) string {
 	b := s.str()
-	for _, name := range opNames {
+	for _, name := range names {
 		if string(b) == name {
 			return name
 		}
 	}
 	return string(b)
+}
+
+// coords scans a list of coordinates, a null element read as 0 as
+// json.Unmarshal reads it.
+func (s *scanner) coords() []float64 {
+	return list(s, 4, func() float64 {
+		if s.null() {
+			return 0
+		}
+		return s.float64()
+	})
 }
 
 // update scans one update of a request: null, for the update or for
@@ -1090,7 +1358,7 @@ func (s *scanner) update() (u UpdateJSON) {
 		}
 		switch f {
 		case 0:
-			u.Op = s.op()
+			u.Op = s.known(opNames)
 		case 1:
 			u.ID = s.int(64)
 		case 2:
@@ -1098,12 +1366,7 @@ func (s *scanner) update() (u UpdateJSON) {
 		case 3:
 			u.Y = s.float64()
 		case 4:
-			u.Region = list(s, 4, func() float64 {
-				if s.null() {
-					return 0
-				}
-				return s.float64()
-			})
+			u.Region = s.coords()
 		case 5:
 			u.PDF = s.text()
 		case 6:
@@ -1113,6 +1376,109 @@ func (s *scanner) update() (u UpdateJSON) {
 		}
 	})
 	return u
+}
+
+var requestKeys = []string{"kind", "target", "issuer", "w", "h", "threshold", "k", "nn_samples", "seed", "trace"}
+
+var kindNames = []string{"uncertain", "points", "nn"}
+
+// request scans a query request: null, for the request or for any of
+// its fields, leaves it at its zero value as encoding/json does.
+func (s *scanner) request() (rj RequestJSON) {
+	if s.null() {
+		return rj
+	}
+	s.members(requestKeys, func(f int) {
+		if s.null() {
+			return
+		}
+		switch f {
+		case 0:
+			rj.Kind = s.known(kindNames)
+		case 1:
+			rj.Target = s.known(kindNames)
+		case 2:
+			rj.Issuer = s.issuer()
+		case 3:
+			rj.W = s.float64()
+		case 4:
+			rj.H = s.float64()
+		case 5:
+			rj.Threshold = s.float64()
+		case 6:
+			rj.K = int(s.int(strconv.IntSize))
+		case 7:
+			rj.NNSamples = int(s.int(strconv.IntSize))
+		case 8:
+			rj.Seed = s.int(64)
+		case 9:
+			rj.Trace = s.bool()
+		}
+	})
+	return rj
+}
+
+var issuerKeys = []string{"region", "pdf", "sigma_x", "sigma_y"}
+
+func (s *scanner) issuer() (is IssuerJSON) {
+	s.members(issuerKeys, func(f int) {
+		if s.null() {
+			return
+		}
+		switch f {
+		case 0:
+			is.Region = s.coords()
+		case 1:
+			is.PDF = s.text()
+		case 2:
+			is.SigmaX = s.float64()
+		case 3:
+			is.SigmaY = s.float64()
+		}
+	})
+	return is
+}
+
+// DecodeRequest decodes the body of POST /v1/evaluate and POST
+// /v1/queries, a client's request, under the rules of
+// DecodeUpdatesRequest: what json.Decoder with DisallowUnknownFields
+// accepts, but a key twice in one object or bytes after the value. The
+// result shares no memory with body.
+func DecodeRequest(body []byte) (RequestJSON, error) {
+	s := &scanner{p: body, strict: true}
+	rj := s.request()
+	if err := s.end(); err != nil {
+		return RequestJSON{}, err
+	}
+	return rj, nil
+}
+
+var nnCandidatesKeys = []string{"request", "tau_bound", "limit"}
+
+// DecodeNNCandidatesRequest decodes the body of POST /v1/nn/candidates
+// under the rules of DecodeRequest.
+func DecodeNNCandidatesRequest(body []byte) (NNCandidatesRequest, error) {
+	s := &scanner{p: body, strict: true}
+	var r NNCandidatesRequest
+	if !s.null() {
+		s.members(nnCandidatesKeys, func(f int) {
+			if s.null() {
+				return
+			}
+			switch f {
+			case 0:
+				r.Request = s.request()
+			case 1:
+				r.TauBound = s.float64()
+			case 2:
+				r.Limit = int(s.int(strconv.IntSize))
+			}
+		})
+	}
+	if err := s.end(); err != nil {
+		return NNCandidatesRequest{}, err
+	}
+	return r, nil
 }
 
 var updatesResponseKeys = []string{"seq", "applied", "missing", "version", "reevaluated", "skipped", "entered", "left", "changed", "errors", "versions", "partial", "missing_shards"}

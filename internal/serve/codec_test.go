@@ -484,10 +484,32 @@ func realReply(tb testing.TB) []byte {
 	return rec.Body.Bytes()
 }
 
+// relayLone relays body as the router relays the reply of the one shard
+// a query touched: the reply's own fields, its match list as its bytes.
+func relayLone(body []byte) ([]byte, error) {
+	rep, err := DecodeEvaluateReply(body)
+	if err != nil {
+		return nil, err
+	}
+	return AppendRelayedEvaluateResponse(nil, &rep.EvaluateResponse, []EvaluateReply{rep})
+}
+
+// listed is r with a null or absent match list read as empty: the
+// router always answers a list.
+func listed(r EvaluateResponse) EvaluateResponse {
+	if r.Matches == nil {
+		r.Matches = []MatchJSON{}
+	}
+	return r
+}
+
 // FuzzDecodeEvaluateResponse: for arbitrary bytes the scanner returns a
 // value or an ErrBody, never panics, and whatever it accepts
 // json.Unmarshal accepts too, into the same struct — which the append
-// encoder then writes as encoding/json does.
+// encoder then writes as encoding/json does. The router's reply decoder
+// accepts a subset of that, into the same struct, and its relay of a
+// lone reply is a body json.Unmarshal reads as that struct; relaying a
+// body the append encoder wrote gives back its bytes exactly.
 func FuzzDecodeEvaluateResponse(f *testing.F) {
 	real := realReply(f)
 	if n := bytes.Count(real, []byte(`"id"`)); n < 500 {
@@ -502,8 +524,18 @@ func FuzzDecodeEvaluateResponse(f *testing.F) {
 	f.Add([]byte(`{"matches":[{"id":1,"p":1e999}]}`))
 	f.Add([]byte(`{"x":` + strings.Repeat(`{"x":`, maxSkipDepth) + `1` + strings.Repeat(`}`, maxSkipDepth) + `}`))
 	f.Add([]byte(`{"Matches":[{"Id":3,"P":0.5e0}],"co\u017ft":{"REFINED":-0},"trace":[{"note":"\ud83d\ude00\ud83d"}]} `))
+	f.Add([]byte(`{"matches":[{"id":-0,"p":-0},{"id":-9223372036854775808,"p":-1e-7}],"matches_x":[]}`))
+	f.Add([]byte(`{"matches":[{"id":1,"p":0.5} ,{"id":2,"p":0.25}]}`))
+	f.Add([]byte(`{"matches":null,"kind":"uncertain"}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		got, err := DecodeEvaluateResponse(body)
+		rep, repErr := DecodeEvaluateReply(body)
+		if repErr != nil && (!errors.Is(repErr, ErrBody) || !reflect.DeepEqual(rep, EvaluateReply{})) {
+			t.Fatalf("reply refusal is not a bare ErrBody: %+v, %v", rep, repErr)
+		}
+		if repErr == nil && (err != nil || !reflect.DeepEqual(rep.EvaluateResponse, got)) {
+			t.Fatalf("the reply decoder accepts what the scanner reads otherwise (%v): %q\nreply %+v\n scan %+v", err, body, rep.EvaluateResponse, got)
+		}
 		if err != nil {
 			if !errors.Is(err, ErrBody) || !reflect.DeepEqual(got, EvaluateResponse{}) {
 				t.Fatalf("refusal is not a bare ErrBody: %+v, %v", got, err)
@@ -521,12 +553,29 @@ func FuzzDecodeEvaluateResponse(f *testing.F) {
 		if std := stdEncode(t, got); err != nil || !bytes.Equal(enc, std) {
 			t.Fatalf("encoders disagree (err %v):\n got %s\n std %s", err, enc, std)
 		}
+
+		if repErr == nil {
+			relayed, err := relayLone(body)
+			var back EvaluateResponse
+			if err != nil || json.Unmarshal(relayed, &back) != nil || !reflect.DeepEqual(back, listed(got)) {
+				t.Fatalf("relay of %q (err %v) is %q, which does not read back as\n%+v", body, err, relayed, listed(got))
+			}
+		}
+		asList := listed(got)
+		enc, _ = AppendEvaluateResponse(nil, &asList)
+		if relayed, err := relayLone(enc); err != nil || !bytes.Equal(relayed, enc) {
+			t.Fatalf("relay of an encoded body (err %v):\n got %s\nwant %s", err, relayed, enc)
+		}
 	})
 }
 
-// FuzzRequestJSON: whatever body a client sends, decoding it the way
-// DecodeBody does and converting it yields a typed request error or a
-// request that validates.
+// FuzzRequestJSON: the decoders of the query request and of the NN
+// candidate request that carries one are a differential against the
+// json.Decoder + DisallowUnknownFields decode they replaced — the same
+// verdict and the same struct, but for the two documented refusals —
+// their encoders write what json.Marshal writes for every request they
+// accept, and a query request they accept converts (ToRequest) to a
+// typed request error or a request that validates.
 func FuzzRequestJSON(f *testing.F) {
 	f.Add([]byte(`{"issuer":{"region":[450,450,550,550]},"w":100,"h":100,"threshold":0.3}`))
 	f.Add([]byte(`{"kind":"points","issuer":{"region":[0,0,10,10],"pdf":"gaussian","sigma_x":2},"w":5,"h":5,"trace":true}`))
@@ -536,28 +585,49 @@ func FuzzRequestJSON(f *testing.F) {
 	f.Add([]byte(`{"kind":"points","issuer":{"region":[-1e308,-1e308,1e308,1e308]},"w":1e308,"h":1e308}`))
 	f.Add([]byte(`{"issuer":{"region":[-1e308,0,1e308,1],"pdf":"gaussian"},"w":1,"h":1}`))
 	f.Add([]byte(`{"issuer":{"region":[0,0,1]},"w":1,"h":1}`))
+	f.Add([]byte(`{"issuer":{"region":[0,0,1,1]},"w":1,"w":2}`))
+	f.Add([]byte(`{"issuer":{"region":[0,0,1,1],"Region":[0,0,2,2]},"w":1}`))
+	f.Add([]byte(`{"issuer":{"region":[0,0,1,1]},"w":1,"h":1} {}`))
+	f.Add([]byte(`{"issuer":{"region":[0,0,1,1]},"w":1,"h":1}x`))
+	f.Add([]byte(`{"KIND":"points","Issuer":{"REGION":[0,0,10,10],"Sigma_X":2},"W":5,"H":5,"\u017feed":3,"Nn_Samples":8}`))
+	f.Add([]byte(`{"issuer":null,"w":1,"h":1}`))
+	f.Add([]byte(`{"issuer":{"region":null,"pdf":null},"w":null,"trace":null}`))
+	f.Add([]byte(`{"issuer":{"region":[0,null,1,1]},"w":1,"h":1}`))
+	f.Add([]byte(`null`))
+	f.Add([]byte(`{"issuer":{"region":[450,450,550,550]},"w":100,"h":100,"workers":4}`))
+	f.Add([]byte(`{"request":{"kind":"nn","issuer":{"region":[900,5100,1100,5300]},"k":1,"nn_samples":64,"seed":5},"tau_bound":141.4,"limit":65536}`))
+	f.Add([]byte(`{"request":null,"tau_bound":null,"limit":-1}`))
+	f.Add([]byte(`{"request":{"kind":"nn"},"Request":{}}`))
+	f.Add([]byte(`{"request":{"kind":"nn","issuer":{"region":[0,0,1,1]},"k":1,"workers":4}}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
-		dec := json.NewDecoder(bytes.NewReader(body))
-		dec.DisallowUnknownFields()
-		var rj RequestJSON
-		if dec.Decode(&rj) != nil {
-			return
+		if rj, ok := sameStrictDecode(t, body, DecodeRequest, AppendRequest); ok {
+			checkToRequest(t, body, rj)
 		}
-		req, err := rj.ToRequest()
-		if err != nil {
-			var reqErr *core.RequestError
-			if !errors.As(err, &reqErr) || reqErr.Field == "" {
-				t.Fatalf("untyped error for %q: %v", body, err)
-			}
-			return
-		}
-		if err := req.Validate(); err != nil {
-			t.Fatalf("ToRequest passed a request that does not validate (%v): %q", err, body)
-		}
-		if err := finiteObject(req.Issuer); err != nil {
-			t.Fatalf("ToRequest passed an issuer %v: %q", err, body)
+		if nr, ok := sameStrictDecode(t, body, DecodeNNCandidatesRequest, AppendNNCandidatesRequest); ok {
+			checkToRequest(t, body, nr.Request)
 		}
 	})
+}
+
+// checkToRequest: a decoded request converts to a typed request error
+// or to a request that validates, with an issuer an engine can query
+// with.
+func checkToRequest(t *testing.T, body []byte, rj RequestJSON) {
+	t.Helper()
+	req, err := rj.ToRequest()
+	if err != nil {
+		var reqErr *core.RequestError
+		if !errors.As(err, &reqErr) || reqErr.Field == "" {
+			t.Fatalf("untyped error for %q: %v", body, err)
+		}
+		return
+	}
+	if err := req.Validate(); err != nil {
+		t.Fatalf("ToRequest passed a request that does not validate (%v): %q", err, body)
+	}
+	if err := finiteObject(req.Issuer); err != nil {
+		t.Fatalf("ToRequest passed an issuer %v: %q", err, body)
+	}
 }
 
 // finiteObject reports an object whose support extent or U-catalog row
@@ -576,14 +646,88 @@ func finiteObject(o *uncertain.Object) error {
 	return nil
 }
 
+// rangeRequest is range_ro's question as a client sends it.
+var rangeRequest = RequestJSON{Kind: "uncertain", Issuer: IssuerJSON{Region: []float64{4821.337512, 5160.25, 5021.337512, 5360.25}}, W: 1500, H: 1500, Threshold: 0.3}
+
+// relayOps returns the router's codec work per range reply and per
+// request, each reusing its buffer as the servers do: relay scans a
+// shard's reply and writes the client body from it, request encodes
+// the hop's request and decodes it as the shard does.
+func relayOps(tb testing.TB) (relay, request func()) {
+	body := realReply(tb)
+	var buf []byte
+	relay = func() {
+		rep, err := DecodeEvaluateReply(body)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		head := EvaluateResponse{Kind: rep.Kind, Version: rep.Version, Cost: rep.Cost}
+		if buf, err = AppendRelayedEvaluateResponse(buf[:0], &head, []EvaluateReply{rep}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	request = func() {
+		var err error
+		if buf, err = AppendRequest(buf[:0], &rangeRequest); err != nil {
+			tb.Fatal(err)
+		}
+		if _, err := DecodeRequest(buf); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return relay, request
+}
+
 // BenchmarkEvaluateResponseCodec: the reflection codec against the
-// append encoder and the scanner, on the range_ro answer.
+// append encoder and the scanner, on the range_ro answer; the router's
+// relay of that answer against the decode and encode it replaced; and
+// the query request's codec against encoding/json.
 func BenchmarkEvaluateResponseCodec(b *testing.B) {
 	body := realReply(b)
 	var resp EvaluateResponse
 	if err := json.Unmarshal(body, &resp); err != nil {
 		b.Fatal(err)
 	}
+	relay, request := relayOps(b)
+	b.Run("scan-append", func(b *testing.B) {
+		var buf []byte
+		b.SetBytes(int64(len(body)))
+		b.ReportAllocs()
+		for b.Loop() {
+			r, err := DecodeEvaluateResponse(body)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if buf, err = AppendEvaluateResponse(buf[:0], &r); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("relay", func(b *testing.B) {
+		b.SetBytes(int64(len(body)))
+		b.ReportAllocs()
+		for b.Loop() {
+			relay()
+		}
+	})
+	b.Run("request-std", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			enc := stdMarshal(b, rangeRequest)
+			dec := json.NewDecoder(bytes.NewReader(enc))
+			dec.DisallowUnknownFields()
+			var rj RequestJSON
+			if err := dec.Decode(&rj); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("request", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			request()
+		}
+	})
 	b.Run("std-encode", func(b *testing.B) {
 		var buf bytes.Buffer
 		b.SetBytes(int64(len(body)))
@@ -621,4 +765,33 @@ func BenchmarkEvaluateResponseCodec(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestRelayAllocationBudget pins what the router's codec allocates per
+// range reply it relays and per query request it encodes and decodes:
+// the measured values plus a small grace, as TestWriteCodecAllocationBudget
+// does for the write path. A change that moves them re-measures and says
+// so.
+func TestRelayAllocationBudget(t *testing.T) {
+	const (
+		relayBytesBudget   = 10_000 // measured 9 472: the match list, sized by the reply's 538 braces
+		relayAllocBudget   = 2      // measured 1
+		requestBytesBudget = 48     // measured 32: the issuer's region
+		requestAllocBudget = 2      // measured 1
+	)
+	relay, request := relayOps(t)
+	for _, c := range []struct {
+		name          string
+		op            func()
+		bytes, allocs float64
+	}{
+		{"relay", relay, relayBytesBudget, relayAllocBudget},
+		{"request", request, requestBytesBudget, requestAllocBudget},
+	} {
+		bytesPer, allocsPer := allocsPerOp(c.op)
+		t.Logf("%s: %.0f B, %.1f allocs", c.name, bytesPer, allocsPer)
+		if bytesPer > c.bytes || allocsPer > c.allocs {
+			t.Errorf("%s = %.0f B, %.1f allocs; budget %.0f B, %.0f allocs", c.name, bytesPer, allocsPer, c.bytes, c.allocs)
+		}
+	}
 }

@@ -25,26 +25,30 @@ import (
 // socket: requests at the servers, shard replies at the router.
 const MaxBodyBytes = 16 << 20
 
-// DecodeBody decodes a JSON body, rejecting unknown fields — a typo
-// in a request must fail loudly, not be silently ignored.
-func DecodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+// ReadRequest reads the body of POST /v1/evaluate or POST /v1/queries
+// and decodes it with DecodeRequest: unknown fields are refused — a
+// typo in a request must fail loudly, not be silently ignored.
+func ReadRequest(w http.ResponseWriter, r *http.Request) (RequestJSON, error) {
+	return readDecoded(w, r, DecodeRequest)
 }
 
-// ReadUpdatesRequest reads the body of POST /v1/updates into a pooled
-// buffer and decodes it with DecodeUpdatesRequest; the request it
-// returns shares no memory with the buffer.
+// ReadUpdatesRequest reads the body of POST /v1/updates and decodes it
+// with DecodeUpdatesRequest.
 func ReadUpdatesRequest(w http.ResponseWriter, r *http.Request) (UpdatesRequest, error) {
+	return readDecoded(w, r, DecodeUpdatesRequest)
+}
+
+// readDecoded reads a request body into a pooled buffer and decodes it;
+// decode's result shares no memory with the buffer.
+func readDecoded[T any](w http.ResponseWriter, r *http.Request, decode func([]byte) (T, error)) (T, error) {
 	buf := GetBuffer()
 	body, err := readBody(w, r, *buf)
-	var req UpdatesRequest
+	var v T
 	if err == nil {
-		req, err = DecodeUpdatesRequest(body)
+		v, err = decode(body)
 	}
 	PutBuffer(buf, body)
-	return req, err
+	return v, err
 }
 
 // maxPresize bounds the room readBody reserves on a client's word: a
@@ -76,9 +80,10 @@ func WriteBodyError(log *slog.Logger, w http.ResponseWriter, err error) {
 	WriteError(log, w, status, err)
 }
 
-// bufferPool holds the buffers request and reply bodies and relayed
-// delta frames pass through. A buffer that grew past maxPooledBuffer is
-// dropped, so one huge body does not pin its memory to the pool.
+// bufferPool holds the buffers request and reply bodies — the router's
+// reads of shard replies included — and relayed delta frames pass
+// through. A buffer that grew past maxPooledBuffer is dropped, so one
+// huge body does not pin its memory to the pool.
 var bufferPool = sync.Pool{New: func() any { return new([]byte) }}
 
 const maxPooledBuffer = 1 << 20
@@ -95,13 +100,13 @@ func PutBuffer(buf *[]byte, b []byte) {
 	}
 }
 
-// writeBody encodes a reply into a pooled buffer and only then commits
+// WriteBody encodes a reply into a pooled buffer and only then commits
 // to it: Content-Length, the status, one Write. A value that does not
 // encode (a NaN in a float field — a bug caught by tests) is therefore
 // a clean 500 with a JSON error body, not a truncated 200, and no reply
 // is chunked. A Write failure means the client is gone, so it is logged
 // at debug rather than surfaced.
-func writeBody(log *slog.Logger, w http.ResponseWriter, status int, encode func(dst []byte) ([]byte, error)) {
+func WriteBody(log *slog.Logger, w http.ResponseWriter, status int, encode func(dst []byte) ([]byte, error)) {
 	buf := GetBuffer()
 	body, err := encode((*buf)[:0])
 	if err != nil {
@@ -123,30 +128,23 @@ func writeBody(log *slog.Logger, w http.ResponseWriter, status int, encode func(
 // small replies off the query and write paths, whose bodies have an
 // encoder of their own (codec.go).
 func WriteJSON(log *slog.Logger, w http.ResponseWriter, status int, v any) {
-	writeBody(log, w, status, func(dst []byte) ([]byte, error) {
+	WriteBody(log, w, status, func(dst []byte) ([]byte, error) {
 		buf := bytes.NewBuffer(dst)
 		err := json.NewEncoder(buf).Encode(v)
 		return buf.Bytes(), err
 	})
 }
 
-// WriteEvaluateResponse answers POST /v1/evaluate with r.
-func WriteEvaluateResponse(log *slog.Logger, w http.ResponseWriter, r *EvaluateResponse) {
-	writeBody(log, w, http.StatusOK, func(dst []byte) ([]byte, error) {
-		return AppendEvaluateResponse(dst, r)
-	})
-}
-
 // WriteRegisterResponse answers POST /v1/queries with r.
 func WriteRegisterResponse(log *slog.Logger, w http.ResponseWriter, r *RegisterResponse) {
-	writeBody(log, w, http.StatusCreated, func(dst []byte) ([]byte, error) {
+	WriteBody(log, w, http.StatusCreated, func(dst []byte) ([]byte, error) {
 		return AppendRegisterResponse(dst, r)
 	})
 }
 
 // WriteUpdatesResponse answers POST /v1/updates with r.
 func WriteUpdatesResponse(log *slog.Logger, w http.ResponseWriter, r *UpdatesResponse) {
-	writeBody(log, w, http.StatusOK, func(dst []byte) ([]byte, error) {
+	WriteBody(log, w, http.StatusOK, func(dst []byte) ([]byte, error) {
 		return AppendUpdatesResponse(dst, r)
 	})
 }

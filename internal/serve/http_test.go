@@ -22,7 +22,9 @@ func TestUnencodableReplyIs500(t *testing.T) {
 			WriteJSON(log, w, http.StatusOK, map[string]any{"before": "x", "p": math.NaN()})
 		},
 		"append encoder": func(w http.ResponseWriter) {
-			WriteEvaluateResponse(log, w, &EvaluateResponse{Matches: []MatchJSON{{ID: 1, P: 0.5}, {ID: 2, P: math.NaN()}}})
+			WriteBody(log, w, http.StatusOK, func(dst []byte) ([]byte, error) {
+				return AppendEvaluateResponse(dst, &EvaluateResponse{Matches: []MatchJSON{{ID: 1, P: 0.5}, {ID: 2, P: math.NaN()}}})
+			})
 		},
 	} {
 		rec := httptest.NewRecorder()

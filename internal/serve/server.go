@@ -28,7 +28,8 @@ import (
 // Regions are [x0, y0, x1, y1]; pdfs are "uniform" (the paper's
 // default) or "gaussian" (truncated, paper's σ convention when
 // sigma_x/sigma_y are omitted). Unknown fields are rejected with a
-// structured 400.
+// structured 400, and so are a key given twice and bytes after the
+// body's value (DecodeRequest).
 
 type IssuerJSON struct {
 	Region []float64 `json:"region"`
@@ -539,8 +540,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // writing a structured 400 on failure. The raw wire request is
 // returned alongside for serve-only fields (trace).
 func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (RequestJSON, core.Request, bool) {
-	var rj RequestJSON
-	if err := DecodeBody(w, r, &rj); err != nil {
+	rj, err := ReadRequest(w, r)
+	if err != nil {
 		WriteBodyError(s.log, w, err)
 		return rj, core.Request{}, false
 	}
@@ -592,7 +593,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	if tr != nil {
 		body.Trace = toTraceJSON(tr)
 	}
-	writeBody(s.log, w, http.StatusOK, func(dst []byte) ([]byte, error) {
+	WriteBody(s.log, w, http.StatusOK, func(dst []byte) ([]byte, error) {
 		return appendEngineEvaluateResponse(dst, &body, resp.Matches)
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -199,6 +200,38 @@ func TestServeRejectsUnknownFields(t *testing.T) {
 		{"op": "upsert_object", "id": 7, "regoin": [480, 480, 520, 520]}]}`)
 	if status != http.StatusBadRequest || body["error"] != `json: unknown field "regoin"` {
 		t.Fatalf("updates with unknown field: HTTP %d (%v), want 400 naming regoin", status, body)
+	}
+}
+
+// TestServeRefusesDuplicateKeysAndTrailingBytes: the two bodies
+// json.Decoder took and the strict request decoders refuse — a key twice
+// in one object, bytes after the value — are 400s on every endpoint a
+// query request reaches, the NN candidate collection included.
+func TestServeRefusesDuplicateKeysAndTrailingBytes(t *testing.T) {
+	ts := testServer(t)
+	const query = `{"kind":"nn","issuer":{"region":[450,450,550,550]},"k":1}`
+	for path, ok := range map[string]string{
+		"/v1/evaluate":      query,
+		"/v1/queries":       `{"issuer":{"region":[450,450,550,550]},"w":100,"h":100}`,
+		"/v1/nn/candidates": `{"request":` + query + `}`,
+	} {
+		for name, body := range map[string]string{
+			"a key twice":          ok[:len(ok)-1] + `,"kind":"nn"}`,
+			"a nested key twice":   strings.Replace(ok, `"region":`, `"pdf":"uniform","PDF":"uniform","region":`, 1),
+			"bytes after":          ok + " {}",
+			"garbage after":        ok + "x",
+			"whitespace after, ok": ok + " \n",
+		} {
+			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			reply, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if want := strings.HasSuffix(name, ", ok"); (resp.StatusCode < 300) != want || !want && resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s with %s: HTTP %d %.80q", path, name, resp.StatusCode, reply)
+			}
+		}
 	}
 }
 

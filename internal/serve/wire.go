@@ -14,14 +14,16 @@ import (
 // probabilities bit-exact across the scatter-gather hop is that a
 // float64 is rendered at round-trip precision in both directions, by
 // one encoder/decoder pair per body. Every body a query or a write
-// crosses the fleet in has a pair of its own in codec.go — the match
-// lists (EvaluateResponse, RegisterResponse), the update batch and its
-// reply, the delta frame and the router's relay of it — and
-// TestCodecMatchesEncodingJSON pins each pair to encoding/json byte for
-// byte, so the two cannot drift; encoding/json is left with the small
-// bodies off those paths (query requests, /healthz, error replies). The one
-// success body that is not JSON is the reply of /v1/nn/candidates, a
-// binary frame (internal/wire) that carries each float64 as its bits.
+// crosses the fleet in has a pair of its own in codec.go — the query
+// request and the NN candidate request, the match lists
+// (EvaluateResponse, RegisterResponse) and the router's relay of a
+// shard's, the update batch and its reply, the delta frame and the
+// router's relay of it — and TestCodecMatchesEncodingJSON and the fuzz
+// targets pin each pair to encoding/json byte for byte, so the two
+// cannot drift; encoding/json is left with the small bodies off those
+// paths (/healthz, error replies). The one success body that is not
+// JSON is the reply of /v1/nn/candidates, a binary frame
+// (internal/wire) that carries each float64 as its bits.
 
 // EvaluateResponse is the body of POST /v1/evaluate.
 type EvaluateResponse struct {
@@ -105,8 +107,8 @@ const MaxNNCandidateLimit = 1 << 16
 // appended straight from the snapshot's candidate set and sent with a
 // Content-Length.
 func (s *Server) handleNNCandidates(w http.ResponseWriter, r *http.Request) {
-	var body NNCandidatesRequest
-	if err := DecodeBody(w, r, &body); err != nil {
+	body, err := readDecoded(w, r, DecodeNNCandidatesRequest)
+	if err != nil {
 		WriteBodyError(s.log, w, err)
 		return
 	}

@@ -199,19 +199,53 @@ func sameDeltaAsStd(t *testing.T, d *monitor.Delta, reindent bool) {
 	}
 }
 
-// stdDecodeUpdates decodes body the way DecodeBody did before
-// DecodeUpdatesRequest replaced it on /v1/updates.
-func stdDecodeUpdates(body []byte) (UpdatesRequest, *json.Decoder, error) {
+// stdDecode decodes a request body the way every server did before the
+// strict decoders (DecodeUpdatesRequest, DecodeRequest,
+// DecodeNNCandidatesRequest) replaced it.
+func stdDecode[T any](body []byte) (T, *json.Decoder, error) {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
-	var r UpdatesRequest
+	var r T
 	err := dec.Decode(&r)
 	return r, dec, err
 }
 
+// sameStrictDecode holds a request decoder to the json.Decoder decode it
+// replaced, on one body — the same verdict and the same struct, but for
+// the two documented refusals, and an unknown key refused in
+// encoding/json's words — and its encoder to json.Marshal on what it
+// accepted. It returns the decoded request, and whether there was one.
+func sameStrictDecode[T any](t *testing.T, body []byte, decode func([]byte) (T, error), appendTo func([]byte, *T) ([]byte, error)) (T, bool) {
+	t.Helper()
+	got, err := decode(body)
+	want, dec, stdErr := stdDecode[T](body)
+	var zero T
+	switch {
+	case err == nil && stdErr != nil:
+		t.Fatalf("accepts what encoding/json refuses (%v): %q", stdErr, body)
+	case err == nil && !reflect.DeepEqual(got, want):
+		t.Fatalf("decoders disagree on %q:\nscan %+v\n std %+v", body, got, want)
+	case err != nil && (!errors.Is(err, ErrBody) || !reflect.DeepEqual(got, zero)):
+		t.Fatalf("refusal is not a bare ErrBody: %+v, %v", got, err)
+	case err != nil && stdErr == nil && !documentedRefusal(dec, body):
+		t.Fatalf("refuses what encoding/json accepts (%v): %q", err, body)
+	case err != nil && stdErr != nil && errors.As(err, new(unknownFieldError)) &&
+		strings.HasPrefix(stdErr.Error(), "json: unknown field") && err.Error() != stdErr.Error():
+		t.Fatalf("unknown field %q, encoding/json says %q: %q", err, stdErr, body)
+	}
+	if err != nil {
+		return zero, false
+	}
+	enc, err := appendTo(nil, &got)
+	if std := stdMarshal(t, got); err != nil || !bytes.Equal(enc, std) {
+		t.Fatalf("encoders disagree (err %v):\n got %s\n std %s", err, enc, std)
+	}
+	return got, true
+}
+
 // documentedRefusal reports whether body, which dec accepted, is one of
-// the two kinds DecodeUpdatesRequest refuses on purpose: bytes after
-// the value, or a key repeated in one object.
+// the two kinds the strict decoders refuse on purpose: bytes after the
+// value, or a key repeated in one object.
 func documentedRefusal(dec *json.Decoder, body []byte) bool {
 	return len(bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n")) > 0 || hasDuplicateKey(body)
 }
@@ -289,7 +323,7 @@ func TestDecodeUpdatesRequest(t *testing.T) {
 		"unicode op":            `{"updates":[{"op":"caf\u00e9 \u2028"}]}`,
 		"two nulls in a region": `{"updates":[{"region":[null,null]}]}`,
 	} {
-		want, _, stdErr := stdDecodeUpdates([]byte(body))
+		want, _, stdErr := stdDecode[UpdatesRequest]([]byte(body))
 		if stdErr != nil {
 			t.Errorf("%s: encoding/json refuses the case itself: %v", name, stdErr)
 			continue
@@ -336,7 +370,7 @@ func TestDecodeUpdatesRequest(t *testing.T) {
 		"bare minus":             `{"updates":[{"x":-}]}`,
 		"fraction without digit": `{"updates":[{"x":1.}]}`,
 	} {
-		_, _, stdErr := stdDecodeUpdates([]byte(body))
+		_, _, stdErr := stdDecode[UpdatesRequest]([]byte(body))
 		if stdErr == nil {
 			t.Errorf("%s: encoding/json accepts the case itself", name)
 			continue
@@ -359,7 +393,7 @@ func TestDecodeUpdatesRequest(t *testing.T) {
 		"null and more":         `null null`,
 		"null with trailing":    `nullx`,
 	} {
-		_, dec, stdErr := stdDecodeUpdates([]byte(body))
+		_, dec, stdErr := stdDecode[UpdatesRequest]([]byte(body))
 		if stdErr != nil || !documentedRefusal(dec, []byte(body)) {
 			t.Errorf("%s: not a documented exception (encoding/json: %v)", name, stdErr)
 		}
@@ -528,8 +562,9 @@ func TestValidateAgreesWithToUpdate(t *testing.T) {
 // FuzzDecodeUpdatesRequest: the /v1/updates decoder is a differential
 // against the json.Decoder + DisallowUnknownFields decode it replaced —
 // the same verdict and the same struct, but for the two documented
-// refusals — and every update it accepts converts (ToUpdate) to a
-// value or an error, never a panic, with Validate agreeing.
+// refusals — the encoder writes what json.Marshal writes for what it
+// accepts, and every update it accepts converts (ToUpdate) to a value
+// or an error, never a panic, with Validate agreeing.
 func FuzzDecodeUpdatesRequest(f *testing.F) {
 	f.Add(moveBatch(f))
 	f.Add([]byte(goldenBatch))
@@ -541,21 +576,7 @@ func FuzzDecodeUpdatesRequest(f *testing.F) {
 	f.Add([]byte(`{"updates":[{"op":"upsert_object","region":[-1e308,0,1e308,1],"pdf":"gaussian"}]}`))
 	f.Add([]byte(`null`))
 	f.Fuzz(func(t *testing.T, body []byte) {
-		got, err := DecodeUpdatesRequest(body)
-		want, dec, stdErr := stdDecodeUpdates(body)
-		switch {
-		case err == nil && stdErr != nil:
-			t.Fatalf("accepts what encoding/json refuses (%v): %q", stdErr, body)
-		case err == nil && !reflect.DeepEqual(got, want):
-			t.Fatalf("decoders disagree on %q:\nscan %+v\n std %+v", body, got, want)
-		case err != nil && (!errors.Is(err, ErrBody) || !reflect.DeepEqual(got, UpdatesRequest{})):
-			t.Fatalf("refusal is not a bare ErrBody: %+v, %v", got, err)
-		case err != nil && stdErr == nil && !documentedRefusal(dec, body):
-			t.Fatalf("refuses what encoding/json accepts (%v): %q", err, body)
-		case err != nil && stdErr != nil && errors.As(err, new(unknownFieldError)) &&
-			strings.HasPrefix(stdErr.Error(), "json: unknown field") && err.Error() != stdErr.Error():
-			t.Fatalf("unknown field %q, encoding/json says %q: %q", err, stdErr, body)
-		}
+		got, _ := sameStrictDecode(t, body, DecodeUpdatesRequest, AppendUpdatesRequest)
 		for _, u := range got.Updates {
 			upd, uerr := u.ToUpdate()
 			if verr := u.Validate(); (uerr == nil) != (verr == nil) {
@@ -671,7 +692,7 @@ func BenchmarkUpdatesCodec(b *testing.B) {
 		b.SetBytes(int64(len(body)))
 		b.ReportAllocs()
 		for b.Loop() {
-			req, _, err := stdDecodeUpdates(body)
+			req, _, err := stdDecode[UpdatesRequest](body)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -722,24 +743,12 @@ func BenchmarkRelayFrame(b *testing.B) {
 // for core.TestApplyUpdatesAllocationBudget.
 func TestWriteCodecAllocationBudget(t *testing.T) {
 	const (
-		runs             = 500
 		batchBytesBudget = 4200 // measured 3 968: the list of 32 updates and 24 regions
 		batchAllocBudget = 26   // measured 25
 		relayBytesBudget = 32   // measured 24: the frame's entered and left lists
 		relayAllocBudget = 2    // measured 2
 	)
 	batch, relay := writeCodecOps(t)
-	measure := func(op func()) (bytesPer, allocsPer float64) {
-		op() // grow the reused buffer
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		for range runs {
-			op()
-		}
-		runtime.ReadMemStats(&after)
-		return float64(after.TotalAlloc-before.TotalAlloc) / runs, float64(after.Mallocs-before.Mallocs) / runs
-	}
 	for _, c := range []struct {
 		name          string
 		op            func()
@@ -748,10 +757,25 @@ func TestWriteCodecAllocationBudget(t *testing.T) {
 		{"batch", batch, batchBytesBudget, batchAllocBudget},
 		{"relay", relay, relayBytesBudget, relayAllocBudget},
 	} {
-		bytesPer, allocsPer := measure(c.op)
+		bytesPer, allocsPer := allocsPerOp(c.op)
 		t.Logf("%s: %.0f B, %.1f allocs", c.name, bytesPer, allocsPer)
 		if bytesPer > c.bytes || allocsPer > c.allocs {
 			t.Errorf("%s = %.0f B, %.1f allocs; budget %.0f B, %.0f allocs", c.name, bytesPer, allocsPer, c.bytes, c.allocs)
 		}
 	}
+}
+
+// allocsPerOp measures op's bytes and allocations per call, averaged
+// over 500 calls after one that grows its reused buffers.
+func allocsPerOp(op func()) (bytesPer, allocsPer float64) {
+	const runs = 500
+	op()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for range runs {
+		op()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / runs, float64(after.Mallocs-before.Mallocs) / runs
 }

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"strings"
 	"time"
 
@@ -99,14 +100,18 @@ var ErrReplyTooLarge = errors.New("reply exceeds the size cap")
 var ErrReplyFormat = errors.New("reply is not in the expected encoding (router and shard binaries differ)")
 
 // reply says how one endpoint's 2xx body is read: through a hard cap,
-// whole, and only then decoded — a shard is trusted neither to stop
-// sending nor to send what it announced. A decode failure is an
-// ErrReplyFormat.
+// whole, into a pooled buffer (serve.GetBuffer), and only then decoded —
+// a shard is trusted neither to stop sending nor to send what it
+// announced. A decode failure is an ErrReplyFormat.
 type reply struct {
 	op     string // OnReply label; "" is not observed
 	media  string // required Content-Type
 	limit  int64
 	decode func(body []byte) error // nil discards the body
+	// buf, when set, is the buffer the body is read into and left in, for
+	// a decoded value that aliases it; the caller hands it back to the
+	// pool. Otherwise the body's buffer goes back once it is decoded.
+	buf *[]byte
 }
 
 func jsonReply(op string, decode func(body []byte) error) reply {
@@ -116,19 +121,6 @@ func jsonReply(op string, decode func(body []byte) error) reply {
 // unmarshalInto decodes the small JSON replies through encoding/json.
 func unmarshalInto(out any) func([]byte) error {
 	return func(body []byte) error { return json.Unmarshal(body, out) }
-}
-
-// do runs one request (in, when not nil, as its JSON body) with the
-// client's retry policy.
-func (c *Client) do(ctx context.Context, method, path string, in any, rp reply) error {
-	var body []byte
-	if in != nil {
-		var err error
-		if body, err = json.Marshal(in); err != nil {
-			return fmt.Errorf("shard %s: encoding %s: %w", c.ID, path, err)
-		}
-	}
-	return c.send(ctx, method, path, body, rp)
 }
 
 // send runs one request with an encoded body (nil for none) under the
@@ -194,7 +186,13 @@ func (c *Client) doOnce(ctx context.Context, method, path string, body []byte, r
 			return fmt.Errorf("%w: Content-Type %q, want %q", ErrReplyFormat, got, rp.media)
 		}
 	}
-	raw, err := readCapped(resp, rp.limit)
+	buf := rp.buf
+	if buf == nil {
+		buf = serve.GetBuffer()
+		defer func() { serve.PutBuffer(buf, *buf) }()
+	}
+	raw, err := readCapped(resp, rp.limit, (*buf)[:0])
+	*buf = raw
 	if err != nil {
 		return err
 	}
@@ -210,38 +208,62 @@ func (c *Client) doOnce(ctx context.Context, method, path string, body []byte, r
 	return nil
 }
 
-// readCapped reads a reply body whole, into a buffer of the announced
-// Content-Length when there is one. A reply that announces more than
-// limit is refused unread, and one that announces nothing is read up to
-// limit, so the cap bounds what is allocated whatever the shard says.
-func readCapped(resp *http.Response, limit int64) ([]byte, error) {
+// readCapped reads a reply body whole into dst, grown first to the
+// announced Content-Length when there is one. A reply that announces
+// more than limit is refused unread, and one that announces nothing is
+// read up to limit, so the cap bounds what is allocated whatever the
+// shard says.
+func readCapped(resp *http.Response, limit int64, dst []byte) ([]byte, error) {
 	if resp.ContentLength > limit {
-		return nil, fmt.Errorf("%w of %d bytes", ErrReplyTooLarge, limit)
+		return dst, fmt.Errorf("%w of %d bytes", ErrReplyTooLarge, limit)
 	}
-	if resp.ContentLength >= 0 {
+	if n := int(resp.ContentLength); n >= 0 {
 		// net/http reports the body's end together with its last byte,
 		// which is what keeps the connection for the next request.
-		raw := make([]byte, resp.ContentLength)
+		raw := slices.Grow(dst, n)[:n]
 		_, err := io.ReadFull(resp.Body, raw)
 		return raw, err
 	}
 	// Reading to EOF is also what keeps the connection: a chunked
 	// reply's terminal chunk left unread makes net/http drop the
 	// keep-alive connection on Close.
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
-	if err == nil && int64(len(raw)) > limit {
+	buf := bytes.NewBuffer(dst)
+	_, err := buf.ReadFrom(io.LimitReader(resp.Body, limit+1))
+	if err == nil && int64(buf.Len()) > limit {
 		err = fmt.Errorf("%w of %d bytes", ErrReplyTooLarge, limit)
 	}
-	return raw, err
+	return buf.Bytes(), err
+}
+
+// post sends req, encoded by appendBody, to path with the client's
+// retry policy.
+func post[T any](c *Client, ctx context.Context, path string, req *T, appendBody func([]byte, *T) ([]byte, error), rp reply) error {
+	body, err := appendBody(nil, req)
+	if err != nil {
+		return fmt.Errorf("shard %s: encoding %s: %w", c.ID, path, err)
+	}
+	return c.send(ctx, http.MethodPost, path, body, rp)
 }
 
 // Evaluate runs a one-shot request on the shard.
 func (c *Client) Evaluate(ctx context.Context, req serve.RequestJSON) (serve.EvaluateResponse, error) {
-	var out serve.EvaluateResponse
-	err := c.do(ctx, http.MethodPost, "/v1/evaluate", req, jsonReply("evaluate", func(body []byte) (err error) {
-		out, err = serve.DecodeEvaluateResponse(body)
+	buf := serve.GetBuffer()
+	defer func() { serve.PutBuffer(buf, *buf) }()
+	out, err := c.evaluateReply(ctx, req, buf)
+	return out.EvaluateResponse, err
+}
+
+// evaluateReply runs a one-shot request on the shard and reads the reply
+// into buf, which the reply aliases (serve.DecodeEvaluateReply): buf
+// goes back to the pool only once the reply is no longer read.
+func (c *Client) evaluateReply(ctx context.Context, req serve.RequestJSON, buf *[]byte) (serve.EvaluateReply, error) {
+	var out serve.EvaluateReply
+	rp := jsonReply("evaluate", func(body []byte) (err error) {
+		out, err = serve.DecodeEvaluateReply(body)
 		return err
-	}))
+	})
+	rp.buf = buf
+	err := post(c, ctx, "/v1/evaluate", &req, serve.AppendRequest, rp)
 	return out, err
 }
 
@@ -254,7 +276,7 @@ var maxNNFrame = int64(wire.MaxNNCandidateSetSize(serve.MaxNNCandidateLimit))
 // on the hop, decoded straight into the refinement kernel's input.
 func (c *Client) NNCandidates(ctx context.Context, req serve.NNCandidatesRequest) (core.NNCandidateSet, error) {
 	var out core.NNCandidateSet
-	err := c.do(ctx, http.MethodPost, "/v1/nn/candidates", req, reply{
+	err := post(c, ctx, "/v1/nn/candidates", &req, serve.AppendNNCandidatesRequest, reply{
 		op: "nn", media: wire.NNFrameType, limit: maxNNFrame,
 		decode: func(body []byte) (err error) {
 			out, err = wire.DecodeNNCandidateSet(body)
@@ -269,11 +291,10 @@ func (c *Client) NNCandidates(ctx context.Context, req serve.NNCandidatesRequest
 func (c *Client) Updates(ctx context.Context, req serve.UpdatesRequest) (serve.UpdatesResponse, error) {
 	var out serve.UpdatesResponse
 	// ~110 bytes is a move of an object with a 4-float region.
-	body, err := serve.AppendUpdatesRequest(make([]byte, 0, 16+128*len(req.Updates)), &req)
-	if err != nil {
-		return out, fmt.Errorf("shard %s: encoding /v1/updates: %w", c.ID, err)
+	appendBody := func(dst []byte, req *serve.UpdatesRequest) ([]byte, error) {
+		return serve.AppendUpdatesRequest(slices.Grow(dst, 16+128*len(req.Updates)), req)
 	}
-	err = c.send(ctx, http.MethodPost, "/v1/updates", body, jsonReply("updates", func(b []byte) (err error) {
+	err := post(c, ctx, "/v1/updates", &req, appendBody, jsonReply("updates", func(b []byte) (err error) {
 		out, err = serve.DecodeUpdatesResponse(b)
 		return err
 	}))
@@ -284,7 +305,7 @@ func (c *Client) Updates(ctx context.Context, req serve.UpdatesRequest) (serve.U
 // delivered on the open feed named feed (OpenFeed).
 func (c *Client) Register(ctx context.Context, req serve.RequestJSON, feed string) (serve.RegisterResponse, error) {
 	var out serve.RegisterResponse
-	err := c.do(ctx, http.MethodPost, "/v1/queries?feed="+url.QueryEscape(feed), req, jsonReply("register", func(body []byte) (err error) {
+	err := post(c, ctx, "/v1/queries?feed="+url.QueryEscape(feed), &req, serve.AppendRequest, jsonReply("register", func(body []byte) (err error) {
 		out, err = serve.DecodeRegisterResponse(body)
 		return err
 	}))
@@ -293,13 +314,13 @@ func (c *Client) Register(ctx context.Context, req serve.RequestJSON, feed strin
 
 // Deregister removes a standing query from the shard.
 func (c *Client) Deregister(ctx context.Context, id int64) error {
-	return c.do(ctx, http.MethodDelete, fmt.Sprintf("/v1/queries/%d", id), nil, reply{limit: serve.MaxBodyBytes})
+	return c.send(ctx, http.MethodDelete, fmt.Sprintf("/v1/queries/%d", id), nil, reply{limit: serve.MaxBodyBytes})
 }
 
 // Healthz fetches the shard's health report.
 func (c *Client) Healthz(ctx context.Context) (serve.HealthzResponse, error) {
 	var out serve.HealthzResponse
-	err := c.do(ctx, http.MethodGet, "/healthz", nil, jsonReply("", unmarshalInto(&out)))
+	err := c.send(ctx, http.MethodGet, "/healthz", nil, jsonReply("", unmarshalInto(&out)))
 	return out, err
 }
 

@@ -37,7 +37,9 @@ func TestClientReusesConnections(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		},
 		"content-length": func(w http.ResponseWriter, _ *http.Request) {
-			serve.WriteEvaluateResponse(slog.Default(), w, &reply)
+			serve.WriteBody(slog.Default(), w, http.StatusOK, func(dst []byte) ([]byte, error) {
+				return serve.AppendEvaluateResponse(dst, &reply)
+			})
 		},
 	} {
 		t.Run(name, func(t *testing.T) {

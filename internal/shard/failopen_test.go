@@ -322,10 +322,11 @@ func postStatus(t *testing.T, url, body string) (int, string) {
 }
 
 // TestRouterRequestBodies: the router refuses a client's body as a
-// standalone server does — an unknown field in an update batch is a 400
-// naming it, a body past serve.MaxBodyBytes a 413 on the query decoder
-// and on the /v1/updates reader alike — and serves one exactly at the
-// cap.
+// standalone server does — an unknown field in an update batch or a
+// query is a 400 naming it, a key twice or bytes after the value a 400
+// on the query endpoints, a body past serve.MaxBodyBytes a 413 on the
+// query decoder and on the /v1/updates reader alike — and serves one
+// exactly at the cap.
 func TestRouterRequestBodies(t *testing.T) {
 	rt := fleet(t, 2)
 	ts := httptest.NewServer(NewServer(rt))
@@ -335,6 +336,17 @@ func TestRouterRequestBodies(t *testing.T) {
 		{"op": "upsert_object", "id": 7, "regoin": [480, 480, 520, 520]}]}`)
 	if status != http.StatusBadRequest || msg != `json: unknown field "regoin"` {
 		t.Errorf("updates with unknown field: HTTP %d %q, want 400 naming regoin", status, msg)
+	}
+	for _, path := range []string{"/v1/evaluate", "/v1/queries"} {
+		for name, body := range map[string]string{
+			"unknown field": `{"issuer":{"region":[450,450,550,550]},"w":100,"h":100,"treshold":0.5}`,
+			"key twice":     `{"issuer":{"region":[450,450,550,550]},"w":100,"h":100,"w":200}`,
+			"bytes after":   `{"issuer":{"region":[450,450,550,550]},"w":100,"h":100} {}`,
+		} {
+			if status, msg := postStatus(t, ts.URL+path, body); status != http.StatusBadRequest || name == "unknown field" && !strings.Contains(msg, "treshold") {
+				t.Errorf("%s, %s: HTTP %d %q, want 400", path, name, status, msg)
+			}
+		}
 	}
 
 	for path, value := range map[string][2]string{

@@ -135,6 +135,16 @@ var hostileReplies = []struct {
 		want:  []error{ErrReplyFormat, serve.ErrBody}, binaries: true,
 	},
 	{
+		name: "evaluate: a match in another layout", path: "/v1/evaluate",
+		reply: jsonBody(strings.Replace(goodEvaluate, `{"id":30,"p":0.5}`, `{"p":0.5,"id":30}`, 1)),
+		want:  []error{ErrReplyFormat, serve.ErrBody}, binaries: true,
+	},
+	{
+		name: "evaluate: whitespace in the match list", path: "/v1/evaluate",
+		reply: jsonBody(strings.Replace(goodEvaluate, `},{`, `}, {`, 1)),
+		want:  []error{ErrReplyFormat, serve.ErrBody}, binaries: true,
+	},
+	{
 		name: "evaluate: 17 MB body", path: "/v1/evaluate",
 		reply:  jsonBody(seventeenMB),
 		want:   []error{ErrReplyTooLarge},

@@ -161,47 +161,102 @@ func (r *Router) missing(targets []int, errs []error, op string) []string {
 	return miss
 }
 
-// Evaluate routes one one-shot request: compute the probe/guard
-// region, fan to the intersecting shards, merge. The error, when of
-// type *core.RequestError, is the client's fault (HTTP 400).
+// Evaluate routes one one-shot request and returns the answer as a
+// client of the router's POST /v1/evaluate reads it: for a range kind
+// the body the router relays from the shards' replies, decoded. The
+// error, when of type *core.RequestError, is the client's fault (HTTP
+// 400).
 func (r *Router) Evaluate(ctx context.Context, rj serve.RequestJSON) (serve.EvaluateResponse, error) {
-	req, err := rj.ToRequest()
+	a, err := r.evaluate(ctx, rj)
 	if err != nil {
 		return serve.EvaluateResponse{}, err
 	}
+	defer a.release()
+	if a.replies == nil {
+		return a.resp, nil
+	}
+	body, err := a.appendTo(nil)
+	if err != nil {
+		return serve.EvaluateResponse{}, err
+	}
+	return serve.DecodeEvaluateResponse(body)
+}
+
+// answer is a merged one-shot answer. For a range kind resp holds no
+// matches: they are relayed from replies, the shards' replies, which
+// stay in their read buffers until release. For NN, replies is nil and
+// resp is the whole answer.
+type answer struct {
+	resp    serve.EvaluateResponse
+	replies []serve.EvaluateReply
+	bufs    []*[]byte
+	stop    func() // the merge stopwatch of a range kind
+}
+
+// appendTo appends the answer as the body of POST /v1/evaluate: for a
+// range kind, the shards' match lists merged as the shards' bytes
+// (serve.AppendRelayedEvaluateResponse).
+func (a *answer) appendTo(dst []byte) ([]byte, error) {
+	if a.replies == nil {
+		return serve.AppendEvaluateResponse(dst, &a.resp)
+	}
+	defer a.stop()
+	return serve.AppendRelayedEvaluateResponse(dst, &a.resp, a.replies)
+}
+
+// release hands the replies' buffers back; the answer is not read after.
+func (a *answer) release() {
+	for _, buf := range a.bufs {
+		serve.PutBuffer(buf, *buf)
+	}
+}
+
+// evaluate routes one one-shot request: compute the probe/guard region,
+// fan to the intersecting shards, and gather their replies for a merge.
+func (r *Router) evaluate(ctx context.Context, rj serve.RequestJSON) (answer, error) {
+	req, err := rj.ToRequest()
+	if err != nil {
+		return answer{}, err
+	}
 	if req.Kind == core.KindNN {
-		return r.evaluateNN(ctx, rj, req)
+		resp, err := r.evaluateNN(ctx, rj, req)
+		return answer{resp: resp}, err
 	}
 	guard, err := req.GuardRegion()
 	if err != nil {
-		return serve.EvaluateResponse{}, err
+		return answer{}, err
 	}
 	targets := r.tiles.ShardsOverlapping(guard)
-	sw := r.m.mergeTimer("evaluate")
-	defer sw()
-
-	resps := make([]serve.EvaluateResponse, len(targets))
+	a := answer{
+		resp:    serve.EvaluateResponse{Kind: req.Kind.String()},
+		replies: make([]serve.EvaluateReply, len(targets)),
+		bufs:    make([]*[]byte, len(targets)),
+		stop:    r.m.mergeTimer("evaluate"),
+	}
+	for i := range a.bufs {
+		a.bufs[i] = serve.GetBuffer()
+	}
 	errs := r.scatter(targets, func(s int) error {
 		idx := sort.SearchInts(targets, s)
-		resp, err := r.shards[s].Evaluate(ctx, rj)
-		resps[idx] = resp
+		var err error
+		a.replies[idx], err = r.shards[s].evaluateReply(ctx, rj, a.bufs[idx])
 		return err
 	})
-
-	out := serve.EvaluateResponse{Kind: req.Kind.String()}
-	lists := make([][]serve.MatchJSON, 0, len(resps))
-	for i, resp := range resps {
+	// Keep the replies that came, in shard order: the merge keeps the
+	// first of a replica's copies, as mergeMatches does.
+	kept := a.replies[:0]
+	for i, rep := range a.replies {
 		if errs[i] != nil {
 			continue
 		}
-		out.Version = max(out.Version, resp.Version)
-		addCost(&out.Cost, resp.Cost)
-		lists = append(lists, resp.Matches)
+		a.resp.Version = max(a.resp.Version, rep.Version)
+		addCost(&a.resp.Cost, rep.Cost)
+		kept = append(kept, rep)
 	}
-	out.MissingShards = r.missing(targets, errs, "evaluate")
-	out.Partial = out.MissingShards != nil
-	out.Matches = mergeMatches(lists)
-	return out, nil
+	a.replies = kept
+	a.resp.MissingShards = r.missing(targets, errs, "evaluate")
+	a.resp.Partial = a.resp.MissingShards != nil
+	return a, nil
 }
 
 // mergeSorted merges lists that each arrive sorted under compare into one

@@ -628,3 +628,61 @@ func TestMergeMatches(t *testing.T) {
 		t.Errorf("no lists merged to %#v, want an empty non-nil list", got)
 	}
 }
+
+// TestRelayedAnswerIsMergeMatches: the router's range answer, written
+// from the shards' reply bytes, is byte for byte AppendEvaluateResponse
+// of mergeMatches over the decoded lists — for one to three lists, empty
+// and null ones among them, replicas that straddle two or three lists,
+// ties in p that ids decide, and an object caught mid-move (one id at two
+// probabilities).
+func TestRelayedAnswerIsMergeMatches(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	for round := range 3000 {
+		pool := make([]serve.MatchJSON, rng.Intn(30))
+		for i := range pool {
+			pool[i] = serve.MatchJSON{ID: rng.Int63n(60) - 10, P: float64(rng.Intn(12)) / 11}
+		}
+		slices.SortFunc(pool, serve.CompareMatchJSON)
+		pool = slices.CompactFunc(pool, func(a, b serve.MatchJSON) bool { return serve.CompareMatchJSON(a, b) == 0 })
+
+		lists := make([][]serve.MatchJSON, 1+rng.Intn(3))
+		replies := make([]serve.EvaluateReply, len(lists))
+		for i := range lists {
+			switch rng.Intn(5) {
+			case 0: // null
+			case 1:
+				lists[i] = []serve.MatchJSON{}
+			default:
+				lists[i] = []serve.MatchJSON{}
+				for _, m := range pool {
+					if rng.Intn(2) == 0 {
+						lists[i] = append(lists[i], m)
+					}
+				}
+				if n := len(lists[i]); n > 0 && rng.Intn(4) == 0 {
+					lists[i][n-1].P /= 2 // the same id, moved: not a replica
+					slices.SortFunc(lists[i], serve.CompareMatchJSON)
+				}
+			}
+			body, err := serve.AppendEvaluateResponse(nil, &serve.EvaluateResponse{Kind: "uncertain", Version: uint64(i), Matches: lists[i]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if replies[i], err = serve.DecodeEvaluateReply(body); err != nil {
+				t.Fatalf("round %d: %v: %s", round, err, body)
+			}
+		}
+		head := serve.EvaluateResponse{Kind: "uncertain", Version: 9, Cost: serve.CostJSON{Candidates: 3, DurationMS: 0.25}}
+		if rng.Intn(3) == 0 {
+			head.Partial, head.MissingShards = true, []string{"2"}
+		}
+		a := answer{resp: head, replies: replies, stop: func() {}}
+		got, err := a.appendTo([]byte("prefix"))
+		want := head
+		want.Matches = mergeMatches(lists)
+		wantBody, _ := serve.AppendEvaluateResponse([]byte("prefix"), &want)
+		if err != nil || !bytes.Equal(got, wantBody) {
+			t.Fatalf("round %d, lists %v (err %v):\n got %s\nwant %s", round, lists, err, got, wantBody)
+		}
+	}
+}

@@ -34,18 +34,21 @@ func NewServer(r *Router) *Server {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
+// handleEvaluate answers a one-shot request; a range answer's match
+// list is the shards' own bytes, merged (serve.AppendRelayedEvaluateResponse).
 func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
-	var rj serve.RequestJSON
-	if err := serve.DecodeBody(w, r, &rj); err != nil {
+	rj, err := serve.ReadRequest(w, r)
+	if err != nil {
 		serve.WriteBodyError(s.r.log, w, err)
 		return
 	}
-	resp, err := s.r.Evaluate(r.Context(), rj)
+	a, err := s.r.evaluate(r.Context(), rj)
 	if err != nil {
 		serve.WriteRequestError(s.r.log, w, err)
 		return
 	}
-	serve.WriteEvaluateResponse(s.r.log, w, &resp)
+	serve.WriteBody(s.r.log, w, http.StatusOK, a.appendTo)
+	a.release()
 }
 
 func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
@@ -65,8 +68,8 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
-	var rj serve.RequestJSON
-	if err := serve.DecodeBody(w, r, &rj); err != nil {
+	rj, err := serve.ReadRequest(w, r)
+	if err != nil {
 		serve.WriteBodyError(s.r.log, w, err)
 		return
 	}

@@ -77,7 +77,9 @@ cluster-smoke: build
 # its table row, the NN candidate frame decoder and the match-list JSON
 # scanner (the router's untrusted input from its shards; the scanner is
 # also held to json.Unmarshal, and its relay of a reply to the reply),
-# the delta frame relay, the checkpoint manifest's extent checks, the
+# the delta frame relay, the checkpoint manifest's extent checks, byte
+# flips in the checkpoint's data sections (refused, or tables and
+# indexes that agree), the
 # request bodies a client sends (the query request's, the NN candidate
 # request's and the update batch's decoders held to the json.Decoder
 # they replaced, their encoders to json.Marshal), the
@@ -95,6 +97,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzSource -fuzztime=15s ./internal/mcbound
 	$(GO) test -fuzz=FuzzDecodeNNCandidateSet -fuzztime=15s ./internal/wire
 	$(GO) test -fuzz=FuzzCheckpointManifest -fuzztime=15s ./internal/core
+	$(GO) test -fuzz=FuzzCheckpointSections -fuzztime=15s ./internal/core
 	$(GO) test -fuzz=FuzzNNCandidates -fuzztime=15s ./internal/core
 	$(GO) test -fuzz=FuzzLeafRecord -fuzztime=15s ./internal/core
 	$(GO) test -fuzz=FuzzDecodeEvaluateResponse -fuzztime=15s ./internal/serve

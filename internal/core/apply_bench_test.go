@@ -47,6 +47,17 @@ var applyWorldData struct {
 // mirrors it.
 func newApplyEngine(tb testing.TB) (*Engine, *applyWorld) {
 	tb.Helper()
+	w := newApplyWorld()
+	eng, err := NewEngine(nil, nil, EngineOptions{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	w.load(tb, eng)
+	return eng, w
+}
+
+// newApplyWorld returns the shard's world, its objects not yet built.
+func newApplyWorld() *applyWorld {
 	applyWorldData.once.Do(func() {
 		rcfg := dataset.LongBeachConfig()
 		rcfg.N = applyWorldRects
@@ -63,15 +74,17 @@ func newApplyEngine(tb testing.TB) (*Engine, *applyWorld) {
 			}
 		}
 	})
-	w := &applyWorld{
+	return &applyWorld{
 		rects:  append([]geom.Rect(nil), applyWorldData.rects...),
 		points: append([]geom.Point(nil), applyWorldData.points...),
 		rng:    rand.New(rand.NewSource(7)),
 	}
-	eng, err := NewEngine(nil, nil, EngineOptions{})
-	if err != nil {
-		tb.Fatal(err)
-	}
+}
+
+// load applies the world to eng in load batches, as the fleet loads a
+// shard.
+func (w *applyWorld) load(tb testing.TB, eng *Engine) {
+	tb.Helper()
 	load := make([]Update, 0, len(w.rects)+len(w.points))
 	for i, r := range w.rects {
 		load = append(load, objectUpsert(tb, i, r))
@@ -86,7 +99,6 @@ func newApplyEngine(tb testing.TB) (*Engine, *applyWorld) {
 		}
 		load = load[n:]
 	}
-	return eng, w
 }
 
 func objectUpsert(tb testing.TB, id int, r geom.Rect) Update {
@@ -178,5 +190,64 @@ func TestApplyUpdatesAllocationBudget(t *testing.T) {
 	}
 	if allocsPer > allocBudget {
 		t.Errorf("ApplyUpdates = %.1f allocs/batch, budget %d", allocsPer, allocBudget)
+	}
+}
+
+// TestEngineHeapBudget pins the live heap the shard-sized engine holds
+// per uncertain object — the footprint that caps how many objects a
+// node can serve — fresh, and after Close and Open of the same state
+// (checkpoint restore). A leaf record is its rectangle: a table row and
+// a PTI leaf entry without a payload row. Budgets are the measured
+// values plus a small grace, as for the allocation budgets; a change
+// that moves them re-measures and says so.
+func TestEngineHeapBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a shard-sized engine")
+	}
+	if raceEnabled {
+		t.Skip("the race detector's shadow memory is not the engine's")
+	}
+	const (
+		freshBudget    = 300 // bytes per uncertain object; measured 283 (1 156 when every object kept its pdf, catalog and PTI row)
+		restoredBudget = 280 // measured 264 (1 174)
+	)
+	liveHeap := func() float64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return float64(ms.HeapAlloc)
+	}
+	dir := t.TempDir()
+	w := newApplyWorld()
+	base := liveHeap()
+	eng, err := Open(dir, durTestOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.load(t, eng)
+	n := float64(eng.NumUncertain())
+	fresh := (liveHeap() - base) / n
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	eng = nil
+	base = liveHeap()
+	eng, err = Open(dir, durTestOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	if got := float64(eng.NumUncertain()); got != n {
+		t.Fatalf("reopened engine holds %v objects, want %v", got, n)
+	}
+	restored := (liveHeap() - base) / n
+	t.Logf("live heap per uncertain object: fresh %.0f B, restored %.0f B (%.0f objects, %d points)",
+		fresh, restored, n, eng.NumPoints())
+	if fresh > freshBudget {
+		t.Errorf("fresh engine holds %.0f B per object, budget %d", fresh, freshBudget)
+	}
+	if restored > restoredBudget {
+		t.Errorf("restored engine holds %.0f B per object, budget %d", restored, restoredBudget)
 	}
 }

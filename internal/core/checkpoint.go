@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"repro/internal/geom"
 	"repro/internal/index/pti"
 	"repro/internal/index/rtree"
 	"repro/internal/storage"
@@ -164,8 +165,8 @@ func writeCheckpoint(ctx context.Context, dev checkpointDevice, st *engineState)
 	binary.LittleEndian.PutUint64(scratch[:8], uint64(st.objects.Len()))
 	ow.write(scratch[:8])
 	var objBuf []byte
-	st.objects.Range(func(id uncertain.ID, o *uncertain.Object) bool {
-		objBuf, err = uncertain.AppendObject(objBuf[:0], o)
+	st.objects.Range(func(id uncertain.ID, r geom.Rect) bool {
+		objBuf, err = uncertain.AppendObject(objBuf[:0], st.objectAt(id, r))
 		if err != nil {
 			ow.err = err
 			return false
@@ -236,7 +237,7 @@ func writeTreeSection(ctx context.Context, a *pageAppender, t *rtree.Tree) (tree
 				cp.Entries[j].Child = rtree.NodeID(nid)
 			}
 		}
-		if err := rtree.EncodeNodePage(cp, a.page, cfg.AuxLen); err != nil {
+		if err := rtree.EncodeNodePage(cp, a.page, cfg); err != nil {
 			return meta, err
 		}
 		if err := a.append(); err != nil {
@@ -449,12 +450,12 @@ func loadCheckpoint(path string, opts EngineOptions) (*engineState, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: reading object table: %w", err)
 	}
-	objects, err := decodeObjectTable(objectsRaw)
+	objects, irregular, err := decodeObjectTable(objectsRaw, uncIdx)
 	if err != nil {
 		return nil, err
 	}
 
-	return &engineState{
+	st := &engineState{
 		seq:         1,
 		version:     m.version,
 		publishedAt: time.Now(),
@@ -462,10 +463,102 @@ func loadCheckpoint(path string, opts EngineOptions) (*engineState, error) {
 		pointIdx:    pointIdx,
 		objects:     objects,
 		uncIdx:      uncIdx,
-		irregular:   irregularSet(objects, uncIdx.Probs()),
+		irregular:   irregular,
 		probs:       m.probs,
 		met:         newEngineMetrics(),
-	}, nil
+	}
+	if err := st.checkRestored(); err != nil {
+		return nil, err
+	}
+	// The pages hold every row; a leaf record's entry stores none.
+	if err := uncIdx.Tree().CompactLeaves(); err != nil {
+		return nil, fmt.Errorf("core: restoring PTI: %w", err)
+	}
+	return st, nil
+}
+
+// errInconsistentCheckpoint marks a checkpoint whose sections decode
+// but disagree with each other: an index that is not a valid tree, or a
+// table that does not hold what its index does.
+var errInconsistentCheckpoint = errors.New("core: checkpoint tables and indexes disagree")
+
+// checkRestored holds a state decoded from a checkpoint to what every
+// writer keeps: both indexes are valid trees (rtree.CheckInvariants,
+// envelopes bit for bit), every point-table row {id, loc} has exactly
+// one point-tree leaf entry {RectAt(loc), id} and every object-table
+// row {id, rect} exactly one PTI leaf entry {rect, id}, with rectangles
+// equal bit for bit, the PTI entry's rows are the object's catalog rows
+// at the index's values (for a leaf record, the rows computed from its
+// rectangle), and neither index has any other entry. A section damaged
+// on disk in a way its decoder cannot see would otherwise surface as
+// one-shot answers that disagree with the table, or as a later move of
+// the object failing; restore refuses it instead, before the WAL tail
+// is replayed.
+func (st *engineState) checkRestored() error {
+	if err := st.pointIdx.CheckInvariants(false); err != nil {
+		return fmt.Errorf("%w: point index: %v", errInconsistentCheckpoint, err)
+	}
+	if err := st.uncIdx.Tree().CheckInvariants(false); err != nil {
+		return fmt.Errorf("%w: PTI: %v", errInconsistentCheckpoint, err)
+	}
+	seen := make(map[uncertain.ID]struct{}, st.points.Len())
+	err := checkLeaves(st.pointIdx, st.points.Len(), func(e rtree.Entry, _ []float64) error {
+		id := uncertain.ID(e.Ref)
+		p, ok := st.points.Get(id)
+		_, dup := seen[id]
+		if !ok || dup || !sameRectBits(e.Rect, geom.RectAt(p.Loc)) {
+			return fmt.Errorf("%w: point-tree entry %d %v, table row %v (present %t, repeated %t)",
+				errInconsistentCheckpoint, id, e.Rect, p.Loc, ok, dup)
+		}
+		seen[id] = struct{}{}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	clear(seen)
+	return checkLeaves(st.uncIdx.Tree(), st.objects.Len(), func(e rtree.Entry, aux []float64) error {
+		id := uncertain.ID(e.Ref)
+		r, ok := st.objects.Get(id)
+		_, dup := seen[id]
+		if !ok || dup || !sameRectBits(e.Rect, r) || !st.uncIdx.RowsMatch(e, aux, st.irregularObject(id)) {
+			return fmt.Errorf("%w: PTI entry %d %v, table row %v (present %t, repeated %t)",
+				errInconsistentCheckpoint, id, e.Rect, r, ok, dup)
+		}
+		seen[id] = struct{}{}
+		return nil
+	})
+}
+
+// checkLeaves requires t to hold as many entries as its table has rows
+// and runs check over every leaf entry and its payload. It walks the
+// nodes rather than searching them, so it leaves no search mirror
+// built behind.
+func checkLeaves(t *rtree.Tree, rows int, check func(e rtree.Entry, aux []float64) error) error {
+	if t.Len() != rows {
+		return fmt.Errorf("%w: index of %d entries over a table of %d rows", errInconsistentCheckpoint, t.Len(), rows)
+	}
+	return t.Walk(func(n *rtree.Node, _ int) error {
+		if !n.Leaf {
+			return nil
+		}
+		for i, e := range n.Entries {
+			var aux []float64
+			if n.Aux != nil {
+				aux = n.Aux[i]
+			}
+			if err := check(e, aux); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// sameRectBits reports whether two rectangles are equal bit for bit.
+func sameRectBits(a, b geom.Rect) bool {
+	return math.Float64bits(a.Lo.X) == math.Float64bits(b.Lo.X) && math.Float64bits(a.Lo.Y) == math.Float64bits(b.Lo.Y) &&
+		math.Float64bits(a.Hi.X) == math.Float64bits(b.Hi.X) && math.Float64bits(a.Hi.Y) == math.Float64bits(b.Hi.Y)
 }
 
 // checkTreeConfig guards against loading a checkpoint under a
@@ -538,30 +631,46 @@ func decodePointTable(b []byte) (*cowTable[uncertain.PointObject], error) {
 			return nil, err
 		}
 		b = rest
+		if _, dup := tab.Get(p.ID); dup {
+			return nil, fmt.Errorf("%w: point %d listed twice", errInconsistentCheckpoint, p.ID)
+		}
 		tab.put(p.ID, p)
 	}
+	tab.fit()
 	return tab, nil
 }
 
-func decodeObjectTable(b []byte) (*cowTable[*uncertain.Object], error) {
+// decodeObjectTable decodes the objects section into the object table
+// and the irregular table (see engineState.objects): a leaf record of
+// ix is kept as its rectangle alone.
+func decodeObjectTable(b []byte, ix *pti.Index) (*cowTable[geom.Rect], *cowTable[*uncertain.Object], error) {
 	if len(b) < 8 {
-		return nil, fmt.Errorf("core: truncated object table")
+		return nil, nil, fmt.Errorf("core: truncated object table")
 	}
 	n := binary.LittleEndian.Uint64(b)
 	b = b[8:]
 	if n > maxBatchUpdates {
-		return nil, fmt.Errorf("core: object table claims %d entries", n)
+		return nil, nil, fmt.Errorf("core: object table claims %d entries", n)
 	}
-	tab := newCowTable[*uncertain.Object](int(n))
+	tab := newCowTable[geom.Rect](int(n))
+	irregular := newCowTable[*uncertain.Object](0)
 	for i := uint64(0); i < n; i++ {
 		o, rest, err := uncertain.DecodeObject(b)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		b = rest
-		tab.put(o.ID, o)
+		if _, dup := tab.Get(o.ID); dup {
+			return nil, nil, fmt.Errorf("%w: object %d listed twice", errInconsistentCheckpoint, o.ID)
+		}
+		tab.put(o.ID, o.Region())
+		if !ix.IsLeafRecord(o) {
+			irregular.put(o.ID, o)
+		}
 	}
-	return tab, nil
+	tab.fit()
+	irregular.fit()
+	return tab, irregular, nil
 }
 
 // currentPointer is the JSON content of the CURRENT file.

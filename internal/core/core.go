@@ -34,10 +34,18 @@
 //     → refineSurvivors → merge pipeline over the PTI, one prune kernel
 //     (pruneRegion) and one closed form (ObjectQualifier.closedForm)
 //     for both candidate sources — a leaf record, whose PTI leaf entry
-//     is its whole record (see engineState.irregular), or a table
-//     object; scanQualifyAccept is the interleaved pass, parameterised
+//     is its whole record, or an irregular object; scanQualifyAccept
+//     is the interleaved pass, parameterised
 //     by probe region, candidate source and a qualifier chosen up front
 //     — the enhanced point path and both MethodBasic paths.
+//   - storage: a leaf record — a uniform pdf whose U-catalog is
+//     uncertain.UniformBound of its rectangle at the index's values —
+//     is its rectangle and nothing else: an inline id → rectangle row
+//     of the object table and a PTI leaf entry without a payload row,
+//     from which the pdf, the catalog and the rows are rebuilt on
+//     demand. Only the other objects keep an *uncertain.Object (see
+//     engineState.objects). Checkpoint restore holds the tables to
+//     the indexes before it serves them (engineState.checkRestored).
 //   - nearest neighbor: collectNN + refineNNCandidates, which a
 //     single-engine evaluation, Snapshot.NNCandidates and
 //     EvaluateNNCandidates are compositions of — so a fleet router's NN

@@ -145,6 +145,19 @@ func (t *cowTable[V]) put(id uncertain.ID, v V) {
 	t.size++
 }
 
+// fit trims every bucket to its length — construction-time only, once
+// put is done: put grows buckets by append, which leaves up to half of
+// each one spare, where a txn copies a bucket with room for one entry.
+func (t *cowTable[V]) fit() {
+	for _, page := range t.pages {
+		for i, b := range page {
+			if cap(b) > len(b) {
+				page[i] = slices.Clone(b)
+			}
+		}
+	}
+}
+
 // tableTxn builds the next version of a table copy-on-write: the top
 // of the spine is copied at construction, each spine page and each
 // bucket on first touch. The base table is never modified. A txn whose

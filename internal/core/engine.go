@@ -148,7 +148,8 @@ func NewEngine(points []uncertain.PointObject, objects []*uncertain.Object, opts
 		seq:         1,
 		publishedAt: time.Now(),
 		points:      newCowTable[uncertain.PointObject](len(points)),
-		objects:     newCowTable[*uncertain.Object](len(objects)),
+		objects:     newCowTable[geom.Rect](len(objects)),
+		irregular:   newCowTable[*uncertain.Object](0),
 		probs:       opts.CatalogProbs,
 		met:         newEngineMetrics(),
 	}
@@ -171,13 +172,17 @@ func NewEngine(points []uncertain.PointObject, objects []*uncertain.Object, opts
 		if _, dup := st.objects.Get(o.ID); dup {
 			return nil, fmt.Errorf("core: duplicate uncertain object id %d", o.ID)
 		}
-		st.objects.put(o.ID, o)
+		st.objects.put(o.ID, o.Region())
 	}
 	st.uncIdx, err = pti.BulkLoad(opts.UncertainNodeStore, opts.CatalogProbs, objects)
 	if err != nil {
 		return nil, fmt.Errorf("core: building PTI: %w", err)
 	}
-	st.irregular = irregularSet(st.objects, st.uncIdx.Probs())
+	for _, o := range objects {
+		if !st.uncIdx.IsLeafRecord(o) {
+			st.irregular.put(o.ID, o)
+		}
+	}
 
 	return newEngineFromState(st, opts.MaxSnapshotAge), nil
 }
@@ -213,9 +218,10 @@ func (e *Engine) Point(id uncertain.ID) (uncertain.PointObject, bool) {
 }
 
 // Object returns the uncertain object with the given id (in the
-// current version).
+// current version). A leaf record's object is rebuilt from its
+// rectangle: equal to the one inserted, not the same pointer.
 func (e *Engine) Object(id uncertain.ID) (*uncertain.Object, bool) {
-	return e.state.Load().objects.Get(id)
+	return e.state.Load().object(id)
 }
 
 // PointIndex exposes the current version's point R-tree (for
@@ -346,12 +352,13 @@ func (st *engineState) listPoints(region geom.Rect, ids []uncertain.ID) candidat
 	}
 }
 
-// probeObjects scans the uncertain-object index over region.
+// probeObjects scans the uncertain-object index over region, handing
+// each candidate's object — a leaf record's rebuilt from its entry.
 func (st *engineState) probeObjects(region geom.Rect) candidateScan[*uncertain.Object] {
 	return func(visit func(uncertain.ID, *uncertain.Object) bool) (int64, error) {
-		return st.uncIdx.RangeSearchCounted(region, func(id uncertain.ID) bool {
-			obj, ok := st.objects.Get(id)
-			return !ok || visit(id, obj)
+		return st.uncIdx.RangeLeavesCounted(region, func(e rtree.Entry, _ []float64) bool {
+			id := uncertain.ID(e.Ref)
+			return visit(id, st.objectAt(id, e.Rect))
 		})
 	}
 }
@@ -515,19 +522,21 @@ func (st *engineState) evaluateUncertain(ctx context.Context, q Query, opts Eval
 // refine in closed form the filter is the larger part — range_ro's
 // profile puts three quarters of the evaluation in it — so it reads
 // only what the leaf entry holds wherever it can (see
-// engineState.irregular). ctx must already carry any opts.Timeout
+// engineState.objects). ctx must already carry any opts.Timeout
 // bound.
 //
-// A nil only draws the candidates from the index probe: a leaf record
+// A nil only draws the candidates from the index probe; a non-nil only
+// (Snapshot.EvaluateOnly) takes exactly those ids from the object table
+// and admits the ones whose rectangle meets the probe's search region.
+// Either way each candidate then takes the one leaf path: a leaf record
 // is pruned, by the index's leaf test and the strategies, and refined
-// from its entry's rectangle, any other object through its table row.
-// A non-nil only (Snapshot.EvaluateOnly) takes exactly those ids from
-// the table and admits the ones the probe would have visited
-// (admitsObject), every one on the table path. The two sources compute
-// the same rows and the same closed form, and pruning, refinement —
-// each survivor on the sample stream keyed by its id — and merge are
-// the same code either way, so the restricted answer is the full
-// answer's restriction bit for bit.
+// from its rectangle, any other object through its irregular object.
+// The index's tests are monotone from the root down (a node's rectangle
+// and bound envelope contain those of every entry below it), so the
+// listed ids the probe would have visited are exactly the ones the leaf
+// test admits; pruning, refinement — each survivor on the sample stream
+// keyed by its id — and merge are the same code, so the restricted
+// answer is the full answer's restriction bit for bit.
 func (st *engineState) evaluateUncertainEnhanced(ctx context.Context, q Query, opts EvalOptions, only []uncertain.ID) (Result, error) {
 	start := time.Now()
 	var res Result
@@ -567,42 +576,44 @@ func (st *engineState) evaluateUncertainEnhanced(ctx context.Context, q Query, o
 		return true
 	}
 
+	// The index's leaf test (pruning Strategy 1 at the leaf) on the
+	// M-bound row — computed from a leaf record's rectangle, read from
+	// any other object's catalog (the row its entry stores) — then the
+	// strategies. A leaf record the test admitted skips what it settled
+	// (see pruneCandidate).
 	indexPruning := q.Threshold > 0 && !opts.DisableIndexPruning
+	_, m, rowOK := st.uncIdx.MRow(q.Threshold)
+	rowOK = rowOK && indexPruning
+	admit := func(c candidate) bool {
+		if c.obj != nil {
+			if rowOK {
+				if b, _ := c.obj.Catalog.MaxLE(m); pti.BoundPrunes(c.region, b, plan.expanded) {
+					return true
+				}
+			}
+			return consider(c, false)
+		}
+		if rowOK && pti.BoundPrunes(c.region, uncertain.UniformBound(c.region, m), plan.expanded) {
+			return true
+		}
+		return consider(c, rowOK)
+	}
 	var na int64
 	var err error
 	if only != nil {
 		for _, id := range only {
-			obj, ok := st.objects.Get(id)
-			if !ok || !st.admitsObject(plan, obj, indexPruning) {
+			region, ok := st.objects.Get(id)
+			if !ok || !plan.searchReg.Intersects(region) {
 				continue
 			}
-			if !consider(candidate{id: id, region: obj.Region(), obj: obj}, false) {
+			if !admit(candidate{id: id, region: region, obj: st.irregularObject(id)}) {
 				break
 			}
 		}
 	} else {
-		// The index's leaf test (pruning Strategy 1 at the leaf) on the
-		// M-bound row: computed from a leaf record's rectangle, read
-		// from the stored payload for any other object.
-		row, m, rowOK := st.uncIdx.MRow(q.Threshold)
-		rowOK = rowOK && indexPruning
-		visit := func(e rtree.Entry, aux []float64) bool {
-			c := candidate{id: uncertain.ID(e.Ref), region: e.Rect}
-			if st.inTable(c.id) {
-				if rowOK && pti.BoundPrunes(e.Rect, pti.StoredRow(aux, row, m), plan.expanded) {
-					return true
-				}
-				obj, ok := st.objects.Get(c.id)
-				if !ok {
-					return true
-				}
-				c.obj = obj
-				return consider(c, false)
-			}
-			if rowOK && pti.BoundPrunes(e.Rect, uncertain.UniformBound(e.Rect, m), plan.expanded) {
-				return true
-			}
-			return consider(c, rowOK)
+		visit := func(e rtree.Entry, _ []float64) bool {
+			id := uncertain.ID(e.Ref)
+			return admit(candidate{id: id, region: e.Rect, obj: st.irregularObject(id)})
 		}
 		if indexPruning {
 			na, err = st.uncIdx.ThresholdLeavesCounted(plan.searchReg, plan.expanded, q.Threshold, visit)
@@ -655,16 +666,6 @@ func (st *engineState) evaluateUncertainEnhanced(ctx context.Context, q Query, o
 	spM.End()
 	res.Cost.Duration = time.Since(start)
 	return res, nil
-}
-
-// admitsObject reports whether the enhanced path's index probe —
-// threshold search when indexPruning, plain range search otherwise —
-// would visit obj.
-func (st *engineState) admitsObject(plan queryPlan, obj *uncertain.Object, indexPruning bool) bool {
-	if indexPruning {
-		return st.uncIdx.ThresholdAdmits(obj, plan.searchReg, plan.expanded, plan.q.Threshold)
-	}
-	return plan.searchReg.Intersects(obj.Region())
 }
 
 // accept applies the result predicate: non-zero probability for

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/index/pti"
 	"repro/internal/pdf"
 	"repro/internal/uncertain"
 )
@@ -114,16 +115,34 @@ func TestReplaceObjectFailureRestoresOld(t *testing.T) {
 		t.Fatalf("failed replace advanced version %d -> %d", v0, e.Version())
 	}
 	got, ok := e.Object(3)
-	if !ok || got != old {
+	if !ok || !sameObject(got, old) {
 		t.Fatalf("old object not restored after failed replace: %v %t", got, ok)
 	}
 	rep := e.ApplyUpdates([]Update{{Op: OpUpsertObject, Object: bad}})
 	if rep.Applied != 0 || len(rep.Errors) != 1 {
 		t.Fatalf("batch replace failure: %+v", rep)
 	}
-	if got, ok := e.Object(3); !ok || got != old {
+	if got, ok := e.Object(3); !ok || !sameObject(got, old) {
 		t.Fatal("old object lost through ApplyUpdates failure path")
 	}
+}
+
+// sameObject reports whether two uniform objects are equal by content:
+// the same id, a uniform pdf over the same rectangle and the same
+// catalog rows, bit for bit. A leaf record's object is rebuilt on each
+// read, so pointer equality says nothing.
+func sameObject(a, b *uncertain.Object) bool {
+	ra, okA := pdf.UniformSupport(a.PDF)
+	rb, okB := pdf.UniformSupport(b.PDF)
+	if a.ID != b.ID || !okA || !okB || !rectBitsEqual(ra, rb) || a.Catalog.Len() != b.Catalog.Len() {
+		return false
+	}
+	for i, row := range a.Catalog.Bounds() {
+		if !pti.SameBound(row, b.Catalog.Bounds()[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestGuardRegion: the guard is the index probe region — the full

@@ -1,76 +1,44 @@
 package core
 
 import (
-	"math"
-
 	"repro/internal/geom"
-	"repro/internal/pdf"
 	"repro/internal/uncertain"
 )
 
-// isLeafRecord reports whether o's PTI leaf entry {Rect: o.Region(),
-// Ref: o.ID} is its whole record for the range path under an index at
-// catalog values probs: o's pdf is the uniform product over that
-// rectangle, and its U-catalog holds exactly the rows UniformBound
-// computes from the rectangle at probs — so the leaf's stored payload,
-// which Insert copies from that catalog, holds them too. Rows are
-// compared bit for bit: a catalog restored with any other row (even a
-// -0 for a +0) keeps its object on the table path.
-func isLeafRecord(o *uncertain.Object, probs []float64) bool {
-	region, ok := pdf.UniformSupport(o.PDF)
+// object returns the object with the given id: its irregular object,
+// or the one its leaf record stands for, rebuilt.
+func (st *engineState) object(id uncertain.ID) (*uncertain.Object, bool) {
+	r, ok := st.objects.Get(id)
 	if !ok {
-		return false
+		return nil, false
 	}
-	rows := o.Catalog.Bounds()
-	if len(rows) != len(probs) {
-		return false
-	}
-	for i, b := range rows {
-		if !sameBound(b, uncertain.UniformBound(region, probs[i])) {
-			return false
-		}
-	}
-	return true
+	return st.objectAt(id, r), true
 }
 
-// sameBound reports whether two catalog rows are equal bit for bit.
-func sameBound(a, b uncertain.Bound) bool {
-	return math.Float64bits(a.P) == math.Float64bits(b.P) &&
-		math.Float64bits(a.Left) == math.Float64bits(b.Left) &&
-		math.Float64bits(a.Right) == math.Float64bits(b.Right) &&
-		math.Float64bits(a.Bottom) == math.Float64bits(b.Bottom) &&
-		math.Float64bits(a.Top) == math.Float64bits(b.Top)
+// objectAt is object for an id whose rectangle the caller holds.
+func (st *engineState) objectAt(id uncertain.ID, r geom.Rect) *uncertain.Object {
+	if o := st.irregularObject(id); o != nil {
+		return o
+	}
+	return st.uncIdx.LeafObject(id, r)
 }
 
-// irregularSet builds the id set of the objects in tab that are not
-// leaf records at probs — the constructor and checkpoint restore's
-// engineState.irregular.
-func irregularSet(tab *cowTable[*uncertain.Object], probs []float64) *cowTable[struct{}] {
-	set := newCowTable[struct{}](0)
-	tab.Range(func(id uncertain.ID, o *uncertain.Object) bool {
-		if !isLeafRecord(o, probs) {
-			set.put(id, struct{}{})
-		}
-		return true
-	})
-	return set
-}
-
-// inTable reports whether the range path must read id's object from
-// the table: id is not a leaf record. In a state without such objects
-// it is one length check.
-func (st *engineState) inTable(id uncertain.ID) bool {
+// irregularObject returns id's object if it is not a leaf record, nil
+// if it is one. In a state without such objects it is one length
+// check.
+func (st *engineState) irregularObject(id uncertain.ID) *uncertain.Object {
 	if st.irregular.Len() == 0 {
-		return false
+		return nil
 	}
-	_, ok := st.irregular.Get(id)
-	return ok
+	o, _ := st.irregular.Get(id)
+	return o
 }
 
 // candidate is one object the range filter surfaced: its id and region
-// — a PTI leaf entry's two fields — and, on the table path, its
-// object. obj is nil for a leaf record, whose pdf and catalog follow
-// from region alone. p is the probability refinement computes.
+// — a PTI leaf entry's two fields — and, for an object that is not a
+// leaf record, its irregular object. obj is nil for a leaf record,
+// whose pdf and catalog follow from region alone. p is the probability
+// refinement computes.
 type candidate struct {
 	id     uncertain.ID
 	region geom.Rect
@@ -79,8 +47,8 @@ type candidate struct {
 }
 
 // pruneCandidate runs the pruning strategies on c, reading its
-// U-catalog rows as they are needed: a table object's stored rows, or
-// a leaf record's computed from its rectangle (catalogRows).
+// U-catalog rows as they are needed: an irregular object's stored
+// rows, or a leaf record's computed from its rectangle (catalogRows).
 //
 // leafTested says the index's leaf test admitted c's entry on the row
 // computed at M, the largest index value <= Qp. For a leaf record
@@ -90,7 +58,7 @@ type candidate struct {
 // and an overlap beyond it would be beyond row M — which the leaf test
 // ruled out. Strategy 3 then reads the issuer's kernel bound qmin
 // first and only the rows above M, stopping at the first that clears
-// the overlap or whose value d has qmin·d ≥ Qp. A table object's
+// the overlap or whose value d has qmin·d ≥ Qp. An irregular object's
 // catalog need not be monotone bit for bit, so it is read from its
 // first row.
 func (st *engineState) pruneCandidate(plan *queryPlan, c *candidate, leafTested bool, ss StrategySet) PruneVerdict {

@@ -109,12 +109,15 @@ func leafClosedForm(oq *ObjectQualifier, region geom.Rect) float64 {
 }
 
 // checkLeafRecords holds e's current state to the leaf-record
-// invariant (engineState.irregular) against leaf, the test's own
-// record of which ids are leaf records: the set holds exactly the
-// other ids; a leaf record's rows computed from its rectangle are its
-// catalog rows and its stored PTI payload rows, and its rectangle is
-// its region, bit for bit; and its closed form from the rectangle is
-// ObjectQualifier.Qualify of its pdf, bit for bit.
+// invariant (engineState.objects) against leaf, the test's own record of
+// which ids are leaf records: the table holds every id with its
+// object's region, the irregular table exactly the other ids; a leaf
+// record's rebuilt object is a leaf record over the table's rectangle,
+// with the catalog rows computed from it; every PTI leaf entry carries
+// its table row's rectangle and its object's rows, and a leaf record's
+// entry stores none (the tree computes them), all bit for bit; and a
+// leaf record's closed form from the rectangle is ObjectQualifier.
+// Qualify of its pdf, bit for bit.
 func checkLeafRecords(t *testing.T, label string, e *Engine, leaf map[uncertain.ID]bool) {
 	t.Helper()
 	st := e.state.Load()
@@ -124,46 +127,55 @@ func checkLeafRecords(t *testing.T, label string, e *Engine, leaf map[uncertain.
 	}
 	irregular := 0
 	for id, isLeaf := range leaf {
-		o, ok := st.objects.Get(id)
+		r, ok := st.objects.Get(id)
 		if !ok {
 			t.Fatalf("%s: object %d missing from the table", label, id)
 		}
-		if st.inTable(id) == isLeaf {
-			t.Fatalf("%s: object %d in the id set = %v, want %v", label, id, st.inTable(id), !isLeaf)
+		if obj := st.irregularObject(id); (obj == nil) != isLeaf {
+			t.Fatalf("%s: object %d in the irregular table = %v, want %v", label, id, obj != nil, !isLeaf)
+		} else if obj != nil && !rectBitsEqual(obj.Region(), r) {
+			t.Fatalf("%s: object %d region %v, table row %v", label, id, obj.Region(), r)
 		}
 		if !isLeaf {
 			irregular++
 			continue
+		}
+		o, _ := st.object(id)
+		if !st.uncIdx.IsLeafRecord(o) || !rectBitsEqual(o.Region(), r) {
+			t.Fatalf("%s: object %d rebuilt over %v is not a leaf record over %v", label, id, o.Region(), r)
 		}
 		want := o.Catalog.Bounds()
 		if len(want) != len(probs) {
 			t.Fatalf("%s: object %d: %d index values, catalog has %d rows", label, id, len(probs), len(want))
 		}
 		for i, p := range probs {
-			if got := uncertain.UniformBound(o.Region(), p); !sameBound(got, want[i]) {
+			if got := uncertain.UniformBound(r, p); !pti.SameBound(got, want[i]) {
 				t.Fatalf("%s: object %d row %d computed %+v, catalog %+v", label, id, i, got, want[i])
 			}
 		}
 	}
 	if st.irregular.Len() != irregular {
-		t.Fatalf("%s: id set holds %d ids, want %d", label, st.irregular.Len(), irregular)
+		t.Fatalf("%s: irregular table holds %d ids, want %d", label, st.irregular.Len(), irregular)
 	}
 
 	all := geom.Rect{Lo: geom.Pt(math.Inf(-1), math.Inf(-1)), Hi: geom.Pt(math.Inf(1), math.Inf(1))}
-	leaves := 0
+	entries := 0
 	_, err := st.uncIdx.RangeLeavesCounted(all, func(en rtree.Entry, aux []float64) bool {
 		id := uncertain.ID(en.Ref)
-		if !leaf[id] {
-			return true
+		entries++
+		r, ok := st.objects.Get(id)
+		if !ok || !rectBitsEqual(en.Rect, r) {
+			t.Fatalf("%s: object %d leaf rectangle %v, table row %v (%t)", label, id, en.Rect, r, ok)
 		}
-		leaves++
-		o, _ := st.objects.Get(id)
-		if !rectBitsEqual(en.Rect, o.Region()) {
-			t.Fatalf("%s: object %d leaf rectangle %v, region %v", label, id, en.Rect, o.Region())
+		if leaf[id] && aux != nil {
+			t.Fatalf("%s: leaf record %d stores a payload row", label, id)
+		}
+		if !st.uncIdx.RowsMatch(en, aux, st.irregularObject(id)) {
+			t.Fatalf("%s: object %d leaf entry rows differ from its catalog's", label, id)
 		}
 		for i, p := range probs {
-			if got, want := uncertain.UniformBound(en.Rect, p), pti.StoredRow(aux, i, p); !sameBound(got, want) {
-				t.Fatalf("%s: object %d row %d computed %+v, stored %+v", label, id, i, got, want)
+			if got, want := pti.LeafBound(en, aux, i, p), uncertain.UniformBound(en.Rect, p); leaf[id] && !pti.SameBound(got, want) {
+				t.Fatalf("%s: object %d row %d derived %+v, computed %+v", label, id, i, got, want)
 			}
 		}
 		return true
@@ -171,8 +183,11 @@ func checkLeafRecords(t *testing.T, label string, e *Engine, leaf map[uncertain.
 	if err != nil {
 		t.Fatal(err)
 	}
-	if leaves != len(leaf)-irregular {
-		t.Fatalf("%s: %d leaf records in the PTI, want %d", label, leaves, len(leaf)-irregular)
+	if entries != len(leaf) {
+		t.Fatalf("%s: %d PTI leaf entries, want %d", label, entries, len(leaf))
+	}
+	if err := st.uncIdx.Tree().CheckInvariants(false); err != nil {
+		t.Fatalf("%s: %v", label, err)
 	}
 
 	// The closed form, against a uniform and a Gaussian issuer placed
@@ -183,7 +198,7 @@ func checkLeafRecords(t *testing.T, label string, e *Engine, leaf map[uncertain.
 			continue
 		}
 		n++
-		o, _ := st.objects.Get(id)
+		o, _ := st.object(id)
 		r := o.Region()
 		c := geom.Pt(r.Lo.X+0.3*r.Width(), r.Hi.Y-0.2*r.Height())
 		issuers := []pdf.PDF{pdf.MustUniform(geom.RectCentered(c, 12, 18))}
@@ -319,13 +334,13 @@ func TestLeafRecordMatchesTable(t *testing.T) {
 	checkLeafRecords(t, "checkpoint + WAL tail", reopened, leaf)
 }
 
-// FuzzLeafRecord holds one uniform object's leaf record to its table
-// row over arbitrary rectangles — zero width, negative, subnormal and
-// huge coordinates: the object is a leaf record, its rows computed from
-// the rectangle are its catalog rows and its stored PTI rows, its
-// closed form from the rectangle is Qualify of its pdf, and a full
-// Evaluate of a one-object engine (the leaf path) is EvaluateOnly (the
-// table path) at every threshold, bit for bit.
+// FuzzLeafRecord holds one uniform object's leaf record to the object
+// over arbitrary rectangles — zero width, negative, subnormal and huge
+// coordinates: the object is a leaf record, its rows computed from the
+// rectangle are its catalog rows and the rows its PTI entry stands
+// for, its closed form from the rectangle is Qualify of its pdf, and a
+// full Evaluate of a one-object engine (the index probe) is
+// EvaluateOnly (the listed id) at every threshold, bit for bit.
 func FuzzLeafRecord(f *testing.F) {
 	f.Add(0.0, 0.0, 10.0, 10.0, 4.0, 6.0, 5.0)
 	f.Add(5.0, 0.0, 5.0, 10.0, 5.0, 3.0, 2.0)              // zero width
@@ -360,12 +375,12 @@ func FuzzLeafRecord(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !isLeafRecord(o, probs) {
-			t.Fatalf("uniform object over %v is not a leaf record", region)
-		}
 		e, err := NewEngine(nil, []*uncertain.Object{o}, EngineOptions{})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if !e.UncertainIndex().IsLeafRecord(o) {
+			t.Fatalf("uniform object over %v is not a leaf record", region)
 		}
 		checkLeafRecords(t, "fuzz", e, map[uncertain.ID]bool{1: true})
 
@@ -380,8 +395,7 @@ func FuzzLeafRecord(f *testing.F) {
 		snap := e.Snapshot()
 		defer snap.Close()
 		// Thresholds on and between the catalog values, where the leaf
-		// path reads rows above M for Strategy 3 and the table path
-		// reads the stored catalog from its first row.
+		// path reads rows above M for Strategy 3.
 		for _, qp := range []float64{0, 0.2, 0.35, 0.5, 0.55, 0.7, 0.9, 0.95, 1} {
 			for _, opts := range []EvalOptions{{}, {DisableIndexPruning: true}} {
 				req := Request{Kind: KindUncertain, Issuer: iss, W: half, H: half / 2, Threshold: qp, Options: opts}
@@ -400,7 +414,7 @@ func FuzzLeafRecord(f *testing.F) {
 					same = got.Matches[i].ID == want.Matches[i].ID && bitsEqual(got.Matches[i].P, want.Matches[i].P)
 				}
 				if !same {
-					t.Fatalf("qp=%g %+v: leaf path %+v != table path %+v", qp, opts, got, want)
+					t.Fatalf("qp=%g %+v: index probe %+v != listed id %+v", qp, opts, got, want)
 				}
 			}
 		}

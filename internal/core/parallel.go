@@ -77,8 +77,8 @@ func (st *engineState) refineSurvivors(ctx context.Context, plan queryPlan, surv
 		obj := c.obj
 		if obj == nil {
 			// Sampling draws from the pdf itself: a leaf record's is
-			// its table row (the leaf and the row are in step).
-			obj, _ = st.objects.Get(c.id)
+			// rebuilt from its rectangle.
+			obj = st.uncIdx.LeafObject(c.id, c.region)
 		}
 		cfg := opts.Object
 		if mcAll || !isSeparable(obj.PDF) {

@@ -271,7 +271,7 @@ func (oq *ObjectQualifier) qualifyThreshold(obj pdf.PDF, qp float64, cfg ObjectE
 
 // closedForm is the Lemma 4 closed form for a separable object with
 // support sup and marginals mx, my against a separable issuer — the
-// refinement of a table object and of a leaf record alike (see
+// refinement of an irregular object and of a leaf record alike (see
 // engineState.refineSurvivors).
 func (oq *ObjectQualifier) closedForm(sup geom.Rect, mx, my pdf.Marginal, sc *evalScratch) float64 {
 	clip := sup.Intersect(oq.expSup)

@@ -48,7 +48,7 @@ func beyondBound(reg geom.Rect, b uncertain.Bound) bool {
 }
 
 // catalogRows is a candidate's U-catalog as the pruning strategies
-// read it, one row at a time: a table object's stored rows, or — probs
+// read it, one row at a time: an irregular object's stored rows, or — probs
 // set — a leaf record's, each computed by uncertain.UniformBound from
 // its rectangle at the index's catalog values when it is read. Rows
 // are ascending in P, and every P lies in [0, 1] (NewCatalog).
@@ -58,7 +58,7 @@ type catalogRows struct {
 	rect   geom.Rect
 }
 
-// storedRows reads a table object's catalog.
+// storedRows reads an irregular object's catalog.
 func storedRows(cat uncertain.Catalog) catalogRows { return catalogRows{stored: cat.Bounds()} }
 
 // leafRows reads a leaf record's catalog: the rows of the uniform pdf

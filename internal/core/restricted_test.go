@@ -70,9 +70,11 @@ func mixedWorld(t testing.TB, nPoints, nObjects int, seed int64) *Engine {
 // A random subset then yields exactly the full answer's restriction.
 //
 // It is also the cross-check of the range path's two candidate
-// sources: a full evaluation prunes and refines a leaf record from its
-// PTI entry (engineState.irregular), a restricted one reads every
-// candidate from the table. Beside mixedWorld it runs over
+// sources: a full evaluation surfaces its candidates through the
+// index's probe and pruning, a restricted one takes each listed id's
+// rectangle from the object table and runs the index's leaf test on it
+// alone; both then prune and refine a leaf record from its rectangle
+// (engineState.objects). Beside mixedWorld it runs over
 // leafTestWorld — Gaussian objects and uniform ones whose catalogs are
 // not at the index's values among the leaf records, once with integer
 // coordinates so that region edges, bound lines and query edges meet —

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/geom"
 	"repro/internal/index/pti"
 	"repro/internal/index/rtree"
 	"repro/internal/uncertain"
@@ -43,22 +44,26 @@ type engineState struct {
 	points   *cowTable[uncertain.PointObject]
 	pointIdx *rtree.Tree
 
-	objects *cowTable[*uncertain.Object]
-	uncIdx  *pti.Index
-
-	// irregular holds the ids of the objects that are not leaf records
-	// (isLeafRecord at uncIdx.Probs()), and no other ids. Every other
-	// object's PTI leaf entry {Rect: o.Region(), Ref: o.ID} is its
-	// whole record for the range path: its pdf is the uniform product
-	// over the rectangle and its catalog rows — the leaf's stored
-	// payload rows too — are uncertain.UniformBound of it, so the
-	// filter, the pruning strategies and closed-form refinement run
-	// from the entry without reading the table or the payload. Every
-	// writer (bulk load, insert and delete in the txn — replace, upsert
-	// and WAL replay go through them — and checkpoint restore) keeps
-	// the set in step with the table. TestLeafRecordMatchesTable holds
-	// the invariant.
-	irregular *cowTable[struct{}]
+	// objects and uncIdx hold the same object set: for every table row
+	// {id, rect} the PTI has exactly one leaf entry {Rect: rect, Ref:
+	// id}, and it has no other entries. The table maps an id to its
+	// rectangle inline, with no heap object per row.
+	//
+	// A leaf record (pti.Index.IsLeafRecord: a uniform pdf whose
+	// catalog is uncertain.UniformBound of its rectangle at the index's
+	// values) is its rectangle and nothing else: its pdf and catalog
+	// follow from the rectangle, its PTI entry stores no payload row,
+	// and the filter, the pruning strategies and closed-form refinement
+	// run from the entry alone. irregular holds the *uncertain.Object of
+	// every other object, and of no leaf record. Every writer (bulk
+	// load, insert and delete in the txn — replace, upsert and WAL
+	// replay go through them — and checkpoint restore, which checks the
+	// tables against the indexes) keeps the three in step; object and
+	// objectAt rebuild a leaf record's object on demand.
+	// TestLeafRecordMatchesTable holds the invariant.
+	objects   *cowTable[geom.Rect]
+	uncIdx    *pti.Index
+	irregular *cowTable[*uncertain.Object]
 
 	probs []float64
 
@@ -291,9 +296,10 @@ func (s *Snapshot) Point(id uncertain.ID) (uncertain.PointObject, bool) {
 }
 
 // Object returns the uncertain object with the given id, as of the
-// snapshot.
+// snapshot. A leaf record's object is rebuilt from its rectangle: equal
+// to the one inserted, not the same pointer.
 func (s *Snapshot) Object(id uncertain.ID) (*uncertain.Object, bool) {
-	return s.st.objects.Get(id)
+	return s.st.object(id)
 }
 
 // SnapshotStats reports the engine's MVCC bookkeeping for metrics:

@@ -173,9 +173,9 @@ type stateTxn struct {
 	points   *tableTxn[uncertain.PointObject]
 	pointIdx *rtree.Tree
 
-	objects   *tableTxn[*uncertain.Object]
+	objects   *tableTxn[geom.Rect]
 	uncIdx    *pti.Index
-	irregular *tableTxn[struct{}]
+	irregular *tableTxn[*uncertain.Object]
 
 	// logged accumulates the txn's effective primitive updates in
 	// application order — the WAL record a durable engine appends at
@@ -202,7 +202,7 @@ func (tx *stateTxn) pointTree() *rtree.Tree {
 	return tx.pointIdx
 }
 
-func (tx *stateTxn) objectTable() *tableTxn[*uncertain.Object] {
+func (tx *stateTxn) objectTable() *tableTxn[geom.Rect] {
 	if tx.objects == nil {
 		tx.objects = newTableTxn(tx.base.objects)
 	}
@@ -216,20 +216,20 @@ func (tx *stateTxn) uncTree() *pti.Index {
 	return tx.uncIdx
 }
 
-func (tx *stateTxn) irregularSet() *tableTxn[struct{}] {
+func (tx *stateTxn) irregularTable() *tableTxn[*uncertain.Object] {
 	if tx.irregular == nil {
 		tx.irregular = newTableTxn(tx.base.irregular)
 	}
 	return tx.irregular
 }
 
-// inTable is engineState.inTable through the txn.
-func (tx *stateTxn) inTable(id uncertain.ID) bool {
+// irregularObject is engineState.irregularObject through the txn.
+func (tx *stateTxn) irregularObject(id uncertain.ID) *uncertain.Object {
 	if tx.irregular != nil {
-		_, ok := tx.irregular.Get(id)
-		return ok
+		o, _ := tx.irregular.Get(id)
+		return o
 	}
-	return tx.base.inTable(id)
+	return tx.base.irregularObject(id)
 }
 
 func (tx *stateTxn) getPoint(id uncertain.ID) (uncertain.PointObject, bool) {
@@ -239,7 +239,8 @@ func (tx *stateTxn) getPoint(id uncertain.ID) (uncertain.PointObject, bool) {
 	return tx.base.points.Get(id)
 }
 
-func (tx *stateTxn) getObject(id uncertain.ID) (*uncertain.Object, bool) {
+// getRegion returns the rectangle of the object with the given id.
+func (tx *stateTxn) getRegion(id uncertain.ID) (geom.Rect, bool) {
 	if tx.objects != nil {
 		return tx.objects.Get(id)
 	}
@@ -513,14 +514,12 @@ func (tx *stateTxn) apply(u Update, rep *UpdateReport) error {
 			return fmt.Errorf("core: %v with nil object", u.Op)
 		}
 		c = Change{Table: TableObjects, ID: u.Object.ID, New: u.Object.Region(), HasNew: true}
-		if old, existed := tx.getObject(u.Object.ID); existed {
-			c.Old, c.HasOld = old.Region(), true
-		}
+		c.Old, c.HasOld = tx.getRegion(u.Object.ID)
 		if err := tx.replaceObject(u.Object); err != nil {
 			return err
 		}
 	case OpDeleteObject:
-		old, ok := tx.getObject(u.ID)
+		old, ok := tx.getRegion(u.ID)
 		if !ok {
 			rep.Missing++
 			return nil
@@ -528,7 +527,7 @@ func (tx *stateTxn) apply(u Update, rep *UpdateReport) error {
 		if _, err := tx.deleteObject(u.ID); err != nil {
 			return err
 		}
-		c = Change{Table: TableObjects, ID: u.ID, Old: old.Region(), HasOld: true}
+		c = Change{Table: TableObjects, ID: u.ID, Old: old, HasOld: true}
 	default:
 		return fmt.Errorf("core: unknown update op %v", u.Op)
 	}
@@ -630,15 +629,16 @@ func (e *Engine) InsertObject(o *uncertain.Object) error {
 }
 
 func (tx *stateTxn) insertObject(o *uncertain.Object) error {
-	if _, dup := tx.getObject(o.ID); dup {
+	if _, dup := tx.getRegion(o.ID); dup {
 		return fmt.Errorf("core: uncertain object %d already exists", o.ID)
 	}
-	if err := tx.uncTree().Insert(o); err != nil {
+	record, err := tx.uncTree().Insert(o)
+	if err != nil {
 		return err
 	}
-	tx.objectTable().Put(o.ID, o)
-	if !isLeafRecord(o, tx.base.uncIdx.Probs()) {
-		tx.irregularSet().Put(o.ID, struct{}{})
+	tx.objectTable().Put(o.ID, o.Region())
+	if !record {
+		tx.irregularTable().Put(o.ID, o)
 	}
 	tx.logged = append(tx.logged, Update{Op: OpUpsertObject, Object: o})
 	return nil
@@ -658,11 +658,11 @@ func (e *Engine) DeleteObject(id uncertain.ID) (bool, error) {
 }
 
 func (tx *stateTxn) deleteObject(id uncertain.ID) (bool, error) {
-	o, ok := tx.getObject(id)
+	r, ok := tx.getRegion(id)
 	if !ok {
 		return false, nil
 	}
-	removed, err := tx.uncTree().Delete(o)
+	removed, err := tx.uncTree().Delete(r, id)
 	if err != nil {
 		return false, err
 	}
@@ -670,8 +670,8 @@ func (tx *stateTxn) deleteObject(id uncertain.ID) (bool, error) {
 		return false, fmt.Errorf("core: object %d present in table but missing from index", id)
 	}
 	tx.objectTable().Delete(id)
-	if tx.inTable(id) {
-		tx.irregularSet().Delete(id)
+	if tx.irregularObject(id) != nil {
+		tx.irregularTable().Delete(id)
 	}
 	tx.logged = append(tx.logged, Update{Op: OpDeleteObject, ID: id})
 	return true, nil
@@ -690,8 +690,10 @@ func (e *Engine) ReplaceObject(o *uncertain.Object) error {
 }
 
 func (tx *stateTxn) replaceObject(o *uncertain.Object) error {
-	old, existed := tx.getObject(o.ID)
+	region, existed := tx.getRegion(o.ID)
+	var old *uncertain.Object
 	if existed {
+		old = tx.irregularObject(o.ID) // nil for a leaf record
 		if _, err := tx.deleteObject(o.ID); err != nil {
 			return err
 		}
@@ -702,6 +704,9 @@ func (tx *stateTxn) replaceObject(o *uncertain.Object) error {
 		// promises). The old object inserted cleanly before, so the
 		// restore can only fail on an index I/O error.
 		if existed {
+			if old == nil {
+				old = tx.base.uncIdx.LeafObject(o.ID, region)
+			}
 			if rerr := tx.insertObject(old); rerr != nil {
 				return fmt.Errorf("core: replace failed (%w) and old version not restored: %v", err, rerr)
 			}

@@ -11,15 +11,28 @@
 // auxiliary-payload hook; one catalog value occupies four float64s
 // (left, right, bottom, top) of the payload, so with the paper's ten
 // catalog values a 4 KiB node holds 11 entries.
+//
+// Leaf records. The p-bounds of a uniform-pdf object are a closed form
+// of its region (§5.1: l(p) = lo + p·w, uncertain.UniformBound). An
+// object whose pdf is the uniform one over its region and whose
+// U-catalog holds exactly those rows at the index's values is a leaf
+// record (IsLeafRecord): its leaf entry {Rect: region, Ref: id} is the
+// whole object. The entry stores no payload row — the tree computes it
+// from the rectangle wherever it needs one (rtree.Config.DeriveAux),
+// and a search visits it with a nil payload — and LeafObject rebuilds
+// the object from the entry. Every other object's entry stores its
+// catalog rows. Node pages and checkpoints hold every row either way.
 package pti
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/geom"
 	"repro/internal/index/rtree"
+	"repro/internal/pdf"
 	"repro/internal/uncertain"
 )
 
@@ -49,12 +62,63 @@ func mergeAux(dst, src []float64) {
 	}
 }
 
-// config builds the rtree configuration for the given catalog size.
-func config(numProbs int) rtree.Config {
+// config builds the rtree configuration for the catalog values probs
+// (validated).
+func config(probs []float64) rtree.Config {
 	return rtree.Config{
-		AuxLen:   AuxLen(numProbs),
+		AuxLen:   AuxLen(len(probs)),
 		MergeAux: mergeAux,
+		DeriveAux: func(r geom.Rect, dst []float64) {
+			for i, p := range probs {
+				b := uncertain.UniformBound(r, p)
+				dst[4*i], dst[4*i+1], dst[4*i+2], dst[4*i+3] = b.Left, b.Right, b.Bottom, b.Top
+			}
+		},
 	}
+}
+
+// IsLeafRecord reports whether o is a leaf record of the index: its pdf
+// is the uniform product over its region, and its U-catalog holds
+// exactly the rows uncertain.UniformBound computes from that region at
+// the index's values. Rows are compared bit for bit: a catalog restored
+// with any other row (even a -0 for a +0) keeps its object out.
+func (ix *Index) IsLeafRecord(o *uncertain.Object) bool {
+	region, ok := pdf.UniformSupport(o.PDF)
+	if !ok {
+		return false
+	}
+	rows := o.Catalog.Bounds()
+	if len(rows) != len(ix.probs) {
+		return false
+	}
+	for i, b := range rows {
+		if !SameBound(b, uncertain.UniformBound(region, ix.probs[i])) {
+			return false
+		}
+	}
+	return true
+}
+
+// SameBound reports whether two catalog rows are equal bit for bit.
+func SameBound(a, b uncertain.Bound) bool {
+	return math.Float64bits(a.P) == math.Float64bits(b.P) &&
+		math.Float64bits(a.Left) == math.Float64bits(b.Left) &&
+		math.Float64bits(a.Right) == math.Float64bits(b.Right) &&
+		math.Float64bits(a.Bottom) == math.Float64bits(b.Bottom) &&
+		math.Float64bits(a.Top) == math.Float64bits(b.Top)
+}
+
+// LeafObject rebuilds the object the leaf record entry {region, id}
+// stands for: the uniform pdf over region, with the catalog of
+// uncertain.UniformBound rows at the index's values — equal, field for
+// field and bit for bit, to the leaf record that was inserted.
+func (ix *Index) LeafObject(id uncertain.ID, region geom.Rect) *uncertain.Object {
+	x, y := pdf.UniformOn(region.Lo.X, region.Hi.X), pdf.UniformOn(region.Lo.Y, region.Hi.Y)
+	rows := make([]uncertain.Bound, len(ix.probs))
+	for i, p := range ix.probs {
+		rows[i] = uncertain.UniformBound(region, p)
+	}
+	return &uncertain.Object{ID: id, PDF: pdf.NewProduct(&x, &y), Catalog: uncertain.RestoreCatalog(rows)}
 }
 
 // encodeBounds serializes an object's p-bounds at the index's catalog
@@ -93,25 +157,26 @@ func validateProbs(probs []float64) ([]float64, error) {
 }
 
 // BulkLoad builds a PTI from objects using STR packing; with no
-// objects it is an empty index.
+// objects it is an empty index. A leaf record's entry stores no row.
 func BulkLoad(store rtree.NodeStore, probs []float64, objs []*uncertain.Object) (*Index, error) {
 	ps, err := validateProbs(probs)
 	if err != nil {
 		return nil, err
 	}
+	ix := &Index{probs: ps}
 	items := make([]rtree.Item, len(objs))
 	for i, o := range objs {
-		aux, err := encodeBounds(o, ps)
-		if err != nil {
-			return nil, err
+		items[i] = rtree.Item{Rect: o.Region(), Ref: rtree.Ref(o.ID)}
+		if !ix.IsLeafRecord(o) {
+			if items[i].Aux, err = encodeBounds(o, ps); err != nil {
+				return nil, err
+			}
 		}
-		items[i] = rtree.Item{Rect: o.Region(), Ref: rtree.Ref(o.ID), Aux: aux}
 	}
-	tr, err := rtree.BulkLoad(store, config(len(ps)), items)
-	if err != nil {
+	if ix.tree, err = rtree.BulkLoad(store, config(ps), items); err != nil {
 		return nil, err
 	}
-	return &Index{tree: tr, probs: ps}, nil
+	return ix, nil
 }
 
 // CloneCOW returns a copy-on-write clone of the index: a mutable next
@@ -140,19 +205,23 @@ func (ix *Index) Abort() error { return ix.tree.AbortCOW() }
 // FreeRetired releases node ids a sealed mutation retired.
 func (ix *Index) FreeRetired(ids []rtree.NodeID) error { return ix.tree.FreeAll(ids) }
 
-// Insert adds an uncertain object.
-func (ix *Index) Insert(o *uncertain.Object) error {
-	aux, err := encodeBounds(o, ix.probs)
-	if err != nil {
-		return err
+// Insert adds an uncertain object — a leaf record as its rectangle and
+// id alone, any other object with its catalog rows — and reports
+// whether it is a leaf record.
+func (ix *Index) Insert(o *uncertain.Object) (record bool, err error) {
+	var aux []float64
+	if record = ix.IsLeafRecord(o); !record {
+		if aux, err = encodeBounds(o, ix.probs); err != nil {
+			return false, err
+		}
 	}
-	return ix.tree.Insert(o.Region(), rtree.Ref(o.ID), aux)
+	return record, ix.tree.Insert(o.Region(), rtree.Ref(o.ID), aux)
 }
 
-// Delete removes an object previously inserted with the same region
-// and id, reporting whether it was found.
-func (ix *Index) Delete(o *uncertain.Object) (bool, error) {
-	return ix.tree.Delete(o.Region(), rtree.Ref(o.ID))
+// Delete removes the entry of the object with the given region and
+// id, reporting whether it was found.
+func (ix *Index) Delete(region geom.Rect, id uncertain.ID) (bool, error) {
+	return ix.tree.Delete(region, rtree.Ref(id))
 }
 
 // Tree exposes the underlying R-tree (for statistics and validation).
@@ -171,19 +240,11 @@ func (ix *Index) probIndex(q float64) int {
 	return i - 1
 }
 
-// RangeSearchCounted visits the ids of all objects whose uncertainty
-// region intersects q (no probability pruning) and returns the node
-// accesses this call performed. The count is local to the call, so
-// concurrent searches each observe their own exact I/O cost.
-func (ix *Index) RangeSearchCounted(q geom.Rect, visit func(id uncertain.ID) bool) (int64, error) {
-	return ix.RangeLeavesCounted(q, func(e rtree.Entry, _ []float64) bool {
-		return visit(uncertain.ID(e.Ref))
-	})
-}
-
-// RangeLeavesCounted is RangeSearchCounted handing the caller each
-// intersecting leaf entry — an object's region and id — with its
-// stored bound payload.
+// RangeLeavesCounted visits every leaf entry whose rectangle
+// intersects q (no probability pruning) — an object's region and id —
+// with its stored bound payload (nil for a leaf record), and returns
+// the node accesses this call performed. The count is local to the
+// call, so concurrent searches each observe their own exact I/O cost.
 func (ix *Index) RangeLeavesCounted(q geom.Rect, visit rtree.Visit) (int64, error) {
 	return ix.tree.SearchCounted(q, nil, visit)
 }
@@ -202,11 +263,10 @@ func (ix *Index) RangeLeavesCounted(q geom.Rect, visit rtree.Visit) (int64, erro
 //     (pruning Strategy 1 applied at the index level).
 //
 // Every leaf entry that intersects search is visited, untested, with
-// its stored payload. The caller decides the entry with BoundPrunes on
-// its M-bound row (see MRow) — the stored one, or one it can compute
-// from the entry alone — and evaluates the survivors exactly. It
-// returns the node accesses this call performed, counted locally for
-// concurrent callers.
+// its stored payload (nil for a leaf record). The caller decides the
+// entry with BoundPrunes on its M-bound row (see MRow and LeafBound)
+// and evaluates the survivors exactly. It returns the node accesses
+// this call performed, counted locally for concurrent callers.
 func (ix *Index) ThresholdLeavesCounted(search, expanded geom.Rect, qp float64, visit rtree.Visit) (int64, error) {
 	row, m, ok := ix.MRow(qp)
 	var prune rtree.NodePruner
@@ -216,30 +276,6 @@ func (ix *Index) ThresholdLeavesCounted(search, expanded geom.Rect, qp float64, 
 		}
 	}
 	return ix.tree.SearchCounted(search, prune, visit)
-}
-
-// ThresholdAdmits reports whether ThresholdLeavesCounted(search,
-// expanded, qp) over an index holding o would visit o's entry and
-// BoundPrunes on its stored M-bound row would keep it — the search's
-// tests applied to the object directly. It decides the same set
-// without descending the tree because both tests are monotone along
-// the path from the root: a node's rectangle and bound envelope
-// contain those of every entry below it, so an interior entry that
-// fails a test implies o's own entry fails it too.
-func (ix *Index) ThresholdAdmits(o *uncertain.Object, search, expanded geom.Rect, qp float64) bool {
-	region := o.Region()
-	if !search.Intersects(region) {
-		return false
-	}
-	_, m, ok := ix.MRow(qp)
-	if !ok {
-		return true
-	}
-	// The row exists and is the stored one: Insert rejects an object
-	// whose catalog lacks an index probability value, and stores the
-	// catalog's row.
-	b, _ := o.Catalog.MaxLE(m)
-	return !BoundPrunes(region, b, expanded)
 }
 
 // MRow returns where the M-bound rows of threshold qp sit in every
@@ -259,6 +295,36 @@ func (ix *Index) MRow(qp float64) (row int, m float64, ok bool) {
 func StoredRow(aux []float64, row int, p float64) uncertain.Bound {
 	r := aux[4*row : 4*row+4]
 	return uncertain.Bound{P: p, Left: r[0], Right: r[1], Bottom: r[2], Top: r[3]}
+}
+
+// RowsMatch reports whether the leaf entry e, visited with payload aux,
+// carries o's rows: its catalog rows at the index's values or — o nil,
+// a leaf record — the rows computed from e's rectangle, bit for bit.
+func (ix *Index) RowsMatch(e rtree.Entry, aux []float64, o *uncertain.Object) bool {
+	for i, p := range ix.probs {
+		want := uncertain.UniformBound(e.Rect, p)
+		if o != nil {
+			b, ok := o.Catalog.MaxLE(p)
+			if !ok || b.P != p {
+				return false
+			}
+			want = b
+		}
+		if !SameBound(LeafBound(e, aux, i, p), want) {
+			return false
+		}
+	}
+	return true
+}
+
+// LeafBound is StoredRow for a leaf entry a search visits with payload
+// aux: a leaf record's entry, visited with none, has the row computed
+// from its rectangle.
+func LeafBound(e rtree.Entry, aux []float64, row int, p float64) uncertain.Bound {
+	if aux == nil {
+		return uncertain.UniformBound(e.Rect, p)
+	}
+	return StoredRow(aux, row, p)
 }
 
 // BoundPrunes reports whether the overlap of region (an entry's MBR)
@@ -284,7 +350,7 @@ func Restore(store rtree.NodeStore, probs []float64, root rtree.NodeID, height, 
 	if err != nil {
 		return nil, err
 	}
-	tr, err := rtree.Restore(store, config(len(ps)), root, height, size)
+	tr, err := rtree.Restore(store, config(ps), root, height, size)
 	if err != nil {
 		return nil, err
 	}

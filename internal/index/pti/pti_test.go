@@ -46,13 +46,20 @@ func collectIDs(t *testing.T, fn func(visit func(uncertain.ID) bool) (int64, err
 	return ids, accesses
 }
 
+// rangeSearch visits the ids of every object whose region intersects q.
+func rangeSearch(ix *Index, q geom.Rect, visit func(uncertain.ID) bool) (int64, error) {
+	return ix.RangeLeavesCounted(q, func(e rtree.Entry, _ []float64) bool {
+		return visit(uncertain.ID(e.Ref))
+	})
+}
+
 // thresholdSearch is the engine's constrained-query filter over the
 // index: ThresholdLeavesCounted, with each leaf entry it visits decided
-// by BoundPrunes on the entry's stored M-bound row.
+// by BoundPrunes on the entry's M-bound row.
 func thresholdSearch(ix *Index, search, expanded geom.Rect, qp float64, visit func(uncertain.ID) bool) (int64, error) {
 	row, m, ok := ix.MRow(qp)
 	return ix.ThresholdLeavesCounted(search, expanded, qp, func(e rtree.Entry, aux []float64) bool {
-		if ok && BoundPrunes(e.Rect, StoredRow(aux, row, m), expanded) {
+		if ok && BoundPrunes(e.Rect, LeafBound(e, aux, row, m), expanded) {
 			return true // pruned leaf entry; keep searching
 		}
 		return visit(uncertain.ID(e.Ref))
@@ -89,7 +96,7 @@ func TestInsertRequiresCatalog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.Insert(bare); err == nil {
+	if _, err := ix.Insert(bare); err == nil {
 		t.Fatal("object without catalog accepted")
 	}
 	// Catalog missing one index value.
@@ -97,7 +104,7 @@ func TestInsertRequiresCatalog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.Insert(partial); err == nil {
+	if _, err := ix.Insert(partial); err == nil {
 		t.Fatal("object with partial catalog accepted")
 	}
 }
@@ -119,7 +126,7 @@ func TestRangeSearchMatchesBruteForce(t *testing.T) {
 		q := geom.RectCentered(
 			geom.Pt(rng.Float64()*1000, rng.Float64()*1000),
 			rng.Float64()*100, rng.Float64()*100)
-		got, _ := collectIDs(t, func(v func(uncertain.ID) bool) (int64, error) { return ix.RangeSearchCounted(q, v) })
+		got, _ := collectIDs(t, func(v func(uncertain.ID) bool) (int64, error) { return rangeSearch(ix, q, v) })
 		var want []uncertain.ID
 		for _, o := range objs {
 			if q.Intersects(o.Region()) {
@@ -184,7 +191,7 @@ func TestThresholdSearchPrunes(t *testing.T) {
 	expanded := geom.ExpandedQuery(u0, 60, 60)
 
 	all, _ := collectIDs(t, func(v func(uncertain.ID) bool) (int64, error) {
-		return ix.RangeSearchCounted(expanded, v)
+		return rangeSearch(ix, expanded, v)
 	})
 	strict, _ := collectIDs(t, func(v func(uncertain.ID) bool) (int64, error) {
 		return thresholdSearch(ix, expanded, expanded, 0.9, v)
@@ -208,7 +215,7 @@ func TestThresholdSearchNodeLevelPruningSavesIO(t *testing.T) {
 	expanded := geom.ExpandedQuery(u0, 200, 200)
 
 	_, baseIO := collectIDs(t, func(v func(uncertain.ID) bool) (int64, error) {
-		return ix.RangeSearchCounted(expanded, v)
+		return rangeSearch(ix, expanded, v)
 	})
 
 	// Shrunken search region (stand-in for a Qp-expanded query) plus
@@ -230,15 +237,15 @@ func TestInsertDeleteCycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, o := range objs {
-		if err := ix.Insert(o); err != nil {
-			t.Fatal(err)
+		if record, err := ix.Insert(o); err != nil || !record {
+			t.Fatalf("insert %d: leaf record %t, %v", o.ID, record, err)
 		}
 	}
 	if err := ix.Tree().CheckInvariants(true); err != nil {
 		t.Fatal(err)
 	}
 	for _, i := range rng.Perm(300)[:150] {
-		ok, err := ix.Delete(objs[i])
+		ok, err := ix.Delete(objs[i].Region(), objs[i].ID)
 		if err != nil || !ok {
 			t.Fatalf("delete %d: %t %v", objs[i].ID, ok, err)
 		}

@@ -289,14 +289,14 @@ func (t *twinTree) pages(tb testing.TB, auxLen int) [][]byte {
 			cp.Entries = append(cp.Entries, re)
 			cp.Aux = append(cp.Aux, e.aux)
 		}
-		out[i] = encodePage(tb, cp, auxLen)
+		out[i] = encodePage(tb, cp, rtree.Config{AuxLen: auxLen})
 	}
 	return out
 }
 
-func encodePage(tb testing.TB, n *rtree.Node, auxLen int) []byte {
+func encodePage(tb testing.TB, n *rtree.Node, cfg rtree.Config) []byte {
 	page := make([]byte, storage.PageSize)
-	if err := rtree.EncodeNodePage(n, page, auxLen); err != nil {
+	if err := rtree.EncodeNodePage(n, page, cfg); err != nil {
 		tb.Fatal(err)
 	}
 	return page
@@ -327,19 +327,34 @@ func treePages(tb testing.TB, tr *rtree.Tree, auxLen int) [][]byte {
 				cp.Entries[j].Child = index[e.Child]
 			}
 		}
-		out[i] = encodePage(tb, cp, auxLen)
+		out[i] = encodePage(tb, cp, tr.Config())
 	}
 	return out
+}
+
+// rowOf returns entry k's payload row: the stored one, or the catalog
+// row of the uniform object over the entry's rectangle, which a leaf
+// record's entry stores none of.
+func rowOf(n *rtree.Node, k int) []float64 {
+	if n.Aux != nil && n.Aux[k] != nil {
+		return n.Aux[k]
+	}
+	row := make([]float64, 0, AuxLen(len(probs)))
+	for _, p := range probs {
+		b := uncertain.UniformBound(n.Entries[k].Rect, p)
+		row = append(row, b.Left, b.Right, b.Bottom, b.Top)
+	}
+	return row
 }
 
 // checkOracle recomputes the envelope of child from scratch and
 // requires parent's entry j to equal it bit for bit.
 func checkOracle(tb testing.TB, parent *rtree.Node, j int, child *rtree.Node) {
 	r := child.Entries[0].Rect
-	aux := append([]float64(nil), child.Aux[0]...)
+	aux := append([]float64(nil), rowOf(child, 0)...)
 	for k := 1; k < len(child.Entries); k++ {
 		r = r.Union(child.Entries[k].Rect)
-		twinMergeAux(aux, child.Aux[k])
+		twinMergeAux(aux, rowOf(child, k))
 	}
 	got := parent.Entries[j].Rect
 	same := bits(got.Lo.X, r.Lo.X) && bits(got.Lo.Y, r.Lo.Y) && bits(got.Hi.X, r.Hi.X) && bits(got.Hi.Y, r.Hi.Y)
@@ -405,15 +420,15 @@ func TestIncrementalEnvelopesMatchTwin(t *testing.T) {
 					t.Fatal(err)
 				}
 				if old, ok := live[o.ID]; ok {
-					if found, err := clone.Delete(old); err != nil || !found {
+					if found, err := clone.Delete(old.Region(), old.ID); err != nil || !found {
 						t.Fatalf("delete %d: %v %v", o.ID, found, err)
 					}
 					if !twin.delete(old.Region(), rtree.Ref(o.ID)) {
 						t.Fatalf("twin lost %d", o.ID)
 					}
 				}
-				if err := clone.Insert(o); err != nil {
-					t.Fatal(err)
+				if record, err := clone.Insert(o); err != nil || !record {
+					t.Fatalf("insert %d: leaf record %t, %v", o.ID, record, err)
 				}
 				twin.insert(o.Region(), rtree.Ref(o.ID), aux)
 				live[o.ID] = o
@@ -464,7 +479,7 @@ func TestIncrementalEnvelopesMatchTwin(t *testing.T) {
 					}
 					id := ids[at]
 					old := live[id]
-					if found, err := clone.Delete(old); err != nil || !found {
+					if found, err := clone.Delete(old.Region(), id); err != nil || !found {
 						t.Fatalf("delete %d: %v %v", id, found, err)
 					}
 					if !twin.delete(old.Region(), rtree.Ref(id)) {

@@ -9,7 +9,9 @@ import (
 	"repro/internal/geom"
 )
 
-// Item is one object for bulk loading.
+// Item is one object for bulk loading. Aux is its payload row, of
+// length Config.AuxLen; nil stores none, in a tree whose DeriveAux
+// computes it from Rect (and in a tree that carries none).
 type Item struct {
 	Rect geom.Rect
 	Ref  Ref
@@ -27,6 +29,7 @@ func BulkLoad(store NodeStore, cfg Config, items []Item) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
+	attachStore(store, cfg)
 	t := &Tree{store: store, cfg: cfg}
 	if len(items) == 0 {
 		root, err := store.Alloc(true)
@@ -43,7 +46,7 @@ func BulkLoad(store NodeStore, cfg Config, items []Item) (*Tree, error) {
 		if err := it.Rect.Validate(); err != nil {
 			return nil, err
 		}
-		if len(it.Aux) != cfg.AuxLen {
+		if len(it.Aux) != cfg.AuxLen && (it.Aux != nil || cfg.DeriveAux == nil) {
 			return nil, fmt.Errorf("rtree: bulk item aux length %d, want %d", len(it.Aux), cfg.AuxLen)
 		}
 	}
@@ -87,14 +90,27 @@ type packed struct {
 }
 
 // fillNode gives n the packed entries, in order, as its contents; the
-// payloads are copied.
+// payloads are copied, into one block. A node none of whose entries
+// stores a row keeps a nil Aux.
 func fillNode(n *Node, entries []packed, auxLen int) {
 	n.Entries = make([]Entry, len(entries))
-	n.Aux = newAuxRows(len(entries), auxLen)
+	stored := 0
 	for i, p := range entries {
 		n.Entries[i] = p.e
-		if n.Aux != nil {
+		if p.aux != nil {
+			stored++
+		}
+	}
+	if stored == 0 || auxLen == 0 {
+		return
+	}
+	n.Aux = make([][]float64, len(entries))
+	block := make([]float64, stored*auxLen)
+	for i, p := range entries {
+		if p.aux != nil {
+			n.Aux[i] = block[:auxLen:auxLen]
 			copy(n.Aux[i], p.aux)
+			block = block[auxLen:]
 		}
 	}
 }

@@ -25,7 +25,10 @@ func (t *Tree) Delete(r geom.Rect, ref Ref) (bool, error) {
 	d := departure{moved: true, gone: true}
 	for i, e := range leaf.Entries {
 		if e.Ref == ref && e.Rect.ApproxEqual(r) {
-			d.was, d.wasAux = e.Rect, leaf.auxAt(i)
+			d.was = e.Rect
+			if t.cfg.AuxLen > 0 {
+				d.wasAux = t.rowAt(leaf, i, t.rows().gone)
+			}
 			leaf.removeEntry(i)
 			break
 		}
@@ -140,7 +143,7 @@ func (t *Tree) refreshEnvelope(parent *Node, idx int, n *Node, d *departure) {
 		d.now = pe.Rect
 	}
 	if auxStale {
-		parent.Aux[idx] = t.auxEnvelope(n)
+		parent.Aux[idx] = t.auxEnvelope(n, t.rows().entry)
 		d.nowAux = parent.Aux[idx]
 	}
 }

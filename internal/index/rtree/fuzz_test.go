@@ -18,7 +18,7 @@ func FuzzDecodeNode(f *testing.F) {
 	n := &Node{ID: 1, Leaf: true, Entries: []Entry{
 		{Rect: geom.Rect{Lo: geom.Pt(1, 2), Hi: geom.Pt(3, 4)}, Ref: 9},
 	}, Aux: [][]float64{{0.5}}}
-	if err := encodeNode(n, valid, 1); err != nil {
+	if err := encodeNode(n, valid, 1, nil); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(valid, 1)
@@ -42,7 +42,7 @@ func FuzzDecodeNode(f *testing.F) {
 		}
 		// A decoded node must re-encode without error into a page.
 		out := make([]byte, storage.PageSize)
-		if err := encodeNode(node, out, auxLen); err != nil {
+		if err := encodeNode(node, out, auxLen, nil); err != nil {
 			t.Fatalf("round trip of decoded node failed: %v", err)
 		}
 	})
@@ -82,7 +82,7 @@ func FuzzNodeRoundTrip(f *testing.F) {
 			n.appendEntry(e, row)
 		}
 		page := make([]byte, storage.PageSize)
-		if err := encodeNode(n, page, auxLen); err != nil {
+		if err := encodeNode(n, page, auxLen, nil); err != nil {
 			t.Fatal(err)
 		}
 		got, err := decodeNode(3, page, auxLen)
@@ -290,12 +290,12 @@ func TestEncodeNodeOverflow(t *testing.T) {
 		n.Entries = append(n.Entries, Entry{Rect: geom.RectAt(geom.Pt(float64(i), 0)), Ref: Ref(i)})
 	}
 	page := make([]byte, storage.PageSize)
-	if err := encodeNode(n, page, 0); err == nil {
+	if err := encodeNode(n, page, 0, nil); err == nil {
 		t.Fatal("oversized node encoded without error")
 	}
 	// Wrong aux length is rejected too.
 	n2 := &Node{ID: 2, Leaf: true, Entries: []Entry{{Rect: geom.RectAt(geom.Pt(0, 0))}}, Aux: [][]float64{{1}}}
-	if err := encodeNode(n2, page, 2); err == nil {
+	if err := encodeNode(n2, page, 2, nil); err == nil {
 		t.Fatal("wrong aux length encoded without error")
 	}
 	if !bytes.Equal(page[:4], make([]byte, 4)) {

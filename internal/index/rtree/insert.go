@@ -9,16 +9,18 @@ import (
 
 // Insert adds an entry with the given rectangle, reference and
 // (optionally) auxiliary payload. aux must have length Config.AuxLen
-// (nil when AuxLen is 0); it is copied.
+// (nil when AuxLen is 0); it is copied. In a tree with a DeriveAux a
+// nil aux stores no row: the entry's row is the one DeriveAux computes
+// from r.
 func (t *Tree) Insert(r geom.Rect, ref Ref, aux []float64) error {
 	if err := r.Validate(); err != nil {
 		return err
 	}
-	if len(aux) != t.cfg.AuxLen {
+	if len(aux) != t.cfg.AuxLen && (aux != nil || t.cfg.DeriveAux == nil) {
 		return fmt.Errorf("rtree: aux length %d, want %d", len(aux), t.cfg.AuxLen)
 	}
 	var row []float64
-	if t.cfg.AuxLen > 0 {
+	if aux != nil && t.cfg.AuxLen > 0 {
 		row = slices.Clone(aux)
 	}
 	if err := t.insertAtLevel(Entry{Rect: r, Ref: ref}, row, 0); err != nil {
@@ -28,12 +30,13 @@ func (t *Tree) Insert(r geom.Rect, ref Ref, aux []float64) error {
 	return nil
 }
 
-// insertAtLevel places e, with payload row aux (the tree keeps it), at
-// the given level (0 = leaves). Levels above 0 are used when
-// reinserting orphaned subtrees during deletion. Under copy-on-write,
-// every node mutated along the descent path is first made writable
-// (path-copied on first touch); adjustTree then repoints each parent at
-// its child's current id, and the root id is refreshed last.
+// insertAtLevel places e, with payload row aux (the tree keeps it; nil
+// for a derived leaf row), at the given level (0 = leaves). Levels
+// above 0 are used when reinserting orphaned subtrees during deletion.
+// Under copy-on-write, every node mutated along the descent path is
+// first made writable (path-copied on first touch); adjustTree then
+// repoints each parent at its child's current id, and the root id is
+// refreshed last.
 func (t *Tree) insertAtLevel(e Entry, aux []float64, level int) error {
 	path, err := t.chooseNode(e.Rect, level)
 	if err != nil {
@@ -45,6 +48,11 @@ func (t *Tree) insertAtLevel(e Entry, aux []float64, level int) error {
 	}
 	path[len(path)-1].node = n
 	n.appendEntry(e, aux)
+	added := aux
+	if added == nil && t.cfg.AuxLen > 0 {
+		added = t.rows().added
+		t.cfg.DeriveAux(e.Rect, added)
+	}
 
 	var splitNew *Node
 	if len(n.Entries) > t.cfg.MaxEntries {
@@ -55,7 +63,7 @@ func (t *Tree) insertAtLevel(e Entry, aux []float64, level int) error {
 	} else if err := t.storeNode(n); err != nil {
 		return err
 	}
-	return t.adjustTree(path, e.Rect, aux, splitNew)
+	return t.adjustTree(path, e.Rect, added, splitNew)
 }
 
 // pathStep records one node on the descent path and the index of the

@@ -23,5 +23,6 @@ func Restore(store NodeStore, cfg Config, root NodeID, height, size int) (*Tree,
 	if _, err := store.Get(root); err != nil {
 		return nil, fmt.Errorf("rtree: restore root: %w", err)
 	}
+	attachStore(store, cfg)
 	return &Tree{store: store, cfg: cfg, root: root, height: height, size: size}, nil
 }

@@ -39,7 +39,9 @@
 //
 // The result is bit-identical to recomputing every envelope on the path
 // from scratch, which is what CheckInvariants compares against,
-// Float64bits for Float64bits.
+// Float64bits for Float64bits. A leaf entry that stores no payload row
+// (Config.DeriveAux) takes part in all of it with the row computed from
+// its rectangle, which is the row it would have stored.
 package rtree
 
 import (
@@ -85,7 +87,11 @@ type Node struct {
 	// Aux holds one payload row of Config.AuxLen values per entry
 	// (Aux[i] belongs to Entries[i]); nil when AuxLen is 0. A row is
 	// never written once it is in a node: versions of a node share
-	// their rows, and an envelope that changes is a new row.
+	// their rows, and an envelope that changes is a new row. In a tree
+	// whose Config.DeriveAux computes a leaf entry's row from its
+	// rectangle, a leaf row may be nil — the entry stores none — and a
+	// leaf whose rows are all nil may have a nil Aux; interior rows are
+	// always stored.
 	Aux [][]float64
 
 	// soa caches the structure-of-arrays mirror of the entry
@@ -135,12 +141,17 @@ func (n *Node) auxAt(i int) []float64 {
 }
 
 // appendEntry adds e as the node's last entry, with its payload row
-// (nil for a tree that carries none).
+// (nil for a tree that carries none, or a derived leaf row). A node
+// whose rows were all absent keeps a nil Aux until a stored row
+// arrives.
 func (n *Node) appendEntry(e Entry, row []float64) {
-	n.Entries = append(n.Entries, e)
-	if row != nil {
+	if n.Aux != nil {
+		n.Aux = append(n.Aux, row)
+	} else if row != nil {
+		n.Aux = make([][]float64, len(n.Entries), cap(n.Entries)+1)
 		n.Aux = append(n.Aux, row)
 	}
+	n.Entries = append(n.Entries, e)
 }
 
 // removeEntry deletes entry i and its payload row, keeping the order of
@@ -156,6 +167,11 @@ func (n *Node) removeEntry(i int) {
 // have length Config.AuxLen. It must be commutative and associative in
 // the usual envelope sense (e.g. element-wise min/max).
 type MergeAuxFunc func(dst, src []float64)
+
+// DeriveAuxFunc writes into dst (length Config.AuxLen) the payload row
+// of a leaf entry with rectangle r that stores none. It must be a pure
+// function of r.
+type DeriveAuxFunc func(r geom.Rect, dst []float64)
 
 // SplitAlgorithm selects the node-splitting heuristic.
 type SplitAlgorithm int
@@ -196,6 +212,12 @@ type Config struct {
 	// MergeAux aggregates child payloads into parent entries. Required
 	// when AuxLen > 0.
 	MergeAux MergeAuxFunc
+	// DeriveAux, when set, lets a leaf entry store no payload row: the
+	// tree computes the row from the entry's rectangle wherever it
+	// needs one — envelope maintenance, CheckInvariants, page encoding
+	// — into per-tree scratch, and a search visits such an entry with
+	// a nil payload. Nil means every leaf entry stores its row.
+	DeriveAux DeriveAuxFunc
 	// Split selects the overflow-splitting heuristic (default
 	// quadratic, as in the paper's index library).
 	Split SplitAlgorithm
@@ -218,6 +240,9 @@ func (c Config) normalize() (Config, error) {
 	}
 	if c.AuxLen > 0 && c.MergeAux == nil {
 		return c, errors.New("rtree: AuxLen > 0 requires MergeAux")
+	}
+	if c.AuxLen == 0 && c.DeriveAux != nil {
+		return c, errors.New("rtree: DeriveAux requires AuxLen > 0")
 	}
 	if c.MaxEntries == 0 {
 		c.MaxEntries = CapacityForPage(c.AuxLen)
@@ -257,9 +282,39 @@ type Tree struct {
 	// mutations path-copy shared nodes instead of updating in place
 	// (see cow.go). Sealed trees and legacy in-place trees carry nil.
 	cow *cowState
-	// scratch is grownRow's merge buffer, allocated on the handle's
-	// first use (one writer per handle).
-	scratch []float64
+	// work holds the writer's scratch rows, allocated on the handle's
+	// first use (one writer per handle); see rows.
+	work *workRows
+}
+
+// workRows are a writing handle's scratch payload rows: merge is
+// grownRow's merge buffer, added the inserted entry's row and gone the
+// deleted entry's when DeriveAux computes them, and entry the rows
+// auxEnvelope derives one at a time. None is ever stored in a node.
+type workRows struct {
+	merge, added, gone, entry []float64
+}
+
+// rows returns the handle's scratch rows, allocating them — one block
+// — on first use.
+func (t *Tree) rows() *workRows {
+	if t.work == nil {
+		n := t.cfg.AuxLen
+		b := make([]float64, 4*n)
+		t.work = &workRows{merge: b[:n:n], added: b[n : 2*n : 2*n], gone: b[2*n : 3*n : 3*n], entry: b[3*n:]}
+	}
+	return t.work
+}
+
+// rowAt returns entry i's payload row: the stored one, or — for a leaf
+// entry that stores none — the row DeriveAux computes from its
+// rectangle, written into buf. Nil for a tree that carries none.
+func (t *Tree) rowAt(n *Node, i int, buf []float64) []float64 {
+	if row := n.auxAt(i); row != nil || t.cfg.AuxLen == 0 {
+		return row
+	}
+	t.cfg.DeriveAux(n.Entries[i].Rect, buf)
+	return buf
 }
 
 // Len returns the number of stored entries.
@@ -322,17 +377,21 @@ func (t *Tree) storeNode(n *Node) error {
 // the from-scratch form, used where a node's membership was rebuilt
 // (see the package comment).
 func (t *Tree) entryEnvelope(n *Node) (geom.Rect, []float64) {
-	return n.bounds(), t.auxEnvelope(n)
+	if t.cfg.AuxLen == 0 {
+		return n.bounds(), nil
+	}
+	return n.bounds(), t.auxEnvelope(n, t.rows().entry)
 }
 
-// auxEnvelope is the payload half of entryEnvelope.
-func (t *Tree) auxEnvelope(n *Node) []float64 {
-	if len(n.Aux) == 0 {
+// auxEnvelope is the payload half of entryEnvelope; buf holds each
+// derived row while it is merged.
+func (t *Tree) auxEnvelope(n *Node, buf []float64) []float64 {
+	if t.cfg.AuxLen == 0 || len(n.Entries) == 0 {
 		return nil
 	}
-	row := slices.Clone(n.Aux[0])
-	for _, r := range n.Aux[1:] {
-		t.cfg.MergeAux(row, r)
+	row := slices.Clone(t.rowAt(n, 0, buf))
+	for i := 1; i < len(n.Entries); i++ {
+		t.cfg.MergeAux(row, t.rowAt(n, i, buf))
 	}
 	return row
 }
@@ -340,14 +399,12 @@ func (t *Tree) auxEnvelope(n *Node) []float64 {
 // grownRow returns the envelope row merged with one more payload: row
 // itself when the payload lies inside it, a new row otherwise.
 func (t *Tree) grownRow(row, added []float64) []float64 {
-	if t.scratch == nil {
-		t.scratch = make([]float64, t.cfg.AuxLen)
-	}
-	copy(t.scratch, row)
-	t.cfg.MergeAux(t.scratch, added)
-	for j, v := range t.scratch {
+	merged := t.rows().merge
+	copy(merged, row)
+	t.cfg.MergeAux(merged, added)
+	for j, v := range merged {
 		if !sameBits(v, row[j]) {
-			return slices.Clone(t.scratch)
+			return slices.Clone(merged)
 		}
 	}
 	return row

@@ -1,10 +1,15 @@
 package rtree
 
-import "repro/internal/geom"
+import (
+	"fmt"
+
+	"repro/internal/geom"
+)
 
 // Visit receives a matching leaf entry and its auxiliary payload (nil
-// for a tree that carries none; valid only during the call); returning
-// false stops the search early.
+// for a tree that carries none, and for an entry that stores none — see
+// Config.DeriveAux; valid only during the call); returning false stops
+// the search early.
 type Visit func(e Entry, aux []float64) bool
 
 // NodePruner inspects an interior entry (its rectangle already
@@ -78,6 +83,9 @@ func (t *Tree) Walk(fn func(n *Node, level int) error) error {
 }
 
 func (t *Tree) walkNode(id NodeID, level int, fn func(n *Node, level int) error) error {
+	if level < 0 {
+		return fmt.Errorf("rtree: node %d lies below the leaf level", id)
+	}
 	n, err := t.loadNode(id)
 	if err != nil {
 		return err

@@ -115,6 +115,19 @@ type PagedNodeStore struct {
 	pool   *storage.BufferPool
 	alloc  *storage.PageAllocator
 	auxLen int
+	// derive is the DeriveAux of the tree built over the store (see
+	// attachStore): a page holds every entry's row, so Update writes
+	// the rows leaf entries do not store from it. Get decodes every
+	// row as stored.
+	derive DeriveAuxFunc
+}
+
+// attachStore hands a paged store the DeriveAux of the tree being built
+// or restored over it.
+func attachStore(store NodeStore, cfg Config) {
+	if ps, ok := store.(*PagedNodeStore); ok && cfg.DeriveAux != nil {
+		ps.derive = cfg.DeriveAux
+	}
 }
 
 // NewPagedNodeStore builds a paged store over pool for nodes whose
@@ -152,7 +165,7 @@ func (s *PagedNodeStore) Update(n *Node) error {
 		return err
 	}
 	defer s.pool.Unpin(storage.PageID(n.ID))
-	if err := encodeNode(n, data, s.auxLen); err != nil {
+	if err := encodeNode(n, data, s.auxLen, s.derive); err != nil {
 		return err
 	}
 	s.pool.MarkDirty(storage.PageID(n.ID))
@@ -173,16 +186,20 @@ func (s *PagedNodeStore) Free(id NodeID) error {
 //	offset 4: uint32 reserved
 //	offset 8: entries, each 32-byte rect + 8-byte ref/child +
 //	          auxLen float64s
-func encodeNode(n *Node, data []byte, auxLen int) error {
+//
+// Every entry's row is written: a leaf entry that stores none gets the
+// row derive computes from its rectangle.
+func encodeNode(n *Node, data []byte, auxLen int, derive DeriveAuxFunc) error {
 	entryBytes := 32 + 8 + 8*auxLen
 	need := nodeHeaderBytes + len(n.Entries)*entryBytes
 	if need > storage.PageSize {
 		return fmt.Errorf("rtree: node %d with %d entries overflows page (%d > %d)",
 			n.ID, len(n.Entries), need, storage.PageSize)
 	}
-	if auxLen > 0 && len(n.Aux) != len(n.Entries) {
+	if auxLen > 0 && n.Aux != nil && len(n.Aux) != len(n.Entries) {
 		return fmt.Errorf("rtree: node %d carries %d aux rows for %d entries", n.ID, len(n.Aux), len(n.Entries))
 	}
+	var derived []float64
 	var flags byte
 	if n.Leaf {
 		flags |= 1
@@ -204,10 +221,21 @@ func encodeNode(n *Node, data []byte, auxLen int) error {
 		}
 		off += 40
 		if auxLen > 0 {
-			if len(n.Aux[i]) != auxLen {
-				return fmt.Errorf("rtree: entry aux length %d, want %d", len(n.Aux[i]), auxLen)
+			row := n.auxAt(i)
+			if row == nil {
+				if !n.Leaf || derive == nil {
+					return fmt.Errorf("rtree: node %d entry %d stores no aux row", n.ID, i)
+				}
+				if derived == nil {
+					derived = make([]float64, auxLen)
+				}
+				derive(e.Rect, derived)
+				row = derived
 			}
-			for _, v := range n.Aux[i] {
+			if len(row) != auxLen {
+				return fmt.Errorf("rtree: entry aux length %d, want %d", len(row), auxLen)
+			}
+			for _, v := range row {
 				putFloat(data[off:], v)
 				off += 8
 			}
@@ -253,9 +281,11 @@ func decodeNode(id NodeID, data []byte, auxLen int) (*Node, error) {
 // single on-disk node format, shared by the paged node store and the
 // checkpoint writer (a checkpointed node page is byte-wise identical
 // to a live index page with the same contents). page must be
-// storage.PageSize bytes.
-func EncodeNodePage(n *Node, page []byte, auxLen int) error {
-	return encodeNode(n, page, auxLen)
+// storage.PageSize bytes. cfg is the configuration of the tree n
+// belongs to: its AuxLen, and the DeriveAux that computes the rows its
+// leaf entries do not store.
+func EncodeNodePage(n *Node, page []byte, cfg Config) error {
+	return encodeNode(n, page, cfg.AuxLen, cfg.DeriveAux)
 }
 
 // DecodeNodePage decodes a node page written by EncodeNodePage,

@@ -3,7 +3,9 @@ package obs
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -237,5 +239,32 @@ func TestNilTraceIsFree(t *testing.T) {
 	var nilTrace *Trace
 	if nilTrace.Spans() != nil {
 		t.Fatal("nil trace accessors should return zero values")
+	}
+}
+
+// TestHeapLiveGauge: go_gc_heap_live_bytes reads the runtime's live-heap
+// figure — positive once a collection has run — in a conformant
+// exposition.
+func TestHeapLiveGauge(t *testing.T) {
+	runtime.GC()
+	r := NewRegistry()
+	r.HeapLiveGauge()
+	var buf bytes.Buffer
+	if err := r.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if errs := Lint(buf.Bytes()); len(errs) != 0 {
+		t.Fatalf("exposition does not lint: %v\n%s", errs, buf.String())
+	}
+	var v float64
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, "go_gc_heap_live_bytes "); ok {
+			if _, err := fmt.Sscan(rest, &v); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if v <= 0 {
+		t.Fatalf("live heap %v after a collection:\n%s", v, buf.String())
 	}
 }

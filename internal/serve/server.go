@@ -375,6 +375,7 @@ func NewServer(mon *monitor.Monitor, defaults core.EvalOptions, cfg Config) *Ser
 	mon.Engine().RegisterMetrics(s.reg)
 	mon.RegisterMetrics(s.reg)
 	s.registerServeMetrics()
+	s.reg.HeapLiveGauge()
 
 	s.mux.HandleFunc("POST /v1/evaluate", s.handleEvaluate)
 	s.mux.HandleFunc("POST /v1/queries", s.handleRegister)

@@ -578,6 +578,7 @@ func TestServeMetricsExposition(t *testing.T) {
 		"ildq_monitor_full_reevals_total 0",
 		"ildq_cow_publishes_total 1",
 		"ildq_slow_queries_total 0",
+		"# TYPE go_gc_heap_live_bytes gauge",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, metrics)

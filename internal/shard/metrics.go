@@ -81,6 +81,7 @@ func newRouterMetrics() *routerMetrics {
 			"Bytes of each 2xx shard reply body the router read, by op (evaluate, nn, updates, register).",
 			replyByteBuckets, "op"),
 	}
+	reg.HeapLiveGauge()
 	return m
 }
 

@@ -606,6 +606,9 @@ func TestRouterReplyBytesMetric(t *testing.T) {
 	if !strings.Contains(text.String(), `ildq_router_shard_reply_bytes_count{op="nn"} 2`) {
 		t.Errorf("exposition lacks the nn reply-bytes series:\n%s", text.String())
 	}
+	if !strings.Contains(text.String(), "# TYPE go_gc_heap_live_bytes gauge") {
+		t.Errorf("exposition lacks the live-heap gauge:\n%s", text.String())
+	}
 }
 
 // TestMergeMatches pins the merge's edge behaviour the bit-exactness

@@ -244,17 +244,25 @@ func BenchmarkAblationGaussianObjects(b *testing.B) {
 	runUncertain(b, gaussEngine, uniIssuers, 500, 0, repro.EvalOptions{})
 }
 
-// Nearest-neighbor extension at paper-default issuer size.
+// Nearest-neighbor extension at paper-default issuer size, through
+// the engine's point index.
 func BenchmarkNNExtension(b *testing.B) {
 	world.init(b)
-	rng := rand.New(rand.NewSource(32))
 	issPDF, err := repro.NewUniformPDF(repro.RectCentered(repro.Pt(5000, 5000), 250, 250))
 	if err != nil {
 		b.Fatal(err)
 	}
+	issuer, err := repro.NewIssuer(issPDF)
+	if err != nil {
+		b.Fatal(err)
+	}
+	req := repro.RequestNN(issuer, 1)
+	req.NNSamples = 500
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := repro.EvaluateNN(world.points, issPDF, 500, rng); err != nil {
+		req.Seed = int64(i)
+		if _, err := world.engine.Evaluate(ctx, req); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -249,5 +250,46 @@ func TestEngineHeapBudget(t *testing.T) {
 	}
 	if restored > restoredBudget {
 		t.Errorf("restored engine holds %.0f B per object, budget %d", restored, restoredBudget)
+	}
+}
+
+// TestCheckpointAllocationBudget pins what one Checkpoint of the
+// shard-sized engine allocates. A leaf record is encoded from its
+// rectangle (uncertain.AppendUniformObject), so the writer builds no
+// object per row; what is left is the tree pages' encoding and the
+// section buffers. Budgets are the measured values plus a grace.
+func TestCheckpointAllocationBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a shard-sized engine")
+	}
+	if raceEnabled {
+		t.Skip("the race detector's shadow memory is not the engine's")
+	}
+	const (
+		bytesBudget = 1_700_000 // measured 1 561 000 for 27 937 objects in 8 008 pages (27.5 MB when each leaf record's object was rebuilt to encode it)
+		allocBudget = 4_400     // measured 3 938–3 996 (171 624)
+	)
+	dir := t.TempDir()
+	eng, err := Open(dir, durTestOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	newApplyWorld().load(t, eng)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	info, err := eng.Checkpoint(context.Background())
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bytes := after.TotalAlloc - before.TotalAlloc
+	allocs := after.Mallocs - before.Mallocs
+	t.Logf("Checkpoint of %d objects, %d pages: %d B in %d allocs, %v", eng.NumUncertain(), info.Pages, bytes, allocs, info.Duration)
+	if bytes > bytesBudget {
+		t.Errorf("Checkpoint allocated %d B, budget %d", bytes, bytesBudget)
+	}
+	if allocs > allocBudget {
+		t.Errorf("Checkpoint made %d allocations, budget %d", allocs, allocBudget)
 	}
 }

@@ -32,7 +32,9 @@ import (
 //	points section:   byte stream across pages: u64 count, then each
 //	                  point object (uncertain.AppendPoint)
 //	objects section:  byte stream across pages: u64 count, then each
-//	                  uncertain object (uncertain.AppendObject)
+//	                  uncertain object (uncertain.AppendObject; a leaf
+//	                  record through uncertain.AppendUniformObject,
+//	                  the same bytes from its rectangle)
 //
 // The dense id remap is what makes loading store-agnostic: a fresh
 // node store allocates ids sequentially from 0, so re-allocating
@@ -165,8 +167,15 @@ func writeCheckpoint(ctx context.Context, dev checkpointDevice, st *engineState)
 	binary.LittleEndian.PutUint64(scratch[:8], uint64(st.objects.Len()))
 	ow.write(scratch[:8])
 	var objBuf []byte
+	probs := st.uncIdx.Probs()
 	st.objects.Range(func(id uncertain.ID, r geom.Rect) bool {
-		objBuf, err = uncertain.AppendObject(objBuf[:0], st.objectAt(id, r))
+		// A leaf record is encoded from its rectangle: the bytes of the
+		// object it stands for, which is never built.
+		if o := st.irregularObject(id); o != nil {
+			objBuf, err = uncertain.AppendObject(objBuf[:0], o)
+		} else {
+			objBuf = uncertain.AppendUniformObject(objBuf[:0], id, r, probs)
+		}
 		if err != nil {
 			ow.err = err
 			return false

@@ -49,7 +49,12 @@
 //   - nearest neighbor: collectNN + refineNNCandidates, which a
 //     single-engine evaluation, Snapshot.NNCandidates and
 //     EvaluateNNCandidates are compositions of — so a fleet router's NN
-//     answer and a single engine's come out of the same lines.
+//     answer and a single engine's come out of the same lines. With a
+//     threshold, refinement resolves only the samples that can lift a
+//     candidate to Qp (nn.Refine): every accepted probability, counter
+//     and stop is the exhaustive kernel's, and a rejected candidate's
+//     probability, which no answer carries, is only known to be below
+//     Qp.
 package core
 
 import (

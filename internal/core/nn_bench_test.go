@@ -2,12 +2,16 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/geom"
+	"repro/internal/obs"
 	"repro/internal/pdf"
 	"repro/internal/uncertain"
 )
@@ -104,5 +108,120 @@ func TestNNCandidatesAllocationBudget(t *testing.T) {
 	}
 	if allocsPer > allocBudget {
 		t.Errorf("NNCandidates = %.1f allocs/call, budget %d", allocsPer, allocBudget)
+	}
+}
+
+// TestRefineNNMatchesExhaustiveKernel holds the NN refinement stage on
+// the end-to-end benchmark's question (nnBenchRequests on the shard's
+// points) to the exhaustive kernel, over many seeds and thresholds.
+// With a threshold, nn.Refine resolves only the samples that can lift a
+// candidate to it, so a rejected candidate's probability is not its
+// exhaustive one; everything an answer carries must be. The reference
+// is the same request at threshold 0 (every sample resolved), filtered
+// at qp and cut to K afterwards. The thresholds include tallies that
+// hit qp exactly (need/1000 = qp for 0.1, 0.02 and 0.005) and qp's
+// float neighbours; a 5 000-sample stream with AdaptiveOff runs the
+// restriction over several chunks.
+func TestRefineNNMatchesExhaustiveKernel(t *testing.T) {
+	w := newApplyWorld()
+	pts := make([]uncertain.PointObject, len(w.points))
+	for i, p := range w.points {
+		pts[i] = uncertain.PointObject{ID: uncertain.ID(i), Loc: p}
+	}
+	eng, err := NewEngine(pts, nil, EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := eng.Snapshot()
+	defer snap.Close()
+	ctx := context.Background()
+	reqs := nnBenchRequests(t, w)
+	seeds := 6
+	if testing.Short() {
+		reqs, seeds = reqs[:16], 2
+	}
+	qps := []float64{0.1, 0.02, 0.005, math.Nextafter(0.1, 0), math.Nextafter(0.1, 1), 0.5}
+	var samples, resolved int64
+	for ri, base := range reqs {
+		set, err := snap.NNCandidates(ctx, base, NNCandidateOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seed := 1; seed <= seeds; seed++ {
+			for vi, variant := range []struct {
+				k       int
+				samples int
+				off     bool
+			}{{1, 0, false}, {len(set.Candidates), 0, false}, {len(set.Candidates), 5000, true}} {
+				if variant.samples > 0 && seed > 2 {
+					continue
+				}
+				ref := base
+				ref.Seed = int64(seed)
+				ref.NNSamples = variant.samples
+				if variant.off {
+					ref.Options.Object.Adaptive = AdaptiveOff
+				}
+				ref.Threshold, ref.K = 0, len(set.Candidates)
+				all, err := EvaluateNNCandidates(ctx, ref, set.Candidates, set.Tau)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, qp := range qps {
+					req := ref
+					req.Threshold, req.K = qp, variant.k
+					got, err := EvaluateNNCandidates(ctx, req, set.Candidates, set.Tau)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var want []Match
+					for _, m := range all.Matches {
+						if m.P >= qp {
+							want = append(want, m)
+						}
+					}
+					below := len(set.Candidates) - len(want)
+					want = want[:min(len(want), variant.k)]
+					name := fmt.Sprintf("request %d seed %d variant %d qp %v", ri, seed, vi, qp)
+					if len(got.Matches) != len(want) {
+						t.Fatalf("%s: %d matches, exhaustive %d", name, len(got.Matches), len(want))
+					}
+					for i, m := range want {
+						if g := got.Matches[i]; g.ID != m.ID || math.Float64bits(g.P) != math.Float64bits(m.P) {
+							t.Fatalf("%s: match %d = %+v, exhaustive %+v", name, i, g, m)
+						}
+					}
+					gc, wc := got.Cost, all.Cost
+					if gc.SamplesUsed != wc.SamplesUsed || gc.EarlyStopped != wc.EarlyStopped ||
+						gc.Refined != wc.Refined || gc.Candidates != wc.Candidates || gc.BelowThreshold != below ||
+						math.Float64bits(got.Tau) != math.Float64bits(all.Tau) {
+						t.Fatalf("%s: cost %+v tau %v, exhaustive %+v tau %v, below %d", name, gc, got.Tau, wc, all.Tau, below)
+					}
+				}
+			}
+		}
+		// The restriction is at work: count what one traced request
+		// resolved of what it drew, from its refine span's note.
+		req := base
+		req.Seed = 1
+		tr := obs.NewTrace("nn-refine")
+		if _, err := EvaluateNNCandidates(obs.WithTrace(ctx, tr), req, set.Candidates, set.Tau); err != nil {
+			t.Fatal(err)
+		}
+		var r, n int64
+		for _, sp := range tr.Spans() {
+			if sp.Name == "refine" {
+				if _, err := fmt.Sscanf(sp.Note[strings.Index(sp.Note, "resolved="):], "resolved=%d of %d", &r, &n); err != nil {
+					t.Fatalf("refine note %q: %v", sp.Note, err)
+				}
+			}
+		}
+		samples, resolved = samples+n, resolved+r
+	}
+	// Measured: 36 % (a dense issuer region skips nearly every cell, a
+	// sparse one, where each cell lists many candidates, few).
+	t.Logf("qp=0.1, k=1: resolved %d of %d samples", resolved, samples)
+	if samples == 0 || resolved*2 > samples {
+		t.Fatalf("resolved %d of %d samples at qp=0.1: the restriction should skip most", resolved, samples)
 	}
 }

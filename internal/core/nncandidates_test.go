@@ -515,3 +515,43 @@ func TestNNCandidatesConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRadiusBandMatchesMinDist holds collectNN's squared-distance
+// filter to the MinDist > radius test it replaced, decision for
+// decision: random points at every scale, points whose MinDist is the
+// radius itself or one ulp either side of it (where the band hands
+// over to the exact test), radii outside the band's range, and
+// non-finite coordinates.
+func TestRadiusBandMatchesMinDist(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	inf, nan := math.Inf(1), math.NaN()
+	check := func(u0 geom.Rect, loc geom.Point, radius float64) {
+		t.Helper()
+		if got, want := newRadiusBand(radius).beyond(u0, loc), u0.MinDist(loc) > radius; got != want {
+			t.Fatalf("u0 %v loc %v radius %v (MinDist %v): beyond %v, MinDist > radius %v",
+				u0, loc, radius, u0.MinDist(loc), got, want)
+		}
+	}
+	for i := range 200_000 {
+		scale := math.Ldexp(1, rng.Intn(1200)-600)
+		u0 := geom.RectCentered(geom.Pt((rng.Float64()-0.5)*scale, (rng.Float64()-0.5)*scale), rng.Float64()*scale, rng.Float64()*scale)
+		loc := geom.Pt((rng.Float64()-0.5)*4*scale, (rng.Float64()-0.5)*4*scale)
+		d := u0.MinDist(loc)
+		radius := d * (0.5 + rng.Float64())
+		switch i % 4 {
+		case 1:
+			radius = d
+		case 2:
+			radius = math.Nextafter(d, 0)
+		case 3:
+			radius = math.Nextafter(d, inf)
+		}
+		check(u0, loc, radius)
+	}
+	u0 := geom.RectCentered(geom.Pt(0, 0), 1, 1)
+	for _, loc := range []geom.Point{{X: nan, Y: 0}, {X: nan, Y: inf}, {X: inf, Y: nan}, {X: -inf, Y: 3}, {X: 1e300, Y: 1e300}, {X: 1e-300, Y: 2}, {X: 0.5, Y: 0.5}} {
+		for _, radius := range []float64{0, 1e-310, 0x1p-500, 1, 0x1p500, 1e300, inf, nan} {
+			check(u0, loc, radius)
+		}
+	}
+}

@@ -24,9 +24,11 @@ import (
 // shared-sample-stream tally kernel — a candidate grid resolves each
 // sample's nearest candidate, so the work is O(candidates + samples)
 // expected and the product only in the clustered worst case; estimates
-// sum to exactly 1, with adaptive early termination against Threshold
-// — so results are a pure function of the candidate set and the seed,
-// and stable under concurrent ingestion. evaluateNN composes the
+// sum to exactly 1, with adaptive early termination against Threshold,
+// and a threshold request's last round resolves only the samples that
+// can lift some candidate to Threshold — so results are a pure function
+// of the candidate set and the seed, and stable under concurrent
+// ingestion. evaluateNN composes the
 // two on one state; nncandidates.go exposes each on its own so a fleet
 // router can run the first on every shard and the second once.
 
@@ -89,6 +91,7 @@ func (st *engineState) collectNN(ctx context.Context, u0 geom.Rect, o NNCandidat
 	// A router that has already merged a tighter global tau caps the
 	// collection radius with it.
 	radius := o.Radius(set.Tau)
+	band := newRadiusBand(radius)
 	sc := nnScratchPool.Get().(*nnScratch)
 	defer putNNScratch(sc)
 	cands := sc.cands[:0]
@@ -100,7 +103,7 @@ func (st *engineState) collectNN(ctx context.Context, u0 geom.Rect, o NNCandidat
 		// The leaf entry is the point record (see engineState): Ref is
 		// the id and Rect.Lo the location.
 		loc := en.Rect.Lo
-		if u0.MinDist(loc) > radius {
+		if band.beyond(u0, loc) {
 			return true
 		}
 		if o.Limit > 0 && len(cands) >= o.Limit {
@@ -133,6 +136,38 @@ func (st *engineState) collectNN(ctx context.Context, u0 geom.Rect, o NNCandidat
 	return set, visited, nil
 }
 
+// radiusBand decides MinDist(u0, loc) > radius, as that comparison
+// does, mostly from the squared distance: a squared MinDist above hi2
+// is beyond radius and one below lo2 within it, and only one in
+// between (or a NaN) takes the hypotenuse. The rounded squares are
+// within 3 ulps of dx² + dy² and radius², and math.Hypot within 5 of
+// its true value, so a relative band of 2^-40 around radius² — far
+// wider than those errors — leaves every decision as MinDist makes
+// it. Outside [2^-500, 2^500] a square could overflow or underflow, so
+// such a radius (and NaN) gets the empty band: every entry takes the
+// exact test.
+type radiusBand struct {
+	radius, lo2, hi2 float64
+}
+
+func newRadiusBand(radius float64) radiusBand {
+	if !(radius >= 0x1p-500 && radius <= 0x1p500) {
+		return radiusBand{radius: radius, lo2: -1, hi2: math.Inf(1)}
+	}
+	r2 := radius * radius
+	return radiusBand{radius: radius, lo2: r2 * (1 - 0x1p-40), hi2: r2 * (1 + 0x1p-40)}
+}
+
+// beyond reports u0.MinDist(loc) > radius. The gaps are MinDist's, so
+// a NaN one (which MinDist may still turn into +Inf) leaves d2 NaN and
+// takes the exact test.
+func (b radiusBand) beyond(u0 geom.Rect, loc geom.Point) bool {
+	dx := max(u0.Lo.X-loc.X, loc.X-u0.Hi.X, 0)
+	dy := max(u0.Lo.Y-loc.Y, loc.Y-u0.Hi.Y, 0)
+	d2 := dx*dx + dy*dy
+	return d2 > b.hi2 || (!(d2 < b.lo2) && u0.MinDist(loc) > b.radius)
+}
+
 // refineNNCandidates is the NN refinement stage, shared by the
 // single-engine evaluation and the router-side completion of a
 // cross-shard one: id order, budget check, the shared-stream tally
@@ -141,9 +176,11 @@ func (st *engineState) collectNN(ctx context.Context, u0 geom.Rect, o NNCandidat
 // already carries its Timeout bound and is polled once per sample
 // block, so deadlines and cancellation bite mid-stream. For threshold
 // requests the kernel retires candidates the bounds have decided — the
-// range refiners' rule — unless the caller forced AdaptiveOff. The
-// Result carries the matches and the refinement's share of Cost; the
-// caller adds the collection stage's.
+// range refiners' rule — unless the caller forced AdaptiveOff; either
+// way a threshold request's probabilities are exact only at or above
+// Threshold (see package nn), and below it the merge reads nothing but
+// the count. The Result carries the matches and the refinement's share
+// of Cost; the caller adds the collection stage's.
 func refineNNCandidates(ctx context.Context, req Request, opts EvalOptions, candidates []NNCandidate) (Result, error) {
 	sc := nnScratchPool.Get().(*nnScratch)
 	defer putNNScratch(sc)
@@ -207,8 +244,8 @@ func refineNNCandidates(ctx context.Context, req Request, opts EvalOptions, cand
 		if stats.Converged {
 			reason = "converged"
 		}
-		spR.SetNote(fmt.Sprintf("%s rounds=%d early_stopped=%d grid=%d",
-			reason, stats.Rounds, stats.EarlyStopped, stats.GridCells))
+		spR.SetNote(fmt.Sprintf("%s rounds=%d early_stopped=%d grid=%d resolved=%d of %d",
+			reason, stats.Rounds, stats.EarlyStopped, stats.GridCells, stats.Resolved, stats.Samples))
 	}
 	spR.End()
 
@@ -231,8 +268,7 @@ func refineNNCandidates(ctx context.Context, req Request, opts EvalOptions, cand
 // then refine. req must already be validated; opts is req.Options with
 // any Seed applied. An empty point database has an empty answer — not
 // an error — so standing NN requests drain to empty via Left deltas
-// when the last point is deleted, exactly like the range kinds. (The
-// legacy slice-based nn.Evaluate keeps its ErrNoObjects contract.)
+// when the last point is deleted, exactly like the range kinds.
 func (st *engineState) evaluateNN(ctx context.Context, req Request, opts EvalOptions) (Result, error) {
 	start := time.Now()
 	opts = opts.withDefaults()

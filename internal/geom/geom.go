@@ -78,8 +78,8 @@ func (v Vec) Cross(w Vec) float64 { return v.X*w.Y - v.Y*w.X }
 // axis-parallel rectangles the overlap area is the product of the
 // per-axis interval overlaps.
 func IntervalOverlap(a0, a1, b0, b1 float64) float64 {
-	lo := math.Max(a0, b0)
-	hi := math.Min(a1, b1)
+	lo := maxf(a0, b0)
+	hi := minf(a1, b1)
 	if hi <= lo {
 		return 0
 	}

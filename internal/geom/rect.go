@@ -24,8 +24,8 @@ type Rect struct {
 // points, regardless of their ordering.
 func RectFromCorners(a, b Point) Rect {
 	return Rect{
-		Lo: Point{math.Min(a.X, b.X), math.Min(a.Y, b.Y)},
-		Hi: Point{math.Max(a.X, b.X), math.Max(a.Y, b.Y)},
+		Lo: Point{minf(a.X, b.X), minf(a.Y, b.Y)},
+		Hi: Point{maxf(a.X, b.X), maxf(a.Y, b.Y)},
 	}
 }
 
@@ -101,8 +101,8 @@ func (r Rect) Intersects(s Rect) bool {
 // the result is Empty.
 func (r Rect) Intersect(s Rect) Rect {
 	out := Rect{
-		Lo: Point{math.Max(r.Lo.X, s.Lo.X), math.Max(r.Lo.Y, s.Lo.Y)},
-		Hi: Point{math.Min(r.Hi.X, s.Hi.X), math.Min(r.Hi.Y, s.Hi.Y)},
+		Lo: Point{maxf(r.Lo.X, s.Lo.X), maxf(r.Lo.Y, s.Lo.Y)},
+		Hi: Point{minf(r.Hi.X, s.Hi.X), minf(r.Hi.Y, s.Hi.Y)},
 	}
 	return out
 }
@@ -129,8 +129,8 @@ func (r Rect) Union(s Rect) Rect {
 		return r
 	}
 	return Rect{
-		Lo: Point{math.Min(r.Lo.X, s.Lo.X), math.Min(r.Lo.Y, s.Lo.Y)},
-		Hi: Point{math.Max(r.Hi.X, s.Hi.X), math.Max(r.Hi.Y, s.Hi.Y)},
+		Lo: Point{minf(r.Lo.X, s.Lo.X), minf(r.Lo.Y, s.Lo.Y)},
+		Hi: Point{maxf(r.Hi.X, s.Hi.X), maxf(r.Hi.Y, s.Hi.Y)},
 	}
 }
 
@@ -140,8 +140,8 @@ func (r Rect) UnionPoint(p Point) Rect {
 		return RectAt(p)
 	}
 	return Rect{
-		Lo: Point{math.Min(r.Lo.X, p.X), math.Min(r.Lo.Y, p.Y)},
-		Hi: Point{math.Max(r.Hi.X, p.X), math.Max(r.Hi.Y, p.Y)},
+		Lo: Point{minf(r.Lo.X, p.X), minf(r.Lo.Y, p.Y)},
+		Hi: Point{maxf(r.Hi.X, p.X), maxf(r.Hi.Y, p.Y)},
 	}
 }
 
@@ -211,17 +211,48 @@ func (r Rect) ApproxEqual(s Rect) bool {
 // MinDist returns the minimum Euclidean distance from p to r
 // (0 if p is inside). Used by the nearest-neighbor extension.
 func (r Rect) MinDist(p Point) float64 {
-	dx := math.Max(math.Max(r.Lo.X-p.X, 0), p.X-r.Hi.X)
-	dy := math.Max(math.Max(r.Lo.Y-p.Y, 0), p.Y-r.Hi.Y)
+	dx := maxf(maxf(r.Lo.X-p.X, 0), p.X-r.Hi.X)
+	dy := maxf(maxf(r.Lo.Y-p.Y, 0), p.Y-r.Hi.Y)
 	return math.Hypot(dx, dy)
 }
 
 // MaxDist returns the maximum Euclidean distance from p to any point
 // of r. Used by the nearest-neighbor extension for pruning.
 func (r Rect) MaxDist(p Point) float64 {
-	dx := math.Max(math.Abs(p.X-r.Lo.X), math.Abs(p.X-r.Hi.X))
-	dy := math.Max(math.Abs(p.Y-r.Lo.Y), math.Abs(p.Y-r.Hi.Y))
+	dx := maxf(math.Abs(p.X-r.Lo.X), math.Abs(p.X-r.Hi.X))
+	dy := maxf(math.Abs(p.Y-r.Lo.Y), math.Abs(p.Y-r.Hi.Y))
 	return math.Hypot(dx, dy)
+}
+
+// maxf is math.Max through the max builtin, which the compiler inlines
+// (math.Max is an assembly call on amd64). The two differ only on a NaN
+// operand: math.Max answers +Inf when the other operand is +Inf and its
+// one canonical NaN otherwise, where the builtin answers a NaN whose
+// bits follow its operands. maxf keeps math's answer, so every result
+// is math.Max's bit for bit.
+func maxf(x, y float64) float64 {
+	m := max(x, y)
+	if m != m {
+		if x > math.MaxFloat64 || y > math.MaxFloat64 {
+			return math.Inf(1)
+		}
+		return math.NaN()
+	}
+	return m
+}
+
+// minf is math.Min through the min builtin, as maxf is math.Max: on a
+// NaN operand it answers -Inf when the other operand is -Inf and the
+// canonical NaN otherwise.
+func minf(x, y float64) float64 {
+	m := min(x, y)
+	if m != m {
+		if x < -math.MaxFloat64 || y < -math.MaxFloat64 {
+			return math.Inf(-1)
+		}
+		return math.NaN()
+	}
+	return m
 }
 
 // String implements fmt.Stringer.

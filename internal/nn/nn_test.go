@@ -40,42 +40,39 @@ func Exact1D(xs []float64, a, b float64) []float64 {
 	return out
 }
 
-func TestEvaluateEmpty(t *testing.T) {
-	issuer := pdf.MustUniform(geom.RectCentered(geom.Pt(0, 0), 1, 1))
-	if _, err := Evaluate(nil, issuer, 100, nil); err != ErrNoObjects {
-		t.Fatalf("expected ErrNoObjects, got %v", err)
+// refine runs Refine exhaustively and fails the test on an error.
+func refine(t *testing.T, cands []uncertain.PointObject, issuer pdf.PDF, parent int64, samples int) []float64 {
+	t.Helper()
+	probs, _, err := Refine(cands, issuer, parent, RefineConfig{Samples: samples})
+	if err != nil {
+		t.Fatal(err)
 	}
+	return probs
+}
+
+// prune is the MinDist/MaxDist bound over a slice — the candidate set
+// core's branch-and-bound keeps: tau is the smallest maximum distance
+// any object has to u0, and an object whose minimum distance exceeds
+// tau is never nearest. The survivors keep input order.
+func prune(points []uncertain.PointObject, u0 geom.Rect) []uncertain.PointObject {
+	tau := math.Inf(1)
+	for _, p := range points {
+		tau = min(tau, u0.MaxDist(p.Loc))
+	}
+	var cands []uncertain.PointObject
+	for _, p := range points {
+		if u0.MinDist(p.Loc) <= tau {
+			cands = append(cands, p)
+		}
+	}
+	return cands
 }
 
 func TestSingleObjectAlwaysWins(t *testing.T) {
 	issuer := pdf.MustUniform(geom.RectCentered(geom.Pt(50, 50), 10, 10))
 	pts := []uncertain.PointObject{{ID: 7, Loc: geom.Pt(80, 80)}}
-	res, err := Evaluate(pts, issuer, 500, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Matches) != 1 || res.Matches[0].ID != 7 || res.Matches[0].P != 1 {
-		t.Fatalf("single object result = %+v", res.Matches)
-	}
-}
-
-func TestDominatedObjectPruned(t *testing.T) {
-	// Object B is so far away it can never be nearest: pruned in
-	// stage 1 and absent from results.
-	issuer := pdf.MustUniform(geom.RectCentered(geom.Pt(0, 0), 5, 5))
-	pts := []uncertain.PointObject{
-		{ID: 1, Loc: geom.Pt(1, 1)},
-		{ID: 2, Loc: geom.Pt(1000, 1000)},
-	}
-	res, err := Evaluate(pts, issuer, 800, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Candidates != 1 {
-		t.Fatalf("candidates = %d, want 1 (far object pruned)", res.Candidates)
-	}
-	if len(res.Matches) != 1 || res.Matches[0].ID != 1 {
-		t.Fatalf("matches = %+v", res.Matches)
+	if probs := refine(t, pts, issuer, 1, 500); len(probs) != 1 || probs[0] != 1 {
+		t.Fatalf("single object result = %v", probs)
 	}
 }
 
@@ -87,17 +84,10 @@ func TestSymmetricPairSplits(t *testing.T) {
 		{ID: 1, Loc: geom.Pt(-30, 0)},
 		{ID: 2, Loc: geom.Pt(30, 0)},
 	}
-	rng := rand.New(rand.NewSource(5))
-	res, err := Evaluate(pts, issuer, 40000, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Matches) != 2 {
-		t.Fatalf("matches = %+v", res.Matches)
-	}
-	for _, m := range res.Matches {
-		if math.Abs(m.P-0.5) > 0.02 {
-			t.Fatalf("object %d probability %g, want ~0.5", m.ID, m.P)
+	probs := refine(t, pts, issuer, 5, 40000)
+	for i, p := range probs {
+		if math.Abs(p-0.5) > 0.02 {
+			t.Fatalf("object %d probability %g, want ~0.5", pts[i].ID, p)
 		}
 	}
 }
@@ -112,19 +102,10 @@ func TestAgainstExact1D(t *testing.T) {
 	for i, x := range xs {
 		pts = append(pts, uncertain.PointObject{ID: uncertain.ID(i), Loc: geom.Pt(x, 50)})
 	}
-	rng := rand.New(rand.NewSource(6))
-	res, err := Evaluate(pts, issuer, 60000, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Exact1D(xs, a, b)
-	got := make(map[uncertain.ID]float64)
-	for _, m := range res.Matches {
-		got[m.ID] = m.P
-	}
-	for i, w := range want {
-		if math.Abs(got[uncertain.ID(i)]-w) > 0.015 {
-			t.Fatalf("object %d: MC %g vs exact %g", i, got[uncertain.ID(i)], w)
+	probs := refine(t, pts, issuer, 6, 60000)
+	for i, w := range Exact1D(xs, a, b) {
+		if math.Abs(probs[i]-w) > 0.015 {
+			t.Fatalf("object %d: MC %g vs exact %g", i, probs[i], w)
 		}
 	}
 }
@@ -153,24 +134,26 @@ func TestExact1DEdgeCases(t *testing.T) {
 	}
 }
 
-func TestEvaluateThreshold(t *testing.T) {
+func TestRefineThreshold(t *testing.T) {
+	// The caller keeps p >= qp: there is such a candidate, and every
+	// one Refine reports at or above qp is one.
 	issuer := pdf.MustUniform(geom.RectCentered(geom.Pt(0, 0), 10, 10))
 	pts := []uncertain.PointObject{
 		{ID: 1, Loc: geom.Pt(-5, 0)},
 		{ID: 2, Loc: geom.Pt(5, 0)},
 		{ID: 3, Loc: geom.Pt(0, 14)}, // occasionally nearest
 	}
-	rng := rand.New(rand.NewSource(7))
-	res, err := EvaluateThreshold(pts, issuer, 0.25, 20000, rng)
+	probs, _, err := Refine(pts, issuer, 7, RefineConfig{Samples: 20000, Threshold: 0.25, Adaptive: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range res.Matches {
-		if m.P < 0.25 {
-			t.Fatalf("threshold violated: %+v", m)
+	var kept int
+	for _, p := range probs {
+		if p >= 0.25 {
+			kept++
 		}
 	}
-	if len(res.Matches) == 0 {
+	if kept == 0 {
 		t.Fatal("no matches above threshold")
 	}
 }
@@ -189,25 +172,10 @@ func TestGaussianIssuerConcentrates(t *testing.T) {
 		{ID: 2, Loc: geom.Pt(25, 25)},  // corner
 		{ID: 3, Loc: geom.Pt(-25, 25)}, // corner
 	}
-	rng := rand.New(rand.NewSource(8))
-	resG, err := Evaluate(pts, gauss, 20000, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resU, err := Evaluate(pts, uni, 20000, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pG := map[uncertain.ID]float64{}
-	for _, m := range resG.Matches {
-		pG[m.ID] = m.P
-	}
-	pU := map[uncertain.ID]float64{}
-	for _, m := range resU.Matches {
-		pU[m.ID] = m.P
-	}
-	if pG[1] <= pU[1] {
-		t.Fatalf("Gaussian center win rate %g not above uniform %g", pG[1], pU[1])
+	pG := refine(t, pts, gauss, 8, 20000)
+	pU := refine(t, pts, uni, 9, 20000)
+	if pG[0] <= pU[0] {
+		t.Fatalf("Gaussian center win rate %g not above uniform %g", pG[0], pU[0])
 	}
 }
 
@@ -216,7 +184,7 @@ func TestProbabilitiesSumToExactlyOne(t *testing.T) {
 	// exhaustive estimates sum to 1 exactly — only float addition of
 	// the final divisions separates the sum from 1.
 	rng := rand.New(rand.NewSource(9))
-	issuer := pdf.MustUniform(geom.RectCentered(geom.Pt(500, 500), 100, 100))
+	u0 := geom.RectCentered(geom.Pt(500, 500), 100, 100)
 	var pts []uncertain.PointObject
 	for i := 0; i < 60; i++ {
 		pts = append(pts, uncertain.PointObject{
@@ -224,19 +192,17 @@ func TestProbabilitiesSumToExactlyOne(t *testing.T) {
 			Loc: geom.Pt(rng.Float64()*1000, rng.Float64()*1000),
 		})
 	}
-	res, err := Evaluate(pts, issuer, 30000, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cands := prune(pts, u0)
+	probs := refine(t, cands, pdf.MustUniform(u0), rng.Int63(), 30000)
 	var sum float64
-	for _, m := range res.Matches {
-		sum += m.P
+	for _, p := range probs {
+		sum += p
 	}
 	if math.Abs(sum-1) > 1e-12 {
 		t.Fatalf("probabilities sum to %.17g, want exactly 1", sum)
 	}
-	if res.Candidates > len(pts) {
-		t.Fatalf("candidates %d exceed objects %d", res.Candidates, len(pts))
+	if len(cands) > len(pts) {
+		t.Fatalf("candidates %d exceed objects %d", len(cands), len(pts))
 	}
 }
 
@@ -478,10 +444,15 @@ func bruteWins(cands []uncertain.PointObject, issuer pdf.PDF, parent int64, cfg 
 	return probs, stats
 }
 
-// requireBrute fails unless Refine and bruteWins agree on every
-// probability bit (a live candidate's is wins/drawn, a retired one's
-// Decided(wins, …), so equal bits are equal tallies), Decided flag and
-// counter.
+// requireBrute fails unless Refine keeps its contract against
+// bruteWins, which resolves every sample. With Threshold = 0 every
+// probability must agree bit for bit (a live candidate's is wins/drawn,
+// a retired one's Decided(wins, …), so equal bits are equal tallies).
+// With Threshold > 0 an undecided candidate below Threshold may report
+// any probability below it, so the two must agree on which candidates
+// reach Threshold, bit for bit on those candidates' probabilities and
+// on every decided one's. Decided flags and every counter must agree
+// either way, and Resolved is all of Samples when Threshold is 0.
 func requireBrute(t testing.TB, name string, cands []uncertain.PointObject, issuer pdf.PDF, parent int64, cfg RefineConfig) RefineStats {
 	t.Helper()
 	probs, stats, err := Refine(cands, issuer, parent, cfg)
@@ -489,15 +460,23 @@ func requireBrute(t testing.TB, name string, cands []uncertain.PointObject, issu
 		t.Fatalf("%s: %v", name, err)
 	}
 	wantP, want := bruteWins(cands, issuer, parent, cfg)
+	qp := cfg.Threshold
 	for i := range cands {
-		if math.Float64bits(probs[i]) != math.Float64bits(wantP[i]) || stats.Decided[i] != want.Decided[i] {
-			t.Fatalf("%s: candidate %d at %v: grid p=%v decided=%v, brute p=%v decided=%v",
-				name, i, cands[i].Loc, probs[i], stats.Decided[i], wantP[i], want.Decided[i])
+		same := math.Float64bits(probs[i]) == math.Float64bits(wantP[i])
+		if qp > 0 && !want.Decided[i] && wantP[i] < qp {
+			same = probs[i] < qp
+		}
+		if !same || stats.Decided[i] != want.Decided[i] {
+			t.Fatalf("%s: candidate %d at %v: grid p=%v decided=%v, brute p=%v decided=%v (threshold %v)",
+				name, i, cands[i].Loc, probs[i], stats.Decided[i], wantP[i], want.Decided[i], qp)
 		}
 	}
 	if stats.Samples != want.Samples || stats.EarlyStopped != want.EarlyStopped ||
 		stats.Converged != want.Converged || stats.Rounds != want.Rounds {
 		t.Fatalf("%s: grid stats %+v, brute %+v", name, stats, want)
+	}
+	if stats.Resolved > stats.Samples || (qp <= 0 && stats.Resolved != stats.Samples) {
+		t.Fatalf("%s: resolved %d of %d samples (threshold %v)", name, stats.Resolved, stats.Samples, qp)
 	}
 	return stats
 }
@@ -582,6 +561,14 @@ func TestRefineGridMatchesBruteScan(t *testing.T) {
 		}
 		return pointsOf(cs...)
 	}
+	// Sixteen candidates that split the issuer about evenly, each
+	// nearest to ~1/16 of it: a threshold of 0.05 is reached only over
+	// several chunks.
+	var j4 [][2]float64
+	for i := range 16 {
+		j4 = append(j4, [2]float64{12.5 + 25*float64(i%4) + rng.Float64()*4, 12.5 + 25*float64(i/4) + rng.Float64()*4})
+	}
+	jittered4x4 := pointsOf(j4...)
 	gauss, err := pdf.NewTruncGaussian(geom.RectCentered(geom.Pt(50, 50), 60, 60), 15, 25)
 	if err != nil {
 		t.Fatal(err)
@@ -611,6 +598,8 @@ func TestRefineGridMatchesBruteScan(t *testing.T) {
 		{"random/gaussian", random(300, 0, 100), gauss},
 		{"random/grid-pdf", random(300, 0, 100), gridPDF},
 		{"few/uniform", random(6, 0, 100), uniform(50, 50, 40)},
+		{"sparse/uniform", random(40, 0, 100), uniform(50, 50, 45)},
+		{"jittered-4x4", jittered4x4, uniform(50, 50, 50)},
 		{"lattice/snapped", pointsOf(lattice...), snapPDF{uniform(8, 8, 10), 0.5}},
 		{"coincident", pointsOf([2]float64{3, 3}, [2]float64{3, 3}, [2]float64{3, 3}, [2]float64{9, 3}, [2]float64{9, 3}), snapPDF{uniform(6, 3, 5), 1}},
 		{"all-coincident", pointsOf([2]float64{5, 5}, [2]float64{5, 5}, [2]float64{5, 5}, [2]float64{5, 5}), uniform(0, 0, 10)},
@@ -622,12 +611,35 @@ func TestRefineGridMatchesBruteScan(t *testing.T) {
 		{"issuer-much-larger", random(200, 0, 10), uniform(5, 5, 1000)},
 		{"issuer-disjoint", random(200, 0, 10), uniform(550, -300, 50)},
 		{"issuer-disjoint/snapped", pointsOf(lattice...), snapPDF{uniform(40, 8, 12), 0.5}},
+		// Every sample at one point, so each cell's box is that point
+		// and its nearest candidate's MinDist equals its MaxDist: on a
+		// candidate, and away from every one.
+		{"point-issuer/on-candidate", pointsOf(lattice...), snapPDF{uniform(8, 8, 10), 1000}},
+		{"point-issuer/off-candidates", pointsOf(lattice...), snapPDF{uniform(9000, 9000, 10), 1000}},
 		{"non-finite-samples", random(300, 0, 100), wildPDF{uniform(50, 50, 20)}},
 		{"non-finite-samples/single", pointsOf([2]float64{1, 2}), wildPDF{uniform(0, 0, 5)}},
 		{"overflowing-support", random(50, 0, 100), overflowing},
 	}
+	var skipped int64
 	for _, tc := range cases {
 		requireBrute(t, tc.name+"/exhaustive", tc.cands, tc.issuer, 7, RefineConfig{Samples: 1500})
+		// One round with no decision pass after it: only the cells that
+		// can lift a candidate to the threshold are resolved.
+		for _, cfg := range []RefineConfig{
+			{Samples: 1500, Threshold: 0.1, Adaptive: true},
+			{Samples: 1500, Threshold: 0.02},
+			{Samples: 1500, Threshold: 0.3},
+			// A lone candidate can reach 1 only by winning every sample
+			// it is listed for: its bound is met exactly.
+			{Samples: 1500, Threshold: 1},
+			// Four chunks: the first three may skip only what the samples
+			// after them cannot lift to the threshold either.
+			{Samples: 4 * chunkSamples, Threshold: 0.04},
+			{Samples: 8 * chunkSamples, Threshold: 0.05},
+		} {
+			stats := requireBrute(t, tc.name+"/final-round", tc.cands, tc.issuer, 13, cfg)
+			skipped += stats.Samples - stats.Resolved
+		}
 		// Four 2 048-sample rounds: candidates retire after the first
 		// and veto samples in the later ones.
 		stats := requireBrute(t, tc.name+"/adaptive", tc.cands, tc.issuer, 11, RefineConfig{
@@ -637,10 +649,14 @@ func TestRefineGridMatchesBruteScan(t *testing.T) {
 			t.Fatalf("%s: no candidate retired, the retired-nearest veto went unexercised", tc.name)
 		}
 	}
+	if skipped == 0 {
+		t.Fatal("every final-round sample was resolved: the restricted path went unexercised")
+	}
 }
 
 // FuzzRefineGrid: fuzzed candidate coordinates and seed, grid tallies
-// equal the brute scan's.
+// keep requireBrute's contract with the brute scan's — every bit
+// exhaustively, the answer and every stat with a threshold.
 func FuzzRefineGrid(f *testing.F) {
 	f.Add([]byte{0, 0, 255, 255, 7, 9, 7, 9, 128, 128}, int64(1), uint8(0))
 	f.Add([]byte{1, 1, 1, 1, 1, 1}, int64(2), uint8(1))
@@ -673,6 +689,9 @@ func FuzzRefineGrid(f *testing.F) {
 		requireBrute(t, "fuzz/adaptive", pointsOf(cs...), issuer, seed, RefineConfig{
 			Samples: 3 * 4 * 64, Block: 64, RoundBlocks: 4, Threshold: 0.2, Adaptive: true,
 		})
+		requireBrute(t, "fuzz/threshold", pointsOf(cs...), issuer, seed, RefineConfig{
+			Samples: chunkSamples + 3*64, Block: 64, Threshold: 0.05 + float64(mode%4)/8,
+		})
 	})
 }
 
@@ -690,7 +709,7 @@ func denseFixture(tb testing.TB) ([]uncertain.PointObject, pdf.PDF) {
 	}
 	for _, c := range pts {
 		u0 := geom.RectCentered(c, 250, 250)
-		if cands := Prune(objs, u0); len(cands) >= 1250 && len(cands) <= 1350 {
+		if cands := prune(objs, u0); len(cands) >= 1250 && len(cands) <= 1350 {
 			return cands, pdf.MustUniform(u0)
 		}
 	}
@@ -711,6 +730,7 @@ func BenchmarkRefineDense(b *testing.B) {
 	}{
 		{"samples=1000", RefineConfig{Samples: 1000, Threshold: 0.1, Adaptive: true}},
 		{"samples=16384", RefineConfig{Samples: 16384, Threshold: 0.1, Adaptive: true}},
+		{"k-only", RefineConfig{Samples: 1000}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -759,5 +779,27 @@ func TestRefineAllocationBudget(t *testing.T) {
 	}
 	if allocsPer > allocBudget {
 		t.Errorf("Refine = %.1f allocs/call, budget %d", allocsPer, allocBudget)
+	}
+}
+
+// TestNeedWins holds needWins to its definition — the least w with
+// float64(w)/samples >= qp, or samples+1 — by a scan over every w, at
+// thresholds a tally hits exactly and at their float neighbours.
+func TestNeedWins(t *testing.T) {
+	for _, samples := range []int{1, 2, 3, 7, 1000, 1024, 1500, 16384} {
+		for _, base := range []float64{0.001, 0.005, 0.02, 0.1, 0.25, 1.0 / 3, 0.5, 0.9, 1} {
+			for _, qp := range []float64{base, math.Nextafter(base, 0), math.Nextafter(base, 2), 1.5, math.SmallestNonzeroFloat64} {
+				want := int64(samples) + 1
+				for w := 0; w <= samples; w++ {
+					if float64(w)/float64(samples) >= qp {
+						want = int64(w)
+						break
+					}
+				}
+				if got := needWins(qp, samples); got != want {
+					t.Fatalf("needWins(%v, %d) = %d, want %d", qp, samples, got, want)
+				}
+			}
+		}
 	}
 }

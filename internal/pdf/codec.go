@@ -49,6 +49,17 @@ func AppendPDF(buf []byte, p PDF) ([]byte, error) {
 	return appendPDF(buf, p, 0)
 }
 
+// AppendUniform appends what AppendPDF writes for the uniform pdf over
+// region — a Product of two UniformMarginals — without building it.
+func AppendUniform(buf []byte, region geom.Rect) []byte {
+	buf = append(buf, tagProduct, tagUniformMarginal)
+	buf = appendF64(buf, region.Lo.X)
+	buf = appendF64(buf, region.Hi.X)
+	buf = append(buf, tagUniformMarginal)
+	buf = appendF64(buf, region.Lo.Y)
+	return appendF64(buf, region.Hi.Y)
+}
+
 func appendPDF(buf []byte, p PDF, depth int) ([]byte, error) {
 	if depth > maxMixtureDepth {
 		return nil, fmt.Errorf("%w: mixture nesting exceeds %d", ErrCodec, maxMixtureDepth)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/geom"
 	"repro/internal/pdf"
 )
 
@@ -73,6 +74,28 @@ func AppendObject(buf []byte, o *Object) ([]byte, error) {
 		buf = appendF64(buf, bd.Top)
 	}
 	return buf, nil
+}
+
+// AppendUniformObject appends what AppendObject writes for the object
+// with the given id whose pdf is uniform over region and whose catalog
+// holds UniformBound(region, p) for each p of probs, in that order — a
+// PTI leaf record — without building the object.
+func AppendUniformObject(buf []byte, id ID, region geom.Rect, probs []float64) []byte {
+	buf = appendI64(buf, int64(id))
+	lenAt := len(buf)
+	buf = append(buf, 0, 0, 0, 0) // pdf blob length, patched below
+	buf = pdf.AppendUniform(buf, region)
+	binary.LittleEndian.PutUint32(buf[lenAt:], uint32(len(buf)-lenAt-4))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(probs)))
+	for _, p := range probs {
+		bd := UniformBound(region, p)
+		buf = appendF64(buf, bd.P)
+		buf = appendF64(buf, bd.Left)
+		buf = appendF64(buf, bd.Right)
+		buf = appendF64(buf, bd.Bottom)
+		buf = appendF64(buf, bd.Top)
+	}
+	return buf
 }
 
 // DecodeObject decodes one uncertain object from the front of b,

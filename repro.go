@@ -1,14 +1,11 @@
 package repro
 
 import (
-	"math/rand"
-
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/geom"
 	"repro/internal/index/rtree"
 	"repro/internal/monitor"
-	"repro/internal/nn"
 	"repro/internal/pdf"
 	"repro/internal/uncertain"
 )
@@ -397,35 +394,6 @@ func QualityScore(ms []Match) float64 { return core.QualityScore(ms) }
 // AnswerEntropy returns the total Shannon entropy (bits) of the answer
 // set's membership uncertainty.
 func AnswerEntropy(ms []Match) float64 { return core.AnswerEntropy(ms) }
-
-// Nearest-neighbor extension re-exports.
-type (
-	// NNMatch pairs an object id with its probability of being the
-	// issuer's nearest neighbor.
-	NNMatch = nn.Match
-	// NNResult reports a nearest-neighbor evaluation.
-	NNResult = nn.Result
-)
-
-// EvaluateNN computes nearest-neighbor qualification probabilities
-// over a raw point slice for an imprecise issuer.
-//
-// Applications holding an Engine should prefer evaluating a
-// RequestNN — it prunes candidates through the R-tree
-// (branch-and-bound, node accesses in Cost) and observes one MVCC
-// snapshot, so answers stay consistent under concurrent ingestion.
-// EvaluateNN is the engine-less path over a raw slice.
-func EvaluateNN(points []PointObject, issuer PDF, samples int, rng *rand.Rand) (NNResult, error) {
-	return nn.Evaluate(points, issuer, samples, rng)
-}
-
-// EvaluateNNThreshold is EvaluateNN restricted to probabilities >= qp.
-//
-// Engine-holding applications should prefer a RequestNN with
-// Threshold set; see EvaluateNN.
-func EvaluateNNThreshold(points []PointObject, issuer PDF, qp float64, samples int, rng *rand.Rand) (NNResult, error) {
-	return nn.EvaluateThreshold(points, issuer, qp, samples, rng)
-}
 
 // Dataset re-exports.
 type (

@@ -3,7 +3,6 @@ package repro_test
 import (
 	"context"
 	"math"
-	"math/rand"
 	"os/exec"
 	"reflect"
 	"testing"
@@ -108,23 +107,42 @@ func TestPublicAPINearestNeighbor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The deprecated slice-based shim still answers (per-candidate
-	// streams sum to 1 only up to sampling error).
-	res, err := repro.EvaluateNN(points, issPDF, 4000, rand.New(rand.NewSource(23)))
+	issuer, err := repro.NewIssuer(issPDF)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Matches) == 0 {
-		t.Fatal("no NN matches")
+	// RequestNN through the engine's point index: every candidate
+	// answers, the probabilities sum to 1, the candidate set is the
+	// linear MinDist/MaxDist scan's, node accesses are recorded, and the
+	// threshold applies.
+	req := repro.RequestNN(issuer, len(points))
+	req.NNSamples = 4000
+	req.Seed = 23
+	resp, err := engine.Evaluate(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
 	}
 	var sum float64
-	for _, m := range res.Matches {
+	for _, m := range resp.Matches {
 		sum += m.P
 	}
-	if math.Abs(sum-1) > 0.1 {
-		t.Fatalf("NN probabilities sum to %g, want ~1", sum)
+	if math.Abs(sum-1) > 1e-9 {
+		t.Fatalf("NN probabilities sum to %g, want 1", sum)
 	}
-	th, err := repro.EvaluateNNThreshold(points, issPDF, 0.2, 4000, rand.New(rand.NewSource(23)))
+	u0 := issPDF.Support()
+	tau := math.Inf(1)
+	for _, p := range points {
+		tau = min(tau, u0.MaxDist(p.Loc))
+	}
+	scanned := 0
+	for _, p := range points {
+		if u0.MinDist(p.Loc) <= tau {
+			scanned++
+		}
+	}
+	thReq := req
+	thReq.Threshold = 0.2
+	th, err := engine.Evaluate(context.Background(), thReq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,26 +151,11 @@ func TestPublicAPINearestNeighbor(t *testing.T) {
 			t.Fatalf("NN threshold violated: %+v", m)
 		}
 	}
-
-	// The first-class path: RequestNN through the engine's point
-	// index. The candidate set matches the slice-based pruning, node
-	// accesses are recorded, and the threshold applies.
-	issuer, err := repro.NewIssuer(issPDF)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := repro.RequestNN(issuer, len(points))
-	req.NNSamples = 4000
-	req.Seed = 23
-	resp, err := engine.Evaluate(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if resp.Kind != repro.KindNN {
 		t.Fatalf("response kind %v", resp.Kind)
 	}
-	if resp.Cost.Refined != res.Candidates {
-		t.Fatalf("engine NN candidates %d != slice pruning %d", resp.Cost.Refined, res.Candidates)
+	if resp.Cost.Refined != scanned {
+		t.Fatalf("engine NN candidates %d != linear scan %d", resp.Cost.Refined, scanned)
 	}
 	if resp.Cost.NodeAccesses == 0 {
 		t.Fatal("engine NN recorded no node accesses")

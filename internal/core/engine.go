@@ -706,10 +706,12 @@ func CompareMatches(a, b Match) int {
 }
 
 // newSeededRand returns a generator that draws exactly what
-// rand.New(rand.NewSource(seed)) draws, but seeds itself on the first
-// draw: seeding fills a 4.9 KB table, and a request whose refinement
-// turns out to be closed form never reads it. Generator and source are
-// one allocation.
+// rand.New(rand.NewSource(seed)) draws, but seeds itself only when a
+// second value is drawn: seeding fills a 4.9 KB table, and a request
+// whose refinement turns out to be closed form never reads it, while
+// one that takes a single parent seed from it (an NN refinement, a
+// Monte-Carlo range refinement) gets that value from
+// mcbound.FirstUint64. Generator and source are one allocation.
 func newSeededRand(seed int64) *rand.Rand {
 	r := &seededRand{src: lazySource{seed: seed}}
 	r.Rand = *rand.New(&r.src)
@@ -721,21 +723,27 @@ type seededRand struct {
 	src lazySource
 }
 
-// lazySource is a rand.Source64 that builds the source for its seed —
+// lazySource is a rand.Source64 that yields its seed's stream —
 // mcbound.Source, math/rand's stream at a quarter of its seeding cost —
-// when first asked for a value.
+// computing the first value on its own and building the source when
+// asked for a second.
 type lazySource struct {
-	seed int64
-	src  *mcbound.Source
+	seed  int64
+	first bool // the first value has been drawn, src not yet built
+	src   *mcbound.Source
 }
 
-func (s *lazySource) seeded() *mcbound.Source {
+func (s *lazySource) Uint64() uint64 {
 	if s.src == nil {
+		if !s.first {
+			s.first = true
+			return mcbound.FirstUint64(s.seed)
+		}
 		s.src = mcbound.NewSource(s.seed)
+		s.src.Uint64() // the first value, drawn already
 	}
-	return s.src
+	return s.src.Uint64()
 }
 
-func (s *lazySource) Int63() int64    { return s.seeded().Int63() }
-func (s *lazySource) Uint64() uint64  { return s.seeded().Uint64() }
-func (s *lazySource) Seed(seed int64) { s.seed, s.src = seed, nil }
+func (s *lazySource) Int63() int64    { return int64(s.Uint64() &^ (1 << 63)) }
+func (s *lazySource) Seed(seed int64) { s.seed, s.first, s.src = seed, false, nil }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -490,5 +491,39 @@ func TestEmptySearchRegion(t *testing.T) {
 	}
 	if len(resU.Matches) != 0 {
 		t.Fatalf("expected no uncertain matches, got %d", len(resU.Matches))
+	}
+}
+
+// TestSeededRandMatchesMathRand: newSeededRand draws what
+// rand.New(rand.NewSource(seed)) draws, whether its first value comes
+// from Int63, Uint64 or Float64 (mcbound.FirstUint64, no seeding) and
+// whatever follows it (the seeded source, past the first value), and
+// after a re-seed.
+func TestSeededRandMatchesMathRand(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	seeds := []int64{0, 1, -1, 1<<31 - 1, -(1<<31 - 1), 89482311, math.MinInt64, math.MaxInt64}
+	for range 200 {
+		seeds = append(seeds, rng.Int63()-rng.Int63())
+	}
+	draw := []func(r *rand.Rand) uint64{
+		func(r *rand.Rand) uint64 { return uint64(r.Int63()) },
+		func(r *rand.Rand) uint64 { return r.Uint64() },
+		func(r *rand.Rand) uint64 { return math.Float64bits(r.Float64()) },
+		func(r *rand.Rand) uint64 { return uint64(r.Intn(1000)) },
+	}
+	for i, seed := range seeds {
+		got, want := newSeededRand(seed), rand.New(rand.NewSource(seed))
+		for k := range 50 {
+			f := draw[(i+k)%len(draw)]
+			if g, w := f(got), f(want); g != w {
+				t.Fatalf("seed %d: draw %d = %#x, math/rand %#x", seed, k, g, w)
+			}
+			if k == i%2 {
+				// Re-seed after the first value alone (odd i) or after the
+				// source was built (even i).
+				got.Seed(seed + 1)
+				want.Seed(seed + 1)
+			}
+		}
 	}
 }

@@ -28,9 +28,9 @@ import (
 // and a threshold request's last round resolves only the samples that
 // can lift some candidate to Threshold — so results are a pure function
 // of the candidate set and the seed, and stable under concurrent
-// ingestion. evaluateNN composes the
-// two on one state; nncandidates.go exposes each on its own so a fleet
-// router can run the first on every shard and the second once.
+// ingestion. evaluateNN composes the two on one state; nncandidates.go
+// exposes each on its own so a fleet router can run the first on every
+// shard and the second once.
 
 // nnTau computes tau, the smallest maximum distance any indexed point
 // has to u0, by best-first branch-and-bound: interior entries are

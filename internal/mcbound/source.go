@@ -43,6 +43,19 @@ var (
 	lehmerA21 = powMod(lehmerA, 21)
 )
 
+// The first output adds state word firstFeed to word firstTap (see
+// FirstUint64); firstPow holds the Lehmer powers those two words are
+// packed from, three per word.
+const (
+	firstFeed = srcLen - srcTap - 1
+	firstTap  = srcLen - 1
+)
+
+var firstPow = [6]uint64{
+	powMod(lehmerA, 21+3*firstFeed), powMod(lehmerA, 22+3*firstFeed), powMod(lehmerA, 23+3*firstFeed),
+	powMod(lehmerA, 21+3*firstTap), powMod(lehmerA, 22+3*firstTap), powMod(lehmerA, 23+3*firstTap),
+}
+
 // cooked is math/rand's rngCooked table, as recovered at init.
 var cooked = recoverCooked()
 
@@ -78,10 +91,23 @@ func (s *Source) Uint64() uint64 {
 // Int63.
 func (s *Source) Int63() int64 { return int64(s.Uint64() &^ (1 << 63)) }
 
-// lehmerWords sets vec[i] to math/rand's seeding word i for seed — the
-// Lehmer values x₂₁₊₃ᵢ, x₂₂₊₃ᵢ, x₂₃₊₃ᵢ packed at bit offsets 40, 20
-// and 0 (the top bits of the first shifted out) — XORed with mask[i].
-func lehmerWords(vec *[srcLen]uint64, seed int64, mask *[srcLen]uint64) {
+// FirstUint64 returns what Uint64 first returns after Seed(seed) — the
+// first output of rand.NewSource(seed) — without seeding a source: the
+// first output is state word 333 (the feed) plus word 606 (the tap),
+// and a word's Lehmer values are the seed times fixed powers of 48271,
+// so six multiplications replace the 1 824 of Seed. A caller that wants
+// one value from a seed's stream, as a parent seed, pays for one value.
+func FirstUint64(seed int64) uint64 {
+	x := lehmerSeed(seed)
+	p := &firstPow
+	feed := mulMod(x, p[0])<<40 ^ mulMod(x, p[1])<<20 ^ mulMod(x, p[2]) ^ cooked[firstFeed]
+	tap := mulMod(x, p[3])<<40 ^ mulMod(x, p[4])<<20 ^ mulMod(x, p[5]) ^ cooked[firstTap]
+	return feed + tap
+}
+
+// lehmerSeed is the Lehmer chain's start for seed, as math/rand takes
+// it: seed mod 2³¹−1, with 0 replaced.
+func lehmerSeed(seed int64) uint64 {
 	seed %= lehmerM
 	if seed < 0 {
 		seed += lehmerM
@@ -89,7 +115,14 @@ func lehmerWords(vec *[srcLen]uint64, seed int64, mask *[srcLen]uint64) {
 	if seed == 0 {
 		seed = lehmerZero
 	}
-	a := mulMod(uint64(seed), lehmerA21)
+	return uint64(seed)
+}
+
+// lehmerWords sets vec[i] to math/rand's seeding word i for seed — the
+// Lehmer values x₂₁₊₃ᵢ, x₂₂₊₃ᵢ, x₂₃₊₃ᵢ packed at bit offsets 40, 20
+// and 0 (the top bits of the first shifted out) — XORed with mask[i].
+func lehmerWords(vec *[srcLen]uint64, seed int64, mask *[srcLen]uint64) {
+	a := mulMod(lehmerSeed(seed), lehmerA21)
 	b := mulMod(a, lehmerA)
 	c := mulMod(b, lehmerA)
 	for i := range vec {

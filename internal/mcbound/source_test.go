@@ -44,6 +44,9 @@ func TestSourceMatchesMathRand(t *testing.T) {
 	for _, seed := range sourceSeeds() {
 		ref := rand.NewSource(seed).(rand.Source64)
 		src.Seed(seed)
+		if got, want := FirstUint64(seed), rand.NewSource(seed).(rand.Source64).Uint64(); got != want {
+			t.Fatalf("seed %d: FirstUint64 = %#x, math/rand's first output %#x", seed, got, want)
+		}
 		for k := range outputs {
 			if got, want := src.Uint64(), ref.Uint64(); got != want {
 				t.Fatalf("seed %d: output %d = %#x, math/rand %#x", seed, k, got, want)
@@ -76,13 +79,17 @@ func TestSourceMatchesMathRand(t *testing.T) {
 
 // FuzzSource: a Source seeded with any seed yields math/rand's first
 // 1 300 outputs for it — more than the 607-word state, so every output
-// past the first lap reads words the source itself wrote.
+// past the first lap reads words the source itself wrote — and
+// FirstUint64 its first.
 func FuzzSource(f *testing.F) {
 	for _, seed := range []int64{0, 1, -1, lehmerM, -lehmerM, math.MinInt64, math.MaxInt64, lehmerZero} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
 		ref, src := rand.NewSource(seed).(rand.Source64), NewSource(seed)
+		if got, want := FirstUint64(seed), NewSource(seed).Uint64(); got != want {
+			t.Fatalf("seed %d: FirstUint64 = %#x, first output %#x", seed, got, want)
+		}
 		for k := range 1300 {
 			if got, want := src.Uint64(), ref.Uint64(); got != want {
 				t.Fatalf("seed %d: output %d = %#x, math/rand %#x", seed, k, got, want)

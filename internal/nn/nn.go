@@ -57,11 +57,12 @@
 // occupied cell gets the list of candidates that can be nearest to some
 // point of its samples' bounding box (see kernel.cellList, which proves
 // the list complete in floating point), and each of its samples is
-// resolved against that list. In a round no decision pass follows — the
-// last one, and with it every round of a query with Threshold > 0 — a
-// cell is resolved only when its list holds an active candidate whose
-// wins so far, plus the samples of every cell listing it, plus the
-// samples still to come, reach the fewest wins that clear Threshold.
+// resolved against that list. In the last round of a query with
+// Threshold > 0 — the one round no decision pass follows — a cell is
+// resolved only when its list holds an active candidate whose wins so
+// far, plus the samples of every cell listing it, plus the samples
+// still to come (a long round is drawn in chunks), reach the fewest
+// wins that clear Threshold.
 // Every sample such a candidate can win is therefore resolved, so its
 // tally is exact; every other candidate's tally stays below that count.
 // The contract, with Threshold > 0: a candidate whose exhaustive

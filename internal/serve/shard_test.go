@@ -83,7 +83,7 @@ func postNNCandidates(t *testing.T, base, body string) core.NNCandidateSet {
 	if resp.ContentLength != int64(len(raw)) {
 		t.Fatalf("Content-Length = %d for a %d-byte frame", resp.ContentLength, len(raw))
 	}
-	set, err := wire.DecodeNNCandidateSet(raw)
+	set, err := wire.DecodeNNCandidateSet(raw, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -273,13 +273,15 @@ var maxNNFrame = int64(wire.MaxNNCandidateSetSize(serve.MaxNNCandidateLimit))
 
 // NNCandidates collects the shard's NN candidate set (the shard half
 // of the fleet tau-merge protocol). The reply is the one binary frame
-// on the hop, decoded straight into the refinement kernel's input.
-func (c *Client) NNCandidates(ctx context.Context, req serve.NNCandidatesRequest) (core.NNCandidateSet, error) {
+// on the hop, decoded straight into the refinement kernel's input —
+// into buf's array when it is large enough (see
+// wire.DecodeNNCandidateSet).
+func (c *Client) NNCandidates(ctx context.Context, req serve.NNCandidatesRequest, buf []core.NNCandidate) (core.NNCandidateSet, error) {
 	var out core.NNCandidateSet
 	err := post(c, ctx, "/v1/nn/candidates", &req, serve.AppendNNCandidatesRequest, reply{
 		op: "nn", media: wire.NNFrameType, limit: maxNNFrame,
 		decode: func(body []byte) (err error) {
-			out, err = wire.DecodeNNCandidateSet(body)
+			out, err = wire.DecodeNNCandidateSet(body, buf)
 			return err
 		},
 	})

@@ -219,7 +219,7 @@ func askHostile(t *testing.T, c *Client, path string) (produced bool, err error)
 	ctx := t.Context()
 	switch path {
 	case "":
-		set, err := c.NNCandidates(ctx, serve.NNCandidatesRequest{Request: nearBorderNN})
+		set, err := c.NNCandidates(ctx, serve.NNCandidatesRequest{Request: nearBorderNN}, nil)
 		return set.Candidates != nil, err
 	case "/v1/evaluate":
 		resp, err := c.Evaluate(ctx, straddlingRange)

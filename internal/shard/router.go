@@ -344,15 +344,29 @@ type nnGather struct {
 // strict inequality survives rounding: a point beyond the rounded edge
 // Hi+e lies beyond the real one, its computed axis gap is therefore at
 // least e, and Hypot never returns less than its larger argument.
-func (r *Router) gatherNN(ctx context.Context, rj serve.RequestJSON, u0 geom.Rect) (nnGather, error) {
+//
+// A shard's reply is decoded into bufs.lists[shard] when bufs is not
+// nil (and that array is kept when the reply outgrew it), so the
+// gathered candidates live there until the caller releases bufs.
+func (r *Router) gatherNN(ctx context.Context, rj serve.RequestJSON, u0 geom.Rect, bufs *nnBuffers) (nnGather, error) {
 	// Indexed by shard number, whichever round asked: the reply, and
 	// the tau bound it was collected under.
 	resps := make([]core.NNCandidateSet, len(r.shards))
 	bounds := make([]float64, len(r.shards))
+	collect := func(s int, creq serve.NNCandidatesRequest) (core.NNCandidateSet, error) {
+		if bufs == nil {
+			return r.shards[s].NNCandidates(ctx, creq, nil)
+		}
+		resp, err := r.shards[s].NNCandidates(ctx, creq, bufs.lists[s])
+		if cap(resp.Candidates) > cap(bufs.lists[s]) {
+			bufs.lists[s] = resp.Candidates
+		}
+		return resp, err
+	}
 	var g nnGather
 	ask := func(targets []int, creq serve.NNCandidatesRequest) {
 		errs := r.scatter(targets, func(s int) error {
-			resp, err := r.shards[s].NNCandidates(ctx, creq)
+			resp, err := collect(s, creq)
 			resps[s], bounds[s] = resp, creq.TauBound
 			return err
 		})
@@ -397,7 +411,7 @@ func (r *Router) gatherNN(ctx context.Context, rj serve.RequestJSON, u0 geom.Rec
 			continue
 		}
 		r.m.requests.With(r.shards[s].ID).Inc()
-		resp, err := r.shards[s].NNCandidates(ctx, creq)
+		resp, err := collect(s, creq)
 		if err == nil && resp.Truncated {
 			err = fmt.Errorf("shard: shard %s candidate tally still truncated at tau=%g", r.shards[s].ID, g.tau)
 		}
@@ -441,7 +455,9 @@ func (r *Router) evaluateNN(ctx context.Context, rj serve.RequestJSON, req core.
 	sw := r.m.mergeTimer("nn")
 	defer sw()
 
-	g, err := r.gatherNN(ctx, rj, req.Issuer.Region())
+	bufs := getNNBuffers(len(r.shards))
+	defer bufs.release()
+	g, err := r.gatherNN(ctx, rj, req.Issuer.Region(), bufs)
 	r.m.nnRounds.Observe(float64(g.rounds))
 	r.m.nnAsked.Observe(float64(len(g.asked)))
 	if err != nil {
@@ -464,6 +480,39 @@ func (r *Router) evaluateNN(ctx context.Context, rj serve.RequestJSON, req core.
 	out.MissingShards = r.missing(g.asked, g.errs, "nn")
 	out.Partial = out.MissingShards != nil
 	return out, nil
+}
+
+// nnBuffers holds the arrays one NN request decodes its shards'
+// candidate lists into, one per shard, pooled across requests: a
+// reply's candidates (24 B each, ~1 300 at nn_ro's shape) were half of
+// what the router allocated. Nothing of a request's answer refers to
+// them once its refinement has returned.
+type nnBuffers struct {
+	lists [][]core.NNCandidate // by shard
+}
+
+var nnBufferPool = sync.Pool{New: func() any { return new(nnBuffers) }}
+
+// maxPooledNNCandidates caps the candidates pooled buffers keep, so a
+// rare huge request does not pin its arrays for every later one.
+const maxPooledNNCandidates = 1 << 16
+
+func getNNBuffers(shards int) *nnBuffers {
+	b := nnBufferPool.Get().(*nnBuffers)
+	if len(b.lists) < shards {
+		b.lists = append(b.lists, make([][]core.NNCandidate, shards-len(b.lists))...)
+	}
+	return b
+}
+
+func (b *nnBuffers) release() {
+	n := 0
+	for _, l := range b.lists {
+		n += cap(l)
+	}
+	if n <= maxPooledNNCandidates {
+		nnBufferPool.Put(b)
+	}
 }
 
 func firstErr(errs []error) error {

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -253,7 +254,7 @@ func nnFanOutBitExact(t *testing.T, seed int64) {
 			t.Fatal(err)
 		}
 
-		g, err := rt.gatherNN(ctx, q, u0)
+		g, err := rt.gatherNN(ctx, q, u0, nil)
 		if err != nil {
 			t.Fatalf("%s: gather: %v", name, err)
 		}
@@ -375,7 +376,7 @@ func nnTauZeroBitExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := rt.gatherNN(ctx, q, u0)
+	g, err := rt.gatherNN(ctx, q, u0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -583,7 +584,7 @@ func TestRouterReplyBytesMetric(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	set, err := rt.shards[0].NNCandidates(ctx, serve.NNCandidatesRequest{Request: nn})
+	set, err := rt.shards[0].NNCandidates(ctx, serve.NNCandidatesRequest{Request: nn}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -686,6 +687,70 @@ func TestRelayedAnswerIsMergeMatches(t *testing.T) {
 		wantBody, _ := serve.AppendEvaluateResponse([]byte("prefix"), &want)
 		if err != nil || !bytes.Equal(got, wantBody) {
 			t.Fatalf("round %d, lists %v (err %v):\n got %s\nwant %s", round, lists, err, got, wantBody)
+		}
+	}
+}
+
+// TestRouterNNConcurrentBitExact: NN requests evaluated at once on one
+// router, each decoding its shards' candidates into pooled buffers,
+// answer bit for bit what the single engine does — no request reads
+// another's candidates.
+func TestRouterNNConcurrentBitExact(t *testing.T) {
+	rt := fleet(t, 2)
+	_, ref := reference(t)
+	ctx := t.Context()
+	rng := rand.New(rand.NewSource(4711))
+	var ups []serve.UpdateJSON
+	for id := range 400 {
+		ups = append(ups, serve.UpdateJSON{Op: "upsert_point", ID: int64(id), X: rng.Float64() * 10000, Y: rng.Float64() * 10000})
+	}
+	if _, err := rt.ApplyUpdates(ctx, serve.UpdatesRequest{Updates: ups}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ref.Updates(ctx, serve.UpdatesRequest{Updates: ups}); err != nil {
+		t.Fatal(err)
+	}
+	const workers, each = 6, 15
+	queries := make([][]serve.RequestJSON, workers)
+	want := make([][]serve.EvaluateResponse, workers)
+	for w := range queries {
+		for range each {
+			cx, cy := rng.Float64()*9000+500, rng.Float64()*9000+500
+			hw := 50 + rng.Float64()*900
+			q := serve.RequestJSON{Kind: "nn", K: 1 + rng.Intn(5), NNSamples: 300, Seed: rng.Int63() | 1,
+				Issuer: serve.IssuerJSON{Region: []float64{cx - hw, cy - hw, cx + hw, cy + hw}}}
+			res, err := ref.Evaluate(ctx, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			queries[w] = append(queries[w], q)
+			want[w] = append(want[w], res)
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, workers)
+	got := make([][]serve.EvaluateResponse, workers)
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, q := range queries[w] {
+				res, err := rt.Evaluate(ctx, q)
+				if err != nil {
+					errs[w] = err
+					return
+				}
+				got[w] = append(got[w], res)
+			}
+		}()
+	}
+	wg.Wait()
+	for w := range workers {
+		if errs[w] != nil {
+			t.Fatalf("worker %d: %v", w, errs[w])
+		}
+		for i := range want[w] {
+			requireSameMatches(t, fmt.Sprintf("worker %d query %d", w, i), got[w][i], want[w][i])
 		}
 	}
 }

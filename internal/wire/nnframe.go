@@ -93,8 +93,10 @@ func AppendNNCandidateSet(dst []byte, set core.NNCandidateSet) []byte {
 }
 
 // DecodeNNCandidateSet decodes one frame. p must hold exactly the
-// frame; the returned set shares no memory with it.
-func DecodeNNCandidateSet(p []byte) (core.NNCandidateSet, error) {
+// frame; the returned set shares no memory with it. Its candidates are
+// decoded into buf's array when that holds them (a caller that
+// decodes frame after frame reuses one array), else into a new one.
+func DecodeNNCandidateSet(p []byte, buf []core.NNCandidate) (core.NNCandidateSet, error) {
 	d := decoder{p: p}
 	if v := d.byte(); d.err == nil && v != nnFrameVersion {
 		return core.NNCandidateSet{}, fmt.Errorf("%w: nn candidate frame version %d, this binary speaks %d", ErrFrame, v, nnFrameVersion)
@@ -127,7 +129,11 @@ func DecodeNNCandidateSet(p []byte) (core.NNCandidateSet, error) {
 	if d.err != nil {
 		return core.NNCandidateSet{}, d.err
 	}
-	set.Candidates = make([]core.NNCandidate, n)
+	if buf != nil && uint64(cap(buf)) >= n {
+		set.Candidates = buf[:n]
+	} else {
+		set.Candidates = make([]core.NNCandidate, n)
+	}
 	for i := range set.Candidates {
 		if i == 0 {
 			set.Candidates[i].ID = uncertain.ID(d.varint())

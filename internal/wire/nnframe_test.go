@@ -89,23 +89,37 @@ func TestNNCandidateSetRoundTrip(t *testing.T) {
 	for range 2000 {
 		sets = append(sets, randomSet(rng))
 	}
+	// buf is reused from set to set: a set decoded into it is the same,
+	// and lands in its array whenever that is large enough.
+	var buf []core.NNCandidate
 	for _, set := range sets {
 		frame := AppendNNCandidateSet(nil, set)
 		if limit := MaxNNCandidateSetSize(len(set.Candidates)); len(frame) > limit {
 			t.Fatalf("%d candidates encode to %d bytes, over the announced maximum %d", len(set.Candidates), len(frame), limit)
 		}
-		got, err := DecodeNNCandidateSet(frame)
+		got, err := DecodeNNCandidateSet(frame, nil)
 		if err != nil {
 			t.Fatalf("decoding an encoded set: %v\nset: %+v", err, set)
 		}
 		sameSet(t, got, set)
+		into, err := DecodeNNCandidateSet(frame, buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameSet(t, into, set)
+		if n := len(set.Candidates); n > 0 && cap(buf) >= n && &into.Candidates[0] != &buf[:1][0] {
+			t.Fatalf("%d candidates decoded into a new array beside a buffer of %d", n, cap(buf))
+		}
+		if cap(into.Candidates) > cap(buf) {
+			buf = into.Candidates
+		}
 	}
 	// Appending leaves what dst already held alone.
 	frame := AppendNNCandidateSet([]byte("xy"), sets[1])
 	if string(frame[:2]) != "xy" {
 		t.Fatalf("AppendNNCandidateSet overwrote dst: %q", frame[:2])
 	}
-	if _, err := DecodeNNCandidateSet(frame[2:]); err != nil {
+	if _, err := DecodeNNCandidateSet(frame[2:], nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -174,7 +188,7 @@ func TestDecodeNNCandidateSetRefuses(t *testing.T) {
 		"infinite y coordinate": AppendNNCandidateSet(nil, core.NNCandidateSet{Candidates: []core.NNCandidate{{ID: 1, Loc: [2]float64{0, math.Inf(1)}}}}),
 	}
 	for name, p := range cases {
-		set, err := DecodeNNCandidateSet(p)
+		set, err := DecodeNNCandidateSet(p, nil)
 		if !errors.Is(err, ErrFrame) {
 			t.Errorf("%s: err = %v, want an ErrFrame", name, err)
 		}
@@ -183,7 +197,7 @@ func TestDecodeNNCandidateSetRefuses(t *testing.T) {
 		}
 	}
 	huge := header(1 << 40)
-	if allocs := testing.AllocsPerRun(20, func() { DecodeNNCandidateSet(huge) }); allocs > 4 { //nolint:errcheck // counted, not used
+	if allocs := testing.AllocsPerRun(20, func() { DecodeNNCandidateSet(huge, nil) }); allocs > 4 { //nolint:errcheck // counted, not used
 		t.Errorf("refusing a 2^40 count took %v allocations, want only the error's", allocs)
 	}
 }
@@ -197,7 +211,7 @@ func FuzzDecodeNNCandidateSet(f *testing.F) {
 	}
 	f.Add([]byte(`{"version":1,"candidates":[]}`))
 	f.Fuzz(func(t *testing.T, p []byte) {
-		set, err := DecodeNNCandidateSet(p)
+		set, err := DecodeNNCandidateSet(p, nil)
 		if err != nil {
 			if !errors.Is(err, ErrFrame) {
 				t.Fatalf("untyped error: %v", err)
@@ -236,7 +250,7 @@ func BenchmarkNNCandidateFrame(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		buf = AppendNNCandidateSet(buf[:0], set)
-		got, err := DecodeNNCandidateSet(buf)
+		got, err := DecodeNNCandidateSet(buf, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

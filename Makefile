@@ -11,8 +11,10 @@
 # stage (one Snapshot.NNCandidates call on the same engine; pinned by
 # core.TestNNCandidatesAllocationBudget), a shard's share of a range
 # request (one Snapshot.Evaluate of range_ro's question on the same
-# engine; pinned by core.TestEvaluateRangeAllocationBudget), and the
-# generator's seeding
+# engine; pinned by core.TestEvaluateRangeAllocationBudget), a
+# checkpoint of that engine and a restore of it (pinned by
+# core.TestCheckpointAllocationBudget and TestOpenAllocationBudget),
+# and the generator's seeding
 # (mcbound.BenchmarkSeed, math/rand's against mcbound.Source). It also
 # runs nn.TestRefineAllocationBudget and serve.TestRelayAllocationBudget,
 # which print the bytes and allocations of one pooled Refine call at the
@@ -52,7 +54,7 @@ soak:
 	$(GO) test -run 'TestCrashRecoveryProperty|TestCheckpointFaultInjection' -count=3 ./internal/core/
 
 bench: build
-	$(GO) test ./internal/bench ./internal/nn ./internal/mcbound ./internal/wire ./internal/serve ./internal/core -run 'TestRefineAllocationBudget|TestRelayAllocationBudget' -v -bench 'BenchmarkRefine|BenchmarkSeed|BenchmarkNNCandidateFrame|BenchmarkEvaluateResponseCodec|BenchmarkUpdatesCodec|BenchmarkRelayFrame|BenchmarkApplyUpdates|BenchmarkNNCandidates|BenchmarkEvaluateRange' -benchtime 1s -benchmem
+	$(GO) test ./internal/bench ./internal/nn ./internal/mcbound ./internal/wire ./internal/serve ./internal/core -run 'TestRefineAllocationBudget|TestRelayAllocationBudget' -v -bench 'BenchmarkRefine|BenchmarkSeed|BenchmarkNNCandidateFrame|BenchmarkEvaluateResponseCodec|BenchmarkUpdatesCodec|BenchmarkRelayFrame|BenchmarkApplyUpdates|BenchmarkNNCandidates|BenchmarkEvaluateRange|BenchmarkCheckpoint|BenchmarkOpen' -benchtime 1s -benchmem
 
 # The end-to-end benchmark (benchmark/, see BENCHMARK.json) is a
 # module of its own, so `go build ./... && go test ./...` never

@@ -275,29 +275,15 @@ func BenchmarkRefinementForcedMC(b *testing.B) {
 	})
 }
 
-// Split-strategy ablation: insertion throughput under quadratic vs
-// linear node splits (search-quality comparison lives in the rtree
-// tests; this measures the build-side trade-off).
-func BenchmarkAblationInsertQuadraticSplit(b *testing.B) {
-	benchInsertSplit(b, 0)
-}
-
-func BenchmarkAblationInsertLinearSplit(b *testing.B) {
-	benchInsertSplit(b, 1)
-}
-
-func benchInsertSplit(b *testing.B, linear int) {
-	// Dynamic insertion is what exercises node splits (bulk loading
-	// uses STR packing and never splits).
+// BenchmarkInsertPoints times building the point index by dynamic
+// insertion, which is what exercises node splits (bulk loading uses
+// STR packing and never splits).
+func BenchmarkInsertPoints(b *testing.B) {
 	pts := repro.GeneratePoints(repro.PointConfig{N: 5000, Clusters: 10, ClusterSigma: 300, Seed: 77})
 	points := repro.BuildPointObjects(pts)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		opts := repro.EngineOptions{}
-		if linear == 1 {
-			opts.PointIndexConfig.Split = repro.SplitLinear
-		}
-		engine, err := repro.NewEngine(nil, nil, opts)
+		engine, err := repro.NewEngine(nil, nil, repro.EngineOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -166,8 +166,8 @@ func TestApplyUpdatesAllocationBudget(t *testing.T) {
 	}
 	const (
 		batches     = 200
-		bytesBudget = 145_000 // measured 138 245 (273 034 before the incremental envelopes and the allocation diet)
-		allocBudget = 415     // measured 394.7 (605)
+		bytesBudget = 145_000 // measured 141 149 with 44-entry PTI leaves (134 583 at 11: a copy-on-write leaf copy is larger; 273 034 before the incremental envelopes and the allocation diet)
+		allocBudget = 290     // measured 272.6 (345.5 at 11; 605)
 	)
 	eng, w := newApplyEngine(t)
 	work := make([][]Update, batches)
@@ -209,8 +209,8 @@ func TestEngineHeapBudget(t *testing.T) {
 		t.Skip("the race detector's shadow memory is not the engine's")
 	}
 	const (
-		freshBudget    = 300 // bytes per uncertain object; measured 283 (1 156 when every object kept its pdf, catalog and PTI row)
-		restoredBudget = 280 // measured 264 (1 174)
+		freshBudget    = 250 // bytes per uncertain object; measured 234 with 44-entry PTI leaves (283 at 11; 1 156 when every object kept its pdf, catalog and PTI row)
+		restoredBudget = 220 // measured 206 (264 at 11; 1 174)
 	)
 	liveHeap := func() float64 {
 		runtime.GC()
@@ -254,10 +254,10 @@ func TestEngineHeapBudget(t *testing.T) {
 }
 
 // TestCheckpointAllocationBudget pins what one Checkpoint of the
-// shard-sized engine allocates. A leaf record is encoded from its
-// rectangle (uncertain.AppendUniformObject), so the writer builds no
-// object per row; what is left is the tree pages' encoding and the
-// section buffers. Budgets are the measured values plus a grace.
+// shard-sized engine allocates. A leaf record is written as its id and
+// rectangle, and its PTI leaf cell holds no row, so the writer builds
+// and derives nothing per object; what is left is the walk's node list
+// and id remap. Budgets are the measured values plus a grace.
 func TestCheckpointAllocationBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a shard-sized engine")
@@ -266,8 +266,8 @@ func TestCheckpointAllocationBudget(t *testing.T) {
 		t.Skip("the race detector's shadow memory is not the engine's")
 	}
 	const (
-		bytesBudget = 1_700_000 // measured 1 561 000 for 27 937 objects in 8 008 pages (27.5 MB when each leaf record's object was rebuilt to encode it)
-		allocBudget = 4_400     // measured 3 938–3 996 (171 624)
+		bytesBudget = 135_000 // measured 123 120 for 27 937 objects in 1 952 pages of format 2 (1 561 000 in 8 008 pages of format 1; 27.5 MB when each leaf record's object was rebuilt to encode it)
+		allocBudget = 170     // measured 151 (3 938–3 996; 171 624)
 	)
 	dir := t.TempDir()
 	eng, err := Open(dir, durTestOptions())

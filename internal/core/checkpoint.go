@@ -15,6 +15,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/index/pti"
 	"repro/internal/index/rtree"
+	"repro/internal/pdf"
 	"repro/internal/storage"
 	"repro/internal/uncertain"
 )
@@ -22,19 +23,31 @@ import (
 // Checkpoint file format. A checkpoint serializes one pinned sealed
 // engine state into a paged file (storage.PageSize pages). The writer
 // fills one page buffer and appends pages in file order, each written
-// exactly once, the manifest last (see pageAppender):
+// exactly once, the manifest last (see pageAppender). Format 2:
 //
 //	page 0:          manifest (see encodeManifest)
-//	point-tree pages: one R-tree node per page, rtree.EncodeNodePage
+//	point-tree pages: one R-tree node per page, rtree.EncodeCellPage
 //	                  layout, nodes in Walk (preorder) order with ids
 //	                  densely remapped to 0..n-1 (root = 0)
-//	PTI pages:        same, with the catalog aux payload
+//	PTI pages:        same: an interior node with its entries' catalog
+//	                  envelope rows, a leaf as (rectangle, id) cells
+//	                  alone — an irregular object's rows are its
+//	                  catalog's, rebuilt from the objects section
 //	points section:   byte stream across pages: u64 count, then each
 //	                  point object (uncertain.AppendPoint)
 //	objects section:  byte stream across pages: u64 count, then each
-//	                  uncertain object (uncertain.AppendObject; a leaf
-//	                  record through uncertain.AppendUniformObject,
-//	                  the same bytes from its rectangle)
+//	                  uncertain object: a kind byte, then for a leaf
+//	                  record (recordLeaf) its id and rectangle, 40
+//	                  bytes, and for any other object (recordObject)
+//	                  uncertain.AppendObject
+//
+// Format 1, which this package still reads, differs in three places:
+// its node pages are the paged node store's (every leaf entry with
+// its rows, derived ones included; rtree.DecodeNodePage), its tree metas carry no leaf capacity
+// (a leaf held as many entries as an interior node), and its objects
+// section holds every object through uncertain.AppendObject, with no
+// kind byte. Restore drops a format-1 leaf record's rows as the leaf
+// arrives (rtree.Restore).
 //
 // The dense id remap is what makes loading store-agnostic: a fresh
 // node store allocates ids sequentially from 0, so re-allocating
@@ -48,9 +61,15 @@ import (
 
 const (
 	ckptMagic  = "ILDQCKP1"
-	ckptFormat = 1
+	ckptFormat = 2 // the format written; 1 is still read
 	// currentFile points at the live checkpoint inside the data dir.
 	currentFile = "CURRENT"
+)
+
+// The kinds of a format-2 objects-section record.
+const (
+	recordLeaf   byte = 0 // a leaf record: id, rectangle
+	recordObject byte = 1 // any other object: uncertain.AppendObject
 )
 
 // checkpointDevice is the store a checkpoint file is written to or
@@ -70,14 +89,16 @@ func openFileDevice(path string) (checkpointDevice, error) {
 
 // treeMeta locates one serialized tree inside the checkpoint file.
 type treeMeta struct {
-	firstPage  uint32
-	nodeCount  uint32
-	rootIndex  uint32
-	height     uint32
-	size       uint64
-	maxEntries uint32
-	minEntries uint32
-	auxLen     uint32
+	firstPage      uint32
+	nodeCount      uint32
+	rootIndex      uint32
+	height         uint32
+	size           uint64
+	maxEntries     uint32
+	minEntries     uint32
+	auxLen         uint32
+	leafMaxEntries uint32 // format 2; format 1's leaves were sized as interior nodes
+	leafMinEntries uint32
 }
 
 // secMeta locates one byte-stream section.
@@ -90,6 +111,7 @@ type secMeta struct {
 
 // manifest is the decoded page-0 header.
 type manifest struct {
+	format    uint32
 	version   uint64
 	probs     []float64
 	pointTree treeMeta
@@ -139,7 +161,7 @@ func writeCheckpoint(ctx context.Context, dev checkpointDevice, st *engineState)
 	}
 	a := &pageAppender{dev: dev, page: make([]byte, storage.PageSize), next: 1}
 
-	m := manifest{version: st.version, probs: st.probs}
+	m := manifest{format: ckptFormat, version: st.version, probs: st.probs}
 	if m.pointTree, err = writeTreeSection(ctx, a, st.pointIdx); err != nil {
 		return 0, fmt.Errorf("core: checkpointing point index: %w", err)
 	}
@@ -167,14 +189,11 @@ func writeCheckpoint(ctx context.Context, dev checkpointDevice, st *engineState)
 	binary.LittleEndian.PutUint64(scratch[:8], uint64(st.objects.Len()))
 	ow.write(scratch[:8])
 	var objBuf []byte
-	probs := st.uncIdx.Probs()
 	st.objects.Range(func(id uncertain.ID, r geom.Rect) bool {
-		// A leaf record is encoded from its rectangle: the bytes of the
-		// object it stands for, which is never built.
 		if o := st.irregularObject(id); o != nil {
-			objBuf, err = uncertain.AppendObject(objBuf[:0], o)
+			objBuf, err = uncertain.AppendObject(append(objBuf[:0], recordObject), o)
 		} else {
-			objBuf = uncertain.AppendUniformObject(objBuf[:0], id, r, probs)
+			objBuf = appendLeafRecord(objBuf[:0], id, r)
 		}
 		if err != nil {
 			ow.err = err
@@ -209,6 +228,8 @@ func writeTreeSection(ctx context.Context, a *pageAppender, t *rtree.Tree) (tree
 	meta.maxEntries = uint32(cfg.MaxEntries)
 	meta.minEntries = uint32(cfg.MinEntries)
 	meta.auxLen = uint32(cfg.AuxLen)
+	meta.leafMaxEntries = uint32(cfg.LeafMaxEntries)
+	meta.leafMinEntries = uint32(cfg.LeafMinEntries)
 
 	var order []*rtree.Node
 	remap := make(map[rtree.NodeID]uint32)
@@ -246,7 +267,7 @@ func writeTreeSection(ctx context.Context, a *pageAppender, t *rtree.Tree) (tree
 				cp.Entries[j].Child = rtree.NodeID(nid)
 			}
 		}
-		if err := rtree.EncodeNodePage(cp, a.page, cfg); err != nil {
+		if err := rtree.EncodeCellPage(cp, a.page, cfg); err != nil {
 			return meta, err
 		}
 		if err := a.append(); err != nil {
@@ -292,12 +313,13 @@ func (w *sectionWriter) close() (secMeta, error) {
 }
 
 // encodeManifest fills the 4 KiB manifest page: magic, format,
-// version, catalog probs, both tree metas, both section metas, and a
-// trailing CRC32C over everything before it.
+// version, catalog probs, both tree metas (format 2 adds the leaf
+// capacities to each), both section metas, and a trailing CRC32C over
+// everything before it.
 func encodeManifest(page []byte, m *manifest) {
 	clear(page)
 	off := copy(page, ckptMagic)
-	off = putU32(page, off, ckptFormat)
+	off = putU32(page, off, m.format)
 	off = putU64(page, off, m.version)
 	off = putU32(page, off, uint32(len(m.probs)))
 	for _, p := range m.probs {
@@ -312,6 +334,10 @@ func encodeManifest(page []byte, m *manifest) {
 		off = putU32(page, off, tm.maxEntries)
 		off = putU32(page, off, tm.minEntries)
 		off = putU32(page, off, tm.auxLen)
+		if m.format >= 2 {
+			off = putU32(page, off, tm.leafMaxEntries)
+			off = putU32(page, off, tm.leafMinEntries)
+		}
 	}
 	for _, sm := range []secMeta{m.points, m.objects} {
 		off = putU32(page, off, sm.firstPage)
@@ -329,11 +355,10 @@ func decodeManifest(page []byte) (*manifest, error) {
 		return nil, fmt.Errorf("core: not a checkpoint file (bad magic)")
 	}
 	off := len(ckptMagic)
-	format := getU32(page, &off)
-	if format != ckptFormat {
-		return nil, fmt.Errorf("core: checkpoint format %d not supported", format)
+	m := &manifest{format: getU32(page, &off)}
+	if m.format < 1 || m.format > ckptFormat {
+		return nil, fmt.Errorf("core: checkpoint format %d not supported", m.format)
 	}
-	m := &manifest{}
 	m.version = getU64(page, &off)
 	nprobs := getU32(page, &off)
 	if nprobs > 1024 || len(ckptMagic)+int(nprobs)*8+256 > len(page) {
@@ -352,6 +377,11 @@ func decodeManifest(page []byte) (*manifest, error) {
 		tm.maxEntries = getU32(page, &off)
 		tm.minEntries = getU32(page, &off)
 		tm.auxLen = getU32(page, &off)
+		tm.leafMaxEntries, tm.leafMinEntries = tm.maxEntries, tm.minEntries
+		if m.format >= 2 {
+			tm.leafMaxEntries = getU32(page, &off)
+			tm.leafMinEntries = getU32(page, &off)
+		}
 	}
 	for _, sm := range []*secMeta{&m.points, &m.objects} {
 		sm.firstPage = getU32(page, &off)
@@ -400,10 +430,9 @@ func (m *manifest) checkExtents(numPages int) error {
 	return nil
 }
 
-// loadCheckpoint reconstructs an engine state from a checkpoint file.
-// opts supplies the node stores (which must be fresh — the dense id
-// remap relies on sequential allocation from zero) and the point
-// index config, which must match the checkpointed one.
+// loadCheckpoint reconstructs an engine state from a checkpoint file of
+// either format. opts supplies the node stores, which must be fresh —
+// the dense id remap relies on sequential allocation from zero.
 func loadCheckpoint(path string, opts EngineOptions) (*engineState, error) {
 	dev, err := openFileDevice(path)
 	if err != nil {
@@ -423,27 +452,23 @@ func loadCheckpoint(path string, opts EngineOptions) (*engineState, error) {
 		return nil, err
 	}
 
-	if err := loadTreeNodes(dev, m.pointTree, opts.PointNodeStore); err != nil {
-		return nil, fmt.Errorf("core: loading point index: %w", err)
-	}
-	pointIdx, err := rtree.Restore(opts.PointNodeStore, opts.PointIndexConfig,
-		rtree.NodeID(m.pointTree.rootIndex), int(m.pointTree.height), int(m.pointTree.size))
+	pt := m.pointTree
+	pointIdx, err := rtree.Restore(opts.PointNodeStore, rtree.Config{}, int(pt.nodeCount), m.treeNodes(dev, pt),
+		rtree.NodeID(pt.rootIndex), int(pt.height), int(pt.size))
 	if err != nil {
 		return nil, fmt.Errorf("core: restoring point index: %w", err)
 	}
-	if err := checkTreeConfig("point index", pointIdx, m.pointTree); err != nil {
+	if err := m.checkTreeConfig("point index", pointIdx, pt); err != nil {
 		return nil, err
 	}
 
-	if err := loadTreeNodes(dev, m.uncTree, opts.UncertainNodeStore); err != nil {
-		return nil, fmt.Errorf("core: loading PTI: %w", err)
-	}
-	uncIdx, err := pti.Restore(opts.UncertainNodeStore, m.probs,
-		rtree.NodeID(m.uncTree.rootIndex), int(m.uncTree.height), int(m.uncTree.size))
+	ut := m.uncTree
+	uncIdx, err := pti.Restore(opts.UncertainNodeStore, m.probs, int(ut.nodeCount), m.treeNodes(dev, ut),
+		rtree.NodeID(ut.rootIndex), int(ut.height), int(ut.size))
 	if err != nil {
 		return nil, fmt.Errorf("core: restoring PTI: %w", err)
 	}
-	if err := checkTreeConfig("PTI", uncIdx.Tree(), m.uncTree); err != nil {
+	if err := m.checkTreeConfig("PTI", uncIdx.Tree(), ut); err != nil {
 		return nil, err
 	}
 
@@ -459,7 +484,11 @@ func loadCheckpoint(path string, opts EngineOptions) (*engineState, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: reading object table: %w", err)
 	}
-	objects, irregular, err := decodeObjectTable(objectsRaw, uncIdx)
+	decode := decodeObjectTable
+	if m.format == 1 {
+		decode = decodeObjectTableV1
+	}
+	objects, irregular, err := decode(objectsRaw, uncIdx)
 	if err != nil {
 		return nil, err
 	}
@@ -476,12 +505,11 @@ func loadCheckpoint(path string, opts EngineOptions) (*engineState, error) {
 		probs:       m.probs,
 		met:         newEngineMetrics(),
 	}
+	if err := uncIdx.RestoreRows(st.irregularObject); err != nil {
+		return nil, fmt.Errorf("core: restoring PTI: %w", err)
+	}
 	if err := st.checkRestored(); err != nil {
 		return nil, err
-	}
-	// The pages hold every row; a leaf record's entry stores none.
-	if err := uncIdx.Tree().CompactLeaves(); err != nil {
-		return nil, fmt.Errorf("core: restoring PTI: %w", err)
 	}
 	return st, nil
 }
@@ -572,42 +600,41 @@ func sameRectBits(a, b geom.Rect) bool {
 
 // checkTreeConfig guards against loading a checkpoint under a
 // different index configuration: nodes packed for one capacity would
-// silently violate the invariants of another on the next insert.
-func checkTreeConfig(what string, t *rtree.Tree, m treeMeta) error {
+// silently violate the invariants of another on the next insert. A
+// format-1 file carries no leaf capacity: its leaves, sized as its
+// interior nodes, are held to the engine's leaf capacity by
+// CheckInvariants instead, so a data directory written before leaves
+// had their own capacity still opens.
+func (m *manifest) checkTreeConfig(what string, t *rtree.Tree, tm treeMeta) error {
 	cfg := t.Config()
-	if uint32(cfg.MaxEntries) != m.maxEntries || uint32(cfg.MinEntries) != m.minEntries ||
-		uint32(cfg.AuxLen) != m.auxLen {
-		return fmt.Errorf("core: %s config mismatch: checkpoint M=%d m=%d aux=%d, engine M=%d m=%d aux=%d",
-			what, m.maxEntries, m.minEntries, m.auxLen, cfg.MaxEntries, cfg.MinEntries, cfg.AuxLen)
+	leafMax, leafMin := uint32(cfg.LeafMaxEntries), uint32(cfg.LeafMinEntries)
+	if m.format == 1 {
+		leafMax, leafMin = tm.leafMaxEntries, tm.leafMinEntries
+	}
+	if uint32(cfg.MaxEntries) != tm.maxEntries || uint32(cfg.MinEntries) != tm.minEntries ||
+		uint32(cfg.AuxLen) != tm.auxLen || leafMax != tm.leafMaxEntries || leafMin != tm.leafMinEntries {
+		return fmt.Errorf("core: %s config mismatch: checkpoint M=%d m=%d leaf M=%d m=%d aux=%d, engine M=%d m=%d leaf M=%d m=%d aux=%d",
+			what, tm.maxEntries, tm.minEntries, tm.leafMaxEntries, tm.leafMinEntries, tm.auxLen,
+			cfg.MaxEntries, cfg.MinEntries, cfg.LeafMaxEntries, cfg.LeafMinEntries, cfg.AuxLen)
 	}
 	return nil
 }
 
-// loadTreeNodes re-allocates the checkpointed nodes into store in page
-// order, reproducing the dense ids the remapped child pointers use.
-func loadTreeNodes(dev storage.Store, m treeMeta, store rtree.NodeStore) error {
-	buf := make([]byte, storage.PageSize)
-	for i := 0; i < int(m.nodeCount); i++ {
-		if err := dev.ReadPage(storage.PageID(m.firstPage)+storage.PageID(i), buf); err != nil {
-			return err
-		}
-		dec, err := rtree.DecodeNodePage(rtree.NodeID(i), buf, int(m.auxLen))
-		if err != nil {
-			return err
-		}
-		n, err := store.Alloc(dec.Leaf)
-		if err != nil {
-			return err
-		}
-		if n.ID != rtree.NodeID(i) {
-			return fmt.Errorf("core: checkpoint restore requires a fresh node store (allocated id %d, want %d)", n.ID, i)
-		}
-		n.Entries, n.Aux = dec.Entries, dec.Aux
-		if err := store.Update(n); err != nil {
-			return err
-		}
+// treeNodes returns the reader rtree.Restore takes the nodes of the
+// checkpointed tree tm through: node i is page tm.firstPage+i, decoded
+// in the manifest's format.
+func (m *manifest) treeNodes(dev storage.Store, tm treeMeta) func(rtree.NodeID) (*rtree.Node, error) {
+	decode := rtree.DecodeCellPage
+	if m.format == 1 {
+		decode = rtree.DecodeNodePage
 	}
-	return nil
+	buf := make([]byte, storage.PageSize)
+	return func(id rtree.NodeID) (*rtree.Node, error) {
+		if err := dev.ReadPage(storage.PageID(tm.firstPage)+storage.PageID(id), buf); err != nil {
+			return nil, err
+		}
+		return decode(id, buf, int(tm.auxLen))
+	}
 }
 
 // readSection reassembles a byte-stream section whose extent
@@ -649,10 +676,84 @@ func decodePointTable(b []byte) (*cowTable[uncertain.PointObject], error) {
 	return tab, nil
 }
 
-// decodeObjectTable decodes the objects section into the object table
-// and the irregular table (see engineState.objects): a leaf record of
-// ix is kept as its rectangle alone.
+// appendLeafRecord appends the objects-section record of the leaf
+// record {id, r}.
+func appendLeafRecord(b []byte, id uncertain.ID, r geom.Rect) []byte {
+	b = append(b, recordLeaf)
+	b = binary.LittleEndian.AppendUint64(b, uint64(id))
+	for _, v := range [4]float64{r.Lo.X, r.Lo.Y, r.Hi.X, r.Hi.Y} {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	return b
+}
+
+// decodeObjectTable decodes a format-2 objects section into the object
+// table and the irregular table (see engineState.objects). A leaf
+// record's rectangle must be one a uniform pdf accepts, and an object
+// stored in full must not be a leaf record of ix.
 func decodeObjectTable(b []byte, ix *pti.Index) (*cowTable[geom.Rect], *cowTable[*uncertain.Object], error) {
+	if len(b) < 8 {
+		return nil, nil, fmt.Errorf("core: truncated object table")
+	}
+	n := binary.LittleEndian.Uint64(b)
+	b = b[8:]
+	if n > maxBatchUpdates {
+		return nil, nil, fmt.Errorf("core: object table claims %d entries", n)
+	}
+	tab := newCowTable[geom.Rect](int(n))
+	irregular := newCowTable[*uncertain.Object](0)
+	for i := uint64(0); i < n; i++ {
+		if len(b) == 0 {
+			return nil, nil, fmt.Errorf("core: object table truncated at record %d of %d", i, n)
+		}
+		kind := b[0]
+		b = b[1:]
+		var id uncertain.ID
+		var r geom.Rect
+		var o *uncertain.Object
+		switch kind {
+		case recordLeaf:
+			if len(b) < 40 {
+				return nil, nil, fmt.Errorf("core: object table truncated in leaf record %d", i)
+			}
+			id = uncertain.ID(binary.LittleEndian.Uint64(b))
+			r = geom.Rect{
+				Lo: geom.Pt(math.Float64frombits(binary.LittleEndian.Uint64(b[8:])), math.Float64frombits(binary.LittleEndian.Uint64(b[16:]))),
+				Hi: geom.Pt(math.Float64frombits(binary.LittleEndian.Uint64(b[24:])), math.Float64frombits(binary.LittleEndian.Uint64(b[32:]))),
+			}
+			b = b[40:]
+			if err := pdf.CheckUniform(r); err != nil {
+				return nil, nil, fmt.Errorf("core: leaf record %d: %w", id, err)
+			}
+		case recordObject:
+			var err error
+			if o, b, err = uncertain.DecodeObject(b); err != nil {
+				return nil, nil, err
+			}
+			if ix.IsLeafRecord(o) {
+				return nil, nil, fmt.Errorf("%w: leaf record %d stored in full", errInconsistentCheckpoint, o.ID)
+			}
+			id, r = o.ID, o.Region()
+		default:
+			return nil, nil, fmt.Errorf("core: object table record %d of kind %d", i, kind)
+		}
+		if _, dup := tab.Get(id); dup {
+			return nil, nil, fmt.Errorf("%w: object %d listed twice", errInconsistentCheckpoint, id)
+		}
+		tab.put(id, r)
+		if o != nil {
+			irregular.put(id, o)
+		}
+	}
+	tab.fit()
+	irregular.fit()
+	return tab, irregular, nil
+}
+
+// decodeObjectTableV1 is decodeObjectTable for a format-1 objects
+// section, which encodes every object in full: a leaf record of ix is
+// kept as its rectangle alone.
+func decodeObjectTableV1(b []byte, ix *pti.Index) (*cowTable[geom.Rect], *cowTable[*uncertain.Object], error) {
 	if len(b) < 8 {
 		return nil, nil, fmt.Errorf("core: truncated object table")
 	}

@@ -30,15 +30,15 @@ func goldenCheckpointState(t testing.TB, dir string) *Engine {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(2007))
-	for b := 0; b < 40; b++ {
+	for b := 0; b < 100; b++ {
 		batch := make([]Update, 0, 200)
 		for i := 0; i < 100; i++ {
 			batch = append(batch, Update{Op: OpUpsertPoint, Point: uncertain.PointObject{
-				ID:  uncertain.ID(1 + rng.Intn(5000)),
+				ID:  uncertain.ID(1 + rng.Intn(10000)),
 				Loc: geom.Pt(rng.Float64()*10000, rng.Float64()*10000),
 			}})
 			c := geom.Pt(rng.Float64()*10000, rng.Float64()*10000)
-			o, err := uncertain.NewObject(uncertain.ID(10000+rng.Intn(5000)),
+			o, err := uncertain.NewObject(uncertain.ID(20000+rng.Intn(10000)),
 				pdf.MustUniform(geom.RectCentered(c, 10+rng.Float64()*90, 10+rng.Float64()*90)),
 				uncertain.PaperCatalogProbs())
 			if err != nil {
@@ -53,11 +53,16 @@ func goldenCheckpointState(t testing.TB, dir string) *Engine {
 	return e
 }
 
-// goldenCheckpointSHA256 is the sha256 of the checkpoint file of
-// goldenCheckpointState, recorded at commit 1b1e4ae from a writer that
-// streamed through a 256-frame buffer pool. A format change bumps
-// ckptFormat and this constant together; nothing else may move it.
-const goldenCheckpointSHA256 = "0be4efaa350e7557a2e87545e965a5f115435eb0ae8cd4bfe4fdae061f0418b3"
+// goldenCheckpointSHA256 is the sha256 of the format-2 checkpoint file
+// of goldenCheckpointState (44-entry PTI leaves as (rectangle, id)
+// cells, leaf records as id and rectangle in the objects section). The
+// format-1 hash, recorded at commit 1b1e4ae from a writer that streamed
+// through a 256-frame buffer pool, was
+// 0be4efaa350e7557a2e87545e965a5f115435eb0ae8cd4bfe4fdae061f0418b3 for
+// the 40 batches over 5 000 ids the state then held. A format change
+// bumps ckptFormat and this constant together; nothing else may move
+// it.
+const goldenCheckpointSHA256 = "0486b2f23c6969601f30aeb350ff08d36c31473002c9f12219fb52979d55ad28"
 
 // TestCheckpointFileGolden pins the checkpoint file byte for byte.
 func TestCheckpointFileGolden(t *testing.T) {
@@ -68,8 +73,8 @@ func TestCheckpointFileGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The recording writer cached 256 pages: the state must outgrow
-	// that for its evictions to be part of what the hash pins.
+	// The format-1 recording writer cached 256 pages: the state must
+	// outgrow that for its evictions to be part of what the hash pins.
 	if info.Pages < 300 {
 		t.Fatalf("golden state checkpoints into %d pages, want >= 300", info.Pages)
 	}
@@ -115,7 +120,7 @@ func FuzzCheckpointManifest(f *testing.F) {
 	f.Add(real, uint32(info.Pages))
 	f.Add(real, uint32(info.Pages-1)) // one page short: the last section overhangs
 	// A section claiming 2^20 pages: a buffer sized from the field alone
-	// would be a 4 GiB make() for a 790-page file.
+	// would be a 4 GiB make() for a 426-page file.
 	m, err := decodeManifest(real)
 	if err != nil {
 		f.Fatal(err)
@@ -126,14 +131,26 @@ func FuzzCheckpointManifest(f *testing.F) {
 	f.Add(huge, uint32(info.Pages))
 	f.Add(make([]byte, storage.PageSize), uint32(1))
 	f.Add(real[:100], uint32(3))
+	// The format-1 fixture's manifest, whole and with the file a page
+	// short.
+	v1, err := os.ReadFile(filepath.Join(format1Dir, "checkpoint-0000000000000005.ckpt"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v1[:storage.PageSize], uint32(len(v1)/storage.PageSize))
+	f.Add(v1[:storage.PageSize], uint32(len(v1)/storage.PageSize-1))
 
 	f.Fuzz(func(t *testing.T, in []byte, n uint32) {
 		numPages := int(n % 1024)
 		page := make([]byte, storage.PageSize)
 		copy(page, in)
+		treeMetaLen := 44
+		if binary.LittleEndian.Uint32(page[8:]) == 1 {
+			treeMetaLen = 36 // no leaf capacities
+		}
 		if nprobs := binary.LittleEndian.Uint32(page[20:]); nprobs <= 1024 {
 			// magic, format, version, nprobs, probs, 2 tree metas, 2 section metas
-			if off := 24 + int(nprobs)*8 + 2*36 + 2*24; off+4 <= len(page) {
+			if off := 24 + int(nprobs)*8 + 2*treeMetaLen + 2*24; off+4 <= len(page) {
 				crc := crc32.Checksum(page[:off], crc32.MakeTable(crc32.Castagnoli))
 				binary.LittleEndian.PutUint32(page[off:], crc)
 			}
@@ -153,8 +170,11 @@ func FuzzCheckpointManifest(f *testing.F) {
 			dev.Allocate()
 		}
 		for _, tm := range []treeMeta{m.pointTree, m.uncTree} {
-			if err := loadTreeNodes(dev, tm, rtree.NewMemNodeStore()); err != nil {
-				t.Fatalf("accepted tree extent %+v unreadable in a %d-page file: %v", tm, numPages, err)
+			node := m.treeNodes(dev, tm)
+			for i := range tm.nodeCount {
+				if _, err := node(rtree.NodeID(i)); err != nil {
+					t.Fatalf("accepted tree extent %+v unreadable in a %d-page file: %v", tm, numPages, err)
+				}
 			}
 		}
 		for _, sm := range []secMeta{m.points, m.objects} {

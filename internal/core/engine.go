@@ -28,9 +28,6 @@ type EngineOptions struct {
 	// I/O simulation.
 	PointNodeStore     rtree.NodeStore
 	UncertainNodeStore rtree.NodeStore
-	// PointIndexConfig overrides the point R-tree configuration
-	// (zero = 4 KiB-page defaults).
-	PointIndexConfig rtree.Config
 	// MaxSnapshotAge, when positive, bounds how long an open Snapshot
 	// may pin its state: snapshots older than the limit are
 	// force-closed by the engine (counted in
@@ -163,7 +160,7 @@ func NewEngine(points []uncertain.PointObject, objects []*uncertain.Object, opts
 		items[i] = rtree.Item{Rect: geom.RectAt(p.Loc), Ref: rtree.Ref(p.ID)}
 	}
 	var err error
-	st.pointIdx, err = rtree.BulkLoad(opts.PointNodeStore, opts.PointIndexConfig, items)
+	st.pointIdx, err = rtree.BulkLoad(opts.PointNodeStore, rtree.Config{}, items)
 	if err != nil {
 		return nil, fmt.Errorf("core: building point index: %w", err)
 	}

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -256,6 +258,63 @@ func TestKernelGoldenPins(t *testing.T) {
 		}
 		if !reflect.DeepEqual(g, w) {
 			t.Errorf("%s:\n got %+v\nwant %+v", name, g, w)
+		}
+	}
+}
+
+// TestGoldenPinsMovedOnlyInNodeAccesses holds both golden files to the
+// answers they were recorded with before PTI leaves got a capacity of
+// their own (pti.MemLeafEntries): with every node_accesses field
+// zeroed, each file hashes as it did then. A leaf capacity changes how
+// many nodes a search reads and nothing else — no match, probability,
+// candidate count, pruning counter, sample count or tau — with one
+// documented exception: MethodBasic over the uncertain database draws
+// every candidate's estimate from one shared stream in the order the
+// PTI visits its leaves, so its Monte-Carlo outcome (matches, samples,
+// early stops, below-threshold count) follows the tree's shape; of
+// those pins only the candidate, pruning and refinement counts and tau
+// are held.
+func TestGoldenPinsMovedOnlyInNodeAccesses(t *testing.T) {
+	for _, c := range []struct {
+		file, sha256 string
+		pins         func([]byte) (any, error)
+	}{
+		{"golden_pr13.json", "e12455fa40e5d7a1b4dd3c85b0a5322dfcb68a25b59d202ae6ccd137e27f49c4", func(buf []byte) (any, error) {
+			var pins map[string]goldenPin
+			err := json.Unmarshal(buf, &pins)
+			for name, p := range pins {
+				p.NodeAccesses = 0
+				if strings.HasPrefix(name, "uncertain/basic/") {
+					p.Matches, p.SamplesUsed, p.EarlyStopped, p.BelowThreshold = "", 0, 0, 0
+				}
+				pins[name] = p
+			}
+			return pins, err
+		}},
+		{"golden_smooth_issuer.json", "ed5303709389a673582653cd8e57dee01e11a25cf7613ea3e97457cadc843d96", func(buf []byte) (any, error) {
+			var pins smoothPins
+			err := json.Unmarshal(buf, &pins)
+			for name, p := range pins.Evaluate {
+				p.NodeAccesses = 0
+				pins.Evaluate[name] = p
+			}
+			return pins, err
+		}},
+	} {
+		buf, err := os.ReadFile(filepath.Join("testdata", c.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pins, err := c.pins(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		canon, err := json.Marshal(pins)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := sha256.Sum256(canon); hex.EncodeToString(sum[:]) != c.sha256 {
+			t.Errorf("%s without node_accesses hashes to %x, want %s", c.file, sum, c.sha256)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"sync"
 
+	"repro/internal/nn"
 	"repro/internal/uncertain"
 )
 
@@ -67,13 +68,14 @@ func radixKey(c NNCandidate) uint64 { return uint64(c.ID) ^ 1<<63 }
 
 // nnScratch is one NN stage's working memory: for a collection the
 // candidates as the probe surfaces them and the sort's scatter buffer,
-// for a refinement the candidates as the kernel takes them. It is
-// pooled, so a collection allocates only the id-ordered list it
-// returns, and a refinement only what nn.Refine returns and the
-// matches.
+// for a refinement the candidates as the kernel takes them and the
+// kernel's per-candidate results. It is pooled, so a collection
+// allocates only the id-ordered list it returns, and a refinement only
+// the matches.
 type nnScratch struct {
 	cands, tmp []NNCandidate
 	objs       []uncertain.PointObject
+	refined    nn.RefineOutput
 }
 
 var nnScratchPool = sync.Pool{New: func() any { return new(nnScratch) }}
@@ -83,7 +85,7 @@ var nnScratchPool = sync.Pool{New: func() any { return new(nnScratch) }}
 const maxPooledCandidates = 1 << 16
 
 func putNNScratch(sc *nnScratch) {
-	if max(cap(sc.cands), cap(sc.tmp), cap(sc.objs)) <= maxPooledCandidates {
+	if max(cap(sc.cands), cap(sc.tmp), cap(sc.objs), cap(sc.refined.Probs)) <= maxPooledCandidates {
 		nnScratchPool.Put(sc)
 	}
 }

@@ -232,6 +232,7 @@ func refineNNCandidates(ctx context.Context, req Request, opts EvalOptions, cand
 		Threshold: req.Threshold,
 		Adaptive:  opts.Object.Adaptive == AdaptiveAuto,
 		Cancel:    func() error { return canceled(ctx) },
+		Out:       &sc.refined,
 	})
 	if err != nil {
 		return Result{}, err

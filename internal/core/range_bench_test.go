@@ -52,7 +52,7 @@ func BenchmarkEvaluateRange(b *testing.B) {
 	snap := eng.Snapshot()
 	defer snap.Close()
 	ctx := context.Background()
-	candidates, matches := 0, 0
+	candidates, matches, nodes := 0, 0, int64(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -62,7 +62,9 @@ func BenchmarkEvaluateRange(b *testing.B) {
 		}
 		candidates += res.Cost.Candidates
 		matches += len(res.Matches)
+		nodes += res.Cost.NodeAccesses
 	}
+	b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
 	b.ReportMetric(float64(candidates)/float64(b.N), "candidates/op")
 	b.ReportMetric(float64(matches)/float64(b.N), "matches/op")
 }

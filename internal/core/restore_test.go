@@ -102,13 +102,9 @@ func TestOpenRefusesTableIndexMismatch(t *testing.T) {
 		e.Close()
 	}
 
-	// Object 7 is a leaf record; its region's lo.x is the first
-	// float of its pdf that the record holds.
+	// Object 7 is a leaf record: its record is its id and rectangle.
 	o := objs[7]
-	rec, err := uncertain.AppendObject(nil, o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rec := appendLeafRecord(nil, o.ID, o.Region())
 	start, n := sectionBytes(m.objects)
 	at := bytes.Index(file[start:start+n], rec)
 	if at < 0 {
@@ -156,9 +152,9 @@ func FuzzCheckpointSections(f *testing.F) {
 	}
 	f.Add([]byte{})
 	start, _ := sectionBytes(m.objects)
-	rec, _ := uncertain.AppendObject(nil, objs[7])
+	rec := appendLeafRecord(nil, objs[7].ID, objs[7].Region())
 	if at := bytes.Index(file[start:], rec); at >= 0 {
-		f.Add(flip(start + at + 20)) // inside object 7's pdf
+		f.Add(flip(start + at + 20)) // inside object 7's rectangle
 		f.Add(flip(start + at + len(rec) - 3))
 	}
 	start, _ = sectionBytes(m.points)

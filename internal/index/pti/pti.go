@@ -10,7 +10,10 @@
 // The index is a thin layer over internal/index/rtree, using its
 // auxiliary-payload hook; one catalog value occupies four float64s
 // (left, right, bottom, top) of the payload, so with the paper's ten
-// catalog values a 4 KiB node holds 11 entries.
+// catalog values a 4 KiB node holds 11 entries. Interior nodes hold 11
+// wherever the index lives, and so do leaves on a paged node store (the
+// paper's disk regime); in memory a leaf holds MemLeafEntries, because
+// a leaf record's entry carries no row.
 //
 // Leaf records. The p-bounds of a uniform-pdf object are a closed form
 // of its region (§5.1: l(p) = lo + p·w, uncertain.UniformBound). An
@@ -21,7 +24,9 @@
 // from the rectangle wherever it needs one (rtree.Config.DeriveAux),
 // and a search visits it with a nil payload — and LeafObject rebuilds
 // the object from the entry. Every other object's entry stores its
-// catalog rows. Node pages and checkpoints hold every row either way.
+// catalog rows. Node pages hold every row either way; a checkpoint's
+// leaf pages hold none (rtree.EncodeCellPage), and RestoreRows puts an
+// irregular object's rows back from its object.
 package pti
 
 import (
@@ -62,12 +67,32 @@ func mergeAux(dst, src []float64) {
 	}
 }
 
+// MemLeafEntries is the leaf capacity of an index held in memory
+// (rtree.MemNodeStore). A leaf record's entry is a rectangle and an id,
+// so a leaf that splits at the page capacity of a 40-float row (11
+// entries) spreads a range query over 2.7× the nodes it needs. The
+// value was chosen among 44, 64 and 100 on the shard-sized engine: a
+// range_ro query reads 53.9, 43.6 and 33.4 nodes (146.5 at 11), live
+// heap is the same for all three, and query and update times do not
+// separate them on a noisy 2-CPU box — but every write batch copies
+// whole leaves, so its bytes grow with the leaf (141, 152 and 171 KB
+// per 16-move batch, 135 KB at 11). It is at most
+// rtree.CapacityForPage(0), so a leaf fits one checkpoint page as
+// (rectangle, id) cells.
+const MemLeafEntries = 44
+
 // config builds the rtree configuration for the catalog values probs
-// (validated).
-func config(probs []float64) rtree.Config {
+// (validated) over store: leaves sized for memory unless store is
+// paged, where a node is a 4 KiB page holding every row.
+func config(probs []float64, store rtree.NodeStore) rtree.Config {
+	leaf := 0
+	if _, paged := store.(*rtree.PagedNodeStore); !paged {
+		leaf = MemLeafEntries
+	}
 	return rtree.Config{
-		AuxLen:   AuxLen(len(probs)),
-		MergeAux: mergeAux,
+		LeafMaxEntries: leaf,
+		AuxLen:         AuxLen(len(probs)),
+		MergeAux:       mergeAux,
 		DeriveAux: func(r geom.Rect, dst []float64) {
 			for i, p := range probs {
 				b := uncertain.UniformBound(r, p)
@@ -173,7 +198,7 @@ func BulkLoad(store rtree.NodeStore, probs []float64, objs []*uncertain.Object) 
 			}
 		}
 	}
-	if ix.tree, err = rtree.BulkLoad(store, config(ps), items); err != nil {
+	if ix.tree, err = rtree.BulkLoad(store, config(ps, store), items); err != nil {
 		return nil, err
 	}
 	return ix, nil
@@ -341,18 +366,54 @@ func BoundPrunes(region geom.Rect, b uncertain.Bound, expanded geom.Rect) bool {
 		reg.Lo.Y >= b.Top || reg.Hi.Y <= b.Bottom
 }
 
-// Restore rebuilds a sealed index handle over nodes already present in
-// store — the checkpoint loader's constructor, mirroring
-// rtree.Restore. probs must be the catalog the nodes were built with
-// (their aux payloads carry AuxLen(len(probs)) floats per entry).
-func Restore(store rtree.NodeStore, probs []float64, root rtree.NodeID, height, size int) (*Index, error) {
+// Restore rebuilds a sealed index handle from count checkpointed nodes
+// (see rtree.Restore) — the checkpoint loader's constructor. probs must
+// be the catalog the nodes were built with (their interior payloads
+// carry AuxLen(len(probs)) floats per entry). A leaf row that is a leaf
+// record's is dropped as it arrives; an irregular object's entry that
+// arrives without its rows gets them from RestoreRows.
+func Restore(store rtree.NodeStore, probs []float64, count int, node func(rtree.NodeID) (*rtree.Node, error),
+	root rtree.NodeID, height, size int) (*Index, error) {
 	ps, err := validateProbs(probs)
 	if err != nil {
 		return nil, err
 	}
-	tr, err := rtree.Restore(store, config(ps), root, height, size)
+	tr, err := rtree.Restore(store, config(ps, store), count, node, root, height, size)
 	if err != nil {
 		return nil, err
 	}
 	return &Index{tree: tr, probs: ps}, nil
+}
+
+// RestoreRows gives every leaf entry that stores no row and whose
+// object irregular returns (non-nil: the object is not a leaf record)
+// that object's catalog rows, as Insert stores them. It runs on a
+// restored index before it is published, once, when the index's leaf
+// pages held no rows.
+func (ix *Index) RestoreRows(irregular func(uncertain.ID) *uncertain.Object) error {
+	store := ix.tree.Store()
+	return ix.tree.Walk(func(n *rtree.Node, _ int) error {
+		if !n.Leaf {
+			return nil
+		}
+		changed := false
+		for i, e := range n.Entries {
+			o := irregular(uncertain.ID(e.Ref))
+			if o == nil || n.Aux != nil && n.Aux[i] != nil {
+				continue
+			}
+			row, err := encodeBounds(o, ix.probs)
+			if err != nil {
+				return err
+			}
+			if n.Aux == nil {
+				n.Aux = make([][]float64, len(n.Entries))
+			}
+			n.Aux[i], changed = row, true
+		}
+		if !changed {
+			return nil
+		}
+		return store.Update(n)
+	})
 }

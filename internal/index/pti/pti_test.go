@@ -8,6 +8,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/index/rtree"
 	"repro/internal/pdf"
+	"repro/internal/storage"
 	"repro/internal/uncertain"
 )
 
@@ -327,38 +328,24 @@ func TestGaussianBoundsTighter(t *testing.T) {
 	}
 }
 
-// TestLeafObjectEncoding: uncertain.AppendUniformObject writes, from a
-// leaf record's rectangle, the bytes AppendObject writes for the object
-// LeafObject rebuilds — what the checkpoint writer relies on to encode
-// a leaf record without building it. Random rectangles at every scale,
-// degenerate ones, and both an index over the paper's catalog and one
-// over a short custom catalog.
-func TestLeafObjectEncoding(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for _, ps := range [][]float64{probs, {0, 0.25, 0.4}} {
-		ix, err := BulkLoad(rtree.NewMemNodeStore(), ps, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range 2000 {
-			scale := []float64{1e-9, 1, 1e4, 1e12}[i%4]
-			c := geom.Pt((rng.Float64()-0.5)*scale*10, (rng.Float64()-0.5)*scale*10)
-			hw, hh := rng.Float64()*scale, rng.Float64()*scale
-			switch i % 7 {
-			case 0:
-				hw = 0
-			case 1:
-				hw, hh = 0, 0
-			}
-			region := geom.RectCentered(c, hw, hh)
-			id := uncertain.ID(rng.Int63() - rng.Int63())
-			want, err := uncertain.AppendObject([]byte{7}, ix.LeafObject(id, region))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := uncertain.AppendUniformObject([]byte{7}, id, region, ix.Probs()); string(got) != string(want) {
-				t.Fatalf("object %d over %v: AppendUniformObject\n%x\nAppendObject(LeafObject)\n%x", id, region, got, want)
-			}
-		}
+// TestMemLeafFitsCheckpointPage: a leaf of an index in memory is
+// written to a checkpoint as one page of (rectangle, id) cells.
+func TestMemLeafFitsCheckpointPage(t *testing.T) {
+	if cells := rtree.CapacityForPage(0); MemLeafEntries > cells {
+		t.Fatalf("MemLeafEntries = %d, a page holds %d cells", MemLeafEntries, cells)
+	}
+	ix, err := BulkLoad(rtree.NewMemNodeStore(), probs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg := ix.Tree().Config(); cfg.LeafMaxEntries != MemLeafEntries || cfg.MaxEntries != rtree.CapacityForPage(AuxLen(len(probs))) {
+		t.Fatalf("in-memory index capacities: leaf %d, interior %d", cfg.LeafMaxEntries, cfg.MaxEntries)
+	}
+	paged, err := BulkLoad(rtree.NewPagedNodeStore(storage.NewBufferPool(storage.NewMemStore(), 8), AuxLen(len(probs))), probs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg := paged.Tree().Config(); cfg.LeafMaxEntries != cfg.MaxEntries {
+		t.Fatalf("paged index: leaf capacity %d, interior %d", cfg.LeafMaxEntries, cfg.MaxEntries)
 	}
 }

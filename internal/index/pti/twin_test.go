@@ -41,15 +41,28 @@ type twinNode struct {
 }
 
 type twinTree struct {
-	root       *twinNode
-	height     int
-	maxEntries int
-	minEntries int
+	root   *twinNode
+	height int
+	// The capacity and underflow threshold of interior nodes and of
+	// leaves.
+	maxEntries, minEntries         int
+	leafMaxEntries, leafMinEntries int
 }
 
-func newTwinTree(auxLen int) *twinTree {
-	m := rtree.CapacityForPage(auxLen)
-	return &twinTree{root: &twinNode{leaf: true}, height: 1, maxEntries: m, minEntries: m * 2 / 5}
+// newTwinTree returns an empty twin with the node capacities of cfg, a
+// normalized configuration.
+func newTwinTree(cfg rtree.Config) *twinTree {
+	return &twinTree{root: &twinNode{leaf: true}, height: 1,
+		maxEntries: cfg.MaxEntries, minEntries: cfg.MinEntries,
+		leafMaxEntries: cfg.LeafMaxEntries, leafMinEntries: cfg.LeafMinEntries}
+}
+
+// capacity returns the capacity and underflow threshold of n's kind.
+func (t *twinTree) capacity(n *twinNode) (int, int) {
+	if n.leaf {
+		return t.leafMaxEntries, t.leafMinEntries
+	}
+	return t.maxEntries, t.minEntries
 }
 
 // twinMergeAux is pti.mergeAux as it was: math.Min / math.Max.
@@ -106,7 +119,7 @@ func (t *twinTree) insertAtLevel(e twinEntry, level int) {
 	n := path[len(path)-1].node
 	n.entries = append(n.entries, e)
 	var splitNew *twinNode
-	if len(n.entries) > t.maxEntries {
+	if maxEntries, _ := t.capacity(n); len(n.entries) > maxEntries {
 		splitNew = t.splitQuadratic(n)
 	}
 	// adjustTree: every parent entry on the path recomputed in full.
@@ -137,6 +150,7 @@ func (t *twinTree) insertAtLevel(e twinEntry, level int) {
 
 func (t *twinTree) splitQuadratic(n *twinNode) *twinNode {
 	entries := n.entries
+	_, minEntries := t.capacity(n)
 	seedA, seedB, bestWaste := 0, 1, -1.0
 	for i := 0; i < len(entries); i++ {
 		for j := i + 1; j < len(entries); j++ {
@@ -157,11 +171,11 @@ func (t *twinTree) splitQuadratic(n *twinNode) *twinNode {
 		}
 	}
 	for len(rest) > 0 {
-		if len(groupA)+len(rest) == t.minEntries {
+		if len(groupA)+len(rest) == minEntries {
 			groupA = append(groupA, rest...)
 			break
 		}
-		if len(groupB)+len(rest) == t.minEntries {
+		if len(groupB)+len(rest) == minEntries {
 			groupB = append(groupB, rest...)
 			break
 		}
@@ -241,7 +255,7 @@ func (t *twinTree) delete(r geom.Rect, ref rtree.Ref) bool {
 	for i := len(path) - 1; i > 0; i-- {
 		n, parent := path[i].node, path[i-1].node
 		idx := path[i].entryIdx
-		if len(n.entries) < t.minEntries {
+		if _, minEntries := t.capacity(n); len(n.entries) < minEntries {
 			parent.entries = append(parent.entries[:idx], parent.entries[idx+1:]...)
 			if len(n.entries) > 0 {
 				orphans = append(orphans, orphan{entries: n.entries, level: t.height - 1 - i})
@@ -294,9 +308,13 @@ func (t *twinTree) pages(tb testing.TB, auxLen int) [][]byte {
 	return out
 }
 
+// encodePage encodes n as a cell page (rtree.EncodeCellPage): a leaf
+// as its rectangles and refs, whatever its capacity — every leaf row
+// of the op stream is a leaf record's, a function of its rectangle —
+// and an interior node with its rows.
 func encodePage(tb testing.TB, n *rtree.Node, cfg rtree.Config) []byte {
 	page := make([]byte, storage.PageSize)
-	if err := rtree.EncodeNodePage(n, page, cfg); err != nil {
+	if err := rtree.EncodeCellPage(n, page, cfg); err != nil {
 		tb.Fatal(err)
 	}
 	return page
@@ -368,22 +386,32 @@ func checkOracle(tb testing.TB, parent *rtree.Node, j int, child *rtree.Node) {
 
 func bits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
+// TestIncrementalEnvelopesMatchTwin runs the property over a paged
+// store, where every node holds 11 entries, and in memory, where a leaf
+// holds MemLeafEntries; ceiling is the object count a growth phase
+// reaches, enough for a height-4 tree either way.
 func TestIncrementalEnvelopesMatchTwin(t *testing.T) {
-	const (
-		world   = 2000.0
-		ceiling = 1400 // objects; PTI nodes hold 11, so this is a height-4 tree
-	)
+	t.Run("paged", func(t *testing.T) {
+		incrementalEnvelopesMatchTwin(t, rtree.NewPagedNodeStore(storage.NewBufferPool(storage.NewMemStore(), 256), AuxLen(len(probs))), 1400)
+	})
+	t.Run("memory", func(t *testing.T) {
+		incrementalEnvelopesMatchTwin(t, rtree.NewMemNodeStore(), 5000)
+	})
+}
+
+func incrementalEnvelopesMatchTwin(t *testing.T, store rtree.NodeStore, ceiling int) {
+	const world = 2000.0
 	ops := 24000
 	if testing.Short() {
 		ops = 8000 // one growth and one collapse; the race job runs this
 	}
 	rng := rand.New(rand.NewSource(424242))
 	auxLen := AuxLen(len(probs))
-	ix, err := BulkLoad(rtree.NewMemNodeStore(), probs, nil)
+	ix, err := BulkLoad(store, probs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	twin := newTwinTree(auxLen)
+	twin := newTwinTree(ix.Tree().Config())
 	live := map[uncertain.ID]*uncertain.Object{}
 	var ids []uncertain.ID // every id ever used; dead ones are skipped or resurrected
 	nextID := uncertain.ID(0)

@@ -59,7 +59,10 @@ func BulkLoad(store NodeStore, cfg Config, items []Item) (*Tree, error) {
 
 	level := 0
 	leaf := true
-	for len(entries) > cfg.MaxEntries {
+	for {
+		if maxEntries, _ := cfg.capacity(leaf); len(entries) <= maxEntries {
+			break
+		}
 		nodes, err := t.packLevel(entries, leaf)
 		if err != nil {
 			return nil, err
@@ -115,10 +118,10 @@ func fillNode(n *Node, entries []packed, auxLen int) {
 	}
 }
 
-// packLevel tiles entries into nodes of capacity MaxEntries and returns
-// the parent entries describing them.
+// packLevel tiles entries into full nodes of the level's kind and
+// returns the parent entries describing them.
 func (t *Tree) packLevel(entries []packed, leaf bool) ([]packed, error) {
-	m := t.cfg.MaxEntries
+	m, _ := t.cfg.capacity(leaf)
 	auxLen := t.cfg.AuxLen
 	nLeaves := (len(entries) + m - 1) / m
 	nSlabs := int(math.Ceil(math.Sqrt(float64(nLeaves))))

@@ -24,6 +24,13 @@ func mergeSpan(dst, src []float64) {
 // walkPages returns t's node pages in walk order, child ids renumbered
 // in that order, as a checkpoint writes them.
 func walkPages(tb testing.TB, t *Tree) [][]byte {
+	return walkEncoded(tb, t, func(n *Node, page []byte, cfg Config) error {
+		return encodeNode(n, page, cfg.AuxLen, cfg.DeriveAux)
+	})
+}
+
+// walkEncoded is walkPages with the page encoder given.
+func walkEncoded(tb testing.TB, t *Tree, encode func(*Node, []byte, Config) error) [][]byte {
 	tb.Helper()
 	var order []*Node
 	index := map[NodeID]NodeID{}
@@ -43,7 +50,7 @@ func walkPages(tb testing.TB, t *Tree) [][]byte {
 			}
 		}
 		pages[i] = make([]byte, storage.PageSize)
-		if err := EncodeNodePage(cp, pages[i], t.Config()); err != nil {
+		if err := encode(cp, pages[i], t.Config()); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -56,10 +63,26 @@ func walkPages(tb testing.TB, t *Tree) [][]byte {
 // Config.DeriveAux compute them. After every version both must pass
 // CheckInvariants and encode to the same node pages, byte for byte: a
 // row the tree computes is the stored row wherever envelopes, splits,
-// condensation and page encoding read it. CompactLeaves then turns the
-// stored tree's pages, decoded, into the derived tree's nodes.
+// condensation and page encoding read it. Restore then turns the stored
+// tree's pages into the derived tree's nodes. It runs with one capacity
+// for every node and with leaves larger than interior nodes.
 func TestDerivedRowsMatchStored(t *testing.T) {
-	base := Config{MaxEntries: 5, MinEntries: 2, AuxLen: 2, MergeAux: mergeSpan}
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"one capacity", Config{MaxEntries: 5, MinEntries: 2}},
+		{"leaf capacity", Config{MaxEntries: 5, MinEntries: 2, LeafMaxEntries: 9}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			base := c.cfg
+			base.AuxLen, base.MergeAux = 2, mergeSpan
+			derivedRowsMatchStored(t, base)
+		})
+	}
+}
+
+func derivedRowsMatchStored(t *testing.T, base Config) {
 	derived := base
 	derived.DeriveAux = deriveSpan
 	stored, err := BulkLoad(NewMemNodeStore(), base, nil)
@@ -139,35 +162,14 @@ func TestDerivedRowsMatchStored(t *testing.T) {
 		}
 	}
 
-	// A node store loaded from the stored tree's pages, as a checkpoint
-	// restore loads one, and compacted: every row is derivable, so no
-	// leaf keeps one, and the tree is still the same tree.
+	// A node store restored from the stored tree's pages, as a
+	// checkpoint of format 1 restores one: every row is derivable, so
+	// no leaf keeps one, and the tree is still the same tree.
 	pages := walkPages(t, stored)
-	store := NewMemNodeStore()
-	for i, page := range pages {
-		dec, err := DecodeNodePage(NodeID(i), page, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n, _ := store.Alloc(dec.Leaf)
-		n.Entries, n.Aux = dec.Entries, dec.Aux
-		if err := store.Update(n); err != nil {
-			t.Fatal(err)
-		}
-	}
-	restored, err := Restore(store, derived, 0, stored.Height(), stored.Len())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := restored.CompactLeaves(); err != nil {
-		t.Fatal(err)
-	}
-	if err := restored.CheckInvariants(true); err != nil {
-		t.Fatal(err)
-	}
+	restored := restorePages(t, pages, derived, stored, DecodeNodePage)
 	if err := restored.Walk(func(n *Node, _ int) error {
 		if n.Leaf && n.Aux != nil {
-			t.Fatalf("leaf %d keeps %d rows after CompactLeaves", n.ID, len(n.Aux))
+			t.Fatalf("leaf %d keeps %d rows after Restore", n.ID, len(n.Aux))
 		}
 		return nil
 	}); err != nil {
@@ -175,7 +177,33 @@ func TestDerivedRowsMatchStored(t *testing.T) {
 	}
 	for i, page := range walkPages(t, restored) {
 		if !bytes.Equal(page, pages[i]) {
-			t.Fatalf("compacted tree's page %d differs from the stored tree's", i)
+			t.Fatalf("restored tree's page %d differs from the stored tree's", i)
 		}
 	}
+
+	// The same from cell pages, whose leaves hold no row at all: the
+	// tree that comes back encodes to the stored tree's pages too.
+	cells := walkEncoded(t, stored, EncodeCellPage)
+	for i, page := range walkPages(t, restorePages(t, cells, derived, stored, DecodeCellPage)) {
+		if !bytes.Equal(page, pages[i]) {
+			t.Fatalf("tree restored from cell pages: page %d differs from the stored tree's", i)
+		}
+	}
+}
+
+// restorePages restores a tree of configuration cfg, shaped like shape,
+// from pages decoded by decode, and checks its invariants.
+func restorePages(t *testing.T, pages [][]byte, cfg Config, shape *Tree,
+	decode func(NodeID, []byte, int) (*Node, error)) *Tree {
+	t.Helper()
+	tr, err := Restore(NewMemNodeStore(), cfg, len(pages), func(id NodeID) (*Node, error) {
+		return decode(id, pages[id], cfg.AuxLen)
+	}, 0, shape.Height(), shape.Len())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.CheckInvariants(true); err != nil {
+		t.Fatal(err)
+	}
+	return tr
 }

@@ -55,7 +55,7 @@ func (t *Tree) insertAtLevel(e Entry, aux []float64, level int) error {
 	}
 
 	var splitNew *Node
-	if len(n.Entries) > t.cfg.MaxEntries {
+	if maxEntries, _ := t.cfg.capacity(n.Leaf); len(n.Entries) > maxEntries {
 		splitNew, err = t.splitNode(n)
 		if err != nil {
 			return err
@@ -186,127 +186,12 @@ func (t *Tree) growRoot(old, sibling *Node) error {
 	return nil
 }
 
-// splitNode splits an overflowing node in place using the configured
-// algorithm and returns the newly allocated sibling. Both nodes are
-// persisted.
+// splitNode splits an overflowing node in place with Guttman's
+// quadratic split and returns the newly allocated sibling. Both nodes
+// are persisted.
 func (t *Tree) splitNode(n *Node) (*Node, error) {
-	if t.cfg.Split == SplitLinear {
-		return t.splitNodeLinear(n)
-	}
-	return t.splitNodeQuadratic(n)
-}
-
-// splitNodeLinear implements Guttman's linear split: seeds by greatest
-// normalized separation, remaining entries assigned in order by least
-// enlargement (ties: smaller area), with min-fill forcing.
-func (t *Tree) splitNodeLinear(n *Node) (*Node, error) {
 	entries := n.Entries
-	seedA, seedB := pickSeedsLinear(entries)
-
-	// Groups are lists of positions in n.Entries, so an entry's payload
-	// can follow it into its new node.
-	groupA := append(make([]int, 0, len(entries)), seedA)
-	groupB := append(make([]int, 0, len(entries)), seedB)
-	rectA := entries[seedA].Rect
-	rectB := entries[seedB].Rect
-	for i, e := range entries {
-		if i == seedA || i == seedB {
-			continue
-		}
-		remaining := len(entries) - i // pessimistic; only used for forcing
-		switch {
-		case len(groupA)+remaining <= t.cfg.MinEntries:
-			groupA = append(groupA, i)
-			rectA = rectA.Union(e.Rect)
-			continue
-		case len(groupB)+remaining <= t.cfg.MinEntries:
-			groupB = append(groupB, i)
-			rectB = rectB.Union(e.Rect)
-			continue
-		}
-		dA, dB := rectA.Enlargement(e.Rect), rectB.Enlargement(e.Rect)
-		toA := dA < dB || (dA == dB && rectA.Area() <= rectB.Area())
-		if toA {
-			groupA = append(groupA, i)
-			rectA = rectA.Union(e.Rect)
-		} else {
-			groupB = append(groupB, i)
-			rectB = rectB.Union(e.Rect)
-		}
-	}
-	// Rebalance if forcing missed min fill (possible with the
-	// pessimistic heuristic above): move entries from the bigger
-	// group.
-	for len(groupA) < t.cfg.MinEntries && len(groupB) > t.cfg.MinEntries {
-		groupA = append(groupA, groupB[len(groupB)-1])
-		groupB = groupB[:len(groupB)-1]
-	}
-	for len(groupB) < t.cfg.MinEntries && len(groupA) > t.cfg.MinEntries {
-		groupB = append(groupB, groupA[len(groupA)-1])
-		groupA = groupA[:len(groupA)-1]
-	}
-	return t.finishSplit(n, groupA, groupB)
-}
-
-// pickSeedsLinear returns the pair with the greatest separation
-// normalized by the spread, considering both axes (Guttman's
-// LinearPickSeeds).
-func pickSeedsLinear(entries []Entry) (int, int) {
-	// Per axis: entry with the highest low side and entry with the
-	// lowest high side; separation normalized by total spread.
-	bestA, bestB := 0, 1
-	bestScore := -1.0
-	for axis := 0; axis < 2; axis++ {
-		lo := func(e Entry) float64 {
-			if axis == 0 {
-				return e.Rect.Lo.X
-			}
-			return e.Rect.Lo.Y
-		}
-		hi := func(e Entry) float64 {
-			if axis == 0 {
-				return e.Rect.Hi.X
-			}
-			return e.Rect.Hi.Y
-		}
-		highestLo, lowestHi := 0, 0
-		minLo, maxHi := lo(entries[0]), hi(entries[0])
-		for i, e := range entries {
-			if lo(e) > lo(entries[highestLo]) {
-				highestLo = i
-			}
-			if hi(e) < hi(entries[lowestHi]) {
-				lowestHi = i
-			}
-			if lo(e) < minLo {
-				minLo = lo(e)
-			}
-			if hi(e) > maxHi {
-				maxHi = hi(e)
-			}
-		}
-		if highestLo == lowestHi {
-			continue
-		}
-		spread := maxHi - minLo
-		if spread <= 0 {
-			continue
-		}
-		score := (lo(entries[highestLo]) - hi(entries[lowestHi])) / spread
-		if score > bestScore {
-			bestScore = score
-			bestA, bestB = lowestHi, highestLo
-		}
-	}
-	if bestA == bestB { // all entries identical: any distinct pair
-		bestA, bestB = 0, 1
-	}
-	return bestA, bestB
-}
-
-// splitNodeQuadratic implements Guttman's quadratic split.
-func (t *Tree) splitNodeQuadratic(n *Node) (*Node, error) {
-	entries := n.Entries
+	_, minEntries := t.cfg.capacity(n.Leaf)
 	seedA, seedB := pickSeeds(entries)
 
 	// Groups (and the unassigned rest) are lists of positions in
@@ -326,14 +211,14 @@ func (t *Tree) splitNodeQuadratic(n *Node) (*Node, error) {
 	for len(rest) > 0 {
 		// If one group must take all remaining entries to reach the
 		// minimum fill, assign them wholesale.
-		if len(groupA)+len(rest) == t.cfg.MinEntries {
+		if len(groupA)+len(rest) == minEntries {
 			for _, i := range rest {
 				groupA = append(groupA, i)
 				rectA = rectA.Union(entries[i].Rect)
 			}
 			break
 		}
-		if len(groupB)+len(rest) == t.cfg.MinEntries {
+		if len(groupB)+len(rest) == minEntries {
 			for _, i := range rest {
 				groupB = append(groupB, i)
 				rectB = rectB.Union(entries[i].Rect)

@@ -173,32 +173,6 @@ type MergeAuxFunc func(dst, src []float64)
 // function of r.
 type DeriveAuxFunc func(r geom.Rect, dst []float64)
 
-// SplitAlgorithm selects the node-splitting heuristic.
-type SplitAlgorithm int
-
-const (
-	// SplitQuadratic is Guttman's quadratic split: O(M^2) seed picking
-	// by maximal dead space, entries distributed by strongest
-	// preference. Better grouping, the common default.
-	SplitQuadratic SplitAlgorithm = iota
-	// SplitLinear is Guttman's linear split: seeds with the greatest
-	// normalized separation per axis, remaining entries assigned by
-	// least enlargement in input order. Cheaper splits, looser nodes.
-	SplitLinear
-)
-
-// String implements fmt.Stringer.
-func (s SplitAlgorithm) String() string {
-	switch s {
-	case SplitQuadratic:
-		return "quadratic"
-	case SplitLinear:
-		return "linear"
-	default:
-		return fmt.Sprintf("SplitAlgorithm(%d)", int(s))
-	}
-}
-
 // Config fixes the shape of a tree.
 type Config struct {
 	// MaxEntries is the node capacity M. Zero derives the capacity
@@ -207,6 +181,13 @@ type Config struct {
 	// MinEntries is the underflow threshold m (2 <= m <= M/2).
 	// Zero means 40% of MaxEntries, the classic choice.
 	MinEntries int
+	// LeafMaxEntries and LeafMinEntries are the same two bounds for
+	// leaves, where they differ from interior nodes': a leaf entry
+	// whose row DeriveAux computes takes 40 bytes where an interior
+	// entry takes 40 + 8·AuxLen. Zero LeafMaxEntries means
+	// MaxEntries, and zero LeafMinEntries 40% of LeafMaxEntries.
+	LeafMaxEntries int
+	LeafMinEntries int
 	// AuxLen is the per-entry auxiliary payload length (0 = none).
 	AuxLen int
 	// MergeAux aggregates child payloads into parent entries. Required
@@ -218,9 +199,6 @@ type Config struct {
 	// — into per-tree scratch, and a search visits such an entry with
 	// a nil payload. Nil means every leaf entry stores its row.
 	DeriveAux DeriveAuxFunc
-	// Split selects the overflow-splitting heuristic (default
-	// quadratic, as in the paper's index library).
-	Split SplitAlgorithm
 }
 
 // nodeHeaderBytes is the serialized node header size: flags byte,
@@ -247,19 +225,41 @@ func (c Config) normalize() (Config, error) {
 	if c.MaxEntries == 0 {
 		c.MaxEntries = CapacityForPage(c.AuxLen)
 	}
-	if c.MaxEntries < 4 {
-		return c, fmt.Errorf("rtree: MaxEntries %d too small (need >= 4; is AuxLen too large for a page?)", c.MaxEntries)
+	if c.LeafMaxEntries == 0 {
+		c.LeafMaxEntries, c.LeafMinEntries = c.MaxEntries, c.MinEntries
 	}
-	if c.MinEntries == 0 {
-		c.MinEntries = c.MaxEntries * 2 / 5
+	var err error
+	if c.MaxEntries, c.MinEntries, err = bounds("", c.MaxEntries, c.MinEntries); err != nil {
+		return c, err
 	}
-	if c.MinEntries < 2 {
-		c.MinEntries = 2
+	c.LeafMaxEntries, c.LeafMinEntries, err = bounds("Leaf", c.LeafMaxEntries, c.LeafMinEntries)
+	return c, err
+}
+
+// bounds fills and validates one capacity and its underflow threshold.
+func bounds(kind string, maxEntries, minEntries int) (int, int, error) {
+	if maxEntries < 4 {
+		return 0, 0, fmt.Errorf("rtree: %sMaxEntries %d too small (need >= 4; is AuxLen too large for a page?)", kind, maxEntries)
 	}
-	if c.MinEntries > c.MaxEntries/2 {
-		return c, fmt.Errorf("rtree: MinEntries %d exceeds MaxEntries/2 = %d", c.MinEntries, c.MaxEntries/2)
+	if minEntries == 0 {
+		minEntries = maxEntries * 2 / 5
 	}
-	return c, nil
+	if minEntries < 2 {
+		minEntries = 2
+	}
+	if minEntries > maxEntries/2 {
+		return 0, 0, fmt.Errorf("rtree: %sMinEntries %d exceeds %sMaxEntries/2 = %d", kind, minEntries, kind, maxEntries/2)
+	}
+	return maxEntries, minEntries, nil
+}
+
+// capacity returns the capacity and underflow threshold of a leaf
+// (leaf set) or an interior node.
+func (c *Config) capacity(leaf bool) (maxEntries, minEntries int) {
+	if leaf {
+		return c.LeafMaxEntries, c.LeafMinEntries
+	}
+	return c.MaxEntries, c.MinEntries
 }
 
 // Tree is a dynamic R-tree. A given Tree value is not safe for

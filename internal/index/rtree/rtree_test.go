@@ -714,102 +714,6 @@ func TestTreeStats(t *testing.T) {
 	}
 }
 
-func TestLinearSplitCorrectness(t *testing.T) {
-	// The linear split must preserve exactly the same search semantics
-	// as the quadratic one — only tree shape/quality differs.
-	rng := rand.New(rand.NewSource(65))
-	items := randItems(rng, 1500, 800)
-	linCfg := Config{MaxEntries: 6, MinEntries: 2, Split: SplitLinear}
-	tr, err := BulkLoad(NewMemNodeStore(), linCfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, it := range items {
-		if err := tr.Insert(it.Rect, it.Ref, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tr.CheckInvariants(true); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 60; i++ {
-		q := geom.RectCentered(
-			geom.Pt(rng.Float64()*800, rng.Float64()*800),
-			rng.Float64()*70, rng.Float64()*70)
-		got, _, err := searchRefs(tr, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := bruteForce(items, q); !refsEqual(sortedRefs(got), want) {
-			t.Fatalf("linear-split query %v mismatch", q)
-		}
-	}
-	// Deletes keep working.
-	for _, i := range rng.Perm(1500)[:600] {
-		ok, err := tr.Delete(items[i].Rect, items[i].Ref)
-		if err != nil || !ok {
-			t.Fatalf("linear-split delete: %t %v", ok, err)
-		}
-	}
-	if err := tr.CheckInvariants(true); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSplitAlgorithmQualityAblation(t *testing.T) {
-	// Quadratic grouping should not be worse than linear on query I/O
-	// for clustered data (the reason it is the default).
-	rng := rand.New(rand.NewSource(66))
-	var items []Item
-	for c := 0; c < 12; c++ {
-		cx, cy := rng.Float64()*1000, rng.Float64()*1000
-		for i := 0; i < 150; i++ {
-			p := geom.Pt(cx+rng.NormFloat64()*15, cy+rng.NormFloat64()*15)
-			items = append(items, Item{Rect: geom.RectCentered(p, 1, 1), Ref: Ref(len(items))})
-		}
-	}
-	build := func(alg SplitAlgorithm) *Tree {
-		tr, err := BulkLoad(NewMemNodeStore(), Config{MaxEntries: 10, MinEntries: 3, Split: alg}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, it := range items {
-			if err := tr.Insert(it.Rect, it.Ref, nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return tr
-	}
-	quad := build(SplitQuadratic)
-	lin := build(SplitLinear)
-	var quadIO, linIO int64
-	for i := 0; i < 80; i++ {
-		q := geom.RectCentered(
-			geom.Pt(rng.Float64()*1000, rng.Float64()*1000), 40, 40)
-		want, qa, err := searchRefs(quad, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		quadIO += qa
-		got, la, err := searchRefs(lin, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		linIO += la
-		// Same answers regardless of split strategy.
-		if !refsEqual(sortedRefs(got), sortedRefs(want)) {
-			t.Fatalf("split strategies disagree on %v", q)
-		}
-	}
-	// Allow some slack: quadratic should be no more than 15% worse.
-	if float64(quadIO) > 1.15*float64(linIO) {
-		t.Fatalf("quadratic I/O %d far above linear %d", quadIO, linIO)
-	}
-	if SplitQuadratic.String() != "quadratic" || SplitLinear.String() != "linear" {
-		t.Fatal("split algorithm names")
-	}
-}
-
 func TestNodeAccessesMatchPoolLogicalReads(t *testing.T) {
 	// Cross-validate the two independent I/O meters: for a paged tree,
 	// one tree-level node access is exactly one buffer-pool logical

@@ -277,20 +277,32 @@ func decodeNode(id NodeID, data []byte, auxLen int) (*Node, error) {
 	return n, nil
 }
 
-// EncodeNodePage and DecodeNodePage expose the node page codec — the
-// single on-disk node format, shared by the paged node store and the
-// checkpoint writer (a checkpointed node page is byte-wise identical
-// to a live index page with the same contents). page must be
-// storage.PageSize bytes. cfg is the configuration of the tree n
-// belongs to: its AuxLen, and the DeriveAux that computes the rows its
-// leaf entries do not store.
-func EncodeNodePage(n *Node, page []byte, cfg Config) error {
-	return encodeNode(n, page, cfg.AuxLen, cfg.DeriveAux)
+// DecodeNodePage decodes a node page in the paged node store's layout,
+// every entry with its row, assigning it the given id: the node pages
+// of a format-1 checkpoint. page must be storage.PageSize bytes.
+func DecodeNodePage(id NodeID, page []byte, auxLen int) (*Node, error) {
+	return decodeNode(id, page, auxLen)
 }
 
-// DecodeNodePage decodes a node page written by EncodeNodePage,
-// assigning it the given id.
-func DecodeNodePage(id NodeID, page []byte, auxLen int) (*Node, error) {
+// EncodeCellPage writes n in the paged node store's layout, except
+// that a leaf holds its entries as (rectangle, ref) cells alone — 40 bytes each,
+// CapacityForPage(0) to a page, the layout of a tree without a payload —
+// and stores no row, derived or not: the reader rebuilds the rows it
+// needs from elsewhere. An interior node keeps every row.
+func EncodeCellPage(n *Node, page []byte, cfg Config) error {
+	if n.Leaf {
+		return encodeNode(n, page, 0, nil)
+	}
+	return encodeNode(n, page, cfg.AuxLen, nil)
+}
+
+// DecodeCellPage decodes a page written by EncodeCellPage, assigning
+// it the given id: a leaf comes back with its entries and a nil Aux,
+// an interior node with auxLen values per row.
+func DecodeCellPage(id NodeID, page []byte, auxLen int) (*Node, error) {
+	if page[0]&1 != 0 {
+		auxLen = 0
+	}
 	return decodeNode(id, page, auxLen)
 }
 

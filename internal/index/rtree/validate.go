@@ -1,9 +1,6 @@
 package rtree
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // CheckInvariants verifies the structural invariants of the tree and
 // returns a descriptive error on the first violation. It is intended
@@ -21,8 +18,9 @@ import (
 //   - all leaves sit at the same depth, the tree's height below the
 //     root (so a corrupt child pointer that loops is an error, not an
 //     endless walk);
-//   - all nodes respect MaxEntries, and — when requireMinFill is true —
-//     non-root nodes respect MinEntries (dynamically built trees
+//   - all nodes respect their kind's capacity (MaxEntries or
+//     LeafMaxEntries), and — when requireMinFill is true — non-root
+//     nodes its underflow threshold (dynamically built trees
 //     guarantee it; STR bulk loading may leave one under-filled tail
 //     node per level, so pass false for bulk-loaded trees);
 //   - the entry count matches Len().
@@ -37,11 +35,12 @@ func (t *Tree) CheckInvariants(requireMinFill bool) error {
 		if err != nil {
 			return err
 		}
-		if len(n.Entries) > t.cfg.MaxEntries {
-			return fmt.Errorf("node %d: %d entries exceeds max %d", id, len(n.Entries), t.cfg.MaxEntries)
+		maxEntries, minEntries := t.cfg.capacity(n.Leaf)
+		if len(n.Entries) > maxEntries {
+			return fmt.Errorf("node %d: %d entries exceeds max %d", id, len(n.Entries), maxEntries)
 		}
-		if requireMinFill && id != t.root && len(n.Entries) < t.cfg.MinEntries {
-			return fmt.Errorf("node %d: %d entries below min %d", id, len(n.Entries), t.cfg.MinEntries)
+		if requireMinFill && id != t.root && len(n.Entries) < minEntries {
+			return fmt.Errorf("node %d: %d entries below min %d", id, len(n.Entries), minEntries)
 		}
 		if auxLen > 0 && (n.Aux != nil || !n.Leaf) && len(n.Aux) != len(n.Entries) {
 			return fmt.Errorf("node %d: %d payload rows for %d entries", id, len(n.Aux), len(n.Entries))
@@ -97,41 +96,4 @@ func (t *Tree) CheckInvariants(requireMinFill bool) error {
 		return fmt.Errorf("entry count %d != Len() %d", count, t.size)
 	}
 	return nil
-}
-
-// CompactLeaves drops every stored leaf row that equals, bit for bit,
-// the row Config.DeriveAux computes from its entry's rectangle — the
-// form in which inserts leave such entries. A tree restored from node
-// pages, which hold every row, calls it once before it is published.
-// A paged store is left as it is: its pages hold every row anyway, and
-// a node decoded from one has them all back.
-func (t *Tree) CompactLeaves() error {
-	if t.cfg.DeriveAux == nil {
-		return nil
-	}
-	if _, paged := t.store.(*PagedNodeStore); paged {
-		return nil
-	}
-	buf := make([]float64, t.cfg.AuxLen)
-	return t.Walk(func(n *Node, _ int) error {
-		if !n.Leaf || n.Aux == nil {
-			return nil
-		}
-		var kept [][]float64
-		for i, row := range n.Aux {
-			if row == nil {
-				continue
-			}
-			t.cfg.DeriveAux(n.Entries[i].Rect, buf)
-			if slices.EqualFunc(row, buf, sameBits) {
-				continue
-			}
-			if kept == nil {
-				kept = make([][]float64, len(n.Entries))
-			}
-			kept[i] = slices.Clone(row)
-		}
-		n.Aux = kept
-		return t.store.Update(n)
-	})
 }

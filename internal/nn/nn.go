@@ -143,6 +143,19 @@ type RefineConfig struct {
 	// caller (the engine passes its context check here, so deadlines
 	// and disconnects cannot be outwaited by a long stream).
 	Cancel func() error
+	// Out, when non-nil, holds the memory Refine writes the
+	// probabilities it returns and RefineStats.Decided into, grown when
+	// it is short: a caller that keeps one between calls allocates
+	// neither. What Refine returns then aliases Out until the next
+	// call that uses it.
+	Out *RefineOutput
+}
+
+// RefineOutput is caller-owned memory for Refine's per-candidate
+// results (see RefineConfig.Out).
+type RefineOutput struct {
+	Probs   []float64
+	Decided []bool
 }
 
 func (c RefineConfig) withDefaults() RefineConfig {
@@ -205,8 +218,15 @@ type RefineStats struct {
 func Refine(cands []uncertain.PointObject, issuer pdf.PDF, parent int64, cfg RefineConfig) ([]float64, RefineStats, error) {
 	cfg = cfg.withDefaults()
 	n := len(cands)
-	probs := make([]float64, n)
-	stats := RefineStats{Decided: make([]bool, n)}
+	out := cfg.Out
+	if out == nil {
+		out = new(RefineOutput)
+	}
+	out.Probs, out.Decided = resize(out.Probs, n), resize(out.Decided, n)
+	clear(out.Probs)
+	clear(out.Decided)
+	probs := out.Probs
+	stats := RefineStats{Decided: out.Decided}
 	if n == 0 {
 		return probs, stats, nil
 	}
@@ -316,7 +336,8 @@ func needWins(qp float64, samples int) int64 {
 // Candidate coordinates live in parallel slices so the per-sample
 // search walks flat float64 arrays. Kernels are pooled: a Refine call
 // allocates only the probabilities and the Decided flags it returns,
-// and its generator is re-seeded per block, never rebuilt.
+// and those only without a RefineConfig.Out, and its generator is
+// re-seeded per block, never rebuilt.
 type kernel struct {
 	issuer  pdf.PDF
 	parent  int64

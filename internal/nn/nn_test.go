@@ -754,11 +754,11 @@ func TestRefineAllocationBudget(t *testing.T) {
 	}
 	const (
 		rounds      = 16
-		bytesBudget = 12_500 // measured 11 540 for 1 300 candidates (113 000 with a kernel, a grid and a generator per block built per call)
-		allocBudget = 2      // measured 2.0 (31)
+		bytesBudget = 64 // measured 0 for 1 300 candidates into a kept RefineOutput (11 540 when the probabilities and Decided flags were allocated per call; 113 000 with a kernel, a grid and a generator per block built per call)
+		allocBudget = 0  // measured 0 (2; 31)
 	)
 	cands, issuer := denseFixture(t)
-	cfg := RefineConfig{Samples: 1000, Threshold: 0.1, Adaptive: true}
+	cfg := RefineConfig{Samples: 1000, Threshold: 0.1, Adaptive: true, Out: new(RefineOutput)}
 	run := func(i int) {
 		if _, _, err := Refine(cands, issuer, int64(i), cfg); err != nil {
 			t.Fatal(err)

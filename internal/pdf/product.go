@@ -45,6 +45,19 @@ func NewUniform(region geom.Rect) (*Product, error) {
 	return NewProduct(x, y), nil
 }
 
+// CheckUniform returns the error NewUniform returns for region, without
+// building the pdf: nil when region is a valid rectangle of finite
+// extent.
+func CheckUniform(region geom.Rect) error {
+	if err := region.Validate(); err != nil {
+		return err
+	}
+	if err := finiteExtent(region.Lo.X, region.Hi.X); err != nil {
+		return err
+	}
+	return finiteExtent(region.Lo.Y, region.Hi.Y)
+}
+
 // MustUniform is NewUniform that panics on error, for statically valid
 // regions in tests and examples.
 func MustUniform(region geom.Rect) *Product {

@@ -12,10 +12,9 @@
 //
 // Store is the package's one paged-store contract. The buffer pool
 // (under the R-tree/PTI node stores) and the checkpoint writer and
-// loader go through it, and node pages everywhere use the single codec
-// pair rtree.EncodeNodePage/DecodeNodePage, so a page written by the
-// live index and a page written by a checkpoint are byte-wise the same
-// format.
+// loader go through it. Node pages share one layout: a checkpoint's
+// interior pages are byte-wise the live index's, and its leaf pages
+// are that layout without payload rows (rtree.EncodeCellPage).
 package storage
 
 import (

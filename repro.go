@@ -4,7 +4,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/geom"
-	"repro/internal/index/rtree"
 	"repro/internal/monitor"
 	"repro/internal/pdf"
 	"repro/internal/uncertain"
@@ -188,19 +187,6 @@ func RequestPoints(issuer *Object, w, h, threshold float64) Request {
 func RequestNN(issuer *Object, k int) Request {
 	return core.RequestNN(issuer, k)
 }
-
-// IndexConfig configures an R-tree (capacity, minimum fill, split
-// heuristic); the zero value selects 4 KiB-page defaults with
-// quadratic splits.
-type IndexConfig = rtree.Config
-
-// R-tree split heuristics for IndexConfig.Split.
-const (
-	// SplitQuadratic is Guttman's quadratic split (default).
-	SplitQuadratic = rtree.SplitQuadratic
-	// SplitLinear is Guttman's cheaper linear split.
-	SplitLinear = rtree.SplitLinear
-)
 
 // NewEngine bulk-loads indexes over the given datasets. The engine is
 // ephemeral: nothing survives the process. Use Open for a durable

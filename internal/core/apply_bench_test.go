@@ -166,8 +166,8 @@ func TestApplyUpdatesAllocationBudget(t *testing.T) {
 	}
 	const (
 		batches     = 200
-		bytesBudget = 145_000 // measured 141 149 with 44-entry PTI leaves (134 583 at 11: a copy-on-write leaf copy is larger; 273 034 before the incremental envelopes and the allocation diet)
-		allocBudget = 290     // measured 272.6 (345.5 at 11; 605)
+		bytesBudget = 142_500 // measured 135 751 with 64-entry PTI leaves and 40-byte entries (134 583 with 11-entry leaves and 48-byte entries; 273 034 before the incremental envelopes and the allocation diet)
+		allocBudget = 270     // measured 256.4 (345.5; 605)
 	)
 	eng, w := newApplyEngine(t)
 	work := make([][]Update, batches)
@@ -209,8 +209,8 @@ func TestEngineHeapBudget(t *testing.T) {
 		t.Skip("the race detector's shadow memory is not the engine's")
 	}
 	const (
-		freshBudget    = 250 // bytes per uncertain object; measured 234 with 44-entry PTI leaves (283 at 11; 1 156 when every object kept its pdf, catalog and PTI row)
-		restoredBudget = 220 // measured 206 (264 at 11; 1 174)
+		freshBudget    = 225 // bytes per uncertain object; measured 210 with 64-entry PTI leaves and 40-byte entries (283 with 11-entry leaves and 48-byte entries; 1 156 when every object kept its pdf, catalog and PTI row)
+		restoredBudget = 195 // measured 182 (264; 1 174)
 	)
 	liveHeap := func() float64 {
 		runtime.GC()
@@ -266,8 +266,8 @@ func TestCheckpointAllocationBudget(t *testing.T) {
 		t.Skip("the race detector's shadow memory is not the engine's")
 	}
 	const (
-		bytesBudget = 135_000 // measured 123 120 for 27 937 objects in 1 952 pages of format 2 (1 561 000 in 8 008 pages of format 1; 27.5 MB when each leaf record's object was rebuilt to encode it)
-		allocBudget = 170     // measured 151 (3 938–3 996; 171 624)
+		bytesBudget = 100_000 // measured 92 048–92 080 for 27 937 objects in 1 631 pages of format 2 (1 561 000 in 8 008 pages of format 1; 27.5 MB when each leaf record's object was rebuilt to encode it)
+		allocBudget = 160     // measured 143 (3 938–3 996; 171 624)
 	)
 	dir := t.TempDir()
 	eng, err := Open(dir, durTestOptions())

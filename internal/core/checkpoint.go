@@ -259,12 +259,12 @@ func writeTreeSection(ctx context.Context, a *pageAppender, t *rtree.Tree) (tree
 		cp.Aux = n.Aux
 		if !n.Leaf {
 			for j := range cp.Entries {
-				nid, ok := remap[cp.Entries[j].Child]
+				nid, ok := remap[cp.Entries[j].Child()]
 				if !ok {
 					return meta, fmt.Errorf("core: checkpoint: node %d references unvisited child %d",
-						n.ID, cp.Entries[j].Child)
+						n.ID, cp.Entries[j].Child())
 				}
-				cp.Entries[j].Child = rtree.NodeID(nid)
+				cp.Entries[j].SetChild(rtree.NodeID(nid))
 			}
 		}
 		if err := rtree.EncodeCellPage(cp, a.page, cfg); err != nil {

@@ -96,8 +96,8 @@ func TestOpenAllocationBudget(t *testing.T) {
 		t.Skip("the race detector's shadow memory is not the engine's")
 	}
 	const (
-		bytesBudget = 44_000_000 // measured 41 040 000, 30.6 MB of it the WAL's active segment, which replay reads whole (81 330 000 from format 1)
-		allocBudget = 22_500     // measured 20 722–20 746 (181 868)
+		bytesBudget = 42_500_000 // measured 40 232 608–40 240 576, 30.6 MB of it the WAL's active segment, which replay reads whole (81 329 968 from format 1)
+		allocBudget = 20_500     // measured 19 372–19 373 (181 868)
 	)
 	dir, size := shardCheckpointDir(t)
 	var before, after runtime.MemStats

@@ -54,7 +54,7 @@ func goldenCheckpointState(t testing.TB, dir string) *Engine {
 }
 
 // goldenCheckpointSHA256 is the sha256 of the format-2 checkpoint file
-// of goldenCheckpointState (44-entry PTI leaves as (rectangle, id)
+// of goldenCheckpointState (64-entry PTI leaves as (rectangle, id)
 // cells, leaf records as id and rectangle in the objects section). The
 // format-1 hash, recorded at commit 1b1e4ae from a writer that streamed
 // through a 256-frame buffer pool, was
@@ -62,7 +62,7 @@ func goldenCheckpointState(t testing.TB, dir string) *Engine {
 // the 40 batches over 5 000 ids the state then held. A format change
 // bumps ckptFormat and this constant together; nothing else may move
 // it.
-const goldenCheckpointSHA256 = "0486b2f23c6969601f30aeb350ff08d36c31473002c9f12219fb52979d55ad28"
+const goldenCheckpointSHA256 = "25a00d287592aad8096ba83980a1ea7e69943e6a48151d9f33574c7947eb1861"
 
 // TestCheckpointFileGolden pins the checkpoint file byte for byte.
 func TestCheckpointFileGolden(t *testing.T) {
@@ -120,7 +120,7 @@ func FuzzCheckpointManifest(f *testing.F) {
 	f.Add(real, uint32(info.Pages))
 	f.Add(real, uint32(info.Pages-1)) // one page short: the last section overhangs
 	// A section claiming 2^20 pages: a buffer sized from the field alone
-	// would be a 4 GiB make() for a 426-page file.
+	// would be a 4 GiB make() for a 357-page file.
 	m, err := decodeManifest(real)
 	if err != nil {
 		f.Fatal(err)

@@ -72,14 +72,15 @@ func mergeAux(dst, src []float64) {
 // so a leaf that splits at the page capacity of a 40-float row (11
 // entries) spreads a range query over 2.7× the nodes it needs. The
 // value was chosen among 44, 64 and 100 on the shard-sized engine: a
-// range_ro query reads 53.9, 43.6 and 33.4 nodes (146.5 at 11), live
-// heap is the same for all three, and query and update times do not
-// separate them on a noisy 2-CPU box — but every write batch copies
-// whole leaves, so its bytes grow with the leaf (141, 152 and 171 KB
-// per 16-move batch, 135 KB at 11). It is at most
+// range_ro query reads 53.9, 43.6 and 33.4 nodes (146.5 at 11); live
+// heap after a restore is 188, 182 and 177 bytes per object; query and
+// update times do not separate them on a noisy 2-CPU box; but every
+// write batch copies whole leaves, so its bytes grow with the leaf
+// (126, 136 and 150 KB per 16-move batch). 64 reads a fifth fewer nodes
+// than 44 for 8 % more write bytes. It is at most
 // rtree.CapacityForPage(0), so a leaf fits one checkpoint page as
 // (rectangle, id) cells.
-const MemLeafEntries = 44
+const MemLeafEntries = 64
 
 // config builds the rtree configuration for the catalog values probs
 // (validated) over store: leaves sized for memory unless store is

@@ -298,7 +298,7 @@ func (t *twinTree) pages(tb testing.TB, auxLen int) [][]byte {
 		for _, e := range n.entries {
 			re := rtree.Entry{Rect: e.rect, Ref: e.ref}
 			if !n.leaf {
-				re.Child = index[e.child]
+				re.SetChild(index[e.child])
 			}
 			cp.Entries = append(cp.Entries, re)
 			cp.Aux = append(cp.Aux, e.aux)
@@ -341,8 +341,8 @@ func treePages(tb testing.TB, tr *rtree.Tree, auxLen int) [][]byte {
 		cp.Entries = append(cp.Entries, n.Entries...)
 		if !n.Leaf {
 			for j, e := range n.Entries {
-				checkOracle(tb, n, j, byID[e.Child])
-				cp.Entries[j].Child = index[e.Child]
+				checkOracle(tb, n, j, byID[e.Child()])
+				cp.Entries[j].SetChild(index[e.Child()])
 			}
 		}
 		out[i] = encodePage(tb, cp, tr.Config())

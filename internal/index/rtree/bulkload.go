@@ -155,7 +155,7 @@ func (t *Tree) packLevel(entries []packed, leaf bool) ([]packed, error) {
 				return nil, err
 			}
 			r, aux := t.entryEnvelope(node)
-			parents = append(parents, packed{e: Entry{Rect: r, Child: node.ID}, aux: aux})
+			parents = append(parents, packed{e: childEntry(r, node.ID), aux: aux})
 		}
 	}
 	if len(parents) == 0 {

@@ -67,7 +67,7 @@ func (t *Tree) findLeaf(id NodeID, entryIdx int, r geom.Rect, ref Ref, path []pa
 		if !e.Rect.ContainsRect(r) {
 			continue
 		}
-		found, err := t.findLeaf(e.Child, i, r, ref, path[1:])
+		found, err := t.findLeaf(e.Child(), i, r, ref, path[1:])
 		if err != nil || found {
 			return found, err
 		}
@@ -185,7 +185,7 @@ func (t *Tree) condenseTree(path []pathStep, d *departure) error {
 				return err
 			}
 		} else {
-			parent.Entries[idx].Child = n.ID
+			parent.Entries[idx].SetChild(n.ID)
 			if d.moved {
 				t.refreshEnvelope(parent, idx, n, d)
 			}
@@ -223,7 +223,7 @@ func (t *Tree) condenseTree(path []pathStep, d *departure) error {
 		if root.Leaf || len(root.Entries) != 1 {
 			return nil
 		}
-		child := root.Entries[0].Child
+		child := root.Entries[0].Child()
 		if err := t.freeNode(root.ID); err != nil {
 			return err
 		}

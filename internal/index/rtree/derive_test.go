@@ -46,7 +46,7 @@ func walkEncoded(tb testing.TB, t *Tree, encode func(*Node, []byte, Config) erro
 		cp := &Node{ID: NodeID(i), Leaf: n.Leaf, Aux: n.Aux, Entries: append([]Entry(nil), n.Entries...)}
 		for j := range cp.Entries {
 			if !n.Leaf {
-				cp.Entries[j].Child = index[n.Entries[j].Child]
+				cp.Entries[j].SetChild(index[n.Entries[j].Child()])
 			}
 		}
 		pages[i] = make([]byte, storage.PageSize)

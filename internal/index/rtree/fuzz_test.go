@@ -102,7 +102,7 @@ func FuzzNodeRoundTrip(f *testing.F) {
 			if leaf {
 				e.Ref = Ref(seed + int64(i))
 			} else {
-				e.Child = NodeID(uint32(seed) + uint32(i))
+				e.SetChild(NodeID(uint32(seed) + uint32(i)))
 			}
 			var row []float64
 			for j := 0; j < auxLen; j++ {
@@ -123,7 +123,7 @@ func FuzzNodeRoundTrip(f *testing.F) {
 		}
 		for i := range n.Entries {
 			a, b := n.Entries[i], got.Entries[i]
-			if !a.Rect.ApproxEqual(b.Rect) || a.Ref != b.Ref || a.Child != b.Child {
+			if !a.Rect.ApproxEqual(b.Rect) || a.Ref != b.Ref {
 				t.Fatalf("entry %d mismatch", i)
 			}
 			for j, v := range n.auxAt(i) {
@@ -343,7 +343,7 @@ func sameNodeBits(a, b *Node) bool {
 	}
 	for i, e := range a.Entries {
 		f := b.Entries[i]
-		if e.Ref != f.Ref || e.Child != f.Child || !sameBits(e.Rect.Lo.X, f.Rect.Lo.X) || !sameBits(e.Rect.Lo.Y, f.Rect.Lo.Y) ||
+		if e.Ref != f.Ref || !sameBits(e.Rect.Lo.X, f.Rect.Lo.X) || !sameBits(e.Rect.Lo.Y, f.Rect.Lo.Y) ||
 			!sameBits(e.Rect.Hi.X, f.Rect.Hi.X) || !sameBits(e.Rect.Hi.Y, f.Rect.Hi.Y) {
 			return false
 		}

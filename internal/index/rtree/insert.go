@@ -99,7 +99,7 @@ func (t *Tree) chooseNode(r geom.Rect, targetLevel int) ([]pathStep, error) {
 		if best == -1 {
 			return nil, fmt.Errorf("rtree: interior node %d has no entries", n.ID)
 		}
-		child, err := t.loadNode(n.Entries[best].Child)
+		child, err := t.loadNode(n.Entries[best].Child())
 		if err != nil {
 			return nil, err
 		}
@@ -131,7 +131,7 @@ func (t *Tree) adjustTree(path []pathStep, added geom.Rect, addedAux []float64, 
 		}
 		path[i-1].node = parent
 
-		parent.Entries[idx].Child = child.ID
+		parent.Entries[idx].SetChild(child.ID)
 		if splitNew == nil {
 			parent.Entries[idx].Rect = parent.Entries[idx].Rect.Union(added)
 			if addedAux != nil {
@@ -166,7 +166,7 @@ func (t *Tree) adjustTree(path []pathStep, added geom.Rect, addedAux []float64, 
 // scratch, to the interior node parent.
 func (t *Tree) appendChild(parent, child *Node) {
 	r, row := t.entryEnvelope(child)
-	parent.appendEntry(Entry{Rect: r, Child: child.ID}, row)
+	parent.appendEntry(childEntry(r, child.ID), row)
 }
 
 // growRoot installs a new root above old and sibling after a root

@@ -1,6 +1,10 @@
 package rtree
 
-import "sync"
+import (
+	"sync"
+
+	"repro/internal/geom"
+)
 
 // This file implements best-first (branch-and-bound) traversal, the
 // primitive behind nearest-neighbor search (Hjaltason & Samet 1999):
@@ -112,7 +116,7 @@ func (t *Tree) BestFirstCounted(prio Priority, cutoff float64, visit BestVisit) 
 	defer putFrontier(h)
 	// The root pseudo-entry has priority 0 so it is always expanded;
 	// real entries get caller priorities from then on.
-	*h = append((*h)[:0], bbEntry{prio: 0, e: Entry{Child: t.root}, leaf: false})
+	*h = append((*h)[:0], bbEntry{prio: 0, e: childEntry(geom.Rect{}, t.root), leaf: false})
 	for len(*h) > 0 {
 		top := h.pop()
 		if top.prio > cutoff {
@@ -127,7 +131,7 @@ func (t *Tree) BestFirstCounted(prio Priority, cutoff float64, visit BestVisit) 
 			continue
 		}
 		accesses++
-		n, err := t.loadNode(top.e.Child)
+		n, err := t.loadNode(top.e.Child())
 		if err != nil {
 			return accesses, err
 		}

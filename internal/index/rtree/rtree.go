@@ -65,16 +65,26 @@ type NodeID uint32
 // InvalidNode is the null node id.
 const InvalidNode = NodeID(0xFFFFFFFF)
 
-// Entry is one slot of a node: a rectangle plus either a child pointer
-// (interior nodes) or an object reference (leaves). It holds no pointer,
-// so a node's entry array is memory the garbage collector never scans
-// and a copy-on-write path copy of it is a flat memmove. The entry's
-// auxiliary payload lives beside it in its node (Node.Aux).
+// Entry is one slot of a node: a rectangle plus one word that is an
+// object reference in a leaf and the child's node id in an interior
+// node (Child, SetChild) — 40 bytes, the cell a node page stores. It
+// holds no pointer, so a node's entry array is memory the garbage
+// collector never scans and a copy-on-write path copy of it is a flat
+// memmove. The entry's auxiliary payload lives beside it in its node
+// (Node.Aux).
 type Entry struct {
-	Rect  geom.Rect
-	Ref   Ref    // leaf entries
-	Child NodeID // interior entries
+	Rect geom.Rect
+	Ref  Ref
 }
+
+// Child returns the node an interior entry points at.
+func (e Entry) Child() NodeID { return NodeID(e.Ref) }
+
+// SetChild points an interior entry at node id.
+func (e *Entry) SetChild(id NodeID) { e.Ref = Ref(id) }
+
+// childEntry returns the interior entry for child id with envelope r.
+func childEntry(r geom.Rect, id NodeID) Entry { return Entry{Rect: r, Ref: Ref(id)} }
 
 // Node is an R-tree node. Nodes are value-owned by callers of
 // NodeStore.Get; mutations must be persisted with NodeStore.Update.

@@ -600,7 +600,7 @@ func TestPagedNodeStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in.Entries = []Entry{{Rect: geom.Rect{Lo: geom.Pt(0, 0), Hi: geom.Pt(9, 9)}, Child: n.ID}}
+	in.Entries = []Entry{{Rect: geom.Rect{Lo: geom.Pt(0, 0), Hi: geom.Pt(9, 9)}, Ref: Ref(n.ID)}}
 	in.Aux = [][]float64{{1, 1, 1}}
 	if err := store.Update(in); err != nil {
 		t.Fatal(err)
@@ -609,8 +609,8 @@ func TestPagedNodeStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got2.Leaf || got2.Entries[0].Child != n.ID {
-		t.Fatalf("interior round trip: leaf=%t child=%d", got2.Leaf, got2.Entries[0].Child)
+	if got2.Leaf || got2.Entries[0].Child() != n.ID {
+		t.Fatalf("interior round trip: leaf=%t child=%d", got2.Leaf, got2.Entries[0].Child())
 	}
 }
 

@@ -67,7 +67,7 @@ func (t *Tree) searchNode(id NodeID, q geom.Rect, prune NodePruner, visit Visit,
 		if prune != nil && prune(e, n.auxAt(i)) {
 			continue
 		}
-		cont, err := t.searchNode(e.Child, q, prune, visit, accesses)
+		cont, err := t.searchNode(e.Child(), q, prune, visit, accesses)
 		if err != nil || !cont {
 			return cont, err
 		}
@@ -97,7 +97,7 @@ func (t *Tree) walkNode(id NodeID, level int, fn func(n *Node, level int) error)
 		return nil
 	}
 	for _, e := range n.Entries {
-		if err := t.walkNode(e.Child, level-1, fn); err != nil {
+		if err := t.walkNode(e.Child(), level-1, fn); err != nil {
 			return err
 		}
 	}

@@ -217,7 +217,7 @@ func encodeNode(n *Node, data []byte, auxLen int, derive DeriveAuxFunc) error {
 		if n.Leaf {
 			binary.LittleEndian.PutUint64(data[off+32:], uint64(e.Ref))
 		} else {
-			binary.LittleEndian.PutUint64(data[off+32:], uint64(e.Child))
+			binary.LittleEndian.PutUint64(data[off+32:], uint64(e.Child()))
 		}
 		off += 40
 		if auxLen > 0 {
@@ -265,7 +265,7 @@ func decodeNode(id NodeID, data []byte, auxLen int) (*Node, error) {
 		if n.Leaf {
 			e.Ref = Ref(raw)
 		} else {
-			e.Child = NodeID(raw)
+			e.SetChild(NodeID(raw))
 		}
 		off += 40
 		for j := range n.auxAt(i) {

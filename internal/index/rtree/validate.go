@@ -69,7 +69,7 @@ func (t *Tree) CheckInvariants(requireMinFill bool) error {
 			if auxLen > 0 && n.Aux[i] == nil {
 				return fmt.Errorf("node %d entry %d stores no payload row", id, i)
 			}
-			child, err := t.loadNode(e.Child)
+			child, err := t.loadNode(e.Child())
 			if err != nil {
 				return fmt.Errorf("node %d entry %d: %w", id, i, err)
 			}
@@ -83,7 +83,7 @@ func (t *Tree) CheckInvariants(requireMinFill bool) error {
 					return fmt.Errorf("node %d entry %d: aux[%d] = %g, merged %g", id, i, j, have, aux[j])
 				}
 			}
-			if err := walk(e.Child, depth+1); err != nil {
+			if err := walk(e.Child(), depth+1); err != nil {
 				return err
 			}
 		}

@@ -192,7 +192,14 @@ func (t *Tree) growRoot(old, sibling *Node) error {
 func (t *Tree) splitNode(n *Node) (*Node, error) {
 	entries := n.Entries
 	_, minEntries := t.cfg.capacity(n.Leaf)
-	seedA, seedB := pickSeeds(entries)
+	// One scratch block: each entry's area for PickSeeds, then its
+	// enlargement of either group's rectangle for PickNext. A group's
+	// column changes only when the group takes an entry, so the other
+	// column is kept rather than recomputed: the same values, half
+	// the work.
+	scratch := make([]float64, 2*len(entries))
+	seedA, seedB := pickSeeds(entries, scratch[:len(entries)])
+	dA, dB := scratch[:len(entries)], scratch[len(entries):]
 
 	// Groups (and the unassigned rest) are lists of positions in
 	// n.Entries, so an entry's payload can follow it into its new node.
@@ -205,6 +212,8 @@ func (t *Tree) splitNode(n *Node) (*Node, error) {
 	for i := range entries {
 		if i != seedA && i != seedB {
 			rest = append(rest, i)
+			dA[i] = rectA.Enlargement(entries[i].Rect)
+			dB[i] = rectB.Enlargement(entries[i].Rect)
 		}
 	}
 
@@ -227,19 +236,17 @@ func (t *Tree) splitNode(n *Node) (*Node, error) {
 		}
 		// PickNext: the entry with the strongest preference.
 		bestIdx, bestDiff := -1, -1.0
-		var bestDA, bestDB float64
 		for k, i := range rest {
-			dA := rectA.Enlargement(entries[i].Rect)
-			dB := rectB.Enlargement(entries[i].Rect)
-			diff := dA - dB
+			diff := dA[i] - dB[i]
 			if diff < 0 {
 				diff = -diff
 			}
 			if diff > bestDiff {
-				bestIdx, bestDiff, bestDA, bestDB = k, diff, dA, dB
+				bestIdx, bestDiff = k, diff
 			}
 		}
 		e := rest[bestIdx]
+		bestDA, bestDB := dA[e], dB[e]
 		rest[bestIdx] = rest[len(rest)-1]
 		rest = rest[:len(rest)-1]
 
@@ -256,9 +263,15 @@ func (t *Tree) splitNode(n *Node) (*Node, error) {
 		if toA {
 			groupA = append(groupA, e)
 			rectA = rectA.Union(entries[e].Rect)
+			for _, i := range rest {
+				dA[i] = rectA.Enlargement(entries[i].Rect)
+			}
 		} else {
 			groupB = append(groupB, e)
 			rectB = rectB.Union(entries[e].Rect)
+			for _, i := range rest {
+				dB[i] = rectB.Enlargement(entries[i].Rect)
+			}
 		}
 	}
 	return t.finishSplit(n, groupA, groupB)
@@ -302,13 +315,17 @@ func (t *Tree) gather(n *Node, positions []int) ([]Entry, [][]float64) {
 }
 
 // pickSeeds returns the pair of entries wasting the most area if
-// grouped together (Guttman's quadratic PickSeeds).
-func pickSeeds(entries []Entry) (int, int) {
+// grouped together (Guttman's quadratic PickSeeds); area is scratch of
+// one value per entry.
+func pickSeeds(entries []Entry, area []float64) (int, int) {
+	for i, e := range entries {
+		area[i] = e.Rect.Area()
+	}
 	bestA, bestB, bestWaste := 0, 1, -1.0
 	for i := 0; i < len(entries); i++ {
 		for j := i + 1; j < len(entries); j++ {
 			u := entries[i].Rect.Union(entries[j].Rect)
-			waste := u.Area() - entries[i].Rect.Area() - entries[j].Rect.Area()
+			waste := u.Area() - area[i] - area[j]
 			if waste > bestWaste {
 				bestA, bestB, bestWaste = i, j, waste
 			}

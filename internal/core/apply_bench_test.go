@@ -166,8 +166,8 @@ func TestApplyUpdatesAllocationBudget(t *testing.T) {
 	}
 	const (
 		batches     = 200
-		bytesBudget = 142_500 // measured 135 751 with 64-entry PTI leaves and 40-byte entries (134 583 with 11-entry leaves and 48-byte entries; 273 034 before the incremental envelopes and the allocation diet)
-		allocBudget = 270     // measured 256.4 (345.5; 605)
+		bytesBudget = 142_500 // measured 135 751–135 987 with 64-entry PTI leaves and 40-byte entries (134 583 with 11-entry leaves and 48-byte entries; 273 034 before the incremental envelopes and the allocation diet)
+		allocBudget = 270     // measured 256.4–256.6 (345.5; 605)
 	)
 	eng, w := newApplyEngine(t)
 	work := make([][]Update, batches)
@@ -266,8 +266,8 @@ func TestCheckpointAllocationBudget(t *testing.T) {
 		t.Skip("the race detector's shadow memory is not the engine's")
 	}
 	const (
-		bytesBudget = 100_000 // measured 92 048–92 080 for 27 937 objects in 1 631 pages of format 2 (1 561 000 in 8 008 pages of format 1; 27.5 MB when each leaf record's object was rebuilt to encode it)
-		allocBudget = 160     // measured 143 (3 938–3 996; 171 624)
+		bytesBudget = 105_000 // measured 92 048–97 328 for 27 937 objects in 1 631 pages of format 2, 95 464 as the test binary's first checkpoint (1 561 000 in 8 008 pages of format 1; 27.5 MB when each leaf record's object was rebuilt to encode it)
+		allocBudget = 230     // measured 143–148, 202 as the first checkpoint (3 938–3 996; 171 624)
 	)
 	dir := t.TempDir()
 	eng, err := Open(dir, durTestOptions())

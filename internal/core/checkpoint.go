@@ -42,12 +42,12 @@ import (
 //	                  uncertain.AppendObject
 //
 // Format 1, which this package still reads, differs in three places:
-// its node pages are the paged node store's (every leaf entry with
-// its rows, derived ones included; rtree.DecodeNodePage), its tree metas carry no leaf capacity
-// (a leaf held as many entries as an interior node), and its objects
-// section holds every object through uncertain.AppendObject, with no
-// kind byte. Restore drops a format-1 leaf record's rows as the leaf
-// arrives (rtree.Restore).
+// its node pages are the paged node store's (every leaf entry with its
+// rows, derived ones included; rtree.DecodeNodePage), its tree metas
+// carry no leaf capacity (a leaf held as many entries as an interior
+// node), and its objects section holds every object through
+// uncertain.AppendObject, with no kind byte. Restore drops a format-1
+// leaf record's rows as the leaf arrives (rtree.Restore).
 //
 // The dense id remap is what makes loading store-agnostic: a fresh
 // node store allocates ids sequentially from 0, so re-allocating
@@ -225,11 +225,11 @@ func writeTreeSection(ctx context.Context, a *pageAppender, t *rtree.Tree) (tree
 	cfg := t.Config()
 	meta.height = uint32(t.Height())
 	meta.size = uint64(t.Len())
-	meta.maxEntries = uint32(cfg.MaxEntries)
-	meta.minEntries = uint32(cfg.MinEntries)
+	maxEntries, minEntries := cfg.Capacity(false)
+	leafMax, leafMin := cfg.Capacity(true)
+	meta.maxEntries, meta.minEntries = uint32(maxEntries), uint32(minEntries)
+	meta.leafMaxEntries, meta.leafMinEntries = uint32(leafMax), uint32(leafMin)
 	meta.auxLen = uint32(cfg.AuxLen)
-	meta.leafMaxEntries = uint32(cfg.LeafMaxEntries)
-	meta.leafMinEntries = uint32(cfg.LeafMinEntries)
 
 	var order []*rtree.Node
 	remap := make(map[rtree.NodeID]uint32)
@@ -484,11 +484,7 @@ func loadCheckpoint(path string, opts EngineOptions) (*engineState, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: reading object table: %w", err)
 	}
-	decode := decodeObjectTable
-	if m.format == 1 {
-		decode = decodeObjectTableV1
-	}
-	objects, irregular, err := decode(objectsRaw, uncIdx)
+	objects, irregular, err := decodeObjectTable(objectsRaw, uncIdx, m.format)
 	if err != nil {
 		return nil, err
 	}
@@ -607,15 +603,16 @@ func sameRectBits(a, b geom.Rect) bool {
 // had their own capacity still opens.
 func (m *manifest) checkTreeConfig(what string, t *rtree.Tree, tm treeMeta) error {
 	cfg := t.Config()
-	leafMax, leafMin := uint32(cfg.LeafMaxEntries), uint32(cfg.LeafMinEntries)
+	maxEntries, minEntries := cfg.Capacity(false)
+	leafMax, leafMin := cfg.Capacity(true)
 	if m.format == 1 {
-		leafMax, leafMin = tm.leafMaxEntries, tm.leafMinEntries
+		leafMax, leafMin = int(tm.leafMaxEntries), int(tm.leafMinEntries)
 	}
-	if uint32(cfg.MaxEntries) != tm.maxEntries || uint32(cfg.MinEntries) != tm.minEntries ||
-		uint32(cfg.AuxLen) != tm.auxLen || leafMax != tm.leafMaxEntries || leafMin != tm.leafMinEntries {
+	if uint32(maxEntries) != tm.maxEntries || uint32(minEntries) != tm.minEntries || uint32(cfg.AuxLen) != tm.auxLen ||
+		uint32(leafMax) != tm.leafMaxEntries || uint32(leafMin) != tm.leafMinEntries {
 		return fmt.Errorf("core: %s config mismatch: checkpoint M=%d m=%d leaf M=%d m=%d aux=%d, engine M=%d m=%d leaf M=%d m=%d aux=%d",
 			what, tm.maxEntries, tm.minEntries, tm.leafMaxEntries, tm.leafMinEntries, tm.auxLen,
-			cfg.MaxEntries, cfg.MinEntries, cfg.LeafMaxEntries, cfg.LeafMinEntries, cfg.AuxLen)
+			maxEntries, minEntries, leafMax, leafMin, cfg.AuxLen)
 	}
 	return nil
 }
@@ -687,11 +684,11 @@ func appendLeafRecord(b []byte, id uncertain.ID, r geom.Rect) []byte {
 	return b
 }
 
-// decodeObjectTable decodes a format-2 objects section into the object
-// table and the irregular table (see engineState.objects). A leaf
-// record's rectangle must be one a uniform pdf accepts, and an object
-// stored in full must not be a leaf record of ix.
-func decodeObjectTable(b []byte, ix *pti.Index) (*cowTable[geom.Rect], *cowTable[*uncertain.Object], error) {
+// decodeObjectTable decodes the objects section of a checkpoint of the
+// given format into the object table and the irregular table (see
+// engineState.objects): a leaf record of ix is kept as its rectangle
+// alone.
+func decodeObjectTable(b []byte, ix *pti.Index, format uint32) (*cowTable[geom.Rect], *cowTable[*uncertain.Object], error) {
 	if len(b) < 8 {
 		return nil, nil, fmt.Errorf("core: truncated object table")
 	}
@@ -703,39 +700,19 @@ func decodeObjectTable(b []byte, ix *pti.Index) (*cowTable[geom.Rect], *cowTable
 	tab := newCowTable[geom.Rect](int(n))
 	irregular := newCowTable[*uncertain.Object](0)
 	for i := uint64(0); i < n; i++ {
-		if len(b) == 0 {
-			return nil, nil, fmt.Errorf("core: object table truncated at record %d of %d", i, n)
+		var (
+			id  uncertain.ID
+			r   geom.Rect
+			o   *uncertain.Object
+			err error
+		)
+		if format == 1 {
+			b, id, r, o, err = decodeObjectRecordV1(b, ix)
+		} else {
+			b, id, r, o, err = decodeObjectRecord(b, ix)
 		}
-		kind := b[0]
-		b = b[1:]
-		var id uncertain.ID
-		var r geom.Rect
-		var o *uncertain.Object
-		switch kind {
-		case recordLeaf:
-			if len(b) < 40 {
-				return nil, nil, fmt.Errorf("core: object table truncated in leaf record %d", i)
-			}
-			id = uncertain.ID(binary.LittleEndian.Uint64(b))
-			r = geom.Rect{
-				Lo: geom.Pt(math.Float64frombits(binary.LittleEndian.Uint64(b[8:])), math.Float64frombits(binary.LittleEndian.Uint64(b[16:]))),
-				Hi: geom.Pt(math.Float64frombits(binary.LittleEndian.Uint64(b[24:])), math.Float64frombits(binary.LittleEndian.Uint64(b[32:]))),
-			}
-			b = b[40:]
-			if err := pdf.CheckUniform(r); err != nil {
-				return nil, nil, fmt.Errorf("core: leaf record %d: %w", id, err)
-			}
-		case recordObject:
-			var err error
-			if o, b, err = uncertain.DecodeObject(b); err != nil {
-				return nil, nil, err
-			}
-			if ix.IsLeafRecord(o) {
-				return nil, nil, fmt.Errorf("%w: leaf record %d stored in full", errInconsistentCheckpoint, o.ID)
-			}
-			id, r = o.ID, o.Region()
-		default:
-			return nil, nil, fmt.Errorf("core: object table record %d of kind %d", i, kind)
+		if err != nil {
+			return nil, nil, fmt.Errorf("core: object table record %d of %d: %w", i, n, err)
 		}
 		if _, dup := tab.Get(id); dup {
 			return nil, nil, fmt.Errorf("%w: object %d listed twice", errInconsistentCheckpoint, id)
@@ -750,37 +727,51 @@ func decodeObjectTable(b []byte, ix *pti.Index) (*cowTable[geom.Rect], *cowTable
 	return tab, irregular, nil
 }
 
-// decodeObjectTableV1 is decodeObjectTable for a format-1 objects
-// section, which encodes every object in full: a leaf record of ix is
-// kept as its rectangle alone.
-func decodeObjectTableV1(b []byte, ix *pti.Index) (*cowTable[geom.Rect], *cowTable[*uncertain.Object], error) {
-	if len(b) < 8 {
-		return nil, nil, fmt.Errorf("core: truncated object table")
+// decodeObjectRecord decodes one format-2 objects-section record from
+// the front of b: a leaf record's id and rectangle, which must be one a
+// uniform pdf accepts, or an irregular object, which must not be a leaf
+// record of ix (o is nil for a leaf record).
+func decodeObjectRecord(b []byte, ix *pti.Index) (rest []byte, id uncertain.ID, r geom.Rect, o *uncertain.Object, err error) {
+	if len(b) == 0 {
+		return nil, 0, r, nil, errors.New("truncated")
 	}
-	n := binary.LittleEndian.Uint64(b)
-	b = b[8:]
-	if n > maxBatchUpdates {
-		return nil, nil, fmt.Errorf("core: object table claims %d entries", n)
+	switch kind := b[0]; kind {
+	case recordLeaf:
+		if len(b) < 41 {
+			return nil, 0, r, nil, errors.New("truncated leaf record")
+		}
+		f := func(at int) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b[at:])) }
+		id = uncertain.ID(binary.LittleEndian.Uint64(b[1:]))
+		r = geom.Rect{Lo: geom.Pt(f(9), f(17)), Hi: geom.Pt(f(25), f(33))}
+		if err := pdf.CheckUniform(r); err != nil {
+			return nil, 0, r, nil, fmt.Errorf("leaf record %d: %w", id, err)
+		}
+		return b[41:], id, r, nil, nil
+	case recordObject:
+		if o, b, err = uncertain.DecodeObject(b[1:]); err != nil {
+			return nil, 0, r, nil, err
+		}
+		if ix.IsLeafRecord(o) {
+			return nil, 0, r, nil, fmt.Errorf("%w: leaf record %d stored in full", errInconsistentCheckpoint, o.ID)
+		}
+		return b, o.ID, o.Region(), o, nil
+	default:
+		return nil, 0, r, nil, fmt.Errorf("record of kind %d", kind)
 	}
-	tab := newCowTable[geom.Rect](int(n))
-	irregular := newCowTable[*uncertain.Object](0)
-	for i := uint64(0); i < n; i++ {
-		o, rest, err := uncertain.DecodeObject(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		b = rest
-		if _, dup := tab.Get(o.ID); dup {
-			return nil, nil, fmt.Errorf("%w: object %d listed twice", errInconsistentCheckpoint, o.ID)
-		}
-		tab.put(o.ID, o.Region())
-		if !ix.IsLeafRecord(o) {
-			irregular.put(o.ID, o)
-		}
+}
+
+// decodeObjectRecordV1 decodes one format-1 objects-section record, an
+// object in full, from the front of b; o is nil for a leaf record of
+// ix.
+func decodeObjectRecordV1(b []byte, ix *pti.Index) (rest []byte, id uncertain.ID, r geom.Rect, o *uncertain.Object, err error) {
+	if o, b, err = uncertain.DecodeObject(b); err != nil {
+		return nil, 0, r, nil, err
 	}
-	tab.fit()
-	irregular.fit()
-	return tab, irregular, nil
+	id, r = o.ID, o.Region()
+	if ix.IsLeafRecord(o) {
+		o = nil
+	}
+	return b, id, r, o, nil
 }
 
 // currentPointer is the JSON content of the CURRENT file.

@@ -166,7 +166,7 @@ func format1Fixture(t *testing.T) (file, current []byte) {
 // holds it to an engine that applied the same history now.
 func TestOpenFormat1Checkpoint(t *testing.T) {
 	file, current := format1Fixture(t)
-	if format := binaryFormat(file); format != 1 {
+	if format := fileFormat(file); format != 1 {
 		t.Fatalf("fixture is format %d, want 1", format)
 	}
 	got, err := openCheckpointCopy(t, file, current)
@@ -184,8 +184,8 @@ func TestOpenFormat1Checkpoint(t *testing.T) {
 	requireSameEngines(t, want, got)
 }
 
-// binaryFormat reads the format field of a checkpoint file's manifest.
-func binaryFormat(file []byte) uint32 {
+// fileFormat reads the format field of a checkpoint file's manifest.
+func fileFormat(file []byte) uint32 {
 	off := len(ckptMagic)
 	return getU32(file, &off)
 }

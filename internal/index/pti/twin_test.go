@@ -50,11 +50,12 @@ type twinTree struct {
 }
 
 // newTwinTree returns an empty twin with the node capacities of cfg, a
-// normalized configuration.
+// tree's configuration.
 func newTwinTree(cfg rtree.Config) *twinTree {
-	return &twinTree{root: &twinNode{leaf: true}, height: 1,
-		maxEntries: cfg.MaxEntries, minEntries: cfg.MinEntries,
-		leafMaxEntries: cfg.LeafMaxEntries, leafMinEntries: cfg.LeafMinEntries}
+	t := &twinTree{root: &twinNode{leaf: true}, height: 1}
+	t.maxEntries, t.minEntries = cfg.Capacity(false)
+	t.leafMaxEntries, t.leafMinEntries = cfg.Capacity(true)
+	return t
 }
 
 // capacity returns the capacity and underflow threshold of n's kind.

@@ -60,7 +60,7 @@ func BulkLoad(store NodeStore, cfg Config, items []Item) (*Tree, error) {
 	level := 0
 	leaf := true
 	for {
-		if maxEntries, _ := cfg.capacity(leaf); len(entries) <= maxEntries {
+		if maxEntries, _ := cfg.Capacity(leaf); len(entries) <= maxEntries {
 			break
 		}
 		nodes, err := t.packLevel(entries, leaf)
@@ -121,7 +121,7 @@ func fillNode(n *Node, entries []packed, auxLen int) {
 // packLevel tiles entries into full nodes of the level's kind and
 // returns the parent entries describing them.
 func (t *Tree) packLevel(entries []packed, leaf bool) ([]packed, error) {
-	m, _ := t.cfg.capacity(leaf)
+	m, _ := t.cfg.Capacity(leaf)
 	auxLen := t.cfg.AuxLen
 	nLeaves := (len(entries) + m - 1) / m
 	nSlabs := int(math.Ceil(math.Sqrt(float64(nLeaves))))

@@ -168,7 +168,7 @@ func (t *Tree) condenseTree(path []pathStep, d *departure) error {
 		}
 		path[i-1].node = parent
 		level := t.height - 1 - i // path index i corresponds to level (height-1-i)
-		if _, minEntries := t.cfg.capacity(n.Leaf); len(n.Entries) < minEntries {
+		if _, minEntries := t.cfg.Capacity(n.Leaf); len(n.Entries) < minEntries {
 			// Dissolve n: remove its parent entry and queue contents.
 			// What leaves the parent is the entry as it stood, which
 			// is what the envelopes above were computed over.

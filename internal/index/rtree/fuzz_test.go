@@ -170,7 +170,8 @@ type fuzzEntry struct {
 // from-scratch recomputation), exact search results, and old-version
 // isolation after every sealed version: later versions share a frozen
 // version's nodes and payload rows, and must not have written to them.
-// The byte stream encodes one op per 5 bytes: opcode, 2-byte coordinate
+// Leaves and interior nodes split at different capacities. The byte
+// stream encodes one op per 5 bytes: opcode, 2-byte coordinate
 // pair, 2-byte target selector.
 func FuzzRTree(f *testing.F) {
 	f.Add([]byte{0, 10, 20, 0, 1, 0, 200, 100, 0, 2, 3, 0, 0, 0, 0})
@@ -197,7 +198,7 @@ func FuzzRTree(f *testing.F) {
 			return
 		}
 		store := NewMemNodeStore()
-		tr, err := BulkLoad(store, Config{MaxEntries: 8, AuxLen: 4, MergeAux: mergeMinMax}, nil)
+		tr, err := BulkLoad(store, Config{MaxEntries: 8, LeafMaxEntries: 12, AuxLen: 4, MergeAux: mergeMinMax}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

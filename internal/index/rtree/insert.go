@@ -55,7 +55,7 @@ func (t *Tree) insertAtLevel(e Entry, aux []float64, level int) error {
 	}
 
 	var splitNew *Node
-	if maxEntries, _ := t.cfg.capacity(n.Leaf); len(n.Entries) > maxEntries {
+	if maxEntries, _ := t.cfg.Capacity(n.Leaf); len(n.Entries) > maxEntries {
 		splitNew, err = t.splitNode(n)
 		if err != nil {
 			return err
@@ -191,7 +191,7 @@ func (t *Tree) growRoot(old, sibling *Node) error {
 // are persisted.
 func (t *Tree) splitNode(n *Node) (*Node, error) {
 	entries := n.Entries
-	_, minEntries := t.cfg.capacity(n.Leaf)
+	_, minEntries := t.cfg.Capacity(n.Leaf)
 	// One scratch block: each entry's area for PickSeeds, then its
 	// enlargement of either group's rectangle for PickNext. A group's
 	// column changes only when the group takes an entry, so the other

@@ -191,13 +191,14 @@ type Config struct {
 	// MinEntries is the underflow threshold m (2 <= m <= M/2).
 	// Zero means 40% of MaxEntries, the classic choice.
 	MinEntries int
-	// LeafMaxEntries and LeafMinEntries are the same two bounds for
-	// leaves, where they differ from interior nodes': a leaf entry
-	// whose row DeriveAux computes takes 40 bytes where an interior
-	// entry takes 40 + 8·AuxLen. Zero LeafMaxEntries means
-	// MaxEntries, and zero LeafMinEntries 40% of LeafMaxEntries.
+	// LeafMaxEntries is a leaf's capacity where it differs from an
+	// interior node's: a leaf entry whose row DeriveAux computes takes
+	// 40 bytes where an interior entry takes 40 + 8·AuxLen. Zero means
+	// MaxEntries. A leaf's underflow threshold is then MinEntries, or
+	// 40% of LeafMaxEntries when that is set (see Capacity).
 	LeafMaxEntries int
-	LeafMinEntries int
+	// leafMinEntries is a leaf's underflow threshold, set by normalize.
+	leafMinEntries int
 	// AuxLen is the per-entry auxiliary payload length (0 = none).
 	AuxLen int
 	// MergeAux aggregates child payloads into parent entries. Required
@@ -235,14 +236,15 @@ func (c Config) normalize() (Config, error) {
 	if c.MaxEntries == 0 {
 		c.MaxEntries = CapacityForPage(c.AuxLen)
 	}
-	if c.LeafMaxEntries == 0 {
-		c.LeafMaxEntries, c.LeafMinEntries = c.MaxEntries, c.MinEntries
-	}
 	var err error
 	if c.MaxEntries, c.MinEntries, err = bounds("", c.MaxEntries, c.MinEntries); err != nil {
 		return c, err
 	}
-	c.LeafMaxEntries, c.LeafMinEntries, err = bounds("Leaf", c.LeafMaxEntries, c.LeafMinEntries)
+	if c.LeafMaxEntries == 0 {
+		c.LeafMaxEntries, c.leafMinEntries = c.MaxEntries, c.MinEntries
+		return c, nil
+	}
+	c.LeafMaxEntries, c.leafMinEntries, err = bounds("Leaf", c.LeafMaxEntries, 0)
 	return c, err
 }
 
@@ -263,11 +265,12 @@ func bounds(kind string, maxEntries, minEntries int) (int, int, error) {
 	return maxEntries, minEntries, nil
 }
 
-// capacity returns the capacity and underflow threshold of a leaf
-// (leaf set) or an interior node.
-func (c *Config) capacity(leaf bool) (maxEntries, minEntries int) {
+// Capacity returns the capacity and underflow threshold of a leaf (leaf
+// set) or an interior node of a tree with this configuration, as
+// Tree.Config returns it.
+func (c Config) Capacity(leaf bool) (maxEntries, minEntries int) {
 	if leaf {
-		return c.LeafMaxEntries, c.LeafMinEntries
+		return c.LeafMaxEntries, c.leafMinEntries
 	}
 	return c.MaxEntries, c.MinEntries
 }

@@ -35,7 +35,7 @@ func (t *Tree) CheckInvariants(requireMinFill bool) error {
 		if err != nil {
 			return err
 		}
-		maxEntries, minEntries := t.cfg.capacity(n.Leaf)
+		maxEntries, minEntries := t.cfg.Capacity(n.Leaf)
 		if len(n.Entries) > maxEntries {
 			return fmt.Errorf("node %d: %d entries exceeds max %d", id, len(n.Entries), maxEntries)
 		}

@@ -163,7 +163,11 @@ func format1Fixture(t *testing.T) (file, current []byte) {
 }
 
 // TestOpenFormat1Checkpoint opens the committed format-1 checkpoint and
-// holds it to an engine that applied the same history now.
+// holds it to an engine that applied the same history now. The opened
+// engine's leaves were sized for pages, below the engine's leaf
+// underflow threshold: it then takes a batch that deletes and moves
+// objects out of them, stays a valid tree, and writes a format-2
+// checkpoint on Close that opens to the same engine again.
 func TestOpenFormat1Checkpoint(t *testing.T) {
 	file, current := format1Fixture(t)
 	if format := fileFormat(file); format != 1 {
@@ -182,6 +186,47 @@ func TestOpenFormat1Checkpoint(t *testing.T) {
 		applyOK(t, want, batch)
 	}
 	requireSameEngines(t, want, got)
+
+	rng := rand.New(rand.NewSource(45))
+	var batch []Update
+	for id := range uncertain.ID(80) {
+		switch {
+		case id%3 == 0:
+			batch = append(batch, Update{Op: OpDeleteObject, ID: id})
+		case id%3 == 1:
+			c := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
+			o, _ := leafTestObject(t, id, int(id)%leafKinds, c, 3+rng.Float64()*25, 3+rng.Float64()*25)
+			batch = append(batch, Update{Op: OpUpsertObject, Object: o})
+		}
+	}
+	applyOK(t, want, batch)
+	applyOK(t, got, batch)
+	if err := got.UncertainIndex().Tree().CheckInvariants(false); err != nil {
+		t.Fatalf("format-1 tree after deletes and moves: %v", err)
+	}
+	requireSameEngines(t, want, got)
+
+	dir := got.DurabilityStats().Dir
+	if err := got.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cur, _, err := readCurrent(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rewritten, err := os.ReadFile(filepath.Join(dir, cur.File))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if format := fileFormat(rewritten); format != ckptFormat {
+		t.Fatalf("checkpoint after the upgrade is format %d, want %d", format, ckptFormat)
+	}
+	reopened, err := Open(dir, durTestOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	requireSameEngines(t, want, reopened)
 }
 
 // fileFormat reads the format field of a checkpoint file's manifest.

@@ -657,20 +657,18 @@ func decodePointTable(b []byte) (*cowTable[uncertain.PointObject], error) {
 	if n > uint64(len(b)/24) {
 		return nil, fmt.Errorf("core: point table claims %d entries in %d bytes", n, len(b))
 	}
-	tab := newCowTable[uncertain.PointObject](int(n))
+	tab := tableLoader[uncertain.PointObject]{tab: newCowTable[uncertain.PointObject](int(n)), what: "point"}
 	for i := uint64(0); i < n; i++ {
 		p, rest, err := uncertain.DecodePoint(b)
 		if err != nil {
 			return nil, err
 		}
 		b = rest
-		if _, dup := tab.Get(p.ID); dup {
-			return nil, fmt.Errorf("%w: point %d listed twice", errInconsistentCheckpoint, p.ID)
+		if err := tab.add(p.ID, p); err != nil {
+			return nil, err
 		}
-		tab.put(p.ID, p)
 	}
-	tab.fit()
-	return tab, nil
+	return tab.done()
 }
 
 // appendLeafRecord appends the objects-section record of the leaf
@@ -697,7 +695,7 @@ func decodeObjectTable(b []byte, ix *pti.Index, format uint32) (*cowTable[geom.R
 	if n > maxBatchUpdates {
 		return nil, nil, fmt.Errorf("core: object table claims %d entries", n)
 	}
-	tab := newCowTable[geom.Rect](int(n))
+	tab := tableLoader[geom.Rect]{tab: newCowTable[geom.Rect](int(n)), what: "object"}
 	irregular := newCowTable[*uncertain.Object](0)
 	for i := uint64(0); i < n; i++ {
 		var (
@@ -714,17 +712,19 @@ func decodeObjectTable(b []byte, ix *pti.Index, format uint32) (*cowTable[geom.R
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: object table record %d of %d: %w", i, n, err)
 		}
-		if _, dup := tab.Get(id); dup {
-			return nil, nil, fmt.Errorf("%w: object %d listed twice", errInconsistentCheckpoint, id)
+		if err := tab.add(id, r); err != nil {
+			return nil, nil, err
 		}
-		tab.put(id, r)
 		if o != nil {
 			irregular.put(id, o)
 		}
 	}
-	tab.fit()
+	objects, err := tab.done()
+	if err != nil {
+		return nil, nil, err
+	}
 	irregular.fit()
-	return tab, irregular, nil
+	return objects, irregular, nil
 }
 
 // decodeObjectRecord decodes one format-2 objects-section record from

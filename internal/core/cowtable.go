@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 	"sort"
 
@@ -145,6 +146,63 @@ func (t *cowTable[V]) put(id uncertain.ID, v V) {
 	t.size++
 }
 
+// tableLoader fills a table under construction from rows that arrive
+// bucket by bucket, each bucket in id order — the order Range emits for
+// a table of the same bucket count, which is how a checkpoint section
+// lists its rows. It gathers one bucket's rows and stores them in one
+// exactly-sized slice. A row that breaks the order (a table written
+// with another bucket count, or a reordered file) goes through put
+// instead, and done trims what put leaves spare.
+type tableLoader[V any] struct {
+	tab    *cowTable[V]
+	what   string // the row kind, for the duplicate-id error
+	run    []tabEntry[V]
+	bucket int
+}
+
+// add takes one row; a row whose id the table already holds is refused.
+func (l *tableLoader[V]) add(id uncertain.ID, v V) error {
+	b := l.tab.bucketOf(id)
+	if n := len(l.run); n > 0 && (b != l.bucket || id <= l.run[n-1].id) {
+		if err := l.flush(); err != nil {
+			return err
+		}
+	}
+	l.bucket = b
+	l.run = append(l.run, tabEntry[V]{id: id, val: v})
+	return nil
+}
+
+// flush stores the gathered run: whole into its bucket when that is
+// still empty, row by row otherwise.
+func (l *tableLoader[V]) flush() error {
+	t := l.tab
+	if len(t.bucket(l.bucket)) == 0 {
+		t.setBucket(l.bucket, exactCopy(l.run))
+		t.size += len(l.run)
+	} else {
+		for _, e := range l.run {
+			if _, dup := t.Get(e.id); dup {
+				return fmt.Errorf("%w: %s %d listed twice", errInconsistentCheckpoint, l.what, e.id)
+			}
+			t.put(e.id, e.val)
+		}
+	}
+	l.run = l.run[:0]
+	return nil
+}
+
+// done stores the last run and returns the built table.
+func (l *tableLoader[V]) done() (*cowTable[V], error) {
+	if len(l.run) > 0 {
+		if err := l.flush(); err != nil {
+			return nil, err
+		}
+	}
+	l.tab.fit()
+	return l.tab, nil
+}
+
 // fit trims every bucket to its length — construction-time only, once
 // put is done: put grows buckets by append, which leaves up to half of
 // each one spare, where a txn copies a bucket with room for one entry.
@@ -152,10 +210,18 @@ func (t *cowTable[V]) fit() {
 	for _, page := range t.pages {
 		for i, b := range page {
 			if cap(b) > len(b) {
-				page[i] = slices.Clone(b)
+				page[i] = exactCopy(b)
 			}
 		}
 	}
+}
+
+// exactCopy copies a bucket into a slice whose capacity is its length
+// (slices.Clone may round the capacity up to the allocation's size).
+func exactCopy[V any](s []tabEntry[V]) []tabEntry[V] {
+	out := make([]tabEntry[V], len(s))
+	copy(out, s)
+	return out
 }
 
 // tableTxn builds the next version of a table copy-on-write: the top

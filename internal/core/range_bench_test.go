@@ -120,3 +120,49 @@ func TestEvaluateRangeAllocationBudget(t *testing.T) {
 		t.Errorf("Evaluate = %.1f allocs/request, budget %d", allocsPer, allocBudget)
 	}
 }
+
+// TestQueryHeapGrowth bounds what serving queries adds to the live heap
+// of the shard-sized engine: 2 000 range and 2 000 NN requests on one
+// snapshot, the range_ro and nn_ro questions. A search reads the
+// index's own entries and caches nothing on its nodes, so what is left
+// after them is pooled scratch. The budget is the measured value plus
+// a grace.
+func TestQueryHeapGrowth(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a shard-sized engine")
+	}
+	if raceEnabled {
+		t.Skip("the race detector's shadow memory is not the engine's")
+	}
+	const budget = 262_144 // bytes; measured −87 000 to −92 000 (+1.6 to +1.8 MB when every searched node kept a mirror of its rectangles)
+	eng, w := newApplyEngine(t)
+	reqs := append(rangeBenchRequests(t, w), nnBenchRequests(t, w)...)
+	snap := eng.Snapshot()
+	defer snap.Close()
+	ctx := context.Background()
+	liveHeap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	run := func(n int) {
+		for i := range n {
+			for _, req := range []Request{reqs[i%rangeBenchQueries], reqs[rangeBenchQueries+i%nnBenchQueries]} {
+				if _, err := snap.Evaluate(ctx, req); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	liveHeap()
+	run(1) // warm the scratch pools
+	base := liveHeap()
+	run(2000)
+	growth := liveHeap() - base
+	t.Logf("live heap after 2 000 range and 2 000 NN requests: %+d B", growth)
+	if growth > budget {
+		t.Errorf("queries grew the live heap by %d B, budget %d", growth, budget)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -254,6 +255,66 @@ func TestSnapshotBatchConsistency(t *testing.T) {
 		}
 		if sameAll {
 			t.Log("note: updates did not change this query's answer (unlikely but legal)")
+		}
+	}
+}
+
+// TestTableLoader holds the checkpoint loader to put: rows in a table's
+// own Range order fill every bucket with one exactly-sized slice, rows
+// in any other order — a table written with twice the buckets, or
+// shuffled — build the same table through put, and a repeated id is
+// refused either way.
+func TestTableLoader(t *testing.T) {
+	const n = 5000
+	want := newCowTable[int](n)
+	for i := range n {
+		want.put(uncertain.ID(i*7), i)
+	}
+	var ordered []tabEntry[int]
+	want.Range(func(id uncertain.ID, v int) bool {
+		ordered = append(ordered, tabEntry[int]{id, v})
+		return true
+	})
+	wider := newCowTableBuckets[int](2 * want.numBuckets())
+	for _, e := range ordered {
+		wider.put(e.id, e.val)
+	}
+	var widerOrder []tabEntry[int]
+	wider.Range(func(id uncertain.ID, v int) bool {
+		widerOrder = append(widerOrder, tabEntry[int]{id, v})
+		return true
+	})
+	shuffled := slices.Clone(ordered)
+	rand.New(rand.NewSource(3)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+
+	load := func(rows []tabEntry[int]) (*cowTable[int], error) {
+		l := tableLoader[int]{tab: newCowTable[int](len(rows)), what: "row"}
+		for _, e := range rows {
+			if err := l.add(e.id, e.val); err != nil {
+				return nil, err
+			}
+		}
+		return l.done()
+	}
+	for name, rows := range map[string][]tabEntry[int]{"own order": ordered, "twice the buckets": widerOrder, "shuffled": shuffled} {
+		got, err := load(rows)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got.Len() != n || got.numBuckets() != want.numBuckets() {
+			t.Fatalf("%s: %d rows in %d buckets, want %d in %d", name, got.Len(), got.numBuckets(), n, want.numBuckets())
+		}
+		for b := range got.numBuckets() {
+			gb, wb := got.bucket(b), want.bucket(b)
+			if !slices.Equal(gb, wb) || cap(gb) != len(gb) {
+				t.Fatalf("%s: bucket %d holds %v (cap %d), want %v", name, b, gb, cap(gb), wb)
+			}
+		}
+		for _, at := range []int{0, len(rows) / 2, len(rows) - 1} {
+			dup := slices.Insert(slices.Clone(rows), at+1, rows[at])
+			if _, err := load(dup); !errors.Is(err, errInconsistentCheckpoint) {
+				t.Fatalf("%s: row %d repeated: err = %v", name, at, err)
+			}
 		}
 	}
 }

@@ -49,7 +49,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync/atomic"
 
 	"repro/internal/geom"
 	"repro/internal/storage"
@@ -88,8 +87,6 @@ func childEntry(r geom.Rect, id NodeID) Entry { return Entry{Rect: r, Ref: Ref(i
 
 // Node is an R-tree node. Nodes are value-owned by callers of
 // NodeStore.Get; mutations must be persisted with NodeStore.Update.
-// Nodes are referenced through pointers and must not be copied by
-// value (the SoA cache field is atomic).
 type Node struct {
 	ID      NodeID
 	Leaf    bool
@@ -103,12 +100,6 @@ type Node struct {
 	// leaf whose rows are all nil may have a nil Aux; interior rows are
 	// always stored.
 	Aux [][]float64
-
-	// soa caches the structure-of-arrays mirror of the entry
-	// rectangles used by the search hot path (see soa.go). It is
-	// derived state: nil until the first scan, cleared whenever the
-	// entries change.
-	soa atomic.Pointer[soaRects]
 }
 
 // bounds returns the union of the node's entry rectangles.
@@ -373,13 +364,11 @@ var ErrForeignNode = errors.New("rtree: copy-on-write version does not own the n
 // through.
 func (t *Tree) storeNode(n *Node) error {
 	if t.cow == nil {
-		n.invalidateSoA()
 		return t.store.Update(n)
 	}
 	if _, fresh := t.cow.fresh[n.ID]; !fresh {
 		return fmt.Errorf("%w: node %d", ErrForeignNode, n.ID)
 	}
-	n.invalidateSoA()
 	t.cow.fresh[n.ID] = n
 	return nil
 }

@@ -38,33 +38,24 @@ func (t *Tree) searchNode(id NodeID, q geom.Rect, prune NodePruner, visit Visit,
 	if err != nil {
 		return false, err
 	}
-	// The overlap scan runs over the node's SoA rectangle mirror:
-	// four flat float64 slices instead of a 40+ byte Entry stride, so
-	// the per-entry test is a branch-light sequential pass. The four
-	// comparisons are exactly q.Intersects(e.Rect) — bit-identical
-	// results, including NaN/degenerate rectangles (see
-	// TestSearchSoABitIdentical).
-	rects := n.rectsSoA()
-	loX, loY, hiX, hiY := rects.loX, rects.loY, rects.hiX, rects.hiY
 	if n.Leaf {
 		for i := range n.Entries {
-			if !(q.Lo.X <= hiX[i] && loX[i] <= q.Hi.X &&
-				q.Lo.Y <= hiY[i] && loY[i] <= q.Hi.Y) {
+			e := &n.Entries[i]
+			if !q.Intersects(e.Rect) {
 				continue
 			}
-			if !visit(n.Entries[i], n.auxAt(i)) {
+			if !visit(*e, n.auxAt(i)) {
 				return false, nil
 			}
 		}
 		return true, nil
 	}
 	for i := range n.Entries {
-		if !(q.Lo.X <= hiX[i] && loX[i] <= q.Hi.X &&
-			q.Lo.Y <= hiY[i] && loY[i] <= q.Hi.Y) {
+		e := &n.Entries[i]
+		if !q.Intersects(e.Rect) {
 			continue
 		}
-		e := n.Entries[i]
-		if prune != nil && prune(e, n.auxAt(i)) {
+		if prune != nil && prune(*e, n.auxAt(i)) {
 			continue
 		}
 		cont, err := t.searchNode(e.Child(), q, prune, visit, accesses)

@@ -76,11 +76,8 @@ func (s *MemNodeStore) Get(id NodeID) (*Node, error) {
 }
 
 // Update implements NodeStore. For the memory store the returned nodes
-// alias the stored ones, so Update only needs to re-register the id —
-// and drop the node's cached SoA rectangle mirror, which the mutated
-// entries have invalidated.
+// alias the stored ones, so Update only needs to re-register the id.
 func (s *MemNodeStore) Update(n *Node) error {
-	n.invalidateSoA()
 	s.mu.Lock()
 	s.nodes[n.ID] = n
 	s.mu.Unlock()

@@ -44,12 +44,17 @@ type Router struct {
 	// match the order the cache decisions were made in for delta
 	// replay to stay bit-exact per shard.
 	ingestMu sync.Mutex
-	mu       sync.Mutex // guards owners, points, subs
-	owners   map[int64]ownerRec
-	points   map[int64]int
-	subs     map[int64]*routerSub
-	seq      atomic.Uint64
-	subID    atomic.Int64
+	mu       sync.Mutex // guards points, objects, straddlers, subs
+	// points and objects are the ownership cache, one shard index per
+	// id: a point's home shard, an uncertain object's only replica. An
+	// object whose region overlaps several shards is placed at
+	// straddling, and its sorted replica set is in straddlers.
+	points     map[int64]int32
+	objects    map[int64]int32
+	straddlers map[int64][]int
+	subs       map[int64]*routerSub
+	seq        atomic.Uint64
+	subID      atomic.Int64
 
 	// feeds holds each shard's open delta feed (feed.go), named on the
 	// shard by token and a sequence number; readers counts the feeds'
@@ -67,11 +72,8 @@ type feedSlot struct {
 	f  *feed
 }
 
-// ownerRec is the cached placement of one replicated uncertain object.
-type ownerRec struct {
-	owner    int
-	replicas []int
-}
+// straddling is the placement of an object with more than one replica.
+const straddling int32 = -1
 
 // Config parameterizes NewRouter.
 type Config struct {
@@ -97,15 +99,16 @@ func NewRouter(tiles *TileMap, clients []*Client, cfg Config) (*Router, error) {
 		log = slog.Default()
 	}
 	r := &Router{
-		tiles:  tiles,
-		shards: clients,
-		log:    log,
-		m:      newRouterMetrics(),
-		owners: make(map[int64]ownerRec),
-		points: make(map[int64]int),
-		subs:   make(map[int64]*routerSub),
-		feeds:  make([]feedSlot, len(clients)),
-		token:  rand.Text(),
+		tiles:      tiles,
+		shards:     clients,
+		log:        log,
+		m:          newRouterMetrics(),
+		points:     make(map[int64]int32),
+		objects:    make(map[int64]int32),
+		straddlers: make(map[int64][]int),
+		subs:       make(map[int64]*routerSub),
+		feeds:      make([]feedSlot, len(clients)),
+		token:      rand.Text(),
 	}
 	r.maxSamples = cfg.MaxSamples
 	if r.maxSamples == 0 {
@@ -546,55 +549,7 @@ func (r *Router) ApplyUpdates(ctx context.Context, body serve.UpdatesRequest) (s
 	r.ingestMu.Lock()
 	defer r.ingestMu.Unlock()
 
-	batches := make([][]serve.UpdateJSON, len(r.shards))
-	route := func(s int, u serve.UpdateJSON) { batches[s] = append(batches[s], u) }
-
-	r.mu.Lock()
-	for _, u := range body.Updates {
-		switch u.Op {
-		case "upsert_point":
-			home := r.tiles.ShardOf(geom.Pt(u.X, u.Y))
-			if prev, ok := r.points[u.ID]; ok && prev != home {
-				route(prev, serve.UpdateJSON{Op: "delete_point", ID: u.ID})
-			}
-			route(home, u)
-			r.points[u.ID] = home
-		case "delete_point":
-			if home, ok := r.points[u.ID]; ok {
-				route(home, u)
-				delete(r.points, u.ID)
-			} else {
-				for s := range r.shards {
-					route(s, u)
-				}
-			}
-		case "upsert_object":
-			region, _ := serve.ToRect(u.Region) // validated above
-			replicas := r.tiles.ShardsOverlapping(region)
-			prev := r.owners[u.ID]
-			for _, s := range prev.replicas {
-				if !slices.Contains(replicas, s) {
-					route(s, serve.UpdateJSON{Op: "delete_object", ID: u.ID})
-				}
-			}
-			for _, s := range replicas {
-				route(s, u)
-			}
-			r.owners[u.ID] = ownerRec{owner: r.tiles.Owner(region), replicas: replicas}
-		case "delete_object":
-			if prev, ok := r.owners[u.ID]; ok {
-				for _, s := range prev.replicas {
-					route(s, u)
-				}
-				delete(r.owners, u.ID)
-			} else {
-				for s := range r.shards {
-					route(s, u)
-				}
-			}
-		}
-	}
-	r.mu.Unlock()
+	batches := r.split(body.Updates)
 
 	var targets []int
 	for s, b := range batches {
@@ -634,6 +589,86 @@ func (r *Router) ApplyUpdates(ctx context.Context, body serve.UpdatesRequest) (s
 	out.MissingShards = r.missing(targets, errs, "updates")
 	out.Partial = out.MissingShards != nil
 	return out, nil
+}
+
+// split routes a validated batch by the ownership cache into one
+// sub-batch per shard and moves the cache to the batch's placements.
+func (r *Router) split(updates []serve.UpdateJSON) [][]serve.UpdateJSON {
+	batches := make([][]serve.UpdateJSON, len(r.shards))
+	route := func(s int, u serve.UpdateJSON) { batches[s] = append(batches[s], u) }
+	broadcast := func(u serve.UpdateJSON) {
+		for s := range r.shards {
+			route(s, u)
+		}
+	}
+
+	var one [1]int // the replica set of an object cached on one shard
+
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, u := range updates {
+		switch u.Op {
+		case "upsert_point":
+			home := r.tiles.ShardOf(geom.Pt(u.X, u.Y))
+			if prev, ok := r.points[u.ID]; ok && int(prev) != home {
+				route(int(prev), serve.UpdateJSON{Op: "delete_point", ID: u.ID})
+			}
+			route(home, u)
+			r.points[u.ID] = int32(home)
+		case "delete_point":
+			if home, ok := r.points[u.ID]; ok {
+				route(int(home), u)
+				delete(r.points, u.ID)
+			} else {
+				broadcast(u)
+			}
+		case "upsert_object":
+			region, _ := serve.ToRect(u.Region) // validated by ApplyUpdates
+			replicas := r.tiles.ShardsOverlapping(region)
+			prev, _ := r.replicas(u.ID, &one)
+			for _, s := range prev {
+				if !slices.Contains(replicas, s) {
+					route(s, serve.UpdateJSON{Op: "delete_object", ID: u.ID})
+				}
+			}
+			for _, s := range replicas {
+				route(s, u)
+			}
+			if len(replicas) == 1 {
+				r.objects[u.ID] = int32(replicas[0])
+				delete(r.straddlers, u.ID)
+			} else {
+				r.objects[u.ID] = straddling
+				r.straddlers[u.ID] = replicas
+			}
+		case "delete_object":
+			if prev, ok := r.replicas(u.ID, &one); ok {
+				for _, s := range prev {
+					route(s, u)
+				}
+				delete(r.objects, u.ID)
+				delete(r.straddlers, u.ID)
+			} else {
+				broadcast(u)
+			}
+		}
+	}
+	return batches
+}
+
+// replicas returns the cached replica set of object id — for an object
+// on one shard, a slice of one — and whether the cache holds the id.
+// Callers hold r.mu.
+func (r *Router) replicas(id int64, one *[1]int) ([]int, bool) {
+	s, ok := r.objects[id]
+	switch {
+	case !ok:
+		return nil, false
+	case s == straddling:
+		return r.straddlers[id], true
+	}
+	one[0] = int(s)
+	return one[:], true
 }
 
 // Register fans a standing range query to the shards its guard region

@@ -411,9 +411,10 @@ func nnTauZeroBitExact(t *testing.T) {
 }
 
 // TestRouterStraddlerReplication checks the ownership bookkeeping
-// directly: a straddling object lands on every overlapping shard, a
-// move to a disjoint shard set deletes the stale copies in the same
-// batch, and a final delete clears every replica.
+// directly: a straddling object lands on every overlapping shard and
+// the cache keeps its replica set, a move to a disjoint shard set
+// deletes the stale copies in the same batch and leaves one shard index
+// cached, and a final delete clears every replica and the cache entry.
 func TestRouterStraddlerReplication(t *testing.T) {
 	rt := fleet(t, 4)
 	ctx := t.Context()
@@ -434,11 +435,16 @@ func TestRouterStraddlerReplication(t *testing.T) {
 		t.Fatalf("version vector covers %d shards, want 2: %v", len(resp.Versions), resp.Versions)
 	}
 
-	rt.mu.Lock()
-	rec := rt.owners[7]
-	rt.mu.Unlock()
-	if len(rec.replicas) != 2 || !slices.Contains(rec.replicas, rec.owner) {
-		t.Fatalf("owner record %+v: want 2 replicas including the owner", rec)
+	// cached returns the object's cache entry: its placement, and its
+	// replica set if it straddles.
+	cached := func() (int32, bool, []int) {
+		rt.mu.Lock()
+		defer rt.mu.Unlock()
+		s, ok := rt.objects[7]
+		return s, ok, rt.straddlers[7]
+	}
+	if s, ok, reps := cached(); !ok || s != straddling || !slices.Equal(reps, []int{0, 1}) {
+		t.Fatalf("straddler cached at %d (held %t) with replicas %v, want straddling on [0 1]", s, ok, reps)
 	}
 
 	// Move entirely into shard 3's territory (x in [7500, 10000)): one
@@ -452,6 +458,9 @@ func TestRouterStraddlerReplication(t *testing.T) {
 	}
 	if resp.Applied != 3 { // 1 upsert + 2 deletes
 		t.Fatalf("straddling move: physical applied = %d, want 3", resp.Applied)
+	}
+	if s, ok, reps := cached(); !ok || s != 3 || reps != nil {
+		t.Fatalf("moved object cached at %d (held %t) with replicas %v, want shard 3 alone", s, ok, reps)
 	}
 
 	// The object must now answer only from its new home.
@@ -483,10 +492,7 @@ func TestRouterStraddlerReplication(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	rt.mu.Lock()
-	_, still := rt.owners[7]
-	rt.mu.Unlock()
-	if still {
+	if _, still, reps := cached(); still || reps != nil {
 		t.Fatal("ownership cache kept a deleted object")
 	}
 }

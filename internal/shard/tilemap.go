@@ -16,10 +16,9 @@
 //   - a point object lives on exactly one shard — the shard of the
 //     tile containing its location;
 //   - an uncertain object is replicated to every shard whose tiles its
-//     region intersects, with the shard of the region's center
-//     designated the owner (used for accounting; every replica
-//     evaluates it to the bit-identical probability, so a query merge
-//     may keep any one copy);
+//     region intersects; every replica evaluates it to the
+//     bit-identical probability, so a query merge may keep any one
+//     copy, and no replica is singled out to own it;
 //   - a query is fanned to exactly the shards whose tiles intersect
 //     its probe/guard region; by the replication rule each candidate
 //     object is present on at least one queried shard.
@@ -162,11 +161,6 @@ func (m *TileMap) ShardsOverlapping(r geom.Rect) []int {
 	slices.Sort(out)
 	return out
 }
-
-// Owner returns the designated owner shard for an uncertain object
-// with region r: the shard holding the region's center. The owner is
-// always a member of ShardsOverlapping(r).
-func (m *TileMap) Owner(r geom.Rect) int { return m.ShardOf(r.Center()) }
 
 // AllShards returns 0..NumShards()-1 — the fan-out set of a query with
 // an unbounded guard (NN before tau is known).

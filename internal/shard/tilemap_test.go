@@ -12,6 +12,11 @@ import (
 	"repro/internal/geom"
 )
 
+// Owner returns the owner shard of an uncertain object with region r:
+// the shard holding the region's center. The owner is always a member
+// of ShardsOverlapping(r); nothing outside the tests needs it.
+func (m *TileMap) Owner(r geom.Rect) int { return m.ShardOf(r.Center()) }
+
 func world() geom.Rect {
 	return geom.Rect{Lo: geom.Pt(0, 0), Hi: geom.Pt(10000, 10000)}
 }

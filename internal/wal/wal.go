@@ -29,12 +29,15 @@
 package wal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -101,6 +104,9 @@ const (
 	// DefaultSegmentBytes is the rotation threshold when
 	// Options.SegmentBytes is zero.
 	DefaultSegmentBytes = 16 << 20
+	// scanBufferBytes is the read buffer of a segment scan.
+	scanBufferBytes = 64 << 10
+
 	// DefaultInterval is the FsyncInterval cadence when
 	// Options.Interval is zero.
 	DefaultInterval = 50 * time.Millisecond
@@ -547,23 +553,57 @@ type segScan struct {
 	torn     bool
 }
 
-// scanSegment reads one segment, calling fn per valid record. A frame
-// error stops the scan and marks the segment torn at that offset; the
-// caller decides whether that is a repairable tail or corruption. An
-// error from fn aborts the scan as-is.
+// scanSegment reads one segment frame by frame, calling fn per valid
+// record; a frame's bytes are read into one buffer reused for the next,
+// so the memory a scan holds is bounded by its largest frame, not by
+// the segment. A frame error stops the scan and marks the segment torn
+// at that offset; the caller decides whether that is a repairable tail
+// or corruption. An error from fn aborts the scan as-is.
 func scanSegment(path string, fn func(version uint64, payload []byte) error) (segScan, error) {
 	var sc segScan
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return sc, err
 	}
-	if len(data) < headerSize || string(data[:headerSize]) != magic {
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return sc, err
+	}
+	size := fi.Size()
+	r := bufio.NewReaderSize(f, scanBufferBytes)
+	var head [headerSize]byte
+	if _, err := io.ReadFull(r, head[:]); err != nil || string(head[:]) != magic {
+		if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+			return sc, err
+		}
 		return sc, fmt.Errorf("%w: %s: bad segment header", ErrCorrupt, path)
 	}
 	sc.goodSize = int64(headerSize)
-	rest := data[headerSize:]
-	for len(rest) > 0 {
-		version, payload, next, err := DecodeRecord(rest)
+	frame := make([]byte, frameOverhead)
+	for sc.goodSize < size {
+		// A frame that cannot fit in what is left of the file is torn;
+		// the length is checked before any payload is read, so a
+		// damaged length field never sizes the buffer.
+		left := size - sc.goodSize
+		if left < frameOverhead {
+			sc.torn = true
+			return sc, nil
+		}
+		frame = frame[:frameOverhead]
+		if _, err := io.ReadFull(r, frame); err != nil {
+			return sc, tornOr(&sc, err)
+		}
+		n := binary.LittleEndian.Uint32(frame[0:4])
+		if n > MaxRecordBytes || left < frameOverhead+int64(n) {
+			sc.torn = true
+			return sc, nil
+		}
+		frame = slices.Grow(frame, int(n))[:frameOverhead+int(n)]
+		if _, err := io.ReadFull(r, frame[frameOverhead:]); err != nil {
+			return sc, tornOr(&sc, err)
+		}
+		version, payload, _, err := DecodeRecord(frame)
 		if err != nil {
 			sc.torn = true
 			return sc, nil
@@ -575,10 +615,19 @@ func scanSegment(path string, fn func(version uint64, payload []byte) error) (se
 		}
 		sc.records++
 		sc.lastVersion = version
-		sc.goodSize += int64(len(rest) - len(next))
-		rest = next
+		sc.goodSize += int64(len(frame))
 	}
 	return sc, nil
+}
+
+// tornOr marks the scan torn when a read ended early — the file shrank
+// under the scan — and passes any other read error through.
+func tornOr(sc *segScan, err error) error {
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		sc.torn = true
+		return nil
+	}
+	return err
 }
 
 func segmentPath(dir string, seq uint64) string {

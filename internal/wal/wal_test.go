@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -190,6 +191,62 @@ func TestTornTailRepair(t *testing.T) {
 	_, versions, _ = replayAll(t, dir)
 	if len(versions) != 3 || versions[2] != 3 {
 		t.Fatalf("post-repair append: %v", versions)
+	}
+}
+
+// TestReplayMemoryBoundedByFrame: replay reads a segment frame by frame
+// through one reused buffer, so what it allocates is bounded by the
+// largest frame, not by the segment — and a torn tail whose length
+// field claims more than the file holds is cut without being read.
+func TestReplayMemoryBoundedByFrame(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Open(dir, Options{Policy: FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const records, frameBytes = 2000, 1024
+	payload := bytes.Repeat([]byte{'p'}, frameBytes)
+	for i := 1; i <= records; i++ {
+		if err := w.Append(uint64(i), payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// A torn final frame whose header claims a 60 MB payload.
+	path := segmentPath(dir, 1)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := AppendRecord(nil, records+1, make([]byte, 60<<20))[:frameOverhead+10]
+	if _, err := f.Write(torn); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	st, err := Replay(dir, func(v uint64, p []byte) error {
+		if !bytes.Equal(p, payload) {
+			return fmt.Errorf("record %d: payload of %d bytes differs", v, len(p))
+		}
+		return nil
+	})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Records != records || !st.Truncated {
+		t.Fatalf("replay: %+v, want %d records and the torn tail cut", st, records)
+	}
+	// The segment is over 2 MB; the scan's read buffer and one frame
+	// are under 70 KB.
+	if got := after.TotalAlloc - before.TotalAlloc; got > 256<<10 {
+		t.Fatalf("replay of a %d-record segment allocated %d B", records, got)
 	}
 }
 

@@ -129,7 +129,8 @@ type Engine struct {
 }
 
 // NewEngine builds an engine over the given datasets. Point object IDs
-// and uncertain object IDs each must be unique within their class.
+// and uncertain object IDs each must be unique within their class, and
+// every point's location finite.
 func NewEngine(points []uncertain.PointObject, objects []*uncertain.Object, opts EngineOptions) (*Engine, error) {
 	if opts.CatalogProbs == nil {
 		opts.CatalogProbs = uncertain.PaperCatalogProbs()
@@ -153,6 +154,9 @@ func NewEngine(points []uncertain.PointObject, objects []*uncertain.Object, opts
 
 	items := make([]rtree.Item, len(points))
 	for i, p := range points {
+		if err := checkPointLoc(p); err != nil {
+			return nil, err
+		}
 		if _, dup := st.points.Get(p.ID); dup {
 			return nil, fmt.Errorf("core: duplicate point object id %d", p.ID)
 		}

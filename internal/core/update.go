@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/geom"
@@ -537,9 +538,9 @@ func (tx *stateTxn) apply(u Update, rep *UpdateReport) error {
 }
 
 // InsertPoint adds a point object. Its ID must be new among point
-// objects. Safe to call concurrently with queries (the mutation
-// publishes a new snapshot); batches of updates should prefer
-// ApplyUpdates, which amortizes the copy-on-write work.
+// objects and its location finite. Safe to call concurrently with
+// queries (the mutation publishes a new snapshot); batches of updates
+// should prefer ApplyUpdates, which amortizes the copy-on-write work.
 func (e *Engine) InsertPoint(p uncertain.PointObject) error {
 	_, _, err := e.commit(false, func(tx *stateTxn) (bool, error) {
 		return true, tx.insertPoint(p)
@@ -548,6 +549,9 @@ func (e *Engine) InsertPoint(p uncertain.PointObject) error {
 }
 
 func (tx *stateTxn) insertPoint(p uncertain.PointObject) error {
+	if err := checkPointLoc(p); err != nil {
+		return err
+	}
 	if _, dup := tx.getPoint(p.ID); dup {
 		return fmt.Errorf("core: point object %d already exists", p.ID)
 	}
@@ -556,6 +560,18 @@ func (tx *stateTxn) insertPoint(p uncertain.PointObject) error {
 	}
 	tx.pointTable().Put(p.ID, p)
 	tx.logged = append(tx.logged, Update{Op: OpUpsertPoint, Point: p})
+	return nil
+}
+
+// checkPointLoc refuses a point whose location is not finite: no query
+// can place it, and the point tree cannot either (an infinite
+// rectangle's enlargements are NaN).
+func checkPointLoc(p uncertain.PointObject) error {
+	for _, v := range [2]float64{p.Loc.X, p.Loc.Y} {
+		if math.IsInf(v, 0) || math.IsNaN(v) {
+			return fmt.Errorf("core: point object %d location (%v, %v) is not finite", p.ID, p.Loc.X, p.Loc.Y)
+		}
+	}
 	return nil
 }
 
@@ -588,9 +604,9 @@ func (tx *stateTxn) deletePoint(id uncertain.ID) (bool, error) {
 	return true, nil
 }
 
-// MovePoint updates a point object's location (delete + insert). Safe
-// to call concurrently with queries; a query never observes the point
-// half-moved.
+// MovePoint updates a point object's location (delete + insert); a
+// location that is not finite is refused. Safe to call concurrently
+// with queries; a query never observes the point half-moved.
 func (e *Engine) MovePoint(id uncertain.ID, to geom.Point) error {
 	_, _, err := e.commit(false, func(tx *stateTxn) (bool, error) {
 		return true, tx.movePoint(id, to)

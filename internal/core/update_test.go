@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -86,6 +87,61 @@ func TestMovePoint(t *testing.T) {
 	}
 	if err := e.MovePoint(12345, geom.Pt(0, 0)); err == nil {
 		t.Fatal("moving unknown point succeeded")
+	}
+}
+
+// TestNonFinitePointRefused: a point at ±Inf or NaN is refused where it
+// would enter the point tree — one update of a batch, the rest of which
+// still applies, InsertPoint, MovePoint and NewEngine — and the tree
+// stays valid. Without the check, a 300-point batch with every other
+// point at (+Inf, +Inf) panics the tree's quadratic split.
+func TestNonFinitePointRefused(t *testing.T) {
+	inf := math.Inf(1)
+	e := testWorld(t, 0, 0, 44)
+	rng := rand.New(rand.NewSource(44))
+	var batch []Update
+	for i := range 300 {
+		loc := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
+		if i%2 == 1 {
+			loc = geom.Pt(inf, inf)
+		}
+		batch = append(batch, Update{Op: OpUpsertPoint, Point: uncertain.PointObject{ID: uncertain.ID(i), Loc: loc}})
+	}
+	rep := e.ApplyUpdates(batch)
+	if rep.Applied != 150 || len(rep.Errors) != 150 {
+		t.Fatalf("applied %d with %d errors, want 150 and 150", rep.Applied, len(rep.Errors))
+	}
+	for k, ue := range rep.Errors {
+		if ue.Index != 2*k+1 {
+			t.Fatalf("error %d names update %d, want %d: %v", k, ue.Index, 2*k+1, ue.Err)
+		}
+	}
+	if e.NumPoints() != 150 {
+		t.Fatalf("NumPoints = %d, want 150", e.NumPoints())
+	}
+	if err := e.PointIndex().CheckInvariants(false); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, bad := range []geom.Point{{X: inf, Y: 1}, {X: 1, Y: -inf}, {X: math.NaN(), Y: 1}, {X: 1, Y: math.NaN()}} {
+		if err := e.InsertPoint(uncertain.PointObject{ID: 1000, Loc: bad}); err == nil {
+			t.Errorf("InsertPoint at %v accepted", bad)
+		}
+		if err := e.MovePoint(0, bad); err == nil {
+			t.Errorf("MovePoint to %v accepted", bad)
+		}
+		if _, err := NewEngine([]uncertain.PointObject{{ID: 1, Loc: geom.Pt(1, 1)}, {ID: 2, Loc: bad}}, nil, EngineOptions{}); err == nil {
+			t.Errorf("NewEngine with a point at %v accepted", bad)
+		}
+	}
+	if p, ok := e.Point(0); !ok || p.Loc != batch[0].Point.Loc {
+		t.Fatalf("a refused move left point 0 at %v (present %t), want %v", p.Loc, ok, batch[0].Point.Loc)
+	}
+	if e.NumPoints() != 150 {
+		t.Fatalf("NumPoints = %d after the refusals, want 150", e.NumPoints())
+	}
+	if err := e.PointIndex().CheckInvariants(false); err != nil {
+		t.Fatal(err)
 	}
 }
 

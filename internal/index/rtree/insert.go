@@ -234,8 +234,10 @@ func (t *Tree) splitNode(n *Node) (*Node, error) {
 			}
 			break
 		}
-		// PickNext: the entry with the strongest preference.
-		bestIdx, bestDiff := -1, -1.0
+		// PickNext: the entry with the strongest preference, or the first
+		// remaining one when no preference compares (every one NaN, as an
+		// infinite rectangle's enlargements are).
+		bestIdx, bestDiff := 0, -1.0
 		for k, i := range rest {
 			diff := dA[i] - dB[i]
 			if diff < 0 {

@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -739,5 +740,38 @@ func TestNodeAccessesMatchPoolLogicalReads(t *testing.T) {
 			t.Fatalf("query %d: tree counted %d accesses, pool %d logical reads",
 				i, treeCount, poolCount)
 		}
+	}
+}
+
+// TestInsertInfiniteRects: a tree fed infinite rectangles directly —
+// every other one a point at (+Inf, +Inf), some spanning the whole
+// plane — stays a valid tree, and every entry is found. An infinite
+// rectangle's enlargements are NaN, so the quadratic split meets
+// entries with no preference that compares.
+func TestInsertInfiniteRects(t *testing.T) {
+	inf := math.Inf(1)
+	rng := rand.New(rand.NewSource(44))
+	tr := newMemTree(t, smallCfg)
+	for i := range 300 {
+		r := geom.RectAt(geom.Pt(rng.Float64()*1000, rng.Float64()*1000))
+		switch {
+		case i%2 == 1:
+			r = geom.RectAt(geom.Pt(inf, inf))
+		case i%10 == 4:
+			r = geom.Rect{Lo: geom.Pt(-inf, -inf), Hi: geom.Pt(inf, inf)}
+		}
+		if err := tr.Insert(r, Ref(i), nil); err != nil {
+			t.Fatalf("insert %d (%v): %v", i, r, err)
+		}
+	}
+	if err := tr.CheckInvariants(true); err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := searchRefs(tr, geom.Rect{Lo: geom.Pt(-inf, -inf), Hi: geom.Pt(inf, inf)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 300 {
+		t.Fatalf("a search of the whole plane found %d of 300 entries", len(got))
 	}
 }

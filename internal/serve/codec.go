@@ -25,7 +25,7 @@ import (
 // router → shard, and inside the NN candidate request) and the two
 // bodies with a match list, EvaluateResponse and RegisterResponse
 // (shard → router → client), whose match elements the router relays as
-// the shards' own bytes (AppendRelayedEvaluateResponse); on the write
+// the shards' own bytes (relayedMatches); on the write
 // path the /v1/updates batch (client → router → shard) and its
 // UpdatesResponse, and the SSE delta frame, which a shard writes
 // straight from monitor.Delta and the router relays as the shard's own
@@ -125,37 +125,23 @@ func (e *encoder) str(s string) {
 	e.b = append(append(b, s[start:]...), '"')
 }
 
-// matchRows appends a match list from whichever layer holds it — the
-// engine's []core.Match on a shard, the wire's []MatchJSON at the
-// router — so a shard encodes its answer without copying it first.
-func matchRows[M any](e *encoder, ms []M, row func(*M) (id int64, p float64)) {
+// engineMatches writes the engine's match list — a list even when the
+// slice is nil — so a shard, and the router for its NN answer, encode
+// an answer without copying it first. Each element is in the one layout
+// the reply scanner takes (shardMatches).
+func (e *encoder) engineMatches(ms []core.Match) {
 	e.raw("[")
 	for i := range ms {
 		if i > 0 {
 			e.raw(",")
 		}
-		id, p := row(&ms[i])
 		e.raw(`{"id":`)
-		e.int(id)
+		e.int(int64(ms[i].ID))
 		e.raw(`,"p":`)
-		e.float(p)
+		e.float(ms[i].P)
 		e.raw("}")
 	}
 	e.raw("]")
-}
-
-func (e *encoder) matches(ms []MatchJSON) {
-	if ms == nil {
-		e.raw("null")
-		return
-	}
-	matchRows(e, ms, func(m *MatchJSON) (int64, float64) { return m.ID, m.P })
-}
-
-// engineMatches writes what ToMatchesJSON's copy would have been
-// written as: a list even when the engine's slice is nil.
-func (e *encoder) engineMatches(ms []core.Match) {
-	matchRows(e, ms, func(m *core.Match) (int64, float64) { return int64(m.ID), m.P })
 }
 
 // evaluateHead is an EvaluateResponse up to its match list,
@@ -260,19 +246,11 @@ func (e *encoder) done() ([]byte, error) {
 	return e.b, nil
 }
 
-// AppendEvaluateResponse appends r as the body of POST /v1/evaluate:
-// byte for byte what json.NewEncoder(w).Encode(r) writes.
-func AppendEvaluateResponse(dst []byte, r *EvaluateResponse) ([]byte, error) {
-	e := encoder{b: dst}
-	e.evaluateHead(r)
-	e.matches(r.Matches)
-	e.evaluateTail(r)
-	return e.done()
-}
-
-// appendEngineEvaluateResponse is AppendEvaluateResponse for a shard:
-// the match list is the engine's own slice and r.Matches is not read.
-func appendEngineEvaluateResponse(dst []byte, r *EvaluateResponse, ms []core.Match) ([]byte, error) {
+// AppendEngineEvaluateResponse appends r as the body of POST
+// /v1/evaluate with ms, the engine's own slice, as its match list;
+// r.Matches is not read. A shard answers with it, and so does the
+// router for an NN query, whose answer it refines itself.
+func AppendEngineEvaluateResponse(dst []byte, r *EvaluateResponse, ms []core.Match) ([]byte, error) {
 	e := encoder{b: dst}
 	e.evaluateHead(r)
 	e.engineMatches(ms)
@@ -282,16 +260,11 @@ func appendEngineEvaluateResponse(dst []byte, r *EvaluateResponse, ms []core.Mat
 
 // AppendRelayedEvaluateResponse appends the router's answer to POST
 // /v1/evaluate: r, except that its match list is not r.Matches but the
-// union of the replies' lists, merged in the canonical order each
-// arrives in (DecodeEvaluateReply checked it) with one copy kept of
-// matches that compare equal — a straddling object's replicas — and
-// every element copied from the reply that supplied it rather than
-// written again. A lone non-empty list is one copy. The list is always
-// a list: no reply, or only empty or null ones, is [].
+// replies' lists relayed (relayedMatches).
 func AppendRelayedEvaluateResponse(dst []byte, r *EvaluateResponse, replies []EvaluateReply) ([]byte, error) {
 	e := encoder{b: dst}
 	e.evaluateHead(r)
-	e.relayedMatches(replies)
+	e.relayedMatches(len(replies), func(i int) relayCursor { return relayCursor{replies[i].Matches, replies[i].elems} })
 	e.evaluateTail(r)
 	return e.done()
 }
@@ -303,12 +276,20 @@ type relayCursor struct {
 	elems []byte
 }
 
-func (e *encoder) relayedMatches(replies []EvaluateReply) {
+// relayedMatches writes the union of n shard replies' match lists,
+// list(i) the i-th, merged in the canonical order each arrives in (the
+// reply scanner checked it) with one copy kept of matches that compare
+// equal — a straddling object's replicas, which every replica answers
+// with a bit-identical probability — and every element copied from the
+// reply that supplied it rather than written again. A lone non-empty
+// list is one copy. The list is always a list: no reply, or only empty
+// or null ones, is [].
+func (e *encoder) relayedMatches(n int, list func(i int) relayCursor) {
 	var fixed [4]relayCursor // a query touches one shard, rarely more than two
 	lists := fixed[:0]
-	for i := range replies {
-		if len(replies[i].Matches) > 0 {
-			lists = append(lists, relayCursor{replies[i].Matches, replies[i].elems})
+	for i := range n {
+		if c := list(i); len(c.ms) > 0 {
+			lists = append(lists, c)
 		}
 	}
 	e.raw("[")
@@ -345,15 +326,35 @@ func (e *encoder) relayedMatches(replies []EvaluateReply) {
 	e.raw("]")
 }
 
-// AppendRegisterResponse appends r as the body of POST /v1/queries.
-func AppendRegisterResponse(dst []byte, r *RegisterResponse) ([]byte, error) {
-	e := encoder{b: dst}
+// registerHead is a RegisterResponse up to its snapshot; what follows
+// the snapshot is "}\n".
+func (e *encoder) registerHead(r *RegisterResponse) {
 	e.raw(`{"id":`)
 	e.int(r.ID)
 	e.raw(`,"kind":`)
 	e.str(r.Kind)
 	e.raw(`,"snapshot":`)
-	e.matches(r.Snapshot)
+}
+
+// appendEngineRegisterResponse appends r as a shard's body of POST
+// /v1/queries with ms, the standing query's snapshot as the engine
+// holds it, as its snapshot; r.Snapshot is not read.
+func appendEngineRegisterResponse(dst []byte, r *RegisterResponse, ms []core.Match) ([]byte, error) {
+	e := encoder{b: dst}
+	e.registerHead(r)
+	e.engineMatches(ms)
+	e.raw("}\n")
+	return e.done()
+}
+
+// AppendRelayedRegisterResponse appends the router's answer to POST
+// /v1/queries: r, except that its snapshot is not r.Snapshot but the
+// replies' snapshots relayed as an evaluate answer's match lists are
+// (relayedMatches).
+func AppendRelayedRegisterResponse(dst []byte, r *RegisterResponse, replies []RegisterReply) ([]byte, error) {
+	e := encoder{b: dst}
+	e.registerHead(r)
+	e.relayedMatches(len(replies), func(i int) relayCursor { return relayCursor{replies[i].Snapshot, replies[i].elems} })
 	e.raw("}\n")
 	return e.done()
 }
@@ -617,14 +618,13 @@ const maxSkipDepth = 32
 // As a decoder of replies and frames it accepts less than
 // encoding/json: only an object at the top, null only in place of a
 // list, no key twice in one object (json.Unmarshal merges the two
-// values), unknown values nested at most maxSkipDepth deep, an
-// answer's match list only in the engine's canonical order (matches),
-// and the one in a shard's evaluate reply only in the layout a shard
-// writes, too (shardMatches). It accepts any key order, whitespace, keys
-// spelled in another case (as json.Unmarshal matches them) and unknown
-// keys, whose values are checked to be JSON and dropped — unless
-// strict, when an unknown key is refused as DisallowUnknownFields
-// refuses it.
+// values), unknown values nested at most maxSkipDepth deep, and an
+// answer's match list only in the engine's canonical order and in the
+// layout a shard writes (shardMatches). Elsewhere it accepts any key
+// order, whitespace, keys spelled in another case (as json.Unmarshal
+// matches them) and unknown keys, whose values are checked to be JSON
+// and dropped — unless strict, when an unknown key is refused as
+// DisallowUnknownFields refuses it.
 type scanner struct {
 	p      []byte
 	i      int
@@ -1031,42 +1031,27 @@ func (s *scanner) match() (m MatchJSON) {
 	return m
 }
 
-// matches scans an answer's match list — an evaluate reply or a
-// registration snapshot — and holds it to what the router's merge relies
-// on: strictly ascending in the engine's canonical order
-// (CompareMatchJSON), which also rules out a repeated id at one
-// probability. An unsorted list merged as if sorted would become the
-// fleet's answer silently.
-func (s *scanner) matches() []MatchJSON {
-	// Every element opens a brace, so their count bounds the list by
-	// the bytes actually present.
-	hint := bytes.Count(s.p[s.i:], []byte("{"))
-	var prev MatchJSON
-	first := true
-	return list(s, hint, func() MatchJSON {
-		m := s.match()
-		if !first && CompareMatchJSON(prev, m) >= 0 {
-			s.fail(outOfOrder)
-		}
-		prev, first = m, false
-		return m
-	})
-}
-
 const outOfOrder = "match list is not in canonical order"
 
-// shardMatches is matches for the match list of a shard's evaluate
-// reply, which the router relays as the shard's bytes: it also returns
-// the elements' bytes — the list between its brackets, aliasing the
-// body — and takes each element only in the one layout a shard's
-// encoder writes (matchRows), {"id":<int>,"p":<number>} with no
-// whitespace and no other key. That is what lets the router find where
-// an element ends and copy it instead of writing it again.
+// shardMatches scans an answer's match list — an evaluate reply's or a
+// registration snapshot — which the router relays as the shard's bytes.
+// It returns the decoded list and the elements' bytes: the list between
+// its brackets, aliasing the body. It holds the list to what the
+// router's merge relies on: strictly ascending in the engine's
+// canonical order (CompareMatchJSON), which also rules out a repeated
+// id at one probability — an unsorted list merged as if sorted would
+// become the fleet's answer silently — and each element in the one
+// layout a shard's encoder writes (engineMatches),
+// {"id":<int>,"p":<number>} with no whitespace and no other key. That
+// is what lets the router find where an element ends and copy it
+// instead of writing it again.
 func (s *scanner) shardMatches() (ms []MatchJSON, elems []byte) {
 	if s.null() || !s.expect('[') {
 		return nil, nil
 	}
 	from := s.i
+	// Every element opens a brace, so their count bounds the list by the
+	// bytes actually present.
 	ms = make([]MatchJSON, 0, bytes.Count(s.p[s.i:], []byte("{")))
 	if s.i < len(s.p) && s.p[s.i] == ']' {
 		s.i++
@@ -1213,21 +1198,13 @@ type EvaluateReply struct {
 	elems []byte // the match list between its brackets
 }
 
-// DecodeEvaluateReply decodes a shard's reply to POST /v1/evaluate
-// under the rules of DecodeEvaluateResponse, but for its match list,
-// which it takes only in the layout a shard writes (shardMatches).
+// DecodeEvaluateReply decodes a shard's reply to POST /v1/evaluate: what
+// json.Unmarshal reads into an EvaluateResponse, in any key order,
+// whitespace and key case, unknown keys dropped, but for the refusals
+// of the scanner — among them a match list out of canonical order or
+// not in the layout a shard writes (shardMatches). Every refusal wraps
+// ErrBody.
 func DecodeEvaluateReply(body []byte) (EvaluateReply, error) {
-	return decodeEvaluate(body, true)
-}
-
-// DecodeEvaluateResponse decodes the body of POST /v1/evaluate. The
-// result shares no memory with body. Every refusal wraps ErrBody.
-func DecodeEvaluateResponse(body []byte) (EvaluateResponse, error) {
-	r, err := decodeEvaluate(body, false)
-	return r.EvaluateResponse, err
-}
-
-func decodeEvaluate(body []byte, relay bool) (EvaluateReply, error) {
 	s := &scanner{p: body}
 	var r EvaluateReply
 	s.members(evaluateKeys, func(f int) {
@@ -1239,11 +1216,7 @@ func decodeEvaluate(body []byte, relay bool) (EvaluateReply, error) {
 		case 2:
 			r.Version = s.uint64()
 		case 3:
-			if relay {
-				r.Matches, r.elems = s.shardMatches()
-			} else {
-				r.Matches = s.matches()
-			}
+			r.Matches, r.elems = s.shardMatches()
 		case 4:
 			r.Cost = s.cost()
 		case 5:
@@ -1262,11 +1235,21 @@ func decodeEvaluate(body []byte, relay bool) (EvaluateReply, error) {
 
 var registerKeys = []string{"id", "kind", "snapshot"}
 
-// DecodeRegisterResponse decodes the body of POST /v1/queries, under
-// the rules of DecodeEvaluateResponse.
-func DecodeRegisterResponse(body []byte) (RegisterResponse, error) {
+// RegisterReply is a shard's reply to POST /v1/queries as the router
+// relays it: the reply decoded, and the bytes of its snapshot's
+// elements, which AppendRelayedRegisterResponse copies into the
+// router's answer. They alias the body as an EvaluateReply's do.
+type RegisterReply struct {
+	RegisterResponse
+	elems []byte // the snapshot between its brackets
+}
+
+// DecodeRegisterResponse decodes a shard's reply to POST /v1/queries
+// under the rules of DecodeEvaluateReply: the snapshot is taken only
+// in canonical order and in the layout a shard writes.
+func DecodeRegisterResponse(body []byte) (RegisterReply, error) {
 	s := &scanner{p: body}
-	var r RegisterResponse
+	var r RegisterReply
 	s.members(registerKeys, func(f int) {
 		switch f {
 		case 0:
@@ -1274,11 +1257,11 @@ func DecodeRegisterResponse(body []byte) (RegisterResponse, error) {
 		case 1:
 			r.Kind = s.known(kindNames)
 		case 2:
-			r.Snapshot = s.matches()
+			r.Snapshot, r.elems = s.shardMatches()
 		}
 	})
 	if err := s.end(); err != nil {
-		return RegisterResponse{}, err
+		return RegisterReply{}, err
 	}
 	return r, nil
 }
@@ -1484,7 +1467,7 @@ func DecodeNNCandidatesRequest(body []byte) (NNCandidatesRequest, error) {
 var updatesResponseKeys = []string{"seq", "applied", "missing", "version", "reevaluated", "skipped", "entered", "left", "changed", "errors", "versions", "partial", "missing_shards"}
 
 // DecodeUpdatesResponse decodes the reply of POST /v1/updates, under
-// the rules of DecodeEvaluateResponse; a versions key repeated is
+// the rules of DecodeEvaluateReply; a versions key repeated is
 // refused like any other.
 func DecodeUpdatesResponse(body []byte) (UpdatesResponse, error) {
 	s := &scanner{p: body}

@@ -115,31 +115,14 @@ func goldenValues() (EvaluateResponse, RegisterResponse) {
 
 // TestCodecGolden: every body is the bytes encoding/json wrote for it
 // before this codec, and those bytes decode to what json.Unmarshal
-// makes of them; the relayed frame is the one the router wrote.
+// makes of them; a lone registration reply relayed is its own bytes,
+// and the relayed frame is the one the router wrote.
 func TestCodecGolden(t *testing.T) {
 	ev, reg := goldenValues()
-	got, err := AppendEvaluateResponse(nil, &ev)
-	if err != nil || string(got) != goldenEvaluate {
-		t.Errorf("evaluate body (err %v):\n got %s\nwant %s", err, got, goldenEvaluate)
-	}
-	got, err = AppendRegisterResponse(nil, &reg)
-	if err != nil || string(got) != goldenRegister {
-		t.Errorf("register body (err %v):\n got %s\nwant %s", err, got, goldenRegister)
-	}
-
-	var wantEv EvaluateResponse
-	if err := json.Unmarshal([]byte(goldenEvaluate), &wantEv); err != nil {
-		t.Fatal(err)
-	}
-	if gotEv, err := DecodeEvaluateResponse([]byte(goldenEvaluate)); err != nil || !reflect.DeepEqual(gotEv, wantEv) {
-		t.Errorf("evaluate decode (err %v):\n got %+v\nwant %+v", err, gotEv, wantEv)
-	}
-	var wantReg RegisterResponse
-	if err := json.Unmarshal([]byte(goldenRegister), &wantReg); err != nil {
-		t.Fatal(err)
-	}
-	if gotReg, err := DecodeRegisterResponse([]byte(goldenRegister)); err != nil || !reflect.DeepEqual(gotReg, wantReg) {
-		t.Errorf("register decode (err %v):\n got %+v\nwant %+v", err, gotReg, wantReg)
+	goldenBody(t, "evaluate body", &ev, goldenEvaluate, appendEvaluate, decodeEvaluate)
+	goldenBody(t, "register body", &reg, goldenRegister, appendRegister, decodeRegister)
+	if relayed, err := relayLoneRegister([]byte(goldenRegister)); err != nil || string(relayed) != goldenRegister {
+		t.Errorf("relayed register body (err %v):\n got %s\nwant %s", err, relayed, goldenRegister)
 	}
 
 	batch, reply, d := goldenWriteValues()
@@ -291,6 +274,40 @@ func sameBodyAsStd[T any](t *testing.T, std func(testing.TB, any) []byte, v *T, 
 	}
 }
 
+// engineList is ms as the engine holds a match list.
+func engineList(ms []MatchJSON) []core.Match {
+	if ms == nil {
+		return nil
+	}
+	out := make([]core.Match, len(ms))
+	for i, m := range ms {
+		out[i] = core.Match{ID: uncertain.ID(m.ID), P: m.P}
+	}
+	return out
+}
+
+// appendEvaluate and appendRegister write r as a shard does, from the
+// engine's form of its match list.
+func appendEvaluate(dst []byte, r *EvaluateResponse) ([]byte, error) {
+	return AppendEngineEvaluateResponse(dst, r, engineList(r.Matches))
+}
+
+func appendRegister(dst []byte, r *RegisterResponse) ([]byte, error) {
+	return appendEngineRegisterResponse(dst, r, engineList(r.Snapshot))
+}
+
+// decodeEvaluate and decodeRegister read a shard's reply as the router
+// does, less the elements' bytes.
+func decodeEvaluate(body []byte) (EvaluateResponse, error) {
+	r, err := DecodeEvaluateReply(body)
+	return r.EvaluateResponse, err
+}
+
+func decodeRegister(body []byte) (RegisterResponse, error) {
+	r, err := DecodeRegisterResponse(body)
+	return r.RegisterResponse, err
+}
+
 // TestCodecMatchesEncodingJSON is the differential that pins the codec
 // to encoding/json: for random bodies of every kind the bytes and the
 // decoded structs are identical, and a relayed delta frame is the
@@ -298,10 +315,13 @@ func sameBodyAsStd[T any](t *testing.T, std func(testing.TB, any) []byte, v *T, 
 func TestCodecMatchesEncodingJSON(t *testing.T) {
 	rng := rand.New(rand.NewPCG(22, 1))
 	for i := range 3000 {
-		ev := randomEvaluateResponse(rng)
-		sameBodyAsStd(t, stdEncode, &ev, i%4 == 0, AppendEvaluateResponse, DecodeEvaluateResponse)
-		reg := RegisterResponse{ID: randomID(rng), Kind: randomString(rng), Snapshot: randomMatches(rng)}
-		sameBodyAsStd(t, stdEncode, &reg, i%4 == 1, AppendRegisterResponse, DecodeRegisterResponse)
+		// A match list is always a list, and the reply scanner takes its
+		// elements only as a shard writes them, so those two bodies are
+		// spread over lines only when the list is empty ([] stays []).
+		ev := listed(randomEvaluateResponse(rng))
+		sameBodyAsStd(t, stdEncode, &ev, i%4 == 0 && len(ev.Matches) == 0, appendEvaluate, decodeEvaluate)
+		reg := listedSnapshot(RegisterResponse{ID: randomID(rng), Kind: randomString(rng), Snapshot: randomMatches(rng)})
+		sameBodyAsStd(t, stdEncode, &reg, i%4 == 1 && len(reg.Snapshot) == 0, appendRegister, decodeRegister)
 		batch := randomUpdatesRequest(rng)
 		sameBodyAsStd(t, stdMarshal, &batch, i%4 == 2, AppendUpdatesRequest, DecodeUpdatesRequest)
 		rep := randomUpdatesResponse(rng)
@@ -316,12 +336,19 @@ func TestCodecMatchesEncodingJSON(t *testing.T) {
 // a list even for a nil slice.
 func TestEngineMatchesEncodeAsTheirCopy(t *testing.T) {
 	head := EvaluateResponse{RequestID: "1", Kind: "points", Version: 3}
+	reg := RegisterResponse{ID: 5, Kind: "uncertain"}
 	for _, ms := range [][]core.Match{nil, {}, {{ID: 4, P: 0.75}, {ID: -2, P: 0.25}}} {
-		got, err := appendEngineEvaluateResponse(nil, &head, ms)
+		got, err := AppendEngineEvaluateResponse(nil, &head, ms)
 		copied := head
 		copied.Matches = ToMatchesJSON(ms)
 		if want := stdEncode(t, copied); err != nil || !bytes.Equal(got, want) {
 			t.Errorf("engine matches %v (err %v):\n got %s\nwant %s", ms, err, got, want)
+		}
+		got, err = appendEngineRegisterResponse(nil, &reg, ms)
+		copiedReg := reg
+		copiedReg.Snapshot = ToMatchesJSON(ms)
+		if want := stdEncode(t, copiedReg); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("engine snapshot %v (err %v):\n got %s\nwant %s", ms, err, got, want)
 		}
 	}
 }
@@ -330,12 +357,15 @@ func TestEngineMatchesEncodeAsTheirCopy(t *testing.T) {
 // bytes, as with encoding/json.
 func TestEncoderRefusesNonFinite(t *testing.T) {
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		ev := EvaluateResponse{Matches: []MatchJSON{{ID: 1, P: bad}}}
-		if got, err := AppendEvaluateResponse(nil, &ev); err == nil || got != nil {
+		var ev EvaluateResponse
+		if got, err := AppendEngineEvaluateResponse(nil, &ev, []core.Match{{ID: 1, P: bad}}); err == nil || got != nil {
 			t.Errorf("p=%v encoded: %s", bad, got)
 		}
+		if got, err := appendEngineRegisterResponse(nil, &RegisterResponse{}, []core.Match{{ID: 1, P: bad}}); err == nil || got != nil {
+			t.Errorf("snapshot p=%v encoded: %s", bad, got)
+		}
 		ev = EvaluateResponse{Cost: CostJSON{DurationMS: bad}}
-		if got, err := AppendEvaluateResponse(nil, &ev); err == nil || got != nil {
+		if got, err := AppendEngineEvaluateResponse(nil, &ev, nil); err == nil || got != nil {
 			t.Errorf("duration_ms=%v encoded: %s", bad, got)
 		}
 	}
@@ -343,21 +373,22 @@ func TestEncoderRefusesNonFinite(t *testing.T) {
 
 const minimalEvaluate = `{"request_id":"1","kind":"points","version":2,"matches":[{"id":1,"p":0.5},{"id":2,"p":0.25}],"cost":{"candidates":2,"refined":0,"samples_used":0,"early_stopped":0,"node_accesses":1,"duration_ms":0.1}}`
 
-// TestDecoderAccepts: what the scanner takes beyond its own encoder's
-// output, each checked against json.Unmarshal.
+// TestDecoderAccepts: what the reply scanner takes beyond its own
+// encoder's output, each checked against json.Unmarshal. Inside a match
+// list it takes only the layout a shard writes (TestDecoderRefuses).
 func TestDecoderAccepts(t *testing.T) {
 	deep := strings.Repeat("[", maxSkipDepth) + strings.Repeat("]", maxSkipDepth)
 	for name, body := range map[string]string{
-		"any key order":       `{"cost":{"duration_ms":0.1,"candidates":2},"matches":[{"p":0.5,"id":1}],"version":2,"kind":"points","request_id":"1"}`,
-		"whitespace":          " {\n\t\"kind\" : \"points\" ,\r\n \"matches\" : [ { \"id\" : 1 , \"p\" : 5e-1 } , {\"id\":2,\"p\":0.25E0} ] } \n",
-		"unknown keys":        `{"kind":"points","later":{"a":[1,-2.5e3,true,false,null,"s\u00e9\n",{}],"b":{}},"matches":[{"id":1,"p":0.5,"extra":"x"}],"also":[]}`,
+		"any key order":       `{"cost":{"duration_ms":0.1,"candidates":2},"matches":[{"id":1,"p":0.5}],"version":2,"kind":"points","request_id":"1"}`,
+		"whitespace":          " {\n\t\"kind\" : \"points\" ,\r\n \"matches\" : [{\"id\":1,\"p\":5e-1},{\"id\":2,\"p\":0.25E0}] , \"cost\" : { \"refined\" : 3 } } \n",
+		"unknown keys":        `{"kind":"points","later":{"a":[1,-2.5e3,true,false,null,"s\u00e9\n",{}],"b":{}},"matches":[{"id":1,"p":0.5}],"also":[]}`,
 		"unknown value depth": `{"kind":"points","deep":` + deep + `}`,
-		"folded keys":         `{"KIND":"points","Matches":[{"ID":1,"P":0.5}],"\u017Fnapshot":1,"co\u017Ft":{"Refined":3}}`,
+		"folded keys":         `{"KIND":"points","Matches":[{"id":1,"p":0.5}],"\u017Fnapshot":1,"co\u017Ft":{"Refined":3}}`,
 		"escapes":             `{"kind":"a\"\\\/\b\f\n\r\t\u003c\u00E9\ud83d\ude00\ud83dx\ude00\ud83d\u0041","request_id":"` + "caf\xc3\xa9 \xff" + `"}`,
 		"null lists":          `{"matches":null,"trace":null,"missing_shards":null}`,
 		"empty lists":         `{"matches":[],"trace":[],"missing_shards":[]}`,
 		"empty object":        `{}`,
-		"empty elements":      `{"matches":[{}],"trace":[{}]}`,
+		"empty elements":      `{"trace":[{}]}`,
 		"equal p by id":       `{"matches":[{"id":-5,"p":0.5},{"id":3,"p":0.5},{"id":4,"p":0.5}]}`,
 		"zero of either sign": `{"matches":[{"id":1,"p":0},{"id":2,"p":-0}]}`,
 		"-0 int":              `{"matches":[{"id":-0,"p":1}]}`,
@@ -368,9 +399,9 @@ func TestDecoderAccepts(t *testing.T) {
 			t.Errorf("%s: json.Unmarshal refuses the case itself: %v", name, err)
 			continue
 		}
-		got, err := DecodeEvaluateResponse([]byte(body))
-		if err != nil || !reflect.DeepEqual(got, want) {
-			t.Errorf("%s (err %v):\n got %+v\nwant %+v", name, err, got, want)
+		got, err := DecodeEvaluateReply([]byte(body))
+		if err != nil || !reflect.DeepEqual(got.EvaluateResponse, want) {
+			t.Errorf("%s (err %v):\n got %+v\nwant %+v", name, err, got.EvaluateResponse, want)
 		}
 	}
 }
@@ -429,12 +460,20 @@ func TestDecoderRefuses(t *testing.T) {
 		"missing comma":           `{"kind":"points" "version":1}`,
 		"trailing comma":          `{"kind":"points",}`,
 		"array trailing comma":    `{"matches":[{"id":1,"p":1},]}`,
+		"match keys in any order": `{"matches":[{"p":0.5,"id":1}]}`,
+		"whitespace in a match":   `{"matches":[{"id":1,"p": 0.5}]}`,
+		"whitespace between":      `{"matches":[{"id":1,"p":0.5}, {"id":2,"p":0.25}]}`,
+		"whitespace in brackets":  `{"matches":[ {"id":1,"p":0.5}]}`,
+		"unknown key in a match":  `{"matches":[{"id":1,"p":0.5,"extra":"x"}]}`,
+		"folded match keys":       `{"matches":[{"ID":1,"P":0.5}]}`,
+		"empty match":             `{"matches":[{}]}`,
+		"match without p":         `{"matches":[{"id":1}]}`,
 	} {
-		got, err := DecodeEvaluateResponse([]byte(body))
+		got, err := DecodeEvaluateReply([]byte(body))
 		if !errors.Is(err, ErrBody) {
 			t.Errorf("%s: err = %v, want ErrBody", name, err)
 		}
-		if !reflect.DeepEqual(got, EvaluateResponse{}) {
+		if !reflect.DeepEqual(got, EvaluateReply{}) {
 			t.Errorf("%s: a refused body still produced %+v", name, got)
 		}
 	}
@@ -444,18 +483,19 @@ func TestDecoderRefuses(t *testing.T) {
 		"id is a string":      `{"id":"1"}`,
 		"truncated":           goldenRegister[:len(goldenRegister)-3],
 		"trailing garbage":    goldenRegister + "x",
+		"another layout":      `{"id":1,"kind":"points","snapshot":[{"p":0.5,"id":1}]}`,
+		"whitespace":          `{"id":1,"kind":"points","snapshot":[{"id":1,"p":0.5}, {"id":2,"p":0.25}]}`,
 	} {
 		got, err := DecodeRegisterResponse([]byte(body))
-		if !errors.Is(err, ErrBody) || !reflect.DeepEqual(got, RegisterResponse{}) {
+		if !errors.Is(err, ErrBody) || !reflect.DeepEqual(got, RegisterReply{}) {
 			t.Errorf("register, %s: got %+v, err %v; want the zero value and ErrBody", name, got, err)
 		}
 	}
 }
 
-// realReply is a shard's answer to a range query that ~536 objects
-// qualify for — the benchmark's range_ro answer size — as the handler
-// wrote it.
-func realReply(tb testing.TB) []byte {
+// realServer is a shard holding 536 objects, ~536 of which qualify for
+// range_ro's question — the benchmark's range_ro answer size.
+func realServer(tb testing.TB) *Server {
 	tb.Helper()
 	eng, err := core.NewEngine(nil, nil, core.EngineOptions{})
 	if err != nil {
@@ -474,9 +514,15 @@ func realReply(tb testing.TB) []byte {
 	if rep := eng.ApplyUpdates(batch); rep.Applied != len(batch) {
 		tb.Fatalf("applied %d of %d updates: %v", rep.Applied, len(batch), rep.Errors)
 	}
-	srv := NewServer(monitor.New(eng, monitor.Config{Workers: 1}), core.EvalOptions{}, Config{})
+	return NewServer(monitor.New(eng, monitor.Config{Workers: 1}), core.EvalOptions{}, Config{})
+}
+
+// realReply is the real shard's answer to range_ro's question, as the
+// handler wrote it.
+func realReply(tb testing.TB) []byte {
+	tb.Helper()
 	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/evaluate",
+	realServer(tb).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/evaluate",
 		strings.NewReader(`{"issuer":{"region":[4900,4900,5100,5100]},"w":1500,"h":1500}`)))
 	if rec.Code != http.StatusOK {
 		tb.Fatalf("HTTP %d: %s", rec.Code, rec.Body)
@@ -494,8 +540,17 @@ func relayLone(body []byte) ([]byte, error) {
 	return AppendRelayedEvaluateResponse(nil, &rep.EvaluateResponse, []EvaluateReply{rep})
 }
 
+// relayLoneRegister is relayLone for a registration reply.
+func relayLoneRegister(body []byte) ([]byte, error) {
+	rep, err := DecodeRegisterResponse(body)
+	if err != nil {
+		return nil, err
+	}
+	return AppendRelayedRegisterResponse(nil, &rep.RegisterResponse, []RegisterReply{rep})
+}
+
 // listed is r with a null or absent match list read as empty: the
-// router always answers a list.
+// router and the shard encoder always answer a list.
 func listed(r EvaluateResponse) EvaluateResponse {
 	if r.Matches == nil {
 		r.Matches = []MatchJSON{}
@@ -503,13 +558,34 @@ func listed(r EvaluateResponse) EvaluateResponse {
 	return r
 }
 
-// FuzzDecodeEvaluateResponse: for arbitrary bytes the scanner returns a
-// value or an ErrBody, never panics, and whatever it accepts
-// json.Unmarshal accepts too, into the same struct — which the append
-// encoder then writes as encoding/json does. The router's reply decoder
-// accepts a subset of that, into the same struct, and its relay of a
-// lone reply is a body json.Unmarshal reads as that struct; relaying a
-// body the append encoder wrote gives back its bytes exactly.
+// listedSnapshot is listed for a registration reply.
+func listedSnapshot(r RegisterResponse) RegisterResponse {
+	if r.Snapshot == nil {
+		r.Snapshot = []MatchJSON{}
+	}
+	return r
+}
+
+// realRegisterReply is the real shard's reply to the registration of
+// range_ro's question, as the handler wrote it.
+func realRegisterReply(tb testing.TB) []byte {
+	tb.Helper()
+	rec := httptest.NewRecorder()
+	realServer(tb).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/queries",
+		strings.NewReader(`{"issuer":{"region":[4900,4900,5100,5100]},"w":1500,"h":1500}`)))
+	if rec.Code != http.StatusCreated {
+		tb.Fatalf("HTTP %d: %s", rec.Code, rec.Body)
+	}
+	return rec.Body.Bytes()
+}
+
+// FuzzDecodeEvaluateResponse: for arbitrary bytes each reply decoder —
+// of an evaluate reply and of a registration reply — returns a value or
+// an ErrBody and never panics, and whatever it accepts json.Unmarshal
+// accepts too, into the same struct, which the shard encoder then writes
+// as encoding/json does. The router's relay of a lone reply is a body
+// json.Unmarshal reads as that struct, and relaying a body the shard
+// encoder wrote gives back its bytes exactly.
 func FuzzDecodeEvaluateResponse(f *testing.F) {
 	real := realReply(f)
 	if n := bytes.Count(real, []byte(`"id"`)); n < 500 {
@@ -527,44 +603,70 @@ func FuzzDecodeEvaluateResponse(f *testing.F) {
 	f.Add([]byte(`{"matches":[{"id":-0,"p":-0},{"id":-9223372036854775808,"p":-1e-7}],"matches_x":[]}`))
 	f.Add([]byte(`{"matches":[{"id":1,"p":0.5} ,{"id":2,"p":0.25}]}`))
 	f.Add([]byte(`{"matches":null,"kind":"uncertain"}`))
+	reg := realRegisterReply(f)
+	if n := bytes.Count(reg, []byte(`"id"`)); n < 500 {
+		f.Fatalf("the real registration reply has %d matches, want the benchmark's ~536", n)
+	}
+	f.Add(reg)
+	f.Add([]byte(goldenRegister))
+	f.Add([]byte(`{"ID":-0,"Snapshot":null,"kind":"uncertain","snapshot_x":[{"id":1}]}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
-		got, err := DecodeEvaluateResponse(body)
-		rep, repErr := DecodeEvaluateReply(body)
-		if repErr != nil && (!errors.Is(repErr, ErrBody) || !reflect.DeepEqual(rep, EvaluateReply{})) {
-			t.Fatalf("reply refusal is not a bare ErrBody: %+v, %v", rep, repErr)
-		}
-		if repErr == nil && (err != nil || !reflect.DeepEqual(rep.EvaluateResponse, got)) {
-			t.Fatalf("the reply decoder accepts what the scanner reads otherwise (%v): %q\nreply %+v\n scan %+v", err, body, rep.EvaluateResponse, got)
-		}
+		rep, err := DecodeEvaluateReply(body)
 		if err != nil {
-			if !errors.Is(err, ErrBody) || !reflect.DeepEqual(got, EvaluateResponse{}) {
-				t.Fatalf("refusal is not a bare ErrBody: %+v, %v", got, err)
+			if !errors.Is(err, ErrBody) || !reflect.DeepEqual(rep, EvaluateReply{}) {
+				t.Fatalf("refusal is not a bare ErrBody: %+v, %v", rep, err)
 			}
-			return
-		}
-		var want EvaluateResponse
-		if err := json.Unmarshal(body, &want); err != nil {
-			t.Fatalf("scanner accepts what json.Unmarshal refuses (%v): %q", err, body)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("decoders disagree on %q:\nscan %+v\n std %+v", body, got, want)
-		}
-		enc, err := AppendEvaluateResponse(nil, &got)
-		if std := stdEncode(t, got); err != nil || !bytes.Equal(enc, std) {
-			t.Fatalf("encoders disagree (err %v):\n got %s\n std %s", err, enc, std)
-		}
-
-		if repErr == nil {
+		} else {
+			got := rep.EvaluateResponse
+			var want EvaluateResponse
+			if err := json.Unmarshal(body, &want); err != nil {
+				t.Fatalf("scanner accepts what json.Unmarshal refuses (%v): %q", err, body)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("decoders disagree on %q:\nscan %+v\n std %+v", body, got, want)
+			}
 			relayed, err := relayLone(body)
 			var back EvaluateResponse
 			if err != nil || json.Unmarshal(relayed, &back) != nil || !reflect.DeepEqual(back, listed(got)) {
 				t.Fatalf("relay of %q (err %v) is %q, which does not read back as\n%+v", body, err, relayed, listed(got))
 			}
+			asList := listed(got)
+			enc, err := appendEvaluate(nil, &asList)
+			if std := stdEncode(t, asList); err != nil || !bytes.Equal(enc, std) {
+				t.Fatalf("encoders disagree (err %v):\n got %s\n std %s", err, enc, std)
+			}
+			if relayed, err := relayLone(enc); err != nil || !bytes.Equal(relayed, enc) {
+				t.Fatalf("relay of an encoded body (err %v):\n got %s\nwant %s", err, relayed, enc)
+			}
 		}
-		asList := listed(got)
-		enc, _ = AppendEvaluateResponse(nil, &asList)
-		if relayed, err := relayLone(enc); err != nil || !bytes.Equal(relayed, enc) {
-			t.Fatalf("relay of an encoded body (err %v):\n got %s\nwant %s", err, relayed, enc)
+
+		reg, err := DecodeRegisterResponse(body)
+		if err != nil {
+			if !errors.Is(err, ErrBody) || !reflect.DeepEqual(reg, RegisterReply{}) {
+				t.Fatalf("registration refusal is not a bare ErrBody: %+v, %v", reg, err)
+			}
+			return
+		}
+		got := reg.RegisterResponse
+		var want RegisterResponse
+		if err := json.Unmarshal(body, &want); err != nil {
+			t.Fatalf("registration scanner accepts what json.Unmarshal refuses (%v): %q", err, body)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("registration decoders disagree on %q:\nscan %+v\n std %+v", body, got, want)
+		}
+		relayed, err := relayLoneRegister(body)
+		var back RegisterResponse
+		if err != nil || json.Unmarshal(relayed, &back) != nil || !reflect.DeepEqual(back, listedSnapshot(got)) {
+			t.Fatalf("registration relay of %q (err %v) is %q, which does not read back as\n%+v", body, err, relayed, listedSnapshot(got))
+		}
+		asList := listedSnapshot(got)
+		enc, err := appendRegister(nil, &asList)
+		if std := stdEncode(t, asList); err != nil || !bytes.Equal(enc, std) {
+			t.Fatalf("registration encoders disagree (err %v):\n got %s\n std %s", err, enc, std)
+		}
+		if relayed, err := relayLoneRegister(enc); err != nil || !bytes.Equal(relayed, enc) {
+			t.Fatalf("relay of an encoded registration (err %v):\n got %s\nwant %s", err, relayed, enc)
 		}
 	})
 }
@@ -679,30 +781,17 @@ func relayOps(tb testing.TB) (relay, request func()) {
 }
 
 // BenchmarkEvaluateResponseCodec: the reflection codec against the
-// append encoder and the scanner, on the range_ro answer; the router's
-// relay of that answer against the decode and encode it replaced; and
-// the query request's codec against encoding/json.
+// shard's append encoder and the router's reply scanner, on the
+// range_ro answer; the router's relay of that answer; and the query
+// request's codec against encoding/json.
 func BenchmarkEvaluateResponseCodec(b *testing.B) {
 	body := realReply(b)
 	var resp EvaluateResponse
 	if err := json.Unmarshal(body, &resp); err != nil {
 		b.Fatal(err)
 	}
+	matches := engineList(resp.Matches)
 	relay, request := relayOps(b)
-	b.Run("scan-append", func(b *testing.B) {
-		var buf []byte
-		b.SetBytes(int64(len(body)))
-		b.ReportAllocs()
-		for b.Loop() {
-			r, err := DecodeEvaluateResponse(body)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if buf, err = AppendEvaluateResponse(buf[:0], &r); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("relay", func(b *testing.B) {
 		b.SetBytes(int64(len(body)))
 		b.ReportAllocs()
@@ -743,7 +832,7 @@ func BenchmarkEvaluateResponseCodec(b *testing.B) {
 		b.SetBytes(int64(len(body)))
 		for b.Loop() {
 			var err error
-			if buf, err = AppendEvaluateResponse(buf[:0], &resp); err != nil {
+			if buf, err = AppendEngineEvaluateResponse(buf[:0], &resp, matches); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -760,7 +849,7 @@ func BenchmarkEvaluateResponseCodec(b *testing.B) {
 	b.Run("scan", func(b *testing.B) {
 		b.SetBytes(int64(len(body)))
 		for b.Loop() {
-			if _, err := DecodeEvaluateResponse(body); err != nil {
+			if _, err := DecodeEvaluateReply(body); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -135,13 +135,6 @@ func WriteJSON(log *slog.Logger, w http.ResponseWriter, status int, v any) {
 	})
 }
 
-// WriteRegisterResponse answers POST /v1/queries with r.
-func WriteRegisterResponse(log *slog.Logger, w http.ResponseWriter, r *RegisterResponse) {
-	WriteBody(log, w, http.StatusCreated, func(dst []byte) ([]byte, error) {
-		return AppendRegisterResponse(dst, r)
-	})
-}
-
 // WriteUpdatesResponse answers POST /v1/updates with r.
 func WriteUpdatesResponse(log *slog.Logger, w http.ResponseWriter, r *UpdatesResponse) {
 	WriteBody(log, w, http.StatusOK, func(dst []byte) ([]byte, error) {

@@ -10,6 +10,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // TestUnencodableReplyIs500: a value that does not encode never reaches
@@ -23,7 +25,7 @@ func TestUnencodableReplyIs500(t *testing.T) {
 		},
 		"append encoder": func(w http.ResponseWriter) {
 			WriteBody(log, w, http.StatusOK, func(dst []byte) ([]byte, error) {
-				return AppendEvaluateResponse(dst, &EvaluateResponse{Matches: []MatchJSON{{ID: 1, P: 0.5}, {ID: 2, P: math.NaN()}}})
+				return AppendEngineEvaluateResponse(dst, &EvaluateResponse{}, []core.Match{{ID: 1, P: 0.5}, {ID: 2, P: math.NaN()}})
 			})
 		},
 	} {

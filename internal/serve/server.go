@@ -595,7 +595,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		body.Trace = toTraceJSON(tr)
 	}
 	WriteBody(s.log, w, http.StatusOK, func(dst []byte) ([]byte, error) {
-		return appendEngineEvaluateResponse(dst, &body, resp.Matches)
+		return AppendEngineEvaluateResponse(dst, &body, resp.Matches)
 	})
 }
 
@@ -665,10 +665,9 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		WriteError(s.log, w, http.StatusConflict, fmt.Errorf("%w: it ended during the registration", errNoFeed))
 		return
 	}
-	WriteRegisterResponse(s.log, w, &RegisterResponse{
-		ID:       sub.ID(),
-		Kind:     sub.Request().Kind.String(),
-		Snapshot: ToMatchesJSON(sub.Snapshot()),
+	body := RegisterResponse{ID: sub.ID(), Kind: sub.Request().Kind.String()}
+	WriteBody(s.log, w, http.StatusCreated, func(dst []byte) ([]byte, error) {
+		return appendEngineRegisterResponse(dst, &body, sub.Snapshot())
 	})
 }
 

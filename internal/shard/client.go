@@ -245,14 +245,6 @@ func post[T any](c *Client, ctx context.Context, path string, req *T, appendBody
 	return c.send(ctx, http.MethodPost, path, body, rp)
 }
 
-// Evaluate runs a one-shot request on the shard.
-func (c *Client) Evaluate(ctx context.Context, req serve.RequestJSON) (serve.EvaluateResponse, error) {
-	buf := serve.GetBuffer()
-	defer func() { serve.PutBuffer(buf, *buf) }()
-	out, err := c.evaluateReply(ctx, req, buf)
-	return out.EvaluateResponse, err
-}
-
 // evaluateReply runs a one-shot request on the shard and reads the reply
 // into buf, which the reply aliases (serve.DecodeEvaluateReply): buf
 // goes back to the pool only once the reply is no longer read.
@@ -304,13 +296,17 @@ func (c *Client) Updates(ctx context.Context, req serve.UpdatesRequest) (serve.U
 }
 
 // Register registers a standing query on the shard, its deltas
-// delivered on the open feed named feed (OpenFeed).
-func (c *Client) Register(ctx context.Context, req serve.RequestJSON, feed string) (serve.RegisterResponse, error) {
-	var out serve.RegisterResponse
-	err := post(c, ctx, "/v1/queries?feed="+url.QueryEscape(feed), &req, serve.AppendRequest, jsonReply("register", func(body []byte) (err error) {
+// delivered on the open feed named feed (OpenFeed), and reads the reply
+// into buf, which the reply aliases (serve.DecodeRegisterResponse): buf
+// goes back to the pool only once the reply is no longer read.
+func (c *Client) Register(ctx context.Context, req serve.RequestJSON, feed string, buf *[]byte) (serve.RegisterReply, error) {
+	var out serve.RegisterReply
+	rp := jsonReply("register", func(body []byte) (err error) {
 		out, err = serve.DecodeRegisterResponse(body)
 		return err
-	}))
+	})
+	rp.buf = buf
+	err := post(c, ctx, "/v1/queries?feed="+url.QueryEscape(feed), &req, serve.AppendRequest, rp)
 	return out, err
 }
 

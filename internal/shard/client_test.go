@@ -10,7 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/serve"
+	"repro/internal/uncertain"
 )
 
 // TestClientReusesConnections: 200 evaluate replies through one Client
@@ -25,10 +27,11 @@ import (
 // buffer of exactly that length, and the connection is kept only if
 // net/http saw the body end with its last byte.
 func TestClientReusesConnections(t *testing.T) {
-	reply := serve.EvaluateResponse{Kind: "points", Matches: make([]serve.MatchJSON, 400)}
-	for i := range reply.Matches {
-		reply.Matches[i] = serve.MatchJSON{ID: int64(i), P: 0.5}
+	matches := make([]core.Match, 400)
+	for i := range matches {
+		matches[i] = core.Match{ID: uncertain.ID(i), P: 0.5}
 	}
+	reply := serve.EvaluateResponse{Kind: "points", Matches: serve.ToMatchesJSON(matches)}
 	for name, handler := range map[string]http.HandlerFunc{
 		"chunked": func(w http.ResponseWriter, _ *http.Request) {
 			w.Header().Set("Content-Type", "application/json")
@@ -38,7 +41,7 @@ func TestClientReusesConnections(t *testing.T) {
 		},
 		"content-length": func(w http.ResponseWriter, _ *http.Request) {
 			serve.WriteBody(slog.Default(), w, http.StatusOK, func(dst []byte) ([]byte, error) {
-				return serve.AppendEvaluateResponse(dst, &reply)
+				return serve.AppendEngineEvaluateResponse(dst, &reply, matches)
 			})
 		},
 	} {
@@ -56,8 +59,10 @@ func TestClientReusesConnections(t *testing.T) {
 			tr := &http.Transport{MaxIdleConnsPerHost: 2}
 			t.Cleanup(tr.CloseIdleConnections)
 			c := &Client{ID: "0", BaseURL: ts.URL, HTTP: &http.Client{Transport: tr}}
+			buf := serve.GetBuffer()
+			defer func() { serve.PutBuffer(buf, *buf) }()
 			for i := 0; i < 200; i++ {
-				got, err := c.Evaluate(t.Context(), serve.RequestJSON{Kind: "points"})
+				got, err := c.evaluateReply(t.Context(), serve.RequestJSON{Kind: "points"}, buf)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -48,7 +47,7 @@ func TestRouterFailOpen(t *testing.T) {
 	}
 
 	// A wide query must fan to both shards; the dead one goes missing.
-	got, err := rt.Evaluate(ctx, serve.RequestJSON{
+	got, err := routerEvaluate(ctx, rt, serve.RequestJSON{
 		Kind:   "points",
 		Issuer: serve.IssuerJSON{Region: []float64{500, 500, 9500, 9500}},
 		W:      2000, H: 2000, Threshold: 0.01,
@@ -67,7 +66,7 @@ func TestRouterFailOpen(t *testing.T) {
 	// away from this issuer's far corner and the dead shard's tiles
 	// start 3900 away: the dead shard is not asked, and the answer is
 	// complete, not partial.
-	nn, err := rt.Evaluate(ctx, serve.RequestJSON{
+	nn, err := routerEvaluate(ctx, rt, serve.RequestJSON{
 		Kind:   "nn",
 		Issuer: serve.IssuerJSON{Region: []float64{900, 900, 1100, 1100}},
 		K:      1, NNSamples: 64, Seed: 5,
@@ -85,7 +84,7 @@ func TestRouterFailOpen(t *testing.T) {
 	// From just below the y=5000 border the same point is ~3900 away,
 	// so the tau ball crosses into the dead shard's tiles: a nearer
 	// point could be hiding there, and the answer says so.
-	nn, err = rt.Evaluate(ctx, serve.RequestJSON{
+	nn, err = routerEvaluate(ctx, rt, serve.RequestJSON{
 		Kind:   "nn",
 		Issuer: serve.IssuerJSON{Region: []float64{900, 4700, 1100, 4900}},
 		K:      1, NNSamples: 64, Seed: 5,
@@ -404,7 +403,9 @@ func streamFleet(t *testing.T, shards ...http.HandlerFunc) (rt *Router, url stri
 	for i, h := range shards {
 		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if r.Method == http.MethodPost && r.URL.Path == "/v1/queries" {
-				serve.WriteRegisterResponse(slog.New(slog.DiscardHandler), w, &serve.RegisterResponse{ID: 7, Kind: "uncertain", Snapshot: []serve.MatchJSON{}})
+				w.Header().Set("Content-Type", "application/json")
+				w.WriteHeader(http.StatusCreated)
+				io.WriteString(w, `{"id":7,"kind":"uncertain","snapshot":[]}`+"\n") //nolint:errcheck // test server
 				return
 			}
 			h(w, r)
@@ -420,7 +421,7 @@ func streamFleet(t *testing.T, shards ...http.HandlerFunc) (rt *Router, url stri
 		t.Fatal(err)
 	}
 	t.Cleanup(rt.Close)
-	reg, _, err := rt.Register(t.Context(), serve.RequestJSON{Issuer: serve.IssuerJSON{Region: []float64{100, 100, 9900, 9900}}, W: 100, H: 100})
+	reg, _, err := routerRegister(t.Context(), rt, serve.RequestJSON{Issuer: serve.IssuerJSON{Region: []float64{100, 100, 9900, 9900}}, W: 100, H: 100})
 	if err != nil || reg.ID != 1 {
 		t.Fatalf("register: id %d, %v", reg.ID, err)
 	}

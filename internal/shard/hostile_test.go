@@ -164,6 +164,16 @@ var hostileReplies = []struct {
 		want:  []error{ErrReplyFormat, serve.ErrBody}, binaries: true,
 	},
 	{
+		name: "register: a match in another layout", path: "/v1/queries",
+		reply: jsonBody(`{"id":3,"kind":"uncertain","snapshot":[{"id":31,"p":0.75},{"p":0.5,"id":30}]}`),
+		want:  []error{ErrReplyFormat, serve.ErrBody}, binaries: true,
+	},
+	{
+		name: "register: whitespace in the snapshot", path: "/v1/queries",
+		reply: jsonBody(`{"id":3,"kind":"uncertain","snapshot":[{"id":31,"p":0.75}, {"id":30,"p":0.5}]}`),
+		want:  []error{ErrReplyFormat, serve.ErrBody}, binaries: true,
+	},
+	{
 		name: "updates: truncated body", path: "/v1/updates",
 		reply: jsonBody(`{"seq":1,"applied":`),
 		want:  []error{ErrReplyFormat, serve.ErrBody}, binaries: true,
@@ -222,11 +232,15 @@ func askHostile(t *testing.T, c *Client, path string) (produced bool, err error)
 		set, err := c.NNCandidates(ctx, serve.NNCandidatesRequest{Request: nearBorderNN}, nil)
 		return set.Candidates != nil, err
 	case "/v1/evaluate":
-		resp, err := c.Evaluate(ctx, straddlingRange)
-		return !reflect.DeepEqual(resp, serve.EvaluateResponse{}), err
+		buf := serve.GetBuffer()
+		defer func() { serve.PutBuffer(buf, *buf) }()
+		resp, err := c.evaluateReply(ctx, straddlingRange, buf)
+		return !reflect.DeepEqual(resp, serve.EvaluateReply{}), err
 	case "/v1/queries":
-		resp, err := c.Register(ctx, straddlingRange, "")
-		return !reflect.DeepEqual(resp, serve.RegisterResponse{}), err
+		buf := serve.GetBuffer()
+		defer func() { serve.PutBuffer(buf, *buf) }()
+		resp, err := c.Register(ctx, straddlingRange, "", buf)
+		return !reflect.DeepEqual(resp, serve.RegisterReply{}), err
 	case "/v1/updates":
 		resp, err := c.Updates(ctx, serve.UpdatesRequest{})
 		return !reflect.DeepEqual(resp, serve.UpdatesResponse{}), err
@@ -315,7 +329,7 @@ func TestRouterHostileHomeShard(t *testing.T) {
 			rt.shards[1].BaseURL = url
 			rt.shards[1].Retry = RetryPolicy{Attempts: 3, Backoff: time.Millisecond}
 
-			got, err := rt.Evaluate(ctx, query)
+			got, err := routerEvaluate(ctx, rt, query)
 			if err != nil {
 				t.Fatalf("a hostile shard failed the request: %v", err)
 			}

@@ -164,35 +164,16 @@ func (r *Router) missing(targets []int, errs []error, op string) []string {
 	return miss
 }
 
-// Evaluate routes one one-shot request and returns the answer as a
-// client of the router's POST /v1/evaluate reads it: for a range kind
-// the body the router relays from the shards' replies, decoded. The
-// error, when of type *core.RequestError, is the client's fault (HTTP
-// 400).
-func (r *Router) Evaluate(ctx context.Context, rj serve.RequestJSON) (serve.EvaluateResponse, error) {
-	a, err := r.evaluate(ctx, rj)
-	if err != nil {
-		return serve.EvaluateResponse{}, err
-	}
-	defer a.release()
-	if a.replies == nil {
-		return a.resp, nil
-	}
-	body, err := a.appendTo(nil)
-	if err != nil {
-		return serve.EvaluateResponse{}, err
-	}
-	return serve.DecodeEvaluateResponse(body)
-}
-
 // answer is a merged one-shot answer. For a range kind resp holds no
 // matches: they are relayed from replies, the shards' replies, which
-// stay in their read buffers until release. For NN, replies is nil and
-// resp is the whole answer.
+// stay in their read buffers until bufs is released. For NN, replies is
+// nil and nn is the answer's match list, which the router refined
+// itself.
 type answer struct {
 	resp    serve.EvaluateResponse
+	nn      []core.Match
 	replies []serve.EvaluateReply
-	bufs    []*[]byte
+	bufs    replyBuffers
 	stop    func() // the merge stopwatch of a range kind
 }
 
@@ -201,15 +182,27 @@ type answer struct {
 // (serve.AppendRelayedEvaluateResponse).
 func (a *answer) appendTo(dst []byte) ([]byte, error) {
 	if a.replies == nil {
-		return serve.AppendEvaluateResponse(dst, &a.resp)
+		return serve.AppendEngineEvaluateResponse(dst, &a.resp, a.nn)
 	}
 	defer a.stop()
 	return serve.AppendRelayedEvaluateResponse(dst, &a.resp, a.replies)
 }
 
-// release hands the replies' buffers back; the answer is not read after.
-func (a *answer) release() {
-	for _, buf := range a.bufs {
+// replyBuffers are the pooled buffers a request reads its shards'
+// replies into, one per target shard, and relays them from.
+type replyBuffers []*[]byte
+
+func getReplyBuffers(n int) replyBuffers {
+	bufs := make(replyBuffers, n)
+	for i := range bufs {
+		bufs[i] = serve.GetBuffer()
+	}
+	return bufs
+}
+
+// release hands the buffers back; nothing read from them is read after.
+func (bufs replyBuffers) release() {
+	for _, buf := range bufs {
 		serve.PutBuffer(buf, *buf)
 	}
 }
@@ -222,8 +215,7 @@ func (r *Router) evaluate(ctx context.Context, rj serve.RequestJSON) (answer, er
 		return answer{}, err
 	}
 	if req.Kind == core.KindNN {
-		resp, err := r.evaluateNN(ctx, rj, req)
-		return answer{resp: resp}, err
+		return r.evaluateNN(ctx, rj, req)
 	}
 	guard, err := req.GuardRegion()
 	if err != nil {
@@ -233,11 +225,8 @@ func (r *Router) evaluate(ctx context.Context, rj serve.RequestJSON) (answer, er
 	a := answer{
 		resp:    serve.EvaluateResponse{Kind: req.Kind.String()},
 		replies: make([]serve.EvaluateReply, len(targets)),
-		bufs:    make([]*[]byte, len(targets)),
+		bufs:    getReplyBuffers(len(targets)),
 		stop:    r.m.mergeTimer("evaluate"),
-	}
-	for i := range a.bufs {
-		a.bufs[i] = serve.GetBuffer()
 	}
 	errs := r.scatter(targets, func(s int) error {
 		idx := sort.SearchInts(targets, s)
@@ -246,7 +235,7 @@ func (r *Router) evaluate(ctx context.Context, rj serve.RequestJSON) (answer, er
 		return err
 	})
 	// Keep the replies that came, in shard order: the merge keeps the
-	// first of a replica's copies, as mergeMatches does.
+	// first of a replica's copies.
 	kept := a.replies[:0]
 	for i, rep := range a.replies {
 		if errs[i] != nil {
@@ -294,15 +283,6 @@ func mergeSorted[T any](lists [][]T, compare func(a, b T) int, keep func(T) bool
 	return out
 }
 
-// mergeMatches unions the shards' range answers. Every shard's list
-// arrives in the engine's canonical order (the reply decoder refuses
-// one that does not), and a straddling object is answered by every
-// replica with a bit-identical probability, so the copies meet at the
-// heads of the merge and one stands for all.
-func mergeMatches(lists [][]serve.MatchJSON) []serve.MatchJSON {
-	return mergeSorted(lists, serve.CompareMatchJSON, nil)
-}
-
 func addCost(dst *serve.CostJSON, c serve.CostJSON) {
 	dst.Candidates += c.Candidates
 	dst.Refined += c.Refined
@@ -348,18 +328,15 @@ type nnGather struct {
 // Hi+e lies beyond the real one, its computed axis gap is therefore at
 // least e, and Hypot never returns less than its larger argument.
 //
-// A shard's reply is decoded into bufs.lists[shard] when bufs is not
-// nil (and that array is kept when the reply outgrew it), so the
-// gathered candidates live there until the caller releases bufs.
+// A shard's reply is decoded into bufs.lists[shard] (and that array is
+// kept when the reply outgrew it), so the gathered candidates live there
+// until the caller releases bufs.
 func (r *Router) gatherNN(ctx context.Context, rj serve.RequestJSON, u0 geom.Rect, bufs *nnBuffers) (nnGather, error) {
 	// Indexed by shard number, whichever round asked: the reply, and
 	// the tau bound it was collected under.
 	resps := make([]core.NNCandidateSet, len(r.shards))
 	bounds := make([]float64, len(r.shards))
 	collect := func(s int, creq serve.NNCandidatesRequest) (core.NNCandidateSet, error) {
-		if bufs == nil {
-			return r.shards[s].NNCandidates(ctx, creq, nil)
-		}
 		resp, err := r.shards[s].NNCandidates(ctx, creq, bufs.lists[s])
 		if cap(resp.Candidates) > cap(bufs.lists[s]) {
 			bufs.lists[s] = resp.Candidates
@@ -454,7 +431,7 @@ func (r *Router) gatherNN(ctx context.Context, rj serve.RequestJSON, u0 geom.Rec
 // qualifying tallies are Float64bits-identical to a single engine's.
 // A shard the tau ball cannot reach is not asked, and so cannot make
 // the answer partial.
-func (r *Router) evaluateNN(ctx context.Context, rj serve.RequestJSON, req core.Request) (serve.EvaluateResponse, error) {
+func (r *Router) evaluateNN(ctx context.Context, rj serve.RequestJSON, req core.Request) (answer, error) {
 	sw := r.m.mergeTimer("nn")
 	defer sw()
 
@@ -464,25 +441,24 @@ func (r *Router) evaluateNN(ctx context.Context, rj serve.RequestJSON, req core.
 	r.m.nnRounds.Observe(float64(g.rounds))
 	r.m.nnAsked.Observe(float64(len(g.asked)))
 	if err != nil {
-		return serve.EvaluateResponse{}, err
+		return answer{}, err
 	}
 	if req.Options.MaxSamples == 0 {
 		req.Options.MaxSamples = r.maxSamples
 	}
 	res, err := core.EvaluateNNCandidates(ctx, req, g.cands, g.tau)
 	if err != nil {
-		return serve.EvaluateResponse{}, err
+		return answer{}, err
 	}
 	out := serve.EvaluateResponse{
 		Kind:    req.Kind.String(),
 		Version: g.version,
-		Matches: serve.ToMatchesJSON(res.Matches),
 		Cost:    serve.ToCostJSON(res.Cost),
 	}
 	out.Cost.NodeAccesses += g.nodeAccesses
 	out.MissingShards = r.missing(g.asked, g.errs, "nn")
 	out.Partial = out.MissingShards != nil
-	return out, nil
+	return answer{resp: out, nn: res.Matches}, nil
 }
 
 // nnBuffers holds the arrays one NN request decodes its shards'
@@ -671,27 +647,45 @@ func (r *Router) replicas(id int64, one *[1]int) ([]int, bool) {
 	return one[:], true
 }
 
-// Register fans a standing range query to the shards its guard region
+// registration is a merged registration snapshot: resp holds no
+// snapshot, which is relayed from replies, the accepting shards'
+// replies, which stay in their read buffers until bufs is released.
+type registration struct {
+	resp    serve.RegisterResponse
+	replies []serve.RegisterReply
+	bufs    replyBuffers
+}
+
+// appendTo appends the registration as the body of POST /v1/queries:
+// the shards' snapshots merged as the shards' bytes
+// (serve.AppendRelayedRegisterResponse).
+func (g *registration) appendTo(dst []byte) ([]byte, error) {
+	return serve.AppendRelayedRegisterResponse(dst, &g.resp, g.replies)
+}
+
+// register fans a standing range query to the shards its guard region
 // intersects, onto the router's delta feed on each (feed.go), and
-// returns the merged registration snapshot under a router-assigned id. Standing NN queries are rejected: their guard is
-// unbounded until an evaluation fixes tau, and the cross-shard tau
-// guard is not maintained incrementally — issue one-shot NN requests
-// through the router instead.
-func (r *Router) Register(ctx context.Context, rj serve.RequestJSON) (serve.RegisterResponse, []string, error) {
+// returns the merged registration snapshot under a router-assigned id,
+// and the shards missing from it. Standing NN queries are rejected:
+// their guard is unbounded until an evaluation fixes tau, and the
+// cross-shard tau guard is not maintained incrementally — issue one-shot
+// NN requests through the router instead.
+func (r *Router) register(ctx context.Context, rj serve.RequestJSON) (registration, []string, error) {
 	req, err := rj.ToRequest()
 	if err != nil {
-		return serve.RegisterResponse{}, nil, err
+		return registration{}, nil, err
 	}
 	if req.Kind == core.KindNN {
-		return serve.RegisterResponse{}, nil, &core.RequestError{Field: "kind",
+		return registration{}, nil, &core.RequestError{Field: "kind",
 			Err: errors.New("standing nn queries are not routable across shards; use one-shot /v1/evaluate")}
 	}
 	guard, err := req.GuardRegion()
 	if err != nil {
-		return serve.RegisterResponse{}, nil, err
+		return registration{}, nil, err
 	}
 	targets := r.tiles.ShardsOverlapping(guard)
-	resps := make([]serve.RegisterResponse, len(targets))
+	replies := make([]serve.RegisterReply, len(targets))
+	bufs := getReplyBuffers(len(targets))
 	feeds := make([]*feed, len(targets))
 	feedErrs := make([]error, len(targets))
 	errs := r.scatter(targets, func(s int) error {
@@ -701,26 +695,24 @@ func (r *Router) Register(ctx context.Context, rj serve.RequestJSON) (serve.Regi
 			feedErrs[idx] = err
 			return err
 		}
-		resp, err := r.shards[s].Register(ctx, rj, f.token)
+		rep, err := r.shards[s].Register(ctx, rj, f.token, bufs[idx])
 		if err != nil {
 			f.release()
 			return err
 		}
-		resps[idx], feeds[idx] = resp, f
+		replies[idx], feeds[idx] = rep, f
 		return nil
 	})
 	sub := newRouterSub(r.subID.Add(1), req.Kind.String())
-	lists := make([][]serve.MatchJSON, 0, len(resps))
-	for i, resp := range resps {
-		if errs[i] != nil {
-			continue
+	for i, rep := range replies {
+		if errs[i] == nil {
+			sub.members = append(sub.members, subMember{shard: targets[i], subID: rep.ID})
 		}
-		sub.members = append(sub.members, subMember{shard: targets[i], subID: resp.ID})
-		lists = append(lists, resp.Snapshot)
 	}
 	miss := r.missing(targets, errs, "register")
 	if len(sub.members) == 0 {
-		return serve.RegisterResponse{}, miss, fmt.Errorf("shard: register: no shard accepted (first: %w)", firstErr(errs))
+		bufs.release()
+		return registration{}, miss, fmt.Errorf("shard: register: no shard accepted (first: %w)", firstErr(errs))
 	}
 	// Every member counts toward the close before any can deliver one; a
 	// shard whose feed would not open is a member lost at birth, so the
@@ -728,7 +720,7 @@ func (r *Router) Register(ctx context.Context, rj serve.RequestJSON) (serve.Regi
 	sub.open = len(sub.members)
 	for i, f := range feeds {
 		if f != nil {
-			f.attach(resps[i].ID, sub)
+			f.attach(replies[i].ID, sub)
 		} else if feedErrs[i] != nil {
 			r.loseMember(sub, targets[i], feedErrs[i])
 		}
@@ -736,10 +728,12 @@ func (r *Router) Register(ctx context.Context, rj serve.RequestJSON) (serve.Regi
 	r.mu.Lock()
 	r.subs[sub.id] = sub
 	r.mu.Unlock()
-	return serve.RegisterResponse{
-		ID:       sub.id,
-		Kind:     sub.kind,
-		Snapshot: mergeMatches(lists),
+	// A shard that did not reply left its snapshot empty, which the
+	// merge passes over.
+	return registration{
+		resp:    serve.RegisterResponse{ID: sub.id, Kind: sub.kind},
+		replies: replies,
+		bufs:    bufs,
 	}, miss, nil
 }
 

@@ -2,6 +2,8 @@ package shard
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -67,6 +69,47 @@ func reference(t *testing.T) (*serve.Server, *Client) {
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return srv, &Client{ID: "ref", BaseURL: ts.URL}
+}
+
+// routerEvaluate is a client's POST /v1/evaluate on the router: the body
+// its handler writes, read back with encoding/json.
+func routerEvaluate(ctx context.Context, rt *Router, q serve.RequestJSON) (serve.EvaluateResponse, error) {
+	a, err := rt.evaluate(ctx, q)
+	if err != nil {
+		return serve.EvaluateResponse{}, err
+	}
+	defer a.bufs.release()
+	body, err := a.appendTo(nil)
+	if err != nil {
+		return serve.EvaluateResponse{}, err
+	}
+	var out serve.EvaluateResponse
+	return out, json.Unmarshal(body, &out)
+}
+
+// shardEvaluate is a client's POST /v1/evaluate on one server — a shard
+// or the single-engine reference — read with encoding/json.
+func shardEvaluate(ctx context.Context, c *Client, q serve.RequestJSON) (serve.EvaluateResponse, error) {
+	var out serve.EvaluateResponse
+	err := post(c, ctx, "/v1/evaluate", &q, serve.AppendRequest, jsonReply("", unmarshalInto(&out)))
+	return out, err
+}
+
+// routerRegister is a client's POST /v1/queries on the router: the body
+// its handler writes, read back with encoding/json, and the shards
+// missing from it.
+func routerRegister(ctx context.Context, rt *Router, q serve.RequestJSON) (serve.RegisterResponse, []string, error) {
+	g, miss, err := rt.register(ctx, q)
+	if err != nil {
+		return serve.RegisterResponse{}, miss, err
+	}
+	defer g.bufs.release()
+	body, err := g.appendTo(nil)
+	if err != nil {
+		return serve.RegisterResponse{}, miss, err
+	}
+	var out serve.RegisterResponse
+	return out, miss, json.Unmarshal(body, &out)
 }
 
 // requireSameMatches fails unless the router's answer equals the single
@@ -161,14 +204,14 @@ func TestRouterBitExact(t *testing.T) {
 			}
 
 			compare := func(round int, q serve.RequestJSON) {
-				got, err := rt.Evaluate(ctx, q)
+				got, err := routerEvaluate(ctx, rt, q)
 				if err != nil {
 					t.Fatalf("round %d: router %s: %v", round, q.Kind, err)
 				}
 				if got.Partial {
 					t.Fatalf("round %d: unexpected partial response (missing %v)", round, got.MissingShards)
 				}
-				want, err := ref.Evaluate(ctx, q)
+				want, err := shardEvaluate(ctx, ref, q)
 				if err != nil {
 					t.Fatalf("round %d: reference %s: %v", round, q.Kind, err)
 				}
@@ -254,7 +297,9 @@ func nnFanOutBitExact(t *testing.T, seed int64) {
 			t.Fatal(err)
 		}
 
-		g, err := rt.gatherNN(ctx, q, u0, nil)
+		bufs := getNNBuffers(len(rt.shards))
+		defer bufs.release()
+		g, err := rt.gatherNN(ctx, q, u0, bufs)
 		if err != nil {
 			t.Fatalf("%s: gather: %v", name, err)
 		}
@@ -272,12 +317,12 @@ func nnFanOutBitExact(t *testing.T, seed int64) {
 		}
 
 		before := requests()
-		got, err := rt.Evaluate(ctx, q)
+		got, err := routerEvaluate(ctx, rt, q)
 		if err != nil {
 			t.Fatalf("%s: router: %v", name, err)
 		}
 		spent := requests() - before
-		wantResp, err := ref.Evaluate(ctx, q)
+		wantResp, err := shardEvaluate(ctx, ref, q)
 		if err != nil {
 			t.Fatalf("%s: reference: %v", name, err)
 		}
@@ -376,7 +421,9 @@ func nnTauZeroBitExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := rt.gatherNN(ctx, q, u0, nil)
+	bufs := getNNBuffers(len(rt.shards))
+	defer bufs.release()
+	g, err := rt.gatherNN(ctx, q, u0, bufs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,11 +440,11 @@ func nnTauZeroBitExact(t *testing.T) {
 		t.Fatalf("fleet gathered %v, single engine %v", g.cands, want.Candidates)
 	}
 
-	got, err := rt.Evaluate(ctx, q)
+	got, err := routerEvaluate(ctx, rt, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantResp, err := ref.Evaluate(ctx, q)
+	wantResp, err := shardEvaluate(ctx, ref, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,7 +511,7 @@ func TestRouterStraddlerReplication(t *testing.T) {
 	}
 
 	// The object must now answer only from its new home.
-	got, err := rt.Evaluate(ctx, serve.RequestJSON{
+	got, err := routerEvaluate(ctx, rt, serve.RequestJSON{
 		Kind:   "uncertain",
 		Issuer: serve.IssuerJSON{Region: []float64{7900, 5900, 8200, 6200}},
 		W:      600, H: 600, Threshold: 0.1,
@@ -475,7 +522,7 @@ func TestRouterStraddlerReplication(t *testing.T) {
 	if len(got.Matches) != 1 || got.Matches[0].ID != 7 {
 		t.Fatalf("moved object not found where it should be: %v", got.Matches)
 	}
-	old, err := rt.Evaluate(ctx, serve.RequestJSON{
+	old, err := routerEvaluate(ctx, rt, serve.RequestJSON{
 		Kind:   "uncertain",
 		Issuer: serve.IssuerJSON{Region: []float64{4800, 900, 5200, 1300}},
 		W:      600, H: 600, Threshold: 0.01,
@@ -551,11 +598,11 @@ func TestRouterRejectedBatchLeavesCacheAlone(t *testing.T) {
 			{Kind: "uncertain", Issuer: iss, W: 600, H: 600, Seed: 6},
 			{Kind: "nn", Issuer: iss, K: 3, NNSamples: 256, Seed: 7},
 		} {
-			got, err := rt.Evaluate(ctx, q)
+			got, err := routerEvaluate(ctx, rt, q)
 			if err != nil {
 				t.Fatalf("router %s at %v: %v", q.Kind, c, err)
 			}
-			want, err := ref.Evaluate(ctx, q)
+			want, err := shardEvaluate(ctx, ref, q)
 			if err != nil {
 				t.Fatalf("reference %s at %v: %v", q.Kind, c, err)
 			}
@@ -578,15 +625,15 @@ func TestRouterReplyBytesMetric(t *testing.T) {
 	}
 	nn := serve.RequestJSON{Kind: "nn", K: 1, NNSamples: 64, Seed: 5,
 		Issuer: serve.IssuerJSON{Region: []float64{900, 900, 1100, 1100}}}
-	if _, err := rt.Evaluate(ctx, nn); err != nil {
+	if _, err := routerEvaluate(ctx, rt, nn); err != nil {
 		t.Fatal(err)
 	}
 	rng := serve.RequestJSON{Kind: "points", W: 500, H: 500, Threshold: 0.01,
 		Issuer: serve.IssuerJSON{Region: []float64{900, 900, 1100, 1100}}}
-	if _, err := rt.Evaluate(ctx, rng); err != nil {
+	if _, err := routerEvaluate(ctx, rt, rng); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := rt.Register(ctx, rng); err != nil {
+	if _, _, err := routerRegister(ctx, rt, rng); err != nil {
 		t.Fatal(err)
 	}
 
@@ -618,34 +665,69 @@ func TestRouterReplyBytesMetric(t *testing.T) {
 	}
 }
 
-// TestMergeMatches pins the merge's edge behaviour the bit-exactness
+// shardReply is a shard's evaluate reply carrying ms, in the layout a
+// shard writes, as the router reads it.
+func shardReply(t *testing.T, version uint64, ms []serve.MatchJSON) serve.EvaluateReply {
+	t.Helper()
+	body, err := json.Marshal(serve.EvaluateResponse{Kind: "uncertain", Version: version, Matches: ms})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := serve.DecodeEvaluateReply(body)
+	if err != nil {
+		t.Fatalf("%v: %s", err, body)
+	}
+	return rep
+}
+
+// TestMergeMatches pins the relay's merge at the edges the bit-exactness
 // trace only reaches by luck: replica copies across three lists
 // collapse to one, order is the engine's (P descending, then id), a
-// lone list is passed through without a copy, and no list at all is an
-// empty answer rather than a JSON null.
+// lone list comes through whole, and no list at all is an empty answer
+// rather than a JSON null.
 func TestMergeMatches(t *testing.T) {
 	a := []serve.MatchJSON{{ID: 4, P: 0.9}, {ID: 2, P: 0.5}, {ID: 9, P: 0.5}}
 	b := []serve.MatchJSON{{ID: 7, P: 1}, {ID: 2, P: 0.5}, {ID: 3, P: 0.1}}
 	c := []serve.MatchJSON{{ID: 2, P: 0.5}}
+	merged := func(lists ...[]serve.MatchJSON) []serve.MatchJSON {
+		t.Helper()
+		replies := make([]serve.EvaluateReply, len(lists))
+		for i, l := range lists {
+			replies[i] = shardReply(t, uint64(i), l)
+		}
+		ans := answer{resp: serve.EvaluateResponse{Kind: "uncertain"}, replies: replies, stop: func() {}}
+		body, err := ans.appendTo(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out serve.EvaluateResponse
+		if err := json.Unmarshal(body, &out); err != nil {
+			t.Fatalf("%v: %s", err, body)
+		}
+		return out.Matches
+	}
 	want := []serve.MatchJSON{{ID: 7, P: 1}, {ID: 4, P: 0.9}, {ID: 2, P: 0.5}, {ID: 9, P: 0.5}, {ID: 3, P: 0.1}}
-	if got := mergeMatches([][]serve.MatchJSON{a, nil, b, c}); !slices.Equal(got, want) {
+	if got := merged(a, nil, b, c); !slices.Equal(got, want) {
 		t.Errorf("merged %v, want %v", got, want)
 	}
-	if got := mergeMatches([][]serve.MatchJSON{nil, a, {}}); &got[0] != &a[0] || len(got) != len(a) {
-		t.Errorf("a lone list was copied or cut: %v", got)
+	if got := merged(nil, a, []serve.MatchJSON{}); !slices.Equal(got, a) {
+		t.Errorf("a lone list came through as %v", got)
 	}
-	if got := mergeMatches(nil); got == nil || len(got) != 0 {
-		t.Errorf("no lists merged to %#v, want an empty non-nil list", got)
+	for _, lists := range [][][]serve.MatchJSON{nil, {nil, {}}} {
+		if got := merged(lists...); got == nil || len(got) != 0 {
+			t.Errorf("lists %v merged to %#v, want an empty non-nil list", lists, got)
+		}
 	}
 }
 
-// TestRelayedAnswerIsMergeMatches: the router's range answer, written
-// from the shards' reply bytes, is byte for byte AppendEvaluateResponse
-// of mergeMatches over the decoded lists — for one to three lists, empty
-// and null ones among them, replicas that straddle two or three lists,
-// ties in p that ids decide, and an object caught mid-move (one id at two
-// probabilities).
-func TestRelayedAnswerIsMergeMatches(t *testing.T) {
+// TestRelayedAnswerIsSortedUnion: the router's range answer, written
+// from the shards' reply bytes, is byte for byte what encoding/json
+// writes for the answer whose match list is the union of the shards'
+// lists, sorted in canonical order with equal matches kept once — for
+// one to three lists, empty and null ones among them, replicas that
+// straddle two or three lists, ties in p that ids decide, and an object
+// caught mid-move (one id at two probabilities).
+func TestRelayedAnswerIsSortedUnion(t *testing.T) {
 	rng := rand.New(rand.NewSource(39))
 	for round := range 3000 {
 		pool := make([]serve.MatchJSON, rng.Intn(30))
@@ -657,6 +739,7 @@ func TestRelayedAnswerIsMergeMatches(t *testing.T) {
 
 		lists := make([][]serve.MatchJSON, 1+rng.Intn(3))
 		replies := make([]serve.EvaluateReply, len(lists))
+		union := []serve.MatchJSON{}
 		for i := range lists {
 			switch rng.Intn(5) {
 			case 0: // null
@@ -674,14 +757,12 @@ func TestRelayedAnswerIsMergeMatches(t *testing.T) {
 					slices.SortFunc(lists[i], serve.CompareMatchJSON)
 				}
 			}
-			body, err := serve.AppendEvaluateResponse(nil, &serve.EvaluateResponse{Kind: "uncertain", Version: uint64(i), Matches: lists[i]})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if replies[i], err = serve.DecodeEvaluateReply(body); err != nil {
-				t.Fatalf("round %d: %v: %s", round, err, body)
-			}
+			replies[i] = shardReply(t, uint64(i), lists[i])
+			union = append(union, lists[i]...)
 		}
+		slices.SortStableFunc(union, serve.CompareMatchJSON)
+		union = slices.CompactFunc(union, func(a, b serve.MatchJSON) bool { return serve.CompareMatchJSON(a, b) == 0 })
+
 		head := serve.EvaluateResponse{Kind: "uncertain", Version: 9, Cost: serve.CostJSON{Candidates: 3, DurationMS: 0.25}}
 		if rng.Intn(3) == 0 {
 			head.Partial, head.MissingShards = true, []string{"2"}
@@ -689,9 +770,12 @@ func TestRelayedAnswerIsMergeMatches(t *testing.T) {
 		a := answer{resp: head, replies: replies, stop: func() {}}
 		got, err := a.appendTo([]byte("prefix"))
 		want := head
-		want.Matches = mergeMatches(lists)
-		wantBody, _ := serve.AppendEvaluateResponse([]byte("prefix"), &want)
-		if err != nil || !bytes.Equal(got, wantBody) {
+		want.Matches = union
+		wantBody := bytes.NewBufferString("prefix")
+		if err := json.NewEncoder(wantBody).Encode(want); err != nil {
+			t.Fatal(err)
+		}
+		if err != nil || !bytes.Equal(got, wantBody.Bytes()) {
 			t.Fatalf("round %d, lists %v (err %v):\n got %s\nwant %s", round, lists, err, got, wantBody)
 		}
 	}
@@ -725,7 +809,7 @@ func TestRouterNNConcurrentBitExact(t *testing.T) {
 			hw := 50 + rng.Float64()*900
 			q := serve.RequestJSON{Kind: "nn", K: 1 + rng.Intn(5), NNSamples: 300, Seed: rng.Int63() | 1,
 				Issuer: serve.IssuerJSON{Region: []float64{cx - hw, cy - hw, cx + hw, cy + hw}}}
-			res, err := ref.Evaluate(ctx, q)
+			res, err := shardEvaluate(ctx, ref, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -741,7 +825,7 @@ func TestRouterNNConcurrentBitExact(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for _, q := range queries[w] {
-				res, err := rt.Evaluate(ctx, q)
+				res, err := routerEvaluate(ctx, rt, q)
 				if err != nil {
 					errs[w] = err
 					return

@@ -36,6 +36,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 
 // handleEvaluate answers a one-shot request; a range answer's match
 // list is the shards' own bytes, merged (serve.AppendRelayedEvaluateResponse).
+// The replies' buffers go back once the body is written.
 func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	rj, err := serve.ReadRequest(w, r)
 	if err != nil {
@@ -48,7 +49,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	serve.WriteBody(s.r.log, w, http.StatusOK, a.appendTo)
-	a.release()
+	a.bufs.release()
 }
 
 func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
@@ -73,15 +74,16 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		serve.WriteBodyError(s.r.log, w, err)
 		return
 	}
-	resp, miss, err := s.r.Register(r.Context(), rj)
+	g, miss, err := s.r.register(r.Context(), rj)
 	if err != nil {
 		serve.WriteRequestError(s.r.log, w, err)
 		return
 	}
 	if miss != nil {
-		s.r.log.Warn("standing query registered on a partial fleet", "id", resp.ID, "missing", miss)
+		s.r.log.Warn("standing query registered on a partial fleet", "id", g.resp.ID, "missing", miss)
 	}
-	serve.WriteRegisterResponse(s.r.log, w, &resp)
+	serve.WriteBody(s.r.log, w, http.StatusCreated, g.appendTo)
+	g.bufs.release()
 }
 
 func (s *Server) handleDeregister(w http.ResponseWriter, r *http.Request) {

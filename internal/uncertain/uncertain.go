@@ -215,14 +215,3 @@ func (c Catalog) MaxLE(q float64) (Bound, bool) {
 	}
 	return c.bounds[i-1], true
 }
-
-// MinGE returns the catalog row with the smallest probability value
-// M >= q, used by pruning Strategy 3 (§5.2) to find dmin and qmin.
-// ok is false if every row is below q or the catalog is empty.
-func (c Catalog) MinGE(q float64) (Bound, bool) {
-	i := sort.Search(len(c.bounds), func(i int) bool { return c.bounds[i].P >= q })
-	if i == len(c.bounds) {
-		return Bound{}, false
-	}
-	return c.bounds[i], true
-}

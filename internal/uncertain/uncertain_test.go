@@ -134,15 +134,6 @@ func TestCatalogLookups(t *testing.T) {
 	if _, ok := cat.MaxLE(-0.01); ok {
 		t.Fatal("MaxLE below all rows should miss")
 	}
-	if b, ok := cat.MinGE(0.5); !ok || b.P != 0.6 {
-		t.Fatalf("MinGE(0.5) = %+v, %t; want P=0.6", b, ok)
-	}
-	if b, ok := cat.MinGE(0); !ok || b.P != 0 {
-		t.Fatalf("MinGE(0) = %+v, %t; want P=0", b, ok)
-	}
-	if _, ok := cat.MinGE(0.7); ok {
-		t.Fatal("MinGE above all rows should miss")
-	}
 	var empty Catalog
 	if _, ok := empty.MaxLE(0.5); ok {
 		t.Fatal("empty catalog MaxLE should miss")

@@ -43,15 +43,18 @@ race:
 # soak job: the continuous-query monitor plus the MVCC snapshot
 # overlap tests (slow pinned evaluations racing update floods), the
 # buffer pool and the paged engine under concurrent queries and
-# updates, and the crash-recovery property sweep (≥100 randomized kill
+# updates, the crash-recovery property sweep (≥100 randomized kill
 # points, each recovery checked bit-exact against an uninterrupted
-# reference).
+# reference), and the fleet's seeded fault schedules (dropped, delayed,
+# duplicated and torn shard exchanges, shards killed and restarted from
+# their WAL, each fleet held to the single engine).
 soak:
 	$(GO) test -race -run Monitor -count=3 ./internal/monitor/...
 	$(GO) test -race -run Snapshot -count=3 ./internal/core/
 	$(GO) test -race -count=3 ./internal/storage
 	$(GO) test -race -count=3 -run 'Paged|ConcurrentUpdatesAndQueries|ConcurrentMixedWorkload' ./internal/core/
 	$(GO) test -run 'TestCrashRecoveryProperty|TestCheckpointFaultInjection' -count=3 ./internal/core/
+	$(GO) test -race -count=3 -run TestFleetFaultSchedule ./internal/shard
 
 bench: build
 	$(GO) test ./internal/bench ./internal/nn ./internal/mcbound ./internal/wire ./internal/serve ./internal/core -run 'TestRefineAllocationBudget|TestRelayAllocationBudget' -v -bench 'BenchmarkRefine|BenchmarkSeed|BenchmarkNNCandidateFrame|BenchmarkEvaluateResponseCodec|BenchmarkUpdatesCodec|BenchmarkRelayFrame|BenchmarkApplyUpdates|BenchmarkNNCandidates|BenchmarkEvaluateRange|BenchmarkCheckpoint|BenchmarkOpen' -benchtime 1s -benchmem

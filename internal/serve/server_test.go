@@ -328,7 +328,7 @@ func TestServeRefusesNonFiniteRegions(t *testing.T) {
 	srv := NewServer(monitor.New(eng, monitor.Config{Workers: 2}), core.EvalOptions{}, Config{})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
-	before := srv.Engine().Version()
+	before := eng.Version()
 	for path, bodies := range nonFiniteBodies {
 		for _, body := range bodies {
 			status, reply := postRaw(t, ts.URL+path, body)
@@ -337,7 +337,7 @@ func TestServeRefusesNonFiniteRegions(t *testing.T) {
 			}
 		}
 	}
-	if after := srv.Engine().Version(); after != before {
+	if after := eng.Version(); after != before {
 		t.Errorf("refused updates moved the engine from version %d to %d", before, after)
 	}
 }

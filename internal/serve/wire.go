@@ -141,6 +141,3 @@ func (s *Server) handleNNCandidates(w http.ResponseWriter, r *http.Request) {
 		s.log.Debug("response write failed", "err", err)
 	}
 }
-
-// Engine exposes the served engine (cluster harnesses and tests).
-func (s *Server) Engine() *core.Engine { return s.mon.Engine() }

@@ -310,9 +310,16 @@ func (c *Client) Register(ctx context.Context, req serve.RequestJSON, feed strin
 	return out, err
 }
 
-// Deregister removes a standing query from the shard.
+// Deregister removes a standing query from the shard. A 404 counts as
+// removed: it is what a retry draws once the shard committed an attempt
+// whose reply was lost.
 func (c *Client) Deregister(ctx context.Context, id int64) error {
-	return c.send(ctx, http.MethodDelete, fmt.Sprintf("/v1/queries/%d", id), nil, reply{limit: serve.MaxBodyBytes})
+	err := c.send(ctx, http.MethodDelete, fmt.Sprintf("/v1/queries/%d", id), nil, reply{limit: serve.MaxBodyBytes})
+	var se *statusError
+	if errors.As(err, &se) && se.code == http.StatusNotFound {
+		return nil
+	}
+	return err
 }
 
 // Healthz fetches the shard's health report.

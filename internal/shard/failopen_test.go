@@ -1,34 +1,18 @@
 package shard
 
 import (
-	"bufio"
-	"context"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/geom"
 	"repro/internal/serve"
 )
-
-// downFleet builds a 2-shard fleet and kills shard 1's process.
-func downFleet(t *testing.T) *Router {
-	t.Helper()
-	rt := fleet(t, 2)
-	// Point shard 1 at a dead endpoint with a tight retry budget so
-	// the test exercises the backoff path without waiting on it.
-	dead := httptest.NewServer(http.NotFoundHandler())
-	dead.Close()
-	rt.shards[1].BaseURL = dead.URL
-	rt.shards[1].Retry = RetryPolicy{Attempts: 2, Backoff: time.Millisecond, MaxBackoff: time.Millisecond}
-	return rt
-}
 
 // TestRouterFailOpen: a dead shard degrades the responses it was asked
 // to contribute to — Partial:true with the missing shard listed —
@@ -36,7 +20,8 @@ func downFleet(t *testing.T) *Router {
 // to be: the router no longer asks the whole fleet, so a dead shard
 // beyond the tau ball's reach leaves the answer complete.
 func TestRouterFailOpen(t *testing.T) {
-	rt := downFleet(t)
+	rt := fleet(t, 2)
+	rt.faults.arm(&fault{shard: 1, kind: dropRequest}) // shard 1 is down
 	ctx := t.Context()
 
 	// Seed a point on the live shard (row 0: y < 5000 → shard 0).
@@ -147,84 +132,33 @@ func TestRouterFailOpen(t *testing.T) {
 // match a standalone server's.
 func TestRouterServerStream(t *testing.T) {
 	rt := fleet(t, 2)
-	ts := httptest.NewServer(NewServer(rt))
-	t.Cleanup(ts.Close)
+	url := rt.front.URL
 
 	// A guard region spanning both shards.
-	reg, err := http.Post(ts.URL+"/v1/queries", "application/json", strings.NewReader(`{
-		"issuer": {"region": [4000, 4000, 6000, 6000]}, "w": 2500, "h": 2500, "threshold": 0.05}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var regBody serve.RegisterResponse
-	if err := json.NewDecoder(reg.Body).Decode(&regBody); err != nil {
-		t.Fatal(err)
-	}
-	reg.Body.Close()
-	if reg.StatusCode != http.StatusCreated {
-		t.Fatalf("register: HTTP %d: %+v", reg.StatusCode, regBody)
-	}
+	regBody, _ := rt.ask(t, "/v1/queries", serve.RequestJSON{
+		Issuer: serve.IssuerJSON{Region: []float64{4000, 4000, 6000, 6000}}, W: 2500, H: 2500, Threshold: 0.05})
 
 	// Standing NN is rejected with a structured 400.
-	nnReg, err := http.Post(ts.URL+"/v1/queries", "application/json", strings.NewReader(`{
-		"kind": "nn", "k": 2, "issuer": {"region": [4000, 4000, 6000, 6000]}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	nnReg.Body.Close()
-	if nnReg.StatusCode != http.StatusBadRequest {
-		t.Fatalf("standing nn through router: HTTP %d, want 400", nnReg.StatusCode)
+	if status, _ := postJSON(t, url+"/v1/queries", `{
+		"kind": "nn", "k": 2, "issuer": {"region": [4000, 4000, 6000, 6000]}}`); status != http.StatusBadRequest {
+		t.Fatalf("standing nn through router: HTTP %d, want 400", status)
 	}
 
-	stream, err := http.Get(ts.URL + "/v1/queries/" + jsonNum(regBody.ID) + "/stream")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { stream.Body.Close() })
+	stream := openSubscriber(t, url, regBody.ID)
 
 	// Objects straddling the y=5000 shard border enter on both shards.
-	if _, err := http.Post(ts.URL+"/v1/updates", "application/json", strings.NewReader(`{"updates": [
+	postJSON(t, url+"/v1/updates", `{"updates": [
 		{"op": "upsert_object", "id": 10, "region": [4500, 4900, 4700, 5100]},
-		{"op": "upsert_object", "id": 11, "region": [5300, 4900, 5500, 5100]}]}`)); err != nil {
-		t.Fatal(err)
-	}
+		{"op": "upsert_object", "id": 11, "region": [5300, 4900, 5500, 5100]}]}`)
 
-	sc := bufio.NewScanner(stream.Body)
-	shardsSeen := map[string]uint64{}
-	entered := map[int64]bool{}
-	deadline := time.After(10 * time.Second)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for sc.Scan() {
-			line := sc.Text()
-			if !strings.HasPrefix(line, "data: ") || line == "data: {}" {
-				continue
-			}
-			var d serve.DeltaJSON
-			if json.Unmarshal([]byte(line[len("data: "):]), &d) != nil {
-				continue
-			}
-			if d.Shard == "" {
-				continue
-			}
-			// Skip the registration frame (legitimately version 0 on an
-			// empty engine); update deltas must carry the version.
-			if d.Version > shardsSeen[d.Shard] {
-				shardsSeen[d.Shard] = d.Version
-			}
-			for _, m := range d.Entered {
-				entered[m.ID] = true
-			}
-			if entered[10] && entered[11] && shardsSeen["0"] > 0 && shardsSeen["1"] > 0 {
-				return
-			}
+	// The registration frame is legitimately version 0 on an empty
+	// engine; update deltas must carry the version.
+	entered, shardsSeen := stream.replay(t)
+	for deadline := time.Now().Add(10 * time.Second); entered[10] == 0 || entered[11] == 0 || shardsSeen["0"] == 0 || shardsSeen["1"] == 0; entered, shardsSeen = stream.replay(t) {
+		if time.Now().After(deadline) {
+			t.Fatalf("stream timed out; shards=%v entered=%v", shardsSeen, entered)
 		}
-	}()
-	select {
-	case <-done:
-	case <-deadline:
-		t.Fatalf("stream timed out; shards=%v entered=%v", shardsSeen, entered)
+		time.Sleep(time.Millisecond)
 	}
 	for shard, v := range shardsSeen {
 		if v == 0 {
@@ -235,29 +169,14 @@ func TestRouterServerStream(t *testing.T) {
 	// A budget refusal at the router is the same 400, with the same
 	// hint, as a standalone server's (one HTTP helper set).
 	rt.maxSamples = 1
-	if _, err := http.Post(ts.URL+"/v1/updates", "application/json", strings.NewReader(`{"updates": [
+	postJSON(t, url+"/v1/updates", `{"updates": [
 		{"op": "upsert_point", "id": 1, "x": 4800, "y": 5000},
-		{"op": "upsert_point", "id": 2, "x": 5200, "y": 5000}]}`)); err != nil {
-		t.Fatal(err)
+		{"op": "upsert_point", "id": 2, "x": 5200, "y": 5000}]}`)
+	status, body := postJSON(t, url+"/v1/evaluate", `{
+		"kind": "nn", "k": 1, "issuer": {"region": [4000, 4000, 6000, 6000]}}`)
+	if status != http.StatusBadRequest || !strings.Contains(errorText(body), "shrink the issuer region or nn_samples") {
+		t.Fatalf("over-budget nn through router: HTTP %d %q, want 400 with the budget hint", status, errorText(body))
 	}
-	over, err := http.Post(ts.URL+"/v1/evaluate", "application/json", strings.NewReader(`{
-		"kind": "nn", "k": 1, "issuer": {"region": [4000, 4000, 6000, 6000]}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var overBody map[string]string
-	if err := json.NewDecoder(over.Body).Decode(&overBody); err != nil {
-		t.Fatal(err)
-	}
-	over.Body.Close()
-	if over.StatusCode != http.StatusBadRequest || !strings.Contains(overBody["error"], "shrink the issuer region or nn_samples") {
-		t.Fatalf("over-budget nn through router: HTTP %d %q, want 400 with the budget hint", over.StatusCode, overBody["error"])
-	}
-}
-
-func jsonNum(v int64) string {
-	b, _ := json.Marshal(v)
-	return string(b)
 }
 
 // TestRouterRepliesCarryContentLength: like ildq-serve's, every JSON
@@ -266,8 +185,6 @@ func jsonNum(v int64) string {
 // included.
 func TestRouterRepliesCarryContentLength(t *testing.T) {
 	rt := fleet(t, 2)
-	ts := httptest.NewServer(NewServer(rt))
-	t.Cleanup(ts.Close)
 
 	var updates []string
 	for id := range 300 {
@@ -283,7 +200,7 @@ func TestRouterRepliesCarryContentLength(t *testing.T) {
 		{"bad request", http.MethodPost, "/v1/evaluate", `{"w":1}`},
 		{"no such query", http.MethodGet, "/v1/queries/99/stream", ""},
 	} {
-		req, err := http.NewRequest(step.method, ts.URL+step.path, strings.NewReader(step.body))
+		req, err := http.NewRequest(step.method, rt.front.URL+step.path, strings.NewReader(step.body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -306,20 +223,6 @@ func TestRouterRepliesCarryContentLength(t *testing.T) {
 	}
 }
 
-// postStatus posts body to url and returns the status and the error
-// reply's message.
-func postStatus(t *testing.T, url, body string) (int, string) {
-	t.Helper()
-	resp, err := http.Post(url, "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var reply struct{ Error string }
-	json.NewDecoder(resp.Body).Decode(&reply) //nolint:errcheck // a success body has no error to read
-	return resp.StatusCode, reply.Error
-}
-
 // TestRouterRequestBodies: the router refuses a client's body as a
 // standalone server does — an unknown field in an update batch or a
 // query is a 400 naming it, a key twice or bytes after the value a 400
@@ -327,13 +230,11 @@ func postStatus(t *testing.T, url, body string) (int, string) {
 // query decoder and on the /v1/updates reader alike — and serves one
 // exactly at the cap.
 func TestRouterRequestBodies(t *testing.T) {
-	rt := fleet(t, 2)
-	ts := httptest.NewServer(NewServer(rt))
-	t.Cleanup(ts.Close)
+	url := fleet(t, 2).front.URL
 
-	status, msg := postStatus(t, ts.URL+"/v1/updates", `{"updates": [
+	status, body := postJSON(t, url+"/v1/updates", `{"updates": [
 		{"op": "upsert_object", "id": 7, "regoin": [480, 480, 520, 520]}]}`)
-	if status != http.StatusBadRequest || msg != `json: unknown field "regoin"` {
+	if msg := errorText(body); status != http.StatusBadRequest || msg != `json: unknown field "regoin"` {
 		t.Errorf("updates with unknown field: HTTP %d %q, want 400 naming regoin", status, msg)
 	}
 	for _, path := range []string{"/v1/evaluate", "/v1/queries"} {
@@ -342,8 +243,8 @@ func TestRouterRequestBodies(t *testing.T) {
 			"key twice":     `{"issuer":{"region":[450,450,550,550]},"w":100,"h":100,"w":200}`,
 			"bytes after":   `{"issuer":{"region":[450,450,550,550]},"w":100,"h":100} {}`,
 		} {
-			if status, msg := postStatus(t, ts.URL+path, body); status != http.StatusBadRequest || name == "unknown field" && !strings.Contains(msg, "treshold") {
-				t.Errorf("%s, %s: HTTP %d %q, want 400", path, name, status, msg)
+			if status, reply := postJSON(t, url+path, body); status != http.StatusBadRequest || name == "unknown field" && !strings.Contains(errorText(reply), "treshold") {
+				t.Errorf("%s, %s: HTTP %d %q, want 400", path, name, status, errorText(reply))
 			}
 		}
 	}
@@ -354,11 +255,11 @@ func TestRouterRequestBodies(t *testing.T) {
 	} {
 		// Whitespace inside the one value, so no decoder stops early.
 		pad := func(n int) string { return value[0] + strings.Repeat(" ", n-len(value[0])-len(value[1])) + value[1] }
-		if status, msg := postStatus(t, ts.URL+path, pad(serve.MaxBodyBytes+1)); status != http.StatusRequestEntityTooLarge {
-			t.Errorf("%s past the cap: HTTP %d %q, want 413", path, status, msg)
+		if status, reply := postJSON(t, url+path, pad(serve.MaxBodyBytes+1)); status != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s past the cap: HTTP %d %q, want 413", path, status, errorText(reply))
 		}
-		if status, msg := postStatus(t, ts.URL+path, pad(serve.MaxBodyBytes)); status != http.StatusOK {
-			t.Errorf("%s at the cap: HTTP %d %q, want 200", path, status, msg)
+		if status, reply := postJSON(t, url+path, pad(serve.MaxBodyBytes)); status != http.StatusOK {
+			t.Errorf("%s at the cap: HTTP %d %q, want 200", path, status, errorText(reply))
 		}
 	}
 }
@@ -367,9 +268,7 @@ func TestRouterRequestBodies(t *testing.T) {
 // object region whose extent overflows float64 with the 400 a
 // standalone server gives — an update before it routes the batch.
 func TestRouterRefusesNonFiniteRegions(t *testing.T) {
-	rt := fleet(t, 2)
-	ts := httptest.NewServer(NewServer(rt))
-	t.Cleanup(ts.Close)
+	url := fleet(t, 2).front.URL
 	for path, bodies := range map[string][]string{
 		"/v1/evaluate": {
 			`{"issuer": {"region": [-1e308, -1e308, 1e308, 1e308]}, "w": 10, "h": 10}`,
@@ -386,90 +285,24 @@ func TestRouterRefusesNonFiniteRegions(t *testing.T) {
 		},
 	} {
 		for _, body := range bodies {
-			if status, msg := postStatus(t, ts.URL+path, body); status != http.StatusBadRequest || !strings.Contains(msg, "not finite") {
-				t.Errorf("%s %s: HTTP %d %q, want a 400 saying not finite", path, body, status, msg)
+			if status, reply := postJSON(t, url+path, body); status != http.StatusBadRequest || !strings.Contains(errorText(reply), "not finite") {
+				t.Errorf("%s %s: HTTP %d %q, want a 400 saying not finite", path, body, status, errorText(reply))
 			}
 		}
 	}
 }
 
-// streamFleet is a router over stand-in shards, one per handler, and
-// its HTTP front, with router query 1 registered on every shard: each
-// stand-in answers the registration as its query 7, and its handler
-// serves the rest — the delta feed.
-func streamFleet(t *testing.T, shards ...http.HandlerFunc) (rt *Router, url string) {
+// cannedFeeds has the router read feeds[i] as shard i's delta feed and
+// registers router query 1 on every shard, each shard's member its query 1.
+func (f *testFleet) cannedFeeds(t *testing.T, feeds ...canned) {
 	t.Helper()
-	clients := make([]*Client, len(shards))
-	for i, h := range shards {
-		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.Method == http.MethodPost && r.URL.Path == "/v1/queries" {
-				w.Header().Set("Content-Type", "application/json")
-				w.WriteHeader(http.StatusCreated)
-				io.WriteString(w, `{"id":7,"kind":"uncertain","snapshot":[]}`+"\n") //nolint:errcheck // test server
-				return
-			}
-			h(w, r)
-		}))
-		t.Cleanup(ts.Close)
-		clients[i] = &Client{ID: fmt.Sprint(i), BaseURL: ts.URL, Retry: RetryPolicy{Attempts: 1}}
+	for i, c := range feeds {
+		f.faults.arm(&fault{shard: i, route: "GET /v1/feeds/", kind: cannedReply, canned: c})
 	}
-	m, err := Uniform(geom.Rect{Lo: geom.Pt(0, 0), Hi: geom.Pt(10000, 10000)}, 4, 2, len(shards))
-	if err != nil {
-		t.Fatal(err)
+	status, body := postJSON(t, f.front.URL+"/v1/queries", serve.RequestJSON{Issuer: serve.IssuerJSON{Region: []float64{100, 100, 9900, 9900}}, W: 100, H: 100})
+	if status != http.StatusCreated || !strings.HasPrefix(string(body), `{"id":1,`) {
+		t.Fatalf("register: HTTP %d %s", status, body)
 	}
-	if rt, err = NewRouter(m, clients, Config{}); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(rt.Close)
-	reg, _, err := routerRegister(t.Context(), rt, serve.RequestJSON{Issuer: serve.IssuerJSON{Region: []float64{100, 100, 9900, 9900}}, W: 100, H: 100})
-	if err != nil || reg.ID != 1 {
-		t.Fatalf("register: id %d, %v", reg.ID, err)
-	}
-	ts := httptest.NewServer(NewServer(rt))
-	t.Cleanup(ts.Close)
-	return rt, ts.URL
-}
-
-// shardStream is a stand-in shard's delta feed: the stream headers,
-// then write's frames, then what end does (nothing keeps the stream
-// open until the router hangs up).
-func shardStream(write string, end func(http.ResponseWriter)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if !strings.HasPrefix(r.URL.Path, "/v1/feeds/") || !strings.HasSuffix(r.URL.Path, "/stream") {
-			http.NotFound(w, r)
-			return
-		}
-		serve.StartSSE(w)
-		io.WriteString(w, write) //nolint:errcheck // test server
-		w.(http.Flusher).Flush()
-		if end != nil {
-			end(w)
-			return
-		}
-		<-r.Context().Done() // a live feed stays open; the router must end it itself
-	}
-}
-
-// readStream reads the router's stream of query 1 to its end, which the
-// router must bring about itself.
-func readStream(t *testing.T, url string) string {
-	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/v1/queries/1/stream", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stream.Body.Close()
-	raw, err := io.ReadAll(stream.Body)
-	if err != nil {
-		t.Fatalf("subscriber stream did not end cleanly: %v", err)
-	}
-	return string(raw)
 }
 
 // TestRouterStreamCorruptFrame: a shard whose delta feed carries one
@@ -480,11 +313,11 @@ func readStream(t *testing.T, url string) string {
 // subscriber's stream with an error event; nothing after the hole is
 // forwarded.
 func TestRouterStreamCorruptFrame(t *testing.T) {
-	rt, url := streamFleet(t, shardStream(
-		"id: 7\ndata: {\"version\":1,\"entered\":[{\"id\":10,\"p\":0.5}]}\n\n"+
-			"id: 7\ndata: {\"version\":2,\"entered\":[{\"id\":11,\n\n"+ // torn frame
-			"id: 7\ndata: {\"version\":3,\"entered\":[{\"id\":12,\"p\":0.5}]}\n\n", nil))
-	got := readStream(t, url)
+	rt := fleet(t, 1)
+	rt.cannedFeeds(t, canned{body: "id: 1\ndata: {\"version\":1,\"entered\":[{\"id\":10,\"p\":0.5}]}\n\n" +
+		"id: 1\ndata: {\"version\":2,\"entered\":[{\"id\":11,\n\n" + // torn frame
+		"id: 1\ndata: {\"version\":3,\"entered\":[{\"id\":12,\"p\":0.5}]}\n\n", end: endHold})
+	got := openSubscriber(t, rt.front.URL, 1).wait(t)
 	if !strings.Contains(got, `"version":1`) {
 		t.Errorf("frame before the corrupt one was not forwarded:\n%s", got)
 	}
@@ -501,33 +334,27 @@ func TestRouterStreamCorruptFrame(t *testing.T) {
 
 // TestRouterStreamMemberLost: a member stream the relay cannot follow
 // to its close event — one that breaks off after a frame (the shard
-// hijacks and drops its connection), one that will not open (404, 500)
-// — ends the subscriber's stream with an error event and counts the
-// member lost; before, the relay let the member go in silence and kept
-// forwarding the other shards' frames, so the subscriber replayed an
-// answer that was no longer the fleet's. A member's own close event
-// still means what it did: the stream ends when every member has
-// closed, with a close event.
+// drops its connection), one that will not open (404, 500) — ends the
+// subscriber's stream with an error event and counts the member lost;
+// before, the relay let the member go in silence and kept forwarding
+// the other shards' frames, so the subscriber replayed an answer that
+// was no longer the fleet's. A member's own close event still means
+// what it did: the stream ends when every member has closed, with a
+// close event.
 func TestRouterStreamMemberLost(t *testing.T) {
-	live := shardStream("id: 7\ndata: {\"seq\":1,\"version\":1,\"entered\":[{\"id\":10,\"p\":0.5}]}\n\n", nil)
-	for name, shard1 := range map[string]http.HandlerFunc{
-		"connection dropped": shardStream("id: 7\ndata: {\"seq\":1,\"version\":1,\"entered\":[{\"id\":20,\"p\":0.5}]}\n\n",
-			func(w http.ResponseWriter) {
-				conn, _, err := w.(http.Hijacker).Hijack()
-				if err == nil {
-					conn.Close()
-				}
-			}),
-		"ended without close": shardStream("id: 7\ndata: {\"seq\":1,\"version\":1,\"entered\":[{\"id\":20,\"p\":0.5}]}\n\n",
-			func(http.ResponseWriter) {}),
-		"stream open 404": http.NotFound,
-		"stream open 500": func(w http.ResponseWriter, _ *http.Request) {
-			http.Error(w, "boom", http.StatusInternalServerError)
-		},
+	frame := func(id int) string {
+		return fmt.Sprintf("id: 1\ndata: {\"seq\":1,\"version\":1,\"entered\":[{\"id\":%d,\"p\":0.5}]}\n\n", id)
+	}
+	for name, shard1 := range map[string]canned{
+		"connection dropped":  {body: frame(20), end: endCut},
+		"ended without close": {body: frame(20)},
+		"stream open 404":     {status: http.StatusNotFound, body: "404 page not found\n"},
+		"stream open 500":     {status: http.StatusInternalServerError, body: "boom\n"},
 	} {
 		t.Run(name, func(t *testing.T) {
-			rt, url := streamFleet(t, live, shard1)
-			got := readStream(t, url)
+			rt := fleet(t, 2)
+			rt.cannedFeeds(t, canned{body: frame(10), end: endHold}, shard1)
+			got := openSubscriber(t, rt.front.URL, 1).wait(t)
 			if !strings.Contains(got, "event: error\n") || !strings.Contains(got, "re-register") || !strings.Contains(got, "shard 1") {
 				t.Errorf("stream did not end with an error event naming shard 1:\n%s", got)
 			}
@@ -540,15 +367,87 @@ func TestRouterStreamMemberLost(t *testing.T) {
 		})
 	}
 
-	closing := func(id int) http.HandlerFunc {
-		return shardStream(fmt.Sprintf("id: 7\ndata: {\"seq\":1,\"version\":1,\"entered\":[{\"id\":%d,\"p\":0.5}]}\n\nid: 7\nevent: close\ndata: {}\n\n", id), func(http.ResponseWriter) {})
-	}
-	rt, url := streamFleet(t, closing(10), closing(20))
-	got := readStream(t, url)
+	closing := func(id int) canned { return canned{body: frame(id) + "id: 1\nevent: close\ndata: {}\n\n"} }
+	rt := fleet(t, 2)
+	rt.cannedFeeds(t, closing(10), closing(20))
+	got := openSubscriber(t, rt.front.URL, 1).wait(t)
 	if !strings.Contains(got, `"id":10`) || !strings.Contains(got, `"id":20`) || !strings.HasSuffix(got, "event: close\ndata: {}\n\n") || strings.Contains(got, "event: error") {
 		t.Errorf("members that closed: want both frames, then a close event:\n%s", got)
 	}
 	if v := rt.m.membersLost.With("0").Value() + rt.m.membersLost.With("1").Value(); v != 0 {
 		t.Errorf("members that closed were counted lost %v times", v)
+	}
+}
+
+// TestRouterRetryHealsDrop: on every hop a first attempt dropped before
+// the shard saw it is retried and heals — the answer is whole and the
+// single engine's — and ildq_router_shard_retries_total counts exactly
+// the drops.
+func TestRouterRetryHealsDrop(t *testing.T) {
+	for _, route := range []string{"POST /v1/evaluate", nnRoute, "POST /v1/updates", "POST /v1/queries", "DELETE /v1/queries/"} {
+		t.Run(route, func(t *testing.T) {
+			rt := fleet(t, 2)
+			moves := func(y float64) serve.UpdatesRequest { // on both shards
+				return serve.UpdatesRequest{Updates: []serve.UpdateJSON{{Op: "upsert_point", ID: 1, X: 1000, Y: y},
+					{Op: "upsert_point", ID: 2, X: 1100, Y: 10000 - y}, {Op: "upsert_object", ID: 3, Region: []float64{950, y, 1050, y + 400}}}}
+			}
+			rt.apply(t, moves(4000))
+			drops := []*fault{rt.faults.arm(&fault{shard: 0, route: route, times: 1}), rt.faults.arm(&fault{shard: 1, route: route, times: 1})}
+			q := straddlingRange
+			switch route {
+			case "POST /v1/updates":
+				rt.apply(t, moves(4500))
+			case "POST /v1/queries", "DELETE /v1/queries/":
+				got, want := rt.ask(t, "/v1/queries", q)
+				rt.deregister(t, got, want)
+				if !bytes.Equal(got.Snapshot, want.Snapshot) {
+					t.Errorf("snapshot %s, single engine %s", got.Snapshot, want.Snapshot)
+				}
+			case nnRoute:
+				q = serve.RequestJSON{Kind: "nn", Issuer: q.Issuer, K: 1, NNSamples: 64}
+				fallthrough
+			default:
+				if got, want := rt.ask(t, "/v1/evaluate", q); got.Partial || !bytes.Equal(got.Matches, want.Matches) {
+					t.Errorf("answer (missing %v) %s, single engine %s", got.Missing, got.Matches, want.Matches)
+				}
+			}
+			for s, drop := range drops {
+				if n, retries := drop.hits.Load(), rt.m.retries.With(fmt.Sprint(s)).Value(); n != 1 || retries != 1 {
+					t.Errorf("shard %d: %d attempts dropped, %d retries counted; want 1 and 1", s, n, retries)
+				}
+			}
+			rt.converged(t)
+		})
+	}
+}
+
+// TestRouterDeregisterLostReply: a DELETE whose reply is lost after the
+// shard removed the query is retried, draws the shard's 404, and counts
+// as removed — the client gets 204 and no shard keeps the query. The
+// router answers 404 only for an id it does not hold, and 502 naming
+// the shard when a member could not be reached.
+func TestRouterDeregisterLostReply(t *testing.T) {
+	rt := fleet(t, 2)
+	register := func() string {
+		got, _ := rt.ask(t, "/v1/queries", straddlingRange)
+		return fmt.Sprintf("%s/v1/queries/%d", rt.front.URL, got.ID)
+	}
+	url := register()
+	rt.faults.arm(&fault{shard: 1, route: "DELETE /v1/queries/", kind: loseReply, times: 1})
+	if status, body := send(t, http.MethodDelete, url, nil); status != http.StatusNoContent {
+		t.Fatalf("DELETE whose shard reply was lost: HTTP %d %q, want 204", status, errorText(body))
+	}
+	for i, s := range rt.servers {
+		if n := len(s.mon.Subscriptions()); n != 0 || rt.m.retries.With(fmt.Sprint(i)).Value() != int64(i) {
+			t.Errorf("shard %d keeps %d standing queries after %d retries", i, n, rt.m.retries.With(fmt.Sprint(i)).Value())
+		}
+	}
+	if status, body := send(t, http.MethodDelete, url, nil); status != http.StatusNotFound {
+		t.Errorf("DELETE of a query the router does not hold: HTTP %d %q, want 404", status, errorText(body))
+	}
+	url = register()
+	rt.faults.arm(&fault{shard: 1, route: "DELETE /v1/queries/"}) // shard 1 is down
+	if status, body := send(t, http.MethodDelete, url, nil); status != http.StatusBadGateway || !strings.Contains(errorText(body), "shard 1") {
+		t.Errorf("DELETE with a member down: HTTP %d %q, want 502 naming shard 1", status, errorText(body))
 	}
 }

@@ -3,11 +3,9 @@ package shard
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"log/slog"
 	"net/http"
-	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
@@ -196,18 +194,12 @@ func TestFeedReaderLongLine(t *testing.T) {
 func TestRouterStreamOutlivesShardTimeout(t *testing.T) {
 	rt := fleet(t, 2)
 	for _, c := range rt.shards {
-		c.HTTP = &http.Client{Timeout: 200 * time.Millisecond}
+		c.HTTP.Timeout = 200 * time.Millisecond
 	}
-	front := httptest.NewServer(NewServer(rt))
-	t.Cleanup(front.Close)
 	ctx := t.Context()
 
-	status, body := postJSON(t, front.URL+"/v1/queries", straddlingRange)
-	var reg serve.RegisterResponse
-	if err := json.Unmarshal(body, &reg); status != http.StatusCreated || err != nil {
-		t.Fatalf("register: HTTP %d %s", status, body)
-	}
-	sub := openSubscriber(t, front.URL, reg.ID)
+	reg, _ := rt.ask(t, "/v1/queries", straddlingRange)
+	sub := openSubscriber(t, rt.front.URL, reg.ID)
 
 	// Object 1 moves across the y=5000 border inside the query's guard:
 	// every batch is a delta on both shards.
@@ -291,14 +283,8 @@ func TestRouterSubOverflow(t *testing.T) {
 // be streamed again and carries the deltas of later batches.
 func TestRouterStreamOneSubscriber(t *testing.T) {
 	rt := fleet(t, 2)
-	front := httptest.NewServer(NewServer(rt))
-	t.Cleanup(front.Close)
-	status, body := postJSON(t, front.URL+"/v1/queries", straddlingRange)
-	var reg serve.RegisterResponse
-	if err := json.Unmarshal(body, &reg); status != http.StatusCreated || err != nil {
-		t.Fatalf("register: HTTP %d %s", status, body)
-	}
-	url := front.URL + "/v1/queries/" + strconv.FormatInt(reg.ID, 10) + "/stream"
+	reg, _ := rt.ask(t, "/v1/queries", straddlingRange)
+	url := rt.front.URL + "/v1/queries/" + strconv.FormatInt(reg.ID, 10) + "/stream"
 
 	ctx, hangUp := context.WithCancel(t.Context())
 	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
@@ -324,7 +310,7 @@ func TestRouterStreamOneSubscriber(t *testing.T) {
 		}
 	}
 	sub.done(nil, true)
-	again := openSubscriber(t, front.URL, reg.ID)
+	again := openSubscriber(t, rt.front.URL, reg.ID)
 	if _, err := rt.ApplyUpdates(t.Context(), serve.UpdatesRequest{Updates: []serve.UpdateJSON{
 		{Op: "upsert_object", ID: 1, Region: []float64{950, 4950, 1050, 5050}}}}); err != nil {
 		t.Fatal(err)

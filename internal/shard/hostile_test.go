@@ -1,18 +1,12 @@
 package shard
 
 import (
-	"cmp"
 	"encoding/binary"
 	"errors"
-	"io"
-	"net/http"
-	"net/http/httptest"
 	"reflect"
 	"runtime"
 	"slices"
-	"strconv"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -20,16 +14,6 @@ import (
 	"repro/internal/serve"
 	"repro/internal/wire"
 )
-
-// jsonBody replies 200 with body as application/json, announcing its
-// length.
-func jsonBody(body string) http.HandlerFunc {
-	return func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-		io.WriteString(w, body) //nolint:errcheck // test server
-	}
-}
 
 // goodEvaluate is a reply the router accepts; the hostile ones are
 // made from it.
@@ -39,14 +23,21 @@ const goodEvaluate = `{"request_id":"9","kind":"uncertain","version":4,"matches"
 // no test's allocation count includes it.
 var seventeenMB = strings.Repeat(" ", serve.MaxBodyBytes+1-len(goodEvaluate)) + goodEvaluate
 
+// jsonBody is body as an application/json reply.
+func jsonBody(body string) canned { return canned{media: "application/json", body: body} }
+
+// frameBody is body as an NN candidate frame reply.
+func frameBody(body []byte) canned { return canned{media: wire.NNFrameType, body: string(body)} }
+
+// bodyRefused is what a 2xx reply its decoder refuses is.
+var bodyRefused = []error{ErrReplyFormat, serve.ErrBody}
+
 // hostileReplies are the shard replies a router must survive: each
 // names the typed errors the client owes for it.
 var hostileReplies = []struct {
-	name string
-	// path is the endpoint the reply is served on ("" is
-	// /v1/nn/candidates).
-	path  string
-	reply http.HandlerFunc
+	name  string
+	route string // the request that draws the reply
+	reply canned
 	want  []error
 	// binaries: the message must point at a half-upgraded fleet.
 	binaries bool
@@ -54,161 +45,60 @@ var hostileReplies = []struct {
 	// allocates next to nothing.
 	unread bool
 }{
-	{
-		name: "count 2^40 in a 20-byte body",
-		reply: func(w http.ResponseWriter, _ *http.Request) {
+	{name: "count 2^40 in a 20-byte body", route: nnRoute, want: []error{ErrReplyFormat, wire.ErrFrame}, binaries: true,
+		reply: frameBody(func() []byte {
 			empty := wire.AppendNNCandidateSet(nil, core.NNCandidateSet{Tau: 1})
 			body := binary.AppendUvarint(empty[:len(empty)-1], 1<<40)
-			body = append(body, make([]byte, 20-len(body))...)
-			w.Header().Set("Content-Type", wire.NNFrameType)
-			w.Write(body) //nolint:errcheck // test server
-		},
-		want:     []error{ErrReplyFormat, wire.ErrFrame},
-		binaries: true,
-	},
-	{
-		name: "endless body",
-		reply: func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", wire.NNFrameType)
-			chunk := make([]byte, 64<<10)
-			for r.Context().Err() == nil {
-				if _, err := w.Write(chunk); err != nil {
-					return
-				}
-			}
-		},
-		want: []error{ErrReplyTooLarge},
-	},
-	{
-		name: "json from an old shard",
-		reply: func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			w.Write([]byte(`{"version":3,"tau":141.4,"node_accesses":2,"candidates":[{"id":1,"x":1000,"y":1000}]}` + "\n")) //nolint:errcheck // test server
-		},
-		want:     []error{ErrReplyFormat},
-		binaries: true,
-	},
-	{
-		name: "unknown frame version",
-		reply: func(w http.ResponseWriter, _ *http.Request) {
+			return append(body, make([]byte, 20-len(body))...)
+		}())},
+	{name: "endless body", route: nnRoute, want: []error{ErrReplyTooLarge},
+		reply: canned{media: wire.NNFrameType, length: -1, end: endZeros}},
+	{name: "json from an old shard", route: nnRoute, want: []error{ErrReplyFormat}, binaries: true,
+		reply: jsonBody(`{"version":3,"tau":141.4,"node_accesses":2,"candidates":[{"id":1,"x":1000,"y":1000}]}` + "\n")},
+	{name: "unknown frame version", route: nnRoute, want: []error{ErrReplyFormat, wire.ErrFrame}, binaries: true,
+		reply: frameBody(func() []byte {
 			frame := wire.AppendNNCandidateSet(nil, core.NNCandidateSet{Tau: 1})
 			frame[0] = 0x7f
-			w.Header().Set("Content-Type", wire.NNFrameType)
-			w.Write(frame) //nolint:errcheck // test server
-		},
-		want:     []error{ErrReplyFormat, wire.ErrFrame},
-		binaries: true,
-	},
-	{
-		name: "frame announcing 2^40 bytes",
-		reply: func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", wire.NNFrameType)
-			w.Header().Set("Content-Length", strconv.Itoa(1<<40))
-			w.Write(wire.AppendNNCandidateSet(nil, core.NNCandidateSet{Tau: 1})) //nolint:errcheck // test server
-		},
-		want:   []error{ErrReplyTooLarge},
-		unread: true,
-	},
-	{
-		name: "evaluate: truncated body", path: "/v1/evaluate",
-		reply: jsonBody(goodEvaluate[:len(goodEvaluate)-40]),
-		want:  []error{ErrReplyFormat, serve.ErrBody}, binaries: true,
-	},
-	{
-		name: "evaluate: p is a string", path: "/v1/evaluate",
-		reply: jsonBody(strings.Replace(goodEvaluate, `"p":0.5`, `"p":"x"`, 1)),
-		want:  []error{ErrReplyFormat, serve.ErrBody}, binaries: true,
-	},
-	{
-		name: "evaluate: trailing garbage", path: "/v1/evaluate",
-		reply: jsonBody(goodEvaluate + "{}"),
-		want:  []error{ErrReplyFormat, serve.ErrBody}, binaries: true,
-	},
-	{
-		name: "evaluate: unsorted match list", path: "/v1/evaluate",
-		reply: jsonBody(strings.Replace(goodEvaluate, `"p":0.5`, `"p":0.875`, 1)),
-		want:  []error{ErrReplyFormat, serve.ErrBody}, binaries: true,
-	},
-	{
-		name: "evaluate: duplicated match", path: "/v1/evaluate",
-		reply: jsonBody(strings.Replace(goodEvaluate, `{"id":30,"p":0.5}`, `{"id":31,"p":0.75}`, 1)),
-		want:  []error{ErrReplyFormat, serve.ErrBody}, binaries: true,
-	},
-	{
-		name: "evaluate: a match in another layout", path: "/v1/evaluate",
-		reply: jsonBody(strings.Replace(goodEvaluate, `{"id":30,"p":0.5}`, `{"p":0.5,"id":30}`, 1)),
-		want:  []error{ErrReplyFormat, serve.ErrBody}, binaries: true,
-	},
-	{
-		name: "evaluate: whitespace in the match list", path: "/v1/evaluate",
-		reply: jsonBody(strings.Replace(goodEvaluate, `},{`, `}, {`, 1)),
-		want:  []error{ErrReplyFormat, serve.ErrBody}, binaries: true,
-	},
-	{
-		name: "evaluate: 17 MB body", path: "/v1/evaluate",
-		reply:  jsonBody(seventeenMB),
-		want:   []error{ErrReplyTooLarge},
-		unread: true,
-	},
-	{
-		name: "evaluate: text/plain", path: "/v1/evaluate",
-		reply: func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "text/plain")
-			io.WriteString(w, goodEvaluate) //nolint:errcheck // test server
-		},
-		want: []error{ErrReplyFormat}, binaries: true,
-	},
-	{
-		name: "register: unsorted snapshot", path: "/v1/queries",
-		reply: jsonBody(`{"id":3,"kind":"uncertain","snapshot":[{"id":30,"p":0.5},{"id":31,"p":0.75}]}`),
-		want:  []error{ErrReplyFormat, serve.ErrBody}, binaries: true,
-	},
-	{
-		name: "register: a match in another layout", path: "/v1/queries",
-		reply: jsonBody(`{"id":3,"kind":"uncertain","snapshot":[{"id":31,"p":0.75},{"p":0.5,"id":30}]}`),
-		want:  []error{ErrReplyFormat, serve.ErrBody}, binaries: true,
-	},
-	{
-		name: "register: whitespace in the snapshot", path: "/v1/queries",
-		reply: jsonBody(`{"id":3,"kind":"uncertain","snapshot":[{"id":31,"p":0.75}, {"id":30,"p":0.5}]}`),
-		want:  []error{ErrReplyFormat, serve.ErrBody}, binaries: true,
-	},
-	{
-		name: "updates: truncated body", path: "/v1/updates",
-		reply: jsonBody(`{"seq":1,"applied":`),
-		want:  []error{ErrReplyFormat, serve.ErrBody}, binaries: true,
-	},
-	{
-		name: "updates: versions key twice", path: "/v1/updates",
-		reply: jsonBody(`{"seq":1,"versions":{"0":3,"0":4}}`),
-		want:  []error{ErrReplyFormat, serve.ErrBody}, binaries: true,
-	},
-	{
-		name: "healthz: not an object", path: "/healthz",
-		reply: jsonBody(`"ok"`),
-		want:  []error{ErrReplyFormat}, binaries: true,
-	},
+			return frame
+		}())},
+	{name: "frame announcing 2^40 bytes", route: nnRoute, want: []error{ErrReplyTooLarge}, unread: true,
+		reply: canned{media: wire.NNFrameType, body: string(wire.AppendNNCandidateSet(nil, core.NNCandidateSet{Tau: 1})), length: 1 << 40}},
+	{name: "evaluate: truncated body", route: evaluateRoute, want: bodyRefused, binaries: true,
+		reply: jsonBody(goodEvaluate[:len(goodEvaluate)-40])},
+	{name: "evaluate: p is a string", route: evaluateRoute, want: bodyRefused, binaries: true,
+		reply: jsonBody(strings.Replace(goodEvaluate, `"p":0.5`, `"p":"x"`, 1))},
+	{name: "evaluate: trailing garbage", route: evaluateRoute, want: bodyRefused, binaries: true,
+		reply: jsonBody(goodEvaluate + "{}")},
+	{name: "evaluate: unsorted match list", route: evaluateRoute, want: bodyRefused, binaries: true,
+		reply: jsonBody(strings.Replace(goodEvaluate, `"p":0.5`, `"p":0.875`, 1))},
+	{name: "evaluate: duplicated match", route: evaluateRoute, want: bodyRefused, binaries: true,
+		reply: jsonBody(strings.Replace(goodEvaluate, `{"id":30,"p":0.5}`, `{"id":31,"p":0.75}`, 1))},
+	{name: "evaluate: a match in another layout", route: evaluateRoute, want: bodyRefused, binaries: true,
+		reply: jsonBody(strings.Replace(goodEvaluate, `{"id":30,"p":0.5}`, `{"p":0.5,"id":30}`, 1))},
+	{name: "evaluate: whitespace in the match list", route: evaluateRoute, want: bodyRefused, binaries: true,
+		reply: jsonBody(strings.Replace(goodEvaluate, `},{`, `}, {`, 1))},
+	{name: "evaluate: 17 MB body", route: evaluateRoute, want: []error{ErrReplyTooLarge}, unread: true,
+		reply: jsonBody(seventeenMB)},
+	{name: "evaluate: text/plain", route: evaluateRoute, want: []error{ErrReplyFormat}, binaries: true,
+		reply: canned{media: "text/plain", body: goodEvaluate}},
+	{name: "register: unsorted snapshot", route: "POST /v1/queries", want: bodyRefused, binaries: true,
+		reply: jsonBody(`{"id":3,"kind":"uncertain","snapshot":[{"id":30,"p":0.5},{"id":31,"p":0.75}]}`)},
+	{name: "register: a match in another layout", route: "POST /v1/queries", want: bodyRefused, binaries: true,
+		reply: jsonBody(`{"id":3,"kind":"uncertain","snapshot":[{"id":31,"p":0.75},{"p":0.5,"id":30}]}`)},
+	{name: "register: whitespace in the snapshot", route: "POST /v1/queries", want: bodyRefused, binaries: true,
+		reply: jsonBody(`{"id":3,"kind":"uncertain","snapshot":[{"id":31,"p":0.75}, {"id":30,"p":0.5}]}`)},
+	{name: "updates: truncated body", route: "POST /v1/updates", want: bodyRefused, binaries: true,
+		reply: jsonBody(`{"seq":1,"applied":`)},
+	{name: "updates: versions key twice", route: "POST /v1/updates", want: bodyRefused, binaries: true,
+		reply: jsonBody(`{"seq":1,"versions":{"0":3,"0":4}}`)},
+	{name: "healthz: not an object", route: "GET /healthz", want: []error{ErrReplyFormat}, binaries: true,
+		reply: jsonBody(`"ok"`)},
 }
 
-// hostileShard serves reply on path ("" is /v1/nn/candidates) and
-// counts the requests it drew.
-func hostileShard(t *testing.T, path string, reply http.HandlerFunc) (url string, requests *atomic.Int64) {
-	t.Helper()
-	if path == "" {
-		path = "/v1/nn/candidates"
-	}
-	requests = new(atomic.Int64)
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != path {
-			http.NotFound(w, r)
-			return
-		}
-		requests.Add(1)
-		reply(w, r)
-	}))
-	t.Cleanup(ts.Close)
-	return ts.URL, requests
-}
+const (
+	nnRoute       = "POST /v1/nn/candidates"
+	evaluateRoute = "POST /v1/evaluate"
+)
 
 var nearBorderNN = serve.RequestJSON{
 	Kind:   "nn",
@@ -223,32 +113,32 @@ var straddlingRange = serve.RequestJSON{
 	W:      400, H: 400,
 }
 
-// askHostile sends the request that draws path's reply and reports
+// askHostile sends the request that draws route's reply and reports
 // whether the client made anything of it.
-func askHostile(t *testing.T, c *Client, path string) (produced bool, err error) {
+func askHostile(t *testing.T, c *Client, route string) (produced bool, err error) {
 	ctx := t.Context()
-	switch path {
-	case "":
+	switch route {
+	case nnRoute:
 		set, err := c.NNCandidates(ctx, serve.NNCandidatesRequest{Request: nearBorderNN}, nil)
 		return set.Candidates != nil, err
-	case "/v1/evaluate":
+	case evaluateRoute:
 		buf := serve.GetBuffer()
 		defer func() { serve.PutBuffer(buf, *buf) }()
 		resp, err := c.evaluateReply(ctx, straddlingRange, buf)
 		return !reflect.DeepEqual(resp, serve.EvaluateReply{}), err
-	case "/v1/queries":
+	case "POST /v1/queries":
 		buf := serve.GetBuffer()
 		defer func() { serve.PutBuffer(buf, *buf) }()
 		resp, err := c.Register(ctx, straddlingRange, "", buf)
 		return !reflect.DeepEqual(resp, serve.RegisterReply{}), err
-	case "/v1/updates":
+	case "POST /v1/updates":
 		resp, err := c.Updates(ctx, serve.UpdatesRequest{})
 		return !reflect.DeepEqual(resp, serve.UpdatesResponse{}), err
-	case "/healthz":
+	case "GET /healthz":
 		resp, err := c.Healthz(ctx)
 		return resp != serve.HealthzResponse{}, err
 	}
-	t.Fatalf("no request draws a reply on %s", path)
+	t.Fatalf("no request draws a reply on %s", route)
 	return false, nil
 }
 
@@ -260,12 +150,13 @@ func askHostile(t *testing.T, c *Client, path string) (produced bool, err error)
 func TestClientHostileShard(t *testing.T) {
 	for _, tc := range hostileReplies {
 		t.Run(tc.name, func(t *testing.T) {
-			url, requests := hostileShard(t, tc.path, tc.reply)
-			c := &Client{ID: "7", BaseURL: url, Retry: RetryPolicy{Attempts: 3, Backoff: time.Millisecond}}
+			rt := fleet(t, 1)
+			hostile := rt.faults.arm(&fault{route: tc.route, kind: cannedReply, canned: tc.reply})
+			c := &Client{ID: "7", BaseURL: rt.shards[0].BaseURL, HTTP: rt.shards[0].HTTP, Retry: RetryPolicy{Attempts: 3, Backoff: time.Millisecond}}
 
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			produced, err := askHostile(t, c, tc.path)
+			produced, err := askHostile(t, c, tc.route)
 			runtime.ReadMemStats(&after)
 
 			for _, want := range tc.want {
@@ -273,7 +164,7 @@ func TestClientHostileShard(t *testing.T) {
 					t.Errorf("err = %v, want it to wrap %q", err, want)
 				}
 			}
-			if endpoint := cmp.Or(tc.path, "/v1/nn/candidates"); err != nil && !strings.Contains(err.Error(), "shard 7: "+endpoint) {
+			if _, endpoint, _ := strings.Cut(tc.route, " "); err != nil && !strings.Contains(err.Error(), "shard 7: "+endpoint) {
 				t.Errorf("error does not name the shard and endpoint: %v", err)
 			}
 			if tc.binaries && (err == nil || !strings.Contains(err.Error(), "router and shard binaries differ")) {
@@ -282,14 +173,14 @@ func TestClientHostileShard(t *testing.T) {
 			if produced {
 				t.Error("a refused reply still produced a value")
 			}
-			if n := requests.Load(); n != 1 {
+			if n := hostile.hits.Load(); n != 1 {
 				t.Errorf("shard drew %d requests, want exactly 1 (no retry of a deterministic failure)", n)
 			}
 			// io.ReadAll's growth copies make a read up to the cap cost a
 			// small multiple of it; a 2^40 count or length honoured would
 			// be terabytes. A reply refused on its headers costs no buffer.
 			limit := 8 * uint64(maxNNFrame)
-			if tc.path != "" {
+			if tc.route != nnRoute {
 				limit = 8 * serve.MaxBodyBytes
 			}
 			if tc.unread {
@@ -309,9 +200,9 @@ func TestClientHostileShard(t *testing.T) {
 func TestRouterHostileHomeShard(t *testing.T) {
 	for _, tc := range hostileReplies {
 		query := nearBorderNN
-		switch tc.path {
-		case "":
-		case "/v1/evaluate":
+		switch tc.route {
+		case nnRoute:
+		case evaluateRoute:
 			query = straddlingRange
 		default:
 			continue // not on the evaluate path
@@ -325,9 +216,7 @@ func TestRouterHostileHomeShard(t *testing.T) {
 			}}); err != nil {
 				t.Fatal(err)
 			}
-			url, requests := hostileShard(t, tc.path, tc.reply)
-			rt.shards[1].BaseURL = url
-			rt.shards[1].Retry = RetryPolicy{Attempts: 3, Backoff: time.Millisecond}
+			hostile := rt.faults.arm(&fault{shard: 1, route: tc.route, kind: cannedReply, canned: tc.reply})
 
 			got, err := routerEvaluate(ctx, rt, query)
 			if err != nil {
@@ -339,7 +228,7 @@ func TestRouterHostileHomeShard(t *testing.T) {
 			if len(got.Matches) != 1 || got.Matches[0].ID != 1 {
 				t.Errorf("matches = %v, want the healthy shard's 1", got.Matches)
 			}
-			if n := requests.Load(); n != 1 {
+			if n := hostile.hits.Load(); n != 1 {
 				t.Errorf("hostile shard drew %d requests, want 1", n)
 			}
 			if rt.m.retries.With("1").Value() != 0 {

@@ -7,7 +7,6 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"testing"
 
 	"repro/internal/serve"
@@ -23,8 +22,7 @@ func TestRouterRegisterSnapshotBitExact(t *testing.T) {
 	for _, n := range []int{2, 4} {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
 			rt := fleet(t, n)
-			front := httptest.NewServer(NewServer(rt))
-			t.Cleanup(front.Close)
+			front := rt.front
 			_, ref := reference(t)
 			ctx := t.Context()
 			rng := rand.New(rand.NewSource(int64(4500 + n)))

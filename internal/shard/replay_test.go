@@ -5,11 +5,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -19,8 +17,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/geom"
 	"repro/internal/monitor"
 	"repro/internal/serve"
 )
@@ -29,12 +25,14 @@ var updateReplay = flag.Bool("update-replay", false, "rewrite testdata/stream_re
 
 // subscriberStream is one client's reading of a router delta stream:
 // every data frame with a shard tag, as raw bytes and decoded, plus the
-// event that ended the stream.
+// event that ended the stream, and the stream's whole text.
 type subscriberStream struct {
 	mu     sync.Mutex
 	raw    map[string][]string // per shard tag, the frames in arrival order
 	frames map[string][]serve.DeltaJSON
 	end    string // "close", "error", or "" while open or cut
+	text   strings.Builder
+	err    error // the read's failure, set before done closes
 	done   chan struct{}
 }
 
@@ -58,8 +56,12 @@ func openSubscriber(t *testing.T, url string, id int64) *subscriberStream {
 		sc := bufio.NewScanner(resp.Body)
 		sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
 		event := ""
+		defer func() { s.err = sc.Err() }()
 		for sc.Scan() {
 			line := sc.Text()
+			s.mu.Lock()
+			s.text.WriteString(line + "\n")
+			s.mu.Unlock()
 			switch {
 			case strings.HasPrefix(line, "event: "):
 				event = line[len("event: "):]
@@ -82,6 +84,21 @@ func openSubscriber(t *testing.T, url string, id int64) *subscriberStream {
 		}
 	}()
 	return s
+}
+
+// wait returns the stream's text once it has ended, which the router
+// must bring about itself.
+func (s *subscriberStream) wait(t *testing.T) string {
+	t.Helper()
+	select {
+	case <-s.done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the subscriber stream did not end")
+	}
+	if s.err != nil {
+		t.Fatalf("subscriber stream did not end cleanly: %v", s.err)
+	}
+	return s.text.String()
 }
 
 // received is the number of frames read from shard.
@@ -145,29 +162,8 @@ var durationMS = regexp.MustCompile(`"duration_ms":[^,}]*`)
 // testdata/stream_replay.golden, recorded from the member-stream relay
 // the feed replaced (-update-replay rewrites it).
 func TestRouterStreamReplay(t *testing.T) {
-	m, err := Uniform(geom.Rect{Lo: geom.Pt(0, 0), Hi: geom.Pt(10000, 10000)}, 4, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clients := make([]*Client, 2)
-	mons := make([]*monitor.Monitor, 2)
-	for i := range clients {
-		eng, err := core.NewEngine(nil, nil, core.EngineOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		mons[i] = monitor.New(eng, monitor.Config{Workers: 1})
-		ts := httptest.NewServer(serve.NewServer(mons[i], core.EvalOptions{}, serve.Config{ShardID: fmt.Sprint(i), Tiles: m.Spec()}))
-		t.Cleanup(ts.Close)
-		t.Cleanup(ts.CloseClientConnections) // the router's streams stay open
-		clients[i] = &Client{ID: fmt.Sprint(i), BaseURL: ts.URL}
-	}
-	rt, err := NewRouter(m, clients, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	front := httptest.NewServer(NewServer(rt))
-	t.Cleanup(front.Close)
+	rt := fleet(t, 2)
+	front, mons := rt.front, []*monitor.Monitor{rt.servers[0].mon, rt.servers[1].mon}
 	refSrv, ref := reference(t)
 	ctx := t.Context()
 	rng := rand.New(rand.NewSource(35))
@@ -363,23 +359,4 @@ func TestRouterStreamReplay(t *testing.T) {
 		}
 		t.Fatalf("%d frame lines, the relay forwarded %d", len(gl), len(wl))
 	}
-}
-
-// postJSON posts v as JSON and returns the status and body.
-func postJSON(t *testing.T, url string, v any) (int, []byte) {
-	t.Helper()
-	body, err := json.Marshal(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(url, "application/json", strings.NewReader(string(body)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	out, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp.StatusCode, out
 }

@@ -745,7 +745,14 @@ func (r *Router) Subscription(id int64) (*routerSub, bool) {
 	return sub, ok
 }
 
-// Deregister removes a router standing query from every member shard.
+// errNoStandingQuery reports a router standing query id the router does
+// not hold.
+var errNoStandingQuery = errors.New("no standing query")
+
+// Deregister removes a router standing query from every member shard. It
+// fails with errNoStandingQuery for an id the router does not hold, and
+// with the first member's error when a member shard could not be
+// reached; the router forgets the query either way.
 func (r *Router) Deregister(ctx context.Context, id int64) error {
 	r.mu.Lock()
 	sub, ok := r.subs[id]
@@ -754,7 +761,7 @@ func (r *Router) Deregister(ctx context.Context, id int64) error {
 	}
 	r.mu.Unlock()
 	if !ok {
-		return fmt.Errorf("shard: no standing query %d", id)
+		return fmt.Errorf("shard: %w %d", errNoStandingQuery, id)
 	}
 	var firstErr error
 	for _, m := range sub.members {

@@ -8,7 +8,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"net/http/httptest"
+	"net/http"
 	"slices"
 	"strings"
 	"sync"
@@ -16,75 +16,15 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/geom"
-	"repro/internal/monitor"
 	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/wire"
 )
 
-// fleet boots n in-process shard servers plus a router over them, on
-// the uniform 4x2 tile map.
-func fleet(t *testing.T, n int) *Router {
-	t.Helper()
-	m, err := Uniform(geom.Rect{Lo: geom.Pt(0, 0), Hi: geom.Pt(10000, 10000)}, 4, 2, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fleetOn(t, m)
-}
-
-// fleetOn boots one in-process shard server per shard of m plus a
-// router over them.
-func fleetOn(t *testing.T, m *TileMap) *Router {
-	t.Helper()
-	clients := make([]*Client, m.NumShards())
-	for i := range clients {
-		eng, err := core.NewEngine(nil, nil, core.EngineOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := serve.NewServer(monitor.New(eng, monitor.Config{Workers: 1}), core.EvalOptions{},
-			serve.Config{ShardID: fmt.Sprint(i), Tiles: m.Spec()})
-		ts := httptest.NewServer(srv)
-		t.Cleanup(ts.Close)
-		clients[i] = &Client{ID: fmt.Sprint(i), BaseURL: ts.URL}
-	}
-	r, err := NewRouter(m, clients, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(r.Close)
-	return r
-}
-
-// reference boots one single-engine server holding the union of the
-// data — the bit-exactness oracle.
-func reference(t *testing.T) (*serve.Server, *Client) {
-	t.Helper()
-	eng, err := core.NewEngine(nil, nil, core.EngineOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := serve.NewServer(monitor.New(eng, monitor.Config{Workers: 1}), core.EvalOptions{}, serve.Config{})
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
-	return srv, &Client{ID: "ref", BaseURL: ts.URL}
-}
-
-// routerEvaluate is a client's POST /v1/evaluate on the router: the body
-// its handler writes, read back with encoding/json.
-func routerEvaluate(ctx context.Context, rt *Router, q serve.RequestJSON) (serve.EvaluateResponse, error) {
-	a, err := rt.evaluate(ctx, q)
-	if err != nil {
-		return serve.EvaluateResponse{}, err
-	}
-	defer a.bufs.release()
-	body, err := a.appendTo(nil)
-	if err != nil {
-		return serve.EvaluateResponse{}, err
-	}
-	var out serve.EvaluateResponse
-	return out, json.Unmarshal(body, &out)
+// routerEvaluate is a client's POST /v1/evaluate on the router's front,
+// read with encoding/json.
+func routerEvaluate(ctx context.Context, rt *testFleet, q serve.RequestJSON) (serve.EvaluateResponse, error) {
+	return shardEvaluate(ctx, &Client{ID: "router", BaseURL: rt.front.URL, Retry: RetryPolicy{Attempts: 1}}, q)
 }
 
 // shardEvaluate is a client's POST /v1/evaluate on one server — a shard
@@ -93,23 +33,6 @@ func shardEvaluate(ctx context.Context, c *Client, q serve.RequestJSON) (serve.E
 	var out serve.EvaluateResponse
 	err := post(c, ctx, "/v1/evaluate", &q, serve.AppendRequest, jsonReply("", unmarshalInto(&out)))
 	return out, err
-}
-
-// routerRegister is a client's POST /v1/queries on the router: the body
-// its handler writes, read back with encoding/json, and the shards
-// missing from it.
-func routerRegister(ctx context.Context, rt *Router, q serve.RequestJSON) (serve.RegisterResponse, []string, error) {
-	g, miss, err := rt.register(ctx, q)
-	if err != nil {
-		return serve.RegisterResponse{}, miss, err
-	}
-	defer g.bufs.release()
-	body, err := g.appendTo(nil)
-	if err != nil {
-		return serve.RegisterResponse{}, miss, err
-	}
-	var out serve.RegisterResponse
-	return out, miss, json.Unmarshal(body, &out)
 }
 
 // requireSameMatches fails unless the router's answer equals the single
@@ -252,8 +175,8 @@ func nnFanOutBitExact(t *testing.T, seed int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt := fleetOn(t, m)
-	srv, ref := reference(t)
+	rt := fleet(t, shards, onTiles(m))
+	srv, ref := rt.ref, rt.refc
 	ctx := t.Context()
 
 	empty := rng.Intn(shards)
@@ -269,12 +192,7 @@ func nnFanOutBitExact(t *testing.T, seed int64) {
 		pts = append(pts, p)
 		ups = append(ups, serve.UpdateJSON{Op: "upsert_point", ID: id, X: p.X, Y: p.Y})
 	}
-	if _, err := rt.ApplyUpdates(ctx, serve.UpdatesRequest{Updates: ups}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ref.Updates(ctx, serve.UpdatesRequest{Updates: ups}); err != nil {
-		t.Fatal(err)
-	}
+	rt.apply(t, serve.UpdatesRequest{Updates: ups})
 
 	requests := func() (n int64) {
 		for _, c := range rt.shards {
@@ -392,8 +310,8 @@ func nnTauZeroBitExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt := fleetOn(t, m)
-	srv, ref := reference(t)
+	rt := fleet(t, 2, onTiles(m))
+	srv, ref := rt.ref, rt.refc
 	ctx := t.Context()
 
 	// The issuer's point sits on the border and belongs to tile 1; the
@@ -407,12 +325,7 @@ func nnTauZeroBitExact(t *testing.T) {
 	if m.ShardOf(pts[0]) == m.ShardOf(pts[1]) {
 		t.Fatalf("points %v and %v share shard %d", pts[0], pts[1], m.ShardOf(pts[0]))
 	}
-	if _, err := rt.ApplyUpdates(ctx, serve.UpdatesRequest{Updates: ups}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ref.Updates(ctx, serve.UpdatesRequest{Updates: ups}); err != nil {
-		t.Fatal(err)
-	}
+	rt.apply(t, serve.UpdatesRequest{Updates: ups})
 
 	u0 := geom.Rect{Lo: pts[1], Hi: pts[1]}
 	q := serve.RequestJSON{Kind: "nn", K: 2, NNSamples: 300, Seed: 31,
@@ -554,21 +467,11 @@ func TestRouterStraddlerReplication(t *testing.T) {
 // equal the single engine bit for bit.
 func TestRouterRejectedBatchLeavesCacheAlone(t *testing.T) {
 	rt := fleet(t, 4)
-	_, ref := reference(t)
 	ctx := t.Context()
 
-	apply := func(b serve.UpdatesRequest) {
-		t.Helper()
-		if _, err := rt.ApplyUpdates(ctx, b); err != nil {
-			t.Fatalf("router updates: %v", err)
-		}
-		if _, err := ref.Updates(ctx, b); err != nil {
-			t.Fatalf("reference updates: %v", err)
-		}
-	}
 	// Shard 0 owns x<5000, y<5000 on the 4x2 grid with 4 shards; the
 	// far points keep NN candidate sets non-trivial.
-	apply(serve.UpdatesRequest{Updates: []serve.UpdateJSON{
+	rt.apply(t, serve.UpdatesRequest{Updates: []serve.UpdateJSON{
 		{Op: "upsert_point", ID: 1, X: 1000, Y: 1000},
 		{Op: "upsert_point", ID: 2, X: 1400, Y: 1300},
 		{Op: "upsert_point", ID: 3, X: 8200, Y: 6100},
@@ -586,7 +489,7 @@ func TestRouterRejectedBatchLeavesCacheAlone(t *testing.T) {
 	}
 
 	// Move both again, for real, into a third shard.
-	apply(serve.UpdatesRequest{Updates: []serve.UpdateJSON{
+	rt.apply(t, serve.UpdatesRequest{Updates: []serve.UpdateJSON{
 		{Op: "upsert_point", ID: 1, X: 6000, Y: 1000},
 		{Op: "upsert_object", ID: 1, Region: []float64{5900, 900, 6100, 1100}},
 	}})
@@ -602,7 +505,7 @@ func TestRouterRejectedBatchLeavesCacheAlone(t *testing.T) {
 			if err != nil {
 				t.Fatalf("router %s at %v: %v", q.Kind, c, err)
 			}
-			want, err := shardEvaluate(ctx, ref, q)
+			want, err := shardEvaluate(ctx, rt.refc, q)
 			if err != nil {
 				t.Fatalf("reference %s at %v: %v", q.Kind, c, err)
 			}
@@ -633,8 +536,8 @@ func TestRouterReplyBytesMetric(t *testing.T) {
 	if _, err := routerEvaluate(ctx, rt, rng); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := routerRegister(ctx, rt, rng); err != nil {
-		t.Fatal(err)
+	if status, body := postJSON(t, rt.front.URL+"/v1/queries", rng); status != http.StatusCreated {
+		t.Fatalf("register: HTTP %d %s", status, body)
 	}
 
 	set, err := rt.shards[0].NNCandidates(ctx, serve.NNCandidatesRequest{Request: nn}, nil)
@@ -787,19 +690,13 @@ func TestRelayedAnswerIsSortedUnion(t *testing.T) {
 // another's candidates.
 func TestRouterNNConcurrentBitExact(t *testing.T) {
 	rt := fleet(t, 2)
-	_, ref := reference(t)
 	ctx := t.Context()
 	rng := rand.New(rand.NewSource(4711))
 	var ups []serve.UpdateJSON
 	for id := range 400 {
 		ups = append(ups, serve.UpdateJSON{Op: "upsert_point", ID: int64(id), X: rng.Float64() * 10000, Y: rng.Float64() * 10000})
 	}
-	if _, err := rt.ApplyUpdates(ctx, serve.UpdatesRequest{Updates: ups}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ref.Updates(ctx, serve.UpdatesRequest{Updates: ups}); err != nil {
-		t.Fatal(err)
-	}
+	rt.apply(t, serve.UpdatesRequest{Updates: ups})
 	const workers, each = 6, 15
 	queries := make([][]serve.RequestJSON, workers)
 	want := make([][]serve.EvaluateResponse, workers)
@@ -809,7 +706,7 @@ func TestRouterNNConcurrentBitExact(t *testing.T) {
 			hw := 50 + rng.Float64()*900
 			q := serve.RequestJSON{Kind: "nn", K: 1 + rng.Intn(5), NNSamples: 300, Seed: rng.Int63() | 1,
 				Issuer: serve.IssuerJSON{Region: []float64{cx - hw, cy - hw, cx + hw, cy + hw}}}
-			res, err := shardEvaluate(ctx, ref, q)
+			res, err := shardEvaluate(ctx, rt.refc, q)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -93,7 +94,11 @@ func (s *Server) handleDeregister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := s.r.Deregister(r.Context(), id); err != nil {
-		serve.WriteError(s.r.log, w, http.StatusNotFound, err)
+		status := http.StatusBadGateway // a member shard could not be reached
+		if errors.Is(err, errNoStandingQuery) {
+			status = http.StatusNotFound
+		}
+		serve.WriteError(s.r.log, w, status, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)

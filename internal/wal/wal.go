@@ -378,17 +378,6 @@ func (w *Writer) syncLocked() error {
 	return nil
 }
 
-// Sync forces appended records to stable storage regardless of
-// policy.
-func (w *Writer) Sync() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return ErrClosed
-	}
-	return w.syncLocked()
-}
-
 // flushLoop is the FsyncInterval group-commit goroutine.
 func (w *Writer) flushLoop() {
 	defer close(w.done)

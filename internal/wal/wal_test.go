@@ -318,9 +318,6 @@ func TestFsyncPolicies(t *testing.T) {
 			if policy == FsyncAlways && fsyncs != 1 {
 				t.Fatalf("FsyncAlways: %d fsyncs after append", fsyncs)
 			}
-			if err := w.Sync(); err != nil {
-				t.Fatal(err)
-			}
 			if err := w.Close(); err != nil {
 				t.Fatal(err)
 			}

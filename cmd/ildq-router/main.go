@@ -8,9 +8,10 @@
 // responses are merged bit-exactly against what a single engine
 // holding all the data would answer; updates are routed by the
 // ownership rule (points to their home shard, uncertain objects
-// replicated to every overlapping shard). The router must be the
-// fleet's ingest path so its ownership cache can route moves and
-// deletes precisely; unknown deletes fall back to a broadcast.
+// replicated to every overlapping shard), and every other shard gets a
+// delete of the id, which evicts a copy the id left behind there.
+// Deletes go to every shard. The router keeps no placement state, so
+// a restarted router routes as the one before it did.
 //
 // Usage:
 //

@@ -14,9 +14,13 @@
 // the fleet's per shard tag, folded by owner — must equal the single
 // engine's answer bit for bit, and the router runs with a
 // -shard-timeout shorter than the streams live, which must not end
-// them. Finally the query is deregistered (both streams must end with
-// a close event) and both deployments are shut down with SIGTERM and
-// must exit cleanly.
+// them. Then the query is deregistered (both streams must end with a
+// close event) and the router is restarted: it must exit cleanly on
+// SIGTERM, and a fresh one over the same shards, which has routed
+// nothing, moves every id placed before the restart across a shard
+// border; queries at the old and the new places must again be
+// bit-exact, so no stale copy survives a router restart. Finally both
+// deployments are shut down with SIGTERM and must exit cleanly.
 //
 // Run with: go run ./examples/cluster [-shards 2] [-rounds 3]
 // (from the repository root; the harness runs `go build`).
@@ -29,6 +33,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"maps"
 	"math"
 	"math/rand"
 	"net"
@@ -36,6 +41,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -143,10 +149,13 @@ func main() {
 	for _, u := range append([]string{refURL}, shardURLs...) {
 		waitHealthy(u)
 	}
-	procs = append(procs, start(filepath.Join(bin, "ildq-router"),
-		"-addr", routerAddr, "-shards", joinComma(shardURLs), "-tiles", spec, "-log-level", "warn",
-		"-shard-timeout", shardTimeout.String()))
-	waitHealthy(routerURL)
+	startRouter := func() {
+		procs = append(procs, start(filepath.Join(bin, "ildq-router"),
+			"-addr", routerAddr, "-shards", joinComma(shardURLs), "-tiles", spec, "-log-level", "warn",
+			"-shard-timeout", shardTimeout.String()))
+		waitHealthy(routerURL)
+	}
+	startRouter()
 	log.Printf("fleet up: %d shards behind %s, reference at %s", *shards, routerURL, refURL)
 
 	// One standing query across the shard borders, on both deployments;
@@ -165,6 +174,30 @@ func main() {
 	// then seeded queries of each kind against both deployments.
 	rng := rand.New(rand.NewSource(*seed))
 	queriesRun := 0
+	// compare asks q of both deployments and fails unless the fleet's
+	// answer is whole and, match for match, the single engine's.
+	compare := func(when string, q requestJSON) {
+		var got, want evaluateResponse
+		post(routerURL+"/v1/evaluate", q, &got)
+		post(refURL+"/v1/evaluate", q, &want)
+		if got.Partial {
+			fatalf("%s: %s: partial response, missing %v", when, q.Kind, got.MissingShards)
+		}
+		if len(got.Matches) != len(want.Matches) {
+			fatalf("%s: %s: fleet %d matches, single engine %d\nfleet:  %+v\nsingle: %+v",
+				when, q.Kind, len(got.Matches), len(want.Matches), got.Matches, want.Matches)
+		}
+		for i := range want.Matches {
+			g, w := got.Matches[i], want.Matches[i]
+			if g.ID != w.ID || math.Float64bits(g.P) != math.Float64bits(w.P) {
+				fatalf("%s: %s: match %d differs: fleet {%d %v} single {%d %v}",
+					when, q.Kind, i, g.ID, g.P, w.ID, w.P)
+			}
+		}
+		queriesRun++
+	}
+	// placed is the last upsert of each id, by op and id.
+	placed := map[string]updateJSON{}
 	for round := range *rounds {
 		// Pace the rounds so the streams outlive the router's timeout.
 		time.Sleep(time.Until(opened.Add(time.Duration(round) * shardTimeout * 6 / 10)))
@@ -186,6 +219,9 @@ func main() {
 					math.Min(world, cx+hw), math.Min(world, cy+hh)}})
 			}
 		}
+		for _, u := range ups {
+			placed[fmt.Sprint(u.Op, u.ID)] = u
+		}
 		var viaRouter, viaRef updatesResponse
 		post(routerURL+"/v1/updates", map[string]any{"updates": ups}, &viaRouter)
 		post(refURL+"/v1/updates", map[string]any{"updates": ups}, &viaRef)
@@ -200,24 +236,7 @@ func main() {
 			{Kind: "points", Issuer: iss, W: 1500, H: 1500, Threshold: 0.3, Seed: rng.Int63()},
 			{Kind: "nn", Issuer: iss, K: 3, NNSamples: 256, Seed: rng.Int63()},
 		} {
-			var got, want evaluateResponse
-			post(routerURL+"/v1/evaluate", q, &got)
-			post(refURL+"/v1/evaluate", q, &want)
-			if got.Partial {
-				fatalf("round %d: %s: partial response, missing %v", round, q.Kind, got.MissingShards)
-			}
-			if len(got.Matches) != len(want.Matches) {
-				fatalf("round %d: %s: fleet %d matches, single engine %d\nfleet:  %+v\nsingle: %+v",
-					round, q.Kind, len(got.Matches), len(want.Matches), got.Matches, want.Matches)
-			}
-			for i := range want.Matches {
-				g, w := got.Matches[i], want.Matches[i]
-				if g.ID != w.ID || math.Float64bits(g.P) != math.Float64bits(w.P) {
-					fatalf("round %d: %s: match %d differs: fleet {%d %v} single {%d %v}",
-						round, q.Kind, i, g.ID, g.P, w.ID, w.P)
-				}
-			}
-			queriesRun++
+			compare(fmt.Sprintf("round %d", round), q)
 		}
 		// The standing query: both replays must reach the single engine's
 		// answer to the same request.
@@ -254,6 +273,15 @@ func main() {
 		}
 	}
 
+	// A router restart: the old router must exit zero on SIGTERM, and a
+	// fresh one, which has seen none of the placements, takes over.
+	if err := procs[len(procs)-1].stop(); err != nil {
+		fatalf("router restart: %v", err)
+	}
+	procs = procs[:len(procs)-1]
+	startRouter()
+	restartRound(placed, routerURL, refURL, compare)
+
 	// Graceful shutdown: router first, then the engines; every process
 	// must exit zero on SIGTERM.
 	for i := len(procs) - 1; i >= 0; i-- {
@@ -262,6 +290,44 @@ func main() {
 		}
 	}
 	log.Printf("ok: %d rounds, %d queries bit-exact across %d shards, clean shutdown", *rounds, queriesRun, *shards)
+}
+
+// restartRound moves every id placed before the router restart to its
+// mirror image through the world's centre, which puts it across the
+// y=5000 shard border, in one batch through the fresh router and the
+// reference, then asks both about each id at its old and its new place.
+func restartRound(placed map[string]updateJSON, routerURL, refURL string, compare func(string, requestJSON)) {
+	keys := slices.Sorted(maps.Keys(placed))
+	var moves []updateJSON
+	var at [][2]float64 // old and new centres, in pairs
+	for _, k := range keys {
+		u := placed[k]
+		if u.Op == "upsert_point" {
+			at = append(at, [2]float64{u.X, u.Y})
+			u.X, u.Y = world-u.X, world-u.Y
+			at = append(at, [2]float64{u.X, u.Y})
+		} else {
+			r := u.Region
+			at = append(at, [2]float64{(r[0] + r[2]) / 2, (r[1] + r[3]) / 2})
+			u.Region = []float64{world - r[2], world - r[3], world - r[0], world - r[1]}
+			at = append(at, [2]float64{world - at[len(at)-1][0], world - at[len(at)-1][1]})
+		}
+		moves = append(moves, u)
+	}
+	var viaRouter, viaRef updatesResponse
+	post(routerURL+"/v1/updates", map[string]any{"updates": moves}, &viaRouter)
+	post(refURL+"/v1/updates", map[string]any{"updates": moves}, &viaRef)
+	if viaRouter.Partial {
+		fatalf("after the router restart: partial update batch: %+v", viaRouter)
+	}
+	for i, c := range at {
+		iss := issuerJSON{Region: []float64{c[0] - 200, c[1] - 200, c[0] + 200, c[1] + 200}}
+		when := fmt.Sprintf("after the router restart, at %v", c)
+		compare(when, requestJSON{Kind: "uncertain", Issuer: iss, W: 800, H: 800, Threshold: 0.01, Seed: int64(i + 1)})
+		compare(when, requestJSON{Kind: "points", Issuer: iss, W: 800, H: 800, Threshold: 0.01, Seed: int64(i + 1)})
+		compare(when, requestJSON{Kind: "nn", Issuer: iss, K: 2, NNSamples: 256, Seed: int64(i + 1)})
+	}
+	log.Printf("router restart: %d ids moved across the border by a fresh router; %d places bit-exact", len(moves), len(at))
 }
 
 // stream follows one standing query's delta stream, replaying each

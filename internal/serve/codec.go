@@ -326,14 +326,19 @@ func (e *encoder) relayedMatches(n int, list func(i int) relayCursor) {
 	e.raw("]")
 }
 
-// registerHead is a RegisterResponse up to its snapshot; what follows
-// the snapshot is "}\n".
+// registerHead is a RegisterResponse up to its snapshot, registerTail
+// the rest of it.
 func (e *encoder) registerHead(r *RegisterResponse) {
 	e.raw(`{"id":`)
 	e.int(r.ID)
 	e.raw(`,"kind":`)
 	e.str(r.Kind)
 	e.raw(`,"snapshot":`)
+}
+
+func (e *encoder) registerTail(r *RegisterResponse) {
+	e.partial(r.Partial, r.MissingShards)
+	e.raw("}\n")
 }
 
 // appendEngineRegisterResponse appends r as a shard's body of POST
@@ -343,7 +348,7 @@ func appendEngineRegisterResponse(dst []byte, r *RegisterResponse, ms []core.Mat
 	e := encoder{b: dst}
 	e.registerHead(r)
 	e.engineMatches(ms)
-	e.raw("}\n")
+	e.registerTail(r)
 	return e.done()
 }
 
@@ -355,7 +360,7 @@ func AppendRelayedRegisterResponse(dst []byte, r *RegisterResponse, replies []Re
 	e := encoder{b: dst}
 	e.registerHead(r)
 	e.relayedMatches(len(replies), func(i int) relayCursor { return relayCursor{replies[i].Snapshot, replies[i].elems} })
-	e.raw("}\n")
+	e.registerTail(r)
 	return e.done()
 }
 
@@ -367,11 +372,6 @@ func (e *encoder) request(rj *RequestJSON) {
 	if rj.Kind != "" {
 		e.raw(`"kind":`)
 		e.str(rj.Kind)
-		e.raw(",")
-	}
-	if rj.Target != "" {
-		e.raw(`"target":`)
-		e.str(rj.Target)
 		e.raw(",")
 	}
 	e.raw(`"issuer":{"region":`)
@@ -1233,7 +1233,7 @@ func DecodeEvaluateReply(body []byte) (EvaluateReply, error) {
 	return r, nil
 }
 
-var registerKeys = []string{"id", "kind", "snapshot"}
+var registerKeys = []string{"id", "kind", "snapshot", "partial", "missing_shards"}
 
 // RegisterReply is a shard's reply to POST /v1/queries as the router
 // relays it: the reply decoded, and the bytes of its snapshot's
@@ -1258,6 +1258,10 @@ func DecodeRegisterResponse(body []byte) (RegisterReply, error) {
 			r.Kind = s.known(kindNames)
 		case 2:
 			r.Snapshot, r.elems = s.shardMatches()
+		case 3:
+			r.Partial = s.bool()
+		case 4:
+			r.MissingShards = list(s, 0, s.text)
 		}
 	})
 	if err := s.end(); err != nil {
@@ -1361,7 +1365,7 @@ func (s *scanner) update() (u UpdateJSON) {
 	return u
 }
 
-var requestKeys = []string{"kind", "target", "issuer", "w", "h", "threshold", "k", "nn_samples", "seed", "trace"}
+var requestKeys = []string{"kind", "issuer", "w", "h", "threshold", "k", "nn_samples", "seed", "trace"}
 
 var kindNames = []string{"uncertain", "points", "nn"}
 
@@ -1379,22 +1383,20 @@ func (s *scanner) request() (rj RequestJSON) {
 		case 0:
 			rj.Kind = s.known(kindNames)
 		case 1:
-			rj.Target = s.known(kindNames)
-		case 2:
 			rj.Issuer = s.issuer()
-		case 3:
+		case 2:
 			rj.W = s.float64()
-		case 4:
+		case 3:
 			rj.H = s.float64()
-		case 5:
+		case 4:
 			rj.Threshold = s.float64()
-		case 6:
+		case 5:
 			rj.K = int(s.int(strconv.IntSize))
-		case 7:
+		case 6:
 			rj.NNSamples = int(s.int(strconv.IntSize))
-		case 8:
+		case 7:
 			rj.Seed = s.int(64)
-		case 9:
+		case 8:
 			rj.Trace = s.bool()
 		}
 	})

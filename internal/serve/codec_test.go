@@ -320,7 +320,8 @@ func TestCodecMatchesEncodingJSON(t *testing.T) {
 		// spread over lines only when the list is empty ([] stays []).
 		ev := listed(randomEvaluateResponse(rng))
 		sameBodyAsStd(t, stdEncode, &ev, i%4 == 0 && len(ev.Matches) == 0, appendEvaluate, decodeEvaluate)
-		reg := listedSnapshot(RegisterResponse{ID: randomID(rng), Kind: randomString(rng), Snapshot: randomMatches(rng)})
+		reg := listedSnapshot(RegisterResponse{ID: randomID(rng), Kind: randomString(rng), Snapshot: randomMatches(rng),
+			Partial: ev.Partial, MissingShards: ev.MissingShards})
 		sameBodyAsStd(t, stdEncode, &reg, i%4 == 1 && len(reg.Snapshot) == 0, appendRegister, decodeRegister)
 		batch := randomUpdatesRequest(rng)
 		sameBodyAsStd(t, stdMarshal, &batch, i%4 == 2, AppendUpdatesRequest, DecodeUpdatesRequest)

@@ -39,11 +39,8 @@ type IssuerJSON struct {
 }
 
 type RequestJSON struct {
-	// Kind is "uncertain" (default), "points", or "nn". Target is the
-	// deprecated pre-Request spelling, honored as an alias when Kind
-	// is empty.
+	// Kind is "uncertain" (default), "points", or "nn".
 	Kind      string     `json:"kind,omitempty"`
-	Target    string     `json:"target,omitempty"`
 	Issuer    IssuerJSON `json:"issuer"`
 	W         float64    `json:"w,omitempty"`
 	H         float64    `json:"h,omitempty"`
@@ -164,12 +161,8 @@ const DefaultPerQueryLimit = 50
 // Errors are *core.RequestError where validation fails, so handlers
 // can surface the offending field.
 func (rj RequestJSON) ToRequest() (core.Request, error) {
-	kindName := rj.Kind
-	if kindName == "" {
-		kindName = rj.Target // deprecated alias
-	}
 	var kind core.Kind
-	switch kindName {
+	switch rj.Kind {
 	case "", "uncertain":
 		kind = core.KindUncertain
 	case "points":
@@ -178,7 +171,7 @@ func (rj RequestJSON) ToRequest() (core.Request, error) {
 		kind = core.KindNN
 	default:
 		return core.Request{}, &core.RequestError{Field: "kind",
-			Err: fmt.Errorf("%w: %q (want uncertain, points, or nn)", core.ErrBadKind, kindName)}
+			Err: fmt.Errorf("%w: %q (want uncertain, points, or nn)", core.ErrBadKind, rj.Kind)}
 	}
 	region, err := ToRect(rj.Issuer.Region)
 	if err != nil {

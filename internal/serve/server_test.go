@@ -184,6 +184,8 @@ func TestServeRejectsUnknownFields(t *testing.T) {
 			// A request refines on its own goroutine: there is no
 			// per-request pool for a client to size.
 			"workers": `{"issuer": {"region": [450, 450, 550, 550]}, "w": 100, "h": 100, "workers": 4}`,
+			// kind's pre-Request spelling is no alias.
+			"target": `{"target": "points", "issuer": {"region": [450, 450, 550, 550]}, "w": 100, "h": 100}`,
 		} {
 			status, body := postRaw(t, ts.URL+path, req)
 			if status != http.StatusBadRequest {

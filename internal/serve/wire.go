@@ -45,6 +45,10 @@ type RegisterResponse struct {
 	ID       int64       `json:"id"`
 	Kind     string      `json:"kind"`
 	Snapshot []MatchJSON `json:"snapshot"`
+	// Partial / MissingShards: as in EvaluateResponse, router only — a
+	// registration some shard under its guard did not accept.
+	Partial       bool     `json:"partial,omitempty"`
+	MissingShards []string `json:"missing_shards,omitempty"`
 }
 
 // UpdatesRequest is the body of POST /v1/updates.

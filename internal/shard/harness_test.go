@@ -32,9 +32,10 @@ type testFleet struct {
 	*Router
 	servers []*testShard // by shard index
 	faults  *faultTransport
-	front   *httptest.Server
-	ref     *testShard // the single engine
-	refc    *Client    // a client of ref, faults not applied
+	front   *httptest.Server       // serves handler's router
+	handler atomic.Pointer[Server] // the front of Router
+	ref     *testShard             // the single engine
+	refc    *Client                // a client of ref, faults not applied
 }
 
 type fleetConfig struct {
@@ -77,14 +78,35 @@ func fleet(t *testing.T, n int, opts ...fleetOption) *testFleet {
 		clients[i] = &Client{ID: fmt.Sprint(i), BaseURL: s.ts.URL, HTTP: &http.Client{Transport: f.faults},
 			Retry: RetryPolicy{Attempts: 3, Backoff: time.Millisecond, MaxBackoff: time.Millisecond}}
 	}
-	if f.Router, err = NewRouter(m, clients, Config{Logger: slog.New(slog.DiscardHandler)}); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(f.Close)
-	f.front = httptest.NewServer(NewServer(f.Router))
+	f.startRouter(t, m, clients)
+	f.front = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { f.handler.Load().ServeHTTP(w, r) }))
 	t.Cleanup(f.front.Close)
 	f.ref, f.refc = reference(t)
 	return f
+}
+
+// startRouter puts a router over clients behind the fleet's front.
+func (f *testFleet) startRouter(t *testing.T, m *TileMap, clients []*Client) {
+	t.Helper()
+	r, err := NewRouter(m, clients, Config{Logger: slog.New(slog.DiscardHandler)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Close)
+	f.Router = r
+	f.handler.Store(NewServer(r))
+}
+
+// restartRouter puts a fresh router, one that has routed nothing, over
+// the same shards behind the same front, as a restarted ildq-router is:
+// the shards keep every copy the old one placed.
+func (f *testFleet) restartRouter(t *testing.T) {
+	t.Helper()
+	clients := make([]*Client, len(f.shards))
+	for i, c := range f.shards {
+		clients[i] = &Client{ID: c.ID, BaseURL: c.BaseURL, HTTP: c.HTTP, Retry: c.Retry}
+	}
+	f.startRouter(t, f.tiles, clients)
 }
 
 // reference boots one single-engine server holding the union of the

@@ -54,7 +54,7 @@ func newRouterMetrics() *routerMetrics {
 		failures: reg.CounterVec("ildq_router_shard_failures_total",
 			"Shard requests that failed after exhausting the retry budget.", "shard"),
 		updates: reg.CounterVec("ildq_router_shard_updates_total",
-			"Updates routed to each shard (replicated updates counted per replica).", "shard"),
+			"Updates routed to each shard: replicated upserts counted per replica, and the eviction delete each upsert sends every other shard counted too.", "shard"),
 		partial: reg.Counter("ildq_router_partial_total",
 			"Fail-open responses returned with Partial:true."),
 		merge: reg.HistogramVec("ildq_router_merge_seconds",

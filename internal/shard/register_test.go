@@ -127,3 +127,21 @@ func TestRouterRegisterSnapshotBitExact(t *testing.T) {
 		})
 	}
 }
+
+// TestRouterRegisterMarksMissingShard: a registration a shard under its
+// guard never accepted — here shard 1's reply is torn on every attempt —
+// is answered 201 with the other shards' snapshot and marked partial,
+// naming the shard, as a one-shot answer would be.
+func TestRouterRegisterMarksMissingShard(t *testing.T) {
+	rt := fleet(t, 2)
+	rt.apply(t, serve.UpdatesRequest{Updates: []serve.UpdateJSON{
+		{Op: "upsert_object", ID: 1, Region: []float64{2400, 4700, 2600, 4900}},
+		{Op: "upsert_object", ID: 2, Region: []float64{2400, 5100, 2600, 5300}},
+	}})
+	rt.faults.arm(&fault{shard: 1, route: "POST /v1/queries", kind: tearReply, n: 8})
+	status, body := postJSON(t, rt.front.URL+"/v1/queries", serve.RequestJSON{Kind: "uncertain",
+		Issuer: serve.IssuerJSON{Region: []float64{2300, 4700, 2700, 5300}}, W: 600, H: 600, Seed: 3})
+	if status != http.StatusCreated || !bytes.HasSuffix(body, []byte(`"snapshot":[{"id":1,"p":1}],"partial":true,"missing_shards":["1"]}`+"\n")) {
+		t.Fatalf("register with shard 1's reply torn: HTTP %d %s", status, body)
+	}
+}

@@ -26,12 +26,9 @@ import (
 // probabilities), NN runs the two-round cross-shard tau-merge protocol
 // with the final refinement at the router.
 //
-// The router is the fleet's ingest path: it routes each update by the
-// ownership rule and remembers every object's replica set, so moves
-// and deletes reach exactly the shards that hold the object. Deletes
-// of objects the router has never seen (e.g. data preloaded behind its
-// back) fall back to a broadcast — a delete of an absent id is a no-op
-// on the shard.
+// The router is the fleet's ingest path, and it keeps no record of
+// where an id is: it routes each update by the geometry in it alone
+// (split), so a restarted or second router routes as the first did.
 type Router struct {
 	tiles      *TileMap
 	shards     []*Client
@@ -39,22 +36,14 @@ type Router struct {
 	m          *routerMetrics
 	maxSamples int64
 
-	// ingestMu serializes ApplyUpdates end to end: routing consults
-	// and mutates the ownership cache, and per-shard batch order must
-	// match the order the cache decisions were made in for delta
-	// replay to stay bit-exact per shard.
+	// ingestMu serializes ApplyUpdates end to end, so every shard
+	// receives the router's batches in one order: of two concurrent
+	// writes of one id, the later everywhere is the one that stays.
 	ingestMu sync.Mutex
-	mu       sync.Mutex // guards points, objects, straddlers, subs
-	// points and objects are the ownership cache, one shard index per
-	// id: a point's home shard, an uncertain object's only replica. An
-	// object whose region overlaps several shards is placed at
-	// straddling, and its sorted replica set is in straddlers.
-	points     map[int64]int32
-	objects    map[int64]int32
-	straddlers map[int64][]int
-	subs       map[int64]*routerSub
-	seq        atomic.Uint64
-	subID      atomic.Int64
+	mu       sync.Mutex // guards subs
+	subs     map[int64]*routerSub
+	seq      atomic.Uint64
+	subID    atomic.Int64
 
 	// feeds holds each shard's open delta feed (feed.go), named on the
 	// shard by token and a sequence number; readers counts the feeds'
@@ -71,9 +60,6 @@ type feedSlot struct {
 	mu sync.Mutex
 	f  *feed
 }
-
-// straddling is the placement of an object with more than one replica.
-const straddling int32 = -1
 
 // Config parameterizes NewRouter.
 type Config struct {
@@ -99,16 +85,13 @@ func NewRouter(tiles *TileMap, clients []*Client, cfg Config) (*Router, error) {
 		log = slog.Default()
 	}
 	r := &Router{
-		tiles:      tiles,
-		shards:     clients,
-		log:        log,
-		m:          newRouterMetrics(),
-		points:     make(map[int64]int32),
-		objects:    make(map[int64]int32),
-		straddlers: make(map[int64][]int),
-		subs:       make(map[int64]*routerSub),
-		feeds:      make([]feedSlot, len(clients)),
-		token:      rand.Text(),
+		tiles:  tiles,
+		shards: clients,
+		log:    log,
+		m:      newRouterMetrics(),
+		subs:   make(map[int64]*routerSub),
+		feeds:  make([]feedSlot, len(clients)),
+		token:  rand.Text(),
 	}
 	r.maxSamples = cfg.MaxSamples
 	if r.maxSamples == 0 {
@@ -503,19 +486,17 @@ func firstErr(errs []error) error {
 	return nil
 }
 
-// ApplyUpdates splits one update batch by ownership and fans the
-// per-shard sub-batches out concurrently. A straddling move — an
-// upsert whose new region overlaps a different shard set than the old
-// one — becomes an upsert on the entering shards plus a delete on the
-// leaving shards, all inside this one router batch, so no shard ever
-// holds a stale copy past the batch boundary. The response carries the
-// per-shard version vector; counts are physical (a replicated upsert
-// counts once per replica).
+// ApplyUpdates splits one update batch by geometry (split) and fans
+// the per-shard sub-batches out concurrently, so every shard that
+// acknowledges holds no stale copy of the batch's ids past the batch
+// boundary. The response carries the per-shard version vector of every
+// shard; counts are physical: a replicated upsert counts once per
+// replica, and an eviction delete counts in applied where it removed a
+// copy and in missing where the shard held none.
 func (r *Router) ApplyUpdates(ctx context.Context, body serve.UpdatesRequest) (serve.UpdatesResponse, error) {
 	// Validate the whole batch before routing any of it: a rejected
-	// batch reaches no shard, so it must not have moved the ownership
-	// cache either. Validate is ToUpdate's own check, short of the
-	// U-catalog the shard builds.
+	// batch reaches no shard. Validate is ToUpdate's own check, short of
+	// the U-catalog the shard builds.
 	for i, u := range body.Updates {
 		if err := u.Validate(); err != nil {
 			return serve.UpdatesResponse{}, &core.RequestError{Field: "updates", Err: fmt.Errorf("update %d: %w", i, err)}
@@ -567,84 +548,38 @@ func (r *Router) ApplyUpdates(ctx context.Context, body serve.UpdatesRequest) (s
 	return out, nil
 }
 
-// split routes a validated batch by the ownership cache into one
-// sub-batch per shard and moves the cache to the batch's placements.
+// split routes a validated batch into one sub-batch per shard by the
+// tile map alone. An upsert goes to the shards its point or region
+// overlaps and is a delete of its id on every other shard: a no-op
+// where that shard holds no copy, the eviction of a stale one where it
+// does. A delete goes to every shard. Each sub-batch keeps the batch's
+// order, so each shard ends it holding what a single engine holds of
+// its tiles, wherever its copies were before.
 func (r *Router) split(updates []serve.UpdateJSON) [][]serve.UpdateJSON {
 	batches := make([][]serve.UpdateJSON, len(r.shards))
-	route := func(s int, u serve.UpdateJSON) { batches[s] = append(batches[s], u) }
-	broadcast := func(u serve.UpdateJSON) {
-		for s := range r.shards {
-			route(s, u)
-		}
+	for s := range batches {
+		batches[s] = make([]serve.UpdateJSON, 0, len(updates))
 	}
-
-	var one [1]int // the replica set of an object cached on one shard
-
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	var home [1]int
 	for _, u := range updates {
+		owners, evict := []int(nil), ""
 		switch u.Op {
 		case "upsert_point":
-			home := r.tiles.ShardOf(geom.Pt(u.X, u.Y))
-			if prev, ok := r.points[u.ID]; ok && int(prev) != home {
-				route(int(prev), serve.UpdateJSON{Op: "delete_point", ID: u.ID})
-			}
-			route(home, u)
-			r.points[u.ID] = int32(home)
-		case "delete_point":
-			if home, ok := r.points[u.ID]; ok {
-				route(int(home), u)
-				delete(r.points, u.ID)
-			} else {
-				broadcast(u)
-			}
+			home[0] = r.tiles.ShardOf(geom.Pt(u.X, u.Y))
+			owners, evict = home[:], "delete_point"
 		case "upsert_object":
 			region, _ := serve.ToRect(u.Region) // validated by ApplyUpdates
-			replicas := r.tiles.ShardsOverlapping(region)
-			prev, _ := r.replicas(u.ID, &one)
-			for _, s := range prev {
-				if !slices.Contains(replicas, s) {
-					route(s, serve.UpdateJSON{Op: "delete_object", ID: u.ID})
-				}
-			}
-			for _, s := range replicas {
-				route(s, u)
-			}
-			if len(replicas) == 1 {
-				r.objects[u.ID] = int32(replicas[0])
-				delete(r.straddlers, u.ID)
+			owners, evict = r.tiles.ShardsOverlapping(region), "delete_object"
+		}
+		for s := range batches {
+			if owners == nil || slices.Contains(owners, s) {
+				batches[s] = append(batches[s], u)
 			} else {
-				r.objects[u.ID] = straddling
-				r.straddlers[u.ID] = replicas
-			}
-		case "delete_object":
-			if prev, ok := r.replicas(u.ID, &one); ok {
-				for _, s := range prev {
-					route(s, u)
-				}
-				delete(r.objects, u.ID)
-				delete(r.straddlers, u.ID)
-			} else {
-				broadcast(u)
+				batches[s] = append(batches[s], serve.UpdateJSON{Op: evict, ID: u.ID})
 			}
 		}
 	}
 	return batches
-}
-
-// replicas returns the cached replica set of object id — for an object
-// on one shard, a slice of one — and whether the cache holds the id.
-// Callers hold r.mu.
-func (r *Router) replicas(id int64, one *[1]int) ([]int, bool) {
-	s, ok := r.objects[id]
-	switch {
-	case !ok:
-		return nil, false
-	case s == straddling:
-		return r.straddlers[id], true
-	}
-	one[0] = int(s)
-	return one[:], true
 }
 
 // registration is a merged registration snapshot: resp holds no
@@ -666,22 +601,22 @@ func (g *registration) appendTo(dst []byte) ([]byte, error) {
 // register fans a standing range query to the shards its guard region
 // intersects, onto the router's delta feed on each (feed.go), and
 // returns the merged registration snapshot under a router-assigned id,
-// and the shards missing from it. Standing NN queries are rejected:
+// marked partial when shards are missing from it. Standing NN queries are rejected:
 // their guard is unbounded until an evaluation fixes tau, and the
 // cross-shard tau guard is not maintained incrementally — issue one-shot
 // NN requests through the router instead.
-func (r *Router) register(ctx context.Context, rj serve.RequestJSON) (registration, []string, error) {
+func (r *Router) register(ctx context.Context, rj serve.RequestJSON) (registration, error) {
 	req, err := rj.ToRequest()
 	if err != nil {
-		return registration{}, nil, err
+		return registration{}, err
 	}
 	if req.Kind == core.KindNN {
-		return registration{}, nil, &core.RequestError{Field: "kind",
+		return registration{}, &core.RequestError{Field: "kind",
 			Err: errors.New("standing nn queries are not routable across shards; use one-shot /v1/evaluate")}
 	}
 	guard, err := req.GuardRegion()
 	if err != nil {
-		return registration{}, nil, err
+		return registration{}, err
 	}
 	targets := r.tiles.ShardsOverlapping(guard)
 	replies := make([]serve.RegisterReply, len(targets))
@@ -712,7 +647,7 @@ func (r *Router) register(ctx context.Context, rj serve.RequestJSON) (registrati
 	miss := r.missing(targets, errs, "register")
 	if len(sub.members) == 0 {
 		bufs.release()
-		return registration{}, miss, fmt.Errorf("shard: register: no shard accepted (first: %w)", firstErr(errs))
+		return registration{}, fmt.Errorf("shard: register: no shard accepted (first: %w)", firstErr(errs))
 	}
 	// Every member counts toward the close before any can deliver one; a
 	// shard whose feed would not open is a member lost at birth, so the
@@ -731,10 +666,10 @@ func (r *Router) register(ctx context.Context, rj serve.RequestJSON) (registrati
 	// A shard that did not reply left its snapshot empty, which the
 	// merge passes over.
 	return registration{
-		resp:    serve.RegisterResponse{ID: sub.id, Kind: sub.kind},
+		resp:    serve.RegisterResponse{ID: sub.id, Kind: sub.kind, Partial: miss != nil, MissingShards: miss},
 		replies: replies,
 		bufs:    bufs,
-	}, miss, nil
+	}, nil
 }
 
 // Subscription looks up a router standing query.

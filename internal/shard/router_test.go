@@ -370,11 +370,11 @@ func nnTauZeroBitExact(t *testing.T) {
 	requireSameMatches(t, "tau-zero", got, wantResp)
 }
 
-// TestRouterStraddlerReplication checks the ownership bookkeeping
-// directly: a straddling object lands on every overlapping shard and
-// the cache keeps its replica set, a move to a disjoint shard set
-// deletes the stale copies in the same batch and leaves one shard index
-// cached, and a final delete clears every replica and the cache entry.
+// TestRouterStraddlerReplication checks the placement on the shards
+// directly: a straddling object lands on every overlapping shard, a
+// move to a disjoint shard set evicts the stale copies in the same
+// batch and leaves one copy, and a final delete clears every replica.
+// Every write reaches every shard, so the version vector covers all 4.
 func TestRouterStraddlerReplication(t *testing.T) {
 	rt := fleet(t, 4)
 	ctx := t.Context()
@@ -388,23 +388,25 @@ func TestRouterStraddlerReplication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Applied != 2 {
-		t.Fatalf("straddler should apply on 2 replicas, physical applied = %d", resp.Applied)
+	if resp.Applied != 2 || resp.Missing != 2 {
+		t.Fatalf("straddler: physical applied = %d, missing = %d; want 2 replicas and 2 absent evictions", resp.Applied, resp.Missing)
 	}
-	if len(resp.Versions) != 2 {
-		t.Fatalf("version vector covers %d shards, want 2: %v", len(resp.Versions), resp.Versions)
+	if len(resp.Versions) != 4 {
+		t.Fatalf("version vector covers %d shards, want 4: %v", len(resp.Versions), resp.Versions)
 	}
 
-	// cached returns the object's cache entry: its placement, and its
-	// replica set if it straddles.
-	cached := func() (int32, bool, []int) {
-		rt.mu.Lock()
-		defer rt.mu.Unlock()
-		s, ok := rt.objects[7]
-		return s, ok, rt.straddlers[7]
+	// holders lists the shards whose engines hold object 7.
+	holders := func() []int {
+		var in []int
+		for i, s := range rt.servers {
+			if _, ok := s.Engine().Object(7); ok {
+				in = append(in, i)
+			}
+		}
+		return in
 	}
-	if s, ok, reps := cached(); !ok || s != straddling || !slices.Equal(reps, []int{0, 1}) {
-		t.Fatalf("straddler cached at %d (held %t) with replicas %v, want straddling on [0 1]", s, ok, reps)
+	if in := holders(); !slices.Equal(in, []int{0, 1}) {
+		t.Fatalf("straddler held on shards %v, want [0 1]", in)
 	}
 
 	// Move entirely into shard 3's territory (x in [7500, 10000)): one
@@ -419,8 +421,8 @@ func TestRouterStraddlerReplication(t *testing.T) {
 	if resp.Applied != 3 { // 1 upsert + 2 deletes
 		t.Fatalf("straddling move: physical applied = %d, want 3", resp.Applied)
 	}
-	if s, ok, reps := cached(); !ok || s != 3 || reps != nil {
-		t.Fatalf("moved object cached at %d (held %t) with replicas %v, want shard 3 alone", s, ok, reps)
+	if in := holders(); !slices.Equal(in, []int{3}) {
+		t.Fatalf("moved object held on shards %v, want shard 3 alone", in)
 	}
 
 	// The object must now answer only from its new home.
@@ -452,9 +454,28 @@ func TestRouterStraddlerReplication(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, still, reps := cached(); still || reps != nil {
-		t.Fatal("ownership cache kept a deleted object")
+	if in := holders(); in != nil {
+		t.Fatalf("deleted object still held on shards %v", in)
 	}
+}
+
+// TestColdRouterEvictsStaleCopies: a router restarted over a loaded
+// fleet knows nothing of where the old one placed a point and an
+// object, yet its moves of both across the y=5000 shard border leave no
+// copy at the old place: the fleet answers as the single engine does.
+func TestColdRouterEvictsStaleCopies(t *testing.T) {
+	rt := fleet(t, 2)
+	rt.apply(t, serve.UpdatesRequest{Updates: []serve.UpdateJSON{
+		{Op: "upsert_object", ID: 1, Region: []float64{1100, 1400, 1300, 1600}},
+		{Op: "upsert_point", ID: 1, X: 1200, Y: 1500},
+		{Op: "upsert_point", ID: 2, X: 8600, Y: 8200},
+	}})
+	rt.restartRouter(t)
+	rt.apply(t, serve.UpdatesRequest{Updates: []serve.UpdateJSON{
+		{Op: "upsert_object", ID: 1, Region: []float64{8500, 8100, 8700, 8300}},
+		{Op: "upsert_point", ID: 1, X: 8650, Y: 8250},
+	}})
+	rt.converged(t)
 }
 
 // TestRouterRejectedBatchLeavesCacheAlone: a batch the router rejects
@@ -548,7 +569,10 @@ func TestRouterReplyBytesMetric(t *testing.T) {
 	if h := rt.m.replyBytes.With("nn"); h.Count() != 2 || h.Sum() != 2*frame {
 		t.Errorf("op=nn: %d replies, %v bytes; want 2 replies of the %v-byte frame", h.Count(), h.Sum(), frame)
 	}
-	for _, op := range []string{"evaluate", "updates", "register"} {
+	if h := rt.m.replyBytes.With("updates"); h.Count() != 2 || h.Sum() <= 0 {
+		t.Errorf("op=updates: %d replies, %v bytes; want one non-empty reply per shard", h.Count(), h.Sum())
+	}
+	for _, op := range []string{"evaluate", "register"} {
 		if h := rt.m.replyBytes.With(op); h.Count() != 1 || h.Sum() <= 0 {
 			t.Errorf("op=%s: %d replies, %v bytes; want one non-empty reply", op, h.Count(), h.Sum())
 		}

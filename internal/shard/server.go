@@ -59,8 +59,8 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 		serve.WriteBodyError(s.r.log, w, err)
 		return
 	}
-	// Route regardless of the client connection: the shard batches
-	// commit either way, and the ownership cache must track them.
+	// Route regardless of the client connection: a batch cut short on
+	// some shards would leave its ids' copies on the others stale.
 	resp, err := s.r.ApplyUpdates(context.WithoutCancel(r.Context()), body)
 	if err != nil {
 		serve.WriteRequestError(s.r.log, w, err)
@@ -75,13 +75,13 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		serve.WriteBodyError(s.r.log, w, err)
 		return
 	}
-	g, miss, err := s.r.register(r.Context(), rj)
+	g, err := s.r.register(r.Context(), rj)
 	if err != nil {
 		serve.WriteRequestError(s.r.log, w, err)
 		return
 	}
-	if miss != nil {
-		s.r.log.Warn("standing query registered on a partial fleet", "id", g.resp.ID, "missing", miss)
+	if g.resp.Partial {
+		s.r.log.Warn("standing query registered on a partial fleet", "id", g.resp.ID, "missing", g.resp.MissingShards)
 	}
 	serve.WriteBody(s.r.log, w, http.StatusCreated, g.appendTo)
 	g.bufs.release()

@@ -97,9 +97,8 @@ func runUncertain(b *testing.B, engine func() *repro.Engine, issuers func() []*r
 	iss := issuers()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q := repro.Query{Issuer: iss[i%len(iss)], W: w, H: w, Threshold: qp}
 		if _, err := e.Evaluate(context.Background(), repro.Request{
-			Kind: repro.KindUncertain, Issuer: q.Issuer, W: q.W, H: q.H, Threshold: q.Threshold, Options: opts,
+			Kind: repro.KindUncertain, Issuer: iss[i%len(iss)], W: w, H: w, Threshold: qp, Options: opts,
 		}); err != nil {
 			b.Fatal(err)
 		}
@@ -113,9 +112,8 @@ func runPoints(b *testing.B, engine func() *repro.Engine, issuers func() []*repr
 	iss := issuers()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q := repro.Query{Issuer: iss[i%len(iss)], W: w, H: w, Threshold: qp}
 		if _, err := e.Evaluate(context.Background(), repro.Request{
-			Kind: repro.KindPoints, Issuer: q.Issuer, W: q.W, H: q.H, Threshold: q.Threshold, Options: opts,
+			Kind: repro.KindPoints, Issuer: iss[i%len(iss)], W: w, H: w, Threshold: qp, Options: opts,
 		}); err != nil {
 			b.Fatal(err)
 		}
@@ -276,8 +274,9 @@ func BenchmarkRefinementForcedMC(b *testing.B) {
 }
 
 // BenchmarkInsertPoints times building the point index by dynamic
-// insertion, which is what exercises node splits (bulk loading uses
-// STR packing and never splits).
+// insertion, one single-update batch per point, which is what
+// exercises node splits (bulk loading uses STR packing and never
+// splits).
 func BenchmarkInsertPoints(b *testing.B) {
 	pts := repro.GeneratePoints(repro.PointConfig{N: 5000, Clusters: 10, ClusterSigma: 300, Seed: 77})
 	points := repro.BuildPointObjects(pts)
@@ -288,8 +287,8 @@ func BenchmarkInsertPoints(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, p := range points {
-			if err := engine.InsertPoint(p); err != nil {
-				b.Fatal(err)
+			if rep := engine.ApplyUpdates([]repro.Update{{Op: repro.OpUpsertPoint, Point: p}}); len(rep.Errors) > 0 {
+				b.Fatal(rep.Errors[0].Err)
 			}
 		}
 	}

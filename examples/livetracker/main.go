@@ -3,9 +3,9 @@
 // introduction motivates (vehicles join, leave, and re-report
 // positions while queries keep arriving).
 //
-// The program maintains an engine under churn (ReplaceObject on every
-// position re-report, Insert/Delete as vehicles enter and leave
-// service), answers a batch of concurrent rider requests each epoch
+// The program maintains an engine under churn (one ApplyUpdates batch
+// per epoch: an upsert for every position re-report and every vehicle
+// entering service, a delete for every one leaving it), answers a batch of concurrent rider requests each epoch
 // with EvaluateAll — responses stream back as each rider's request
 // finishes, under a per-request deadline, against one pinned snapshot
 // — and tracks the answer-quality metrics (expected count, quality
@@ -53,17 +53,17 @@ func main() {
 
 	for epoch := 1; epoch <= epochs; epoch++ {
 		// Churn: 10% of vehicles leave, new ones join, everyone else
-		// re-reports with epoch-dependent staleness.
+		// re-reports with epoch-dependent staleness — one update batch
+		// per epoch, committed atomically.
 		var ids []repro.ID
 		for id := range positions {
 			ids = append(ids, id)
 		}
+		var updates []repro.Update
 		for _, id := range ids {
 			switch {
 			case rng.Float64() < 0.10:
-				if _, err := engine.DeleteObject(id); err != nil {
-					log.Fatal(err)
-				}
+				updates = append(updates, repro.Update{Op: repro.OpDeleteObject, ID: id})
 				delete(positions, id)
 			default:
 				// Drift and re-report; uncertainty grows with a random
@@ -74,18 +74,17 @@ func main() {
 					clamp(pos.Y+rng.NormFloat64()*120, 0, worldSize),
 				)
 				positions[id] = pos
-				if err := engine.ReplaceObject(mkVehicle(id, pos, 30+rng.Float64()*300)); err != nil {
-					log.Fatal(err)
-				}
+				updates = append(updates, repro.Update{Op: repro.OpUpsertObject, Object: mkVehicle(id, pos, 30+rng.Float64()*300)})
 			}
 		}
 		for i := 0; i < initFleet/10; i++ {
 			pos := repro.Pt(rng.Float64()*worldSize, rng.Float64()*worldSize)
 			positions[nextID] = pos
-			if err := engine.InsertObject(mkVehicle(nextID, pos, 50)); err != nil {
-				log.Fatal(err)
-			}
+			updates = append(updates, repro.Update{Op: repro.OpUpsertObject, Object: mkVehicle(nextID, pos, 50)})
 			nextID++
+		}
+		if rep := engine.ApplyUpdates(updates); len(rep.Errors) > 0 {
+			log.Fatal(rep.Errors[0].Err)
 		}
 
 		// A batch of rider requests, fanned out with EvaluateAll: each

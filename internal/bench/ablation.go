@@ -17,13 +17,13 @@ var ablationQps = []float64{0.2, 0.4, 0.6, 0.8}
 func AblationStrategies(env *Env) (Figure, error) {
 	fig := Figure{ID: "ablation-strategies", Title: "C-IUQ pruning strategy ablation", XLabel: "Qp"}
 	err := env.sweep(&fig, env.IssuerStream(fig.ID), core.KindUncertain, ablationQps, overQp,
-		fixed("all strategies", core.EvalOptions{}),
-		fixed("no strategy 1", core.EvalOptions{Strategies: core.StrategySet{DisableStrategy1: true}}),
-		fixed("no strategy 2", core.EvalOptions{Strategies: core.StrategySet{DisableStrategy2: true}}),
-		fixed("no strategy 3", core.EvalOptions{Strategies: core.StrategySet{DisableStrategy3: true}}),
-		fixed("no index pruning", core.EvalOptions{DisableIndexPruning: true}),
-		fixed("object strategies only", core.EvalOptions{DisableIndexPruning: true, DisablePExpansion: true}),
-		fixed("nothing", noThresholdMachinery))
+		variant{name: "all strategies"},
+		variant{name: "no strategy 1", opts: core.EvalOptions{Strategies: core.StrategySet{DisableStrategy1: true}}},
+		variant{name: "no strategy 2", opts: core.EvalOptions{Strategies: core.StrategySet{DisableStrategy2: true}}},
+		variant{name: "no strategy 3", opts: core.EvalOptions{Strategies: core.StrategySet{DisableStrategy3: true}}},
+		variant{name: "no index pruning", opts: core.EvalOptions{DisableIndexPruning: true}},
+		variant{name: "object strategies only", opts: core.EvalOptions{DisableIndexPruning: true, DisablePExpansion: true}},
+		variant{name: "nothing", opts: noThresholdMachinery})
 	return fig, err
 }
 
@@ -48,7 +48,7 @@ func AblationCatalogSize(cfg Config) (Figure, error) {
 		// Every catalog size restarts the stream: same issuers per series.
 		env := &Env{cfg: cfg, Engine: engine}
 		err = env.sweep(&fig, env.IssuerStream(fig.ID), core.KindUncertain, ablationQps, overQp,
-			fixed(fmt.Sprintf("%d catalog values", n), core.EvalOptions{}))
+			variant{name: fmt.Sprintf("%d catalog values", n)})
 		if err != nil {
 			return Figure{}, err
 		}

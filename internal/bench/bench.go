@@ -199,12 +199,13 @@ func (e *Env) Issuers(rng *rand.Rand, n int, u float64) ([]*uncertain.Object, er
 }
 
 // runPoint executes one workload (one sweep x-value) and averages the
-// metrics.
-func (e *Env) runPoint(kind core.Kind, issuers []*uncertain.Object, w, h, qp float64, opts core.EvalOptions, x float64) (Sample, error) {
+// metrics. The query of issuer i samples from seed
+// mcbound.DeriveSeed(seed, i).
+func (e *Env) runPoint(kind core.Kind, issuers []*uncertain.Object, w, h, qp float64, opts core.EvalOptions, seed int64, x float64) (Sample, error) {
 	var agg Sample
 	agg.X = x
-	for _, iss := range issuers {
-		req := core.Request{Kind: kind, Issuer: iss, W: w, H: h, Threshold: qp, Options: opts}
+	for i, iss := range issuers {
+		req := core.Request{Kind: kind, Issuer: iss, W: w, H: h, Threshold: qp, Options: opts, Seed: mcbound.DeriveSeed(seed, i)}
 		start := time.Now()
 		resp, err := e.Engine.Evaluate(context.Background(), req)
 		elapsed := time.Since(start)
@@ -227,17 +228,13 @@ func (e *Env) runPoint(kind core.Kind, issuers []*uncertain.Object, w, h, qp flo
 	return agg, nil
 }
 
-// variant is one series of a sweep: a name and the options it
-// evaluates with. opts is a function because options that carry an Rng
-// must be fresh at every sweep point.
+// variant is one series of a sweep: a name, the options it evaluates
+// with, and the seed its Monte-Carlo refinement samples from (see
+// runPoint; closed-form variants leave it zero).
 type variant struct {
 	name string
-	opts func() core.EvalOptions
-}
-
-// fixed is a variant whose options hold no per-point state.
-func fixed(name string, opts core.EvalOptions) variant {
-	return variant{name, func() core.EvalOptions { return opts }}
+	opts core.EvalOptions
+	seed int64
 }
 
 // sweep appends one series per variant to fig. At every x it draws one
@@ -256,7 +253,7 @@ func (e *Env) sweep(fig *Figure, rng *rand.Rand, kind core.Kind, xs []float64, a
 			return err
 		}
 		for i, v := range variants {
-			s, err := e.runPoint(kind, issuers, p.W, p.W, p.Qp, v.opts(), x)
+			s, err := e.runPoint(kind, issuers, p.W, p.W, p.Qp, v.opts, v.seed, x)
 			if err != nil {
 				return err
 			}

@@ -47,10 +47,12 @@ func Fig8(env *Env, basicSamples int) (Figure, error) {
 	}
 	fig := Figure{ID: "fig8", Title: "Basic vs Enhanced (IUQ), w=500", XLabel: "u"}
 	err := env.sweep(&fig, env.IssuerStream(fig.ID), core.KindUncertain, USweep(), overU(DefaultParams().W),
-		fixed("Enhanced Method", core.EvalOptions{}),
-		variant{fmt.Sprintf("Basic Method (%d samples)", basicSamples), func() core.EvalOptions {
-			return core.EvalOptions{Method: core.MethodBasic, BasicSamples: basicSamples, Rng: newRng(env.cfg.Seed + 100)}
-		}})
+		variant{name: "Enhanced Method"},
+		variant{
+			name: fmt.Sprintf("Basic Method (%d samples)", basicSamples),
+			opts: core.EvalOptions{Method: core.MethodBasic, BasicSamples: basicSamples},
+			seed: env.cfg.Seed + 100,
+		})
 	return fig, err
 }
 
@@ -70,7 +72,7 @@ func sweepURanges(env *Env, kind core.Kind, id, title string) (Figure, error) {
 	fig := Figure{ID: id, Title: title, XLabel: "u"}
 	rng := env.IssuerStream(id)
 	for _, w := range []float64{500, 1000, 1500} {
-		if err := env.sweep(&fig, rng, kind, USweep(), overU(w), fixed(fmt.Sprintf("Range Size=%g", w), core.EvalOptions{})); err != nil {
+		if err := env.sweep(&fig, rng, kind, USweep(), overU(w), variant{name: fmt.Sprintf("Range Size=%g", w)}); err != nil {
 			return Figure{}, err
 		}
 	}
@@ -90,8 +92,8 @@ func Fig11(env *Env) (Figure, error) {
 func Fig12(env *Env) (Figure, error) {
 	fig := Figure{ID: "fig12", Title: "T vs Qp (C-IUQ)", XLabel: "Qp"}
 	err := env.sweep(&fig, env.IssuerStream(fig.ID), core.KindUncertain, QpSweep(), overQp,
-		fixed("p-Expanded-Query (PTI)", core.EvalOptions{}),
-		fixed("Minkowski Sum (R-tree)", noThresholdMachinery))
+		variant{name: "p-Expanded-Query (PTI)"},
+		variant{name: "Minkowski Sum (R-tree)", opts: noThresholdMachinery})
 	return fig, err
 }
 
@@ -110,11 +112,7 @@ func Fig13(env *Env, mcSamples int) (Figure, error) {
 func sweepQpPoints(env *Env, id, title string, mcSamples int) (Figure, error) {
 	fig := Figure{ID: id, Title: title, XLabel: "Qp"}
 	err := env.sweep(&fig, env.IssuerStream(id), core.KindPoints, QpSweep(), overQp,
-		variant{"p-Expanded-Query", func() core.EvalOptions {
-			return core.EvalOptions{PointMCSamples: mcSamples, Rng: newRng(env.cfg.Seed + 200)}
-		}},
-		variant{"Minkowski Sum", func() core.EvalOptions {
-			return core.EvalOptions{DisablePExpansion: true, PointMCSamples: mcSamples, Rng: newRng(env.cfg.Seed + 201)}
-		}})
+		variant{name: "p-Expanded-Query", opts: core.EvalOptions{PointMCSamples: mcSamples}, seed: env.cfg.Seed + 200},
+		variant{name: "Minkowski Sum", opts: core.EvalOptions{DisablePExpansion: true, PointMCSamples: mcSamples}, seed: env.cfg.Seed + 201})
 	return fig, err
 }

@@ -58,7 +58,7 @@ func IOExperiment(cfg Config, poolPages []int) (Figure, error) {
 				return Figure{}, err
 			}
 			before := pool.Stats()
-			s, err := env.runPoint(core.KindUncertain, issuers, p.W, p.W, qp, core.EvalOptions{}, qp)
+			s, err := env.runPoint(core.KindUncertain, issuers, p.W, p.W, qp, core.EvalOptions{}, 0, qp)
 			if err != nil {
 				return Figure{}, err
 			}

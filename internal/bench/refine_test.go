@@ -2,7 +2,6 @@ package bench
 
 import (
 	"context"
-	"math/rand"
 	"sync"
 	"testing"
 
@@ -55,13 +54,12 @@ func (w *refineWorld) init(b *testing.B) (*Env, []core.Query) {
 // the hot path the prepared query plan is meant to speed up.
 func BenchmarkRefineCIUQ(b *testing.B) {
 	env, queries := rfWorld.init(b)
-	rng := rand.New(rand.NewSource(11))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		q := queries[n%len(queries)]
 		resp, err := env.Engine.Evaluate(context.Background(),
-			core.Request{Kind: core.KindUncertain, Issuer: q.Issuer, W: q.W, H: q.H, Threshold: q.Threshold, Options: core.EvalOptions{Rng: rng}})
+			core.Request{Kind: core.KindUncertain, Issuer: q.Issuer, W: q.W, H: q.H, Threshold: q.Threshold, Seed: 11})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -74,14 +72,13 @@ func BenchmarkRefineCIUQ(b *testing.B) {
 // per-candidate qualification arithmetic.
 func BenchmarkRefineIUQ(b *testing.B) {
 	env, queries := rfWorld.init(b)
-	rng := rand.New(rand.NewSource(11))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		q := queries[n%len(queries)]
 		q.Threshold = 0
 		resp, err := env.Engine.Evaluate(context.Background(),
-			core.Request{Kind: core.KindUncertain, Issuer: q.Issuer, W: q.W, H: q.H, Threshold: q.Threshold, Options: core.EvalOptions{Rng: rng}})
+			core.Request{Kind: core.KindUncertain, Issuer: q.Issuer, W: q.W, H: q.H, Threshold: q.Threshold, Seed: 11})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -136,9 +136,9 @@ func SensitivityIUQ(cfg Config, sampleCounts []int, trials int) (SensitivityResu
 			return sensitivityScenario{}, err
 		}
 		return sensitivityScenario{
-			exact: core.ObjectQualification(iss, obj, w, w, core.ObjectEvalConfig{}),
+			exact: core.ObjectQualification(iss, obj, w, w, core.ObjectEvalConfig{}, nil),
 			estimate: func(n int) float64 {
-				return core.ObjectQualification(iss, obj, w, w, core.ObjectEvalConfig{ForceMonteCarlo: true, MCSamples: n, Rng: rng})
+				return core.ObjectQualification(iss, obj, w, w, core.ObjectEvalConfig{ForceMonteCarlo: true, MCSamples: n}, rng)
 			},
 		}, nil
 	})

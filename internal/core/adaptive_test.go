@@ -8,13 +8,12 @@ import (
 	"repro/internal/pdf"
 )
 
-// adaptiveOpts builds forced-Monte-Carlo options with a fixed seed so
-// the adaptive and full-budget runs consume identical per-candidate
-// sample streams (streams are derived from one parent draw of Rng and
-// each candidate's object id; see refineSurvivors).
-func adaptiveOpts(seed int64, samples int, mode AdaptiveMode) EvalOptions {
+// adaptiveOpts builds forced-Monte-Carlo options; evaluated under one
+// seed, the adaptive and full-budget runs consume identical
+// per-candidate sample streams (streams are derived from the seed's
+// parent draw and each candidate's object id; see refineSurvivors).
+func adaptiveOpts(samples int, mode AdaptiveMode) EvalOptions {
 	return EvalOptions{
-		Rng: rand.New(rand.NewSource(seed)),
 		Object: ObjectEvalConfig{
 			ForceMonteCarlo: true,
 			MCSamples:       samples,
@@ -34,11 +33,11 @@ func TestAdaptiveQualifyingSetBitIdentical(t *testing.T) {
 	for _, qp := range []float64{0.1, 0.5, 0.9} {
 		q := Query{Issuer: iss, W: 220, H: 220, Threshold: qp}
 
-		full, err := e.EvaluateUncertain(q, adaptiveOpts(7, 512, AdaptiveOff))
+		full, err := e.evaluateSeeded(KindUncertain, q, adaptiveOpts(512, AdaptiveOff), 7)
 		if err != nil {
 			t.Fatal(err)
 		}
-		adpt, err := e.EvaluateUncertain(q, adaptiveOpts(7, 512, AdaptiveAuto))
+		adpt, err := e.evaluateSeeded(KindUncertain, q, adaptiveOpts(512, AdaptiveAuto), 7)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,17 +106,15 @@ func TestQualifyThresholdDecisionAgreesWithFullBudget(t *testing.T) {
 		qp := [3]float64{0.1, 0.5, 0.9}[trial%3]
 		seed := int64(3000 + trial)
 
-		cfgFull := ObjectEvalConfig{ForceMonteCarlo: true, MCSamples: 512, Adaptive: AdaptiveOff,
-			Rng: rand.New(rand.NewSource(seed))}
-		pFull, nFull, earlyFull := oq.QualifyThreshold(obj, qp, cfgFull)
+		cfgFull := ObjectEvalConfig{ForceMonteCarlo: true, MCSamples: 512, Adaptive: AdaptiveOff}
+		pFull, nFull, earlyFull := oq.QualifyThreshold(obj, qp, cfgFull, rand.New(rand.NewSource(seed)))
 		if earlyFull || nFull != 512 {
 			t.Fatalf("trial %d: AdaptiveOff stopped early (n=%d)", trial, nFull)
 		}
 
 		cfgAdpt := cfgFull
 		cfgAdpt.Adaptive = AdaptiveAuto
-		cfgAdpt.Rng = rand.New(rand.NewSource(seed))
-		pAdpt, nAdpt, early := oq.QualifyThreshold(obj, qp, cfgAdpt)
+		pAdpt, nAdpt, early := oq.QualifyThreshold(obj, qp, cfgAdpt, rand.New(rand.NewSource(seed)))
 		if nAdpt > 512 {
 			t.Fatalf("trial %d: drew %d > budget", trial, nAdpt)
 		}
@@ -142,7 +139,7 @@ func TestAdaptivePrunedVsUnprunedAgree(t *testing.T) {
 	q := Query{Issuer: iss, W: 200, H: 200, Threshold: 0.4}
 
 	mk := func(disable bool) EvalOptions {
-		o := adaptiveOpts(13, 256, AdaptiveAuto)
+		o := adaptiveOpts(256, AdaptiveAuto)
 		if disable {
 			o.DisablePExpansion = true
 			o.DisableIndexPruning = true
@@ -150,11 +147,11 @@ func TestAdaptivePrunedVsUnprunedAgree(t *testing.T) {
 		}
 		return o
 	}
-	pruned, err := e.EvaluateUncertain(q, mk(false))
+	pruned, err := e.evaluateSeeded(KindUncertain, q, mk(false), 13)
 	if err != nil {
 		t.Fatal(err)
 	}
-	unpruned, err := e.EvaluateUncertain(q, mk(true))
+	unpruned, err := e.evaluateSeeded(KindUncertain, q, mk(true), 13)
 	if err != nil {
 		t.Fatal(err)
 	}

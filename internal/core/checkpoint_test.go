@@ -18,6 +18,7 @@ import (
 	"repro/internal/pdf"
 	"repro/internal/storage"
 	"repro/internal/uncertain"
+	"repro/internal/wal"
 )
 
 // goldenCheckpointState builds the fixed engine state the checkpoint
@@ -218,5 +219,57 @@ func TestManifestExtentRejected(t *testing.T) {
 		if err := bad.checkExtents(c.numPages); !errors.Is(err, errManifestExtent) {
 			t.Errorf("%s: checkExtents = %v, want %v", c.name, err, errManifestExtent)
 		}
+	}
+}
+
+// TestCheckpointSealsWAL: a checkpoint taken with no batch in flight
+// leaves no WAL record it covers, so a recovery from the crash image
+// right after it reads none — the WAL's active segment is sealed and
+// removed with the rest — and lands on the checkpoint's version. A
+// batch after the checkpoint is the only record the next image holds.
+func TestCheckpointSealsWAL(t *testing.T) {
+	dir := t.TempDir()
+	e, err := Open(dir, durTestOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	rng := rand.New(rand.NewSource(77))
+	for range 12 {
+		applyOK(t, e, durBatch(rng, t))
+	}
+	info, err := e.Checkpoint(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := func(image string) []uint64 {
+		var versions []uint64
+		if _, err := wal.Replay(filepath.Join(image, walSubdir), func(v uint64, _ []byte) error {
+			versions = append(versions, v)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return versions
+	}
+	image := filepath.Join(t.TempDir(), "after-checkpoint")
+	copyDir(t, dir, image)
+	if got := records(image); len(got) != 0 {
+		t.Fatalf("after a checkpoint at version %d the WAL still holds records %v", info.Version, got)
+	}
+	re, err := Open(image, durTestOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re.Version() != info.Version || re.DurabilityStats().WALReplayedAtBoot != 0 {
+		t.Fatalf("recovered version %d (replayed %d), want %d", re.Version(), re.DurabilityStats().WALReplayedAtBoot, info.Version)
+	}
+	re.Close()
+
+	applyOK(t, e, durBatch(rng, t))
+	image = filepath.Join(t.TempDir(), "one-batch-later")
+	copyDir(t, dir, image)
+	if got := records(image); len(got) != 1 || got[0] != e.Version() {
+		t.Fatalf("one batch after the checkpoint the WAL holds %v, want [%d]", got, e.Version())
 	}
 }

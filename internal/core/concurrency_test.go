@@ -121,12 +121,12 @@ func TestConcurrentQueriesMatchSerial(t *testing.T) {
 					for rep := 0; rep < 3; rep++ {
 						i := (wkr + rep*workers) % len(queries)
 						q := queries[i]
-						rp, err := e.EvaluatePoints(q, EvalOptions{Rng: rand.New(rand.NewSource(int64(900 + wkr)))})
+						rp, err := e.evaluateSeeded(KindPoints, q, EvalOptions{}, int64(900+wkr))
 						if err != nil {
 							errs <- err
 							return
 						}
-						ru, err := e.EvaluateUncertain(q, EvalOptions{Rng: rand.New(rand.NewSource(int64(900 + wkr)))})
+						ru, err := e.evaluateSeeded(KindUncertain, q, EvalOptions{}, int64(900+wkr))
 						if err != nil {
 							errs <- err
 							return
@@ -227,7 +227,7 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i, q := range queries {
-			r, err := paged.EvaluateUncertain(q, EvalOptions{Rng: rand.New(rand.NewSource(31))})
+			r, err := paged.evaluateSeeded(KindUncertain, q, EvalOptions{}, 31)
 			if err != nil {
 				t.Error(err)
 				return

@@ -50,7 +50,7 @@ func TestDiscObjectQualificationAgainstBasic(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(302))
-	got := ObjectQualification(issuer, obj, 30, 30, ObjectEvalConfig{MCSamples: 80000, Rng: rng})
+	got := ObjectQualification(issuer, obj, 30, 30, ObjectEvalConfig{MCSamples: 80000}, rng)
 	want := ObjectQualificationBasic(issuer, obj, 30, 30, 80000, rng)
 	if !approx(got, want, 0.012) {
 		t.Fatalf("disc object: MC duality %g vs basic %g", got, want)
@@ -109,7 +109,7 @@ func TestDiscEngineEndToEnd(t *testing.T) {
 		iss := discIssuer(t, geom.Pt(rng.Float64()*1000, rng.Float64()*1000), 40)
 		qp := 0.2 + rng.Float64()*0.5
 		q := Query{Issuer: iss, W: 80, H: 80, Threshold: qp}
-		// Fixed-seed Monte-Carlo makes the two paths' refinements
+		// The request's one seed makes the two paths' refinements
 		// produce identical probabilities for the same object.
 		mkOpts := func(disable bool) EvalOptions {
 			o := EvalOptions{Object: ObjectEvalConfig{MCSamples: 2000}}
@@ -118,7 +118,6 @@ func TestDiscEngineEndToEnd(t *testing.T) {
 				o.DisableIndexPruning = true
 				o.Strategies = StrategySet{DisableStrategy1: true, DisableStrategy2: true, DisableStrategy3: true}
 			}
-			o.Object.Rng = rand.New(rand.NewSource(1000 + int64(trial)))
 			return o
 		}
 		pruned, err := e.EvaluateUncertain(q, mkOpts(false))

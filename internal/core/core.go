@@ -95,20 +95,6 @@ type Query struct {
 	Threshold float64
 }
 
-// Validate checks the query's parameters.
-func (q Query) Validate() error {
-	if q.Issuer == nil {
-		return ErrNilIssuer
-	}
-	if q.W <= 0 || q.H <= 0 {
-		return fmt.Errorf("%w: w=%g h=%g", ErrBadExtents, q.W, q.H)
-	}
-	if q.Threshold < 0 || q.Threshold > 1 {
-		return fmt.Errorf("%w: %g", ErrBadThreshold, q.Threshold)
-	}
-	return nil
-}
-
 // Expanded returns the Minkowski sum R ⊕ U0 (§4.1): the region outside
 // which qualification probabilities are zero.
 func (q Query) Expanded() geom.Rect {

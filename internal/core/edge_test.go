@@ -57,7 +57,7 @@ func TestNonSquareQueriesMatchLinearScan(t *testing.T) {
 		wantU := 0
 		for id := 0; id < e.NumUncertain(); id++ {
 			o, _ := e.Object(uncertain.ID(id))
-			prob := ObjectQualification(issPDF, o.PDF, w, h, ObjectEvalConfig{})
+			prob := ObjectQualification(issPDF, o.PDF, w, h, ObjectEvalConfig{}, nil)
 			if accept(prob, qp) {
 				wantU++
 				if got, ok := matchesToMap(resU.Matches)[o.ID]; !ok || !approx(got, prob, 1e-12) {
@@ -151,7 +151,7 @@ func TestExtremeGeometries(t *testing.T) {
 	// Object region far larger than the expanded query.
 	big := pdf.MustUniform(geom.RectCentered(geom.Pt(0, 0), 4000, 4000))
 	small := pdf.MustUniform(geom.RectCentered(geom.Pt(0, 0), 10, 10))
-	p := ObjectQualification(small, big, 20, 20, ObjectEvalConfig{})
+	p := ObjectQualification(small, big, 20, 20, ObjectEvalConfig{}, nil)
 	// The query can capture at most area (60x60 region of the huge
 	// object's 8000x8000 support): p is small but non-zero.
 	if p <= 0 || p > 1e-3 {

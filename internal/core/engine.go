@@ -58,8 +58,11 @@ type EngineOptions struct {
 // atomically by writers. Every evaluation pins the state current when
 // it starts and runs entirely against that snapshot without holding
 // any lock — a long Monte-Carlo refinement never delays ingestion.
-// Conversely, writers (Insert*/Delete*/Move*/Replace*/ApplyUpdates)
-// never wait for readers. Writers take turns under writeMu: each
+// Conversely, writers never wait for readers. ApplyUpdates (and
+// ApplyUpdatesSnapshot) is the one write path: every mutation is a
+// batch whose UpdateReport lists its Changes, which is what a
+// continuous-query monitor re-evaluates from. Writers take turns under
+// writeMu: each
 // builds the successor state copy-on-write against the current one
 // (path-copied index nodes — each node copied at most once per batch,
 // however many of the batch's updates touch it — and bucket-copied
@@ -87,17 +90,18 @@ type EngineOptions struct {
 // concurrent requests do not perturb each other's counters. Any
 // number of goroutines may Evaluate simultaneously — over in-memory
 // or paged node stores (the buffer pool is internally
-// synchronized) — as long as each call uses a distinct Request.Seed
-// or EvalOptions.Rng (EvaluateAll derives an independent seed per
-// request automatically). Each request refines on the goroutine that
+// synchronized) — and may share one Request value: a Request is plain
+// data, and every evaluation builds its generators from Request.Seed
+// (EvaluateAll derives an independent seed per request
+// automatically). Each request refines on the goroutine that
 // evaluates it; parallelism comes from concurrent requests.
 //
-// Determinism: for a fixed engine version, request, and seed,
-// evaluation is bit-identical whichever candidates it visits and in
-// which order: range refinement derives one sample stream per
-// candidate object, keyed by object id (see refineSurvivors), and NN
-// refinement derives one shared position stream keyed by sample block
-// (see nn.Refine).
+// Determinism: for a fixed engine version and request (Seed
+// included), evaluation is bit-identical whichever candidates it
+// visits and in which order: range refinement derives one sample
+// stream per candidate object, keyed by object id (see
+// refineSurvivors), and NN refinement derives one shared position
+// stream keyed by sample block (see nn.Refine).
 type Engine struct {
 	// writeMu serializes writers; readers never take it.
 	writeMu sync.Mutex
@@ -280,19 +284,11 @@ type EvalOptions struct {
 	// ObjectEvalConfig.Adaptive) stretches the budget by spending
 	// fewer samples on clear-cut candidates.
 	MaxSamples int64
-	// Rng drives sampling paths; nil uses a fixed seed.
-	Rng *rand.Rand
 }
 
 func (o EvalOptions) withDefaults() EvalOptions {
 	if o.BasicSamples <= 0 {
 		o.BasicSamples = 400
-	}
-	if o.Rng == nil {
-		o.Rng = newSeededRand(2)
-	}
-	if o.Object.Rng == nil {
-		o.Object.Rng = o.Rng
 	}
 	o.Object = o.Object.withDefaults()
 	return o
@@ -425,17 +421,15 @@ func scanQualifyAccept[T any](ctx context.Context, threshold float64, maxSamples
 	return res, nil
 }
 
-// evaluatePoints validates, applies defaults and deadline, and runs a
-// point-database evaluation against this state: the method picks the
+// evaluatePoints applies defaults and deadline, and runs a validated
+// point-database request against this state: the method picks the
 // probe region and the per-candidate qualifier, scanQualifyAccept does
 // the rest. A nil only draws the candidates from the index; a non-nil
 // only (Snapshot.EvaluateOnly, enhanced method) takes exactly those
 // ids.
-func (st *engineState) evaluatePoints(ctx context.Context, q Query, opts EvalOptions, only []uncertain.ID) (Result, error) {
-	if err := q.Validate(); err != nil {
-		return Result{}, err
-	}
-	opts = opts.withDefaults()
+func (st *engineState) evaluatePoints(ctx context.Context, req Request, only []uncertain.ID) (Result, error) {
+	q := req.query()
+	opts := req.Options.withDefaults()
 	ctx, cancel := opts.evalContext(ctx)
 	defer cancel()
 
@@ -448,19 +442,19 @@ func (st *engineState) evaluatePoints(ctx context.Context, q Query, opts EvalOpt
 		// Filter with the Minkowski or Qp-expanded query; refine by the
 		// duality closed form, or — PointMCSamples > 0, the §6.2 regime —
 		// by sampling. Each candidate's stream comes from a source
-		// derived from one parent draw and the candidate's object id, as
-		// in refineSurvivors, so early termination on one candidate
-		// cannot shift the samples any other candidate sees, and the
-		// full-budget and adaptive runs of one stream agree on every
-		// threshold decision (the certainty bound is exact).
+		// derived from the request's parent draw and the candidate's
+		// object id, as in refineSurvivors, so early termination on one
+		// candidate cannot shift the samples any other candidate sees,
+		// and the full-budget and adaptive runs of one stream agree on
+		// every threshold decision (the certainty bound is exact).
 		region = newQueryPlan(q, opts, false).searchReg
 		if region.Empty() {
 			return Result{}, nil
 		}
 		if opts.PointMCSamples > 0 {
-			parent := opts.Rng.Int63()
+			parent := parentDraw(req.seed())
 			qualify = func(p uncertain.PointObject) (float64, int, bool) {
-				rng := newSeededRand(mcbound.DeriveSeed(parent, int(p.ID)))
+				rng := newRand(mcbound.DeriveSeed(parent, int(p.ID)))
 				return pointQualificationMCThreshold(iss, p.Loc, q.W, q.H, stopQP, opts.PointMCSamples, rng)
 			}
 		} else {
@@ -473,10 +467,11 @@ func (st *engineState) evaluatePoints(ctx context.Context, q Query, opts EvalOpt
 		// paper's observations the best available filter is the plain
 		// Minkowski range (its absence would mean scanning the whole
 		// database, making the baseline look arbitrarily bad). All
-		// candidates share the one opts.Rng stream, in scan order.
+		// candidates share the request's one stream, in scan order.
 		region = q.Expanded()
+		rng := newRand(req.seed())
 		qualify = func(p uncertain.PointObject) (float64, int, bool) {
-			return pointQualificationMCThreshold(iss, p.Loc, q.W, q.H, stopQP, opts.BasicSamples, opts.Rng)
+			return pointQualificationMCThreshold(iss, p.Loc, q.W, q.H, stopQP, opts.BasicSamples, rng)
 		}
 	default:
 		return Result{}, fmt.Errorf("%w: %v", ErrUnknownMethod, opts.Method)
@@ -488,28 +483,27 @@ func (st *engineState) evaluatePoints(ctx context.Context, q Query, opts EvalOpt
 	return scanQualifyAccept(ctx, q.Threshold, opts.MaxSamples, scan, qualify)
 }
 
-// evaluateUncertain validates, applies defaults and deadline, and
-// dispatches an uncertain-database evaluation against this state: the
+// evaluateUncertain applies defaults and deadline, and dispatches a
+// validated uncertain-database request against this state: the
 // enhanced filter → prune → refine → merge pipeline, or — MethodBasic —
 // the interleaved scan over the plain Minkowski range with the §3.3
 // issuer-sampling estimator as the qualifier (all candidates sharing
-// the one opts.Rng stream, in scan order).
-func (st *engineState) evaluateUncertain(ctx context.Context, q Query, opts EvalOptions, only []uncertain.ID) (Result, error) {
-	if err := q.Validate(); err != nil {
-		return Result{}, err
-	}
-	opts = opts.withDefaults()
+// the request's one stream, in scan order).
+func (st *engineState) evaluateUncertain(ctx context.Context, req Request, only []uncertain.ID) (Result, error) {
+	q := req.query()
+	opts := req.Options.withDefaults()
 	ctx, cancel := opts.evalContext(ctx)
 	defer cancel()
 	switch opts.Method {
 	case MethodEnhanced:
-		return st.evaluateUncertainEnhanced(ctx, q, opts, only)
+		return st.evaluateUncertainEnhanced(ctx, q, opts, req.seed(), only)
 	case MethodBasic:
 		iss := q.Issuer.PDF
 		stopQP := stopThreshold(q, opts)
+		rng := newRand(req.seed())
 		return scanQualifyAccept(ctx, q.Threshold, opts.MaxSamples, st.probeObjects(q.Expanded()),
 			func(obj *uncertain.Object) (float64, int, bool) {
-				return objectQualificationBasicThreshold(iss, obj.PDF, q.W, q.H, stopQP, opts.BasicSamples, opts.Rng)
+				return objectQualificationBasicThreshold(iss, obj.PDF, q.W, q.H, stopQP, opts.BasicSamples, rng)
 			})
 	default:
 		return Result{}, fmt.Errorf("%w: %v", ErrUnknownMethod, opts.Method)
@@ -524,7 +518,7 @@ func (st *engineState) evaluateUncertain(ctx context.Context, q Query, opts Eval
 // profile puts three quarters of the evaluation in it — so it reads
 // only what the leaf entry holds wherever it can (see
 // engineState.objects). ctx must already carry any opts.Timeout
-// bound.
+// bound; seed is the request's sampling seed (see refineSurvivors).
 //
 // A nil only draws the candidates from the index probe; a non-nil only
 // (Snapshot.EvaluateOnly) takes exactly those ids from the object table
@@ -538,7 +532,7 @@ func (st *engineState) evaluateUncertain(ctx context.Context, q Query, opts Eval
 // test admits; pruning, refinement — each survivor on the sample stream
 // keyed by its id — and merge are the same code, so the restricted
 // answer is the full answer's restriction bit for bit.
-func (st *engineState) evaluateUncertainEnhanced(ctx context.Context, q Query, opts EvalOptions, only []uncertain.ID) (Result, error) {
+func (st *engineState) evaluateUncertainEnhanced(ctx context.Context, q Query, opts EvalOptions, seed int64, only []uncertain.ID) (Result, error) {
 	start := time.Now()
 	var res Result
 	tr := obs.TraceFrom(ctx)
@@ -642,7 +636,7 @@ func (st *engineState) evaluateUncertainEnhanced(ctx context.Context, q Query, o
 	spF.End()
 
 	spR := tr.StartSpan("refine")
-	rst, err := st.refineSurvivors(ctx, plan, survivors, opts, sc)
+	rst, err := st.refineSurvivors(ctx, plan, survivors, opts, seed, sc)
 	if err != nil {
 		return Result{}, err
 	}
@@ -706,45 +700,13 @@ func CompareMatches(a, b Match) int {
 	}
 }
 
-// newSeededRand returns a generator that draws exactly what
-// rand.New(rand.NewSource(seed)) draws, but seeds itself only when a
-// second value is drawn: seeding fills a 4.9 KB table, and a request
-// whose refinement turns out to be closed form never reads it, while
-// one that takes a single parent seed from it (an NN refinement, a
-// Monte-Carlo range refinement) gets that value from
-// mcbound.FirstUint64. Generator and source are one allocation.
-func newSeededRand(seed int64) *rand.Rand {
-	r := &seededRand{src: lazySource{seed: seed}}
-	r.Rand = *rand.New(&r.src)
-	return &r.Rand
-}
+// parentDraw is the first value rand.New(rand.NewSource(seed)).Int63()
+// draws, computed without seeding a generator: an evaluation's parent
+// seed, from which every per-candidate stream (mcbound.DeriveSeed) and
+// the NN position stream derive.
+func parentDraw(seed int64) int64 { return int64(mcbound.FirstUint64(seed) &^ (1 << 63)) }
 
-type seededRand struct {
-	rand.Rand
-	src lazySource
-}
-
-// lazySource is a rand.Source64 that yields its seed's stream —
-// mcbound.Source, math/rand's stream at a quarter of its seeding cost —
-// computing the first value on its own and building the source when
-// asked for a second.
-type lazySource struct {
-	seed  int64
-	first bool // the first value has been drawn, src not yet built
-	src   *mcbound.Source
-}
-
-func (s *lazySource) Uint64() uint64 {
-	if s.src == nil {
-		if !s.first {
-			s.first = true
-			return mcbound.FirstUint64(s.seed)
-		}
-		s.src = mcbound.NewSource(s.seed)
-		s.src.Uint64() // the first value, drawn already
-	}
-	return s.src.Uint64()
-}
-
-func (s *lazySource) Int63() int64    { return int64(s.Uint64() &^ (1 << 63)) }
-func (s *lazySource) Seed(seed int64) { s.seed, s.first, s.src = seed, false, nil }
+// newRand returns math/rand's generator for seed over mcbound.Source:
+// the stream rand.New(rand.NewSource(seed)) draws, at a quarter of its
+// seeding cost.
+func newRand(seed int64) *rand.Rand { return rand.New(mcbound.NewSource(seed)) }

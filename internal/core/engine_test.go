@@ -97,6 +97,15 @@ func (s *Snapshot) EvaluateUncertain(q Query, opts EvalOptions) (Result, error) 
 	return resp.Result, err
 }
 
+// evaluateSeeded evaluates q as a request of kind under opts and the
+// sampling seed seed.
+func (e *Engine) evaluateSeeded(kind Kind, q Query, opts EvalOptions, seed int64) (Result, error) {
+	req := requestFor(kind, q, opts)
+	req.Seed = seed
+	resp, err := e.Evaluate(context.Background(), req)
+	return resp.Result, err
+}
+
 // collectAll runs reqs through an EvaluateAll form (an engine's or a
 // snapshot's) and returns each request's result and error in request
 // order. A fan-out error fails the test through Errorf, so collectAll
@@ -203,7 +212,7 @@ func TestIUQMatchesLinearScan(t *testing.T) {
 		want := map[uncertain.ID]float64{}
 		for id := 0; id < e.NumUncertain(); id++ {
 			o, _ := e.Object(uncertain.ID(id))
-			prob := ObjectQualification(iss.PDF, o.PDF, q.W, q.H, ObjectEvalConfig{})
+			prob := ObjectQualification(iss.PDF, o.PDF, q.W, q.H, ObjectEvalConfig{}, nil)
 			if prob > 0 {
 				want[o.ID] = prob
 			}
@@ -332,13 +341,12 @@ func TestBasicMethodAgreesWithEnhanced(t *testing.T) {
 	e := testWorld(t, 300, 300, 12)
 	iss := testIssuer(t, geom.Pt(500, 500), 60)
 	q := Query{Issuer: iss, W: 100, H: 100}
-	rng := rand.New(rand.NewSource(13))
 
 	enh, err := e.EvaluatePoints(q, EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bas, err := e.EvaluatePoints(q, EvalOptions{Method: MethodBasic, BasicSamples: 40000, Rng: rng})
+	bas, err := e.evaluateSeeded(KindPoints, q, EvalOptions{Method: MethodBasic, BasicSamples: 40000}, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +368,7 @@ func TestBasicMethodAgreesWithEnhanced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	basU, err := e.EvaluateUncertain(q, EvalOptions{Method: MethodBasic, BasicSamples: 40000, Rng: rng})
+	basU, err := e.evaluateSeeded(KindUncertain, q, EvalOptions{Method: MethodBasic, BasicSamples: 40000}, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,12 +502,12 @@ func TestEmptySearchRegion(t *testing.T) {
 	}
 }
 
-// TestSeededRandMatchesMathRand: newSeededRand draws what
-// rand.New(rand.NewSource(seed)) draws, whether its first value comes
-// from Int63, Uint64 or Float64 (mcbound.FirstUint64, no seeding) and
-// whatever follows it (the seeded source, past the first value), and
-// after a re-seed.
-func TestSeededRandMatchesMathRand(t *testing.T) {
+// TestSeedStreamsMatchMathRand: an evaluation's parent draw
+// (parentDraw, mcbound.FirstUint64 with no seeding) is the first Int63
+// of rand.New(rand.NewSource(seed)), and newRand draws what that
+// generator draws, through Int63, Uint64, Float64 and Intn and after a
+// re-seed.
+func TestSeedStreamsMatchMathRand(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	seeds := []int64{0, 1, -1, 1<<31 - 1, -(1<<31 - 1), 89482311, math.MinInt64, math.MaxInt64}
 	for range 200 {
@@ -512,15 +520,16 @@ func TestSeededRandMatchesMathRand(t *testing.T) {
 		func(r *rand.Rand) uint64 { return uint64(r.Intn(1000)) },
 	}
 	for i, seed := range seeds {
-		got, want := newSeededRand(seed), rand.New(rand.NewSource(seed))
+		if got, want := parentDraw(seed), rand.New(rand.NewSource(seed)).Int63(); got != want {
+			t.Fatalf("seed %d: parent draw %#x, math/rand %#x", seed, got, want)
+		}
+		got, want := newRand(seed), rand.New(rand.NewSource(seed))
 		for k := range 50 {
 			f := draw[(i+k)%len(draw)]
 			if g, w := f(got), f(want); g != w {
 				t.Fatalf("seed %d: draw %d = %#x, math/rand %#x", seed, k, g, w)
 			}
 			if k == i%2 {
-				// Re-seed after the first value alone (odd i) or after the
-				// source was built (even i).
 				got.Seed(seed + 1)
 				want.Seed(seed + 1)
 			}

@@ -93,10 +93,10 @@ func TestApplyUpdatesReport(t *testing.T) {
 	}
 }
 
-// TestReplaceObjectFailureRestoresOld: a replace whose insert the PTI
+// TestReplaceObjectFailureRestoresOld: an upsert whose insert the PTI
 // rejects (catalog not covering the engine's probability values) must
-// leave the old version in place — the atomicity ReplaceObject
-// promises — and must not advance the engine version.
+// leave the old version in place and must not advance the engine
+// version.
 func TestReplaceObjectFailureRestoresOld(t *testing.T) {
 	e := testWorld(t, 0, 20, 42)
 	old, ok := e.Object(3)
@@ -108,22 +108,15 @@ func TestReplaceObjectFailureRestoresOld(t *testing.T) {
 		t.Fatal(err)
 	}
 	v0 := e.Version()
-	if err := e.ReplaceObject(bad); err == nil {
-		t.Fatal("replace with non-covering catalog accepted")
-	}
-	if e.Version() != v0 {
-		t.Fatalf("failed replace advanced version %d -> %d", v0, e.Version())
-	}
-	got, ok := e.Object(3)
-	if !ok || !sameObject(got, old) {
-		t.Fatalf("old object not restored after failed replace: %v %t", got, ok)
-	}
 	rep := e.ApplyUpdates([]Update{{Op: OpUpsertObject, Object: bad}})
 	if rep.Applied != 0 || len(rep.Errors) != 1 {
 		t.Fatalf("batch replace failure: %+v", rep)
 	}
+	if e.Version() != v0 || rep.Version != v0 {
+		t.Fatalf("failed replace advanced version %d -> %d", v0, e.Version())
+	}
 	if got, ok := e.Object(3); !ok || !sameObject(got, old) {
-		t.Fatal("old object lost through ApplyUpdates failure path")
+		t.Fatalf("old object not restored after failed replace: %v %t", got, ok)
 	}
 }
 
@@ -145,14 +138,14 @@ func sameObject(a, b *uncertain.Object) bool {
 	return true
 }
 
-// TestGuardRegion: the guard is the index probe region — the full
-// Minkowski sum for unconstrained queries, the (smaller) Qp-expanded
-// region for threshold queries.
+// TestGuardRegion: a range request's guard is the index probe region —
+// the full Minkowski sum for unconstrained queries and for
+// MethodBasic, the (smaller) Qp-expanded region for threshold queries.
 func TestGuardRegion(t *testing.T) {
 	iss := testIssuer(t, geom.Pt(500, 500), 50)
 	q := Query{Issuer: iss, W: 100, H: 100}
 
-	g, err := GuardRegion(q, EvalOptions{})
+	g, err := requestFor(KindUncertain, q, EvalOptions{}).GuardRegion()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +154,7 @@ func TestGuardRegion(t *testing.T) {
 	}
 
 	q.Threshold = 0.6
-	g, err = GuardRegion(q, EvalOptions{})
+	g, err = requestFor(KindPoints, q, EvalOptions{}).GuardRegion()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,9 +165,16 @@ func TestGuardRegion(t *testing.T) {
 	if !q.Expanded().ContainsRect(g) {
 		t.Fatalf("guard %v escapes the Minkowski sum %v", g, q.Expanded())
 	}
+	g, err = requestFor(KindUncertain, q, EvalOptions{Method: MethodBasic}).GuardRegion()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g != q.Expanded() {
+		t.Fatalf("MethodBasic guard %v != expanded %v", g, q.Expanded())
+	}
 
-	if _, err := GuardRegion(Query{}, EvalOptions{}); err == nil {
-		t.Fatal("invalid query accepted")
+	if _, err := (Request{}).GuardRegion(); err == nil {
+		t.Fatal("invalid request accepted")
 	}
 }
 
@@ -231,8 +231,9 @@ func TestConcurrentUpdatesAndQueries(t *testing.T) {
 					default:
 					}
 					id := uncertain.ID(rng.Intn(2500))
-					if err := e.MovePoint(id, geom.Pt(rng.Float64()*2000, rng.Float64()*2000)); err != nil {
-						t.Errorf("MovePoint: %v", err)
+					p := uncertain.PointObject{ID: id, Loc: geom.Pt(rng.Float64()*2000, rng.Float64()*2000)}
+					if rep := e.ApplyUpdates([]Update{{Op: OpUpsertPoint, Point: p}}); len(rep.Errors) > 0 {
+						t.Errorf("move: %v", rep.Errors[0].Err)
 						return
 					}
 				}
@@ -329,18 +330,14 @@ func TestPointAdaptiveMC(t *testing.T) {
 		iss := testIssuer(t, geom.Pt(400, 600), 70)
 		q := Query{Issuer: iss, W: 250, H: 250, Threshold: qp}
 
-		full, err := e.EvaluatePoints(q, EvalOptions{
+		full, err := e.evaluateSeeded(KindPoints, q, EvalOptions{
 			PointMCSamples: 1024,
-			Rng:            rand.New(rand.NewSource(7)),
 			Object:         ObjectEvalConfig{Adaptive: AdaptiveOff},
-		})
+		}, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
-		adpt, err := e.EvaluatePoints(q, EvalOptions{
-			PointMCSamples: 1024,
-			Rng:            rand.New(rand.NewSource(7)),
-		})
+		adpt, err := e.evaluateSeeded(KindPoints, q, EvalOptions{PointMCSamples: 1024}, 7)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -207,7 +207,7 @@ func checkLeafRecords(t *testing.T, label string, e *Engine, leaf map[uncertain.
 		}
 		for _, iss := range issuers {
 			oq := NewObjectQualifier(iss, 9, 14)
-			if got, want := leafClosedForm(oq, r), oq.Qualify(o.PDF, ObjectEvalConfig{}); !bitsEqual(got, want) {
+			if got, want := leafClosedForm(oq, r), oq.Qualify(o.PDF, ObjectEvalConfig{}, nil); !bitsEqual(got, want) {
 				t.Fatalf("%s: object %d closed form from the rectangle %v, from the pdf %v", label, id, got, want)
 			}
 		}
@@ -270,23 +270,19 @@ func TestLeafRecordMatchesTable(t *testing.T) {
 				}
 				applyOK(t, e, batch)
 				leaf = want
-			case 3: // the single mutators
+			case 3: // one update per batch: insert, delete, replace
 				o, isLeaf := draw(nextID)
 				nextID++
-				if err := e.InsertObject(o); err != nil {
-					t.Fatal(err)
-				}
+				applyOK(t, e, []Update{{Op: OpUpsertObject, Object: o}})
 				leaf[o.ID] = isLeaf
 				id := anyID()
-				if ok, err := e.DeleteObject(id); err != nil || !ok {
-					t.Fatalf("DeleteObject(%d) = %v, %v", id, ok, err)
+				if rep := e.ApplyUpdates([]Update{{Op: OpDeleteObject, ID: id}}); rep.Applied != 1 {
+					t.Fatalf("delete %d: %+v", id, rep)
 				}
 				delete(leaf, id)
 				id = anyID()
 				o, isLeaf = draw(id)
-				if err := e.ReplaceObject(o); err != nil {
-					t.Fatal(err)
-				}
+				applyOK(t, e, []Update{{Op: OpUpsertObject, Object: o}})
 				leaf[id] = isLeaf
 			default: // a replace the index rejects: the old object stays
 				id := anyID()
@@ -295,7 +291,7 @@ func TestLeafRecordMatchesTable(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := e.ReplaceObject(bad); err == nil {
+				if rep := e.ApplyUpdates([]Update{{Op: OpUpsertObject, Object: bad}}); len(rep.Errors) == 0 {
 					t.Fatal("replace with a catalog missing the index values succeeded")
 				}
 			}
@@ -389,7 +385,7 @@ func FuzzLeafRecord(f *testing.F) {
 			t.Fatal(err)
 		}
 		oq := NewObjectQualifier(iss.PDF, half, half/2)
-		if got, want := leafClosedForm(oq, region), oq.Qualify(o.PDF, ObjectEvalConfig{}); !bitsEqual(got, want) {
+		if got, want := leafClosedForm(oq, region), oq.Qualify(o.PDF, ObjectEvalConfig{}, nil); !bitsEqual(got, want) {
 			t.Fatalf("closed form from the rectangle %v, from the pdf %v", got, want)
 		}
 		snap := e.Snapshot()

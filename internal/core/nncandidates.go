@@ -123,7 +123,7 @@ func EvaluateNNCandidates(ctx context.Context, req Request, candidates []NNCandi
 	if req.Kind != KindNN {
 		return Result{}, badRequest("kind", errors.New("EvaluateNNCandidates requires a nn request"))
 	}
-	opts := req.seededOptions().withDefaults()
+	opts := req.Options.withDefaults()
 	ctx, cancel := opts.evalContext(ctx)
 	defer cancel()
 

@@ -172,8 +172,8 @@ func (b radiusBand) beyond(u0 geom.Rect, loc geom.Point) bool {
 // single-engine evaluation and the router-side completion of a
 // cross-shard one: id order, budget check, the shared-stream tally
 // kernel (nn.Refine), threshold acceptance, canonical order, top-K.
-// opts is req.Options with any Seed applied and defaults filled; ctx
-// already carries its Timeout bound and is polled once per sample
+// opts is req.Options with defaults filled; ctx already carries its
+// Timeout bound and is polled once per sample
 // block, so deadlines and cancellation bite mid-stream. For threshold
 // requests the kernel retires candidates the bounds have decided — the
 // range refiners' rule — unless the caller forced AdaptiveOff; either
@@ -227,7 +227,7 @@ func refineNNCandidates(ctx context.Context, req Request, opts EvalOptions, cand
 
 	tr := obs.TraceFrom(ctx)
 	spR := tr.StartSpan("refine")
-	probs, stats, err := nn.Refine(cands, req.Issuer.PDF, opts.Rng.Int63(), nn.RefineConfig{
+	probs, stats, err := nn.Refine(cands, req.Issuer.PDF, parentDraw(req.seed()), nn.RefineConfig{
 		Samples:   samples,
 		Threshold: req.Threshold,
 		Adaptive:  opts.Object.Adaptive == AdaptiveAuto,
@@ -266,13 +266,13 @@ func refineNNCandidates(ctx context.Context, req Request, opts EvalOptions, cand
 }
 
 // evaluateNN answers one KindNN request against this state: collect,
-// then refine. req must already be validated; opts is req.Options with
-// any Seed applied. An empty point database has an empty answer — not
-// an error — so standing NN requests drain to empty via Left deltas
-// when the last point is deleted, exactly like the range kinds.
-func (st *engineState) evaluateNN(ctx context.Context, req Request, opts EvalOptions) (Result, error) {
+// then refine. req must already be validated. An empty point database
+// has an empty answer — not an error — so standing NN requests drain
+// to empty via Left deltas when the last point is deleted, exactly
+// like the range kinds.
+func (st *engineState) evaluateNN(ctx context.Context, req Request) (Result, error) {
 	start := time.Now()
-	opts = opts.withDefaults()
+	opts := req.Options.withDefaults()
 	ctx, cancel := opts.evalContext(ctx)
 	defer cancel()
 

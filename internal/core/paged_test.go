@@ -120,11 +120,11 @@ func TestConcurrentQueries(t *testing.T) {
 					return
 				}
 				q := Query{Issuer: iss, W: 80, H: 80, Threshold: 0.3}
-				if _, err := e.EvaluatePoints(q, EvalOptions{Rng: rng}); err != nil {
+				if _, err := e.evaluateSeeded(KindPoints, q, EvalOptions{}, seed+int64(i)); err != nil {
 					errs <- err
 					return
 				}
-				if _, err := e.EvaluateUncertain(q, EvalOptions{Rng: rng}); err != nil {
+				if _, err := e.evaluateSeeded(KindUncertain, q, EvalOptions{}, seed+int64(i)); err != nil {
 					errs <- err
 					return
 				}

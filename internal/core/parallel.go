@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math/rand"
 	"slices"
 
 	"repro/internal/mcbound"
@@ -20,8 +21,8 @@ type refineStats struct {
 // survivor of pruning into its p, in input order, through the prepared
 // query plan and sc, and reports the sampling cost. Candidates refined
 // by Monte-Carlo each draw from their own deterministic source derived
-// (splitmix-style, see mcbound.DeriveSeed) from a single parent draw
-// of opts.Rng and the candidate's object id.
+// (splitmix-style, see mcbound.DeriveSeed) from the parent draw of the
+// request's seed (parentDraw) and the candidate's object id.
 //
 // Reproducibility contract: for a fixed engine, query, and options
 // seed, results are bit-identical run to run — and keying the stream
@@ -39,7 +40,7 @@ type refineStats struct {
 // and returns ErrSampleBudget.
 // Whether the budget trips is deterministic — per-candidate streams
 // make the full total independent of refinement order.
-func (st *engineState) refineSurvivors(ctx context.Context, plan queryPlan, survivors []candidate, opts EvalOptions, sc *evalScratch) (refineStats, error) {
+func (st *engineState) refineSurvivors(ctx context.Context, plan queryPlan, survivors []candidate, opts EvalOptions, seed int64, sc *evalScratch) (refineStats, error) {
 	var rs refineStats
 	if len(survivors) == 0 {
 		return rs, nil
@@ -49,13 +50,12 @@ func (st *engineState) refineSurvivors(ctx context.Context, plan queryPlan, surv
 	// (forced, or any side of the duality integral non-separable), so
 	// the per-candidate rand.New is only paid where hundreds of
 	// samples dwarf it; pure closed-form refinement never derives one,
-	// and never draws the parent either — which is what lets a request's
-	// own source (newSeededRand) stay unseeded. A leaf record's pdf is
+	// and never computes the parent draw either. A leaf record's pdf is
 	// a uniform product: separable.
 	mcAll := opts.Object.ForceMonteCarlo || !plan.qualifier.separable
 	var parent int64
 	if mcAll || slices.ContainsFunc(survivors, func(c candidate) bool { return c.obj != nil && !isSeparable(c.obj.PDF) }) {
-		parent = opts.Rng.Int63()
+		parent = parentDraw(seed)
 	}
 
 	for i := range survivors {
@@ -80,11 +80,11 @@ func (st *engineState) refineSurvivors(ctx context.Context, plan queryPlan, surv
 			// rebuilt from its rectangle.
 			obj = st.uncIdx.LeafObject(c.id, c.region)
 		}
-		cfg := opts.Object
+		var rng *rand.Rand
 		if mcAll || !isSeparable(obj.PDF) {
-			cfg.Rng = newSeededRand(mcbound.DeriveSeed(parent, int(c.id)))
+			rng = newRand(mcbound.DeriveSeed(parent, int(c.id)))
 		}
-		p, n, early := plan.qualifier.qualifyThreshold(obj.PDF, plan.q.Threshold, cfg, sc)
+		p, n, early := plan.qualifier.qualifyThreshold(obj.PDF, plan.q.Threshold, opts.Object, rng, sc)
 		c.p = p
 		rs.samples += int64(n)
 		if early {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"sort"
 	"sync"
 
@@ -218,12 +219,12 @@ func NewObjectQualifier(issuer pdf.PDF, w, h float64) *ObjectQualifier {
 }
 
 // Qualify computes one object's qualification probability (Lemma 4).
-// It is equivalent to ObjectQualification(issuer, obj, w, h, cfg) with
-// the qualifier's issuer and extents.
-func (oq *ObjectQualifier) Qualify(obj pdf.PDF, cfg ObjectEvalConfig) float64 {
+// It is equivalent to ObjectQualification(issuer, obj, w, h, cfg, rng)
+// with the qualifier's issuer and extents.
+func (oq *ObjectQualifier) Qualify(obj pdf.PDF, cfg ObjectEvalConfig, rng *rand.Rand) float64 {
 	sc := acquireScratch()
 	defer releaseScratch(sc)
-	p, _, _ := oq.qualifyThreshold(obj, 0, cfg.withDefaults(), sc)
+	p, _, _ := oq.qualifyThreshold(obj, 0, cfg.withDefaults(), rng, sc)
 	return p
 }
 
@@ -233,18 +234,19 @@ func (oq *ObjectQualifier) Qualify(obj pdf.PDF, cfg ObjectEvalConfig) float64 {
 // candidate refines in closed form, the full cfg.MCSamples budget
 // when sampling runs to completion — and whether a confidence bound
 // terminated sampling early. See ObjectEvalConfig.Adaptive.
-func (oq *ObjectQualifier) QualifyThreshold(obj pdf.PDF, qp float64, cfg ObjectEvalConfig) (p float64, samples int, early bool) {
+func (oq *ObjectQualifier) QualifyThreshold(obj pdf.PDF, qp float64, cfg ObjectEvalConfig, rng *rand.Rand) (p float64, samples int, early bool) {
 	sc := acquireScratch()
 	defer releaseScratch(sc)
-	return oq.qualifyThreshold(obj, qp, cfg.withDefaults(), sc)
+	return oq.qualifyThreshold(obj, qp, cfg.withDefaults(), rng, sc)
 }
 
 // qualifyThreshold is the engine-internal path: cfg must already carry
 // defaults and sc is the caller's scratch (one per goroutine, not per
 // candidate). qp > 0 enables threshold early termination for the
 // Monte-Carlo branch unless cfg.Adaptive turns it off; the closed-form
-// branch is exact and ignores qp.
-func (oq *ObjectQualifier) qualifyThreshold(obj pdf.PDF, qp float64, cfg ObjectEvalConfig, sc *evalScratch) (float64, int, bool) {
+// branch is exact and ignores qp and rng. The Monte-Carlo branch draws
+// from rng, or from math/rand's stream for seed 1 when rng is nil.
+func (oq *ObjectQualifier) qualifyThreshold(obj pdf.PDF, qp float64, cfg ObjectEvalConfig, rng *rand.Rand, sc *evalScratch) (float64, int, bool) {
 	if !cfg.ForceMonteCarlo && oq.separable {
 		if sObj, ok := obj.(pdf.Separable); ok {
 			return oq.closedForm(obj.Support(), sObj.MarginalX(), sObj.MarginalY(), sc), 0, false
@@ -260,10 +262,13 @@ func (oq *ObjectQualifier) qualifyThreshold(obj pdf.PDF, qp float64, cfg ObjectE
 	if cfg.Adaptive != AdaptiveAuto {
 		qp = 0
 	}
+	if rng == nil {
+		rng = newRand(1)
+	}
 	kern := DualityKernel(oq.issuer, oq.w, oq.h)
 	return mcbound.Adaptive(cfg.MCSamples, mcBlock, qp, mcbound.Delta, func(n int, t mcbound.Tally) mcbound.Tally {
 		for ; n > 0; n-- {
-			t.Add(kern(obj.Sample(cfg.Rng)))
+			t.Add(kern(obj.Sample(rng)))
 		}
 		return t
 	})

@@ -167,7 +167,7 @@ func TestPruneUncertainNeverDropsAnswers(t *testing.T) {
 		if verdict == KeepCandidate {
 			continue
 		}
-		exact := ObjectQualification(iss.PDF, obj.PDF, q.W, q.H, ObjectEvalConfig{})
+		exact := ObjectQualification(iss.PDF, obj.PDF, q.W, q.H, ObjectEvalConfig{}, nil)
 		if exact > qp+1e-9 {
 			t.Fatalf("trial %d: verdict %d pruned object with p=%g > qp=%g",
 				trial, verdict, exact, qp)
@@ -202,7 +202,7 @@ func TestPruneUncertainStrategyAttribution(t *testing.T) {
 	// simply refined. Here Strategy 3 should also catch it (dmin ~ 0.1,
 	// qmin <= 1).
 	if v := pruneRegion(&plan, objA.Region(), &rowsA, false, StrategySet{DisableStrategy1: true}); v == KeepCandidate {
-		exact := ObjectQualification(iss.PDF, objA.PDF, w, h, ObjectEvalConfig{})
+		exact := ObjectQualification(iss.PDF, objA.PDF, w, h, ObjectEvalConfig{}, nil)
 		if exact >= 0.3 {
 			t.Fatalf("object kept with p=%g", exact)
 		}

@@ -82,16 +82,11 @@ type ObjectEvalConfig struct {
 	// candidates settle after a fraction of the budget; borderline ones
 	// still draw all MCSamples.
 	Adaptive AdaptiveMode
-	// Rng drives sampling; nil draws math/rand's stream for seed 1.
-	Rng *rand.Rand
 }
 
 func (c ObjectEvalConfig) withDefaults() ObjectEvalConfig {
 	if c.MCSamples <= 0 {
 		c.MCSamples = 256
-	}
-	if c.Rng == nil {
-		c.Rng = newSeededRand(1)
 	}
 	return c
 }
@@ -109,13 +104,14 @@ func (c ObjectEvalConfig) withDefaults() ObjectEvalConfig {
 //     integrals (spectrally accurate for the smooth Gaussian kernel);
 //   - otherwise (or when cfg.ForceMonteCarlo): Monte-Carlo over the
 //     object's own distribution, pi = E_fi[Q(X)], which is unbiased
-//     because Q vanishes outside R⊕U0.
+//     because Q vanishes outside R⊕U0, drawn from rng (nil draws
+//     math/rand's stream for seed 1).
 //
 // When evaluating many candidates of one query, prepare a reusable
 // ObjectQualifier instead — this convenience form rebuilds the
 // issuer-side state (expanded support, shifted breakpoints) per call.
-func ObjectQualification(issuer, obj pdf.PDF, w, h float64, cfg ObjectEvalConfig) float64 {
-	return NewObjectQualifier(issuer, w, h).Qualify(obj, cfg)
+func ObjectQualification(issuer, obj pdf.PDF, w, h float64, cfg ObjectEvalConfig, rng *rand.Rand) float64 {
+	return NewObjectQualifier(issuer, w, h).Qualify(obj, cfg, rng)
 }
 
 // pointQualificationMCThreshold is the Monte-Carlo point refinement

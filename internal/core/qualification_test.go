@@ -162,12 +162,11 @@ func TestObjectQualificationClosedFormVsMC(t *testing.T) {
 			}
 			w, h := 10+rng.Float64()*40, 10+rng.Float64()*40
 			for objName, obj := range objs {
-				exact := ObjectQualification(issuer, obj, w, h, ObjectEvalConfig{})
+				exact := ObjectQualification(issuer, obj, w, h, ObjectEvalConfig{}, nil)
 				mc := ObjectQualification(issuer, obj, w, h, ObjectEvalConfig{
 					ForceMonteCarlo: true,
 					MCSamples:       60000,
-					Rng:             rng,
-				})
+				}, rng)
 				if !approx(exact, mc, 0.012) {
 					t.Errorf("%s/%s trial %d: closed form %g vs MC %g (w=%g h=%g region=%v)",
 						issName, objName, trial, exact, mc, w, h, region)
@@ -186,7 +185,7 @@ func TestObjectQualificationMatchesBasic(t *testing.T) {
 		c := geom.Pt(150+rng.Float64()*300, 150+rng.Float64()*300)
 		obj := pdf.MustUniform(geom.RectCentered(c, 10+rng.Float64()*40, 10+rng.Float64()*40))
 		w, h := 30+rng.Float64()*80, 30+rng.Float64()*80
-		exact := ObjectQualification(issuer, obj, w, h, ObjectEvalConfig{})
+		exact := ObjectQualification(issuer, obj, w, h, ObjectEvalConfig{}, nil)
 		basic := ObjectQualificationBasic(issuer, obj, w, h, 60000, rng)
 		if !approx(exact, basic, 0.012) {
 			t.Errorf("trial %d: enhanced %g vs basic %g", trial, exact, basic)
@@ -210,7 +209,7 @@ func TestObjectQualificationNonSeparable(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(93))
 	w, h := 25.0, 25.0
-	got := ObjectQualification(issuer, obj, w, h, ObjectEvalConfig{MCSamples: 80000, Rng: rng})
+	got := ObjectQualification(issuer, obj, w, h, ObjectEvalConfig{MCSamples: 80000}, rng)
 	want := ObjectQualificationBasic(issuer, obj, w, h, 80000, rng)
 	if !approx(got, want, 0.012) {
 		t.Fatalf("grid object: MC %g vs basic %g", got, want)
@@ -221,7 +220,7 @@ func TestObjectQualificationDisjointIsZero(t *testing.T) {
 	// Lemma 1: an object whose region misses R⊕U0 has pi = 0.
 	issuer := pdf.MustUniform(geom.Rect{Lo: geom.Pt(0, 0), Hi: geom.Pt(10, 10)})
 	obj := pdf.MustUniform(geom.Rect{Lo: geom.Pt(100, 100), Hi: geom.Pt(110, 110)})
-	if got := ObjectQualification(issuer, obj, 5, 5, ObjectEvalConfig{}); got != 0 {
+	if got := ObjectQualification(issuer, obj, 5, 5, ObjectEvalConfig{}, nil); got != 0 {
 		t.Fatalf("disjoint object: %g, want 0", got)
 	}
 }
@@ -232,7 +231,7 @@ func TestObjectQualificationFullyCoveredIsOne(t *testing.T) {
 	issuer := pdf.MustUniform(geom.RectCentered(geom.Pt(0, 0), 1, 1))
 	obj := pdf.MustUniform(geom.RectCentered(geom.Pt(0, 0), 1, 1))
 	// Query so large that R(x,y) covers obj for every (x,y) in U0.
-	if got := ObjectQualification(issuer, obj, 100, 100, ObjectEvalConfig{}); !approx(got, 1, 1e-9) {
+	if got := ObjectQualification(issuer, obj, 100, 100, ObjectEvalConfig{}, nil); !approx(got, 1, 1e-9) {
 		t.Fatalf("covered object: %g, want 1", got)
 	}
 }
@@ -268,8 +267,8 @@ func TestPropObjectQualificationMonotoneInRange(t *testing.T) {
 		obj := pdf.MustUniform(geom.RectCentered(c, 5+rng.Float64()*20, 5+rng.Float64()*20))
 		w := 5 + rng.Float64()*30
 		h := 5 + rng.Float64()*30
-		small := ObjectQualification(issuer, obj, w, h, ObjectEvalConfig{})
-		big := ObjectQualification(issuer, obj, w*1.5, h*1.5, ObjectEvalConfig{})
+		small := ObjectQualification(issuer, obj, w, h, ObjectEvalConfig{}, nil)
+		big := ObjectQualification(issuer, obj, w*1.5, h*1.5, ObjectEvalConfig{}, nil)
 		return big >= small-1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -368,7 +367,7 @@ func TestAxisFactorDegenerateIssuer(t *testing.T) {
 	// p = (20/100)^2 = 0.04.
 	issuer := pdf.MustUniform(geom.RectAt(geom.Pt(50, 50)))
 	object := pdf.MustUniform(geom.Rect{Lo: geom.Pt(0, 0), Hi: geom.Pt(100, 100)})
-	p := ObjectQualification(issuer, object, w, w, ObjectEvalConfig{})
+	p := ObjectQualification(issuer, object, w, w, ObjectEvalConfig{}, nil)
 	if !approx(p, 0.04, 1e-9) {
 		t.Fatalf("precise-issuer object qualification = %g, want 0.04", p)
 	}

@@ -109,9 +109,11 @@ func badRequest(field string, err error) *RequestError {
 }
 
 // Request is the one value describing any evaluation the engine can
-// run. It is plain data — serializable, routable, and re-evaluable —
-// which is what standing queries, batch serving, and the HTTP wire
-// format all build on.
+// run. It is plain data — serializable, routable, and re-evaluable,
+// holding no generator or other mutable state, so one value may be
+// evaluated from any number of goroutines at once — which is what
+// standing queries, batch serving, and the HTTP wire format all build
+// on.
 //
 // Construct requests with the RequestUncertain / RequestPoints /
 // RequestNN helpers, or as literals; Validate (called by every
@@ -143,13 +145,15 @@ type Request struct {
 	// Range kinds must leave it zero.
 	NNSamples int
 	// Options tunes the evaluation (method, sampling, pruning,
-	// deadline, sample budget). Options.Rng is only consulted when
-	// Seed is zero.
+	// deadline, sample budget).
 	Options EvalOptions
-	// Seed, when non-zero, makes the request self-deterministic: the
-	// sampling source is derived from it, ignoring Options.Rng. Inside
-	// EvaluateAll a zero Seed is filled from AllOptions.Seed and the
-	// request's index.
+	// Seed is the request's one sampling source: every Monte-Carlo
+	// stream an evaluation draws — a candidate's, the NN position
+	// stream, MethodBasic's shared one — derives from it, so a request
+	// answers bit for bit alike whichever goroutine, worker or process
+	// evaluates it. Zero selects the default stream, that of seed 2.
+	// Inside EvaluateAll a zero Seed is filled from AllOptions.Seed
+	// and the request's index.
 	Seed int64
 }
 
@@ -172,9 +176,20 @@ func RequestNN(issuer *uncertain.Object, k int) Request {
 	return Request{Kind: KindNN, Issuer: issuer, K: k}
 }
 
-// query returns the legacy Query view of a range request.
+// query returns the Query view of a range request.
 func (r Request) query() Query {
 	return Query{Issuer: r.Issuer, W: r.W, H: r.H, Threshold: r.Threshold}
+}
+
+// defaultSeed is the sampling seed of a request whose Seed is zero.
+const defaultSeed = 2
+
+// seed returns the request's sampling seed (see Request.Seed).
+func (r Request) seed() int64 {
+	if r.Seed == 0 {
+		return defaultSeed
+	}
+	return r.Seed
 }
 
 // Validate checks the request, returning a typed *RequestError (nil
@@ -238,7 +253,7 @@ var ErrNotDecomposable = errors.New("core: request cannot be evaluated per objec
 // GuardRegion returns the request's standing-query guard region: the
 // spatial region outside which an update provably cannot change the
 // request's answer. For range kinds it is the index probe region (see
-// GuardRegion); for NN requests — which have no finite guard until an
+// guardRegion); for NN requests — which have no finite guard until an
 // evaluation has measured the pruning distance tau — it is unbounded.
 // Standing NN queries tighten it after every evaluation via
 // GuardRegionTau(Result.Tau).
@@ -280,7 +295,7 @@ func (r Request) GuardRegionTau(tau float64) (geom.Rect, error) {
 			Hi: geom.Pt(math.MaxFloat64, math.MaxFloat64),
 		}, nil
 	}
-	return GuardRegion(r.query(), r.Options)
+	return guardRegion(r.query(), r.Options), nil
 }
 
 // Response is one evaluation outcome: the matches and cost, plus what
@@ -294,20 +309,8 @@ type Response struct {
 	Version uint64
 }
 
-// seededOptions returns the request's options with a non-zero Seed
-// replacing the sampling source, so the request is self-deterministic
-// regardless of which worker or process runs it.
-func (r Request) seededOptions() EvalOptions {
-	opts := r.Options
-	if r.Seed != 0 {
-		opts.Rng = newSeededRand(r.Seed)
-		opts.Object.Rng = opts.Rng
-	}
-	return opts
-}
-
 // evaluateRequest validates and dispatches one request against this
-// state, under its seededOptions.
+// state.
 //
 // A non-nil only restricts a Decomposable request to those ids (see
 // Snapshot.EvaluateOnly); such partial evaluations stay out of the
@@ -319,16 +322,15 @@ func (st *engineState) evaluateRequest(ctx context.Context, req Request, only []
 	if only != nil && !req.Decomposable() {
 		return Response{}, ErrNotDecomposable
 	}
-	opts := req.seededOptions()
 	resp := Response{Kind: req.Kind, Version: st.version}
 	var err error
 	switch req.Kind {
 	case KindPoints:
-		resp.Result, err = st.evaluatePoints(ctx, req.query(), opts, only)
+		resp.Result, err = st.evaluatePoints(ctx, req, only)
 	case KindUncertain:
-		resp.Result, err = st.evaluateUncertain(ctx, req.query(), opts, only)
+		resp.Result, err = st.evaluateUncertain(ctx, req, only)
 	case KindNN:
-		resp.Result, err = st.evaluateNN(ctx, req, opts)
+		resp.Result, err = st.evaluateNN(ctx, req)
 	}
 	if only == nil {
 		st.met.observe(req.Kind, resp, err)
@@ -414,9 +416,7 @@ type AllOptions struct {
 	// Seed derives the sampling seed for requests whose own Seed is
 	// zero: request i receives mcbound.DeriveSeed(Seed, i), so every request
 	// has an independent deterministic stream no matter which worker
-	// serves it. Requests with a non-zero Seed keep it. Options.Rng is
-	// never consulted inside a fan-out (a shared source across
-	// goroutines would destroy reproducibility).
+	// serves it. Requests with a non-zero Seed keep it.
 	Seed int64
 }
 

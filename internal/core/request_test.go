@@ -115,20 +115,15 @@ func TestShimGoldenEquivalence(t *testing.T) {
 	e := testWorld(t, 400, 300, 4)
 	iss := testIssuer(t, geom.Pt(500, 500), 60)
 	q := Query{Issuer: iss, W: 150, H: 150, Threshold: 0.3}
-	mcOpts := func(seed int64) EvalOptions {
-		return EvalOptions{
-			Rng:    rand.New(rand.NewSource(seed)),
-			Object: ObjectEvalConfig{ForceMonteCarlo: true, MCSamples: 512},
-		}
-	}
+	mcOpts := EvalOptions{Object: ObjectEvalConfig{ForceMonteCarlo: true, MCSamples: 512}}
 
 	t.Run("points", func(t *testing.T) {
-		viaHelper, err := e.EvaluatePoints(q, EvalOptions{Rng: rand.New(rand.NewSource(9))})
+		viaHelper, err := e.evaluateSeeded(KindPoints, q, EvalOptions{}, 9)
 		if err != nil {
 			t.Fatal(err)
 		}
 		req := RequestPoints(iss, 150, 150, 0.3)
-		req.Options.Rng = rand.New(rand.NewSource(9))
+		req.Seed = 9
 		resp, err := e.Evaluate(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)
@@ -139,12 +134,13 @@ func TestShimGoldenEquivalence(t *testing.T) {
 	})
 
 	t.Run("uncertain-montecarlo", func(t *testing.T) {
-		viaHelper, err := e.EvaluateUncertain(q, mcOpts(9))
+		viaHelper, err := e.evaluateSeeded(KindUncertain, q, mcOpts, 9)
 		if err != nil {
 			t.Fatal(err)
 		}
 		req := RequestUncertain(iss, 150, 150, 0.3)
-		req.Options = mcOpts(9)
+		req.Options = mcOpts
+		req.Seed = 9
 		resp, err := e.Evaluate(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)
@@ -166,7 +162,7 @@ func TestShimGoldenEquivalence(t *testing.T) {
 				kind = KindPoints
 			}
 			q := Query{Issuer: testIssuer(t, geom.Pt(100+float64(i)*70, 500), 40), W: 120, H: 120, Threshold: 0.2}
-			reqs = append(reqs, requestFor(kind, q, mcOpts(9)))
+			reqs = append(reqs, requestFor(kind, q, mcOpts))
 		}
 		fanned, errs := collectAll(t, e.EvaluateAll, reqs, AllOptions{Workers: 3, Seed: 9})
 		for i, req := range reqs {
@@ -486,12 +482,9 @@ func TestRequestGuardRegion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := GuardRegion(Query{Issuer: iss, W: 100, H: 100, Threshold: 0.4}, EvalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want, _ := SearchRegion(Query{Issuer: iss, W: 100, H: 100, Threshold: 0.4})
 	if got != want {
-		t.Fatalf("range guard %v != legacy guard %v", got, want)
+		t.Fatalf("range guard %v != search region %v", got, want)
 	}
 
 	nnReq := RequestNN(iss, 3)
@@ -579,5 +572,115 @@ func TestNNGuardRegionTau(t *testing.T) {
 	}
 	if !reflect.DeepEqual(stripDurations(base.Result), stripDurations(after.Result)) {
 		t.Fatal("answer changed after an update outside the tau guard")
+	}
+}
+
+// TestRequestIsPlainData: a Request holds no generator or other mutable
+// state, so one value evaluated from 8 goroutines at once answers, on
+// every goroutine, Float64bits-identically to a serial evaluation — on
+// each Monte-Carlo path: a non-separable issuer, ForceMonteCarlo,
+// PointMCSamples, MethodBasic over both tables, and a threshold NN
+// request. Seed 0 answers exactly as Seed 2, the default stream. Run
+// under -race by the CI race job.
+func TestRequestIsPlainData(t *testing.T) {
+	e := testWorld(t, 600, 400, 11)
+	var ups []Update
+	for i := range 40 {
+		d, err := pdf.NewDisc(geom.Pt(400+float64(i%8)*25, 400+float64(i/8)*25), 12, 12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o, err := uncertain.NewObject(uncertain.ID(10000+i), d, uncertain.PaperCatalogProbs())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ups = append(ups, Update{Op: OpUpsertObject, Object: o})
+	}
+	applyOK(t, e, ups)
+	iss := testIssuer(t, geom.Pt(500, 500), 60)
+	disc, err := pdf.NewDisc(geom.Pt(500, 500), 60, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	discIss, err := uncertain.NewObject(-1, disc, uncertain.PaperCatalogProbs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	nnReq := RequestNN(iss, 3)
+	nnReq.Threshold = 0.1
+	cases := []struct {
+		name string
+		req  Request
+	}{
+		{"non-separable", RequestUncertain(discIss, 120, 120, 0.3)},
+		{"force-monte-carlo", Request{Kind: KindUncertain, Issuer: iss, W: 120, H: 120, Threshold: 0.3,
+			Options: EvalOptions{Object: ObjectEvalConfig{ForceMonteCarlo: true, MCSamples: 256}}}},
+		{"point-mc-samples", Request{Kind: KindPoints, Issuer: iss, W: 120, H: 120, Threshold: 0.3,
+			Options: EvalOptions{PointMCSamples: 300}}},
+		{"basic-uncertain", Request{Kind: KindUncertain, Issuer: iss, W: 120, H: 120, Threshold: 0.3,
+			Options: EvalOptions{Method: MethodBasic, BasicSamples: 200}}},
+		{"basic-points", Request{Kind: KindPoints, Issuer: iss, W: 120, H: 120, Threshold: 0.3,
+			Options: EvalOptions{Method: MethodBasic, BasicSamples: 200}}},
+		{"threshold-nn", nnReq},
+	}
+	same := func(a, b Result) bool {
+		a.Cost.Duration, b.Cost.Duration = 0, 0
+		if a.Cost != b.Cost || len(a.Matches) != len(b.Matches) || math.Float64bits(a.Tau) != math.Float64bits(b.Tau) {
+			return false
+		}
+		for i := range a.Matches {
+			if a.Matches[i].ID != b.Matches[i].ID || math.Float64bits(a.Matches[i].P) != math.Float64bits(b.Matches[i].P) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, seed := range []int64{0, 7} {
+				req := tc.req
+				req.Seed = seed
+				serial, err := e.Evaluate(context.Background(), req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if serial.Cost.SamplesUsed == 0 || len(serial.Matches) == 0 {
+					t.Fatalf("seed %d: %d samples, %d matches; the case samples nothing", seed, serial.Cost.SamplesUsed, len(serial.Matches))
+				}
+				const goroutines = 8
+				got := make([]Response, goroutines)
+				errs := make([]error, goroutines)
+				var wg sync.WaitGroup
+				for g := range goroutines {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						got[g], errs[g] = e.Evaluate(context.Background(), req)
+					}()
+				}
+				wg.Wait()
+				for g := range goroutines {
+					if errs[g] != nil {
+						t.Fatal(errs[g])
+					}
+					if !same(got[g].Result, serial.Result) {
+						t.Fatalf("seed %d: goroutine %d answered\n%+v\nserially\n%+v", seed, g, got[g].Result, serial.Result)
+					}
+				}
+			}
+			zero, two := tc.req, tc.req
+			two.Seed = 2
+			a, err := e.Evaluate(context.Background(), zero)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := e.Evaluate(context.Background(), two)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !same(a.Result, b.Result) {
+				t.Fatalf("Seed 0 answered\n%+v\nSeed 2\n%+v", a.Result, b.Result)
+			}
+		})
 	}
 }

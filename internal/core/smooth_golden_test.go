@@ -57,7 +57,7 @@ func TestSmoothIssuerGoldenPins(t *testing.T) {
 	for i, iss := range issuers {
 		for j, obj := range objects(iss.Support().Center()) {
 			for _, e := range extents {
-				p := ObjectQualification(iss, obj, e[0], e[1], ObjectEvalConfig{})
+				p := ObjectQualification(iss, obj, e[0], e[1], ObjectEvalConfig{}, nil)
 				got.Qualify[fmt.Sprintf("issuer=%d/object=%d/w=%g/h=%g", i, j, e[0], e[1])] = fmt.Sprintf("%016x", math.Float64bits(p))
 			}
 		}

@@ -62,7 +62,6 @@ func TestSnapshotOverlapFlood(t *testing.T) {
 				Adaptive:        AdaptiveOff,
 			},
 			MaxSamples: 1 << 40,
-			Rng:        rand.New(rand.NewSource(99)),
 		}
 	}
 
@@ -149,11 +148,10 @@ func TestSnapshotOverlapFlood(t *testing.T) {
 func TestSnapshotIsolation(t *testing.T) {
 	e := testWorld(t, 200, 200, 3)
 	q := Query{Issuer: testIssuer(t, geom.Pt(500, 500), 40), W: 120, H: 120}
-	opts := func() EvalOptions { return EvalOptions{Rng: rand.New(rand.NewSource(5))} }
 
 	snap := e.Snapshot()
 	defer snap.Close()
-	before, err := snap.EvaluateUncertain(q, opts())
+	before, err := snap.EvaluateUncertain(q, EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +167,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 
 	// The pinned snapshot still sees them...
-	pinned, err := snap.EvaluateUncertain(q, opts())
+	pinned, err := snap.EvaluateUncertain(q, EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +182,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 
 	// ...while the engine does not.
-	after, err := e.EvaluateUncertain(q, opts())
+	after, err := e.EvaluateUncertain(q, EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +210,7 @@ func TestSnapshotIsolation(t *testing.T) {
 
 	// Closed snapshots refuse evaluation, idempotently.
 	snap.Close()
-	if _, err := snap.EvaluateUncertain(q, opts()); !errors.Is(err, ErrSnapshotClosed) {
+	if _, err := snap.EvaluateUncertain(q, EvalOptions{}); !errors.Is(err, ErrSnapshotClosed) {
 		t.Fatalf("closed snapshot evaluation: %v", err)
 	}
 }
@@ -389,9 +387,10 @@ func TestBasicMethodAdaptive(t *testing.T) {
 				Method:       MethodBasic,
 				BasicSamples: 4096,
 				Object:       ObjectEvalConfig{Adaptive: mode},
-				Rng:          rand.New(rand.NewSource(17)),
 			}
-			resp, err := e.Evaluate(context.Background(), requestFor(kind, q, opts))
+			req := requestFor(kind, q, opts)
+			req.Seed = 17
+			resp, err := e.Evaluate(context.Background(), req)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -419,7 +418,7 @@ func TestBasicMethodAdaptive(t *testing.T) {
 		// The qualifying decision must agree with the exact enhanced
 		// evaluation for every candidate (uniform pdfs: closed form,
 		// far-from-threshold workload).
-		exactResp, err := e.Evaluate(context.Background(), requestFor(kind, q, EvalOptions{Rng: rand.New(rand.NewSource(23))}))
+		exactResp, err := e.Evaluate(context.Background(), requestFor(kind, q, EvalOptions{}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -458,11 +457,10 @@ func TestBasicMethodAdaptive(t *testing.T) {
 func TestSnapshotConcurrentWriterFlood(t *testing.T) {
 	e := testWorld(t, 0, 2000, 13)
 	q := Query{Issuer: testIssuer(t, geom.Pt(500, 500), 50), W: 120, H: 120, Threshold: 0.3}
-	opts := func() EvalOptions { return EvalOptions{Rng: rand.New(rand.NewSource(31))} }
 
 	snap := e.Snapshot()
 	defer snap.Close()
-	baseline, err := snap.EvaluateUncertain(q, opts())
+	baseline, err := snap.EvaluateUncertain(q, EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,14 +510,13 @@ func TestSnapshotConcurrentWriterFlood(t *testing.T) {
 		readerWG.Add(1)
 		go func(seed int64) {
 			defer readerWG.Done()
-			rng := rand.New(rand.NewSource(seed))
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				if _, err := e.EvaluateUncertain(q, EvalOptions{Rng: rng}); err != nil {
+				if _, err := e.evaluateSeeded(KindUncertain, q, EvalOptions{}, seed); err != nil {
 					fail("live read: " + err.Error())
 					return
 				}
@@ -543,7 +540,7 @@ func TestSnapshotConcurrentWriterFlood(t *testing.T) {
 	}
 
 	// The pinned snapshot's world is untouched: bit-exact re-run.
-	again, err := snap.EvaluateUncertain(q, opts())
+	again, err := snap.EvaluateUncertain(q, EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -618,7 +615,7 @@ func TestSnapshotMaxAgeForcedClose(t *testing.T) {
 	if st.RetiredNodes != 0 || st.Pins != 0 {
 		t.Fatalf("forced close did not release the pin: %+v", st)
 	}
-	if _, err := leak.EvaluateUncertain(q, EvalOptions{Rng: rng}); !errors.Is(err, ErrSnapshotClosed) {
+	if _, err := leak.EvaluateUncertain(q, EvalOptions{}); !errors.Is(err, ErrSnapshotClosed) {
 		t.Fatalf("evaluation through force-closed snapshot: %v", err)
 	}
 	// The user's own (late) Close must not double-release.
@@ -634,7 +631,7 @@ func TestSnapshotMaxAgeForcedClose(t *testing.T) {
 	if rep := e.ApplyUpdates(makeUpdateBatch(t, e, rng, 8)); len(rep.Errors) > 0 {
 		t.Fatal(rep.Errors[0])
 	}
-	if _, err := leak2.EvaluateUncertain(q, EvalOptions{Rng: rng}); !errors.Is(err, ErrSnapshotClosed) {
+	if _, err := leak2.EvaluateUncertain(q, EvalOptions{}); !errors.Is(err, ErrSnapshotClosed) {
 		t.Fatalf("publish-path sweep missed the aged snapshot: %v", err)
 	}
 	if st := e.SnapshotStats(); st.ForcedCloses != 2 {

@@ -537,17 +537,6 @@ func (tx *stateTxn) apply(u Update, rep *UpdateReport) error {
 	return nil
 }
 
-// InsertPoint adds a point object. Its ID must be new among point
-// objects and its location finite. Safe to call concurrently with
-// queries (the mutation publishes a new snapshot); batches of updates
-// should prefer ApplyUpdates, which amortizes the copy-on-write work.
-func (e *Engine) InsertPoint(p uncertain.PointObject) error {
-	_, _, err := e.commit(false, func(tx *stateTxn) (bool, error) {
-		return true, tx.insertPoint(p)
-	})
-	return err
-}
-
 func (tx *stateTxn) insertPoint(p uncertain.PointObject) error {
 	if err := checkPointLoc(p); err != nil {
 		return err
@@ -575,18 +564,6 @@ func checkPointLoc(p uncertain.PointObject) error {
 	return nil
 }
 
-// DeletePoint removes the point object with the given id, reporting
-// whether it existed. Safe to call concurrently with queries.
-func (e *Engine) DeletePoint(id uncertain.ID) (bool, error) {
-	var ok bool
-	_, _, err := e.commit(false, func(tx *stateTxn) (bool, error) {
-		var err error
-		ok, err = tx.deletePoint(id)
-		return ok, err
-	})
-	return ok, err
-}
-
 func (tx *stateTxn) deletePoint(id uncertain.ID) (bool, error) {
 	p, ok := tx.getPoint(id)
 	if !ok {
@@ -602,16 +579,6 @@ func (tx *stateTxn) deletePoint(id uncertain.ID) (bool, error) {
 	tx.pointTable().Delete(id)
 	tx.logged = append(tx.logged, Update{Op: OpDeletePoint, ID: id})
 	return true, nil
-}
-
-// MovePoint updates a point object's location (delete + insert); a
-// location that is not finite is refused. Safe to call concurrently
-// with queries; a query never observes the point half-moved.
-func (e *Engine) MovePoint(id uncertain.ID, to geom.Point) error {
-	_, _, err := e.commit(false, func(tx *stateTxn) (bool, error) {
-		return true, tx.movePoint(id, to)
-	})
-	return err
 }
 
 func (tx *stateTxn) movePoint(id uncertain.ID, to geom.Point) error {
@@ -634,16 +601,6 @@ func (tx *stateTxn) movePoint(id uncertain.ID, to geom.Point) error {
 	return nil
 }
 
-// InsertObject adds an uncertain object. Its ID must be new among
-// uncertain objects and its U-catalog must cover the engine's catalog
-// probability values. Safe to call concurrently with queries.
-func (e *Engine) InsertObject(o *uncertain.Object) error {
-	_, _, err := e.commit(false, func(tx *stateTxn) (bool, error) {
-		return true, tx.insertObject(o)
-	})
-	return err
-}
-
 func (tx *stateTxn) insertObject(o *uncertain.Object) error {
 	if _, dup := tx.getRegion(o.ID); dup {
 		return fmt.Errorf("core: uncertain object %d already exists", o.ID)
@@ -658,19 +615,6 @@ func (tx *stateTxn) insertObject(o *uncertain.Object) error {
 	}
 	tx.logged = append(tx.logged, Update{Op: OpUpsertObject, Object: o})
 	return nil
-}
-
-// DeleteObject removes the uncertain object with the given id,
-// reporting whether it existed. Safe to call concurrently with
-// queries.
-func (e *Engine) DeleteObject(id uncertain.ID) (bool, error) {
-	var ok bool
-	_, _, err := e.commit(false, func(tx *stateTxn) (bool, error) {
-		var err error
-		ok, err = tx.deleteObject(id)
-		return ok, err
-	})
-	return ok, err
 }
 
 func (tx *stateTxn) deleteObject(id uncertain.ID) (bool, error) {
@@ -691,18 +635,6 @@ func (tx *stateTxn) deleteObject(id uncertain.ID) (bool, error) {
 	}
 	tx.logged = append(tx.logged, Update{Op: OpDeleteObject, ID: id})
 	return true, nil
-}
-
-// ReplaceObject atomically swaps the uncertain object with the given
-// id for a new version (same id, new pdf/region) — a position
-// re-report in the moving-object setting. Safe to call concurrently
-// with queries; a query observes either the old or the new version,
-// never neither.
-func (e *Engine) ReplaceObject(o *uncertain.Object) error {
-	_, _, err := e.commit(false, func(tx *stateTxn) (bool, error) {
-		return true, tx.replaceObject(o)
-	})
-	return err
 }
 
 func (tx *stateTxn) replaceObject(o *uncertain.Object) error {
@@ -732,22 +664,20 @@ func (tx *stateTxn) replaceObject(o *uncertain.Object) error {
 	return nil
 }
 
-// GuardRegion returns the standing-query guard region for q under
-// opts: the index probe region the evaluation method uses — the full
-// Minkowski sum R⊕U0 for MethodBasic (its probe never shrinks),
-// otherwise shrunk to the Qp-expanded region for threshold queries
-// unless opts.DisablePExpansion. The engine's evaluation only ever
-// considers objects whose bounding rectangle intersects this region,
-// so an update batch none of whose dirty rectangles (old or new
-// bounds of every touched object) intersect it provably leaves the
-// query's result unchanged. The continuous-query monitor uses this to
-// skip re-evaluations.
-func GuardRegion(q Query, opts EvalOptions) (geom.Rect, error) {
-	if err := q.Validate(); err != nil {
-		return geom.Rect{}, err
-	}
+// guardRegion returns the standing-query guard region of a validated
+// range query q under opts: the index probe region the evaluation
+// method uses — the full Minkowski sum R⊕U0 for MethodBasic (its probe
+// never shrinks), otherwise shrunk to the Qp-expanded region for
+// threshold queries unless opts.DisablePExpansion. The engine's
+// evaluation only ever considers objects whose bounding rectangle
+// intersects this region, so an update batch none of whose dirty
+// rectangles (old or new bounds of every touched object) intersect it
+// provably leaves the query's result unchanged. The continuous-query
+// monitor uses this (through Request.GuardRegion) to skip
+// re-evaluations.
+func guardRegion(q Query, opts EvalOptions) geom.Rect {
 	if opts.Method == MethodBasic {
-		return q.Expanded(), nil
+		return q.Expanded()
 	}
-	return newQueryPlan(q, opts, false).searchReg, nil
+	return newQueryPlan(q, opts, false).searchReg
 }

@@ -14,6 +14,16 @@ import (
 	"repro/internal/uncertain"
 )
 
+// applyOne applies u as a batch of its own and returns its report and
+// the update's error, if any.
+func applyOne(e *Engine, u Update) (UpdateReport, error) {
+	rep := e.ApplyUpdates([]Update{u})
+	if len(rep.Errors) > 0 {
+		return rep, rep.Errors[0].Err
+	}
+	return rep, nil
+}
+
 func TestInsertDeletePoints(t *testing.T) {
 	e := testWorld(t, 200, 0, 31)
 	iss := testIssuer(t, geom.Pt(500, 500), 50)
@@ -26,7 +36,7 @@ func TestInsertDeletePoints(t *testing.T) {
 
 	// Insert a point right at the issuer center: must appear with p=1.
 	newPt := uncertain.PointObject{ID: 9999, Loc: geom.Pt(500, 500)}
-	if err := e.InsertPoint(newPt); err != nil {
+	if _, err := applyOne(e, Update{Op: OpUpsertPoint, Point: newPt}); err != nil {
 		t.Fatal(err)
 	}
 	if e.NumPoints() != 201 {
@@ -44,18 +54,18 @@ func TestInsertDeletePoints(t *testing.T) {
 		t.Fatalf("inserted point probability = %g, want 1", m[9999])
 	}
 
-	// Duplicate id rejected.
-	if err := e.InsertPoint(newPt); err == nil {
-		t.Fatal("duplicate point id accepted")
+	// An upsert of a present id moves it in place: no second copy.
+	rep, err := applyOne(e, Update{Op: OpUpsertPoint, Point: newPt})
+	if err != nil || len(rep.Changes) != 1 || !rep.Changes[0].HasOld || e.NumPoints() != 201 {
+		t.Fatalf("re-upsert: %+v, %v, NumPoints %d", rep, err, e.NumPoints())
 	}
 
 	// Delete it again: results return to the original.
-	ok, err := e.DeletePoint(9999)
-	if err != nil || !ok {
-		t.Fatalf("DeletePoint: %t %v", ok, err)
+	if rep, err := applyOne(e, Update{Op: OpDeletePoint, ID: 9999}); err != nil || rep.Applied != 1 {
+		t.Fatalf("delete: %+v %v", rep, err)
 	}
-	if ok, _ := e.DeletePoint(9999); ok {
-		t.Fatal("double delete succeeded")
+	if rep, _ := applyOne(e, Update{Op: OpDeletePoint, ID: 9999}); rep.Applied != 0 || rep.Missing != 1 {
+		t.Fatalf("double delete: %+v", rep)
 	}
 	final, err := e.EvaluatePoints(q, EvalOptions{})
 	if err != nil {
@@ -71,10 +81,10 @@ func TestInsertDeletePoints(t *testing.T) {
 
 func TestMovePoint(t *testing.T) {
 	e := testWorld(t, 50, 0, 32)
-	if err := e.InsertPoint(uncertain.PointObject{ID: 500, Loc: geom.Pt(10, 10)}); err != nil {
+	if _, err := applyOne(e, Update{Op: OpUpsertPoint, Point: uncertain.PointObject{ID: 500, Loc: geom.Pt(10, 10)}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.MovePoint(500, geom.Pt(900, 900)); err != nil {
+	if _, err := applyOne(e, Update{Op: OpUpsertPoint, Point: uncertain.PointObject{ID: 500, Loc: geom.Pt(900, 900)}}); err != nil {
 		t.Fatal(err)
 	}
 	iss := testIssuer(t, geom.Pt(900, 900), 20)
@@ -85,14 +95,14 @@ func TestMovePoint(t *testing.T) {
 	if matchesToMap(res.Matches)[500] != 1 {
 		t.Fatal("moved point not found at destination")
 	}
-	if err := e.MovePoint(12345, geom.Pt(0, 0)); err == nil {
-		t.Fatal("moving unknown point succeeded")
+	if e.NumPoints() != 51 {
+		t.Fatalf("NumPoints = %d after the move, want 51", e.NumPoints())
 	}
 }
 
 // TestNonFinitePointRefused: a point at ±Inf or NaN is refused where it
 // would enter the point tree — one update of a batch, the rest of which
-// still applies, InsertPoint, MovePoint and NewEngine — and the tree
+// still applies, an insert, a move and NewEngine — and the tree
 // stays valid. Without the check, a 300-point batch with every other
 // point at (+Inf, +Inf) panics the tree's quadratic split.
 func TestNonFinitePointRefused(t *testing.T) {
@@ -124,11 +134,11 @@ func TestNonFinitePointRefused(t *testing.T) {
 	}
 
 	for _, bad := range []geom.Point{{X: inf, Y: 1}, {X: 1, Y: -inf}, {X: math.NaN(), Y: 1}, {X: 1, Y: math.NaN()}} {
-		if err := e.InsertPoint(uncertain.PointObject{ID: 1000, Loc: bad}); err == nil {
-			t.Errorf("InsertPoint at %v accepted", bad)
+		if _, err := applyOne(e, Update{Op: OpUpsertPoint, Point: uncertain.PointObject{ID: 1000, Loc: bad}}); err == nil {
+			t.Errorf("insert at %v accepted", bad)
 		}
-		if err := e.MovePoint(0, bad); err == nil {
-			t.Errorf("MovePoint to %v accepted", bad)
+		if _, err := applyOne(e, Update{Op: OpUpsertPoint, Point: uncertain.PointObject{ID: 0, Loc: bad}}); err == nil {
+			t.Errorf("move to %v accepted", bad)
 		}
 		if _, err := NewEngine([]uncertain.PointObject{{ID: 1, Loc: geom.Pt(1, 1)}, {ID: 2, Loc: bad}}, nil, EngineOptions{}); err == nil {
 			t.Errorf("NewEngine with a point at %v accepted", bad)
@@ -162,11 +172,11 @@ func TestInsertDeleteObjects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.InsertObject(obj); err != nil {
+	if _, err := applyOne(e, Update{Op: OpUpsertObject, Object: obj}); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.InsertObject(obj); err == nil {
-		t.Fatal("duplicate object id accepted")
+	if _, err := applyOne(e, Update{Op: OpUpsertObject, Object: obj}); err != nil || e.NumUncertain() != 151 {
+		t.Fatalf("re-upsert: %v, NumUncertain %d", err, e.NumUncertain())
 	}
 	after, err := e.EvaluateUncertain(q, EvalOptions{})
 	if err != nil {
@@ -184,16 +194,15 @@ func TestInsertDeleteObjects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.InsertObject(bare); err == nil {
+	if _, err := applyOne(e, Update{Op: OpUpsertObject, Object: bare}); err == nil {
 		t.Fatal("catalog-less object accepted")
 	}
 
-	ok, err := e.DeleteObject(7777)
-	if err != nil || !ok {
-		t.Fatalf("DeleteObject: %t %v", ok, err)
+	if rep, err := applyOne(e, Update{Op: OpDeleteObject, ID: 7777}); err != nil || rep.Applied != 1 {
+		t.Fatalf("delete: %+v %v", rep, err)
 	}
-	if ok, _ := e.DeleteObject(7777); ok {
-		t.Fatal("double object delete succeeded")
+	if rep, _ := applyOne(e, Update{Op: OpDeleteObject, ID: 7777}); rep.Applied != 0 || rep.Missing != 1 {
+		t.Fatalf("double object delete: %+v", rep)
 	}
 	final, err := e.EvaluateUncertain(q, EvalOptions{})
 	if err != nil {
@@ -214,7 +223,7 @@ func TestReplaceObject(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.ReplaceObject(obj); err != nil {
+	if _, err := applyOne(e, Update{Op: OpUpsertObject, Object: obj}); err != nil {
 		t.Fatal(err)
 	}
 	if e.NumUncertain() != 50 {
@@ -228,14 +237,14 @@ func TestReplaceObject(t *testing.T) {
 	if matchesToMap(res.Matches)[10] != 1 {
 		t.Fatal("replaced object not found at new position")
 	}
-	// Replace can also insert a fresh id.
+	// An upsert can also insert a fresh id.
 	fresh, err := uncertain.NewObject(4242,
 		pdf.MustUniform(geom.RectCentered(geom.Pt(100, 100), 5, 5)),
 		uncertain.PaperCatalogProbs())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.ReplaceObject(fresh); err != nil {
+	if _, err := applyOne(e, Update{Op: OpUpsertObject, Object: fresh}); err != nil {
 		t.Fatal(err)
 	}
 	if e.NumUncertain() != 51 {
@@ -262,7 +271,7 @@ func TestChurnKeepsIndexConsistent(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := e.InsertObject(obj); err != nil {
+			if _, err := applyOne(e, Update{Op: OpUpsertObject, Object: obj}); err != nil {
 				t.Fatal(err)
 			}
 			live[nextID] = true
@@ -270,9 +279,8 @@ func TestChurnKeepsIndexConsistent(t *testing.T) {
 		} else {
 			// Delete a random live object.
 			for id := range live {
-				ok, err := e.DeleteObject(id)
-				if err != nil || !ok {
-					t.Fatalf("churn delete %d: %t %v", id, ok, err)
+				if rep, err := applyOne(e, Update{Op: OpDeleteObject, ID: id}); err != nil || rep.Applied != 1 {
+					t.Fatalf("churn delete %d: %+v %v", id, rep, err)
 				}
 				delete(live, id)
 				break
@@ -294,7 +302,7 @@ func TestChurnKeepsIndexConsistent(t *testing.T) {
 		if !ok {
 			t.Fatalf("live object %d missing from table", id)
 		}
-		if ObjectQualification(iss.PDF, o.PDF, q.W, q.H, ObjectEvalConfig{}) > 0 {
+		if ObjectQualification(iss.PDF, o.PDF, q.W, q.H, ObjectEvalConfig{}, nil) > 0 {
 			want++
 		}
 	}

@@ -22,11 +22,11 @@ type Config struct {
 	Workers int
 	// Options are the default evaluation options, applied to standing
 	// requests registered with a zero Options field; a request
-	// carrying its own Options keeps them. Rng (and Object.Rng) are
-	// ignored either way: sampling is driven by the subscription's
-	// seed alone. Timeout and MaxSamples act per re-evaluation — full
-	// or per-object, bounding the work that evaluation does —
-	// surfacing as Delta.Err without disturbing the cached set.
+	// carrying its own Options keeps them. Sampling is driven by the
+	// subscription's seed alone (see Seed). Timeout and MaxSamples act
+	// per re-evaluation — full or per-object, bounding the work that
+	// evaluation does — surfacing as Delta.Err without disturbing the
+	// cached set.
 	Options core.EvalOptions
 	// Seed derives the sampling seed of every subscription registered
 	// without one (default 1): mixSeed(Seed, subscription id). A
@@ -55,8 +55,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxPending == 0 {
 		c.MaxPending = 64
 	}
-	c.Options.Rng = nil
-	c.Options.Object.Rng = nil
 	return c
 }
 
@@ -171,20 +169,6 @@ func mixSeed(vals ...int64) int64 {
 	return int64(h)
 }
 
-// normalize prepares a request for standing evaluation: the sampling
-// sources are cleared — the subscription's seed drives sampling — and
-// Options that are then zero pick up the monitor's defaults, so a
-// request carrying only an (ignored) Rng still gets the configured
-// deadline and sample budget.
-func (m *Monitor) normalize(req core.Request) core.Request {
-	req.Options.Rng = nil
-	req.Options.Object.Rng = nil
-	if req.Options == (core.EvalOptions{}) {
-		req.Options = m.cfg.Options // withDefaults already cleared its Rngs
-	}
-	return req
-}
-
 // Register adds a standing request, evaluates it once, and returns
 // its subscription. A subscription is exactly a standing core.Request
 // — any kind the engine evaluates, nearest neighbor included, can
@@ -194,7 +178,9 @@ func (m *Monitor) normalize(req core.Request) core.Request {
 // serializes with ApplyUpdates: the snapshot reflects a batch
 // boundary, never a half-applied batch.
 func (m *Monitor) Register(req core.Request) (*Subscription, error) {
-	req = m.normalize(req)
+	if req.Options == (core.EvalOptions{}) {
+		req.Options = m.cfg.Options
+	}
 	guard, err := req.GuardRegion()
 	if err != nil {
 		return nil, err

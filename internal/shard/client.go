@@ -88,6 +88,12 @@ func (e *statusError) Error() string {
 	return fmt.Sprintf("HTTP %d: %s", e.code, e.body)
 }
 
+// hasStatus reports whether err is the shard's answer with HTTP code.
+func hasStatus(err error, code int) bool {
+	var se *statusError
+	return errors.As(err, &se) && se.code == code
+}
+
 // ErrReplyTooLarge reports a shard reply that announced more than the
 // size cap of its endpoint, or ran past it; the router reads none of
 // the former and stops reading the latter at the cap.
@@ -315,8 +321,7 @@ func (c *Client) Register(ctx context.Context, req serve.RequestJSON, feed strin
 // whose reply was lost.
 func (c *Client) Deregister(ctx context.Context, id int64) error {
 	err := c.send(ctx, http.MethodDelete, fmt.Sprintf("/v1/queries/%d", id), nil, reply{limit: serve.MaxBodyBytes})
-	var se *statusError
-	if errors.As(err, &se) && se.code == http.StatusNotFound {
+	if hasStatus(err, http.StatusNotFound) {
 		return nil
 	}
 	return err

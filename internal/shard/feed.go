@@ -109,6 +109,18 @@ func (r *Router) acquireFeed(ctx context.Context, s int) (*feed, error) {
 	return f, nil
 }
 
+// dropFeed hangs up f and takes it out of its shard's slot, so the next
+// acquireFeed opens a fresh feed; f's reader then loses it (loseFeed).
+func (r *Router) dropFeed(f *feed) {
+	slot := &r.feeds[f.shard]
+	slot.mu.Lock()
+	if slot.f == f {
+		slot.f = nil
+	}
+	slot.mu.Unlock()
+	f.cancel()
+}
+
 // Close hangs up every open delta feed and returns once their readers
 // have exited; the shards unregister the standing queries registered
 // onto them, and their subscriber streams end with an error event. A

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"testing"
+	"time"
 
 	"repro/internal/serve"
 )
@@ -143,5 +144,40 @@ func TestRouterRegisterMarksMissingShard(t *testing.T) {
 		Issuer: serve.IssuerJSON{Region: []float64{2300, 4700, 2700, 5300}}, W: 600, H: 600, Seed: 3})
 	if status != http.StatusCreated || !bytes.HasSuffix(body, []byte(`"snapshot":[{"id":1,"p":1}],"partial":true,"missing_shards":["1"]}`+"\n")) {
 		t.Fatalf("register with shard 1's reply torn: HTTP %d %s", status, body)
+	}
+}
+
+// TestRouterRegistersOnRestartedShard: shard 1 restarts behind its URL
+// while the router's connections to the old process stay up, its delta
+// feed among them. The new shard answers a registration onto the old
+// feed's token 409, having kept nothing; the router drops that feed
+// (counted in ildq_router_feed_lost_total) and registers once more onto
+// a fresh one, so the registration is whole: the single engine's
+// snapshot, not partial.
+func TestRouterRegistersOnRestartedShard(t *testing.T) {
+	rt := fleet(t, 2, durable)
+	q := serve.RequestJSON{Kind: "uncertain", Issuer: serve.IssuerJSON{Region: []float64{2300, 4700, 2700, 5300}}, W: 600, H: 600, Seed: 3}
+	rt.apply(t, serve.UpdatesRequest{Updates: []serve.UpdateJSON{
+		{Op: "upsert_object", ID: 1, Region: []float64{2400, 4700, 2600, 4900}},
+		{Op: "upsert_object", ID: 2, Region: []float64{2400, 5100, 2600, 5300}},
+	}})
+	got, want := rt.ask(t, "/v1/queries", q) // opens a feed on both shards
+	rt.deregister(t, got, want)
+
+	lost := rt.m.feedLost.With("1")
+	before := lost.Value()
+	rt.reopen(t, 1)
+	rt.apply(t, serve.UpdatesRequest{Updates: []serve.UpdateJSON{
+		{Op: "upsert_object", ID: 3, Region: []float64{2450, 5000, 2550, 5200}},
+	}})
+	got, want = rt.ask(t, "/v1/queries", q)
+	rt.deregister(t, got, want)
+	if got.Partial || !bytes.Equal(got.Snapshot, want.Snapshot) {
+		t.Fatalf("registration after shard 1 restarted: fleet (partial %v, missing %v)\n%s\nsingle engine\n%s", got.Partial, got.Missing, got.Snapshot, want.Snapshot)
+	}
+	for deadline := time.Now().Add(10 * time.Second); lost.Value() == before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the stale feed to shard 1 was not counted lost")
+		}
 	}
 }

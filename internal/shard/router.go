@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
+	"net/http"
 	"slices"
 	"sort"
 	"sync"
@@ -625,18 +626,28 @@ func (r *Router) register(ctx context.Context, rj serve.RequestJSON) (registrati
 	feedErrs := make([]error, len(targets))
 	errs := r.scatter(targets, func(s int) error {
 		idx := sort.SearchInts(targets, s)
-		f, err := r.acquireFeed(ctx, s)
-		if err != nil {
-			feedErrs[idx] = err
-			return err
-		}
-		rep, err := r.shards[s].Register(ctx, rj, f.token, bufs[idx])
-		if err != nil {
+		for retried := false; ; retried = true {
+			f, err := r.acquireFeed(ctx, s)
+			if err != nil {
+				feedErrs[idx] = err
+				return err
+			}
+			rep, err := r.shards[s].Register(ctx, rj, f.token, bufs[idx])
+			if err == nil {
+				replies[idx], feeds[idx] = rep, f
+				return nil
+			}
 			f.release()
-			return err
+			// A 409 says the shard has no such open feed — it restarted
+			// behind its URL while the router's connection to the old
+			// process stayed up, or the feed ended during the
+			// registration — and kept no registration: drop the feed and
+			// register once more, onto a fresh one.
+			if retried || !hasStatus(err, http.StatusConflict) {
+				return err
+			}
+			r.dropFeed(f)
 		}
-		replies[idx], feeds[idx] = rep, f
-		return nil
 	})
 	sub := newRouterSub(r.subID.Add(1), req.Kind.String())
 	for i, rep := range replies {

@@ -222,9 +222,11 @@ type Writer struct {
 	size    int64  // active segment size
 	segMax  map[uint64]uint64
 	lastVer uint64
-	dirty   bool // bytes written since the last sync
-	buf     []byte
-	closed  bool
+	// appended says this writer has appended to the active segment.
+	appended bool
+	dirty    bool // bytes written since the last sync
+	buf      []byte
+	closed   bool
 
 	records int64
 	bytes   int64
@@ -338,7 +340,7 @@ func (w *Writer) Append(version uint64, payload []byte) error {
 	w.bytes += int64(len(w.buf))
 	w.lastVer = version
 	w.segMax[w.seq] = version
-	w.dirty = true
+	w.appended, w.dirty = true, true
 	if w.opts.OnAppend != nil {
 		w.opts.OnAppend(len(w.buf))
 	}
@@ -359,6 +361,7 @@ func (w *Writer) rotateLocked() error {
 		return err
 	}
 	w.seq++
+	w.appended = false
 	return w.openSegmentLocked(true)
 }
 
@@ -398,14 +401,24 @@ func (w *Writer) flushLoop() {
 }
 
 // TruncateThrough removes sealed segments whose every record has
-// version <= v — the post-checkpoint cleanup. The active segment is
-// never removed, so the log never becomes headless. Returns the
-// number of segment files deleted.
+// version <= v — the post-checkpoint cleanup. An active segment this
+// writer has appended to, none of whose records is newer than v, is
+// first sealed and a fresh one started, so after a checkpoint with no
+// batch in flight the log holds no record the checkpoint covers and
+// the next recovery reads none. (An active segment found at Open and
+// not appended to since holds only what that recovery already read; it
+// stays.) The active segment is never removed, so the log never
+// becomes headless. Returns the number of segment files deleted.
 func (w *Writer) TruncateThrough(v uint64) (int, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
 		return 0, ErrClosed
+	}
+	if w.appended && w.segMax[w.seq] <= v {
+		if err := w.rotateLocked(); err != nil {
+			return 0, err
+		}
 	}
 	seqs, err := listSegments(w.dir)
 	if err != nil {
@@ -485,9 +498,11 @@ type ReplayStats struct {
 // Replay iterates every record in the log in order, calling fn with
 // each record's version and payload (the payload slice is only valid
 // during the call). A torn tail on the final segment is truncated in
-// place — the crash-recovery repair — while any earlier frame damage
-// fails with ErrCorrupt. Record versions must be strictly increasing;
-// a regression fails loudly rather than replaying garbage. A missing
+// place — the crash-recovery repair — and a final segment shorter than
+// its header, which a crash during a rotation leaves and which cannot
+// hold a record, is removed; any earlier frame damage fails with
+// ErrCorrupt. Record versions must be strictly increasing; a
+// regression fails loudly rather than replaying garbage. A missing
 // directory replays zero records.
 func Replay(dir string, fn func(version uint64, payload []byte) error) (ReplayStats, error) {
 	var st ReplayStats
@@ -501,6 +516,13 @@ func Replay(dir string, fn func(version uint64, payload []byte) error) (ReplaySt
 	for i, seq := range seqs {
 		last := i == len(seqs)-1
 		path := segmentPath(dir, seq)
+		if last {
+			if fi, err := os.Stat(path); err != nil {
+				return st, err
+			} else if fi.Size() < int64(headerSize) {
+				return st, os.Remove(path)
+			}
+		}
 		sc, err := scanSegment(path, func(version uint64, payload []byte) error {
 			if st.LastVersion != 0 && version <= st.LastVersion {
 				return fmt.Errorf("%w: %s: version %d after %d", ErrCorrupt, path, version, st.LastVersion)

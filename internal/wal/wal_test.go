@@ -398,3 +398,89 @@ func FuzzWALRecord(f *testing.F) {
 		}
 	})
 }
+
+// TestTruncateThroughSealsCoveredActiveSegment: a checkpoint through
+// every record this writer appended seals the active segment, so the
+// log holds none of them and a replay reads nothing; an active segment
+// with a newer record, or one found at Open and not appended to, stays.
+func TestTruncateThroughSealsCoveredActiveSegment(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Open(dir, Options{Policy: FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := uint64(1); v <= 3; v++ {
+		if err := w.Append(v, []byte("r")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if removed, err := w.TruncateThrough(3); err != nil || removed != 1 {
+		t.Fatalf("TruncateThrough(3) = %d, %v; want the sealed segment removed", removed, err)
+	}
+	if st, _, _ := replayAll(t, dir); st.Records != 0 || st.Segments != 1 {
+		t.Fatalf("after a covering truncation the log replays %+v", st)
+	}
+	if err := w.Append(4, []byte("r")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.TruncateThrough(3); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, versions, _ := replayAll(t, dir); len(versions) != 1 || versions[0] != 4 {
+		t.Fatalf("record 4 lost: %v", versions)
+	}
+
+	// A segment found at Open is not sealed by a truncation alone.
+	w, err = Open(dir, Options{Policy: FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.TruncateThrough(4); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, versions, _ := replayAll(t, dir); len(versions) != 1 || versions[0] != 4 {
+		t.Fatalf("found segment rewritten: %v", versions)
+	}
+}
+
+// TestReplayRemovesHeaderlessFinalSegment: a final segment shorter than
+// its header — a crash between a rotation's create and its header
+// write — holds no record; Replay removes it and the log opens.
+func TestReplayRemovesHeaderlessFinalSegment(t *testing.T) {
+	for _, size := range []int{0, headerSize - 1} {
+		dir := t.TempDir()
+		w, err := Open(dir, Options{Policy: FsyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Append(1, []byte("r")); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(segmentPath(dir, 2), []byte(magic)[:size], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if st, versions, _ := replayAll(t, dir); len(versions) != 1 || st.Segments != 1 {
+			t.Fatalf("header of %d bytes: replayed %v (%+v)", size, versions, st)
+		}
+		w, err = Open(dir, Options{Policy: FsyncNever})
+		if err != nil {
+			t.Fatalf("header of %d bytes: %v", size, err)
+		}
+		if err := w.Append(2, []byte("r")); err != nil {
+			t.Fatal(err)
+		}
+		w.Close()
+		if _, versions, _ := replayAll(t, dir); len(versions) != 2 {
+			t.Fatalf("header of %d bytes: replayed %v after reopen", size, versions)
+		}
+	}
+}

@@ -18,9 +18,6 @@ import (
 // package's directory under internal/, then the receiver's type for a
 // method, then the name.
 var orphanKeep = map[string]string{
-	"core.Engine.DeletePoint":               "public as repro.Engine.DeletePoint",
-	"core.Engine.InsertPoint":               "public as repro.Engine.InsertPoint",
-	"core.Engine.MovePoint":                 "public as repro.Engine.MovePoint",
 	"core.Engine.Object":                    "public as repro.Engine.Object",
 	"core.Engine.Point":                     "public as repro.Engine.Point",
 	"core.Engine.PointIndex":                "public as repro.Engine.PointIndex",

@@ -1,6 +1,8 @@
 package repro
 
 import (
+	"math/rand"
+
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/geom"
@@ -131,8 +133,6 @@ type (
 	// AllHandler receives one finished request of an EvaluateAll
 	// fan-out.
 	AllHandler = core.AllHandler
-	// Query is an imprecise location-dependent range query.
-	Query = core.Query
 	// EvalOptions tunes one evaluation (method, sampling, pruning
 	// toggles).
 	EvalOptions = core.EvalOptions
@@ -251,9 +251,11 @@ func PointQualification(issuer PDF, s Point, w, h float64) float64 {
 }
 
 // ObjectQualification computes an uncertain object's qualification
-// probability (Lemma 4), using closed forms where the pdfs allow.
-func ObjectQualification(issuer, obj PDF, w, h float64, cfg ObjectEvalConfig) float64 {
-	return core.ObjectQualification(issuer, obj, w, h, cfg)
+// probability (Lemma 4), using closed forms where the pdfs allow and
+// otherwise Monte-Carlo sampling drawn from rng (nil draws math/rand's
+// stream for seed 1).
+func ObjectQualification(issuer, obj PDF, w, h float64, cfg ObjectEvalConfig, rng *rand.Rand) float64 {
+	return core.ObjectQualification(issuer, obj, w, h, cfg, rng)
 }
 
 // AdaptiveMode selects whether Monte-Carlo refinement of threshold
@@ -316,15 +318,6 @@ const (
 	// OpDeleteObject removes an uncertain object.
 	OpDeleteObject = core.OpDeleteObject
 )
-
-// GuardRegion returns the standing-query guard region for q: the
-// prepared plan's index probe region. An update batch whose dirty
-// rectangles miss it provably leaves q's result unchanged — the
-// filter the continuous-query monitor applies. For the Request form
-// (NN included) use Request.GuardRegion.
-func GuardRegion(q Query, opts EvalOptions) (Rect, error) {
-	return core.GuardRegion(q, opts)
-}
 
 // Continuous-query monitoring re-exports (package internal/monitor).
 type (

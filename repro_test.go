@@ -10,14 +10,20 @@ import (
 	"repro"
 )
 
-// evalReq evaluates one request of the given kind through the
-// Request API, returning the bare Result like the removed legacy
-// methods did.
-func evalReq(e *repro.Engine, kind repro.RequestKind, q repro.Query, opts repro.EvalOptions) (repro.Result, error) {
-	resp, err := e.Evaluate(context.Background(), repro.Request{
-		Kind: kind, Issuer: q.Issuer, W: q.W, H: q.H, Threshold: q.Threshold, Options: opts,
-	})
+// evalReq evaluates one request, returning the bare Result.
+func evalReq(e *repro.Engine, req repro.Request) (repro.Result, error) {
+	resp, err := e.Evaluate(context.Background(), req)
 	return resp.Result, err
+}
+
+// applyOne applies one update as a batch of its own.
+func applyOne(t *testing.T, e *repro.Engine, u repro.Update) repro.UpdateReport {
+	t.Helper()
+	rep := e.ApplyUpdates([]repro.Update{u})
+	if len(rep.Errors) > 0 {
+		t.Fatal(rep.Errors[0].Err)
+	}
+	return rep
 }
 
 // buildSmallWorld assembles a small end-to-end database through the
@@ -64,7 +70,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	iss := newIssuer(t, repro.Pt(5000, 5000), 250)
 
 	// IPQ.
-	res, err := evalReq(engine, repro.KindPoints, repro.Query{Issuer: iss, W: 500, H: 500}, repro.EvalOptions{})
+	res, err := evalReq(engine, repro.RequestPoints(iss, 500, 500, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +81,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 
 	// C-IUQ with a threshold.
-	resU, err := evalReq(engine, repro.KindUncertain, repro.Query{Issuer: iss, W: 500, H: 500, Threshold: 0.4}, repro.EvalOptions{})
+	resU, err := evalReq(engine, repro.RequestUncertain(iss, 500, 500, 0.4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +193,7 @@ func TestPublicAPIGaussian(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := repro.ObjectQualification(g, objPDF, 40, 40, repro.ObjectEvalConfig{})
+	p := repro.ObjectQualification(g, objPDF, 40, 40, repro.ObjectEvalConfig{}, nil)
 	if p <= 0 || p > 1 {
 		t.Fatalf("object qualification %g out of range", p)
 	}
@@ -234,9 +240,9 @@ func TestDatasetConfigsThroughFacade(t *testing.T) {
 func TestPublicAPIDynamicUpdates(t *testing.T) {
 	engine, _, _ := buildSmallWorld(t)
 	iss := newIssuer(t, repro.Pt(5000, 5000), 200)
-	q := repro.Query{Issuer: iss, W: 400, H: 400}
+	q := repro.RequestUncertain(iss, 400, 400, 0)
 
-	before, err := evalReq(engine, repro.KindUncertain, q, repro.EvalOptions{})
+	before, err := evalReq(engine, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,24 +255,20 @@ func TestPublicAPIDynamicUpdates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := engine.InsertObject(obj); err != nil {
-		t.Fatal(err)
-	}
-	after, err := evalReq(engine, repro.KindUncertain, q, repro.EvalOptions{})
+	applyOne(t, engine, repro.Update{Op: repro.OpUpsertObject, Object: obj})
+	after, err := evalReq(engine, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(after.Matches) != len(before.Matches)+1 {
 		t.Fatalf("matches %d -> %d", len(before.Matches), len(after.Matches))
 	}
-	ok, err := engine.DeleteObject(999999)
-	if err != nil || !ok {
-		t.Fatalf("DeleteObject: %t %v", ok, err)
+	if rep := applyOne(t, engine, repro.Update{Op: repro.OpDeleteObject, ID: 999999}); rep.Applied != 1 {
+		t.Fatalf("delete: %+v", rep)
 	}
-	if err := engine.InsertPoint(repro.PointObject{ID: 888888, Loc: repro.Pt(5000, 5000)}); err != nil {
-		t.Fatal(err)
-	}
-	resP, err := evalReq(engine, repro.KindPoints, q, repro.EvalOptions{})
+	applyOne(t, engine, repro.Update{Op: repro.OpUpsertPoint, Point: repro.PointObject{ID: 888888, Loc: repro.Pt(5000, 5000)}})
+	q.Kind = repro.KindPoints
+	resP, err := evalReq(engine, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,8 +344,8 @@ func TestPublicAPIContinuousMonitor(t *testing.T) {
 	engine, _, _ := buildSmallWorld(t)
 	mon := repro.NewMonitor(engine, repro.MonitorConfig{Workers: 2})
 
-	q := repro.Query{Issuer: newIssuer(t, repro.Pt(5000, 5000), 100), W: 400, H: 400}
-	sub, err := mon.Register(repro.RequestUncertain(q.Issuer, q.W, q.H, q.Threshold))
+	q := repro.RequestUncertain(newIssuer(t, repro.Pt(5000, 5000), 100), 400, 400, 0)
+	sub, err := mon.Register(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +402,7 @@ func TestPublicAPIContinuousMonitor(t *testing.T) {
 		t.Fatalf("far update not guard-filtered: %+v", out)
 	}
 
-	guard, err := repro.GuardRegion(q, repro.EvalOptions{})
+	guard, err := q.GuardRegion()
 	if err != nil {
 		t.Fatal(err)
 	}

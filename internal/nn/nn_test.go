@@ -764,6 +764,12 @@ func TestRefineAllocationBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// One P, as testing.AllocsPerRun runs: a sync.Pool keeps the kernel
+	// in the current P's private slot, which no other P can take, so a
+	// goroutine moved to another P by a loaded scheduler would build a
+	// second kernel. The GC ends any cycle denseFixture started.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
 	run(0) // warm the kernel pool
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
